@@ -12,7 +12,7 @@ race:
 	$(GO) test -short -race ./...
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
-# its committed corpus (CI runs the same quintet).
+# its committed corpus (CI runs the same six).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLockTable -fuzztime $(FUZZTIME) ./internal/lockmgr/
@@ -20,6 +20,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzBatchSchedule -fuzztime $(FUZZTIME) ./internal/batch/
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/rng/
 
 # scenarios runs the committed .rts corpus and fails on any expect
 # violation; update-scenarios reruns it and rewrites the goldens. Both

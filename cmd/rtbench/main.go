@@ -19,8 +19,8 @@
 // attribution) instead of the success-rate figure.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
-// experiment run, for hunting simulator hot spots (see DESIGN.md
-// "Kernel internals and performance").
+// experiment or scenario run, for hunting simulator hot spots (see
+// DESIGN.md "Kernel internals and performance").
 //
 // Every experiment fans its simulation cells across a worker pool of
 // -parallel goroutines (default: GOMAXPROCS). Each cell's seed is
@@ -46,7 +46,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rtbench:", err)
 		os.Exit(1)
 	}
@@ -63,35 +63,29 @@ type params struct {
 	traceSummary bool
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("rtbench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig3, fig4, fig5, table2, table3, table4, protocol, patterns, occ, speculation, outage, faults, batch-sweep, shard-sweep, sensitivity, policies, ablate-heuristics, ablate-window, ablate-downgrade, ablate-writethrough, ablate-logging, all)")
-		scale    = flag.Float64("scale", 1.0, "run-length scale factor in (0,1]")
-		seed     = flag.Int64("seed", 1, "master random seed (per-cell seeds are derived from it)")
-		clients  = flag.String("clients", "", "comma-separated client sweep for figures (default 20,40,60,80,100)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text (figures and tables)")
-		reps     = flag.Int("reps", 1, "replications per cell over derived seeds, aggregated as mean ± 95% CI")
-		parallel = flag.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS)")
-		progress = flag.Bool("progress", false, "log per-cell completions with wall-clock timing to stderr")
-		svgDir   = flag.String("svg", "", "directory to also write figures as SVG charts")
-		ablateN  = flag.Int("ablate-clients", 60, "client count for ablations")
-		ablateU  = flag.Float64("ablate-updates", 0.20, "update fraction for ablations")
-		traceSum = flag.Bool("trace-summary", false, "for figure experiments, re-run the CS/LS cells with tracing enabled and report the aggregate miss-cause table instead of the figure")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		scenFile = flag.String("scenario", "", "run one .rts scenario file instead of an experiment")
-		scenDir  = flag.String("scenario-dir", "", "run every .rts scenario in a directory instead of an experiment")
-		scenOut  = flag.String("scenario-out", "", "also write each scenario report to this directory as <name>.golden")
-		scenBig  = flag.Bool("scale-scenarios", false, "include scale-tier scenarios (>= 100k clients) in -scenario-dir runs; these take minutes and tens of GB")
+		exp      = fs.String("exp", "all", "experiment id (fig3, fig4, fig5, table2, table3, table4, protocol, patterns, occ, speculation, outage, faults, batch-sweep, shard-sweep, sensitivity, policies, ablate-heuristics, ablate-window, ablate-downgrade, ablate-writethrough, ablate-logging, all)")
+		scale    = fs.Float64("scale", 1.0, "run-length scale factor in (0,1]")
+		seed     = fs.Int64("seed", 1, "master random seed (per-cell seeds are derived from it)")
+		clients  = fs.String("clients", "", "comma-separated client sweep for figures (default 20,40,60,80,100)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text (figures and tables)")
+		reps     = fs.Int("reps", 1, "replications per cell over derived seeds, aggregated as mean ± 95% CI")
+		parallel = fs.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS)")
+		progress = fs.Bool("progress", false, "log per-cell completions with wall-clock timing to stderr")
+		svgDir   = fs.String("svg", "", "directory to also write figures as SVG charts")
+		ablateN  = fs.Int("ablate-clients", 60, "client count for ablations")
+		ablateU  = fs.Float64("ablate-updates", 0.20, "update fraction for ablations")
+		traceSum = fs.Bool("trace-summary", false, "for figure experiments, re-run the CS/LS cells with tracing enabled and report the aggregate miss-cause table instead of the figure")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		scenFile = fs.String("scenario", "", "run one .rts scenario file instead of an experiment")
+		scenDir  = fs.String("scenario-dir", "", "run every .rts scenario in a directory instead of an experiment")
+		scenOut  = fs.String("scenario-out", "", "also write each scenario report to this directory as <name>.golden")
+		scenBig  = fs.Bool("scale-scenarios", false, "include scale-tier scenarios (>= 100k clients) in -scenario-dir runs; these take minutes and tens of GB")
 	)
-	flag.Parse()
-
-	if *scenFile != "" || *scenDir != "" {
-		// Scenario runs carry their own seed (derived from the scenario
-		// name and the file's seed stanza), so -seed, -scale, and -reps
-		// do not apply here.
-		return runScenarios(*scenFile, *scenDir, *scenOut, *parallel, *scenBig, os.Stdout)
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -119,6 +113,13 @@ func run() error {
 		}()
 	}
 
+	if *scenFile != "" || *scenDir != "" {
+		// Scenario runs carry their own seed (derived from the scenario
+		// name and the file's seed stanza), so -seed, -scale, and -reps
+		// do not apply here.
+		return runScenarios(*scenFile, *scenDir, *scenOut, *parallel, *scenBig, out)
+	}
+
 	opts := experiment.Options{Scale: *scale, Seed: *seed, Reps: *reps, Parallel: *parallel}
 	if *clients != "" {
 		for _, part := range strings.Split(*clients, ",") {
@@ -141,7 +142,7 @@ func run() error {
 		exp: *exp, csv: *csv, svgDir: *svgDir,
 		ablateN: *ablateN, ablateU: *ablateU,
 		traceSummary: *traceSum,
-	}, opts, os.Stdout)
+	}, opts, out)
 	if timing != nil {
 		s := timing.Stats()
 		fmt.Fprintf(os.Stderr, "cells: %d, wall clock mean %v, max %v, total %v\n",

@@ -86,3 +86,30 @@ func TestRunExperimentsUnknownID(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
+
+// TestProfilesCoverScenarioRuns: -cpuprofile and -memprofile used to be
+// dropped on the floor whenever -scenario or -scenario-dir was given.
+func TestProfilesCoverScenarioRuns(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var sb strings.Builder
+	err := run([]string{
+		"-scenario", filepath.Join("..", "..", "scenarios", "scale_smoke.rts"),
+		"-cpuprofile", cpu, "-memprofile", mem,
+	}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "scale_smoke") {
+		t.Fatalf("scenario report missing:\n%s", sb.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+}

@@ -235,16 +235,3 @@ var (
 	_ AccessGen = (*Uniform)(nil)
 	_ AccessGen = (*HotCold)(nil)
 )
-
-// ParkStreams releases the generator's stream state while the owning
-// client idles (rng.Stream.Park; draw sequences unaffected).
-func (g *Uniform) ParkStreams(maxReplay uint64) { g.stream.ParkBelow(maxReplay) }
-
-// ParkStreams releases the generator's stream state while the owning
-// client idles.
-func (g *HotCold) ParkStreams(maxReplay uint64) { g.stream.ParkBelow(maxReplay) }
-
-// ParkStreams releases the generator's stream state while the owning
-// client idles. The Zipf sampler shares the same stream, so one park
-// covers both.
-func (g *LocalizedRW) ParkStreams(maxReplay uint64) { g.stream.ParkBelow(maxReplay) }

@@ -97,7 +97,3 @@ func (g *Skewed) Next() int {
 func (g *Skewed) NextSet(n int) []int { return g.scratch.distinct(g, g.dbSize, n) }
 
 var _ AccessGen = (*Skewed)(nil)
-
-// ParkStreams releases the generator's stream state while the owning
-// client idles (the Zipf sampler shares the same stream).
-func (g *Skewed) ParkStreams(maxReplay uint64) { g.stream.ParkBelow(maxReplay) }

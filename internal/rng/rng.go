@@ -17,129 +17,21 @@ import (
 	"time"
 )
 
-// Stream is a deterministic source of random variates.
-//
-// The persistent identity of a stream is just its (seed, draw-count)
-// pair — 16 bytes. The ~4.9 KB lagged-Fibonacci state vector behind
-// math/rand is materialized lazily from a shared pool on the first draw
-// and can be released back at any time with Park; the next draw
-// re-seeds a pooled vector and replays the recorded number of draws, so
-// the variate sequence is bit-identical whether or not the stream was
-// ever parked. This keeps idle per-client streams cache-resident at
-// million-client scale without perturbing any experiment.
+// Stream is a deterministic source of random variates. Its draws are
+// those of rand.New(rand.NewSource(seed)), which every golden pins, but
+// it is a few dozen bytes until its 274th draw (see source).
 type Stream struct {
-	r  *rand.Rand
-	ps parkSrc
+	r   *rand.Rand
+	src source
 }
 
-// NewStream returns a stream seeded with seed. No generator state is
-// allocated until the first draw.
+// NewStream returns a stream seeded with seed.
 func NewStream(seed int64) *Stream {
 	s := &Stream{}
-	s.ps.seed = seed
-	s.r = rand.New(&s.ps)
+	s.src.Seed(seed)
+	s.r = rand.New(&s.src)
 	return s
 }
-
-// sourcePool recycles the big math/rand state vectors across parked
-// streams. Entries carry arbitrary state; materialize re-seeds before
-// use.
-var sourcePool = sync.Pool{
-	New: func() any { return rand.NewSource(0).(rand.Source64) },
-}
-
-// parkSrc is the rand.Source64 behind a Stream: it counts draws and
-// materializes the underlying source on demand. One underlying
-// generator step is consumed per Int63 or Uint64 call, so the call
-// count is exactly the replay distance.
-type parkSrc struct {
-	src  rand.Source64
-	n    uint64
-	seed int64
-	// replayed accumulates the fast-forward work (in draw-equivalents)
-	// paid across all re-materializations, charging reseedCost per wake
-	// on top of the replayed draws. ParkBelow stops parking a stream
-	// once this exceeds replayBudget, so a stream that keeps getting
-	// woken by tail gaps in an otherwise busy arrival process caps its
-	// lifetime CPU waste instead of paying the reseed+replay toll
-	// forever. Sparse streams (the million-client tier) wake rarely and
-	// never hit the budget.
-	replayed uint64
-}
-
-// reseedCost is the draw-equivalent charge for re-seeding the ~4.9 KB
-// state vector on wake (rngSource seeding runs ~3·607 seedrand steps).
-const reseedCost = 2048
-
-// replayBudget caps a stream's lifetime fast-forward work; past it the
-// stream stays resident. ~131 K draw-equivalents is well under a
-// millisecond of CPU.
-const replayBudget = 1 << 17
-
-func (p *parkSrc) materialize() {
-	src := sourcePool.Get().(rand.Source64)
-	src.Seed(p.seed)
-	for i := uint64(0); i < p.n; i++ {
-		src.Uint64()
-	}
-	p.src = src
-	p.replayed += p.n + reseedCost
-}
-
-func (p *parkSrc) Int63() int64 {
-	if p.src == nil {
-		p.materialize()
-	}
-	p.n++
-	return p.src.Int63()
-}
-
-func (p *parkSrc) Uint64() uint64 {
-	if p.src == nil {
-		p.materialize()
-	}
-	p.n++
-	return p.src.Uint64()
-}
-
-func (p *parkSrc) Seed(seed int64) {
-	p.seed = seed
-	p.n = 0
-	if p.src != nil {
-		p.src.Seed(seed)
-	}
-}
-
-// Park releases the stream's generator state vector to a shared pool,
-// keeping only the seed and draw count. The next draw transparently
-// re-seeds a pooled vector and fast-forwards, so parking never changes
-// the sequence — it trades replay CPU for ~4.9 KB of resident memory.
-// Callers should gate on Draws() to bound the replay cost.
-func (s *Stream) Park() {
-	if s.ps.src == nil {
-		return
-	}
-	sourcePool.Put(s.ps.src)
-	s.ps.src = nil
-}
-
-// ParkBelow parks the stream only when its replay distance is at most
-// max draws, bounding the CPU paid to fast-forward on the next draw.
-// It also refuses once the stream's cumulative replay work exceeds
-// replayBudget, so park/wake churn is self-limiting: parking never
-// changes the draw sequence, only where the CPU/memory trade lands.
-func (s *Stream) ParkBelow(max uint64) {
-	if s.ps.n <= max && s.ps.replayed+s.ps.n <= replayBudget {
-		s.Park()
-	}
-}
-
-// Parked reports whether the stream currently holds no generator state.
-func (s *Stream) Parked() bool { return s.ps.src == nil }
-
-// Draws returns the number of variates drawn so far — the replay
-// distance a parked stream pays on its next draw.
-func (s *Stream) Draws() uint64 { return s.ps.n }
 
 // Derive returns a new independent stream whose seed combines the parent
 // seed-derived state with tag. Use it to give each client or component its

@@ -28,10 +28,6 @@ func (a *ClosedLoop) Next(prev time.Duration) time.Duration {
 	return prev + a.Stream.Exp(a.Mean)
 }
 
-// ParkStreams releases the process's generator state while the client
-// idles (see rng.Stream.Park — the draw sequence is unaffected).
-func (a *ClosedLoop) ParkStreams(maxReplay uint64) { a.Stream.ParkBelow(maxReplay) }
-
 // OpenLoop is an open-loop Poisson process at Rate arrivals per second:
 // arrivals keep coming regardless of how far behind the system is.
 type OpenLoop struct {
@@ -43,10 +39,6 @@ type OpenLoop struct {
 func (a *OpenLoop) Next(prev time.Duration) time.Duration {
 	return prev + a.Stream.Exp(meanGap(a.Rate))
 }
-
-// ParkStreams releases the process's generator state while the client
-// idles.
-func (a *OpenLoop) ParkStreams(maxReplay uint64) { a.Stream.ParkBelow(maxReplay) }
 
 // meanGap converts an arrival rate (per second) to the mean gap.
 func meanGap(rate float64) time.Duration {
@@ -87,10 +79,6 @@ func (a *Bursts) Next(prev time.Duration) time.Duration {
 	return at
 }
 
-// ParkStreams releases the process's generator state while the client
-// idles.
-func (a *Bursts) ParkStreams(maxReplay uint64) { a.Stream.ParkBelow(maxReplay) }
-
 // VariableRate is a nonhomogeneous Poisson process sampled by Lewis-
 // Shedler thinning: candidates arrive at the Peak rate and survive with
 // probability RateAt(t)/Peak. RateAt must never exceed Peak.
@@ -110,10 +98,6 @@ func (a *VariableRate) Next(prev time.Duration) time.Duration {
 		}
 	}
 }
-
-// ParkStreams releases the process's generator state while the client
-// idles.
-func (a *VariableRate) ParkStreams(maxReplay uint64) { a.Stream.ParkBelow(maxReplay) }
 
 // DiurnalRate returns the raised-cosine day curve used by diurnal
 // phases: trough at phase start, crest half a period later, repeating.
@@ -176,16 +160,5 @@ func (p *PhasedArrivals) Next(prev time.Duration) time.Duration {
 		}
 		p.cur++
 		prev = ph.End
-	}
-}
-
-// ParkStreams forwards to every phase's process: phases the schedule
-// has not reached yet hold lazily-materialized streams anyway, and the
-// current phase's stream replays on its next draw.
-func (p *PhasedArrivals) ParkStreams(maxReplay uint64) {
-	for _, ph := range p.Phases {
-		if sp, ok := ph.Proc.(streamParker); ok {
-			sp.ParkStreams(maxReplay)
-		}
 	}
 }

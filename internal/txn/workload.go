@@ -70,38 +70,6 @@ type Generator struct {
 	advance func(time.Duration)
 }
 
-// streamParker is implemented by access generators and arrival
-// processes whose random streams can be parked between draws (see
-// rng.Stream.Park). Parking is purely a memory optimization — the draw
-// sequence is identical either way.
-type streamParker interface{ ParkStreams(maxReplay uint64) }
-
-// parkIdle is the simulated-time gap to the next arrival beyond which a
-// client's streams are parked. Short think times (the paper's Figure-3
-// configurations) never park, so the dense-state machinery costs those
-// runs nothing; sparse open-loop swarms park between almost every pair
-// of arrivals.
-const parkIdle = 60 * time.Second
-
-// maxReplayDraws bounds the fast-forward a parked stream pays when it
-// next draws; streams past this are left resident.
-const maxReplayDraws = 1 << 16
-
-// maybePark releases the generator's stream states when the client is
-// about to idle long enough for the memory to matter.
-func (g *Generator) maybePark(arrival time.Duration) {
-	if g.nextAt-arrival < parkIdle {
-		return
-	}
-	g.stream.ParkBelow(maxReplayDraws)
-	if p, ok := g.cfg.Access.(streamParker); ok {
-		p.ParkStreams(maxReplayDraws)
-	}
-	if p, ok := g.cfg.Arrivals.(streamParker); ok {
-		p.ParkStreams(maxReplayDraws)
-	}
-}
-
 // NewGenerator returns a generator for origin. nextID must hand out
 // run-unique transaction ids (shared across clients).
 func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, nextID func() ID) *Generator {
@@ -123,9 +91,6 @@ func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, 
 	} else {
 		g.nextAt = stream.Exp(cfg.MeanInterArrival)
 	}
-	// A sparse arrival process leaves this client idle from the start
-	// (at million-client scale most clients are); park until then.
-	g.maybePark(0)
 	return g
 }
 
@@ -168,7 +133,7 @@ func (g *Generator) Next() *Transaction {
 		}
 		deadline = arrival + length + g.stream.ExpMin(meanSlack, g.cfg.MinSlack)
 	}
-	t := &Transaction{
+	return &Transaction{
 		ID:           g.nextID(),
 		Origin:       g.origin,
 		Arrival:      arrival,
@@ -179,8 +144,4 @@ func (g *Generator) Next() *Transaction {
 		Status:       StatusPending,
 		ExecSite:     g.origin,
 	}
-	// All of this transaction's draws are done; if the next arrival is
-	// far off, shed the ~4.9 KB/stream generator state until then.
-	g.maybePark(arrival)
-	return t
 }
