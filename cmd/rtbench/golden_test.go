@@ -147,3 +147,16 @@ func TestGoldenFaultMatrix(t *testing.T) {
 	}
 	checkGolden(t, "faults_replicated.golden", text.String())
 }
+
+// TestGoldenCCComparison locks down the concurrency-control study: strict
+// 2PL against backward-validation OCC on the centralized system, with the
+// OCC restart count and validation conflict rate. The golden was generated
+// while CE-OCC still ran on goroutine processes; it is the proof that the
+// machine port changed nothing an experiment can observe.
+func TestGoldenCCComparison(t *testing.T) {
+	var text strings.Builder
+	if err := runExperiments(params{exp: "occ", ablateN: 4, ablateU: 0.2}, goldenOpts, &text); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "occ.golden", text.String())
+}
