@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race proc-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,20 @@ test:
 
 race:
 	$(GO) test -short -race ./...
+
+# proc-lint keeps goroutine processes (sim.Proc, Env.Go) inside the
+# kernel package and the one benchmark driver that still measures them,
+# so deleting internal/sim/proc.go stays a one-package change.
+proc-lint:
+	@if grep -rnE 'sim\.Proc|\.Go\("' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/'; then \
+		echo 'proc-lint: goroutine processes are kernel-internal; write a sim.Machine' >&2; exit 1; fi
+
+# bench-check compiles and tests the benchmark module (its own go.mod,
+# so `go test ./...` at the root never sees it) and smoke-runs all four
+# workloads: an internal API the benchmark uses cannot disappear silently.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
 # its committed corpus (CI runs the same six).

@@ -191,18 +191,6 @@ func BenchmarkSimKernel(b *testing.B) {
 	env.RunAll()
 }
 
-// BenchmarkSimProcessSwitch measures coroutine context switches.
-func BenchmarkSimProcessSwitch(b *testing.B) {
-	env := sim.NewEnv()
-	env.Go("switcher", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	env.RunAll()
-}
-
 // BenchmarkLockTable measures uncontended lock/release pairs.
 func BenchmarkLockTable(b *testing.B) {
 	t := lockmgr.NewTable()

@@ -16,10 +16,11 @@ var (
 	ErrDeadline = errors.New("lockmgr: deadline passed while waiting")
 )
 
-// BlockingTable adapts a Table for process-style callers: LockWait blocks
-// the simulation process until the lock is granted, the request's
-// deadline passes, or the request is refused as a deadlock. All lock
-// mutations must go through the wrapper so that waiters are woken.
+// BlockingTable adapts a Table for callers that wait for their locks: a
+// LockOp parks the calling machine until the lock is granted, the
+// request's deadline passes, or the request is refused as a deadlock.
+// All lock mutations must go through the wrapper so that waiters are
+// woken.
 type BlockingTable struct {
 	env     *sim.Env
 	table   *Table
@@ -42,47 +43,21 @@ func (bt *BlockingTable) Table() *Table { return bt.table }
 // Reserve pre-sizes the underlying table's entry index.
 func (bt *BlockingTable) Reserve(n int) { bt.table.Reserve(n) }
 
-// LockWait acquires req, blocking until granted. It fails with
-// ErrDeadlock when refused by cycle detection and with ErrDeadline when
-// req.Deadline arrives first (the request is then canceled, matching the
-// policy that transactions past their deadline are not served).
-func (bt *BlockingTable) LockWait(p *sim.Proc, req *Request) error {
-	outcome, _ := bt.table.Lock(req)
-	switch outcome {
-	case Granted:
-		return nil
-	case Deadlock:
-		return ErrDeadlock
-	}
-	sig := sim.NewSignal(bt.env)
-	bt.wakeups[req] = sig
-	for !req.GrantedNow() {
-		remain := req.Deadline - p.Now()
-		if remain <= 0 || !p.WaitTimeout(sig, remain) {
-			if req.GrantedNow() { // granted in the same instant as the timeout
-				break
-			}
-			delete(bt.wakeups, req)
-			bt.fire(bt.table.Cancel(req))
-			return ErrDeadline
-		}
-	}
-	delete(bt.wakeups, req)
-	return nil
-}
-
-// LockOp is the state-machine counterpart of LockWait: a resumable lock
-// acquisition for Machine callers with identical outcomes and park
-// points. Call Start once; done=true resolves the request immediately
-// (grant, deadlock refusal, or an already-expired deadline). Otherwise
-// the task parked: call Step from every following Resume until done.
+// LockOp is a resumable lock acquisition embedded in the calling
+// sim.Machine. It fails with ErrDeadlock when refused by cycle detection
+// and with ErrDeadline when req.Deadline arrives first (the request is
+// then canceled, matching the policy that transactions past their
+// deadline are not served). Call Start once; done=true resolves the
+// request immediately (grant, deadlock refusal, or an already-expired
+// deadline). Otherwise the task parked: call Step from every following
+// Resume until done.
 type LockOp struct {
 	bt  *BlockingTable
 	req *Request
 	sig *sim.Signal
 }
 
-// Start issues the request, mirroring LockWait up to the first park.
+// Start issues the request and runs up to the first park.
 func (o *LockOp) Start(bt *BlockingTable, t *sim.Task, req *Request) (bool, error) {
 	o.bt, o.req = bt, req
 	outcome, _ := bt.table.Lock(req)
@@ -109,8 +84,8 @@ func (o *LockOp) Step(t *sim.Task) (bool, error) {
 	return o.wait(t)
 }
 
-// wait mirrors LockWait's grant-recheck loop: resolve if granted,
-// expire if the deadline passed, otherwise park until woken.
+// wait is the grant-recheck loop: resolve if granted, expire if the
+// deadline passed, otherwise park until woken.
 func (o *LockOp) wait(t *sim.Task) (bool, error) {
 	if o.req.GrantedNow() {
 		delete(o.bt.wakeups, o.req)
@@ -129,20 +104,9 @@ func (o *LockOp) expire() (bool, error) {
 	return true, ErrDeadline
 }
 
-// Release drops owner's lock on obj and wakes newly granted waiters.
-func (bt *BlockingTable) Release(obj ObjectID, owner OwnerID) {
-	bt.fire(bt.table.Release(obj, owner))
-}
-
 // ReleaseAll drops all of owner's locks and wakes newly granted waiters.
 func (bt *BlockingTable) ReleaseAll(owner OwnerID) {
 	bt.fire(bt.table.ReleaseAll(owner))
-}
-
-// Downgrade weakens owner's EL on obj to SL and wakes newly granted
-// waiters.
-func (bt *BlockingTable) Downgrade(obj ObjectID, owner OwnerID) {
-	bt.fire(bt.table.Downgrade(obj, owner))
 }
 
 func (bt *BlockingTable) fire(grants []*Request) {

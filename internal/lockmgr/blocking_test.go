@@ -6,15 +6,39 @@ import (
 	"time"
 
 	"siteselect/internal/sim"
+	"siteselect/internal/sim/simtest"
 )
+
+// lock is a step that acquires r through a LockOp, storing the outcome
+// in *err.
+func lock(bt *BlockingTable, r *Request, err *error) simtest.Step {
+	var op LockOp
+	started := false
+	return func(t *sim.Task) bool {
+		var done bool
+		if !started {
+			started = true
+			done, *err = op.Start(bt, t, r)
+		} else {
+			done, *err = op.Step(t)
+		}
+		return done
+	}
+}
+
+func do(fn func(t *sim.Task)) simtest.Step {
+	return func(t *sim.Task) bool { fn(t); return true }
+}
+
+func sleep(d time.Duration) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { t.Sleep(d); return true })
+}
 
 func TestLockWaitImmediateGrant(t *testing.T) {
 	env := sim.NewEnv()
 	bt := NewBlockingTable(env)
-	var err error
-	env.Go("t", func(p *sim.Proc) {
-		err = bt.LockWait(p, req(1, 1, ModeExclusive, time.Hour))
-	})
+	err := errors.New("not run")
+	simtest.Spawn(env, lock(bt, req(1, 1, ModeExclusive, time.Hour), &err))
 	env.RunAll()
 	if err != nil {
 		t.Fatal(err)
@@ -28,21 +52,19 @@ func TestLockWaitBlocksUntilRelease(t *testing.T) {
 	env := sim.NewEnv()
 	bt := NewBlockingTable(env)
 	var gotAt time.Duration
-	env.Go("holder", func(p *sim.Proc) {
-		if err := bt.LockWait(p, req(1, 1, ModeExclusive, time.Hour)); err != nil {
-			t.Errorf("holder: %v", err)
-		}
-		p.Sleep(5 * time.Second)
-		bt.Release(1, 1)
-	})
-	env.Go("waiter", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		if err := bt.LockWait(p, req(1, 2, ModeExclusive, time.Hour)); err != nil {
-			t.Errorf("waiter: %v", err)
-		}
-		gotAt = p.Now()
-	})
+	var herr, werr error
+	simtest.Spawn(env, // holder
+		lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr),
+		sleep(5*time.Second),
+		do(func(*sim.Task) { bt.ReleaseAll(1) }))
+	simtest.Spawn(env, // waiter
+		sleep(time.Second),
+		lock(bt, req(1, 2, ModeExclusive, time.Hour), &werr),
+		do(func(task *sim.Task) { gotAt = task.Now() }))
 	env.RunAll()
+	if herr != nil || werr != nil {
+		t.Fatalf("holder: %v, waiter: %v", herr, werr)
+	}
 	if gotAt != 5*time.Second {
 		t.Fatalf("waiter granted at %v, want 5s", gotAt)
 	}
@@ -51,16 +73,14 @@ func TestLockWaitBlocksUntilRelease(t *testing.T) {
 func TestLockWaitDeadlineExpires(t *testing.T) {
 	env := sim.NewEnv()
 	bt := NewBlockingTable(env)
-	var err error
-	env.Go("holder", func(p *sim.Proc) {
-		_ = bt.LockWait(p, req(1, 1, ModeExclusive, time.Hour))
-		p.Sleep(time.Hour)
-		bt.ReleaseAll(1)
-	})
-	env.Go("waiter", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		err = bt.LockWait(p, req(1, 2, ModeExclusive, 3*time.Second))
-	})
+	var herr, err error
+	simtest.Spawn(env, // holder
+		lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr),
+		sleep(time.Hour),
+		do(func(*sim.Task) { bt.ReleaseAll(1) }))
+	simtest.Spawn(env, // waiter
+		sleep(time.Second),
+		lock(bt, req(1, 2, ModeExclusive, 3*time.Second), &err))
 	env.Run(10 * time.Second)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -74,17 +94,15 @@ func TestLockWaitDeadlineExpires(t *testing.T) {
 func TestLockWaitDeadlockRefused(t *testing.T) {
 	env := sim.NewEnv()
 	bt := NewBlockingTable(env)
-	var errB error
-	env.Go("a", func(p *sim.Proc) {
-		_ = bt.LockWait(p, req(1, 1, ModeExclusive, time.Hour))
-		p.Sleep(time.Second)
-		_ = bt.LockWait(p, req(2, 1, ModeExclusive, time.Hour))
-	})
-	env.Go("b", func(p *sim.Proc) {
-		_ = bt.LockWait(p, req(2, 2, ModeExclusive, time.Hour))
-		p.Sleep(2 * time.Second) // let a queue on obj 2 first
-		errB = bt.LockWait(p, req(1, 2, ModeExclusive, time.Hour))
-	})
+	var e1, e2, e3, errB error
+	simtest.Spawn(env, // a
+		lock(bt, req(1, 1, ModeExclusive, time.Hour), &e1),
+		sleep(time.Second),
+		lock(bt, req(2, 1, ModeExclusive, time.Hour), &e2))
+	simtest.Spawn(env, // b
+		lock(bt, req(2, 2, ModeExclusive, time.Hour), &e3),
+		sleep(2*time.Second), // let a queue on obj 2 first
+		lock(bt, req(1, 2, ModeExclusive, time.Hour), &errB))
 	env.Run(5 * time.Second)
 	if !errors.Is(errB, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", errB)
@@ -92,50 +110,30 @@ func TestLockWaitDeadlockRefused(t *testing.T) {
 	env.Close()
 }
 
-func TestDowngradeWakesSharedWaiter(t *testing.T) {
-	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
-	var gotAt time.Duration
-	env.Go("holder", func(p *sim.Proc) {
-		_ = bt.LockWait(p, req(1, 1, ModeExclusive, time.Hour))
-		p.Sleep(2 * time.Second)
-		bt.Downgrade(1, 1)
-	})
-	env.Go("reader", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		if err := bt.LockWait(p, req(1, 2, ModeShared, time.Hour)); err != nil {
-			t.Errorf("reader: %v", err)
-		}
-		gotAt = p.Now()
-	})
-	env.RunAll()
-	if gotAt != 2*time.Second {
-		t.Fatalf("reader granted at %v, want 2s (on downgrade)", gotAt)
-	}
-}
-
 func TestManyWaitersServedInDeadlineOrder(t *testing.T) {
 	env := sim.NewEnv()
 	bt := NewBlockingTable(env)
 	var order []OwnerID
-	env.Go("holder", func(p *sim.Proc) {
-		_ = bt.LockWait(p, req(1, 99, ModeExclusive, time.Hour))
-		p.Sleep(time.Second)
-		bt.Release(1, 99)
-	})
+	var herr error
+	simtest.Spawn(env, // holder
+		lock(bt, req(1, 99, ModeExclusive, time.Hour), &herr),
+		sleep(time.Second),
+		do(func(*sim.Task) { bt.ReleaseAll(99) }))
 	deadlines := []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second}
 	for i, dl := range deadlines {
 		owner := OwnerID(i + 1)
-		dl := dl
-		env.Go("w", func(p *sim.Proc) {
-			p.Sleep(time.Duration(i+1) * time.Millisecond)
-			if err := bt.LockWait(p, req(1, owner, ModeExclusive, dl)); err != nil {
-				t.Errorf("waiter %d: %v", owner, err)
-				return
-			}
-			order = append(order, owner)
-			bt.Release(1, owner)
-		})
+		var err error
+		simtest.Spawn(env,
+			sleep(time.Duration(i+1)*time.Millisecond),
+			lock(bt, req(1, owner, ModeExclusive, dl), &err),
+			do(func(*sim.Task) {
+				if err != nil {
+					t.Errorf("waiter %d: %v", owner, err)
+					return
+				}
+				order = append(order, owner)
+				bt.ReleaseAll(owner)
+			}))
 	}
 	env.RunAll()
 	want := []OwnerID{2, 3, 1}
@@ -146,5 +144,57 @@ func TestManyWaitersServedInDeadlineOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("service order = %v, want %v", order, want)
 		}
+	}
+}
+
+// A release landing in the very instant a waiter's deadline expires is
+// resolved by event order alone: the grant wins when the release was
+// scheduled first, the timeout wins otherwise — and a timed-out waiter
+// leaves neither a queue entry nor a lock behind.
+func TestLockOpGrantVersusTimeoutSameInstant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		naps []time.Duration // holder locks at 0, naps 5s in all, releases
+		want error
+	}{
+		// Holder's wake-up at 5s is queued (at t=0) before the waiter's
+		// timeout (queued at t=1s): release, grant, timer canceled.
+		{"release-first", []time.Duration{5 * time.Second}, nil},
+		// Holder's second nap starts at 2s, so its wake-up at 5s is
+		// queued after the waiter's timeout: the timeout runs first.
+		{"timeout-first", []time.Duration{2 * time.Second, 3 * time.Second}, ErrDeadline},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			bt := NewBlockingTable(env)
+			var herr error
+			err := errors.New("not run")
+			var doneAt time.Duration
+			holder := []simtest.Step{lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr)}
+			for _, d := range tc.naps {
+				holder = append(holder, sleep(d))
+			}
+			simtest.Spawn(env, append(holder, do(func(*sim.Task) { bt.ReleaseAll(1) }))...)
+			simtest.Spawn(env, // waiter, deadline 5s
+				sleep(time.Second),
+				lock(bt, req(1, 2, ModeExclusive, 5*time.Second), &err),
+				do(func(task *sim.Task) { doneAt = task.Now() }))
+			env.RunAll()
+			if herr != nil || !errors.Is(err, tc.want) {
+				t.Fatalf("holder: %v, waiter: %v, want %v", herr, err, tc.want)
+			}
+			if doneAt != 5*time.Second {
+				t.Fatalf("waiter resolved at %v, want 5s", doneAt)
+			}
+			if bt.Table().QueueLen(1) != 0 {
+				t.Fatal("waiter left in queue")
+			}
+			if tc.want != nil && len(bt.Table().Holders(1)) != 0 {
+				t.Fatalf("holders after timeout and release = %v", bt.Table().Holders(1))
+			}
+			if len(bt.wakeups) != 0 {
+				t.Fatalf("%d wake-up signals leaked", len(bt.wakeups))
+			}
+		})
 	}
 }

@@ -10,13 +10,11 @@ import (
 // drain runs the simulation to completion and returns every message
 // delivered into mb, in delivery order.
 func drain(env *sim.Env, mb *sim.Mailbox[Message]) []Message {
-	var got []Message
-	env.Go("recv", func(p *sim.Proc) {
-		for {
-			got = append(got, mb.Get(p))
-		}
-	})
 	env.RunAll()
+	var got []Message
+	for m, ok := mb.TryGet(); ok; m, ok = mb.TryGet() {
+		got = append(got, m)
+	}
 	return got
 }
 

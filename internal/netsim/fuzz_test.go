@@ -59,13 +59,7 @@ func FuzzFaultSchedule(f *testing.F) {
 				from, to := SiteID(b%4), SiteID((b>>2)%4)
 				env.At(at, func() { n.Send(Message{Kind: k, From: from, To: to}, mb) })
 			}
-			var got []Message
-			env.Go("recv", func(p *sim.Proc) {
-				for {
-					got = append(got, mb.Get(p))
-				}
-			})
-			env.RunAll()
+			got := drain(env, mb)
 			env.Close()
 			return got, n.Faults()
 		}

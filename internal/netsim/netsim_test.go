@@ -23,9 +23,7 @@ func TestDeliveryTimeAndStamp(t *testing.T) {
 	n := New(env, Config{Latency: time.Millisecond, BandwidthBps: 8e6}) // 1 byte = 1 µs
 	mb := sim.NewMailbox[Message](env)
 	n.Send(Message{Kind: KindObjectShip, From: 0, To: 1, Size: 1000}, mb)
-	var got Message
-	env.Go("recv", func(p *sim.Proc) { got = mb.Get(p) })
-	env.RunAll()
+	got := drain(env, mb)[0]
 	want := time.Millisecond + 1000*time.Microsecond
 	if env.Now() != want {
 		t.Fatalf("delivered at %v, want %v", env.Now(), want)
@@ -43,13 +41,9 @@ func TestSharedBusSerializes(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	var times []time.Duration
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			m := mb.Get(p)
-			times = append(times, m.DeliveredAt)
-		}
-	})
-	env.RunAll()
+	for _, m := range drain(env, mb) {
+		times = append(times, m.DeliveredAt)
+	}
 	if times[0] != time.Millisecond || times[1] != 2*time.Millisecond {
 		t.Fatalf("delivery times = %v", times)
 	}
@@ -62,7 +56,6 @@ func TestBusIdleGapDoesNotAccumulate(t *testing.T) {
 	env.Schedule(time.Second, func() {
 		n.Send(Message{Kind: KindRecall, Size: 1000}, mb)
 	})
-	env.Go("recv", func(p *sim.Proc) { mb.Get(p) })
 	env.RunAll()
 	if env.Now() != time.Second+time.Millisecond {
 		t.Fatalf("late send delivered at %v", env.Now())
@@ -114,7 +107,6 @@ func TestUtilization(t *testing.T) {
 	n := New(env, Config{Latency: 0, BandwidthBps: 8e6})
 	mb := sim.NewMailbox[Message](env)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb) // 1 ms busy
-	env.Go("recv", func(p *sim.Proc) { mb.Get(p) })
 	env.RunAll()
 	env.Run(10 * time.Millisecond)
 	if u := n.Utilization(); u < 0.09 || u > 0.11 {
@@ -132,12 +124,9 @@ func TestSwitchedTopologyNoBusQueueing(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
 	var times []time.Duration
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			times = append(times, mb.Get(p).DeliveredAt)
-		}
-	})
-	env.RunAll()
+	for _, m := range drain(env, mb) {
+		times = append(times, m.DeliveredAt)
+	}
 	want := 2 * time.Millisecond // 1ms tx + 1ms latency
 	if times[0] != want {
 		t.Fatalf("first delivery = %v, want %v", times[0], want)
@@ -156,12 +145,9 @@ func TestSwitchedPreservesSendOrder(t *testing.T) {
 	n.Send(Message{Kind: KindObjectShip, Size: 4000}, mb)
 	n.Send(Message{Kind: KindLockReply, Size: 10}, mb)
 	var kinds []Kind
-	env.Go("recv", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			kinds = append(kinds, mb.Get(p).Kind)
-		}
-	})
-	env.RunAll()
+	for _, m := range drain(env, mb) {
+		kinds = append(kinds, m.Kind)
+	}
 	if kinds[0] != KindObjectShip || kinds[1] != KindLockReply {
 		t.Fatalf("delivery order = %v", kinds)
 	}

@@ -2,14 +2,15 @@ package pagefile
 
 import "siteselect/internal/sim"
 
-// State-machine counterparts of the blocking pool and disk operations.
-// Each op mirrors its blocking twin line by line — same counter order,
-// same park points, same retry loops — so a Machine caller produces
-// exactly the event sequence a Proc caller would. The blocking methods
-// stay for process-based models; both kinds share the pool.
+// The pool and disk operations that take virtual time. Each is a
+// resumable op embedded in the calling sim.Machine: Init (or start) arms
+// it, and Step is called from every Resume until it reports done; a
+// false return means the task parked on exactly one primitive (the disk
+// arm, the access timer, a loading frame's signal, or the pool's free
+// signal).
 
-// ioOp is a resumable disk access (Disk.Read / Disk.Write for tasks):
-// acquire the arm, hold it for the access time, release, count, copy.
+// ioOp is one disk access: acquire the arm, hold it for the access
+// time, release, count, copy. Pages never written read as zeroes.
 type ioOp struct {
 	d     *Disk
 	id    PageID
@@ -69,8 +70,7 @@ func (o *ioOp) step(t *sim.Task) bool {
 	}
 }
 
-// allocAction is what allocateTask decided; it mirrors the blocking
-// allocate's three outcomes.
+// allocAction is what allocate decided.
 type allocAction uint8
 
 const (
@@ -84,9 +84,11 @@ const (
 	allocWaitFree
 )
 
-// allocateTask is allocate for machine callers; identical decisions and
-// counter order, with the blocking write-back handed to io.
-func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
+// allocate finds a frame for id, evicting the LRU unpinned page if the
+// pool is full. It returns a pinned, loading frame; when the victim was
+// dirty its write-back has been started in io and must be stepped to
+// completion before the frame is used.
+func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
 	if bp.allocated < bp.cap {
 		f := bp.newFrame(id)
 		bp.frames[id] = f
@@ -94,12 +96,21 @@ func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, al
 	}
 	vf := bp.lruBack
 	if vf == nil {
+		// Every frame is pinned: wait for an Unpin, then retry from the
+		// lookup so the page-resident check runs again.
 		t.Wait(bp.free)
 		return nil, allocWaitFree
 	}
 	vid := vf.id
 	bp.lruRemove(vf)
 	bp.Evictions++
+
+	// Re-key the victim frame in place: it is unpinned, so it is not
+	// loading and its loaded signal has no waiters — the frame, its data
+	// buffer, and its signal are all safe to reuse. Marking it loading
+	// first makes other getters of id wait rather than double-read; the
+	// write-back and read that follow park, so the map must already
+	// reflect the claim.
 	delete(bp.frames, vid)
 	wasDirty := vf.dirty
 	vf.id = id
@@ -115,9 +126,10 @@ func (bp *BufferPool) allocateTask(t *sim.Task, io *ioOp, id PageID) (*Frame, al
 	return vf, allocReady
 }
 
-// GetOp is the state-machine counterpart of BufferPool.Get: a resumable
-// pin-with-read. Init it, then call Step from every Resume until it
-// reports done; the pinned frame is then available from Frame.
+// GetOp pins a page, reading it from disk on a miss. Concurrent getters
+// of a loading page wait for the single read, and the op waits when
+// every frame is pinned until one is unpinned. After Step reports done
+// the pinned frame is available from Frame.
 type GetOp struct {
 	bp *BufferPool
 	id PageID
@@ -161,7 +173,7 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 				g.f = f
 				return true, nil
 			}
-			f, act := bp.allocateTask(t, &g.io, g.id)
+			f, act := bp.allocate(t, &g.io, g.id)
 			if act == allocWaitFree {
 				return false, nil // lost a race while parked; retry lookup
 			}
@@ -191,9 +203,11 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 	}
 }
 
-// PutOp is the state-machine counterpart of BufferPool.Put: install
-// data as page id without reading the old contents, evicting (and
-// possibly writing back) a victim when the pool is full.
+// PutOp installs data as the current contents of a page without reading
+// the old contents from disk (used when a client returns a modified
+// object: the server has the authoritative new copy in hand). The page
+// becomes resident and dirty; eviction writes it back. A full pool
+// evicts (and possibly writes back) a victim first.
 type PutOp struct {
 	bp   *BufferPool
 	id   PageID
@@ -237,7 +251,7 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 				o.data = nil
 				return true, nil
 			}
-			f, act := bp.allocateTask(t, &o.io, o.id)
+			f, act := bp.allocate(t, &o.io, o.id)
 			if act == allocWaitFree {
 				return false, nil
 			}

@@ -1,13 +1,9 @@
 package pagefile
 
-import (
-	"fmt"
-
-	"siteselect/internal/sim"
-)
+import "siteselect/internal/sim"
 
 // Frame is a buffer-pool slot holding one page. Callers pin a frame with
-// BufferPool.Get, read or modify Data, and release it with Unpin.
+// a GetOp, read or modify Data, and release it with Unpin.
 type Frame struct {
 	id      PageID
 	Data    []byte
@@ -31,8 +27,9 @@ func (f *Frame) Dirty() bool { return f.dirty }
 func (f *Frame) Pins() int { return f.pins }
 
 // BufferPool caches pages of a Disk in a fixed number of frames with LRU
-// replacement. Dirty pages are written back when evicted or flushed.
-// All blocking methods take the calling process.
+// replacement. Dirty pages are written back when evicted. The operations
+// that can wait on the disk or on a free frame (GetOp, PutOp, MultiGetOp)
+// are resumable ops stepped by the calling sim.Machine.
 type BufferPool struct {
 	env    *sim.Env
 	disk   *Disk
@@ -50,7 +47,7 @@ type BufferPool struct {
 	lruFront, lruBack *Frame
 	free              *sim.Signal
 
-	// Hits and Misses count Get outcomes.
+	// Hits and Misses count GetOp outcomes.
 	Hits   int64
 	Misses int64
 	// Evictions counts frames replaced; DirtyWrites counts write-backs.
@@ -97,6 +94,19 @@ func (bp *BufferPool) newFrame(id PageID) *Frame {
 // Resident returns the number of pages currently buffered.
 func (bp *BufferPool) Resident() int { return len(bp.frames) }
 
+// Pinned returns the number of frames with at least one pin. A quiescent
+// pool has none; a nonzero count after every transaction has finished is
+// a leaked pin.
+func (bp *BufferPool) Pinned() int {
+	n := 0
+	for i := range bp.slab[:bp.allocated] {
+		if bp.slab[i].pins > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Contains reports whether page id is resident (pinned or not), without
 // touching LRU state.
 func (bp *BufferPool) Contains(id PageID) bool {
@@ -131,88 +141,6 @@ func (bp *BufferPool) lruRemove(f *Frame) {
 	f.inLRU = false
 }
 
-// Get pins page id, reading it from disk on a miss, and returns its
-// frame. Concurrent getters of a loading page wait for the single read.
-// Get blocks when every frame is pinned until one is unpinned.
-func (bp *BufferPool) Get(p *sim.Proc, id PageID) (*Frame, error) {
-	if err := bp.disk.check(id); err != nil {
-		return nil, err
-	}
-	for {
-		if f, ok := bp.frames[id]; ok {
-			if f.loading {
-				p.Wait(f.loaded)
-				continue // frame may have been evicted or re-keyed; recheck
-			}
-			bp.Hits++
-			bp.pin(f)
-			return f, nil
-		}
-		f, err := bp.allocate(p, id)
-		if err != nil {
-			return nil, err
-		}
-		if f == nil {
-			continue // lost a race while blocked; retry lookup
-		}
-		bp.Misses++
-		if err := bp.disk.Read(p, id, f.Data); err != nil {
-			// Cannot happen after the range check, but unwind safely.
-			f.loading = false
-			delete(bp.frames, id)
-			f.loaded.Broadcast()
-			bp.free.Broadcast()
-			return nil, err
-		}
-		f.loading = false
-		f.loaded.Broadcast()
-		return f, nil
-	}
-}
-
-// allocate finds a frame for id, evicting the LRU unpinned page if the
-// pool is full (writing it back first when dirty). It returns a pinned,
-// loading frame, or nil if the caller must retry because it blocked and
-// the world changed.
-func (bp *BufferPool) allocate(p *sim.Proc, id PageID) (*Frame, error) {
-	if bp.allocated < bp.cap {
-		f := bp.newFrame(id)
-		bp.frames[id] = f
-		return f, nil
-	}
-	vf := bp.lruBack
-	if vf == nil {
-		// Every frame is pinned: wait for an Unpin, then retry from Get
-		// so the page-resident check runs again.
-		p.Wait(bp.free)
-		return nil, nil
-	}
-	vid := vf.id
-	bp.lruRemove(vf)
-	bp.Evictions++
-
-	// Re-key the victim frame in place: it is unpinned, so it is not
-	// loading and its loaded signal has no waiters — the frame, its data
-	// buffer, and its signal are all safe to reuse. Marking it loading
-	// first makes other getters of id wait rather than double-read; the
-	// write-back and read below block, so the map must already reflect
-	// the claim.
-	delete(bp.frames, vid)
-	wasDirty := vf.dirty
-	vf.id = id
-	vf.pins = 1
-	vf.dirty = false
-	vf.loading = true
-	bp.frames[id] = vf
-	if wasDirty {
-		bp.DirtyWrites++
-		if err := bp.disk.Write(p, vid, vf.Data); err != nil {
-			return nil, fmt.Errorf("pagefile: evicting page %d: %w", vid, err)
-		}
-	}
-	return vf, nil
-}
-
 // touch moves an unpinned frame to the most-recently-used position.
 func (bp *BufferPool) touch(f *Frame) {
 	if f.inLRU && bp.lruFront != f {
@@ -245,70 +173,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	}
 }
 
-// Put installs data as the current contents of page id without reading
-// the old contents from disk (used when a client returns a modified
-// object: the server has the authoritative new copy in hand). The page
-// becomes resident and dirty; eviction writes it back. Put may block
-// evicting a dirty victim.
-func (bp *BufferPool) Put(p *sim.Proc, id PageID, data []byte) error {
-	if err := bp.disk.check(id); err != nil {
-		return err
-	}
-	for {
-		if f, ok := bp.frames[id]; ok {
-			if f.loading {
-				p.Wait(f.loaded)
-				continue
-			}
-			copy(f.Data, data)
-			f.dirty = true
-			bp.touch(f)
-			return nil
-		}
-		f, err := bp.allocate(p, id)
-		if err != nil {
-			return err
-		}
-		if f == nil {
-			continue
-		}
-		copy(f.Data, data)
-		f.dirty = true
-		f.loading = false
-		f.loaded.Broadcast()
-		bp.Unpin(f, true)
-		return nil
-	}
-}
-
-// FlushAll writes every dirty resident page back to disk. Pinned frames
-// are flushed too (their in-memory state remains valid).
-func (bp *BufferPool) FlushAll(p *sim.Proc) error {
-	// Deterministic order: walk ids ascending.
-	ids := make([]PageID, 0, len(bp.frames))
-	for id := range bp.frames {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		f := bp.frames[id]
-		if f.loading || !f.dirty {
-			continue
-		}
-		bp.DirtyWrites++
-		if err := bp.disk.Write(p, id, f.Data); err != nil {
-			return fmt.Errorf("pagefile: flushing page %d: %w", id, err)
-		}
-		f.dirty = false
-	}
-	return nil
-}
-
-// HitRate returns the fraction of Get calls served without disk I/O.
+// HitRate returns the fraction of pins served without disk I/O.
 func (bp *BufferPool) HitRate() float64 {
 	total := bp.Hits + bp.Misses
 	if total == 0 {

@@ -77,40 +77,3 @@ func (d *Disk) check(id PageID) error {
 	}
 	return nil
 }
-
-// Read copies page id into buf (which must be PageSize bytes), charging
-// the device time. Pages never written read as zeroes.
-func (d *Disk) Read(p *sim.Proc, id PageID, buf []byte) error {
-	if err := d.check(id); err != nil {
-		return err
-	}
-	p.Acquire(d.arm, 0)
-	p.Sleep(d.cfg.ReadTime)
-	d.arm.Release()
-	d.Reads++
-	if d.pages[id] == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
-	} else {
-		copy(buf, d.pages[id])
-	}
-	return nil
-}
-
-// Write stores data (PageSize bytes) as page id, charging the device
-// time.
-func (d *Disk) Write(p *sim.Proc, id PageID, data []byte) error {
-	if err := d.check(id); err != nil {
-		return err
-	}
-	p.Acquire(d.arm, 0)
-	p.Sleep(d.cfg.WriteTime)
-	d.arm.Release()
-	d.Writes++
-	if d.pages[id] == nil {
-		d.pages[id] = make([]byte, PageSize)
-	}
-	copy(d.pages[id], data)
-	return nil
-}

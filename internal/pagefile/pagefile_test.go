@@ -6,50 +6,93 @@ import (
 	"time"
 
 	"siteselect/internal/sim"
+	"siteselect/internal/sim/simtest"
 )
 
-func run(t *testing.T, fn func(p *sim.Proc)) *sim.Env {
+// diskIO is a step that performs one disk access through ioOp.
+func diskIO(d *Disk, write bool, id PageID, buf []byte) simtest.Step {
+	var op ioOp
+	op.start(d, write, id, buf)
+	return op.step
+}
+
+// getErr is a step that pins page id through a GetOp, storing the frame
+// in *f and the outcome in *err.
+func getErr(bp *BufferPool, id PageID, f **Frame, err *error) simtest.Step {
+	var op GetOp
+	op.Init(bp, id)
+	return func(t *sim.Task) bool {
+		done, e := op.Step(t)
+		if done {
+			*f, *err = op.Frame(), e
+		}
+		return done
+	}
+}
+
+// get is getErr for pins that must succeed.
+func get(t *testing.T, bp *BufferPool, id PageID, f **Frame) simtest.Step {
+	var err error
+	inner := getErr(bp, id, f, &err)
+	return func(task *sim.Task) bool {
+		if !inner(task) {
+			return false
+		}
+		if err != nil {
+			t.Errorf("get %d: %v", id, err)
+		}
+		return true
+	}
+}
+
+// put is a step that installs data as page id through a PutOp.
+func put(bp *BufferPool, id PageID, data []byte, err *error) simtest.Step {
+	var op PutOp
+	op.Init(bp, id, data)
+	return func(t *sim.Task) bool {
+		done, e := op.Step(t)
+		if done {
+			*err = e
+		}
+		return done
+	}
+}
+
+// do wraps park-free test code as a step.
+func do(fn func(t *sim.Task)) simtest.Step {
+	return func(t *sim.Task) bool { fn(t); return true }
+}
+
+func sleep(d time.Duration) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { t.Sleep(d); return true })
+}
+
+// run drives steps as one machine on a fresh env and fails the test if
+// they did not all finish.
+func run(t *testing.T, env *sim.Env, steps ...simtest.Step) {
 	t.Helper()
-	env := sim.NewEnv()
 	done := false
-	env.Go("test", func(p *sim.Proc) {
-		fn(p)
-		done = true
-	})
+	simtest.Spawn(env, append(steps, do(func(*sim.Task) { done = true }))...)
 	env.RunAll()
 	if !done {
-		t.Fatal("test process did not finish (deadlock?)")
+		t.Fatal("test machine did not finish (deadlock?)")
 	}
-	return env
 }
 
 func TestDiskReadWriteRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
-	ok := false
-	env.Go("t", func(p *sim.Proc) {
-		out := make([]byte, PageSize)
-		in := make([]byte, PageSize)
-		for i := range in {
-			in[i] = byte(i)
+	out := make([]byte, PageSize)
+	in := make([]byte, PageSize)
+	for i := range in {
+		in[i] = byte(i)
+	}
+	run(t, env, diskIO(d, true, 3, in), diskIO(d, false, 3, out))
+	for i := range in {
+		if out[i] != in[i] {
+			t.Errorf("byte %d = %d, want %d", i, out[i], in[i])
+			break
 		}
-		if err := d.Write(p, 3, in); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := d.Read(p, 3, out); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Errorf("byte %d = %d, want %d", i, out[i], in[i])
-				break
-			}
-		}
-		ok = true
-	})
-	env.RunAll()
-	if !ok {
-		t.Fatal("did not complete")
 	}
 	if d.Reads != 1 || d.Writes != 1 {
 		t.Fatalf("reads=%d writes=%d", d.Reads, d.Writes)
@@ -60,30 +103,34 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestDiskUnwrittenPageReadsZero(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		d := NewDisk(p.Env(), 4, DefaultDiskConfig())
-		buf := make([]byte, PageSize)
-		buf[0] = 0xFF
-		if err := d.Read(p, 0, buf); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if buf[0] != 0 {
-			t.Error("unwritten page not zeroed")
-		}
-	})
+	env := sim.NewEnv()
+	d := NewDisk(env, 4, DefaultDiskConfig())
+	buf := make([]byte, PageSize)
+	buf[0] = 0xFF
+	run(t, env, diskIO(d, false, 0, buf))
+	if buf[0] != 0 {
+		t.Error("unwritten page not zeroed")
+	}
 }
 
 func TestDiskOutOfRange(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		d := NewDisk(p.Env(), 4, DefaultDiskConfig())
-		buf := make([]byte, PageSize)
-		if err := d.Read(p, 4, buf); err == nil {
-			t.Error("read past end did not fail")
-		}
-		if err := d.Write(p, -1, buf); err == nil {
-			t.Error("negative write did not fail")
-		}
-	})
+	env := sim.NewEnv()
+	d := NewDisk(env, 4, DefaultDiskConfig())
+	bp := NewBufferPool(env, d, 2)
+	var f *Frame
+	var rerr, werr error
+	run(t, env,
+		getErr(bp, 4, &f, &rerr),
+		put(bp, -1, make([]byte, PageSize), &werr))
+	if rerr == nil {
+		t.Error("read past end did not fail")
+	}
+	if werr == nil {
+		t.Error("negative write did not fail")
+	}
+	if d.Reads != 0 || d.Writes != 0 || env.Now() != 0 {
+		t.Errorf("out-of-range access reached the device: reads=%d writes=%d t=%v", d.Reads, d.Writes, env.Now())
+	}
 }
 
 func TestDiskSerializesRequests(t *testing.T) {
@@ -91,14 +138,9 @@ func TestDiskSerializesRequests(t *testing.T) {
 	d := NewDisk(env, 10, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	finished := 0
 	for i := 0; i < 3; i++ {
-		i := i
-		env.Go("r", func(p *sim.Proc) {
-			buf := make([]byte, PageSize)
-			if err := d.Read(p, PageID(i), buf); err != nil {
-				t.Errorf("read: %v", err)
-			}
-			finished++
-		})
+		simtest.Spawn(env,
+			diskIO(d, false, PageID(i), make([]byte, PageSize)),
+			do(func(*sim.Task) { finished++ }))
 	}
 	env.RunAll()
 	if finished != 3 {
@@ -113,23 +155,21 @@ func TestBufferHitIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		f, err := bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-		}
-		bp.Unpin(f, false)
-		before := p.Now()
-		f, err = bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-		}
-		if p.Now() != before {
-			t.Error("buffer hit took time")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	var f *Frame
+	var before time.Duration
+	run(t, env,
+		get(t, bp, 1, &f),
+		do(func(task *sim.Task) {
+			bp.Unpin(f, false)
+			before = task.Now()
+		}),
+		get(t, bp, 1, &f),
+		do(func(task *sim.Task) {
+			if task.Now() != before {
+				t.Error("buffer hit took time")
+			}
+			bp.Unpin(f, false)
+		}))
 	if bp.Hits != 1 || bp.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d", bp.Hits, bp.Misses)
 	}
@@ -142,23 +182,19 @@ func TestLRUEviction(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		for _, id := range []PageID{0, 1} {
-			f, _ := bp.Get(p, id)
-			bp.Unpin(f, false)
-		}
+	var f *Frame
+	unpin := do(func(*sim.Task) { bp.Unpin(f, false) })
+	run(t, env,
+		get(t, bp, 0, &f), unpin,
+		get(t, bp, 1, &f), unpin,
 		// Touch 0 so 1 becomes LRU.
-		f, _ := bp.Get(p, 0)
-		bp.Unpin(f, false)
+		get(t, bp, 0, &f), unpin,
 		// Loading 2 must evict 1, not 0.
-		f, _ = bp.Get(p, 2)
-		bp.Unpin(f, false)
-		if !bp.Contains(0) || bp.Contains(1) || !bp.Contains(2) {
-			t.Errorf("residency after eviction: 0=%v 1=%v 2=%v",
-				bp.Contains(0), bp.Contains(1), bp.Contains(2))
-		}
-	})
-	env.RunAll()
+		get(t, bp, 2, &f), unpin)
+	if !bp.Contains(0) || bp.Contains(1) || !bp.Contains(2) {
+		t.Errorf("residency after eviction: 0=%v 1=%v 2=%v",
+			bp.Contains(0), bp.Contains(1), bp.Contains(2))
+	}
 	if bp.Evictions != 1 {
 		t.Fatalf("evictions = %d", bp.Evictions)
 	}
@@ -168,26 +204,32 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 1)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 5)
-		f.Data[0] = 0xAB
-		bp.Unpin(f, true)
+	var f *Frame
+	run(t, env,
+		get(t, bp, 5, &f),
+		do(func(*sim.Task) {
+			f.Data[0] = 0xAB
+			bp.Unpin(f, true)
+		}),
 		// Evict page 5 by loading another page.
-		f, _ = bp.Get(p, 6)
-		bp.Unpin(f, false)
+		get(t, bp, 6, &f),
+		do(func(*sim.Task) { bp.Unpin(f, false) }),
 		// Re-read 5 from disk: modification must have survived.
-		f, _ = bp.Get(p, 5)
-		if f.Data[0] != 0xAB {
-			t.Error("dirty page lost on eviction")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+		get(t, bp, 5, &f),
+		do(func(*sim.Task) {
+			if f.Data[0] != 0xAB {
+				t.Error("dirty page lost on eviction")
+			}
+			bp.Unpin(f, false)
+		}))
 	if bp.DirtyWrites != 1 {
 		t.Fatalf("dirty writes = %d", bp.DirtyWrites)
 	}
 	if d.Writes != 1 {
 		t.Fatalf("disk writes = %d", d.Writes)
+	}
+	if bp.Pinned() != 0 {
+		t.Fatalf("pinned = %d after every Unpin", bp.Pinned())
 	}
 }
 
@@ -195,23 +237,23 @@ func TestAllPinnedBlocksUntilUnpin(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 1)
-	var f0 *Frame
+	var f0, f1 *Frame
 	gotAt := time.Duration(-1)
-	env.Go("holder", func(p *sim.Proc) {
-		f0, _ = bp.Get(p, 0)
-		p.Sleep(time.Second)
-		bp.Unpin(f0, false)
-	})
-	env.Go("waiter", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		f, err := bp.Get(p, 1)
-		if err != nil {
-			t.Errorf("get: %v", err)
-			return
-		}
-		gotAt = p.Now()
-		bp.Unpin(f, false)
-	})
+	simtest.Spawn(env, // holder
+		get(t, bp, 0, &f0),
+		sleep(time.Second),
+		do(func(*sim.Task) { bp.Unpin(f0, false) }))
+	simtest.Spawn(env, // waiter
+		sleep(time.Millisecond),
+		get(t, bp, 1, &f1),
+		do(func(task *sim.Task) {
+			gotAt = task.Now()
+			bp.Unpin(f1, false)
+		}))
+	env.Run(500 * time.Millisecond)
+	if bp.Pinned() != 1 {
+		t.Fatalf("pinned = %d while the holder sleeps, want 1", bp.Pinned())
+	}
 	env.RunAll()
 	if gotAt < time.Second {
 		t.Fatalf("waiter got frame at %v, before holder unpinned", gotAt)
@@ -224,15 +266,13 @@ func TestConcurrentGetSingleRead(t *testing.T) {
 	bp := NewBufferPool(env, d, 4)
 	done := 0
 	for i := 0; i < 5; i++ {
-		env.Go("g", func(p *sim.Proc) {
-			f, err := bp.Get(p, 7)
-			if err != nil {
-				t.Errorf("get: %v", err)
-				return
-			}
-			bp.Unpin(f, false)
-			done++
-		})
+		var f *Frame
+		simtest.Spawn(env,
+			get(t, bp, 7, &f),
+			do(func(*sim.Task) {
+				bp.Unpin(f, false)
+				done++
+			}))
 	}
 	env.RunAll()
 	if done != 5 {
@@ -246,40 +286,32 @@ func TestConcurrentGetSingleRead(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
+// A batch naming one page twice shares a single disk read: the first pin
+// faults the page in, the second hits the frame.
+func TestMultiGetSharesReadOfRepeatedPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		for _, id := range []PageID{1, 2, 3} {
-			f, _ := bp.Get(p, id)
-			f.Data[0] = byte(id)
-			bp.Unpin(f, true)
+	var op MultiGetOp
+	op.Init(bp, []PageID{3, 5, 3})
+	run(t, env, func(task *sim.Task) bool {
+		done, err := op.Step(task)
+		if err != nil {
+			t.Errorf("multi-get: %v", err)
 		}
-		if err := bp.FlushAll(p); err != nil {
-			t.Errorf("flush: %v", err)
-		}
+		return done
 	})
-	env.RunAll()
-	if d.Writes != 3 {
-		t.Fatalf("disk writes = %d, want 3", d.Writes)
+	if d.Reads != 2 {
+		t.Fatalf("disk reads = %d, want 2 (page 3 read once)", d.Reads)
 	}
-}
-
-func TestFlushAllIdempotent(t *testing.T) {
-	env := sim.NewEnv()
-	d := NewDisk(env, 10, DefaultDiskConfig())
-	bp := NewBufferPool(env, d, 4)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 1)
-		f.Data[0] = 1
-		bp.Unpin(f, true)
-		_ = bp.FlushAll(p)
-		_ = bp.FlushAll(p)
-	})
-	env.RunAll()
-	if d.Writes != 1 {
-		t.Fatalf("disk writes = %d, want 1", d.Writes)
+	if bp.Misses != 2 || bp.Hits != 1 {
+		t.Fatalf("hits=%d misses=%d", bp.Hits, bp.Misses)
+	}
+	if env.Now() != 24*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 24ms", env.Now())
+	}
+	if bp.Pinned() != 0 {
+		t.Fatalf("pinned = %d, MultiGetOp must unpin as it goes", bp.Pinned())
 	}
 }
 
@@ -295,9 +327,10 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 	bp.Unpin(&Frame{}, false)
 }
 
-// Property: after any sequence of writes through the pool followed by a
-// flush, reading each page directly from disk returns the last value
-// written through the pool (write-back preserves data).
+// Property: after any sequence of writes through a pool smaller than
+// the page set, every page reads back the last value written to it —
+// whether it is still resident or was written back on eviction and
+// re-read (write-back preserves data).
 func TestWriteBackConsistencyProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		env := sim.NewEnv()
@@ -305,33 +338,39 @@ func TestWriteBackConsistencyProperty(t *testing.T) {
 		bp := NewBufferPool(env, d, 3)
 		want := map[PageID]byte{}
 		pass := true
-		env.Go("t", func(p *sim.Proc) {
-			for i, op := range ops {
-				id := PageID(op % 8)
-				fr, err := bp.Get(p, id)
+		var fr *Frame
+		var err error
+		var steps []simtest.Step
+		for i, op := range ops {
+			id, v := PageID(op%8), byte(i+1)
+			want[id] = v
+			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
 				if err != nil {
 					pass = false
 					return
 				}
-				v := byte(i + 1)
 				fr.Data[0] = v
-				want[id] = v
 				bp.Unpin(fr, true)
-			}
-			if err := bp.FlushAll(p); err != nil {
-				pass = false
-				return
-			}
-			buf := make([]byte, PageSize)
-			for id, v := range want {
-				if err := d.Read(p, id, buf); err != nil || buf[0] != v {
+			}))
+		}
+		for id, v := range want {
+			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
+				if err != nil || fr.Data[0] != v {
 					pass = false
 					return
 				}
-			}
-		})
+				bp.Unpin(fr, false)
+			}))
+		}
+		simtest.Spawn(env, steps...)
 		env.RunAll()
-		return pass
+		// Whatever eviction wrote back must match too.
+		for id, v := range want {
+			if !bp.Contains(id) && (d.pages[id] == nil || d.pages[id][0] != v) {
+				pass = false
+			}
+		}
+		return pass && bp.Pinned() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -342,81 +381,84 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		data := make([]byte, PageSize)
-		data[0] = 0x42
-		if err := bp.Put(p, 3, data); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		// No disk read happened; the page is resident and dirty.
-		if d.Reads != 0 {
-			t.Errorf("Put read from disk: %d reads", d.Reads)
-		}
-		f, err := bp.Get(p, 3)
-		if err != nil {
-			t.Errorf("get: %v", err)
-			return
-		}
-		if f.Data[0] != 0x42 {
-			t.Error("Put data lost")
-		}
-		if !f.Dirty() {
-			t.Error("Put page not dirty")
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	data := make([]byte, PageSize)
+	data[0] = 0x42
+	var f *Frame
+	var err error
+	run(t, env,
+		put(bp, 3, data, &err),
+		do(func(*sim.Task) {
+			if err != nil {
+				t.Errorf("put: %v", err)
+			}
+			// No disk read happened; the page is resident and dirty.
+			if d.Reads != 0 {
+				t.Errorf("Put read from disk: %d reads", d.Reads)
+			}
+		}),
+		get(t, bp, 3, &f),
+		do(func(*sim.Task) {
+			if f.Data[0] != 0x42 {
+				t.Error("Put data lost")
+			}
+			if !f.Dirty() {
+				t.Error("Put page not dirty")
+			}
+			bp.Unpin(f, false)
+		}))
 }
 
 func TestPutOverwritesResidentPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		f, _ := bp.Get(p, 1)
-		f.Data[0] = 1
-		bp.Unpin(f, true)
-		data := make([]byte, PageSize)
-		data[0] = 9
-		if err := bp.Put(p, 1, data); err != nil {
-			t.Errorf("put: %v", err)
-		}
-		f, _ = bp.Get(p, 1)
-		if f.Data[0] != 9 {
-			t.Errorf("resident overwrite lost: %d", f.Data[0])
-		}
-		bp.Unpin(f, false)
-	})
-	env.RunAll()
+	data := make([]byte, PageSize)
+	data[0] = 9
+	var f *Frame
+	var err error
+	run(t, env,
+		get(t, bp, 1, &f),
+		do(func(*sim.Task) {
+			f.Data[0] = 1
+			bp.Unpin(f, true)
+		}),
+		put(bp, 1, data, &err),
+		get(t, bp, 1, &f),
+		do(func(*sim.Task) {
+			if err != nil {
+				t.Errorf("put: %v", err)
+			}
+			if f.Data[0] != 9 {
+				t.Errorf("resident overwrite lost: %d", f.Data[0])
+			}
+			bp.Unpin(f, false)
+		}))
 }
 
 func TestPutRejectsBadPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	env.Go("t", func(p *sim.Proc) {
-		if err := bp.Put(p, 99, make([]byte, PageSize)); err == nil {
-			t.Error("out-of-range Put accepted")
-		}
-	})
-	env.RunAll()
+	var err error
+	run(t, env, put(bp, 99, make([]byte, PageSize), &err))
+	if err == nil {
+		t.Error("out-of-range Put accepted")
+	}
 }
 
 func TestDiskResourceShared(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	var t2 time.Duration
-	env.Go("a", func(p *sim.Proc) {
-		buf := make([]byte, PageSize)
-		_ = d.Read(p, 0, buf)
-	})
-	env.Go("b", func(p *sim.Proc) {
+	simtest.Spawn(env, diskIO(d, false, 0, make([]byte, PageSize)))
+	simtest.Spawn(env,
 		// Co-located work on the same spindle waits behind the read.
-		p.Acquire(d.Resource(), 0)
-		p.Sleep(5 * time.Millisecond)
-		d.Resource().Release()
-		t2 = p.Now()
-	})
+		simtest.Park(func(task *sim.Task) bool { return !task.Acquire(d.Resource(), 0) }),
+		sleep(5*time.Millisecond),
+		do(func(task *sim.Task) {
+			d.Resource().Release()
+			t2 = task.Now()
+		}))
 	env.RunAll()
 	if t2 != 15*time.Millisecond {
 		t.Fatalf("shared-arm work finished at %v, want 15ms", t2)

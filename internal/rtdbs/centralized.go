@@ -17,29 +17,26 @@ import (
 	"siteselect/internal/wal"
 )
 
-// Centralized is the CE-RTDBS: the server performs all transaction
-// processing (as many as ServerThreads concurrently, each as a separate
-// "thread"), scheduled Earliest-Deadline-First with strict 2PL on a
-// central lock table; clients are terminals that submit transactions and
-// receive results over the LAN.
-type Centralized struct {
+// ceCore is what the two centralized engines share: the simulated LAN,
+// the server's disk, buffer pool, thread slots and single CPU, the
+// terminals, and the machines that feed transactions to the server
+// (ceTermMachine, ceDrainMachine, ceServeMachine). An engine embeds it
+// and supplies spawn, its per-transaction machine.
+type ceCore struct {
 	cfg config.Config
 
 	env   *sim.Env
 	net   *netsim.Network
 	m     *metrics.Collector
-	locks *lockmgr.BlockingTable
 	disk  *pagefile.Disk
 	pool  *pagefile.BufferPool
 	slots *sim.Resource
 	cpu   *sim.Resource
 
-	versions  []int64
-	log       *wal.Log
 	inbox     *sim.Mailbox[netsim.Message]
 	terminals []*terminal
-	// txnFree recycles finished transaction machines.
-	txnFree []*ceTxnMachine
+	// spawn starts the engine's machine for one arriving transaction.
+	spawn func(*txn.Transaction)
 }
 
 type terminal struct {
@@ -49,10 +46,9 @@ type terminal struct {
 	tracked []*txn.Transaction
 }
 
-// NewCentralized builds the CE-RTDBS.
-func NewCentralized(cfg config.Config) (*Centralized, error) {
+func newCECore(cfg config.Config) (ceCore, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return ceCore{}, err
 	}
 	env := sim.NewEnv()
 	net := netsim.New(env, netsim.Config{
@@ -64,49 +60,41 @@ func NewCentralized(cfg config.Config) (*Centralized, error) {
 		ReadTime:  cfg.DiskRead,
 		WriteTime: cfg.DiskWrite,
 	})
-	ce := &Centralized{
-		cfg:      cfg,
-		env:      env,
-		net:      net,
-		m:        &metrics.Collector{},
-		locks:    lockmgr.NewBlockingTable(env),
-		disk:     disk,
-		pool:     pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
-		slots:    sim.NewResource(env, cfg.ServerThreads),
-		cpu:      sim.NewResource(env, 1),
-		versions: make([]int64, cfg.DBSize),
-		inbox:    sim.NewMailbox[netsim.Message](env),
-	}
-	ce.locks.Reserve(cfg.DBSize)
-	if cfg.UseLogging {
-		ce.log = wal.New(env, disk.Resource(), cfg.DiskWrite)
+	ce := ceCore{
+		cfg:   cfg,
+		env:   env,
+		net:   net,
+		m:     &metrics.Collector{},
+		disk:  disk,
+		pool:  pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
+		slots: sim.NewResource(env, cfg.ServerThreads),
+		cpu:   sim.NewResource(env, 1),
+		inbox: sim.NewMailbox[netsim.Message](env),
 	}
 	root := rng.NewStream(cfg.Seed)
 	var nextID txn.ID
 	newID := func() txn.ID { nextID++; return nextID }
 	for i := 1; i <= cfg.NumClients; i++ {
-		id := netsim.SiteID(i)
-		gen := newGenerator(root, cfg, i, newID)
 		ce.terminals = append(ce.terminals, &terminal{
-			id:    id,
+			id:    netsim.SiteID(i),
 			inbox: sim.NewMailbox[netsim.Message](env),
-			gen:   gen,
+			gen:   newGenerator(root, cfg, i, newID),
 		})
 	}
 	return ce, nil
 }
 
 // Env exposes the simulation environment.
-func (ce *Centralized) Env() *sim.Env { return ce.env }
+func (ce *ceCore) Env() *sim.Env { return ce.env }
 
 // Net exposes the simulated LAN.
-func (ce *Centralized) Net() *netsim.Network { return ce.net }
+func (ce *ceCore) Net() *netsim.Network { return ce.net }
 
 // Metrics exposes the live collector.
-func (ce *Centralized) Metrics() *metrics.Collector { return ce.m }
+func (ce *ceCore) Metrics() *metrics.Collector { return ce.m }
 
 // Start spawns the server dispatcher and the terminal machines.
-func (ce *Centralized) Start() {
+func (ce *ceCore) Start() {
 	s := &ceServeMachine{ce: ce}
 	ce.env.Spawn(&s.task, s)
 	for _, term := range ce.terminals {
@@ -117,42 +105,67 @@ func (ce *Centralized) Start() {
 	}
 }
 
-// ceTermMachine submits a terminal's transaction stream to the server.
-type ceTermMachine struct {
-	task sim.Task
-	ce   *Centralized
-	term *terminal
-	pc   uint8
+// Centralized is the CE-RTDBS: the server performs all transaction
+// processing (as many as ServerThreads concurrently, each as a separate
+// "thread"), scheduled Earliest-Deadline-First with strict 2PL on a
+// central lock table; clients are terminals that submit transactions and
+// receive results over the LAN.
+type Centralized struct {
+	ceCore
+
+	locks    *lockmgr.BlockingTable
+	versions []int64
+	log      *wal.Log
+	// txnFree recycles finished transaction machines.
+	txnFree []*ceTxnMachine
 }
 
-const (
-	ctNext uint8 = iota
-	ctArrived
-)
+// NewCentralized builds the CE-RTDBS.
+func NewCentralized(cfg config.Config) (*Centralized, error) {
+	core, err := newCECore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ce := &Centralized{
+		ceCore:   core,
+		locks:    lockmgr.NewBlockingTable(core.env),
+		versions: make([]int64, cfg.DBSize),
+	}
+	ce.spawn = ce.spawnTxn
+	ce.locks.Reserve(cfg.DBSize)
+	if cfg.UseLogging {
+		ce.log = wal.New(ce.env, ce.disk.Resource(), cfg.DiskWrite)
+	}
+	return ce, nil
+}
+
+// ceTermMachine submits a terminal's transaction stream to the server:
+// it sleeps until the next arrival, submits it, and repeats until the
+// arrivals run past the experiment's duration.
+type ceTermMachine struct {
+	task    sim.Task
+	ce      *ceCore
+	term    *terminal
+	arrived bool // woken at an arrival instant, not at spawn
+}
 
 func (m *ceTermMachine) Resume() {
 	ce, term := m.ce, m.term
-	for {
-		switch m.pc {
-		case ctNext:
-			next := term.gen.NextArrival()
-			if next > ce.cfg.Duration {
-				m.task.Detach()
-				return
-			}
-			m.pc = ctArrived
-			m.task.SleepUntil(next)
-			return
-		default: // ctArrived
-			t := term.gen.Next()
-			term.tracked = append(term.tracked, t)
-			ce.net.Send(netsim.Message{
-				Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
-				Size: netsim.TxnShipBytes, Payload: proto.TxnSubmit{T: t},
-			}, ce.inbox)
-			m.pc = ctNext
-		}
+	if m.arrived {
+		t := term.gen.Next()
+		term.tracked = append(term.tracked, t)
+		ce.net.Send(netsim.Message{
+			Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
+			Size: netsim.TxnShipBytes, Payload: proto.TxnSubmit{T: t},
+		}, ce.inbox)
 	}
+	next := term.gen.NextArrival()
+	if next > ce.cfg.Duration {
+		m.task.Detach()
+		return
+	}
+	m.arrived = true
+	m.task.SleepUntil(next)
 }
 
 // ceDrainMachine consumes result messages (displayed to the user).
@@ -173,7 +186,7 @@ func (m *ceDrainMachine) Resume() {
 // its own machine (the paper's thread-per-transaction server).
 type ceServeMachine struct {
 	task sim.Task
-	ce   *Centralized
+	ce   *ceCore
 	pc   uint8
 	t    *txn.Transaction
 }
@@ -193,11 +206,7 @@ func (m *ceServeMachine) Resume() {
 			if !ok {
 				return
 			}
-			sub, ok := msg.Payload.(proto.TxnSubmit)
-			if !ok {
-				panic(fmt.Sprintf("rtdbs: centralized server got %T", msg.Payload))
-			}
-			m.t = sub.T
+			m.t = msg.Payload.(proto.TxnSubmit).T
 			if ce.cfg.ServerOpCPU <= 0 {
 				m.pc = csSpawn
 				continue
@@ -214,25 +223,166 @@ func (m *ceServeMachine) Resume() {
 			if ce.cfg.ServerOpCPU > 0 {
 				ce.cpu.Release()
 			}
-			ce.spawnTxn(m.t)
+			ce.spawn(m.t)
 			m.t = nil
 			m.pc = csIdle
 		}
 	}
 }
 
-func (ce *Centralized) spawnTxn(t *txn.Transaction) {
-	var x *ceTxnMachine
-	if n := len(ce.txnFree); n > 0 {
-		x = ce.txnFree[n-1]
-		ce.txnFree[n-1] = nil
-		ce.txnFree = ce.txnFree[:n-1]
-	} else {
-		x = &ceTxnMachine{}
+// ceRead is the page-materialization loop both engines run between
+// admission and compute: for each access in order, abandon the
+// transaction if its deadline has passed (EDF discipline: a late
+// transaction must not keep consuming the CPU and disk), charge
+// ServerOpCPU on the server's one CPU, then pin the page through the
+// buffer pool (hits are free; misses queue on the disk). In the
+// centralized system all of every client's low-level database work
+// lands on that CPU, which is what saturates the server as clients are
+// added (Figures 3–5).
+type ceRead struct {
+	pc     uint8
+	idx    int
+	frames []*pagefile.Frame
+	get    pagefile.GetOp
+}
+
+const (
+	rdNext uint8 = iota
+	rdCPUWait
+	rdCPUBusy
+	rdCPUDone
+	rdPage
+)
+
+type readStatus uint8
+
+const (
+	readParked readStatus = iota
+	readDone              // every page is pinned in frames, in Ops order
+	readLate              // deadline passed; the caller unpins and fails
+)
+
+// start arms the loop for a transaction of n accesses.
+func (r *ceRead) start(n int) {
+	if cap(r.frames) < n {
+		r.frames = make([]*pagefile.Frame, 0, n)
 	}
-	*x = ceTxnMachine{
-		ce: ce, t: t,
-		frames: x.frames[:0], lockReqs: x.lockReqs[:0],
+	r.pc, r.idx, r.frames = rdNext, 0, r.frames[:0]
+}
+
+func (r *ceRead) step(ce *ceCore, task *sim.Task, t *txn.Transaction, prio float64) readStatus {
+	for {
+		switch r.pc {
+		case rdNext:
+			if task.Now() > t.Deadline {
+				return readLate
+			}
+			if r.idx >= len(t.Ops) {
+				return readDone
+			}
+			if ce.cfg.ServerOpCPU <= 0 {
+				r.pc = rdCPUDone
+				continue
+			}
+			switch task.AcquireTimeout(ce.cpu, prio, t.Deadline-task.Now()) {
+			case sim.AcquireGranted:
+				r.pc = rdCPUBusy
+			case sim.AcquireTimedOut:
+				return readLate
+			default:
+				r.pc = rdCPUWait
+				return readParked
+			}
+		case rdCPUWait:
+			if task.ResTimedOut() {
+				return readLate
+			}
+			r.pc = rdCPUBusy
+		case rdCPUBusy:
+			r.pc = rdCPUDone
+			task.Sleep(ce.cfg.ServerOpCPU)
+			return readParked
+		case rdCPUDone:
+			if ce.cfg.ServerOpCPU > 0 {
+				ce.cpu.Release()
+			}
+			r.get.Init(ce.pool, pagefile.PageID(t.Ops[r.idx].Obj))
+			r.pc = rdPage
+		default: // rdPage
+			done, err := r.get.Step(task)
+			if !done {
+				return readParked
+			}
+			if err != nil {
+				panic(fmt.Sprintf("rtdbs: centralized read %d: %v", t.Ops[r.idx].Obj, err))
+			}
+			r.frames = append(r.frames, r.get.Frame())
+			r.idx++
+			r.pc = rdNext
+		}
+	}
+}
+
+// unpinAll drops every pin gathered so far, unmodified.
+func (r *ceRead) unpinAll(pool *pagefile.BufferPool) {
+	for _, f := range r.frames {
+		pool.Unpin(f, false)
+	}
+	clear(r.frames)
+	r.frames = r.frames[:0]
+}
+
+// admit asks for a thread slot until t's deadline: a machine calls it on
+// its first resume and, when that parked, again on the next (resumed).
+func (ce *ceCore) admit(task *sim.Task, t *txn.Transaction, prio float64, resumed bool) sim.AcquireStatus {
+	if resumed {
+		if task.ResTimedOut() {
+			return sim.AcquireTimedOut
+		}
+		return sim.AcquireGranted
+	}
+	slack := t.Deadline - task.Now()
+	if slack <= 0 {
+		return sim.AcquireTimedOut
+	}
+	return task.AcquireTimeout(ce.slots, prio, slack)
+}
+
+// reply records t's outcome and sends the result to its terminal.
+func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
+	if committed {
+		t.Status = txn.StatusCommitted
+	} else if t.Status != txn.StatusAborted {
+		t.Status = txn.StatusMissed
+	}
+	t.Finished = ce.env.Now()
+	t.ExecSite = netsim.ServerSite
+	ce.net.Send(netsim.Message{
+		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
+		Size:    netsim.ResultBytes,
+		Payload: proto.UserResult{Txn: t.ID, Committed: committed},
+	}, ce.terminals[int(t.Origin)-1].inbox)
+}
+
+// popFree takes a finished transaction machine off free for reuse, or
+// makes a new one.
+func popFree[M any](free *[]*M) *M {
+	n := len(*free)
+	if n == 0 {
+		return new(M)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+func (ce *Centralized) spawnTxn(t *txn.Transaction) {
+	x := popFree(&ce.txnFree)
+	*x = ceTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}, lockReqs: x.lockReqs[:0]}
+	x.prio = t.Deadline.Seconds()
+	if ce.cfg.Scheduling == config.SchedFCFS {
+		x.prio = t.Arrival.Seconds()
 	}
 	ce.env.Spawn(&x.task, x)
 }
@@ -241,9 +391,7 @@ func (ce *Centralized) spawnTxn(t *txn.Transaction) {
 // a thread slot, strict 2PL lock acquisition in access order (wait-for
 // graph refusal aborts), page reads through the buffer pool, the
 // prescribed processing delay, updates, release, and the result
-// message. Each state mirrors one stretch of the earlier blocking
-// thread between two park points; the deferred releases become the
-// explicit unwind in the same LIFO order.
+// message. Locks and the slot are released by finish, newest first.
 type ceTxnMachine struct {
 	task sim.Task
 	ce   *Centralized
@@ -257,23 +405,15 @@ type ceTxnMachine struct {
 	lockStarted bool
 	lockOp      lockmgr.LockOp
 	lockReqs    []lockmgr.Request
-	opIdx       int
-	frames      []*pagefile.Frame
-	get         pagefile.GetOp
+	read        ceRead
 	force       wal.ForceOp
 }
 
 const (
-	xsBegin uint8 = iota
-	xsSlotWait
-	xsSlot
+	xsAdmit uint8 = iota
+	xsAdmitWait
 	xsLock
-	xsMat
-	xsCPUWait
-	xsCPUBusy
-	xsCPUDone
-	xsPage
-	xsPostMat
+	xsRead
 	xsRan
 	xsForce
 	xsDone
@@ -286,37 +426,22 @@ func (m *ceTxnMachine) Resume() {
 		}
 	}
 	m.task.Detach()
-	ce := m.ce
-	clear(m.frames)
-	ce.txnFree = append(ce.txnFree, m)
+	m.ce.txnFree = append(m.ce.txnFree, m)
 }
 
+// step runs one state; true means the machine parked.
 func (m *ceTxnMachine) step() bool {
 	ce, t := m.ce, m.t
 	switch m.pc {
-	case xsBegin:
-		m.prio = t.Deadline.Seconds()
-		if ce.cfg.Scheduling == config.SchedFCFS {
-			m.prio = t.Arrival.Seconds()
-		}
-		slack := t.Deadline - m.task.Now()
-		if slack <= 0 {
+	case xsAdmit, xsAdmitWait:
+		switch ce.admit(&m.task, t, m.prio, m.pc == xsAdmitWait) {
+		case sim.AcquireParked:
+			m.pc = xsAdmitWait
+			return true
+		case sim.AcquireTimedOut:
 			m.finish(false)
 			return false
 		}
-		if m.task.AcquireTimeout(ce.slots, m.prio, slack) == sim.AcquireGranted {
-			m.pc = xsSlot
-			return false
-		}
-		m.pc = xsSlotWait
-		return true
-	case xsSlotWait:
-		if m.task.ResTimedOut() {
-			m.finish(false)
-			return false
-		}
-		m.pc = xsSlot
-	case xsSlot:
 		m.slotHeld = true
 		if m.task.Now() > t.Deadline {
 			m.finish(false)
@@ -327,54 +452,32 @@ func (m *ceTxnMachine) step() bool {
 		m.pc = xsLock
 	case xsLock:
 		return m.stepLock()
-	case xsMat:
-		return m.stepMat()
-	case xsCPUWait:
-		if m.task.ResTimedOut() {
-			m.bail()
-			return false
-		}
-		m.pc = xsCPUBusy
-	case xsCPUBusy:
-		m.pc = xsCPUDone
-		m.task.Sleep(ce.cfg.ServerOpCPU)
-		return true
-	case xsCPUDone:
-		ce.cpu.Release()
-		m.get.Init(ce.pool, pagefile.PageID(t.Ops[m.opIdx].Obj))
-		m.pc = xsPage
-	case xsPage:
-		done, err := m.get.Step(&m.task)
-		if !done {
+	case xsRead:
+		switch m.read.step(&ce.ceCore, &m.task, t, m.prio) {
+		case readParked:
+			return true
+		case readLate:
+			m.read.unpinAll(ce.pool)
+			m.finish(false)
+		default:
+			m.pc = xsRan
+			m.task.Sleep(t.Length)
 			return true
 		}
-		if err != nil {
-			panic(fmt.Sprintf("rtdbs: centralized read %d: %v", t.Ops[m.opIdx].Obj, err))
-		}
-		m.frames = append(m.frames, m.get.Frame())
-		m.opIdx++
-		m.pc = xsMat
-	case xsPostMat:
-		if m.task.Now() > t.Deadline {
-			m.bail()
-			return false
-		}
-		m.pc = xsRan
-		m.task.Sleep(t.Length)
-		return true
 	case xsRan:
 		var lastLSN int64
 		for i, op := range t.Ops {
 			dirty := op.Write
 			if dirty {
 				ce.versions[op.Obj]++
-				binary.LittleEndian.PutUint64(m.frames[i].Data, uint64(ce.versions[op.Obj]))
+				binary.LittleEndian.PutUint64(m.read.frames[i].Data, uint64(ce.versions[op.Obj]))
 				if ce.log != nil {
 					lastLSN = ce.log.Append(int64(t.ID), op.Obj, ce.versions[op.Obj])
 				}
 			}
-			ce.pool.Unpin(m.frames[i], dirty)
+			ce.pool.Unpin(m.read.frames[i], dirty)
 		}
+		clear(m.read.frames)
 		if ce.log != nil && lastLSN > 0 {
 			m.force.Init(ce.log, int64(t.ID), lastLSN)
 			m.pc = xsForce
@@ -423,82 +526,18 @@ func (m *ceTxnMachine) stepLock() bool {
 		}
 		m.lockIdx++
 	}
-	// Materialize the pages (buffer hits are free; misses queue on the
-	// disk). Every object access additionally costs ServerOpCPU on the
-	// server's one CPU — in the centralized system all of every client's
-	// low-level database work lands here, which is what saturates the
-	// server as clients are added (Figures 3–5).
-	if cap(m.frames) < len(t.Ops) {
-		m.frames = make([]*pagefile.Frame, 0, len(t.Ops))
-	} else {
-		m.frames = m.frames[:0]
-	}
-	m.opIdx = 0
-	m.pc = xsMat
+	m.read.start(len(t.Ops))
+	m.pc = xsRead
 	return false
 }
 
-func (m *ceTxnMachine) stepMat() bool {
-	ce, t := m.ce, m.t
-	if m.opIdx >= len(t.Ops) {
-		m.pc = xsPostMat
-		return false
-	}
-	if m.task.Now() > t.Deadline {
-		// EDF discipline: a late transaction is abandoned rather than
-		// allowed to keep consuming the CPU and disk.
-		m.bail()
-		return false
-	}
-	if ce.cfg.ServerOpCPU > 0 {
-		switch m.task.AcquireTimeout(ce.cpu, m.prio, t.Deadline-m.task.Now()) {
-		case sim.AcquireGranted:
-			m.pc = xsCPUBusy
-			return false
-		case sim.AcquireTimedOut:
-			m.bail()
-			return false
-		default:
-			m.pc = xsCPUWait
-			return true
-		}
-	}
-	m.get.Init(ce.pool, pagefile.PageID(t.Ops[m.opIdx].Obj))
-	m.pc = xsPage
-	return false
-}
-
-// bail abandons a transaction mid-materialization: unpin what was
-// gathered and fail.
-func (m *ceTxnMachine) bail() {
-	for _, f := range m.frames {
-		m.ce.pool.Unpin(f, false)
-	}
-	clear(m.frames)
-	m.frames = m.frames[:0]
-	m.finish(false)
-}
-
-// finish reports the outcome to the terminal, then unwinds the held
-// locks and thread slot in the blocking thread's defer (LIFO) order.
+// finish reports the outcome to the terminal, then releases the held
+// locks and thread slot, newest first.
 func (m *ceTxnMachine) finish(committed bool) {
-	ce, t := m.ce, m.t
-	if committed {
-		t.Status = txn.StatusCommitted
-	} else if t.Status != txn.StatusAborted {
-		t.Status = txn.StatusMissed
-	}
-	t.Finished = m.task.Now()
-	t.ExecSite = netsim.ServerSite
-	ce.net.Send(netsim.Message{
-		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
-		Size: netsim.ResultBytes,
-		Payload: proto.UserResult{
-			Txn: t.ID, Committed: committed,
-		},
-	}, ce.terminals[int(t.Origin)-1].inbox)
+	ce := m.ce
+	ce.reply(m.t, committed)
 	if m.locksOwned {
-		ce.locks.ReleaseAll(lockmgr.OwnerID(t.ID))
+		ce.locks.ReleaseAll(lockmgr.OwnerID(m.t.ID))
 		m.locksOwned = false
 	}
 	if m.slotHeld {
@@ -518,7 +557,7 @@ func (ce *Centralized) Run() (*Result, error) {
 	return res, err
 }
 
-func (ce *Centralized) collect() *Result {
+func (ce *ceCore) collect() *Result {
 	now := ce.env.Now()
 	for _, term := range ce.terminals {
 		for _, t := range term.tracked {

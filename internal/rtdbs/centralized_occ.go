@@ -2,15 +2,10 @@ package rtdbs
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"siteselect/internal/config"
-	"siteselect/internal/metrics"
-	"siteselect/internal/netsim"
+	"siteselect/internal/lockmgr"
 	"siteselect/internal/occ"
-	"siteselect/internal/pagefile"
-	"siteselect/internal/proto"
-	"siteselect/internal/rng"
 	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 )
@@ -19,21 +14,14 @@ import (
 // the concurrency-control study the paper's conclusion defers to future
 // work. Transactions execute speculatively without locks and validate
 // at commit; a validation conflict restarts the transaction while its
-// deadline still permits.
+// deadline still permits. Everything but the per-transaction machine is
+// Centralized's (ceCore).
 type CentralizedOCC struct {
-	cfg config.Config
+	ceCore
 
-	env   *sim.Env
-	net   *netsim.Network
-	m     *metrics.Collector
-	disk  *pagefile.Disk
-	pool  *pagefile.BufferPool
-	slots *sim.Resource
-	cpu   *sim.Resource
 	valid *occ.Validator
-
-	inbox     *sim.Mailbox[netsim.Message]
-	terminals []*terminal
+	// txnFree recycles finished transaction machines.
+	txnFree []*occTxnMachine
 
 	// Restarts counts read-phase re-executions after failed validation.
 	Restarts int64
@@ -41,204 +29,150 @@ type CentralizedOCC struct {
 
 // NewCentralizedOCC builds the optimistic centralized system.
 func NewCentralizedOCC(cfg config.Config) (*CentralizedOCC, error) {
-	if err := cfg.Validate(); err != nil {
+	core, err := newCECore(cfg)
+	if err != nil {
 		return nil, err
 	}
-	env := sim.NewEnv()
-	net := netsim.New(env, netsim.Config{
-		Latency:      cfg.NetLatency,
-		BandwidthBps: cfg.NetBandwidthBps,
-		Switched:     cfg.Topology == config.TopologySwitched,
-	})
-	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
-		ReadTime:  cfg.DiskRead,
-		WriteTime: cfg.DiskWrite,
-	})
-	ce := &CentralizedOCC{
-		cfg:   cfg,
-		env:   env,
-		net:   net,
-		m:     &metrics.Collector{},
-		disk:  disk,
-		pool:  pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
-		slots: sim.NewResource(env, cfg.ServerThreads),
-		cpu:   sim.NewResource(env, 1),
-		valid: occ.NewValidator(cfg.DBSize),
-		inbox: sim.NewMailbox[netsim.Message](env),
-	}
-	root := rng.NewStream(cfg.Seed)
-	var nextID txn.ID
-	newID := func() txn.ID { nextID++; return nextID }
-	for i := 1; i <= cfg.NumClients; i++ {
-		ce.terminals = append(ce.terminals, &terminal{
-			id:    netsim.SiteID(i),
-			inbox: sim.NewMailbox[netsim.Message](env),
-			gen:   newGenerator(root, cfg, i, newID),
-		})
-	}
+	ce := &CentralizedOCC{ceCore: core, valid: occ.NewValidator(cfg.DBSize)}
+	ce.spawn = ce.spawnTxn
 	return ce, nil
 }
-
-// Env exposes the simulation environment.
-func (ce *CentralizedOCC) Env() *sim.Env { return ce.env }
-
-// Net exposes the simulated LAN.
-func (ce *CentralizedOCC) Net() *netsim.Network { return ce.net }
-
-// Metrics exposes the live collector.
-func (ce *CentralizedOCC) Metrics() *metrics.Collector { return ce.m }
 
 // Validator exposes the validation counters.
 func (ce *CentralizedOCC) Validator() *occ.Validator { return ce.valid }
 
-// Start spawns the server dispatcher and terminal processes.
-func (ce *CentralizedOCC) Start() {
-	ce.env.Go("ce-occ-server", ce.serve)
-	for _, term := range ce.terminals {
-		term := term
-		ce.env.Go(fmt.Sprintf("terminal-%d", term.id), func(p *sim.Proc) {
-			for {
-				next := term.gen.NextArrival()
-				if next > ce.cfg.Duration {
-					return
-				}
-				p.SleepUntil(next)
-				t := term.gen.Next()
-				term.tracked = append(term.tracked, t)
-				ce.net.Send(netsim.Message{
-					Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
-					Size: netsim.TxnShipBytes, Payload: proto.TxnSubmit{T: t},
-				}, ce.inbox)
-			}
-		})
-		ce.env.Go(fmt.Sprintf("terminal-%d-drain", term.id), func(p *sim.Proc) {
-			for {
-				term.inbox.Get(p)
-			}
-		})
-	}
+func (ce *CentralizedOCC) spawnTxn(t *txn.Transaction) {
+	x := popFree(&ce.txnFree)
+	*x = occTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}}
+	ce.env.Spawn(&x.task, x)
 }
 
-func (ce *CentralizedOCC) serve(p *sim.Proc) {
-	for {
-		msg := ce.inbox.Get(p)
-		sub, ok := msg.Payload.(proto.TxnSubmit)
-		if !ok {
-			panic(fmt.Sprintf("rtdbs: occ server got %T", msg.Payload))
-		}
-		if ce.cfg.ServerOpCPU > 0 {
-			p.Acquire(ce.cpu, 0)
-			p.Sleep(ce.cfg.ServerOpCPU)
-			ce.cpu.Release()
-		}
-		t := sub.T
-		ce.env.Go(fmt.Sprintf("occ-txn-%d", t.ID), func(tp *sim.Proc) {
-			ce.runTxn(tp, t)
-		})
-	}
+// occTxnMachine executes one transaction optimistically: admission to a
+// thread slot, then speculative read and compute phases without any
+// locks and a serialized validation; a conflict restarts the read phase
+// while the deadline still allows a full re-execution attempt. Every
+// bail path unpins what the read phase gathered, then finish releases
+// the slot.
+type occTxnMachine struct {
+	task sim.Task
+	ce   *CentralizedOCC
+	t    *txn.Transaction
+	pc   uint8
+
+	slotHeld bool
+	objs     []lockmgr.ObjectID
+	writes   []bool
+	snapshot []int64
+	read     ceRead
 }
 
-// runTxn executes one transaction optimistically: speculative read and
-// compute phases without any locks, then serialized validation; a
-// conflict restarts the read phase while the deadline still allows a
-// full re-execution attempt.
-func (ce *CentralizedOCC) runTxn(p *sim.Proc, t *txn.Transaction) {
-	finish := func(committed bool) {
-		if committed {
-			t.Status = txn.StatusCommitted
-		} else {
-			t.Status = txn.StatusMissed
-		}
-		t.Finished = p.Now()
-		t.ExecSite = netsim.ServerSite
-		ce.net.Send(netsim.Message{
-			Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
-			Size:    netsim.ResultBytes,
-			Payload: proto.UserResult{Txn: t.ID, Committed: committed},
-		}, ce.terminals[int(t.Origin)-1].inbox)
-	}
+const (
+	osAdmit uint8 = iota
+	osAdmitWait
+	osAttempt
+	osRead
+	osRan
+	osDone
+)
 
-	slack := t.Deadline - p.Now()
-	if slack <= 0 || !p.AcquireTimeout(ce.slots, t.Deadline.Seconds(), slack) {
-		finish(false)
-		return
-	}
-	defer ce.slots.Release()
-	t.Status = txn.StatusRunning
-
-	objs := t.Objects()
-	writes := make([]bool, len(t.Ops))
-	for i, op := range t.Ops {
-		writes[i] = op.Write
-	}
-
-	for attempt := 0; ; attempt++ {
-		if p.Now() > t.Deadline {
-			finish(false)
+func (m *occTxnMachine) Resume() {
+	for m.pc != osDone {
+		if m.step() {
 			return
+		}
+	}
+	m.task.Detach()
+	m.ce.txnFree = append(m.ce.txnFree, m)
+}
+
+// step runs one state; true means the machine parked.
+func (m *occTxnMachine) step() bool {
+	ce, t := m.ce, m.t
+	switch m.pc {
+	case osAdmit, osAdmitWait:
+		switch ce.admit(&m.task, t, t.Deadline.Seconds(), m.pc == osAdmitWait) {
+		case sim.AcquireParked:
+			m.pc = osAdmitWait
+			return true
+		case sim.AcquireTimedOut:
+			m.finish(false)
+			return false
+		}
+		m.slotHeld = true
+		t.Status = txn.StatusRunning
+		m.objs = t.Objects()
+		m.writes = make([]bool, len(t.Ops))
+		for i, op := range t.Ops {
+			m.writes[i] = op.Write
+		}
+		m.pc = osAttempt
+	case osAttempt:
+		if m.task.Now() > t.Deadline {
+			m.finish(false)
+			return false
 		}
 		// Read phase: snapshot versions, fault pages in, no locks held.
-		snapshot := ce.valid.ReadSet(objs)
-		frames := make([]*pagefile.Frame, 0, len(objs))
-		abort := func() {
-			for _, f := range frames {
-				ce.pool.Unpin(f, false)
-			}
+		m.snapshot = ce.valid.ReadSet(m.objs)
+		m.read.start(len(t.Ops))
+		m.pc = osRead
+	case osRead:
+		switch m.read.step(&ce.ceCore, &m.task, t, t.Deadline.Seconds()) {
+		case readParked:
+			return true
+		case readLate:
+			m.bail()
+		default:
+			// Compute phase (speculative).
+			m.pc = osRan
+			m.task.Sleep(t.Length)
+			return true
 		}
-		ok := true
-		for _, obj := range objs {
-			if p.Now() > t.Deadline {
-				ok = false
-				break
-			}
-			if ce.cfg.ServerOpCPU > 0 {
-				if !p.AcquireTimeout(ce.cpu, t.Deadline.Seconds(), t.Deadline-p.Now()) {
-					ok = false
-					break
-				}
-				p.Sleep(ce.cfg.ServerOpCPU)
-				ce.cpu.Release()
-			}
-			f, err := ce.pool.Get(p, pagefile.PageID(obj))
-			if err != nil {
-				panic(fmt.Sprintf("rtdbs: occ read %d: %v", obj, err))
-			}
-			frames = append(frames, f)
+	case osRan:
+		if m.task.Now() > t.Deadline {
+			m.bail()
+			return false
 		}
-		if !ok || p.Now() > t.Deadline {
-			abort()
-			finish(false)
-			return
-		}
-
-		// Compute phase (speculative).
-		p.Sleep(t.Length)
-		if p.Now() > t.Deadline {
-			abort()
-			finish(false)
-			return
-		}
-
 		// Validation + write phase (serialized, atomic in virtual time).
-		if ce.valid.Validate(objs, snapshot, writes) {
-			for i, obj := range objs {
-				dirty := writes[i]
+		if ce.valid.Validate(m.objs, m.snapshot, m.writes) {
+			for i, obj := range m.objs {
+				dirty := m.writes[i]
 				if dirty {
-					binary.LittleEndian.PutUint64(frames[i].Data, uint64(ce.valid.Version(obj)))
+					binary.LittleEndian.PutUint64(m.read.frames[i].Data, uint64(ce.valid.Version(obj)))
 				}
-				ce.pool.Unpin(frames[i], dirty)
+				ce.pool.Unpin(m.read.frames[i], dirty)
 			}
-			finish(true)
-			return
+			clear(m.read.frames)
+			m.finish(true)
+			return false
 		}
-		abort()
+		m.read.unpinAll(ce.pool)
 		// Restart only while a full re-execution can still fit.
-		if p.Now()+t.Length > t.Deadline {
-			finish(false)
-			return
+		if m.task.Now()+t.Length > t.Deadline {
+			m.finish(false)
+			return false
 		}
 		ce.Restarts++
+		m.pc = osAttempt
 	}
+	return false
+}
+
+// bail abandons the transaction mid-attempt: unpin what the read phase
+// gathered and fail.
+func (m *occTxnMachine) bail() {
+	m.read.unpinAll(m.ce.pool)
+	m.finish(false)
+}
+
+// finish reports the outcome to the terminal, then releases the thread
+// slot.
+func (m *occTxnMachine) finish(committed bool) {
+	m.ce.reply(m.t, committed)
+	if m.slotHeld {
+		m.ce.slots.Release()
+		m.slotHeld = false
+	}
+	m.pc = osDone
 }
 
 // Run executes the full experiment.
@@ -248,36 +182,4 @@ func (ce *CentralizedOCC) Run() (*Result, error) {
 	res := ce.collect()
 	ce.env.Close()
 	return res, nil
-}
-
-func (ce *CentralizedOCC) collect() *Result {
-	now := ce.env.Now()
-	for _, term := range ce.terminals {
-		for _, t := range term.tracked {
-			if !t.Terminal() {
-				if t.Deadline >= now {
-					continue
-				}
-				t.Status = txn.StatusMissed
-				t.Finished = now
-			}
-			if t.Arrival < ce.cfg.Warmup {
-				continue
-			}
-			ce.m.Submitted++
-			ce.m.RecordOutcome(t)
-		}
-	}
-	return &Result{
-		Config:              ce.cfg,
-		M:                   ce.m,
-		Messages:            messageSnapshot(ce.net),
-		TotalMessages:       ce.net.TotalMessages(),
-		TotalBytes:          ce.net.TotalBytes(),
-		NetUtilization:      ce.net.Utilization(),
-		ServerBufferHitRate: ce.pool.HitRate(),
-		ServerDiskReads:     ce.disk.Reads,
-		ServerDiskWrites:    ce.disk.Writes,
-		Elapsed:             now,
-	}
 }

@@ -1,31 +1,28 @@
-// Package sim provides a deterministic, process-oriented discrete-event
-// simulation kernel.
+// Package sim provides a deterministic discrete-event simulation kernel.
 //
 // Virtual time is a time.Duration measured from the start of the
-// simulation. All model concurrency is cooperative: processes are
-// goroutines, but the kernel resumes exactly one of them at a time, so
-// model code never needs locks and every run with the same inputs produces
-// the same event order. Ties in the event queue are broken by scheduling
-// sequence number, which makes the order fully reproducible.
+// simulation. All model concurrency is cooperative: the kernel runs
+// exactly one actor at a time, so model code never needs locks and every
+// run with the same inputs produces the same event order. Ties in the
+// event queue are broken by scheduling sequence number, which makes the
+// order fully reproducible.
 //
-// A typical model creates an Env, spawns processes with Go, and then calls
-// Run. Processes block with Proc.Sleep, Signal waits, Resource acquisition,
-// or Mailbox receives; they never block on raw Go channels themselves.
+// Actors are state machines: a Machine parks on a kernel primitive
+// (timer, Signal, Resource, Mailbox) through its embedded Task, returns
+// from Resume, and is resumed by a direct method call from the event
+// loop, with no goroutine or channel handoff. A typical model creates an
+// Env, starts machines with Spawn, and then calls Run.
 //
-// Model code that needs to scale to very large populations uses state
-// machines instead of processes: a Machine parks on the same primitives
-// (timer, Signal, Resource, Mailbox) through an embedded Task and is
-// resumed by a direct method call from the event loop, with no
-// goroutine or channel handoff. Processes and machines share the same
-// wait queues and event ordering, so they interoperate freely and a
-// model can migrate one endpoint at a time.
+// Proc, the goroutine-process form the kernel started with, is a legacy:
+// no model code uses it, and it stays only for a benchmark driver that
+// measures its handoff (see docs/KERNEL.md for the removal condition).
+// It shares the machines' wait queues and event ordering.
 //
 // The kernel is built for a steady state that allocates nothing: event
 // records are pooled and recycled through a free list, the queue is a
-// monomorphic 4-ary heap (see heap.go), the dominant event shapes
-// (process resume, hook delivery, wait timeouts) avoid closures
-// entirely, and finished process goroutines are parked for reuse by the
-// next Go call. See DESIGN.md "Kernel internals and performance".
+// monomorphic 4-ary heap (see heap.go), and the dominant event shapes
+// (task resume, hook delivery, wait timeouts) avoid closures entirely.
+// See DESIGN.md "Kernel internals and performance".
 package sim
 
 import (

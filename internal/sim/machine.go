@@ -2,14 +2,12 @@ package sim
 
 import "time"
 
-// Machine is an event-driven simulation actor: the state-machine
-// counterpart of a Proc. Where a process is a goroutine that blocks
-// inside kernel primitives, a machine is resumed by a direct Resume
-// call from the event loop — no goroutine, no stack, no channel
-// handoff — and parks by arming exactly one wait through its embedded
-// Task and returning from Resume.
+// Machine is an event-driven simulation actor. It is resumed by a
+// direct Resume call from the event loop — no goroutine, no stack, no
+// channel handoff — and parks by arming exactly one wait through its
+// embedded Task and returning from Resume.
 //
-// The contract mirrors a process around every park point:
+// The contract around every park point:
 //
 //   - Resume runs model code until the machine either finishes
 //     (Detach) or parks on exactly one primitive: a timer
@@ -20,9 +18,9 @@ import "time"
 //   - A machine must never arm two waits from one Resume, and must not
 //     call Resume on itself.
 //
-// Machines and processes share the same wait queues, event kinds, and
-// (at, seq) event ordering, so a model can convert one endpoint at a
-// time while every golden stays byte-identical.
+// Machines share their wait queues, event kinds, and (at, seq) event
+// ordering with the legacy Proc form, which is how every model endpoint
+// was converted with its goldens byte-identical.
 type Machine interface {
 	Resume()
 }

@@ -89,10 +89,10 @@ func (l *Log) Len() int { return len(l.records) }
 // mutate).
 func (l *Log) Records() []Record { return l.records }
 
-// ForceOp is the state-machine counterpart of ForceTo: a resumable
-// force-to-LSN for Machine callers, mirroring the blocking loop —
-// piggyback wait, device acquire, force time, group-commit accounting —
-// park point for park point.
+// ForceOp makes every record up to an LSN durable: a resumable op
+// embedded in the committing sim.Machine. Concurrent committers
+// piggyback on the in-progress force when it will cover them, or join
+// the next one (group commit).
 type ForceOp struct {
 	l      *Log
 	txnID  int64
@@ -103,7 +103,7 @@ type ForceOp struct {
 
 const (
 	fcCheck uint8 = iota
-	fcWindow
+	fcTarget
 	fcAcquired
 	fcLanded
 )
@@ -130,22 +130,17 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 				t.Wait(l.forceEnd)
 				return false
 			}
+			// Take the leader role: forcing is set, so later committers
+			// park on forceEnd. With a group-commit window the leader
+			// first lets appends accumulate before fixing the target.
 			l.forcing = true
+			o.pc = fcTarget
 			if l.window > 0 {
-				// Group-commit window: hold the leader role (forcing is
-				// set, so later committers park on forceEnd) and let
-				// appends accumulate before fixing the force target.
-				o.pc = fcWindow
 				t.Sleep(l.window)
 				return false
 			}
+		case fcTarget:
 			o.target = int64(len(l.records)) // everything appended so far
-			o.pc = fcAcquired
-			if !t.Acquire(l.disk, 0) {
-				return false
-			}
-		case fcWindow:
-			o.target = int64(len(l.records)) // everything appended in the window too
 			o.pc = fcAcquired
 			if !t.Acquire(l.disk, 0) {
 				return false
@@ -163,45 +158,10 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 			l.Forces++
 			if len(l.pendingTxns) > 0 {
 				l.GroupCommits++
-				l.pendingTxns = make(map[int64]bool)
+				clear(l.pendingTxns)
 			}
 			l.forceEnd.Broadcast()
 			o.pc = fcCheck
 		}
-	}
-}
-
-// ForceTo blocks until every record up to lsn is durable. Concurrent
-// callers piggyback on the in-progress force when it will cover them, or
-// join the next one (group commit).
-func (l *Log) ForceTo(p *sim.Proc, txnID int64, lsn int64) {
-	for l.durable < lsn {
-		if l.forcing {
-			// Someone is at the device; wait for that force to land and
-			// re-check (it may already cover us).
-			l.pendingTxns[txnID] = true
-			p.Wait(l.forceEnd)
-			continue
-		}
-		l.forcing = true
-		if l.window > 0 {
-			// Group-commit window (see SetGroupWindow): accumulate
-			// appends before fixing the force target.
-			p.Sleep(l.window)
-		}
-		target := int64(len(l.records)) // everything appended so far
-		p.Acquire(l.disk, 0)
-		p.Sleep(l.force)
-		l.disk.Release()
-		if target > l.durable {
-			l.durable = target
-		}
-		l.forcing = false
-		l.Forces++
-		if len(l.pendingTxns) > 0 {
-			l.GroupCommits++
-			l.pendingTxns = make(map[int64]bool)
-		}
-		l.forceEnd.Broadcast()
 	}
 }
