@@ -160,3 +160,34 @@ func TestGoldenCCComparison(t *testing.T) {
 	}
 	checkGolden(t, "occ.golden", text.String())
 }
+
+// csvIDs are the experiment ids that honour -csv.
+var csvIDs = []string{"fig3", "fig4", "fig5", "table2", "table3", "table4", "batch-sweep", "shard-sweep"}
+
+// TestGoldenAll pins the text of every experiment id, in `-exp all`
+// order, and the CSV of every id that has one — both replicated (mean ±
+// CI branches) and single-run (the plain branches). The goldens were
+// generated while each study still had its own hand-written driver and
+// renderer; they are the proof that the study engine reproduces all of
+// them byte for byte.
+func TestGoldenAll(t *testing.T) {
+	for _, reps := range []int{3, 1} {
+		opts := goldenOpts
+		opts.Reps = reps
+		suffix := map[int]string{3: "reps3", 1: "reps1"}[reps]
+
+		var text strings.Builder
+		if err := runExperiments(params{exp: "all", ablateN: 6, ablateU: 0.2}, opts, &text); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "all_"+suffix+".golden", text.String())
+
+		var csv strings.Builder
+		for _, id := range csvIDs {
+			if err := runExperiments(params{exp: id, csv: true, ablateN: 6, ablateU: 0.2}, opts, &csv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkGolden(t, "csv_"+suffix+".golden", csv.String())
+	}
+}
