@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race proc-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race proc-lint study-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ race:
 proc-lint:
 	@if grep -rnE 'sim\.Proc|\.Go\("' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/'; then \
 		echo 'proc-lint: goroutine processes are kernel-internal; write a sim.Machine' >&2; exit 1; fi
+
+# study-lint keeps internal/experiment to one renderer: every study is a
+# declaration run and rendered by engine.go, so a Render or CSV method in
+# any other file of the package is a bespoke stack creeping back.
+study-lint:
+	@if grep -nE '^func \([^)]*\) (Render|CSV)\(' internal/experiment/*.go | grep -v '^internal/experiment/engine\.go:'; then \
+		echo 'study-lint: declare a Study; engine.go is the only renderer' >&2; exit 1; fi
 
 # bench-check compiles and tests the benchmark module (its own go.mod,
 # so `go test ./...` at the root never sees it) and smoke-runs all four

@@ -46,8 +46,7 @@ func BenchmarkFigure3Batched(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			last := f.Points[len(f.Points)-1]
-			b.ReportMetric(last.CS, "CS-at-max-clients-%")
+			b.ReportMetric(f.Value(len(f.Rows)-1, 1), "CS-at-max-clients-%")
 		}
 	}
 }
@@ -73,9 +72,9 @@ func benchFigure(b *testing.B, id string, update float64) {
 			var sb strings.Builder
 			f.Render(&sb)
 			b.Log("\n" + sb.String())
-			last := f.Points[len(f.Points)-1]
-			b.ReportMetric(last.LS-last.CS, "LS-CS-gap-pp")
-			b.ReportMetric(last.CE, "CE-at-max-clients-%")
+			last := len(f.Rows) - 1 // columns: CE, CS, LS
+			b.ReportMetric(f.Value(last, 2)-f.Value(last, 1), "LS-CS-gap-pp")
+			b.ReportMetric(f.Value(last, 0), "CE-at-max-clients-%")
 		}
 	}
 }
@@ -83,7 +82,7 @@ func benchFigure(b *testing.B, id string, update float64) {
 // BenchmarkTable2 regenerates Table 2 (average cache hit rates).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiment.RunTable2(benchOpts)
+		t, err := experiment.Table2().Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func BenchmarkTable2(b *testing.B) {
 // lock mode, 1% updates).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiment.RunTable3(benchOpts)
+		t, err := experiment.Table3().Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,9 +106,9 @@ func BenchmarkTable3(b *testing.B) {
 			var sb strings.Builder
 			t.Render(&sb)
 			b.Log("\n" + sb.String())
-			last := t.Rows[len(t.Rows)-1]
-			b.ReportMetric(last.CSExclusive.Seconds(), "CS-EL-100c-s")
-			b.ReportMetric(last.LSExclusive.Seconds(), "LS-EL-100c-s")
+			last := len(t.Rows) - 1 // columns: CS SL, CS EL, LS SL, LS EL
+			b.ReportMetric(t.Value(last, 1), "CS-EL-100c-s")
+			b.ReportMetric(t.Value(last, 3), "LS-EL-100c-s")
 		}
 	}
 }
@@ -118,7 +117,7 @@ func BenchmarkTable3(b *testing.B) {
 // 1% updates).
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiment.RunTable4(benchOpts)
+		t, err := experiment.Table4().Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +125,7 @@ func BenchmarkTable4(b *testing.B) {
 			var sb strings.Builder
 			t.Render(&sb)
 			b.Log("\n" + sb.String())
-			b.ReportMetric(float64(t.LSForwarded), "forward-hops")
+			b.ReportMetric(t.Value(1, 2), "forward-hops") // LS row, forward-list column
 		}
 	}
 }
@@ -135,9 +134,12 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkLockProtocolMessages(b *testing.B) {
 	ns := []int{1, 2, 5, 10, 20}
 	for i := 0; i < b.N; i++ {
-		counts := experiment.RunProtocolCounts(ns)
-		if counts[2].Grouped != 11 {
-			b.Fatalf("grouped(5) = %d", counts[2].Grouped)
+		counts, err := experiment.Protocol(ns).Run(benchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := counts.Value(2, 2); got != 11 {
+			b.Fatalf("grouped(5) = %v", got)
 		}
 	}
 }
@@ -146,7 +148,7 @@ func BenchmarkLockProtocolMessages(b *testing.B) {
 // called out in DESIGN.md (H1/H2/decomposition/forward lists).
 func BenchmarkAblationHeuristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiment.RunHeuristicAblation(60, 0.20, benchOpts)
+		a, err := experiment.HeuristicAblation(benchOpts, 60, 0.20).Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +271,7 @@ func BenchmarkLocalizedRW(b *testing.B) {
 func BenchmarkCCComparison(b *testing.B) {
 	opts := experiment.Options{Scale: 0.25, Seed: 1, Clients: []int{20, 60, 100}}
 	for i := 0; i < b.N; i++ {
-		cc, err := experiment.RunCCComparison(opts)
+		cc, err := experiment.CCComparison(opts, 0, 0).Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +286,7 @@ func BenchmarkCCComparison(b *testing.B) {
 // BenchmarkPatternSweep regenerates the access-pattern robustness sweep.
 func BenchmarkPatternSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.RunPatternSweep(40, 0.05, benchOpts)
+		ps, err := experiment.PatternSweep(benchOpts, 40, 0.05).Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,7 +15,12 @@ import (
 )
 
 func main() {
-	experiment.RenderProtocolCounts(os.Stdout, experiment.RunProtocolCounts([]int{1, 2, 3, 5, 10, 20}))
+	counts, err := experiment.Protocol([]int{1, 2, 3, 5, 10, 20}).Run(experiment.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lockproto:", err)
+		os.Exit(1)
+	}
+	counts.Render(os.Stdout)
 
 	// Live demonstration: a tiny write-heavy cluster where grouped
 	// migration visibly replaces recall/return/ship round trips with

@@ -5,10 +5,12 @@
 //	rtbench -exp <id> [-scale 0.25] [-seed 1] [-clients 20,40,60,80,100]
 //	        [-csv] [-reps N] [-parallel N] [-progress] [-svg dir]
 //
-// Experiment ids: fig3 fig4 fig5 (the paper's figures), table2 table3
-// table4, protocol (Figures 1–2), patterns, occ, speculation, outage,
-// faults, batch-sweep, shard-sweep, sensitivity, policies, ablate-heuristics,
-// ablate-window, ablate-downgrade, ablate-writethrough, ablate-logging, or all.
+// Experiment ids, in the order -exp all runs them (the registry is
+// experiment.Studies; TestDocsListEveryStudy holds this list to it):
+// fig3 fig4 fig5 table2 table3 table4 protocol patterns occ speculation
+// outage batch-sweep shard-sweep faults policies sensitivity
+// ablate-heuristics ablate-window ablate-downgrade ablate-writethrough
+// ablate-logging.
 //
 // -scale shrinks the virtual run length (1 = the full 30-minute runs);
 // the shapes survive scaling but small counters get noisier.
@@ -66,7 +68,7 @@ type params struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtbench", flag.ExitOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment id (fig3, fig4, fig5, table2, table3, table4, protocol, patterns, occ, speculation, outage, faults, batch-sweep, shard-sweep, sensitivity, policies, ablate-heuristics, ablate-window, ablate-downgrade, ablate-writethrough, ablate-logging, all)")
+		exp      = fs.String("exp", "all", "experiment id ("+strings.Join(studyIDs(), ", ")+", all)")
 		scale    = fs.Float64("scale", 1.0, "run-length scale factor in (0,1]")
 		seed     = fs.Int64("seed", 1, "master random seed (per-cell seeds are derived from it)")
 		clients  = fs.String("clients", "", "comma-separated client sweep for figures (default 20,40,60,80,100)")
@@ -152,38 +154,45 @@ func run(args []string, out io.Writer) error {
 	return err
 }
 
+// studyIDs lists the registered experiment ids in `-exp all` order.
+func studyIDs() []string {
+	ids := make([]string, len(experiment.Studies))
+	for i, d := range experiment.Studies {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
+// runExperiments runs the study registered under p.exp — or, for "all",
+// every registered study in order — and writes each table followed by a
+// blank line.
 func runExperiments(p params, opts experiment.Options, out io.Writer) error {
-	runFigure := func(id string, update float64) error {
-		if p.traceSummary {
-			ts, err := experiment.RunTraceSummary(id, update, opts)
-			if err != nil {
-				return err
-			}
-			if p.csv {
-				ts.CSV(out)
-			} else {
-				ts.Render(out)
-			}
-			fmt.Fprintln(out)
-			return nil
+	ran := false
+	for _, def := range experiment.Studies {
+		if p.exp != "all" && p.exp != def.ID {
+			continue
 		}
-		f, err := experiment.RunFigure(id, update, opts)
+		ran = true
+		study := def.Declare(opts, p.ablateN, p.ablateU)
+		if p.traceSummary && def.Traced != nil {
+			study = def.Traced(opts)
+		}
+		t, err := study.Run(opts)
 		if err != nil {
 			return err
 		}
-		if p.csv {
-			f.CSV(out)
+		if p.csv && csvHonoured[def.ID] {
+			t.CSV(out)
 		} else {
-			f.Render(out)
+			t.Render(out)
 		}
-		if p.svgDir != "" {
-			name := strings.ToLower(strings.ReplaceAll(strings.Fields(id)[0]+strings.Fields(id)[1], " ", ""))
-			path := filepath.Join(p.svgDir, name+".svg")
+		if chart := t.Chart(); chart != nil && p.svgDir != "" {
+			path := filepath.Join(p.svgDir, strings.ToLower(strings.ReplaceAll(t.Name, " ", ""))+".svg")
 			fh, err := os.Create(path)
 			if err != nil {
 				return err
 			}
-			if err := f.Chart().SVG(fh); err != nil {
+			if err := chart.SVG(fh); err != nil {
 				fh.Close()
 				return err
 			}
@@ -193,209 +202,15 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 			fmt.Fprintf(out, "wrote %s\n", path)
 		}
 		fmt.Fprintln(out)
-		return nil
-	}
-
-	all := p.exp == "all"
-	ran := false
-	if all || p.exp == "fig3" {
-		ran = true
-		if err := runFigure("Figure 3", 0.01); err != nil {
-			return err
-		}
-	}
-	if all || p.exp == "fig4" {
-		ran = true
-		if err := runFigure("Figure 4", 0.05); err != nil {
-			return err
-		}
-	}
-	if all || p.exp == "fig5" {
-		ran = true
-		if err := runFigure("Figure 5", 0.20); err != nil {
-			return err
-		}
-	}
-	if all || p.exp == "table2" {
-		ran = true
-		t, err := experiment.RunTable2(opts)
-		if err != nil {
-			return err
-		}
-		if p.csv {
-			t.CSV(out)
-		} else {
-			t.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "table3" {
-		ran = true
-		t, err := experiment.RunTable3(opts)
-		if err != nil {
-			return err
-		}
-		if p.csv {
-			t.CSV(out)
-		} else {
-			t.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "table4" {
-		ran = true
-		t, err := experiment.RunTable4(opts)
-		if err != nil {
-			return err
-		}
-		if p.csv {
-			t.CSV(out)
-		} else {
-			t.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "protocol" {
-		ran = true
-		experiment.RenderProtocolCounts(out, experiment.RunProtocolCounts([]int{1, 2, 5, 10, 20}))
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "patterns" {
-		ran = true
-		ps, err := experiment.RunPatternSweep(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		ps.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "occ" {
-		ran = true
-		cc, err := experiment.RunCCComparison(opts)
-		if err != nil {
-			return err
-		}
-		cc.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "speculation" {
-		ran = true
-		ss, err := experiment.RunSpeculationStudy(opts)
-		if err != nil {
-			return err
-		}
-		ss.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "outage" {
-		ran = true
-		os, err := experiment.RunOutageStudy(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		os.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "batch-sweep" {
-		ran = true
-		bs, err := experiment.RunBatchSweep(nil, p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		if p.csv {
-			bs.CSV(out)
-		} else {
-			bs.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "shard-sweep" {
-		ran = true
-		ss, err := experiment.RunShardSweep(nil, p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		if p.csv {
-			ss.CSV(out)
-		} else {
-			ss.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "faults" {
-		ran = true
-		fm, err := experiment.RunFaultMatrix(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		fm.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "policies" {
-		ran = true
-		ps, err := experiment.RunPolicyStudy(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		ps.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "sensitivity" {
-		ran = true
-		sv, err := experiment.RunSensitivity(opts)
-		if err != nil {
-			return err
-		}
-		sv.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "ablate-heuristics" {
-		ran = true
-		a, err := experiment.RunHeuristicAblation(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		a.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "ablate-window" {
-		ran = true
-		a, err := experiment.RunWindowAblation(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		a.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "ablate-downgrade" {
-		ran = true
-		a, err := experiment.RunDowngradeAblation(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		a.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "ablate-writethrough" {
-		ran = true
-		a, err := experiment.RunWriteThroughAblation(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		a.Render(out)
-		fmt.Fprintln(out)
-	}
-	if all || p.exp == "ablate-logging" {
-		ran = true
-		a, err := experiment.RunLoggingAblation(p.ablateN, p.ablateU, opts)
-		if err != nil {
-			return err
-		}
-		a.Render(out)
-		fmt.Fprintln(out)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", p.exp)
 	}
 	return nil
+}
+
+// csvHonoured are the ids whose -csv flag is honoured.
+var csvHonoured = map[string]bool{
+	"fig3": true, "fig4": true, "fig5": true, "table2": true, "table3": true, "table4": true,
+	"batch-sweep": true, "shard-sweep": true,
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -111,5 +112,48 @@ func TestProfilesCoverScenarioRuns(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(path))
 		}
+	}
+}
+
+// TestDocsListEveryStudy holds the two hand-written id lists to the
+// registry: the "Experiment ids" paragraph of this command's doc comment
+// names exactly experiment.Studies, in order, and EXPERIMENTS.md's
+// per-experiment index has exactly one `rtbench -exp <id>` per study.
+func TestDocsListEveryStudy(t *testing.T) {
+	want := strings.Join(studyIDs(), " ")
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	_, ids, ok := strings.Cut(doc, "holds this list to it):")
+	if !ok {
+		t.Fatal("doc comment lost its experiment id list")
+	}
+	ids, _, _ = strings.Cut(ids, ".")
+	if got := strings.Join(strings.Fields(strings.ReplaceAll(ids, "//", " ")), " "); got != want {
+		t.Errorf("doc comment lists\n  %s\nregistry has\n  %s", got, want)
+	}
+
+	md, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(md), "## Per-experiment index")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md lost its per-experiment index")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	var indexed []string
+	for _, part := range strings.Split(index, "`rtbench -exp ")[1:] {
+		id, _, _ := strings.Cut(part, "`")
+		indexed = append(indexed, id)
+	}
+	sort.Strings(indexed)
+	sorted := studyIDs()
+	sort.Strings(sorted)
+	if got, want := strings.Join(indexed, " "), strings.Join(sorted, " "); got != want {
+		t.Errorf("EXPERIMENTS.md index lists\n  %s\nregistry has\n  %s", got, want)
 	}
 }

@@ -92,23 +92,13 @@ func run() error {
 		return runScenario(*scenFile)
 	}
 
-	var kind siteselect.SystemKind
-	var cfg siteselect.Config
-	switch *system {
-	case "ce":
-		kind = siteselect.Centralized
-		cfg = siteselect.DefaultCentralizedConfig(*clients, *updates)
-	case "ce-occ":
-		kind = siteselect.CentralizedOptimistic
-		cfg = siteselect.DefaultCentralizedConfig(*clients, *updates)
-	case "cs":
-		kind = siteselect.ClientServer
-		cfg = siteselect.DefaultConfig(*clients, *updates)
-	case "ls":
-		kind = siteselect.LoadSharing
-		cfg = siteselect.DefaultConfig(*clients, *updates)
-	default:
+	kind, ok := rtdbs.ParseKind(*system)
+	if !ok {
 		return fmt.Errorf("unknown -system %q (want ce, ce-occ, cs or ls)", *system)
+	}
+	cfg := siteselect.DefaultConfig(*clients, *updates)
+	if kind.Centralized() {
+		cfg = siteselect.DefaultCentralizedConfig(*clients, *updates)
 	}
 	cfg.Duration = *duration
 	cfg.Warmup = *warmup
@@ -189,19 +179,14 @@ func runReplicated(kind siteselect.SystemKind, cfg siteselect.Config, reps, para
 // and writes the event timeline as Chrome trace-event JSON.
 func runTxnTraced(kind siteselect.SystemKind, cfg siteselect.Config, path string) error {
 	cfg.Trace = true
-	var c *rtdbs.Cluster
-	var err error
-	switch kind {
-	case siteselect.ClientServer:
-		c, err = rtdbs.NewClientServer(cfg)
-	case siteselect.LoadSharing:
-		c, err = rtdbs.NewLoadSharing(cfg)
-	default:
+	if kind.Centralized() {
 		return fmt.Errorf("-trace requires -system cs or ls (the centralized systems are untraced)")
 	}
+	sys, err := rtdbs.New(kind, cfg)
 	if err != nil {
 		return err
 	}
+	c := sys.(*rtdbs.Cluster)
 	res, err := c.Run()
 	if err != nil {
 		return err
@@ -239,38 +224,12 @@ func runMsgTraced(kind siteselect.SystemKind, cfg siteselect.Config, n int) erro
 		ring = append(ring, m)
 	}
 
-	var res *siteselect.Result
-	var err error
-	switch kind {
-	case siteselect.Centralized:
-		ce, berr := rtdbs.NewCentralized(cfg)
-		if berr != nil {
-			return berr
-		}
-		ce.Net().SetTrace(trace)
-		res, err = ce.Run()
-	case siteselect.CentralizedOptimistic:
-		ce, berr := rtdbs.NewCentralizedOCC(cfg)
-		if berr != nil {
-			return berr
-		}
-		ce.Net().SetTrace(trace)
-		res, err = ce.Run()
-	case siteselect.ClientServer:
-		cs, berr := rtdbs.NewClientServer(cfg)
-		if berr != nil {
-			return berr
-		}
-		cs.Net().SetTrace(trace)
-		res, err = cs.Run()
-	default:
-		ls, berr := rtdbs.NewLoadSharing(cfg)
-		if berr != nil {
-			return berr
-		}
-		ls.Net().SetTrace(trace)
-		res, err = ls.Run()
+	sys, err := rtdbs.New(kind, cfg)
+	if err != nil {
+		return err
 	}
+	sys.Net().SetTrace(trace)
+	res, err := sys.Run()
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"siteselect"
 	"siteselect/internal/scenario"
 )
 
@@ -24,16 +23,7 @@ func runScenario(path string) error {
 	os.Stdout.WriteString(rep.Format())
 	fmt.Println()
 
-	kind := siteselect.ClientServer
-	switch rep.Compiled.System {
-	case scenario.SystemCE:
-		kind = siteselect.Centralized
-	case scenario.SystemCEOCC:
-		kind = siteselect.CentralizedOptimistic
-	case scenario.SystemLS:
-		kind = siteselect.LoadSharing
-	}
-	dump(kind, rep.Result)
+	dump(rep.Compiled.Kind, rep.Result)
 	if !rep.Passed() {
 		return fmt.Errorf("scenario %s failed expectations", s.Name)
 	}

@@ -2,312 +2,209 @@ package experiment
 
 import (
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"siteselect/internal/config"
 	"siteselect/internal/forward"
 	"siteselect/internal/rtdbs"
-	"siteselect/internal/stats"
 )
 
-// AblationRow compares the LS-CS-RTDBS with one design choice changed.
-// Rates are means over the replications; counters are rounded means.
-type AblationRow struct {
-	Name        string
-	SuccessRate float64
-	SuccessCI   float64 // 95% half-width, zero for a single replication
-	CacheHit    float64
-	Shipped     int64
-	Decomposed  int64
-	Migrations  int64
-	ELResponse  time.Duration
-}
-
-// Ablation holds a family of LS variants at a fixed workload point.
-type Ablation struct {
-	Title   string
-	Clients int
-	Update  float64
-	Reps    int
-	Rows    []AblationRow
-}
-
-// Render writes the ablation as an aligned text table, with a ± 95% CI
-// success column when the ablation aggregates replications.
-func (a *Ablation) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s (%d clients, %g%% updates)\n", a.Title, a.Clients, a.Update*100)
-	if a.Reps > 1 {
-		fmt.Fprintf(w, "(success mean ± 95%% CI over %d replications)\n", a.Reps)
-		fmt.Fprintf(w, "%-22s %14s %9s %8s %8s %8s %10s\n",
-			"Variant", "Success", "CacheHit", "Shipped", "Decomp", "Migr", "EL resp")
-		for _, r := range a.Rows {
-			fmt.Fprintf(w, "%-22s %13s%% %8.1f%% %8d %8d %8d %10s\n",
-				r.Name, fmt.Sprintf("%.1f ± %.1f", r.SuccessRate, r.SuccessCI),
-				r.CacheHit, r.Shipped, r.Decomposed, r.Migrations,
-				r.ELResponse.Round(time.Millisecond))
-		}
-		return
-	}
-	fmt.Fprintf(w, "%-22s %9s %9s %8s %8s %8s %10s\n",
-		"Variant", "Success", "CacheHit", "Shipped", "Decomp", "Migr", "EL resp")
-	for _, r := range a.Rows {
-		fmt.Fprintf(w, "%-22s %8.1f%% %8.1f%% %8d %8d %8d %10s\n",
-			r.Name, r.SuccessRate, r.CacheHit, r.Shipped, r.Decomposed, r.Migrations,
-			r.ELResponse.Round(time.Millisecond))
+// ablation declares a family of LS variants at a fixed workload point:
+// one row per variant, the load-sharing system as the only run. Columns
+// are success (0), cache hit rate (1), the shipped / decomposed /
+// migration counters (2–4) and the mean exclusive-lock response (5).
+func ablation(title string, n int, u float64, variants ...Setting) *Study {
+	return &Study{
+		Name:    title,
+		Title:   fmt.Sprintf("%s (%d clients, %g%% updates)", title, n, u*100),
+		Note:    "(success mean ± 95%% CI over %d replications)",
+		Key:     Column{Head: "Variant", CSV: "variant", W: 22},
+		Clients: n,
+		Update:  u,
+		Rows:    variants,
+		Runs:    systems[2:],
+		Cols: []Column{
+			rate("Success", "success", 9, 0, success).withCI(14, "%.1f ± %.1f%%"),
+			rate("CacheHit", "cache_hit", 9, 0, hitRate),
+			count("Shipped", "shipped", 8, 0, func(r *rtdbs.Result) float64 { return float64(r.M.ShippedTxns) }),
+			count("Decomp", "decomposed", 8, 0, func(r *rtdbs.Result) float64 { return float64(r.M.DecomposedTxns) }),
+			count("Migr", "migrations", 8, 0, func(r *rtdbs.Result) float64 { return float64(r.MigrationsStarted) }),
+			{
+				Head: "EL resp", CSV: "el_resp_s", Agg: MeanDur, W: 10, Text: "%v", CSVVerb: "%.4f",
+				Get: func(r *rtdbs.Result) float64 { return float64(r.M.ExclusiveResponse.Mean()) },
+			},
+		},
 	}
 }
 
-// variant is one configuration mutation an ablation compares.
-type variant struct {
-	name string
-	mod  func(*config.Config)
-}
-
-// runVariants runs every (variant, replication) cell of an LS ablation
-// concurrently and aggregates per variant.
-func runVariants(title string, clients int, update float64, opts Options, variants []variant) (*Ablation, error) {
-	opts = opts.normalize()
-	a := &Ablation{Title: title, Clients: clients, Update: update, Reps: opts.Reps}
-	type cell struct{ vi, rep int }
-	var cells []cell
-	var labels []string
-	for vi, v := range variants {
-		for r := 0; r < opts.Reps; r++ {
-			cells = append(cells, cell{vi, r})
-			labels = append(labels, fmt.Sprintf("%s %q rep=%d", title, v.name, r))
-		}
-	}
-	results, err := runCells(opts, labels, func(i int) (*rtdbs.Result, error) {
-		c := cells[i]
-		cfg := opts.csConfig(clients, update, c.rep)
-		variants[c.vi].mod(&cfg)
-		res, err := RunLS(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", variants[c.vi].name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for vi, v := range variants {
-		var success, hit stats.Sample
-		var shipped, decomposed, migrations []int64
-		var elResp []time.Duration
-		for i, c := range cells {
-			if c.vi != vi {
-				continue
-			}
-			res := results[i]
-			success.Add(res.SuccessRate())
-			hit.Add(res.CacheHitRate())
-			shipped = append(shipped, res.M.ShippedTxns)
-			decomposed = append(decomposed, res.M.DecomposedTxns)
-			migrations = append(migrations, res.MigrationsStarted)
-			elResp = append(elResp, res.M.ExclusiveResponse.Mean())
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Name:        v.name,
-			SuccessRate: success.Mean(),
-			SuccessCI:   success.CI95(),
-			CacheHit:    hit.Mean(),
-			Shipped:     meanRound(shipped),
-			Decomposed:  meanRound(decomposed),
-			Migrations:  meanRound(migrations),
-			ELResponse:  meanDuration(elResp),
-		})
-	}
-	return a, nil
-}
-
-// RunHeuristicAblation isolates the contribution of each load-sharing
+// HeuristicAblation isolates the contribution of each load-sharing
 // technique: all off (equals basic CS), each alone, and all on.
-func RunHeuristicAblation(clients int, update float64, opts Options) (*Ablation, error) {
-	off := func(cfg *config.Config) {
-		cfg.UseH1 = false
-		cfg.UseH2 = false
-		cfg.UseDecomposition = false
-		cfg.UseForwardLists = false
+func HeuristicAblation(_ Options, n int, u float64) *Study {
+	only := func(name string, on func(*config.Config)) Setting {
+		return Setting{Name: name, Mod: func(c *config.Config) {
+			c.UseH1, c.UseH2, c.UseDecomposition, c.UseForwardLists = false, false, false, false
+			on(c)
+		}}
 	}
-	return runVariants("Load-sharing technique ablation", clients, update, opts, []variant{
-		{"all-off (=CS)", func(c *config.Config) { off(c) }},
-		{"H1 only", func(c *config.Config) { off(c); c.UseH1 = true }},
-		{"H2 only", func(c *config.Config) { off(c); c.UseH2 = true }},
-		{"decomposition only", func(c *config.Config) { off(c); c.UseDecomposition = true }},
-		{"forward lists only", func(c *config.Config) { off(c); c.UseForwardLists = true }},
-		{"all-on (=LS)", func(*config.Config) {}},
-	})
+	return ablation("Load-sharing technique ablation", n, u,
+		only("all-off (=CS)", func(*config.Config) {}),
+		only("H1 only", func(c *config.Config) { c.UseH1 = true }),
+		only("H2 only", func(c *config.Config) { c.UseH2 = true }),
+		only("decomposition only", func(c *config.Config) { c.UseDecomposition = true }),
+		only("forward lists only", func(c *config.Config) { c.UseForwardLists = true }),
+		Setting{Name: "all-on (=LS)"})
 }
 
-// RunWindowAblation sweeps the forward-list collection window.
-func RunWindowAblation(clients int, update float64, opts Options) (*Ablation, error) {
-	var variants []variant
+// WindowAblation sweeps the forward-list collection window.
+func WindowAblation(_ Options, n int, u float64) *Study {
+	var variants []Setting
 	for _, w := range []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
-		w := w
-		variants = append(variants, variant{
-			name: fmt.Sprintf("window=%v", w),
-			mod:  func(c *config.Config) { c.CollectionWindow = w },
+		variants = append(variants, Setting{
+			Name: fmt.Sprintf("window=%v", w),
+			Mod:  func(c *config.Config) { c.CollectionWindow = w },
 		})
 	}
-	return runVariants("Collection window ablation", clients, update, opts, variants)
+	return ablation("Collection window ablation", n, u, variants...)
 }
 
-// RunDowngradeAblation compares the modified callback scheme (EL→SL
+// DowngradeAblation compares the modified callback scheme (EL→SL
 // downgrade) against plain full-release callbacks.
-func RunDowngradeAblation(clients int, update float64, opts Options) (*Ablation, error) {
-	return runVariants("Callback downgrade ablation", clients, update, opts, []variant{
-		{"downgrade on", func(c *config.Config) { c.UseDowngrade = true }},
-		{"downgrade off", func(c *config.Config) { c.UseDowngrade = false }},
-	})
+func DowngradeAblation(_ Options, n int, u float64) *Study {
+	return ablation("Callback downgrade ablation", n, u,
+		Setting{Name: "downgrade on", Mod: func(c *config.Config) { c.UseDowngrade = true }},
+		Setting{Name: "downgrade off", Mod: func(c *config.Config) { c.UseDowngrade = false }})
 }
 
-// RunWriteThroughAblation quantifies the paper's implicit write-back
+// WriteThroughAblation quantifies the paper's implicit write-back
 // choice: clients retaining dirty copies until a callback versus pushing
 // every committed update to the server immediately.
-func RunWriteThroughAblation(clients int, update float64, opts Options) (*Ablation, error) {
-	return runVariants("Write-back vs write-through ablation", clients, update, opts, []variant{
-		{"write-back (paper)", func(c *config.Config) { c.WriteThrough = false }},
-		{"write-through", func(c *config.Config) { c.WriteThrough = true }},
-	})
+func WriteThroughAblation(_ Options, n int, u float64) *Study {
+	return ablation("Write-back vs write-through ablation", n, u,
+		Setting{Name: "write-back (paper)", Mod: func(c *config.Config) { c.WriteThrough = false }},
+		Setting{Name: "write-through", Mod: func(c *config.Config) { c.WriteThrough = true }})
 }
 
-// RunLoggingAblation charges client-based write-ahead logging (the
+// LoggingAblation charges client-based write-ahead logging (the
 // recovery scheme of the framework the paper builds on) against the
 // cost-free baseline the paper evaluates.
-func RunLoggingAblation(clients int, update float64, opts Options) (*Ablation, error) {
-	return runVariants("Client-based logging ablation", clients, update, opts, []variant{
-		{"no logging (paper)", func(c *config.Config) { c.UseLogging = false }},
-		{"client WAL + group commit", func(c *config.Config) { c.UseLogging = true }},
-	})
+func LoggingAblation(_ Options, n int, u float64) *Study {
+	return ablation("Client-based logging ablation", n, u,
+		Setting{Name: "no logging (paper)", Mod: func(c *config.Config) { c.UseLogging = false }},
+		Setting{Name: "client WAL + group commit", Mod: func(c *config.Config) { c.UseLogging = true }})
 }
 
-// PatternRow compares the three systems under one access pattern.
-type PatternRow struct {
-	Pattern config.AccessPattern
-	CE      float64
-	CS      float64
-	LS      float64
-	CSHit   float64
-	LSHit   float64
+// threeSystems declares a study that runs CE, CS and LS under each row
+// variant and reports their success rates in columns 0–2.
+func threeSystems(name, title, key string, keyW, n int, u float64, rows []Setting) *Study {
+	s := &Study{
+		Name:    name,
+		Title:   fmt.Sprintf("%s (%d clients, %g%% updates)", title, n, u*100),
+		Key:     Column{Head: key, CSV: strings.ToLower(key), W: keyW},
+		Clients: n,
+		Update:  u,
+		Rows:    rows,
+		Runs:    systems,
+	}
+	for i, sys := range systems {
+		s.Cols = append(s.Cols, rate(sys.Name, strings.ToLower(sys.Name), 9, i, success))
+	}
+	return s
 }
 
 // PatternSweep is the access-pattern robustness experiment: the paper
 // evaluates only Localized-RW; this sweep shows how the architectural
 // ordering fares when locality is removed (Uniform) or concentrated on
-// a shared hot set (HotCold).
-type PatternSweep struct {
-	Clients int
-	Update  float64
-	Rows    []PatternRow
+// a shared hot set (HotCold). Columns 3 and 4 are the CS and LS cache
+// hit rates.
+func PatternSweep(_ Options, n int, u float64) *Study {
+	var rows []Setting
+	for _, pat := range []config.AccessPattern{config.PatternLocalizedRW, config.PatternUniform, config.PatternHotCold} {
+		rows = append(rows, Setting{Name: pat.String(), Mod: func(c *config.Config) { c.Pattern = pat }})
+	}
+	s := threeSystems("patterns", "Access-pattern robustness", "Pattern", 14, n, u, rows)
+	s.Cols = append(s.Cols, rate("CS hit", "cs_hit", 9, 1, hitRate), rate("LS hit", "ls_hit", 9, 2, hitRate))
+	return s
 }
 
-// RunPatternSweep runs all three systems under each access pattern,
-// every cell concurrently; rates are means over the replications.
-func RunPatternSweep(clients int, update float64, opts Options) (*PatternSweep, error) {
-	opts = opts.normalize()
-	sweep := &PatternSweep{Clients: clients, Update: update}
-	patterns := []config.AccessPattern{
-		config.PatternLocalizedRW, config.PatternUniform, config.PatternHotCold,
-	}
-	type cellResult struct {
-		rate, hit float64
-	}
-	type cell struct{ pi, sys, rep int }
-	var cells []cell
-	var labels []string
-	for pi, pat := range patterns {
-		for si, s := range figureSystems {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{pi, si, r})
-				labels = append(labels, fmt.Sprintf("patterns %v %s rep=%d", pat, s.name, r))
-			}
-		}
-	}
-	results, err := runCells(opts, labels, func(i int) (cellResult, error) {
-		c := cells[i]
-		s := figureSystems[c.sys]
-		var cfg config.Config
-		if s.central {
-			cfg = opts.ceConfig(clients, update, c.rep)
-		} else {
-			cfg = opts.csConfig(clients, update, c.rep)
-		}
-		cfg.Pattern = patterns[c.pi]
-		res, err := s.run(cfg)
-		if err != nil {
-			return cellResult{}, fmt.Errorf("pattern %v: %s: %w", patterns[c.pi], s.name, err)
-		}
-		return cellResult{rate: res.SuccessRate(), hit: res.CacheHitRate()}, nil
+// PolicyStudy exercises the design-space knobs the paper fixes: EDF vs
+// FCFS executor scheduling, length-dependent vs independent deadlines,
+// and shared-bus vs switched interconnect.
+func PolicyStudy(_ Options, n int, u float64) *Study {
+	return threeSystems("policies", "Policy study", "Variant", 24, n, u, []Setting{
+		{Name: "baseline (EDF, bus)"},
+		{Name: "FCFS scheduling", Mod: func(c *config.Config) { c.Scheduling = config.SchedFCFS }},
+		{Name: "independent deadlines", Mod: func(c *config.Config) { c.Deadlines = config.DeadlineIndependent }},
+		{Name: "switched network", Mod: func(c *config.Config) { c.Topology = config.TopologySwitched }},
 	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([][3]struct{ rate, hit stats.Sample }, len(patterns))
-	for i, c := range cells {
-		agg[c.pi][c.sys].rate.Add(results[i].rate)
-		agg[c.pi][c.sys].hit.Add(results[i].hit)
-	}
-	for pi, pat := range patterns {
-		sweep.Rows = append(sweep.Rows, PatternRow{
-			Pattern: pat,
-			CE:      agg[pi][0].rate.Mean(),
-			CS:      agg[pi][1].rate.Mean(),
-			LS:      agg[pi][2].rate.Mean(),
-			CSHit:   agg[pi][1].hit.Mean(),
-			LSHit:   agg[pi][2].hit.Mean(),
-		})
-	}
-	return sweep, nil
 }
 
-// Render writes the pattern sweep as an aligned text table.
-func (s *PatternSweep) Render(w io.Writer) {
-	fmt.Fprintf(w, "Access-pattern robustness (%d clients, %g%% updates)\n", s.Clients, s.Update*100)
-	fmt.Fprintf(w, "%-14s %9s %9s %9s %9s %9s\n", "Pattern", "CE", "CS", "LS", "CS hit", "LS hit")
-	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-14s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%%\n",
-			r.Pattern, r.CE, r.CS, r.LS, r.CSHit, r.LSHit)
+// Sensitivity sweeps ServerOpCPU — the single calibrated cost — and
+// reports how the centralized system's collapse point moves, making the
+// calibration choice (and deviation D1 in EXPERIMENTS.md) explicit.
+// Columns 0–2 are CE at 40, 60 and 80 clients, 3 is LS at 60, and 4
+// brackets the client count where CE first falls below LS.
+func Sensitivity(Options, int, float64) *Study {
+	s := &Study{
+		Name:   "sensitivity",
+		Title:  "Calibration sensitivity: CE collapse position vs ServerOpCPU (1% updates)",
+		Key:    Column{Head: "OpCPU", CSV: "op_cpu", W: 10},
+		Update: 0.01,
+		Runs: []Setting{
+			{Name: "CE@40", Kind: rtdbs.CE, Clients: 40},
+			{Name: "CE@60", Kind: rtdbs.CE, Clients: 60},
+			{Name: "CE@80", Kind: rtdbs.CE, Clients: 80},
+			{Name: "LS@60", Kind: rtdbs.LS, Clients: 60},
+		},
 	}
+	for _, op := range []time.Duration{8 * time.Millisecond, 12 * time.Millisecond, 16 * time.Millisecond, 20 * time.Millisecond} {
+		s.Rows = append(s.Rows, Setting{Name: op.String(), Mod: func(c *config.Config) { c.ServerOpCPU = op }})
+	}
+	for i, run := range s.Runs {
+		s.Cols = append(s.Cols, rate(run.Name, strings.ToLower(strings.ReplaceAll(run.Name, "@", "_")), 9, i, success))
+	}
+	s.Cols = append(s.Cols, Column{
+		Head: "CE<LS crossover", CSV: "crossover", W: 16, Text: "%s",
+		Enum: []string{"<=40 clients", "40-60 clients", "60-80 clients", ">80 clients"},
+		Derive: func(_ Setting, col func(int) float64) float64 {
+			for ce := 0; ce < 3; ce++ {
+				if col(ce) < col(3) {
+					return float64(ce)
+				}
+			}
+			return 3
+		},
+	})
+	return s
 }
 
-// ProtocolCounts reproduces the Figure 1 / Figure 2 message-count
-// comparison for n requests on one object.
-type ProtocolCounts struct {
-	N        int
-	TwoPL    int
-	Callback int
-	Grouped  int
-}
-
-// RunProtocolCounts evaluates the closed forms behind Figures 1 and 2.
-func RunProtocolCounts(ns []int) []ProtocolCounts {
-	out := make([]ProtocolCounts, 0, len(ns))
-	for _, n := range ns {
-		out = append(out, ProtocolCounts{
-			N:        n,
-			TwoPL:    forward.Messages2PL(n),
-			Callback: forward.MessagesCallback(n),
-			Grouped:  forward.MessagesGrouped(n),
-		})
+// Protocol declares the Figure 1 / Figure 2 message-count comparison
+// for n lock requests on one object — closed forms, no simulation — with
+// the paper's worked example as its footer. Columns are 2PL (0),
+// callback locking (1) and lock grouping (2); a row's Clients is its n.
+func Protocol(ns []int) *Study {
+	closed := func(head, csv string, w int, messages func(int) int) Column {
+		return Column{
+			Head: head, CSV: csv, W: w, Text: "%.0f", CSVVerb: "%.0f",
+			Derive: func(row Setting, _ func(int) float64) float64 { return float64(messages(row.Clients)) },
+		}
 	}
-	return out
-}
-
-// RenderProtocolCounts writes the Figure 1/2 comparison.
-func RenderProtocolCounts(w io.Writer, counts []ProtocolCounts) {
-	fmt.Fprintln(w, "Figures 1–2 — Messages to serve n lock requests on one object")
-	fmt.Fprintf(w, "%-8s %10s %14s %14s\n", "n", "2PL (3n)", "Callback (4n)", "Grouped (2n+1)")
-	for _, c := range counts {
-		fmt.Fprintf(w, "%-8d %10d %14d %14d\n", c.N, c.TwoPL, c.Callback, c.Grouped)
+	example := func(title string, lines []string) string {
+		return title + "\n  " + strings.Join(lines, "\n  ") + "\n"
 	}
-	fmt.Fprintln(w, "\nWorked example (one object moving Client A -> Client B):")
-	fmt.Fprintln(w, "Figure 1 (callback locking):")
-	for _, line := range forward.FigureScenarioCallback() {
-		fmt.Fprintf(w, "  %s\n", line)
+	s := &Study{
+		Name:  "protocol",
+		Title: "Figures 1–2 — Messages to serve n lock requests on one object",
+		Footer: "\nWorked example (one object moving Client A -> Client B):\n" +
+			example("Figure 1 (callback locking):", forward.FigureScenarioCallback()) +
+			example("Figure 2 (lock grouping):", forward.FigureScenarioGrouped()),
+		Key:  Column{Head: "n", CSV: "n", W: 8},
+		Rows: clientRows(ns),
+		Cols: []Column{
+			closed("2PL (3n)", "two_pl", 10, forward.Messages2PL),
+			closed("Callback (4n)", "callback", 14, forward.MessagesCallback),
+			closed("Grouped (2n+1)", "grouped", 14, forward.MessagesGrouped),
+		},
 	}
-	fmt.Fprintln(w, "Figure 2 (lock grouping):")
-	for _, line := range forward.FigureScenarioGrouped() {
-		fmt.Fprintf(w, "  %s\n", line)
-	}
+	return s
 }

@@ -2,10 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"siteselect/internal/stats"
+	"siteselect/internal/config"
+	"siteselect/internal/rtdbs"
 	"siteselect/internal/trace"
 )
 
@@ -15,151 +15,55 @@ import (
 // 20 s mean slack.
 var DefaultBatchWindows = []time.Duration{0, 250 * time.Millisecond, time.Second}
 
-// BatchSweepRow is one window position of a batch-window sweep.
-type BatchSweepRow struct {
-	Window time.Duration
-	// Success is the mean deadline-success percentage (95% CI half-width
-	// in SuccessCI when Reps > 1).
-	Success   float64
-	SuccessCI float64
-	// Missed and LockWait are a miss census summed over replications:
-	// missed transactions, and the subset whose slack attribution is
-	// dominated by lock-wait. LockWaitShare is their ratio.
-	Missed        int64
-	LockWait      int64
-	LockWaitShare float64
-	// Messages is the mean total LAN message count per run — batching
-	// coalesces ships and recalls, so it should fall as Window grows.
-	Messages float64
-	// Flushes and Batched are per-run means of the server's batch
-	// counters: window closes, and requests that shared a window with at
-	// least one other request.
-	Flushes float64
-	Batched float64
-}
-
 // BatchSweep is the batching study: the client-server system re-run at
 // fixed load across a sweep of Config.BatchWindow values, traced so
 // every missed transaction is classified by dominant slack component.
 // Window 0 is the unbatched baseline; the sweep shows the lock-wait
 // miss share and the message count falling as the server grants each
-// window's compatible requests together.
-type BatchSweep struct {
-	Clients        int
-	UpdateFraction float64
-	Reps           int
-	Rows           []BatchSweepRow
-}
-
-// RunBatchSweep runs the client-server system at the given client count
-// and update mix once per window (times Reps). Cell seeds derive from
-// (clients, update, rep) only, so every window position sees the same
-// workload stream — the window is the sole variable.
-func RunBatchSweep(windows []time.Duration, clients int, update float64, opts Options) (*BatchSweep, error) {
-	opts = opts.normalize()
-	if len(windows) == 0 {
-		windows = DefaultBatchWindows
-	}
-	bs := &BatchSweep{Clients: clients, UpdateFraction: update, Reps: opts.Reps}
-	type cell struct{ wi, rep int }
-	var cells []cell
-	var labels []string
-	for wi, w := range windows {
-		for r := 0; r < opts.Reps; r++ {
-			cells = append(cells, cell{wi, r})
-			labels = append(labels, fmt.Sprintf("batch-sweep CS n=%d w=%v rep=%d", clients, w, r))
+// window's compatible requests together. Every window replays one
+// workload stream (see Setting), so the window is the sole variable.
+//
+// Columns: success (0); the miss census summed over replications —
+// missed (1) and the lock-wait-dominated subset (2) — and their ratio
+// as a percentage for text (3) and a fraction for CSV (4); then per-run
+// means of total LAN messages (5), batch-window closes (6) and requests
+// that shared a window (7).
+func BatchSweep(_ Options, n int, u float64) *Study {
+	share := func(_ Setting, col func(int) float64) float64 {
+		if col(1) == 0 {
+			return 0
 		}
+		return col(2) / col(1)
 	}
-	type obs struct {
-		success          float64
-		missed, lockWait int64
-		messages         int64
-		flushes, batched int64
+	s := &Study{
+		Name:    "batch-sweep",
+		Title:   fmt.Sprintf("Batch-window sweep — CS-RTDBS, %d clients, %g%% updates", n, u*100),
+		Note:    "(success/messages are means over %d replications; the miss census is summed)",
+		Key:     Column{Head: "Window", CSV: "window_ms", W: 10},
+		Clients: n,
+		Update:  u,
+		Runs:    systems[1:2],
+		Cols: []Column{
+			rate("Success", "success", 12, 0, success).withCI(12, "%.1f ± %.1f"),
+			census("Missed", "missed", 8, missed),
+			census("lock-wait", "lock_wait", 10, missedBy(trace.CompLockWait)),
+			{Head: "lw-share", W: 12, Text: "%.1f%%", Derive: func(row Setting, col func(int) float64) float64 { return 100 * share(row, col) }},
+			{CSV: "lock_wait_share", CSVVerb: "%.4f", Derive: share},
+			mean("Messages", "messages", 12, 0, "%.0f", messages),
+			mean("Flushes", "flushes", 10, 0, "%.0f", func(r *rtdbs.Result) float64 { return float64(r.BatchFlushes) }),
+			mean("Batched", "batched", 10, 0, "%.0f", func(r *rtdbs.Result) float64 { return float64(r.BatchedRequests) }),
+		},
+		CSVAlwaysCI: true,
 	}
-	results, err := runCells(opts, labels, func(i int) (obs, error) {
-		c := cells[i]
-		wopts := opts
-		wopts.BatchWindow = windows[c.wi]
-		cfg := wopts.csConfig(clients, update, c.rep)
-		cfg.Trace = true
-		res, err := RunCS(cfg)
-		if err != nil {
-			return obs{}, fmt.Errorf("batch sweep: window %v (rep %d): %w", windows[c.wi], c.rep, err)
-		}
-		o := obs{
-			success:  res.SuccessRate(),
-			messages: res.TotalMessages,
-			flushes:  res.BatchFlushes,
-			batched:  res.BatchedRequests,
-		}
-		if res.MissCauses != nil {
-			o.missed = res.MissCauses.Missed
-			o.lockWait = res.MissCauses.ByCause[trace.CompLockWait]
-		}
-		return o, nil
-	})
-	if err != nil {
-		return nil, err
+	for _, w := range DefaultBatchWindows {
+		s.Rows = append(s.Rows, Setting{
+			Name: w.String(),
+			CSV:  fmt.Sprintf("%g", float64(w)/float64(time.Millisecond)),
+			Mod: func(c *config.Config) {
+				c.BatchWindow = w
+				c.Trace = true
+			},
+		})
 	}
-	agg := make([]struct {
-		success, messages, flushes, batched stats.Sample
-		missed, lockWait                    int64
-	}, len(windows))
-	for i, c := range cells {
-		o := results[i]
-		agg[c.wi].success.Add(o.success)
-		agg[c.wi].messages.Add(float64(o.messages))
-		agg[c.wi].flushes.Add(float64(o.flushes))
-		agg[c.wi].batched.Add(float64(o.batched))
-		agg[c.wi].missed += o.missed
-		agg[c.wi].lockWait += o.lockWait
-	}
-	for wi, w := range windows {
-		a := &agg[wi]
-		row := BatchSweepRow{
-			Window:    w,
-			Success:   a.success.Mean(),
-			SuccessCI: a.success.CI95(),
-			Missed:    a.missed,
-			LockWait:  a.lockWait,
-			Messages:  a.messages.Mean(),
-			Flushes:   a.flushes.Mean(),
-			Batched:   a.batched.Mean(),
-		}
-		if a.missed > 0 {
-			row.LockWaitShare = float64(a.lockWait) / float64(a.missed)
-		}
-		bs.Rows = append(bs.Rows, row)
-	}
-	return bs, nil
-}
-
-// Render writes the sweep as an aligned text table.
-func (bs *BatchSweep) Render(w io.Writer) {
-	fmt.Fprintf(w, "Batch-window sweep — CS-RTDBS, %d clients, %g%% updates\n",
-		bs.Clients, bs.UpdateFraction*100)
-	if bs.Reps > 1 {
-		fmt.Fprintf(w, "(success/messages are means over %d replications; the miss census is summed)\n", bs.Reps)
-	}
-	fmt.Fprintf(w, "%-10s %12s %8s %10s %12s %12s %10s %10s\n",
-		"Window", "Success", "Missed", "lock-wait", "lw-share", "Messages", "Flushes", "Batched")
-	for _, r := range bs.Rows {
-		success := fmt.Sprintf("%.1f%%", r.Success)
-		if bs.Reps > 1 {
-			success = fmt.Sprintf("%.1f ± %.1f", r.Success, r.SuccessCI)
-		}
-		fmt.Fprintf(w, "%-10v %12s %8d %10d %11.1f%% %12.0f %10.0f %10.0f\n",
-			r.Window, success, r.Missed, r.LockWait, 100*r.LockWaitShare,
-			r.Messages, r.Flushes, r.Batched)
-	}
-}
-
-// CSV writes the sweep as comma-separated values.
-func (bs *BatchSweep) CSV(w io.Writer) {
-	fmt.Fprintln(w, "window_ms,success,success_ci,missed,lock_wait,lock_wait_share,messages,flushes,batched")
-	for _, r := range bs.Rows {
-		fmt.Fprintf(w, "%g,%.2f,%.2f,%d,%d,%.4f,%.1f,%.1f,%.1f\n",
-			float64(r.Window)/float64(time.Millisecond), r.Success, r.SuccessCI,
-			r.Missed, r.LockWait, r.LockWaitShare, r.Messages, r.Flushes, r.Batched)
-	}
+	return s
 }

@@ -1,10 +1,13 @@
-// Package experiment defines one runner per table and figure of the
-// paper's evaluation (Section 5), plus the ablations of the design
-// choices, and renders the results in the same rows and series the paper
-// reports.
+// Package experiment declares every table and figure of the paper's
+// evaluation (Section 5), plus the ablations and extension studies, and
+// runs them all through one study engine (engine.go): a Study names its
+// rows, runs and columns, and the engine alone enumerates, runs,
+// aggregates and renders — a new study is a new declaration, never a new
+// loop or renderer (make study-lint). Studies is the ordered registry
+// rtbench dispatches on.
 //
-// Every runner fans its simulation cells — each (system, client count,
-// update mix, replication) combination — across a bounded worker pool
+// The engine fans a study's simulation cells — each (row, run,
+// replication) combination — across a bounded worker pool
 // (Options.Parallel). Each cell is seeded independently via
 // config.CellSeed, so a grid's aggregated results depend only on the
 // master seed, never on worker count or completion order, and
@@ -14,8 +17,9 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"siteselect/internal/config"
@@ -23,7 +27,6 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/plot"
 	"siteselect/internal/rtdbs"
-	"siteselect/internal/stats"
 )
 
 // DefaultClients is the client-count sweep of Figures 3–5.
@@ -51,10 +54,9 @@ type Options struct {
 	// unaffected.
 	BatchWindow time.Duration
 	// CheckInvariants attaches the continuous invariant monitor to every
-	// cell of the fault studies (it re-audits the model after each
-	// kernel event, so it is meant for the test tier, not full-scale
-	// runs). It never changes results, only fails runs that violate an
-	// invariant.
+	// client-server cell (it re-audits the model after each kernel
+	// event, so it is meant for the test tier, not full-scale runs). It
+	// never changes results, only fails runs that violate an invariant.
 	CheckInvariants bool
 	// Progress, when non-nil, is called (serialized) after each cell
 	// completes, with per-cell wall-clock timing.
@@ -84,6 +86,7 @@ func (o Options) csConfig(n int, update float64, rep int) config.Config {
 	cfg := config.Default(n, update).Scale(o.Scale)
 	cfg.Seed = o.cellSeed(n, update, rep)
 	cfg.BatchWindow = o.BatchWindow
+	cfg.CheckInvariants = o.CheckInvariants
 	return cfg
 }
 
@@ -93,531 +96,197 @@ func (o Options) ceConfig(n int, update float64, rep int) config.Config {
 	return cfg
 }
 
-// RunCE runs the centralized system.
-func RunCE(cfg config.Config) (*rtdbs.Result, error) {
-	ce, err := rtdbs.NewCentralized(cfg)
-	if err != nil {
-		return nil, err
+// config builds one cell's config: the Table 1 defaults of the system's
+// family at the workload point, scaled, and seeded for the replication.
+func (o Options) config(kind rtdbs.Kind, n int, update float64, rep int) config.Config {
+	if kind.Centralized() {
+		return o.ceConfig(n, update, rep)
 	}
-	return ce.Run()
+	return o.csConfig(n, update, rep)
 }
 
-// RunCS runs the basic client-server system.
-func RunCS(cfg config.Config) (*rtdbs.Result, error) {
-	cs, err := rtdbs.NewClientServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cs.Run()
+// systems is the run axis of Figures 3–5 and of every study that
+// compares the paper's three systems, in series order.
+var systems = []Setting{
+	{Name: "CE", Kind: rtdbs.CE},
+	{Name: "CS", Kind: rtdbs.CS},
+	{Name: "LS", Kind: rtdbs.LS},
 }
 
-// RunLS runs the load-sharing client-server system.
-func RunLS(cfg config.Config) (*rtdbs.Result, error) {
-	ls, err := rtdbs.NewLoadSharing(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ls.Run()
+// Extractors shared by several studies.
+var (
+	success  = (*rtdbs.Result).SuccessRate
+	hitRate  = (*rtdbs.Result).CacheHitRate
+	messages = func(r *rtdbs.Result) float64 { return float64(r.TotalMessages) }
+)
+
+// rate is a mean-percentage column: "12.3%" right-aligned in w.
+func rate(head, csv string, w, run int, get func(*rtdbs.Result) float64) Column {
+	return Column{Head: head, CSV: csv, Run: run, Get: get, W: w, Text: "%.1f%%", CSVVerb: "%.2f"}
 }
 
-// figureSystems enumerates the three systems of Figures 3–5 in series
-// order.
-var figureSystems = []struct {
-	name    string
-	central bool
-	run     func(config.Config) (*rtdbs.Result, error)
-}{
-	{"CE", true, RunCE},
-	{"CS", false, RunCS},
-	{"LS", false, RunLS},
+// withCI gives a Mean column its replicated form (mean, half-width).
+func (c Column) withCI(w int, verb string) Column {
+	c.CIW, c.CIText = w, verb
+	return c
 }
 
-// FigurePoint is one x-position of a Figure 3/4/5 plot.
-type FigurePoint struct {
-	Clients int
-	// CE, CS and LS are success percentages — means over the
-	// replications when Reps > 1.
-	CE float64
-	CS float64
-	LS float64
-	// CECI, CSCI and LSCI are 95% confidence half-widths (zero for a
-	// single replication).
-	CECI float64
-	CSCI float64
-	LSCI float64
+// mean is a plain per-run mean column with no interval shown.
+func mean(head, csv string, w, run int, verb string, get func(*rtdbs.Result) float64) Column {
+	return Column{Head: head, CSV: csv, Run: run, Get: get, W: w, Text: verb, CSVVerb: "%.1f"}
 }
 
-// Figure is a reproduction of one of Figures 3–5: percentage of
-// transactions completed within their deadlines vs number of clients.
-type Figure struct {
-	ID             string
-	Title          string
-	UpdateFraction float64
-	Reps           int
-	Points         []FigurePoint
+// count is a rounded-mean counter column.
+func count(head, csv string, w, run int, get func(*rtdbs.Result) float64) Column {
+	return Column{Head: head, CSV: csv, Run: run, Get: get, Agg: MeanRound, W: w, Text: "%.0f", CSVVerb: "%.0f"}
 }
 
-// RunFigure reproduces Figure 3 (update=0.01), Figure 4 (0.05) or
-// Figure 5 (0.20). All cells of the sweep run concurrently on the
-// worker pool.
-func RunFigure(id string, update float64, opts Options) (*Figure, error) {
-	opts = opts.normalize()
-	f := &Figure{
-		ID:             id,
-		Title:          fmt.Sprintf("Percentage of Transactions Completed Within Their Deadlines (%g%% updates)", update*100),
-		UpdateFraction: update,
-		Reps:           opts.Reps,
-	}
-	type cell struct{ pi, sys, rep int }
-	var cells []cell
-	var labels []string
-	for pi, n := range opts.Clients {
-		for si, s := range figureSystems {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{pi, si, r})
-				labels = append(labels, fmt.Sprintf("%s %s n=%d rep=%d", id, s.name, n, r))
-			}
-		}
-	}
-	rates, err := runCells(opts, labels, func(i int) (float64, error) {
-		c := cells[i]
-		n := opts.Clients[c.pi]
-		s := figureSystems[c.sys]
-		var cfg config.Config
-		if s.central {
-			cfg = opts.ceConfig(n, update, c.rep)
-		} else {
-			cfg = opts.csConfig(n, update, c.rep)
-		}
-		res, err := s.run(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("experiment %s: %s with %d clients (rep %d): %w", id, s.name, n, c.rep, err)
-		}
-		return res.SuccessRate(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([][3]stats.Sample, len(opts.Clients))
-	for i, c := range cells {
-		agg[c.pi][c.sys].Add(rates[i])
-	}
-	for pi, n := range opts.Clients {
-		f.Points = append(f.Points, FigurePoint{
-			Clients: n,
-			CE:      agg[pi][0].Mean(),
-			CS:      agg[pi][1].Mean(),
-			LS:      agg[pi][2].Mean(),
-			CECI:    agg[pi][0].CI95(),
-			CSCI:    agg[pi][1].CI95(),
-			LSCI:    agg[pi][2].CI95(),
-		})
-	}
-	return f, nil
+// census is a column of counts summed over replications, not averaged.
+func census(head, csv string, w int, get func(*rtdbs.Result) float64) Column {
+	return Column{Head: head, CSV: csv, Get: get, Agg: Sum, W: w, Text: "%.0f", CSVVerb: "%.0f"}
 }
 
-// Render writes the figure as an aligned text table, with ± 95% CI
-// columns when the figure aggregates replications.
-func (f *Figure) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s — %s\n", f.ID, f.Title)
-	if f.Reps > 1 {
-		fmt.Fprintf(w, "(mean ± 95%% CI over %d replications)\n", f.Reps)
-		fmt.Fprintf(w, "%-10s %18s %18s %18s\n", "Clients", "CE-RTDBS", "CS-RTDBS", "LS-CS-RTDBS")
-		for _, p := range f.Points {
-			cell := func(m, ci float64) string { return fmt.Sprintf("%6.1f ± %4.1f", m, ci) }
-			fmt.Fprintf(w, "%-10d %18s %18s %18s\n",
-				p.Clients, cell(p.CE, p.CECI), cell(p.CS, p.CSCI), cell(p.LS, p.LSCI))
-		}
-		return
+// clientRows is a row axis over client counts.
+func clientRows(clients []int) []Setting {
+	rows := make([]Setting, len(clients))
+	for i, n := range clients {
+		rows[i] = Setting{Name: strconv.Itoa(n), Clients: n}
 	}
-	fmt.Fprintf(w, "%-10s %12s %12s %12s\n", "Clients", "CE-RTDBS", "CS-RTDBS", "LS-CS-RTDBS")
-	for _, p := range f.Points {
-		fmt.Fprintf(w, "%-10d %11.1f%% %11.1f%% %11.1f%%\n", p.Clients, p.CE, p.CS, p.LS)
+	return rows
+}
+
+// paperTable starts one of the paper's figures or tables: a row per
+// client count, means with 95% confidence intervals when replicated.
+func paperTable(name, title string, clients []int) *Study {
+	return &Study{
+		Name:  name,
+		Title: title,
+		Note:  "(mean ± 95%% CI over %d replications)",
+		Key:   Column{Head: "Clients", CSV: "clients", W: 10},
+		Rows:  clientRows(clients),
 	}
 }
 
-// CSV writes the figure as comma-separated values; replicated figures
-// carry a 95% CI column per series.
-func (f *Figure) CSV(w io.Writer) {
-	if f.Reps > 1 {
-		fmt.Fprintln(w, "clients,ce_mean,ce_ci,cs_mean,cs_ci,ls_mean,ls_ci")
-		for _, p := range f.Points {
-			fmt.Fprintf(w, "%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-				p.Clients, p.CE, p.CECI, p.CS, p.CSCI, p.LS, p.LSCI)
-		}
-		return
-	}
-	fmt.Fprintln(w, "clients,ce,cs,ls")
-	for _, p := range f.Points {
-		fmt.Fprintf(w, "%d,%.2f,%.2f,%.2f\n", p.Clients, p.CE, p.CS, p.LS)
-	}
-}
-
-// Table2Row holds the cache hit rates for one client count across the
-// three update mixes (paper Table 2), with 95% CI half-widths when the
-// table aggregates replications.
-type Table2Row struct {
-	Clients int
-	CS      [3]float64 // 1%, 5%, 20%
-	LS      [3]float64
-	CSCI    [3]float64
-	LSCI    [3]float64
-}
-
-// Table2 reproduces "Average Cache Hit Rates in the CS-RTDBS and
-// LS-CS-RTDBS".
-type Table2 struct {
-	Reps int
-	Rows []Table2Row
-}
-
-// Table2Updates are the update mixes of Table 2's columns.
-var Table2Updates = [3]float64{0.01, 0.05, 0.20}
-
-// Table2Clients are the client counts of Table 2's rows.
-var Table2Clients = []int{20, 60, 100}
-
-// RunTable2 reproduces Table 2. All cells run concurrently.
-func RunTable2(opts Options) (*Table2, error) {
-	opts = opts.normalize()
-	t := &Table2{Reps: opts.Reps}
-	type cell struct{ ri, ui, sys, rep int } // sys: 0=CS 1=LS
-	var cells []cell
-	var labels []string
-	for ri, n := range Table2Clients {
-		for ui := range Table2Updates {
-			for sys, name := range []string{"CS", "LS"} {
-				for r := 0; r < opts.Reps; r++ {
-					cells = append(cells, cell{ri, ui, sys, r})
-					labels = append(labels, fmt.Sprintf("table2 %s n=%d u=%g rep=%d", name, n, Table2Updates[ui], r))
-				}
-			}
-		}
-	}
-	rates, err := runCells(opts, labels, func(i int) (float64, error) {
-		c := cells[i]
-		n := Table2Clients[c.ri]
-		upd := Table2Updates[c.ui]
-		cfg := opts.csConfig(n, upd, c.rep)
-		var res *rtdbs.Result
-		var err error
-		if c.sys == 0 {
-			res, err = RunCS(cfg)
-		} else {
-			res, err = RunLS(cfg)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("table2: %d clients %g%% (rep %d): %w", n, upd*100, c.rep, err)
-		}
-		return res.CacheHitRate(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([][3][2]stats.Sample, len(Table2Clients))
-	for i, c := range cells {
-		agg[c.ri][c.ui][c.sys].Add(rates[i])
-	}
-	for ri, n := range Table2Clients {
-		row := Table2Row{Clients: n}
-		for ui := range Table2Updates {
-			row.CS[ui] = agg[ri][ui][0].Mean()
-			row.LS[ui] = agg[ri][ui][1].Mean()
-			row.CSCI[ui] = agg[ri][ui][0].CI95()
-			row.LSCI[ui] = agg[ri][ui][1].CI95()
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// Render writes Table 2 as an aligned text table, with ± 95% CI cells
-// when the table aggregates replications.
-func (t *Table2) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table 2 — Average Cache Hit Rates in the CS-RTDBS and LS-CS-RTDBS")
-	if t.Reps > 1 {
-		fmt.Fprintf(w, "(mean ± 95%% CI over %d replications)\n", t.Reps)
-		fmt.Fprintf(w, "%-10s | %13s %13s %13s | %13s %13s %13s\n",
-			"Clients", "CS 1%", "CS 5%", "CS 20%", "LS 1%", "LS 5%", "LS 20%")
-		cell := func(m, ci float64) string { return fmt.Sprintf("%5.2f ± %4.2f%%", m, ci) }
-		for _, r := range t.Rows {
-			fmt.Fprintf(w, "%-10d | %13s %13s %13s | %13s %13s %13s\n",
-				r.Clients,
-				cell(r.CS[0], r.CSCI[0]), cell(r.CS[1], r.CSCI[1]), cell(r.CS[2], r.CSCI[2]),
-				cell(r.LS[0], r.LSCI[0]), cell(r.LS[1], r.LSCI[1]), cell(r.LS[2], r.LSCI[2]))
-		}
-		return
-	}
-	fmt.Fprintf(w, "%-10s | %8s %8s %8s | %8s %8s %8s\n",
-		"Clients", "CS 1%", "CS 5%", "CS 20%", "LS 1%", "LS 5%", "LS 20%")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-10d | %7.2f%% %7.2f%% %7.2f%% | %7.2f%% %7.2f%% %7.2f%%\n",
-			r.Clients, r.CS[0], r.CS[1], r.CS[2], r.LS[0], r.LS[1], r.LS[2])
-	}
-}
-
-// Table3Row holds mean object response times (seconds) by lock mode for
-// one client count (paper Table 3; 1% updates), with 95% CI half-widths
-// when the table aggregates replications.
-type Table3Row struct {
-	N                         int
-	CSShared, CSExclusive     time.Duration
-	LSShared, LSExclusive     time.Duration
-	CSSharedCI, CSExclusiveCI time.Duration
-	LSSharedCI, LSExclusiveCI time.Duration
-}
-
-// Table3 reproduces "Average Object Response Times for 1% updates".
-type Table3 struct {
-	Reps int
-	Rows []Table3Row
-}
-
-// RunTable3 reproduces Table 3. All cells run concurrently.
-func RunTable3(opts Options) (*Table3, error) {
-	opts = opts.normalize()
-	t := &Table3{Reps: opts.Reps}
-	type cell struct{ ri, sys, rep int } // sys: 0=CS 1=LS
-	var cells []cell
-	var labels []string
-	for ri, n := range Table2Clients {
-		for sys, name := range []string{"CS", "LS"} {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{ri, sys, r})
-				labels = append(labels, fmt.Sprintf("table3 %s n=%d rep=%d", name, n, r))
-			}
-		}
-	}
-	responses, err := runCells(opts, labels, func(i int) ([2]time.Duration, error) {
-		c := cells[i]
-		n := Table2Clients[c.ri]
-		cfg := opts.csConfig(n, 0.01, c.rep)
-		var res *rtdbs.Result
-		var err error
-		if c.sys == 0 {
-			res, err = RunCS(cfg)
-		} else {
-			res, err = RunLS(cfg)
-		}
-		if err != nil {
-			return [2]time.Duration{}, fmt.Errorf("table3: %d clients (rep %d): %w", n, c.rep, err)
-		}
-		return [2]time.Duration{res.M.SharedResponse.Mean(), res.M.ExclusiveResponse.Mean()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// agg[row][sys][mode] in seconds.
-	agg := make([][2][2]stats.Sample, len(Table2Clients))
-	for i, c := range cells {
-		agg[c.ri][c.sys][0].Add(responses[i][0].Seconds())
-		agg[c.ri][c.sys][1].Add(responses[i][1].Seconds())
-	}
-	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
-	for ri, n := range Table2Clients {
-		t.Rows = append(t.Rows, Table3Row{
-			N:             n,
-			CSShared:      sec(agg[ri][0][0].Mean()),
-			CSExclusive:   sec(agg[ri][0][1].Mean()),
-			LSShared:      sec(agg[ri][1][0].Mean()),
-			LSExclusive:   sec(agg[ri][1][1].Mean()),
-			CSSharedCI:    sec(agg[ri][0][0].CI95()),
-			CSExclusiveCI: sec(agg[ri][0][1].CI95()),
-			LSSharedCI:    sec(agg[ri][1][0].CI95()),
-			LSExclusiveCI: sec(agg[ri][1][1].CI95()),
-		})
-	}
-	return t, nil
-}
-
-// Render writes Table 3 as an aligned text table (values in seconds),
-// with ± 95% CI cells when the table aggregates replications.
-func (t *Table3) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table 3 — Average Object Response Times (in seconds) for 1% updates")
-	if t.Reps > 1 {
-		fmt.Fprintf(w, "(mean ± 95%% CI over %d replications)\n", t.Reps)
-		fmt.Fprintf(w, "%-10s | %15s %15s | %15s %15s\n",
-			"Clients", "CS SL", "CS EL", "LS SL", "LS EL")
-		cell := func(m, ci time.Duration) string {
-			return fmt.Sprintf("%.3f ± %.3f", m.Seconds(), ci.Seconds())
-		}
-		for _, r := range t.Rows {
-			fmt.Fprintf(w, "%-10d | %15s %15s | %15s %15s\n",
-				r.N, cell(r.CSShared, r.CSSharedCI), cell(r.CSExclusive, r.CSExclusiveCI),
-				cell(r.LSShared, r.LSSharedCI), cell(r.LSExclusive, r.LSExclusiveCI))
-		}
-		return
-	}
-	fmt.Fprintf(w, "%-10s | %10s %10s | %10s %10s\n",
-		"Clients", "CS SL", "CS EL", "LS SL", "LS EL")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-10d | %10.3f %10.3f | %10.3f %10.3f\n",
-			r.N, r.CSShared.Seconds(), r.CSExclusive.Seconds(),
-			r.LSShared.Seconds(), r.LSExclusive.Seconds())
-	}
-}
-
-// Table4 reproduces "Number of Messages Passed in the CS-RTDBSs (100
-// Clients, 1% updates)". Its cells are raw protocol counters, so it
-// always reports a single replication (rep 0), but its two system runs
-// still execute concurrently.
-type Table4 struct {
-	CSRequests, LSRequests int64
-	CSShipped, LSShipped   int64
-	LSForwarded            int64
-	CSRecalls, LSRecalls   int64
-	CSReturns, LSReturns   int64
-	CSMessages, LSMessages int64
-	CSElapsed, LSElapsed   time.Duration
-}
-
-// RunTable4 reproduces Table 4 at 100 clients and 1% updates.
-func RunTable4(opts Options) (*Table4, error) {
-	opts = opts.normalize()
-	labels := []string{"table4 CS n=100", "table4 LS n=100"}
-	results, err := runCells(opts, labels, func(i int) (*rtdbs.Result, error) {
-		cfg := opts.csConfig(100, 0.01, 0)
-		if i == 0 {
-			res, err := RunCS(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("table4: CS: %w", err)
-			}
-			return res, nil
-		}
-		res, err := RunLS(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("table4: LS: %w", err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cs, ls := results[0], results[1]
-	req := func(r *rtdbs.Result) int64 {
-		return r.Messages[netsim.KindObjectRequest].Count
-	}
-	t := &Table4{
-		CSRequests:  req(cs),
-		LSRequests:  req(ls),
-		CSShipped:   cs.Messages[netsim.KindObjectShip].Count,
-		LSShipped:   ls.Messages[netsim.KindObjectShip].Count,
-		LSForwarded: ls.Messages[netsim.KindClientForward].Count,
-		CSRecalls:   cs.Messages[netsim.KindRecall].Count,
-		LSRecalls:   ls.Messages[netsim.KindRecall].Count,
-		CSReturns:   cs.Messages[netsim.KindObjectReturn].Count,
-		LSReturns:   ls.Messages[netsim.KindObjectReturn].Count,
-		CSMessages:  cs.TotalMessages,
-		LSMessages:  ls.TotalMessages,
-		CSElapsed:   cs.Elapsed,
-		LSElapsed:   ls.Elapsed,
-	}
-	return t, nil
-}
-
-// Render writes Table 4 as an aligned text table.
-func (t *Table4) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table 4 — Number of Messages Passed in the CS-RTDBSs (100 Clients, 1% updates)")
-	fmt.Fprintf(w, "%-55s %12s %12s\n", "", "CS-RTDBS", "LS-CS-RTDBS")
-	rows := []struct {
-		label  string
-		cs, ls int64
-		csOnly bool
-	}{
-		{"Object Request Messages (client to server)", t.CSRequests, t.LSRequests, false},
-		{"Objects Sent (server to client)", t.CSShipped, t.LSShipped, false},
-		{"Object Requests Satisfied Using Forward Lists (c2c)", 0, t.LSForwarded, true},
-		{"Objects Recall Messages (server to client)", t.CSRecalls, t.LSRecalls, false},
-		{"Objects Returned (client to server)", t.CSReturns, t.LSReturns, false},
-		{"All Messages", t.CSMessages, t.LSMessages, false},
-	}
-	for _, r := range rows {
-		if r.csOnly {
-			fmt.Fprintf(w, "%-55s %12s %12d\n", r.label, "-", r.ls)
-			continue
-		}
-		fmt.Fprintf(w, "%-55s %12d %12d\n", r.label, r.cs, r.ls)
-	}
-}
-
-// Chart converts the figure to a plottable line chart (success % on a
-// 0–100 axis against client count). Replicated figures carry 95% CI
-// half-widths drawn as error bars.
-func (f *Figure) Chart() *plot.Chart {
-	c := &plot.Chart{
-		Title:  f.ID + " — " + f.Title,
+// Figure declares Figure 3 (update 0.01), Figure 4 (0.05) or Figure 5
+// (0.20): percentage of transactions completed within their deadlines
+// vs number of clients (o.Clients), for the three systems.
+func Figure(name string, update float64, o Options) *Study {
+	s := paperTable(name, fmt.Sprintf("%s — Percentage of Transactions Completed Within Their Deadlines (%g%% updates)", name, update*100),
+		o.normalize().Clients)
+	s.Update, s.Runs, s.CSVMeanSuffix = update, systems, "_mean"
+	s.Plot = &plot.Chart{
 		XLabel: "Number of clients",
 		YLabel: "Transactions completed within deadline (%)",
 		YMin:   0,
 		YMax:   100,
 	}
-	ce := plot.Series{Name: "CE-RTDBS"}
-	cs := plot.Series{Name: "CS-RTDBS"}
-	ls := plot.Series{Name: "LS-CS-RTDBS"}
-	for _, p := range f.Points {
-		c.X = append(c.X, float64(p.Clients))
-		ce.Y = append(ce.Y, p.CE)
-		cs.Y = append(cs.Y, p.CS)
-		ls.Y = append(ls.Y, p.LS)
-		if f.Reps > 1 {
-			ce.CI = append(ce.CI, p.CECI)
-			cs.CI = append(cs.CI, p.CSCI)
-			ls.CI = append(ls.CI, p.LSCI)
-		}
+	for i, sys := range systems {
+		s.Cols = append(s.Cols,
+			rate(sys.Kind.String(), strings.ToLower(sys.Name), 12, i, success).withCI(18, "%6.1f ± %4.1f"))
 	}
-	c.Series = []plot.Series{ce, cs, ls}
-	return c
+	return s
 }
 
-// CSV writes Table 2 as comma-separated values; replicated tables carry
-// a 95% CI column per cell.
-func (t *Table2) CSV(w io.Writer) {
-	if t.Reps > 1 {
-		fmt.Fprintln(w, "clients,cs_1,cs_1_ci,cs_5,cs_5_ci,cs_20,cs_20_ci,ls_1,ls_1_ci,ls_5,ls_5_ci,ls_20,ls_20_ci")
-		for _, r := range t.Rows {
-			fmt.Fprintf(w, "%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-				r.Clients,
-				r.CS[0], r.CSCI[0], r.CS[1], r.CSCI[1], r.CS[2], r.CSCI[2],
-				r.LS[0], r.LSCI[0], r.LS[1], r.LSCI[1], r.LS[2], r.LSCI[2])
-		}
-		return
-	}
-	fmt.Fprintln(w, "clients,cs_1,cs_5,cs_20,ls_1,ls_5,ls_20")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-			r.Clients, r.CS[0], r.CS[1], r.CS[2], r.LS[0], r.LS[1], r.LS[2])
-	}
+// RunFigure runs Figure 3 (update=0.01), Figure 4 (0.05) or Figure 5
+// (0.20). Columns 0–2 are the CE, CS and LS success percentages.
+func RunFigure(name string, update float64, opts Options) (*Table, error) {
+	return Figure(name, update, opts).Run(opts)
 }
 
-// CSV writes Table 3 as comma-separated values (seconds); replicated
-// tables carry a 95% CI column per cell.
-func (t *Table3) CSV(w io.Writer) {
-	if t.Reps > 1 {
-		fmt.Fprintln(w, "clients,cs_sl,cs_sl_ci,cs_el,cs_el_ci,ls_sl,ls_sl_ci,ls_el,ls_el_ci")
-		for _, r := range t.Rows {
-			fmt.Fprintf(w, "%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-				r.N, r.CSShared.Seconds(), r.CSSharedCI.Seconds(),
-				r.CSExclusive.Seconds(), r.CSExclusiveCI.Seconds(),
-				r.LSShared.Seconds(), r.LSSharedCI.Seconds(),
-				r.LSExclusive.Seconds(), r.LSExclusiveCI.Seconds())
+// Table2Updates are the update mixes of Table 2's columns; Table2Clients
+// the client counts of Table 2's and Table 3's rows.
+var (
+	Table2Updates = [3]float64{0.01, 0.05, 0.20}
+	Table2Clients = []int{20, 60, 100}
+)
+
+// Table2 declares "Average Cache Hit Rates in the CS-RTDBS and
+// LS-CS-RTDBS": columns 0–2 are CS at 1%, 5% and 20% updates, 3–5 LS.
+func Table2() *Study {
+	s := paperTable("table2", "Table 2 — Average Cache Hit Rates in the CS-RTDBS and LS-CS-RTDBS", Table2Clients)
+	for _, sys := range systems[1:] {
+		for ui, u := range Table2Updates {
+			s.Runs = append(s.Runs, Setting{Name: fmt.Sprintf("%s u=%g", sys.Name, u), Kind: sys.Kind, Update: u})
+			c := Column{
+				Head: fmt.Sprintf("%s %g%%", sys.Name, u*100),
+				CSV:  fmt.Sprintf("%s_%g", strings.ToLower(sys.Name), u*100),
+				Run:  len(s.Runs) - 1, Get: hitRate,
+				W: 8, Text: "%.2f%%", CIW: 13, CIText: "%5.2f ± %4.2f%%", CSVVerb: "%.2f",
+			}
+			if ui == 0 {
+				c.Sep = " | "
+			}
+			s.Cols = append(s.Cols, c)
 		}
-		return
 	}
-	fmt.Fprintln(w, "clients,cs_sl,cs_el,ls_sl,ls_el")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%d,%.4f,%.4f,%.4f,%.4f\n",
-			r.N, r.CSShared.Seconds(), r.CSExclusive.Seconds(),
-			r.LSShared.Seconds(), r.LSExclusive.Seconds())
-	}
+	return s
 }
 
-// CSV writes Table 4 as comma-separated values.
-func (t *Table4) CSV(w io.Writer) {
-	fmt.Fprintln(w, "row,cs,ls")
-	fmt.Fprintf(w, "object_requests,%d,%d\n", t.CSRequests, t.LSRequests)
-	fmt.Fprintf(w, "objects_sent,%d,%d\n", t.CSShipped, t.LSShipped)
-	fmt.Fprintf(w, "forward_list_hops,0,%d\n", t.LSForwarded)
-	fmt.Fprintf(w, "recalls,%d,%d\n", t.CSRecalls, t.LSRecalls)
-	fmt.Fprintf(w, "returns,%d,%d\n", t.CSReturns, t.LSReturns)
-	fmt.Fprintf(w, "all_messages,%d,%d\n", t.CSMessages, t.LSMessages)
+// truncNs quantizes seconds to a whole number of nanoseconds, the
+// resolution response times are measured at.
+func truncNs(sec float64) float64 {
+	return time.Duration(sec * float64(time.Second)).Seconds()
+}
+
+// Table3 declares "Average Object Response Times for 1% updates", in
+// seconds by lock mode: columns are CS SL, CS EL, LS SL, LS EL.
+func Table3() *Study {
+	s := paperTable("table3", "Table 3 — Average Object Response Times (in seconds) for 1% updates", Table2Clients)
+	s.Update, s.Runs = 0.01, systems[1:]
+	modes := []struct {
+		name string
+		get  func(*rtdbs.Result) float64
+	}{
+		{"SL", func(r *rtdbs.Result) float64 { return r.M.SharedResponse.Mean().Seconds() }},
+		{"EL", func(r *rtdbs.Result) float64 { return r.M.ExclusiveResponse.Mean().Seconds() }},
+	}
+	for ri, sys := range s.Runs {
+		for mi, m := range modes {
+			c := Column{
+				Head: sys.Name + " " + m.name,
+				CSV:  strings.ToLower(sys.Name + "_" + m.name),
+				Run:  ri, Get: m.get, Post: truncNs,
+				W: 10, Text: "%.3f", CIW: 15, CIText: "%.3f ± %.3f", CSVVerb: "%.4f",
+			}
+			if mi == 0 {
+				c.Sep = " | "
+			}
+			s.Cols = append(s.Cols, c)
+		}
+	}
+	return s
+}
+
+// Table4 declares "Number of Messages Passed in the CS-RTDBSs (100
+// Clients, 1% updates)", printed one message kind per line: rows 0 and
+// 1 are CS and LS, column 2 the forward-list hops. Its cells are raw
+// protocol counters, so it always reports replication 0.
+func Table4() *Study {
+	s := &Study{
+		Name:       "table4",
+		Title:      "Table 4 — Number of Messages Passed in the CS-RTDBSs (100 Clients, 1% updates)",
+		Key:        Column{CSV: "row", W: 55},
+		Clients:    100,
+		Update:     0.01,
+		Runs:       []Setting{{}},
+		Once:       true,
+		Transposed: true,
+	}
+	for _, sys := range systems[1:] {
+		s.Rows = append(s.Rows, Setting{Name: sys.Kind.String(), CSV: strings.ToLower(sys.Name), Kind: sys.Kind})
+	}
+	kind := func(head, csv string, k netsim.Kind) Column {
+		return census(head, csv, 12, func(r *rtdbs.Result) float64 { return float64(r.Messages[k].Count) })
+	}
+	forwards := kind("Object Requests Satisfied Using Forward Lists (c2c)", "forward_list_hops", netsim.KindClientForward)
+	forwards.Only = rtdbs.LS
+	s.Cols = []Column{
+		kind("Object Request Messages (client to server)", "object_requests", netsim.KindObjectRequest),
+		kind("Objects Sent (server to client)", "objects_sent", netsim.KindObjectShip),
+		forwards,
+		kind("Objects Recall Messages (server to client)", "recalls", netsim.KindRecall),
+		kind("Objects Returned (client to server)", "returns", netsim.KindObjectReturn),
+		census("All Messages", "all_messages", 12, messages),
+	}
+	return s
 }

@@ -2,22 +2,27 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"siteselect/internal/config"
 	"siteselect/internal/rtdbs"
-	"siteselect/internal/stats"
 )
 
-// OutageRow is one fault-injection measurement. The success rate is a
-// mean over replications; the counters are rounded means.
-type OutageRow struct {
-	Name        string
-	SuccessRate float64
-	SuccessCI   float64
-	LostUpdates int64
-	Forces      int64
+// measuredAt is the instant 1/den of the way through the measured
+// window (the run after warm-up).
+func measuredAt(c *config.Config, den time.Duration) time.Duration {
+	return c.Warmup + (c.Duration-c.Warmup)/den
+}
+
+// partition cuts one site off the LAN for the given length, starting
+// 1/den of the way through the measured window: a pure network fault, no
+// state is wiped.
+func partition(site int, den, length time.Duration) func(*config.Config) {
+	return func(c *config.Config) {
+		c.Faults.PartitionSite = site
+		c.Faults.PartitionAt = measuredAt(c, den)
+		c.Faults.PartitionDuration = length
+	}
 }
 
 // OutageStudy injects a client outage (partition plus volatile-state
@@ -26,147 +31,41 @@ type OutageRow struct {
 // fault-layer variants ride along for comparison: the same one-minute
 // window as a pure network partition (state intact, reliable channel
 // retransmits through the cut) on a client and on the server itself.
-type OutageStudy struct {
-	Clients int
-	Update  float64
-	Reps    int
-	Rows    []OutageRow
-}
-
-// RunOutageStudy runs baseline / outage-without-log / outage-with-log
-// plus the two fault-layer partition variants, every cell concurrently.
 // The first three rows are the legacy outage table and keep their names
-// and order (regression goldens pin them).
-func RunOutageStudy(clients int, update float64, opts Options) (*OutageStudy, error) {
-	opts = opts.normalize()
-	study := &OutageStudy{Clients: clients, Update: update, Reps: opts.Reps}
-	variants := []struct {
-		name      string
-		outage    bool
-		logging   bool
-		partition int // fault-layer cut: -1 none, else the site to isolate
-	}{
-		{"no fault", false, false, -1},
-		{"outage, no log", true, false, -1},
-		{"outage, client WAL", true, true, -1},
-		{"partition, no wipe", false, false, 1},
-		{"server partition", false, false, 0},
-	}
-	type cellResult struct {
-		rate        float64
-		lostUpdates int64
-		forces      int64
-	}
-	type cell struct{ vi, rep int }
-	var cells []cell
-	var labels []string
-	for vi, v := range variants {
-		for r := 0; r < opts.Reps; r++ {
-			cells = append(cells, cell{vi, r})
-			labels = append(labels, fmt.Sprintf("outage %q rep=%d", v.name, r))
+// and order (regression goldens pin them). Columns are success (0),
+// lost updates (1) and client log forces (2).
+func OutageStudy(_ Options, n int, u float64) *Study {
+	outage := func(logging bool) func(*config.Config) {
+		return func(c *config.Config) {
+			c.UseLogging = logging
+			c.OutageClient = 1
+			c.OutageAt = measuredAt(c, 2)
+			c.OutageDuration = time.Minute
 		}
 	}
-	results, err := runCells(opts, labels, func(i int) (cellResult, error) {
-		c := cells[i]
-		v := variants[c.vi]
-		cfg := opts.csConfig(clients, update, c.rep)
-		cfg.UseLogging = v.logging
-		cfg.CheckInvariants = opts.CheckInvariants
-		if v.outage {
-			cfg.OutageClient = 1
-			cfg.OutageAt = cfg.Warmup + (cfg.Duration-cfg.Warmup)/2
-			cfg.OutageDuration = time.Minute
-		}
-		if v.partition >= 0 {
-			// The fault-layer twin of the outage window: same midpoint,
-			// same length, but a pure network cut — no state is wiped.
-			cfg.Faults.PartitionSite = v.partition
-			cfg.Faults.PartitionAt = cfg.Warmup + (cfg.Duration-cfg.Warmup)/2
-			cfg.Faults.PartitionDuration = time.Minute
-		}
-		ls, err := rtdbs.NewLoadSharing(cfg)
-		if err != nil {
-			return cellResult{}, fmt.Errorf("outage %q: %w", v.name, err)
-		}
-		res, err := ls.Run()
-		if err != nil {
-			return cellResult{}, fmt.Errorf("outage %q: %w", v.name, err)
-		}
-		out := cellResult{rate: res.SuccessRate()}
-		for _, cl := range ls.Clients() {
-			out.lostUpdates += cl.LostUpdates
-			if l := cl.Log(); l != nil {
-				out.forces += l.Forces
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+	return &Study{
+		Name:    "outage",
+		Title:   fmt.Sprintf("Client outage fault injection (%d clients, %g%% updates, 1-minute outage)", n, u*100),
+		Note:    "(success mean ± 95%% CI over %d replications)",
+		Key:     Column{Head: "Variant", CSV: "variant", W: 22},
+		Clients: n,
+		Update:  u,
+		Rows: []Setting{
+			{Name: "no fault"},
+			{Name: "outage, no log", Mod: outage(false)},
+			{Name: "outage, client WAL", Mod: outage(true)},
+			// The fault-layer twins of the outage window: same midpoint,
+			// same length.
+			{Name: "partition, no wipe", Mod: partition(1, 2, time.Minute)},
+			{Name: "server partition", Mod: partition(0, 2, time.Minute)},
+		},
+		Runs: systems[2:],
+		Cols: []Column{
+			rate("Success", "success", 9, 0, success).withCI(14, "%.1f ± %.1f%%"),
+			count("Lost updates", "lost_updates", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.LostUpdates) }),
+			count("Log forces", "log_forces", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.LogForces) }),
+		},
 	}
-	for vi, v := range variants {
-		var success stats.Sample
-		var lost, forces []int64
-		for i, c := range cells {
-			if c.vi != vi {
-				continue
-			}
-			success.Add(results[i].rate)
-			lost = append(lost, results[i].lostUpdates)
-			forces = append(forces, results[i].forces)
-		}
-		study.Rows = append(study.Rows, OutageRow{
-			Name:        v.name,
-			SuccessRate: success.Mean(),
-			SuccessCI:   success.CI95(),
-			LostUpdates: meanRound(lost),
-			Forces:      meanRound(forces),
-		})
-	}
-	return study, nil
-}
-
-// Render writes the study as an aligned text table.
-func (s *OutageStudy) Render(w io.Writer) {
-	fmt.Fprintf(w, "Client outage fault injection (%d clients, %g%% updates, 1-minute outage)\n",
-		s.Clients, s.Update*100)
-	if s.Reps > 1 {
-		fmt.Fprintf(w, "(success mean ± 95%% CI over %d replications)\n", s.Reps)
-		fmt.Fprintf(w, "%-22s %14s %12s %12s\n", "Variant", "Success", "Lost updates", "Log forces")
-		for _, r := range s.Rows {
-			fmt.Fprintf(w, "%-22s %13s%% %12d %12d\n",
-				r.Name, fmt.Sprintf("%.1f ± %.1f", r.SuccessRate, r.SuccessCI),
-				r.LostUpdates, r.Forces)
-		}
-		return
-	}
-	fmt.Fprintf(w, "%-22s %9s %12s %12s\n", "Variant", "Success", "Lost updates", "Log forces")
-	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-22s %8.1f%% %12d %12d\n", r.Name, r.SuccessRate, r.LostUpdates, r.Forces)
-	}
-}
-
-// FaultMatrixRow is one scenario of the fault matrix: the success rate
-// (mean over replications) plus rounded-mean fault and recovery
-// counters.
-type FaultMatrixRow struct {
-	Name           string
-	SuccessRate    float64
-	SuccessCI      float64
-	Retries        int64
-	Dropped        int64
-	PartitionDrops int64
-	Retransmits    int64
-}
-
-// FaultMatrix measures the load-sharing system's resilience to
-// deterministic fault injection: success rate versus message-drop rate
-// and versus partition length.
-type FaultMatrix struct {
-	Clients int
-	Update  float64
-	Reps    int
-	Rows    []FaultMatrixRow
 }
 
 // faultMatrixDropRates is the drop-rate axis (the first entry is the
@@ -180,292 +79,41 @@ var faultMatrixPartitions = []time.Duration{
 	30 * time.Second, time.Minute, 2 * time.Minute,
 }
 
-// RunFaultMatrix runs the LS system across the drop-rate sweep and the
-// partition-length sweep, every cell concurrently. Each cell's fault
-// schedule derives deterministically from its cell seed, so the matrix
-// is byte-identical for any worker count.
-func RunFaultMatrix(clients int, update float64, opts Options) (*FaultMatrix, error) {
-	opts = opts.normalize()
-	type scenario struct {
-		name string
-		drop float64
-		cut  time.Duration // unscaled partition length; 0 = none
+// FaultMatrix measures the load-sharing system's resilience to
+// deterministic fault injection: success rate versus message-drop rate
+// and versus partition length. Each cell's fault schedule derives
+// deterministically from its cell seed, so the matrix is byte-identical
+// for any worker count. Columns are success (0) and the retry, drop,
+// partition-drop and retransmit counters (1–4).
+func FaultMatrix(o Options, n int, u float64) *Study {
+	o = o.normalize()
+	s := &Study{
+		Name:    "faults",
+		Title:   fmt.Sprintf("Fault-injection matrix on LS (%d clients, %g%% updates)", n, u*100),
+		Note:    "(success mean ± 95%% CI over %d replications; counters are rounded means)",
+		Key:     Column{Head: "Scenario", CSV: "scenario", W: 18},
+		Clients: n,
+		Update:  u,
+		Runs:    systems[2:],
+		Cols: []Column{
+			rate("Success", "success", 14, 0, success).withCI(14, "%.1f ± %.1f%%"),
+			count("Retries", "retries", 9, 0, func(r *rtdbs.Result) float64 { return float64(r.Retries) }),
+			count("Dropped", "dropped", 9, 0, func(r *rtdbs.Result) float64 { return float64(r.Faults.Dropped) }),
+			count("Cut drops", "partition_drops", 10, 0, func(r *rtdbs.Result) float64 { return float64(r.Faults.PartitionDrops) }),
+			count("Retransmits", "retransmits", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.Faults.Retransmits) }),
+		},
 	}
-	var scens []scenario
 	for _, dr := range faultMatrixDropRates {
-		scens = append(scens, scenario{fmt.Sprintf("drop %g%%", dr*100), dr, 0})
-	}
-	for _, pd := range faultMatrixPartitions {
-		scens = append(scens, scenario{fmt.Sprintf("partition %v", pd), 0, pd})
-	}
-	study := &FaultMatrix{Clients: clients, Update: update, Reps: opts.Reps}
-	type cellResult struct {
-		rate                                float64
-		retries, dropped, partDrops, rexmit int64
-	}
-	type cell struct{ si, rep int }
-	var cells []cell
-	var labels []string
-	for si, s := range scens {
-		for r := 0; r < opts.Reps; r++ {
-			cells = append(cells, cell{si, r})
-			labels = append(labels, fmt.Sprintf("faults %q rep=%d", s.name, r))
-		}
-	}
-	results, err := runCells(opts, labels, func(i int) (cellResult, error) {
-		c := cells[i]
-		s := scens[c.si]
-		cfg := opts.csConfig(clients, update, c.rep)
-		cfg.CheckInvariants = opts.CheckInvariants
-		cfg.Faults.DropRate = s.drop
-		if s.cut > 0 {
-			cfg.Faults.PartitionSite = 1
-			cfg.Faults.PartitionAt = cfg.Warmup + (cfg.Duration-cfg.Warmup)/4
-			cfg.Faults.PartitionDuration = time.Duration(float64(s.cut) * opts.Scale)
-		}
-		res, err := RunLS(cfg)
-		if err != nil {
-			return cellResult{}, fmt.Errorf("faults %q: %w", s.name, err)
-		}
-		return cellResult{
-			rate:      res.SuccessRate(),
-			retries:   res.Retries,
-			dropped:   res.Faults.Dropped,
-			partDrops: res.Faults.PartitionDrops,
-			rexmit:    res.Faults.Retransmits,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, s := range scens {
-		var success stats.Sample
-		var retries, dropped, partDrops, rexmit []int64
-		for i, c := range cells {
-			if c.si != si {
-				continue
-			}
-			success.Add(results[i].rate)
-			retries = append(retries, results[i].retries)
-			dropped = append(dropped, results[i].dropped)
-			partDrops = append(partDrops, results[i].partDrops)
-			rexmit = append(rexmit, results[i].rexmit)
-		}
-		study.Rows = append(study.Rows, FaultMatrixRow{
-			Name:           s.name,
-			SuccessRate:    success.Mean(),
-			SuccessCI:      success.CI95(),
-			Retries:        meanRound(retries),
-			Dropped:        meanRound(dropped),
-			PartitionDrops: meanRound(partDrops),
-			Retransmits:    meanRound(rexmit),
+		s.Rows = append(s.Rows, Setting{
+			Name: fmt.Sprintf("drop %g%%", dr*100),
+			Mod:  func(c *config.Config) { c.Faults.DropRate = dr },
 		})
 	}
-	return study, nil
-}
-
-// Render writes the fault matrix as an aligned text table.
-func (s *FaultMatrix) Render(w io.Writer) {
-	fmt.Fprintf(w, "Fault-injection matrix on LS (%d clients, %g%% updates)\n",
-		s.Clients, s.Update*100)
-	if s.Reps > 1 {
-		fmt.Fprintf(w, "(success mean ± 95%% CI over %d replications; counters are rounded means)\n", s.Reps)
-	}
-	fmt.Fprintf(w, "%-18s %14s %9s %9s %10s %12s\n",
-		"Scenario", "Success", "Retries", "Dropped", "Cut drops", "Retransmits")
-	for _, r := range s.Rows {
-		succ := fmt.Sprintf("%.1f", r.SuccessRate)
-		if s.Reps > 1 {
-			succ = fmt.Sprintf("%.1f ± %.1f", r.SuccessRate, r.SuccessCI)
-		}
-		fmt.Fprintf(w, "%-18s %13s%% %9d %9d %10d %12d\n",
-			r.Name, succ, r.Retries, r.Dropped, r.PartitionDrops, r.Retransmits)
-	}
-}
-
-// SensitivityRow measures the CE-vs-LS ordering at one value of the
-// calibration knob.
-type SensitivityRow struct {
-	OpCPU     time.Duration
-	CE40      float64
-	CE60      float64
-	CE80      float64
-	LS60      float64
-	Crossover string
-}
-
-// Sensitivity sweeps ServerOpCPU — the single calibrated cost — and
-// reports how the centralized system's collapse point moves, making the
-// calibration choice (and deviation D1 in EXPERIMENTS.md) explicit.
-type Sensitivity struct {
-	Rows []SensitivityRow
-}
-
-// sensitivityOps are the swept values of the calibrated per-operation
-// server CPU cost.
-var sensitivityOps = []time.Duration{
-	8 * time.Millisecond, 12 * time.Millisecond,
-	16 * time.Millisecond, 20 * time.Millisecond,
-}
-
-// RunSensitivity sweeps the server per-operation CPU cost, every cell
-// concurrently; rates are means over the replications.
-func RunSensitivity(opts Options) (*Sensitivity, error) {
-	opts = opts.normalize()
-	out := &Sensitivity{}
-	ceClients := []int{40, 60, 80}
-	// Slots 0..2 are CE at 40/60/80 clients; slot 3 is LS at 60.
-	type cell struct{ oi, slot, rep int }
-	var cells []cell
-	var labels []string
-	for oi, op := range sensitivityOps {
-		for slot := 0; slot < 4; slot++ {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{oi, slot, r})
-				labels = append(labels, fmt.Sprintf("sensitivity op=%v slot=%d rep=%d", op, slot, r))
-			}
-		}
-	}
-	rates, err := runCells(opts, labels, func(i int) (float64, error) {
-		c := cells[i]
-		op := sensitivityOps[c.oi]
-		if c.slot < 3 {
-			n := ceClients[c.slot]
-			cfg := opts.ceConfig(n, 0.01, c.rep)
-			cfg.ServerOpCPU = op
-			res, err := RunCE(cfg)
-			if err != nil {
-				return 0, fmt.Errorf("sensitivity CE %v/%d: %w", op, n, err)
-			}
-			return res.SuccessRate(), nil
-		}
-		cfg := opts.csConfig(60, 0.01, c.rep)
-		cfg.ServerOpCPU = op
-		res, err := RunLS(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("sensitivity LS %v: %w", op, err)
-		}
-		return res.SuccessRate(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([][4]stats.Sample, len(sensitivityOps))
-	for i, c := range cells {
-		agg[c.oi][c.slot].Add(rates[i])
-	}
-	for oi, op := range sensitivityOps {
-		row := SensitivityRow{
-			OpCPU: op,
-			CE40:  agg[oi][0].Mean(),
-			CE60:  agg[oi][1].Mean(),
-			CE80:  agg[oi][2].Mean(),
-			LS60:  agg[oi][3].Mean(),
-		}
-		switch {
-		case row.CE40 < row.LS60:
-			row.Crossover = "<=40 clients"
-		case row.CE60 < row.LS60:
-			row.Crossover = "40-60 clients"
-		case row.CE80 < row.LS60:
-			row.Crossover = "60-80 clients"
-		default:
-			row.Crossover = ">80 clients"
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// Render writes the sensitivity sweep as an aligned text table.
-func (s *Sensitivity) Render(w io.Writer) {
-	fmt.Fprintln(w, "Calibration sensitivity: CE collapse position vs ServerOpCPU (1% updates)")
-	fmt.Fprintf(w, "%-10s %9s %9s %9s %9s %16s\n",
-		"OpCPU", "CE@40", "CE@60", "CE@80", "LS@60", "CE<LS crossover")
-	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-10v %8.1f%% %8.1f%% %8.1f%% %8.1f%% %16s\n",
-			r.OpCPU, r.CE40, r.CE60, r.CE80, r.LS60, r.Crossover)
-	}
-}
-
-// PolicyRow compares a scheduling/deadline/topology variant.
-type PolicyRow struct {
-	Name string
-	CE   float64
-	CS   float64
-	LS   float64
-}
-
-// PolicyStudy exercises the design-space knobs the paper fixes: EDF vs
-// FCFS executor scheduling, length-dependent vs independent deadlines,
-// and shared-bus vs switched interconnect.
-type PolicyStudy struct {
-	Clients int
-	Update  float64
-	Rows    []PolicyRow
-}
-
-// RunPolicyStudy runs the three systems under each policy variant,
-// every cell concurrently; rates are means over the replications.
-func RunPolicyStudy(clients int, update float64, opts Options) (*PolicyStudy, error) {
-	opts = opts.normalize()
-	study := &PolicyStudy{Clients: clients, Update: update}
-	variants := []variant{
-		{"baseline (EDF, bus)", func(*config.Config) {}},
-		{"FCFS scheduling", func(c *config.Config) { c.Scheduling = config.SchedFCFS }},
-		{"independent deadlines", func(c *config.Config) { c.Deadlines = config.DeadlineIndependent }},
-		{"switched network", func(c *config.Config) { c.Topology = config.TopologySwitched }},
-	}
-	type cell struct{ vi, sys, rep int }
-	var cells []cell
-	var labels []string
-	for vi, v := range variants {
-		for si, s := range figureSystems {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{vi, si, r})
-				labels = append(labels, fmt.Sprintf("policy %q %s rep=%d", v.name, s.name, r))
-			}
-		}
-	}
-	rates, err := runCells(opts, labels, func(i int) (float64, error) {
-		c := cells[i]
-		s := figureSystems[c.sys]
-		var cfg config.Config
-		if s.central {
-			cfg = opts.ceConfig(clients, update, c.rep)
-		} else {
-			cfg = opts.csConfig(clients, update, c.rep)
-		}
-		variants[c.vi].mod(&cfg)
-		res, err := s.run(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("policy %q %s: %w", variants[c.vi].name, s.name, err)
-		}
-		return res.SuccessRate(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([][3]stats.Sample, len(variants))
-	for i, c := range cells {
-		agg[c.vi][c.sys].Add(rates[i])
-	}
-	for vi, v := range variants {
-		study.Rows = append(study.Rows, PolicyRow{
-			Name: v.name,
-			CE:   agg[vi][0].Mean(),
-			CS:   agg[vi][1].Mean(),
-			LS:   agg[vi][2].Mean(),
+	for _, cut := range faultMatrixPartitions {
+		s.Rows = append(s.Rows, Setting{
+			Name: fmt.Sprintf("partition %v", cut),
+			Mod:  partition(1, 4, time.Duration(float64(cut)*o.Scale)),
 		})
 	}
-	return study, nil
-}
-
-// Render writes the policy study as an aligned text table.
-func (s *PolicyStudy) Render(w io.Writer) {
-	fmt.Fprintf(w, "Policy study (%d clients, %g%% updates)\n", s.Clients, s.Update*100)
-	fmt.Fprintf(w, "%-24s %9s %9s %9s\n", "Variant", "CE", "CS", "LS")
-	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-24s %8.1f%% %8.1f%% %8.1f%%\n", r.Name, r.CE, r.CS, r.LS)
-	}
+	return s
 }

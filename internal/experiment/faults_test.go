@@ -17,7 +17,7 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 			Scale: 0.05, Seed: 9, Reps: 2,
 			Parallel: parallel, CheckInvariants: true,
 		}
-		fm, err := RunFaultMatrix(5, 0.2, opts)
+		fm, err := FaultMatrix(opts, 5, 0.2).Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,8 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 // legacy three rows keep their names and order (goldens depend on
 // them), followed by the two fault-layer partition variants.
 func TestOutageStudyFaultVariants(t *testing.T) {
-	s, err := RunOutageStudy(4, 0.2, Options{Scale: 0.05, Seed: 1})
+	opts := Options{Scale: 0.05, Seed: 1}
+	s, err := OutageStudy(opts, 4, 0.2).Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,119 +2,88 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
+	"siteselect/internal/config"
 	"siteselect/internal/rtdbs"
-	"siteselect/internal/stats"
 )
 
-// CCRow compares pessimistic (2PL) and optimistic (OCC) concurrency
-// control on the centralized system at one operating point. Rates are
-// means over replications; restarts are rounded means.
-type CCRow struct {
-	Clients      int
-	Update       float64
-	PL           float64 // 2PL success %
-	OCC          float64 // OCC success %
-	Restarts     int64
-	ConflictRate float64 // validation conflicts / validations
+// pointStudy declares a study whose rows are (update mix, client count)
+// operating points over the client sweep, keyed by both.
+func pointStudy(name, title string, updates []float64, o Options) *Study {
+	s := &Study{
+		Name:  name,
+		Title: title,
+		Key:   Column{Head: fmt.Sprintf("%-8s %s", "Clients", "Updates"), CSV: "clients,updates", W: 18},
+	}
+	for _, u := range updates {
+		for _, n := range o.normalize().Clients {
+			s.Rows = append(s.Rows, Setting{
+				Name:    fmt.Sprintf("%-8d %g%%", n, u*100),
+				CSV:     fmt.Sprintf("%d,%g", n, u),
+				Clients: n,
+				Update:  u,
+			})
+		}
+	}
+	return s
 }
 
 // CCComparison is the concurrency-control study the paper defers to
 // future work: strict 2PL versus backward-validation OCC on the
-// centralized real-time database.
-type CCComparison struct {
-	Rows []CCRow
+// centralized real-time database, over the client sweep at two update
+// mixes. Columns are 2PL success (0), OCC success (1), OCC restarts (2)
+// and the share of validations that found a conflict (3).
+func CCComparison(o Options, _ int, _ float64) *Study {
+	s := pointStudy("occ", "Concurrency-control study (centralized system): strict 2PL vs backward-validation OCC",
+		[]float64{0.01, 0.20}, o)
+	s.Runs = []Setting{{Name: "2PL", Kind: rtdbs.CE}, {Name: "OCC", Kind: rtdbs.CEOCC}}
+	s.Cols = []Column{
+		rate("2PL", "two_pl", 10, 0, success),
+		rate("OCC", "occ", 10, 1, success),
+		count("Restarts", "restarts", 10, 1, func(r *rtdbs.Result) float64 { return float64(r.Restarts) }),
+		{
+			Head: "Conflict rate", CSV: "conflict_rate", Run: 1,
+			Post: func(fraction float64) float64 { return 100 * fraction },
+			W:    12, Text: "%.2f%%", CSVVerb: "%.2f",
+			Get: func(r *rtdbs.Result) float64 {
+				if r.Validations == 0 {
+					return 0
+				}
+				return float64(r.Conflicts) / float64(r.Validations)
+			},
+		},
+	}
+	return s
 }
 
-// RunCCComparison sweeps client counts at two update mixes, every cell
-// concurrently.
-func RunCCComparison(opts Options) (*CCComparison, error) {
-	opts = opts.normalize()
-	out := &CCComparison{}
-	updates := []float64{0.01, 0.20}
-	type cellResult struct {
-		rate         float64
-		restarts     int64
-		conflictRate float64
+// SpeculationStudy is the second future-work extension: overlap a
+// transaction's computation with its in-flight lock upgrades and keep
+// the work when the versions validate. It sweeps client counts at
+// write-heavy mixes (the regime where upgrades — and therefore
+// speculation opportunities — exist). Columns are LS success without
+// (0) and with (1) speculation, speculative runs (2), those that
+// validated (3) and their ratio (4).
+func SpeculationStudy(o Options, _ int, _ float64) *Study {
+	s := pointStudy("speculation", "Speculative processing study (LS-CS-RTDBS, upgrades overlapped with computation)",
+		[]float64{0.05, 0.20}, o)
+	s.Runs = []Setting{
+		{Name: "LS", Kind: rtdbs.LS},
+		{Name: "LS+spec", Kind: rtdbs.LS, Mod: func(c *config.Config) { c.UseSpeculation = true }},
 	}
-	type cell struct{ ui, ni, sys, rep int } // sys: 0=2PL 1=OCC
-	var cells []cell
-	var labels []string
-	for ui, update := range updates {
-		for ni, n := range opts.Clients {
-			for sys, name := range []string{"2PL", "OCC"} {
-				for r := 0; r < opts.Reps; r++ {
-					cells = append(cells, cell{ui, ni, sys, r})
-					labels = append(labels, fmt.Sprintf("cc %s n=%d u=%g rep=%d", name, n, update, r))
+	s.Cols = []Column{
+		rate("LS", "ls", 10, 0, success),
+		rate("LS+spec", "ls_spec", 12, 1, success),
+		count("Spec runs", "spec_runs", 10, 1, func(r *rtdbs.Result) float64 { return float64(r.M.SpeculativeRuns) }),
+		count("Validated", "validated", 10, 1, func(r *rtdbs.Result) float64 { return float64(r.M.SpeculationHits) }),
+		{
+			Head: "Hit ratio", CSV: "hit_ratio", W: 10, Text: "%.1f%%", CSVVerb: "%.2f",
+			Derive: func(_ Setting, col func(int) float64) float64 {
+				if col(2) == 0 {
+					return 0
 				}
-			}
-		}
+				return 100 * (col(3) / col(2))
+			},
+		},
 	}
-	results, err := runCells(opts, labels, func(i int) (cellResult, error) {
-		c := cells[i]
-		n := opts.Clients[c.ni]
-		cfg := opts.ceConfig(n, updates[c.ui], c.rep)
-		if c.sys == 0 {
-			res, err := RunCE(cfg)
-			if err != nil {
-				return cellResult{}, fmt.Errorf("cc: 2PL %d clients: %w", n, err)
-			}
-			return cellResult{rate: res.SuccessRate()}, nil
-		}
-		oc, err := rtdbs.NewCentralizedOCC(cfg)
-		if err != nil {
-			return cellResult{}, fmt.Errorf("cc: OCC %d clients: %w", n, err)
-		}
-		res, err := oc.Run()
-		if err != nil {
-			return cellResult{}, fmt.Errorf("cc: OCC %d clients: %w", n, err)
-		}
-		r := cellResult{rate: res.SuccessRate(), restarts: oc.Restarts}
-		if v := oc.Validator(); v.Validations > 0 {
-			r.conflictRate = float64(v.Conflicts) / float64(v.Validations)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ui, update := range updates {
-		for ni, n := range opts.Clients {
-			var pl, occ, conflict stats.Sample
-			var restarts []int64
-			for i, c := range cells {
-				if c.ui != ui || c.ni != ni {
-					continue
-				}
-				if c.sys == 0 {
-					pl.Add(results[i].rate)
-					continue
-				}
-				occ.Add(results[i].rate)
-				conflict.Add(results[i].conflictRate)
-				restarts = append(restarts, results[i].restarts)
-			}
-			out.Rows = append(out.Rows, CCRow{
-				Clients:      n,
-				Update:       update,
-				PL:           pl.Mean(),
-				OCC:          occ.Mean(),
-				Restarts:     meanRound(restarts),
-				ConflictRate: conflict.Mean(),
-			})
-		}
-	}
-	return out, nil
-}
-
-// Render writes the comparison as an aligned text table.
-func (c *CCComparison) Render(w io.Writer) {
-	fmt.Fprintln(w, "Concurrency-control study (centralized system): strict 2PL vs backward-validation OCC")
-	fmt.Fprintf(w, "%-8s %-9s %10s %10s %10s %12s\n",
-		"Clients", "Updates", "2PL", "OCC", "Restarts", "Conflict rate")
-	for _, r := range c.Rows {
-		fmt.Fprintf(w, "%-8d %-9s %9.1f%% %9.1f%% %10d %11.2f%%\n",
-			r.Clients, fmt.Sprintf("%g%%", r.Update*100), r.PL, r.OCC, r.Restarts, 100*r.ConflictRate)
-	}
+	return s
 }

@@ -129,28 +129,3 @@ func RunReps(opts Options, cfg config.Config, run func(config.Config) (*rtdbs.Re
 func (o Options) cellSeed(clients int, update float64, rep int) int64 {
 	return config.CellSeed(o.Seed, int64(clients), config.UpdateCoord(update), int64(rep))
 }
-
-// meanRound returns the mean of int64 counts over replications, rounded
-// to the nearest integer.
-func meanRound(counts []int64) int64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, c := range counts {
-		sum += c
-	}
-	return (sum + int64(len(counts))/2) / int64(len(counts))
-}
-
-// meanDuration returns the mean of durations over replications.
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}

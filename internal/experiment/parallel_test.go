@@ -200,7 +200,7 @@ func TestRunReps(t *testing.T) {
 		mu.Lock()
 		seen[c.Seed] = true
 		mu.Unlock()
-		return RunCS(c)
+		return rtdbs.Run(rtdbs.CS, c)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,58 +2,22 @@ package experiment
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"siteselect/internal/config"
-	"siteselect/internal/stats"
+	"siteselect/internal/rtdbs"
 )
 
 // DefaultShardCounts is the shard sweep of the topology study: the
 // single-server baseline and three multi-shard points.
 var DefaultShardCounts = []int{1, 2, 4, 8}
 
-// ShardSweepRow is one shard-count position of a shard sweep, with the
-// static-placement and adaptive-replication variants side by side.
-type ShardSweepRow struct {
-	Servers int
-	// Static and Adaptive are mean deadline-success percentages (95% CI
-	// half-widths alongside when Reps > 1). At one server the adaptive
-	// variant degenerates to the static one.
-	Static     float64
-	StaticCI   float64
-	Adaptive   float64
-	AdaptiveCI float64
-	// StaticMsgs and AdaptiveMsgs are mean total LAN message counts per
-	// run — replica coherence traffic shows up as the difference.
-	StaticMsgs   float64
-	AdaptiveMsgs float64
-	// Installed, Shed and Forwarded are per-run means of the adaptive
-	// variant's replication counters.
-	Installed float64
-	Shed      float64
-	Forwarded float64
-}
-
-// ShardSweep is the topology study: the load-sharing system re-run at
-// fixed load across a sweep of server shard counts, under a
-// drifting-Zipf hot spot, once with the bare object partition (static)
-// and once with heat-driven read replication (adaptive).
-type ShardSweep struct {
-	Clients        int
-	UpdateFraction float64
-	Reps           int
-	Rows           []ShardSweepRow
-}
-
-// shardConfig builds one sweep cell. The seed derives from (clients,
-// update, rep) only, so every shard count and placement mode sees the
-// same workload stream — the topology is the sole variable. The access
-// generator concentrates most reads on a hot window that slides several
-// times over the run, so objects heat up and cool down no matter where
-// the partition put them.
-func shardConfig(opts Options, clients int, update float64, rep, servers int, adaptive bool) config.Config {
-	cfg := opts.csConfig(clients, update, rep)
+// driftingHotSpot is the shard sweep's workload and partition. The
+// access generator concentrates most reads on a hot window that slides
+// several times over the run, so objects heat up and cool down no
+// matter where the partition put them.
+func driftingHotSpot(cfg *config.Config) {
 	// Think times short enough that the hot shard saturates under the
 	// static partition while total demand stays inside the cluster's
 	// capacity, and deadlines tight enough that hot-shard queueing shows
@@ -68,8 +32,8 @@ func shardConfig(opts Options, clients int, update float64, rep, servers int, ad
 	cfg.Sharding.Block = hot
 	cfg.Workload = &config.WorkloadSpec{Classes: []config.ClientClass{{
 		Name:                 "drift",
-		Count:                clients,
-		UpdateFraction:       update,
+		Count:                cfg.NumClients,
+		UpdateFraction:       cfg.UpdateFraction,
 		DecomposableFraction: cfg.DecomposableFraction,
 		Phases: []config.ArrivalPhase{{
 			Kind:             config.ArrivalClosed,
@@ -84,130 +48,58 @@ func shardConfig(opts Options, clients int, update float64, rep, servers int, ad
 			DriftStep:   hot * 2,
 		},
 	}}}
-	cfg.Sharding.Servers = servers
-	if adaptive && servers > 1 {
+}
+
+// adaptiveReplication turns on heat-driven read replication; at one
+// server there is nowhere to replicate to and the variant degenerates to
+// the static one.
+func adaptiveReplication(cfg *config.Config) {
+	if cfg.Sharding.Servers > 1 {
 		cfg.Sharding.ReplicateHot = 3
 		cfg.Sharding.HeatWindow = cfg.Duration / 8
 		cfg.Sharding.ShedBelow = 1
 	}
-	return cfg
 }
 
-// RunShardSweep runs the load-sharing system at the given client count
-// and update mix once per (shard count, placement mode) cell (times
-// Reps). Cell seeds derive from (clients, update, rep) only, so the
-// whole sweep replays one workload against every topology.
-func RunShardSweep(shards []int, clients int, update float64, opts Options) (*ShardSweep, error) {
-	opts = opts.normalize()
-	if len(shards) == 0 {
-		shards = DefaultShardCounts
+// ShardSweep is the topology study: the load-sharing system re-run at
+// fixed load across a sweep of server shard counts, under a
+// drifting-Zipf hot spot, once with the bare object partition (static)
+// and once with heat-driven read replication (adaptive). Every shard
+// count and placement mode replays one workload stream (see Setting),
+// so the topology is the sole variable.
+//
+// Columns: static (0) and adaptive (1) success; their mean total LAN
+// message counts (2, 3) — replica coherence traffic is the difference;
+// and per-run means of the adaptive variant's replicas installed (4),
+// replicas shed (5) and requests forwarded to the home shard (6).
+func ShardSweep(_ Options, n int, u float64) *Study {
+	s := &Study{
+		Name:    "shard-sweep",
+		Title:   fmt.Sprintf("Shard-count sweep — LS-CS-RTDBS, %d clients, %g%% updates, drifting-Zipf hot spot", n, u*100),
+		Note:    "(success/messages are means over %d replications)",
+		Key:     Column{Head: "Shards", CSV: "shards", W: 8},
+		Clients: n,
+		Update:  u,
+		Runs: []Setting{
+			{Name: "static", Kind: rtdbs.LS},
+			{Name: "adaptive", Kind: rtdbs.LS, Mod: adaptiveReplication},
+		},
+		Cols: []Column{
+			rate("Static", "static", 14, 0, success).withCI(14, "%.1f ± %.1f"),
+			rate("Adaptive", "adaptive", 14, 1, success).withCI(14, "%.1f ± %.1f"),
+			mean("StaticMsgs", "static_msgs", 12, 0, "%.0f", messages),
+			mean("AdaptMsgs", "adaptive_msgs", 12, 1, "%.0f", messages),
+			mean("Installed", "installed", 10, 1, "%.1f", func(r *rtdbs.Result) float64 { return float64(r.ReplicasInstalled) }),
+			mean("Shed", "shed", 8, 1, "%.1f", func(r *rtdbs.Result) float64 { return float64(r.ReplicasShed) }),
+			mean("Forwarded", "forwarded", 10, 1, "%.1f", func(r *rtdbs.Result) float64 { return float64(r.RequestsForwarded) }),
+		},
+		CSVAlwaysCI: true,
 	}
-	ss := &ShardSweep{Clients: clients, UpdateFraction: update, Reps: opts.Reps}
-	type cell struct {
-		si, rep  int
-		adaptive bool
+	for _, m := range DefaultShardCounts {
+		s.Rows = append(s.Rows, Setting{Name: strconv.Itoa(m), Mod: func(c *config.Config) {
+			driftingHotSpot(c)
+			c.Sharding.Servers = m
+		}})
 	}
-	var cells []cell
-	var labels []string
-	for si, m := range shards {
-		for _, adaptive := range []bool{false, true} {
-			mode := "static"
-			if adaptive {
-				mode = "adaptive"
-			}
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{si, r, adaptive})
-				labels = append(labels, fmt.Sprintf("shard-sweep LS n=%d m=%d %s rep=%d", clients, m, mode, r))
-			}
-		}
-	}
-	type obs struct {
-		success                    float64
-		messages                   int64
-		installed, shed, forwarded int64
-	}
-	results, err := runCells(opts, labels, func(i int) (obs, error) {
-		c := cells[i]
-		cfg := shardConfig(opts, clients, update, c.rep, shards[c.si], c.adaptive)
-		res, err := RunLS(cfg)
-		if err != nil {
-			return obs{}, fmt.Errorf("shard sweep: %d shards (rep %d): %w", shards[c.si], c.rep, err)
-		}
-		return obs{
-			success:   res.SuccessRate(),
-			messages:  res.TotalMessages,
-			installed: res.ReplicasInstalled,
-			shed:      res.ReplicasShed,
-			forwarded: res.RequestsForwarded,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg := make([]struct {
-		success, messages          [2]stats.Sample // [static, adaptive]
-		installed, shed, forwarded stats.Sample
-	}, len(shards))
-	for i, c := range cells {
-		o := results[i]
-		mi := 0
-		if c.adaptive {
-			mi = 1
-		}
-		agg[c.si].success[mi].Add(o.success)
-		agg[c.si].messages[mi].Add(float64(o.messages))
-		if c.adaptive {
-			agg[c.si].installed.Add(float64(o.installed))
-			agg[c.si].shed.Add(float64(o.shed))
-			agg[c.si].forwarded.Add(float64(o.forwarded))
-		}
-	}
-	for si, m := range shards {
-		a := &agg[si]
-		ss.Rows = append(ss.Rows, ShardSweepRow{
-			Servers:      m,
-			Static:       a.success[0].Mean(),
-			StaticCI:     a.success[0].CI95(),
-			Adaptive:     a.success[1].Mean(),
-			AdaptiveCI:   a.success[1].CI95(),
-			StaticMsgs:   a.messages[0].Mean(),
-			AdaptiveMsgs: a.messages[1].Mean(),
-			Installed:    a.installed.Mean(),
-			Shed:         a.shed.Mean(),
-			Forwarded:    a.forwarded.Mean(),
-		})
-	}
-	return ss, nil
-}
-
-// Render writes the sweep as an aligned text table.
-func (ss *ShardSweep) Render(w io.Writer) {
-	fmt.Fprintf(w, "Shard-count sweep — LS-CS-RTDBS, %d clients, %g%% updates, drifting-Zipf hot spot\n",
-		ss.Clients, ss.UpdateFraction*100)
-	if ss.Reps > 1 {
-		fmt.Fprintf(w, "(success/messages are means over %d replications)\n", ss.Reps)
-	}
-	fmt.Fprintf(w, "%-8s %14s %14s %12s %12s %10s %8s %10s\n",
-		"Shards", "Static", "Adaptive", "StaticMsgs", "AdaptMsgs", "Installed", "Shed", "Forwarded")
-	for _, r := range ss.Rows {
-		static := fmt.Sprintf("%.1f%%", r.Static)
-		adaptive := fmt.Sprintf("%.1f%%", r.Adaptive)
-		if ss.Reps > 1 {
-			static = fmt.Sprintf("%.1f ± %.1f", r.Static, r.StaticCI)
-			adaptive = fmt.Sprintf("%.1f ± %.1f", r.Adaptive, r.AdaptiveCI)
-		}
-		fmt.Fprintf(w, "%-8d %14s %14s %12.0f %12.0f %10.1f %8.1f %10.1f\n",
-			r.Servers, static, adaptive, r.StaticMsgs, r.AdaptiveMsgs,
-			r.Installed, r.Shed, r.Forwarded)
-	}
-}
-
-// CSV writes the sweep as comma-separated values.
-func (ss *ShardSweep) CSV(w io.Writer) {
-	fmt.Fprintln(w, "shards,static,static_ci,adaptive,adaptive_ci,static_msgs,adaptive_msgs,installed,shed,forwarded")
-	for _, r := range ss.Rows {
-		fmt.Fprintf(w, "%d,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,%.1f\n",
-			r.Servers, r.Static, r.StaticCI, r.Adaptive, r.AdaptiveCI,
-			r.StaticMsgs, r.AdaptiveMsgs, r.Installed, r.Shed, r.Forwarded)
-	}
+	return s
 }

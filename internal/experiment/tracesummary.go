@@ -2,133 +2,54 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
+	"siteselect/internal/config"
 	"siteselect/internal/rtdbs"
 	"siteselect/internal/trace"
 )
 
-// TraceSummary is the aggregate miss-cause table for one figure's
+// missed extracts a traced run's count of missed transactions.
+func missed(r *rtdbs.Result) float64 { return float64(r.MissCauses.Missed) }
+
+// missedBy extracts a traced run's missed transactions whose slack
+// attribution the component dominates.
+func missedBy(c trace.Component) func(*rtdbs.Result) float64 {
+	return func(r *rtdbs.Result) float64 { return float64(r.MissCauses.ByCause[c]) }
+}
+
+// TraceSummary declares the aggregate miss-cause table for one figure's
 // workload: the two client-server systems re-run with tracing enabled
 // across the client sweep, every missed transaction classified by the
 // dominant component of its slack attribution. The centralized system is
 // untraced (its requests never leave the server, so there is nothing to
-// attribute), so it has no column. Counts are summed over replications —
-// a miss census, not a mean.
-type TraceSummary struct {
-	ID             string
-	UpdateFraction float64
-	Reps           int
-	Clients        []int
-	// CS and LS hold one aggregated table per entry of Clients.
-	CS []trace.MissTable
-	LS []trace.MissTable
-}
-
-// RunTraceSummary reproduces one figure's sweep with tracing enabled on
-// the CS and LS systems and aggregates the per-run miss-cause tables.
-// Cells share the figure's seed derivation (the system is not part of
-// the cell coordinates), so the workload stream at each (clients, rep)
-// point is identical to the untraced figure cell — tracing is
-// zero-perturbation, only the bookkeeping differs.
-func RunTraceSummary(id string, update float64, opts Options) (*TraceSummary, error) {
-	opts = opts.normalize()
-	ts := &TraceSummary{
-		ID:             id,
-		UpdateFraction: update,
-		Reps:           opts.Reps,
-		Clients:        opts.Clients,
-		CS:             make([]trace.MissTable, len(opts.Clients)),
-		LS:             make([]trace.MissTable, len(opts.Clients)),
+// attribute), so it has no rows. Cells are seeded like the figure's, so
+// each replays the untraced figure cell's workload — tracing perturbs
+// nothing, only the bookkeeping differs. One row per (clients, system);
+// column 0 is the missed total, then one column per component.
+func TraceSummary(name string, update float64, o Options) *Study {
+	o = o.normalize()
+	s := &Study{
+		Name:   name + " trace",
+		Title:  fmt.Sprintf("%s trace summary — missed transactions by dominant cause (%g%% updates)", name, update*100),
+		Note:   "(counts summed over %d replications)",
+		Key:    Column{Head: fmt.Sprintf("%-8s %s", "Clients", "System"), CSV: "clients,system", W: 16},
+		Update: update,
+		Runs:   []Setting{{Mod: func(c *config.Config) { c.Trace = true }}},
+		Cols:   []Column{census("Missed", "missed", 7, missed)},
 	}
-	sysNames := []string{"CS", "LS"}
-	type cell struct{ pi, sys, rep int }
-	var cells []cell
-	var labels []string
-	for pi, n := range opts.Clients {
-		for si, s := range sysNames {
-			for r := 0; r < opts.Reps; r++ {
-				cells = append(cells, cell{pi, si, r})
-				labels = append(labels, fmt.Sprintf("%s trace %s n=%d rep=%d", id, s, n, r))
-			}
+	for _, n := range o.Clients {
+		for _, sys := range systems[1:] {
+			s.Rows = append(s.Rows, Setting{
+				Name:    fmt.Sprintf("%-8d %s", n, sys.Name),
+				CSV:     fmt.Sprintf("%d,%s", n, sys.Name),
+				Kind:    sys.Kind,
+				Clients: n,
+			})
 		}
 	}
-	tables, err := runCells(opts, labels, func(i int) (*trace.MissTable, error) {
-		c := cells[i]
-		n := opts.Clients[c.pi]
-		cfg := opts.csConfig(n, update, c.rep)
-		cfg.Trace = true
-		var res *rtdbs.Result
-		var err error
-		if c.sys == 0 {
-			res, err = RunCS(cfg)
-		} else {
-			res, err = RunLS(cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s trace summary: %s with %d clients (rep %d): %w",
-				id, sysNames[c.sys], n, c.rep, err)
-		}
-		return res.MissCauses, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		if c.sys == 0 {
-			ts.CS[c.pi].Add(tables[i])
-		} else {
-			ts.LS[c.pi].Add(tables[i])
-		}
-	}
-	return ts, nil
-}
-
-// Render writes the summary as an aligned text table: one row per
-// (clients, system) pair, with the total missed count and the count per
-// dominant cause.
-func (ts *TraceSummary) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s trace summary — missed transactions by dominant cause (%g%% updates)\n",
-		ts.ID, ts.UpdateFraction*100)
-	if ts.Reps > 1 {
-		fmt.Fprintf(w, "(counts summed over %d replications)\n", ts.Reps)
-	}
-	fmt.Fprintf(w, "%-8s %-7s %7s", "Clients", "System", "Missed")
 	for c := trace.Component(0); c < trace.NumComponents; c++ {
-		fmt.Fprintf(w, " %10s", c.String())
+		s.Cols = append(s.Cols, census(c.String(), strings.ReplaceAll(c.String(), "-", "_"), 10, missedBy(c)))
 	}
-	fmt.Fprintln(w)
-	row := func(n int, sys string, m *trace.MissTable) {
-		fmt.Fprintf(w, "%-8d %-7s %7d", n, sys, m.Missed)
-		for c := trace.Component(0); c < trace.NumComponents; c++ {
-			fmt.Fprintf(w, " %10d", m.ByCause[c])
-		}
-		fmt.Fprintln(w)
-	}
-	for pi, n := range ts.Clients {
-		row(n, "CS", &ts.CS[pi])
-		row(n, "LS", &ts.LS[pi])
-	}
-}
-
-// CSV writes the summary as comma-separated values, one row per
-// (clients, system) pair.
-func (ts *TraceSummary) CSV(w io.Writer) {
-	fmt.Fprint(w, "clients,system,missed")
-	for c := trace.Component(0); c < trace.NumComponents; c++ {
-		fmt.Fprintf(w, ",%s", strings.ReplaceAll(c.String(), "-", "_"))
-	}
-	fmt.Fprintln(w)
-	row := func(n int, sys string, m *trace.MissTable) {
-		fmt.Fprintf(w, "%d,%s,%d", n, sys, m.Missed)
-		for c := trace.Component(0); c < trace.NumComponents; c++ {
-			fmt.Fprintf(w, ",%d", m.ByCause[c])
-		}
-		fmt.Fprintln(w)
-	}
-	for pi, n := range ts.Clients {
-		row(n, "CS", &ts.CS[pi])
-		row(n, "LS", &ts.LS[pi])
-	}
+	return s
 }

@@ -180,6 +180,9 @@ func (ce *CentralizedOCC) Run() (*Result, error) {
 	ce.Start()
 	ce.env.Run(ce.cfg.Duration + ce.cfg.Drain)
 	res := ce.collect()
+	res.Restarts = ce.Restarts
+	res.Validations = ce.valid.Validations
+	res.Conflicts = ce.valid.Conflicts
 	ce.env.Close()
 	return res, nil
 }

@@ -407,6 +407,10 @@ func (c *Cluster) collect() *Result {
 	for _, cl := range c.clients {
 		res.ForwardHops += cl.ForwardHops
 		res.Retries += cl.Retries
+		res.LostUpdates += cl.LostUpdates
+		if l := cl.Log(); l != nil {
+			res.LogForces += l.Forces
+		}
 		for _, t := range cl.Tracked {
 			if t.Status == txn.StatusCommitted && t.Arrival >= c.cfg.Warmup {
 				res.ExecutedPerSite[t.ExecSite]++

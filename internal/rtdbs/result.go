@@ -62,6 +62,19 @@ type Result struct {
 	Faults  netsim.FaultStats
 	Retries int64
 
+	// LostUpdates counts committed-but-unreturned updates wiped by a
+	// client outage and LogForces the physical forces of the clients'
+	// write-ahead logs, both summed over clients (client-server systems).
+	LostUpdates int64
+	LogForces   int64
+
+	// Restarts counts read-phase re-executions after a failed
+	// validation; Validations and Conflicts are the validator's outcome
+	// counters (optimistic centralized system only).
+	Restarts    int64
+	Validations int64
+	Conflicts   int64
+
 	// MissCauses aggregates missed transactions by dominant attribution
 	// component (set only when the run traced, i.e. Config.Trace).
 	MissCauses *trace.MissTable

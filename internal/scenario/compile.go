@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"siteselect/internal/config"
+	"siteselect/internal/rtdbs"
 )
 
 // Systems a scenario can run. The default is the basic client-server
@@ -35,10 +36,11 @@ func nameCoord(name string) int64 {
 }
 
 // Compiled is the runnable form of a scenario: the lowered Config plus
-// the resolved system name.
+// the resolved system, by name and by kind.
 type Compiled struct {
 	Scenario *Scenario
 	System   string
+	Kind     rtdbs.Kind
 	Config   config.Config
 }
 
@@ -53,9 +55,8 @@ func Compile(s *Scenario) (*Compiled, error) {
 	if system == "" {
 		system = SystemCS
 	}
-	switch system {
-	case SystemCE, SystemCEOCC, SystemCS, SystemLS:
-	default:
+	kind, ok := rtdbs.ParseKind(system)
+	if !ok {
 		return nil, s.errf(s.SystemLine, "system", "unknown system %q (want ce, ce-occ, cs, or ls)", system)
 	}
 
@@ -65,7 +66,7 @@ func Compile(s *Scenario) (*Compiled, error) {
 	total := s.Population()
 
 	var cfg config.Config
-	if system == SystemCE || system == SystemCEOCC {
+	if kind.Centralized() {
 		cfg = config.DefaultCentralized(total, 0.20)
 	} else {
 		cfg = config.Default(total, 0.20)
@@ -125,7 +126,7 @@ func Compile(s *Scenario) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, s.errf(s.NameLine, "scenario", "invalid compiled config: %v", err)
 	}
-	return &Compiled{Scenario: s, System: system, Config: cfg}, nil
+	return &Compiled{Scenario: s, System: system, Kind: kind, Config: cfg}, nil
 }
 
 // value coercion helpers; each names the stanza and key on mismatch.

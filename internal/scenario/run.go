@@ -46,34 +46,7 @@ func Run(s *Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := func() (*rtdbs.Result, error) {
-		switch c.System {
-		case SystemCE:
-			sys, err := rtdbs.NewCentralized(c.Config)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
-		case SystemCEOCC:
-			sys, err := rtdbs.NewCentralizedOCC(c.Config)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
-		case SystemLS:
-			sys, err := rtdbs.NewLoadSharing(c.Config)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
-		default: // SystemCS (Compile rejects anything else)
-			sys, err := rtdbs.NewClientServer(c.Config)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
-		}
-	}()
+	res, err := rtdbs.Run(c.Kind, c.Config)
 	if err != nil {
 		return nil, s.errf(s.NameLine, "scenario", "run failed: %v", err)
 	}

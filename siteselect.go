@@ -27,8 +27,6 @@
 package siteselect
 
 import (
-	"fmt"
-
 	"siteselect/internal/config"
 	"siteselect/internal/experiment"
 	"siteselect/internal/rtdbs"
@@ -41,38 +39,24 @@ type Config = config.Config
 // Result is the outcome of one simulated run.
 type Result = rtdbs.Result
 
-// SystemKind selects one of the paper's three configurations.
-type SystemKind int
+// SystemKind selects one of the paper's three configurations (or the
+// optimistic centralized variant); its String names the system the way
+// the paper does.
+type SystemKind = rtdbs.Kind
 
 // System configurations.
 const (
 	// Centralized is the CE-RTDBS.
-	Centralized SystemKind = iota + 1
+	Centralized = rtdbs.CE
 	// ClientServer is the basic object-shipping CS-RTDBS.
-	ClientServer
+	ClientServer = rtdbs.CS
 	// LoadSharing is the LS-CS-RTDBS running the paper's algorithm.
-	LoadSharing
+	LoadSharing = rtdbs.LS
 	// CentralizedOptimistic is the CE-RTDBS with backward-validation
 	// optimistic concurrency control instead of 2PL — the concurrency
 	// control study the paper's conclusion names as future work.
-	CentralizedOptimistic
+	CentralizedOptimistic = rtdbs.CEOCC
 )
-
-// String names the system the way the paper does.
-func (k SystemKind) String() string {
-	switch k {
-	case Centralized:
-		return "CE-RTDBS"
-	case ClientServer:
-		return "CS-RTDBS"
-	case LoadSharing:
-		return "LS-CS-RTDBS"
-	case CentralizedOptimistic:
-		return "CE-RTDBS/OCC"
-	default:
-		return fmt.Sprintf("SystemKind(%d)", int(k))
-	}
-}
 
 // Re-exported configuration enums, so callers can set policy knobs
 // without importing internal packages.
@@ -109,22 +93,7 @@ func DefaultCentralizedConfig(n int, updateFraction float64) Config {
 // metrics. The run is deterministic for a given configuration (including
 // its Seed).
 func Run(kind SystemKind, cfg Config) (*Result, error) {
-	switch kind {
-	case Centralized:
-		return experiment.RunCE(cfg)
-	case ClientServer:
-		return experiment.RunCS(cfg)
-	case LoadSharing:
-		return experiment.RunLS(cfg)
-	case CentralizedOptimistic:
-		oc, err := rtdbs.NewCentralizedOCC(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return oc.Run()
-	default:
-		return nil, fmt.Errorf("siteselect: unknown system kind %d", int(kind))
-	}
+	return rtdbs.Run(kind, cfg)
 }
 
 // Experiment types and entry points, re-exported for the benchmark
@@ -132,33 +101,27 @@ func Run(kind SystemKind, cfg Config) (*Result, error) {
 type (
 	// Options tunes experiment runs (scale, seed, client sweep).
 	Options = experiment.Options
-	// Figure is a reproduction of Figures 3–5.
-	Figure = experiment.Figure
-	// Table2 is the cache-hit-rate table.
-	Table2 = experiment.Table2
-	// Table3 is the object-response-time table.
-	Table3 = experiment.Table3
-	// Table4 is the message-count table.
-	Table4 = experiment.Table4
-	// Ablation compares LS design-choice variants.
-	Ablation = experiment.Ablation
+	// Table is the outcome of any experiment: aggregated values by (row,
+	// column) with text, CSV and chart renderings.
+	Table = experiment.Table
 )
 
-// Figure3 reproduces Figure 3 (1% updates).
-func Figure3(opts Options) (*Figure, error) { return experiment.RunFigure("Figure 3", 0.01, opts) }
+// Figure3 reproduces Figure 3 (1% updates). Columns 0–2 are the CE, CS
+// and LS success percentages, one row per client count.
+func Figure3(opts Options) (*Table, error) { return experiment.RunFigure("Figure 3", 0.01, opts) }
 
 // Figure4 reproduces Figure 4 (5% updates).
-func Figure4(opts Options) (*Figure, error) { return experiment.RunFigure("Figure 4", 0.05, opts) }
+func Figure4(opts Options) (*Table, error) { return experiment.RunFigure("Figure 4", 0.05, opts) }
 
 // Figure5 reproduces Figure 5 (20% updates).
-func Figure5(opts Options) (*Figure, error) { return experiment.RunFigure("Figure 5", 0.20, opts) }
+func Figure5(opts Options) (*Table, error) { return experiment.RunFigure("Figure 5", 0.20, opts) }
 
 // RunTable2 reproduces Table 2 (cache hit rates).
-func RunTable2(opts Options) (*Table2, error) { return experiment.RunTable2(opts) }
+func RunTable2(opts Options) (*Table, error) { return experiment.Table2().Run(opts) }
 
 // RunTable3 reproduces Table 3 (object response times, 1% updates).
-func RunTable3(opts Options) (*Table3, error) { return experiment.RunTable3(opts) }
+func RunTable3(opts Options) (*Table, error) { return experiment.Table3().Run(opts) }
 
 // RunTable4 reproduces Table 4 (message counts, 100 clients, 1%
 // updates).
-func RunTable4(opts Options) (*Table4, error) { return experiment.RunTable4(opts) }
+func RunTable4(opts Options) (*Table, error) { return experiment.Table4().Run(opts) }

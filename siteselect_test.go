@@ -66,7 +66,7 @@ func TestFigureEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Points) != 1 || f.Points[0].Clients != 4 {
-		t.Fatalf("points = %+v", f.Points)
+	if len(f.Rows) != 1 || f.Rows[0].Clients != 4 {
+		t.Fatalf("rows = %+v", f.Rows)
 	}
 }
