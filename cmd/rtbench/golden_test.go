@@ -161,7 +161,7 @@ func TestGoldenCCComparison(t *testing.T) {
 	checkGolden(t, "occ.golden", text.String())
 }
 
-// csvIDs are the experiment ids that honour -csv.
+// csvIDs are the experiment ids that honoured -csv before every id did.
 var csvIDs = []string{"fig3", "fig4", "fig5", "table2", "table3", "table4", "batch-sweep", "shard-sweep"}
 
 // TestGoldenAll pins the text of every experiment id, in `-exp all`
@@ -189,5 +189,13 @@ func TestGoldenAll(t *testing.T) {
 			}
 		}
 		checkGolden(t, "csv_"+suffix+".golden", csv.String())
+
+		// Every id has a CSV since the study engine; these were added with
+		// that fix and pin the thirteen that had none before.
+		var allCSV strings.Builder
+		if err := runExperiments(params{exp: "all", csv: true, ablateN: 6, ablateU: 0.2}, opts, &allCSV); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "all_csv_"+suffix+".golden", allCSV.String())
 	}
 }

@@ -18,7 +18,9 @@
 // -trace-summary re-runs a figure's CS/LS cells with per-transaction
 // tracing enabled and reports the aggregate miss-cause table (missed
 // transactions classified by the dominant component of their slack
-// attribution) instead of the success-rate figure.
+// attribution) instead of the success-rate figure. Only the figures
+// have one: with another single id it is an error, and -exp all runs
+// the other experiments as usual.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // experiment or scenario run, for hunting simulator hot spots (see
@@ -72,7 +74,7 @@ func run(args []string, out io.Writer) error {
 		scale    = fs.Float64("scale", 1.0, "run-length scale factor in (0,1]")
 		seed     = fs.Int64("seed", 1, "master random seed (per-cell seeds are derived from it)")
 		clients  = fs.String("clients", "", "comma-separated client sweep for figures (default 20,40,60,80,100)")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text (figures and tables)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		reps     = fs.Int("reps", 1, "replications per cell over derived seeds, aggregated as mean ± 95% CI")
 		parallel = fs.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS)")
 		progress = fs.Bool("progress", false, "log per-cell completions with wall-clock timing to stderr")
@@ -174,14 +176,23 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 		}
 		ran = true
 		study := def.Declare(opts, p.ablateN, p.ablateU)
-		if p.traceSummary && def.Traced != nil {
+		switch {
+		case p.traceSummary && def.Traced != nil:
 			study = def.Traced(opts)
+		case p.traceSummary && p.exp != "all":
+			var traced []string
+			for _, d := range experiment.Studies {
+				if d.Traced != nil {
+					traced = append(traced, d.ID)
+				}
+			}
+			return fmt.Errorf("-trace-summary: experiment %q has no miss-cause census (%s do)", p.exp, strings.Join(traced, ", "))
 		}
 		t, err := study.Run(opts)
 		if err != nil {
 			return err
 		}
-		if p.csv && csvHonoured[def.ID] {
+		if p.csv {
 			t.CSV(out)
 		} else {
 			t.Render(out)
@@ -204,13 +215,7 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", p.exp)
+		return fmt.Errorf("unknown experiment %q (want %s, or all)", p.exp, strings.Join(studyIDs(), ", "))
 	}
 	return nil
-}
-
-// csvHonoured are the ids whose -csv flag is honoured.
-var csvHonoured = map[string]bool{
-	"fig3": true, "fig4": true, "fig5": true, "table2": true, "table3": true, "table4": true,
-	"batch-sweep": true, "shard-sweep": true,
 }

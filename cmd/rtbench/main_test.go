@@ -83,8 +83,40 @@ func TestRunExperimentsAblations(t *testing.T) {
 
 func TestRunExperimentsUnknownID(t *testing.T) {
 	var sb strings.Builder
-	if err := runExperiments(params{exp: "nope"}, tiny, &sb); err == nil {
+	err := runExperiments(params{exp: "nope"}, tiny, &sb)
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	for _, id := range studyIDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Fatalf("error does not list %q: %v", id, err)
+		}
+	}
+}
+
+// TestTraceSummaryNeedsAFigure: -trace-summary used to be silently
+// ignored by every id but the figures. A single non-figure id is now an
+// error; -exp all still runs the others untraced.
+func TestTraceSummaryNeedsAFigure(t *testing.T) {
+	var sb strings.Builder
+	err := runExperiments(params{exp: "protocol", traceSummary: true}, tiny, &sb)
+	if err == nil || !strings.Contains(err.Error(), "trace-summary") || sb.Len() != 0 {
+		t.Fatalf("err = %v, output:\n%s", err, sb.String())
+	}
+}
+
+// TestCSVHonouredByEveryID: -csv used to be silently ignored by 13 of
+// the 21 ids, which printed the text table instead.
+func TestCSVHonouredByEveryID(t *testing.T) {
+	for _, id := range []string{"protocol", "outage", "ablate-logging", "occ"} {
+		var sb strings.Builder
+		if err := runExperiments(params{exp: id, csv: true, ablateN: 4, ablateU: 0.2}, tiny, &sb); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		header, _, _ := strings.Cut(sb.String(), "\n")
+		if !strings.Contains(header, ",") || strings.Contains(header, " ") {
+			t.Errorf("%s -csv does not start with a CSV header:\n%s", id, sb.String())
+		}
 	}
 }
 
