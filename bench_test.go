@@ -300,45 +300,6 @@ func BenchmarkPatternSweep(b *testing.B) {
 
 // --- population-scale benchmarks of the state-machine kernel ---
 
-// scaleConfig is a synthetic large-population workload for the scale
-// benchmarks: the paper's protocol stack with hardware constants turned
-// down to modern values (the 1999 12 ms server op on one CPU would
-// saturate long before a million clients could be observed) and loose
-// deadlines, so the run measures kernel throughput rather than overload
-// behavior. Each client submits ~2 transactions over the horizon.
-func scaleConfig(clients int) config.Config {
-	return config.Config{
-		NumClients:       clients,
-		DBSize:           2 * clients,
-		ServerMemory:     100_000,
-		ClientMemory:     256,
-		ClientDisk:       0,
-		MeanInterArrival: 200 * time.Second,
-		MeanLength:       time.Second,
-		MeanSlack:        1000 * time.Second,
-		MeanObjects:      4,
-		UpdateFraction:   0.01,
-		Pattern:          config.PatternLocalizedRW,
-		Deadlines:        config.DeadlineLengthPlusSlack,
-		Scheduling:       config.SchedEDF,
-		HotRegionSize:    200,
-		LocalFraction:    0.9,
-		ZipfTheta:        0.9,
-		DiskRead:         20 * time.Microsecond,
-		DiskWrite:        20 * time.Microsecond,
-		NetLatency:       200 * time.Microsecond,
-		NetBandwidthBps:  1e9,
-		Topology:         config.TopologySwitched,
-		ServerOpCPU:      5 * time.Microsecond,
-		ServerThreads:    100,
-		ClientExecutors:  2,
-		MaxSubtasks:      2,
-		Duration:         400 * time.Second,
-		Drain:            60 * time.Second,
-		Seed:             1,
-	}
-}
-
 // benchScale runs one client-server population of the given size and
 // reports kernel-level throughput and footprint: executed events per
 // wall second, the heap high-water mark, and bytes of heap per
@@ -346,7 +307,7 @@ func scaleConfig(clients int) config.Config {
 // catches the steady-state plateau without perturbing the run.
 func benchScale(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
-		c, err := rtdbs.NewClientServer(scaleConfig(clients))
+		c, err := rtdbs.NewClientServer(config.Scale(clients))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,10 +2,31 @@ package client
 
 import (
 	"testing"
+	"unsafe"
 
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/txn"
 )
+
+// TestPerSiteStructSizes pins what one parked client weighs in structs
+// of this package: at a million clients every word here is 8 MB. The
+// Client ceiling is what keeps a by-value config.Config (424 B) from
+// coming back; the dispatcher's is what keeps a held netsim.Message
+// out of a machine every client owns.
+func TestPerSiteStructSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, ceil uintptr
+	}{
+		{"Client", unsafe.Sizeof(Client{}), 512},
+		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
+		{"genMachine", unsafe.Sizeof(genMachine{}), 176},
+	} {
+		if c.got > c.ceil {
+			t.Errorf("unsafe.Sizeof(%s) = %d B, ceiling %d B", c.name, c.got, c.ceil)
+		}
+	}
+}
 
 // TestFirmRoundBookkeepingZeroAlloc pins the client's converted
 // per-transaction bookkeeping at zero allocations for a steady-state

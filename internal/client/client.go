@@ -31,25 +31,26 @@ import (
 // Client is one client site.
 type Client struct {
 	env *sim.Env
-	cfg config.Config
+	// cfg is the cluster's one configuration, shared by every site and
+	// never written after construction.
+	cfg *config.Config
 	id  netsim.SiteID
 	net *netsim.Network
 	m   *metrics.Collector
 
-	// inbox receives server and peer messages; serverIn is this
-	// client's connection queue at the server; peers holds the other
-	// clients' inboxes for forward-list hops and transaction shipping.
-	inbox    *sim.Mailbox[netsim.Message]
-	serverIn *sim.Mailbox[netsim.Message]
-	peers    map[netsim.SiteID]*sim.Mailbox[netsim.Message]
+	// inbox receives server and peer messages; peers (installed by
+	// SetPeers) holds the other clients' inboxes for forward-list hops
+	// and transaction shipping.
+	inbox *sim.Mailbox[netsim.Message]
+	peers map[netsim.SiteID]*sim.Mailbox[netsim.Message]
 
-	// topo and shardIns route server traffic per shard in multi-server
-	// topologies: shardIns[k] is this client's connection queue at shard
-	// k, with shardIns[0] == serverIn. multiShard is set by SetShards;
-	// while false (the default, and always at Servers <= 1), every
-	// request goes to netsim.ServerSite exactly as before. curFrom is
-	// the sender of the message the dispatcher is currently handling —
-	// the shard a grant's epoch belongs to and a recall is answered at.
+	// topo is the cluster-shared routing map and shardIns[k] this
+	// client's connection queue at shard k (shardIns[0] is the single
+	// server's). While multiShard is false (always at Servers <= 1),
+	// every request goes to netsim.ServerSite exactly as before.
+	// curFrom is the sender of the message the dispatcher is currently
+	// handling — the shard a grant's epoch belongs to and a recall is
+	// answered at.
 	topo       *shardmap.Map
 	shardIns   []*sim.Mailbox[netsim.Message]
 	multiShard bool
@@ -61,7 +62,7 @@ type Client struct {
 	localLocks *lockmgr.BlockingTable
 	log        *wal.Log
 
-	atl *sched.ATL
+	atl sched.ATL
 	gen txn.Source
 
 	loadShare bool
@@ -193,30 +194,31 @@ type shardLoad struct {
 	reply proto.LoadReply
 }
 
-// New returns a client site. inbox is this client's message queue;
-// serverIn is its connection queue at the server. Peers must be set via
-// SetPeers before Start when forward lists or shipping are enabled.
-func New(env *sim.Env, cfg config.Config, id netsim.SiteID, net *netsim.Network,
-	m *metrics.Collector, inbox, serverIn *sim.Mailbox[netsim.Message],
+// New returns a client site. cfg and topo are the cluster's, shared by
+// every site; inbox is this client's message queue and shardIns[k] its
+// connection queue at server shard k (one entry at a single server).
+// Peers must be set via SetPeers before Start when forward lists or
+// shipping are enabled.
+func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
+	m *metrics.Collector, inbox *sim.Mailbox[netsim.Message],
+	topo *shardmap.Map, shardIns []*sim.Mailbox[netsim.Message],
 	gen txn.Source, loadShare bool) *Client {
 	c := &Client{
-		env:       env,
-		cfg:       cfg,
-		id:        id,
-		net:       net,
-		m:         m,
-		inbox:     inbox,
-		serverIn:  serverIn,
-		peers:     make(map[netsim.SiteID]*sim.Mailbox[netsim.Message]),
-		objects:   cache.New(cfg.ClientMemory, cfg.ClientDisk),
-		localDisk: sim.NewResource(env, 1),
-		slots:     sim.NewResource(env, cfg.ClientExecutors),
-		atl:       &sched.ATL{Default: cfg.MeanLength},
-		gen:       gen,
-		loadShare: loadShare,
+		env:        env,
+		cfg:        cfg,
+		id:         id,
+		net:        net,
+		m:          m,
+		inbox:      inbox,
+		topo:       topo,
+		shardIns:   shardIns,
+		multiShard: topo.Multi(),
+		objects:    cache.New(cfg.ClientMemory, cfg.ClientDisk),
+		slots:      sim.NewResource(env, cfg.ClientExecutors),
+		atl:        sched.ATL{Default: cfg.MeanLength},
+		gen:        gen,
+		loadShare:  loadShare,
 	}
-	c.topo = shardmap.New(cfg.Sharding)
-	c.shardIns = []*sim.Mailbox[netsim.Message]{serverIn}
 	c.faulty = cfg.Faults.Enabled()
 	c.rto = cfg.EffectiveRetryTimeout()
 	if cfg.ClientExecutors > 1 {
@@ -224,6 +226,11 @@ func New(env *sim.Env, cfg config.Config, id netsim.SiteID, net *netsim.Network,
 		// objects it caches, and a dense database-wide index per client
 		// would dominate memory at large populations.
 		c.localLocks = lockmgr.NewBlockingTable(env)
+	}
+	if cfg.ClientDisk > 0 || cfg.UseLogging {
+		// The local disk arm serves disk-tier cache reads and the log;
+		// a client configured with neither has no disk to model.
+		c.localDisk = sim.NewResource(env, 1)
 	}
 	if cfg.UseLogging {
 		c.log = wal.New(env, c.localDisk, cfg.DiskWrite)
@@ -277,7 +284,7 @@ func (c *Client) AuditPending(grace time.Duration) error {
 }
 
 // ATL exposes the observed average transaction length.
-func (c *Client) ATL() *sched.ATL { return c.atl }
+func (c *Client) ATL() *sched.ATL { return &c.atl }
 
 // SetPeers installs the clients' inbox routing table. The map is shared
 // by reference across all clients (it may include this client's own
@@ -382,20 +389,20 @@ func (g *genMachine) Resume() {
 
 // dispMachine routes incoming messages. During an injected outage the
 // messages queue in the inbox (plus at most one held in-hand) and drain
-// only after the client restarts.
+// only after the client restarts. The held message is boxed when an
+// outage catches one: every client has a dispatcher, almost none ever
+// sees an outage.
 type dispMachine struct {
 	task sim.Task
 	c    *Client
-	held netsim.Message
-	hold bool
+	held *netsim.Message
 }
 
 func (d *dispMachine) Resume() {
 	c := d.c
-	if d.hold {
-		d.hold = false
-		msg := d.held
-		d.held = netsim.Message{}
+	if d.held != nil {
+		msg := *d.held
+		d.held = nil
 		c.dispatchMsg(msg)
 	}
 	for {
@@ -404,7 +411,8 @@ func (d *dispMachine) Resume() {
 			return
 		}
 		if d.task.Now() < c.outageEnd {
-			d.held, d.hold = msg, true
+			held := msg // a copy, so msg itself stays off the heap
+			d.held = &held
 			d.task.SleepUntil(c.outageEnd)
 			return
 		}

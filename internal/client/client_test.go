@@ -12,6 +12,7 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/rng"
+	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 )
@@ -60,7 +61,8 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		Access:           access,
 	}, func() txn.ID { id++; return id })
 
-	cl := New(env, cfg, 1, net, &metrics.Collector{}, inbox, toSrv, gen, true)
+	cl := New(env, &cfg, 1, net, &metrics.Collector{}, inbox,
+		shardmap.New(cfg.Sharding), []*sim.Mailbox[netsim.Message]{toSrv}, gen, true)
 	cl.SetPeers(map[netsim.SiteID]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
 	cl.startDispatcher()

@@ -7,7 +7,6 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/shardmap"
-	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 )
 
@@ -27,17 +26,6 @@ import (
 type deferredRecall struct {
 	r    proto.Recall
 	from netsim.SiteID
-}
-
-// SetShards installs the cluster's shard routing: the shared topology
-// map and this client's connection queue at every shard (ins[0] must be
-// the queue passed to New). Call before Start in multi-server
-// topologies; without it the client behaves as if facing the single
-// server at netsim.ServerSite.
-func (c *Client) SetShards(topo *shardmap.Map, ins []*sim.Mailbox[netsim.Message]) {
-	c.topo = topo
-	c.shardIns = ins
-	c.multiShard = topo.Multi()
 }
 
 // homeSite returns the shard site authoritative for obj.

@@ -322,6 +322,48 @@ func DefaultCentralized(n int, updateFraction float64) Config {
 	return c
 }
 
+// Scale returns the population-tier configuration: the paper's protocol
+// stack with hardware constants turned down to modern values (the 1999
+// 12 ms server op on one CPU would saturate long before a large
+// population could be observed) and loose deadlines, so a run measures
+// the simulator's bookkeeping rather than overload behavior. Each
+// client submits ~2 transactions over the horizon. It is what
+// BenchmarkScaleSmoke/Scale100x run and what the footprint pin in
+// internal/rtdbs builds; bench/workloads/scale_*.rts spell out the same
+// constants.
+func Scale(clients int) Config {
+	return Config{
+		NumClients:       clients,
+		DBSize:           2 * clients,
+		ServerMemory:     100_000,
+		ClientMemory:     256,
+		ClientDisk:       0,
+		MeanInterArrival: 200 * time.Second,
+		MeanLength:       time.Second,
+		MeanSlack:        1000 * time.Second,
+		MeanObjects:      4,
+		UpdateFraction:   0.01,
+		Pattern:          PatternLocalizedRW,
+		Deadlines:        DeadlineLengthPlusSlack,
+		Scheduling:       SchedEDF,
+		HotRegionSize:    200,
+		LocalFraction:    0.9,
+		ZipfTheta:        0.9,
+		DiskRead:         20 * time.Microsecond,
+		DiskWrite:        20 * time.Microsecond,
+		NetLatency:       200 * time.Microsecond,
+		NetBandwidthBps:  1e9,
+		Topology:         TopologySwitched,
+		ServerOpCPU:      5 * time.Microsecond,
+		ServerThreads:    100,
+		ClientExecutors:  2,
+		MaxSubtasks:      2,
+		Duration:         400 * time.Second,
+		Drain:            60 * time.Second,
+		Seed:             1,
+	}
+}
+
 // Validate reports the first invalid parameter.
 func (c Config) Validate() error {
 	switch {

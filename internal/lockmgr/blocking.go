@@ -22,23 +22,21 @@ var (
 // All lock mutations must go through the wrapper so that waiters are
 // woken.
 type BlockingTable struct {
-	env     *sim.Env
-	table   *Table
+	env   *sim.Env
+	table Table
+	// wakeups is made by the first request that queues, like the
+	// table's own maps: every client site owns a BlockingTable.
 	wakeups map[*Request]*sim.Signal
 }
 
 // NewBlockingTable returns a wrapper around a fresh Table.
 func NewBlockingTable(env *sim.Env) *BlockingTable {
-	return &BlockingTable{
-		env:     env,
-		table:   NewTable(),
-		wakeups: make(map[*Request]*sim.Signal),
-	}
+	return &BlockingTable{env: env}
 }
 
 // Table exposes the underlying table for inspection (Audit, holder
 // queries). Mutations must use the wrapper methods.
-func (bt *BlockingTable) Table() *Table { return bt.table }
+func (bt *BlockingTable) Table() *Table { return &bt.table }
 
 // Reserve pre-sizes the underlying table's entry index.
 func (bt *BlockingTable) Reserve(n int) { bt.table.Reserve(n) }
@@ -68,6 +66,9 @@ func (o *LockOp) Start(bt *BlockingTable, t *sim.Task, req *Request) (bool, erro
 		return true, ErrDeadlock
 	}
 	o.sig = sim.NewSignal(bt.env)
+	if bt.wakeups == nil {
+		bt.wakeups = make(map[*Request]*sim.Signal)
+	}
 	bt.wakeups[req] = o.sig
 	return o.wait(t)
 }

@@ -99,6 +99,12 @@ func (r *Request) Waiting() bool { return r.waiting }
 // the database would dwarf the client itself at large populations).
 // Spent entries recycle through a free list instead of churning the
 // allocator either way.
+//
+// The four maps (sparse, waits, heldBy, waiting) are made by the first
+// write to each: every client site owns a table, and at population
+// scale most never lock anything and almost none ever queue a request.
+// Reads of a nil map are reads of an empty one, so only the writes
+// check.
 type Table struct {
 	dense   bool
 	entries []*entry            // dense: indexed by ObjectID; nil when no locks or waiters
@@ -177,14 +183,7 @@ type entry struct {
 }
 
 // NewTable returns an empty lock table.
-func NewTable() *Table {
-	return &Table{
-		sparse:  make(map[ObjectID]*entry),
-		waits:   make(map[OwnerID]map[OwnerID]int),
-		heldBy:  make(map[OwnerID][]ObjectID),
-		waiting: make(map[OwnerID][]objCount),
-	}
-}
+func NewTable() *Table { return &Table{} }
 
 // Reserve switches the table to the dense entry index, pre-sized for
 // object ids in [0, n). Call it before first use when the table will
@@ -227,6 +226,9 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 		}
 		t.entries[obj] = e
 	} else {
+		if t.sparse == nil {
+			t.sparse = make(map[ObjectID]*entry)
+		}
 		t.sparse[obj] = e
 	}
 	return e
@@ -285,6 +287,9 @@ func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
 		if n := len(t.objsFree); n > 0 {
 			objs = t.objsFree[n-1]
 			t.objsFree = t.objsFree[:n-1]
+		}
+		if t.heldBy == nil {
+			t.heldBy = make(map[OwnerID][]ObjectID)
 		}
 	}
 	t.heldBy[owner] = append(objs, obj)
@@ -428,6 +433,9 @@ func (t *Table) enqueue(e *entry, req *Request) {
 	} else if n := len(t.countsFree); n > 0 {
 		counts = t.countsFree[n-1]
 		t.countsFree = t.countsFree[:n-1]
+	}
+	if t.waiting == nil {
+		t.waiting = make(map[OwnerID][]objCount)
 	}
 	t.waiting[req.Owner] = append(counts, objCount{obj: req.Obj, n: 1})
 }
@@ -719,9 +727,16 @@ func (t *Table) addEdge(from, to OwnerID) {
 		} else {
 			m = make(map[OwnerID]int)
 		}
-		t.waits[from] = m
+		t.setWaits(from, m)
 	}
 	m[to]++
+}
+
+func (t *Table) setWaits(from OwnerID, m map[OwnerID]int) {
+	if t.waits == nil {
+		t.waits = make(map[OwnerID]map[OwnerID]int)
+	}
+	t.waits[from] = m
 }
 
 // dropEdgesFrom removes the wait edges the request for obj created. Edges
@@ -765,7 +780,7 @@ func (t *Table) dropEdgesFrom(owner OwnerID, obj ObjectID) {
 		delete(t.waits, owner)
 		t.waitsFree = append(t.waitsFree, m)
 	} else {
-		t.waits[owner] = m
+		t.setWaits(owner, m)
 	}
 }
 

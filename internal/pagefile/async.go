@@ -10,11 +10,13 @@ import "siteselect/internal/sim"
 // signal).
 
 // ioOp is one disk access: acquire the arm, hold it for the access
-// time, release, count, copy. Pages never written read as zeroes.
+// time, release, count, move the stamp. stamp is what a write stores
+// and, once step reports done, what a read found; pages never written
+// read as zero.
 type ioOp struct {
 	d     *Disk
 	id    PageID
-	buf   []byte
+	stamp uint64
 	write bool
 	pc    uint8
 }
@@ -25,8 +27,8 @@ const (
 	ioFinish
 )
 
-func (o *ioOp) start(d *Disk, write bool, id PageID, buf []byte) {
-	o.d, o.id, o.buf, o.write, o.pc = d, id, buf, write, ioAcquire
+func (o *ioOp) start(d *Disk, write bool, id PageID, stamp uint64) {
+	o.d, o.id, o.stamp, o.write, o.pc = d, id, stamp, write, ioAcquire
 }
 
 // step advances the access; false means the task parked and step must
@@ -52,19 +54,11 @@ func (o *ioOp) step(t *sim.Task) bool {
 			d.arm.Release()
 			if o.write {
 				d.Writes++
-				if d.pages[o.id] == nil {
-					d.pages[o.id] = make([]byte, PageSize)
-				}
-				copy(d.pages[o.id], o.buf)
+				d.pages[o.id] = o.stamp
 			} else {
 				d.Reads++
-				if d.pages[o.id] == nil {
-					clear(o.buf)
-				} else {
-					copy(o.buf, d.pages[o.id])
-				}
+				o.stamp = d.pages[o.id]
 			}
-			o.buf = nil
 			return true
 		}
 	}
@@ -89,7 +83,7 @@ const (
 // dirty its write-back has been started in io and must be stepped to
 // completion before the frame is used.
 func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
-	if bp.allocated < bp.cap {
+	if bp.allocated < len(bp.slab) {
 		f := bp.newFrame(id)
 		bp.frames[id] = f
 		return f, allocReady
@@ -106,11 +100,10 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	bp.Evictions++
 
 	// Re-key the victim frame in place: it is unpinned, so it is not
-	// loading and its loaded signal has no waiters — the frame, its data
-	// buffer, and its signal are all safe to reuse. Marking it loading
-	// first makes other getters of id wait rather than double-read; the
-	// write-back and read that follow park, so the map must already
-	// reflect the claim.
+	// loading and its loaded signal has no waiters — the frame and its
+	// signal are safe to reuse. Marking it loading first makes other
+	// getters of id wait rather than double-read; the write-back and
+	// read that follow park, so the map must already reflect the claim.
 	delete(bp.frames, vid)
 	wasDirty := vf.dirty
 	vf.id = id
@@ -120,7 +113,7 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	bp.frames[id] = vf
 	if wasDirty {
 		bp.DirtyWrites++
-		io.start(bp.disk, true, vid, vf.Data)
+		io.start(bp.disk, true, vid, vf.Stamp)
 		return vf, allocWriteback
 	}
 	return vf, allocReady
@@ -190,12 +183,13 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 			g.pc = gpMiss
 		case gpMiss:
 			bp.Misses++
-			g.io.start(bp.disk, false, g.id, g.f.Data)
+			g.io.start(bp.disk, false, g.id, 0)
 			g.pc = gpRead
 		default: // gpRead
 			if !g.io.step(t) {
 				return false, nil
 			}
+			g.f.Stamp = g.io.stamp
 			g.f.loading = false
 			g.f.loaded.Broadcast()
 			return true, nil
@@ -203,18 +197,18 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 	}
 }
 
-// PutOp installs data as the current contents of a page without reading
-// the old contents from disk (used when a client returns a modified
-// object: the server has the authoritative new copy in hand). The page
-// becomes resident and dirty; eviction writes it back. A full pool
-// evicts (and possibly writes back) a victim first.
+// PutOp installs stamp as the current contents of a page without
+// reading the old contents from disk (used when a client returns a
+// modified object: the server has the authoritative new copy in hand).
+// The page becomes resident and dirty; eviction writes it back. A full
+// pool evicts (and possibly writes back) a victim first.
 type PutOp struct {
-	bp   *BufferPool
-	id   PageID
-	data []byte
-	f    *Frame
-	io   ioOp
-	pc   uint8
+	bp    *BufferPool
+	id    PageID
+	stamp uint64
+	f     *Frame
+	io    ioOp
+	pc    uint8
 }
 
 const (
@@ -223,11 +217,9 @@ const (
 	ppInstall
 )
 
-// Init arms the op to install data as page id in bp. The data slice is
-// read when the install completes, so it must stay valid until Step
-// reports done.
-func (o *PutOp) Init(bp *BufferPool, id PageID, data []byte) {
-	o.bp, o.id, o.data, o.f, o.pc = bp, id, data, nil, ppLookup
+// Init arms the op to install stamp as page id in bp.
+func (o *PutOp) Init(bp *BufferPool, id PageID, stamp uint64) {
+	o.bp, o.id, o.stamp, o.f, o.pc = bp, id, stamp, nil, ppLookup
 }
 
 // Step advances the install; false means the task parked and Step must
@@ -245,10 +237,9 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 					t.Wait(f.loaded)
 					return false, nil
 				}
-				copy(f.Data, o.data)
+				f.Stamp = o.stamp
 				f.dirty = true
 				bp.touch(f)
-				o.data = nil
 				return true, nil
 			}
 			f, act := bp.allocate(t, &o.io, o.id)
@@ -268,12 +259,11 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 			o.pc = ppInstall
 		default: // ppInstall
 			f := o.f
-			copy(f.Data, o.data)
+			f.Stamp = o.stamp
 			f.dirty = true
 			f.loading = false
 			f.loaded.Broadcast()
 			bp.Unpin(f, true)
-			o.data = nil
 			return true, nil
 		}
 	}

@@ -3,17 +3,21 @@ package pagefile
 import "siteselect/internal/sim"
 
 // Frame is a buffer-pool slot holding one page. Callers pin a frame with
-// a GetOp, read or modify Data, and release it with Unpin.
+// a GetOp, read or modify Stamp, and release it with Unpin.
 type Frame struct {
-	id      PageID
-	Data    []byte
-	pins    int
-	dirty   bool
-	loading bool
-	loaded  *sim.Signal
+	id PageID
+	// Stamp is the page's content. The model charges a page's 2 KB in
+	// transfer and disk time; the only content any site ever stores in
+	// one is the version of the object it holds, so that is all a frame
+	// (and a disk page) carries.
+	Stamp  uint64
+	pins   int
+	loaded *sim.Signal
 	// Intrusive LRU links: the frame is its own list node, so pin/unpin
 	// cycles and evictions allocate nothing.
 	prev, next *Frame
+	dirty      bool
+	loading    bool
 	inLRU      bool
 }
 
@@ -35,13 +39,11 @@ type BufferPool struct {
 	disk   *Disk
 	cap    int
 	frames map[PageID]*Frame
-	// slab and arena back the pool's frames: all Frame structs and all
-	// page bytes live in two contiguous allocations carved out on first
-	// use, instead of one struct + one 2 KB Data slice per frame. The
-	// pool's working set stays cache-adjacent and the GC sees two
-	// objects where it saw 2·capacity.
+	// slab backs the pool's frames: one contiguous allocation newFrame
+	// carves from, so the working set stays cache-adjacent and the GC
+	// sees one object. It holds min(cap, disk pages) frames — a pool
+	// can never fill more than the disk has pages.
 	slab      []Frame
-	arena     []byte
 	allocated int
 	// lruFront/lruBack hold unpinned frames; front = most recent.
 	lruFront, lruBack *Frame
@@ -60,29 +62,24 @@ func NewBufferPool(env *sim.Env, disk *Disk, capacity int) *BufferPool {
 	if capacity <= 0 {
 		panic("pagefile: buffer pool capacity must be positive")
 	}
+	n := min(capacity, disk.NumPages())
 	return &BufferPool{
 		env:    env,
 		disk:   disk,
 		cap:    capacity,
-		frames: make(map[PageID]*Frame, capacity),
+		frames: make(map[PageID]*Frame, n),
+		slab:   make([]Frame, n),
 		free:   sim.NewSignal(env),
 	}
 }
 
-// Capacity returns the number of frames.
+// Capacity returns the configured number of frames.
 func (bp *BufferPool) Capacity() int { return bp.cap }
 
-// newFrame carves the next frame slot (and its page bytes) out of the
-// pool's slab, pinned and loading. Callers must have checked
-// bp.allocated < bp.cap.
+// newFrame carves the next frame slot out of the pool's slab, pinned
+// and loading. Callers must have checked bp.allocated < len(bp.slab).
 func (bp *BufferPool) newFrame(id PageID) *Frame {
-	if bp.slab == nil {
-		bp.slab = make([]Frame, bp.cap)
-		bp.arena = make([]byte, bp.cap*PageSize)
-	}
 	f := &bp.slab[bp.allocated]
-	off := bp.allocated * PageSize
-	f.Data = bp.arena[off : off+PageSize : off+PageSize]
 	bp.allocated++
 	f.id = id
 	f.pins = 1

@@ -5,6 +5,11 @@
 // serialized and charged a configurable latency, so buffer hits are free
 // and misses queue on the device — the asymmetry that throttles the
 // centralized server in the paper's experiments.
+//
+// A page is the paper's 2 KB in what it costs — the wire size of an
+// object transfer (netsim.ObjectBytes) and one disk access time — and
+// an 8-byte stamp in what it holds: the version of the object stored in
+// it, which is the only content any site ever wrote into a page body.
 package pagefile
 
 import (
@@ -13,9 +18,6 @@ import (
 
 	"siteselect/internal/sim"
 )
-
-// PageSize is the paper's page/object size in bytes.
-const PageSize = 2048
 
 // PageID numbers pages within a file, starting at zero.
 type PageID int
@@ -38,14 +40,14 @@ type Disk struct {
 	env   *sim.Env
 	cfg   DiskConfig
 	arm   *sim.Resource
-	pages [][]byte
+	pages []uint64 // one stamp a page; see Frame.Stamp
 
 	// Reads and Writes count completed operations.
 	Reads  int64
 	Writes int64
 }
 
-// NewDisk returns a disk with numPages zero-filled pages.
+// NewDisk returns a disk with numPages pages, all stamped zero.
 func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 	if numPages <= 0 {
 		panic("pagefile: disk needs at least one page")
@@ -54,7 +56,7 @@ func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 		env:   env,
 		cfg:   cfg,
 		arm:   sim.NewResource(env, 1),
-		pages: make([][]byte, numPages),
+		pages: make([]uint64, numPages),
 	}
 }
 

@@ -9,11 +9,18 @@ import (
 	"siteselect/internal/sim/simtest"
 )
 
-// diskIO is a step that performs one disk access through ioOp.
-func diskIO(d *Disk, write bool, id PageID, buf []byte) simtest.Step {
+// diskIO is a step that performs one disk access through ioOp: a write
+// stores *stamp, a read leaves what it found there.
+func diskIO(d *Disk, write bool, id PageID, stamp *uint64) simtest.Step {
 	var op ioOp
-	op.start(d, write, id, buf)
-	return op.step
+	op.start(d, write, id, *stamp)
+	return func(t *sim.Task) bool {
+		if !op.step(t) {
+			return false
+		}
+		*stamp = op.stamp
+		return true
+	}
 }
 
 // getErr is a step that pins page id through a GetOp, storing the frame
@@ -45,10 +52,10 @@ func get(t *testing.T, bp *BufferPool, id PageID, f **Frame) simtest.Step {
 	}
 }
 
-// put is a step that installs data as page id through a PutOp.
-func put(bp *BufferPool, id PageID, data []byte, err *error) simtest.Step {
+// put is a step that installs stamp as page id through a PutOp.
+func put(bp *BufferPool, id PageID, stamp uint64, err *error) simtest.Step {
 	var op PutOp
-	op.Init(bp, id, data)
+	op.Init(bp, id, stamp)
 	return func(t *sim.Task) bool {
 		done, e := op.Step(t)
 		if done {
@@ -82,17 +89,10 @@ func run(t *testing.T, env *sim.Env, steps ...simtest.Step) {
 func TestDiskReadWriteRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
-	out := make([]byte, PageSize)
-	in := make([]byte, PageSize)
-	for i := range in {
-		in[i] = byte(i)
-	}
-	run(t, env, diskIO(d, true, 3, in), diskIO(d, false, 3, out))
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("byte %d = %d, want %d", i, out[i], in[i])
-			break
-		}
+	in, out := uint64(0x0123456789ABCDEF), uint64(0)
+	run(t, env, diskIO(d, true, 3, &in), diskIO(d, false, 3, &out))
+	if out != in {
+		t.Errorf("read back %#x, want %#x", out, in)
 	}
 	if d.Reads != 1 || d.Writes != 1 {
 		t.Fatalf("reads=%d writes=%d", d.Reads, d.Writes)
@@ -105,11 +105,10 @@ func TestDiskReadWriteRoundTrip(t *testing.T) {
 func TestDiskUnwrittenPageReadsZero(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DefaultDiskConfig())
-	buf := make([]byte, PageSize)
-	buf[0] = 0xFF
-	run(t, env, diskIO(d, false, 0, buf))
-	if buf[0] != 0 {
-		t.Error("unwritten page not zeroed")
+	got := uint64(0xFF)
+	run(t, env, diskIO(d, false, 0, &got))
+	if got != 0 {
+		t.Errorf("unwritten page read %#x, want 0", got)
 	}
 }
 
@@ -121,7 +120,7 @@ func TestDiskOutOfRange(t *testing.T) {
 	var rerr, werr error
 	run(t, env,
 		getErr(bp, 4, &f, &rerr),
-		put(bp, -1, make([]byte, PageSize), &werr))
+		put(bp, -1, 1, &werr))
 	if rerr == nil {
 		t.Error("read past end did not fail")
 	}
@@ -139,7 +138,7 @@ func TestDiskSerializesRequests(t *testing.T) {
 	finished := 0
 	for i := 0; i < 3; i++ {
 		simtest.Spawn(env,
-			diskIO(d, false, PageID(i), make([]byte, PageSize)),
+			diskIO(d, false, PageID(i), new(uint64)),
 			do(func(*sim.Task) { finished++ }))
 	}
 	env.RunAll()
@@ -208,16 +207,22 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	run(t, env,
 		get(t, bp, 5, &f),
 		do(func(*sim.Task) {
-			f.Data[0] = 0xAB
+			f.Stamp = 0xAB
 			bp.Unpin(f, true)
 		}),
-		// Evict page 5 by loading another page.
+		// Evict page 5 by loading another page, never written: the
+		// re-keyed frame must not keep its victim's stamp.
 		get(t, bp, 6, &f),
-		do(func(*sim.Task) { bp.Unpin(f, false) }),
+		do(func(*sim.Task) {
+			if f.Stamp != 0 {
+				t.Errorf("never-written page read %#x through a re-keyed frame, want 0", f.Stamp)
+			}
+			bp.Unpin(f, false)
+		}),
 		// Re-read 5 from disk: modification must have survived.
 		get(t, bp, 5, &f),
 		do(func(*sim.Task) {
-			if f.Data[0] != 0xAB {
+			if f.Stamp != 0xAB {
 				t.Error("dirty page lost on eviction")
 			}
 			bp.Unpin(f, false)
@@ -264,12 +269,18 @@ func TestConcurrentGetSingleRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 4)
+	d.pages[7] = 0xC0FFEE
 	done := 0
 	for i := 0; i < 5; i++ {
 		var f *Frame
 		simtest.Spawn(env,
 			get(t, bp, 7, &f),
 			do(func(*sim.Task) {
+				// The four that waited on the loading frame see what
+				// the one read brought in.
+				if f.Stamp != 0xC0FFEE {
+					t.Errorf("getter %d saw stamp %#x, want 0xC0FFEE", done, f.Stamp)
+				}
 				bp.Unpin(f, false)
 				done++
 			}))
@@ -315,6 +326,34 @@ func TestMultiGetSharesReadOfRepeatedPage(t *testing.T) {
 	}
 }
 
+// A pool configured larger than its disk holds frames for the disk's
+// pages only (the 10k scale cell runs a 100 000-frame pool over 20 000
+// pages), reports the configured capacity, and still serves every page
+// without evicting.
+func TestPoolLargerThanDiskSizesForDisk(t *testing.T) {
+	env := sim.NewEnv()
+	d := NewDisk(env, 3, DefaultDiskConfig())
+	bp := NewBufferPool(env, d, 1000)
+	if bp.Capacity() != 1000 {
+		t.Errorf("Capacity() = %d, want the configured 1000", bp.Capacity())
+	}
+	if len(bp.slab) != 3 {
+		t.Errorf("slab holds %d frames over a 3-page disk", len(bp.slab))
+	}
+	var f *Frame
+	unpin := do(func(*sim.Task) { bp.Unpin(f, false) })
+	var steps []simtest.Step
+	for round := 0; round < 2; round++ {
+		for id := PageID(0); id < 3; id++ {
+			steps = append(steps, get(t, bp, id, &f), unpin)
+		}
+	}
+	run(t, env, steps...)
+	if bp.Misses != 3 || bp.Hits != 3 || bp.Evictions != 0 {
+		t.Errorf("misses=%d hits=%d evictions=%d, want 3/3/0", bp.Misses, bp.Hits, bp.Evictions)
+	}
+}
+
 func TestUnpinUnderflowPanics(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DefaultDiskConfig())
@@ -336,26 +375,26 @@ func TestWriteBackConsistencyProperty(t *testing.T) {
 		env := sim.NewEnv()
 		d := NewDisk(env, 8, DiskConfig{ReadTime: time.Millisecond, WriteTime: time.Millisecond})
 		bp := NewBufferPool(env, d, 3)
-		want := map[PageID]byte{}
+		want := map[PageID]uint64{}
 		pass := true
 		var fr *Frame
 		var err error
 		var steps []simtest.Step
 		for i, op := range ops {
-			id, v := PageID(op%8), byte(i+1)
+			id, v := PageID(op%8), uint64(i+1)
 			want[id] = v
 			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
 				if err != nil {
 					pass = false
 					return
 				}
-				fr.Data[0] = v
+				fr.Stamp = v
 				bp.Unpin(fr, true)
 			}))
 		}
 		for id, v := range want {
 			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
-				if err != nil || fr.Data[0] != v {
+				if err != nil || fr.Stamp != v {
 					pass = false
 					return
 				}
@@ -366,7 +405,7 @@ func TestWriteBackConsistencyProperty(t *testing.T) {
 		env.RunAll()
 		// Whatever eviction wrote back must match too.
 		for id, v := range want {
-			if !bp.Contains(id) && (d.pages[id] == nil || d.pages[id][0] != v) {
+			if !bp.Contains(id) && d.pages[id] != v {
 				pass = false
 			}
 		}
@@ -381,12 +420,10 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	data := make([]byte, PageSize)
-	data[0] = 0x42
 	var f *Frame
 	var err error
 	run(t, env,
-		put(bp, 3, data, &err),
+		put(bp, 3, 0x42, &err),
 		do(func(*sim.Task) {
 			if err != nil {
 				t.Errorf("put: %v", err)
@@ -398,7 +435,7 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 		}),
 		get(t, bp, 3, &f),
 		do(func(*sim.Task) {
-			if f.Data[0] != 0x42 {
+			if f.Stamp != 0x42 {
 				t.Error("Put data lost")
 			}
 			if !f.Dirty() {
@@ -412,24 +449,22 @@ func TestPutOverwritesResidentPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
-	data := make([]byte, PageSize)
-	data[0] = 9
 	var f *Frame
 	var err error
 	run(t, env,
 		get(t, bp, 1, &f),
 		do(func(*sim.Task) {
-			f.Data[0] = 1
+			f.Stamp = 1
 			bp.Unpin(f, true)
 		}),
-		put(bp, 1, data, &err),
+		put(bp, 1, 9, &err),
 		get(t, bp, 1, &f),
 		do(func(*sim.Task) {
 			if err != nil {
 				t.Errorf("put: %v", err)
 			}
-			if f.Data[0] != 9 {
-				t.Errorf("resident overwrite lost: %d", f.Data[0])
+			if f.Stamp != 9 {
+				t.Errorf("resident overwrite lost: %d", f.Stamp)
 			}
 			bp.Unpin(f, false)
 		}))
@@ -440,7 +475,7 @@ func TestPutRejectsBadPage(t *testing.T) {
 	d := NewDisk(env, 4, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
 	var err error
-	run(t, env, put(bp, 99, make([]byte, PageSize), &err))
+	run(t, env, put(bp, 99, 1, &err))
 	if err == nil {
 		t.Error("out-of-range Put accepted")
 	}
@@ -450,7 +485,7 @@ func TestDiskResourceShared(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	var t2 time.Duration
-	simtest.Spawn(env, diskIO(d, false, 0, make([]byte, PageSize)))
+	simtest.Spawn(env, diskIO(d, false, 0, new(uint64)))
 	simtest.Spawn(env,
 		// Co-located work on the same spindle waits behind the read.
 		simtest.Park(func(task *sim.Task) bool { return !task.Acquire(d.Resource(), 0) }),

@@ -19,9 +19,11 @@ import (
 
 // Stream is a deterministic source of random variates. Its draws are
 // those of rand.New(rand.NewSource(seed)), which every golden pins, but
-// it is a few dozen bytes until its 274th draw (see source).
+// it is a few dozen bytes until its 274th draw (see source). The
+// rand.Rand is held by value and reads src through a pointer into the
+// same struct, so a stream is one heap object; never copy a Stream.
 type Stream struct {
-	r   *rand.Rand
+	r   rand.Rand
 	src source
 }
 
@@ -29,7 +31,7 @@ type Stream struct {
 func NewStream(seed int64) *Stream {
 	s := &Stream{}
 	s.src.Seed(seed)
-	s.r = rand.New(&s.src)
+	s.r = *rand.New(&s.src)
 	return s
 }
 
@@ -152,7 +154,7 @@ func NewZipf(stream *Stream, theta float64, n int) *Zipf {
 		panic("rng: Zipf needs theta > 0")
 	}
 	if theta > 1 {
-		return &Zipf{stream: stream, z: rand.NewZipf(stream.r, theta, 1, uint64(n-1))}
+		return &Zipf{stream: stream, z: rand.NewZipf(&stream.r, theta, 1, uint64(n-1))}
 	}
 	return &Zipf{stream: stream, cdf: zipfCDF(theta, n)}
 }

@@ -159,22 +159,26 @@ func TestStreamAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { dense.Float64() }); n != 0 {
 		t.Errorf("steady-state draw allocates %v per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { NewStream(5).Float64() }); n > 2 {
-		t.Errorf("NewStream + first draw allocates %v times, want <= 2", n)
+	if n := testing.AllocsPerRun(100, func() { sinkStream = NewStream(5); sinkStream.Float64() }); n != 1 {
+		t.Errorf("NewStream + first draw allocates %v times, want 1 (the Stream holds its rand.Rand by value)", n)
 	}
 	const n = 1000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		sink += NewStream(int64(i)).Intn(1 << 20)
+		sinkStream = NewStream(int64(i))
+		sink += sinkStream.Intn(1 << 20)
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / n; got >= 128 {
-		t.Errorf("NewStream + first draw allocates %d B, want < 128", got)
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got > 64 {
+		t.Errorf("NewStream + first draw allocates %d B, want <= 64", got)
 	}
 }
 
-var sink int
+var (
+	sink       int
+	sinkStream *Stream // keeps a stream under test on the heap
+)
 
 // BenchmarkStreamFirstDraw is what every client pays three times at
 // set-up: a new stream and one variate from it.

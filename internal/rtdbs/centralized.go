@@ -1,7 +1,6 @@
 package rtdbs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -470,7 +469,7 @@ func (m *ceTxnMachine) step() bool {
 			dirty := op.Write
 			if dirty {
 				ce.versions[op.Obj]++
-				binary.LittleEndian.PutUint64(m.read.frames[i].Data, uint64(ce.versions[op.Obj]))
+				m.read.frames[i].Stamp = uint64(ce.versions[op.Obj])
 				if ce.log != nil {
 					lastLSN = ce.log.Append(int64(t.ID), op.Obj, ce.versions[op.Obj])
 				}

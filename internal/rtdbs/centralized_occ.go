@@ -1,8 +1,6 @@
 package rtdbs
 
 import (
-	"encoding/binary"
-
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/occ"
@@ -137,7 +135,7 @@ func (m *occTxnMachine) step() bool {
 			for i, obj := range m.objs {
 				dirty := m.writes[i]
 				if dirty {
-					binary.LittleEndian.PutUint64(m.read.frames[i].Data, uint64(ce.valid.Version(obj)))
+					m.read.frames[i].Stamp = uint64(ce.valid.Version(obj))
 				}
 				ce.pool.Unpin(m.read.frames[i], dirty)
 			}

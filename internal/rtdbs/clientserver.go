@@ -25,6 +25,8 @@ import (
 // algorithm. servers[0] is shard 0 at netsim.ServerSite; server aliases
 // it for the single-server accessors.
 type Cluster struct {
+	// cfg is the one configuration every site points at; nothing
+	// writes it once newCluster has returned.
 	cfg       config.Config
 	loadShare bool
 
@@ -79,7 +81,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
-		c.servers = append(c.servers, server.NewShard(env, cfg, net, k, topo))
+		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, k, topo))
 	}
 	c.server = c.servers[0]
 	if topo.Multi() {
@@ -99,10 +101,13 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	newID := func() txn.ID { nextID++; return nextID }
 
 	inboxes := make(map[netsim.SiteID]*sim.Mailbox[netsim.Message], cfg.NumClients)
+	c.clients = make([]*client.Client, 0, cfg.NumClients)
+	// Every client's connection-queue table is a window of one array.
+	allShardIns := make([]*sim.Mailbox[netsim.Message], cfg.NumClients*nShards)
 	for i := 1; i <= cfg.NumClients; i++ {
 		id := netsim.SiteID(i)
 		inbox := sim.NewMailbox[netsim.Message](env)
-		shardIns := make([]*sim.Mailbox[netsim.Message], nShards)
+		shardIns := allShardIns[(i-1)*nShards : i*nShards : i*nShards]
 		for k, sv := range c.servers {
 			shardIns[k] = sim.NewMailbox[netsim.Message](env)
 			sv.Attach(id, shardIns[k], inbox)
@@ -110,11 +115,8 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 		inboxes[id] = inbox
 
 		gen := newGenerator(root, cfg, i, newID)
-		cl := client.New(env, cfg, id, net, c.m, inbox, shardIns[0], gen, loadShare)
-		if topo.Multi() {
-			cl.SetShards(topo, shardIns)
-		}
-		c.clients = append(c.clients, cl)
+		c.clients = append(c.clients,
+			client.New(env, &c.cfg, id, net, c.m, inbox, topo, shardIns, gen, loadShare))
 	}
 	for _, cl := range c.clients {
 		cl.SetPeers(inboxes)

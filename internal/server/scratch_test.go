@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
@@ -50,6 +51,15 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 	round() // warm the pools
 	if n := testing.AllocsPerRun(500, round); n != 0 {
 		t.Errorf("lock-round bookkeeping allocates %v per run, want 0", n)
+	}
+}
+
+// TestConnMachineSize pins the per-connection handler: the server keeps
+// one per attached client, so it holds a message's payload and a
+// borrowed install op, never a 2 KB page buffer or an op by value.
+func TestConnMachineSize(t *testing.T) {
+	if got := unsafe.Sizeof(connMachine{}); got > 256 {
+		t.Errorf("unsafe.Sizeof(connMachine) = %d B, ceiling 256 B", got)
 	}
 }
 

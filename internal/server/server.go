@@ -7,7 +7,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -37,7 +36,7 @@ const MigrationOwner lockmgr.OwnerID = -1
 // sites 0, -1, … -(M-1).
 type Server struct {
 	env *sim.Env
-	cfg config.Config
+	cfg *config.Config // shared with every site; never written
 	net *netsim.Network
 
 	// shard is this server's index in the topology; site is its network
@@ -112,6 +111,11 @@ type Server struct {
 	shipFree []*shipMachine
 	// batchShipFree recycles completed batched-ship machines.
 	batchShipFree []*batchShipMachine
+	// putFree recycles the page-install ops of returns carrying data:
+	// a connection holds one only while its install is parked, so the
+	// pool grows to the installs in flight at once, not to the
+	// connection count.
+	putFree []*pagefile.PutOp
 
 	// reqFree recycles lock requests: a request resolved in place
 	// (granted or refused) returns to the pool immediately; a queued one
@@ -160,7 +164,7 @@ type conn struct {
 
 // New returns the single server of the paper's topology. Call Attach
 // for every client, then Start.
-func New(env *sim.Env, cfg config.Config, net *netsim.Network) *Server {
+func New(env *sim.Env, cfg *config.Config, net *netsim.Network) *Server {
 	return NewShard(env, cfg, net, 0, shardmap.New(cfg.Sharding))
 }
 
@@ -168,7 +172,7 @@ func New(env *sim.Env, cfg config.Config, net *netsim.Network) *Server {
 // topology sharing the runtime map topo. Call Attach for every client
 // — and, in multi-server topologies, SetPeerInbox/AttachPeer for the
 // shard-to-shard transport — then Start.
-func NewShard(env *sim.Env, cfg config.Config, net *netsim.Network, shard int, topo *shardmap.Map) *Server {
+func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, shard int, topo *shardmap.Map) *Server {
 	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
 		ReadTime:  cfg.DiskRead,
 		WriteTime: cfg.DiskWrite,
@@ -316,17 +320,16 @@ func (s *Server) Start() {
 // connMachine is a connection handler as a state machine: one per
 // attached client, looping receive → CPU charge → dispatch. The only
 // payload that parks mid-handle is an ObjReturn carrying data (the page
-// install goes through the pool), so the machine keeps the pending
-// return across resumes.
+// install goes through the pool); the machine keeps the message's
+// payload across resumes and borrows the install op from the server's
+// pool for as long as the install is parked.
 type connMachine struct {
-	task sim.Task
-	s    *Server
-	c    *conn
-	pc   uint8
-	msg  netsim.Message
-	ret  proto.ObjReturn
-	put  pagefile.PutOp
-	page []byte // reused install buffer
+	task    sim.Task
+	s       *Server
+	c       *conn
+	pc      uint8
+	payload any
+	put     *pagefile.PutOp
 }
 
 const (
@@ -345,7 +348,7 @@ func (m *connMachine) Resume() {
 			if !ok {
 				return
 			}
-			m.msg = msg
+			m.payload = msg.Payload
 			if s.cfg.ServerOpCPU <= 0 {
 				m.pc = csHandle
 				continue
@@ -363,7 +366,7 @@ func (m *connMachine) Resume() {
 				s.cpu.Release()
 			}
 			m.pc = csRecv
-			switch pl := m.msg.Payload.(type) {
+			switch pl := m.payload.(type) {
 			case proto.ObjRequest:
 				s.noteLoad(pl.Load)
 				s.handleFirm(pl.Client, pl.Txn, pl.Obj, pl.Mode, pl.Deadline)
@@ -376,14 +379,14 @@ func (m *connMachine) Resume() {
 			case proto.ObjReturn:
 				s.noteLoad(pl.Load)
 				if s.returnNeedsWrite(pl) {
-					// The page body encodes the version so end-to-end
+					// The page is stamped with the version so end-to-end
 					// consistency can be audited.
-					if m.page == nil {
-						m.page = make([]byte, pagefile.PageSize)
+					if n := len(s.putFree); n > 0 {
+						m.put, s.putFree = s.putFree[n-1], s.putFree[:n-1]
+					} else {
+						m.put = new(pagefile.PutOp)
 					}
-					binary.LittleEndian.PutUint64(m.page, uint64(s.versions[pl.Obj]))
-					m.ret = pl
-					m.put.Init(s.pool, pagefile.PageID(pl.Obj), m.page)
+					m.put.Init(s.pool, pagefile.PageID(pl.Obj), uint64(s.versions[pl.Obj]))
 					m.pc = csPut
 					continue
 				}
@@ -404,21 +407,23 @@ func (m *connMachine) Resume() {
 					s.shedReplica(r.Obj, true)
 				}
 			default:
-				panic(fmt.Sprintf("server: unexpected payload %T", m.msg.Payload))
+				panic(fmt.Sprintf("server: unexpected payload %T", m.payload))
 			}
-			m.msg = netsim.Message{}
+			m.payload = nil
 		case csPut:
 			done, err := m.put.Step(&m.task)
 			if !done {
 				return
 			}
+			ret := m.payload.(proto.ObjReturn)
 			if err != nil {
-				panic(fmt.Sprintf("server: writing object %d: %v", m.ret.Obj, err))
+				panic(fmt.Sprintf("server: writing object %d: %v", ret.Obj, err))
 			}
+			s.putFree = append(s.putFree, m.put)
+			m.put = nil
 			m.pc = csRecv
-			s.finishReturn(m.ret)
-			m.ret = proto.ObjReturn{}
-			m.msg = netsim.Message{}
+			s.finishReturn(ret)
+			m.payload = nil
 		}
 	}
 }

@@ -35,7 +35,7 @@ func newRig(t *testing.T, n int, mod func(*config.Config)) *rig {
 		mod(&cfg)
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
-	srv := New(env, cfg, net)
+	srv := New(env, &cfg, net)
 	r := &rig{env: env, net: net, srv: srv, t: t}
 	for i := 1; i <= n; i++ {
 		to := sim.NewMailbox[netsim.Message](env)

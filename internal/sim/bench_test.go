@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The kernel promises an allocation-free steady state on its hot paths.
@@ -65,6 +66,30 @@ func TestMailboxPutTryGetNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Mailbox Put+TryGet allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// What a parked site's kernel state weighs: every machine embeds a
+// Task, and every site owns mailboxes that mostly carry one message at
+// a time — the first ring is two entries and doubles from there.
+func TestParkedFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Task{}); got > 152 {
+		t.Errorf("unsafe.Sizeof(Task) = %d B, ceiling 152 B", got)
+	}
+	m := NewMailbox[int](NewEnv())
+	if cap(m.buf) != 0 {
+		t.Errorf("an unused mailbox holds a ring of %d", cap(m.buf))
+	}
+	for i, want := range []int{2, 2, 4, 4, 8} {
+		m.Put(i)
+		if cap(m.buf) != want {
+			t.Errorf("ring after %d queued = %d, want %d", i+1, cap(m.buf), want)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if v, ok := m.TryGet(); !ok || v != i {
+			t.Fatalf("item %d = %d, %v after growth", i, v, ok)
+		}
 	}
 }
 

@@ -10,6 +10,9 @@ import "time"
 // Put/TryGet cycle allocates nothing and the backing array never grows
 // past the high-water mark of queued items (the earlier slice-based
 // implementation leaked backing-array growth on every Put/Get pair).
+// The first Put allocates a ring of two and a full ring doubles: at
+// population scale most mailboxes never queue more than one message,
+// and the ring is what a parked site's mailbox weighs.
 type Mailbox[T any] struct {
 	env  *Env
 	buf  []T // len(buf) is zero or a power of two
@@ -36,7 +39,7 @@ func (m *Mailbox[T]) Put(v T) {
 func (m *Mailbox[T]) grow() {
 	newCap := len(m.buf) * 2
 	if newCap == 0 {
-		newCap = 8
+		newCap = 2
 	}
 	buf := make([]T, newCap)
 	for i := 0; i < m.n; i++ {

@@ -141,8 +141,8 @@ type resWait struct {
 	priority float64
 	seq      int64
 	index    int
-	timedOut bool
 	timer    Timer
+	timedOut bool // beside hasTimer: the two flags share one word
 	hasTimer bool
 }
 

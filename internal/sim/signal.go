@@ -26,8 +26,8 @@ type signalWait struct {
 	t          *Task
 	prev, next *signalWait
 	s          *Signal // owning signal while queued, nil otherwise
-	timedOut   bool
 	timer      Timer
+	timedOut   bool // beside hasTimer: the two flags share one word
 	hasTimer   bool
 }
 
