@@ -20,8 +20,9 @@
 package batch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"siteselect/internal/lockmgr"
@@ -96,14 +97,25 @@ type Scheduler struct {
 	BeginFlush func(n int)
 	EndFlush   func()
 
+	// pending is the open window; spare is the other of the two buffers
+	// the scheduler alternates between, so a window's requests are
+	// appended to an array that already has room. They swap at every
+	// flush, before the sink runs: the sink may re-enter Add, and those
+	// requests belong to the next window, not the batch being resolved.
 	pending []Request
+	spare   []Request
 	// parked indexes the open window's requests by identity so the
 	// retransmission guard (Pending) is O(1) instead of a scan of the
 	// window — under lossy runs with wide windows every retransmit
-	// probes here.
+	// probes here. Only a server that retransmissions can reach ever
+	// asks, so the index is built by the first Pending call and kept up
+	// from then on; a run that never asks never touches a map.
 	parked map[requestKey]int
 	open   bool
 	seq    uint64
+	// flushFn is s.flush bound once; taking the method value at every
+	// window open would allocate a closure each time.
+	flushFn func()
 
 	// Conservation counters (see Audit).
 	Entered  int64
@@ -117,7 +129,9 @@ type Scheduler struct {
 // NewScheduler returns a scheduler delivering to sink. A zero window
 // makes Add call sink synchronously and never touch env.
 func NewScheduler(env *sim.Env, window time.Duration, sink func(Request) Outcome) *Scheduler {
-	return &Scheduler{env: env, window: window, sink: sink}
+	s := &Scheduler{env: env, window: window, sink: sink}
+	s.flushFn = s.flush
+	return s
 }
 
 // Window returns the configured batch window.
@@ -140,13 +154,12 @@ func (s *Scheduler) Add(r Request) {
 	r.seq = s.seq
 	s.seq++
 	s.pending = append(s.pending, r)
-	if s.parked == nil {
-		s.parked = make(map[requestKey]int)
+	if s.parked != nil {
+		s.parked[requestKey{r.Client, r.Txn, r.Obj}]++
 	}
-	s.parked[requestKey{r.Client, r.Txn, r.Obj}]++
 	if !s.open {
 		s.open = true
-		s.env.Schedule(s.window, s.flush)
+		s.env.Schedule(s.window, s.flushFn)
 	}
 }
 
@@ -163,6 +176,12 @@ type requestKey struct {
 // the original will be answered when the window closes, so the
 // retransmit is dropped instead of entering the window twice.
 func (s *Scheduler) Pending(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID) bool {
+	if s.parked == nil {
+		s.parked = make(map[requestKey]int)
+		for _, r := range s.pending {
+			s.parked[requestKey{r.Client, r.Txn, r.Obj}]++
+		}
+	}
 	return s.parked[requestKey{client, id, obj}] > 0
 }
 
@@ -173,17 +192,17 @@ func (s *Scheduler) Pending(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectI
 func (s *Scheduler) flush() {
 	s.open = false
 	batch := s.pending
-	s.pending = nil
+	s.pending, s.spare = s.spare[:0], nil
 	clear(s.parked)
 	s.Flushes++
 	if len(batch) > 1 {
 		s.Batched += int64(len(batch))
 	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		if batch[i].Deadline != batch[j].Deadline {
-			return batch[i].Deadline < batch[j].Deadline
+	slices.SortStableFunc(batch, func(a, b Request) int {
+		if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
+			return c
 		}
-		return batch[i].seq < batch[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	if s.BeginFlush != nil {
 		s.BeginFlush(len(batch))
@@ -194,6 +213,7 @@ func (s *Scheduler) flush() {
 	if s.EndFlush != nil {
 		s.EndFlush()
 	}
+	s.spare = batch[:0]
 }
 
 // Audit verifies request conservation: every request that entered the

@@ -71,7 +71,7 @@ func FuzzBatchSchedule(f *testing.F) {
 		var release func(obj lockmgr.ObjectID, owner lockmgr.OwnerID)
 		release = func(obj lockmgr.ObjectID, owner lockmgr.OwnerID) {
 			for _, p := range table.Release(obj, owner) {
-				k := p.Tag.(key)
+				k := key{client: netsim.SiteID(p.Owner), id: txn.ID(p.Tag), obj: p.Obj}
 				grants[k]++
 				if grants[k] > 1 {
 					t.Fatalf("request %+v granted %d times (promotion)", k, grants[k])
@@ -93,7 +93,7 @@ func FuzzBatchSchedule(f *testing.F) {
 				Owner:    lockmgr.OwnerID(r.Client),
 				Mode:     r.Mode,
 				Deadline: r.Deadline,
-				Tag:      k,
+				Tag:      int64(r.Txn),
 			})
 			switch out {
 			case lockmgr.Granted:

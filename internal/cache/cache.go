@@ -242,14 +242,14 @@ func (c *Cache) Recycle(e *Entry) {
 	c.free = append(c.free, e)
 }
 
-// Entries returns all cached entries in unspecified order. Callers that
-// need determinism must sort.
-func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, len(c.entries))
+// Visit calls fn for every cached entry, in place and in unspecified
+// order: a caller whose result depends on which entry it saw first must
+// reduce over all of them (audits report the lowest-numbered failing
+// object). fn may Remove the entry it was handed and no other.
+func (c *Cache) Visit(fn func(*Entry)) {
 	for _, e := range c.entries {
-		out = append(out, e)
+		fn(e)
 	}
-	return out
 }
 
 func (c *Cache) lruOf(t Tier) *lruList {

@@ -197,18 +197,18 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			} else {
 				c.Insert(obj, lockmgr.ModeShared, o%5 == 0, int64(o))
 			}
-			mem, disk := 0, 0
-			for _, e := range c.Entries() {
+			mem, disk, other := 0, 0, 0
+			c.Visit(func(e *Entry) {
 				switch e.Tier() {
 				case TierMemory:
 					mem++
 				case TierDisk:
 					disk++
 				default:
-					return false
+					other++
 				}
-			}
-			if mem > mc || disk > dc {
+			})
+			if other > 0 || mem > mc || disk > dc {
 				return false
 			}
 			if mem+disk != c.Len() {

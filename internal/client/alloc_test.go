@@ -2,9 +2,12 @@ package client
 
 import (
 	"testing"
+	"time"
 	"unsafe"
 
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/netsim"
+	"siteselect/internal/proto"
 	"siteselect/internal/txn"
 )
 
@@ -28,41 +31,52 @@ func TestPerSiteStructSizes(t *testing.T) {
 	}
 }
 
-// TestFirmRoundBookkeepingZeroAlloc pins the client's converted
-// per-transaction bookkeeping at zero allocations for a steady-state
-// firm-request round: pending-record checkout from the pool, wait and
-// waiter registration, the grant-arrival lookups, and release back to
-// the pool all run on dense recycled stores. Outbound request payloads
-// are excluded — they escape into the network by design.
+// TestFirmRoundBookkeepingZeroAlloc pins a steady-state firm-request
+// round at zero allocations, messages included: pending-record checkout
+// from the pool, wait and waiter registration, the two firm requests
+// sent as pooled records filled in place, the grants delivered through
+// the dispatcher — which looks the waits up, clears them, installs the
+// copies and hands each grant's record back — and the pending record's
+// release.
 func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	c := r.cl
-	tx := &txn.Transaction{ID: 201}
+	tx := &txn.Transaction{ID: 201, Deadline: time.Hour}
+	m := &txnMachine{c: c, t: tx}
 
+	// fetch sends the firm request for obj and plays the server: receive
+	// the request, release its record, ship the grant in another.
+	fetch := func(obj lockmgr.ObjectID, mode lockmgr.Mode) {
+		m.pt.addWait(obj, mode, 0)
+		c.addWaiter(obj, m.pt)
+		m.curObj, m.curMode = obj, mode
+		m.sendSeq(netsim.ServerSite, 0)
+		r.env.RunAll()
+		msg, ok := r.toSrv.TryGet()
+		if q, isReq := msg.Payload.(*proto.ObjRequest); !ok || !isReq || q.Obj != obj || q.Txn != tx.ID {
+			panic("firm request not sent")
+		}
+		c.payloads.Release(msg.Payload)
+		g := c.payloads.ObjGrant.Get()
+		*g = proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID}
+		r.inject(netsim.KindObjectShip, g)
+		r.env.RunAll()
+		if m.pt.findWait(obj) >= 0 || c.hasWaiter(obj) {
+			panic("grant did not clear the wait")
+		}
+	}
 	round := func() {
-		pt := c.ensurePending(tx)
-		pt.addWait(7, lockmgr.ModeShared, 0)
-		c.addWaiter(7, pt)
-		pt.addWait(8, lockmgr.ModeExclusive, 0)
-		c.addWaiter(8, pt)
-		// Grants arrive: the handler finds the pending record, clears
-		// each wait, and unregisters the waiter.
-		if c.findPending(tx.ID) != pt {
+		m.pt = c.ensurePending(tx)
+		if c.findPending(tx.ID) != m.pt {
 			panic("pending record lost")
 		}
-		if i := pt.findWait(7); i >= 0 {
-			pt.removeWait(i)
-			c.dropWaiter(7, pt)
-		}
-		if i := pt.findWait(8); i >= 0 {
-			pt.removeWait(i)
-			c.dropWaiter(8, pt)
-		}
-		c.releasePending(pt)
+		fetch(7, lockmgr.ModeShared)
+		fetch(8, lockmgr.ModeExclusive)
+		c.releasePending(m.pt)
 	}
-	round() // warm the pool
+	round() // warm the pools and cache the two copies
 	if n := testing.AllocsPerRun(500, round); n != 0 {
-		t.Errorf("firm-round bookkeeping allocates %v per run, want 0", n)
+		t.Errorf("a firm-request round allocates %v per run, want 0", n)
 	}
 }

@@ -36,7 +36,10 @@ type Client struct {
 	cfg *config.Config
 	id  netsim.SiteID
 	net *netsim.Network
-	m   *metrics.Collector
+	// payloads is the cluster's stock of payload records: every send takes
+	// one, the dispatcher returns each delivered one after its handler.
+	payloads *proto.Pool
+	m        *metrics.Collector
 
 	// inbox receives server and peer messages; peers (installed by
 	// SetPeers) holds the other clients' inboxes for forward-list hops
@@ -194,13 +197,14 @@ type shardLoad struct {
 	reply proto.LoadReply
 }
 
-// New returns a client site. cfg and topo are the cluster's, shared by
-// every site; inbox is this client's message queue and shardIns[k] its
-// connection queue at server shard k (one entry at a single server).
+// New returns a client site. cfg, pool and topo are the cluster's,
+// shared by every site; inbox is this client's message queue and
+// shardIns[k] its connection queue at server shard k (one entry at a
+// single server).
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
 func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	m *metrics.Collector, inbox *sim.Mailbox[netsim.Message],
+	pool *proto.Pool, m *metrics.Collector, inbox *sim.Mailbox[netsim.Message],
 	topo *shardmap.Map, shardIns []*sim.Mailbox[netsim.Message],
 	gen txn.Source, loadShare bool) *Client {
 	c := &Client{
@@ -208,6 +212,7 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 		cfg:        cfg,
 		id:         id,
 		net:        net,
+		payloads:   pool,
 		m:          m,
 		inbox:      inbox,
 		topo:       topo,
@@ -325,21 +330,21 @@ func (c *Client) submitAsync(t *txn.Transaction) {
 // them.
 func (c *Client) beginOutage() {
 	c.outageEnd = c.env.Now() + c.cfg.OutageDuration
-	for _, e := range c.objects.Entries() {
+	c.objects.Visit(func(e *cache.Entry) {
 		if e.Pinned() {
-			continue // in a running transaction's memory image
+			return // in a running transaction's memory image
 		}
 		if e.Dirty && c.log == nil {
 			c.LostUpdates++
 		}
 		if e.Dirty && c.log != nil {
-			continue // recovered from the WAL on restart
+			return // recovered from the WAL on restart
 		}
 		// Dropping a copy without telling the server is the lazy-release
 		// path the protocol already supports: a later recall gets a
 		// NotCached answer, and in-flight grants redeliver current data.
 		c.objects.Recycle(c.objects.Remove(e.Obj))
-	}
+	})
 }
 
 // Down reports whether the client is currently partitioned.
@@ -420,37 +425,43 @@ func (d *dispMachine) Resume() {
 	}
 }
 
+// dispatchMsg hands a delivered payload to its handler — by value, so
+// no handler can keep the record — and then returns the record to the
+// cluster's pool, unless the fault layer delivered the frame twice.
 func (c *Client) dispatchMsg(msg netsim.Message) {
 	c.curTransit = msg.DeliveredAt - msg.SentAt
 	c.curFrom = msg.From
 	switch pl := msg.Payload.(type) {
-	case proto.ObjGrant:
-		c.onGrant(pl)
-	case proto.BatchGrant:
+	case *proto.ObjGrant:
+		c.onGrant(*pl)
+	case *proto.BatchGrant:
 		// A batch-window coalesced ship: apply each member grant in
 		// order, exactly as if it had arrived alone (they share the
 		// message's transit for network attribution).
 		for _, g := range pl.Grants {
 			c.onGrant(g)
 		}
-	case proto.ConflictReply:
-		c.onConflictReply(pl)
-	case proto.DenyReply:
-		c.onDeny(pl)
-	case proto.Recall:
-		c.onRecall(pl)
-	case proto.BatchRecall:
+	case *proto.ConflictReply:
+		c.onConflictReply(*pl)
+	case *proto.DenyReply:
+		c.onDeny(*pl)
+	case *proto.Recall:
+		c.onRecall(*pl)
+	case *proto.BatchRecall:
 		for _, r := range pl.Recalls {
 			c.onRecall(r)
 		}
-	case proto.LoadReply:
-		c.onLoadReply(pl)
-	case proto.TxnShip:
-		c.onTxnShip(pl)
-	case proto.TxnResult:
-		c.onTxnResult(pl)
+	case *proto.LoadReply:
+		c.onLoadReply(*pl)
+	case *proto.TxnShip:
+		c.onTxnShip(*pl)
+	case *proto.TxnResult:
+		c.onTxnResult(*pl)
 	default:
 		panic(fmt.Sprintf("client: unexpected payload %T", msg.Payload))
+	}
+	if !msg.Shared {
+		c.payloads.Release(msg.Payload)
 	}
 }
 
@@ -476,6 +487,24 @@ func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload 
 	return c.net.Send(netsim.Message{
 		Kind: kind, From: c.id, To: site, Size: size, Payload: payload,
 	}, c.shardIns[shardmap.ShardIndex(site)])
+}
+
+// sendReturn sends ret to the shard at to in a pooled record. The
+// record's own RetainedSL array is filled with a copy, so the forward
+// list the slice came from is not aliased by a frame on the wire.
+func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
+	r := c.payloads.ObjReturn.Get()
+	retained := append(r.RetainedSL, ret.RetainedSL...)
+	*r = ret
+	r.RetainedSL = retained
+	c.toSite(to, netsim.KindObjectReturn, size, r)
+}
+
+// sendHop passes an object on to a peer along its forward list.
+func (c *Client) sendHop(to netsim.SiteID, g proto.ObjGrant) {
+	p := c.payloads.ObjGrant.Get()
+	*p = g
+	c.toPeer(to, netsim.KindClientForward, netsim.ObjectBytes, p)
 }
 
 func (c *Client) toPeer(to netsim.SiteID, kind netsim.Kind, size int, payload any) time.Duration {

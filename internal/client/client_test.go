@@ -61,7 +61,7 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		Access:           access,
 	}, func() txn.ID { id++; return id })
 
-	cl := New(env, &cfg, 1, net, &metrics.Collector{}, inbox,
+	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, inbox,
 		shardmap.New(cfg.Sharding), []*sim.Mailbox[netsim.Message]{toSrv}, gen, true)
 	cl.SetPeers(map[netsim.SiteID]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
@@ -110,12 +110,12 @@ func TestClientRecallOfIdleEntryAnswersImmediately(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, true, 3)
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 5})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectReturn {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	ret := msgs[0].Payload.(proto.ObjReturn)
+	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.HasData || ret.Version != 3 || ret.Downgraded || ret.NotCached {
 		t.Fatalf("return = %+v", ret)
 	}
@@ -128,9 +128,9 @@ func TestClientDowngradeRecallKeepsSharedCopy(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, true, 9)
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 5, DowngradeToShared: true})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5, DowngradeToShared: true})
 	msgs := r.sent(time.Second)
-	ret := msgs[0].Payload.(proto.ObjReturn)
+	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.Downgraded || !ret.HasData || ret.Version != 9 {
 		t.Fatalf("return = %+v", ret)
 	}
@@ -144,7 +144,7 @@ func TestClientDowngradeDisabledFallsBackToRelease(t *testing.T) {
 	r := newRig(t, func(c *config.Config) { c.UseDowngrade = false })
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, false, 1)
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 5, DowngradeToShared: true})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5, DowngradeToShared: true})
 	r.sent(time.Second)
 	if r.cl.objects.Contains(5) {
 		t.Fatal("with downgrades disabled the entry must be dropped")
@@ -154,9 +154,9 @@ func TestClientDowngradeDisabledFallsBackToRelease(t *testing.T) {
 func TestClientRecallOfMissingEntryAnswersNotCached(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 77})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 77})
 	msgs := r.sent(time.Second)
-	ret := msgs[0].Payload.(proto.ObjReturn)
+	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.NotCached {
 		t.Fatalf("return = %+v", ret)
 	}
@@ -170,21 +170,21 @@ func TestClientStaleEpochGrantIsDropped(t *testing.T) {
 	defer r.env.Close()
 	// A recall beat two in-flight grants to the wire: our NotCached
 	// answer bumps the epoch, so both epoch-0 grants must be dropped.
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 8})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 8})
 	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(2 * time.Second)
 	if r.cl.objects.Contains(8) {
 		t.Fatal("stale grant was cached")
 	}
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(3 * time.Second)
 	if r.cl.objects.Contains(8) {
 		t.Fatal("second stale grant was cached")
 	}
 	// A grant stamped with the current epoch (the server has processed
 	// our release) is accepted.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
 	r.sent(4 * time.Second)
 	if !r.cl.objects.Contains(8) {
 		t.Fatal("current-epoch grant was dropped")
@@ -196,7 +196,7 @@ func TestClientRecallDeferredWhilePinned(t *testing.T) {
 	defer r.env.Close()
 	e := r.seed(5, lockmgr.ModeExclusive, true, 2)
 	r.cl.objects.Pin(e)
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 5})
+	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 0 {
 		t.Fatalf("pinned recall answered immediately: %+v", msgs)
@@ -208,7 +208,7 @@ func TestClientRecallDeferredWhilePinned(t *testing.T) {
 	r.cl.objects.Unpin(e)
 	r.cl.afterRelease([]txn.Op{{Obj: 5, Write: true}}, 1)
 	msgs = r.sent(2 * time.Second)
-	if len(msgs) != 1 || !msgs[0].Payload.(proto.ObjReturn).HasData {
+	if len(msgs) != 1 || !msgs[0].Payload.(*proto.ObjReturn).HasData {
 		t.Fatalf("deferred recall answer = %+v", msgs)
 	}
 }
@@ -245,13 +245,13 @@ func TestClientProbeThenGrantFlow(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("expected one probe, got %+v", msgs)
 	}
-	probe, ok := msgs[0].Payload.(proto.ProbeRequest)
+	probe, ok := msgs[0].Payload.(*proto.ProbeRequest)
 	if !ok || len(probe.Objs) != 2 {
 		t.Fatalf("probe = %+v", msgs[0].Payload)
 	}
 	// Server grants both.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	r.sent(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -266,7 +266,7 @@ func TestClientConflictReplyShipsToDataRichTarget(t *testing.T) {
 	r.cl.submitAsync(tx)
 	r.sent(time.Second) // probe out
 	// Peer 2 holds everything: strictly better on conflicts and data.
-	r.inject(netsim.KindLockReply, proto.ConflictReply{
+	r.inject(netsim.KindLockReply, &proto.ConflictReply{
 		Txn: tx.ID,
 		Conflicts: []proto.ObjConflict{
 			{Obj: 40, Holders: []netsim.SiteID{2}},
@@ -299,7 +299,7 @@ func TestClientConflictReplyStaysWhenTargetDataPoor(t *testing.T) {
 	tx := r.newTxn(ops, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindLockReply, proto.ConflictReply{
+	r.inject(netsim.KindLockReply, &proto.ConflictReply{
 		Txn:        tx.ID,
 		Conflicts:  []proto.ObjConflict{{Obj: 40, Holders: []netsim.SiteID{2}}},
 		DataCounts: []proto.SiteCount{{Site: 2, Count: 1}},
@@ -311,7 +311,7 @@ func TestClientConflictReplyStaysWhenTargetDataPoor(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	if _, ok := msgs[0].Payload.(proto.CommitRequest); !ok {
+	if _, ok := msgs[0].Payload.(*proto.CommitRequest); !ok {
 		t.Fatalf("expected CommitRequest, got %T", msgs[0].Payload)
 	}
 }
@@ -325,7 +325,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	// Grant arrives as a migration hop with peer 2 next in line.
 	fwd := forward.NewList(50)
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeExclusive, Deadline: time.Hour, Txn: 99})
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{
 		Obj: 50, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID, Fwd: fwd,
 	})
 	r.env.Run(30 * time.Second)
@@ -336,7 +336,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	if !ok || m.Kind != netsim.KindClientForward {
 		t.Fatalf("peer message = %+v", m)
 	}
-	g := m.Payload.(proto.ObjGrant)
+	g := m.Payload.(*proto.ObjGrant)
 	if g.Obj != 50 || g.Version != 5 { // committed write bumped it
 		t.Fatalf("forwarded grant = %+v", g)
 	}
@@ -355,14 +355,14 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
 	fwd := forward.NewList(60) // empty: we are the last hop
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{
 		Obj: 60, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID, Fwd: fwd,
 	})
 	msgs := r.sent(30 * time.Second)
 	var ret *proto.ObjReturn
 	for _, m := range msgs {
-		if p, ok := m.Payload.(proto.ObjReturn); ok {
-			ret = &p
+		if p, ok := m.Payload.(*proto.ObjReturn); ok {
+			ret = p
 		}
 	}
 	if ret == nil || !ret.Migration || !ret.HasData || ret.Version != 2 {
@@ -385,7 +385,7 @@ func TestClientReadRunHopForwardsImmediately(t *testing.T) {
 	fwd := forward.NewList(70)
 	fwd.ReadRun = true
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: time.Hour, Txn: 7})
-	r.inject(netsim.KindClientForward, proto.ObjGrant{
+	r.inject(netsim.KindClientForward, &proto.ObjGrant{
 		Obj: 70, Mode: lockmgr.ModeShared, Version: 3, Fwd: fwd,
 	})
 	r.env.Run(time.Second)
@@ -406,14 +406,14 @@ func TestClientReadRunLastMemberAcknowledges(t *testing.T) {
 	defer r.env.Close()
 	fwd := forward.NewList(71)
 	fwd.ReadRun = true // empty: we are the last member
-	r.inject(netsim.KindClientForward, proto.ObjGrant{
+	r.inject(netsim.KindClientForward, &proto.ObjGrant{
 		Obj: 71, Mode: lockmgr.ModeShared, Version: 2, Fwd: fwd,
 	})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	ret := msgs[0].Payload.(proto.ObjReturn)
+	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.RunComplete {
 		t.Fatalf("expected run-complete acknowledgement, got %+v", ret)
 	}
@@ -431,12 +431,12 @@ func TestClientEvictionReturnsDirtyObjects(t *testing.T) {
 	r.seed(1, lockmgr.ModeExclusive, true, 5)
 	// Inserting a second object evicts the first; the dirty EL copy
 	// must be returned to the server.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	ret := msgs[0].Payload.(proto.ObjReturn)
+	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if ret.Obj != 1 || !ret.HasData || ret.Version != 5 {
 		t.Fatalf("eviction return = %+v", ret)
 	}
@@ -449,7 +449,7 @@ func TestClientEvictionDropsCleanSharedSilently(t *testing.T) {
 	})
 	defer r.env.Close()
 	r.seed(1, lockmgr.ModeShared, false, 0)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 0 {
 		t.Fatalf("clean SL eviction sent messages: %+v", msgs)
@@ -462,7 +462,7 @@ func TestClientDeniedTransactionAborts(t *testing.T) {
 	tx := r.newTxn([]txn.Op{{Obj: 80}}, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindLockReply, proto.DenyReply{Txn: tx.ID, Obj: 80, Reason: proto.DenyDeadlock})
+	r.inject(netsim.KindLockReply, &proto.DenyReply{Txn: tx.ID, Obj: 80, Reason: proto.DenyDeadlock})
 	r.env.Run(5 * time.Second)
 	if tx.Status != txn.StatusAborted {
 		t.Fatalf("status = %v", tx.Status)
@@ -516,7 +516,7 @@ func TestClientSpeculationOverlapsUpgrade(t *testing.T) {
 	r.sent(time.Second) // probe for the upgrade goes out
 	// Server takes 5 seconds to grant the EL upgrade.
 	r.env.Run(5 * time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -541,7 +541,7 @@ func TestClientSpeculationInvalidatedByNewVersion(t *testing.T) {
 	r.env.Run(5 * time.Second)
 	// The upgrade arrives with a NEWER version: the speculative work
 	// was based on stale data and must be discarded.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9, Txn: tx.ID})
 	r.env.Run(40 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -562,7 +562,7 @@ func TestClientSpeculationDisabledByDefault(t *testing.T) {
 	tx := r.newTxn([]txn.Op{{Obj: 1, Write: true}}, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if r.cl.m.SpeculativeRuns != 0 {
 		t.Fatalf("speculation ran while disabled: %d", r.cl.m.SpeculativeRuns)
@@ -576,22 +576,22 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 	defer r.env.Close()
 	tx := r.newTxn([]txn.Op{{Obj: 100}, {Obj: 101}}, time.Minute)
 	tx.Origin = 2 // shipped in from peer 2
-	r.inject(netsim.KindTxnShip, proto.TxnShip{T: tx, ReplyTo: 2})
+	r.inject(netsim.KindTxnShip, &proto.TxnShip{T: tx, ReplyTo: 2})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
 		t.Fatalf("want one sequential request first, got %+v", msgs)
 	}
-	req := msgs[0].Payload.(proto.ObjRequest)
+	req := msgs[0].Payload.(*proto.ObjRequest)
 	if req.Obj != 100 {
 		t.Fatalf("first request = %+v", req)
 	}
 	// Grant the first; the second request follows.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	msgs = r.sent(2 * time.Second)
-	if len(msgs) != 1 || msgs[0].Payload.(proto.ObjRequest).Obj != 101 {
+	if len(msgs) != 1 || msgs[0].Payload.(*proto.ObjRequest).Obj != 101 {
 		t.Fatalf("second round = %+v", msgs)
 	}
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -603,7 +603,7 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 		if !ok {
 			break
 		}
-		if res, isRes := m.Payload.(proto.TxnResult); isRes && res.Committed {
+		if res, isRes := m.Payload.(*proto.TxnResult); isRes && res.Committed {
 			found = true
 		}
 	}
@@ -639,15 +639,15 @@ func TestClientH1RejectionShipsViaLoadQuery(t *testing.T) {
 	msgs := r.sent(3 * time.Second)
 	var q *proto.LoadQuery
 	for _, m := range msgs {
-		if lq, ok := m.Payload.(proto.LoadQuery); ok {
-			q = &lq
+		if lq, ok := m.Payload.(*proto.LoadQuery); ok {
+			q = lq
 		}
 	}
 	if q == nil {
 		t.Fatalf("no LoadQuery sent; messages = %+v", msgs)
 	}
 	// Peer 2 holds the data and is idle: the reply ships the txn there.
-	r.inject(netsim.KindLoadReply, proto.LoadReply{
+	r.inject(netsim.KindLoadReply, &proto.LoadReply{
 		Txn:       tight.ID,
 		Locations: []proto.ObjConflict{{Obj: 2, Holders: []netsim.SiteID{2}}},
 		Loads:     []proto.LoadReport{{Client: 2, QueueLen: 0, ATL: time.Second, Valid: true}},
@@ -673,12 +673,12 @@ func TestClientDecomposition(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	if _, ok := msgs[0].Payload.(proto.LoadQuery); !ok {
+	if _, ok := msgs[0].Payload.(*proto.LoadQuery); !ok {
 		t.Fatalf("decomposable txn should query locations, got %T", msgs[0].Payload)
 	}
 	// Peer 2 solely holds objects 20 and 21: two groups form, the
 	// remote one ships as a subtask.
-	r.inject(netsim.KindLoadReply, proto.LoadReply{
+	r.inject(netsim.KindLoadReply, &proto.LoadReply{
 		Txn: tx.ID,
 		Locations: []proto.ObjConflict{
 			{Obj: 20, Holders: []netsim.SiteID{2}},
@@ -690,7 +690,7 @@ func TestClientDecomposition(t *testing.T) {
 	if !ok || m.Kind != netsim.KindTxnShip {
 		t.Fatalf("peer message = %+v", m)
 	}
-	ship := m.Payload.(proto.TxnShip)
+	ship := m.Payload.(*proto.TxnShip)
 	if ship.Sub == nil || len(ship.Sub.Ops) != 2 {
 		t.Fatalf("subtask = %+v", ship.Sub)
 	}
@@ -700,10 +700,10 @@ func TestClientDecomposition(t *testing.T) {
 	}
 	// Answer the local subtask's needs and the remote result; the
 	// parent synthesizes.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
 	r.env.Run(r.env.Now() + 10*time.Second)
-	r.inject(netsim.KindTxnResult, proto.TxnResult{Txn: tx.ID, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
+	r.inject(netsim.KindTxnResult, &proto.TxnResult{Txn: tx.ID, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
 	r.env.Run(r.env.Now() + 10*time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("parent status = %v", tx.Status)

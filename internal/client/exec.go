@@ -57,9 +57,7 @@ type txnMachine struct {
 	awPC      uint8
 	wft       wftOp
 
-	// probe/commit request vectors and the sequential-fetch cursor.
-	objs    []lockmgr.ObjectID
-	modes   []lockmgr.Mode
+	// sequential-fetch cursor.
 	seqIdx  int
 	curObj  lockmgr.ObjectID
 	curMode lockmgr.Mode
@@ -159,7 +157,6 @@ func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, rep
 	}
 	*m = txnMachine{
 		c: c, t: t, sub: sub, reportTo: reportTo,
-		objs: m.objs[:0], modes: m.modes[:0],
 		subs: m.subs[:0], results: m.results[:0],
 		lockOps: m.lockOps[:0], lockReqs: m.lockReqs[:0],
 		entries: m.entries[:0], missing: m.missing[:0],
@@ -447,7 +444,7 @@ func (m *txnMachine) tryDecompose(reply *proto.LoadReply) bool {
 			continue
 		}
 		c.addShipWait(shipKey{id: t.ID, sub: sub.Index}, w)
-		c.toPeer(target, netsim.KindTxnShip, netsim.TxnShipBytes, proto.TxnShip{
+		c.sendTxnShip(target, proto.TxnShip{
 			T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport(),
 		})
 	}
@@ -705,12 +702,8 @@ func (m *txnMachine) beginFetch() {
 	}
 	// Tentative probe: one message covering every missing object.
 	pt := m.pt
-	m.objs = m.objs[:0]
-	m.modes = m.modes[:0]
 	now := m.task.Now()
 	for _, op := range m.missing {
-		m.objs = append(m.objs, op.Obj)
-		m.modes = append(m.modes, op.Mode())
 		pt.addWait(op.Obj, op.Mode(), now)
 		c.addWaiter(op.Obj, pt)
 	}
@@ -920,7 +913,7 @@ func (m *txnMachine) stepCommit() {
 				// dirty copy until a callback.
 				e.Dirty = false
 				home := c.homeSite(op.Obj)
-				c.toSite(home, netsim.KindObjectReturn, netsim.ObjectBytes, proto.ObjReturn{
+				c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
 					Client: c.id, Obj: op.Obj, HasData: true, Version: e.Version,
 					UpdateOnly: true, Epoch: c.epochOf(op.Obj, home), Load: c.loadReport(),
 				})
@@ -1101,48 +1094,56 @@ func (m *txnMachine) resend(attempt int) {
 		m.resendSharded(attempt)
 		return
 	}
+	// Each request is a pooled record filled in place: the access
+	// vectors are written into the record's own arrays (kept across
+	// reuse), never aliased to anything the machine rewrites while the
+	// frame may still be on the wire. Probe and commit rounds cover
+	// m.missing, which stands still from beginFetch to the round's end.
 	switch m.sendKind {
 	case skLoad:
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindLoadQuery, netsim.ControlBytes, proto.LoadQuery{
-			Client:   c.id,
-			Txn:      t.ID,
-			Objs:     t.Objects(),
-			Modes:    t.Modes(),
-			Deadline: t.Deadline,
-			Attempt:  attempt,
-			Load:     c.loadReport(),
-		})
+		q := c.payloads.LoadQuery.Get()
+		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, t.Ops)
+		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindLoadQuery, netsim.ControlBytes, q)
 	case skProbe:
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, proto.ProbeRequest{
-			Client:   c.id,
-			Txn:      t.ID,
-			Objs:     m.objs,
-			Modes:    m.modes,
-			Deadline: t.Deadline,
-			Attempt:  attempt,
-			Load:     c.loadReport(),
-		})
+		q := c.payloads.ProbeRequest.Get()
+		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, m.missing)
+		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, q)
 	case skCommit:
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, proto.CommitRequest{
-			Client:   c.id,
-			Txn:      t.ID,
-			Deadline: t.Deadline,
-			Objs:     m.objs,
-			Modes:    m.modes,
-			Attempt:  attempt,
-			Load:     c.loadReport(),
-		})
+		q := c.payloads.CommitRequest.Get()
+		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, m.missing)
+		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, q)
 	default: // skSeq
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, proto.ObjRequest{
-			Client:   c.id,
-			Txn:      t.ID,
-			Obj:      m.curObj,
-			Mode:     m.curMode,
-			Deadline: t.Deadline,
-			Attempt:  attempt,
-			Load:     c.loadReport(),
-		})
+		m.sendSeq(netsim.ServerSite, attempt)
 	}
+}
+
+// appendOps appends the accesses of ops to a request's access vectors.
+func appendOps(objs []lockmgr.ObjectID, modes []lockmgr.Mode, ops []txn.Op) ([]lockmgr.ObjectID, []lockmgr.Mode) {
+	for _, op := range ops {
+		objs = append(objs, op.Obj)
+		modes = append(modes, op.Mode())
+	}
+	return objs, modes
+}
+
+// sendSeq sends the current sequential-fetch request to the shard at
+// site.
+func (m *txnMachine) sendSeq(site netsim.SiteID, attempt int) {
+	c, t := m.c, m.t
+	q := c.payloads.ObjRequest.Get()
+	*q = proto.ObjRequest{
+		Client:   c.id,
+		Txn:      t.ID,
+		Obj:      m.curObj,
+		Mode:     m.curMode,
+		Deadline: t.Deadline,
+		Attempt:  attempt,
+		Load:     c.loadReport(),
+	}
+	m.pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 }
 
 // shipTxn sends a whole transaction to target for execution. It does
@@ -1155,9 +1156,21 @@ func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
 	c.m.ShippedTxns++
 	t.Shipped = true
 	c.tr.Point(t.ID, c.id, trace.EvShippedTxn, 0, int64(target), 0, c.env.Now())
-	c.toPeer(target, netsim.KindTxnShip, netsim.TxnShipBytes, proto.TxnShip{
+	c.sendTxnShip(target, proto.TxnShip{
 		T: t, ReplyTo: c.id, Load: c.loadReport(),
 	})
+}
+
+func (c *Client) sendTxnShip(to netsim.SiteID, s proto.TxnShip) {
+	p := c.payloads.TxnShip.Get()
+	*p = s
+	c.toPeer(to, netsim.KindTxnShip, netsim.TxnShipBytes, p)
+}
+
+func (c *Client) sendTxnResult(to netsim.SiteID, r proto.TxnResult) {
+	p := c.payloads.TxnResult.Get()
+	*p = r
+	c.toPeer(to, netsim.KindTxnResult, netsim.ResultBytes, p)
 }
 
 func (c *Client) finishParent(t *txn.Transaction, committed bool) {
@@ -1303,12 +1316,12 @@ func (c *Client) finish(t *txn.Transaction, sub *txn.Subtask, committed bool) bo
 		t.ExecSite = c.id
 		c.tr.Finish(t, c.id, now)
 		if t.Origin != c.id {
-			c.toPeer(t.Origin, netsim.KindTxnResult, netsim.ResultBytes, proto.TxnResult{
+			c.sendTxnResult(t.Origin, proto.TxnResult{
 				Txn: t.ID, SubIndex: -1, Committed: committed, ExecSite: c.id,
 			})
 		}
 	} else if t.Origin != c.id {
-		c.toPeer(t.Origin, netsim.KindTxnResult, netsim.ResultBytes, proto.TxnResult{
+		c.sendTxnResult(t.Origin, proto.TxnResult{
 			Txn: t.ID, SubIndex: sub.Index, IsSub: true, Committed: committed, ExecSite: c.id,
 		})
 	}

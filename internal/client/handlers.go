@@ -141,7 +141,7 @@ func (c *Client) hopStaleMigration(g proto.ObjGrant) {
 		next, ok, _ := l.PopLive(now)
 		if !ok {
 			home := c.homeSite(g.Obj)
-			c.toSite(home, netsim.KindObjectReturn, netsim.ObjectBytes, proto.ObjReturn{
+			c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
 				Client: c.id, Obj: g.Obj, HasData: true, Version: g.Version,
 				Migration: true, RetainedSL: l.Retained,
 				Epoch: c.epochOf(g.Obj, home), Load: c.loadReport(),
@@ -153,7 +153,7 @@ func (c *Client) hopStaleMigration(g proto.ObjGrant) {
 		}
 		c.ForwardHops++
 		c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, g.Obj, int64(next.Client), 0, now)
-		c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, proto.ObjGrant{
+		c.sendHop(next.Client, proto.ObjGrant{
 			Obj: g.Obj, Mode: next.Mode, Version: g.Version, Txn: next.Txn,
 			Epoch: next.Epoch, Fwd: l,
 		})
@@ -172,7 +172,7 @@ func (c *Client) hopReadRun(g proto.ObjGrant) {
 			// writers at the object again (the forward list's final
 			// return — the +1 of the 2n+1 message count).
 			home := c.homeSite(g.Obj)
-			c.toSite(home, netsim.KindObjectReturn, netsim.ControlBytes, proto.ObjReturn{
+			c.sendReturn(home, netsim.ControlBytes, proto.ObjReturn{
 				Client: c.id, Obj: g.Obj, RunComplete: true,
 				Epoch: c.epochOf(g.Obj, home), Load: c.loadReport(),
 			})
@@ -185,7 +185,7 @@ func (c *Client) hopReadRun(g proto.ObjGrant) {
 		}
 		c.ForwardHops++
 		c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, g.Obj, int64(next.Client), 0, c.env.Now())
-		c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, proto.ObjGrant{
+		c.sendHop(next.Client, proto.ObjGrant{
 			Obj: g.Obj, Mode: next.Mode, Version: g.Version, Txn: next.Txn,
 			Epoch: next.Epoch, Fwd: g.Fwd,
 		})
@@ -276,7 +276,7 @@ func (c *Client) onRecall(r proto.Recall) {
 		// Silently evicted earlier: release the lock. Bumping the epoch
 		// revokes any stray grant already on the wire.
 		epoch := c.bumpEpoch(r.Obj, from)
-		c.toSite(from, netsim.KindObjectReturn, netsim.ControlBytes, proto.ObjReturn{
+		c.sendReturn(from, netsim.ControlBytes, proto.ObjReturn{
 			Client: c.id, Obj: r.Obj, NotCached: true, Epoch: epoch,
 			Load: c.loadReport(),
 		})
@@ -301,7 +301,7 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 		if hadData {
 			size = netsim.ObjectBytes
 		}
-		c.toSite(from, netsim.KindObjectReturn, size, proto.ObjReturn{
+		c.sendReturn(from, size, proto.ObjReturn{
 			Client: c.id, Obj: e.Obj, HasData: hadData, Version: e.Version,
 			Downgraded: true, Epoch: c.epochOf(e.Obj, from), Load: c.loadReport(),
 		})
@@ -315,7 +315,7 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 	if e.Dirty {
 		size = netsim.ObjectBytes
 	}
-	c.toSite(from, netsim.KindObjectReturn, size, proto.ObjReturn{
+	c.sendReturn(from, size, proto.ObjReturn{
 		Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
 		Epoch: epoch, Load: c.loadReport(),
 	})
@@ -372,7 +372,7 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 			dest = d.from
 		}
 		epoch := c.bumpEpoch(e.Obj, dest) // this return releases the registration
-		c.toSite(dest, netsim.KindObjectReturn, size, proto.ObjReturn{
+		c.sendReturn(dest, size, proto.ObjReturn{
 			Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
 			Epoch: epoch, Load: c.loadReport(),
 		})
@@ -403,7 +403,7 @@ func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 				// (or the copy is gone): release the lock outright.
 				c.takeDeferred(op.Obj)
 				epoch := c.bumpEpoch(op.Obj, d.from)
-				c.toSite(d.from, netsim.KindObjectReturn, netsim.ControlBytes, proto.ObjReturn{
+				c.sendReturn(d.from, netsim.ControlBytes, proto.ObjReturn{
 					Client: c.id, Obj: op.Obj, NotCached: true, Epoch: epoch,
 					Load: c.loadReport(),
 				})
@@ -496,13 +496,13 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 		if ok {
 			c.ForwardHops++
 			c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, now)
-			c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, proto.ObjGrant{
+			c.sendHop(next.Client, proto.ObjGrant{
 				Obj: obj, Mode: next.Mode, Version: version, Txn: next.Txn,
 				Epoch: next.Epoch, Fwd: l,
 			})
 		} else {
 			home := c.homeSite(obj)
-			c.toSite(home, netsim.KindObjectReturn, netsim.ObjectBytes, proto.ObjReturn{
+			c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
 				Client: c.id, Obj: obj, HasData: true, Version: version,
 				Migration: true, RetainedSL: l.Retained,
 				Epoch: c.epochOf(obj, home), Load: c.loadReport(),
@@ -512,7 +512,7 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 			// The recall that arrived mid-migration is answered with a
 			// release: the object has moved on.
 			epoch := c.bumpEpoch(obj, d.from)
-			c.toSite(d.from, netsim.KindObjectReturn, netsim.ControlBytes, proto.ObjReturn{
+			c.sendReturn(d.from, netsim.ControlBytes, proto.ObjReturn{
 				Client: c.id, Obj: obj, NotCached: true, Epoch: epoch,
 				Load: c.loadReport(),
 			})

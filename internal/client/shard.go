@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math"
 	"slices"
 
 	"siteselect/internal/lockmgr"
@@ -81,115 +82,101 @@ func (c *Client) bumpEpoch(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
 	return 1
 }
 
-// shardGroup is one shard's slice of a multi-object request.
-type shardGroup struct {
-	site  netsim.SiteID
-	objs  []lockmgr.ObjectID
-	modes []lockmgr.Mode
+// noSite marks an access already sent, or filtered out, in a routing
+// vector (shard sites are <= 0, client sites positive).
+const noSite netsim.SiteID = math.MinInt
+
+// routeAll appends to sites the shard each access must be sent to:
+// its home shard when byHome (location queries), otherwise routeSite
+// (firm requests, which may prefer a replica). With pt non-nil, accesses
+// the transaction no longer waits for are marked noSite, so a
+// retransmission does not ask a shard that already served its slice.
+func (c *Client) routeAll(sites []netsim.SiteID, ops []txn.Op, byHome bool, pt *pendingTxn) []netsim.SiteID {
+	for _, op := range ops {
+		switch {
+		case pt != nil && pt.findWait(op.Obj) < 0:
+			sites = append(sites, noSite)
+		case byHome:
+			sites = append(sites, c.homeSite(op.Obj))
+		default:
+			sites = append(sites, c.routeSite(op.Obj, op.Mode()))
+		}
+	}
+	return sites
 }
 
-// groupByShard partitions an access list by the shard each entry must
-// be sent to, preserving first-appearance order so the split is
-// deterministic. byHome groups by home shard (location queries);
-// otherwise by routeSite (firm requests, which may prefer a replica).
-// keep, when non-nil, drops entries it rejects.
-func (c *Client) groupByShard(objs []lockmgr.ObjectID, modes []lockmgr.Mode,
-	byHome bool, keep func(lockmgr.ObjectID) bool) []shardGroup {
-	// The groups (and their object vectors) escape into message
-	// payloads, so they are freshly allocated; only the site lookup is
-	// dense — a scan over at most Servers() groups beats a map here.
-	var groups []shardGroup
-	for i, obj := range objs {
-		if keep != nil && !keep(obj) {
-			continue
+// takeGroup appends to a payload's access vectors every access routed
+// to the same shard as access i, and marks them taken. Walking the
+// routing vector and taking the group of each access still marked
+// splits a request per shard in first-appearance order, so the split is
+// deterministic.
+func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
+	objs []lockmgr.ObjectID, modes []lockmgr.Mode) ([]lockmgr.ObjectID, []lockmgr.Mode) {
+	site := sites[i]
+	for j := i; j < len(sites); j++ {
+		if sites[j] == site {
+			objs = append(objs, ops[j].Obj)
+			modes = append(modes, ops[j].Mode())
+			sites[j] = noSite
 		}
-		site := c.homeSite(obj)
-		if !byHome {
-			site = c.routeSite(obj, modes[i])
-		}
-		gi := -1
-		for k := range groups {
-			if groups[k].site == site {
-				gi = k
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, shardGroup{site: site})
-		}
-		groups[gi].objs = append(groups[gi].objs, obj)
-		groups[gi].modes = append(groups[gi].modes, modes[i])
 	}
-	return groups
+	return objs, modes
 }
 
 // resendSharded is resend's multi-shard counterpart: multi-object
-// exchanges split into one message per shard. Retransmissions of probe
-// and commit rounds drop already-granted objects (pt.want tracks them),
+// exchanges split into one message per shard, each a pooled record
+// whose access vectors are filled in place. Retransmissions of probe
+// and commit rounds drop already-granted objects (pt.waits tracks them),
 // so a shard that served its slice is not asked again.
 func (m *txnMachine) resendSharded(attempt int) {
 	c, t, pt := m.c, m.t, m.pt
-	stillWanted := func(obj lockmgr.ObjectID) bool {
-		return pt.findWait(obj) >= 0
-	}
+	var stack [16]netsim.SiteID
 	switch m.sendKind {
 	case skLoad:
 		if attempt == 0 {
 			clear(pt.loadFrom)
 			pt.loadFrom = pt.loadFrom[:0]
 		}
-		groups := c.groupByShard(t.Objects(), t.Modes(), true, nil)
-		pt.loadWant = len(groups)
-		for _, g := range groups {
-			pt.netAccum += c.toSite(g.site, netsim.KindLoadQuery, netsim.ControlBytes, proto.LoadQuery{
-				Client:   c.id,
-				Txn:      t.ID,
-				Objs:     g.objs,
-				Modes:    g.modes,
-				Deadline: t.Deadline,
-				Attempt:  attempt,
-				Load:     c.loadReport(),
-			})
+		sites := c.routeAll(stack[:0], t.Ops, true, nil)
+		pt.loadWant = 0
+		for i, site := range sites {
+			if site == noSite {
+				continue
+			}
+			pt.loadWant++
+			q := c.payloads.LoadQuery.Get()
+			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Objs, q.Modes = takeGroup(sites, i, t.Ops, q.Objs, q.Modes)
+			pt.netAccum += c.toSite(site, netsim.KindLoadQuery, netsim.ControlBytes, q)
 		}
 	case skProbe:
 		if attempt == 0 {
 			clear(pt.confFrom)
 			pt.confFrom = pt.confFrom[:0]
 		}
-		for _, g := range c.groupByShard(m.objs, m.modes, false, stillWanted) {
-			pt.netAccum += c.toSite(g.site, netsim.KindObjectRequest, netsim.ControlBytes, proto.ProbeRequest{
-				Client:   c.id,
-				Txn:      t.ID,
-				Objs:     g.objs,
-				Modes:    g.modes,
-				Deadline: t.Deadline,
-				Attempt:  attempt,
-				Load:     c.loadReport(),
-			})
+		sites := c.routeAll(stack[:0], m.missing, false, pt)
+		for i, site := range sites {
+			if site == noSite {
+				continue
+			}
+			q := c.payloads.ProbeRequest.Get()
+			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
+			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
 	case skCommit:
-		for _, g := range c.groupByShard(m.objs, m.modes, false, stillWanted) {
-			pt.netAccum += c.toSite(g.site, netsim.KindObjectRequest, netsim.ControlBytes, proto.CommitRequest{
-				Client:   c.id,
-				Txn:      t.ID,
-				Deadline: t.Deadline,
-				Objs:     g.objs,
-				Modes:    g.modes,
-				Attempt:  attempt,
-				Load:     c.loadReport(),
-			})
+		sites := c.routeAll(stack[:0], m.missing, false, pt)
+		for i, site := range sites {
+			if site == noSite {
+				continue
+			}
+			q := c.payloads.CommitRequest.Get()
+			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
+			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
 	default: // skSeq
-		pt.netAccum += c.toSite(c.routeSite(m.curObj, m.curMode), netsim.KindObjectRequest, netsim.ControlBytes, proto.ObjRequest{
-			Client:   c.id,
-			Txn:      t.ID,
-			Obj:      m.curObj,
-			Mode:     m.curMode,
-			Deadline: t.Deadline,
-			Attempt:  attempt,
-			Load:     c.loadReport(),
-		})
+		m.sendSeq(c.routeSite(m.curObj, m.curMode), attempt)
 	}
 }
 

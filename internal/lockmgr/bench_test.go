@@ -69,10 +69,73 @@ func testRoundNoAllocs(t *testing.T, tb *Table) {
 
 func TestSparseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, NewTable()) }
 
-func TestDenseRoundNoAllocs(t *testing.T) {
+func TestDenseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, denseTable(64)) }
+
+// waiterRound is the contended path a recall round takes at the server:
+// a writer holds obj, two readers and a second writer queue behind it,
+// the writer releases — both readers are admitted in one grant list,
+// which the caller consumes — and the readers' releases admit the last
+// writer. The entry is retired at the end, so the next round reuses it.
+func waiterRound(tb *Table, reqs *[6]Request, obj ObjectID) {
+	lock := func(i int, owner OwnerID, mode Mode, want Outcome) {
+		reqs[i] = Request{Obj: obj, Owner: owner, Mode: mode, Deadline: time.Duration(i) * time.Second, Tag: int64(i)}
+		if out, _ := tb.Lock(&reqs[i]); out != want {
+			panic("unexpected lock outcome")
+		}
+	}
+	lock(0, 1, ModeExclusive, Granted)
+	lock(1, 2, ModeShared, Queued)
+	lock(2, 3, ModeShared, Queued)
+	lock(3, 4, ModeExclusive, Queued)
+	grants := tb.Release(obj, 1)
+	if len(grants) != 2 || grants[0] != &reqs[1] || grants[1] != &reqs[2] || grants[1].Tag != 2 {
+		panic("readers not admitted together, in deadline order")
+	}
+	if len(tb.Release(obj, 2)) != 0 {
+		panic("writer admitted past a reader")
+	}
+	if grants = tb.Release(obj, 3); len(grants) != 1 || grants[0] != &reqs[3] {
+		panic("writer not admitted by the last reader's release")
+	}
+	tb.Release(obj, 4)
+}
+
+// TestWaiterRoundNoAllocs pins enqueue → release → admit → grant
+// consumed at zero allocations: admit pops by shifting down, so the
+// queue's array stays whole; grants come back in the table's shared
+// list; and a retired entry keeps its holder and queue capacity for the
+// next object that needs one.
+func TestWaiterRoundNoAllocs(t *testing.T) {
+	for name, tb := range map[string]*Table{"sparse": NewTable(), "dense": denseTable(64)} {
+		var reqs [6]Request
+		obj := ObjectID(0)
+		round := func() {
+			waiterRound(tb, &reqs, obj)
+			obj = (obj + 1) % 64 // a retired entry serves another object next
+		}
+		round()
+		if n := testing.AllocsPerRun(500, round); n != 0 {
+			t.Errorf("%s: a queued-waiter round allocates %v per run, want 0", name, n)
+		}
+		if err := tb.Audit(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+func denseTable(n int) *Table {
 	tb := NewTable()
-	tb.Reserve(64)
-	testRoundNoAllocs(t, tb)
+	tb.Reserve(n)
+	return tb
+}
+
+func BenchmarkWaiterRound(b *testing.B) {
+	tb := denseTable(64)
+	var reqs [6]Request
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		waiterRound(tb, &reqs, ObjectID(i%64))
+	}
 }
 
 func benchRound(b *testing.B, tb *Table) {
@@ -85,8 +148,4 @@ func benchRound(b *testing.B, tb *Table) {
 
 func BenchmarkSparseRound(b *testing.B) { benchRound(b, NewTable()) }
 
-func BenchmarkDenseRound(b *testing.B) {
-	tb := NewTable()
-	tb.Reserve(64)
-	benchRound(b, tb)
-}
+func BenchmarkDenseRound(b *testing.B) { benchRound(b, denseTable(64)) }

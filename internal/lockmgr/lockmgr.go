@@ -75,9 +75,10 @@ type Request struct {
 	Mode     Mode
 	Deadline time.Duration
 
-	// Tag carries caller context (e.g. the waiting transaction) through
-	// to the grant notification.
-	Tag any
+	// Tag carries caller context through to the grant notification: the
+	// id of the waiting transaction, zero when there is none. An integer,
+	// not an interface, so that tagging a request boxes nothing.
+	Tag int64
 
 	seq     int64
 	granted bool
@@ -134,6 +135,10 @@ type Table struct {
 	// confBuf is the shared conflict-scan buffer: conflict queries
 	// return slices of it, valid only until the next table call.
 	confBuf []OwnerID
+	// grantBuf is the shared grant list: Release, Downgrade, ReleaseAll
+	// and Cancel return slices of it, which the caller must consume
+	// before the next of those four calls.
+	grantBuf []*Request
 	// ddSeen/ddGen/ddStack are deadlock-detection scratch: visited
 	// owners are generation-stamped instead of collected in a per-call
 	// set, and neighbour sorting runs in segments of one shared stack.
@@ -176,10 +181,16 @@ type holderEntry struct {
 
 // entry keeps holders as a small slice sorted by owner: holder sets are
 // tiny (readers of one object), so sorted insertion beats a map and
-// conflict scans come out pre-sorted for determinism.
+// conflict scans come out pre-sorted for determinism. A new entry's
+// holders start in the entry itself (first): an object cached by one
+// site — most of them, at population scale — costs one 64-byte object,
+// not an entry plus a one-element array. Both slices keep whatever
+// capacity they grew to when the entry is retired and reused for
+// another object.
 type entry struct {
 	holders []holderEntry
 	queue   []*Request
+	first   [1]holderEntry
 }
 
 // NewTable returns an empty lock table.
@@ -219,6 +230,7 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 		t.free = t.free[:n-1]
 	} else {
 		e = &entry{}
+		e.holders = e.first[:0]
 	}
 	if t.dense {
 		for int(obj) >= len(t.entries) {
@@ -464,57 +476,63 @@ func (t *Table) dequeued(owner OwnerID, obj ObjectID) {
 	}
 }
 
+// resetGrants empties the shared grant list for the call that is about
+// to fill it.
+func (t *Table) resetGrants() {
+	clear(t.grantBuf)
+	t.grantBuf = t.grantBuf[:0]
+}
+
 // Release drops owner's lock on obj and returns the requests that become
-// granted as a result, in service order.
+// granted as a result, in service order. The returned slice is
+// table-owned scratch (see grantBuf).
 func (t *Table) Release(obj ObjectID, owner OwnerID) []*Request {
-	e := t.lookup(obj)
-	if e == nil {
-		return nil
+	t.resetGrants()
+	t.release(obj, owner)
+	return t.grantBuf
+}
+
+// release is Release appending to the grant list instead of resetting
+// it, so ReleaseAll can gather one list over several objects.
+func (t *Table) release(obj ObjectID, owner OwnerID) {
+	if e := t.lookup(obj); e != nil && t.delHolder(obj, e, owner) {
+		t.admit(obj, e)
 	}
-	if !t.delHolder(obj, e, owner) {
-		return nil
-	}
-	return t.admit(obj, e)
 }
 
 // Downgrade weakens owner's EL on obj to SL (the modified callback
 // scheme: the holder keeps reading while the requester proceeds in shared
-// mode) and returns newly granted requests.
+// mode) and returns newly granted requests (table-owned scratch).
 func (t *Table) Downgrade(obj ObjectID, owner OwnerID) []*Request {
-	e := t.lookup(obj)
-	if e == nil {
-		return nil
+	t.resetGrants()
+	if e := t.lookup(obj); e != nil && e.holderMode(owner) == ModeExclusive {
+		t.setHolder(obj, e, owner, ModeShared)
+		t.admit(obj, e)
 	}
-	if e.holderMode(owner) != ModeExclusive {
-		return nil
-	}
-	t.setHolder(obj, e, owner, ModeShared)
-	return t.admit(obj, e)
+	return t.grantBuf
 }
 
 // ReleaseAll drops every lock owner holds (strict 2PL commit/abort) and
 // returns all newly granted requests across objects, in ascending object
-// order.
+// order (table-owned scratch).
 func (t *Table) ReleaseAll(owner OwnerID) []*Request {
-	held := t.heldBy[owner]
-	if len(held) == 0 {
-		return nil
-	}
-	// Release mutates heldBy[owner]; snapshot and order the set first.
+	t.resetGrants()
+	// release mutates heldBy[owner]; snapshot and order the set first.
 	var stack [16]ObjectID
-	objs := append(stack[:0], held...)
+	objs := append(stack[:0], t.heldBy[owner]...)
 	slices.Sort(objs)
-	var grants []*Request
 	for _, obj := range objs {
-		grants = append(grants, t.Release(obj, owner)...)
+		t.release(obj, owner)
 	}
-	return grants
+	return t.grantBuf
 }
 
 // Cancel removes a queued request (typically because its transaction
 // missed its deadline) and returns any requests that become grantable
-// once the canceled one no longer blocks the queue head.
+// once the canceled one no longer blocks the queue head (table-owned
+// scratch).
 func (t *Table) Cancel(req *Request) []*Request {
+	t.resetGrants()
 	if !req.waiting {
 		return nil
 	}
@@ -524,27 +542,37 @@ func (t *Table) Cancel(req *Request) []*Request {
 	}
 	for i, q := range e.queue {
 		if q == req {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			e.unqueue(i)
 			break
 		}
 	}
 	req.waiting = false
 	t.dequeued(req.Owner, req.Obj)
 	t.dropEdgesFrom(req.Owner, req.Obj)
-	return t.admit(req.Obj, e)
+	t.admit(req.Obj, e)
+	return t.grantBuf
+}
+
+// unqueue removes the i'th queued request by shifting the tail down, so
+// the queue's backing array — front included — stays with the entry.
+func (e *entry) unqueue(i int) {
+	last := len(e.queue) - 1
+	copy(e.queue[i:], e.queue[i+1:])
+	e.queue[last] = nil
+	e.queue = e.queue[:last]
 }
 
 // admit grants queued requests in deadline order while they remain
 // compatible with the holders, stopping at the first conflict so earlier
-// deadlines are never starved by later compatible ones.
-func (t *Table) admit(obj ObjectID, e *entry) []*Request {
-	var grants []*Request
+// deadlines are never starved by later compatible ones. The grants are
+// appended to the table's shared grant list.
+func (t *Table) admit(obj ObjectID, e *entry) {
 	for len(e.queue) > 0 {
 		req := e.queue[0]
 		if e.conflictCount(req.Owner, req.Mode) > 0 {
 			break
 		}
-		e.queue = e.queue[1:]
+		e.unqueue(0)
 		t.setHolder(obj, e, req.Owner, req.Mode)
 		req.waiting = false
 		req.granted = true
@@ -553,12 +581,11 @@ func (t *Table) admit(obj ObjectID, e *entry) []*Request {
 		if t.hook.Granted != nil {
 			t.hook.Granted(req)
 		}
-		grants = append(grants, req)
+		t.grantBuf = append(t.grantBuf, req)
 	}
 	if len(e.holders) == 0 && len(e.queue) == 0 {
 		t.retire(obj, e)
 	}
-	return grants
 }
 
 // HolderMode returns the mode owner holds on obj (0 when not held).
@@ -794,40 +821,56 @@ func (t *Table) retireWaits(owner OwnerID) {
 }
 
 // Audit verifies internal invariants: no conflicting holders coexist and
-// no granted request is still queued. It returns an error describing the
-// first violation found.
+// no granted request is still queued. It walks the table in place —
+// the invariant monitor calls it after every kernel event — and returns
+// an error describing the violation on the lowest-numbered object, so
+// the report repeats from run to run whatever order the sparse map
+// iterates in.
 func (t *Table) Audit() error {
-	objs := make([]ObjectID, 0, len(t.sparse))
 	if t.dense {
-		for obj := ObjectID(0); int(obj) < len(t.entries); obj++ {
-			if t.entries[obj] != nil {
-				objs = append(objs, obj)
+		for obj, e := range t.entries {
+			if e == nil {
+				continue
+			}
+			if err := e.audit(ObjectID(obj)); err != nil {
+				return err
 			}
 		}
-	} else {
-		for obj := range t.sparse {
-			objs = append(objs, obj)
-		}
-		slices.Sort(objs)
+		return nil
 	}
-	for _, obj := range objs {
-		e := t.lookup(obj)
-		var sharers, exclusives int
-		for _, h := range e.holders {
-			switch h.mode {
-			case ModeShared:
-				sharers++
-			case ModeExclusive:
-				exclusives++
-			}
+	var first error
+	var firstObj ObjectID
+	for obj, e := range t.sparse {
+		if first != nil && obj > firstObj {
+			continue
 		}
-		if exclusives > 1 || (exclusives == 1 && sharers > 0) {
-			return fmt.Errorf("lockmgr: object %d held incompatibly (%d SL, %d EL)", obj, sharers, exclusives)
+		if err := e.audit(obj); err != nil {
+			first, firstObj = err, obj
 		}
-		for _, q := range e.queue {
-			if q.granted {
-				return fmt.Errorf("lockmgr: object %d has granted request still queued", obj)
-			}
+	}
+	return first
+}
+
+// audit checks one object's entry.
+func (e *entry) audit(obj ObjectID) error {
+	if len(e.holders) <= 1 && len(e.queue) == 0 {
+		return nil // one holder and nobody waiting: nothing to conflict
+	}
+	var sharers, exclusives int
+	for _, h := range e.holders {
+		switch h.mode {
+		case ModeShared:
+			sharers++
+		case ModeExclusive:
+			exclusives++
+		}
+	}
+	if exclusives > 1 || (exclusives == 1 && sharers > 0) {
+		return fmt.Errorf("lockmgr: object %d held incompatibly (%d SL, %d EL)", obj, sharers, exclusives)
+	}
+	for _, q := range e.queue {
+		if q.granted {
+			return fmt.Errorf("lockmgr: object %d has granted request still queued", obj)
 		}
 	}
 	return nil

@@ -403,3 +403,29 @@ func TestQueueDrainsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAuditReportsLowestObject plants the same violation — two
+// exclusive holders — on several objects and checks that Audit names
+// the lowest-numbered one with the text it always had, on the dense
+// index and on the sparse map, whose iteration order changes from call
+// to call.
+func TestAuditReportsLowestObject(t *testing.T) {
+	const want = "lockmgr: object 7 held incompatibly (0 SL, 2 EL)"
+	for name, tb := range map[string]*Table{"sparse": NewTable(), "dense": denseTable(64)} {
+		for obj := ObjectID(1); obj < 60; obj++ {
+			tb.Lock(&Request{Obj: obj, Owner: 1, Mode: ModeExclusive})
+		}
+		if err := tb.Audit(); err != nil {
+			t.Fatalf("%s: clean table: %v", name, err)
+		}
+		for _, obj := range []ObjectID{41, 7, 23, 58} {
+			e := tb.lookup(obj)
+			e.holders = append(e.holders, holderEntry{owner: 2, mode: ModeExclusive})
+		}
+		for i := 0; i < 50; i++ {
+			if err := tb.Audit(); err == nil || err.Error() != want {
+				t.Fatalf("%s: Audit = %v, want %q", name, err, want)
+			}
+		}
+	}
+}

@@ -161,8 +161,10 @@ func (n *Network) deliverFaulty(msg Message, dest *sim.Mailbox[Message], deliver
 	}
 	if !rel && f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate {
 		// The extra copy trails the original by one latency; both
-		// deliveries bypass the ring.
+		// deliveries bypass the ring, and both are marked as sharing
+		// their payload so neither receiver recycles it.
 		f.stats.Duplicated++
+		msg.Shared = true
 		dup := msg
 		dup.DeliveredAt = deliver + n.cfg.Latency + time.Nanosecond
 		n.env.At(dup.DeliveredAt, func() { dest.Put(dup) })

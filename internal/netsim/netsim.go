@@ -61,7 +61,7 @@ const (
 	numKinds
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [numKinds]string{
 	KindObjectRequest: "ObjectRequest",
 	KindObjectShip:    "ObjectShip",
 	KindRecall:        "Recall",
@@ -78,8 +78,8 @@ var kindNames = map[Kind]string{
 
 // String returns the kind's name, or "Kind(n)" for unknown values.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k > 0 && k < numKinds {
+		return kindNames[k]
 	}
 	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
@@ -103,6 +103,11 @@ type Message struct {
 	// SentAt and DeliveredAt are stamped by the network.
 	SentAt      time.Duration
 	DeliveredAt time.Duration
+
+	// Shared marks a frame the fault layer delivers twice: both copies
+	// carry the one Payload, so a receiver that recycles payload records
+	// must leave this one to the collector.
+	Shared bool
 
 	// rexmit counts reliable-channel retransmissions of this frame
 	// (fault injection only), driving the backoff schedule.

@@ -1,0 +1,124 @@
+package proto
+
+import "fmt"
+
+// FreeList recycles the records of one payload type.
+type FreeList[T any] struct {
+	free []*T
+}
+
+// Get returns a zeroed record (slice fields empty, their capacity kept
+// where Release keeps it), from the free list when it holds one.
+func (f *FreeList[T]) Get() *T {
+	n := len(f.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return x
+}
+
+func (f *FreeList[T]) put(x *T) { f.free = append(f.free, x) }
+
+// putZeroed is put for payloads that keep nothing across reuse.
+func (f *FreeList[T]) putZeroed(x *T) {
+	var zero T
+	*x = zero
+	f.put(x)
+}
+
+// Pool is one cluster's stock of payload records, a free list per
+// payload type. A payload travels as a pointer to a record the sender
+// took with Get and filled in place; the dispatch loop that receives
+// the frame hands the record back with Release once its handler has
+// returned, unless the frame is marked netsim.Message.Shared. Handlers
+// therefore take payloads by value or must not keep the pointer.
+//
+// The pool belongs to the cluster it serves — the system constructor
+// makes one and hands it to every client and server, as it does the
+// config and the network — and is never package-level state: the
+// experiment runner drives many clusters on many goroutines, a cluster
+// is single-threaded, and a finished cluster's records must die with
+// it. The lists grow to the peak number of frames in flight and no
+// further; the zero Pool is ready to use.
+type Pool struct {
+	ObjRequest     FreeList[ObjRequest]
+	ProbeRequest   FreeList[ProbeRequest]
+	CommitRequest  FreeList[CommitRequest]
+	ObjGrant       FreeList[ObjGrant]
+	BatchGrant     FreeList[BatchGrant]
+	ConflictReply  FreeList[ConflictReply]
+	DenyReply      FreeList[DenyReply]
+	Recall         FreeList[Recall]
+	BatchRecall    FreeList[BatchRecall]
+	ReplicaInstall FreeList[ReplicaInstall]
+	ObjReturn      FreeList[ObjReturn]
+	LoadQuery      FreeList[LoadQuery]
+	LoadReply      FreeList[LoadReply]
+	TxnShip        FreeList[TxnShip]
+	TxnResult      FreeList[TxnResult]
+	TxnSubmit      FreeList[TxnSubmit]
+	UserResult     FreeList[UserResult]
+}
+
+// Release zeroes a delivered payload record and returns it to its free
+// list. Call it exactly once per delivered frame, after the handler has
+// returned, and never for a frame marked Shared (the fault layer
+// delivered it twice; both copies fall to the collector).
+//
+// Slices the receiving handlers only read in place keep their backing
+// arrays for the next sender to fill: the access vectors of
+// ProbeRequest, CommitRequest and LoadQuery, BatchGrant.Grants,
+// BatchRecall.Recalls and ObjReturn.RetainedSL. ConflictReply and
+// LoadReply hand their slices over to the client, which keeps them
+// until the waiting transaction's site-selection step has read them, so
+// those records are released bare.
+func (p *Pool) Release(payload any) {
+	switch r := payload.(type) {
+	case *ObjRequest:
+		p.ObjRequest.putZeroed(r)
+	case *ProbeRequest:
+		*r = ProbeRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
+		p.ProbeRequest.put(r)
+	case *CommitRequest:
+		*r = CommitRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
+		p.CommitRequest.put(r)
+	case *ObjGrant:
+		p.ObjGrant.putZeroed(r)
+	case *BatchGrant:
+		clear(r.Grants) // drop the forward-list pointers
+		r.Grants = r.Grants[:0]
+		p.BatchGrant.put(r)
+	case *ConflictReply:
+		p.ConflictReply.putZeroed(r)
+	case *DenyReply:
+		p.DenyReply.putZeroed(r)
+	case *Recall:
+		p.Recall.putZeroed(r)
+	case *BatchRecall:
+		r.Recalls = r.Recalls[:0]
+		p.BatchRecall.put(r)
+	case *ReplicaInstall:
+		p.ReplicaInstall.putZeroed(r)
+	case *ObjReturn:
+		*r = ObjReturn{RetainedSL: r.RetainedSL[:0]}
+		p.ObjReturn.put(r)
+	case *LoadQuery:
+		*r = LoadQuery{Objs: r.Objs[:0], Modes: r.Modes[:0]}
+		p.LoadQuery.put(r)
+	case *LoadReply:
+		p.LoadReply.putZeroed(r)
+	case *TxnShip:
+		p.TxnShip.putZeroed(r)
+	case *TxnResult:
+		p.TxnResult.putZeroed(r)
+	case *TxnSubmit:
+		p.TxnSubmit.putZeroed(r)
+	case *UserResult:
+		p.UserResult.putZeroed(r)
+	default:
+		panic(fmt.Sprintf("proto: Release of unpooled payload %T", payload))
+	}
+}

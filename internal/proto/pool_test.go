@@ -1,0 +1,315 @@
+package proto
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"siteselect/internal/forward"
+	"siteselect/internal/lockmgr"
+	"siteselect/internal/netsim"
+	"siteselect/internal/sim"
+	"siteselect/internal/txn"
+)
+
+// filled returns one record of every payload type with every field set
+// to something other than its zero value, taken from p.
+func filled(p *Pool) []any {
+	load := LoadReport{Client: 3, QueueLen: 2, ATL: time.Second, Valid: true}
+	objs := []lockmgr.ObjectID{4, 5, 6}
+	modes := []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeExclusive, lockmgr.ModeShared}
+	conflicts := []ObjConflict{{Obj: 4, Holders: []netsim.SiteID{2, 3}}}
+	t := &txn.Transaction{ID: 9}
+
+	or := p.ObjRequest.Get()
+	*or = ObjRequest{Client: 1, Txn: 9, Obj: 4, Mode: lockmgr.ModeShared, Deadline: time.Minute, Attempt: 1, Load: load}
+	pr := p.ProbeRequest.Get()
+	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
+	pr.Objs, pr.Modes = append(pr.Objs, objs...), append(pr.Modes, modes...)
+	cr := p.CommitRequest.Get()
+	cr.Client, cr.Txn, cr.Deadline, cr.Attempt, cr.Load = 1, 9, time.Minute, 1, load
+	cr.Objs, cr.Modes = append(cr.Objs, objs...), append(cr.Modes, modes...)
+	og := p.ObjGrant.Get()
+	*og = ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)}
+	bg := p.BatchGrant.Get()
+	bg.Grants = append(bg.Grants, *og, ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
+	cf := p.ConflictReply.Get()
+	*cf = ConflictReply{Txn: 9, Conflicts: conflicts, Loads: []LoadReport{load}, DataCounts: []SiteCount{{Site: 2, Count: 1}}}
+	dr := p.DenyReply.Get()
+	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
+	rc := p.Recall.Get()
+	*rc = Recall{Obj: 4, DowngradeToShared: true, HolderMode: lockmgr.ModeExclusive}
+	br := p.BatchRecall.Get()
+	br.Recalls = append(br.Recalls, *rc, Recall{Obj: 5})
+	ri := p.ReplicaInstall.Get()
+	*ri = ReplicaInstall{Obj: 4, Version: 7}
+	rt := p.ObjReturn.Get()
+	retained := append(rt.RetainedSL, 2, 3)
+	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true, NotCached: true,
+		UpdateOnly: true, Migration: true, RunComplete: true, RetainedSL: retained, Epoch: 2, Load: load}
+	lq := p.LoadQuery.Get()
+	lq.Client, lq.Txn, lq.Deadline, lq.Attempt, lq.Load = 1, 9, time.Minute, 1, load
+	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
+	lr := p.LoadReply.Get()
+	*lr = LoadReply{Txn: 9, Locations: conflicts, Loads: []LoadReport{load}}
+	ts := p.TxnShip.Get()
+	*ts = TxnShip{T: t, Sub: &txn.Subtask{Parent: t}, ReplyTo: 1, Load: load}
+	tr := p.TxnResult.Get()
+	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true, ExecSite: 2}
+	su := p.TxnSubmit.Get()
+	su.T = t
+	ur := p.UserResult.Get()
+	*ur = UserResult{Txn: 9, Committed: true}
+	return []any{or, pr, cr, og, bg, cf, dr, rc, br, ri, rt, lq, lr, ts, tr, su, ur}
+}
+
+// keepsCapacity names the slice fields Release leaves their backing
+// array; every other field of every payload must come back zero.
+var keepsCapacity = map[string]bool{
+	"ProbeRequest.Objs": true, "ProbeRequest.Modes": true,
+	"CommitRequest.Objs": true, "CommitRequest.Modes": true,
+	"LoadQuery.Objs": true, "LoadQuery.Modes": true,
+	"BatchGrant.Grants": true, "BatchRecall.Recalls": true,
+	"ObjReturn.RetainedSL": true,
+}
+
+func TestFilledCoversEveryPoolList(t *testing.T) {
+	var p Pool
+	if got, want := len(filled(&p)), reflect.TypeOf(p).NumField(); got != want {
+		t.Fatalf("filled makes %d payload types, Pool has %d free lists", got, want)
+	}
+}
+
+// TestReleaseZeroesAndKeepsCapacity: per payload type, take → fill →
+// release → take returns the same record, every field zero, with the
+// capacity of the slices that no handler retains kept and the slices a
+// handler does retain (ConflictReply's, LoadReply's) left alone.
+func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
+	var p Pool
+	for _, rec := range filled(&p) {
+		v := reflect.ValueOf(rec).Elem()
+		name := v.Type().Name()
+		// Every field must be set, or the zero check below proves nothing.
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("%s.%s left zero by the test's fill", name, v.Type().Field(i).Name)
+			}
+		}
+		caps := map[string]int{}
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				caps[v.Type().Field(i).Name] = f.Cap()
+			}
+		}
+		p.Release(rec)
+		again := reflect.ValueOf(takeLike(&p, rec))
+		if again.Pointer() != reflect.ValueOf(rec).Pointer() {
+			t.Errorf("%s: Get after Release made a new record", name)
+		}
+		for i := 0; i < v.NumField(); i++ {
+			f, fname := again.Elem().Field(i), v.Type().Field(i).Name
+			if keepsCapacity[name+"."+fname] {
+				if f.Len() != 0 || f.Cap() != caps[fname] || f.Cap() == 0 {
+					t.Errorf("%s.%s after reuse: len %d cap %d, want len 0 cap %d",
+						name, fname, f.Len(), f.Cap(), caps[fname])
+				}
+				// Grants carry forward-list pointers: the kept array must
+				// not keep a finished migration's list alive.
+				if full := f.Slice(0, f.Cap()); name == "BatchGrant" && !full.IsZero() {
+					for j := 0; j < full.Len(); j++ {
+						if !full.Index(j).IsZero() {
+							t.Errorf("BatchGrant.Grants[%d] keeps %+v", j, full.Index(j))
+						}
+					}
+				}
+				continue
+			}
+			if !f.IsZero() {
+				t.Errorf("%s.%s = %v after reuse, want zero", name, fname, f)
+			}
+		}
+	}
+}
+
+// takeLike takes a record of rec's type from p.
+func takeLike(p *Pool, rec any) any {
+	list := reflect.ValueOf(p).Elem().FieldByName(reflect.TypeOf(rec).Elem().Name())
+	return list.Addr().MethodByName("Get").Call(nil)[0].Interface()
+}
+
+// TestRetainedSlicesAreNotAliased: a client that kept a ConflictReply's
+// or LoadReply's slices past the handler sees them unchanged when the
+// released record is refilled by the next sender.
+func TestRetainedSlicesAreNotAliased(t *testing.T) {
+	var p Pool
+	cf := p.ConflictReply.Get()
+	*cf = ConflictReply{Txn: 1,
+		Conflicts: []ObjConflict{{Obj: 4, Holders: []netsim.SiteID{2}}},
+		Loads:     []LoadReport{{Client: 2, Valid: true}}, DataCounts: []SiteCount{{Site: 2, Count: 3}}}
+	kept := *cf
+	p.Release(cf)
+	next := p.ConflictReply.Get()
+	*next = ConflictReply{Txn: 2,
+		Conflicts: append(next.Conflicts, ObjConflict{Obj: 8}),
+		Loads:     append(next.Loads, LoadReport{Client: 7}), DataCounts: append(next.DataCounts, SiteCount{Site: 7})}
+	if kept.Conflicts[0].Obj != 4 || kept.Conflicts[0].Holders[0] != 2 || kept.Loads[0].Client != 2 || kept.DataCounts[0].Count != 3 {
+		t.Fatalf("retained conflict reply overwritten by the record's reuse: %+v", kept)
+	}
+
+	lr := p.LoadReply.Get()
+	*lr = LoadReply{Txn: 1, Locations: []ObjConflict{{Obj: 4}}, Loads: []LoadReport{{Client: 2}}}
+	keptLoad := *lr
+	p.Release(lr)
+	nl := p.LoadReply.Get()
+	nl.Locations = append(nl.Locations, ObjConflict{Obj: 9})
+	nl.Loads = append(nl.Loads, LoadReport{Client: 9})
+	if keptLoad.Locations[0].Obj != 4 || keptLoad.Loads[0].Client != 2 {
+		t.Fatalf("retained load reply overwritten by the record's reuse: %+v", keptLoad)
+	}
+}
+
+func TestReleaseOfUnpooledPayloadPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release of a payload passed by value did not panic")
+		}
+	}()
+	new(Pool).Release(Recall{Obj: 1})
+}
+
+// freeListPointers returns every pointer every free list of p holds.
+func freeListPointers(p *Pool) []uintptr {
+	var out []uintptr
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		free := v.Field(i).Field(0)
+		for j := 0; j < free.Len(); j++ {
+			out = append(out, free.Index(j).Pointer())
+		}
+	}
+	return out
+}
+
+// TestDuplicatedFramesAreNeverRecycled drives every payload type over a
+// network that duplicates every frame, into a receiver that follows the
+// dispatch loops' rule (release unless Shared): both copies arrive
+// intact and marked, so neither is released; a clean network afterwards
+// returns each record exactly once — the free lists never hold one
+// pointer twice.
+func TestDuplicatedFramesAreNeverRecycled(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	net := netsim.New(env, netsim.DefaultConfig())
+	net.SetFaults(netsim.FaultConfig{Seed: 1, DupRate: 1, Horizon: time.Second})
+	mb := sim.NewMailbox[netsim.Message](env)
+	var p Pool
+
+	recs := filled(&p)
+	want := make([]any, len(recs)) // deep copies of what was sent
+	for i, rec := range recs {
+		cp := reflect.New(reflect.TypeOf(rec).Elem())
+		cp.Elem().Set(reflect.ValueOf(rec).Elem())
+		want[i] = cp.Interface()
+		// An unreliable kind, so the duplicate lottery applies.
+		net.Send(netsim.Message{Kind: netsim.KindLockReply, From: 0, To: 1, Payload: rec}, mb)
+	}
+	env.RunAll()
+	seen := map[any]int{}
+	for {
+		msg, ok := mb.TryGet()
+		if !ok {
+			break
+		}
+		if !msg.Shared {
+			t.Fatalf("duplicated frame carrying %T not marked Shared", msg.Payload)
+		}
+		seen[msg.Payload]++
+	}
+	for i, rec := range recs {
+		if seen[rec] != 2 {
+			t.Errorf("%T delivered %d times at dup 1.0, want 2", rec, seen[rec])
+		}
+		if !reflect.DeepEqual(rec, want[i]) {
+			t.Errorf("%T changed between send and the second delivery:\n got %+v\nwant %+v", rec, rec, want[i])
+		}
+	}
+	if n := net.Faults().Duplicated; n != int64(len(recs)) {
+		t.Fatalf("Duplicated = %d, want %d", n, len(recs))
+	}
+	if ptrs := freeListPointers(&p); len(ptrs) != 0 {
+		t.Fatalf("free lists hold %d records after duplicated deliveries, want none", len(ptrs))
+	}
+
+	// Past the fault horizon the same records travel clean and are
+	// released exactly once each.
+	env.Run(2 * time.Second)
+	for _, rec := range recs {
+		net.Send(netsim.Message{Kind: netsim.KindLockReply, From: 0, To: 1, Payload: rec}, mb)
+	}
+	env.RunAll()
+	for {
+		msg, ok := mb.TryGet()
+		if !ok {
+			break
+		}
+		if msg.Shared {
+			t.Fatalf("clean frame carrying %T marked Shared", msg.Payload)
+		}
+		p.Release(msg.Payload)
+	}
+	ptrs := freeListPointers(&p)
+	if len(ptrs) != len(recs) {
+		t.Fatalf("free lists hold %d records, want %d", len(ptrs), len(recs))
+	}
+	held := map[uintptr]bool{}
+	for _, ptr := range ptrs {
+		if held[ptr] {
+			t.Fatalf("free lists hold record %#x twice", ptr)
+		}
+		held[ptr] = true
+	}
+}
+
+// TestPoolSteadyStateAllocatesNothing pins take → fill → release of the
+// benchmark's hottest payloads at zero allocations once warm.
+func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
+	var p Pool
+	round := func() {
+		for _, rec := range filledHot(&p) {
+			p.Release(rec)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Errorf("take/fill/release allocates %v per round, want 0", n)
+	}
+}
+
+var hotScratch [5]any
+
+func filledHot(p *Pool) []any {
+	q := p.ObjRequest.Get()
+	*q = ObjRequest{Client: 1, Txn: 9, Obj: 4, Mode: lockmgr.ModeShared}
+	g := p.ObjGrant.Get()
+	*g = ObjGrant{Obj: 4, Mode: lockmgr.ModeShared, Txn: 9}
+	bg := p.BatchGrant.Get()
+	bg.Grants = append(bg.Grants, *g, *g, *g)
+	br := p.BatchRecall.Get()
+	br.Recalls = append(br.Recalls, Recall{Obj: 4}, Recall{Obj: 5})
+	rt := p.ObjReturn.Get()
+	rt.Client, rt.Obj, rt.RetainedSL = 1, 4, append(rt.RetainedSL, 2, 3)
+	hotScratch = [5]any{q, g, bg, br, rt}
+	return hotScratch[:]
+}
+
+// BenchmarkPoolRound times take → fill → release of the five payloads a
+// contended batched exchange sends most.
+func BenchmarkPoolRound(b *testing.B) {
+	var p Pool
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, rec := range filledHot(&p) {
+			p.Release(rec)
+		}
+	}
+}

@@ -24,13 +24,17 @@ import (
 type ceCore struct {
 	cfg config.Config
 
-	env   *sim.Env
-	net   *netsim.Network
-	m     *metrics.Collector
-	disk  *pagefile.Disk
-	pool  *pagefile.BufferPool
-	slots *sim.Resource
-	cpu   *sim.Resource
+	env *sim.Env
+	net *netsim.Network
+	// payloads is this system's stock of message payload records: a
+	// terminal fills a TxnSubmit and the server's dispatcher releases it,
+	// the server fills a UserResult and the terminal's drain releases it.
+	payloads proto.Pool
+	m        *metrics.Collector
+	disk     *pagefile.Disk
+	pool     *pagefile.BufferPool
+	slots    *sim.Resource
+	cpu      *sim.Resource
 
 	inbox     *sim.Mailbox[netsim.Message]
 	terminals []*terminal
@@ -99,7 +103,7 @@ func (ce *ceCore) Start() {
 	for _, term := range ce.terminals {
 		tm := &ceTermMachine{ce: ce, term: term}
 		ce.env.Spawn(&tm.task, tm)
-		dm := &ceDrainMachine{term: term}
+		dm := &ceDrainMachine{ce: ce, term: term}
 		ce.env.Spawn(&dm.task, dm)
 	}
 }
@@ -153,9 +157,11 @@ func (m *ceTermMachine) Resume() {
 	if m.arrived {
 		t := term.gen.Next()
 		term.tracked = append(term.tracked, t)
+		sub := ce.payloads.TxnSubmit.Get()
+		sub.T = t
 		ce.net.Send(netsim.Message{
 			Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
-			Size: netsim.TxnShipBytes, Payload: proto.TxnSubmit{T: t},
+			Size: netsim.TxnShipBytes, Payload: sub,
 		}, ce.inbox)
 	}
 	next := term.gen.NextArrival()
@@ -170,14 +176,24 @@ func (m *ceTermMachine) Resume() {
 // ceDrainMachine consumes result messages (displayed to the user).
 type ceDrainMachine struct {
 	task sim.Task
+	ce   *ceCore
 	term *terminal
 }
 
 func (m *ceDrainMachine) Resume() {
 	for {
-		if _, ok := m.term.inbox.Recv(&m.task); !ok {
+		msg, ok := m.term.inbox.Recv(&m.task)
+		if !ok {
 			return
 		}
+		m.ce.release(msg)
+	}
+}
+
+// release returns a delivered frame's payload record to the pool.
+func (ce *ceCore) release(msg netsim.Message) {
+	if !msg.Shared {
+		ce.payloads.Release(msg.Payload)
 	}
 }
 
@@ -205,7 +221,8 @@ func (m *ceServeMachine) Resume() {
 			if !ok {
 				return
 			}
-			m.t = msg.Payload.(proto.TxnSubmit).T
+			m.t = msg.Payload.(*proto.TxnSubmit).T
+			ce.release(msg)
 			if ce.cfg.ServerOpCPU <= 0 {
 				m.pc = csSpawn
 				continue
@@ -356,10 +373,11 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	}
 	t.Finished = ce.env.Now()
 	t.ExecSite = netsim.ServerSite
+	res := ce.payloads.UserResult.Get()
+	res.Txn, res.Committed = t.ID, committed
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
-		Size:    netsim.ResultBytes,
-		Payload: proto.UserResult{Txn: t.ID, Committed: committed},
+		Size: netsim.ResultBytes, Payload: res,
 	}, ce.terminals[int(t.Origin)-1].inbox)
 }
 

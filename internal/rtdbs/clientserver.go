@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"sort"
 
+	"siteselect/internal/cache"
 	"siteselect/internal/client"
 	"siteselect/internal/config"
 	"siteselect/internal/invariant"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
+	"siteselect/internal/proto"
 	"siteselect/internal/rng"
 	"siteselect/internal/server"
 	"siteselect/internal/shardmap"
@@ -30,14 +32,17 @@ type Cluster struct {
 	cfg       config.Config
 	loadShare bool
 
-	env     *sim.Env
-	net     *netsim.Network
-	m       *metrics.Collector
-	topo    *shardmap.Map
-	server  *server.Server
-	servers []*server.Server
-	clients []*client.Client
-	tr      *trace.Tracer
+	env *sim.Env
+	net *netsim.Network
+	// payloads is this cluster's stock of message payload records,
+	// shared by its servers and clients and by no other cluster.
+	payloads proto.Pool
+	m        *metrics.Collector
+	topo     *shardmap.Map
+	server   *server.Server
+	servers  []*server.Server
+	clients  []*client.Client
+	tr       *trace.Tracer
 }
 
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
@@ -81,7 +86,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
-		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, k, topo))
+		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, k, topo))
 	}
 	c.server = c.servers[0]
 	if topo.Multi() {
@@ -116,7 +121,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 
 		gen := newGenerator(root, cfg, i, newID)
 		c.clients = append(c.clients,
-			client.New(env, &c.cfg, id, net, c.m, inbox, topo, shardIns, gen, loadShare))
+			client.New(env, &c.cfg, id, net, &c.payloads, c.m, inbox, topo, shardIns, gen, loadShare))
 	}
 	for _, cl := range c.clients {
 		cl.SetPeers(inboxes)
@@ -316,12 +321,34 @@ func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 // comparisons of Audit are end-of-run properties — mid-run the server's
 // copy legitimately lags committed writers.)
 func (c *Cluster) auditDirty() error {
+	return c.auditCaches(func(cl *client.Client, e *cache.Entry) error {
+		if e.Dirty && e.Mode != lockmgr.ModeExclusive && !cl.HasDeferredRecall(e.Obj) {
+			return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
+				cl.ID(), e.Obj, e.Mode)
+		}
+		return nil
+	})
+}
+
+// auditCaches applies check to every cached entry of every client, in
+// place — the monitor runs it after every kernel event — and returns
+// the violation of the first client that has one, on that client's
+// lowest-numbered failing object: a cache is walked in map order, and
+// the report must not depend on it.
+func (c *Cluster) auditCaches(check func(*client.Client, *cache.Entry) error) error {
 	for _, cl := range c.clients {
-		for _, e := range cl.Cache().Entries() {
-			if e.Dirty && e.Mode != lockmgr.ModeExclusive && !cl.HasDeferredRecall(e.Obj) {
-				return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
-					cl.ID(), e.Obj, e.Mode)
+		var first error
+		var firstObj lockmgr.ObjectID
+		cl.Cache().Visit(func(e *cache.Entry) {
+			if first != nil && e.Obj > firstObj {
+				return
 			}
+			if err := check(cl, e); err != nil {
+				first, firstObj = err, e.Obj
+			}
+		})
+		if first != nil {
+			return first
 		}
 	}
 	return nil
@@ -433,31 +460,29 @@ func (c *Cluster) Audit() error {
 			return err
 		}
 	}
-	for _, cl := range c.clients {
-		for _, e := range cl.Cache().Entries() {
-			if cl.HasDeferredRecall(e.Obj) {
-				continue // a pending callback makes any state transitional
+	return c.auditCaches(func(cl *client.Client, e *cache.Entry) error {
+		if cl.HasDeferredRecall(e.Obj) {
+			return nil // a pending callback makes any state transitional
+		}
+		home := c.home(e.Obj)
+		if e.Dirty {
+			if e.Mode != lockmgr.ModeExclusive {
+				return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
+					cl.ID(), e.Obj, e.Mode)
 			}
-			home := c.home(e.Obj)
-			if e.Dirty {
-				if e.Mode != lockmgr.ModeExclusive {
-					return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
-						cl.ID(), e.Obj, e.Mode)
-				}
-				if e.Version <= home.Version(e.Obj) {
-					return fmt.Errorf("rtdbs: client %d's dirty object %d at version %d not ahead of server's %d",
-						cl.ID(), e.Obj, e.Version, home.Version(e.Obj))
-				}
-				continue
-			}
-			if e.Version > home.Version(e.Obj) && home.Migrating(e.Obj) {
-				continue // retained copy ahead of a still-travelling chain
-			}
-			if e.Version != home.Version(e.Obj) {
-				return fmt.Errorf("rtdbs: client %d caches stale clean object %d (version %d, server %d)",
+			if e.Version <= home.Version(e.Obj) {
+				return fmt.Errorf("rtdbs: client %d's dirty object %d at version %d not ahead of server's %d",
 					cl.ID(), e.Obj, e.Version, home.Version(e.Obj))
 			}
+			return nil
 		}
-	}
-	return nil
+		if e.Version > home.Version(e.Obj) && home.Migrating(e.Obj) {
+			return nil // retained copy ahead of a still-travelling chain
+		}
+		if e.Version != home.Version(e.Obj) {
+			return fmt.Errorf("rtdbs: client %d caches stale clean object %d (version %d, server %d)",
+				cl.ID(), e.Obj, e.Version, home.Version(e.Obj))
+		}
+		return nil
+	})
 }

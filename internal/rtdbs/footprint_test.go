@@ -3,6 +3,7 @@ package rtdbs
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"siteselect/internal/config"
 )
@@ -50,4 +51,48 @@ func TestParkedClientFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 	c.Env().Close()
+}
+
+// TestMallocsPerTransaction is the blocking form of the benchmark's
+// allocs_per_txn on its write-path workload, at a tenth of the size: a
+// sharded, batched, 20 %-update client-server cell, every heap object
+// from construction to the end of the drain counted and divided by the
+// transactions submitted. go1.24 reads 17.1 (the parent of the change
+// that pooled payloads, batch windows and lock queues: 69.3); what is
+// left is the run's working set being built — cache entries, lock-table
+// entries and their first holder and queue arrays, the transactions
+// themselves — which a short run pays over fewer transactions than the
+// benchmark's 45 minutes do. The ceiling leaves a third for what differs
+// across the CI matrix (map growth, mostly) and sits far below what one
+// boxed payload per message (+19 at this cell's 19 messages a
+// transaction) or the window buffer regrown at every flush (+5) costs.
+func TestMallocsPerTransaction(t *testing.T) {
+	const ceiling = 23
+	cfg := config.Default(40, 0.20)
+	cfg.Sharding = config.Topology{Servers: 4, ReplicateHot: 3, HeatWindow: 5 * time.Minute}
+	cfg.BatchWindow = 100 * time.Millisecond
+	cfg.Duration, cfg.Warmup, cfg.Seed = 20*time.Minute, 2*time.Minute, 1
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := NewClientServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.M.Submitted < 3000 || res.BatchFlushes == 0 || res.RecallsSent == 0 || res.ReplicasInstalled == 0 {
+		t.Fatalf("cell too quiet to pin: %d submitted, %d flushes, %d recalls, %d replicas",
+			res.M.Submitted, res.BatchFlushes, res.RecallsSent, res.ReplicasInstalled)
+	}
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(res.M.Submitted)
+	t.Logf("%d transactions, %.1f messages each: %.1f mallocs per transaction",
+		res.M.Submitted, float64(res.TotalMessages)/float64(res.M.Submitted), perTxn)
+	if perTxn > ceiling {
+		t.Errorf("%.1f mallocs per submitted transaction, ceiling %d", perTxn, ceiling)
+	}
 }

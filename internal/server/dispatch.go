@@ -90,9 +90,11 @@ func (m *shipMachine) Resume() {
 	}
 	s := m.s
 	s.pool.Unpin(m.get.Frame(), false)
-	s.send(m.to, netsim.KindObjectShip, netsim.ObjectBytes, proto.ObjGrant{
+	g := s.payloads.ObjGrant.Get()
+	*g = proto.ObjGrant{
 		Obj: m.obj, Mode: m.mode, Version: m.version, Txn: m.id, Epoch: m.epoch, Fwd: m.fwd,
-	})
+	}
+	s.send(m.to, netsim.KindObjectShip, netsim.ObjectBytes, g)
 	m.task.Detach()
 	m.fwd = nil
 	s.shipFree = append(s.shipFree, m)
@@ -119,13 +121,11 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 			// instead (the client answers NotCached or returns the
 			// copy it was upgrading, and the release then cascades).
 			s.DeniesExpired++
-			expired, _ := g.Tag.(txn.ID)
-			s.recall(g.Obj, netsim.SiteID(g.Owner), false, expired)
+			s.recall(g.Obj, netsim.SiteID(g.Owner), false, txn.ID(g.Tag))
 			s.freeReq(g)
 			continue
 		}
-		id, _ := g.Tag.(txn.ID)
-		s.ship(g.Obj, netsim.SiteID(g.Owner), g.Mode, id, nil)
+		s.ship(g.Obj, netsim.SiteID(g.Owner), g.Mode, txn.ID(g.Tag), nil)
 		s.freeReq(g)
 	}
 }
@@ -265,7 +265,7 @@ func (s *Server) recallForQueueHead(obj lockmgr.ObjectID) {
 		return
 	}
 	downgrade := head.Mode == lockmgr.ModeShared && s.cfg.UseDowngrade
-	forTxn, _ := head.Tag.(txn.ID)
+	forTxn := txn.ID(head.Tag)
 	for _, h := range s.locks.ConflictingHolders(obj, head.Owner, head.Mode) {
 		if h == MigrationOwner {
 			continue
@@ -364,7 +364,13 @@ func (s *Server) recall(obj lockmgr.ObjectID, holder netsim.SiteID, downgrade bo
 		s.recallIntents = append(s.recallIntents, recallIntent{holder: holder, recall: r})
 		return
 	}
-	s.send(holder, netsim.KindRecall, netsim.ControlBytes, r)
+	s.sendRecall(holder, r)
+}
+
+func (s *Server) sendRecall(holder netsim.SiteID, r proto.Recall) {
+	p := s.payloads.Recall.Get()
+	*p = r
+	s.send(holder, netsim.KindRecall, netsim.ControlBytes, p)
 }
 
 // recallIntent is one decided callback deferred during a window flush.
@@ -453,9 +459,9 @@ func (s *Server) flushRecalls() {
 	if len(intents) == 0 {
 		return
 	}
-	// Same mark-pass grouping as flushShips. A multi-recall group is
-	// allocated fresh — it escapes into the BatchRecall payload — but a
-	// lone recall sends by value and the intent buffer is reused.
+	// Same mark-pass grouping as flushShips. A multi-recall group fills
+	// a pooled BatchRecall's own array, a lone recall a pooled Recall,
+	// and the intent buffer is reused.
 	mark := s.flushMark[:0]
 	for range intents {
 		mark = append(mark, false)
@@ -472,18 +478,18 @@ func (s *Server) flushRecalls() {
 			}
 		}
 		if n == 1 {
-			s.send(h, netsim.KindRecall, netsim.ControlBytes, intents[i].recall)
+			s.sendRecall(h, intents[i].recall)
 			continue
 		}
-		rs := make([]proto.Recall, 0, n)
-		rs = append(rs, intents[i].recall)
+		br := s.payloads.BatchRecall.Get()
+		br.Recalls = append(br.Recalls, intents[i].recall)
 		for j := i + 1; j < len(intents); j++ {
 			if intents[j].holder == h {
-				rs = append(rs, intents[j].recall)
+				br.Recalls = append(br.Recalls, intents[j].recall)
 				mark[j] = true
 			}
 		}
-		s.send(h, netsim.KindRecall, len(rs)*netsim.ControlBytes, proto.BatchRecall{Recalls: rs})
+		s.send(h, netsim.KindRecall, n*netsim.ControlBytes, br)
 	}
 	s.flushMark = mark
 	s.recallIntents = intents[:0]
@@ -512,14 +518,14 @@ func (m *batchShipMachine) Resume() {
 		panic(fmt.Sprintf("server: reading batched ships for site %d: %v", m.to, err))
 	}
 	s := m.s
-	grants := make([]proto.ObjGrant, len(m.intents))
-	for i, in := range m.intents {
-		grants[i] = proto.ObjGrant{
+	bg := s.payloads.BatchGrant.Get()
+	for _, in := range m.intents {
+		bg.Grants = append(bg.Grants, proto.ObjGrant{
 			Obj: in.obj, Mode: in.mode, Version: in.version,
 			Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
-		}
+		})
 	}
-	s.send(m.to, netsim.KindObjectShip, len(grants)*netsim.ObjectBytes, proto.BatchGrant{Grants: grants})
+	s.send(m.to, netsim.KindObjectShip, len(bg.Grants)*netsim.ObjectBytes, bg)
 	m.task.Detach()
 	clear(m.intents) // drop forward-list pointers before reuse
 	m.intents = m.intents[:0]
@@ -581,7 +587,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		for _, e := range run {
 			lr := s.newReq()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(e.Client)
-			lr.Mode, lr.Deadline, lr.Tag = e.Mode, e.Deadline, e.Txn
+			lr.Mode, lr.Deadline, lr.Tag = e.Mode, e.Deadline, int64(e.Txn)
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: free object grant failed at dispatch")
@@ -628,7 +634,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	s.locks.Release(obj, lockmgr.OwnerID(first.Client))
 	lr := s.newReq()
 	lr.Obj, lr.Owner = obj, MigrationOwner
-	lr.Mode, lr.Deadline, lr.Tag = lockmgr.ModeExclusive, first.Deadline, first.Txn
+	lr.Mode, lr.Deadline, lr.Tag = lockmgr.ModeExclusive, first.Deadline, int64(first.Txn)
 	outcome, _ := s.locks.Lock(lr)
 	if outcome != lockmgr.Granted {
 		panic("server: migration lock failed at dispatch")

@@ -91,8 +91,9 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 		return 0, false
 	}
 	s.RequestsForwarded++
-	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes,
-		proto.ObjRequest{Client: r.Client, Txn: r.Txn, Obj: r.Obj, Mode: r.Mode, Deadline: r.Deadline})
+	q := s.payloads.ObjRequest.Get()
+	*q = proto.ObjRequest{Client: r.Client, Txn: r.Txn, Obj: r.Obj, Mode: r.Mode, Deadline: r.Deadline}
+	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes, q)
 	return batch.OutForwarded, true
 }
 
@@ -114,14 +115,12 @@ func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsi
 		return
 	}
 	now := s.env.Now()
-	w := s.heat[obj]
-	if w == nil {
-		w = &heatWindow{start: now}
-		s.heat[obj] = w
-	} else if now-w.start > s.cfg.Sharding.HeatWindow {
-		w.start, w.n = now, 0
+	w, ok := s.heat[obj]
+	if !ok || now-w.start > s.cfg.Sharding.HeatWindow {
+		w = heatWindow{start: now}
 	}
 	w.n++
+	s.heat[obj] = w
 	if w.n >= s.cfg.Sharding.ReplicateHot {
 		s.maybeReplicate(obj)
 	}
@@ -153,16 +152,19 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	if len(s.locks.ConflictingHolders(obj, owner, lockmgr.ModeShared)) > 0 {
 		return
 	}
-	if outcome, _ := s.locks.Lock(&lockmgr.Request{
-		Obj: obj, Owner: owner, Mode: lockmgr.ModeShared, Deadline: s.env.Now(),
-	}); outcome != lockmgr.Granted {
+	lr := s.newReq()
+	lr.Obj, lr.Owner = obj, owner
+	lr.Mode, lr.Deadline = lockmgr.ModeShared, s.env.Now()
+	if outcome, _ := s.locks.Lock(lr); outcome != lockmgr.Granted {
 		panic("server: replica registration failed on quiescent object")
 	}
+	s.freeReq(lr)
 	delete(s.heat, obj)
 	s.replicaOut[obj] = true
 	s.ReplicasInstalled++
-	s.send(shardmap.ShardSite(target), netsim.KindObjectShip, netsim.ObjectBytes,
-		proto.ReplicaInstall{Obj: obj, Version: s.versions[obj]})
+	in := s.payloads.ReplicaInstall.Get()
+	*in = proto.ReplicaInstall{Obj: obj, Version: s.versions[obj]}
+	s.send(shardmap.ShardSite(target), netsim.KindObjectShip, netsim.ObjectBytes, in)
 }
 
 // replicaTarget picks the shard hosting obj's replica: the static
@@ -295,6 +297,7 @@ func (s *Server) finishShedIfDrained(obj lockmgr.ObjectID) {
 	delete(s.shedding, obj)
 	delete(s.replicated, obj)
 	delete(s.repHeat, obj)
-	s.send(shardmap.ShardSite(s.topo.HomeShard(obj)), netsim.KindObjectReturn, netsim.ControlBytes,
-		proto.ObjReturn{Client: s.site, Obj: obj})
+	ret := s.payloads.ObjReturn.Get()
+	ret.Client, ret.Obj = s.site, obj
+	s.send(shardmap.ShardSite(s.topo.HomeShard(obj)), netsim.KindObjectReturn, netsim.ControlBytes, ret)
 }

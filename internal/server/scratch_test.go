@@ -7,24 +7,31 @@ import (
 
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/netsim"
+	"siteselect/internal/proto"
 	"siteselect/internal/txn"
 )
 
-// TestGrantDispatchBookkeepingZeroAlloc pins the server's converted
-// lock-round bookkeeping at zero allocations in steady state: pooled
-// requests, dense entry lookup, pooled wait-edge maps, and the
-// generation-stamped deadlock scratch. Message payloads and contended
-// grant lists are excluded — those escape to the network by design.
+// TestGrantDispatchBookkeepingZeroAlloc pins the server's lock round at
+// zero allocations in steady state, messages included. The first half is
+// the bookkeeping alone: pooled requests, dense entry lookup, pooled
+// wait-edge maps, the generation-stamped deadlock scratch. The second
+// half drives the connection handlers with a contended exchange —
+// request and ship, a second request that queues and recalls, the
+// holder's return with data, the grant admitted from the queue and
+// shipped, the release — every payload a record of the rig's pool that
+// the receiving side hands back, the queued request's tag a plain
+// integer, the admitted grants read from the table's shared list.
 func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
-	r := newRig(t, 2, nil)
+	r := newRig(t, 2, func(c *config.Config) { c.UseForwardLists = false })
 	defer r.env.Close()
 	s := r.srv
 
-	round := func() {
+	bookkeeping := func() {
 		// Uncontended grant and release — the dominant hot path.
 		q := s.newReq()
 		q.Obj, q.Owner, q.Mode = 41, 1, lockmgr.ModeExclusive
-		q.Deadline, q.Tag = time.Minute, txn.ID(7)
+		q.Deadline, q.Tag = time.Minute, 7
 		if out, _ := s.locks.Lock(q); out != lockmgr.Granted {
 			panic("free object not granted")
 		}
@@ -34,12 +41,12 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 		// scan) and cancels before the holder releases.
 		h := s.newReq()
 		h.Obj, h.Owner, h.Mode = 42, 1, lockmgr.ModeExclusive
-		h.Deadline, h.Tag = time.Minute, txn.ID(8)
+		h.Deadline, h.Tag = time.Minute, 8
 		s.locks.Lock(h)
 		s.freeReq(h)
 		w := s.newReq()
 		w.Obj, w.Owner, w.Mode = 42, 2, lockmgr.ModeExclusive
-		w.Deadline, w.Tag = time.Minute, txn.ID(9)
+		w.Deadline, w.Tag = time.Minute, 9
 		if out, _ := s.locks.Lock(w); out != lockmgr.Queued {
 			panic("conflicting request not queued")
 		}
@@ -48,9 +55,57 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 		s.locks.Release(42, 1)
 		s.locks.Release(41, 1)
 	}
+
+	// The scripted clients: request sends a pooled firm request, giveBack
+	// a pooled return, and expect plays the client's dispatch loop —
+	// receive one message, check it, release its record.
+	var id txn.ID
+	var version int64
+	request := func(from int) {
+		id++
+		q := s.payloads.ObjRequest.Get()
+		*q = proto.ObjRequest{Client: netsim.SiteID(from), Txn: id, Obj: 43,
+			Mode: lockmgr.ModeExclusive, Deadline: r.env.Now() + time.Minute}
+		r.send(from, netsim.KindObjectRequest, q)
+	}
+	giveBack := func(from int, hasData bool) {
+		ret := s.payloads.ObjReturn.Get()
+		ret.Client, ret.Obj, ret.HasData, ret.Version = netsim.SiteID(from), 43, hasData, version
+		r.send(from, netsim.KindObjectReturn, ret)
+	}
+	expect := func(at int, kind netsim.Kind) {
+		r.env.Run(r.env.Now() + time.Second)
+		msg, ok := r.inbox[at-1].TryGet()
+		if !ok || msg.Kind != kind {
+			panic("scripted client did not receive its " + kind.String())
+		}
+		if g, isGrant := msg.Payload.(*proto.ObjGrant); isGrant && (g.Txn != id || g.Version != version) {
+			panic("grant carries the wrong transaction or version")
+		}
+		s.payloads.Release(msg.Payload)
+	}
+	exchange := func() {
+		request(1)
+		expect(1, netsim.KindObjectShip)
+		request(2) // queues behind client 1's lock
+		expect(1, netsim.KindRecall)
+		version++
+		giveBack(1, true) // page install, then the queued grant ships
+		expect(2, netsim.KindObjectShip)
+		giveBack(2, false) // voluntary release: the entry retires
+	}
+
+	round := func() { bookkeeping(); exchange() }
 	round() // warm the pools
-	if n := testing.AllocsPerRun(500, round); n != 0 {
-		t.Errorf("lock-round bookkeeping allocates %v per run, want 0", n)
+	round()
+	if n := testing.AllocsPerRun(300, round); n != 0 {
+		t.Errorf("a lock round with its messages allocates %v per run, want 0", n)
+	}
+	if s.RecallsSent < 300 || s.GrantsShipped < 600 {
+		t.Fatalf("exchange did not run: %d recalls, %d grants", s.RecallsSent, s.GrantsShipped)
+	}
+	if err := s.AuditLocks(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -38,6 +38,10 @@ type Server struct {
 	env *sim.Env
 	cfg *config.Config // shared with every site; never written
 	net *netsim.Network
+	// payloads is the cluster's stock of payload records: every send
+	// takes one, every connection handler returns the one it was
+	// delivered.
+	payloads *proto.Pool
 
 	// shard is this server's index in the topology; site is its network
 	// address (shardmap.ShardSite(shard)); topo is the cluster-shared
@@ -63,7 +67,7 @@ type Server struct {
 	// counts their window accesses (for cold shedding), shedding marks
 	// replicas draining back to their home, and repGen invalidates
 	// stale heat-check timers across shed/reinstall cycles.
-	heat       map[lockmgr.ObjectID]*heatWindow
+	heat       map[lockmgr.ObjectID]heatWindow
 	replicaOut map[lockmgr.ObjectID]bool
 	replicated map[lockmgr.ObjectID]bool
 	repHeat    map[lockmgr.ObjectID]int
@@ -164,15 +168,15 @@ type conn struct {
 
 // New returns the single server of the paper's topology. Call Attach
 // for every client, then Start.
-func New(env *sim.Env, cfg *config.Config, net *netsim.Network) *Server {
-	return NewShard(env, cfg, net, 0, shardmap.New(cfg.Sharding))
+func New(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool) *Server {
+	return NewShard(env, cfg, net, payloads, 0, shardmap.New(cfg.Sharding))
 }
 
 // NewShard returns server shard `shard` of a (possibly multi-server)
-// topology sharing the runtime map topo. Call Attach for every client
-// — and, in multi-server topologies, SetPeerInbox/AttachPeer for the
-// shard-to-shard transport — then Start.
-func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, shard int, topo *shardmap.Map) *Server {
+// topology sharing the payload pool and the runtime map topo. Call
+// Attach for every client — and, in multi-server topologies,
+// SetPeerInbox/AttachPeer for the shard-to-shard transport — then Start.
+func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool, shard int, topo *shardmap.Map) *Server {
 	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
 		ReadTime:  cfg.DiskRead,
 		WriteTime: cfg.DiskWrite,
@@ -181,6 +185,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, shard int, 
 		env:      env,
 		cfg:      cfg,
 		net:      net,
+		payloads: payloads,
 		shard:    shard,
 		site:     shardmap.ShardSite(shard),
 		topo:     topo,
@@ -199,7 +204,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, shard int, 
 		inflight: make(map[lockmgr.ObjectID]*forward.List),
 	}
 	if s.multi {
-		s.heat = make(map[lockmgr.ObjectID]*heatWindow)
+		s.heat = make(map[lockmgr.ObjectID]heatWindow)
 		s.replicaOut = make(map[lockmgr.ObjectID]bool)
 		s.replicated = make(map[lockmgr.ObjectID]bool)
 		s.repHeat = make(map[lockmgr.ObjectID]int)
@@ -228,8 +233,8 @@ func (s *Server) SetTracer(tr *trace.Tracer) {
 	}
 	s.locks.SetHook(lockmgr.Hook{
 		Requested: func(req *lockmgr.Request, out lockmgr.Outcome, blockers []lockmgr.OwnerID) {
-			id, ok := req.Tag.(txn.ID)
-			if !ok || req.Owner == MigrationOwner {
+			id := txn.ID(req.Tag)
+			if id == 0 || req.Owner == MigrationOwner {
 				return
 			}
 			now := s.env.Now()
@@ -242,8 +247,8 @@ func (s *Server) SetTracer(tr *trace.Tracer) {
 			}
 		},
 		Granted: func(req *lockmgr.Request) {
-			id, ok := req.Tag.(txn.ID)
-			if !ok || req.Owner == MigrationOwner {
+			id := txn.ID(req.Tag)
+			if id == 0 || req.Owner == MigrationOwner {
 				return
 			}
 			tr.Point(id, s.site, trace.EvLockGranted, req.Obj, 0, 0, s.env.Now())
@@ -322,12 +327,16 @@ func (s *Server) Start() {
 // payload that parks mid-handle is an ObjReturn carrying data (the page
 // install goes through the pool); the machine keeps the message's
 // payload across resumes and borrows the install op from the server's
-// pool for as long as the install is parked.
+// pool for as long as the install is parked. Handlers take the payload
+// by value; once the last of them has returned, the record goes back to
+// the cluster's payload pool (done), unless the fault layer delivered
+// the frame twice (shared).
 type connMachine struct {
 	task    sim.Task
 	s       *Server
 	c       *conn
 	pc      uint8
+	shared  bool
 	payload any
 	put     *pagefile.PutOp
 }
@@ -348,7 +357,7 @@ func (m *connMachine) Resume() {
 			if !ok {
 				return
 			}
-			m.payload = msg.Payload
+			m.payload, m.shared = msg.Payload, msg.Shared
 			if s.cfg.ServerOpCPU <= 0 {
 				m.pc = csHandle
 				continue
@@ -367,18 +376,18 @@ func (m *connMachine) Resume() {
 			}
 			m.pc = csRecv
 			switch pl := m.payload.(type) {
-			case proto.ObjRequest:
+			case *proto.ObjRequest:
 				s.noteLoad(pl.Load)
 				s.handleFirm(pl.Client, pl.Txn, pl.Obj, pl.Mode, pl.Deadline)
-			case proto.ProbeRequest:
+			case *proto.ProbeRequest:
 				s.noteLoad(pl.Load)
-				s.handleProbe(pl)
-			case proto.CommitRequest:
+				s.handleProbe(*pl)
+			case *proto.CommitRequest:
 				s.noteLoad(pl.Load)
-				s.handleCommitRequest(pl)
-			case proto.ObjReturn:
+				s.handleCommitRequest(*pl)
+			case *proto.ObjReturn:
 				s.noteLoad(pl.Load)
-				if s.returnNeedsWrite(pl) {
+				if s.returnNeedsWrite(*pl) {
 					// The page is stamped with the version so end-to-end
 					// consistency can be audited.
 					if n := len(s.putFree); n > 0 {
@@ -390,42 +399,51 @@ func (m *connMachine) Resume() {
 					m.pc = csPut
 					continue
 				}
-				s.finishReturn(pl)
-			case proto.LoadQuery:
+				s.finishReturn(*pl)
+			case *proto.LoadQuery:
 				s.noteLoad(pl.Load)
-				s.handleLoadQuery(pl)
-			case proto.ReplicaInstall:
+				s.handleLoadQuery(*pl)
+			case *proto.ReplicaInstall:
 				// Shard-to-shard only: the home shard provisions a read
 				// replica here.
 				s.installReplica(pl.Obj, pl.Version)
-			case proto.Recall:
+			case *proto.Recall:
 				// Shard-to-shard only: the home shard recalls a replica
 				// served here (a writer arrived) — a forced drain.
 				s.shedReplica(pl.Obj, true)
-			case proto.BatchRecall:
+			case *proto.BatchRecall:
 				for _, r := range pl.Recalls {
 					s.shedReplica(r.Obj, true)
 				}
 			default:
 				panic(fmt.Sprintf("server: unexpected payload %T", m.payload))
 			}
-			m.payload = nil
+			m.done()
 		case csPut:
 			done, err := m.put.Step(&m.task)
 			if !done {
 				return
 			}
-			ret := m.payload.(proto.ObjReturn)
+			ret := m.payload.(*proto.ObjReturn)
 			if err != nil {
 				panic(fmt.Sprintf("server: writing object %d: %v", ret.Obj, err))
 			}
 			s.putFree = append(s.putFree, m.put)
 			m.put = nil
 			m.pc = csRecv
-			s.finishReturn(ret)
-			m.payload = nil
+			s.finishReturn(*ret)
+			m.done()
 		}
 	}
+}
+
+// done ends the handling of the current message: its payload record
+// returns to the pool for the next sender.
+func (m *connMachine) done() {
+	if !m.shared {
+		m.s.payloads.Release(m.payload)
+	}
+	m.payload = nil
 }
 
 // newReq returns a zeroed lock request from the pool. Requests resolved
@@ -476,6 +494,13 @@ func (s *Server) send(to netsim.SiteID, kind netsim.Kind, size int, payload any)
 	}, dest)
 }
 
+// deny refuses one request.
+func (s *Server) deny(to netsim.SiteID, d proto.DenyReply) {
+	p := s.payloads.DenyReply.Get()
+	*p = d
+	s.send(to, netsim.KindLockReply, netsim.ControlBytes, p)
+}
+
 // handleProbe implements the all-or-nothing tentative round of the
 // Section 4 pseudocode: grant and ship everything, or ship nothing and
 // report where the conflicting objects are.
@@ -483,8 +508,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 	now := s.env.Now()
 	if req.Deadline < now {
 		s.DeniesExpired++
-		s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes,
-			proto.DenyReply{Txn: req.Txn, Reason: proto.DenyExpired})
+		s.deny(req.Client, proto.DenyReply{Txn: req.Txn, Reason: proto.DenyExpired})
 		return
 	}
 	var conflicts []proto.ObjConflict
@@ -506,7 +530,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		for i, obj := range req.Objs {
 			lr := s.newReq()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(req.Client)
-			lr.Mode, lr.Deadline, lr.Tag = req.Modes[i], req.Deadline, req.Txn
+			lr.Mode, lr.Deadline, lr.Tag = req.Modes[i], req.Deadline, int64(req.Txn)
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: conflict-free probe request not granted")
@@ -519,12 +543,16 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		}
 		return
 	}
-	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, proto.ConflictReply{
+	// The reply's slices are made for it and pass to the client, which
+	// keeps them until the transaction's site selection has read them.
+	reply := s.payloads.ConflictReply.Get()
+	*reply = proto.ConflictReply{
 		Txn:        req.Txn,
 		Conflicts:  conflicts,
 		Loads:      s.loadsFor(conflicts),
 		DataCounts: s.dataCounts(req.Objs, conflicts),
-	})
+	}
+	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, reply)
 }
 
 // dataCounts reports, for every candidate holder site, how many of the
@@ -620,8 +648,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		// The paper's object request scheduling: the server unilaterally
 		// refuses to ship to transactions that already missed.
 		s.DeniesExpired++
-		s.send(r.Client, netsim.KindLockReply, netsim.ControlBytes,
-			proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyExpired})
+		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyExpired})
 		return batch.OutDeniedExpired
 	}
 	if s.multi {
@@ -641,7 +668,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	}
 	lr := s.newReq()
 	lr.Obj, lr.Owner = r.Obj, lockmgr.OwnerID(r.Client)
-	lr.Mode, lr.Deadline, lr.Tag = r.Mode, r.Deadline, r.Txn
+	lr.Mode, lr.Deadline, lr.Tag = r.Mode, r.Deadline, int64(r.Txn)
 	outcome, _ := s.locks.Lock(lr)
 	switch outcome {
 	case lockmgr.Granted:
@@ -657,8 +684,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	default: // lockmgr.Deadlock
 		s.freeReq(lr)
 		s.DeniesDeadlock++
-		s.send(r.Client, netsim.KindLockReply, netsim.ControlBytes,
-			proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyDeadlock})
+		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyDeadlock})
 		return batch.OutDeniedDeadlock
 	}
 }
@@ -793,9 +819,11 @@ func (s *Server) handleLoadQuery(q proto.LoadQuery) {
 			locations = append(locations, proto.ObjConflict{Obj: obj, Holders: hs})
 		}
 	}
-	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, proto.LoadReply{
+	reply := s.payloads.LoadReply.Get()
+	*reply = proto.LoadReply{
 		Txn:       q.Txn,
 		Locations: locations,
 		Loads:     s.loadsFor(locations),
-	})
+	}
+	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, reply)
 }

@@ -35,7 +35,7 @@ func newRig(t *testing.T, n int, mod func(*config.Config)) *rig {
 		mod(&cfg)
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
-	srv := New(env, &cfg, net)
+	srv := New(env, &cfg, net, &proto.Pool{})
 	r := &rig{env: env, net: net, srv: srv, t: t}
 	for i := 1; i <= n; i++ {
 		to := sim.NewMailbox[netsim.Message](env)
@@ -57,7 +57,7 @@ func (r *rig) send(from int, kind netsim.Kind, payload any) {
 
 func (r *rig) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
 	r.nextTx++
-	r.send(from, netsim.KindObjectRequest, proto.ObjRequest{
+	r.send(from, netsim.KindObjectRequest, &proto.ObjRequest{
 		Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Obj: obj,
 		Mode: mode, Deadline: deadline,
 	})
@@ -85,7 +85,7 @@ func TestServerGrantsFreeObject(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.ObjGrant)
 	if g.Obj != 42 || g.Mode != lockmgr.ModeExclusive {
 		t.Fatalf("grant = %+v", g)
 	}
@@ -103,7 +103,7 @@ func TestServerDeniesExpiredRequest(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindLockReply {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	d := msgs[0].Payload.(proto.DenyReply)
+	d := msgs[0].Payload.(*proto.DenyReply)
 	if d.Reason != proto.DenyExpired {
 		t.Fatalf("reason = %v", d.Reason)
 	}
@@ -124,12 +124,12 @@ func TestServerRecallsConflictingHolder(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindRecall {
 		t.Fatalf("holder messages = %+v", msgs)
 	}
-	rec := msgs[0].Payload.(proto.Recall)
+	rec := msgs[0].Payload.(*proto.Recall)
 	if !rec.DowngradeToShared {
 		t.Fatal("SL demand should ask for a downgrade")
 	}
 	// Holder answers with a downgrade; client 2 must then be granted.
-	r.send(1, netsim.KindObjectReturn, proto.ObjReturn{
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{
 		Client: 1, Obj: 7, Downgraded: true, HasData: true, Version: 1,
 	})
 	msgs = r.drain(2, 3*time.Second)
@@ -155,7 +155,7 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 	r.drain(1, time.Second)
 	// Client 2 probes for objects 5 and 6: nothing may ship; the reply
 	// must name client 1 as the conflict holder and count its data.
-	r.send(2, netsim.KindObjectRequest, proto.ProbeRequest{
+	r.send(2, netsim.KindObjectRequest, &proto.ProbeRequest{
 		Client: 2, Txn: 99,
 		Objs:     []lockmgr.ObjectID{5, 6},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared},
@@ -165,7 +165,7 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindLockReply {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	cr := msgs[0].Payload.(proto.ConflictReply)
+	cr := msgs[0].Payload.(*proto.ConflictReply)
 	if len(cr.Conflicts) != 1 || cr.Conflicts[0].Obj != 5 {
 		t.Fatalf("conflicts = %+v", cr.Conflicts)
 	}
@@ -183,7 +183,7 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 func TestServerProbeGrantsWhenAllFree(t *testing.T) {
 	r := newRig(t, 1, nil)
 	defer r.env.Close()
-	r.send(1, netsim.KindObjectRequest, proto.ProbeRequest{
+	r.send(1, netsim.KindObjectRequest, &proto.ProbeRequest{
 		Client: 1, Txn: 5,
 		Objs:     []lockmgr.ObjectID{10, 11, 12},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared, lockmgr.ModeExclusive},
@@ -215,7 +215,7 @@ func TestServerForwardListMigration(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindRecall {
 		t.Fatalf("holder messages = %+v", msgs)
 	}
-	r.send(1, netsim.KindObjectReturn, proto.ObjReturn{
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{
 		Client: 1, Obj: 3, HasData: true, Version: 7,
 	})
 	// Client 2 (earlier deadline) gets the object with a forward list
@@ -224,7 +224,7 @@ func TestServerForwardListMigration(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("head messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.ObjGrant)
 	if g.Fwd == nil || g.Fwd.Len() != 1 || g.Fwd.Entries[0].Client != 3 {
 		t.Fatalf("forward list = %+v", g.Fwd)
 	}
@@ -236,7 +236,7 @@ func TestServerForwardListMigration(t *testing.T) {
 		t.Fatal("migration pseudo-owner not holding")
 	}
 	// Final return releases it.
-	r.send(2, netsim.KindObjectReturn, proto.ObjReturn{
+	r.send(2, netsim.KindObjectReturn, &proto.ObjReturn{
 		Client: 2, Obj: 3, HasData: true, Version: 9, Migration: true,
 	})
 	r.env.Run(r.env.Now() + time.Second)
@@ -257,7 +257,7 @@ func TestServerParallelReadRun(t *testing.T) {
 	r.request(2, 4, lockmgr.ModeShared, time.Minute)
 	r.request(3, 4, lockmgr.ModeShared, 2*time.Minute)
 	r.drain(1, 2*time.Second)
-	r.send(1, netsim.KindObjectReturn, proto.ObjReturn{
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{
 		Client: 1, Obj: 4, Downgraded: true, HasData: true, Version: 2,
 	})
 	// The read run ships once to client 2 with a ReadRun list for 3;
@@ -266,7 +266,7 @@ func TestServerParallelReadRun(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("head messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.ObjGrant)
 	if g.Fwd == nil || !g.Fwd.ReadRun {
 		t.Fatalf("expected a read-run list, got %+v", g.Fwd)
 	}
@@ -288,7 +288,7 @@ func TestServerNotCachedReturnReleasesLock(t *testing.T) {
 	// and answers NotCached.
 	r.request(2, 8, lockmgr.ModeExclusive, time.Minute)
 	r.drain(1, 2*time.Second)
-	r.send(1, netsim.KindObjectReturn, proto.ObjReturn{Client: 1, Obj: 8, NotCached: true})
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 8, NotCached: true})
 	msgs := r.drain(2, 3*time.Second)
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("waiter messages = %+v", msgs)
@@ -303,7 +303,7 @@ func TestServerLoadQueryReportsHoldersAndLoads(t *testing.T) {
 	defer r.env.Close()
 	r.request(1, 9, lockmgr.ModeShared, time.Minute)
 	r.drain(1, time.Second)
-	r.send(2, netsim.KindLoadQuery, proto.LoadQuery{
+	r.send(2, netsim.KindLoadQuery, &proto.LoadQuery{
 		Client: 2, Txn: 77,
 		Objs:     []lockmgr.ObjectID{9, 10},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared},
@@ -314,7 +314,7 @@ func TestServerLoadQueryReportsHoldersAndLoads(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindLoadReply {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	lr := msgs[0].Payload.(proto.LoadReply)
+	lr := msgs[0].Payload.(*proto.LoadReply)
 	if len(lr.Locations) != 1 || lr.Locations[0].Obj != 9 || lr.Locations[0].Holders[0] != 1 {
 		t.Fatalf("locations = %+v", lr.Locations)
 	}
@@ -331,12 +331,12 @@ func TestServerSingleWaiterNoMigration(t *testing.T) {
 	r.drain(1, time.Second)
 	r.request(2, 6, lockmgr.ModeExclusive, time.Minute)
 	r.drain(1, 2*time.Second)
-	r.send(1, netsim.KindObjectReturn, proto.ObjReturn{Client: 1, Obj: 6, HasData: true, Version: 1})
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 6, HasData: true, Version: 1})
 	msgs := r.drain(2, 3*time.Second)
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.ObjGrant)
 	if g.Fwd != nil {
 		t.Fatal("sole waiter should get a plain grant, not a migration")
 	}

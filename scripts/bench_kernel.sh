@@ -29,7 +29,8 @@ fi
 {
 	go test -run '^$' -bench . -benchtime 100000x -benchmem \
 		./internal/sim/... ./internal/netsim/... ./internal/rng/... \
-		./internal/pagefile/... ./internal/lockmgr/...
+		./internal/pagefile/... ./internal/lockmgr/... \
+		./internal/batch/... ./internal/proto/...
 	go test -run '^$' -bench 'BenchmarkFigure3$|BenchmarkFigure3Batched$' -benchtime 1x -benchmem .
 	go test -run '^$' -bench "$scale" -benchtime 1x -benchmem -timeout 60m .
 } | go run ./cmd/benchjson -into BENCH_kernel.json -label "$label"
