@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -134,7 +135,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dump(kind, res)
+	dump(os.Stdout, kind, res)
 	return nil
 }
 
@@ -191,7 +192,7 @@ func runTxnTraced(kind siteselect.SystemKind, cfg siteselect.Config, path string
 	if err != nil {
 		return err
 	}
-	dump(kind, res)
+	dump(os.Stdout, kind, res)
 	tr := c.Tracer()
 	fmt.Println()
 	if err := tr.WriteAttribution(os.Stdout, cfg.Warmup, 20); err != nil {
@@ -233,7 +234,7 @@ func runMsgTraced(kind siteselect.SystemKind, cfg siteselect.Config, n int) erro
 	if err != nil {
 		return err
 	}
-	dump(kind, res)
+	dump(os.Stdout, kind, res)
 	fmt.Printf("\nLast %d LAN messages:\n", len(ring))
 	for _, m := range ring {
 		fmt.Printf("  %-12v %-14v %3d -> %-3d %5dB\n",
@@ -242,66 +243,67 @@ func runMsgTraced(kind siteselect.SystemKind, cfg siteselect.Config, n int) erro
 	return nil
 }
 
-func dump(kind siteselect.SystemKind, r *siteselect.Result) {
-	fmt.Printf("%s — %d clients, %.0f%% updates, %v virtual time (seed %d)\n\n",
+// dump writes the full single-run metric report.
+func dump(w io.Writer, kind siteselect.SystemKind, r *siteselect.Result) {
+	fmt.Fprintf(w, "%s — %d clients, %.0f%% updates, %v virtual time (seed %d)\n\n",
 		kind, r.Config.NumClients, r.Config.UpdateFraction*100, r.Elapsed, r.Config.Seed)
 
-	fmt.Println("Transactions")
-	fmt.Printf("  submitted            %10d\n", r.M.Submitted)
-	fmt.Printf("  committed            %10d (%.2f%%)\n", r.M.Committed, r.SuccessRate())
-	fmt.Printf("  missed               %10d\n", r.M.Missed)
-	fmt.Printf("  aborted (deadlock)   %10d\n", r.M.Aborted)
-	fmt.Printf("  mean response        %10v\n", r.M.TxnResponse.Mean().Round(time.Millisecond))
-	fmt.Printf("  response p50/p95/p99 %10v / %v / %v\n",
+	fmt.Fprintln(w, "Transactions")
+	fmt.Fprintf(w, "  submitted            %10d\n", r.M.Submitted)
+	fmt.Fprintf(w, "  committed            %10d (%.2f%%)\n", r.M.Committed, r.SuccessRate())
+	fmt.Fprintf(w, "  missed               %10d\n", r.M.Missed)
+	fmt.Fprintf(w, "  aborted (deadlock)   %10d\n", r.M.Aborted)
+	fmt.Fprintf(w, "  mean response        %10v\n", r.M.TxnResponse.Mean().Round(time.Millisecond))
+	fmt.Fprintf(w, "  response p50/p95/p99 %10v / %v / %v\n",
 		r.M.TxnHisto.P50(), r.M.TxnHisto.P95(), r.M.TxnHisto.P99())
 
 	if r.M.CacheAccesses > 0 {
-		fmt.Println("\nClient caching")
-		fmt.Printf("  accesses             %10d\n", r.M.CacheAccesses)
-		fmt.Printf("  hit rate             %9.2f%%\n", r.CacheHitRate())
-		fmt.Printf("  SL response          %10v (n=%d)\n",
+		fmt.Fprintln(w, "\nClient caching")
+		fmt.Fprintf(w, "  accesses             %10d\n", r.M.CacheAccesses)
+		fmt.Fprintf(w, "  hit rate             %9.2f%%\n", r.CacheHitRate())
+		fmt.Fprintf(w, "  SL response          %10v (n=%d)\n",
 			r.M.SharedResponse.Mean().Round(time.Millisecond), r.M.SharedResponse.Count)
-		fmt.Printf("  EL response          %10v (n=%d)\n",
+		fmt.Fprintf(w, "  EL response          %10v (n=%d)\n",
 			r.M.ExclusiveResponse.Mean().Round(time.Millisecond), r.M.ExclusiveResponse.Count)
-		fmt.Printf("  EL p50/p95/p99       %10v / %v / %v\n",
+		fmt.Fprintf(w, "  EL p50/p95/p99       %10v / %v / %v\n",
 			r.M.ExclusiveHisto.P50(), r.M.ExclusiveHisto.P95(), r.M.ExclusiveHisto.P99())
-		fmt.Printf("  refetches            %10d\n", r.M.Refetches)
-		fmt.Printf("  recalls deferred     %10d\n", r.M.RecallsDeferred)
+		fmt.Fprintf(w, "  refetches            %10d\n", r.M.Refetches)
+		fmt.Fprintf(w, "  recalls deferred     %10d\n", r.M.RecallsDeferred)
 	}
 
 	if spread := r.ExecSpread(); spread > 0 {
-		fmt.Printf("  exec spread (CV)     %10.3f\n", spread)
+		fmt.Fprintf(w, "  exec spread (CV)     %10.3f\n", spread)
 	}
 
 	if r.M.ShippedTxns+r.M.DecomposedTxns+r.MigrationsStarted > 0 {
-		fmt.Println("\nLoad sharing")
+		fmt.Fprintln(w, "\nLoad sharing")
 		ss, sc := r.M.ShippedOutcomes()
-		fmt.Printf("  transactions shipped %10d (%d committed)\n", ss, sc)
-		fmt.Printf("  decomposed           %10d (%d subtasks)\n", r.M.DecomposedTxns, r.M.SubtasksRun)
-		fmt.Printf("  H1 rejections        %10d\n", r.M.H1Rejections)
-		fmt.Printf("  migrations started   %10d\n", r.MigrationsStarted)
-		fmt.Printf("  forward hops (c2c)   %10d\n", r.ForwardHops)
+		fmt.Fprintf(w, "  transactions shipped %10d (%d committed)\n", ss, sc)
+		fmt.Fprintf(w, "  decomposed           %10d (%d subtasks)\n", r.M.DecomposedTxns, r.M.SubtasksRun)
+		fmt.Fprintf(w, "  H1 rejections        %10d\n", r.M.H1Rejections)
+		fmt.Fprintf(w, "  migrations started   %10d\n", r.MigrationsStarted)
+		fmt.Fprintf(w, "  forward hops (c2c)   %10d\n", r.ForwardHops)
 	}
 
-	fmt.Println("\nServer")
-	fmt.Printf("  buffer hit rate      %9.2f%%\n", 100*r.ServerBufferHitRate)
-	fmt.Printf("  disk reads/writes    %6d / %d\n", r.ServerDiskReads, r.ServerDiskWrites)
-	fmt.Printf("  recalls sent         %10d\n", r.RecallsSent)
-	fmt.Printf("  grants shipped       %10d\n", r.GrantsShipped)
-	fmt.Printf("  denies (late/dlock)  %6d / %d\n", r.DeniesExpired, r.DeniesDeadlock)
+	fmt.Fprintln(w, "\nServer")
+	fmt.Fprintf(w, "  buffer hit rate      %9.2f%%\n", 100*r.ServerBufferHitRate)
+	fmt.Fprintf(w, "  disk reads/writes    %6d / %d\n", r.ServerDiskReads, r.ServerDiskWrites)
+	fmt.Fprintf(w, "  recalls sent         %10d\n", r.RecallsSent)
+	fmt.Fprintf(w, "  grants shipped       %10d\n", r.GrantsShipped)
+	fmt.Fprintf(w, "  denies (late/dlock)  %6d / %d\n", r.DeniesExpired, r.DeniesDeadlock)
 
 	if r.Faults != (netsim.FaultStats{}) || r.Retries > 0 {
-		fmt.Println("\nInjected faults")
-		fmt.Printf("  dropped              %10d\n", r.Faults.Dropped)
-		fmt.Printf("  partition drops      %10d\n", r.Faults.PartitionDrops)
-		fmt.Printf("  duplicated           %10d\n", r.Faults.Duplicated)
-		fmt.Printf("  latency spikes       %10d\n", r.Faults.Spiked)
-		fmt.Printf("  retransmissions      %10d\n", r.Faults.Retransmits)
-		fmt.Printf("  client retries       %10d\n", r.Retries)
+		fmt.Fprintln(w, "\nInjected faults")
+		fmt.Fprintf(w, "  dropped              %10d\n", r.Faults.Dropped)
+		fmt.Fprintf(w, "  partition drops      %10d\n", r.Faults.PartitionDrops)
+		fmt.Fprintf(w, "  duplicated           %10d\n", r.Faults.Duplicated)
+		fmt.Fprintf(w, "  latency spikes       %10d\n", r.Faults.Spiked)
+		fmt.Fprintf(w, "  retransmissions      %10d\n", r.Faults.Retransmits)
+		fmt.Fprintf(w, "  client retries       %10d\n", r.Retries)
 	}
 
-	fmt.Println("\nNetwork")
-	fmt.Printf("  total messages       %10d (%d bytes, %.2f%% bus utilization)\n",
+	fmt.Fprintln(w, "\nNetwork")
+	fmt.Fprintf(w, "  total messages       %10d (%d bytes, %.2f%% bus utilization)\n",
 		r.TotalMessages, r.TotalBytes, 100*r.NetUtilization)
 	kinds := make([]netsim.Kind, 0, len(r.Messages))
 	for k := range r.Messages {
@@ -313,6 +315,6 @@ func dump(kind siteselect.SystemKind, r *siteselect.Result) {
 		if s.Count == 0 {
 			continue
 		}
-		fmt.Printf("  %-20s %10d\n", k, s.Count)
+		fmt.Fprintf(w, "  %-20s %10d\n", k, s.Count)
 	}
 }

@@ -23,7 +23,7 @@ func runScenario(path string) error {
 	os.Stdout.WriteString(rep.Format())
 	fmt.Println()
 
-	dump(rep.Compiled.Kind, rep.Result)
+	dump(os.Stdout, rep.Compiled.Kind, rep.Result)
 	if !rep.Passed() {
 		return fmt.Errorf("scenario %s failed expectations", s.Name)
 	}
