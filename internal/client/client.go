@@ -49,15 +49,12 @@ type Client struct {
 
 	// topo is the cluster-shared routing map and shardIns[k] this
 	// client's connection queue at shard k (shardIns[0] is the single
-	// server's). While multiShard is false (always at Servers <= 1),
-	// every request goes to netsim.ServerSite exactly as before.
-	// curFrom is the sender of the message the dispatcher is currently
-	// handling — the shard a grant's epoch belongs to and a recall is
-	// answered at.
-	topo       *shardmap.Map
-	shardIns   []*sim.Mailbox[netsim.Message]
-	multiShard bool
-	curFrom    netsim.SiteID
+	// server's). curFrom is the sender of the message the dispatcher is
+	// currently handling — the shard a grant's epoch belongs to and a
+	// recall is answered at.
+	topo     *shardmap.Map
+	shardIns []*sim.Mailbox[netsim.Message]
+	curFrom  netsim.SiteID
 
 	objects    *cache.Cache
 	localDisk  *sim.Resource
@@ -116,8 +113,8 @@ type Client struct {
 	// txnFree recycles finished transaction machines so steady-state
 	// submission allocates nothing but the transaction itself.
 	txnFree []*txnMachine
-	// h2Loads/h2Counts are reusable scratch for loadshare.Params maps;
-	// missing holds probe-wait per-site data counts between uses.
+	// h2Loads/h2Counts are reusable scratch for loadshare.Params maps
+	// (h2Inputs).
 	h2Loads  map[netsim.SiteID]proto.LoadReport
 	h2Counts map[netsim.SiteID]int
 
@@ -160,41 +157,27 @@ type pendingTxn struct {
 	// maps, which were always written in pairs).
 	waits []objWait
 
-	sig         *sim.Signal
+	sig    *sim.Signal
+	denied proto.DenyReason
+	// Reply assembly. An exchange is one message per shard and each
+	// shard answers for its slice; the answers are kept per sender, in
+	// shard order (putReply), and read when the waiting step consumes
+	// them (h2Inputs). A conflict reply wakes the waiter as it arrives:
+	// H2 then decides on the conflicts seen so far, a deliberate
+	// heuristic — waiting for every shard would trade deadline slack for
+	// information the decision may not need. A load query completes once
+	// loadWant shards have answered.
 	gotConflict bool
-	conflicts   []proto.ObjConflict
-	loads       []proto.LoadReport
-	dataCounts  []proto.SiteCount
-	denied      proto.DenyReason
-	loadReply   proto.LoadReply
-	hasLoad     bool
+	confFrom    []shardReply
 	wantLoad    bool
-	// Multi-shard reply assembly (empty/0 at a single server): each
-	// shard answers for its slice of a split exchange, recorded in
-	// arrival order with the sender alongside. Conflict replies merge as
-	// they arrive (mergeConflict); load replies complete once loadWant
-	// shards have answered (mergeLoadReplies). Duplicate senders (fault
-	// retransmissions) are detected by scanning the recorded senders.
-	confFrom []shardConflict
-	loadFrom []shardLoad
-	loadWant int
+	hasLoad     bool
+	loadFrom    []shardReply
+	loadWant    int
 	// netAccum accumulates the measured wire transit of the current
 	// request/reply exchange (uplink sends plus satisfying replies);
 	// awaitReply splits each wait interval into network and lock-wait
 	// attribution with it.
 	netAccum time.Duration
-}
-
-// shardConflict is one shard's conflict reply in a split probe.
-type shardConflict struct {
-	from  netsim.SiteID
-	reply proto.ConflictReply
-}
-
-// shardLoad is one shard's load reply in a split load query.
-type shardLoad struct {
-	from  netsim.SiteID
-	reply proto.LoadReply
 }
 
 // New returns a client site. cfg, pool and topo are the cluster's,
@@ -208,21 +191,20 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 	topo *shardmap.Map, shardIns []*sim.Mailbox[netsim.Message],
 	gen txn.Source, loadShare bool) *Client {
 	c := &Client{
-		env:        env,
-		cfg:        cfg,
-		id:         id,
-		net:        net,
-		payloads:   pool,
-		m:          m,
-		inbox:      inbox,
-		topo:       topo,
-		shardIns:   shardIns,
-		multiShard: topo.Multi(),
-		objects:    cache.New(cfg.ClientMemory, cfg.ClientDisk),
-		slots:      sim.NewResource(env, cfg.ClientExecutors),
-		atl:        sched.ATL{Default: cfg.MeanLength},
-		gen:        gen,
-		loadShare:  loadShare,
+		env:       env,
+		cfg:       cfg,
+		id:        id,
+		net:       net,
+		payloads:  pool,
+		m:         m,
+		inbox:     inbox,
+		topo:      topo,
+		shardIns:  shardIns,
+		objects:   cache.New(cfg.ClientMemory, cfg.ClientDisk),
+		slots:     sim.NewResource(env, cfg.ClientExecutors),
+		atl:       sched.ATL{Default: cfg.MeanLength},
+		gen:       gen,
+		loadShare: loadShare,
 	}
 	c.faulty = cfg.Faults.Enabled()
 	c.rto = cfg.EffectiveRetryTimeout()
@@ -346,9 +328,6 @@ func (c *Client) beginOutage() {
 		c.objects.Recycle(c.objects.Remove(e.Obj))
 	})
 }
-
-// Down reports whether the client is currently partitioned.
-func (c *Client) Down() bool { return c.env.Now() < c.outageEnd }
 
 // genMachine produces the transaction stream until the configured
 // horizon, as a state machine with the same park points as the earlier
@@ -481,8 +460,7 @@ func (c *Client) loadReport() proto.LoadReport {
 func (c *Client) measuring() bool { return c.env.Now() >= c.cfg.Warmup }
 
 // toSite and toPeer send one message and return its wire transit for
-// network attribution. toSite targets a shard site (always
-// netsim.ServerSite in single-server topologies).
+// network attribution. toSite targets a shard site.
 func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload any) time.Duration {
 	return c.net.Send(netsim.Message{
 		Kind: kind, From: c.id, To: site, Size: size, Payload: payload,

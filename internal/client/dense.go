@@ -7,7 +7,6 @@ import (
 	"siteselect/internal/forward"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
-	"siteselect/internal/proto"
 	"siteselect/internal/txn"
 )
 
@@ -121,7 +120,7 @@ func (c *Client) removePending(pt *pendingTxn) {
 			break
 		}
 	}
-	clear(pt.confFrom) // drop retained reply payloads before reuse
+	clear(pt.confFrom) // drop the retained reply vectors before reuse
 	clear(pt.loadFrom)
 	*pt = pendingTxn{
 		sig:      pt.sig,
@@ -272,17 +271,4 @@ func (c *Client) epochIdx(obj lockmgr.ObjectID, site netsim.SiteID) (int, bool) 
 		return i, true
 	}
 	return i, false
-}
-
-// h2Scratch returns the reusable map scratch for loadshare.Params
-// (whose API takes maps); clear() keeps the buckets, so steady-state
-// H2 decisions allocate nothing.
-func (c *Client) h2Scratch() (map[netsim.SiteID]proto.LoadReport, map[netsim.SiteID]int) {
-	if c.h2Loads == nil {
-		c.h2Loads = make(map[netsim.SiteID]proto.LoadReport)
-		c.h2Counts = make(map[netsim.SiteID]int)
-	}
-	clear(c.h2Loads)
-	clear(c.h2Counts)
-	return c.h2Loads, c.h2Counts
 }

@@ -215,44 +215,8 @@ func (m *txnMachine) step() bool {
 		t.ExecSite = c.id
 		c.tr.MarkShipArrived(t.ID, c.id, m.task.Now())
 		m.pc = tsExecBegin
-	case tsDecomposeQuery:
-		done, ok := m.awaitStep()
-		if !done {
-			return true
-		}
-		m.pt.wantLoad = false
-		var reply *proto.LoadReply
-		var replyBuf proto.LoadReply
-		if ok {
-			// Copy the reply out before recycling the pending record; the
-			// consumer runs synchronously in this step.
-			replyBuf = m.pt.loadReply
-			reply = &replyBuf
-		}
-		c.releasePending(m.pt)
-		m.pt = nil
-		if !m.tryDecompose(reply) {
-			m.pc = tsH1
-		}
-	case tsShipQuery:
-		done, ok := m.awaitStep()
-		if !done {
-			return true
-		}
-		m.pt.wantLoad = false
-		var reply *proto.LoadReply
-		var replyBuf proto.LoadReply
-		if ok {
-			replyBuf = m.pt.loadReply
-			reply = &replyBuf
-		}
-		c.releasePending(m.pt)
-		m.pt = nil
-		if reply != nil && m.shipAfterQuery(reply) {
-			m.pc = tsDone
-			return false
-		}
-		m.pc = tsExecBegin
+	case tsDecomposeQuery, tsShipQuery:
+		return m.stepLoadReply()
 	case tsFanoutWait:
 		return m.stepFanout()
 	case tsExecBegin:
@@ -338,7 +302,6 @@ func (m *txnMachine) beginLoadQuery(next uint8) {
 	m.pt = pt
 	pt.wantLoad = true
 	pt.hasLoad = false
-	pt.loadReply = proto.LoadReply{}
 	pt.netAccum = 0
 	m.sendKind = skLoad
 	m.resend(0)
@@ -367,62 +330,82 @@ func (m *txnMachine) stepH1() bool {
 	return false
 }
 
+// stepLoadReply consumes the answer to a location/load query —
+// decomposition (tsDecomposeQuery) or the H1-infeasible ship decision
+// (tsShipQuery) — and only then recycles the pending record the
+// answer's vectors hang off. With no answer by the deadline the
+// transaction carries on as if the query had not been asked.
+func (m *txnMachine) stepLoadReply() bool {
+	done, ok := m.awaitStep()
+	if !done {
+		return true
+	}
+	c, pt := m.c, m.pt
+	pt.wantLoad = false
+	if m.pc == tsDecomposeQuery {
+		m.pc = tsH1
+		if ok {
+			m.tryDecompose(locations(pt.loadFrom))
+		}
+	} else {
+		m.pc = tsExecBegin
+		if ok {
+			m.shipAfterQuery(pt.loadFrom)
+		}
+	}
+	c.releasePending(pt)
+	m.pt = nil
+	return false
+}
+
 // shipAfterQuery is the H1-infeasible branch after the load reply: pick
-// the most suitable site (H2) and ship. False means the origin remains
-// the best choice (the transaction then queues locally anyway).
-func (m *txnMachine) shipAfterQuery(reply *proto.LoadReply) bool {
+// the most suitable site (H2) and ship, which ends this machine.
+// Otherwise the origin remains the best choice (the transaction then
+// queues locally anyway).
+func (m *txnMachine) shipAfterQuery(replies []shardReply) {
+	locs, loads, _ := m.c.h2Inputs(replies)
+	if d := m.chooseSite(loadshare.Params{Locations: locs, Loads: loads}); d.Ship {
+		m.c.shipTxn(m.t, d.Target)
+		m.pc = tsDone
+	}
+}
+
+// chooseSite evaluates H2 over what a reply reported, which the caller
+// has put into p; the origin's own state, the clock and the trace hook
+// are filled in here.
+func (m *txnMachine) chooseSite(p loadshare.Params) loadshare.Decision {
 	c, t := m.c, m.t
-	if reply == nil {
-		return false
-	}
 	now := m.task.Now()
-	loads, _ := c.h2Scratch()
-	for _, l := range reply.Loads {
-		loads[l.Client] = l
-	}
-	params := loadshare.Params{
-		Origin:         c.id,
-		Now:            now,
-		Deadline:       t.Deadline,
-		Locations:      reply.Locations,
-		Loads:          loads,
-		OriginQueueLen: c.slots.QueueLen(),
-		OriginATL:      c.atl.Mean(),
-		Executors:      c.cfg.ClientExecutors,
-	}
+	p.Origin, p.Now, p.Deadline = c.id, now, t.Deadline
+	p.OriginQueueLen, p.OriginATL, p.Executors = c.slots.QueueLen(), c.atl.Mean(), c.cfg.ClientExecutors
 	if c.tr.Enabled() {
-		params.Trace = func(d loadshare.Decision) {
+		p.Trace = func(d loadshare.Decision) {
 			c.tr.Point(t.ID, c.id, trace.EvH2, 0, int64(d.Target), boolArg(d.Ship), now)
 		}
 	}
-	d := loadshare.ChooseSite(params)
-	if !d.Ship {
-		return false
-	}
-	c.shipTxn(t, d.Target)
-	return true
+	return loadshare.ChooseSite(p)
 }
 
 // tryDecompose implements Section 3.2 after the location reply: group
 // the accesses by caching site and run the groups as independent
 // subtasks at those sites. All subtasks must meet the parent deadline
-// for the transaction to succeed. False means the transaction is not
-// profitably decomposable and the caller falls through to H1.
-func (m *txnMachine) tryDecompose(reply *proto.LoadReply) bool {
+// for the transaction to succeed. A transaction that is not profitably
+// decomposable is left as it is (the caller falls through to H1).
+func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	c, t := m.c, m.t
-	if reply == nil || len(reply.Locations) == 0 {
-		return false
+	if len(locations) == 0 {
+		return
 	}
-	partOf, siteOf := loadshare.GroupByLocation(c.id, t.Objects(), reply.Locations)
+	partOf, siteOf := loadshare.GroupByLocation(c.id, t.Objects(), locations)
 	subs := t.Decompose(partOf, c.cfg.MaxSubtasks)
 	if subs == nil {
-		return false
+		return
 	}
 	// Only worth the fan-out risk (every subtask must meet the parent
 	// deadline) when each remote materialization covers enough data.
 	for _, sub := range subs {
 		if siteOf[sub.Key] != c.id && len(sub.Ops) < 2 {
-			return false
+			return
 		}
 	}
 	c.m.DecomposedTxns++
@@ -453,7 +436,6 @@ func (m *txnMachine) tryDecompose(reply *proto.LoadReply) bool {
 	m.grace = t.Deadline + c.cfg.MeanSlack
 	m.waitIdx = 0
 	m.pc = tsFanoutWait
-	return true
 }
 
 // stepFanout waits for every subtask result in turn, each bounded by
@@ -753,36 +735,17 @@ func (m *txnMachine) stepProbeWait() bool {
 	// should run (H2), then either ship it or commit to local
 	// processing.
 	pt.gotConflict = false
-	loads, dataCounts := c.h2Scratch()
-	for _, l := range pt.loads {
-		loads[l.Client] = l
-	}
-	for _, dc := range pt.dataCounts {
-		dataCounts[dc.Site] = dc.Count
-	}
-	now := m.task.Now()
-	params := loadshare.Params{
-		Origin:             c.id,
-		Now:                now,
-		Deadline:           t.Deadline,
-		Conflicts:          pt.conflicts,
+	conflicts, loads, dataCounts := c.h2Inputs(pt.confFrom)
+	d := m.chooseSite(loadshare.Params{
+		Conflicts:          conflicts,
 		Loads:              loads,
-		OriginQueueLen:     c.slots.QueueLen(),
-		OriginATL:          c.atl.Mean(),
-		Executors:          c.cfg.ClientExecutors,
 		DataCounts:         dataCounts,
 		RequireImprovement: true,
 		// Ship only to a site caching more of this transaction's data
 		// than the origin currently does — otherwise the move trades
 		// one blocked object for several lost cache hits.
 		MinShipData: len(t.Ops) - len(m.missing) + 1,
-	}
-	if c.tr.Enabled() {
-		params.Trace = func(d loadshare.Decision) {
-			c.tr.Point(t.ID, c.id, trace.EvH2, 0, int64(d.Target), boolArg(d.Ship), now)
-		}
-	}
-	d := loadshare.ChooseSite(params)
+	})
 	if d.Ship {
 		c.shipTxn(t, d.Target)
 		m.fetchOK() // t.Shipped signals the outcome
@@ -794,6 +757,7 @@ func (m *txnMachine) stepProbeWait() bool {
 	// response clock restarts here: the probe was site-selection
 	// control traffic, and this is the firm object request Table 3
 	// measures.
+	now := m.task.Now()
 	for i := range pt.waits {
 		pt.waits[i].sent = now
 	}
@@ -1083,50 +1047,6 @@ func (m *txnMachine) awaitCond() bool {
 	default: // skSeq
 		return pt.findWait(m.curObj) < 0 || pt.denied != 0
 	}
-}
-
-// resend (re)transmits the current exchange's request. Multi-server
-// topologies split multi-object exchanges per shard (resendSharded);
-// the single-server path below is untouched.
-func (m *txnMachine) resend(attempt int) {
-	c, t, pt := m.c, m.t, m.pt
-	if c.multiShard {
-		m.resendSharded(attempt)
-		return
-	}
-	// Each request is a pooled record filled in place: the access
-	// vectors are written into the record's own arrays (kept across
-	// reuse), never aliased to anything the machine rewrites while the
-	// frame may still be on the wire. Probe and commit rounds cover
-	// m.missing, which stands still from beginFetch to the round's end.
-	switch m.sendKind {
-	case skLoad:
-		q := c.payloads.LoadQuery.Get()
-		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
-		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, t.Ops)
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindLoadQuery, netsim.ControlBytes, q)
-	case skProbe:
-		q := c.payloads.ProbeRequest.Get()
-		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
-		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, m.missing)
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, q)
-	case skCommit:
-		q := c.payloads.CommitRequest.Get()
-		q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
-		q.Objs, q.Modes = appendOps(q.Objs, q.Modes, m.missing)
-		pt.netAccum += c.toSite(netsim.ServerSite, netsim.KindObjectRequest, netsim.ControlBytes, q)
-	default: // skSeq
-		m.sendSeq(netsim.ServerSite, attempt)
-	}
-}
-
-// appendOps appends the accesses of ops to a request's access vectors.
-func appendOps(objs []lockmgr.ObjectID, modes []lockmgr.Mode, ops []txn.Op) ([]lockmgr.ObjectID, []lockmgr.Mode) {
-	for _, op := range ops {
-		objs = append(objs, op.Obj)
-		modes = append(modes, op.Mode())
-	}
-	return objs, modes
 }
 
 // sendSeq sends the current sequential-fetch request to the shard at

@@ -198,14 +198,10 @@ func (c *Client) onConflictReply(r proto.ConflictReply) {
 	if pt == nil {
 		return
 	}
-	if c.multiShard {
-		c.mergeConflict(pt, r)
-	} else {
-		pt.gotConflict = true
-		pt.conflicts = r.Conflicts
-		pt.loads = r.Loads
-		pt.dataCounts = r.DataCounts
-	}
+	pt.confFrom = putReply(pt.confFrom, shardReply{
+		from: c.curFrom, objs: r.Conflicts, loads: r.Loads, counts: r.DataCounts,
+	})
+	pt.gotConflict = true
 	pt.netAccum += c.curTransit
 	pt.sig.Broadcast()
 }
@@ -226,30 +222,12 @@ func (c *Client) onLoadReply(r proto.LoadReply) {
 	if pt == nil || !pt.wantLoad {
 		return
 	}
-	if c.multiShard {
-		dup := false
-		for i := range pt.loadFrom {
-			if pt.loadFrom[i].from == c.curFrom {
-				// Duplicate shard answer (fault retransmission): replace.
-				pt.loadFrom[i].reply = r
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			pt.loadFrom = append(pt.loadFrom, shardLoad{from: c.curFrom, reply: r})
-		}
-		pt.netAccum += c.curTransit
-		if len(pt.loadFrom) >= pt.loadWant {
-			c.mergeLoadReplies(pt, r.Txn)
-			pt.sig.Broadcast()
-		}
-		return
-	}
-	pt.loadReply = r
-	pt.hasLoad = true
+	pt.loadFrom = putReply(pt.loadFrom, shardReply{from: c.curFrom, objs: r.Locations, loads: r.Loads})
 	pt.netAccum += c.curTransit
-	pt.sig.Broadcast()
+	if len(pt.loadFrom) >= pt.loadWant {
+		pt.hasLoad = true
+		pt.sig.Broadcast()
+	}
 }
 
 // onRecall answers a server callback. Recalls for objects pinned by a
@@ -290,8 +268,7 @@ func (c *Client) onRecall(r proto.Recall) {
 	c.answerRecall(e, r, from)
 }
 
-// answerRecall answers a callback issued by the shard at from (always
-// netsim.ServerSite in single-server topologies).
+// answerRecall answers a callback issued by the shard at from.
 func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID) {
 	if r.DowngradeToShared && e.Mode == lockmgr.ModeExclusive && c.cfg.UseDowngrade {
 		hadData := e.Dirty

@@ -11,16 +11,17 @@ import (
 	"siteselect/internal/txn"
 )
 
-// Multi-server routing (config.Topology.Servers > 1).
+// Routing over the server tier (config.Topology).
 //
-// With a sharded server, every piece of client state that used to be
-// implicitly "at the server" gains a site coordinate: requests route to
-// an object's home shard (or to a read replica for shared-mode
-// requests), release epochs count per (object, granting shard), and a
-// deferred recall remembers which shard issued it so the eventual
-// answer returns there. All of it is gated on multiShard: at a single
-// server every site below is netsim.ServerSite and every code path
-// collapses to the exact single-server behavior the golden corpus pins.
+// Every piece of client state that is "at the server" has a site
+// coordinate: requests route to an object's home shard (or to a read
+// replica for shared-mode requests), release epochs count per (object,
+// granting shard), a deferred recall remembers which shard issued it so
+// the eventual answer returns there, and a multi-object exchange is one
+// message per shard whose answers are assembled per sender. The paper's
+// single server is the one-shard map: every site below is
+// netsim.ServerSite, every exchange one message and every assembly one
+// reply.
 
 // deferredRecall is a parked recall plus the shard that issued it — the
 // site the eventual answer must be sent to.
@@ -31,9 +32,6 @@ type deferredRecall struct {
 
 // homeSite returns the shard site authoritative for obj.
 func (c *Client) homeSite(obj lockmgr.ObjectID) netsim.SiteID {
-	if !c.multiShard {
-		return netsim.ServerSite
-	}
 	return c.topo.HomeSite(obj)
 }
 
@@ -41,9 +39,6 @@ func (c *Client) homeSite(obj lockmgr.ObjectID) netsim.SiteID {
 // to: a registered read replica for shared-mode requests, else the home
 // shard.
 func (c *Client) routeSite(obj lockmgr.ObjectID, mode lockmgr.Mode) netsim.SiteID {
-	if !c.multiShard {
-		return netsim.ServerSite
-	}
 	return c.topo.RouteSite(obj, mode == lockmgr.ModeShared)
 }
 
@@ -88,13 +83,12 @@ const noSite netsim.SiteID = math.MinInt
 
 // routeAll appends to sites the shard each access must be sent to:
 // its home shard when byHome (location queries), otherwise routeSite
-// (firm requests, which may prefer a replica). With pt non-nil, accesses
-// the transaction no longer waits for are marked noSite, so a
-// retransmission does not ask a shard that already served its slice.
-func (c *Client) routeAll(sites []netsim.SiteID, ops []txn.Op, byHome bool, pt *pendingTxn) []netsim.SiteID {
+// (firm requests, which may prefer a replica). With served non-nil,
+// accesses that transaction no longer waits for are marked noSite.
+func (c *Client) routeAll(sites []netsim.SiteID, ops []txn.Op, byHome bool, served *pendingTxn) []netsim.SiteID {
 	for _, op := range ops {
 		switch {
-		case pt != nil && pt.findWait(op.Obj) < 0:
+		case served != nil && served.findWait(op.Obj) < 0:
 			sites = append(sites, noSite)
 		case byHome:
 			sites = append(sites, c.homeSite(op.Obj))
@@ -123,13 +117,25 @@ func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
 	return objs, modes
 }
 
-// resendSharded is resend's multi-shard counterpart: multi-object
-// exchanges split into one message per shard, each a pooled record
-// whose access vectors are filled in place. Retransmissions of probe
-// and commit rounds drop already-granted objects (pt.waits tracks them),
-// so a shard that served its slice is not asked again.
-func (m *txnMachine) resendSharded(attempt int) {
+// resend (re)transmits the current exchange's request: one message per
+// shard the accesses route to, each a pooled record whose access
+// vectors are filled in place — written into the record's own arrays
+// (kept across reuse), never aliased to anything the machine rewrites
+// while the frame may still be on the wire. Probe and commit rounds
+// cover m.missing, which stands still from beginFetch to the round's
+// end.
+func (m *txnMachine) resend(attempt int) {
 	c, t, pt := m.c, m.t, m.pt
+	// The one rule that differs by topology. With several shards a probe
+	// or commit round leaves out the accesses already granted (pt.waits
+	// tracks them), so a shard that served its slice is not asked again.
+	// A single server is sent every missing access again: its idempotent
+	// re-ship of what it already granted is what the lossy goldens pin
+	// (ROADMAP item 1(d) lists this as a re-pin candidate).
+	served := pt
+	if c.topo.Servers() == 1 {
+		served = nil
+	}
 	var stack [16]netsim.SiteID
 	switch m.sendKind {
 	case skLoad:
@@ -154,7 +160,7 @@ func (m *txnMachine) resendSharded(attempt int) {
 			clear(pt.confFrom)
 			pt.confFrom = pt.confFrom[:0]
 		}
-		sites := c.routeAll(stack[:0], m.missing, false, pt)
+		sites := c.routeAll(stack[:0], m.missing, false, served)
 		for i, site := range sites {
 			if site == noSite {
 				continue
@@ -165,7 +171,7 @@ func (m *txnMachine) resendSharded(attempt int) {
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
 	case skCommit:
-		sites := c.routeAll(stack[:0], m.missing, false, pt)
+		sites := c.routeAll(stack[:0], m.missing, false, served)
 		for i, site := range sites {
 			if site == noSite {
 				continue
@@ -180,109 +186,69 @@ func (m *txnMachine) resendSharded(attempt int) {
 	}
 }
 
-// mergeConflict folds one shard's ConflictReply into the transaction's
-// merged view. Each shard answers for its own slice of the probe;
-// replies accumulate keyed by sender (idempotent under retransmission)
-// and the merged conflict list, load table (first report per site wins)
-// and data counts (summed per site) are rebuilt in shard order so the
-// result is deterministic regardless of reply arrival order. The waiter
-// wakes on the first conflict: H2 then decides on the conflicts seen so
-// far, a deliberate heuristic — waiting for every shard would trade
-// deadline slack for information the decision may not need.
-func (c *Client) mergeConflict(pt *pendingTxn, r proto.ConflictReply) {
-	replaced := false
-	for i := range pt.confFrom {
-		if pt.confFrom[i].from == c.curFrom {
-			pt.confFrom[i].reply = r
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		pt.confFrom = append(pt.confFrom, shardConflict{from: c.curFrom, reply: r})
-	}
-	pt.gotConflict = true
-	// In multi-shard mode these vectors are only ever written by this
-	// merge, so their capacity is reusable scratch (the single-server
-	// path aliases message payloads instead and never reaches here).
-	pt.conflicts = pt.conflicts[:0]
-	pt.loads = pt.loads[:0]
-	pt.dataCounts = pt.dataCounts[:0]
-	for k := 0; k < c.topo.Servers(); k++ {
-		site := shardmap.ShardSite(k)
-		var rep *proto.ConflictReply
-		for i := range pt.confFrom {
-			if pt.confFrom[i].from == site {
-				rep = &pt.confFrom[i].reply
-				break
-			}
-		}
-		if rep == nil {
-			continue
-		}
-		pt.conflicts = append(pt.conflicts, rep.Conflicts...)
-		for _, l := range rep.Loads {
-			dup := false
-			for _, have := range pt.loads {
-				if have.Client == l.Client {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				pt.loads = append(pt.loads, l)
-			}
-		}
-		for _, dc := range rep.DataCounts {
-			found := false
-			for i := range pt.dataCounts {
-				if pt.dataCounts[i].Site == dc.Site {
-					pt.dataCounts[i].Count += dc.Count
-					found = true
-					break
-				}
-			}
-			if !found {
-				pt.dataCounts = append(pt.dataCounts, proto.SiteCount{Site: dc.Site, Count: dc.Count})
-			}
-		}
-	}
-	slices.SortFunc(pt.dataCounts, func(a, b proto.SiteCount) int {
-		return int(a.Site) - int(b.Site)
-	})
+// shardReply is one shard's answer to its slice of a split exchange:
+// where the objects are (the conflicting holders for a probe, every
+// holder for a location query), the known loads of those sites, and —
+// probes only — how much of the access set each of them caches. The
+// vectors are the reply payload's own; the server made them for it.
+type shardReply struct {
+	from   netsim.SiteID
+	objs   []proto.ObjConflict
+	loads  []proto.LoadReport
+	counts []proto.SiteCount
 }
 
-// mergeLoadReplies assembles the merged LoadReply once every queried
-// shard has answered, in shard order for determinism. Loads dedup per
-// reporting site (first wins).
-func (c *Client) mergeLoadReplies(pt *pendingTxn, id txn.ID) {
-	merged := proto.LoadReply{Txn: id}
-	for k := 0; k < c.topo.Servers(); k++ {
-		site := shardmap.ShardSite(k)
-		var rep *proto.LoadReply
-		for i := range pt.loadFrom {
-			if pt.loadFrom[i].from == site {
-				rep = &pt.loadFrom[i].reply
-				break
+// putReply records r among the answers received so far, in place of an
+// earlier one from the same shard (a retransmitted exchange is answered
+// twice) and in shard order, so what is read off the list does not
+// depend on the order the answers arrived in.
+func putReply(rs []shardReply, r shardReply) []shardReply {
+	i := 0
+	for i < len(rs) && rs[i].from > r.from { // shard k answers from site -k
+		i++
+	}
+	if i < len(rs) && rs[i].from == r.from {
+		rs[i] = r
+		return rs
+	}
+	return slices.Insert(rs, i, r)
+}
+
+// h2Inputs reads the answers of a split exchange into the inputs of
+// site selection: the object locations — the one answer's own vector
+// when a single shard has answered, a concatenation in shard order
+// otherwise — the load table (a site's first report wins) and the data
+// counts (summed per site). The maps are the client's reusable scratch
+// (loadshare.Params takes maps; clear keeps the buckets), good until
+// the next call.
+func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.SiteID]proto.LoadReport, map[netsim.SiteID]int) {
+	if c.h2Loads == nil {
+		c.h2Loads = make(map[netsim.SiteID]proto.LoadReport)
+		c.h2Counts = make(map[netsim.SiteID]int)
+	}
+	clear(c.h2Loads)
+	clear(c.h2Counts)
+	for i := range rs {
+		for _, l := range rs[i].loads {
+			if _, have := c.h2Loads[l.Client]; !have {
+				c.h2Loads[l.Client] = l
 			}
 		}
-		if rep == nil {
-			continue
-		}
-		merged.Locations = append(merged.Locations, rep.Locations...)
-		for _, l := range rep.Loads {
-			dup := false
-			for _, have := range merged.Loads {
-				if have.Client == l.Client {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				merged.Loads = append(merged.Loads, l)
-			}
+		for _, dc := range rs[i].counts {
+			c.h2Counts[dc.Site] += dc.Count
 		}
 	}
-	pt.loadReply = merged
-	pt.hasLoad = true
+	return locations(rs), c.h2Loads, c.h2Counts
+}
+
+// locations returns the object locations the answers report.
+func locations(rs []shardReply) []proto.ObjConflict {
+	if len(rs) == 1 {
+		return rs[0].objs
+	}
+	var objs []proto.ObjConflict
+	for i := range rs {
+		objs = append(objs, rs[i].objs...)
+	}
+	return objs
 }

@@ -10,7 +10,8 @@ import (
 	"siteselect/internal/shardmap"
 )
 
-// Adaptive replication (multi-server topologies only).
+// Adaptive replication (topologies of two or more shards; a lone shard
+// is every object's home and has nowhere to replicate to).
 //
 // A home shard counts shared-mode grants per object over the topology's
 // HeatWindow; an object that crosses ReplicateHot gains a read replica
@@ -67,6 +68,14 @@ func siteFor(o lockmgr.OwnerID) netsim.SiteID {
 	return netsim.SiteID(o)
 }
 
+// put writes (*m)[obj] = v, making the map on its first write.
+func put[V any](m *map[lockmgr.ObjectID]V, obj lockmgr.ObjectID, v V) {
+	if *m == nil {
+		*m = make(map[lockmgr.ObjectID]V)
+	}
+	(*m)[obj] = v
+}
+
 // heatWindow is one object's access count over the current window.
 type heatWindow struct {
 	start time.Duration
@@ -97,15 +106,15 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 	return batch.OutForwarded, true
 }
 
-// noteServe observes one granted request (multi-server topologies
-// only). At the home shard it feeds the heat window that triggers
+// noteServe observes one granted request. At the home shard it feeds
+// the heat window that triggers
 // adaptive replication; at a replica shard it feeds the cold-shed
 // counter, and a grant that raced a forced drain is recalled
 // immediately (a writer is waiting; a grant racing a lame-duck drain
 // just joins the holders and drains naturally).
 func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsim.SiteID) {
 	if s.topo.HomeShard(obj) != s.shard {
-		s.repHeat[obj]++
+		put(&s.repHeat, obj, s.repHeat[obj]+1)
 		if s.shedding[obj] {
 			s.recall(obj, client, false, 0)
 		}
@@ -120,7 +129,7 @@ func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsi
 		w = heatWindow{start: now}
 	}
 	w.n++
-	s.heat[obj] = w
+	put(&s.heat, obj, w)
 	if w.n >= s.cfg.Sharding.ReplicateHot {
 		s.maybeReplicate(obj)
 	}
@@ -160,7 +169,7 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	}
 	s.freeReq(lr)
 	delete(s.heat, obj)
-	s.replicaOut[obj] = true
+	put(&s.replicaOut, obj, true)
 	s.ReplicasInstalled++
 	in := s.payloads.ReplicaInstall.Get()
 	*in = proto.ReplicaInstall{Obj: obj, Version: s.versions[obj]}
@@ -181,12 +190,12 @@ func (s *Server) replicaTarget(obj lockmgr.ObjectID) int {
 // shard now serves shared-mode requests for obj at version, and a
 // heartbeat watches for the replica running cold.
 func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
-	s.replicated[obj] = true
+	put(&s.replicated, obj, true)
 	delete(s.shedding, obj)
 	s.versions[obj] = version
-	s.repHeat[obj] = 0
+	put(&s.repHeat, obj, 0)
 	s.topo.SetReplica(obj, s.site)
-	s.repGen[obj]++
+	put(&s.repGen, obj, s.repGen[obj]+1)
 	s.scheduleHeatCheck(obj, s.repGen[obj])
 }
 
@@ -211,9 +220,9 @@ func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
 	}); outcome != lockmgr.Granted {
 		return false
 	}
-	s.replicaOut[obj] = true
+	put(&s.replicaOut, obj, true)
 	s.ReplicasInstalled++
-	r.replicated[obj] = true
+	put(&r.replicated, obj, true)
 	r.versions[obj] = s.versions[obj]
 	s.topo.SetReplica(obj, r.site)
 	return true
@@ -237,7 +246,7 @@ func (s *Server) checkReplicaHeat(obj lockmgr.ObjectID, gen int) {
 		s.shedReplica(obj, false)
 		return
 	}
-	s.repHeat[obj] = 0
+	put(&s.repHeat, obj, 0)
 	s.scheduleHeatCheck(obj, gen)
 }
 
@@ -255,12 +264,12 @@ func (s *Server) shedReplica(obj lockmgr.ObjectID, force bool) {
 		if force && !forced {
 			// A writer's recall caught a lame-duck drain in progress:
 			// upgrade it so the writer is not stuck behind slow evictions.
-			s.shedding[obj] = true
+			put(&s.shedding, obj, true)
 			s.recallReplicaHolders(obj)
 		}
 		return
 	}
-	s.shedding[obj] = force
+	put(&s.shedding, obj, force)
 	s.ReplicasShed++
 	if site, ok := s.topo.Replica(obj); ok && site == s.site {
 		s.topo.ClearReplica(obj)

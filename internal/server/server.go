@@ -45,18 +45,17 @@ type Server struct {
 
 	// shard is this server's index in the topology; site is its network
 	// address (shardmap.ShardSite(shard)); topo is the cluster-shared
-	// routing map. multi is true only in multi-server topologies — every
-	// sharding code path is gated on it so the single-server simulation
-	// is byte-identical to a build without the sharding layer.
+	// routing map. The paper's single server is shard 0 of the one-shard
+	// map: it is the home of every object, so nothing below ever routes
+	// away from it or replicates.
 	shard    int
 	site     netsim.SiteID
 	topo     *shardmap.Map
-	multi    bool
 	adaptive bool
 
 	// Shard-to-shard transport: peerIn is this shard's inbox for
 	// messages from other shards, peerOut addresses each shard's inbox.
-	// Both are nil in single-server topologies.
+	// A lone shard is wired with neither.
 	peerIn  *sim.Mailbox[netsim.Message]
 	peerOut []*sim.Mailbox[netsim.Message]
 
@@ -66,7 +65,9 @@ type Server struct {
 	// replica shard: replicated marks the objects served here, repHeat
 	// counts their window accesses (for cold shedding), shedding marks
 	// replicas draining back to their home, and repGen invalidates
-	// stale heat-check timers across shed/reinstall cycles.
+	// stale heat-check timers across shed/reinstall cycles. Each map is
+	// made by its first write (put): a shard that never replicates
+	// carries none.
 	heat       map[lockmgr.ObjectID]heatWindow
 	replicaOut map[lockmgr.ObjectID]bool
 	replicated map[lockmgr.ObjectID]bool
@@ -189,7 +190,6 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		shard:    shard,
 		site:     shardmap.ShardSite(shard),
 		topo:     topo,
-		multi:    topo.Multi(),
 		adaptive: cfg.Sharding.Adaptive(),
 		locks:    lockmgr.NewTable(),
 		disk:     disk,
@@ -202,14 +202,6 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		epochs:   make(map[epochKey]int64),
 		sealed:   make(map[lockmgr.ObjectID]*forward.List),
 		inflight: make(map[lockmgr.ObjectID]*forward.List),
-	}
-	if s.multi {
-		s.heat = make(map[lockmgr.ObjectID]heatWindow)
-		s.replicaOut = make(map[lockmgr.ObjectID]bool)
-		s.replicated = make(map[lockmgr.ObjectID]bool)
-		s.repHeat = make(map[lockmgr.ObjectID]int)
-		s.shedding = make(map[lockmgr.ObjectID]bool)
-		s.repGen = make(map[lockmgr.ObjectID]int)
 	}
 	s.locks.Reserve(cfg.DBSize)
 	s.faulty = cfg.Faults.Enabled()
@@ -280,9 +272,6 @@ func (s *Server) Version(obj lockmgr.ObjectID) int64 { return s.versions[obj] }
 // not mutate).
 func (s *Server) Loads() map[netsim.SiteID]proto.LoadReport { return s.loads }
 
-// CPUUtilization returns the server CPU's busy fraction.
-func (s *Server) CPUUtilization() float64 { return s.cpu.Utilization() }
-
 // Migrating reports whether obj is currently checked out to a forward
 // list (its authoritative version is travelling client-to-client).
 func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.inflight[obj] != nil }
@@ -294,7 +283,8 @@ func (s *Server) Attach(id netsim.SiteID, inbox, out *sim.Mailbox[netsim.Message
 }
 
 // SetPeerInbox installs this shard's inbox for shard-to-shard messages
-// (multi-server topologies only); Start spawns a handler for it.
+// (a lone shard has no peers and needs none); Start spawns a handler
+// for it.
 func (s *Server) SetPeerInbox(in *sim.Mailbox[netsim.Message]) { s.peerIn = in }
 
 // AttachPeer wires the outbound route to shard k's peer inbox.
@@ -513,7 +503,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 	}
 	var conflicts []proto.ObjConflict
 	for i, obj := range req.Objs {
-		if s.multi && !s.servesObj(obj, req.Modes[i]) {
+		if !s.servesObj(obj, req.Modes[i]) {
 			// The object moved off this shard (its replica was recalled
 			// or shed after the client routed here). A probe is
 			// all-or-nothing and cannot span shards, so report a
@@ -537,9 +527,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 			}
 			s.freeReq(lr)
 			s.ship(obj, req.Client, req.Modes[i], req.Txn, nil)
-			if s.multi {
-				s.noteServe(obj, req.Modes[i], req.Client)
-			}
+			s.noteServe(obj, req.Modes[i], req.Client)
 		}
 		return
 	}
@@ -651,10 +639,8 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyExpired})
 		return batch.OutDeniedExpired
 	}
-	if s.multi {
-		if out, rerouted := s.routeFirm(r); rerouted {
-			return out
-		}
+	if out, rerouted := s.routeFirm(r); rerouted {
+		return out
 	}
 	if s.faulty && s.dupFirm(r.Client, r.Txn, r.Obj, r.Mode) {
 		return batch.OutDupServed
@@ -674,9 +660,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	case lockmgr.Granted:
 		s.freeReq(lr)
 		s.ship(r.Obj, r.Client, r.Mode, r.Txn, nil)
-		if s.multi {
-			s.noteServe(r.Obj, r.Mode, r.Client)
-		}
+		s.noteServe(r.Obj, r.Mode, r.Client)
 		return batch.OutGranted
 	case lockmgr.Queued:
 		s.recallForQueueHead(r.Obj)
@@ -796,7 +780,7 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	} else {
 		grants = s.locks.Release(obj, ownerFor(ret.Client))
 	}
-	if s.multi && shardmap.IsShardSite(ret.Client) {
+	if shardmap.IsShardSite(ret.Client) {
 		// A replica shard finished draining: the object may be
 		// re-provisioned when it runs hot again.
 		delete(s.replicaOut, obj)
@@ -805,7 +789,7 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	// Still blocked? Chase the remaining holders.
 	s.recallForQueueHead(obj)
 	s.tryDispatch(obj)
-	if s.multi && len(s.shedding) > 0 {
+	if len(s.shedding) > 0 {
 		// A client release at a replica shard may complete a drain.
 		s.finishShedIfDrained(obj)
 	}
