@@ -30,12 +30,12 @@ type shipIntent struct {
 	epoch   int64
 }
 
-// ship reads the object through the buffer pool (charging disk time on a
-// miss) and sends it to the client. The read runs in its own spawned
-// machine so that grants triggered inside another client's connection
-// handler do not stall that handler. During a batch-window flush the
-// intent is deferred instead and endFlush coalesces every grant bound
-// for the same destination into a single batched ship.
+// ship sends the object to the client once it has been read through the
+// buffer pool (charging disk time on a miss). The read runs in its own
+// spawned machine so that grants triggered inside another client's
+// connection handler do not stall that handler. During a batch-window
+// flush the intent is deferred instead and endFlush coalesces every
+// grant bound for the same destination into one ship.
 func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode, id txn.ID, fwd *forward.List) {
 	s.GrantsShipped++
 	s.tr.Point(id, s.site, trace.EvObjectShipped, obj, int64(to), 0, s.env.Now())
@@ -45,59 +45,9 @@ func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode,
 		s.shipIntents = append(s.shipIntents, in)
 		return
 	}
-	s.shipNow(in)
-}
-
-// shipNow spawns the asynchronous half of one unbatched ship.
-func (s *Server) shipNow(in shipIntent) {
-	var m *shipMachine
-	if n := len(s.shipFree); n > 0 {
-		m = s.shipFree[n-1]
-		s.shipFree = s.shipFree[:n-1]
-	} else {
-		m = &shipMachine{s: s}
-	}
-	m.obj, m.to, m.mode, m.id, m.fwd = in.obj, in.to, in.mode, in.id, in.fwd
-	m.version = in.version
-	m.epoch = in.epoch
-	m.get.Init(s.pool, pagefile.PageID(in.obj))
-	s.env.Spawn(&m.task, m)
-}
-
-// shipMachine is one ship's asynchronous half: read the page through
-// the pool, unpin, send the grant, then detach and return itself to the
-// server's free list so steady-state ships allocate nothing.
-type shipMachine struct {
-	task    sim.Task
-	s       *Server
-	get     pagefile.GetOp
-	obj     lockmgr.ObjectID
-	to      netsim.SiteID
-	mode    lockmgr.Mode
-	id      txn.ID
-	fwd     *forward.List
-	version int64
-	epoch   int64
-}
-
-func (m *shipMachine) Resume() {
-	done, err := m.get.Step(&m.task)
-	if !done {
-		return
-	}
-	if err != nil {
-		panic(fmt.Sprintf("server: reading object %d: %v", m.obj, err))
-	}
-	s := m.s
-	s.pool.Unpin(m.get.Frame(), false)
-	g := s.payloads.ObjGrant.Get()
-	*g = proto.ObjGrant{
-		Obj: m.obj, Mode: m.mode, Version: m.version, Txn: m.id, Epoch: m.epoch, Fwd: m.fwd,
-	}
-	s.send(m.to, netsim.KindObjectShip, netsim.ObjectBytes, g)
-	m.task.Detach()
-	m.fwd = nil
-	s.shipFree = append(s.shipFree, m)
+	m := s.newShipMachine(to)
+	m.intents = append(m.intents, in)
+	m.start()
 }
 
 // epochOf returns the release epoch last reported by client for obj.
@@ -391,64 +341,50 @@ func (s *Server) endFlush() {
 	s.flushRecalls()
 }
 
-// flushShips groups the deferred ship intents per destination: a lone
-// grant takes the ordinary ship machine; two or more bound for the same
-// client ride one batched machine that walks every page through the
-// pool (requests for the same page share the read) and sends a single
-// BatchGrant message.
-func (s *Server) flushShips() {
-	intents := s.shipIntents
-	if len(intents) == 0 {
-		return
-	}
-	// Group by destination in first-decision order with a mark pass over
-	// the intent buffer: the fan-out per flush is small, so the
-	// quadratic scan stays cheap and no per-flush map is built. Each
-	// multi-grant group is copied into the batch machine's own buffer
-	// (it must outlive the flush — the machine parks on page reads), so
-	// the intent buffer itself is reusable.
+// eachGroup partitions the indices 0..n-1 by destination and calls emit
+// once per destination, in first-appearance order, with the indices
+// bound for it (in order; the slice is good until emit returns). The
+// grouping is a mark pass: the fan-out of a flush is small, so the
+// quadratic scan stays cheap and no per-flush map is built.
+func (s *Server) eachGroup(n int, dest func(int) netsim.SiteID, emit func(to netsim.SiteID, members []int)) {
 	mark := s.flushMark[:0]
-	for range intents {
+	for i := 0; i < n; i++ {
 		mark = append(mark, false)
 	}
-	for i := range intents {
+	members := s.flushGroup
+	for i := 0; i < n; i++ {
 		if mark[i] {
 			continue
 		}
-		to := intents[i].to
-		n := 1
-		for j := i + 1; j < len(intents); j++ {
-			if intents[j].to == to {
-				n++
-			}
-		}
-		if n == 1 {
-			s.shipNow(intents[i])
-			continue
-		}
-		var m *batchShipMachine
-		if k := len(s.batchShipFree); k > 0 {
-			m = s.batchShipFree[k-1]
-			s.batchShipFree = s.batchShipFree[:k-1]
-		} else {
-			m = &batchShipMachine{s: s}
-		}
-		m.to = to
-		m.intents = append(m.intents[:0], intents[i])
-		for j := i + 1; j < len(intents); j++ {
-			if intents[j].to == to {
-				m.intents = append(m.intents, intents[j])
+		to := dest(i)
+		members = append(members[:0], i)
+		for j := i + 1; j < n; j++ {
+			if !mark[j] && dest(j) == to {
+				members = append(members, j)
 				mark[j] = true
 			}
 		}
-		m.pages = m.pages[:0]
-		for _, in := range m.intents {
-			m.pages = append(m.pages, pagefile.PageID(in.obj))
-		}
-		m.get.Init(s.pool, m.pages)
-		s.env.Spawn(&m.task, m)
+		emit(to, members)
 	}
-	s.flushMark = mark
+	s.flushMark, s.flushGroup = mark, members
+}
+
+// flushShips sends the deferred ship intents, one ship machine per
+// destination: it walks every page of its group through the pool
+// (requests for the same page share the read) and sends a single
+// message. Each group is copied into the machine's own buffer (it must
+// outlive the flush — the machine parks on page reads), so the intent
+// buffer itself is reusable.
+func (s *Server) flushShips() {
+	intents := s.shipIntents
+	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].to },
+		func(to netsim.SiteID, members []int) {
+			m := s.newShipMachine(to)
+			for _, i := range members {
+				m.intents = append(m.intents, intents[i])
+			}
+			m.start()
+		})
 	clear(intents) // drop forward-list pointers before reuse
 	s.shipIntents = intents[:0]
 }
@@ -456,80 +392,89 @@ func (s *Server) flushShips() {
 // flushRecalls sends the deferred callbacks, one message per holder.
 func (s *Server) flushRecalls() {
 	intents := s.recallIntents
-	if len(intents) == 0 {
-		return
-	}
-	// Same mark-pass grouping as flushShips. A multi-recall group fills
-	// a pooled BatchRecall's own array, a lone recall a pooled Recall,
-	// and the intent buffer is reused.
-	mark := s.flushMark[:0]
-	for range intents {
-		mark = append(mark, false)
-	}
-	for i := range intents {
-		if mark[i] {
-			continue
-		}
-		h := intents[i].holder
-		n := 1
-		for j := i + 1; j < len(intents); j++ {
-			if intents[j].holder == h {
-				n++
+	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].holder },
+		func(to netsim.SiteID, members []int) {
+			if len(members) == 1 {
+				s.sendRecall(to, intents[members[0]].recall)
+				return
 			}
-		}
-		if n == 1 {
-			s.sendRecall(h, intents[i].recall)
-			continue
-		}
-		br := s.payloads.BatchRecall.Get()
-		br.Recalls = append(br.Recalls, intents[i].recall)
-		for j := i + 1; j < len(intents); j++ {
-			if intents[j].holder == h {
-				br.Recalls = append(br.Recalls, intents[j].recall)
-				mark[j] = true
+			br := s.payloads.BatchRecall.Get()
+			for _, i := range members {
+				br.Recalls = append(br.Recalls, intents[i].recall)
 			}
-		}
-		s.send(h, netsim.KindRecall, n*netsim.ControlBytes, br)
-	}
-	s.flushMark = mark
+			s.send(to, netsim.KindRecall, len(members)*netsim.ControlBytes, br)
+		})
 	s.recallIntents = intents[:0]
 }
 
-// batchShipMachine is the asynchronous half of a coalesced ship: read
-// every page of the batch through the pool in sequence, then deliver
-// all the grants in one message.
-type batchShipMachine struct {
+// shipMachine is the asynchronous half of a ship: read every page of
+// the grants bound for one destination through the pool in sequence,
+// deliver them in one message, then detach and return itself to the
+// server's free list so steady-state ships allocate nothing.
+type shipMachine struct {
 	task sim.Task
 	s    *Server
 	get  pagefile.MultiGetOp
 	to   netsim.SiteID
-	// intents and pages are machine-owned buffers refilled per batch,
-	// so a recycled machine's flush allocates neither.
+	// intents and pages are machine-owned buffers refilled per ship, so
+	// a recycled machine allocates neither.
 	intents []shipIntent
 	pages   []pagefile.PageID
 }
 
-func (m *batchShipMachine) Resume() {
+// newShipMachine returns a ship machine bound for to with no intents
+// yet; append them, then start it.
+func (s *Server) newShipMachine(to netsim.SiteID) *shipMachine {
+	var m *shipMachine
+	if k := len(s.shipFree); k > 0 {
+		m = s.shipFree[k-1]
+		s.shipFree = s.shipFree[:k-1]
+	} else {
+		m = &shipMachine{s: s}
+	}
+	m.to = to
+	return m
+}
+
+func (m *shipMachine) start() {
+	m.pages = m.pages[:0]
+	for _, in := range m.intents {
+		m.pages = append(m.pages, pagefile.PageID(in.obj))
+	}
+	m.get.Init(m.s.pool, m.pages)
+	m.s.env.Spawn(&m.task, m)
+}
+
+func (m *shipMachine) Resume() {
 	done, err := m.get.Step(&m.task)
 	if !done {
 		return
 	}
 	if err != nil {
-		panic(fmt.Sprintf("server: reading batched ships for site %d: %v", m.to, err))
+		panic(fmt.Sprintf("server: reading ships for site %d: %v", m.to, err))
 	}
 	s := m.s
-	bg := s.payloads.BatchGrant.Get()
-	for _, in := range m.intents {
-		bg.Grants = append(bg.Grants, proto.ObjGrant{
-			Obj: in.obj, Mode: in.mode, Version: in.version,
-			Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
-		})
+	if len(m.intents) == 1 {
+		in := m.intents[0]
+		g := s.payloads.ObjGrant.Get()
+		*g = proto.ObjGrant{
+			Obj: in.obj, Mode: in.mode, Version: in.version, Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
+		}
+		s.send(m.to, netsim.KindObjectShip, netsim.ObjectBytes, g)
+	} else {
+		bg := s.payloads.BatchGrant.Get()
+		for _, in := range m.intents {
+			bg.Grants = append(bg.Grants, proto.ObjGrant{
+				Obj: in.obj, Mode: in.mode, Version: in.version,
+				Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
+			})
+		}
+		s.send(m.to, netsim.KindObjectShip, len(bg.Grants)*netsim.ObjectBytes, bg)
 	}
-	s.send(m.to, netsim.KindObjectShip, len(bg.Grants)*netsim.ObjectBytes, bg)
 	m.task.Detach()
 	clear(m.intents) // drop forward-list pointers before reuse
 	m.intents = m.intents[:0]
-	s.batchShipFree = append(s.batchShipFree, m)
+	s.shipFree = append(s.shipFree, m)
 }
 
 // onSeal receives a sealed forward list from the collector: merge it

@@ -114,8 +114,6 @@ type Server struct {
 
 	// shipFree recycles completed ship machines.
 	shipFree []*shipMachine
-	// batchShipFree recycles completed batched-ship machines.
-	batchShipFree []*batchShipMachine
 	// putFree recycles the page-install ops of returns carrying data:
 	// a connection holds one only while its install is parked, so the
 	// pool grows to the installs in flight at once, not to the
@@ -126,13 +124,14 @@ type Server struct {
 	// (granted or refused) returns to the pool immediately; a queued one
 	// is table-owned until it surfaces in an admit batch and is shipped.
 	reqFree []*lockmgr.Request
-	// siteScratch, countScratch and flushMark are reusable buffers for
-	// the per-message aggregations (loadsFor, dataCounts, the flush
-	// grouping passes) so steady-state dispatch allocates only the
-	// slices that escape into message payloads.
+	// siteScratch, countScratch, flushMark and flushGroup are reusable
+	// buffers for the per-message aggregations (loadsFor, dataCounts,
+	// eachGroup) so steady-state dispatch allocates only the slices that
+	// escape into message payloads.
 	siteScratch  []netsim.SiteID
 	countScratch []proto.SiteCount
 	flushMark    []bool
+	flushGroup   []int
 
 	// tr is the per-run transaction tracer (nil when tracing is off).
 	tr *trace.Tracer
