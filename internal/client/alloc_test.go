@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/txn"
@@ -43,23 +42,26 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	defer r.env.Close()
 	c := r.cl
 	tx := &txn.Transaction{ID: 201, Deadline: time.Hour}
-	m := &txnMachine{c: c, t: tx}
+	m := &txnMachine{c: c, t: tx, missing: []txn.Op{{Obj: 7}, {Obj: 8, Write: true}}}
 
-	// fetch sends the firm request for obj and plays the server: receive
-	// the request, release its record, ship the grant in another.
-	fetch := func(obj lockmgr.ObjectID, mode lockmgr.Mode) {
+	// fetch sends the firm request for the access at the cursor and plays
+	// the server: receive the request, release its record, ship the
+	// grant in another.
+	m.sendKind = skSeq
+	fetch := func() {
+		op := m.missing[m.seqIdx]
+		obj, mode := op.Obj, op.Mode()
 		m.pt.addWait(obj, mode, 0)
 		c.addWaiter(obj, m.pt)
-		m.curObj, m.curMode = obj, mode
-		m.sendSeq(netsim.ServerSite, 0)
+		m.resend(0)
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
-		if q, isReq := msg.Payload.(*proto.ObjRequest); !ok || !isReq || q.Obj != obj || q.Txn != tx.ID {
+		if q, isReq := msg.Payload.(*proto.CommitRequest); !ok || !isReq || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
 			panic("firm request not sent")
 		}
 		c.payloads.Release(msg.Payload)
-		g := c.payloads.ObjGrant.Get()
-		*g = proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID}
+		g := c.payloads.GrantMsg.Get()
+		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID})
 		r.inject(netsim.KindObjectShip, g)
 		r.env.RunAll()
 		if m.pt.findWait(obj) >= 0 || c.hasWaiter(obj) {
@@ -71,8 +73,9 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		if c.findPending(tx.ID) != m.pt {
 			panic("pending record lost")
 		}
-		fetch(7, lockmgr.ModeShared)
-		fetch(8, lockmgr.ModeExclusive)
+		for m.seqIdx = range m.missing {
+			fetch()
+		}
 		c.releasePending(m.pt)
 	}
 	round() // warm the pools and cache the two copies

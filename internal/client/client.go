@@ -411,12 +411,10 @@ func (c *Client) dispatchMsg(msg netsim.Message) {
 	c.curTransit = msg.DeliveredAt - msg.SentAt
 	c.curFrom = msg.From
 	switch pl := msg.Payload.(type) {
-	case *proto.ObjGrant:
-		c.onGrant(*pl)
-	case *proto.BatchGrant:
-		// A batch-window coalesced ship: apply each member grant in
-		// order, exactly as if it had arrived alone (they share the
-		// message's transit for network attribution).
+	case *proto.GrantMsg:
+		// Apply each member grant in order (the members of a
+		// batch-window coalesced ship share the message's transit for
+		// network attribution).
 		for _, g := range pl.Grants {
 			c.onGrant(g)
 		}
@@ -424,9 +422,7 @@ func (c *Client) dispatchMsg(msg netsim.Message) {
 		c.onConflictReply(*pl)
 	case *proto.DenyReply:
 		c.onDeny(*pl)
-	case *proto.Recall:
-		c.onRecall(*pl)
-	case *proto.BatchRecall:
+	case *proto.RecallMsg:
 		for _, r := range pl.Recalls {
 			c.onRecall(r)
 		}
@@ -480,8 +476,8 @@ func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
 
 // sendHop passes an object on to a peer along its forward list.
 func (c *Client) sendHop(to netsim.SiteID, g proto.ObjGrant) {
-	p := c.payloads.ObjGrant.Get()
-	*p = g
+	p := c.payloads.GrantMsg.Get()
+	p.Grants = append(p.Grants, g)
 	c.toPeer(to, netsim.KindClientForward, netsim.ObjectBytes, p)
 }
 

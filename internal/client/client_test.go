@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -69,8 +70,15 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 	return &rig{t: t, env: env, net: net, cl: cl, inbox: inbox, toSrv: toSrv, peer: peer}
 }
 
-// inject delivers a payload to the client as if from the server.
+// inject delivers a payload to the client as if from the server; a bare
+// grant or recall travels as the message of one.
 func (r *rig) inject(kind netsim.Kind, payload any) {
+	switch el := payload.(type) {
+	case proto.ObjGrant:
+		payload = &proto.GrantMsg{Grants: []proto.ObjGrant{el}}
+	case proto.Recall:
+		payload = &proto.RecallMsg{Recalls: []proto.Recall{el}}
+	}
 	r.net.Send(netsim.Message{
 		Kind: kind, From: netsim.ServerSite, To: 1,
 		Size: netsim.ControlBytes, Payload: payload,
@@ -110,7 +118,7 @@ func TestClientRecallOfIdleEntryAnswersImmediately(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, true, 3)
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 5})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectReturn {
 		t.Fatalf("messages = %+v", msgs)
@@ -128,7 +136,7 @@ func TestClientDowngradeRecallKeepsSharedCopy(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, true, 9)
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5, DowngradeToShared: true})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 5, DowngradeToShared: true})
 	msgs := r.sent(time.Second)
 	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.Downgraded || !ret.HasData || ret.Version != 9 {
@@ -144,7 +152,7 @@ func TestClientDowngradeDisabledFallsBackToRelease(t *testing.T) {
 	r := newRig(t, func(c *config.Config) { c.UseDowngrade = false })
 	defer r.env.Close()
 	r.seed(5, lockmgr.ModeExclusive, false, 1)
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5, DowngradeToShared: true})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 5, DowngradeToShared: true})
 	r.sent(time.Second)
 	if r.cl.objects.Contains(5) {
 		t.Fatal("with downgrades disabled the entry must be dropped")
@@ -154,7 +162,7 @@ func TestClientDowngradeDisabledFallsBackToRelease(t *testing.T) {
 func TestClientRecallOfMissingEntryAnswersNotCached(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 77})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 77})
 	msgs := r.sent(time.Second)
 	ret := msgs[0].Payload.(*proto.ObjReturn)
 	if !ret.NotCached {
@@ -170,21 +178,21 @@ func TestClientStaleEpochGrantIsDropped(t *testing.T) {
 	defer r.env.Close()
 	// A recall beat two in-flight grants to the wire: our NotCached
 	// answer bumps the epoch, so both epoch-0 grants must be dropped.
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 8})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 8})
 	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(2 * time.Second)
 	if r.cl.objects.Contains(8) {
 		t.Fatal("stale grant was cached")
 	}
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(3 * time.Second)
 	if r.cl.objects.Contains(8) {
 		t.Fatal("second stale grant was cached")
 	}
 	// A grant stamped with the current epoch (the server has processed
 	// our release) is accepted.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
 	r.sent(4 * time.Second)
 	if !r.cl.objects.Contains(8) {
 		t.Fatal("current-epoch grant was dropped")
@@ -196,7 +204,7 @@ func TestClientRecallDeferredWhilePinned(t *testing.T) {
 	defer r.env.Close()
 	e := r.seed(5, lockmgr.ModeExclusive, true, 2)
 	r.cl.objects.Pin(e)
-	r.inject(netsim.KindRecall, &proto.Recall{Obj: 5})
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 5})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 0 {
 		t.Fatalf("pinned recall answered immediately: %+v", msgs)
@@ -250,8 +258,8 @@ func TestClientProbeThenGrantFlow(t *testing.T) {
 		t.Fatalf("probe = %+v", msgs[0].Payload)
 	}
 	// Server grants both.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	r.sent(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -325,7 +333,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	// Grant arrives as a migration hop with peer 2 next in line.
 	fwd := forward.NewList(50)
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeExclusive, Deadline: time.Hour, Txn: 99})
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{
 		Obj: 50, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID, Fwd: fwd,
 	})
 	r.env.Run(30 * time.Second)
@@ -336,7 +344,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	if !ok || m.Kind != netsim.KindClientForward {
 		t.Fatalf("peer message = %+v", m)
 	}
-	g := m.Payload.(*proto.ObjGrant)
+	g := m.Payload.(*proto.GrantMsg).Grants[0]
 	if g.Obj != 50 || g.Version != 5 { // committed write bumped it
 		t.Fatalf("forwarded grant = %+v", g)
 	}
@@ -355,7 +363,7 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
 	fwd := forward.NewList(60) // empty: we are the last hop
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{
 		Obj: 60, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID, Fwd: fwd,
 	})
 	msgs := r.sent(30 * time.Second)
@@ -385,7 +393,7 @@ func TestClientReadRunHopForwardsImmediately(t *testing.T) {
 	fwd := forward.NewList(70)
 	fwd.ReadRun = true
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: time.Hour, Txn: 7})
-	r.inject(netsim.KindClientForward, &proto.ObjGrant{
+	r.inject(netsim.KindClientForward, proto.ObjGrant{
 		Obj: 70, Mode: lockmgr.ModeShared, Version: 3, Fwd: fwd,
 	})
 	r.env.Run(time.Second)
@@ -406,7 +414,7 @@ func TestClientReadRunLastMemberAcknowledges(t *testing.T) {
 	defer r.env.Close()
 	fwd := forward.NewList(71)
 	fwd.ReadRun = true // empty: we are the last member
-	r.inject(netsim.KindClientForward, &proto.ObjGrant{
+	r.inject(netsim.KindClientForward, proto.ObjGrant{
 		Obj: 71, Mode: lockmgr.ModeShared, Version: 2, Fwd: fwd,
 	})
 	msgs := r.sent(time.Second)
@@ -431,7 +439,7 @@ func TestClientEvictionReturnsDirtyObjects(t *testing.T) {
 	r.seed(1, lockmgr.ModeExclusive, true, 5)
 	// Inserting a second object evicts the first; the dirty EL copy
 	// must be returned to the server.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
@@ -449,7 +457,7 @@ func TestClientEvictionDropsCleanSharedSilently(t *testing.T) {
 	})
 	defer r.env.Close()
 	r.seed(1, lockmgr.ModeShared, false, 0)
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 0 {
 		t.Fatalf("clean SL eviction sent messages: %+v", msgs)
@@ -516,7 +524,7 @@ func TestClientSpeculationOverlapsUpgrade(t *testing.T) {
 	r.sent(time.Second) // probe for the upgrade goes out
 	// Server takes 5 seconds to grant the EL upgrade.
 	r.env.Run(5 * time.Second)
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -541,7 +549,7 @@ func TestClientSpeculationInvalidatedByNewVersion(t *testing.T) {
 	r.env.Run(5 * time.Second)
 	// The upgrade arrives with a NEWER version: the speculative work
 	// was based on stale data and must be discarded.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9, Txn: tx.ID})
 	r.env.Run(40 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -562,7 +570,7 @@ func TestClientSpeculationDisabledByDefault(t *testing.T) {
 	tx := r.newTxn([]txn.Op{{Obj: 1, Write: true}}, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if r.cl.m.SpeculativeRuns != 0 {
 		t.Fatalf("speculation ran while disabled: %d", r.cl.m.SpeculativeRuns)
@@ -581,17 +589,17 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("want one sequential request first, got %+v", msgs)
 	}
-	req := msgs[0].Payload.(*proto.ObjRequest)
-	if req.Obj != 100 {
+	req := msgs[0].Payload.(*proto.CommitRequest)
+	if len(req.Objs) != 1 || req.Objs[0] != 100 {
 		t.Fatalf("first request = %+v", req)
 	}
 	// Grant the first; the second request follows.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	msgs = r.sent(2 * time.Second)
-	if len(msgs) != 1 || msgs[0].Payload.(*proto.ObjRequest).Obj != 101 {
+	if len(msgs) != 1 || !slices.Equal(msgs[0].Payload.(*proto.CommitRequest).Objs, []lockmgr.ObjectID{101}) {
 		t.Fatalf("second round = %+v", msgs)
 	}
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -700,8 +708,8 @@ func TestClientDecomposition(t *testing.T) {
 	}
 	// Answer the local subtask's needs and the remote result; the
 	// parent synthesizes.
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, &proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
 	r.env.Run(r.env.Now() + 10*time.Second)
 	r.inject(netsim.KindTxnResult, &proto.TxnResult{Txn: tx.ID, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
 	r.env.Run(r.env.Now() + 10*time.Second)

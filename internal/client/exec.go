@@ -57,10 +57,8 @@ type txnMachine struct {
 	awPC      uint8
 	wft       wftOp
 
-	// sequential-fetch cursor.
-	seqIdx  int
-	curObj  lockmgr.ObjectID
-	curMode lockmgr.Mode
+	// sequential-fetch cursor into missing.
+	seqIdx int
 
 	// decomposition fanout.
 	subs    []*txn.Subtask
@@ -769,7 +767,8 @@ func (m *txnMachine) stepProbeWait() bool {
 	return false
 }
 
-// stepSeqSend sends the next firm single-object request.
+// stepSeqSend sends the next firm single-object request (a one-access
+// commit request).
 func (m *txnMachine) stepSeqSend() bool {
 	c, t := m.c, m.t
 	if m.seqIdx >= len(m.missing) {
@@ -782,9 +781,8 @@ func (m *txnMachine) stepSeqSend() bool {
 	}
 	op := m.missing[m.seqIdx]
 	pt := m.pt
-	m.curObj, m.curMode = op.Obj, op.Mode()
-	pt.addWait(m.curObj, m.curMode, m.task.Now())
-	c.addWaiter(m.curObj, pt)
+	pt.addWait(op.Obj, op.Mode(), m.task.Now())
+	c.addWaiter(op.Obj, pt)
 	pt.netAccum = 0
 	m.sendKind = skSeq
 	m.resend(0)
@@ -1045,25 +1043,8 @@ func (m *txnMachine) awaitCond() bool {
 	case skCommit:
 		return len(pt.waits) == 0 || pt.denied != 0
 	default: // skSeq
-		return pt.findWait(m.curObj) < 0 || pt.denied != 0
+		return pt.findWait(m.missing[m.seqIdx].Obj) < 0 || pt.denied != 0
 	}
-}
-
-// sendSeq sends the current sequential-fetch request to the shard at
-// site.
-func (m *txnMachine) sendSeq(site netsim.SiteID, attempt int) {
-	c, t := m.c, m.t
-	q := c.payloads.ObjRequest.Get()
-	*q = proto.ObjRequest{
-		Client:   c.id,
-		Txn:      t.ID,
-		Obj:      m.curObj,
-		Mode:     m.curMode,
-		Deadline: t.Deadline,
-		Attempt:  attempt,
-		Load:     c.loadReport(),
-	}
-	m.pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 }
 
 // shipTxn sends a whole transaction to target for execution. It does

@@ -123,7 +123,8 @@ func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
 // (kept across reuse), never aliased to anything the machine rewrites
 // while the frame may still be on the wire. Probe and commit rounds
 // cover m.missing, which stands still from beginFetch to the round's
-// end.
+// end; a sequential fetch is the commit round of the one access at its
+// cursor.
 func (m *txnMachine) resend(attempt int) {
 	c, t, pt := m.c, m.t, m.pt
 	// The one rule that differs by topology. With several shards a probe
@@ -170,19 +171,21 @@ func (m *txnMachine) resend(attempt int) {
 			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
-	case skCommit:
-		sites := c.routeAll(stack[:0], m.missing, false, served)
+	default: // skCommit, skSeq
+		ops := m.missing
+		if m.sendKind == skSeq {
+			ops = ops[m.seqIdx : m.seqIdx+1]
+		}
+		sites := c.routeAll(stack[:0], ops, false, served)
 		for i, site := range sites {
 			if site == noSite {
 				continue
 			}
 			q := c.payloads.CommitRequest.Get()
 			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
-			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
+			q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
-	default: // skSeq
-		m.sendSeq(c.routeSite(m.curObj, m.curMode), attempt)
 	}
 }
 

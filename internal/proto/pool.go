@@ -44,15 +44,12 @@ func (f *FreeList[T]) putZeroed(x *T) {
 // it. The lists grow to the peak number of frames in flight and no
 // further; the zero Pool is ready to use.
 type Pool struct {
-	ObjRequest     FreeList[ObjRequest]
 	ProbeRequest   FreeList[ProbeRequest]
 	CommitRequest  FreeList[CommitRequest]
-	ObjGrant       FreeList[ObjGrant]
-	BatchGrant     FreeList[BatchGrant]
+	GrantMsg       FreeList[GrantMsg]
 	ConflictReply  FreeList[ConflictReply]
 	DenyReply      FreeList[DenyReply]
-	Recall         FreeList[Recall]
-	BatchRecall    FreeList[BatchRecall]
+	RecallMsg      FreeList[RecallMsg]
 	ReplicaInstall FreeList[ReplicaInstall]
 	ObjReturn      FreeList[ObjReturn]
 	LoadQuery      FreeList[LoadQuery]
@@ -70,36 +67,31 @@ type Pool struct {
 //
 // Slices the receiving handlers only read in place keep their backing
 // arrays for the next sender to fill: the access vectors of
-// ProbeRequest, CommitRequest and LoadQuery, BatchGrant.Grants,
-// BatchRecall.Recalls and ObjReturn.RetainedSL. ConflictReply and
+// ProbeRequest, CommitRequest and LoadQuery, GrantMsg.Grants,
+// RecallMsg.Recalls and ObjReturn.RetainedSL — a record that carried one
+// element keeps its one-element array. ConflictReply and
 // LoadReply hand their slices over to the client, which keeps them
 // until the waiting transaction's site-selection step has read them, so
 // those records are released bare.
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
-	case *ObjRequest:
-		p.ObjRequest.putZeroed(r)
 	case *ProbeRequest:
 		*r = ProbeRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
 		p.ProbeRequest.put(r)
 	case *CommitRequest:
 		*r = CommitRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
 		p.CommitRequest.put(r)
-	case *ObjGrant:
-		p.ObjGrant.putZeroed(r)
-	case *BatchGrant:
+	case *GrantMsg:
 		clear(r.Grants) // drop the forward-list pointers
 		r.Grants = r.Grants[:0]
-		p.BatchGrant.put(r)
+		p.GrantMsg.put(r)
 	case *ConflictReply:
 		p.ConflictReply.putZeroed(r)
 	case *DenyReply:
 		p.DenyReply.putZeroed(r)
-	case *Recall:
-		p.Recall.putZeroed(r)
-	case *BatchRecall:
+	case *RecallMsg:
 		r.Recalls = r.Recalls[:0]
-		p.BatchRecall.put(r)
+		p.RecallMsg.put(r)
 	case *ReplicaInstall:
 		p.ReplicaInstall.putZeroed(r)
 	case *ObjReturn:

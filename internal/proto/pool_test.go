@@ -21,26 +21,22 @@ func filled(p *Pool) []any {
 	conflicts := []ObjConflict{{Obj: 4, Holders: []netsim.SiteID{2, 3}}}
 	t := &txn.Transaction{ID: 9}
 
-	or := p.ObjRequest.Get()
-	*or = ObjRequest{Client: 1, Txn: 9, Obj: 4, Mode: lockmgr.ModeShared, Deadline: time.Minute, Attempt: 1, Load: load}
 	pr := p.ProbeRequest.Get()
 	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
 	pr.Objs, pr.Modes = append(pr.Objs, objs...), append(pr.Modes, modes...)
 	cr := p.CommitRequest.Get()
 	cr.Client, cr.Txn, cr.Deadline, cr.Attempt, cr.Load = 1, 9, time.Minute, 1, load
 	cr.Objs, cr.Modes = append(cr.Objs, objs...), append(cr.Modes, modes...)
-	og := p.ObjGrant.Get()
-	*og = ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)}
-	bg := p.BatchGrant.Get()
-	bg.Grants = append(bg.Grants, *og, ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
+	gm := p.GrantMsg.Get()
+	gm.Grants = append(gm.Grants,
+		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)},
+		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
 	cf := p.ConflictReply.Get()
 	*cf = ConflictReply{Txn: 9, Conflicts: conflicts, Loads: []LoadReport{load}, DataCounts: []SiteCount{{Site: 2, Count: 1}}}
 	dr := p.DenyReply.Get()
 	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
-	rc := p.Recall.Get()
-	*rc = Recall{Obj: 4, DowngradeToShared: true, HolderMode: lockmgr.ModeExclusive}
-	br := p.BatchRecall.Get()
-	br.Recalls = append(br.Recalls, *rc, Recall{Obj: 5})
+	rm := p.RecallMsg.Get()
+	rm.Recalls = append(rm.Recalls, Recall{Obj: 4, DowngradeToShared: true, HolderMode: lockmgr.ModeExclusive}, Recall{Obj: 5})
 	ri := p.ReplicaInstall.Get()
 	*ri = ReplicaInstall{Obj: 4, Version: 7}
 	rt := p.ObjReturn.Get()
@@ -60,7 +56,7 @@ func filled(p *Pool) []any {
 	su.T = t
 	ur := p.UserResult.Get()
 	*ur = UserResult{Txn: 9, Committed: true}
-	return []any{or, pr, cr, og, bg, cf, dr, rc, br, ri, rt, lq, lr, ts, tr, su, ur}
+	return []any{pr, cr, gm, cf, dr, rm, ri, rt, lq, lr, ts, tr, su, ur}
 }
 
 // keepsCapacity names the slice fields Release leaves their backing
@@ -69,7 +65,7 @@ var keepsCapacity = map[string]bool{
 	"ProbeRequest.Objs": true, "ProbeRequest.Modes": true,
 	"CommitRequest.Objs": true, "CommitRequest.Modes": true,
 	"LoadQuery.Objs": true, "LoadQuery.Modes": true,
-	"BatchGrant.Grants": true, "BatchRecall.Recalls": true,
+	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
 	"ObjReturn.RetainedSL": true,
 }
 
@@ -115,10 +111,10 @@ func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 				}
 				// Grants carry forward-list pointers: the kept array must
 				// not keep a finished migration's list alive.
-				if full := f.Slice(0, f.Cap()); name == "BatchGrant" && !full.IsZero() {
+				if full := f.Slice(0, f.Cap()); name == "GrantMsg" && !full.IsZero() {
 					for j := 0; j < full.Len(); j++ {
 						if !full.Index(j).IsZero() {
-							t.Errorf("BatchGrant.Grants[%d] keeps %+v", j, full.Index(j))
+							t.Errorf("GrantMsg.Grants[%d] keeps %+v", j, full.Index(j))
 						}
 					}
 				}
@@ -165,6 +161,54 @@ func TestRetainedSlicesAreNotAliased(t *testing.T) {
 	nl.Loads = append(nl.Loads, LoadReport{Client: 9})
 	if keptLoad.Locations[0].Obj != 4 || keptLoad.Loads[0].Client != 2 {
 		t.Fatalf("retained load reply overwritten by the record's reuse: %+v", keptLoad)
+	}
+}
+
+// TestOneElementRecordsAreReused: a lone grant, a lone callback and a
+// sequential fetch are the batch of one — the released record comes back
+// with its one-element arrays kept and no forward-list pointer left in
+// them, and a larger batch may then grow it.
+func TestOneElementRecordsAreReused(t *testing.T) {
+	var p Pool
+	gm := p.GrantMsg.Get()
+	gm.Grants = append(gm.Grants, ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Txn: 9, Fwd: forward.NewList(4)})
+	elem := &gm.Grants[0]
+	p.Release(gm)
+	if again := p.GrantMsg.Get(); again != gm || len(again.Grants) != 0 || cap(again.Grants) == 0 {
+		t.Fatalf("one-grant record not reused with its array: same %v, len %d cap %d", again == gm, len(again.Grants), cap(again.Grants))
+	}
+	if *elem != (ObjGrant{}) {
+		t.Fatalf("released one-grant record keeps %+v", *elem)
+	}
+	gm.Grants = append(gm.Grants, ObjGrant{Obj: 5})
+	if &gm.Grants[0] != elem {
+		t.Fatal("refilling a one-grant record moved its element array")
+	}
+
+	rm := p.RecallMsg.Get()
+	rm.Recalls = append(rm.Recalls, Recall{Obj: 4, DowngradeToShared: true})
+	first := &rm.Recalls[0]
+	p.Release(rm)
+	if again := p.RecallMsg.Get(); again != rm || len(again.Recalls) != 0 {
+		t.Fatalf("one-recall record not reused: same %v, len %d", again == rm, len(again.Recalls))
+	}
+	rm.Recalls = append(rm.Recalls, Recall{Obj: 6})
+	if &rm.Recalls[0] != first || rm.Recalls[0] != (Recall{Obj: 6}) {
+		t.Fatalf("refilled one-recall record: moved %v, element %+v", &rm.Recalls[0] != first, rm.Recalls[0])
+	}
+
+	cr := p.CommitRequest.Get()
+	cr.Client, cr.Txn = 1, 9
+	cr.Objs, cr.Modes = append(cr.Objs, 4), append(cr.Modes, lockmgr.ModeShared)
+	obj := &cr.Objs[0]
+	p.Release(cr)
+	again := p.CommitRequest.Get()
+	if again != cr || again.Client != 0 || again.Txn != 0 || len(again.Objs) != 0 || len(again.Modes) != 0 {
+		t.Fatalf("one-access request after reuse: same %v, %+v", again == cr, *again)
+	}
+	again.Objs = append(again.Objs, 7)
+	if &again.Objs[0] != obj {
+		t.Fatal("refilling a one-access request moved its access vector")
 	}
 }
 
@@ -285,24 +329,24 @@ func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-var hotScratch [5]any
+var hotScratch [4]any
 
 func filledHot(p *Pool) []any {
-	q := p.ObjRequest.Get()
-	*q = ObjRequest{Client: 1, Txn: 9, Obj: 4, Mode: lockmgr.ModeShared}
-	g := p.ObjGrant.Get()
-	*g = ObjGrant{Obj: 4, Mode: lockmgr.ModeShared, Txn: 9}
-	bg := p.BatchGrant.Get()
-	bg.Grants = append(bg.Grants, *g, *g, *g)
-	br := p.BatchRecall.Get()
-	br.Recalls = append(br.Recalls, Recall{Obj: 4}, Recall{Obj: 5})
+	q := p.CommitRequest.Get()
+	q.Client, q.Txn = 1, 9
+	q.Objs, q.Modes = append(q.Objs, 4), append(q.Modes, lockmgr.ModeShared)
+	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared, Txn: 9}
+	gm := p.GrantMsg.Get()
+	gm.Grants = append(gm.Grants, g, g, g)
+	rm := p.RecallMsg.Get()
+	rm.Recalls = append(rm.Recalls, Recall{Obj: 4}, Recall{Obj: 5})
 	rt := p.ObjReturn.Get()
 	rt.Client, rt.Obj, rt.RetainedSL = 1, 4, append(rt.RetainedSL, 2, 3)
-	hotScratch = [5]any{q, g, bg, br, rt}
+	hotScratch = [4]any{q, gm, rm, rt}
 	return hotScratch[:]
 }
 
-// BenchmarkPoolRound times take → fill → release of the five payloads a
+// BenchmarkPoolRound times take → fill → release of the four payloads a
 // contended batched exchange sends most.
 func BenchmarkPoolRound(b *testing.B) {
 	var p Pool

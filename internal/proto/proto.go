@@ -25,29 +25,6 @@ type LoadReport struct {
 	Valid    bool
 }
 
-// EstimatedWait returns the H1-style queueing estimate n·ATL.
-func (l LoadReport) EstimatedWait() time.Duration {
-	return time.Duration(l.QueueLen) * l.ATL
-}
-
-// ObjRequest asks the server for one object/lock on behalf of a
-// transaction. Clients fetch missing objects one at a time (the paper's
-// sequential request/response loop whose round trip Table 3 measures),
-// so a client has at most one firm request outstanding.
-type ObjRequest struct {
-	Client   netsim.SiteID
-	Txn      txn.ID
-	Obj      lockmgr.ObjectID
-	Mode     lockmgr.Mode
-	Deadline time.Duration
-	// Attempt sequence-numbers retransmissions of this request (0 = the
-	// first send). The server serves duplicates idempotently from its
-	// lock-table state; the attempt number distinguishes retries in
-	// traces.
-	Attempt int
-	Load    LoadReport
-}
-
 // ProbeRequest is the load-sharing client's tentative all-or-nothing
 // round (Section 4): one message asking whether every listed object is
 // grantable right now. The server either grants and ships them all, or
@@ -59,29 +36,36 @@ type ProbeRequest struct {
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
 	Deadline time.Duration
-	// Attempt sequence-numbers retransmissions (see ObjRequest.Attempt).
+	// Attempt sequence-numbers retransmissions of this request (0 = the
+	// first send). The server serves duplicates idempotently from its
+	// lock-table state; the attempt number distinguishes retries in
+	// traces.
 	Attempt int
 	Load    LoadReport
 }
 
-// CommitRequest is the single follow-up message of the load-sharing
-// path: "the transaction will be processed locally — ship the objects
-// over as soon as possible". It converts an earlier tentative batch into
-// firm requests.
+// CommitRequest asks the server for the listed objects and locks in
+// earnest. It is the follow-up message of the load-sharing path ("the
+// transaction will be processed locally — ship the objects over as soon
+// as possible", converting an earlier tentative batch into firm
+// requests), and with one access it is the paper's sequential
+// request/response loop whose round trip Table 3 measures — a client
+// fetching that way has at most one firm request outstanding — and the
+// form in which a shard forwards a request it cannot serve to the
+// object's home shard.
 type CommitRequest struct {
 	Client   netsim.SiteID
 	Txn      txn.ID
 	Deadline time.Duration
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
-	// Attempt sequence-numbers retransmissions (see ObjRequest.Attempt).
+	// Attempt sequence-numbers retransmissions (see ProbeRequest.Attempt).
 	Attempt int
 	Load    LoadReport
 }
 
-// ObjGrant delivers an object and its lock to a client. It is the
-// payload of both KindObjectShip (server to client) and
-// KindClientForward (client to client along a forward list).
+// ObjGrant delivers an object and its lock to a client; it travels as
+// an element of a GrantMsg.
 type ObjGrant struct {
 	Obj     lockmgr.ObjectID
 	Mode    lockmgr.Mode
@@ -97,12 +81,13 @@ type ObjGrant struct {
 	Fwd *forward.List
 }
 
-// BatchGrant carries every grant the server coalesced for one
-// destination at a batch-window close (Config.BatchWindow > 0): one
-// KindObjectShip message, sized as the sum of its member grants, in
-// place of len(Grants) separate ships. The client applies each member
-// exactly as if it had arrived alone, in order.
-type BatchGrant struct {
+// GrantMsg is the payload of KindObjectShip (server to client) and
+// KindClientForward (client to client along a forward list): one grant,
+// or every grant the server coalesced for one destination at a
+// batch-window close (Config.BatchWindow > 0). The message is sized as
+// the sum of its member grants, and the client applies each member in
+// order.
+type GrantMsg struct {
 	Grants []ObjGrant
 }
 
@@ -152,7 +137,8 @@ type DenyReply struct {
 	Reason DenyReason
 }
 
-// Recall is a server-to-client lock callback. When DowngradeToShared is
+// Recall is a server-to-client lock callback; it travels as an element
+// of a RecallMsg. When DowngradeToShared is
 // set the holder may keep the object with an SL instead of giving it up
 // entirely (the paper's modified callback scheme). HolderMode is the
 // mode the server's table records for the target at send time — a
@@ -165,10 +151,11 @@ type Recall struct {
 	HolderMode        lockmgr.Mode
 }
 
-// BatchRecall coalesces the callbacks issued to one holder at a
-// batch-window close (Config.BatchWindow > 0) into one KindRecall
-// message sized as the sum of its members.
-type BatchRecall struct {
+// RecallMsg is the payload of KindRecall: one callback, or every
+// callback issued to one holder at a batch-window close
+// (Config.BatchWindow > 0), sized as the sum of its members. Between
+// shards it recalls read replicas.
+type RecallMsg struct {
 	Recalls []Recall
 }
 
@@ -225,7 +212,7 @@ type LoadQuery struct {
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
 	Deadline time.Duration
-	// Attempt sequence-numbers retransmissions (see ObjRequest.Attempt).
+	// Attempt sequence-numbers retransmissions (see ProbeRequest.Attempt).
 	Attempt int
 	Load    LoadReport
 }

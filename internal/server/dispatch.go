@@ -314,13 +314,9 @@ func (s *Server) recall(obj lockmgr.ObjectID, holder netsim.SiteID, downgrade bo
 		s.recallIntents = append(s.recallIntents, recallIntent{holder: holder, recall: r})
 		return
 	}
-	s.sendRecall(holder, r)
-}
-
-func (s *Server) sendRecall(holder netsim.SiteID, r proto.Recall) {
-	p := s.payloads.Recall.Get()
-	*p = r
-	s.send(holder, netsim.KindRecall, netsim.ControlBytes, p)
+	msg := s.payloads.RecallMsg.Get()
+	msg.Recalls = append(msg.Recalls, r)
+	s.send(holder, netsim.KindRecall, netsim.ControlBytes, msg)
 }
 
 // recallIntent is one decided callback deferred during a window flush.
@@ -394,15 +390,11 @@ func (s *Server) flushRecalls() {
 	intents := s.recallIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].holder },
 		func(to netsim.SiteID, members []int) {
-			if len(members) == 1 {
-				s.sendRecall(to, intents[members[0]].recall)
-				return
-			}
-			br := s.payloads.BatchRecall.Get()
+			msg := s.payloads.RecallMsg.Get()
 			for _, i := range members {
-				br.Recalls = append(br.Recalls, intents[i].recall)
+				msg.Recalls = append(msg.Recalls, intents[i].recall)
 			}
-			s.send(to, netsim.KindRecall, len(members)*netsim.ControlBytes, br)
+			s.send(to, netsim.KindRecall, len(members)*netsim.ControlBytes, msg)
 		})
 	s.recallIntents = intents[:0]
 }
@@ -454,23 +446,14 @@ func (m *shipMachine) Resume() {
 		panic(fmt.Sprintf("server: reading ships for site %d: %v", m.to, err))
 	}
 	s := m.s
-	if len(m.intents) == 1 {
-		in := m.intents[0]
-		g := s.payloads.ObjGrant.Get()
-		*g = proto.ObjGrant{
-			Obj: in.obj, Mode: in.mode, Version: in.version, Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
-		}
-		s.send(m.to, netsim.KindObjectShip, netsim.ObjectBytes, g)
-	} else {
-		bg := s.payloads.BatchGrant.Get()
-		for _, in := range m.intents {
-			bg.Grants = append(bg.Grants, proto.ObjGrant{
-				Obj: in.obj, Mode: in.mode, Version: in.version,
-				Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
-			})
-		}
-		s.send(m.to, netsim.KindObjectShip, len(bg.Grants)*netsim.ObjectBytes, bg)
+	msg := s.payloads.GrantMsg.Get()
+	for _, in := range m.intents {
+		msg.Grants = append(msg.Grants, proto.ObjGrant{
+			Obj: in.obj, Mode: in.mode, Version: in.version,
+			Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
+		})
 	}
+	s.send(m.to, netsim.KindObjectShip, len(msg.Grants)*netsim.ObjectBytes, msg)
 	m.task.Detach()
 	clear(m.intents) // drop forward-list pointers before reuse
 	m.intents = m.intents[:0]

@@ -100,8 +100,9 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 		return 0, false
 	}
 	s.RequestsForwarded++
-	q := s.payloads.ObjRequest.Get()
-	*q = proto.ObjRequest{Client: r.Client, Txn: r.Txn, Obj: r.Obj, Mode: r.Mode, Deadline: r.Deadline}
+	q := s.payloads.CommitRequest.Get()
+	q.Client, q.Txn, q.Deadline = r.Client, r.Txn, r.Deadline
+	q.Objs, q.Modes = append(q.Objs, r.Obj), append(q.Modes, r.Mode)
 	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes, q)
 	return batch.OutForwarded, true
 }

@@ -63,9 +63,9 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 	var version int64
 	request := func(from int) {
 		id++
-		q := s.payloads.ObjRequest.Get()
-		*q = proto.ObjRequest{Client: netsim.SiteID(from), Txn: id, Obj: 43,
-			Mode: lockmgr.ModeExclusive, Deadline: r.env.Now() + time.Minute}
+		q := s.payloads.CommitRequest.Get()
+		q.Client, q.Txn, q.Deadline = netsim.SiteID(from), id, r.env.Now()+time.Minute
+		q.Objs, q.Modes = append(q.Objs, 43), append(q.Modes, lockmgr.ModeExclusive)
 		r.send(from, netsim.KindObjectRequest, q)
 	}
 	giveBack := func(from int, hasData bool) {
@@ -79,7 +79,7 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 		if !ok || msg.Kind != kind {
 			panic("scripted client did not receive its " + kind.String())
 		}
-		if g, isGrant := msg.Payload.(*proto.ObjGrant); isGrant && (g.Txn != id || g.Version != version) {
+		if g, isGrant := msg.Payload.(*proto.GrantMsg); isGrant && (len(g.Grants) != 1 || g.Grants[0].Txn != id || g.Grants[0].Version != version) {
 			panic("grant carries the wrong transaction or version")
 		}
 		s.payloads.Release(msg.Payload)

@@ -365,9 +365,6 @@ func (m *connMachine) Resume() {
 			}
 			m.pc = csRecv
 			switch pl := m.payload.(type) {
-			case *proto.ObjRequest:
-				s.noteLoad(pl.Load)
-				s.handleFirm(pl.Client, pl.Txn, pl.Obj, pl.Mode, pl.Deadline)
 			case *proto.ProbeRequest:
 				s.noteLoad(pl.Load)
 				s.handleProbe(*pl)
@@ -396,11 +393,9 @@ func (m *connMachine) Resume() {
 				// Shard-to-shard only: the home shard provisions a read
 				// replica here.
 				s.installReplica(pl.Obj, pl.Version)
-			case *proto.Recall:
-				// Shard-to-shard only: the home shard recalls a replica
+			case *proto.RecallMsg:
+				// Shard-to-shard only: the home shard recalls replicas
 				// served here (a writer arrived) — a forced drain.
-				s.shedReplica(pl.Obj, true)
-			case *proto.BatchRecall:
 				for _, r := range pl.Recalls {
 					s.shedReplica(r.Obj, true)
 				}
@@ -598,9 +593,9 @@ func (s *Server) dataCounts(objs []lockmgr.ObjectID, conflicts []proto.ObjConfli
 	return out
 }
 
-// handleCommitRequest is the "process locally, ship ASAP" follow-up: all
-// the transaction's outstanding objects become firm requests in one
-// message.
+// handleCommitRequest serves a message of firm requests: the "process
+// locally, ship ASAP" follow-up for all of a transaction's outstanding
+// objects, one sequential fetch, or a request another shard forwarded.
 func (s *Server) handleCommitRequest(cr proto.CommitRequest) {
 	for i, obj := range cr.Objs {
 		s.handleFirm(cr.Client, cr.Txn, obj, cr.Modes[i], cr.Deadline)

@@ -57,9 +57,9 @@ func (r *rig) send(from int, kind netsim.Kind, payload any) {
 
 func (r *rig) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
 	r.nextTx++
-	r.send(from, netsim.KindObjectRequest, &proto.ObjRequest{
-		Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Obj: obj,
-		Mode: mode, Deadline: deadline,
+	r.send(from, netsim.KindObjectRequest, &proto.CommitRequest{
+		Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: deadline,
+		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode},
 	})
 }
 
@@ -85,7 +85,7 @@ func TestServerGrantsFreeObject(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(*proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.GrantMsg).Grants[0]
 	if g.Obj != 42 || g.Mode != lockmgr.ModeExclusive {
 		t.Fatalf("grant = %+v", g)
 	}
@@ -124,7 +124,7 @@ func TestServerRecallsConflictingHolder(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindRecall {
 		t.Fatalf("holder messages = %+v", msgs)
 	}
-	rec := msgs[0].Payload.(*proto.Recall)
+	rec := msgs[0].Payload.(*proto.RecallMsg).Recalls[0]
 	if !rec.DowngradeToShared {
 		t.Fatal("SL demand should ask for a downgrade")
 	}
@@ -224,7 +224,7 @@ func TestServerForwardListMigration(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("head messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(*proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.GrantMsg).Grants[0]
 	if g.Fwd == nil || g.Fwd.Len() != 1 || g.Fwd.Entries[0].Client != 3 {
 		t.Fatalf("forward list = %+v", g.Fwd)
 	}
@@ -266,7 +266,7 @@ func TestServerParallelReadRun(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("head messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(*proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.GrantMsg).Grants[0]
 	if g.Fwd == nil || !g.Fwd.ReadRun {
 		t.Fatalf("expected a read-run list, got %+v", g.Fwd)
 	}
@@ -336,7 +336,7 @@ func TestServerSingleWaiterNoMigration(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	g := msgs[0].Payload.(*proto.ObjGrant)
+	g := msgs[0].Payload.(*proto.GrantMsg).Grants[0]
 	if g.Fwd != nil {
 		t.Fatal("sole waiter should get a plain grant, not a migration")
 	}
