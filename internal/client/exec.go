@@ -73,10 +73,7 @@ type txnMachine struct {
 	slotHeld     bool
 	locksHeld    bool
 	lockOps      []txn.Op
-	lockReqs     []lockmgr.Request
-	lockIdx      int
-	lockStarted  bool
-	lockOp       lockmgr.LockOp
+	locks        lockmgr.SeqLockOp
 	entries      []*cache.Entry
 	spec         []specEntry
 	specOn       bool
@@ -156,7 +153,7 @@ func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, rep
 	*m = txnMachine{
 		c: c, t: t, sub: sub, reportTo: reportTo,
 		subs: m.subs[:0], results: m.results[:0],
-		lockOps: m.lockOps[:0], lockReqs: m.lockReqs[:0],
+		lockOps: m.lockOps[:0], locks: m.locks,
 		entries: m.entries[:0], missing: m.missing[:0],
 	}
 	m.owns = sub == nil
@@ -514,13 +511,10 @@ func (m *txnMachine) stepSlotHeld() bool {
 		// (only active when ClientExecutors > 1), in object order.
 		m.lockOps = append(m.lockOps[:0], m.ops...)
 		slices.SortFunc(m.lockOps, func(a, b txn.Op) int { return int(a.Obj) - int(b.Obj) })
-		if cap(m.lockReqs) < len(m.lockOps) {
-			m.lockReqs = make([]lockmgr.Request, len(m.lockOps))
-		} else {
-			m.lockReqs = m.lockReqs[:len(m.lockOps)]
+		m.locks.Init(c.localLocks, len(m.lockOps))
+		for _, op := range m.lockOps {
+			m.locks.Add(lockmgr.Request{Obj: op.Obj, Owner: lockmgr.OwnerID(t.ID), Mode: op.Mode(), Deadline: t.Deadline})
 		}
-		m.lockIdx = 0
-		m.lockStarted = false
 		m.pc = tsLock
 		return false
 	}
@@ -531,35 +525,17 @@ func (m *txnMachine) stepSlotHeld() bool {
 // stepLock acquires the local locks one object at a time.
 func (m *txnMachine) stepLock() bool {
 	c, t := m.c, m.t
-	owner := lockmgr.OwnerID(t.ID)
-	for m.lockIdx < len(m.lockOps) {
-		var done bool
-		var err error
-		if !m.lockStarted {
-			op := m.lockOps[m.lockIdx]
-			m.lockStarted = true
-			req := &m.lockReqs[m.lockIdx]
-			*req = lockmgr.Request{Obj: op.Obj, Owner: owner, Mode: op.Mode(), Deadline: t.Deadline}
-			done, err = m.lockOp.Start(c.localLocks, &m.task, req)
-		} else {
-			done, err = m.lockOp.Step(&m.task)
-		}
-		if !done {
-			return true
-		}
-		m.lockStarted = false
-		if err != nil {
-			if m.owns {
-				c.tr.Mark(t.ID, c.id, trace.CompLockWait, m.task.Now())
-			}
-			c.localLocks.ReleaseAll(owner)
-			m.execDone(false)
-			return false
-		}
-		m.lockIdx++
+	done, err := m.locks.Step(&m.task)
+	if !done {
+		return true
 	}
 	if m.owns {
 		c.tr.Mark(t.ID, c.id, trace.CompLockWait, m.task.Now())
+	}
+	if err != nil {
+		c.localLocks.ReleaseAll(lockmgr.OwnerID(t.ID))
+		m.execDone(false)
+		return false
 	}
 	m.locksHeld = true
 	m.pc = tsMatBegin

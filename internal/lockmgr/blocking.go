@@ -105,6 +105,58 @@ func (o *LockOp) expire() (bool, error) {
 	return true, ErrDeadline
 }
 
+// SeqLockOp acquires a list of locks one after another, in the order
+// they were added — the growing phase of a transaction machine under
+// strict two-phase locking. It stops at the first request that fails and
+// reports that LockOp's error; releasing what was acquired before it,
+// and whatever else the failure means, is the caller's business. Init,
+// Add each request, then call Step from every Resume until done.
+type SeqLockOp struct {
+	bt *BlockingTable
+	// reqs is referenced by the table while the locks are queued or
+	// held; its array is kept across uses of the op.
+	reqs    []Request
+	idx     int
+	started bool
+	op      LockOp
+}
+
+// Init arms the op to acquire n locks from bt.
+func (o *SeqLockOp) Init(bt *BlockingTable, n int) {
+	if cap(o.reqs) < n {
+		o.reqs = make([]Request, 0, n)
+	}
+	o.bt, o.reqs, o.idx, o.started = bt, o.reqs[:0], 0, false
+}
+
+// Add appends one request to the sequence. All of them must be added
+// before the first Step.
+func (o *SeqLockOp) Add(req Request) { o.reqs = append(o.reqs, req) }
+
+// Step advances the acquisition; false means the task parked on the
+// current request and Step must run again on the next resume.
+func (o *SeqLockOp) Step(t *sim.Task) (bool, error) {
+	for o.idx < len(o.reqs) {
+		var done bool
+		var err error
+		if !o.started {
+			o.started = true
+			done, err = o.op.Start(o.bt, t, &o.reqs[o.idx])
+		} else {
+			done, err = o.op.Step(t)
+		}
+		if !done {
+			return false, nil
+		}
+		o.started = false
+		if err != nil {
+			return true, err
+		}
+		o.idx++
+	}
+	return true, nil
+}
+
 // ReleaseAll drops all of owner's locks and wakes newly granted waiters.
 func (bt *BlockingTable) ReleaseAll(owner OwnerID) {
 	bt.fire(bt.table.ReleaseAll(owner))

@@ -198,3 +198,61 @@ func TestLockOpGrantVersusTimeoutSameInstant(t *testing.T) {
 		})
 	}
 }
+
+// TestSeqLockOpAcquiresInOrderAndStopsAtFirstFailure: the op takes its
+// locks one after another, parking on a held one until it is released,
+// and gives up at the first request that fails — keeping what it
+// already holds and never issuing the requests after it.
+func TestSeqLockOpAcquiresInOrderAndStopsAtFirstFailure(t *testing.T) {
+	env := sim.NewEnv()
+	bt := NewBlockingTable(env)
+	var herr error
+	simtest.Spawn(env, // owner 8 holds object 2 for 5 s
+		lock(bt, req(2, 8, ModeExclusive, time.Hour), &herr),
+		sleep(5*time.Second),
+		do(func(*sim.Task) { bt.ReleaseAll(8) }))
+	simtest.Spawn(env, // owner 9 holds object 3 for good
+		lock(bt, req(3, 9, ModeExclusive, time.Hour), &herr))
+
+	var op SeqLockOp
+	op.Init(bt, 4)
+	for obj := ObjectID(1); obj <= 4; obj++ {
+		op.Add(Request{Obj: obj, Owner: 1, Mode: ModeExclusive, Deadline: 8 * time.Second})
+	}
+	err := errors.New("not run")
+	var doneAt time.Duration
+	simtest.Spawn(env,
+		sleep(time.Second),
+		func(task *sim.Task) bool {
+			done, e := op.Step(task)
+			if done {
+				err, doneAt = e, task.Now()
+			}
+			return done
+		})
+	var midway [2]int // at 6 s: the op holds 2 and is queued on 3
+	simtest.Spawn(env,
+		sleep(6*time.Second),
+		do(func(*sim.Task) {
+			midway = [2]int{int(bt.Table().HolderMode(2, 1)), bt.Table().QueueLen(3)}
+		}))
+	env.Run(time.Minute)
+	defer env.Close()
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	if midway != [2]int{int(ModeExclusive), 1} {
+		t.Fatalf("at 6s: object 2 held in mode %d, %d queued on object 3; want %d and 1", midway[0], midway[1], ModeExclusive)
+	}
+	if !errors.Is(err, ErrDeadline) || doneAt != 8*time.Second {
+		t.Fatalf("op ended with %v at %v, want ErrDeadline at 8s", err, doneAt)
+	}
+	for obj, want := range map[ObjectID]Mode{1: ModeExclusive, 2: ModeExclusive, 3: 0, 4: 0} {
+		if got := bt.Table().HolderMode(obj, 1); got != want {
+			t.Errorf("object %d held in mode %v, want %v", obj, got, want)
+		}
+	}
+	if bt.Table().QueueLen(3) != 0 {
+		t.Error("expired request left in object 3's queue")
+	}
+}

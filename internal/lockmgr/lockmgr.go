@@ -88,9 +88,6 @@ type Request struct {
 // GrantedNow reports whether the request has been granted.
 func (r *Request) GrantedNow() bool { return r.granted }
 
-// Waiting reports whether the request is still queued.
-func (r *Request) Waiting() bool { return r.waiting }
-
 // Table is a lock table with deadline-ordered waiting and deadlock
 // refusal. Object ids are page numbers — dense and non-negative — so
 // entries live in a dense slice indexed by object when the caller
@@ -670,18 +667,6 @@ func (t *Table) ConflictingHolders(obj ObjectID, owner OwnerID, mode Mode) []Own
 		return t.confBuf
 	}
 	return nil
-}
-
-// ConflictCount returns how many of the (object, mode) pairs would
-// conflict for owner — the quantity heuristic H2 minimizes across sites.
-func (t *Table) ConflictCount(owner OwnerID, objs []ObjectID, modes []Mode) int {
-	n := 0
-	for i, obj := range objs {
-		if e := t.lookup(obj); e != nil && e.conflictCount(owner, modes[i]) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // HolderCount returns the number of holders of obj; HolderAt returns

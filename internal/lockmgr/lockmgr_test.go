@@ -269,24 +269,6 @@ func TestReleaseAll(t *testing.T) {
 	}
 }
 
-func TestConflictCount(t *testing.T) {
-	tab := NewTable()
-	tab.Lock(req(1, 1, ModeExclusive, time.Second))
-	tab.Lock(req(2, 1, ModeShared, time.Second))
-	tab.Lock(req(3, 2, ModeShared, time.Second))
-	objs := []ObjectID{1, 2, 3, 4}
-	modes := []Mode{ModeShared, ModeShared, ModeExclusive, ModeExclusive}
-	// For owner 3: obj1 EL-held (conflict), obj2 SL-SL (ok), obj3 SL
-	// vs EL (conflict), obj4 free.
-	if n := tab.ConflictCount(3, objs, modes); n != 2 {
-		t.Fatalf("ConflictCount = %d, want 2", n)
-	}
-	// For owner 1 (holder itself): obj1 own EL (ok), obj3 conflicts.
-	if n := tab.ConflictCount(1, objs, modes); n != 1 {
-		t.Fatalf("ConflictCount for holder = %d, want 1", n)
-	}
-}
-
 func TestReleaseUnheldIsNoop(t *testing.T) {
 	tab := NewTable()
 	if g := tab.Release(9, 1); g != nil {

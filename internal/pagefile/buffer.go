@@ -88,9 +88,6 @@ func (bp *BufferPool) newFrame(id PageID) *Frame {
 	return f
 }
 
-// Resident returns the number of pages currently buffered.
-func (bp *BufferPool) Resident() int { return len(bp.frames) }
-
 // Pinned returns the number of frames with at least one pin. A quiescent
 // pool has none; a nonzero count after every transaction has finished is
 // a leaked pin.

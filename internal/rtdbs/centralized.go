@@ -396,7 +396,7 @@ func popFree[M any](free *[]*M) *M {
 
 func (ce *Centralized) spawnTxn(t *txn.Transaction) {
 	x := popFree(&ce.txnFree)
-	*x = ceTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}, lockReqs: x.lockReqs[:0]}
+	*x = ceTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}, locks: x.locks}
 	x.prio = t.Deadline.Seconds()
 	if ce.cfg.Scheduling == config.SchedFCFS {
 		x.prio = t.Arrival.Seconds()
@@ -415,15 +415,12 @@ type ceTxnMachine struct {
 	t    *txn.Transaction
 	pc   uint8
 
-	prio        float64
-	slotHeld    bool
-	locksOwned  bool
-	lockIdx     int
-	lockStarted bool
-	lockOp      lockmgr.LockOp
-	lockReqs    []lockmgr.Request
-	read        ceRead
-	force       wal.ForceOp
+	prio       float64
+	slotHeld   bool
+	locksOwned bool
+	locks      lockmgr.SeqLockOp
+	read       ceRead
+	force      wal.ForceOp
 }
 
 const (
@@ -466,9 +463,25 @@ func (m *ceTxnMachine) step() bool {
 		}
 		t.Status = txn.StatusRunning
 		m.locksOwned = true
+		m.locks.Init(ce.locks, len(t.Ops))
+		for _, op := range t.Ops {
+			m.locks.Add(lockmgr.Request{Obj: op.Obj, Owner: lockmgr.OwnerID(t.ID), Mode: op.Mode(), Deadline: t.Deadline})
+		}
 		m.pc = xsLock
 	case xsLock:
-		return m.stepLock()
+		done, err := m.locks.Step(&m.task)
+		if !done {
+			return true
+		}
+		if err != nil {
+			if errors.Is(err, lockmgr.ErrDeadlock) {
+				t.Status = txn.StatusAborted
+			}
+			m.finish(false)
+			return false
+		}
+		m.read.start(len(t.Ops))
+		m.pc = xsRead
 	case xsRead:
 		switch m.read.step(&ce.ceCore, &m.task, t, m.prio) {
 		case readParked:
@@ -507,44 +520,6 @@ func (m *ceTxnMachine) step() bool {
 		}
 		m.finish(m.task.Now() <= t.Deadline)
 	}
-	return false
-}
-
-func (m *ceTxnMachine) stepLock() bool {
-	ce, t := m.ce, m.t
-	owner := lockmgr.OwnerID(t.ID)
-	for m.lockIdx < len(t.Ops) {
-		var done bool
-		var err error
-		if !m.lockStarted {
-			op := t.Ops[m.lockIdx]
-			m.lockStarted = true
-			if cap(m.lockReqs) < len(t.Ops) {
-				m.lockReqs = make([]lockmgr.Request, len(t.Ops))
-			} else {
-				m.lockReqs = m.lockReqs[:len(t.Ops)]
-			}
-			req := &m.lockReqs[m.lockIdx]
-			*req = lockmgr.Request{Obj: op.Obj, Owner: owner, Mode: op.Mode(), Deadline: t.Deadline}
-			done, err = m.lockOp.Start(ce.locks, &m.task, req)
-		} else {
-			done, err = m.lockOp.Step(&m.task)
-		}
-		if !done {
-			return true
-		}
-		m.lockStarted = false
-		if err != nil {
-			if errors.Is(err, lockmgr.ErrDeadlock) {
-				t.Status = txn.StatusAborted
-			}
-			m.finish(false)
-			return false
-		}
-		m.lockIdx++
-	}
-	m.read.start(len(t.Ops))
-	m.pc = xsRead
 	return false
 }
 

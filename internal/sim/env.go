@@ -165,15 +165,6 @@ func (e *Env) At(t time.Duration, fn func()) Timer {
 	return Timer{env: e, idx: idx, gen: e.pool[idx].gen}
 }
 
-// ScheduleHook runs h.RunEvent after delay of virtual time, like
-// Schedule but without a closure.
-func (e *Env) ScheduleHook(delay time.Duration, h EventHook) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.AtHook(e.now+delay, h)
-}
-
 // AtHook runs h.RunEvent at absolute virtual time t, like At but
 // without a closure: the steady-state cost is one pooled event record.
 func (e *Env) AtHook(t time.Duration, h EventHook) Timer {

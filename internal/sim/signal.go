@@ -58,15 +58,6 @@ func (p *Proc) WaitTimeout(s *Signal, d time.Duration) bool {
 	return !w.timedOut
 }
 
-// WaitFor blocks until cond() is true, re-checking each time the signal
-// wakes it. cond is evaluated before the first wait, so a true condition
-// never blocks.
-func (p *Proc) WaitFor(s *Signal, cond func() bool) {
-	for !cond() {
-		p.Wait(s)
-	}
-}
-
 // WaitForTimeout blocks until cond() is true or the deadline at absolute
 // virtual time t passes. It reports true when the condition held.
 func (p *Proc) WaitForTimeout(s *Signal, t time.Duration, cond func() bool) bool {
