@@ -5,6 +5,7 @@ import (
 	"time"
 	"unsafe"
 
+	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/txn"
@@ -81,5 +82,86 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	round() // warm the pools and cache the two copies
 	if n := testing.AllocsPerRun(500, round); n != 0 {
 		t.Errorf("a firm-request round allocates %v per run, want 0", n)
+	}
+}
+
+// TestSelectionRoundBookkeepingZeroAlloc pins the load-sharing rounds at
+// one server at zero allocations, site selection itself aside: a
+// tentative probe answered by a ConflictReply and followed by the commit
+// round and its grants, then a location/load query and its LoadReply.
+// The single reply of each is read in place — a copy-merge of it would
+// show here as allocations per round.
+func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
+	r := newRig(t, nil)
+	defer r.env.Close()
+	c := r.cl
+	tx := &txn.Transaction{ID: 202, Deadline: time.Hour, Ops: []txn.Op{{Obj: 7}, {Obj: 8, Write: true}}}
+	m := &txnMachine{c: c, t: tx, missing: tx.Ops}
+
+	// The reply vectors are the server's, made per reply; the scripted
+	// server here sends the same ones every round.
+	where := []proto.ObjConflict{{Obj: 8, Holders: []netsim.SiteID{2}}}
+	loads := []proto.LoadReport{{Client: 2, QueueLen: 1, ATL: time.Second, Valid: true}}
+	counts := []proto.SiteCount{{Site: 2, Count: 1}}
+
+	// exchange sends the current request, has the scripted server check
+	// what it received, and delivers reply.
+	exchange := func(wanted func(any) bool, kind netsim.Kind, reply any) {
+		m.resend(0)
+		r.env.RunAll()
+		msg, ok := r.toSrv.TryGet()
+		if !ok || !wanted(msg.Payload) {
+			panic("request not sent as expected")
+		}
+		c.payloads.Release(msg.Payload)
+		r.inject(kind, reply)
+		r.env.RunAll()
+	}
+	round := func() {
+		pt := c.ensurePending(tx)
+		m.pt = pt
+		for _, op := range m.missing {
+			pt.addWait(op.Obj, op.Mode(), 0)
+			c.addWaiter(op.Obj, pt)
+		}
+		m.sendKind = skProbe
+		cr := c.payloads.ConflictReply.Get()
+		*cr = proto.ConflictReply{Txn: tx.ID, Conflicts: where, Loads: loads, DataCounts: counts}
+		exchange(func(p any) bool { q, ok := p.(*proto.ProbeRequest); return ok && len(q.Objs) == 2 },
+			netsim.KindLockReply, cr)
+		conflicts, loadAt, countAt := c.h2Inputs(pt.confFrom)
+		if !pt.gotConflict || &conflicts[0] != &where[0] || !loadAt[2].Valid || countAt[2] != 1 {
+			panic("conflict reply not read in place")
+		}
+		m.sendKind = skCommit
+		g := c.payloads.GrantMsg.Get()
+		g.Grants = append(g.Grants,
+			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID},
+			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID})
+		exchange(func(p any) bool { q, ok := p.(*proto.CommitRequest); return ok && len(q.Objs) == 2 },
+			netsim.KindObjectShip, g)
+		if len(pt.waits) != 0 {
+			panic("grants did not clear the waits")
+		}
+		c.releasePending(pt)
+
+		pt = c.ensurePending(tx)
+		m.pt = pt
+		pt.wantLoad, pt.hasLoad = true, false
+		m.sendKind = skLoad
+		lr := c.payloads.LoadReply.Get()
+		*lr = proto.LoadReply{Txn: tx.ID, Locations: where, Loads: loads}
+		exchange(func(p any) bool { q, ok := p.(*proto.LoadQuery); return ok && len(q.Objs) == 2 },
+			netsim.KindLoadReply, lr)
+		locs, loadAt, _ := c.h2Inputs(pt.loadFrom)
+		if !pt.hasLoad || &locs[0] != &where[0] || !loadAt[2].Valid {
+			panic("load reply not read in place")
+		}
+		pt.wantLoad = false
+		c.releasePending(pt)
+	}
+	round() // warm the pools and cache the two copies
+	if n := testing.AllocsPerRun(500, round); n != 0 {
+		t.Errorf("a probe, commit and load-query round allocates %v per run, want 0", n)
 	}
 }

@@ -26,9 +26,10 @@ type rig struct {
 	env    *sim.Env
 	net    *netsim.Network
 	cl     *Client
-	inbox  *sim.Mailbox[netsim.Message] // client's inbox
-	toSrv  *sim.Mailbox[netsim.Message] // what the client sent to the server
-	peer   *sim.Mailbox[netsim.Message] // inbox of peer site 2
+	inbox  *sim.Mailbox[netsim.Message]   // client's inbox
+	toSrv  *sim.Mailbox[netsim.Message]   // what the client sent to the server (shard 0)
+	shards []*sim.Mailbox[netsim.Message] // what it sent to each shard; shards[0] is toSrv
+	peer   *sim.Mailbox[netsim.Message]   // inbox of peer site 2
 	nextID txn.ID
 }
 
@@ -44,7 +45,10 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
 	inbox := sim.NewMailbox[netsim.Message](env)
-	toSrv := sim.NewMailbox[netsim.Message](env)
+	shards := make([]*sim.Mailbox[netsim.Message], cfg.Sharding.NumServers())
+	for k := range shards {
+		shards[k] = sim.NewMailbox[netsim.Message](env)
+	}
 	peer := sim.NewMailbox[netsim.Message](env)
 
 	stream := rng.NewStream(1)
@@ -63,16 +67,19 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 	}, func() txn.ID { id++; return id })
 
 	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, inbox,
-		shardmap.New(cfg.Sharding), []*sim.Mailbox[netsim.Message]{toSrv}, gen, true)
+		shardmap.New(cfg.Sharding), shards, gen, true)
 	cl.SetPeers(map[netsim.SiteID]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
 	cl.startDispatcher()
-	return &rig{t: t, env: env, net: net, cl: cl, inbox: inbox, toSrv: toSrv, peer: peer}
+	return &rig{t: t, env: env, net: net, cl: cl, inbox: inbox, toSrv: shards[0], shards: shards, peer: peer}
 }
 
 // inject delivers a payload to the client as if from the server; a bare
 // grant or recall travels as the message of one.
-func (r *rig) inject(kind netsim.Kind, payload any) {
+func (r *rig) inject(kind netsim.Kind, payload any) { r.injectFrom(0, kind, payload) }
+
+// injectFrom is inject from server shard k.
+func (r *rig) injectFrom(k int, kind netsim.Kind, payload any) {
 	switch el := payload.(type) {
 	case proto.ObjGrant:
 		payload = &proto.GrantMsg{Grants: []proto.ObjGrant{el}}
@@ -80,7 +87,7 @@ func (r *rig) inject(kind netsim.Kind, payload any) {
 		payload = &proto.RecallMsg{Recalls: []proto.Recall{el}}
 	}
 	r.net.Send(netsim.Message{
-		Kind: kind, From: netsim.ServerSite, To: 1,
+		Kind: kind, From: shardmap.ShardSite(k), To: 1,
 		Size: netsim.ControlBytes, Payload: payload,
 	}, r.inbox)
 }

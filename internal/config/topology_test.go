@@ -6,24 +6,32 @@ import (
 	"time"
 )
 
+// TestTopologyDefaults: the zero topology and an explicit single server
+// are the same one-shard topology, whatever the partition and
+// replication knobs say — there is no second path for either to select.
 func TestTopologyDefaults(t *testing.T) {
-	var topo Topology
-	if got := topo.NumServers(); got != 1 {
-		t.Fatalf("NumServers() = %d, want 1", got)
-	}
-	if topo.Enabled() {
-		t.Fatal("zero topology must not be Enabled")
-	}
-	if topo.Adaptive() {
-		t.Fatal("zero topology must not be Adaptive")
-	}
-	for obj := 0; obj < 10; obj++ {
-		if got := topo.Shard(obj); got != 0 {
-			t.Fatalf("Shard(%d) = %d, want 0 on single server", obj, got)
+	for _, topo := range []Topology{
+		{},
+		{Servers: 1},
+		{Servers: 1, Block: 4, ReplicateHot: 3, HeatWindow: time.Minute},
+	} {
+		if got := topo.NumServers(); got != 1 {
+			t.Fatalf("%+v: NumServers() = %d, want 1", topo, got)
 		}
-	}
-	if got := topo.EffectiveShedBelow(); got != 1 {
-		t.Fatalf("EffectiveShedBelow() = %d, want 1", got)
+		if topo.Enabled() {
+			t.Fatalf("%+v must not be Enabled", topo)
+		}
+		if topo.Adaptive() {
+			t.Fatalf("%+v must not be Adaptive", topo)
+		}
+		for obj := 0; obj < 10; obj++ {
+			if got := topo.Shard(obj); got != 0 {
+				t.Fatalf("%+v: Shard(%d) = %d, want 0 on single server", topo, obj, got)
+			}
+		}
+		if got := topo.EffectiveShedBelow(); got != 1 {
+			t.Fatalf("%+v: EffectiveShedBelow() = %d, want 1", topo, got)
+		}
 	}
 }
 

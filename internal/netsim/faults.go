@@ -77,6 +77,19 @@ type FaultStats struct {
 	Retransmits int64
 }
 
+// FaultCounters names the counters of FaultStats, in the order reports
+// print them.
+var FaultCounters = []struct {
+	Name string
+	Get  func(FaultStats) int64
+}{
+	{"dropped", func(s FaultStats) int64 { return s.Dropped }},
+	{"duplicated", func(s FaultStats) int64 { return s.Duplicated }},
+	{"spiked", func(s FaultStats) int64 { return s.Spiked }},
+	{"retransmits", func(s FaultStats) int64 { return s.Retransmits }},
+	{"partition-drops", func(s FaultStats) int64 { return s.PartitionDrops }},
+}
+
 // faultState is the network's fault-injection machinery, nil when faults
 // are off.
 type faultState struct {

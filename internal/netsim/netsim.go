@@ -58,10 +58,12 @@ const (
 	// submitting terminal (centralized system).
 	KindUserResult
 
-	numKinds
+	// NumKinds bounds the kind enum: the kinds are KindObjectRequest
+	// up to, not including, NumKinds.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	KindObjectRequest: "ObjectRequest",
 	KindObjectShip:    "ObjectShip",
 	KindRecall:        "Recall",
@@ -78,10 +80,20 @@ var kindNames = [numKinds]string{
 
 // String returns the kind's name, or "Kind(n)" for unknown values.
 func (k Kind) String() string {
-	if k > 0 && k < numKinds {
+	if k > 0 && k < NumKinds {
 		return kindNames[k]
 	}
 	return "Kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// KindByName returns the kind String names so.
+func KindByName(name string) (Kind, bool) {
+	for k := KindObjectRequest; k < NumKinds; k++ {
+		if kindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Typical message sizes in bytes. Objects are the paper's 2 KB pages;
@@ -151,7 +163,7 @@ type Network struct {
 	cfg         Config
 	busFreeAt   time.Duration
 	lastDeliver time.Duration
-	stats       [numKinds]KindStats
+	stats       [NumKinds]KindStats
 	trace       func(Message)
 	faults      *faultState
 
@@ -227,7 +239,7 @@ func (n *Network) Send(msg Message, dest *sim.Mailbox[Message]) time.Duration {
 	n.lastDeliver = deliver
 	msg.DeliveredAt = deliver
 
-	if int(msg.Kind) > 0 && int(msg.Kind) < int(numKinds) {
+	if int(msg.Kind) > 0 && int(msg.Kind) < int(NumKinds) {
 		n.stats[msg.Kind].Count++
 		n.stats[msg.Kind].Bytes += int64(msg.Size)
 	}
@@ -275,7 +287,7 @@ func (n *Network) RunEvent() {
 
 // Stats returns the accumulated counters for kind.
 func (n *Network) Stats(kind Kind) KindStats {
-	if int(kind) <= 0 || int(kind) >= int(numKinds) {
+	if int(kind) <= 0 || int(kind) >= int(NumKinds) {
 		return KindStats{}
 	}
 	return n.stats[kind]

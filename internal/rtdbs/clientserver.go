@@ -24,8 +24,8 @@ import (
 // (config.Topology), N client sites, a shared LAN. With loadShare false
 // it is the basic CS-RTDBS (object-shipping with callback locking);
 // with loadShare true it is the LS-CS-RTDBS running the Section 4
-// algorithm. servers[0] is shard 0 at netsim.ServerSite; server aliases
-// it for the single-server accessors.
+// algorithm. servers[0] is shard 0 at netsim.ServerSite, the only one in
+// the paper's topology.
 type Cluster struct {
 	// cfg is the one configuration every site points at; nothing
 	// writes it once newCluster has returned.
@@ -39,7 +39,6 @@ type Cluster struct {
 	payloads proto.Pool
 	m        *metrics.Collector
 	topo     *shardmap.Map
-	server   *server.Server
 	servers  []*server.Server
 	clients  []*client.Client
 	tr       *trace.Tracer
@@ -88,11 +87,12 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	for k := 0; k < nShards; k++ {
 		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, k, topo))
 	}
-	c.server = c.servers[0]
 	if topo.Multi() {
 		// Shard-to-shard mailboxes: every shard gets one peer inbox and
 		// every other shard a route to it (replica installs, drains, and
-		// forwarded firm requests).
+		// forwarded firm requests). This is wiring only, and the one place
+		// that asks how many shards there are: a lone shard has nobody to
+		// hear from, and an inbox would give it one more machine to run.
 		for k, sv := range c.servers {
 			in := sim.NewMailbox[netsim.Message](env)
 			sv.SetPeerInbox(in)
@@ -145,9 +145,6 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 // validation already bounds them, so the only skip reason here is a
 // duplicate.
 func (c *Cluster) seedReplicas() {
-	if !c.topo.Multi() || len(c.cfg.Sharding.Replicas) == 0 {
-		return
-	}
 	objs := make([]int, 0, len(c.cfg.Sharding.Replicas))
 	for obj := range c.cfg.Sharding.Replicas {
 		objs = append(objs, obj)
@@ -203,7 +200,7 @@ func (c *Cluster) Env() *sim.Env { return c.env }
 
 // Server exposes the server actor for shard 0 (the only shard in
 // single-server topologies).
-func (c *Cluster) Server() *server.Server { return c.server }
+func (c *Cluster) Server() *server.Server { return c.servers[0] }
 
 // Servers exposes every server shard.
 func (c *Cluster) Servers() []*server.Server { return c.servers }
@@ -397,24 +394,17 @@ func (c *Cluster) collect() *Result {
 		}
 	}
 	res := &Result{
-		Config:              c.cfg,
-		M:                   c.m,
-		Messages:            messageSnapshot(c.net),
-		TotalMessages:       c.net.TotalMessages(),
-		TotalBytes:          c.net.TotalBytes(),
-		NetUtilization:      c.net.Utilization(),
-		ServerBufferHitRate: c.server.Pool().HitRate(),
-		Elapsed:             now,
+		Config:         c.cfg,
+		M:              c.m,
+		Messages:       messageSnapshot(c.net),
+		TotalMessages:  c.net.TotalMessages(),
+		TotalBytes:     c.net.TotalBytes(),
+		NetUtilization: c.net.Utilization(),
+		Elapsed:        now,
 	}
-	if len(c.servers) > 1 {
-		// Hit rates average across shards; everything else sums.
-		var hit float64
-		for _, sv := range c.servers {
-			hit += sv.Pool().HitRate()
-		}
-		res.ServerBufferHitRate = hit / float64(len(c.servers))
-	}
+	// Hit rates average across shards; everything else sums.
 	for _, sv := range c.servers {
+		res.ServerBufferHitRate += sv.Pool().HitRate()
 		res.ServerDiskReads += sv.Disk().Reads
 		res.ServerDiskWrites += sv.Disk().Writes
 		res.RecallsSent += sv.RecallsSent
@@ -428,6 +418,7 @@ func (c *Cluster) collect() *Result {
 		res.ReplicasShed += sv.ReplicasShed
 		res.RequestsForwarded += sv.RequestsForwarded
 	}
+	res.ServerBufferHitRate /= float64(len(c.servers))
 	res.Faults = c.net.Faults()
 	if c.tr != nil {
 		res.MissCauses = c.tr.MissCauses(c.cfg.Warmup)

@@ -6,7 +6,9 @@
 package rtdbs
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"siteselect/internal/config"
@@ -119,15 +121,61 @@ func (r *Result) SuccessRate() float64 { return 100 * r.M.SuccessRate() }
 func (r *Result) CacheHitRate() float64 { return 100 * r.M.CacheHitRate() }
 
 func messageSnapshot(net *netsim.Network) map[netsim.Kind]netsim.KindStats {
-	kinds := []netsim.Kind{
-		netsim.KindObjectRequest, netsim.KindObjectShip, netsim.KindRecall,
-		netsim.KindObjectReturn, netsim.KindClientForward, netsim.KindLockReply,
-		netsim.KindTxnShip, netsim.KindTxnResult, netsim.KindLoadQuery,
-		netsim.KindLoadReply, netsim.KindTxnSubmit, netsim.KindUserResult,
-	}
-	out := make(map[netsim.Kind]netsim.KindStats, len(kinds))
-	for _, k := range kinds {
+	out := make(map[netsim.Kind]netsim.KindStats, netsim.NumKinds-1)
+	for k := netsim.KindObjectRequest; k < netsim.NumKinds; k++ {
 		out[k] = net.Stats(k)
 	}
 	return out
+}
+
+// Metric is one scalar of a Result that reports and assertions address
+// by name.
+type Metric struct {
+	Name string
+	Get  func(*Result) float64
+	// Verb formats the value on the metric's own line of a scenario
+	// report; "%d" marks a count. Metrics without one have no line of
+	// their own (the sharding counters share a conditional line).
+	Verb string
+}
+
+// Metrics declares the named scalars once, in report order: the .rts
+// expect namespace, its compile-time validation and the scalar lines of
+// a scenario report all read this table. The message, miss-cause and
+// fault counters take an argument and are named by the types that own
+// them (netsim.Kind, trace.Component, netsim.FaultCounters).
+var Metrics = []Metric{
+	{"submitted", func(r *Result) float64 { return float64(r.M.Submitted) }, "%d"},
+	{"committed", func(r *Result) float64 { return float64(r.M.Committed) }, "%d"},
+	{"missed", func(r *Result) float64 { return float64(r.M.Missed) }, "%d"},
+	{"aborted", func(r *Result) float64 { return float64(r.M.Aborted) }, "%d"},
+	{"success_rate", (*Result).SuccessRate, "%.2f%%"},
+	{"cache_hit_rate", (*Result).CacheHitRate, "%.2f%%"},
+	{"total_messages", func(r *Result) float64 { return float64(r.TotalMessages) }, "%d"},
+	{"total_bytes", func(r *Result) float64 { return float64(r.TotalBytes) }, "%d"},
+	{"net_utilization", func(r *Result) float64 { return r.NetUtilization }, "%.4f"},
+	{"retries", func(r *Result) float64 { return float64(r.Retries) }, "%d"},
+	{"forward_hops", func(r *Result) float64 { return float64(r.ForwardHops) }, "%d"},
+	{"exec_spread", (*Result).ExecSpread, "%.4f"},
+	{"replicas_installed", func(r *Result) float64 { return float64(r.ReplicasInstalled) }, ""},
+	{"replicas_shed", func(r *Result) float64 { return float64(r.ReplicasShed) }, ""},
+	{"requests_forwarded", func(r *Result) float64 { return float64(r.RequestsForwarded) }, ""},
+}
+
+// MetricByName returns the scalar metric called name.
+func MetricByName(name string) (Metric, bool) {
+	for _, m := range Metrics {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}
+
+// Format renders the metric's value of r with its report verb.
+func (m Metric) Format(r *Result) string {
+	if m.Verb == "%d" {
+		return strconv.FormatInt(int64(m.Get(r)), 10)
+	}
+	return fmt.Sprintf(m.Verb, m.Get(r))
 }

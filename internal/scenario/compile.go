@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
 	"siteselect/internal/config"
+	"siteselect/internal/netsim"
 	"siteselect/internal/rtdbs"
+	"siteselect/internal/trace"
 )
 
 // Systems a scenario can run. The default is the basic client-server
@@ -507,35 +510,45 @@ func splitReplica(v Value) (obj, shard int, ok bool) {
 	return o, sh, true
 }
 
-// scalarMetrics are the argument-less expect metrics.
-var scalarMetrics = map[string]bool{
-	"success_rate": true, "cache_hit_rate": true,
-	"submitted": true, "committed": true, "missed": true, "aborted": true,
-	"total_messages": true, "total_bytes": true, "net_utilization": true,
-	"retries": true, "forward_hops": true, "exec_spread": true,
-	"replicas_installed": true, "replicas_shed": true, "requests_forwarded": true,
-}
-
-// messageKinds are the valid "messages KIND" arguments, matching
-// netsim's Kind names.
-var messageKinds = map[string]bool{
-	"ObjectRequest": true, "ObjectShip": true, "Recall": true,
-	"ObjectReturn": true, "ClientForward": true, "LockReply": true,
-	"TxnShip": true, "TxnResult": true, "LoadQuery": true,
-	"LoadReply": true, "TxnSubmit": true, "UserResult": true,
-}
-
-// missCauses are the valid "miss_share CAUSE" arguments, matching the
-// trace layer's component names.
-var missCauses = map[string]bool{
-	"queue": true, "lock-wait": true, "network": true,
-	"exec": true, "retry": true, "fanout": true,
-}
-
-// faultFields are the valid "faults FIELD" arguments.
-var faultFields = map[string]bool{
-	"dropped": true, "duplicated": true, "spiked": true,
-	"retransmits": true, "partition-drops": true,
+// metricGetter resolves an assertion's metric and argument to the
+// function that reads the value off a result, or to what is wrong with
+// them. The scalar metrics are rtdbs.Metrics; the three that take an
+// argument name it as the type that owns the counter does (netsim.Kind,
+// trace.Component, netsim.FaultCounters).
+func metricGetter(metric, arg string) (get func(*rtdbs.Result) float64, problem string) {
+	switch metric {
+	case "messages":
+		if k, ok := netsim.KindByName(arg); ok {
+			return func(r *rtdbs.Result) float64 { return float64(r.Messages[k].Count) }, ""
+		}
+		return nil, fmt.Sprintf("messages wants a kind argument (e.g. %s), got %q", netsim.KindObjectRequest, arg)
+	case "miss_share":
+		var names []string
+		for c := trace.Component(0); c < trace.NumComponents; c++ {
+			if c.String() == arg {
+				return func(r *rtdbs.Result) float64 { return r.MissCauses.Share(c) }, ""
+			}
+			names = append(names, c.String())
+		}
+		return nil, fmt.Sprintf("miss_share wants a cause argument (%s), got %q", strings.Join(names, ", "), arg)
+	case "faults":
+		var names []string
+		for _, fc := range netsim.FaultCounters {
+			if fc.Name == arg {
+				return func(r *rtdbs.Result) float64 { return float64(fc.Get(r.Faults)) }, ""
+			}
+			names = append(names, fc.Name)
+		}
+		return nil, fmt.Sprintf("faults wants a counter argument (%s), got %q", strings.Join(names, ", "), arg)
+	}
+	m, ok := rtdbs.MetricByName(metric)
+	switch {
+	case !ok:
+		return nil, fmt.Sprintf("unknown metric %q", metric)
+	case arg != "":
+		return nil, fmt.Sprintf("%s takes no argument, got %q", metric, arg)
+	}
+	return m.Get, ""
 }
 
 // checkExpect validates one assertion at compile time, and switches on
@@ -543,29 +556,14 @@ var faultFields = map[string]bool{
 // only the client-server systems wire up).
 func (s *Scenario) checkExpect(system string, cfg *config.Config, ex ExpectStanza) error {
 	const st = "expect"
-	switch {
-	case scalarMetrics[ex.Metric]:
-		if ex.Arg != "" {
-			return s.errf(ex.Line, st, "%s takes no argument, got %q", ex.Metric, ex.Arg)
-		}
-	case ex.Metric == "messages":
-		if !messageKinds[ex.Arg] {
-			return s.errf(ex.Line, st, "messages wants a kind argument (e.g. ObjectRequest), got %q", ex.Arg)
-		}
-	case ex.Metric == "miss_share":
-		if !missCauses[ex.Arg] {
-			return s.errf(ex.Line, st, "miss_share wants a cause argument (queue, lock-wait, network, exec, retry, fanout), got %q", ex.Arg)
-		}
+	if _, problem := metricGetter(ex.Metric, ex.Arg); problem != "" {
+		return s.errf(ex.Line, st, "%s", problem)
+	}
+	if ex.Metric == "miss_share" {
 		if system != SystemCS && system != SystemLS {
 			return s.errf(ex.Line, st, "miss_share needs miss-cause tracing, which only systems cs and ls record (got %s)", system)
 		}
 		cfg.Trace = true
-	case ex.Metric == "faults":
-		if !faultFields[ex.Arg] {
-			return s.errf(ex.Line, st, "faults wants a counter argument (dropped, duplicated, spiked, retransmits, partition-drops), got %q", ex.Arg)
-		}
-	default:
-		return s.errf(ex.Line, st, "unknown metric %q", ex.Metric)
 	}
 	if _, ok := ex.Value.AsFloat(); !ok {
 		return s.errf(ex.Line, st, "assertion value must be numeric, got %q", ex.Value)

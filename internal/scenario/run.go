@@ -52,78 +52,11 @@ func Run(s *Scenario) (*Report, error) {
 	}
 	rep := &Report{Compiled: c, Result: res}
 	for _, ex := range s.Expects {
-		got := metricValue(res, ex)
+		get, _ := metricGetter(ex.Metric, ex.Arg) // Compile validated the names
+		got := get(res)
 		rep.Checks = append(rep.Checks, Check{Stanza: ex, Got: got, Pass: holds(ex, got)})
 	}
 	return rep, nil
-}
-
-// metricValue reads one assertion's observed value off the result.
-// Compile validated the metric and argument names.
-func metricValue(res *rtdbs.Result, ex ExpectStanza) float64 {
-	switch ex.Metric {
-	case "success_rate":
-		return res.SuccessRate()
-	case "cache_hit_rate":
-		return res.CacheHitRate()
-	case "submitted":
-		return float64(res.M.Submitted)
-	case "committed":
-		return float64(res.M.Committed)
-	case "missed":
-		return float64(res.M.Missed)
-	case "aborted":
-		return float64(res.M.Aborted)
-	case "total_messages":
-		return float64(res.TotalMessages)
-	case "total_bytes":
-		return float64(res.TotalBytes)
-	case "net_utilization":
-		return res.NetUtilization
-	case "retries":
-		return float64(res.Retries)
-	case "forward_hops":
-		return float64(res.ForwardHops)
-	case "exec_spread":
-		return res.ExecSpread()
-	case "replicas_installed":
-		return float64(res.ReplicasInstalled)
-	case "replicas_shed":
-		return float64(res.ReplicasShed)
-	case "requests_forwarded":
-		return float64(res.RequestsForwarded)
-	case "messages":
-		for k := range res.Messages {
-			if k.String() == ex.Arg {
-				return float64(res.Messages[k].Count)
-			}
-		}
-		return 0
-	case "miss_share":
-		if res.MissCauses == nil {
-			return 0
-		}
-		for c := trace.Component(0); c < trace.NumComponents; c++ {
-			if c.String() == ex.Arg {
-				return res.MissCauses.Share(c)
-			}
-		}
-		return 0
-	case "faults":
-		switch ex.Arg {
-		case "dropped":
-			return float64(res.Faults.Dropped)
-		case "duplicated":
-			return float64(res.Faults.Duplicated)
-		case "spiked":
-			return float64(res.Faults.Spiked)
-		case "retransmits":
-			return float64(res.Faults.Retransmits)
-		default: // partition-drops
-			return float64(res.Faults.PartitionDrops)
-		}
-	}
-	return 0
 }
 
 // holds evaluates one assertion against its observed value.
@@ -166,35 +99,25 @@ func (r *Report) Format() string {
 	}
 	b.WriteString(")\n")
 	fmt.Fprintf(&b, "elapsed %s\n", res.Elapsed)
-	fmt.Fprintf(&b, "submitted %d\n", res.M.Submitted)
-	fmt.Fprintf(&b, "committed %d\n", res.M.Committed)
-	fmt.Fprintf(&b, "missed %d\n", res.M.Missed)
-	fmt.Fprintf(&b, "aborted %d\n", res.M.Aborted)
-	fmt.Fprintf(&b, "success_rate %.2f%%\n", res.SuccessRate())
-	fmt.Fprintf(&b, "cache_hit_rate %.2f%%\n", res.CacheHitRate())
-	fmt.Fprintf(&b, "total_messages %d\n", res.TotalMessages)
-	fmt.Fprintf(&b, "total_bytes %d\n", res.TotalBytes)
-	fmt.Fprintf(&b, "net_utilization %.4f\n", res.NetUtilization)
-	fmt.Fprintf(&b, "retries %d\n", res.Retries)
-	fmt.Fprintf(&b, "forward_hops %d\n", res.ForwardHops)
-	fmt.Fprintf(&b, "exec_spread %.4f\n", res.ExecSpread())
+	for _, m := range rtdbs.Metrics {
+		if m.Verb != "" {
+			fmt.Fprintf(&b, "%s %s\n", m.Name, m.Format(res))
+		}
+	}
 	if res.Config.Sharding.Enabled() {
 		fmt.Fprintf(&b, "sharding servers %d replicas-installed %d replicas-shed %d forwarded %d\n",
 			res.Config.Sharding.NumServers(), res.ReplicasInstalled,
 			res.ReplicasShed, res.RequestsForwarded)
 	}
 	if res.Faults != (netsim.FaultStats{}) {
-		fmt.Fprintf(&b, "faults dropped %d duplicated %d spiked %d retransmits %d partition-drops %d\n",
-			res.Faults.Dropped, res.Faults.Duplicated, res.Faults.Spiked,
-			res.Faults.Retransmits, res.Faults.PartitionDrops)
+		b.WriteString("faults")
+		for _, fc := range netsim.FaultCounters {
+			fmt.Fprintf(&b, " %s %d", fc.Name, fc.Get(res.Faults))
+		}
+		b.WriteString("\n")
 	}
 	b.WriteString("messages:\n")
-	for _, k := range []netsim.Kind{
-		netsim.KindObjectRequest, netsim.KindObjectShip, netsim.KindRecall,
-		netsim.KindObjectReturn, netsim.KindClientForward, netsim.KindLockReply,
-		netsim.KindTxnShip, netsim.KindTxnResult, netsim.KindLoadQuery,
-		netsim.KindLoadReply, netsim.KindTxnSubmit, netsim.KindUserResult,
-	} {
+	for k := netsim.KindObjectRequest; k < netsim.NumKinds; k++ {
 		st := res.Messages[k]
 		fmt.Fprintf(&b, "  %-13s %d msgs %d bytes\n", k, st.Count, st.Bytes)
 	}

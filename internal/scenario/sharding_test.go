@@ -2,54 +2,6 @@ package scenario
 
 import "testing"
 
-// serversOf returns the scenario's configured shard count (zero when
-// unset — the single-server topology).
-func serversOf(s *Scenario) int {
-	if s.Config == nil {
-		return 0
-	}
-	n := 0
-	for _, set := range s.Config.Settings {
-		if set.Key == "servers" {
-			if v, ok := set.Val.AsInt(); ok {
-				n = int(v)
-			}
-		}
-	}
-	return n
-}
-
-// TestCorpusSingleShard is the sharding differential harness: every
-// everyday corpus scenario that was pinned against the single-server
-// topology reruns with an explicit "servers 1" setting injected, and
-// each report must stay byte-identical to scenarios/golden/. Since
-// every request now flows through the topology routing layer
-// unconditionally, this pins the equivalence claim of the sharding
-// layer — one shard is not "sharding disabled upstream" but the
-// topology's single-server path producing the exact event sequence of
-// the pre-sharding server. (Scenarios that set servers > 1 pin sharded
-// goldens through TestCorpusGoldens instead.)
-func TestCorpusSingleShard(t *testing.T) {
-	var scens []*Scenario
-	for _, s := range loadCorpus(t) {
-		if serversOf(s) > 1 || s.Replication != nil {
-			continue
-		}
-		setConfig(s, "servers", Value{Kind: ValInt, Int: 1})
-		scens = append(scens, s)
-	}
-	if len(scens) < 10 {
-		t.Fatalf("only %d single-server scenarios selected, want at least 10", len(scens))
-	}
-	reports, err := RunAll(scens, 8)
-	if err != nil {
-		t.Fatalf("running corpus at servers 1: %v", err)
-	}
-	for _, r := range reports {
-		checkGolden(t, r)
-	}
-}
-
 // TestReplicationGrammar pins the replication block's lowering onto the
 // sharding topology: adaptive tuning keys and repeatable static
 // placements.

@@ -26,17 +26,26 @@ func TestShardSites(t *testing.T) {
 	}
 }
 
+// TestSingleShardRouting: no servers key and "servers 1" build the same
+// map, and it routes everything to netsim.ServerSite. The scenario
+// goldens pinned before the sharding layer existed are what proves the
+// routing inert (scenario.TestCorpusGoldens).
 func TestSingleShardRouting(t *testing.T) {
-	m := New(config.Topology{})
-	if m.Servers() != 1 || m.Multi() {
-		t.Fatalf("single topology: Servers=%d Multi=%v", m.Servers(), m.Multi())
-	}
-	for obj := lockmgr.ObjectID(0); obj < 20; obj++ {
-		if m.HomeSite(obj) != netsim.ServerSite {
-			t.Fatalf("HomeSite(%d) = %d, want ServerSite", obj, m.HomeSite(obj))
+	for _, topo := range []config.Topology{{}, {Servers: 1}, {Servers: 1, Block: 4}} {
+		m := New(topo)
+		if m.Servers() != 1 || m.Multi() {
+			t.Fatalf("%+v: Servers=%d Multi=%v", topo, m.Servers(), m.Multi())
 		}
-		if m.RouteSite(obj, true) != netsim.ServerSite {
-			t.Fatalf("RouteSite(%d) shifted off the single server", obj)
+		for obj := lockmgr.ObjectID(0); obj < 20; obj++ {
+			if m.HomeShard(obj) != 0 || m.HomeSite(obj) != netsim.ServerSite {
+				t.Fatalf("%+v: object %d is home at shard %d, site %d; want shard 0 at ServerSite",
+					topo, obj, m.HomeShard(obj), m.HomeSite(obj))
+			}
+			for _, shared := range []bool{true, false} {
+				if m.RouteSite(obj, shared) != netsim.ServerSite {
+					t.Fatalf("%+v: RouteSite(%d, %v) shifted off the single server", topo, obj, shared)
+				}
+			}
 		}
 	}
 }

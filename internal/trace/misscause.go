@@ -29,9 +29,10 @@ func (m *MissTable) Add(o *MissTable) {
 	}
 }
 
-// Share returns component c's fraction of the missed transactions.
+// Share returns component c's fraction of the missed transactions (zero
+// on the nil table of an untraced run).
 func (m *MissTable) Share(c Component) float64 {
-	if m.Missed == 0 {
+	if m == nil || m.Missed == 0 {
 		return 0
 	}
 	return float64(m.ByCause[c]) / float64(m.Missed)
