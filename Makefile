@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race proc-lint study-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint study-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 race:
 	$(GO) test -short -race ./...
+
+# loc prints the lines of non-test Go outside bench/: the figure a
+# simplicity PR records before and after (ROADMAP, CHANGES.md).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # proc-lint keeps goroutine processes (sim.Proc, Env.Go) inside the
 # kernel package and the one benchmark driver that still measures them,

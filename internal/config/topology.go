@@ -11,9 +11,10 @@ import (
 // adaptively from observed access heat on the simulated clock.
 //
 // The zero value is the paper's topology: one server owning the whole
-// database, no replicas. Every simulation built with it is byte-
-// identical to a build without the sharding layer (the differential
-// corpus test TestCorpusSingleShard pins this).
+// database, no replicas. It is not a separate mode: clients and servers
+// run the same routing code at any M, and at M = 1 the map sends
+// everything to shard 0 (the scenario goldens pinned before the
+// sharding layer existed still reproduce byte for byte).
 type Topology struct {
 	// Servers is the number of server shards (M). Zero and one both mean
 	// the single-server topology.

@@ -34,20 +34,17 @@ type shipIntent struct {
 // buffer pool (charging disk time on a miss). The read runs in its own
 // spawned machine so that grants triggered inside another client's
 // connection handler do not stall that handler. During a batch-window
-// flush the intent is deferred instead and endFlush coalesces every
-// grant bound for the same destination into one ship.
+// flush the intent waits for endFlush, which coalesces every grant bound
+// for the same destination into one ship; outside one it is the flush
+// of one intent.
 func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode, id txn.ID, fwd *forward.List) {
 	s.GrantsShipped++
 	s.tr.Point(id, s.site, trace.EvObjectShipped, obj, int64(to), 0, s.env.Now())
-	in := shipIntent{obj: obj, to: to, mode: mode, id: id, fwd: fwd,
-		version: s.versions[obj], epoch: s.epochOf(obj, to)}
-	if s.batching {
-		s.shipIntents = append(s.shipIntents, in)
-		return
+	s.shipIntents = append(s.shipIntents, shipIntent{obj: obj, to: to, mode: mode, id: id, fwd: fwd,
+		version: s.versions[obj], epoch: s.epochOf(obj, to)})
+	if !s.batching {
+		s.flushShips()
 	}
-	m := s.newShipMachine(to)
-	m.intents = append(m.intents, in)
-	m.start()
 }
 
 // epochOf returns the release epoch last reported by client for obj.
@@ -302,31 +299,29 @@ func (s *Server) recall(obj lockmgr.ObjectID, holder netsim.SiteID, downgrade bo
 	s.recalls[obj] = append(set, holder)
 	s.RecallsSent++
 	s.tr.Point(forTxn, s.site, trace.EvRecall, obj, int64(holder), 0, s.env.Now())
-	r := proto.Recall{
+	// During a batch-window flush the send waits for endFlush, which
+	// coalesces every callback bound for the same holder into one
+	// message; the holder-mode snapshot is taken here, synchronously with
+	// the decision.
+	s.recallIntents = append(s.recallIntents, recallIntent{holder: holder, recall: proto.Recall{
 		Obj:               obj,
 		DowngradeToShared: downgrade,
 		HolderMode:        s.locks.HolderMode(obj, ownerFor(holder)),
+	}})
+	if !s.batching {
+		s.flushRecalls()
 	}
-	if s.batching {
-		// Defer the send; endFlush coalesces every callback bound for
-		// the same holder into one message. The holder-mode snapshot
-		// above is already taken, synchronously with the decision.
-		s.recallIntents = append(s.recallIntents, recallIntent{holder: holder, recall: r})
-		return
-	}
-	msg := s.payloads.RecallMsg.Get()
-	msg.Recalls = append(msg.Recalls, r)
-	s.send(holder, netsim.KindRecall, netsim.ControlBytes, msg)
 }
 
-// recallIntent is one decided callback deferred during a window flush.
+// recallIntent is one decided callback awaiting its send.
 type recallIntent struct {
 	holder netsim.SiteID
 	recall proto.Recall
 }
 
 // beginFlush enters deferral mode for the duration of a batch-window
-// flush: ship and recall buffer intents instead of sending.
+// flush: ship and recall leave their intents pending instead of
+// flushing them at once.
 func (s *Server) beginFlush(int) { s.batching = true }
 
 // endFlush leaves deferral mode and sends the flush's coalesced ships
@@ -365,27 +360,37 @@ func (s *Server) eachGroup(n int, dest func(int) netsim.SiteID, emit func(to net
 	s.flushMark, s.flushGroup = mark, members
 }
 
-// flushShips sends the deferred ship intents, one ship machine per
+// flushShips sends the pending ship intents, one ship machine per
 // destination: it walks every page of its group through the pool
 // (requests for the same page share the read) and sends a single
-// message. Each group is copied into the machine's own buffer (it must
+// message. Each group is copied into the machine's own buffers (it must
 // outlive the flush — the machine parks on page reads), so the intent
 // buffer itself is reusable.
 func (s *Server) flushShips() {
 	intents := s.shipIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].to },
 		func(to netsim.SiteID, members []int) {
-			m := s.newShipMachine(to)
+			var m *batchShipMachine
+			if k := len(s.batchShipFree); k > 0 {
+				m = s.batchShipFree[k-1]
+				s.batchShipFree = s.batchShipFree[:k-1]
+			} else {
+				m = &batchShipMachine{s: s}
+			}
+			m.to = to
+			m.pages = m.pages[:0]
 			for _, i := range members {
 				m.intents = append(m.intents, intents[i])
+				m.pages = append(m.pages, pagefile.PageID(intents[i].obj))
 			}
-			m.start()
+			m.get.Init(s.pool, m.pages)
+			s.env.Spawn(&m.task, m)
 		})
 	clear(intents) // drop forward-list pointers before reuse
 	s.shipIntents = intents[:0]
 }
 
-// flushRecalls sends the deferred callbacks, one message per holder.
+// flushRecalls sends the pending callbacks, one message per holder.
 func (s *Server) flushRecalls() {
 	intents := s.recallIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].holder },
@@ -399,11 +404,11 @@ func (s *Server) flushRecalls() {
 	s.recallIntents = intents[:0]
 }
 
-// shipMachine is the asynchronous half of a ship: read every page of
+// batchShipMachine is the asynchronous half of a ship: read every page of
 // the grants bound for one destination through the pool in sequence,
 // deliver them in one message, then detach and return itself to the
 // server's free list so steady-state ships allocate nothing.
-type shipMachine struct {
+type batchShipMachine struct {
 	task sim.Task
 	s    *Server
 	get  pagefile.MultiGetOp
@@ -414,30 +419,7 @@ type shipMachine struct {
 	pages   []pagefile.PageID
 }
 
-// newShipMachine returns a ship machine bound for to with no intents
-// yet; append them, then start it.
-func (s *Server) newShipMachine(to netsim.SiteID) *shipMachine {
-	var m *shipMachine
-	if k := len(s.shipFree); k > 0 {
-		m = s.shipFree[k-1]
-		s.shipFree = s.shipFree[:k-1]
-	} else {
-		m = &shipMachine{s: s}
-	}
-	m.to = to
-	return m
-}
-
-func (m *shipMachine) start() {
-	m.pages = m.pages[:0]
-	for _, in := range m.intents {
-		m.pages = append(m.pages, pagefile.PageID(in.obj))
-	}
-	m.get.Init(m.s.pool, m.pages)
-	m.s.env.Spawn(&m.task, m)
-}
-
-func (m *shipMachine) Resume() {
+func (m *batchShipMachine) Resume() {
 	done, err := m.get.Step(&m.task)
 	if !done {
 		return
@@ -457,7 +439,7 @@ func (m *shipMachine) Resume() {
 	m.task.Detach()
 	clear(m.intents) // drop forward-list pointers before reuse
 	m.intents = m.intents[:0]
-	s.shipFree = append(s.shipFree, m)
+	s.batchShipFree = append(s.batchShipFree, m)
 }
 
 // onSeal receives a sealed forward list from the collector: merge it

@@ -105,15 +105,17 @@ type Server struct {
 	// unbatched server); with a positive window requests park until the
 	// window closes and the whole batch resolves in one pass.
 	batcher *batch.Scheduler
-	// batching is true while a window flush is resolving its batch:
-	// ship and recall defer into the intent buffers below instead of
-	// sending immediately, and endFlush coalesces them per destination.
+	// Every ship and recall goes through the intent buffers below and is
+	// sent by flushShips/flushRecalls, grouped per destination. batching
+	// is true while a window flush is resolving its batch: the intents
+	// then stay pending until endFlush; otherwise each is flushed as it
+	// is decided, a group of one.
 	batching      bool
 	shipIntents   []shipIntent
 	recallIntents []recallIntent
 
-	// shipFree recycles completed ship machines.
-	shipFree []*shipMachine
+	// batchShipFree recycles completed ship machines.
+	batchShipFree []*batchShipMachine
 	// putFree recycles the page-install ops of returns carrying data:
 	// a connection holds one only while its install is parked, so the
 	// pool grows to the installs in flight at once, not to the
