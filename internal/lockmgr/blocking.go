@@ -123,10 +123,11 @@ type SeqLockOp struct {
 
 // Init arms the op to acquire n locks from bt.
 func (o *SeqLockOp) Init(bt *BlockingTable, n int) {
-	if cap(o.reqs) < n {
-		o.reqs = make([]Request, 0, n)
+	reqs := o.reqs[:0]
+	if cap(reqs) < n {
+		reqs = make([]Request, 0, n)
 	}
-	o.bt, o.reqs, o.idx, o.started = bt, o.reqs[:0], 0, false
+	*o = SeqLockOp{bt: bt, reqs: reqs}
 }
 
 // Add appends one request to the sequence. All of them must be added
