@@ -6,9 +6,7 @@
 package rtdbs
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"siteselect/internal/config"
@@ -134,8 +132,8 @@ type Metric struct {
 	Name string
 	Get  func(*Result) float64
 	// Verb formats the value on the metric's own line of a scenario
-	// report; "%d" marks a count. Metrics without one have no line of
-	// their own (the sharding counters share a conditional line).
+	// report (counts print as "%.0f"). Metrics without one have no line
+	// of their own (the sharding counters share a conditional line).
 	Verb string
 }
 
@@ -145,17 +143,17 @@ type Metric struct {
 // fault counters take an argument and are named by the types that own
 // them (netsim.Kind, trace.Component, netsim.FaultCounters).
 var Metrics = []Metric{
-	{"submitted", func(r *Result) float64 { return float64(r.M.Submitted) }, "%d"},
-	{"committed", func(r *Result) float64 { return float64(r.M.Committed) }, "%d"},
-	{"missed", func(r *Result) float64 { return float64(r.M.Missed) }, "%d"},
-	{"aborted", func(r *Result) float64 { return float64(r.M.Aborted) }, "%d"},
+	{"submitted", func(r *Result) float64 { return float64(r.M.Submitted) }, "%.0f"},
+	{"committed", func(r *Result) float64 { return float64(r.M.Committed) }, "%.0f"},
+	{"missed", func(r *Result) float64 { return float64(r.M.Missed) }, "%.0f"},
+	{"aborted", func(r *Result) float64 { return float64(r.M.Aborted) }, "%.0f"},
 	{"success_rate", (*Result).SuccessRate, "%.2f%%"},
 	{"cache_hit_rate", (*Result).CacheHitRate, "%.2f%%"},
-	{"total_messages", func(r *Result) float64 { return float64(r.TotalMessages) }, "%d"},
-	{"total_bytes", func(r *Result) float64 { return float64(r.TotalBytes) }, "%d"},
+	{"total_messages", func(r *Result) float64 { return float64(r.TotalMessages) }, "%.0f"},
+	{"total_bytes", func(r *Result) float64 { return float64(r.TotalBytes) }, "%.0f"},
 	{"net_utilization", func(r *Result) float64 { return r.NetUtilization }, "%.4f"},
-	{"retries", func(r *Result) float64 { return float64(r.Retries) }, "%d"},
-	{"forward_hops", func(r *Result) float64 { return float64(r.ForwardHops) }, "%d"},
+	{"retries", func(r *Result) float64 { return float64(r.Retries) }, "%.0f"},
+	{"forward_hops", func(r *Result) float64 { return float64(r.ForwardHops) }, "%.0f"},
 	{"exec_spread", (*Result).ExecSpread, "%.4f"},
 	{"replicas_installed", func(r *Result) float64 { return float64(r.ReplicasInstalled) }, ""},
 	{"replicas_shed", func(r *Result) float64 { return float64(r.ReplicasShed) }, ""},
@@ -170,12 +168,4 @@ func MetricByName(name string) (Metric, bool) {
 		}
 	}
 	return Metric{}, false
-}
-
-// Format renders the metric's value of r with its report verb.
-func (m Metric) Format(r *Result) string {
-	if m.Verb == "%d" {
-		return strconv.FormatInt(int64(m.Get(r)), 10)
-	}
-	return fmt.Sprintf(m.Verb, m.Get(r))
 }

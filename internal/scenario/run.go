@@ -101,7 +101,7 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "elapsed %s\n", res.Elapsed)
 	for _, m := range rtdbs.Metrics {
 		if m.Verb != "" {
-			fmt.Fprintf(&b, "%s %s\n", m.Name, m.Format(res))
+			fmt.Fprintf(&b, "%s "+m.Verb+"\n", m.Name, m.Get(res))
 		}
 	}
 	if res.Config.Sharding.Enabled() {

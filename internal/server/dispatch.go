@@ -15,19 +15,14 @@ import (
 	"siteselect/internal/txn"
 )
 
-// shipIntent is one decided grant: everything the asynchronous half of
-// a ship needs, snapshotted at decision time. The version and epoch are
-// captured synchronously with the lock registration the ship delivers —
-// a release processed while the page is being read makes the grant
+// shipIntent is one decided grant awaiting its ship: the destination
+// and the grant as it will travel. The version and epoch are captured
+// synchronously with the lock registration the ship delivers — a
+// release processed while the page is being read makes the grant
 // provably stale at the client.
 type shipIntent struct {
-	obj     lockmgr.ObjectID
-	to      netsim.SiteID
-	mode    lockmgr.Mode
-	id      txn.ID
-	fwd     *forward.List
-	version int64
-	epoch   int64
+	to    netsim.SiteID
+	grant proto.ObjGrant
 }
 
 // ship sends the object to the client once it has been read through the
@@ -40,8 +35,9 @@ type shipIntent struct {
 func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode, id txn.ID, fwd *forward.List) {
 	s.GrantsShipped++
 	s.tr.Point(id, s.site, trace.EvObjectShipped, obj, int64(to), 0, s.env.Now())
-	s.shipIntents = append(s.shipIntents, shipIntent{obj: obj, to: to, mode: mode, id: id, fwd: fwd,
-		version: s.versions[obj], epoch: s.epochOf(obj, to)})
+	s.shipIntents = append(s.shipIntents, shipIntent{to: to, grant: proto.ObjGrant{
+		Obj: obj, Mode: mode, Version: s.versions[obj], Txn: id, Epoch: s.epochOf(obj, to), Fwd: fwd,
+	}})
 	if !s.batching {
 		s.flushShips()
 	}
@@ -363,9 +359,9 @@ func (s *Server) eachGroup(n int, dest func(int) netsim.SiteID, emit func(to net
 // flushShips sends the pending ship intents, one ship machine per
 // destination: it walks every page of its group through the pool
 // (requests for the same page share the read) and sends a single
-// message. Each group is copied into the machine's own buffers (it must
-// outlive the flush — the machine parks on page reads), so the intent
-// buffer itself is reusable.
+// message. The group's grants are copied into that message's record now
+// (the machine parks on page reads and outlives the flush), so the
+// intent buffer itself is reusable.
 func (s *Server) flushShips() {
 	intents := s.shipIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].to },
@@ -377,11 +373,10 @@ func (s *Server) flushShips() {
 			} else {
 				m = &batchShipMachine{s: s}
 			}
-			m.to = to
-			m.pages = m.pages[:0]
+			m.to, m.msg, m.pages = to, s.payloads.GrantMsg.Get(), m.pages[:0]
 			for _, i := range members {
-				m.intents = append(m.intents, intents[i])
-				m.pages = append(m.pages, pagefile.PageID(intents[i].obj))
+				m.msg.Grants = append(m.msg.Grants, intents[i].grant)
+				m.pages = append(m.pages, pagefile.PageID(intents[i].grant.Obj))
 			}
 			m.get.Init(s.pool, m.pages)
 			s.env.Spawn(&m.task, m)
@@ -406,17 +401,16 @@ func (s *Server) flushRecalls() {
 
 // batchShipMachine is the asynchronous half of a ship: read every page of
 // the grants bound for one destination through the pool in sequence,
-// deliver them in one message, then detach and return itself to the
-// server's free list so steady-state ships allocate nothing.
+// send the message that carries them, then detach and return itself to
+// the server's free list so steady-state ships allocate nothing.
 type batchShipMachine struct {
 	task sim.Task
 	s    *Server
 	get  pagefile.MultiGetOp
 	to   netsim.SiteID
-	// intents and pages are machine-owned buffers refilled per ship, so
-	// a recycled machine allocates neither.
-	intents []shipIntent
-	pages   []pagefile.PageID
+	msg  *proto.GrantMsg
+	// pages is a machine-owned buffer refilled per ship.
+	pages []pagefile.PageID
 }
 
 func (m *batchShipMachine) Resume() {
@@ -428,17 +422,9 @@ func (m *batchShipMachine) Resume() {
 		panic(fmt.Sprintf("server: reading ships for site %d: %v", m.to, err))
 	}
 	s := m.s
-	msg := s.payloads.GrantMsg.Get()
-	for _, in := range m.intents {
-		msg.Grants = append(msg.Grants, proto.ObjGrant{
-			Obj: in.obj, Mode: in.mode, Version: in.version,
-			Txn: in.id, Epoch: in.epoch, Fwd: in.fwd,
-		})
-	}
-	s.send(m.to, netsim.KindObjectShip, len(msg.Grants)*netsim.ObjectBytes, msg)
+	s.send(m.to, netsim.KindObjectShip, len(m.msg.Grants)*netsim.ObjectBytes, m.msg)
 	m.task.Detach()
-	clear(m.intents) // drop forward-list pointers before reuse
-	m.intents = m.intents[:0]
+	m.msg = nil
 	s.batchShipFree = append(s.batchShipFree, m)
 }
 
