@@ -59,7 +59,7 @@ type Client struct {
 	objects    *cache.Cache
 	localDisk  *sim.Resource
 	slots      *sim.Resource
-	localLocks *lockmgr.BlockingTable
+	localLocks *lockmgr.Table
 	log        *wal.Log
 
 	atl sched.ATL
@@ -212,7 +212,7 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 		// Deliberately not Reserved: a client only ever locks the few
 		// objects it caches, and a dense database-wide index per client
 		// would dominate memory at large populations.
-		c.localLocks = lockmgr.NewBlockingTable(env)
+		c.localLocks = lockmgr.NewTable()
 	}
 	if cfg.ClientDisk > 0 || cfg.UseLogging {
 		// The local disk arm serves disk-tier cache reads and the log;

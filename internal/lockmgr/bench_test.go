@@ -3,8 +3,6 @@ package lockmgr
 import (
 	"testing"
 	"time"
-
-	"siteselect/internal/sim"
 )
 
 // Every client site owns a lock table, so an untouched table must be
@@ -12,18 +10,11 @@ import (
 // a transaction's lock set taken and released, a waiter queued and
 // canceled — without allocating.
 
-var (
-	sinkTable    *Table
-	sinkBlocking *BlockingTable
-)
+var sinkTable *Table
 
 func TestNewTableIsOneObject(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkTable = NewTable() }); n != 1 {
 		t.Errorf("NewTable allocates %v objects, want 1 (its maps are made by the first write)", n)
-	}
-	env := sim.NewEnv()
-	if n := testing.AllocsPerRun(100, func() { sinkBlocking = NewBlockingTable(env) }); n != 1 {
-		t.Errorf("NewBlockingTable allocates %v objects, want 1 (the Table is held by value)", n)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 
 // FuzzLockTable drives the lock table with an arbitrary byte-encoded
 // operation stream and checks the safety invariants after every step:
-// no incompatible holders, no granted request left queued, and a full
-// drain always succeeds.
+// no incompatible holders, no granted request left queued, a full drain
+// always succeeds, and a drained table keeps no entry and no owner
+// record.
 func FuzzLockTable(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x81, 0x92})
 	f.Add([]byte{0x00, 0x10, 0x20, 0x30, 0x80, 0x90, 0xa0})
@@ -48,7 +49,7 @@ func FuzzLockTable(f *testing.F) {
 		for round := 0; round < len(data)+8; round++ {
 			progress := false
 			for obj := ObjectID(0); obj < 4; obj++ {
-				for _, h := range tab.SortedHolders(obj) {
+				for _, h := range holders(tab, obj) {
 					tab.Release(obj, h)
 					progress = true
 				}
@@ -67,5 +68,7 @@ func FuzzLockTable(f *testing.F) {
 				}
 			}
 		}
+		// Every owner has released and nobody waits: nothing is kept.
+		checkEmpty(t, tab)
 	})
 }

@@ -15,6 +15,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"siteselect/internal/sim"
 )
 
 // ObjectID identifies a database object (page).
@@ -80,6 +82,10 @@ type Request struct {
 	// not an interface, so that tagging a request boxes nothing.
 	Tag int64
 
+	// wake, set by a LockOp that parked on the request, is broadcast when
+	// the table admits it from the queue.
+	wake *sim.Signal
+
 	seq     int64
 	granted bool
 	waiting bool
@@ -98,36 +104,23 @@ func (r *Request) GrantedNow() bool { return r.granted }
 // Spent entries recycle through a free list instead of churning the
 // allocator either way.
 //
-// The four maps (sparse, waits, heldBy, waiting) are made by the first
-// write to each: every client site owns a table, and at population
-// scale most never lock anything and almost none ever queue a request.
-// Reads of a nil map are reads of an empty one, so only the writes
-// check.
+// The two maps (sparse, owners) are made by the first write to each:
+// every client site owns a table, and at population scale most never
+// lock anything. Reads of a nil map are reads of an empty one, so only
+// the writes check.
 type Table struct {
 	dense   bool
 	entries []*entry            // dense: indexed by ObjectID; nil when no locks or waiters
 	sparse  map[ObjectID]*entry // sparse: present only while locked or waited on
 	free    []*entry
-	// waits holds wait-for edges: waits[a][b] > 0 means a waits for b.
-	waits map[OwnerID]map[OwnerID]int
-	seq   int64
+	seq     int64
 
-	// heldBy indexes the objects each owner holds, so ReleaseAll is
-	// proportional to the owner's locks instead of the whole table.
-	// Owner lock sets are tiny, so a slice beats a set.
-	heldBy map[OwnerID][]ObjectID
-	// waiting indexes the objects each owner has queued requests on
-	// (with counts), so wait-for-edge recomputation in dropEdgesFrom
-	// visits only the relevant entries instead of scanning the table.
-	waiting map[OwnerID][]objCount
-	// objsFree and countsFree recycle the per-owner index slices:
-	// owners are transient transaction ids, so without reuse every
-	// transaction pays two allocations here.
-	objsFree   [][]ObjectID
-	countsFree [][]objCount
-	// waitsFree recycles the per-owner wait-edge maps for the same
-	// reason; edge rebuilds clear and refill instead of reallocating.
-	waitsFree []map[OwnerID]int
+	// owners holds one record per owner that holds or waits for a lock;
+	// ownersFree recycles them with their slices. Owners are transient
+	// transaction ids at the centralized server and in every client's
+	// local table, so without reuse every transaction pays for a record.
+	owners     map[OwnerID]*ownerRec
+	ownersFree []*ownerRec
 
 	// confBuf is the shared conflict-scan buffer: conflict queries
 	// return slices of it, valid only until the next table call.
@@ -136,12 +129,9 @@ type Table struct {
 	// and Cancel return slices of it, which the caller must consume
 	// before the next of those four calls.
 	grantBuf []*Request
-	// ddSeen/ddGen/ddStack are deadlock-detection scratch: visited
-	// owners are generation-stamped instead of collected in a per-call
-	// set, and neighbour sorting runs in segments of one shared stack.
-	ddSeen  map[OwnerID]int64
-	ddGen   int64
-	ddStack []OwnerID
+	// ddGen numbers the deadlock searches: a search stamps the owner
+	// records it visits instead of collecting them in a per-call set.
+	ddGen int64
 
 	// DeadlocksRefused counts requests refused by cycle detection.
 	DeadlocksRefused int64
@@ -151,11 +141,58 @@ type Table struct {
 	hook Hook
 }
 
+// ownerRec is everything the table keeps about one owner. It exists
+// while the owner holds or waits for a lock and is retired the moment it
+// does neither (settle). Lock sets are tiny, so slices beat sets.
+type ownerRec struct {
+	// held lists the objects the owner holds, so ReleaseAll is
+	// proportional to the owner's locks instead of the whole table.
+	held []ObjectID
+	// waiting lists the objects the owner has queued requests on (with
+	// counts), so rebuilding its wait-for edges visits only those entries.
+	waiting []objCount
+	// edges is the set of owners this one waits for, in ascending order
+	// (the order a deadlock search visits them in). An edge can outlive
+	// its target's record: the set is rebuilt only when one of the
+	// owner's own requests leaves a queue.
+	edges []OwnerID
+	// ddGen is the last deadlock search that visited the owner.
+	ddGen int64
+}
+
 // objCount is one (object, queued-request count) pair of an owner's
 // waiting index.
 type objCount struct {
 	obj ObjectID
 	n   int
+}
+
+// owner returns owner's record, making (or recycling) one on first use.
+func (t *Table) owner(owner OwnerID) *ownerRec {
+	if r := t.owners[owner]; r != nil {
+		return r
+	}
+	var r *ownerRec
+	if n := len(t.ownersFree); n > 0 {
+		r, t.ownersFree = t.ownersFree[n-1], t.ownersFree[:n-1]
+	} else {
+		r = new(ownerRec)
+	}
+	if t.owners == nil {
+		t.owners = make(map[OwnerID]*ownerRec)
+	}
+	t.owners[owner] = r
+	return r
+}
+
+// settle retires owner's record once it neither holds nor waits.
+func (t *Table) settle(owner OwnerID, r *ownerRec) {
+	if len(r.held) > 0 || len(r.waiting) > 0 {
+		return
+	}
+	delete(t.owners, owner)
+	*r = ownerRec{held: r.held, waiting: r.waiting, edges: r.edges[:0]}
+	t.ownersFree = append(t.ownersFree, r)
 }
 
 // Hook observes lock-table transitions. Both fields are optional; a
@@ -291,17 +328,8 @@ func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
 	e.holders = append(e.holders, holderEntry{})
 	copy(e.holders[i+1:], e.holders[i:])
 	e.holders[i] = holderEntry{owner: owner, mode: mode}
-	objs, ok := t.heldBy[owner]
-	if !ok {
-		if n := len(t.objsFree); n > 0 {
-			objs = t.objsFree[n-1]
-			t.objsFree = t.objsFree[:n-1]
-		}
-		if t.heldBy == nil {
-			t.heldBy = make(map[OwnerID][]ObjectID)
-		}
-	}
-	t.heldBy[owner] = append(objs, obj)
+	r := t.owner(owner)
+	r.held = append(r.held, obj)
 }
 
 // delHolder removes owner's hold, reporting whether it was held.
@@ -311,20 +339,10 @@ func (t *Table) delHolder(obj ObjectID, e *entry, owner OwnerID) bool {
 		return false
 	}
 	e.holders = append(e.holders[:i], e.holders[i+1:]...)
-	if objs, ok := t.heldBy[owner]; ok {
-		for j, o := range objs {
-			if o == obj {
-				objs = append(objs[:j], objs[j+1:]...)
-				break
-			}
-		}
-		if len(objs) == 0 {
-			delete(t.heldBy, owner)
-			t.objsFree = append(t.objsFree, objs)
-		} else {
-			t.heldBy[owner] = objs
-		}
-	}
+	r := t.owners[owner]
+	j := slices.Index(r.held, obj)
+	r.held = slices.Delete(r.held, j, j+1)
+	t.settle(owner, r)
 	return true
 }
 
@@ -387,8 +405,9 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 		return t.requested(req, Deadlock, conf)
 	}
 	t.enqueue(e, req)
+	r := t.owners[req.Owner]
 	for _, h := range conf {
-		t.addEdge(req.Owner, h)
+		r.addEdge(h)
 	}
 	return t.requested(req, Queued, conf)
 }
@@ -431,46 +450,48 @@ func (t *Table) enqueue(e *entry, req *Request) {
 	e.queue = append(e.queue, nil)
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = req
-	counts, ok := t.waiting[req.Owner]
-	if ok {
-		for j := range counts {
-			if counts[j].obj == req.Obj {
-				counts[j].n++
-				return
-			}
+	r := t.owner(req.Owner)
+	for j := range r.waiting {
+		if r.waiting[j].obj == req.Obj {
+			r.waiting[j].n++
+			return
 		}
-	} else if n := len(t.countsFree); n > 0 {
-		counts = t.countsFree[n-1]
-		t.countsFree = t.countsFree[:n-1]
 	}
-	if t.waiting == nil {
-		t.waiting = make(map[OwnerID][]objCount)
-	}
-	t.waiting[req.Owner] = append(counts, objCount{obj: req.Obj, n: 1})
+	r.waiting = append(r.waiting, objCount{obj: req.Obj, n: 1})
 }
 
-// dequeued maintains the waiting index when a queued request leaves the
-// queue (granted or canceled).
+// dequeued maintains owner's record when its queued request on obj
+// leaves the queue (granted or canceled): the waiting index loses the
+// request, and the wait-for edges are rebuilt from the requests still
+// queued — holder sets shift while a request waits, so the edges it
+// added cannot be subtracted, only recomputed from the current conflicts
+// of the entries the waiting index names.
 func (t *Table) dequeued(owner OwnerID, obj ObjectID) {
-	counts, ok := t.waiting[owner]
-	if !ok {
-		return
-	}
-	for j := range counts {
-		if counts[j].obj != obj {
+	r := t.owners[owner]
+	for j := range r.waiting {
+		if r.waiting[j].obj != obj {
 			continue
 		}
-		if counts[j].n--; counts[j].n <= 0 {
-			counts = append(counts[:j], counts[j+1:]...)
-			if len(counts) == 0 {
-				delete(t.waiting, owner)
-				t.countsFree = append(t.countsFree, counts)
-			} else {
-				t.waiting[owner] = counts
+		if r.waiting[j].n--; r.waiting[j].n <= 0 {
+			r.waiting = slices.Delete(r.waiting, j, j+1)
+		}
+		break
+	}
+	r.edges = r.edges[:0]
+	for _, c := range r.waiting {
+		e := t.lookup(c.obj)
+		for _, q := range e.queue {
+			if q.Owner != owner {
+				continue
+			}
+			for _, h := range e.holders {
+				if h.owner != owner && !Compatible(q.Mode, h.mode) {
+					r.addEdge(h.owner)
+				}
 			}
 		}
-		return
 	}
+	t.settle(owner, r)
 }
 
 // resetGrants empties the shared grant list for the call that is about
@@ -514,9 +535,13 @@ func (t *Table) Downgrade(obj ObjectID, owner OwnerID) []*Request {
 // order (table-owned scratch).
 func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 	t.resetGrants()
-	// release mutates heldBy[owner]; snapshot and order the set first.
+	// release edits the owner's record, and the last one retires it;
+	// snapshot and order the set first.
 	var stack [16]ObjectID
-	objs := append(stack[:0], t.heldBy[owner]...)
+	var objs []ObjectID
+	if r := t.owners[owner]; r != nil {
+		objs = append(stack[:0], r.held...)
+	}
 	slices.Sort(objs)
 	for _, obj := range objs {
 		t.release(obj, owner)
@@ -545,7 +570,6 @@ func (t *Table) Cancel(req *Request) []*Request {
 	}
 	req.waiting = false
 	t.dequeued(req.Owner, req.Obj)
-	t.dropEdgesFrom(req.Owner, req.Obj)
 	t.admit(req.Obj, e)
 	return t.grantBuf
 }
@@ -574,9 +598,11 @@ func (t *Table) admit(obj ObjectID, e *entry) {
 		req.waiting = false
 		req.granted = true
 		t.dequeued(req.Owner, obj)
-		t.dropEdgesFrom(req.Owner, obj)
 		if t.hook.Granted != nil {
 			t.hook.Granted(req)
+		}
+		if req.wake != nil {
+			req.wake.Broadcast()
 		}
 		t.grantBuf = append(t.grantBuf, req)
 	}
@@ -642,9 +668,11 @@ func (t *Table) FirstForeignWaiter(obj ObjectID, owner OwnerID) *Request {
 // HasWaiter reports whether owner has a request queued on obj — the
 // server's duplicate-request guard under fault injection.
 func (t *Table) HasWaiter(obj ObjectID, owner OwnerID) bool {
-	for _, c := range t.waiting[owner] {
-		if c.obj == obj {
-			return c.n > 0
+	if r := t.owners[owner]; r != nil {
+		for _, c := range r.waiting {
+			if c.obj == obj {
+				return c.n > 0
+			}
 		}
 	}
 	return false
@@ -689,9 +717,6 @@ func (t *Table) HolderAt(obj ObjectID, i int) (OwnerID, Mode) {
 // wouldDeadlock reports whether adding edges owner→each holder closes a
 // cycle, i.e. whether owner is reachable from any holder.
 func (t *Table) wouldDeadlock(owner OwnerID, holders []OwnerID) bool {
-	if t.ddSeen == nil {
-		t.ddSeen = make(map[OwnerID]int64)
-	}
 	t.ddGen++
 	for _, h := range holders {
 		if t.ddReach(h, owner) {
@@ -701,107 +726,30 @@ func (t *Table) wouldDeadlock(owner OwnerID, holders []OwnerID) bool {
 	return false
 }
 
-// ddReach is wouldDeadlock's depth-first search. Each level collects
-// and sorts its live neighbours in a segment of the shared ddStack
-// (indexed, not sliced — deeper levels may grow the backing array) so
-// the visit order matches the old per-call sorted-slice implementation.
+// ddReach is wouldDeadlock's depth-first search, visiting each owner's
+// neighbours in ascending order. An owner without a record waits for
+// nobody.
 func (t *Table) ddReach(from, owner OwnerID) bool {
 	if from == owner {
 		return true
 	}
-	if t.ddSeen[from] == t.ddGen {
+	r := t.owners[from]
+	if r == nil || r.ddGen == t.ddGen {
 		return false
 	}
-	t.ddSeen[from] = t.ddGen
-	base := len(t.ddStack)
-	for to, n := range t.waits[from] {
-		if n > 0 {
-			t.ddStack = append(t.ddStack, to)
-		}
-	}
-	slices.Sort(t.ddStack[base:])
-	for i := base; i < len(t.ddStack); i++ {
-		if t.ddReach(t.ddStack[i], owner) {
-			t.ddStack = t.ddStack[:base]
+	r.ddGen = t.ddGen
+	for _, to := range r.edges {
+		if t.ddReach(to, owner) {
 			return true
 		}
 	}
-	t.ddStack = t.ddStack[:base]
 	return false
 }
 
-func (t *Table) addEdge(from, to OwnerID) {
-	m, ok := t.waits[from]
-	if !ok {
-		if n := len(t.waitsFree); n > 0 {
-			m = t.waitsFree[n-1]
-			t.waitsFree = t.waitsFree[:n-1]
-		} else {
-			m = make(map[OwnerID]int)
-		}
-		t.setWaits(from, m)
-	}
-	m[to]++
-}
-
-func (t *Table) setWaits(from OwnerID, m map[OwnerID]int) {
-	if t.waits == nil {
-		t.waits = make(map[OwnerID]map[OwnerID]int)
-	}
-	t.waits[from] = m
-}
-
-// dropEdgesFrom removes the wait edges the request for obj created. Edges
-// are reference-counted per (from, to); because holder sets shift while
-// queued, we recompute owner's outgoing edges from its remaining queued
-// requests' current conflicts. The waiting index names exactly the
-// entries holding those requests, so the rebuild touches only them
-// instead of scanning the whole table.
-func (t *Table) dropEdgesFrom(owner OwnerID, obj ObjectID) {
-	counts := t.waiting[owner]
-	if len(counts) == 0 {
-		t.retireWaits(owner)
-		return
-	}
-	m, ok := t.waits[owner]
-	if ok {
-		clear(m)
-	} else if n := len(t.waitsFree); n > 0 {
-		m = t.waitsFree[n-1]
-		t.waitsFree = t.waitsFree[:n-1]
-	} else {
-		m = make(map[OwnerID]int)
-	}
-	for _, c := range counts {
-		e := t.lookup(c.obj)
-		if e == nil {
-			continue
-		}
-		for _, q := range e.queue {
-			if q.Owner != owner {
-				continue
-			}
-			for _, h := range e.holders {
-				if h.owner != owner && !Compatible(q.Mode, h.mode) {
-					m[h.owner]++
-				}
-			}
-		}
-	}
-	if len(m) == 0 {
-		delete(t.waits, owner)
-		t.waitsFree = append(t.waitsFree, m)
-	} else {
-		t.setWaits(owner, m)
-	}
-}
-
-// retireWaits drops owner's wait-edge map and recycles it.
-func (t *Table) retireWaits(owner OwnerID) {
-	if m, ok := t.waits[owner]; ok {
-		delete(t.waits, owner)
-		clear(m)
-		t.waitsFree = append(t.waitsFree, m)
+// addEdge records that the owner waits for to.
+func (r *ownerRec) addEdge(to OwnerID) {
+	if i, found := slices.BinarySearch(r.edges, to); !found {
+		r.edges = slices.Insert(r.edges, i, to)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,31 @@ import (
 
 func req(obj ObjectID, owner OwnerID, mode Mode, dl time.Duration) *Request {
 	return &Request{Obj: obj, Owner: owner, Mode: mode, Deadline: dl}
+}
+
+// holders returns obj's holders in ascending owner order: the one way
+// tests read a holder set, over the accessors production code uses.
+func holders(t *Table, obj ObjectID) []OwnerID {
+	var out []OwnerID
+	for i, n := 0, t.HolderCount(obj); i < n; i++ {
+		h, _ := t.HolderAt(obj, i)
+		out = append(out, h)
+	}
+	return out
+}
+
+// checkEmpty fails unless tb holds no entry and no owner record.
+func checkEmpty(t *testing.T, tb *Table) {
+	t.Helper()
+	live := len(tb.sparse)
+	for _, e := range tb.entries {
+		if e != nil {
+			live++
+		}
+	}
+	if live != 0 || len(tb.owners) != 0 {
+		t.Fatalf("idle table keeps %d entries and %d owner records, want none", live, len(tb.owners))
+	}
 }
 
 func TestCompatibility(t *testing.T) {
@@ -284,13 +310,12 @@ func TestQueueLenAndHolders(t *testing.T) {
 	if tab.QueueLen(1) != 2 {
 		t.Fatalf("QueueLen = %d", tab.QueueLen(1))
 	}
-	hs := tab.SortedHolders(1)
+	hs := holders(tab, 1)
 	if len(hs) != 1 || hs[0] != 1 {
 		t.Fatalf("holders = %v", hs)
 	}
-	m := tab.Holders(1)
-	if m[1] != ModeExclusive {
-		t.Fatalf("Holders map = %v", m)
+	if tab.HolderMode(1, 1) != ModeExclusive {
+		t.Fatalf("holder 1 mode = %v", tab.HolderMode(1, 1))
 	}
 }
 
@@ -303,6 +328,49 @@ func TestEntryGarbageCollected(t *testing.T) {
 	}
 	if len(tab.free) != 1 {
 		t.Fatalf("free list = %d entries, want 1", len(tab.free))
+	}
+	if len(tab.owners) != 0 || len(tab.ownersFree) != 1 {
+		t.Fatalf("%d owner records live and %d free, want 0 and 1", len(tab.owners), len(tab.ownersFree))
+	}
+}
+
+// TestOwnerStateRetired: owners are transaction ids, never reused, so
+// whatever the table keeps per owner must go when the owner neither
+// holds nor waits. Each round three fresh owners hold, queue behind one
+// another, force a deadlock search that visits all three, and release;
+// ten thousand rounds leave no entry and no owner record, and a round
+// allocates nothing.
+func TestOwnerStateRetired(t *testing.T) {
+	for name, tb := range map[string]*Table{"sparse": NewTable(), "dense": denseTable(64)} {
+		var reqs [6]Request
+		next := OwnerID(1)
+		round := func() {
+			a, b, c := next, next+1, next+2
+			next += 3
+			lock := func(i int, obj ObjectID, owner OwnerID, want Outcome) {
+				reqs[i] = Request{Obj: obj, Owner: owner, Mode: ModeExclusive, Deadline: time.Minute}
+				if out, _ := tb.Lock(&reqs[i]); out != want {
+					panic(fmt.Sprintf("owner %d on object %d: outcome %v, want %v", owner, obj, out, want))
+				}
+			}
+			lock(0, 1, a, Granted)
+			lock(1, 2, b, Granted)
+			lock(2, 3, c, Granted)
+			lock(3, 2, a, Queued)   // a waits for b
+			lock(4, 3, b, Queued)   // b waits for c
+			lock(5, 1, c, Deadlock) // the search walks a, b and back to c
+			tb.ReleaseAll(c)        // admits b on 3
+			tb.ReleaseAll(b)        // admits a on 2
+			tb.ReleaseAll(a)
+		}
+		round()
+		if n := testing.AllocsPerRun(10_000, round); n != 0 {
+			t.Errorf("%s: a round of fresh owners allocates %v, want 0", name, n)
+		}
+		if tb.DeadlocksRefused < 10_000 {
+			t.Errorf("%s: %d deadlocks refused, want one a round", name, tb.DeadlocksRefused)
+		}
+		checkEmpty(t, tb)
 	}
 }
 
@@ -367,7 +435,7 @@ func TestQueueDrainsProperty(t *testing.T) {
 		for round := 0; round < len(ops)+8; round++ {
 			progress := false
 			for obj := ObjectID(0); obj < 4; obj++ {
-				for _, h := range tab.SortedHolders(obj) {
+				for _, h := range holders(tab, obj) {
 					for _, g := range tab.Release(obj, h) {
 						delete(queued, g)
 						progress = true

@@ -11,14 +11,14 @@ import (
 
 // lock is a step that acquires r through a LockOp, storing the outcome
 // in *err.
-func lock(bt *BlockingTable, r *Request, err *error) simtest.Step {
+func lock(tb *Table, r *Request, err *error) simtest.Step {
 	var op LockOp
 	started := false
 	return func(t *sim.Task) bool {
 		var done bool
 		if !started {
 			started = true
-			done, *err = op.Start(bt, t, r)
+			done, *err = op.Start(tb, t, r)
 		} else {
 			done, *err = op.Step(t)
 		}
@@ -36,9 +36,9 @@ func sleep(d time.Duration) simtest.Step {
 
 func TestLockWaitImmediateGrant(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	err := errors.New("not run")
-	simtest.Spawn(env, lock(bt, req(1, 1, ModeExclusive, time.Hour), &err))
+	simtest.Spawn(env, lock(tb, req(1, 1, ModeExclusive, time.Hour), &err))
 	env.RunAll()
 	if err != nil {
 		t.Fatal(err)
@@ -50,16 +50,16 @@ func TestLockWaitImmediateGrant(t *testing.T) {
 
 func TestLockWaitBlocksUntilRelease(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	var gotAt time.Duration
 	var herr, werr error
 	simtest.Spawn(env, // holder
-		lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr),
+		lock(tb, req(1, 1, ModeExclusive, time.Hour), &herr),
 		sleep(5*time.Second),
-		do(func(*sim.Task) { bt.ReleaseAll(1) }))
+		do(func(*sim.Task) { tb.ReleaseAll(1) }))
 	simtest.Spawn(env, // waiter
 		sleep(time.Second),
-		lock(bt, req(1, 2, ModeExclusive, time.Hour), &werr),
+		lock(tb, req(1, 2, ModeExclusive, time.Hour), &werr),
 		do(func(task *sim.Task) { gotAt = task.Now() }))
 	env.RunAll()
 	if herr != nil || werr != nil {
@@ -72,20 +72,20 @@ func TestLockWaitBlocksUntilRelease(t *testing.T) {
 
 func TestLockWaitDeadlineExpires(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	var herr, err error
 	simtest.Spawn(env, // holder
-		lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr),
+		lock(tb, req(1, 1, ModeExclusive, time.Hour), &herr),
 		sleep(time.Hour),
-		do(func(*sim.Task) { bt.ReleaseAll(1) }))
+		do(func(*sim.Task) { tb.ReleaseAll(1) }))
 	simtest.Spawn(env, // waiter
 		sleep(time.Second),
-		lock(bt, req(1, 2, ModeExclusive, 3*time.Second), &err))
+		lock(tb, req(1, 2, ModeExclusive, 3*time.Second), &err))
 	env.Run(10 * time.Second)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
-	if bt.Table().QueueLen(1) != 0 {
+	if tb.QueueLen(1) != 0 {
 		t.Fatal("expired waiter left in queue")
 	}
 	env.Close()
@@ -93,16 +93,16 @@ func TestLockWaitDeadlineExpires(t *testing.T) {
 
 func TestLockWaitDeadlockRefused(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	var e1, e2, e3, errB error
 	simtest.Spawn(env, // a
-		lock(bt, req(1, 1, ModeExclusive, time.Hour), &e1),
+		lock(tb, req(1, 1, ModeExclusive, time.Hour), &e1),
 		sleep(time.Second),
-		lock(bt, req(2, 1, ModeExclusive, time.Hour), &e2))
+		lock(tb, req(2, 1, ModeExclusive, time.Hour), &e2))
 	simtest.Spawn(env, // b
-		lock(bt, req(2, 2, ModeExclusive, time.Hour), &e3),
+		lock(tb, req(2, 2, ModeExclusive, time.Hour), &e3),
 		sleep(2*time.Second), // let a queue on obj 2 first
-		lock(bt, req(1, 2, ModeExclusive, time.Hour), &errB))
+		lock(tb, req(1, 2, ModeExclusive, time.Hour), &errB))
 	env.Run(5 * time.Second)
 	if !errors.Is(errB, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", errB)
@@ -112,27 +112,27 @@ func TestLockWaitDeadlockRefused(t *testing.T) {
 
 func TestManyWaitersServedInDeadlineOrder(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	var order []OwnerID
 	var herr error
 	simtest.Spawn(env, // holder
-		lock(bt, req(1, 99, ModeExclusive, time.Hour), &herr),
+		lock(tb, req(1, 99, ModeExclusive, time.Hour), &herr),
 		sleep(time.Second),
-		do(func(*sim.Task) { bt.ReleaseAll(99) }))
+		do(func(*sim.Task) { tb.ReleaseAll(99) }))
 	deadlines := []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second}
 	for i, dl := range deadlines {
 		owner := OwnerID(i + 1)
 		var err error
 		simtest.Spawn(env,
 			sleep(time.Duration(i+1)*time.Millisecond),
-			lock(bt, req(1, owner, ModeExclusive, dl), &err),
+			lock(tb, req(1, owner, ModeExclusive, dl), &err),
 			do(func(*sim.Task) {
 				if err != nil {
 					t.Errorf("waiter %d: %v", owner, err)
 					return
 				}
 				order = append(order, owner)
-				bt.ReleaseAll(owner)
+				tb.ReleaseAll(owner)
 			}))
 	}
 	env.RunAll()
@@ -166,18 +166,18 @@ func TestLockOpGrantVersusTimeoutSameInstant(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
-			bt := NewBlockingTable(env)
+			tb := NewTable()
 			var herr error
 			err := errors.New("not run")
 			var doneAt time.Duration
-			holder := []simtest.Step{lock(bt, req(1, 1, ModeExclusive, time.Hour), &herr)}
+			holder := []simtest.Step{lock(tb, req(1, 1, ModeExclusive, time.Hour), &herr)}
 			for _, d := range tc.naps {
 				holder = append(holder, sleep(d))
 			}
-			simtest.Spawn(env, append(holder, do(func(*sim.Task) { bt.ReleaseAll(1) }))...)
+			simtest.Spawn(env, append(holder, do(func(*sim.Task) { tb.ReleaseAll(1) }))...)
 			simtest.Spawn(env, // waiter, deadline 5s
 				sleep(time.Second),
-				lock(bt, req(1, 2, ModeExclusive, 5*time.Second), &err),
+				lock(tb, req(1, 2, ModeExclusive, 5*time.Second), &err),
 				do(func(task *sim.Task) { doneAt = task.Now() }))
 			env.RunAll()
 			if herr != nil || !errors.Is(err, tc.want) {
@@ -186,14 +186,11 @@ func TestLockOpGrantVersusTimeoutSameInstant(t *testing.T) {
 			if doneAt != 5*time.Second {
 				t.Fatalf("waiter resolved at %v, want 5s", doneAt)
 			}
-			if bt.Table().QueueLen(1) != 0 {
+			if tb.QueueLen(1) != 0 {
 				t.Fatal("waiter left in queue")
 			}
-			if tc.want != nil && len(bt.Table().Holders(1)) != 0 {
-				t.Fatalf("holders after timeout and release = %v", bt.Table().Holders(1))
-			}
-			if len(bt.wakeups) != 0 {
-				t.Fatalf("%d wake-up signals leaked", len(bt.wakeups))
+			if hs := holders(tb, 1); tc.want != nil && len(hs) != 0 {
+				t.Fatalf("holders after timeout and release = %v", hs)
 			}
 		})
 	}
@@ -205,17 +202,17 @@ func TestLockOpGrantVersusTimeoutSameInstant(t *testing.T) {
 // already holds and never issuing the requests after it.
 func TestSeqLockOpAcquiresInOrderAndStopsAtFirstFailure(t *testing.T) {
 	env := sim.NewEnv()
-	bt := NewBlockingTable(env)
+	tb := NewTable()
 	var herr error
 	simtest.Spawn(env, // owner 8 holds object 2 for 5 s
-		lock(bt, req(2, 8, ModeExclusive, time.Hour), &herr),
+		lock(tb, req(2, 8, ModeExclusive, time.Hour), &herr),
 		sleep(5*time.Second),
-		do(func(*sim.Task) { bt.ReleaseAll(8) }))
+		do(func(*sim.Task) { tb.ReleaseAll(8) }))
 	simtest.Spawn(env, // owner 9 holds object 3 for good
-		lock(bt, req(3, 9, ModeExclusive, time.Hour), &herr))
+		lock(tb, req(3, 9, ModeExclusive, time.Hour), &herr))
 
 	var op SeqLockOp
-	op.Init(bt, 4)
+	op.Init(tb, 4)
 	for obj := ObjectID(1); obj <= 4; obj++ {
 		op.Add(Request{Obj: obj, Owner: 1, Mode: ModeExclusive, Deadline: 8 * time.Second})
 	}
@@ -234,7 +231,7 @@ func TestSeqLockOpAcquiresInOrderAndStopsAtFirstFailure(t *testing.T) {
 	simtest.Spawn(env,
 		sleep(6*time.Second),
 		do(func(*sim.Task) {
-			midway = [2]int{int(bt.Table().HolderMode(2, 1)), bt.Table().QueueLen(3)}
+			midway = [2]int{int(tb.HolderMode(2, 1)), tb.QueueLen(3)}
 		}))
 	env.Run(time.Minute)
 	defer env.Close()
@@ -248,11 +245,11 @@ func TestSeqLockOpAcquiresInOrderAndStopsAtFirstFailure(t *testing.T) {
 		t.Fatalf("op ended with %v at %v, want ErrDeadline at 8s", err, doneAt)
 	}
 	for obj, want := range map[ObjectID]Mode{1: ModeExclusive, 2: ModeExclusive, 3: 0, 4: 0} {
-		if got := bt.Table().HolderMode(obj, 1); got != want {
+		if got := tb.HolderMode(obj, 1); got != want {
 			t.Errorf("object %d held in mode %v, want %v", obj, got, want)
 		}
 	}
-	if bt.Table().QueueLen(3) != 0 {
+	if tb.QueueLen(3) != 0 {
 		t.Error("expired request left in object 3's queue")
 	}
 }

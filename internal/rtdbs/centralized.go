@@ -116,7 +116,7 @@ func (ce *ceCore) Start() {
 type Centralized struct {
 	ceCore
 
-	locks    *lockmgr.BlockingTable
+	locks    *lockmgr.Table
 	versions []int64
 	log      *wal.Log
 	// txnFree recycles finished transaction machines.
@@ -131,7 +131,7 @@ func NewCentralized(cfg config.Config) (*Centralized, error) {
 	}
 	ce := &Centralized{
 		ceCore:   core,
-		locks:    lockmgr.NewBlockingTable(core.env),
+		locks:    lockmgr.NewTable(),
 		versions: make([]int64, cfg.DBSize),
 	}
 	ce.spawn = ce.spawnTxn
@@ -544,7 +544,7 @@ func (ce *Centralized) Run() (*Result, error) {
 	ce.Start()
 	ce.env.Run(ce.cfg.Duration + ce.cfg.Drain)
 	res := ce.collect()
-	err := ce.locks.Table().Audit()
+	err := ce.locks.Audit()
 	ce.env.Close()
 	return res, err
 }

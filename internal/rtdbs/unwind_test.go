@@ -123,12 +123,12 @@ func TestCentralizedUnwind(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkUnwound(t, &ce.ceCore)
-			if err := ce.locks.Table().Audit(); err != nil {
+			if err := ce.locks.Audit(); err != nil {
 				t.Error(err)
 			}
 			for obj := 0; obj < ce.cfg.DBSize; obj++ {
-				if h := ce.locks.Table().Holders(lockmgr.ObjectID(obj)); len(h) != 0 {
-					t.Fatalf("object %d still locked by %v", obj, h)
+				if h := ce.locks.HolderCount(lockmgr.ObjectID(obj)); h != 0 {
+					t.Fatalf("object %d still has %d holders", obj, h)
 				}
 			}
 			if tc.name == "slot-timeout" {
