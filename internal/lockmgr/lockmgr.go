@@ -158,6 +158,10 @@ type ownerRec struct {
 	edges []OwnerID
 	// ddGen is the last deadlock search that visited the owner.
 	ddGen int64
+	// first is where a new record's held list starts, as an entry's
+	// holders start in the entry: a transaction's few locks cost one
+	// object, not a record and three regrowths of its list.
+	first [4]ObjectID
 }
 
 // objCount is one (object, queued-request count) pair of an owner's
@@ -177,6 +181,7 @@ func (t *Table) owner(owner OwnerID) *ownerRec {
 		r, t.ownersFree = t.ownersFree[n-1], t.ownersFree[:n-1]
 	} else {
 		r = new(ownerRec)
+		r.held = r.first[:0]
 	}
 	if t.owners == nil {
 		t.owners = make(map[OwnerID]*ownerRec)

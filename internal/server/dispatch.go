@@ -77,7 +77,7 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 // object's forward list rather than the plain lock queue: the object is
 // conflicted now, mid-migration, or already has a list forming.
 func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) bool {
-	if s.inflight[obj] != nil || s.sealed[obj] != nil {
+	if o := s.at(obj); o.inflight != nil || o.sealed != nil {
 		return true
 	}
 	if s.collector != nil && s.collector.Pending(obj) != nil {
@@ -95,12 +95,13 @@ func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lock
 // object's location.
 func (s *Server) conflictHolders(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) []netsim.SiteID {
 	now := s.env.Now()
-	for _, l := range s.lists(obj) {
+	ls, n := s.lists(obj)
+	for _, l := range ls[:n] {
 		if e, ok := l.Last(now); ok {
 			return []netsim.SiteID{e.Client}
 		}
 	}
-	if s.inflight[obj] != nil {
+	if s.at(obj).inflight != nil {
 		// List fully dead but object still out; it belongs to nobody the
 		// client could use — report no usable location, but it is still
 		// a conflict.
@@ -133,23 +134,23 @@ func (s *Server) conflictHolders(obj lockmgr.ObjectID, client netsim.SiteID, mod
 	return out
 }
 
-// lists returns the object's future-ownership lists in "latest owner
-// last" order of authority: the open collector window supersedes the
-// sealed list, which supersedes the in-flight list.
-func (s *Server) lists(obj lockmgr.ObjectID) []*forward.List {
-	var out []*forward.List
+// lists returns the object's future-ownership lists — the first n of
+// the array — in "latest owner last" order of authority: the open
+// collector window supersedes the sealed list, which supersedes the
+// in-flight list.
+func (s *Server) lists(obj lockmgr.ObjectID) (ls [3]*forward.List, n int) {
+	o := s.at(obj)
+	var open *forward.List
 	if s.collector != nil {
-		if l := s.collector.Pending(obj); l != nil {
-			out = append(out, l)
+		open = s.collector.Pending(obj)
+	}
+	for _, l := range [3]*forward.List{open, o.sealed, o.inflight} {
+		if l != nil {
+			ls[n] = l
+			n++
 		}
 	}
-	if l := s.sealed[obj]; l != nil {
-		out = append(out, l)
-	}
-	if l := s.inflight[obj]; l != nil {
-		out = append(out, l)
-	}
-	return out
+	return ls, n
 }
 
 // holdersFor answers location queries: every site currently holding obj
@@ -157,7 +158,8 @@ func (s *Server) lists(obj lockmgr.ObjectID) []*forward.List {
 // objects with queued migrations.
 func (s *Server) holdersFor(obj lockmgr.ObjectID, asker netsim.SiteID) []netsim.SiteID {
 	now := s.env.Now()
-	for _, l := range s.lists(obj) {
+	ls, n := s.lists(obj)
+	for _, l := range ls[:n] {
 		if e, ok := l.Last(now); ok && e.Client != asker {
 			return []netsim.SiteID{e.Client}
 		}
@@ -190,8 +192,9 @@ func (s *Server) loadsFor(conflicts []proto.ObjConflict) []proto.LoadReport {
 	s.siteScratch = sites
 	out := make([]proto.LoadReport, 0, len(sites))
 	for _, site := range sites {
-		if l, ok := s.loads[site]; ok && l.Valid {
-			out = append(out, l)
+		// A holder may be a replica shard; only clients report loads.
+		if c := s.client(site); c != nil && c.load.Valid {
+			out = append(out, c.load)
 		}
 	}
 	return out
@@ -221,7 +224,7 @@ func (s *Server) recallForQueueHead(obj lockmgr.ObjectID) {
 // list dispatches before the still-collecting one.
 func (s *Server) headEntry(obj lockmgr.ObjectID) (forward.Entry, bool) {
 	now := s.env.Now()
-	if l := s.sealed[obj]; l != nil {
+	if l := s.at(obj).sealed; l != nil {
 		for _, e := range l.Entries {
 			if e.Deadline >= now {
 				return e, true
@@ -282,17 +285,11 @@ func (s *Server) recallForMigration(obj lockmgr.ObjectID) {
 // transaction the callback serves (zero when none, e.g. stray-copy
 // invalidation), recorded on its trace.
 func (s *Server) recall(obj lockmgr.ObjectID, holder netsim.SiteID, downgrade bool, forTxn txn.ID) {
-	set := s.recalls[obj]
-	if slices.Contains(set, holder) {
+	o := s.rec(obj)
+	if *s.recallLink(o, holder) != 0 {
 		return
 	}
-	if set == nil {
-		if n := len(s.recallSetFree); n > 0 {
-			set = s.recallSetFree[n-1]
-			s.recallSetFree = s.recallSetFree[:n-1]
-		}
-	}
-	s.recalls[obj] = append(set, holder)
+	s.addRecall(o, holder)
 	s.RecallsSent++
 	s.tr.Point(forTxn, s.site, trace.EvRecall, obj, int64(holder), 0, s.env.Now())
 	// During a batch-window flush the send waits for endFlush, which
@@ -431,12 +428,12 @@ func (m *batchShipMachine) Resume() {
 // onSeal receives a sealed forward list from the collector: merge it
 // with any still-undelivered predecessor and try to dispatch.
 func (s *Server) onSeal(l *forward.List) {
-	if prev := s.sealed[l.Obj]; prev != nil {
+	if o := s.rec(l.Obj); o.sealed != nil {
 		for _, e := range l.Entries {
-			prev.Insert(e)
+			o.sealed.Insert(e)
 		}
 	} else {
-		s.sealed[l.Obj] = l
+		o.sealed = l
 	}
 	s.tryDispatch(l.Obj)
 }
@@ -448,7 +445,7 @@ func (s *Server) onSeal(l *forward.List) {
 // collection window is still open, the window is sealed early — batching
 // only pays while the object is out.
 func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
-	if s.inflight[obj] != nil {
+	if s.at(obj).inflight != nil {
 		return
 	}
 	head, ok := s.headEntry(obj)
@@ -456,7 +453,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		s.recallForMigration(obj)
 		return
 	}
-	if s.sealed[obj] == nil {
+	if s.at(obj).sealed == nil {
 		if ok && s.collector != nil && s.collector.Pending(obj) != nil {
 			// The head entry can go: seal the window early (re-enters
 			// tryDispatch through onSeal with a sealed list).
@@ -464,15 +461,16 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		}
 		return
 	}
-	l := s.sealed[obj]
+	o := s.rec(obj)
+	l := o.sealed
 	now := s.env.Now()
 	run, _ := l.PopRun(now)
 	if len(run) == 0 {
-		delete(s.sealed, obj)
+		o.sealed = nil
 		return
 	}
 	if l.Len() == 0 {
-		delete(s.sealed, obj)
+		o.sealed = nil
 	}
 
 	if run[0].Mode == lockmgr.ModeShared || len(run) == 1 {
@@ -506,10 +504,10 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 				e.Epoch = s.epochOf(obj, e.Client)
 				hop.Insert(e)
 			}
-			s.inflight[obj] = hop.Clone()
+			o.inflight = hop.Clone()
 			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, hop)
 		}
-		if s.sealed[obj] != nil {
+		if o.sealed != nil {
 			// More entries (a writer behind the readers): recall the
 			// copies once their transactions finish.
 			s.recallForMigration(obj)
@@ -538,7 +536,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	s.freeReq(lr)
 	s.MigrationsStarted++
 	s.ForwardEntriesSent += int64(chain.Len() + 1)
-	s.inflight[obj] = chain
+	o.inflight = chain
 	s.ship(obj, first.Client, first.Mode, first.Txn, chain.Clone())
 }
 
@@ -555,7 +553,8 @@ func (s *Server) AuditBatch() error { return s.batcher.Audit() }
 func (s *Server) Batcher() *batch.Scheduler { return s.batcher }
 
 // AuditForward verifies the structural invariants of every forward list
-// the server tracks — still collecting, sealed, and in flight.
+// the server tracks — still collecting, sealed, and in flight. The
+// records are walked in the order they were carved, which a run repeats.
 func (s *Server) AuditForward() error {
 	if s.collector != nil {
 		for _, l := range s.collector.OpenLists() {
@@ -564,15 +563,15 @@ func (s *Server) AuditForward() error {
 			}
 		}
 	}
-	for _, m := range []map[lockmgr.ObjectID]*forward.List{s.sealed, s.inflight} {
-		objs := make([]lockmgr.ObjectID, 0, len(m))
-		for obj := range m {
-			objs = append(objs, obj)
-		}
-		slices.Sort(objs)
-		for _, obj := range objs {
-			if err := m[obj].Wellformed(); err != nil {
-				return err
+	for _, chunk := range s.objChunks {
+		for i := range chunk {
+			for _, l := range [2]*forward.List{chunk[i].sealed, chunk[i].inflight} {
+				if l == nil {
+					continue
+				}
+				if err := l.Wellformed(); err != nil {
+					return err
+				}
 			}
 		}
 	}

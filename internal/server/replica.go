@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"siteselect/internal/batch"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
@@ -37,6 +35,33 @@ import (
 // to a forced drain. Static placements (Topology.Replicas) get no
 // heartbeat — only a writer removes them.
 
+// replicaState is the lifecycle of the replica a shard serves for an
+// object homed elsewhere, kept in the object's record:
+//
+//	none ──install──▶ serving ──cold window──▶ draining
+//	  ▲                  │                        │
+//	  │            writer's recall          writer's recall
+//	  │                  ▼                        │
+//	  └──last holder── forced ◀───────────────────┘
+//	     released
+//	     (from draining too)
+//
+// The shard serves shared requests in every state but none; only a
+// serving replica is registered in the topology.
+type replicaState uint8
+
+const (
+	repNone replicaState = iota
+	// repServing: registered in the topology, reads route here.
+	repServing
+	// repDraining: a lame duck — registration withdrawn, the client
+	// holders are left to release in their own time.
+	repDraining
+	// repForced: a writer waits at the home shard — every client holder
+	// has been recalled, and a grant that races the drain is too.
+	repForced
+)
+
 // replicaOwnerBase anchors the pseudo-owner IDs under which replica
 // shards register in a home shard's lock table. Shard k registers as
 // replicaOwnerBase-k — far from MigrationOwner (-1) and from client
@@ -68,20 +93,6 @@ func siteFor(o lockmgr.OwnerID) netsim.SiteID {
 	return netsim.SiteID(o)
 }
 
-// put writes (*m)[obj] = v, making the map on its first write.
-func put[V any](m *map[lockmgr.ObjectID]V, obj lockmgr.ObjectID, v V) {
-	if *m == nil {
-		*m = make(map[lockmgr.ObjectID]V)
-	}
-	(*m)[obj] = v
-}
-
-// heatWindow is one object's access count over the current window.
-type heatWindow struct {
-	start time.Duration
-	n     int
-}
-
 // servesObj reports whether this shard is authoritative for a request:
 // the home shard always is; a replica shard only for shared-mode
 // requests of objects it currently replicates.
@@ -89,7 +100,7 @@ func (s *Server) servesObj(obj lockmgr.ObjectID, mode lockmgr.Mode) bool {
 	if s.topo.HomeShard(obj) == s.shard {
 		return true
 	}
-	return mode == lockmgr.ModeShared && s.replicated[obj]
+	return mode == lockmgr.ModeShared && s.at(obj).replica != repNone
 }
 
 // routeFirm re-routes a firm request that reached a shard which cannot
@@ -115,8 +126,9 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 // just joins the holders and drains naturally).
 func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsim.SiteID) {
 	if s.topo.HomeShard(obj) != s.shard {
-		put(&s.repHeat, obj, s.repHeat[obj]+1)
-		if s.shedding[obj] {
+		o := s.rec(obj)
+		o.repHeat++
+		if o.replica == repForced {
 			s.recall(obj, client, false, 0)
 		}
 		return
@@ -124,14 +136,12 @@ func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsi
 	if !s.adaptive || mode != lockmgr.ModeShared {
 		return
 	}
-	now := s.env.Now()
-	w, ok := s.heat[obj]
-	if !ok || now-w.start > s.cfg.Sharding.HeatWindow {
-		w = heatWindow{start: now}
+	o := s.rec(obj)
+	if now := s.env.Now(); o.heatN == 0 || now-o.heatStart > s.cfg.Sharding.HeatWindow {
+		o.heatStart, o.heatN = now, 0
 	}
-	w.n++
-	put(&s.heat, obj, w)
-	if w.n >= s.cfg.Sharding.ReplicateHot {
+	o.heatN++
+	if int(o.heatN) >= s.cfg.Sharding.ReplicateHot {
 		s.maybeReplicate(obj)
 	}
 }
@@ -142,13 +152,14 @@ func (s *Server) noteServe(obj lockmgr.ObjectID, mode lockmgr.Mode, client netsi
 // shared registration. A hot object that is not quiescent stays hot and
 // is retried on its next access.
 func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
-	if s.replicaOut[obj] {
+	o := s.rec(obj)
+	if o.replicaOut {
 		return
 	}
 	if _, ok := s.topo.Replica(obj); ok {
 		return
 	}
-	if s.inflight[obj] != nil || s.sealed[obj] != nil {
+	if o.inflight != nil || o.sealed != nil {
 		return
 	}
 	if s.collector != nil && s.collector.Pending(obj) != nil {
@@ -169,8 +180,8 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 		panic("server: replica registration failed on quiescent object")
 	}
 	s.freeReq(lr)
-	delete(s.heat, obj)
-	put(&s.replicaOut, obj, true)
+	o.heatStart, o.heatN = 0, 0
+	o.replicaOut = true
 	s.ReplicasInstalled++
 	in := s.payloads.ReplicaInstall.Get()
 	*in = proto.ReplicaInstall{Obj: obj, Version: s.versions[obj]}
@@ -191,13 +202,12 @@ func (s *Server) replicaTarget(obj lockmgr.ObjectID) int {
 // shard now serves shared-mode requests for obj at version, and a
 // heartbeat watches for the replica running cold.
 func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
-	put(&s.replicated, obj, true)
-	delete(s.shedding, obj)
+	o := s.rec(obj)
+	o.replica, o.repHeat = repServing, 0
 	s.versions[obj] = version
-	put(&s.repHeat, obj, 0)
 	s.topo.SetReplica(obj, s.site)
-	put(&s.repGen, obj, s.repGen[obj]+1)
-	s.scheduleHeatCheck(obj, s.repGen[obj])
+	o.repGen++
+	s.scheduleHeatCheck(obj, o.repGen)
 }
 
 // SeedReplica installs a static replica of obj on shard r before the
@@ -206,7 +216,7 @@ func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
 // not free for a shared registration). Static replicas get no cold
 // heartbeat — only a writer's recall removes them.
 func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
-	if s.topo.HomeShard(obj) != s.shard || r.shard == s.shard || s.replicaOut[obj] {
+	if s.topo.HomeShard(obj) != s.shard || r.shard == s.shard || s.at(obj).replicaOut {
 		return false
 	}
 	if _, ok := s.topo.Replica(obj); ok {
@@ -221,9 +231,9 @@ func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
 	}); outcome != lockmgr.Granted {
 		return false
 	}
-	put(&s.replicaOut, obj, true)
+	s.rec(obj).replicaOut = true
 	s.ReplicasInstalled++
-	put(&r.replicated, obj, true)
+	r.rec(obj).replica = repServing
 	r.versions[obj] = s.versions[obj]
 	s.topo.SetReplica(obj, r.site)
 	return true
@@ -232,22 +242,22 @@ func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
 // scheduleHeatCheck arms one HeatWindow heartbeat for a replicated
 // object; gen invalidates the timer if the replica is shed and
 // reinstalled before it fires.
-func (s *Server) scheduleHeatCheck(obj lockmgr.ObjectID, gen int) {
+func (s *Server) scheduleHeatCheck(obj lockmgr.ObjectID, gen int32) {
 	s.env.Schedule(s.cfg.Sharding.HeatWindow, func() { s.checkReplicaHeat(obj, gen) })
 }
 
 // checkReplicaHeat sheds a replica whose last window ran cold, or
 // re-arms the heartbeat.
-func (s *Server) checkReplicaHeat(obj lockmgr.ObjectID, gen int) {
-	_, draining := s.shedding[obj]
-	if gen != s.repGen[obj] || !s.replicated[obj] || draining {
+func (s *Server) checkReplicaHeat(obj lockmgr.ObjectID, gen int32) {
+	o := s.rec(obj)
+	if gen != o.repGen || o.replica != repServing {
 		return
 	}
-	if s.repHeat[obj] < s.cfg.Sharding.EffectiveShedBelow() {
+	if int(o.repHeat) < s.cfg.Sharding.EffectiveShedBelow() {
 		s.shedReplica(obj, false)
 		return
 	}
-	put(&s.repHeat, obj, 0)
+	o.repHeat = 0
 	s.scheduleHeatCheck(obj, gen)
 }
 
@@ -255,30 +265,29 @@ func (s *Server) checkReplicaHeat(obj lockmgr.ObjectID, gen int) {
 // topology registration is withdrawn first (new reads route home), and
 // the object returns home once the last client holder releases. A
 // forced drain (a writer is waiting at the home shard) recalls every
-// holder; a cold, lame-duck shed lets them drain naturally — in the
-// shedding map, presence means "draining", the value means "forced".
+// holder; a cold, lame-duck shed lets them drain naturally.
 func (s *Server) shedReplica(obj lockmgr.ObjectID, force bool) {
-	if !s.replicated[obj] {
-		return
-	}
-	if forced, draining := s.shedding[obj]; draining {
-		if force && !forced {
-			// A writer's recall caught a lame-duck drain in progress:
-			// upgrade it so the writer is not stuck behind slow evictions.
-			put(&s.shedding, obj, true)
+	o := s.rec(obj)
+	switch o.replica {
+	case repServing:
+		o.replica = repDraining
+		s.ReplicasShed++
+		if site, ok := s.topo.Replica(obj); ok && site == s.site {
+			s.topo.ClearReplica(obj)
+		}
+		if force {
+			o.replica = repForced
 			s.recallReplicaHolders(obj)
 		}
-		return
+		s.finishShedIfDrained(obj)
+	case repDraining:
+		if force {
+			// A writer's recall caught a lame-duck drain in progress:
+			// upgrade it so the writer is not stuck behind slow evictions.
+			o.replica = repForced
+			s.recallReplicaHolders(obj)
+		}
 	}
-	put(&s.shedding, obj, force)
-	s.ReplicasShed++
-	if site, ok := s.topo.Replica(obj); ok && site == s.site {
-		s.topo.ClearReplica(obj)
-	}
-	if force {
-		s.recallReplicaHolders(obj)
-	}
-	s.finishShedIfDrained(obj)
 }
 
 // recallReplicaHolders recalls every client holding the replica's
@@ -296,7 +305,7 @@ func (s *Server) recallReplicaHolders(obj lockmgr.ObjectID) {
 // returned to its home shard, whose release of the pseudo-owner
 // unblocks any waiting writer.
 func (s *Server) finishShedIfDrained(obj lockmgr.ObjectID) {
-	if _, draining := s.shedding[obj]; !draining {
+	if r := s.at(obj).replica; r != repDraining && r != repForced {
 		return
 	}
 	for i, n := 0, s.locks.HolderCount(obj); i < n; i++ {
@@ -304,9 +313,8 @@ func (s *Server) finishShedIfDrained(obj lockmgr.ObjectID) {
 			return
 		}
 	}
-	delete(s.shedding, obj)
-	delete(s.replicated, obj)
-	delete(s.repHeat, obj)
+	o := s.rec(obj)
+	o.replica, o.repHeat = repNone, 0
 	ret := s.payloads.ObjReturn.Get()
 	ret.Client, ret.Obj = s.site, obj
 	s.send(shardmap.ShardSite(s.topo.HomeShard(obj)), netsim.KindObjectReturn, netsim.ControlBytes, ret)

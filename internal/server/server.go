@@ -59,45 +59,38 @@ type Server struct {
 	peerIn  *sim.Mailbox[netsim.Message]
 	peerOut []*sim.Mailbox[netsim.Message]
 
-	// Replica state. At a home shard: heat tracks per-object shared
-	// access counts over the topology's HeatWindow and replicaOut marks
-	// objects whose replica is currently provisioned elsewhere. At a
-	// replica shard: replicated marks the objects served here, repHeat
-	// counts their window accesses (for cold shedding), shedding marks
-	// replicas draining back to their home, and repGen invalidates
-	// stale heat-check timers across shed/reinstall cycles. Each map is
-	// made by its first write (put): a shard that never replicates
-	// carries none.
-	heat       map[lockmgr.ObjectID]heatWindow
-	replicaOut map[lockmgr.ObjectID]bool
-	replicated map[lockmgr.ObjectID]bool
-	repHeat    map[lockmgr.ObjectID]int
-	shedding   map[lockmgr.ObjectID]bool
-	repGen     map[lockmgr.ObjectID]int
-
 	locks    *lockmgr.Table
 	disk     *pagefile.Disk
 	pool     *pagefile.BufferPool
 	versions []int64
 	cpu      *sim.Resource
 
-	conns map[netsim.SiteID]*conn
-	loads map[netsim.SiteID]proto.LoadReport
+	// objs indexes, by object id like versions and the lock table, the
+	// one record holding everything else the shard keeps about an object
+	// (objState); nil until something is recorded about the object. Most
+	// objects never conflict, run hot or replicate, so records are carved
+	// on first write (rec) from objChunks rather than laid out for the
+	// whole database, and stay for the run.
+	objs      []*objState
+	objChunks [][]objState
+	// recallNodes holds every object's outstanding callbacks, chained
+	// from its record; recallFree heads the chain of spare nodes. Holder
+	// sets are tiny and short-lived but recalled objects number in the
+	// thousands, so the sets share one slab rather than own an array
+	// each. Node 0 is the chains' nil.
+	recallNodes []recallNode
+	recallFree  int32
 
-	// recalls tracks outstanding callbacks per object so holders are
-	// not recalled twice for the same demand. Holder sets are tiny
-	// (the readers of one object), so each is a scanned slice recycled
-	// through recallSetFree rather than a map.
-	recalls       map[lockmgr.ObjectID][]netsim.SiteID
-	recallSetFree [][]netsim.SiteID
+	// sites holds, by client id, each attached client's connection and
+	// the load it last reported (slot 0 is unused: site 0 is a shard).
+	sites []site
+
 	// epochs records, per (object, client), the release epoch last
 	// reported by that client; grants are stamped with it so releases
 	// crossing grants on the wire are detected (see proto.ObjGrant).
 	epochs map[epochKey]int64
 
 	collector *forward.Collector
-	sealed    map[lockmgr.ObjectID]*forward.List
-	inflight  map[lockmgr.ObjectID]*forward.List
 
 	// batcher routes every firm request through the batch-window layer.
 	// With BatchWindow == 0 it degenerates to a synchronous inline call
@@ -162,10 +155,108 @@ type epochKey struct {
 	client netsim.SiteID
 }
 
-type conn struct {
-	id    netsim.SiteID
+// site is one attached client: its connection and its piggybacked load.
+type site struct {
 	inbox *sim.Mailbox[netsim.Message] // server-side, from this client
 	out   *sim.Mailbox[netsim.Message] // the client's inbox
+	load  proto.LoadReport             // Valid once the client reported one
+}
+
+// objState is everything a shard keeps about one object beyond its
+// version and its lock-table entry. The zero value means "nothing":
+// not hot, no replica either way, no callback out, no forward list.
+type objState struct {
+	// At the object's home shard: shared grants counted over the current
+	// HeatWindow (heatN == 0: no window open), and whether a read replica
+	// is provisioned on another shard.
+	heatStart  time.Duration
+	heatN      int32
+	replicaOut bool
+	// At any other shard: the lifecycle of the replica served here, its
+	// grants over the current window (cold shedding), and the install
+	// count, which outlives a shed so that a heat-check timer armed by an
+	// earlier install finds itself stale.
+	replica replicaState
+	repHeat int32
+	repGen  int32
+	// recalls heads the chain of sites with a callback outstanding
+	// (Server.recallNodes), so that no holder is recalled twice for the
+	// same demand.
+	recalls int32
+	// sealed is the forward list awaiting dispatch, inflight the one
+	// travelling client to client.
+	sealed, inflight *forward.List
+}
+
+// recallNode is one outstanding callback of an object.
+type recallNode struct {
+	site netsim.SiteID
+	next int32
+}
+
+// recallLink returns the link of o's chain — the record's head or a
+// node's next — that holds site's node, or the chain's nil end when no
+// callback to site is outstanding. It is good until the next addRecall.
+func (s *Server) recallLink(o *objState, site netsim.SiteID) *int32 {
+	link := &o.recalls
+	for *link != 0 && s.recallNodes[*link].site != site {
+		link = &s.recallNodes[*link].next
+	}
+	return link
+}
+
+// addRecall records a callback to site as outstanding.
+func (s *Server) addRecall(o *objState, site netsim.SiteID) {
+	n := s.recallFree
+	if n != 0 {
+		s.recallFree = s.recallNodes[n].next
+	} else {
+		if len(s.recallNodes) == 0 {
+			s.recallNodes = append(s.recallNodes, recallNode{})
+		}
+		n = int32(len(s.recallNodes))
+		s.recallNodes = append(s.recallNodes, recallNode{})
+	}
+	s.recallNodes[n] = recallNode{site: site, next: o.recalls}
+	o.recalls = n
+}
+
+// dropRecall forgets the callback outstanding to site, if there is one.
+func (s *Server) dropRecall(o *objState, site netsim.SiteID) {
+	link := s.recallLink(o, site)
+	if n := *link; n != 0 {
+		*link = s.recallNodes[n].next
+		s.recallNodes[n].next, s.recallFree = s.recallFree, n
+	}
+}
+
+// objChunkLen is the number of records carved from one allocation.
+const objChunkLen = 64
+
+// at returns a copy of obj's record, all zero when nothing was ever
+// recorded. Reads go through at; a write through the copy is lost, so
+// every write goes through rec.
+func (s *Server) at(obj lockmgr.ObjectID) objState {
+	if o := s.objs[obj]; o != nil {
+		return *o
+	}
+	return objState{}
+}
+
+// rec returns obj's record for writing, carving it on first use.
+func (s *Server) rec(obj lockmgr.ObjectID) *objState {
+	if o := s.objs[obj]; o != nil {
+		return o
+	}
+	n := len(s.objChunks)
+	if n == 0 || len(s.objChunks[n-1]) == objChunkLen {
+		s.objChunks = append(s.objChunks, make([]objState, 0, objChunkLen))
+		n++
+	}
+	chunk := append(s.objChunks[n-1], objState{})
+	s.objChunks[n-1] = chunk
+	s.objs[obj] = &chunk[len(chunk)-1]
+	return s.objs[obj]
 }
 
 // New returns the single server of the paper's topology. Call Attach
@@ -197,12 +288,9 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		pool:     pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
 		versions: make([]int64, cfg.DBSize),
 		cpu:      sim.NewResource(env, 1),
-		conns:    make(map[netsim.SiteID]*conn),
-		loads:    make(map[netsim.SiteID]proto.LoadReport),
-		recalls:  make(map[lockmgr.ObjectID][]netsim.SiteID),
+		objs:     make([]*objState, cfg.DBSize),
+		sites:    make([]site, 0, cfg.NumClients+1),
 		epochs:   make(map[epochKey]int64),
-		sealed:   make(map[lockmgr.ObjectID]*forward.List),
-		inflight: make(map[lockmgr.ObjectID]*forward.List),
 	}
 	s.locks.Reserve(cfg.DBSize)
 	s.faulty = cfg.Faults.Enabled()
@@ -269,18 +357,26 @@ func (s *Server) Disk() *pagefile.Disk { return s.disk }
 // Version returns the server's current version of obj.
 func (s *Server) Version(obj lockmgr.ObjectID) int64 { return s.versions[obj] }
 
-// Loads returns the server's current load table (live map; callers must
-// not mutate).
-func (s *Server) Loads() map[netsim.SiteID]proto.LoadReport { return s.loads }
-
 // Migrating reports whether obj is currently checked out to a forward
 // list (its authoritative version is travelling client-to-client).
-func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.inflight[obj] != nil }
+func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.at(obj).inflight != nil }
 
 // Attach registers a client connection: inbox receives the client's
 // messages at the server; out is the client's own inbox.
 func (s *Server) Attach(id netsim.SiteID, inbox, out *sim.Mailbox[netsim.Message]) {
-	s.conns[id] = &conn{id: id, inbox: inbox, out: out}
+	for int(id) >= len(s.sites) {
+		s.sites = append(s.sites, site{})
+	}
+	s.sites[id] = site{inbox: inbox, out: out}
+}
+
+// client returns the record of attached client id, nil for any other
+// site: a shard (ids <= 0) or a client never attached.
+func (s *Server) client(id netsim.SiteID) *site {
+	if id <= 0 || int(id) >= len(s.sites) || s.sites[id].out == nil {
+		return nil
+	}
+	return &s.sites[id]
 }
 
 // SetPeerInbox installs this shard's inbox for shard-to-shard messages
@@ -296,19 +392,18 @@ func (s *Server) AttachPeer(k int, in *sim.Mailbox[netsim.Message]) {
 	s.peerOut[k] = in
 }
 
-// Start spawns one event-driven handler per attached connection, plus
-// one for the shard-to-shard inbox when peered.
+// Start spawns one event-driven handler per attached connection, in
+// ascending client id, plus one for the shard-to-shard inbox when
+// peered.
 func (s *Server) Start() {
-	for id := netsim.SiteID(1); int(id) <= len(s.conns); id++ {
-		c, ok := s.conns[id]
-		if !ok {
-			continue
+	for id := range s.sites {
+		if in := s.sites[id].inbox; in != nil {
+			m := &connMachine{s: s, inbox: in}
+			s.env.Spawn(&m.task, m)
 		}
-		m := &connMachine{s: s, c: c}
-		s.env.Spawn(&m.task, m)
 	}
 	if s.peerIn != nil {
-		m := &connMachine{s: s, c: &conn{id: s.site, inbox: s.peerIn}}
+		m := &connMachine{s: s, inbox: s.peerIn}
 		s.env.Spawn(&m.task, m)
 	}
 }
@@ -325,7 +420,7 @@ func (s *Server) Start() {
 type connMachine struct {
 	task    sim.Task
 	s       *Server
-	c       *conn
+	inbox   *sim.Mailbox[netsim.Message]
 	pc      uint8
 	shared  bool
 	payload any
@@ -344,7 +439,7 @@ func (m *connMachine) Resume() {
 	for {
 		switch m.pc {
 		case csRecv:
-			msg, ok := m.c.inbox.Recv(&m.task)
+			msg, ok := m.inbox.Recv(&m.task)
 			if !ok {
 				return
 			}
@@ -451,8 +546,8 @@ func (s *Server) freeReq(r *lockmgr.Request) {
 }
 
 func (s *Server) noteLoad(l proto.LoadReport) {
-	if l.Valid {
-		s.loads[l.Client] = l
+	if c := s.client(l.Client); c != nil && l.Valid {
+		c.load = l
 	}
 }
 
@@ -465,8 +560,8 @@ func (s *Server) send(to netsim.SiteID, kind netsim.Kind, size int, payload any)
 		}
 		dest = s.peerOut[k]
 	} else {
-		c, ok := s.conns[to]
-		if !ok {
+		c := s.client(to)
+		if c == nil {
 			panic(fmt.Sprintf("server: send to unattached site %d", to))
 		}
 		dest = c.out
@@ -685,7 +780,8 @@ func (s *Server) dupFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, 
 		s.recallForQueueHead(obj)
 		return true
 	}
-	for _, l := range s.lists(obj) {
+	ls, n := s.lists(obj)
+	for _, l := range ls[:n] {
 		if l.Contains(client, id) {
 			s.recallForMigration(obj)
 			s.tryDispatch(obj)
@@ -724,27 +820,15 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	if ret.RunComplete {
 		// A parallel read run finished delivering; the object is no
 		// longer in flight and waiting writers may now proceed.
-		delete(s.inflight, obj)
+		s.rec(obj).inflight = nil
 		s.tryDispatch(obj)
 		return
 	}
-	if set, ok := s.recalls[obj]; ok {
-		for i, h := range set {
-			if h == ret.Client {
-				set[i] = set[len(set)-1]
-				set = set[:len(set)-1]
-				break
-			}
-		}
-		if len(set) == 0 {
-			delete(s.recalls, obj)
-			s.recallSetFree = append(s.recallSetFree, set)
-		} else {
-			s.recalls[obj] = set
-		}
+	if o := s.objs[obj]; o != nil {
+		s.dropRecall(o, ret.Client)
 	}
 	if ret.Migration {
-		delete(s.inflight, obj)
+		s.rec(obj).inflight = nil
 		grants := s.locks.Release(obj, MigrationOwner)
 		// Register the shared copies retained along the chain so the
 		// lock table matches the client caches.
@@ -779,16 +863,14 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	if shardmap.IsShardSite(ret.Client) {
 		// A replica shard finished draining: the object may be
 		// re-provisioned when it runs hot again.
-		delete(s.replicaOut, obj)
+		s.rec(obj).replicaOut = false
 	}
 	s.shipGrants(grants)
 	// Still blocked? Chase the remaining holders.
 	s.recallForQueueHead(obj)
 	s.tryDispatch(obj)
-	if len(s.shedding) > 0 {
-		// A client release at a replica shard may complete a drain.
-		s.finishShedIfDrained(obj)
-	}
+	// A client release at a replica shard may complete a drain.
+	s.finishShedIfDrained(obj)
 }
 
 func (s *Server) handleLoadQuery(q proto.LoadQuery) {

@@ -319,7 +319,7 @@ func TestServerLoadQueryReportsHoldersAndLoads(t *testing.T) {
 		t.Fatalf("locations = %+v", lr.Locations)
 	}
 	// The query's piggybacked load must now be in the load table.
-	if got := r.srv.Loads()[2]; !got.Valid || got.QueueLen != 3 {
+	if got := r.srv.client(2).load; !got.Valid || got.QueueLen != 3 {
 		t.Fatalf("load table entry = %+v", got)
 	}
 }
