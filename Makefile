@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint study-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint study-lint state-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,18 @@ test:
 race:
 	$(GO) test -short -race ./...
 
-# loc prints the lines of non-test Go outside bench/: the figure a
-# simplicity PR records before and after (ROADMAP, CHANGES.md).
+# loc prints the lines of non-test Go outside bench/ — the figure a
+# simplicity PR records before and after (ROADMAP, CHANGES.md) — and
+# beside it how many of them are code: not blank, not comment only. A
+# fall in the first that is not in the second is deleted commentary.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | \
+		awk '{ total++; sub(/^[ \t]+/, "") } \
+			inblock { if (index($$0, "*/")) inblock = 0; next } \
+			/^$$/ || /^\/\// { next } \
+			/^\/\*/ { if (!index($$0, "*/")) inblock = 1; next } \
+			{ code++ } \
+			END { printf "%d lines, %d of them code\n", total, code }'
 
 # proc-lint keeps goroutine processes (sim.Proc, Env.Go) inside the
 # kernel package and the one benchmark driver that still measures them,
@@ -29,6 +37,17 @@ proc-lint:
 study-lint:
 	@if grep -nE '^func \([^)]*\) (Render|CSV)\(' internal/experiment/*.go | grep -v '^internal/experiment/engine\.go:'; then \
 		echo 'study-lint: declare a Study; engine.go is the only renderer' >&2; exit 1; fi
+
+# state-lint keeps per-key state in one record per key: the server
+# reaches everything it knows about an object through Server.objs (no
+# object-keyed map beside it), and the lock table everything it knows
+# about an owner through Table.owners (no second owner-keyed map).
+state-lint:
+	@if grep -nE '^\s+\w+\s+map\[lockmgr\.ObjectID\]' internal/server/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: per-object server state belongs in objState (Server.objs)' >&2; exit 1; fi
+	@if [ "$$(grep -hE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | wc -l)" -gt 1 ]; then \
+		grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go; \
+		echo 'state-lint: per-owner lock state belongs in ownerRec (Table.owners)' >&2; exit 1; fi
 
 # bench-check compiles and tests the benchmark module (its own go.mod,
 # so `go test ./...` at the root never sees it) and smoke-runs all four

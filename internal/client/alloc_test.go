@@ -12,16 +12,21 @@ import (
 )
 
 // TestPerSiteStructSizes pins what one parked client weighs in structs
-// of this package: at a million clients every word here is 8 MB. The
-// Client ceiling is what keeps a by-value config.Config (424 B) from
-// coming back; the dispatcher's is what keeps a held netsim.Message
-// out of a machine every client owns.
+// it owns: at a million clients every word here is 8 MB. The Client
+// ceiling is what keeps a by-value config.Config (424 B) from coming
+// back (it reads 512: the next word costs a size class); the
+// dispatcher's is what keeps a held netsim.Message out of a machine
+// every client owns; the lock table's (it reads 184, in the 192 B
+// class; 296 B with its four per-owner maps, three free lists and the
+// wrapper that woke its waiters) keeps a second container per owner out
+// of the table every client with two executors holds.
 func TestPerSiteStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, ceil uintptr
 	}{
 		{"Client", unsafe.Sizeof(Client{}), 512},
+		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 192},
 		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
 		{"genMachine", unsafe.Sizeof(genMachine{}), 176},
 	} {

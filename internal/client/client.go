@@ -16,6 +16,7 @@ import (
 
 	"siteselect/internal/cache"
 	"siteselect/internal/config"
+	"siteselect/internal/forward"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
@@ -42,10 +43,10 @@ type Client struct {
 	m        *metrics.Collector
 
 	// inbox receives server and peer messages; peers (installed by
-	// SetPeers) holds the other clients' inboxes for forward-list hops
-	// and transaction shipping.
+	// SetPeers) points at the cluster's table of client inboxes by site
+	// id, for forward-list hops and transaction shipping.
 	inbox *sim.Mailbox[netsim.Message]
-	peers map[netsim.SiteID]*sim.Mailbox[netsim.Message]
+	peers *[]*sim.Mailbox[netsim.Message]
 
 	// topo is the cluster-shared routing map and shardIns[k] this
 	// client's connection queue at shard k (shardIns[0] is the single
@@ -66,7 +67,6 @@ type Client struct {
 	gen txn.Source
 
 	loadShare bool
-
 	// faulty and rto configure the retry machinery: both are zero-valued
 	// in fault-free runs, where every retry path collapses to the
 	// original single-send behavior. rto is the base retransmission
@@ -96,7 +96,7 @@ type Client struct {
 	waiters []waiterEntry
 	// deferred holds recalls that arrived while the object was pinned,
 	// with the shard that issued each.
-	deferred []deferredEntry
+	deferred store[lockmgr.ObjectID, deferredRecall]
 	// epochs counts this client's releases per object and granting
 	// shard, sorted by (object, site). Every return carries the current
 	// epoch and every grant the shard sends echoes the epoch it last
@@ -107,9 +107,9 @@ type Client struct {
 	// migrations maps objects to their remaining forward lists; every
 	// migrating object is pinned until forwarded, and forwarded as soon
 	// as only the migration pin remains.
-	migrations []migrationEntry
+	migrations store[lockmgr.ObjectID, *forward.List]
 	// shipWaits collects results of shipped transactions and subtasks.
-	shipWaits []shipWaitEntry
+	shipWaits store[shipKey, *shipWait]
 	// txnFree recycles finished transaction machines so steady-state
 	// submission allocates nothing but the transaction itself.
 	txnFree []*txnMachine
@@ -238,7 +238,14 @@ func (c *Client) Cache() *cache.Cache { return c.objects }
 // HasDeferredRecall reports whether a recall for obj is waiting for a
 // local transaction to finish (a transitional state audits must allow).
 func (c *Client) HasDeferredRecall(obj lockmgr.ObjectID) bool {
-	return c.findDeferred(obj) >= 0
+	_, ok := c.deferred.find(obj)
+	return ok
+}
+
+// migrating reports whether obj is held here for a forward-list hop.
+func (c *Client) migrating(obj lockmgr.ObjectID) bool {
+	_, ok := c.migrations.find(obj)
+	return ok
 }
 
 // Log exposes the client's write-ahead log (nil unless UseLogging).
@@ -273,12 +280,20 @@ func (c *Client) AuditPending(grace time.Duration) error {
 // ATL exposes the observed average transaction length.
 func (c *Client) ATL() *sched.ATL { return &c.atl }
 
-// SetPeers installs the clients' inbox routing table. The map is shared
-// by reference across all clients (it may include this client's own
-// entry); sharing one table keeps per-client state O(1) at large
+// SetPeers installs the clients' inbox routing table, indexed by site
+// id. Every client points at the one table (it may include this
+// client's own entry), which keeps per-client state at a word at large
 // populations. Self-sends are rejected in toPeer.
-func (c *Client) SetPeers(peers map[netsim.SiteID]*sim.Mailbox[netsim.Message]) {
+func (c *Client) SetPeers(peers *[]*sim.Mailbox[netsim.Message]) {
 	c.peers = peers
+}
+
+// peer returns client id's inbox, nil when there is no route to it.
+func (c *Client) peer(id netsim.SiteID) *sim.Mailbox[netsim.Message] {
+	if c.peers == nil || id <= 0 || int(id) >= len(*c.peers) {
+		return nil
+	}
+	return (*c.peers)[id]
 }
 
 // Start spawns the client's generator and dispatcher machines, and
@@ -482,8 +497,8 @@ func (c *Client) sendHop(to netsim.SiteID, g proto.ObjGrant) {
 }
 
 func (c *Client) toPeer(to netsim.SiteID, kind netsim.Kind, size int, payload any) time.Duration {
-	mb, ok := c.peers[to]
-	if !ok || to == c.id {
+	mb := c.peer(to)
+	if mb == nil || to == c.id {
 		panic(fmt.Sprintf("client %d: no peer route to %d", c.id, to))
 	}
 	return c.net.Send(netsim.Message{

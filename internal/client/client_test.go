@@ -68,7 +68,7 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 
 	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, inbox,
 		shardmap.New(cfg.Sharding), shards, gen, true)
-	cl.SetPeers(map[netsim.SiteID]*sim.Mailbox[netsim.Message]{2: peer})
+	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
 	cl.startDispatcher()
 	return &rig{t: t, env: env, net: net, cl: cl, inbox: inbox, toSrv: shards[0], shards: shards, peer: peer}

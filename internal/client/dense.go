@@ -4,9 +4,9 @@ import (
 	"sort"
 	"time"
 
-	"siteselect/internal/forward"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
+	"siteselect/internal/trace"
 	"siteselect/internal/txn"
 )
 
@@ -96,6 +96,42 @@ func (c *Client) hasWaiter(obj lockmgr.ObjectID) bool {
 	return false
 }
 
+// wakeWaiters hands obj, now cached here in mode, to every waiting
+// transaction that mode satisfies, in registration order, and reports
+// how many there were; transit is the wire time of the message that
+// brought the object, added to each one's network attribution.
+// Broadcast only schedules the wakeups (sim.Signal defers them to the
+// event queue), so scanning the index in place with shift removal
+// visits exactly the registration order — no registration can appear or
+// vanish mid-scan.
+func (c *Client) wakeWaiters(obj lockmgr.ObjectID, mode lockmgr.Mode, transit time.Duration) int {
+	now := c.env.Now()
+	satisfied := 0
+	for i := 0; i < len(c.waiters); {
+		if c.waiters[i].obj != obj {
+			i++
+			continue
+		}
+		pt := c.waiters[i].pt
+		j := pt.findWait(obj)
+		if j < 0 || !modeSufficient(mode, pt.waits[j].mode) {
+			i++
+			continue
+		}
+		need, sent := pt.waits[j].mode, pt.waits[j].sent
+		pt.removeWait(j)
+		c.removeWaiterAt(i) // the next entry shifts into i
+		if c.measuring() {
+			c.m.RecordResponse(need, now-sent)
+		}
+		pt.netAccum += transit
+		c.tr.Point(pt.t.ID, c.id, trace.EvLockGranted, obj, 0, 0, now)
+		satisfied++
+		pt.sig.Broadcast()
+	}
+	return satisfied
+}
+
 // findPending returns the pending transaction with the given id, nil
 // if none.
 func (c *Client) findPending(id txn.ID) *pendingTxn {
@@ -131,117 +167,54 @@ func (c *Client) removePending(pt *pendingTxn) {
 	c.ptFree = append(c.ptFree, pt)
 }
 
-// deferredEntry is a parked recall, keyed by object.
-type deferredEntry struct {
-	obj lockmgr.ObjectID
-	d   deferredRecall
+// store is the scan-addressed key→value store behind the client's
+// keyed lookups that hold a handful of entries at most — recalls
+// deferred against pinned objects, forward lists of migrating objects,
+// waits for shipped work. They are only ever probed by key, so removal
+// swaps the last entry in: its order is unobservable.
+type store[K comparable, V any] []storeEntry[K, V]
+
+type storeEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// findDeferred returns the index of obj's deferred recall, or -1.
-func (c *Client) findDeferred(obj lockmgr.ObjectID) int {
-	for i := range c.deferred {
-		if c.deferred[i].obj == obj {
-			return i
+// find returns the value stored under key.
+func (s store[K, V]) find(key K) (V, bool) {
+	for i := range s {
+		if s[i].key == key {
+			return s[i].val, true
 		}
 	}
-	return -1
+	var zero V
+	return zero, false
 }
 
-// setDeferred parks (or replaces) the recall deferred against obj.
-func (c *Client) setDeferred(obj lockmgr.ObjectID, d deferredRecall) {
-	if i := c.findDeferred(obj); i >= 0 {
-		c.deferred[i].d = d
-		return
-	}
-	c.deferred = append(c.deferred, deferredEntry{obj: obj, d: d})
-}
-
-// takeDeferred removes and returns obj's deferred recall.
-func (c *Client) takeDeferred(obj lockmgr.ObjectID) (deferredRecall, bool) {
-	if i := c.findDeferred(obj); i >= 0 {
-		d := c.deferred[i].d
-		last := len(c.deferred) - 1
-		c.deferred[i] = c.deferred[last]
-		c.deferred[last] = deferredEntry{}
-		c.deferred = c.deferred[:last]
-		return d, true
-	}
-	return deferredRecall{}, false
-}
-
-// migrationEntry is one in-progress forward-list migration, keyed by
-// object.
-type migrationEntry struct {
-	obj lockmgr.ObjectID
-	l   *forward.List
-}
-
-// migrationOf returns obj's forward list, nil if none.
-func (c *Client) migrationOf(obj lockmgr.ObjectID) *forward.List {
-	for i := range c.migrations {
-		if c.migrations[i].obj == obj {
-			return c.migrations[i].l
-		}
-	}
-	return nil
-}
-
-// setMigration records (or replaces) obj's forward list.
-func (c *Client) setMigration(obj lockmgr.ObjectID, l *forward.List) {
-	for i := range c.migrations {
-		if c.migrations[i].obj == obj {
-			c.migrations[i].l = l
+// put stores val under key, replacing what was there.
+func (s *store[K, V]) put(key K, val V) {
+	for i := range *s {
+		if (*s)[i].key == key {
+			(*s)[i].val = val
 			return
 		}
 	}
-	c.migrations = append(c.migrations, migrationEntry{obj: obj, l: l})
+	*s = append(*s, storeEntry[K, V]{key, val})
 }
 
-// deleteMigration drops obj's forward list.
-func (c *Client) deleteMigration(obj lockmgr.ObjectID) {
-	for i := range c.migrations {
-		if c.migrations[i].obj == obj {
-			last := len(c.migrations) - 1
-			c.migrations[i] = c.migrations[last]
-			c.migrations[last] = migrationEntry{}
-			c.migrations = c.migrations[:last]
-			return
+// take removes and returns the value stored under key.
+func (s *store[K, V]) take(key K) (V, bool) {
+	old := *s
+	for i := range old {
+		if old[i].key == key {
+			val, last := old[i].val, len(old)-1
+			old[i] = old[last]
+			old[last] = storeEntry[K, V]{}
+			*s = old[:last]
+			return val, true
 		}
 	}
-}
-
-// shipWaitEntry is one outstanding shipped-work result wait.
-type shipWaitEntry struct {
-	key shipKey
-	w   *shipWait
-}
-
-// shipWaitFor returns the wait registered under key, nil if none.
-func (c *Client) shipWaitFor(key shipKey) *shipWait {
-	for i := range c.shipWaits {
-		if c.shipWaits[i].key == key {
-			return c.shipWaits[i].w
-		}
-	}
-	return nil
-}
-
-// addShipWait registers a result wait.
-func (c *Client) addShipWait(key shipKey, w *shipWait) {
-	c.shipWaits = append(c.shipWaits, shipWaitEntry{key: key, w: w})
-}
-
-// deleteShipWait unregisters a result wait.
-func (c *Client) deleteShipWait(key shipKey) {
-	for i := range c.shipWaits {
-		if c.shipWaits[i].key == key {
-			last := len(c.shipWaits) - 1
-			c.shipWaits[i] = c.shipWaits[last]
-			c.shipWaits[last] = shipWaitEntry{}
-			c.shipWaits = c.shipWaits[:last]
-			return
-		}
-	}
+	var zero V
+	return zero, false
 }
 
 // epochEntry is one release-epoch counter, sorted by (obj, site).

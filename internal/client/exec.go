@@ -416,12 +416,12 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 		w := &shipWait{sig: sim.NewSignal(c.env)}
 		m.results[i] = w
 		target := siteOf[sub.Key]
-		if target == c.id || c.peers[target] == nil {
+		if target == c.id || c.peer(target) == nil {
 			// Local subtask (materialization at the origin).
 			c.spawnTxn(t, sub, enLocalSub, w)
 			continue
 		}
-		c.addShipWait(shipKey{id: t.ID, sub: sub.Index}, w)
+		c.shipWaits.put(shipKey{id: t.ID, sub: sub.Index}, w)
 		c.sendTxnShip(target, proto.TxnShip{
 			T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport(),
 		})
@@ -451,7 +451,7 @@ func (m *txnMachine) stepFanout() bool {
 	now := m.task.Now()
 	c.tr.Mark(t.ID, c.id, trace.CompFanout, now)
 	for _, sub := range m.subs {
-		c.deleteShipWait(shipKey{id: t.ID, sub: sub.Index})
+		c.shipWaits.take(shipKey{id: t.ID, sub: sub.Index})
 	}
 	committed := now <= t.Deadline
 	for _, w := range m.results {
@@ -845,7 +845,7 @@ func (m *txnMachine) stepCommit() {
 			if c.log != nil {
 				m.lastLSN = c.log.Append(int64(t.ID), op.Obj, e.Version)
 			}
-			if c.cfg.WriteThrough && c.migrationOf(op.Obj) == nil {
+			if c.cfg.WriteThrough && !c.migrating(op.Obj) {
 				// Write-through ablation: push the update to the server
 				// now (keeping the exclusive lock) instead of holding a
 				// dirty copy until a callback.

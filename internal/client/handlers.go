@@ -55,39 +55,11 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 	if g.Fwd != nil && !g.Fwd.ReadRun {
 		// Migration hop: hold the object pinned until this site's turn
 		// is over, then pass it on.
-		c.setMigration(g.Obj, g.Fwd)
+		c.migrations.put(g.Obj, g.Fwd)
 		c.objects.Pin(c.objects.Peek(g.Obj))
 	}
 
-	// Wake every waiter the grant satisfies, in registration order.
-	// Broadcast only schedules the wakeups (sim.Signal defers them to
-	// the event queue), so scanning the index in place with shift
-	// removal visits exactly the sequence the old defensive copy did —
-	// no registration can appear or vanish mid-scan.
-	now := c.env.Now()
-	satisfied := 0
-	for i := 0; i < len(c.waiters); {
-		if c.waiters[i].obj != g.Obj {
-			i++
-			continue
-		}
-		pt := c.waiters[i].pt
-		j := pt.findWait(g.Obj)
-		if j < 0 || !modeSufficient(g.Mode, pt.waits[j].mode) {
-			i++
-			continue
-		}
-		need, sent := pt.waits[j].mode, pt.waits[j].sent
-		pt.removeWait(j)
-		c.removeWaiterAt(i) // the next entry shifts into i
-		if c.measuring() {
-			c.m.RecordResponse(need, now-sent)
-		}
-		pt.netAccum += c.curTransit
-		c.tr.Point(pt.t.ID, c.id, trace.EvLockGranted, g.Obj, 0, 0, now)
-		satisfied++
-		pt.sig.Broadcast()
-	}
+	satisfied := c.wakeWaiters(g.Obj, g.Mode, c.curTransit)
 	if g.Fwd == nil {
 		// A recall deferred against this in-flight grant can be
 		// answered as soon as no local transaction is using the copy:
@@ -120,10 +92,8 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 // takeDeferredIfUnpinned removes and returns obj's deferred recall only
 // when a cached, unpinned copy exists to answer it with.
 func (c *Client) takeDeferredIfUnpinned(obj lockmgr.ObjectID) (deferredRecall, bool) {
-	if i := c.findDeferred(obj); i >= 0 {
-		if e := c.objects.Peek(obj); e != nil && !e.Pinned() {
-			return c.takeDeferred(obj)
-		}
+	if e := c.objects.Peek(obj); e != nil && !e.Pinned() {
+		return c.deferred.take(obj)
 	}
 	return deferredRecall{}, false
 }
@@ -248,7 +218,7 @@ func (c *Client) onRecall(r proto.Recall) {
 			// its grant is in flight. Defer until our transaction is
 			// done with it.
 			c.m.RecallsDeferred++
-			c.setDeferred(r.Obj, deferredRecall{r: r, from: from})
+			c.deferred.put(r.Obj, deferredRecall{r: r, from: from})
 			return
 		}
 		// Silently evicted earlier: release the lock. Bumping the epoch
@@ -262,7 +232,7 @@ func (c *Client) onRecall(r proto.Recall) {
 	}
 	if e.Pinned() || (r.HolderMode != 0 && r.HolderMode != e.Mode) {
 		c.m.RecallsDeferred++
-		c.setDeferred(r.Obj, deferredRecall{r: r, from: from})
+		c.deferred.put(r.Obj, deferredRecall{r: r, from: from})
 		return
 	}
 	c.answerRecall(e, r, from)
@@ -314,8 +284,8 @@ func (c *Client) onTxnResult(r proto.TxnResult) {
 	if r.IsSub {
 		key.sub = r.SubIndex
 	}
-	w := c.shipWaitFor(key)
-	if w == nil {
+	w, ok := c.shipWaits.find(key)
+	if !ok {
 		return
 	}
 	w.done = true
@@ -329,10 +299,10 @@ func (c *Client) onTxnResult(r proto.TxnResult) {
 // answer).
 func (c *Client) returnEvicted(evicted []*cache.Entry) {
 	for _, e := range evicted {
-		if mig := c.migrationOf(e.Obj); mig != nil {
+		if c.migrating(e.Obj) {
 			panic(fmt.Sprintf("client %d: migrating object %d evicted", c.id, e.Obj))
 		}
-		d, hadRecall := c.takeDeferred(e.Obj)
+		d, hadRecall := c.deferred.take(e.Obj)
 		if !hadRecall && !e.Dirty && e.Mode == lockmgr.ModeShared {
 			c.objects.Recycle(e)
 			continue // lazy release: a later recall gets NotCached
@@ -362,7 +332,7 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 // while the objects were pinned.
 func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 	for _, op := range ops {
-		if c.migrationOf(op.Obj) != nil {
+		if c.migrating(op.Obj) {
 			e := c.objects.Peek(op.Obj)
 			if e != nil && e.Pins() == 1 {
 				// Only the migration pin remains: this site's turn is
@@ -371,21 +341,20 @@ func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 			}
 			continue
 		}
-		if i := c.findDeferred(op.Obj); i >= 0 {
-			d := c.deferred[i].d
+		if d, ok := c.deferred.find(op.Obj); ok {
 			e := c.objects.Peek(op.Obj)
 			switch {
 			case e == nil:
 				// The grant the recall referred to never materialized
 				// (or the copy is gone): release the lock outright.
-				c.takeDeferred(op.Obj)
+				c.deferred.take(op.Obj)
 				epoch := c.bumpEpoch(op.Obj, d.from)
 				c.sendReturn(d.from, netsim.ControlBytes, proto.ObjReturn{
 					Client: c.id, Obj: op.Obj, NotCached: true, Epoch: epoch,
 					Load: c.loadReport(),
 				})
 			case !e.Pinned():
-				c.takeDeferred(op.Obj)
+				c.deferred.take(op.Obj)
 				c.answerRecall(e, d.r, d.from)
 			}
 		}
@@ -397,8 +366,8 @@ func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 // served in place (the object never leaves); otherwise the object hops
 // to the next client, or returns to the server after the last entry.
 func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
-	l := c.migrationOf(obj)
-	if l == nil {
+	l, migrating := c.migrations.find(obj)
+	if !migrating {
 		return
 	}
 	e := c.objects.Peek(obj)
@@ -423,38 +392,14 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 			if next.Mode == lockmgr.ModeExclusive {
 				e.Mode = lockmgr.ModeExclusive
 			}
-			// Same deferred-wakeup argument as the onGrant scan: in-place
-			// shift removal visits the registration order unperturbed.
-			satisfied := false
-			for i := 0; i < len(c.waiters); {
-				if c.waiters[i].obj != obj {
-					i++
-					continue
-				}
-				pt := c.waiters[i].pt
-				j := pt.findWait(obj)
-				if j < 0 || !modeSufficient(e.Mode, pt.waits[j].mode) {
-					i++
-					continue
-				}
-				need, sent := pt.waits[j].mode, pt.waits[j].sent
-				pt.removeWait(j)
-				c.removeWaiterAt(i)
-				if c.measuring() {
-					c.m.RecordResponse(need, now-sent)
-				}
-				c.tr.Point(pt.t.ID, c.id, trace.EvLockGranted, obj, 0, 0, now)
-				satisfied = true
-				pt.sig.Broadcast()
-			}
-			if satisfied {
+			if c.wakeWaiters(obj, e.Mode, 0) > 0 { // no message brought it: no transit
 				return // that transaction's afterRelease resumes the hop
 			}
 			continue // entry's transaction is gone; try the next one
 		}
 
-		c.deleteMigration(obj)
-		d, hadRecall := c.takeDeferred(obj)
+		c.migrations.take(obj)
+		d, hadRecall := c.deferred.take(obj)
 		c.objects.Unpin(e)
 		version := e.Version
 

@@ -148,9 +148,9 @@ type ownerRec struct {
 	// held lists the objects the owner holds, so ReleaseAll is
 	// proportional to the owner's locks instead of the whole table.
 	held []ObjectID
-	// waiting lists the objects the owner has queued requests on (with
-	// counts), so rebuilding its wait-for edges visits only those entries.
-	waiting []objCount
+	// waiting lists the object of each request the owner has queued, so
+	// rebuilding its wait-for edges visits only those entries.
+	waiting []ObjectID
 	// edges is the set of owners this one waits for, in ascending order
 	// (the order a deadlock search visits them in). An edge can outlive
 	// its target's record: the set is rebuilt only when one of the
@@ -162,13 +162,6 @@ type ownerRec struct {
 	// holders start in the entry: a transaction's few locks cost one
 	// object, not a record and three regrowths of its list.
 	first [4]ObjectID
-}
-
-// objCount is one (object, queued-request count) pair of an owner's
-// waiting index.
-type objCount struct {
-	obj ObjectID
-	n   int
 }
 
 // owner returns owner's record, making (or recycling) one on first use.
@@ -285,13 +278,9 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	return e
 }
 
-// retire returns obj's spent entry to the free list.
+// retire returns obj's spent entry — no holder, no waiter — to the free
+// list.
 func (t *Table) retire(obj ObjectID, e *entry) {
-	e.holders = e.holders[:0]
-	for i := range e.queue {
-		e.queue[i] = nil
-	}
-	e.queue = e.queue[:0]
 	if t.dense {
 		t.entries[obj] = nil
 	} else {
@@ -456,13 +445,7 @@ func (t *Table) enqueue(e *entry, req *Request) {
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = req
 	r := t.owner(req.Owner)
-	for j := range r.waiting {
-		if r.waiting[j].obj == req.Obj {
-			r.waiting[j].n++
-			return
-		}
-	}
-	r.waiting = append(r.waiting, objCount{obj: req.Obj, n: 1})
+	r.waiting = append(r.waiting, req.Obj)
 }
 
 // dequeued maintains owner's record when its queued request on obj
@@ -473,18 +456,11 @@ func (t *Table) enqueue(e *entry, req *Request) {
 // of the entries the waiting index names.
 func (t *Table) dequeued(owner OwnerID, obj ObjectID) {
 	r := t.owners[owner]
-	for j := range r.waiting {
-		if r.waiting[j].obj != obj {
-			continue
-		}
-		if r.waiting[j].n--; r.waiting[j].n <= 0 {
-			r.waiting = slices.Delete(r.waiting, j, j+1)
-		}
-		break
-	}
+	j := slices.Index(r.waiting, obj)
+	r.waiting = slices.Delete(r.waiting, j, j+1)
 	r.edges = r.edges[:0]
-	for _, c := range r.waiting {
-		e := t.lookup(c.obj)
+	for _, o := range r.waiting {
+		e := t.lookup(o)
 		for _, q := range e.queue {
 			if q.Owner != owner {
 				continue
@@ -624,30 +600,6 @@ func (t *Table) HolderMode(obj ObjectID, owner OwnerID) Mode {
 	return 0
 }
 
-// Holders returns obj's holders and modes (copy).
-func (t *Table) Holders(obj ObjectID) map[OwnerID]Mode {
-	out := make(map[OwnerID]Mode)
-	if e := t.lookup(obj); e != nil {
-		for _, h := range e.holders {
-			out[h.owner] = h.mode
-		}
-	}
-	return out
-}
-
-// SortedHolders returns obj's holders sorted by owner id.
-func (t *Table) SortedHolders(obj ObjectID) []OwnerID {
-	e := t.lookup(obj)
-	if e == nil {
-		return nil
-	}
-	out := make([]OwnerID, 0, len(e.holders))
-	for _, h := range e.holders {
-		out = append(out, h.owner)
-	}
-	return out
-}
-
 // NextWaiter returns the head of obj's wait queue (the earliest-deadline
 // pending request), or nil when nothing waits.
 func (t *Table) NextWaiter(obj ObjectID) *Request {
@@ -673,14 +625,8 @@ func (t *Table) FirstForeignWaiter(obj ObjectID, owner OwnerID) *Request {
 // HasWaiter reports whether owner has a request queued on obj — the
 // server's duplicate-request guard under fault injection.
 func (t *Table) HasWaiter(obj ObjectID, owner OwnerID) bool {
-	if r := t.owners[owner]; r != nil {
-		for _, c := range r.waiting {
-			if c.obj == obj {
-				return c.n > 0
-			}
-		}
-	}
-	return false
+	r := t.owners[owner]
+	return r != nil && slices.Contains(r.waiting, obj)
 }
 
 // QueueLen returns the number of requests waiting on obj.
@@ -704,7 +650,7 @@ func (t *Table) ConflictingHolders(obj ObjectID, owner OwnerID, mode Mode) []Own
 
 // HolderCount returns the number of holders of obj; HolderAt returns
 // the i'th holder in ascending owner order. Together they expose the
-// holder set without allocating (SortedHolders copies).
+// holder set without allocating.
 func (t *Table) HolderCount(obj ObjectID) int {
 	if e := t.lookup(obj); e != nil {
 		return len(e.holders)

@@ -105,7 +105,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	var nextID txn.ID
 	newID := func() txn.ID { nextID++; return nextID }
 
-	inboxes := make(map[netsim.SiteID]*sim.Mailbox[netsim.Message], cfg.NumClients)
+	inboxes := make([]*sim.Mailbox[netsim.Message], cfg.NumClients+1) // by site id
 	c.clients = make([]*client.Client, 0, cfg.NumClients)
 	// Every client's connection-queue table is a window of one array.
 	allShardIns := make([]*sim.Mailbox[netsim.Message], cfg.NumClients*nShards)
@@ -124,7 +124,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 			client.New(env, &c.cfg, id, net, &c.payloads, c.m, inbox, topo, shardIns, gen, loadShare))
 	}
 	for _, cl := range c.clients {
-		cl.SetPeers(inboxes)
+		cl.SetPeers(&inboxes)
 	}
 	c.seedReplicas()
 	if cfg.Trace {

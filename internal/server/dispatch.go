@@ -77,10 +77,7 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 // object's forward list rather than the plain lock queue: the object is
 // conflicted now, mid-migration, or already has a list forming.
 func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) bool {
-	if o := s.at(obj); o.inflight != nil || o.sealed != nil {
-		return true
-	}
-	if s.collector != nil && s.collector.Pending(obj) != nil {
+	if o := s.at(obj); o.inflight != nil || o.sealed != nil || s.open(obj) != nil {
 		return true
 	}
 	if len(s.locks.ConflictingHolders(obj, lockmgr.OwnerID(client), mode)) > 0 {
@@ -140,17 +137,22 @@ func (s *Server) conflictHolders(obj lockmgr.ObjectID, client netsim.SiteID, mod
 // in-flight list.
 func (s *Server) lists(obj lockmgr.ObjectID) (ls [3]*forward.List, n int) {
 	o := s.at(obj)
-	var open *forward.List
-	if s.collector != nil {
-		open = s.collector.Pending(obj)
-	}
-	for _, l := range [3]*forward.List{open, o.sealed, o.inflight} {
+	for _, l := range [3]*forward.List{s.open(obj), o.sealed, o.inflight} {
 		if l != nil {
 			ls[n] = l
 			n++
 		}
 	}
 	return ls, n
+}
+
+// open returns obj's forward list still collecting, nil when there is
+// none (always, without load sharing's collector).
+func (s *Server) open(obj lockmgr.ObjectID) *forward.List {
+	if s.collector == nil {
+		return nil
+	}
+	return s.collector.Pending(obj)
 }
 
 // holdersFor answers location queries: every site currently holding obj
@@ -224,19 +226,13 @@ func (s *Server) recallForQueueHead(obj lockmgr.ObjectID) {
 // list dispatches before the still-collecting one.
 func (s *Server) headEntry(obj lockmgr.ObjectID) (forward.Entry, bool) {
 	now := s.env.Now()
-	if l := s.at(obj).sealed; l != nil {
+	for _, l := range [2]*forward.List{s.at(obj).sealed, s.open(obj)} {
+		if l == nil {
+			continue
+		}
 		for _, e := range l.Entries {
 			if e.Deadline >= now {
 				return e, true
-			}
-		}
-	}
-	if s.collector != nil {
-		if l := s.collector.Pending(obj); l != nil {
-			for _, e := range l.Entries {
-				if e.Deadline >= now {
-					return e, true
-				}
 			}
 		}
 	}
@@ -454,7 +450,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		return
 	}
 	if s.at(obj).sealed == nil {
-		if ok && s.collector != nil && s.collector.Pending(obj) != nil {
+		if ok && s.open(obj) != nil {
 			// The head entry can go: seal the window early (re-enters
 			// tryDispatch through onSeal with a sealed list).
 			s.collector.SealNow(obj)

@@ -36,29 +36,22 @@ import (
 // heartbeat — only a writer removes them.
 
 // replicaState is the lifecycle of the replica a shard serves for an
-// object homed elsewhere, kept in the object's record:
-//
-//	none ──install──▶ serving ──cold window──▶ draining
-//	  ▲                  │                        │
-//	  │            writer's recall          writer's recall
-//	  │                  ▼                        │
-//	  └──last holder── forced ◀───────────────────┘
-//	     released
-//	     (from draining too)
-//
-// The shard serves shared requests in every state but none; only a
-// serving replica is registered in the topology.
+// object homed elsewhere, kept in the object's record (the diagram is
+// in DESIGN.md, "Sharded topology"). Shared requests are served in
+// every state but repNone.
 type replicaState uint8
 
 const (
 	repNone replicaState = iota
-	// repServing: registered in the topology, reads route here.
+	// repServing: installed and registered in the topology, so reads
+	// route here.
 	repServing
-	// repDraining: a lame duck — registration withdrawn, the client
-	// holders are left to release in their own time.
+	// repDraining: a lame duck after a cold window — registration
+	// withdrawn, the client holders left to release in their own time.
 	repDraining
 	// repForced: a writer waits at the home shard — every client holder
-	// has been recalled, and a grant that races the drain is too.
+	// has been recalled, and a grant that races the drain is too. Either
+	// drain ends in repNone when the last holder has released.
 	repForced
 )
 
@@ -159,10 +152,7 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	if _, ok := s.topo.Replica(obj); ok {
 		return
 	}
-	if o.inflight != nil || o.sealed != nil {
-		return
-	}
-	if s.collector != nil && s.collector.Pending(obj) != nil {
+	if o.inflight != nil || o.sealed != nil || s.open(obj) != nil {
 		return
 	}
 	if s.locks.QueueLen(obj) > 0 {

@@ -75,7 +75,7 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 	}
 	expect := func(at int, kind netsim.Kind) {
 		r.env.Run(r.env.Now() + time.Second)
-		msg, ok := r.inbox[at-1].TryGet()
+		msg, ok := r.inbox[at].TryGet()
 		if !ok || msg.Kind != kind {
 			panic("scripted client did not receive its " + kind.String())
 		}

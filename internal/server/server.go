@@ -66,18 +66,16 @@ type Server struct {
 	cpu      *sim.Resource
 
 	// objs indexes, by object id like versions and the lock table, the
-	// one record holding everything else the shard keeps about an object
-	// (objState); nil until something is recorded about the object. Most
-	// objects never conflict, run hot or replicate, so records are carved
-	// on first write (rec) from objChunks rather than laid out for the
-	// whole database, and stay for the run.
+	// one record of everything else the shard keeps about an object
+	// (objState); nil until something is recorded about it. Most objects
+	// never conflict, run hot or replicate, so records are carved on
+	// first write (rec) from objChunks, and stay for the run.
 	objs      []*objState
 	objChunks [][]objState
 	// recallNodes holds every object's outstanding callbacks, chained
-	// from its record; recallFree heads the chain of spare nodes. Holder
-	// sets are tiny and short-lived but recalled objects number in the
-	// thousands, so the sets share one slab rather than own an array
-	// each. Node 0 is the chains' nil.
+	// from its record, and the spare nodes, chained from recallFree: the
+	// sets are tiny and short-lived, the recalled objects thousands, so
+	// they share one slab. Node 0 is the chains' nil.
 	recallNodes []recallNode
 	recallFree  int32
 
@@ -211,9 +209,6 @@ func (s *Server) addRecall(o *objState, site netsim.SiteID) {
 	if n != 0 {
 		s.recallFree = s.recallNodes[n].next
 	} else {
-		if len(s.recallNodes) == 0 {
-			s.recallNodes = append(s.recallNodes, recallNode{})
-		}
 		n = int32(len(s.recallNodes))
 		s.recallNodes = append(s.recallNodes, recallNode{})
 	}
@@ -275,22 +270,23 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		WriteTime: cfg.DiskWrite,
 	})
 	s := &Server{
-		env:      env,
-		cfg:      cfg,
-		net:      net,
-		payloads: payloads,
-		shard:    shard,
-		site:     shardmap.ShardSite(shard),
-		topo:     topo,
-		adaptive: cfg.Sharding.Adaptive(),
-		locks:    lockmgr.NewTable(),
-		disk:     disk,
-		pool:     pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
-		versions: make([]int64, cfg.DBSize),
-		cpu:      sim.NewResource(env, 1),
-		objs:     make([]*objState, cfg.DBSize),
-		sites:    make([]site, 0, cfg.NumClients+1),
-		epochs:   make(map[epochKey]int64),
+		env:         env,
+		cfg:         cfg,
+		net:         net,
+		payloads:    payloads,
+		shard:       shard,
+		site:        shardmap.ShardSite(shard),
+		topo:        topo,
+		adaptive:    cfg.Sharding.Adaptive(),
+		locks:       lockmgr.NewTable(),
+		disk:        disk,
+		pool:        pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
+		versions:    make([]int64, cfg.DBSize),
+		cpu:         sim.NewResource(env, 1),
+		objs:        make([]*objState, cfg.DBSize),
+		recallNodes: make([]recallNode, 1),
+		sites:       make([]site, 0, cfg.NumClients+1),
+		epochs:      make(map[epochKey]int64),
 	}
 	s.locks.Reserve(cfg.DBSize)
 	s.faulty = cfg.Faults.Enabled()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,20 +13,32 @@ import (
 	"siteselect/internal/txn"
 )
 
-// rig wires a server with n scripted clients whose inboxes the test
+// rig wires a server with scripted clients whose inboxes the test
 // reads directly.
 type rig struct {
 	env    *sim.Env
 	net    *netsim.Network
 	srv    *Server
-	to     []*sim.Mailbox[netsim.Message] // per-client connection queue at the server
-	inbox  []*sim.Mailbox[netsim.Message] // per-client message queue
+	to     []*sim.Mailbox[netsim.Message] // by client id: its connection queue at the server
+	inbox  []*sim.Mailbox[netsim.Message] // by client id: its message queue
 	t      *testing.T
 	nextTx int64
 }
 
+// newRig attaches clients 1..n.
 func newRig(t *testing.T, n int, mod func(*config.Config)) *rig {
 	t.Helper()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	return newRigSites(t, ids, mod)
+}
+
+// newRigSites attaches exactly the clients named, in the order given.
+func newRigSites(t *testing.T, ids []int, mod func(*config.Config)) *rig {
+	t.Helper()
+	n := slices.Max(ids)
 	env := sim.NewEnv()
 	cfg := config.Default(n, 0.05)
 	cfg.ServerOpCPU = time.Millisecond
@@ -37,12 +50,12 @@ func newRig(t *testing.T, n int, mod func(*config.Config)) *rig {
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
 	srv := New(env, &cfg, net, &proto.Pool{})
 	r := &rig{env: env, net: net, srv: srv, t: t}
-	for i := 1; i <= n; i++ {
-		to := sim.NewMailbox[netsim.Message](env)
-		inbox := sim.NewMailbox[netsim.Message](env)
-		srv.Attach(netsim.SiteID(i), to, inbox)
-		r.to = append(r.to, to)
-		r.inbox = append(r.inbox, inbox)
+	r.to = make([]*sim.Mailbox[netsim.Message], n+1)
+	r.inbox = make([]*sim.Mailbox[netsim.Message], n+1)
+	for _, id := range ids {
+		r.to[id] = sim.NewMailbox[netsim.Message](env)
+		r.inbox[id] = sim.NewMailbox[netsim.Message](env)
+		srv.Attach(netsim.SiteID(id), r.to[id], r.inbox[id])
 	}
 	srv.Start()
 	return r
@@ -52,7 +65,7 @@ func (r *rig) send(from int, kind netsim.Kind, payload any) {
 	r.net.Send(netsim.Message{
 		Kind: kind, From: netsim.SiteID(from), To: netsim.ServerSite,
 		Size: netsim.ControlBytes, Payload: payload,
-	}, r.to[from-1])
+	}, r.to[from])
 }
 
 func (r *rig) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
@@ -69,7 +82,7 @@ func (r *rig) drain(id int, until time.Duration) []netsim.Message {
 	r.env.Run(until)
 	var out []netsim.Message
 	for {
-		m, ok := r.inbox[id-1].TryGet()
+		m, ok := r.inbox[id].TryGet()
 		if !ok {
 			return out
 		}
@@ -91,6 +104,23 @@ func TestServerGrantsFreeObject(t *testing.T) {
 	}
 	if r.srv.Locks().HolderMode(42, 1) != lockmgr.ModeExclusive {
 		t.Fatal("lock not registered")
+	}
+}
+
+// TestStartServesEveryAttachedSite: a handler runs for every attached
+// connection, whatever the ids — sites 2 and 7 alone are both answered
+// (counting the connections and walking ids 1..count gave site 7 none).
+func TestStartServesEveryAttachedSite(t *testing.T) {
+	r := newRigSites(t, []int{7, 2}, nil)
+	defer r.env.Close()
+	for _, id := range []int{2, 7} {
+		r.request(id, lockmgr.ObjectID(40+id), lockmgr.ModeExclusive, time.Minute)
+	}
+	for _, id := range []int{2, 7} {
+		msgs := r.drain(id, time.Second)
+		if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
+			t.Errorf("site %d received %+v, want its object shipped", id, msgs)
+		}
 	}
 }
 
