@@ -67,6 +67,7 @@ type Client struct {
 	gen txn.Source
 
 	loadShare bool
+
 	// faulty and rto configure the retry machinery: both are zero-valued
 	// in fault-free runs, where every retry path collapses to the
 	// original single-send behavior. rto is the base retransmission

@@ -183,14 +183,14 @@ func (t *Table) owner(owner OwnerID) *ownerRec {
 	return r
 }
 
-// settle retires owner's record once it neither holds nor waits.
+// settle retires owner's record once it neither holds nor waits. Its
+// lists are empty then — the edges were rebuilt from no queued request —
+// and a stale ddGen is below every search still to come.
 func (t *Table) settle(owner OwnerID, r *ownerRec) {
-	if len(r.held) > 0 || len(r.waiting) > 0 {
-		return
+	if len(r.held) == 0 && len(r.waiting) == 0 {
+		delete(t.owners, owner)
+		t.ownersFree = append(t.ownersFree, r)
 	}
-	delete(t.owners, owner)
-	*r = ownerRec{held: r.held, waiting: r.waiting, edges: r.edges[:0]}
-	t.ownersFree = append(t.ownersFree, r)
 }
 
 // Hook observes lock-table transitions. Both fields are optional; a

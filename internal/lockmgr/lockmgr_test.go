@@ -22,9 +22,15 @@ func holders(t *Table, obj ObjectID) []OwnerID {
 	return out
 }
 
-// checkEmpty fails unless tb holds no entry and no owner record.
+// checkEmpty fails unless tb holds no entry and no owner record, and
+// every retired record went to the free list with nothing in it.
 func checkEmpty(t *testing.T, tb *Table) {
 	t.Helper()
+	for _, r := range tb.ownersFree {
+		if len(r.held) != 0 || len(r.waiting) != 0 || len(r.edges) != 0 {
+			t.Fatalf("retired owner record still lists %v held, %v waiting, %v edges", r.held, r.waiting, r.edges)
+		}
+	}
 	live := len(tb.sparse)
 	for _, e := range tb.entries {
 		if e != nil {

@@ -16,7 +16,6 @@ import (
 // shardRig wires two peered shards with three scripted clients attached
 // to both; the test plays the clients and reads their inboxes.
 type shardRig struct {
-	t      *testing.T
 	env    *sim.Env
 	net    *netsim.Network
 	topo   *shardmap.Map
@@ -34,7 +33,7 @@ func newShardRig(t *testing.T) *shardRig {
 	cfg.Sharding = config.Topology{Servers: 2, ReplicateHot: 2, HeatWindow: 10 * time.Second}
 	env := sim.NewEnv()
 	r := &shardRig{
-		t: t, env: env, topo: shardmap.New(cfg.Sharding),
+		env: env, topo: shardmap.New(cfg.Sharding),
 		net: netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6}),
 	}
 	pool := &proto.Pool{}
