@@ -550,7 +550,9 @@ func (s *Server) Batcher() *batch.Scheduler { return s.batcher }
 
 // AuditForward verifies the structural invariants of every forward list
 // the server tracks — still collecting, sealed, and in flight. The
-// records are walked in the order they were carved, which a run repeats.
+// records are walked in the order they were carved, which a run repeats;
+// the monitor does so after every event, so a record without a list —
+// nearly all of them — costs two loads.
 func (s *Server) AuditForward() error {
 	if s.collector != nil {
 		for _, l := range s.collector.OpenLists() {
@@ -561,7 +563,11 @@ func (s *Server) AuditForward() error {
 	}
 	for _, chunk := range s.objChunks {
 		for i := range chunk {
-			for _, l := range [2]*forward.List{chunk[i].sealed, chunk[i].inflight} {
+			o := &chunk[i]
+			if o.sealed == nil && o.inflight == nil {
+				continue
+			}
+			for _, l := range [2]*forward.List{o.sealed, o.inflight} {
 				if l == nil {
 					continue
 				}
