@@ -116,17 +116,23 @@ type Cache struct {
 
 // New returns a cache with the given per-tier capacities (in objects).
 func New(memCap, diskCap int) *Cache {
+	c := new(Cache)
+	c.Init(memCap, diskCap)
+	return c
+}
+
+// Init makes c an empty cache with the given per-tier capacities, in
+// place (a field of its owner). The entry map is made by the first
+// Insert: at population scale many sites never cache anything, and
+// reads of a nil map are reads of an empty one.
+func (c *Cache) Init(memCap, diskCap int) {
 	if memCap <= 0 {
 		panic("cache: memory capacity must be positive")
 	}
 	if diskCap < 0 {
 		diskCap = 0
 	}
-	return &Cache{
-		memCap:  memCap,
-		diskCap: diskCap,
-		entries: make(map[lockmgr.ObjectID]*Entry),
-	}
+	*c = Cache{memCap: memCap, diskCap: diskCap}
 }
 
 // Len returns the number of cached objects across tiers.
@@ -187,6 +193,9 @@ func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, vers
 		*e = Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
 	} else {
 		e = &Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
+	}
+	if c.entries == nil {
+		c.entries = make(map[lockmgr.ObjectID]*Entry)
 	}
 	c.entries[obj] = e
 	c.memCount++

@@ -5,27 +5,36 @@ import (
 	"time"
 	"unsafe"
 
+	"siteselect/internal/cache"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
+	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 )
 
 // TestPerSiteStructSizes pins what one parked client weighs in structs
-// it owns: at a million clients every word here is 8 MB. The Client
-// ceiling is what keeps a by-value config.Config (424 B) from coming
-// back (it reads 512: the next word costs a size class); the
-// dispatcher's is what keeps a held netsim.Message out of a machine
-// every client owns; the lock table's (it reads 184, in the 192 B
-// class; 296 B with its four per-owner maps, three free lists and the
-// wrapper that woke its waiters) keeps a second container per owner out
-// of the table every client with two executors holds.
+// it owns: at a million clients every word here is 8 MB. A Client is the
+// whole parked site — its cache, executor slots, local lock table and
+// dispatcher are fields, not objects it points at — so its ceiling is the
+// sum of what those parts were pinned at or read when each was an object
+// of its own: 512 for the rest of the Client (what keeps a by-value
+// config.Config, 424 B, from coming back), 120 the cache, 80 the
+// resource, 192 the lock table, 176 the dispatcher. It reads 1 032. The
+// dispatcher's ceiling is what keeps a held netsim.Message out of a
+// machine every client owns; the lock table's (it reads 184; 296 B with
+// its four per-owner maps, three free lists and the wrapper that woke its
+// waiters) keeps a second container per owner out of the table every
+// client holds; the generator machine is the one part still allocated
+// per site (Client.Start says why).
 func TestPerSiteStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 512},
+		{"Client", unsafe.Sizeof(Client{}), 512 + 120 + 80 + 192 + 176},
+		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 120},
+		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 80},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 192},
 		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
 		{"genMachine", unsafe.Sizeof(genMachine{}), 176},

@@ -42,25 +42,33 @@ type Client struct {
 	payloads *proto.Pool
 	m        *metrics.Collector
 
-	// inbox receives server and peer messages; peers (installed by
-	// SetPeers) points at the cluster's table of client inboxes by site
-	// id, for forward-list hops and transaction shipping.
-	inbox *sim.Mailbox[netsim.Message]
+	// boxes is this client's window of the cluster's mailbox array:
+	// boxes[0] receives server and peer messages, boxes[1+k] is the
+	// client's connection queue at shard k. peers (installed by SetPeers)
+	// points at the cluster's table of client inboxes by site id, for
+	// forward-list hops and transaction shipping.
+	boxes []sim.Mailbox[netsim.Message]
 	peers *[]*sim.Mailbox[netsim.Message]
 
-	// topo is the cluster-shared routing map and shardIns[k] this
-	// client's connection queue at shard k (shardIns[0] is the single
-	// server's). curFrom is the sender of the message the dispatcher is
-	// currently handling — the shard a grant's epoch belongs to and a
-	// recall is answered at.
-	topo     *shardmap.Map
-	shardIns []*sim.Mailbox[netsim.Message]
-	curFrom  netsim.SiteID
+	// topo is the cluster-shared routing map. curFrom is the sender of
+	// the message the dispatcher is currently handling — the shard a
+	// grant's epoch belongs to and a recall is answered at.
+	topo    *shardmap.Map
+	curFrom netsim.SiteID
 
-	objects    *cache.Cache
-	localDisk  *sim.Resource
-	slots      *sim.Resource
+	// What every site has lives in the Client by value — the cache, the
+	// executor slots, the dispatcher — so a built, armed and parked site
+	// is one element of the cluster's client array, not six objects.
+	// What only some configurations have stays a pointer that is nil
+	// without it: localLocks (more than one executor) points at
+	// lockTable, localDisk and log (a client disk, logging) at objects of
+	// their own.
+	objects    cache.Cache
+	slots      sim.Resource
+	disp       dispMachine
+	lockTable  lockmgr.Table
 	localLocks *lockmgr.Table
+	localDisk  *sim.Resource
 	log        *wal.Log
 
 	atl sched.ATL
@@ -181,39 +189,51 @@ type pendingTxn struct {
 	netAccum time.Duration
 }
 
-// New returns a client site. cfg, pool and topo are the cluster's,
-// shared by every site; inbox is this client's message queue and
-// shardIns[k] its connection queue at server shard k (one entry at a
-// single server).
+// New returns a client site; see Init.
+func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
+	pool *proto.Pool, m *metrics.Collector, boxes []sim.Mailbox[netsim.Message],
+	topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
+	c := new(Client)
+	c.Init(env, cfg, id, net, pool, m, boxes, topo, gen, loadShare)
+	return c
+}
+
+// Init makes c a client site, in place: a cluster's clients are the
+// elements of one array, and a Client holds a machine, a resource and
+// (once started) wait-queue links, so it is initialised where it lives
+// and not copied afterwards. cfg, pool and topo are the cluster's,
+// shared by every site; boxes are this client's initialised mailboxes —
+// boxes[0] its message queue, boxes[1+k] its connection queue at server
+// shard k (two boxes at a single server).
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
-func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	pool *proto.Pool, m *metrics.Collector, inbox *sim.Mailbox[netsim.Message],
-	topo *shardmap.Map, shardIns []*sim.Mailbox[netsim.Message],
-	gen txn.Source, loadShare bool) *Client {
-	c := &Client{
+func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
+	pool *proto.Pool, m *metrics.Collector, boxes []sim.Mailbox[netsim.Message],
+	topo *shardmap.Map, gen txn.Source, loadShare bool) {
+	*c = Client{
 		env:       env,
 		cfg:       cfg,
 		id:        id,
 		net:       net,
 		payloads:  pool,
 		m:         m,
-		inbox:     inbox,
+		boxes:     boxes,
 		topo:      topo,
-		shardIns:  shardIns,
-		objects:   cache.New(cfg.ClientMemory, cfg.ClientDisk),
-		slots:     sim.NewResource(env, cfg.ClientExecutors),
 		atl:       sched.ATL{Default: cfg.MeanLength},
 		gen:       gen,
 		loadShare: loadShare,
 	}
+	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk)
+	c.slots.Init(env, cfg.ClientExecutors)
+	c.disp.c = c
 	c.faulty = cfg.Faults.Enabled()
 	c.rto = cfg.EffectiveRetryTimeout()
 	if cfg.ClientExecutors > 1 {
 		// Deliberately not Reserved: a client only ever locks the few
 		// objects it caches, and a dense database-wide index per client
-		// would dominate memory at large populations.
-		c.localLocks = lockmgr.NewTable()
+		// would dominate memory at large populations. The zero Table is
+		// an empty one.
+		c.localLocks = &c.lockTable
 	}
 	if cfg.ClientDisk > 0 || cfg.UseLogging {
 		// The local disk arm serves disk-tier cache reads and the log;
@@ -227,14 +247,13 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 		// disk write (inert at the default window of zero).
 		c.log.SetGroupWindow(cfg.BatchWindow)
 	}
-	return c
 }
 
 // ID returns the client's site id.
 func (c *Client) ID() netsim.SiteID { return c.id }
 
 // Cache exposes the object cache for metrics and audits.
-func (c *Client) Cache() *cache.Cache { return c.objects }
+func (c *Client) Cache() *cache.Cache { return &c.objects }
 
 // HasDeferredRecall reports whether a recall for obj is waiting for a
 // local transaction to finish (a transitional state audits must allow).
@@ -300,6 +319,9 @@ func (c *Client) peer(id netsim.SiteID) *sim.Mailbox[netsim.Message] {
 // Start spawns the client's generator and dispatcher machines, and
 // schedules the configured outage, if this client is its target.
 func (c *Client) Start() {
+	// The generator is the one per-site machine with an object of its
+	// own: it detaches at the horizon, long before its site is done, and
+	// as a field of the Client its bytes would stay for the run.
 	g := &genMachine{c: c}
 	c.env.Spawn(&g.task, g)
 	c.startDispatcher()
@@ -311,8 +333,7 @@ func (c *Client) Start() {
 // startDispatcher runs only the message dispatcher (tests submit
 // transactions explicitly).
 func (c *Client) startDispatcher() {
-	d := &dispMachine{c: c}
-	c.env.Spawn(&d.task, d)
+	c.env.Spawn(&c.disp.task, &c.disp)
 }
 
 // submitAsync runs the full submit path for t, starting at the current
@@ -406,7 +427,7 @@ func (d *dispMachine) Resume() {
 		c.dispatchMsg(msg)
 	}
 	for {
-		msg, ok := c.inbox.Recv(&d.task)
+		msg, ok := c.boxes[0].Recv(&d.task)
 		if !ok {
 			return
 		}
@@ -476,7 +497,7 @@ func (c *Client) measuring() bool { return c.env.Now() >= c.cfg.Warmup }
 func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload any) time.Duration {
 	return c.net.Send(netsim.Message{
 		Kind: kind, From: c.id, To: site, Size: size, Payload: payload,
-	}, c.shardIns[shardmap.ShardIndex(site)])
+	}, &c.boxes[1+shardmap.ShardIndex(site)])
 }
 
 // sendReturn sends ret to the shard at to in a pooled record. The

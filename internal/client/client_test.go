@@ -44,10 +44,16 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		mod(&cfg)
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
-	inbox := sim.NewMailbox[netsim.Message](env)
-	shards := make([]*sim.Mailbox[netsim.Message], cfg.Sharding.NumServers())
+	// The client's mailboxes as a cluster lays them out: its inbox, then
+	// its connection queue at each shard.
+	boxes := make([]sim.Mailbox[netsim.Message], 1+cfg.Sharding.NumServers())
+	for k := range boxes {
+		boxes[k].Init(env)
+	}
+	inbox := &boxes[0]
+	shards := make([]*sim.Mailbox[netsim.Message], len(boxes)-1)
 	for k := range shards {
-		shards[k] = sim.NewMailbox[netsim.Message](env)
+		shards[k] = &boxes[1+k]
 	}
 	peer := sim.NewMailbox[netsim.Message](env)
 
@@ -66,8 +72,8 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		Access:           access,
 	}, func() txn.ID { id++; return id })
 
-	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, inbox,
-		shardmap.New(cfg.Sharding), shards, gen, true)
+	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, boxes,
+		shardmap.New(cfg.Sharding), gen, true)
 	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
 	cl.startDispatcher()

@@ -480,7 +480,7 @@ func (m *txnMachine) stepExecBegin() bool {
 		m.execDone(false)
 		return false
 	}
-	switch m.task.AcquireTimeout(c.slots, c.priorityOf(t), slack) {
+	switch m.task.AcquireTimeout(&c.slots, c.priorityOf(t), slack) {
 	case sim.AcquireGranted:
 		m.pc = tsSlotHeld
 		return false
@@ -565,6 +565,11 @@ func (m *txnMachine) stepScan() bool {
 			c.m.RecordCacheAccess(sufficient)
 		}
 		if !sufficient {
+			if cap(m.missing) == 0 {
+				// A fresh machine's first miss: room for every access at
+				// once, not a vector doubled from nil.
+				m.missing = make([]txn.Op, 0, len(m.ops))
+			}
 			m.missing = append(m.missing, op)
 			m.scanIdx++
 			continue
@@ -1127,6 +1132,9 @@ func (c *Client) priorityOf(t *txn.Transaction) float64 {
 // empty and scrubbed — if any object lost presence or mode.
 func (c *Client) pinAll(ops []txn.Op, buf *[]*cache.Entry) bool {
 	entries := (*buf)[:0]
+	if cap(entries) < len(ops) {
+		entries = make([]*cache.Entry, 0, len(ops))
+	}
 	for _, op := range ops {
 		e := c.objects.Peek(op.Obj)
 		if e == nil || !modeSufficient(e.Mode, op.Mode()) {

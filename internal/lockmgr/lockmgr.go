@@ -286,6 +286,13 @@ func (t *Table) retire(obj ObjectID, e *entry) {
 	} else {
 		delete(t.sparse, obj)
 	}
+	if t.free == nil {
+		// Room for a transaction's few locks, as ownerRec.first has: a
+		// table's first releases cost one list, not one regrown from nil.
+		// (A chain through the entries would cost none, and every entry a
+		// size class: it is 64 bytes to the word.)
+		t.free = make([]*entry, 0, len(ownerRec{}.first))
+	}
 	t.free = append(t.free, e)
 }
 

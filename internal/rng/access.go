@@ -20,10 +20,17 @@ type Uniform struct {
 
 // NewUniform returns a uniform access generator.
 func NewUniform(stream *Stream, dbSize int) *Uniform {
+	g := new(Uniform)
+	g.Init(stream, dbSize)
+	return g
+}
+
+// Init makes g a uniform access generator, in place.
+func (g *Uniform) Init(stream *Stream, dbSize int) {
 	if dbSize <= 0 {
 		panic("rng: Uniform needs dbSize > 0")
 	}
-	return &Uniform{dbSize: dbSize, stream: stream}
+	*g = Uniform{dbSize: dbSize, stream: stream}
 }
 
 // Next returns a uniform object id.
@@ -46,10 +53,17 @@ type HotCold struct {
 // NewHotCold returns a hot/cold generator: hotFrac of accesses hit the
 // first hotSize objects, the rest spread uniformly over the remainder.
 func NewHotCold(stream *Stream, dbSize, hotSize int, hotFrac float64) *HotCold {
+	g := new(HotCold)
+	g.Init(stream, dbSize, hotSize, hotFrac)
+	return g
+}
+
+// Init makes g a hot/cold generator, in place.
+func (g *HotCold) Init(stream *Stream, dbSize, hotSize int, hotFrac float64) {
 	if dbSize <= 0 || hotSize <= 0 || hotSize > dbSize {
 		panic("rng: HotCold needs 0 < hotSize <= dbSize")
 	}
-	return &HotCold{dbSize: dbSize, hotSize: hotSize, hotFrac: hotFrac, stream: stream}
+	*g = HotCold{dbSize: dbSize, hotSize: hotSize, hotFrac: hotFrac, stream: stream}
 }
 
 // Next returns the next object id.
@@ -142,8 +156,10 @@ type LocalizedRW struct {
 	regionSize int
 	localFrac  float64
 	stream     *Stream
-	zipf       *Zipf
-	scratch    dedup
+	// zipf ranks the objects outside the hot region; it stays zero when
+	// the region covers the whole database.
+	zipf    Zipf
+	scratch dedup
 }
 
 // LocalizedRWConfig configures a per-client access generator.
@@ -165,6 +181,13 @@ type LocalizedRWConfig struct {
 
 // NewLocalizedRW returns a generator for one client.
 func NewLocalizedRW(stream *Stream, cfg LocalizedRWConfig) *LocalizedRW {
+	g := new(LocalizedRW)
+	g.Init(stream, cfg)
+	return g
+}
+
+// Init makes g a generator for one client, in place.
+func (g *LocalizedRW) Init(stream *Stream, cfg LocalizedRWConfig) {
 	if cfg.DBSize <= 0 || cfg.NumClients <= 0 {
 		panic("rng: LocalizedRW needs positive DBSize and NumClients")
 	}
@@ -175,18 +198,15 @@ func NewLocalizedRW(stream *Stream, cfg LocalizedRWConfig) *LocalizedRW {
 			size = 1
 		}
 	}
-	remote := cfg.DBSize - size
-	var z *Zipf
-	if remote > 0 {
-		z = NewZipf(stream, cfg.ZipfTheta, remote)
-	}
-	return &LocalizedRW{
+	*g = LocalizedRW{
 		dbSize:     cfg.DBSize,
 		regionBase: (cfg.ClientIndex * cfg.DBSize / cfg.NumClients) % cfg.DBSize,
 		regionSize: size,
 		localFrac:  cfg.LocalFraction,
 		stream:     stream,
-		zipf:       z,
+	}
+	if remote := cfg.DBSize - size; remote > 0 {
+		g.zipf.Init(stream, cfg.ZipfTheta, remote)
 	}
 }
 
@@ -205,7 +225,7 @@ func (g *LocalizedRW) InRegion(id int) bool {
 
 // Next returns the next object id to access.
 func (g *LocalizedRW) Next() int {
-	if g.zipf == nil || g.stream.Float64() < g.localFrac {
+	if !g.zipf.ready() || g.stream.Float64() < g.localFrac {
 		return (g.regionBase + g.stream.Intn(g.regionSize)) % g.dbSize
 	}
 	// Remote access: Zipf rank over the objects outside this client's

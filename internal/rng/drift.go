@@ -21,7 +21,7 @@ type Skewed struct {
 	step    int
 
 	stream *Stream
-	zipf   *Zipf
+	zipf   Zipf // zero at theta 0: cold accesses are uniform
 
 	base    int // current hot-window base object id
 	scratch dedup
@@ -47,13 +47,20 @@ type SkewedConfig struct {
 
 // NewSkewed returns a skewed access generator.
 func NewSkewed(stream *Stream, cfg SkewedConfig) *Skewed {
+	g := new(Skewed)
+	g.Init(stream, cfg)
+	return g
+}
+
+// Init makes g a skewed access generator, in place.
+func (g *Skewed) Init(stream *Stream, cfg SkewedConfig) {
 	if cfg.DBSize <= 0 {
 		panic("rng: Skewed needs DBSize > 0")
 	}
 	if cfg.HotFraction > 0 && (cfg.HotSize <= 0 || cfg.HotSize > cfg.DBSize) {
 		panic("rng: Skewed needs 0 < HotSize <= DBSize when HotFraction is set")
 	}
-	g := &Skewed{
+	*g = Skewed{
 		dbSize:  cfg.DBSize,
 		hotSize: cfg.HotSize,
 		hotFrac: cfg.HotFraction,
@@ -62,9 +69,8 @@ func NewSkewed(stream *Stream, cfg SkewedConfig) *Skewed {
 		stream:  stream,
 	}
 	if cfg.ZipfTheta > 0 {
-		g.zipf = NewZipf(stream, cfg.ZipfTheta, cfg.DBSize)
+		g.zipf.Init(stream, cfg.ZipfTheta, cfg.DBSize)
 	}
-	return g
 }
 
 // Advance moves the drift schedule to simulated time now. The hot
@@ -87,7 +93,7 @@ func (g *Skewed) Next() int {
 	if g.hotFrac > 0 && g.stream.Float64() < g.hotFrac {
 		return (g.base + g.stream.Intn(g.hotSize)) % g.dbSize
 	}
-	if g.zipf != nil {
+	if g.zipf.ready() {
 		return g.zipf.Rank()
 	}
 	return g.stream.Intn(g.dbSize)

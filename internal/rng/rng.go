@@ -21,7 +21,10 @@ import (
 // those of rand.New(rand.NewSource(seed)), which every golden pins, but
 // it is a few dozen bytes until its 274th draw (see source). The
 // rand.Rand is held by value and reads src through a pointer into the
-// same struct, so a stream is one heap object; never copy a Stream.
+// same struct, so a stream is one heap object — or no object of its own
+// when it is a field or an array element. A Stream points at its own
+// src: it is initialised where it will live (Init, DeriveInto) and
+// never copied afterwards.
 type Stream struct {
 	r   rand.Rand
 	src source
@@ -29,21 +32,33 @@ type Stream struct {
 
 // NewStream returns a stream seeded with seed.
 func NewStream(seed int64) *Stream {
-	s := &Stream{}
+	s := new(Stream)
+	s.Init(seed)
+	return s
+}
+
+// Init seeds s with seed, in place.
+func (s *Stream) Init(seed int64) {
 	s.src.Seed(seed)
 	s.r = *rand.New(&s.src)
-	return s
 }
 
 // Derive returns a new independent stream whose seed combines the parent
 // seed-derived state with tag. Use it to give each client or component its
 // own stream from one experiment seed.
 func (s *Stream) Derive(tag int64) *Stream {
+	d := new(Stream)
+	s.DeriveInto(d, tag)
+	return d
+}
+
+// DeriveInto is Derive into dst, where the derived stream will live.
+func (s *Stream) DeriveInto(dst *Stream, tag int64) {
 	// SplitMix64-style mixing of the parent's next value with the tag.
 	z := uint64(s.r.Int63()) ^ (uint64(tag) * 0x9e3779b97f4a7c15)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return NewStream(int64(z ^ (z >> 31)))
+	dst.Init(int64(z ^ (z >> 31)))
 }
 
 // Float64 returns a uniform variate in [0,1).
@@ -147,17 +162,31 @@ func zipfCDF(theta float64, n int) []float64 {
 
 // NewZipf returns a Zipf sampler over n ranks with exponent theta > 0.
 func NewZipf(stream *Stream, theta float64, n int) *Zipf {
+	z := new(Zipf)
+	z.Init(stream, theta, n)
+	return z
+}
+
+// Init makes z a Zipf sampler over n ranks with exponent theta > 0, in
+// place. The zero Zipf is no sampler (see ready).
+func (z *Zipf) Init(stream *Stream, theta float64, n int) {
 	if n <= 0 {
 		panic("rng: Zipf needs n > 0")
 	}
 	if theta <= 0 {
 		panic("rng: Zipf needs theta > 0")
 	}
+	*z = Zipf{stream: stream}
 	if theta > 1 {
-		return &Zipf{stream: stream, z: rand.NewZipf(&stream.r, theta, 1, uint64(n-1))}
+		z.z = rand.NewZipf(&stream.r, theta, 1, uint64(n-1))
+	} else {
+		z.cdf = zipfCDF(theta, n)
 	}
-	return &Zipf{stream: stream, cdf: zipfCDF(theta, n)}
 }
+
+// ready reports whether z was initialised: a generator holds its Zipf
+// by value and leaves it zero when it has no skewed range to draw from.
+func (z *Zipf) ready() bool { return z.stream != nil }
 
 // Rank returns a rank in [0,n), with rank 0 the most popular.
 func (z *Zipf) Rank() int {

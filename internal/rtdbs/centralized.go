@@ -10,7 +10,6 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/pagefile"
 	"siteselect/internal/proto"
-	"siteselect/internal/rng"
 	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 	"siteselect/internal/wal"
@@ -36,16 +35,19 @@ type ceCore struct {
 	slots    *sim.Resource
 	cpu      *sim.Resource
 
-	inbox     *sim.Mailbox[netsim.Message]
-	terminals []*terminal
+	inbox *sim.Mailbox[netsim.Message]
+	// terminals is the population, by site id less one: each record
+	// holds its inbox, and its generator is an element of the workload
+	// arrays (newGenerators).
+	terminals []terminal
 	// spawn starts the engine's machine for one arriving transaction.
 	spawn func(*txn.Transaction)
 }
 
 type terminal struct {
 	id      netsim.SiteID
-	inbox   *sim.Mailbox[netsim.Message]
-	gen     txn.Source
+	inbox   sim.Mailbox[netsim.Message]
+	gen     *txn.Generator
 	tracked []*txn.Transaction
 }
 
@@ -74,15 +76,12 @@ func newCECore(cfg config.Config) (ceCore, error) {
 		cpu:   sim.NewResource(env, 1),
 		inbox: sim.NewMailbox[netsim.Message](env),
 	}
-	root := rng.NewStream(cfg.Seed)
-	var nextID txn.ID
-	newID := func() txn.ID { nextID++; return nextID }
-	for i := 1; i <= cfg.NumClients; i++ {
-		ce.terminals = append(ce.terminals, &terminal{
-			id:    netsim.SiteID(i),
-			inbox: sim.NewMailbox[netsim.Message](env),
-			gen:   newGenerator(root, cfg, i, newID),
-		})
+	gens := newGenerators(&cfg)
+	ce.terminals = make([]terminal, cfg.NumClients)
+	for k := range ce.terminals {
+		term := &ce.terminals[k]
+		term.id, term.gen = netsim.SiteID(k+1), &gens[k]
+		term.inbox.Init(env)
 	}
 	return ce, nil
 }
@@ -100,7 +99,8 @@ func (ce *ceCore) Metrics() *metrics.Collector { return ce.m }
 func (ce *ceCore) Start() {
 	s := &ceServeMachine{ce: ce}
 	ce.env.Spawn(&s.task, s)
-	for _, term := range ce.terminals {
+	for k := range ce.terminals {
+		term := &ce.terminals[k]
 		tm := &ceTermMachine{ce: ce, term: term}
 		ce.env.Spawn(&tm.task, tm)
 		dm := &ceDrainMachine{ce: ce, term: term}
@@ -378,7 +378,7 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
 		Size: netsim.ResultBytes, Payload: res,
-	}, ce.terminals[int(t.Origin)-1].inbox)
+	}, &ce.terminals[int(t.Origin)-1].inbox)
 }
 
 // popFree takes a finished transaction machine off free for reuse, or
@@ -551,8 +551,8 @@ func (ce *Centralized) Run() (*Result, error) {
 
 func (ce *ceCore) collect() *Result {
 	now := ce.env.Now()
-	for _, term := range ce.terminals {
-		for _, t := range term.tracked {
+	for k := range ce.terminals {
+		for _, t := range ce.terminals[k].tracked {
 			if !t.Terminal() {
 				if t.Deadline >= now {
 					continue

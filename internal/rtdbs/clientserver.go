@@ -12,7 +12,6 @@ import (
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
-	"siteselect/internal/rng"
 	"siteselect/internal/server"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
@@ -40,7 +39,7 @@ type Cluster struct {
 	m        *metrics.Collector
 	topo     *shardmap.Map
 	servers  []*server.Server
-	clients  []*client.Client
+	clients  []client.Client
 	tr       *trace.Tracer
 }
 
@@ -101,30 +100,31 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 			}
 		}
 	}
-	root := rng.NewStream(cfg.Seed)
-	var nextID txn.ID
-	newID := func() txn.ID { nextID++; return nextID }
-
+	// The population is carved from a fixed number of arrays, whatever
+	// its size — the clients, their mailboxes (a client's inbox, then its
+	// connection queue at each shard), the inbox routing table, and the
+	// workload arrays of newGenerators — and each site is initialised in
+	// place: the loop below makes no object. The arrays live as long as
+	// the cluster; nothing is returned to them.
+	gens := newGenerators(&c.cfg)
+	stride := 1 + nShards
+	boxes := make([]sim.Mailbox[netsim.Message], cfg.NumClients*stride)
 	inboxes := make([]*sim.Mailbox[netsim.Message], cfg.NumClients+1) // by site id
-	c.clients = make([]*client.Client, 0, cfg.NumClients)
-	// Every client's connection-queue table is a window of one array.
-	allShardIns := make([]*sim.Mailbox[netsim.Message], cfg.NumClients*nShards)
+	c.clients = make([]client.Client, cfg.NumClients)
 	for i := 1; i <= cfg.NumClients; i++ {
 		id := netsim.SiteID(i)
-		inbox := sim.NewMailbox[netsim.Message](env)
-		shardIns := allShardIns[(i-1)*nShards : i*nShards : i*nShards]
-		for k, sv := range c.servers {
-			shardIns[k] = sim.NewMailbox[netsim.Message](env)
-			sv.Attach(id, shardIns[k], inbox)
+		mine := boxes[(i-1)*stride : i*stride : i*stride]
+		for k := range mine {
+			mine[k].Init(env)
 		}
-		inboxes[id] = inbox
-
-		gen := newGenerator(root, cfg, i, newID)
-		c.clients = append(c.clients,
-			client.New(env, &c.cfg, id, net, &c.payloads, c.m, inbox, topo, shardIns, gen, loadShare))
+		for k, sv := range c.servers {
+			sv.Attach(id, &mine[1+k], &mine[0])
+		}
+		inboxes[id] = &mine[0]
+		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, c.m, mine, topo, &gens[i-1], loadShare)
 	}
-	for _, cl := range c.clients {
-		cl.SetPeers(&inboxes)
+	for i := range c.clients {
+		c.clients[i].SetPeers(&inboxes)
 	}
 	c.seedReplicas()
 	if cfg.Trace {
@@ -132,7 +132,8 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 		for _, sv := range c.servers {
 			sv.SetTracer(c.tr)
 		}
-		for _, cl := range c.clients {
+		for i := range c.clients {
+			cl := &c.clients[i]
 			cl.SetTracer(c.tr)
 		}
 	}
@@ -214,8 +215,15 @@ func (c *Cluster) home(obj lockmgr.ObjectID) *server.Server {
 // Start).
 func (c *Cluster) Net() *netsim.Network { return c.net }
 
-// Clients exposes the client actors.
-func (c *Cluster) Clients() []*client.Client { return c.clients }
+// Clients exposes the client actors, as pointers into the cluster's
+// array (a Client is never copied).
+func (c *Cluster) Clients() []*client.Client {
+	out := make([]*client.Client, len(c.clients))
+	for i := range c.clients {
+		out[i] = &c.clients[i]
+	}
+	return out
+}
 
 // Metrics exposes the live metrics collector.
 func (c *Cluster) Metrics() *metrics.Collector { return c.m }
@@ -225,10 +233,19 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tr }
 
 // Start spawns all actors without running the clock (tests use this).
 func (c *Cluster) Start() {
+	// Every machine about to be spawned is known: a connection handler
+	// per client at each shard, a generator and a dispatcher per client,
+	// and a peer handler per shard when there are several.
+	n := len(c.clients) * (2 + len(c.servers))
+	if c.topo.Multi() {
+		n += len(c.servers)
+	}
+	c.env.Grow(n)
 	for _, sv := range c.servers {
 		sv.Start()
 	}
-	for _, cl := range c.clients {
+	for i := range c.clients {
+		cl := &c.clients[i]
 		cl.Start()
 	}
 }
@@ -276,7 +293,8 @@ func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 	var committed *invariant.Committed
 	if c.cfg.OutageClient == 0 || c.cfg.UseLogging {
 		committed = invariant.NewCommitted()
-		for _, cl := range c.clients {
+		for i := range c.clients {
+			cl := &c.clients[i]
 			cl.SetCommitHook(committed.Observe)
 		}
 	}
@@ -297,7 +315,8 @@ func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 		{Name: "batch-conservation", Fn: eachServer((*server.Server).AuditBatch)},
 		{Name: "dirty-implies-exclusive", Fn: c.auditDirty},
 		{Name: "request-conservation", Fn: func() error {
-			for _, cl := range c.clients {
+			for i := range c.clients {
+				cl := &c.clients[i]
 				if err := cl.AuditPending(grace); err != nil {
 					return err
 				}
@@ -333,7 +352,8 @@ func (c *Cluster) auditDirty() error {
 // lowest-numbered failing object: a cache is walked in map order, and
 // the report must not depend on it.
 func (c *Cluster) auditCaches(check func(*client.Client, *cache.Entry) error) error {
-	for _, cl := range c.clients {
+	for i := range c.clients {
+		cl := &c.clients[i]
 		var first error
 		var firstObj lockmgr.ObjectID
 		cl.Cache().Visit(func(e *cache.Entry) {
@@ -360,7 +380,8 @@ func (c *Cluster) bestVersion(obj lockmgr.ObjectID) int64 {
 			best = v
 		}
 	}
-	for _, cl := range c.clients {
+	for i := range c.clients {
+		cl := &c.clients[i]
 		if e := cl.Cache().Peek(obj); e != nil && e.Version > best {
 			best = e.Version
 		}
@@ -370,7 +391,8 @@ func (c *Cluster) bestVersion(obj lockmgr.ObjectID) int64 {
 
 func (c *Cluster) collect() *Result {
 	now := c.env.Now()
-	for _, cl := range c.clients {
+	for i := range c.clients {
+		cl := &c.clients[i]
 		for _, t := range cl.Tracked {
 			if !t.Terminal() {
 				if t.Deadline >= now {
@@ -424,7 +446,8 @@ func (c *Cluster) collect() *Result {
 		res.MissCauses = c.tr.MissCauses(c.cfg.Warmup)
 	}
 	res.ExecutedPerSite = make(map[netsim.SiteID]int64, len(c.clients))
-	for _, cl := range c.clients {
+	for i := range c.clients {
+		cl := &c.clients[i]
 		res.ForwardHops += cl.ForwardHops
 		res.Retries += cl.Retries
 		res.LostUpdates += cl.LostUpdates

@@ -67,15 +67,17 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	var clients [2]*client.Client
 	for i := range clients {
 		id := netsim.SiteID(i + 1)
-		inbox, toSrv := sim.NewMailbox[netsim.Message](env), sim.NewMailbox[netsim.Message](env)
-		srv.Attach(id, toSrv, inbox)
+		// The client's inbox, then its connection queue at the server.
+		boxes := make([]sim.Mailbox[netsim.Message], 2)
+		boxes[0].Init(env)
+		boxes[1].Init(env)
+		srv.Attach(id, &boxes[1], &boxes[0])
 		src := &pingPong{
 			ops:  [1]txn.Op{{Obj: contested, Write: true}},
 			next: time.Duration(i) * 10 * time.Second, period: 20 * time.Second, nextID: &nextID,
 		}
 		src.t.Origin = id
-		clients[i] = client.New(env, &cfg, id, net, &payloads, &m, inbox, topo,
-			[]*sim.Mailbox[netsim.Message]{toSrv}, src, false)
+		clients[i] = client.New(env, &cfg, id, net, &payloads, &m, boxes, topo, src, false)
 		// Room for every transaction the test generates: the generated
 		// transactions are the run's result, not message bookkeeping.
 		clients[i].Tracked = make([]*txn.Transaction, 0, 4096)

@@ -72,8 +72,8 @@ func checkUnwound(t *testing.T, core *ceCore) {
 	env := core.env
 	env.Run(core.cfg.Duration + core.cfg.Drain)
 	pending := func() (n int) {
-		for _, term := range core.terminals {
-			for _, x := range term.tracked {
+		for k := range core.terminals {
+			for _, x := range core.terminals[k].tracked {
 				if !x.Terminal() {
 					n++
 				}
@@ -108,8 +108,8 @@ func checkUnwound(t *testing.T, core *ceCore) {
 
 // submitted counts every transaction the terminals sent.
 func submitted(core *ceCore) (n int64) {
-	for _, term := range core.terminals {
-		n += int64(len(term.tracked))
+	for k := range core.terminals {
+		n += int64(len(core.terminals[k].tracked))
 	}
 	return n
 }

@@ -10,45 +10,31 @@ import (
 	"siteselect/internal/txn"
 )
 
-// newGenerator builds client i's workload generator from the experiment
-// seed: its own random stream, its access-pattern generator, and the
-// Table 1 timing parameters — or, when the config carries a declarative
-// WorkloadSpec, the class-specific parameters, phased arrival process,
-// and access-skew generator of client i's class.
-func newGenerator(root *rng.Stream, cfg config.Config, i int, newID func() txn.ID) txn.Source {
-	stream := root.Derive(int64(i))
-	if cfg.Workload != nil {
-		return classGenerator(stream, cfg, i, newID)
+// newGenerators builds every client's workload generator from the
+// experiment seed; gens[i-1] is client i's. A population's workload
+// state is carved from arrays, not built object by object: the
+// generators are one array, and each cohort — the clients of one
+// declared class, or the whole population under the flat Table 1
+// parameters — adds one array per kind of state its clients have
+// (carveCohort), so a client carries the fields of its own access
+// pattern and arrival processes and of no other. The arrays live as
+// long as the system; nothing is returned to them.
+func newGenerators(cfg *config.Config) []txn.Generator {
+	gens := make([]txn.Generator, cfg.NumClients)
+	root := rng.NewStream(cfg.Seed)
+	var nextID txn.ID
+	newID := func() txn.ID { nextID++; return nextID }
+	if cfg.Workload == nil {
+		carveCohort(root, cfg, nil, 1, gens, newID)
+		return gens
 	}
-	return txn.NewGenerator(stream, netsim.SiteID(i), txn.WorkloadConfig{
-		MeanInterArrival:     cfg.MeanInterArrival,
-		MeanLength:           cfg.MeanLength,
-		MeanSlack:            cfg.MeanSlack,
-		MeanObjects:          cfg.MeanObjects,
-		UpdateFraction:       cfg.UpdateFraction,
-		DecomposableFraction: cfg.DecomposableFraction,
-		IndependentDeadlines: cfg.Deadlines == config.DeadlineIndependent,
-		Access:               defaultAccess(stream.Derive(7), cfg, i),
-	}, newID)
-}
-
-// defaultAccess builds the run-level access generator (Config.Pattern).
-func defaultAccess(stream *rng.Stream, cfg config.Config, i int) rng.AccessGen {
-	switch cfg.Pattern {
-	case config.PatternUniform:
-		return rng.NewUniform(stream, cfg.DBSize)
-	case config.PatternHotCold:
-		return rng.NewHotCold(stream, cfg.DBSize, cfg.HotRegionSize, cfg.LocalFraction)
-	default:
-		return rng.NewLocalizedRW(stream, rng.LocalizedRWConfig{
-			DBSize:        cfg.DBSize,
-			ClientIndex:   i - 1,
-			NumClients:    cfg.NumClients,
-			RegionSize:    cfg.HotRegionSize,
-			LocalFraction: cfg.LocalFraction,
-			ZipfTheta:     cfg.ZipfTheta,
-		})
+	first := 1
+	for ci := range cfg.Workload.Classes {
+		class := &cfg.Workload.Classes[ci]
+		carveCohort(root, cfg, class, first, gens[first-1:first-1+class.Count], newID)
+		first += class.Count
 	}
+	return gens
 }
 
 // phaseSeedTag offsets the per-phase arrival stream tags well away from
@@ -56,104 +42,192 @@ func defaultAccess(stream *rng.Stream, cfg config.Config, i int) rng.AccessGen {
 // phase to one class never perturbs another stream.
 const phaseSeedTag int64 = 0x70686173 // "phas"
 
-// classGenerator builds client i's generator from its workload class:
-// the class workload parameters (run-level values fill zero fields), a
-// phased arrival schedule with one independent stream per phase, and
-// the class access spec.
-func classGenerator(stream *rng.Stream, cfg config.Config, i int, newID func() txn.ID) txn.Source {
-	class := cfg.Workload.Classes[cfg.Workload.ClassOf(i)]
+// carveCohort initialises gens, the generators of clients first,
+// first+1, … in site order: each client's own random stream (derived
+// from root by site id), its access stream and access-pattern generator,
+// and the Table 1 timing parameters — or, for a declared class, the
+// class's parameters (run-level values fill zero fields), its access
+// spec, and a phased arrival schedule with one independent stream per
+// phase. What the cohort's clients share is worked out once; what each
+// owns is an element of an array made here.
+func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass, first int,
+	gens []txn.Generator, newID func() txn.ID) {
 	wc := txn.WorkloadConfig{
 		MeanInterArrival:     cfg.MeanInterArrival,
-		MeanLength:           orDur(class.MeanLength, cfg.MeanLength),
-		MeanSlack:            orDur(class.MeanSlack, cfg.MeanSlack),
-		MeanObjects:          orInt(class.MeanObjects, cfg.MeanObjects),
-		UpdateFraction:       class.UpdateFraction,
-		DecomposableFraction: class.DecomposableFraction,
+		MeanLength:           cfg.MeanLength,
+		MeanSlack:            cfg.MeanSlack,
+		MeanObjects:          cfg.MeanObjects,
+		UpdateFraction:       cfg.UpdateFraction,
+		DecomposableFraction: cfg.DecomposableFraction,
 		IndependentDeadlines: cfg.Deadlines == config.DeadlineIndependent,
-		Access:               classAccess(stream.Derive(7), cfg, class, i),
 	}
-	// The arrival schedule draws from per-phase streams derived from the
-	// client stream, so lengthening one phase's activity never shifts
-	// the draws of the next phase or of the workload stream.
-	phases := make([]txn.Phase, len(class.Phases))
+	var spec *config.AccessSpec
+	var schedule []config.ArrivalPhase
+	if class != nil {
+		wc.MeanLength = orDur(class.MeanLength, cfg.MeanLength)
+		wc.MeanSlack = orDur(class.MeanSlack, cfg.MeanSlack)
+		wc.MeanObjects = orInt(class.MeanObjects, cfg.MeanObjects)
+		wc.UpdateFraction = class.UpdateFraction
+		wc.DecomposableFraction = class.DecomposableFraction
+		spec, schedule = class.Access, class.Phases
+	}
+	n, np := len(gens), len(schedule)
+
+	// A client's streams are its own, its access stream, and one per
+	// phase: the arrival schedule draws from per-phase streams derived
+	// from the client stream, so lengthening one phase's activity never
+	// shifts the draws of the next phase or of the workload stream.
+	perClient := 2 + np
+	streams := make([]rng.Stream, n*perClient)
+	access := accessMaker(cfg, spec, n)
+	phases := make([]txn.Phase, n*np)
+	var phased []txn.PhasedArrivals
+	if np > 0 {
+		phased = make([]txn.PhasedArrivals, n)
+	}
+	windows := make([]txn.Phase, np)
+	procs := make([]func(k int, s *rng.Stream) txn.ArrivalProcess, np)
 	start := time.Duration(0)
-	for pi, ph := range class.Phases {
+	for pi, ph := range schedule {
 		end := time.Duration(math.MaxInt64)
 		if ph.Duration > 0 {
 			end = start + ph.Duration
 		}
-		phases[pi] = txn.Phase{
-			Start: start,
-			End:   end,
-			Proc:  phaseProcess(stream.Derive(phaseSeedTag+int64(pi)), ph, start),
-		}
+		windows[pi] = txn.Phase{Start: start, End: end}
+		procs[pi] = phaseMaker(ph, start, n)
 		start = end
 	}
-	wc.Arrivals = &txn.PhasedArrivals{Phases: phases}
-	return txn.NewGenerator(stream, netsim.SiteID(i), wc, newID)
+
+	for k := range gens {
+		i := first + k
+		ss := streams[k*perClient : (k+1)*perClient]
+		stream, accessStream := &ss[0], &ss[1]
+		root.DeriveInto(stream, int64(i))
+		stream.DeriveInto(accessStream, 7)
+		wc.Access = access(k, i, accessStream)
+		if np > 0 {
+			ps := phases[k*np : (k+1)*np : (k+1)*np]
+			for pi := range ps {
+				phaseStream := &ss[2+pi]
+				stream.DeriveInto(phaseStream, phaseSeedTag+int64(pi))
+				ps[pi] = windows[pi]
+				ps[pi].Proc = procs[pi](k, phaseStream)
+			}
+			phased[k].Phases = ps
+			wc.Arrivals = &phased[k]
+		}
+		gens[k].Init(stream, netsim.SiteID(i), wc, newID)
+	}
 }
 
-// phaseProcess lowers one declarative phase onto its arrival process.
-func phaseProcess(stream *rng.Stream, ph config.ArrivalPhase, start time.Duration) txn.ArrivalProcess {
+// accessMaker makes the array of n access generators of the kind spec
+// selects — the run-level Config.Pattern when the class has no spec or
+// defers to it — and returns the function that initialises the k'th for
+// client i on its stream.
+func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) func(k, i int, s *rng.Stream) rng.AccessGen {
+	uniform := func() func(k, i int, s *rng.Stream) rng.AccessGen {
+		gs := make([]rng.Uniform, n)
+		return func(k, _ int, s *rng.Stream) rng.AccessGen {
+			gs[k].Init(s, cfg.DBSize)
+			return &gs[k]
+		}
+	}
+	hotCold := func(hotSize int, hotFrac float64) func(k, i int, s *rng.Stream) rng.AccessGen {
+		gs := make([]rng.HotCold, n)
+		return func(k, _ int, s *rng.Stream) rng.AccessGen {
+			gs[k].Init(s, cfg.DBSize, hotSize, hotFrac)
+			return &gs[k]
+		}
+	}
+	localized := func() func(k, i int, s *rng.Stream) rng.AccessGen {
+		gs := make([]rng.LocalizedRW, n)
+		return func(k, i int, s *rng.Stream) rng.AccessGen {
+			gs[k].Init(s, rng.LocalizedRWConfig{
+				DBSize:        cfg.DBSize,
+				ClientIndex:   i - 1,
+				NumClients:    cfg.NumClients,
+				RegionSize:    cfg.HotRegionSize,
+				LocalFraction: cfg.LocalFraction,
+				ZipfTheta:     cfg.ZipfTheta,
+			})
+			return &gs[k]
+		}
+	}
+	if spec != nil {
+		switch spec.Kind {
+		case config.AccessUniform:
+			return uniform()
+		case config.AccessHotCold:
+			return hotCold(spec.HotSize, spec.HotFraction)
+		case config.AccessLocalized:
+			return localized()
+		case config.AccessSkewed:
+			gs := make([]rng.Skewed, n)
+			return func(k, _ int, s *rng.Stream) rng.AccessGen {
+				gs[k].Init(s, rng.SkewedConfig{
+					DBSize:      cfg.DBSize,
+					ZipfTheta:   spec.ZipfTheta,
+					HotSize:     spec.HotSize,
+					HotFraction: spec.HotFraction,
+					DriftEvery:  spec.DriftEvery,
+					DriftStep:   spec.DriftStep,
+				})
+				return &gs[k]
+			}
+		}
+	}
+	// config.AccessDefault, or no spec: the run-level access pattern.
+	switch cfg.Pattern {
+	case config.PatternUniform:
+		return uniform()
+	case config.PatternHotCold:
+		return hotCold(cfg.HotRegionSize, cfg.LocalFraction)
+	default:
+		return localized()
+	}
+}
+
+// phaseMaker lowers one declarative phase onto its arrival process:
+// it makes the array of n processes of the phase's kind and returns the
+// function that sets up the k'th on its stream. A rate curve is a pure
+// function of the phase, so the cohort shares one.
+func phaseMaker(ph config.ArrivalPhase, start time.Duration, n int) func(k int, s *rng.Stream) txn.ArrivalProcess {
+	variable := func(rateAt func(time.Duration) float64) func(k int, s *rng.Stream) txn.ArrivalProcess {
+		ps := make([]txn.VariableRate, n)
+		return func(k int, s *rng.Stream) txn.ArrivalProcess {
+			ps[k] = txn.VariableRate{Stream: s, Peak: ph.Peak, RateAt: rateAt}
+			return &ps[k]
+		}
+	}
 	switch ph.Kind {
 	case config.ArrivalOpen:
-		return &txn.OpenLoop{Stream: stream, Rate: ph.Rate}
+		ps := make([]txn.OpenLoop, n)
+		return func(k int, s *rng.Stream) txn.ArrivalProcess {
+			ps[k] = txn.OpenLoop{Stream: s, Rate: ph.Rate}
+			return &ps[k]
+		}
 	case config.ArrivalBurst:
-		return &txn.Bursts{
-			Stream: stream,
-			Start:  start,
-			Size:   ph.BurstSize,
-			Every:  ph.BurstEvery,
-			Spread: ph.BurstSpread,
+		ps := make([]txn.Bursts, n)
+		return func(k int, s *rng.Stream) txn.ArrivalProcess {
+			ps[k] = txn.Bursts{
+				Stream: s,
+				Start:  start,
+				Size:   ph.BurstSize,
+				Every:  ph.BurstEvery,
+				Spread: ph.BurstSpread,
+			}
+			return &ps[k]
 		}
 	case config.ArrivalDiurnal:
-		return &txn.VariableRate{
-			Stream: stream,
-			Peak:   ph.Peak,
-			RateAt: txn.DiurnalRate(start, ph.Rate, ph.Peak, ph.Period),
-		}
+		return variable(txn.DiurnalRate(start, ph.Rate, ph.Peak, ph.Period))
 	case config.ArrivalFlash:
-		return &txn.VariableRate{
-			Stream: stream,
-			Peak:   ph.Peak,
-			RateAt: txn.FlashRate(start, ph.Rate, ph.Peak, ph.Ramp),
-		}
+		return variable(txn.FlashRate(start, ph.Rate, ph.Peak, ph.Ramp))
 	default: // config.ArrivalClosed (Validate rejects unknown kinds)
-		return &txn.ClosedLoop{Stream: stream, Mean: ph.MeanInterArrival}
-	}
-}
-
-// classAccess builds the access generator for one class.
-func classAccess(stream *rng.Stream, cfg config.Config, class config.ClientClass, i int) rng.AccessGen {
-	a := class.Access
-	if a == nil {
-		return defaultAccess(stream, cfg, i)
-	}
-	switch a.Kind {
-	case config.AccessUniform:
-		return rng.NewUniform(stream, cfg.DBSize)
-	case config.AccessHotCold:
-		return rng.NewHotCold(stream, cfg.DBSize, a.HotSize, a.HotFraction)
-	case config.AccessSkewed:
-		return rng.NewSkewed(stream, rng.SkewedConfig{
-			DBSize:      cfg.DBSize,
-			ZipfTheta:   a.ZipfTheta,
-			HotSize:     a.HotSize,
-			HotFraction: a.HotFraction,
-			DriftEvery:  a.DriftEvery,
-			DriftStep:   a.DriftStep,
-		})
-	case config.AccessLocalized:
-		return rng.NewLocalizedRW(stream, rng.LocalizedRWConfig{
-			DBSize:        cfg.DBSize,
-			ClientIndex:   i - 1,
-			NumClients:    cfg.NumClients,
-			RegionSize:    cfg.HotRegionSize,
-			LocalFraction: cfg.LocalFraction,
-			ZipfTheta:     cfg.ZipfTheta,
-		})
-	default: // config.AccessDefault
-		return defaultAccess(stream, cfg, i)
+		ps := make([]txn.ClosedLoop, n)
+		return func(k int, s *rng.Stream) txn.ArrivalProcess {
+			ps[k] = txn.ClosedLoop{Stream: s, Mean: ph.MeanInterArrival}
+			return &ps[k]
+		}
 	}
 }
 

@@ -285,7 +285,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		cpu:         sim.NewResource(env, 1),
 		objs:        make([]*objState, cfg.DBSize),
 		recallNodes: make([]recallNode, 1),
-		sites:       make([]site, 0, cfg.NumClients+1),
+		sites:       make([]site, cfg.NumClients+1),
 		epochs:      make(map[epochKey]int64),
 	}
 	s.locks.Reserve(cfg.DBSize)
@@ -360,8 +360,10 @@ func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.at(obj).infligh
 // Attach registers a client connection: inbox receives the client's
 // messages at the server; out is the client's own inbox.
 func (s *Server) Attach(id netsim.SiteID, inbox, out *sim.Mailbox[netsim.Message]) {
-	for int(id) >= len(s.sites) {
-		s.sites = append(s.sites, site{})
+	if grow := int(id) + 1 - len(s.sites); grow > 0 {
+		// An id beyond the configured population (NewShard sized the table
+		// for that).
+		s.sites = append(s.sites, make([]site, grow)...)
 	}
 	s.sites[id] = site{inbox: inbox, out: out}
 }
@@ -390,17 +392,31 @@ func (s *Server) AttachPeer(k int, in *sim.Mailbox[netsim.Message]) {
 
 // Start spawns one event-driven handler per attached connection, in
 // ascending client id, plus one for the shard-to-shard inbox when
-// peered.
+// peered. The handlers are the elements of one array, which lives as
+// long as the shard: a handler is never returned to it.
 func (s *Server) Start() {
+	n := 0
 	for id := range s.sites {
-		if in := s.sites[id].inbox; in != nil {
-			m := &connMachine{s: s, inbox: in}
-			s.env.Spawn(&m.task, m)
+		if s.sites[id].inbox != nil {
+			n++
 		}
 	}
 	if s.peerIn != nil {
-		m := &connMachine{s: s, inbox: s.peerIn}
+		n++
+	}
+	handlers := make([]connMachine, 0, n)
+	spawn := func(in *sim.Mailbox[netsim.Message]) {
+		handlers = append(handlers, connMachine{s: s, inbox: in})
+		m := &handlers[len(handlers)-1]
 		s.env.Spawn(&m.task, m)
+	}
+	for id := range s.sites {
+		if in := s.sites[id].inbox; in != nil {
+			spawn(in)
+		}
+	}
+	if s.peerIn != nil {
+		spawn(s.peerIn)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Machine is an event-driven simulation actor. It is resumed by a
 // direct Resume call from the event loop — no goroutine, no stack, no
@@ -70,6 +73,19 @@ func (e *Env) Spawn(t *Task, m Machine) {
 // explicit Signal). Use Spawn when the machine has startup work.
 func (e *Env) Adopt(t *Task, m Machine) {
 	e.adopt(t, m)
+}
+
+// Grow reserves room for n more machines and one pending event apiece:
+// an owner about to spawn a population whose size it knows says so
+// once, and the registry, the event pool, its free list and the heap are
+// sized once instead of by repeated append growth. It reserves capacity
+// only — no event is queued and no sequence number taken — so a run
+// executes the same (at, seq) sequence with or without the call.
+func (e *Env) Grow(n int) {
+	e.tasks = slices.Grow(e.tasks, n)
+	e.pool = slices.Grow(e.pool, n)
+	e.free = slices.Grow(e.free, n)
+	e.events = slices.Grow(e.events, n)
 }
 
 func (e *Env) adopt(t *Task, m Machine) {

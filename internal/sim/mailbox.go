@@ -23,7 +23,16 @@ type Mailbox[T any] struct {
 
 // NewMailbox returns an empty mailbox bound to env.
 func NewMailbox[T any](env *Env) *Mailbox[T] {
-	return &Mailbox[T]{env: env, sig: Signal{env: env}}
+	m := new(Mailbox[T])
+	m.Init(env)
+	return m
+}
+
+// Init makes m an empty mailbox bound to env, in place: a population's
+// mailboxes are elements of one array. A mailbox holds a Signal, so it
+// is initialised where it lives and not copied afterwards.
+func (m *Mailbox[T]) Init(env *Env) {
+	*m = Mailbox[T]{env: env, sig: Signal{env: env}}
 }
 
 // Put appends v and wakes one waiting receiver, if any.

@@ -25,10 +25,19 @@ type Resource struct {
 // NewResource returns a resource with the given capacity. Capacity must be
 // positive.
 func NewResource(env *Env, capacity int) *Resource {
+	r := new(Resource)
+	r.Init(env, capacity)
+	return r
+}
+
+// Init makes r an idle resource of the given capacity, in place (a
+// field of its owner). Tasks queue on a resource by its address, so it
+// is initialised where it lives and not copied afterwards.
+func (r *Resource) Init(env *Env, capacity int) {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{env: env, cap: capacity}
+	*r = Resource{env: env, cap: capacity}
 }
 
 // Capacity returns the total number of units.

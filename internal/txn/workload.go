@@ -73,6 +73,14 @@ type Generator struct {
 // NewGenerator returns a generator for origin. nextID must hand out
 // run-unique transaction ids (shared across clients).
 func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, nextID func() ID) *Generator {
+	g := new(Generator)
+	g.Init(stream, origin, cfg, nextID)
+	return g
+}
+
+// Init makes g a generator for origin, in place (a population's
+// generators are elements of one array). It draws the first arrival.
+func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, nextID func() ID) {
 	if cfg.MeanObjects <= 0 {
 		cfg.MeanObjects = 10
 	}
@@ -82,7 +90,7 @@ func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, 
 	if cfg.MinSlack <= 0 {
 		cfg.MinSlack = time.Second
 	}
-	g := &Generator{cfg: cfg, stream: stream, origin: origin, nextID: nextID}
+	*g = Generator{cfg: cfg, stream: stream, origin: origin, nextID: nextID}
 	if a, ok := cfg.Access.(interface{ Advance(time.Duration) }); ok {
 		g.advance = a.Advance
 	}
@@ -91,7 +99,6 @@ func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, 
 	} else {
 		g.nextAt = stream.Exp(cfg.MeanInterArrival)
 	}
-	return g
 }
 
 // NextArrival returns the absolute virtual time of the next transaction.
