@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint study-lint state-lint bench-check fuzz-smoke bench-kernel bench-mem figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint study-lint state-lint bench-check fuzz-smoke bench-kernel bench-mem alloc-census figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,24 @@ bench-kernel:
 bench-mem:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure3$$|BenchmarkScaleSmoke$$' -benchtime 1x -benchmem . | \
 		$(GO) run ./cmd/benchjson -into BENCH_kernel.json -label $(LABEL)
+
+# alloc-census counts every heap object one scenario's run makes and
+# says where (EXPERIMENTS.md, "Hunting allocations"): the run goes under
+# GODEBUG=memprofilerate=1, so the profile is exact and its total divides
+# into objects per submitted transaction — the benchmark's
+# allocs_per_txn, by call site. Tens of times slower than a plain run;
+# the binary, the profile and the scenario report stay in CENSUS_OUT.
+#	make alloc-census SCENARIO=bench/workloads/scale_100k.rts
+CENSUS_OUT ?= /tmp/alloc-census
+alloc-census:
+	@test -n "$(SCENARIO)" || { echo 'usage: make alloc-census SCENARIO=path.rts' >&2; exit 2; }
+	@mkdir -p $(CENSUS_OUT)
+	$(GO) build -o $(CENSUS_OUT)/rtbench ./cmd/rtbench
+	GODEBUG=memprofilerate=1 $(CENSUS_OUT)/rtbench -scenario $(SCENARIO) -memprofile $(CENSUS_OUT)/heap.pprof > $(CENSUS_OUT)/report.txt
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 $(CENSUS_OUT)/rtbench $(CENSUS_OUT)/heap.pprof | tee $(CENSUS_OUT)/top.txt
+	@objects=$$(sed -n 's/.* of \([0-9]*\) total.*/\1/p' $(CENSUS_OUT)/top.txt | head -1); \
+	txns=$$(awk '$$1 == "submitted" { print $$2 }' $(CENSUS_OUT)/report.txt); \
+	awk -v o="$$objects" -v t="$$txns" 'BEGIN { printf "%d objects, %d transactions submitted: %.1f objects per transaction\n", o, t, o / t }'
 
 figures:
 	$(GO) run ./cmd/rtbench -exp all

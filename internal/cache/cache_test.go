@@ -27,6 +27,35 @@ func TestInsertAndLookup(t *testing.T) {
 	}
 }
 
+// A cache makes its entry map on the first Insert: at population scale
+// half the sites never cache anything, and every read of a cache that
+// never did answers "empty" from the nil map.
+func TestEntryMapMadeByFirstInsert(t *testing.T) {
+	c := New(4, 2)
+	if c.entries != nil {
+		t.Fatal("a new cache already has an entry map")
+	}
+	reads := func() {
+		if c.Peek(1) != nil || c.Contains(1) || c.Len() != 0 || c.Remove(1) != nil {
+			panic("an empty cache holds object 1")
+		}
+		if e, tier, evicted := c.Lookup(1); e != nil || tier != TierNone || evicted != nil {
+			panic("an empty cache served object 1")
+		}
+		c.Visit(func(*Entry) { panic("an empty cache visits an entry") })
+	}
+	if n := testing.AllocsPerRun(100, reads); n != 0 {
+		t.Errorf("reads of an empty cache allocate %v per run, want 0", n)
+	}
+	if c.entries != nil {
+		t.Fatal("a read made the entry map")
+	}
+	c.Insert(1, lockmgr.ModeShared, false, 1)
+	if !c.Contains(1) || c.Len() != 1 {
+		t.Fatal("first insert lost")
+	}
+}
+
 func TestMemoryOverflowDemotesToDisk(t *testing.T) {
 	c := New(2, 2)
 	c.Insert(1, lockmgr.ModeShared, false, 0)

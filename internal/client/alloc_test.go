@@ -45,6 +45,47 @@ func TestPerSiteStructSizes(t *testing.T) {
 	}
 }
 
+// TestFreshMachineScratchSizedOnce: the two vectors a transaction
+// machine fills on its first materialization — the missing accesses of
+// the presence scan, the pinned entries of the commit — are made once,
+// for every access, not doubled up from nil (1 → 2 → 4 for the four
+// objects of a population-tier transaction). Where every transaction
+// runs on a fresh machine that is per transaction, not warm-up.
+func TestFreshMachineScratchSizedOnce(t *testing.T) {
+	r := newRig(t, nil)
+	defer r.env.Close()
+	c := r.cl
+	tx := &txn.Transaction{ID: 203, Deadline: time.Hour,
+		Ops: []txn.Op{{Obj: 31}, {Obj: 32, Write: true}, {Obj: 33}, {Obj: 34}}}
+
+	m := new(txnMachine)
+	scan := func() {
+		*m = txnMachine{c: c, t: tx, ops: tx.Ops, pc: tsScan}
+		if m.stepScan() || len(m.missing) != len(tx.Ops) {
+			panic("presence scan did not report every access missing")
+		}
+	}
+	if n := testing.AllocsPerRun(100, scan); n != 1 {
+		t.Errorf("a fresh machine's presence scan allocates %v, want 1", n)
+	}
+
+	for _, op := range tx.Ops {
+		r.seed(op.Obj, lockmgr.ModeExclusive, false, 1)
+	}
+	pin := func() {
+		var entries []*cache.Entry
+		if !c.pinAll(tx.Ops, &entries) || len(entries) != len(tx.Ops) {
+			panic("cached access set not pinned")
+		}
+		for _, e := range entries {
+			c.objects.Unpin(e)
+		}
+	}
+	if n := testing.AllocsPerRun(100, pin); n != 1 {
+		t.Errorf("pinning into fresh scratch allocates %v, want 1", n)
+	}
+}
+
 // TestFirmRoundBookkeepingZeroAlloc pins a steady-state firm-request
 // round at zero allocations, messages included: pending-record checkout
 // from the pool, wait and waiter registration, the two firm requests

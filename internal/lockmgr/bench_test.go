@@ -62,6 +62,36 @@ func TestSparseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, NewTable()) }
 
 func TestDenseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, denseTable(64)) }
 
+// TestFirstReleaseAllSizesFreeListOnce: a table's first transaction
+// retires all of its entries in one ReleaseAll, which makes room for
+// them at once — two allocations, the entry free list and the owner free
+// list, where a list regrown from nil took 1 → 2 → 4 → 8 to hold five.
+// At population scale every client's table sees one transaction, so the
+// first use is the only use.
+func TestFirstReleaseAllSizesFreeListOnce(t *testing.T) {
+	const runs, locks = 50, 5
+	tables := make([]*Table, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range tables {
+		tables[i] = NewTable()
+		for obj := ObjectID(0); obj < locks; obj++ {
+			if out, _ := tables[i].Lock(&Request{Obj: obj, Owner: 1, Mode: ModeShared}); out != Granted {
+				t.Fatal("free object not granted")
+			}
+		}
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		tables[next].ReleaseAll(1)
+		next++
+	})
+	if n != 2 {
+		t.Errorf("a table's first ReleaseAll of %d locks allocates %v, want 2", locks, n)
+	}
+	if got := len(tables[0].free); got != locks {
+		t.Errorf("%d entries on the free list, want %d", got, locks)
+	}
+}
+
 // waiterRound is the contended path a recall round takes at the server:
 // a writer holds obj, two readers and a second writer queue behind it,
 // the writer releases — both readers are admitted in one grant list,

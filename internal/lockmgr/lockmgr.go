@@ -286,13 +286,6 @@ func (t *Table) retire(obj ObjectID, e *entry) {
 	} else {
 		delete(t.sparse, obj)
 	}
-	if t.free == nil {
-		// Room for a transaction's few locks, as ownerRec.first has: a
-		// table's first releases cost one list, not one regrown from nil.
-		// (A chain through the entries would cost none, and every entry a
-		// size class: it is 64 bytes to the word.)
-		t.free = make([]*entry, 0, len(ownerRec{}.first))
-	}
 	t.free = append(t.free, e)
 }
 
@@ -531,6 +524,10 @@ func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 		objs = append(stack[:0], r.held...)
 	}
 	slices.Sort(objs)
+	// Any of the releases may retire its entry: room for all of them at
+	// once, so a table's first transaction costs the free list one array
+	// and not one regrown from nil.
+	t.free = slices.Grow(t.free, len(objs))
 	for _, obj := range objs {
 		t.release(obj, owner)
 	}

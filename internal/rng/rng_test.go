@@ -31,6 +31,31 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// DeriveInto is Derive with the derived stream's home chosen by the
+// caller: for the same parent state and tag the two draw the same
+// values, and take the same single draw from the parent.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	a, b := NewStream(42), NewStream(42)
+	for i := 0; i < 300; i++ { // past the lazily built state vector
+		a.Float64()
+		b.Float64()
+	}
+	var streams [3]Stream // carved from an array, as a population's are
+	for k, tag := range []int64{1, 7, 0x70686173} {
+		boxed := a.Derive(tag)
+		inPlace := &streams[k]
+		b.DeriveInto(inPlace, tag)
+		for i := 0; i < 1000; i++ {
+			if x, y := boxed.r.Int63(), inPlace.r.Int63(); x != y {
+				t.Fatalf("tag %d: draw %d is %d from Derive, %d from DeriveInto", tag, i+1, x, y)
+			}
+		}
+	}
+	if x, y := a.r.Int63(), b.r.Int63(); x != y {
+		t.Fatalf("parents diverged: %d after Derive, %d after DeriveInto", x, y)
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	s := NewStream(42)
 	const n = 50000

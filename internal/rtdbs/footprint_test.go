@@ -1,4 +1,4 @@
-package rtdbs
+package rtdbs_test
 
 import (
 	"runtime"
@@ -6,61 +6,134 @@ import (
 	"time"
 
 	"siteselect/internal/config"
+	"siteselect/internal/rtdbs"
+	"siteselect/internal/scenario"
 )
+
+// scaleSwarm spells out config.Scale(10 000) as a scenario, the way the
+// benchmark's scale_10k.rts and scale_100k.rts do: one class, open-loop
+// Poisson arrivals. Compiled, it is a population on the class path — a
+// phased arrival schedule and a stream per phase beside what the flat
+// Table 1 path builds.
+const scaleSwarm = `scenario swarm
+system cs
+seed 1
+config {
+  duration 100s
+  drain 30s
+  db 20000
+  server-memory 100000
+  client-memory 256
+  client-disk 0
+  length 1s
+  slack 1000s
+  objects 4
+  updates 0.01
+  pattern localized-rw
+  hot-size 200
+  local-fraction 0.9
+  zipf-theta 0.9
+  scheduling edf
+  deadlines slack
+  threads 100
+  executors 2
+  max-subtasks 2
+  net-latency 200us
+  net-bandwidth 1000000000
+  topology switched
+  disk-read 20us
+  disk-write 20us
+  server-op-cpu 5us
+}
+clients swarm 10000 {
+  arrivals {
+    phase open rate 0.005
+  }
+}
+`
 
 // TestParkedClientFootprint is the blocking form of the population
 // tier's B/client: a 10k-client cluster built and started — every site
 // constructed, armed and parked, no transaction yet submitted — must
-// stay under a fixed number of heap bytes and allocations per client.
-// Both repeat for a given Go release (go1.24: 2 692 B and 15.0 mallocs;
-// 2 831 and 16.0 before a lock table kept one record per owner and a
-// server one per attached site; the parent of the change that added
-// this test: 4 224 B and 30.1). The ceilings sit an eighth above that,
-// which covers what differs across the CI matrix — the bucket layout of
-// the population-sized maps, about 30 B an entry either way — and stays
-// below what one regression costs: a by-value config.Config in each
-// client is +424 B, eager maps in each lock table a malloc apiece. (What
-// a site allocates only once traffic reaches it — the mailbox ring,
-// page frames — is pinned where it lives, in internal/sim and
-// internal/pagefile.)
+// stay under a fixed number of heap bytes and allocations per client, on
+// the flat Table 1 path (config.Scale) and on the class path a scenario
+// compiles to, which is the one the benchmark's scale_100k builds. Both
+// readings repeat for a given Go release. go1.24: 2 519 B and 1.0
+// mallocs on the default path, 2 648 B and 1.0 on the class path — the
+// one object a parked site still costs is its generator machine, which
+// dies before the site does (client.Start). Before a population was
+// carved from arrays the same two read 2 692 B and 15.0 mallocs, 2 819 B
+// and 19.0; 2 831 and 16.0 before a lock table kept one record per owner
+// and a server one per attached site; the parent of the change that
+// added this test: 4 224 B and 30.1. The byte ceilings sit an eighth
+// above the readings, which covers what differs across the CI matrix —
+// size classes and the growth of the few population-sized arrays — and
+// stays below what one regression costs: a by-value config.Config in
+// each client is +424 B, and any object made per site is a malloc, which
+// the ceiling of 2 has no room for. (What a site allocates only once
+// traffic reaches it — the mailbox ring, page frames, the cache's map —
+// is pinned where it lives, in internal/sim, internal/pagefile and
+// internal/cache.)
 func TestParkedClientFootprint(t *testing.T) {
 	const (
 		clients        = 10_000
-		bytesCeiling   = 3030
-		mallocsCeiling = 17
+		mallocsCeiling = 2
 	)
-	settled := func(ms *runtime.MemStats) {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(ms)
-	}
-	var before, after runtime.MemStats
-	settled(&before)
-	c, err := NewClientServer(config.Scale(clients))
+	swarm, err := scenario.Parse("swarm.rts", scaleSwarm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	settled(&after)
-	bytes := float64(after.HeapAlloc-before.HeapAlloc) / clients
-	mallocs := float64(after.Mallocs-before.Mallocs) / clients
-	t.Logf("%d clients built and started: %.0f B/client, %.1f mallocs/client", clients, bytes, mallocs)
-	if bytes > bytesCeiling {
-		t.Errorf("%.0f B/client, ceiling %d", bytes, bytesCeiling)
+	compiled, err := scenario.Compile(swarm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mallocs > mallocsCeiling {
-		t.Errorf("%.1f mallocs/client, ceiling %d", mallocs, mallocsCeiling)
+	for _, tc := range []struct {
+		name         string
+		cfg          config.Config
+		bytesCeiling float64
+	}{
+		{"default", config.Scale(clients), 2834},
+		{"class", compiled.Config, 2979},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg.NumClients != clients {
+				t.Fatalf("%d clients configured, want %d", tc.cfg.NumClients, clients)
+			}
+			settled := func(ms *runtime.MemStats) {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(ms)
+			}
+			var before, after runtime.MemStats
+			settled(&before)
+			c, err := rtdbs.NewClientServer(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			settled(&after)
+			bytes := float64(after.HeapAlloc-before.HeapAlloc) / clients
+			mallocs := float64(after.Mallocs-before.Mallocs) / clients
+			t.Logf("%d clients built and started (%s path): %.0f B/client, %.1f mallocs/client", clients, tc.name, bytes, mallocs)
+			if bytes > tc.bytesCeiling {
+				t.Errorf("%.0f B/client, ceiling %.0f", bytes, tc.bytesCeiling)
+			}
+			if mallocs > mallocsCeiling {
+				t.Errorf("%.1f mallocs/client, ceiling %d", mallocs, mallocsCeiling)
+			}
+			runtime.KeepAlive(c)
+			c.Env().Close()
+		})
 	}
-	runtime.KeepAlive(c)
-	c.Env().Close()
 }
 
 // TestMallocsPerTransaction is the blocking form of the benchmark's
 // allocs_per_txn on its write-path workload, at a tenth of the size: a
 // sharded, batched, 20 %-update client-server cell, every heap object
 // from construction to the end of the drain counted and divided by the
-// transactions submitted. go1.24 reads 16.8 (17.1 with a map entry per
-// object-keyed fact at the server; the parent of the change that pooled
+// transactions submitted. go1.24 reads 16.3 (16.8 with a fresh machine's
+// scratch vectors grown from nil, 17.1 with a map entry per object-keyed
+// fact at the server; the parent of the change that pooled
 // payloads, batch windows and lock queues: 69.3); what is left is the
 // run's working set being built — cache entries, lock-table entries and
 // their first holder and queue arrays, the transactions themselves —
@@ -79,7 +152,7 @@ func TestMallocsPerTransaction(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c, err := NewClientServer(cfg)
+	c, err := rtdbs.NewClientServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,15 @@ func TestServerGrantsFreeObject(t *testing.T) {
 
 // TestStartServesEveryAttachedSite: a handler runs for every attached
 // connection, whatever the ids — sites 2 and 7 alone are both answered
-// (counting the connections and walking ids 1..count gave site 7 none).
+// (counting the connections and walking ids 1..count gave site 7 none),
+// each by its own element of the array Start carves: two handlers, not
+// one per slot of the site table.
 func TestStartServesEveryAttachedSite(t *testing.T) {
 	r := newRigSites(t, []int{7, 2}, nil)
 	defer r.env.Close()
+	if got := r.env.Machines(); got != 2 {
+		t.Fatalf("%d handlers spawned for two attached sites", got)
+	}
 	for _, id := range []int{2, 7} {
 		r.request(id, lockmgr.ObjectID(40+id), lockmgr.ModeExclusive, time.Minute)
 	}

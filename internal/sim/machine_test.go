@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -518,6 +519,99 @@ func TestMachineSleepNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("machine sleep resume allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// A population whose size is known is announced once: after Grow(n),
+// spawning n machines and stepping each to its first park grows neither
+// the registry, the event pool, its free list nor the heap. The machines
+// sleep on, as a site's generator does, so every recycled event record
+// is taken again at once.
+func TestGrowThenSpawnNoAllocs(t *testing.T) {
+	const n, runs = 500, 4
+	env := NewEnv()
+	defer env.Close()
+	ms := make([]sleeperMachine, (runs+1)*n) // AllocsPerRun warms up with one extra call
+	env.Grow(len(ms))
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < n; i++ {
+			m := &ms[next]
+			next++
+			m.d = time.Hour
+			env.Spawn(&m.task, m)
+		}
+		for i := 0; i < n; i++ {
+			env.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("spawning and stepping %d machines after Grow allocates %.1f objects, want 0", n, allocs)
+	}
+	if got := env.Machines(); got != len(ms) {
+		t.Errorf("%d machines live, want %d", got, len(ms))
+	}
+}
+
+// rearmingWaiter waits on its signal with a timeout, again and again.
+type rearmingWaiter struct {
+	task Task
+	s    *Signal
+	d    time.Duration
+}
+
+func (m *rearmingWaiter) Resume() { m.task.WaitTimeout(m.s, m.d) }
+
+// Grow reserves capacity and nothing else: a model of sleepers, a
+// mailbox fed by timers and a waiter whose timeouts are canceled
+// executes the same (at, seq) sequence with the call and without it.
+func TestGrowLeavesEventOrderAlone(t *testing.T) {
+	type key struct {
+		at  time.Duration
+		seq int64
+	}
+	run := func(grow bool) (order []key, drained []int) {
+		env := NewEnv()
+		defer env.Close()
+		const n = 40
+		if grow {
+			env.Grow(n + 2)
+		}
+		ms := make([]sleeperMachine, n)
+		for i := range ms {
+			ms[i].d = time.Duration(i%7+1) * time.Millisecond
+			env.Spawn(&ms[i].task, &ms[i])
+		}
+		mb := NewMailbox[int](env)
+		d := &drainMachine{mb: mb}
+		env.Spawn(&d.task, d)
+		w := &rearmingWaiter{s: NewSignal(env), d: 3 * time.Millisecond}
+		env.Spawn(&w.task, w)
+		for i := 0; i < 30; i++ {
+			i := i
+			env.Schedule(time.Duration(i)*1500*time.Microsecond, func() {
+				mb.Put(i)
+				if i%4 == 0 {
+					w.s.Fire() // cancels the waiter's pending timeout
+				}
+			})
+		}
+		for len(env.events) > 0 && env.events[0].at <= 60*time.Millisecond {
+			order = append(order, key{env.events[0].at, env.events[0].seq})
+			env.Step()
+		}
+		return order, d.got
+	}
+	plain, plainGot := run(false)
+	grown, grownGot := run(true)
+	if len(plain) < 400 {
+		t.Fatalf("only %d events: the model is too small to say anything", len(plain))
+	}
+	if !slices.Equal(plain, grown) {
+		t.Errorf("event order differs with Grow: %d events without, %d with", len(plain), len(grown))
+	}
+	if !slices.Equal(plainGot, grownGot) {
+		t.Errorf("mailbox drained %v without Grow, %v with", plainGot, grownGot)
 	}
 }
 
