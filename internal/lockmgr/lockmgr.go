@@ -527,7 +527,9 @@ func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 	// Any of the releases may retire its entry: room for all of them at
 	// once, so a table's first transaction costs the free list one array
 	// and not one regrown from nil.
-	t.free = slices.Grow(t.free, len(objs))
+	if need := len(t.free) + len(objs); need > cap(t.free) {
+		t.free = append(make([]*entry, 0, max(need, 2*cap(t.free))), t.free...)
+	}
 	for _, obj := range objs {
 		t.release(obj, owner)
 	}
