@@ -86,7 +86,7 @@ func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass
 		phased = make([]txn.PhasedArrivals, n)
 	}
 	windows := make([]txn.Phase, np)
-	procs := make([]func(k int, s *rng.Stream) txn.ArrivalProcess, np)
+	procs := make([]arrivalInit, np)
 	start := time.Duration(0)
 	for pi, ph := range schedule {
 		end := time.Duration(math.MaxInt64)
@@ -120,26 +120,34 @@ func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass
 	}
 }
 
+// accessInit initialises the k'th access generator of a cohort's array,
+// for client i on its access stream, and hands it out; arrivalInit the
+// k'th arrival process of one phase on its phase stream.
+type (
+	accessInit  func(k, i int, s *rng.Stream) rng.AccessGen
+	arrivalInit func(k int, s *rng.Stream) txn.ArrivalProcess
+)
+
 // accessMaker makes the array of n access generators of the kind spec
 // selects — the run-level Config.Pattern when the class has no spec or
 // defers to it — and returns the function that initialises the k'th for
 // client i on its stream.
-func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) func(k, i int, s *rng.Stream) rng.AccessGen {
-	uniform := func() func(k, i int, s *rng.Stream) rng.AccessGen {
+func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) accessInit {
+	uniform := func() accessInit {
 		gs := make([]rng.Uniform, n)
 		return func(k, _ int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, cfg.DBSize)
 			return &gs[k]
 		}
 	}
-	hotCold := func(hotSize int, hotFrac float64) func(k, i int, s *rng.Stream) rng.AccessGen {
+	hotCold := func(hotSize int, hotFrac float64) accessInit {
 		gs := make([]rng.HotCold, n)
 		return func(k, _ int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, cfg.DBSize, hotSize, hotFrac)
 			return &gs[k]
 		}
 	}
-	localized := func() func(k, i int, s *rng.Stream) rng.AccessGen {
+	localized := func() accessInit {
 		gs := make([]rng.LocalizedRW, n)
 		return func(k, i int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, rng.LocalizedRWConfig{
@@ -191,8 +199,8 @@ func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) func(k, i i
 // it makes the array of n processes of the phase's kind and returns the
 // function that sets up the k'th on its stream. A rate curve is a pure
 // function of the phase, so the cohort shares one.
-func phaseMaker(ph config.ArrivalPhase, start time.Duration, n int) func(k int, s *rng.Stream) txn.ArrivalProcess {
-	variable := func(rateAt func(time.Duration) float64) func(k int, s *rng.Stream) txn.ArrivalProcess {
+func phaseMaker(ph config.ArrivalPhase, start time.Duration, n int) arrivalInit {
+	variable := func(rateAt func(time.Duration) float64) arrivalInit {
 		ps := make([]txn.VariableRate, n)
 		return func(k int, s *rng.Stream) txn.ArrivalProcess {
 			ps[k] = txn.VariableRate{Stream: s, Peak: ph.Peak, RateAt: rateAt}
