@@ -9,7 +9,10 @@
 // locks) to the server.
 package cache
 
-import "siteselect/internal/lockmgr"
+import (
+	"siteselect/internal/lockmgr"
+	"siteselect/internal/slab"
+)
 
 // Entry is one cached object.
 type Entry struct {
@@ -108,31 +111,39 @@ type Cache struct {
 	DiskHits   int64
 	Misses     int64
 
-	// free recycles evicted entries. Eviction and removal results are
-	// handed to the caller first (locks must be returned to the server),
-	// so entries re-enter the pool only via an explicit Recycle call.
-	free []*Entry
+	// slab is where entries come from and go back to: the system's,
+	// shared by its sites, or a private one made by the first Insert.
+	// Eviction and removal results are handed to the caller first (locks
+	// must be returned to the server), so entries go back only via an
+	// explicit Recycle call.
+	slab *Slab
 }
 
-// New returns a cache with the given per-tier capacities (in objects).
+// Slab is a stock of entries: a system owns one and hands it to the
+// cache of every site.
+type Slab = slab.Slab[Entry]
+
+// New returns a cache with the given per-tier capacities (in objects)
+// and entries of its own.
 func New(memCap, diskCap int) *Cache {
 	c := new(Cache)
-	c.Init(memCap, diskCap)
+	c.Init(memCap, diskCap, nil)
 	return c
 }
 
 // Init makes c an empty cache with the given per-tier capacities, in
-// place (a field of its owner). The entry map is made by the first
+// place (a field of its owner), drawing its entries from the system's
+// slab — nil for a cache on its own. The entry map is made by the first
 // Insert: at population scale many sites never cache anything, and
 // reads of a nil map are reads of an empty one.
-func (c *Cache) Init(memCap, diskCap int) {
+func (c *Cache) Init(memCap, diskCap int, entries *Slab) {
 	if memCap <= 0 {
 		panic("cache: memory capacity must be positive")
 	}
 	if diskCap < 0 {
 		diskCap = 0
 	}
-	*c = Cache{memCap: memCap, diskCap: diskCap}
+	*c = Cache{memCap: memCap, diskCap: diskCap, slab: entries}
 }
 
 // Len returns the number of cached objects across tiers.
@@ -186,14 +197,11 @@ func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, vers
 		c.touch(e)
 		return nil
 	}
-	var e *Entry
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free = c.free[:n-1]
-		*e = Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
-	} else {
-		e = &Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
+	if c.slab == nil {
+		c.slab = new(Slab)
 	}
+	e := c.slab.New()
+	*e = Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
 	if c.entries == nil {
 		c.entries = make(map[lockmgr.ObjectID]*Entry)
 	}
@@ -237,7 +245,7 @@ func (c *Cache) Remove(obj lockmgr.ObjectID) *Entry {
 	return e
 }
 
-// Recycle returns an evicted or removed entry to the cache's free pool.
+// Recycle returns an evicted or removed entry to the slab.
 // Call it only after the entry has been fully processed and no other
 // reference to it remains; a still-cached entry panics.
 func (c *Cache) Recycle(e *Entry) {
@@ -247,8 +255,7 @@ func (c *Cache) Recycle(e *Entry) {
 	if e.tier != TierNone {
 		panic("cache: Recycle of live entry")
 	}
-	*e = Entry{}
-	c.free = append(c.free, e)
+	c.slab.Put(e)
 }
 
 // Visit calls fn for every cached entry, in place and in unspecified

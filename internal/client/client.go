@@ -191,25 +191,27 @@ type pendingTxn struct {
 
 // New returns a client site; see Init.
 func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	pool *proto.Pool, m *metrics.Collector, boxes []sim.Mailbox[netsim.Message],
-	topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
+	pool *proto.Pool, entries *cache.Slab, locks *lockmgr.Slab, m *metrics.Collector,
+	boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
 	c := new(Client)
-	c.Init(env, cfg, id, net, pool, m, boxes, topo, gen, loadShare)
+	c.Init(env, cfg, id, net, pool, entries, locks, m, boxes, topo, gen, loadShare)
 	return c
 }
 
 // Init makes c a client site, in place: a cluster's clients are the
 // elements of one array, and a Client holds a machine, a resource and
 // (once started) wait-queue links, so it is initialised where it lives
-// and not copied afterwards. cfg, pool and topo are the cluster's,
-// shared by every site; boxes are this client's initialised mailboxes —
+// and not copied afterwards. cfg, pool, topo and the two slabs — which
+// the cache and the local lock table draw their records from, nil for a
+// client on its own — are the cluster's, shared by every site; boxes are
+// this client's initialised mailboxes —
 // boxes[0] its message queue, boxes[1+k] its connection queue at server
 // shard k (two boxes at a single server).
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
 func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	pool *proto.Pool, m *metrics.Collector, boxes []sim.Mailbox[netsim.Message],
-	topo *shardmap.Map, gen txn.Source, loadShare bool) {
+	pool *proto.Pool, entries *cache.Slab, locks *lockmgr.Slab, m *metrics.Collector,
+	boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) {
 	*c = Client{
 		env:       env,
 		cfg:       cfg,
@@ -223,7 +225,8 @@ func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *n
 		gen:       gen,
 		loadShare: loadShare,
 	}
-	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk)
+	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk, entries)
+	c.lockTable.Init(locks)
 	c.slots.Init(env, cfg.ClientExecutors)
 	c.disp.c = c
 	c.faulty = cfg.Faults.Enabled()
@@ -231,8 +234,7 @@ func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *n
 	if cfg.ClientExecutors > 1 {
 		// Deliberately not Reserved: a client only ever locks the few
 		// objects it caches, and a dense database-wide index per client
-		// would dominate memory at large populations. The zero Table is
-		// an empty one.
+		// would dominate memory at large populations.
 		c.localLocks = &c.lockTable
 	}
 	if cfg.ClientDisk > 0 || cfg.UseLogging {

@@ -63,16 +63,15 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		RegionSize: cfg.HotRegionSize, LocalFraction: cfg.LocalFraction,
 		ZipfTheta: cfg.ZipfTheta,
 	})
-	var id txn.ID
 	gen := txn.NewGenerator(stream, 1, txn.WorkloadConfig{
 		MeanInterArrival: cfg.MeanInterArrival,
 		MeanLength:       cfg.MeanLength,
 		MeanSlack:        cfg.MeanSlack,
 		MeanObjects:      cfg.MeanObjects,
 		Access:           access,
-	}, func() txn.ID { id++; return id })
+	}, nil)
 
-	cl := New(env, &cfg, 1, net, &proto.Pool{}, &metrics.Collector{}, boxes,
+	cl := New(env, &cfg, 1, net, &proto.Pool{}, nil, nil, &metrics.Collector{}, boxes,
 		shardmap.New(cfg.Sharding), gen, true)
 	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.

@@ -62,48 +62,36 @@ func TestSparseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, NewTable()) }
 
 func TestDenseRoundNoAllocs(t *testing.T) { testRoundNoAllocs(t, denseTable(64)) }
 
-// TestFirstReleaseAllSizesFreeListOnce: a table's first transaction
-// retires all of its entries in one ReleaseAll, which makes room for
-// them at once — two allocations more than the same call on a table that
-// has seen a transaction before, the entry free list and the owner free
-// list, where a list regrown from nil took 1 → 2 → 4 → 8 to hold five.
-// At population scale every client's table sees one transaction, so the
-// first use is the only use. (The warm call is the baseline because the
-// race detector's build makes it allocate too.)
-func TestFirstReleaseAllSizesFreeListOnce(t *testing.T) {
-	const runs, locks = 50, 5
-	lockAll := func(tb *Table, owner OwnerID) {
-		for obj := ObjectID(0); obj < locks; obj++ {
-			if out, _ := tb.Lock(&Request{Obj: obj, Owner: owner, Mode: ModeShared}); out != Granted {
-				t.Fatal("free object not granted")
-			}
-		}
-	}
-	// releaseAlls measures ReleaseAll(2) over a fresh set of tables, each
-	// holding locks locks for owner 2 — after a whole transaction by
-	// owner 1 when warm is set.
-	releaseAlls := func(warm bool) float64 {
-		tables := make([]*Table, runs+1) // AllocsPerRun warms up with one extra call
-		for i := range tables {
-			tables[i] = NewTable()
-			if warm {
-				lockAll(tables[i], 1)
-				tables[i].ReleaseAll(1)
-			}
-			lockAll(tables[i], 2)
-		}
+// TestFirstTransactionOnSharedSlab: a table's first transaction takes
+// its records from the system's slab and hands them back, so on a slab
+// another table has warmed it allocates what the table itself is made
+// of — its two maps — and nothing per lock: five locks cost what one
+// does. At population scale every client's table sees one transaction,
+// so the first use is the only use.
+func TestFirstTransactionOnSharedSlab(t *testing.T) {
+	const runs = 50
+	firstTxn := func(locks int) float64 {
+		var shared Slab
+		tables := make([]Table, runs+2) // one warms the slab, AllocsPerRun warms up with another
+		reqs := make([]Request, locks)  // a granted request is the caller's again
 		next := 0
-		n := testing.AllocsPerRun(runs, func() {
-			tables[next].ReleaseAll(2)
+		txn := func() {
+			tb := &tables[next]
 			next++
-		})
-		if got := len(tables[0].free); got != locks {
-			t.Errorf("%d entries on the free list, want %d", got, locks)
+			tb.Init(&shared)
+			for obj := range reqs {
+				reqs[obj] = Request{Obj: ObjectID(obj), Owner: 2, Mode: ModeShared}
+				if out, _ := tb.Lock(&reqs[obj]); out != Granted {
+					t.Fatal("free object not granted")
+				}
+			}
+			tb.ReleaseAll(2)
 		}
-		return n
+		txn()
+		return testing.AllocsPerRun(runs, txn)
 	}
-	if first, later := releaseAlls(false), releaseAlls(true); first-later != 2 {
-		t.Errorf("a table's first ReleaseAll of %d locks allocates %v, a later one %v: want 2 more", locks, first, later)
+	if one, five := firstTxn(1), firstTxn(5); one != five {
+		t.Errorf("a table's first transaction allocates %v with one lock, %v with five: want the same", one, five)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 )
 
 // ObjectID identifies a database object (page).
@@ -101,8 +102,8 @@ func (r *Request) GrantedNow() bool { return r.granted }
 // database), or a sparse map otherwise (per-client tables, which only
 // ever lock the few objects the client caches — a dense index sized by
 // the database would dwarf the client itself at large populations).
-// Spent entries recycle through a free list instead of churning the
-// allocator either way.
+// Entries, owner records and the arrays that outgrow them come from a
+// Slab and go back to it when spent, either way.
 //
 // The two maps (sparse, owners) are made by the first write to each:
 // every client site owns a table, and at population scale most never
@@ -112,15 +113,15 @@ type Table struct {
 	dense   bool
 	entries []*entry            // dense: indexed by ObjectID; nil when no locks or waiters
 	sparse  map[ObjectID]*entry // sparse: present only while locked or waited on
-	free    []*entry
 	seq     int64
 
-	// owners holds one record per owner that holds or waits for a lock;
-	// ownersFree recycles them with their slices. Owners are transient
-	// transaction ids at the centralized server and in every client's
-	// local table, so without reuse every transaction pays for a record.
-	owners     map[OwnerID]*ownerRec
-	ownersFree []*ownerRec
+	// owners holds one record per owner that holds or waits for a lock.
+	// Owners are transient transaction ids at the centralized server and
+	// in every client's local table, so the records recycle through slab.
+	owners map[OwnerID]*ownerRec
+	// slab is the table's stock of records: the system's, shared by the
+	// tables of its sites, or a private one made on first use.
+	slab *Slab
 
 	// confBuf is the shared conflict-scan buffer: conflict queries
 	// return slices of it, valid only until the next table call.
@@ -164,18 +165,55 @@ type ownerRec struct {
 	first [4]ObjectID
 }
 
-// owner returns owner's record, making (or recycling) one on first use.
+// Slab is the stock of records the lock tables of one system draw on —
+// entries, owner records, and the power-of-two blocks that holder sets,
+// wait queues and an owner's lists move to when they outgrow their
+// record. The system owns it and hands it to every table (Table.Init);
+// a record one table retires is the next any of them takes.
+type Slab struct {
+	entries slab.Slab[entry]
+	owners  slab.Slab[ownerRec]
+	holders slab.Slab[holderEntry]
+	queues  slab.Slab[*Request]
+	objs    slab.Slab[ObjectID]
+	edges   slab.Slab[OwnerID]
+}
+
+// push appends x to s, a list living in a block of sl or — at capacity
+// own — in its record's own array. A full list moves to a block of twice
+// the capacity and hands the outgrown block back.
+func push[T any](sl *slab.Slab[T], s []T, x T, own int) []T {
+	if len(s) == cap(s) {
+		grown := sl.Block(max(2*cap(s), 2))[:len(s)]
+		copy(grown, s)
+		drop(sl, s, own)
+		s = grown
+	}
+	return append(s, x)
+}
+
+// drop hands s's block back to sl, unless s lives in its record (own).
+func drop[T any](sl *slab.Slab[T], s []T, own int) {
+	if cap(s) > own {
+		sl.PutBlock(s)
+	}
+}
+
+// stock returns the table's slab, making a private one on first use.
+func (t *Table) stock() *Slab {
+	if t.slab == nil {
+		t.slab = new(Slab)
+	}
+	return t.slab
+}
+
+// owner returns owner's record, taking one from the slab on first use.
 func (t *Table) owner(owner OwnerID) *ownerRec {
 	if r := t.owners[owner]; r != nil {
 		return r
 	}
-	var r *ownerRec
-	if n := len(t.ownersFree); n > 0 {
-		r, t.ownersFree = t.ownersFree[n-1], t.ownersFree[:n-1]
-	} else {
-		r = new(ownerRec)
-		r.held = r.first[:0]
-	}
+	r := t.stock().owners.New()
+	r.held = r.first[:0]
 	if t.owners == nil {
 		t.owners = make(map[OwnerID]*ownerRec)
 	}
@@ -183,13 +221,16 @@ func (t *Table) owner(owner OwnerID) *ownerRec {
 	return r
 }
 
-// settle retires owner's record once it neither holds nor waits. Its
+// settle retires owner's record once it neither holds nor waits: its
 // lists are empty then — the edges were rebuilt from no queued request —
-// and a stale ddGen is below every search still to come.
+// and their blocks go back to the slab with it.
 func (t *Table) settle(owner OwnerID, r *ownerRec) {
 	if len(r.held) == 0 && len(r.waiting) == 0 {
 		delete(t.owners, owner)
-		t.ownersFree = append(t.ownersFree, r)
+		drop(&t.slab.objs, r.held, len(r.first))
+		drop(&t.slab.objs, r.waiting, 0)
+		drop(&t.slab.edges, r.edges, 0)
+		t.slab.owners.Put(r)
 	}
 }
 
@@ -215,18 +256,21 @@ type holderEntry struct {
 // tiny (readers of one object), so sorted insertion beats a map and
 // conflict scans come out pre-sorted for determinism. A new entry's
 // holders start in the entry itself (first): an object cached by one
-// site — most of them, at population scale — costs one 64-byte object,
-// not an entry plus a one-element array. Both slices keep whatever
-// capacity they grew to when the entry is retired and reused for
-// another object.
+// site — most of them, at population scale — costs one 64-byte record,
+// not an entry plus a one-element array. A holder set that outgrows it,
+// and every wait queue, lives in a block of the slab.
 type entry struct {
 	holders []holderEntry
 	queue   []*Request
 	first   [1]holderEntry
 }
 
-// NewTable returns an empty lock table.
+// NewTable returns an empty lock table with records of its own.
 func NewTable() *Table { return &Table{} }
+
+// Init makes t an empty table, in place, drawing its records from the
+// system's slab — nil, as in the zero Table, for a table on its own.
+func (t *Table) Init(records *Slab) { *t = Table{slab: records} }
 
 // Reserve switches the table to the dense entry index, pre-sized for
 // object ids in [0, n). Call it before first use when the table will
@@ -256,14 +300,8 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	if e := t.lookup(obj); e != nil {
 		return e
 	}
-	var e *entry
-	if n := len(t.free); n > 0 {
-		e = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		e = &entry{}
-		e.holders = e.first[:0]
-	}
+	e := t.stock().entries.New()
+	e.holders = e.first[:0]
 	if t.dense {
 		for int(obj) >= len(t.entries) {
 			t.entries = append(t.entries, nil)
@@ -278,15 +316,17 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	return e
 }
 
-// retire returns obj's spent entry — no holder, no waiter — to the free
-// list.
+// retire returns obj's spent entry — no holder, no waiter — and the
+// blocks its lists grew into to the slab.
 func (t *Table) retire(obj ObjectID, e *entry) {
 	if t.dense {
 		t.entries[obj] = nil
 	} else {
 		delete(t.sparse, obj)
 	}
-	t.free = append(t.free, e)
+	drop(&t.slab.holders, e.holders, len(e.first))
+	drop(&t.slab.queues, e.queue, 0)
+	t.slab.entries.Put(e)
 }
 
 // find returns the index of owner in the sorted holder slice, or the
@@ -319,11 +359,11 @@ func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
 		e.holders[i].mode = mode
 		return
 	}
-	e.holders = append(e.holders, holderEntry{})
+	e.holders = push(&t.slab.holders, e.holders, holderEntry{}, len(e.first))
 	copy(e.holders[i+1:], e.holders[i:])
 	e.holders[i] = holderEntry{owner: owner, mode: mode}
 	r := t.owner(owner)
-	r.held = append(r.held, obj)
+	r.held = push(&t.slab.objs, r.held, obj, len(r.first))
 }
 
 // delHolder removes owner's hold, reporting whether it was held.
@@ -401,7 +441,7 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 	t.enqueue(e, req)
 	r := t.owners[req.Owner]
 	for _, h := range conf {
-		r.addEdge(h)
+		t.addEdge(r, h)
 	}
 	return t.requested(req, Queued, conf)
 }
@@ -441,11 +481,11 @@ func (t *Table) enqueue(e *entry, req *Request) {
 		}
 		return q.seq > req.seq
 	})
-	e.queue = append(e.queue, nil)
+	e.queue = push(&t.slab.queues, e.queue, nil, 0)
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = req
 	r := t.owner(req.Owner)
-	r.waiting = append(r.waiting, req.Obj)
+	r.waiting = push(&t.slab.objs, r.waiting, req.Obj, 0)
 }
 
 // dequeued maintains owner's record when its queued request on obj
@@ -467,7 +507,7 @@ func (t *Table) dequeued(owner OwnerID, obj ObjectID) {
 			}
 			for _, h := range e.holders {
 				if h.owner != owner && !Compatible(q.Mode, h.mode) {
-					r.addEdge(h.owner)
+					t.addEdge(r, h.owner)
 				}
 			}
 		}
@@ -524,12 +564,6 @@ func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 		objs = append(stack[:0], r.held...)
 	}
 	slices.Sort(objs)
-	// Any of the releases may retire its entry: room for all of them at
-	// once, so a table's first transaction costs the free list one array
-	// and not one regrown from nil.
-	if need := len(t.free) + len(objs); need > cap(t.free) {
-		t.free = append(make([]*entry, 0, max(need, 2*cap(t.free))), t.free...)
-	}
 	for _, obj := range objs {
 		t.release(obj, owner)
 	}
@@ -703,10 +737,12 @@ func (t *Table) ddReach(from, owner OwnerID) bool {
 	return false
 }
 
-// addEdge records that the owner waits for to.
-func (r *ownerRec) addEdge(to OwnerID) {
+// addEdge records that r's owner waits for to.
+func (t *Table) addEdge(r *ownerRec, to OwnerID) {
 	if i, found := slices.BinarySearch(r.edges, to); !found {
-		r.edges = slices.Insert(r.edges, i, to)
+		r.edges = push(&t.slab.edges, r.edges, to, 0)
+		copy(r.edges[i+1:], r.edges[i:])
+		r.edges[i] = to
 	}
 }
 

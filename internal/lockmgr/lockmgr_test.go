@@ -22,15 +22,10 @@ func holders(t *Table, obj ObjectID) []OwnerID {
 	return out
 }
 
-// checkEmpty fails unless tb holds no entry and no owner record, and
-// every retired record went to the free list with nothing in it.
+// checkEmpty fails unless tb holds no entry and no owner record (the
+// slab zeroes the ones it was handed back).
 func checkEmpty(t *testing.T, tb *Table) {
 	t.Helper()
-	for _, r := range tb.ownersFree {
-		if len(r.held) != 0 || len(r.waiting) != 0 || len(r.edges) != 0 {
-			t.Fatalf("retired owner record still lists %v held, %v waiting, %v edges", r.held, r.waiting, r.edges)
-		}
-	}
 	live := len(tb.sparse)
 	for _, e := range tb.entries {
 		if e != nil {
@@ -332,11 +327,11 @@ func TestEntryGarbageCollected(t *testing.T) {
 	if tab.lookup(1) != nil {
 		t.Fatal("empty entry not retired")
 	}
-	if len(tab.free) != 1 {
-		t.Fatalf("free list = %d entries, want 1", len(tab.free))
+	if idle := tab.slab.entries.Idle(); idle != 1 {
+		t.Fatalf("%d entries back in the slab, want 1", idle)
 	}
-	if len(tab.owners) != 0 || len(tab.ownersFree) != 1 {
-		t.Fatalf("%d owner records live and %d free, want 0 and 1", len(tab.owners), len(tab.ownersFree))
+	if idle := tab.slab.owners.Idle(); len(tab.owners) != 0 || idle != 1 {
+		t.Fatalf("%d owner records live and %d back in the slab, want 0 and 1", len(tab.owners), idle)
 	}
 }
 

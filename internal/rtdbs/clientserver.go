@@ -36,11 +36,17 @@ type Cluster struct {
 	// payloads is this cluster's stock of message payload records,
 	// shared by its servers and clients and by no other cluster.
 	payloads proto.Pool
-	m        *metrics.Collector
-	topo     *shardmap.Map
-	servers  []*server.Server
-	clients  []client.Client
-	tr       *trace.Tracer
+	// entries and locks are the slabs every site's cache and every lock
+	// table — the shards' and the clients' local ones — carve their
+	// records from and hand them back to. They live as long as the
+	// cluster; the sites keep no free lists of their own.
+	entries cache.Slab
+	locks   lockmgr.Slab
+	m       *metrics.Collector
+	topo    *shardmap.Map
+	servers []*server.Server
+	clients []client.Client
+	tr      *trace.Tracer
 }
 
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
@@ -84,7 +90,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
-		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, k, topo))
+		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, &c.locks, k, topo))
 	}
 	if topo.Multi() {
 		// Shard-to-shard mailboxes: every shard gets one peer inbox and
@@ -121,7 +127,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
 		inboxes[id] = &mine[0]
-		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, c.m, mine, topo, &gens[i-1], loadShare)
+		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, &c.entries, &c.locks, c.m, mine, topo, &gens[i-1], loadShare)
 	}
 	for i := range c.clients {
 		c.clients[i].SetPeers(&inboxes)

@@ -77,7 +77,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			}
 			c.Lookup(4)
 			c.Lookup(99)
-			c.Init(4, 2)
+			c.Init(4, 2, nil)
 			return c
 		}, func() any { return cache.New(4, 2) }},
 		{"rng.Stream", func() any {
@@ -126,13 +126,13 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			return g
 		}, func() any { return txn.NewGenerator(rng.NewStream(5), 1, wc, nil) }},
 		{"client.Client", func() any {
-			c := client.New(env, &cfg, 2, net, &pool, &m, boxes, topo, gen, false)
+			c := client.New(env, &cfg, 2, net, &pool, nil, nil, &m, boxes, topo, gen, false)
 			c.Cache().Insert(7, lockmgr.ModeExclusive, true, 3)
 			c.Tracked = append(c.Tracked, &txn.Transaction{ID: 1})
 			c.Retries, c.ShippedIn = 4, 2
-			c.Init(env, &cfg, 1, net, &pool, &m, boxes, topo, gen, true)
+			c.Init(env, &cfg, 1, net, &pool, nil, nil, &m, boxes, topo, gen, true)
 			return c
-		}, func() any { return client.New(env, &cfg, 1, net, &pool, &m, boxes, topo, gen, true) }},
+		}, func() any { return client.New(env, &cfg, 1, net, &pool, nil, nil, &m, boxes, topo, gen, true) }},
 	} {
 		used, fresh := tc.used(), tc.fresh()
 		if !reflect.DeepEqual(used, fresh) {

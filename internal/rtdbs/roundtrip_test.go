@@ -77,7 +77,7 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 			next: time.Duration(i) * 10 * time.Second, period: 20 * time.Second, nextID: &nextID,
 		}
 		src.t.Origin = id
-		clients[i] = client.New(env, &cfg, id, net, &payloads, &m, boxes, topo, src, false)
+		clients[i] = client.New(env, &cfg, id, net, &payloads, nil, nil, &m, boxes, topo, src, false)
 		// Room for every transaction the test generates: the generated
 		// transactions are the run's result, not message bookkeeping.
 		clients[i].Tracked = make([]*txn.Transaction, 0, 4096)

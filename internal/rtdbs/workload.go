@@ -18,20 +18,20 @@ import (
 // parameters — adds one array per kind of state its clients have
 // (carveCohort), so a client carries the fields of its own access
 // pattern and arrival processes and of no other. The arrays live as
-// long as the system; nothing is returned to them.
+// long as the system, as does the maker the generators carve their
+// transactions from; nothing is returned to either.
 func newGenerators(cfg *config.Config) []txn.Generator {
 	gens := make([]txn.Generator, cfg.NumClients)
 	root := rng.NewStream(cfg.Seed)
-	var nextID txn.ID
-	newID := func() txn.ID { nextID++; return nextID }
+	maker := new(txn.Maker) // the system's: every generator draws on it
 	if cfg.Workload == nil {
-		carveCohort(root, cfg, nil, 1, gens, newID)
+		carveCohort(root, cfg, nil, 1, gens, maker)
 		return gens
 	}
 	first := 1
 	for ci := range cfg.Workload.Classes {
 		class := &cfg.Workload.Classes[ci]
-		carveCohort(root, cfg, class, first, gens[first-1:first-1+class.Count], newID)
+		carveCohort(root, cfg, class, first, gens[first-1:first-1+class.Count], maker)
 		first += class.Count
 	}
 	return gens
@@ -51,7 +51,7 @@ const phaseSeedTag int64 = 0x70686173 // "phas"
 // phase. What the cohort's clients share is worked out once; what each
 // owns is an element of an array made here.
 func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass, first int,
-	gens []txn.Generator, newID func() txn.ID) {
+	gens []txn.Generator, maker *txn.Maker) {
 	wc := txn.WorkloadConfig{
 		MeanInterArrival:     cfg.MeanInterArrival,
 		MeanLength:           cfg.MeanLength,
@@ -116,7 +116,7 @@ func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass
 			phased[k].Phases = ps
 			wc.Arrivals = &phased[k]
 		}
-		gens[k].Init(stream, netsim.SiteID(i), wc, newID)
+		gens[k].Init(stream, netsim.SiteID(i), wc, maker)
 	}
 }
 

@@ -38,7 +38,7 @@ func newShardRig(t *testing.T) *shardRig {
 	}
 	pool := &proto.Pool{}
 	for k := range r.srv {
-		r.srv[k] = NewShard(env, &cfg, r.net, pool, k, r.topo)
+		r.srv[k] = NewShard(env, &cfg, r.net, pool, nil, k, r.topo)
 	}
 	for k, sv := range r.srv {
 		in := sim.NewMailbox[netsim.Message](env)

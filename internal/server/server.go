@@ -257,14 +257,16 @@ func (s *Server) rec(obj lockmgr.ObjectID) *objState {
 // New returns the single server of the paper's topology. Call Attach
 // for every client, then Start.
 func New(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool) *Server {
-	return NewShard(env, cfg, net, payloads, 0, shardmap.New(cfg.Sharding))
+	return NewShard(env, cfg, net, payloads, nil, 0, shardmap.New(cfg.Sharding))
 }
 
 // NewShard returns server shard `shard` of a (possibly multi-server)
-// topology sharing the payload pool and the runtime map topo. Call
+// topology sharing the payload pool, the lock-record slab (nil: records
+// of the shard's own) and the runtime map topo. Call
 // Attach for every client — and, in multi-server topologies,
 // SetPeerInbox/AttachPeer for the shard-to-shard transport — then Start.
-func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool, shard int, topo *shardmap.Map) *Server {
+func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool,
+	locks *lockmgr.Slab, shard int, topo *shardmap.Map) *Server {
 	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
 		ReadTime:  cfg.DiskRead,
 		WriteTime: cfg.DiskWrite,
@@ -278,7 +280,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		site:        shardmap.ShardSite(shard),
 		topo:        topo,
 		adaptive:    cfg.Sharding.Adaptive(),
-		locks:       lockmgr.NewTable(),
+		locks:       new(lockmgr.Table),
 		disk:        disk,
 		pool:        pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
 		versions:    make([]int64, cfg.DBSize),
@@ -288,6 +290,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		sites:       make([]site, cfg.NumClients+1),
 		epochs:      make(map[epochKey]int64),
 	}
+	s.locks.Init(locks)
 	s.locks.Reserve(cfg.DBSize)
 	s.faulty = cfg.Faults.Enabled()
 	if cfg.UseForwardLists {

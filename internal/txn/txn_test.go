@@ -141,7 +141,6 @@ func newTestGen(update float64) *Generator {
 		DBSize: 10000, ClientIndex: 0, NumClients: 10,
 		RegionSize: 1000, LocalFraction: 0.75, ZipfTheta: 0.9,
 	})
-	var id ID
 	return NewGenerator(stream, 1, WorkloadConfig{
 		MeanInterArrival:     10 * time.Second,
 		MeanLength:           10 * time.Second,
@@ -150,7 +149,7 @@ func newTestGen(update float64) *Generator {
 		UpdateFraction:       update,
 		DecomposableFraction: 0.1,
 		Access:               access,
-	}, func() ID { id++; return id })
+	}, nil)
 }
 
 func TestGeneratorArrivalsIncrease(t *testing.T) {
@@ -236,7 +235,6 @@ func TestGeneratorDistinctOps(t *testing.T) {
 func TestIndependentDeadlinePolicy(t *testing.T) {
 	stream := rng.NewStream(2)
 	access := rng.NewUniform(stream.Derive(9), 1000)
-	var id ID
 	g := NewGenerator(stream, 1, WorkloadConfig{
 		MeanInterArrival:     10 * time.Second,
 		MeanLength:           10 * time.Second,
@@ -244,7 +242,7 @@ func TestIndependentDeadlinePolicy(t *testing.T) {
 		MeanObjects:          5,
 		IndependentDeadlines: true,
 		Access:               access,
-	}, func() ID { id++; return id })
+	}, nil)
 	// Under the independent policy some transactions must draw
 	// deadlines shorter than their own length (impossible under the
 	// default policy).

@@ -6,6 +6,7 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/rng"
+	"siteselect/internal/slab"
 )
 
 // WorkloadConfig shapes one client's transaction stream (Table 1).
@@ -59,28 +60,48 @@ type Source interface {
 	Next() *Transaction
 }
 
+// Maker is the one source of a run's transactions: it numbers them —
+// ids are unique across the generators that share it — and carves the
+// records and their access vectors from two slabs. A system owns one,
+// shared by all its generators. Nothing is ever handed back to it: a
+// transaction is tracked to the end of the run, which reads its outcome.
+type Maker struct {
+	lastID ID
+	txns   slab.Slab[Transaction]
+	ops    slab.Slab[Op]
+}
+
+// New returns a zeroed transaction with the next id and room for n
+// accesses.
+func (m *Maker) New(n int) *Transaction {
+	t := m.txns.New()
+	m.lastID++
+	t.ID, t.Ops = m.lastID, m.ops.Block(n)
+	return t
+}
+
 // Generator produces one client's transaction stream deterministically
 // from its stream.
 type Generator struct {
 	cfg     WorkloadConfig
 	stream  *rng.Stream
 	origin  netsim.SiteID
-	nextID  func() ID
+	maker   *Maker
 	nextAt  time.Duration
 	advance func(time.Duration)
 }
 
-// NewGenerator returns a generator for origin. nextID must hand out
-// run-unique transaction ids (shared across clients).
-func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, nextID func() ID) *Generator {
+// NewGenerator returns a generator for origin drawing on maker, the
+// system's (nil: one of its own, made by the first Next).
+func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, maker *Maker) *Generator {
 	g := new(Generator)
-	g.Init(stream, origin, cfg, nextID)
+	g.Init(stream, origin, cfg, maker)
 	return g
 }
 
 // Init makes g a generator for origin, in place (a population's
 // generators are elements of one array). It draws the first arrival.
-func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, nextID func() ID) {
+func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, maker *Maker) {
 	if cfg.MeanObjects <= 0 {
 		cfg.MeanObjects = 10
 	}
@@ -90,7 +111,7 @@ func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadC
 	if cfg.MinSlack <= 0 {
 		cfg.MinSlack = time.Second
 	}
-	*g = Generator{cfg: cfg, stream: stream, origin: origin, nextID: nextID}
+	*g = Generator{cfg: cfg, stream: stream, origin: origin, maker: maker}
 	if a, ok := cfg.Access.(interface{ Advance(time.Duration) }); ok {
 		g.advance = a.Advance
 	}
@@ -122,9 +143,12 @@ func (g *Generator) Next() *Transaction {
 		n = 1
 	}
 	ids := g.cfg.Access.NextSet(n)
-	ops := make([]Op, len(ids))
+	if g.maker == nil {
+		g.maker = new(Maker)
+	}
+	t := g.maker.New(len(ids))
 	for i, id := range ids {
-		ops[i] = Op{
+		t.Ops[i] = Op{
 			Obj:   lockmgr.ObjectID(id),
 			Write: g.stream.Float64() < g.cfg.UpdateFraction,
 		}
@@ -140,15 +164,9 @@ func (g *Generator) Next() *Transaction {
 		}
 		deadline = arrival + length + g.stream.ExpMin(meanSlack, g.cfg.MinSlack)
 	}
-	return &Transaction{
-		ID:           g.nextID(),
-		Origin:       g.origin,
-		Arrival:      arrival,
-		Deadline:     deadline,
-		Length:       length,
-		Ops:          ops,
-		Decomposable: g.stream.Float64() < g.cfg.DecomposableFraction,
-		Status:       StatusPending,
-		ExecSite:     g.origin,
-	}
+	t.Origin, t.ExecSite = g.origin, g.origin
+	t.Arrival, t.Deadline, t.Length = arrival, deadline, length
+	t.Decomposable = g.stream.Float64() < g.cfg.DecomposableFraction
+	t.Status = StatusPending
+	return t
 }
