@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"siteselect/internal/cache"
+	"siteselect/internal/loadshare"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
@@ -141,20 +142,23 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 }
 
 // TestSelectionRoundBookkeepingZeroAlloc pins the load-sharing rounds at
-// one server at zero allocations, site selection itself aside: a
-// tentative probe answered by a ConflictReply and followed by the commit
-// round and its grants, then a location/load query and its LoadReply.
-// The single reply of each is read in place — a copy-merge of it would
-// show here as allocations per round.
+// one server at zero allocations, the decisions included: a tentative
+// probe answered by a ConflictReply, H2 over it, the commit round and
+// its grants; then a location/load query, its LoadReply, H2 again and
+// the decomposition it feeds. Each reply is copied out of its payload
+// record — which goes back to the pool — into arrays the pending record
+// keeps, and every decision runs in the client's scratch.
 func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
 	c := r.cl
-	tx := &txn.Transaction{ID: 202, Deadline: time.Hour, Ops: []txn.Op{{Obj: 7}, {Obj: 8, Write: true}}}
+	tx := &txn.Transaction{ID: 202, Deadline: time.Hour, Length: time.Second, Decomposable: true,
+		Ops: []txn.Op{{Obj: 7}, {Obj: 8, Write: true}}}
 	m := &txnMachine{c: c, t: tx, missing: tx.Ops}
+	r.env.Adopt(&m.task, m) // chooseSite reads the clock; the machine never runs
 
-	// The reply vectors are the server's, made per reply; the scripted
-	// server here sends the same ones every round.
+	// The scripted server fills a pooled record from these every round,
+	// as the real one does from its lock table.
 	where := []proto.ObjConflict{{Obj: 8, Holders: []netsim.SiteID{2}}}
 	loads := []proto.LoadReport{{Client: 2, QueueLen: 1, ATL: time.Second, Valid: true}}
 	counts := []proto.SiteCount{{Site: 2, Count: 1}}
@@ -181,12 +185,17 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		}
 		m.sendKind = skProbe
 		cr := c.payloads.ConflictReply.Get()
-		*cr = proto.ConflictReply{Txn: tx.ID, Conflicts: where, Loads: loads, DataCounts: counts}
+		cr.Txn, cr.Loads, cr.DataCounts = tx.ID, append(cr.Loads, loads...), append(cr.DataCounts, counts...)
+		cr.AddConflict(where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.ProbeRequest); return ok && len(q.Objs) == 2 },
 			netsim.KindLockReply, cr)
 		conflicts, loadAt, countAt := c.h2Inputs(pt.confFrom)
-		if !pt.gotConflict || &conflicts[0] != &where[0] || !loadAt[2].Valid || countAt[2] != 1 {
-			panic("conflict reply not read in place")
+		if !pt.gotConflict || conflicts[0].Obj != 8 || conflicts[0].Holders[0] != 2 || !loadAt[2].Valid || countAt[2] != 1 {
+			panic("conflict reply not copied out")
+		}
+		if d := m.chooseSite(loadshare.Params{Conflicts: conflicts, Loads: loadAt, DataCounts: countAt,
+			RequireImprovement: true, MinShipData: 1}); !d.Ship || d.Target != 2 {
+			panic("H2 did not pick the conflicting holder")
 		}
 		m.sendKind = skCommit
 		g := c.payloads.GrantMsg.Get()
@@ -205,12 +214,21 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		pt.wantLoad, pt.hasLoad = true, false
 		m.sendKind = skLoad
 		lr := c.payloads.LoadReply.Get()
-		*lr = proto.LoadReply{Txn: tx.ID, Locations: where, Loads: loads}
+		lr.Txn, lr.Loads = tx.ID, append(lr.Loads, loads...)
+		lr.AddLocation(where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.LoadQuery); return ok && len(q.Objs) == 2 },
 			netsim.KindLoadReply, lr)
 		locs, loadAt, _ := c.h2Inputs(pt.loadFrom)
-		if !pt.hasLoad || &locs[0] != &where[0] || !loadAt[2].Valid {
-			panic("load reply not read in place")
+		if !pt.hasLoad || locs[0].Obj != 8 || locs[0].Holders[0] != 2 || !loadAt[2].Valid {
+			panic("load reply not copied out")
+		}
+		if d := m.chooseSite(loadshare.Params{Locations: locs, Loads: loadAt}); !d.Ship || d.Target != 2 {
+			panic("H2 did not pick the site holding the data")
+		}
+		sc := c.scratch()
+		sc.groups.ByLocation(c.id, tx.Ops, locs)
+		if subs := tx.Decompose(sc.groups.Of, 4, &sc.parts); len(subs) != 2 || sc.groups.Site[subs[1].Key] != 2 {
+			panic("transaction not split between the origin and the holder")
 		}
 		pt.wantLoad = false
 		c.releasePending(pt)

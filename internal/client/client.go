@@ -122,10 +122,9 @@ type Client struct {
 	// txnFree recycles finished transaction machines so steady-state
 	// submission allocates nothing but the transaction itself.
 	txnFree []*txnMachine
-	// h2Loads/h2Counts are reusable scratch for loadshare.Params maps
-	// (h2Inputs).
-	h2Loads  map[netsim.SiteID]proto.LoadReport
-	h2Counts map[netsim.SiteID]int
+	// h2 is the working memory of site selection and decomposition, made
+	// by the first decision: most sites of a population never take one.
+	h2 *h2Scratch
 
 	// outageEnd is set while the client is partitioned (fault
 	// injection): the dispatcher holds all message processing until it
@@ -154,7 +153,7 @@ type shipKey struct {
 }
 
 type shipWait struct {
-	sig       *sim.Signal
+	sig       sim.Signal
 	done      bool
 	committed bool
 }
@@ -166,12 +165,13 @@ type pendingTxn struct {
 	// maps, which were always written in pairs).
 	waits []objWait
 
-	sig    *sim.Signal
+	sig    sim.Signal
 	denied proto.DenyReason
 	// Reply assembly. An exchange is one message per shard and each
-	// shard answers for its slice; the answers are kept per sender, in
-	// shard order (putReply), and read when the waiting step consumes
-	// them (h2Inputs). A conflict reply wakes the waiter as it arrives:
+	// shard answers for its slice; the answers are copied into records
+	// of the pending transaction's own, per sender and in shard order
+	// (replySlot), and read when the waiting step consumes them
+	// (h2Inputs). A conflict reply wakes the waiter as it arrives:
 	// H2 then decides on the conflicts seen so far, a deliberate
 	// heuristic — waiting for every shard would trade deadline slack for
 	// information the decision may not need. A load query completes once

@@ -711,7 +711,7 @@ func TestClientDecomposition(t *testing.T) {
 		t.Fatalf("peer message = %+v", m)
 	}
 	ship := m.Payload.(*proto.TxnShip)
-	if ship.Sub == nil || len(ship.Sub.Ops) != 2 {
+	if !ship.IsSub || len(ship.Sub.Ops) != 2 {
 		t.Fatalf("subtask = %+v", ship.Sub)
 	}
 	// Local subtask fetches its own objects.

@@ -143,9 +143,9 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 	return nil
 }
 
-// removePending unregisters pt and recycles it: pointer-bearing reply
-// state is dropped, the signal and slice capacities are kept for the
-// next transaction.
+// removePending unregisters pt and recycles it: the signal and every
+// slice's capacity — the reply records with their arrays included — are
+// kept for the next transaction.
 func (c *Client) removePending(pt *pendingTxn) {
 	for i, p := range c.pending {
 		if p == pt {
@@ -156,8 +156,6 @@ func (c *Client) removePending(pt *pendingTxn) {
 			break
 		}
 	}
-	clear(pt.confFrom) // drop the retained reply vectors before reuse
-	clear(pt.loadFrom)
 	*pt = pendingTxn{
 		sig:      pt.sig,
 		waits:    pt.waits[:0],

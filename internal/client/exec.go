@@ -37,10 +37,13 @@ type txnMachine struct {
 	task sim.Task
 	c    *Client
 	t    *txn.Transaction
-	sub  *txn.Subtask
+	// sub is the machine's own copy of the subtask it runs when it does
+	// not run the whole transaction (!owns), kept with its Ops array from
+	// one use of the machine to the next.
+	sub *txn.Subtask
 	// origin marks the transaction's originating site (the tentative
 	// and ship decisions only apply there); owns marks the context that
-	// owns the transaction's status and trace (sub == nil).
+	// owns the transaction's status and trace (no subtask).
 	origin bool
 	owns   bool
 	// reportTo collects a local decomposition subtask's result for the
@@ -60,8 +63,7 @@ type txnMachine struct {
 	// sequential-fetch cursor into missing.
 	seqIdx int
 
-	// decomposition fanout.
-	subs    []*txn.Subtask
+	// decomposition fanout: results[i] is subtask i's.
 	results []*shipWait
 	waitIdx int
 	grace   time.Duration
@@ -141,6 +143,8 @@ const (
 
 // spawnTxn starts a transaction machine in the given entry mode,
 // reusing a machine from the client's free list when one is available.
+// sub, when the machine is to run a subtask, is copied: the caller's is
+// decision scratch or a payload record.
 func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, reportTo *shipWait) {
 	var m *txnMachine
 	if n := len(c.txnFree); n > 0 {
@@ -151,12 +155,19 @@ func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, rep
 		m = &txnMachine{}
 	}
 	*m = txnMachine{
-		c: c, t: t, sub: sub, reportTo: reportTo,
-		subs: m.subs[:0], results: m.results[:0],
+		c: c, t: t, sub: m.sub, reportTo: reportTo, owns: sub == nil,
+		results: m.results[:0],
 		lockOps: m.lockOps[:0], locks: m.locks,
 		entries: m.entries[:0], missing: m.missing[:0],
 	}
-	m.owns = sub == nil
+	if sub != nil {
+		if m.sub == nil {
+			m.sub = new(txn.Subtask)
+		}
+		ops := append(m.sub.Ops[:0], sub.Ops...)
+		*m.sub = *sub
+		m.sub.Ops = ops
+	}
 	switch entry {
 	case enOrigin:
 		m.origin = true
@@ -184,7 +195,6 @@ func (m *txnMachine) Resume() {
 // the length — and returns it to the free list. The remaining fields
 // are overwritten wholesale by the next spawnTxn.
 func (c *Client) recycleTxn(m *txnMachine) {
-	clear(m.subs[:cap(m.subs)])
 	clear(m.results[:cap(m.results)])
 	clear(m.entries[:cap(m.entries)])
 	c.txnFree = append(c.txnFree, m)
@@ -328,7 +338,7 @@ func (m *txnMachine) stepH1() bool {
 // stepLoadReply consumes the answer to a location/load query —
 // decomposition (tsDecomposeQuery) or the H1-infeasible ship decision
 // (tsShipQuery) — and only then recycles the pending record the
-// answer's vectors hang off. With no answer by the deadline the
+// answer's copy lives in. With no answer by the deadline the
 // transaction carries on as if the query had not been asked.
 func (m *txnMachine) stepLoadReply() bool {
 	done, ok := m.awaitStep()
@@ -340,7 +350,7 @@ func (m *txnMachine) stepLoadReply() bool {
 	if m.pc == tsDecomposeQuery {
 		m.pc = tsH1
 		if ok {
-			m.tryDecompose(locations(pt.loadFrom))
+			m.tryDecompose(c.locations(pt.loadFrom))
 		}
 	} else {
 		m.pc = tsExecBegin
@@ -373,6 +383,7 @@ func (m *txnMachine) chooseSite(p loadshare.Params) loadshare.Decision {
 	now := m.task.Now()
 	p.Origin, p.Now, p.Deadline = c.id, now, t.Deadline
 	p.OriginQueueLen, p.OriginATL, p.Executors = c.slots.QueueLen(), c.atl.Mean(), c.cfg.ClientExecutors
+	p.Scratch = &c.scratch().choose
 	if c.tr.Enabled() {
 		p.Trace = func(d loadshare.Decision) {
 			c.tr.Point(t.ID, c.id, trace.EvH2, 0, int64(d.Target), boolArg(d.Ship), now)
@@ -391,8 +402,12 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	if len(locations) == 0 {
 		return
 	}
-	partOf, siteOf := loadshare.GroupByLocation(c.id, t.Objects(), locations)
-	subs := t.Decompose(partOf, c.cfg.MaxSubtasks)
+	// The grouping and the subtasks are worked out in the client's
+	// scratch; whoever runs a subtask copies it.
+	sc := c.scratch()
+	sc.groups.ByLocation(c.id, t.Ops, locations)
+	siteOf := sc.groups.Site
+	subs := t.Decompose(sc.groups.Of, c.cfg.MaxSubtasks, &sc.parts)
 	if subs == nil {
 		return
 	}
@@ -405,15 +420,16 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	}
 	c.m.DecomposedTxns++
 	c.tr.Point(t.ID, c.id, trace.EvDecomposed, 0, int64(len(subs)), 0, m.task.Now())
-	m.subs = subs
 	if cap(m.results) >= len(subs) {
 		m.results = m.results[:len(subs)]
 	} else {
 		m.results = make([]*shipWait, len(subs))
 	}
-	for i, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		c.m.SubtasksRun++
-		w := &shipWait{sig: sim.NewSignal(c.env)}
+		w := new(shipWait)
+		w.sig.Init(c.env)
 		m.results[i] = w
 		target := siteOf[sub.Key]
 		if target == c.id || c.peer(target) == nil {
@@ -422,9 +438,7 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 			continue
 		}
 		c.shipWaits.put(shipKey{id: t.ID, sub: sub.Index}, w)
-		c.sendTxnShip(target, proto.TxnShip{
-			T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport(),
-		})
+		c.sendTxnShip(target, t, sub)
 	}
 	// Answer synthesis: every subtask must finish in time for the
 	// parent to succeed (the Section 3.2 failure rule).
@@ -440,7 +454,7 @@ func (m *txnMachine) stepFanout() bool {
 	for m.waitIdx < len(m.results) {
 		w := m.results[m.waitIdx]
 		if !m.wft.armed {
-			m.wft.arm(w.sig, m.grace)
+			m.wft.arm(&w.sig, m.grace)
 		}
 		done, _ := m.wft.step(&m.task, w.done)
 		if !done {
@@ -450,8 +464,8 @@ func (m *txnMachine) stepFanout() bool {
 	}
 	now := m.task.Now()
 	c.tr.Mark(t.ID, c.id, trace.CompFanout, now)
-	for _, sub := range m.subs {
-		c.shipWaits.take(shipKey{id: t.ID, sub: sub.Index})
+	for i := range m.results {
+		c.shipWaits.take(shipKey{id: t.ID, sub: i})
 	}
 	committed := now <= t.Deadline
 	for _, w := range m.results {
@@ -468,7 +482,7 @@ func (m *txnMachine) stepFanout() bool {
 func (m *txnMachine) stepExecBegin() bool {
 	c, t := m.c, m.t
 	m.ops, m.length = t.Ops, t.Length
-	if m.sub != nil {
+	if !m.owns {
 		m.ops, m.length = m.sub.Ops, m.sub.Length
 	}
 	now := m.task.Now()
@@ -875,7 +889,11 @@ func (m *txnMachine) stepCommit() {
 // the unwind, exactly as the blocking coroutine's return value was
 // evaluated before its defers.
 func (m *txnMachine) execDone(committed bool) {
-	m.c.finish(m.t, m.sub, committed)
+	sub := m.sub
+	if m.owns {
+		sub = nil
+	}
+	m.c.finish(m.t, sub, committed)
 	m.unwind()
 	m.reportResult(committed)
 	m.pc = tsDone
@@ -976,13 +994,13 @@ func (m *txnMachine) awaitStep() (done, ok bool) {
 		case awIdle:
 			if c.rto <= 0 {
 				m.awFinal = true
-				m.wft.arm(pt.sig, t.Deadline)
+				m.wft.arm(&pt.sig, t.Deadline)
 			} else if next := m.task.Now() + m.awRTO; next >= t.Deadline {
 				m.awFinal = true
-				m.wft.arm(pt.sig, t.Deadline)
+				m.wft.arm(&pt.sig, t.Deadline)
 			} else {
 				m.awFinal = false
-				m.wft.arm(pt.sig, next)
+				m.wft.arm(&pt.sig, next)
 			}
 			m.awPC = awWait
 		default: // awWait
@@ -1038,14 +1056,19 @@ func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
 	c.m.ShippedTxns++
 	t.Shipped = true
 	c.tr.Point(t.ID, c.id, trace.EvShippedTxn, 0, int64(target), 0, c.env.Now())
-	c.sendTxnShip(target, proto.TxnShip{
-		T: t, ReplyTo: c.id, Load: c.loadReport(),
-	})
+	c.sendTxnShip(target, t, nil)
 }
 
-func (c *Client) sendTxnShip(to netsim.SiteID, s proto.TxnShip) {
+// sendTxnShip ships t, or its subtask sub, to the client at to; the
+// subtask's accesses are copied into the record's own array.
+func (c *Client) sendTxnShip(to netsim.SiteID, t *txn.Transaction, sub *txn.Subtask) {
 	p := c.payloads.TxnShip.Get()
-	*p = s
+	p.T, p.ReplyTo, p.Load = t, c.id, c.loadReport()
+	if sub != nil {
+		ops := append(p.Sub.Ops, sub.Ops...)
+		p.Sub, p.IsSub = *sub, true
+		p.Sub.Ops = ops
+	}
 	c.toPeer(to, netsim.KindTxnShip, netsim.TxnShipBytes, p)
 }
 
@@ -1168,7 +1191,8 @@ func (c *Client) ensurePending(t *txn.Transaction) *pendingTxn {
 		c.ptFree[n-1] = nil
 		c.ptFree = c.ptFree[:n-1]
 	} else {
-		pt = &pendingTxn{sig: sim.NewSignal(c.env)}
+		pt = new(pendingTxn)
+		pt.sig.Init(c.env)
 	}
 	pt.t = t
 	c.pending = append(c.pending, pt)

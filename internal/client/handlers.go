@@ -168,9 +168,9 @@ func (c *Client) onConflictReply(r proto.ConflictReply) {
 	if pt == nil {
 		return
 	}
-	pt.confFrom = putReply(pt.confFrom, shardReply{
-		from: c.curFrom, objs: r.Conflicts, loads: r.Loads, counts: r.DataCounts,
-	})
+	var slot *shardReply
+	pt.confFrom, slot = replySlot(pt.confFrom, c.curFrom)
+	slot.fill(r.Conflicts, r.Loads, r.DataCounts)
 	pt.gotConflict = true
 	pt.netAccum += c.curTransit
 	pt.sig.Broadcast()
@@ -192,7 +192,9 @@ func (c *Client) onLoadReply(r proto.LoadReply) {
 	if pt == nil || !pt.wantLoad {
 		return
 	}
-	pt.loadFrom = putReply(pt.loadFrom, shardReply{from: c.curFrom, objs: r.Locations, loads: r.Loads})
+	var slot *shardReply
+	pt.loadFrom, slot = replySlot(pt.loadFrom, c.curFrom)
+	slot.fill(r.Locations, r.Loads, nil)
 	pt.netAccum += c.curTransit
 	if len(pt.loadFrom) >= pt.loadWant {
 		pt.hasLoad = true
@@ -272,8 +274,8 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 // onTxnShip executes a transaction or subtask shipped to this site.
 func (c *Client) onTxnShip(s proto.TxnShip) {
 	c.ShippedIn++
-	if s.Sub != nil {
-		c.spawnTxn(s.T, s.Sub, enShipSub, nil)
+	if s.IsSub {
+		c.spawnTxn(s.T, &s.Sub, enShipSub, nil)
 		return
 	}
 	c.spawnTxn(s.T, nil, enShipWhole, nil)

@@ -2,8 +2,8 @@ package client
 
 import (
 	"math"
-	"slices"
 
+	"siteselect/internal/loadshare"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
@@ -141,7 +141,6 @@ func (m *txnMachine) resend(attempt int) {
 	switch m.sendKind {
 	case skLoad:
 		if attempt == 0 {
-			clear(pt.loadFrom)
 			pt.loadFrom = pt.loadFrom[:0]
 		}
 		sites := c.routeAll(stack[:0], t.Ops, true, nil)
@@ -158,7 +157,6 @@ func (m *txnMachine) resend(attempt int) {
 		}
 	case skProbe:
 		if attempt == 0 {
-			clear(pt.confFrom)
 			pt.confFrom = pt.confFrom[:0]
 		}
 		sites := c.routeAll(stack[:0], m.missing, false, served)
@@ -192,66 +190,110 @@ func (m *txnMachine) resend(attempt int) {
 // shardReply is one shard's answer to its slice of a split exchange:
 // where the objects are (the conflicting holders for a probe, every
 // holder for a location query), the known loads of those sites, and —
-// probes only — how much of the access set each of them caches. The
-// vectors are the reply payload's own; the server made them for it.
+// probes only — how much of the access set each of them caches. It is
+// the client's copy — the payload record goes back to the pool when the
+// handler returns — in arrays the pending record keeps for the next
+// transaction; holders is the one array behind every objs[i].Holders.
 type shardReply struct {
-	from   netsim.SiteID
-	objs   []proto.ObjConflict
-	loads  []proto.LoadReport
-	counts []proto.SiteCount
+	from    netsim.SiteID
+	objs    []proto.ObjConflict
+	holders []netsim.SiteID
+	loads   []proto.LoadReport
+	counts  []proto.SiteCount
 }
 
-// putReply records r among the answers received so far, in place of an
-// earlier one from the same shard (a retransmitted exchange is answered
-// twice) and in shard order, so what is read off the list does not
-// depend on the order the answers arrived in.
-func putReply(rs []shardReply, r shardReply) []shardReply {
+// replySlot returns, emptied, the record for from's answer among rs:
+// the one an earlier answer from the same shard filled (a retransmitted
+// exchange is answered twice), or else a spare one moved to its place in
+// shard order, so what is read off the list does not depend on the order
+// the answers arrived in. A record past len(rs) is a spare: it keeps its
+// arrays.
+func replySlot(rs []shardReply, from netsim.SiteID) ([]shardReply, *shardReply) {
 	i := 0
-	for i < len(rs) && rs[i].from > r.from { // shard k answers from site -k
+	for i < len(rs) && rs[i].from > from { // shard k answers from site -k
 		i++
 	}
-	if i < len(rs) && rs[i].from == r.from {
-		rs[i] = r
-		return rs
+	if i == len(rs) || rs[i].from != from {
+		if len(rs) == cap(rs) {
+			rs = append(rs, shardReply{})
+		} else {
+			rs = rs[:len(rs)+1]
+		}
+		spare := rs[len(rs)-1]
+		copy(rs[i+1:], rs[i:])
+		rs[i] = spare
 	}
-	return slices.Insert(rs, i, r)
+	r := &rs[i]
+	*r = shardReply{from: from, objs: r.objs[:0], holders: r.holders[:0], loads: r.loads[:0], counts: r.counts[:0]}
+	return rs, r
+}
+
+// fill copies a reply's vectors into r.
+func (r *shardReply) fill(objs []proto.ObjConflict, loads []proto.LoadReport, counts []proto.SiteCount) {
+	for _, o := range objs {
+		r.objs, r.holders = proto.AppendLocation(r.objs, r.holders, o.Obj, o.Holders)
+	}
+	r.loads = append(r.loads, loads...)
+	r.counts = append(r.counts, counts...)
+}
+
+// h2Scratch is what a site's decisions are worked out in, reused from
+// one to the next: the load table and data counts loadshare.Params takes
+// as maps (clear keeps the buckets), the object locations of an answer
+// that came from several shards, and the scratch of ChooseSite, of the
+// decomposition grouping and of Decompose.
+type h2Scratch struct {
+	loads  map[netsim.SiteID]proto.LoadReport
+	counts map[netsim.SiteID]int
+	objs   []proto.ObjConflict
+	choose loadshare.Scratch
+	groups loadshare.Grouping
+	parts  txn.Decomposition
+}
+
+// scratch returns the client's decision scratch, made on first use.
+func (c *Client) scratch() *h2Scratch {
+	if c.h2 == nil {
+		c.h2 = &h2Scratch{
+			loads:  make(map[netsim.SiteID]proto.LoadReport),
+			counts: make(map[netsim.SiteID]int),
+		}
+	}
+	return c.h2
 }
 
 // h2Inputs reads the answers of a split exchange into the inputs of
-// site selection: the object locations — the one answer's own vector
-// when a single shard has answered, a concatenation in shard order
-// otherwise — the load table (a site's first report wins) and the data
-// counts (summed per site). The maps are the client's reusable scratch
-// (loadshare.Params takes maps; clear keeps the buckets), good until
-// the next call.
+// site selection: the object locations, the load table (a site's first
+// report wins) and the data counts (summed per site), all of them in the
+// client's scratch and good until the next call.
 func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.SiteID]proto.LoadReport, map[netsim.SiteID]int) {
-	if c.h2Loads == nil {
-		c.h2Loads = make(map[netsim.SiteID]proto.LoadReport)
-		c.h2Counts = make(map[netsim.SiteID]int)
-	}
-	clear(c.h2Loads)
-	clear(c.h2Counts)
+	sc := c.scratch()
+	clear(sc.loads)
+	clear(sc.counts)
 	for i := range rs {
 		for _, l := range rs[i].loads {
-			if _, have := c.h2Loads[l.Client]; !have {
-				c.h2Loads[l.Client] = l
+			if _, have := sc.loads[l.Client]; !have {
+				sc.loads[l.Client] = l
 			}
 		}
 		for _, dc := range rs[i].counts {
-			c.h2Counts[dc.Site] += dc.Count
+			sc.counts[dc.Site] += dc.Count
 		}
 	}
-	return locations(rs), c.h2Loads, c.h2Counts
+	return c.locations(rs), sc.loads, sc.counts
 }
 
-// locations returns the object locations the answers report.
-func locations(rs []shardReply) []proto.ObjConflict {
+// locations returns the object locations the answers report: the one
+// answer's own vector when a single shard has answered, otherwise a
+// concatenation in shard order, in the client's scratch.
+func (c *Client) locations(rs []shardReply) []proto.ObjConflict {
 	if len(rs) == 1 {
 		return rs[0].objs
 	}
-	var objs []proto.ObjConflict
+	sc := c.scratch()
+	sc.objs = sc.objs[:0]
 	for i := range rs {
-		objs = append(objs, rs[i].objs...)
+		sc.objs = append(sc.objs, rs[i].objs...)
 	}
-	return objs
+	return sc.objs
 }

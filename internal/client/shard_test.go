@@ -78,7 +78,8 @@ func TestRetransmittedProbeByTopology(t *testing.T) {
 // TestConflictRepliesMergeInShardOrder: the answers of a split probe
 // read the same whichever shard answers first — locations concatenated
 // in shard order, a site's first load report in shard order, data
-// counts summed — and a lone answer is read in place, not copied.
+// counts summed — and a lone answer is read where the pending record
+// keeps it, not copied a second time.
 func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 	replies := []*proto.ConflictReply{
 		{Txn: 301,
@@ -95,10 +96,11 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 		loads     map[netsim.SiteID]proto.LoadReport
 		counts    map[netsim.SiteID]int
 	}
+	var m *txnMachine
 	read := func(order ...int) view {
 		r := newRig(t, func(cfg *config.Config) { cfg.Sharding.Servers = 2 })
 		defer r.env.Close()
-		m := probeRound(r)
+		m = probeRound(r)
 		for _, k := range order {
 			cp := *replies[k]
 			r.injectFrom(k, netsim.KindLockReply, &cp)
@@ -124,7 +126,7 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 	if !reflect.DeepEqual(inOrder, want) {
 		t.Fatalf("merged view = %+v\nwant %+v", inOrder, want)
 	}
-	if lone := read(1); &lone.conflicts[0] != &replies[1].Conflicts[0] {
-		t.Fatal("a lone reply's conflicts were copied, want its own vector")
+	if lone := read(1); &lone.conflicts[0] != &m.pt.confFrom[0].objs[0] {
+		t.Fatal("a lone reply's conflicts were copied again, want the pending record's vector")
 	}
 }

@@ -16,13 +16,13 @@
 package loadshare
 
 import (
-	"sort"
+	"slices"
 	"time"
 
-	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/sched"
+	"siteselect/internal/txn"
 )
 
 // H1Feasible evaluates heuristic H1 at a site: with queueLen
@@ -98,6 +98,37 @@ type Params struct {
 	MinShipData int
 	// Trace, when set, observes the final decision (tracing).
 	Trace func(Decision)
+	// Scratch, when set, is the caller's reusable working memory: a site
+	// that decides often hands in the same one each time and the decision
+	// allocates nothing. Nil makes ChooseSite use one of its own.
+	Scratch *Scratch
+}
+
+// Scratch is ChooseSite's working memory, reusable from one decision to
+// the next.
+type Scratch struct {
+	holders []netsim.SiteID
+}
+
+// cand is one candidate execution site as H2 ranks it.
+type cand struct {
+	site      netsim.SiteID
+	conflicts int
+	data      int
+	wait      time.Duration
+}
+
+// better reports whether c ranks above best.
+func (c cand) better(best cand) bool {
+	switch {
+	case c.conflicts != best.conflicts:
+		return c.conflicts < best.conflicts
+	case c.data != best.data:
+		return c.data > best.data
+	case c.wait != best.wait:
+		return c.wait < best.wait
+	}
+	return c.site < best.site
 }
 
 // ChooseSite evaluates H2 over the candidate sites (every reported
@@ -115,49 +146,46 @@ func ChooseSite(p Params) Decision {
 	if execs < 1 {
 		execs = 1
 	}
-	dataAt := make(map[netsim.SiteID]int)
-	for _, loc := range p.Locations {
-		for _, h := range loc.Holders {
-			dataAt[h]++
+	sc := p.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	// dataAt is how much of the access set site caches: the most of what
+	// the locations show and what the server counted.
+	dataAt := func(site netsim.SiteID) int {
+		n := 0
+		for _, loc := range p.Locations {
+			for _, h := range loc.Holders {
+				if h == site {
+					n++
+				}
+			}
 		}
+		return max(n, p.DataCounts[site])
 	}
-	for site, n := range p.DataCounts {
-		if n > dataAt[site] {
-			dataAt[site] = n
-		}
-	}
-	type cand struct {
-		site      netsim.SiteID
-		conflicts int
-		data      int
-		wait      time.Duration
-	}
-	seen := map[netsim.SiteID]bool{p.Origin: true}
-	cands := []cand{{
+	origin := cand{
 		site:      p.Origin,
 		conflicts: ConflictsAt(p.Origin, p.Conflicts),
-		data:      dataAt[p.Origin],
+		data:      dataAt(p.Origin),
 		wait:      time.Duration(p.OriginQueueLen) * p.OriginATL / time.Duration(execs),
-	}}
-	var holders []netsim.SiteID
+	}
+	holders := sc.holders[:0]
 	for _, c := range p.Conflicts {
 		holders = append(holders, c.Holders...)
 	}
 	for _, c := range p.Locations {
 		holders = append(holders, c.Holders...)
 	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-	for _, h := range holders {
-		if h <= netsim.ServerSite {
-			// Server shards (site ids <= 0) can appear among reported
-			// holders when an object has a read replica out; they are
-			// lock holders, not execution sites, and never ship targets.
+	slices.Sort(holders)
+	sc.holders = holders
+	best := origin
+	for i, h := range holders {
+		// Server shards (site ids <= 0) can appear among reported holders
+		// when an object has a read replica out; they are lock holders,
+		// not execution sites, and never ship targets.
+		if h <= netsim.ServerSite || h == p.Origin || i > 0 && h == holders[i-1] {
 			continue
 		}
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
 		load, known := p.Loads[h]
 		wait := time.Duration(0)
 		atl := p.OriginATL
@@ -175,34 +203,12 @@ func ChooseSite(p Params) Decision {
 		if p.Now+wait+atl > p.Deadline {
 			continue
 		}
-		cands = append(cands, cand{
-			site:      h,
-			conflicts: ConflictsAt(h, p.Conflicts),
-			data:      dataAt[h],
-			wait:      wait,
-		})
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		switch {
-		case c.conflicts != best.conflicts:
-			if c.conflicts < best.conflicts {
-				best = c
-			}
-		case c.data != best.data:
-			if c.data > best.data {
-				best = c
-			}
-		case c.wait != best.wait:
-			if c.wait < best.wait {
-				best = c
-			}
-		case c.site < best.site:
+		c := cand{site: h, conflicts: ConflictsAt(h, p.Conflicts), data: dataAt(h), wait: wait}
+		if c.better(best) {
 			best = c
 		}
 	}
 	if best.site != p.Origin {
-		origin := cands[0]
 		if p.RequireImprovement && best.conflicts >= origin.conflicts {
 			best = origin
 		} else if p.MinShipData > 0 && best.data < p.MinShipData {
@@ -216,52 +222,47 @@ func ChooseSite(p Params) Decision {
 	return d
 }
 
-// GroupByLocation builds the decomposition partition of Section 3.2:
-// each access is grouped by the client site that solely caches its
-// object (reported in locations), with unlocated accesses grouped at
+// Grouping is the decomposition partition of Section 3.2 and the memory
+// it is worked out in, reusable from one transaction to the next. Of
+// maps an access (by its index among the ops) to its group key, usable
+// with txn.Transaction.Decompose; Site translates a group key back to
+// the site that should execute the group.
+type Grouping struct {
+	Of   []int
+	Site []netsim.SiteID
+}
+
+// ByLocation groups each access by the client site that solely caches
+// its object (reported in locations), with unlocated accesses grouped at
 // the origin. Server shards among the holders (site ids <= 0, from read
 // replicas) are not candidate executors and are ignored, so a
 // replicated object still groups at its sole client holder; an object
-// held by several clients falls back to the origin. The returned
-// function maps an op index to a group key usable with
-// txn.Transaction.Decompose, and the site map translates group keys
-// back to execution sites.
-func GroupByLocation(origin netsim.SiteID, objs []lockmgr.ObjectID, locations []proto.ObjConflict) (partOf func(int) int, siteOf map[int]netsim.SiteID) {
-	where := make(map[lockmgr.ObjectID]netsim.SiteID, len(locations))
-	for _, loc := range locations {
-		sole := netsim.SiteID(0)
-		clients := 0
-		for _, h := range loc.Holders {
-			if h > netsim.ServerSite {
-				clients++
-				sole = h
+// held by several clients falls back to the origin. Keys number the
+// sites in the order the accesses first name them.
+func (g *Grouping) ByLocation(origin netsim.SiteID, ops []txn.Op, locations []proto.ObjConflict) {
+	g.Of, g.Site = g.Of[:0], g.Site[:0]
+	for _, op := range ops {
+		site := origin
+		for _, loc := range locations {
+			if loc.Obj != op.Obj {
+				continue
+			}
+			sole, clients := netsim.SiteID(0), 0
+			for _, h := range loc.Holders {
+				if h > netsim.ServerSite {
+					clients++
+					sole = h
+				}
+			}
+			if clients == 1 {
+				site = sole
 			}
 		}
-		if clients == 1 {
-			where[loc.Obj] = sole
+		k := slices.Index(g.Site, site)
+		if k < 0 {
+			k = len(g.Site)
+			g.Site = append(g.Site, site)
 		}
+		g.Of = append(g.Of, k)
 	}
-	siteOf = make(map[int]netsim.SiteID)
-	keyOf := map[netsim.SiteID]int{}
-	nextKey := 0
-	keyFor := func(s netsim.SiteID) int {
-		k, ok := keyOf[s]
-		if !ok {
-			k = nextKey
-			nextKey++
-			keyOf[s] = k
-			siteOf[k] = s
-		}
-		return k
-	}
-	groups := make([]int, len(objs))
-	for i, obj := range objs {
-		site, ok := where[obj]
-		if !ok {
-			site = origin
-		}
-		groups[i] = keyFor(site)
-	}
-	partOf = func(i int) int { return groups[i] }
-	return partOf, siteOf
 }

@@ -7,6 +7,7 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
+	"siteselect/internal/txn"
 )
 
 func TestH1Feasible(t *testing.T) {
@@ -141,30 +142,40 @@ func TestChooseSiteDeterministicTieBreak(t *testing.T) {
 }
 
 func TestGroupByLocation(t *testing.T) {
-	objs := []lockmgr.ObjectID{10, 11, 12, 13}
 	locations := []proto.ObjConflict{
 		conflict(10, 5),
 		conflict(11, 5),
 		conflict(12, 6),
 		// 13 unlocated -> origin
 	}
-	partOf, siteOf := GroupByLocation(1, objs, locations)
-	if partOf(0) != partOf(1) {
+	partOf, siteOf := groupByLocation(1, []lockmgr.ObjectID{10, 11, 12, 13}, locations)
+	if partOf[0] != partOf[1] {
 		t.Fatal("objects at the same site should share a group")
 	}
-	if partOf(0) == partOf(2) || partOf(2) == partOf(3) {
+	if partOf[0] == partOf[2] || partOf[2] == partOf[3] {
 		t.Fatal("objects at different sites should not share a group")
 	}
-	if siteOf[partOf(0)] != 5 || siteOf[partOf(2)] != 6 || siteOf[partOf(3)] != 1 {
+	if siteOf[partOf[0]] != 5 || siteOf[partOf[2]] != 6 || siteOf[partOf[3]] != 1 {
 		t.Fatalf("siteOf mapping wrong: %v", siteOf)
 	}
+}
+
+// groupByLocation groups reads of objs on a fresh Grouping.
+func groupByLocation(origin netsim.SiteID, objs []lockmgr.ObjectID, locations []proto.ObjConflict) ([]int, []netsim.SiteID) {
+	ops := make([]txn.Op, len(objs))
+	for i, obj := range objs {
+		ops[i].Obj = obj
+	}
+	var g Grouping
+	g.ByLocation(origin, ops, locations)
+	return g.Of, g.Site
 }
 
 func TestGroupByLocationMultiHolderGoesToOrigin(t *testing.T) {
 	objs := []lockmgr.ObjectID{10}
 	locations := []proto.ObjConflict{conflict(10, 5, 6)}
-	partOf, siteOf := GroupByLocation(1, objs, locations)
-	if siteOf[partOf(0)] != 1 {
+	partOf, siteOf := groupByLocation(1, objs, locations)
+	if siteOf[partOf[0]] != 1 {
 		t.Fatal("multi-holder object should group at origin")
 	}
 }
@@ -179,12 +190,12 @@ func TestGroupByLocationIgnoresShardHolders(t *testing.T) {
 		conflict(10, 5, -1), // client 5 plus replica shard 1
 		conflict(11, -1),    // replica shard only
 	}
-	partOf, siteOf := GroupByLocation(1, objs, locations)
-	if siteOf[partOf(0)] != 5 {
-		t.Fatalf("replicated object grouped at %d, want sole client holder 5", siteOf[partOf(0)])
+	partOf, siteOf := groupByLocation(1, objs, locations)
+	if siteOf[partOf[0]] != 5 {
+		t.Fatalf("replicated object grouped at %d, want sole client holder 5", siteOf[partOf[0]])
 	}
-	if siteOf[partOf(1)] != 1 {
-		t.Fatalf("shard-only object grouped at %d, want origin", siteOf[partOf(1)])
+	if siteOf[partOf[1]] != 1 {
+		t.Fatalf("shard-only object grouped at %d, want origin", siteOf[partOf[1]])
 	}
 }
 
@@ -193,8 +204,8 @@ func TestGroupByLocationMultiClientWithShardGoesToOrigin(t *testing.T) {
 	// origin's group.
 	objs := []lockmgr.ObjectID{10}
 	locations := []proto.ObjConflict{conflict(10, 5, 6, -2)}
-	partOf, siteOf := GroupByLocation(1, objs, locations)
-	if siteOf[partOf(0)] != 1 {
+	partOf, siteOf := groupByLocation(1, objs, locations)
+	if siteOf[partOf[0]] != 1 {
 		t.Fatal("multi-client replicated object should group at origin")
 	}
 }

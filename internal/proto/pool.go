@@ -1,6 +1,10 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+
+	"siteselect/internal/txn"
+)
 
 // FreeList recycles the records of one payload type.
 type FreeList[T any] struct {
@@ -65,14 +69,13 @@ type Pool struct {
 // returned, and never for a frame marked Shared (the fault layer
 // delivered it twice; both copies fall to the collector).
 //
-// Slices the receiving handlers only read in place keep their backing
-// arrays for the next sender to fill: the access vectors of
-// ProbeRequest, CommitRequest and LoadQuery, GrantMsg.Grants,
-// RecallMsg.Recalls and ObjReturn.RetainedSL — a record that carried one
-// element keeps its one-element array. ConflictReply and
-// LoadReply hand their slices over to the client, which keeps them
-// until the waiting transaction's site-selection step has read them, so
-// those records are released bare.
+// Every slice keeps its backing array for the next sender to fill —
+// handlers only read them in place, and copy out what must outlive the
+// call: the access vectors of ProbeRequest, CommitRequest and LoadQuery,
+// GrantMsg.Grants, RecallMsg.Recalls, ObjReturn.RetainedSL, and the
+// location, load and count vectors of ConflictReply and LoadReply with
+// the flat holder array behind them, TxnShip's subtask accesses — a
+// record that carried one element keeps its one-element array.
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
 	case *ProbeRequest:
@@ -86,7 +89,8 @@ func (p *Pool) Release(payload any) {
 		r.Grants = r.Grants[:0]
 		p.GrantMsg.put(r)
 	case *ConflictReply:
-		p.ConflictReply.putZeroed(r)
+		*r = ConflictReply{Conflicts: r.Conflicts[:0], Loads: r.Loads[:0], DataCounts: r.DataCounts[:0], holders: r.holders[:0]}
+		p.ConflictReply.put(r)
 	case *DenyReply:
 		p.DenyReply.putZeroed(r)
 	case *RecallMsg:
@@ -101,9 +105,11 @@ func (p *Pool) Release(payload any) {
 		*r = LoadQuery{Objs: r.Objs[:0], Modes: r.Modes[:0]}
 		p.LoadQuery.put(r)
 	case *LoadReply:
-		p.LoadReply.putZeroed(r)
+		*r = LoadReply{Locations: r.Locations[:0], Loads: r.Loads[:0], holders: r.holders[:0]}
+		p.LoadReply.put(r)
 	case *TxnShip:
-		p.TxnShip.putZeroed(r)
+		*r = TxnShip{Sub: txn.Subtask{Ops: r.Sub.Ops[:0]}}
+		p.TxnShip.put(r)
 	case *TxnResult:
 		p.TxnResult.putZeroed(r)
 	case *TxnSubmit:

@@ -18,8 +18,7 @@ func filled(p *Pool) []any {
 	load := LoadReport{Client: 3, QueueLen: 2, ATL: time.Second, Valid: true}
 	objs := []lockmgr.ObjectID{4, 5, 6}
 	modes := []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeExclusive, lockmgr.ModeShared}
-	conflicts := []ObjConflict{{Obj: 4, Holders: []netsim.SiteID{2, 3}}}
-	t := &txn.Transaction{ID: 9}
+	t := &txn.Transaction{ID: 9, Ops: []txn.Op{{Obj: 4}, {Obj: 5, Write: true}}}
 
 	pr := p.ProbeRequest.Get()
 	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
@@ -32,7 +31,8 @@ func filled(p *Pool) []any {
 		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)},
 		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
 	cf := p.ConflictReply.Get()
-	*cf = ConflictReply{Txn: 9, Conflicts: conflicts, Loads: []LoadReport{load}, DataCounts: []SiteCount{{Site: 2, Count: 1}}}
+	cf.Txn, cf.Loads, cf.DataCounts = 9, append(cf.Loads, load), append(cf.DataCounts, SiteCount{Site: 2, Count: 1})
+	cf.AddConflict(4, []netsim.SiteID{2, 3})
 	dr := p.DenyReply.Get()
 	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
 	rm := p.RecallMsg.Get()
@@ -47,9 +47,11 @@ func filled(p *Pool) []any {
 	lq.Client, lq.Txn, lq.Deadline, lq.Attempt, lq.Load = 1, 9, time.Minute, 1, load
 	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
 	lr := p.LoadReply.Get()
-	*lr = LoadReply{Txn: 9, Locations: conflicts, Loads: []LoadReport{load}}
+	lr.Txn, lr.Loads = 9, append(lr.Loads, load)
+	lr.AddLocation(4, []netsim.SiteID{2, 3})
 	ts := p.TxnShip.Get()
-	*ts = TxnShip{T: t, Sub: &txn.Subtask{Parent: t}, ReplyTo: 1, Load: load}
+	*ts = TxnShip{T: t, Sub: txn.Subtask{Index: 1, Key: 2, Ops: append(ts.Sub.Ops, t.Ops...), Length: time.Second},
+		IsSub: true, ReplyTo: 1, Load: load}
 	tr := p.TxnResult.Get()
 	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true, ExecSite: 2}
 	su := p.TxnSubmit.Get()
@@ -61,12 +63,16 @@ func filled(p *Pool) []any {
 
 // keepsCapacity names the slice fields Release leaves their backing
 // array; every other field of every payload must come back zero.
+// TxnShip.Sub is checked apart: it is a struct whose Ops do.
 var keepsCapacity = map[string]bool{
 	"ProbeRequest.Objs": true, "ProbeRequest.Modes": true,
 	"CommitRequest.Objs": true, "CommitRequest.Modes": true,
 	"LoadQuery.Objs": true, "LoadQuery.Modes": true,
 	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
 	"ObjReturn.RetainedSL": true,
+	"ConflictReply.Conflicts": true, "ConflictReply.Loads": true,
+	"ConflictReply.DataCounts": true, "ConflictReply.holders": true,
+	"LoadReply.Locations": true, "LoadReply.Loads": true, "LoadReply.holders": true,
 }
 
 func TestFilledCoversEveryPoolList(t *testing.T) {
@@ -78,8 +84,7 @@ func TestFilledCoversEveryPoolList(t *testing.T) {
 
 // TestReleaseZeroesAndKeepsCapacity: per payload type, take → fill →
 // release → take returns the same record, every field zero, with the
-// capacity of the slices that no handler retains kept and the slices a
-// handler does retain (ConflictReply's, LoadReply's) left alone.
+// capacity of every slice kept.
 func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 	var p Pool
 	for _, rec := range filled(&p) {
@@ -120,6 +125,12 @@ func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 				}
 				continue
 			}
+			if sub, ok := again.Elem().Interface().(TxnShip); ok && fname == "Sub" {
+				if want := (txn.Subtask{Ops: sub.Sub.Ops}); !reflect.DeepEqual(sub.Sub, want) || len(want.Ops) != 0 || cap(want.Ops) == 0 {
+					t.Errorf("TxnShip.Sub = %+v after reuse, want zero but for the Ops array", sub.Sub)
+				}
+				continue
+			}
 			if !f.IsZero() {
 				t.Errorf("%s.%s = %v after reuse, want zero", name, fname, f)
 			}
@@ -133,34 +144,33 @@ func takeLike(p *Pool, rec any) any {
 	return list.Addr().MethodByName("Get").Call(nil)[0].Interface()
 }
 
-// TestRetainedSlicesAreNotAliased: a client that kept a ConflictReply's
-// or LoadReply's slices past the handler sees them unchanged when the
-// released record is refilled by the next sender.
-func TestRetainedSlicesAreNotAliased(t *testing.T) {
+// TestReplyHolderListsAreWindows: a reply's holder lists are windows of
+// the record's one flat array — across the array's growth, and again
+// when the released record is refilled by the next sender, whose lists
+// take the previous reply's place.
+func TestReplyHolderListsAreWindows(t *testing.T) {
 	var p Pool
 	cf := p.ConflictReply.Get()
-	*cf = ConflictReply{Txn: 1,
-		Conflicts: []ObjConflict{{Obj: 4, Holders: []netsim.SiteID{2}}},
-		Loads:     []LoadReport{{Client: 2, Valid: true}}, DataCounts: []SiteCount{{Site: 2, Count: 3}}}
-	kept := *cf
+	for obj := lockmgr.ObjectID(0); obj < 20; obj++ { // the flat array regrows on the way
+		cf.AddConflict(obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
+	}
+	for i, c := range cf.Conflicts {
+		if want := []netsim.SiteID{netsim.SiteID(i), netsim.SiteID(i + 100)}; c.Obj != lockmgr.ObjectID(i) || !reflect.DeepEqual(c.Holders, want) {
+			t.Fatalf("conflict %d = %+v, want holders %v", i, c, want)
+		}
+	}
 	p.Release(cf)
 	next := p.ConflictReply.Get()
-	*next = ConflictReply{Txn: 2,
-		Conflicts: append(next.Conflicts, ObjConflict{Obj: 8}),
-		Loads:     append(next.Loads, LoadReport{Client: 7}), DataCounts: append(next.DataCounts, SiteCount{Site: 7})}
-	if kept.Conflicts[0].Obj != 4 || kept.Conflicts[0].Holders[0] != 2 || kept.Loads[0].Client != 2 || kept.DataCounts[0].Count != 3 {
-		t.Fatalf("retained conflict reply overwritten by the record's reuse: %+v", kept)
+	next.AddConflict(7, []netsim.SiteID{3})
+	next.AddConflict(8, []netsim.SiteID{4, 5})
+	if next != cf || len(next.Conflicts) != 2 || &next.Conflicts[1].Holders[0] != &next.holders[1] || next.Conflicts[1].Holders[1] != 5 {
+		t.Fatalf("refilled reply = %+v over %v", next.Conflicts, next.holders)
 	}
-
 	lr := p.LoadReply.Get()
-	*lr = LoadReply{Txn: 1, Locations: []ObjConflict{{Obj: 4}}, Loads: []LoadReport{{Client: 2}}}
-	keptLoad := *lr
-	p.Release(lr)
-	nl := p.LoadReply.Get()
-	nl.Locations = append(nl.Locations, ObjConflict{Obj: 9})
-	nl.Loads = append(nl.Loads, LoadReport{Client: 9})
-	if keptLoad.Locations[0].Obj != 4 || keptLoad.Loads[0].Client != 2 {
-		t.Fatalf("retained load reply overwritten by the record's reuse: %+v", keptLoad)
+	lr.AddLocation(4, []netsim.SiteID{2})
+	lr.AddLocation(5, nil)
+	if len(lr.Locations) != 2 || lr.Locations[0].Holders[0] != 2 || len(lr.Locations[1].Holders) != 0 {
+		t.Fatalf("load reply = %+v", lr.Locations)
 	}
 }
 

@@ -89,24 +89,22 @@ func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lock
 // conflictHolders answers the tentative probe: which sites stand between
 // this client and obj? For migrating or list-pending objects the paper's
 // rule applies — report the last client of the forward list as the
-// object's location.
-func (s *Server) conflictHolders(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) []netsim.SiteID {
+// object's location. The sites are appended to out.
+func (s *Server) conflictHolders(out []netsim.SiteID, obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) []netsim.SiteID {
 	now := s.env.Now()
 	ls, n := s.lists(obj)
 	for _, l := range ls[:n] {
 		if e, ok := l.Last(now); ok {
-			return []netsim.SiteID{e.Client}
+			return append(out, e.Client)
 		}
 	}
 	if s.at(obj).inflight != nil {
 		// List fully dead but object still out; it belongs to nobody the
 		// client could use — report no usable location, but it is still
 		// a conflict.
-		return []netsim.SiteID{client} // degenerate: treated as "busy"
+		return append(out, client) // degenerate: treated as "busy"
 	}
-	hs := s.locks.ConflictingHolders(obj, lockmgr.OwnerID(client), mode)
-	out := make([]netsim.SiteID, 0, len(hs))
-	for _, h := range hs {
+	for _, h := range s.locks.ConflictingHolders(obj, lockmgr.OwnerID(client), mode) {
 		if h != MigrationOwner {
 			out = append(out, siteFor(h))
 		}
@@ -157,16 +155,15 @@ func (s *Server) open(obj lockmgr.ObjectID) *forward.List {
 
 // holdersFor answers location queries: every site currently holding obj
 // in any mode (other than the asker), or the forward-list tail for
-// objects with queued migrations.
-func (s *Server) holdersFor(obj lockmgr.ObjectID, asker netsim.SiteID) []netsim.SiteID {
+// objects with queued migrations. The sites are appended to out.
+func (s *Server) holdersFor(out []netsim.SiteID, obj lockmgr.ObjectID, asker netsim.SiteID) []netsim.SiteID {
 	now := s.env.Now()
 	ls, n := s.lists(obj)
 	for _, l := range ls[:n] {
 		if e, ok := l.Last(now); ok && e.Client != asker {
-			return []netsim.SiteID{e.Client}
+			return append(out, e.Client)
 		}
 	}
-	var out []netsim.SiteID
 	for i, n := 0, s.locks.HolderCount(obj); i < n; i++ {
 		h, _ := s.locks.HolderAt(obj, i)
 		if h == MigrationOwner || siteFor(h) == asker {
@@ -177,11 +174,11 @@ func (s *Server) holdersFor(obj lockmgr.ObjectID, asker netsim.SiteID) []netsim.
 	return out
 }
 
-// loadsFor collects the known load reports of every site mentioned in
-// conflicts, sorted by site for determinism. The site set is gathered
-// in reusable scratch (conflict fan-outs are small, so a linear dedup
-// beats a per-call map); only the report slice escapes into the reply.
-func (s *Server) loadsFor(conflicts []proto.ObjConflict) []proto.LoadReport {
+// loadsFor appends to out the known load reports of every site
+// mentioned in conflicts, sorted by site for determinism. The site set
+// is gathered in reusable scratch (conflict fan-outs are small, so a
+// linear dedup beats a per-call map).
+func (s *Server) loadsFor(out []proto.LoadReport, conflicts []proto.ObjConflict) []proto.LoadReport {
 	sites := s.siteScratch[:0]
 	for _, c := range conflicts {
 		for _, h := range c.Holders {
@@ -192,7 +189,6 @@ func (s *Server) loadsFor(conflicts []proto.ObjConflict) []proto.LoadReport {
 	}
 	slices.Sort(sites)
 	s.siteScratch = sites
-	out := make([]proto.LoadReport, 0, len(sites))
 	for _, site := range sites {
 		// A holder may be a replica shard; only clients report loads.
 		if c := s.client(site); c != nil && c.load.Valid {

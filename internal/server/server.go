@@ -117,12 +117,14 @@ type Server struct {
 	// (granted or refused) returns to the pool immediately; a queued one
 	// is table-owned until it surfaces in an admit batch and is shipped.
 	reqFree []*lockmgr.Request
-	// siteScratch, countScratch, flushMark and flushGroup are reusable
-	// buffers for the per-message aggregations (loadsFor, dataCounts,
-	// eachGroup) so steady-state dispatch allocates only the slices that
-	// escape into message payloads.
-	siteScratch  []netsim.SiteID
-	countScratch []proto.SiteCount
+	// siteScratch, holderScratch, countScratch, flushMark and flushGroup
+	// are reusable buffers for the per-message aggregations (loadsFor,
+	// one object's holders, dataCounts, eachGroup): what they gather is
+	// copied into the reply record's own arrays, so steady-state dispatch
+	// allocates nothing.
+	siteScratch   []netsim.SiteID
+	holderScratch []netsim.SiteID
+	countScratch  []proto.SiteCount
 	flushMark    []bool
 	flushGroup   []int
 
@@ -607,7 +609,9 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		s.deny(req.Client, proto.DenyReply{Txn: req.Txn, Reason: proto.DenyExpired})
 		return
 	}
-	var conflicts []proto.ObjConflict
+	// The reply is built in a pooled record's own arrays; the client
+	// copies out what its site selection needs.
+	reply := s.payloads.ConflictReply.Get()
 	for i, obj := range req.Objs {
 		if !s.servesObj(obj, req.Modes[i]) {
 			// The object moved off this shard (its replica was recalled
@@ -615,14 +619,16 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 			// all-or-nothing and cannot span shards, so report a
 			// degenerate "busy" conflict; the client's stay-local
 			// fallback re-routes the firm requests freshly.
-			conflicts = append(conflicts, proto.ObjConflict{Obj: obj, Holders: []netsim.SiteID{req.Client}})
-			continue
+			s.holderScratch = append(s.holderScratch[:0], req.Client)
+		} else {
+			s.holderScratch = s.conflictHolders(s.holderScratch[:0], obj, req.Client, req.Modes[i])
 		}
-		if hs := s.conflictHolders(obj, req.Client, req.Modes[i]); len(hs) > 0 {
-			conflicts = append(conflicts, proto.ObjConflict{Obj: obj, Holders: hs})
+		if len(s.holderScratch) > 0 {
+			reply.AddConflict(obj, s.holderScratch)
 		}
 	}
-	if len(conflicts) == 0 {
+	if len(reply.Conflicts) == 0 {
+		s.payloads.Release(reply)
 		for i, obj := range req.Objs {
 			lr := s.newReq()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(req.Client)
@@ -637,25 +643,19 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		}
 		return
 	}
-	// The reply's slices are made for it and pass to the client, which
-	// keeps them until the transaction's site selection has read them.
-	reply := s.payloads.ConflictReply.Get()
-	*reply = proto.ConflictReply{
-		Txn:        req.Txn,
-		Conflicts:  conflicts,
-		Loads:      s.loadsFor(conflicts),
-		DataCounts: s.dataCounts(req.Objs, conflicts),
-	}
+	reply.Txn = req.Txn
+	reply.Loads = s.loadsFor(reply.Loads, reply.Conflicts)
+	reply.DataCounts = s.dataCounts(reply.DataCounts, req.Objs, reply.Conflicts)
 	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, reply)
 }
 
-// dataCounts reports, for every candidate holder site, how many of the
-// probed objects it caches in any mode — the Section 3.1 "significant
-// percentage of the required data" signal for transaction shipping.
-func (s *Server) dataCounts(objs []lockmgr.ObjectID, conflicts []proto.ObjConflict) []proto.SiteCount {
+// dataCounts appends to out, for every candidate holder site, how many
+// of the probed objects it caches in any mode — the Section 3.1
+// "significant percentage of the required data" signal for transaction
+// shipping.
+func (s *Server) dataCounts(out []proto.SiteCount, objs []lockmgr.ObjectID, conflicts []proto.ObjConflict) []proto.SiteCount {
 	// Accumulate in the reusable scratch (candidate sets are tiny, so
-	// linear scans beat maps); only the final slice escapes into the
-	// reply payload.
+	// linear scans beat maps).
 	counts := s.countScratch[:0]
 	for _, c := range conflicts {
 		for _, h := range c.Holders {
@@ -696,7 +696,6 @@ func (s *Server) dataCounts(objs []lockmgr.ObjectID, conflicts []proto.ObjConfli
 		}
 		return 0
 	})
-	out := make([]proto.SiteCount, 0, len(counts))
 	for _, c := range counts {
 		if c.Count > 0 {
 			out = append(out, c)
@@ -889,18 +888,13 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 }
 
 func (s *Server) handleLoadQuery(q proto.LoadQuery) {
-	locations := make([]proto.ObjConflict, 0, len(q.Objs))
+	reply := s.payloads.LoadReply.Get()
+	reply.Txn = q.Txn
 	for _, obj := range q.Objs {
-		hs := s.holdersFor(obj, q.Client)
-		if len(hs) > 0 {
-			locations = append(locations, proto.ObjConflict{Obj: obj, Holders: hs})
+		if s.holderScratch = s.holdersFor(s.holderScratch[:0], obj, q.Client); len(s.holderScratch) > 0 {
+			reply.AddLocation(obj, s.holderScratch)
 		}
 	}
-	reply := s.payloads.LoadReply.Get()
-	*reply = proto.LoadReply{
-		Txn:       q.Txn,
-		Locations: locations,
-		Loads:     s.loadsFor(locations),
-	}
+	reply.Loads = s.loadsFor(reply.Loads, reply.Locations)
 	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, reply)
 }

@@ -5,6 +5,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"siteselect/internal/lockmgr"
@@ -135,52 +136,70 @@ func (t *Transaction) Terminal() bool {
 
 // Subtask is one independently executable piece of a decomposed
 // transaction (Section 3.2): a subset of the object requests plus a
-// proportional share of the processing.
+// proportional share of the processing. It is a value: whoever runs or
+// ships one copies it, Ops included, into memory of its own.
 type Subtask struct {
-	Parent *Transaction
-	Index  int
-	// Key is the group key (from partOf) this subtask was built from,
-	// so callers can map subtasks back to execution sites.
+	Index int
+	// Key is the group key this subtask was built from, so callers can
+	// map subtasks back to execution sites.
 	Key    int
 	Ops    []Op
 	Length time.Duration
 }
 
+// Decomposition is the memory Decompose works in and returns its
+// subtasks from, reusable from one transaction to the next.
+type Decomposition struct {
+	subs []Subtask
+	ops  []Op  // every subtask's Ops is a window of it
+	keys []int // the group key of each subtask, in discovery order
+}
+
 // Decompose splits the transaction into at most maxParts subtasks by
-// grouping ops according to partOf, which maps each op index to a group
-// key (in the system this is the site where the object is cached — "data
-// fragmentation" style grouping). Processing time is divided
-// proportionally to group size. A transaction that is not Decomposable,
-// or whose ops all land in one group, yields nil.
-func (t *Transaction) Decompose(partOf func(i int) int, maxParts int) []*Subtask {
+// grouping ops according to groupOf, which gives each op's group key by
+// its index (in the system the key stands for the site where the object
+// is cached — "data fragmentation" style grouping). Processing time is
+// divided proportionally to group size. A transaction that is not
+// Decomposable, or whose ops all land in one group, yields nil. The
+// subtasks live in d, good until its next use.
+func (t *Transaction) Decompose(groupOf []int, maxParts int, d *Decomposition) []Subtask {
 	if !t.Decomposable || len(t.Ops) < 2 || maxParts < 2 {
 		return nil
 	}
-	groups := make(map[int][]Op)
-	var order []int
-	for i, op := range t.Ops {
-		k := partOf(i)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	d.keys = d.keys[:0]
+	for _, k := range groupOf {
+		if !slices.Contains(d.keys, k) {
+			d.keys = append(d.keys, k)
 		}
-		groups[k] = append(groups[k], op)
 	}
-	if len(order) < 2 {
+	if len(d.keys) < 2 {
 		return nil
 	}
-	// Merge smallest groups into the first one when exceeding maxParts,
-	// preserving the discovery order for determinism.
-	for len(order) > maxParts {
-		last := order[len(order)-1]
-		order = order[:len(order)-1]
-		groups[order[0]] = append(groups[order[0]], groups[last]...)
-		delete(groups, last)
-	}
-	subs := make([]*Subtask, 0, len(order))
-	for i, k := range order {
-		ops := groups[k]
+	// The groups past maxParts merge into the first one, after its own
+	// ops and last group first, preserving the discovery order for
+	// determinism.
+	d.subs, d.ops = d.subs[:0], slices.Grow(d.ops[:0], len(t.Ops)) // no window outlives a regrowth
+	for i, k := range d.keys[:min(len(d.keys), maxParts)] {
+		from := len(d.ops)
+		d.ops = appendGroup(d.ops, t.Ops, groupOf, k)
+		if i == 0 {
+			for j := len(d.keys) - 1; j >= maxParts; j-- {
+				d.ops = appendGroup(d.ops, t.Ops, groupOf, d.keys[j])
+			}
+		}
+		ops := d.ops[from:len(d.ops):len(d.ops)]
 		length := time.Duration(float64(t.Length) * float64(len(ops)) / float64(len(t.Ops)))
-		subs = append(subs, &Subtask{Parent: t, Index: i, Key: k, Ops: ops, Length: length})
+		d.subs = append(d.subs, Subtask{Index: i, Key: k, Ops: ops, Length: length})
 	}
-	return subs
+	return d.subs
+}
+
+// appendGroup appends the ops of group k, in access order.
+func appendGroup(out, ops []Op, groupOf []int, k int) []Op {
+	for i, op := range ops {
+		if groupOf[i] == k {
+			out = append(out, op)
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -84,7 +85,7 @@ func TestDeadlineHelpers(t *testing.T) {
 func TestDecomposeByGroup(t *testing.T) {
 	tx := sample()
 	// Ops 0,2 at site A (group 1); ops 1,3 at site B (group 2).
-	subs := tx.Decompose(func(i int) int { return i%2 + 1 }, 4)
+	subs := tx.Decompose([]int{1, 2, 1, 2}, 4, new(Decomposition))
 	if len(subs) != 2 {
 		t.Fatalf("subtasks = %d, want 2", len(subs))
 	}
@@ -93,8 +94,8 @@ func TestDecomposeByGroup(t *testing.T) {
 	for _, s := range subs {
 		total += len(s.Ops)
 		length += s.Length
-		if s.Parent != tx {
-			t.Fatal("parent not set")
+		if want := []Op{tx.Ops[s.Key-1], tx.Ops[s.Key+1]}; !reflect.DeepEqual(s.Ops, want) {
+			t.Fatalf("group %d runs %v, want %v", s.Key, s.Ops, want)
 		}
 	}
 	if total != 4 {
@@ -107,7 +108,7 @@ func TestDecomposeByGroup(t *testing.T) {
 
 func TestDecomposeSingleGroupNil(t *testing.T) {
 	tx := sample()
-	if subs := tx.Decompose(func(int) int { return 0 }, 4); subs != nil {
+	if subs := tx.Decompose([]int{0, 0, 0, 0}, 4, new(Decomposition)); subs != nil {
 		t.Fatal("single group should not decompose")
 	}
 }
@@ -115,16 +116,20 @@ func TestDecomposeSingleGroupNil(t *testing.T) {
 func TestDecomposeRespectsFlag(t *testing.T) {
 	tx := sample()
 	tx.Decomposable = false
-	if subs := tx.Decompose(func(i int) int { return i }, 4); subs != nil {
+	if subs := tx.Decompose([]int{0, 1, 2, 3}, 4, new(Decomposition)); subs != nil {
 		t.Fatal("non-decomposable transaction decomposed")
 	}
 }
 
 func TestDecomposeMaxParts(t *testing.T) {
 	tx := sample()
-	subs := tx.Decompose(func(i int) int { return i }, 2) // 4 groups, cap 2
+	subs := tx.Decompose([]int{0, 1, 2, 3}, 2, new(Decomposition)) // 4 groups, cap 2
 	if len(subs) != 2 {
 		t.Fatalf("subtasks = %d, want 2 after merging", len(subs))
+	}
+	// The groups past the cap join the first, last group first.
+	if want := []Op{tx.Ops[0], tx.Ops[3], tx.Ops[2]}; !reflect.DeepEqual(subs[0].Ops, want) {
+		t.Fatalf("merged group runs %v, want %v", subs[0].Ops, want)
 	}
 	total := 0
 	for _, s := range subs {
