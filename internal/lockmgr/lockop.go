@@ -24,12 +24,14 @@ var (
 // canceled, matching the policy that transactions past their deadline
 // are not served). Call Start once; done=true resolves the request
 // immediately (grant, deadlock refusal, or an already-expired deadline).
-// Otherwise the task parked on the request's waker, which the table
+// Otherwise the task parked on the request's waker — the op's own
+// signal, so an op in use must stay where it is — which the table
 // broadcasts whichever call admits the request: call Step from every
 // following Resume until done.
 type LockOp struct {
-	tb  *Table
-	req *Request
+	tb   *Table
+	req  *Request
+	wake sim.Signal
 }
 
 // Start issues the request and runs up to the first park.
@@ -42,7 +44,8 @@ func (o *LockOp) Start(tb *Table, t *sim.Task, req *Request) (bool, error) {
 	case Deadlock:
 		return true, ErrDeadlock
 	}
-	req.wake = sim.NewSignal(t.Env())
+	o.wake.Init(t.Env())
+	req.wake = &o.wake
 	return o.wait(t)
 }
 

@@ -158,7 +158,7 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 			}
 			if f, ok := bp.frames[g.id]; ok {
 				if f.loading {
-					t.Wait(f.loaded)
+					t.Wait(&f.loaded)
 					return false, nil // frame may be re-keyed; recheck
 				}
 				bp.Hits++
@@ -234,7 +234,7 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 			}
 			if f, ok := bp.frames[o.id]; ok {
 				if f.loading {
-					t.Wait(f.loaded)
+					t.Wait(&f.loaded)
 					return false, nil
 				}
 				f.Stamp = o.stamp

@@ -10,12 +10,14 @@ type Frame struct {
 	// transfer and disk time; the only content any site ever stores in
 	// one is the version of the object it holds, so that is all a frame
 	// (and a disk page) carries.
-	Stamp  uint64
-	pins   int
-	loaded *sim.Signal
+	Stamp uint64
+	// loaded wakes the getters of a page being read. By value: a frame
+	// lives in the pool's slab, and its signal with it.
+	loaded sim.Signal
 	// Intrusive LRU links: the frame is its own list node, so pin/unpin
 	// cycles and evictions allocate nothing.
 	prev, next *Frame
+	pins       int32
 	dirty      bool
 	loading    bool
 	inLRU      bool
@@ -28,7 +30,7 @@ func (f *Frame) ID() PageID { return f.id }
 func (f *Frame) Dirty() bool { return f.dirty }
 
 // Pins returns the current pin count.
-func (f *Frame) Pins() int { return f.pins }
+func (f *Frame) Pins() int { return int(f.pins) }
 
 // BufferPool caches pages of a Disk in a fixed number of frames with LRU
 // replacement. Dirty pages are written back when evicted. The operations
@@ -84,7 +86,7 @@ func (bp *BufferPool) newFrame(id PageID) *Frame {
 	f.id = id
 	f.pins = 1
 	f.loading = true
-	f.loaded = sim.NewSignal(bp.env)
+	f.loaded.Init(bp.env)
 	return f
 }
 

@@ -196,8 +196,10 @@ func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
 	o.replica, o.repHeat = repServing, 0
 	s.versions[obj] = version
 	s.topo.SetReplica(obj, s.site)
-	o.repGen++
-	s.scheduleHeatCheck(obj, o.repGen)
+	if o.beat == nil {
+		o.beat = &heatBeat{s: s, obj: obj}
+	}
+	o.beat.arm()
 }
 
 // SeedReplica installs a static replica of obj on shard r before the
@@ -229,26 +231,37 @@ func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
 	return true
 }
 
-// scheduleHeatCheck arms one HeatWindow heartbeat for a replicated
-// object; gen invalidates the timer if the replica is shed and
-// reinstalled before it fires.
-func (s *Server) scheduleHeatCheck(obj lockmgr.ObjectID, gen int32) {
-	s.env.Schedule(s.cfg.Sharding.HeatWindow, func() { s.checkReplicaHeat(obj, gen) })
+// heatBeat is the HeatWindow heartbeat of the replica a shard serves for
+// one object: one event hook per object, armed by every install and
+// again by every beat that finds the replica warm. Beats fire in the
+// order they were armed — one delay, one clock — so of those pending
+// only the last armed is current: one that fires while another is
+// pending was armed by an install that a shed and a later install have
+// superseded, and must find itself stale.
+type heatBeat struct {
+	s       *Server
+	obj     lockmgr.ObjectID
+	pending int32
 }
 
-// checkReplicaHeat sheds a replica whose last window ran cold, or
-// re-arms the heartbeat.
-func (s *Server) checkReplicaHeat(obj lockmgr.ObjectID, gen int32) {
-	o := s.rec(obj)
-	if gen != o.repGen || o.replica != repServing {
+func (h *heatBeat) arm() {
+	h.pending++
+	h.s.env.AtHook(h.s.env.Now()+h.s.cfg.Sharding.HeatWindow, h)
+}
+
+// RunEvent sheds a replica whose last window ran cold, or re-arms the
+// heartbeat.
+func (h *heatBeat) RunEvent() {
+	s, o := h.s, h.s.rec(h.obj)
+	if h.pending--; h.pending > 0 || o.replica != repServing {
 		return
 	}
 	if int(o.repHeat) < s.cfg.Sharding.EffectiveShedBelow() {
-		s.shedReplica(obj, false)
+		s.shedReplica(h.obj, false)
 		return
 	}
 	o.repHeat = 0
-	s.scheduleHeatCheck(obj, gen)
+	h.arm()
 }
 
 // shedReplica starts draining a replica back to its home shard: the

@@ -136,7 +136,7 @@ func TestReplicaLifecycle(t *testing.T) {
 		at         float64 // the step's action runs here, its checks half a second later
 		do         func(at time.Duration)
 		state      replicaState
-		gen        int32
+		gen        int64 // installs so far
 		out        bool // home shard: replica provisioned elsewhere
 		registered bool // topology: reads route to the replica
 		shed       int64
@@ -186,8 +186,8 @@ func TestReplicaLifecycle(t *testing.T) {
 		step.do(at)
 		r.env.Run(at + sec(0.5))
 		o := r.srv[rep].at(obj)
-		if o.replica != step.state || o.repGen != step.gen {
-			t.Fatalf("%s: replica state %d gen %d, want %d gen %d", step.name, o.replica, o.repGen, step.state, step.gen)
+		if installs := r.srv[home].ReplicasInstalled; o.replica != step.state || installs != step.gen {
+			t.Fatalf("%s: replica state %d after %d installs, want %d after %d", step.name, o.replica, installs, step.state, step.gen)
 		}
 		if out := r.srv[home].at(obj).replicaOut; out != step.out {
 			t.Fatalf("%s: home shard replicaOut = %v, want %v", step.name, out, step.out)

@@ -173,12 +173,11 @@ type objState struct {
 	heatN      int32
 	replicaOut bool
 	// At any other shard: the lifecycle of the replica served here, its
-	// grants over the current window (cold shedding), and the install
-	// count, which outlives a shed so that a heat-check timer armed by an
-	// earlier install finds itself stale.
+	// grants over the current window (cold shedding), and its heartbeat,
+	// made by the first adaptive install and kept over every shed since.
 	replica replicaState
 	repHeat int32
-	repGen  int32
+	beat    *heatBeat
 	// recalls heads the chain of sites with a callback outstanding
 	// (Server.recallNodes), so that no holder is recalled twice for the
 	// same demand.

@@ -17,7 +17,6 @@ import "time"
 type Signal struct {
 	env        *Env
 	head, tail *signalWait
-	n          int
 }
 
 // signalWait is a task's intrusive signal-queue node. Every Task
@@ -95,11 +94,18 @@ func (s *Signal) Broadcast() {
 		w = next
 	}
 	s.head, s.tail = nil, nil
-	s.n = 0
 }
 
-// Waiters returns the number of processes currently waiting.
-func (s *Signal) Waiters() int { return s.n }
+// Waiters returns the number of processes currently waiting. It walks
+// the queue: a signal is three words in every record that holds one, and
+// only checks ask.
+func (s *Signal) Waiters() int {
+	n := 0
+	for w := s.head; w != nil; w = w.next {
+		n++
+	}
+	return n
+}
 
 func (s *Signal) wake(w *signalWait) {
 	if w.hasTimer {
@@ -119,7 +125,6 @@ func (s *Signal) push(w *signalWait) {
 		s.head = w
 	}
 	s.tail = w
-	s.n++
 }
 
 func (s *Signal) unlink(w *signalWait) {
@@ -134,5 +139,4 @@ func (s *Signal) unlink(w *signalWait) {
 		s.tail = w.prev
 	}
 	w.prev, w.next, w.s = nil, nil, nil
-	s.n--
 }
