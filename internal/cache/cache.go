@@ -19,9 +19,6 @@ type Entry struct {
 	Obj lockmgr.ObjectID
 	// Mode is the cached lock mode (SL or EL).
 	Mode lockmgr.Mode
-	// Dirty marks locally updated objects not yet returned to the
-	// server.
-	Dirty bool
 	// Version is the logical version of the cached copy, used by the
 	// consistency audits.
 	Version int64
@@ -32,6 +29,10 @@ type Entry struct {
 	// and touch cycles allocate nothing.
 	prev, next *Entry
 	inLRU      bool
+	// Dirty marks locally updated objects not yet returned to the
+	// server. (Beside inLRU: the two flags share the entry's eighth
+	// word, and a slab carves entries at exactly their size.)
+	Dirty bool
 }
 
 // Pinned reports whether the entry is in use by a running transaction.

@@ -168,10 +168,9 @@ type pendingTxn struct {
 	sig    sim.Signal
 	denied proto.DenyReason
 	// Reply assembly. An exchange is one message per shard and each
-	// shard answers for its slice; the answers are copied into records
-	// of the pending transaction's own, per sender and in shard order
-	// (replySlot), and read when the waiting step consumes them
-	// (h2Inputs). A conflict reply wakes the waiter as it arrives:
+	// shard answers for its slice; the answers are copied into pooled
+	// records, per sender and in shard order (keepReply), and read when
+	// the waiting step consumes them (h2Inputs). A conflict reply wakes the waiter as it arrives:
 	// H2 then decides on the conflicts seen so far, a deliberate
 	// heuristic — waiting for every shard would trade deadline slack for
 	// information the decision may not need. A load query completes once

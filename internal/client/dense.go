@@ -143,9 +143,9 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 	return nil
 }
 
-// removePending unregisters pt and recycles it: the signal and every
-// slice's capacity — the reply records with their arrays included — are
-// kept for the next transaction.
+// removePending unregisters pt and recycles it: the reply copies go
+// back to the pool, the signal and slice capacities are kept for the
+// next transaction.
 func (c *Client) removePending(pt *pendingTxn) {
 	for i, p := range c.pending {
 		if p == pt {
@@ -159,8 +159,8 @@ func (c *Client) removePending(pt *pendingTxn) {
 	*pt = pendingTxn{
 		sig:      pt.sig,
 		waits:    pt.waits[:0],
-		confFrom: pt.confFrom[:0],
-		loadFrom: pt.loadFrom[:0],
+		confFrom: c.giveBack(pt.confFrom),
+		loadFrom: c.giveBack(pt.loadFrom),
 	}
 	c.ptFree = append(c.ptFree, pt)
 }

@@ -739,6 +739,7 @@ func (m *txnMachine) stepProbeWait() bool {
 		// one blocked object for several lost cache hits.
 		MinShipData: len(t.Ops) - len(m.missing) + 1,
 	})
+	pt.confFrom = c.giveBack(pt.confFrom) // read; the next answer starts afresh
 	if d.Ship {
 		c.shipTxn(t, d.Target)
 		m.fetchOK() // t.Shipped signals the outcome

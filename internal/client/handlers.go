@@ -168,9 +168,7 @@ func (c *Client) onConflictReply(r proto.ConflictReply) {
 	if pt == nil {
 		return
 	}
-	var slot *shardReply
-	pt.confFrom, slot = replySlot(pt.confFrom, c.curFrom)
-	slot.fill(r.Conflicts, r.Loads, r.DataCounts)
+	pt.confFrom = c.keepReply(pt.confFrom, c.curFrom, r.Conflicts, r.Loads, r.DataCounts)
 	pt.gotConflict = true
 	pt.netAccum += c.curTransit
 	pt.sig.Broadcast()
@@ -192,9 +190,7 @@ func (c *Client) onLoadReply(r proto.LoadReply) {
 	if pt == nil || !pt.wantLoad {
 		return
 	}
-	var slot *shardReply
-	pt.loadFrom, slot = replySlot(pt.loadFrom, c.curFrom)
-	slot.fill(r.Locations, r.Loads, nil)
+	pt.loadFrom = c.keepReply(pt.loadFrom, c.curFrom, r.Locations, r.Loads, nil)
 	pt.netAccum += c.curTransit
 	if len(pt.loadFrom) >= pt.loadWant {
 		pt.hasLoad = true

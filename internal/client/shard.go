@@ -2,6 +2,7 @@ package client
 
 import (
 	"math"
+	"slices"
 
 	"siteselect/internal/loadshare"
 	"siteselect/internal/lockmgr"
@@ -141,7 +142,7 @@ func (m *txnMachine) resend(attempt int) {
 	switch m.sendKind {
 	case skLoad:
 		if attempt == 0 {
-			pt.loadFrom = pt.loadFrom[:0]
+			pt.loadFrom = c.giveBack(pt.loadFrom)
 		}
 		sites := c.routeAll(stack[:0], t.Ops, true, nil)
 		pt.loadWant = 0
@@ -157,7 +158,7 @@ func (m *txnMachine) resend(attempt int) {
 		}
 	case skProbe:
 		if attempt == 0 {
-			pt.confFrom = pt.confFrom[:0]
+			pt.confFrom = c.giveBack(pt.confFrom)
 		}
 		sites := c.routeAll(stack[:0], m.missing, false, served)
 		for i, site := range sites {
@@ -191,50 +192,49 @@ func (m *txnMachine) resend(attempt int) {
 // where the objects are (the conflicting holders for a probe, every
 // holder for a location query), the known loads of those sites, and —
 // probes only — how much of the access set each of them caches. It is
-// the client's copy — the payload record goes back to the pool when the
-// handler returns — in arrays the pending record keeps for the next
-// transaction; holders is the one array behind every objs[i].Holders.
+// the client's copy: the delivered record goes back to the pool when the
+// handler returns, and what it said is kept in a second pooled record —
+// a ConflictReply for either kind of answer, locations as its conflicts
+// — from the answer's arrival until the exchange's answers have been
+// read, a few events later. The cluster's pool thus holds as many reply
+// records as are on the wire or unread at once, whatever the population.
 type shardReply struct {
-	from    netsim.SiteID
-	objs    []proto.ObjConflict
-	holders []netsim.SiteID
-	loads   []proto.LoadReport
-	counts  []proto.SiteCount
+	from netsim.SiteID
+	rec  *proto.ConflictReply
 }
 
-// replySlot returns, emptied, the record for from's answer among rs:
-// the one an earlier answer from the same shard filled (a retransmitted
-// exchange is answered twice), or else a spare one moved to its place in
-// shard order, so what is read off the list does not depend on the order
-// the answers arrived in. A record past len(rs) is a spare: it keeps its
-// arrays.
-func replySlot(rs []shardReply, from netsim.SiteID) ([]shardReply, *shardReply) {
+// keepReply records a copy of from's answer among rs, in place of an
+// earlier one from the same shard (a retransmitted exchange is answered
+// twice) and in shard order, so what is read off the list does not
+// depend on the order the answers arrived in.
+func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
+	objs []proto.ObjConflict, loads []proto.LoadReport, counts []proto.SiteCount) []shardReply {
 	i := 0
 	for i < len(rs) && rs[i].from > from { // shard k answers from site -k
 		i++
 	}
-	if i == len(rs) || rs[i].from != from {
-		if len(rs) == cap(rs) {
-			rs = append(rs, shardReply{})
-		} else {
-			rs = rs[:len(rs)+1]
-		}
-		spare := rs[len(rs)-1]
-		copy(rs[i+1:], rs[i:])
-		rs[i] = spare
+	if i < len(rs) && rs[i].from == from {
+		c.payloads.Release(rs[i].rec)
+	} else {
+		rs = slices.Insert(rs, i, shardReply{from: from})
 	}
-	r := &rs[i]
-	*r = shardReply{from: from, objs: r.objs[:0], holders: r.holders[:0], loads: r.loads[:0], counts: r.counts[:0]}
-	return rs, r
+	rec := c.payloads.ConflictReply.Get()
+	for _, o := range objs {
+		rec.AddConflict(o.Obj, o.Holders)
+	}
+	rec.Loads, rec.DataCounts = append(rec.Loads, loads...), append(rec.DataCounts, counts...)
+	rs[i].rec = rec
+	return rs
 }
 
-// fill copies a reply's vectors into r.
-func (r *shardReply) fill(objs []proto.ObjConflict, loads []proto.LoadReport, counts []proto.SiteCount) {
-	for _, o := range objs {
-		r.objs, r.holders = proto.AppendLocation(r.objs, r.holders, o.Obj, o.Holders)
+// giveBack releases the copies in rs, read or superseded, and returns
+// rs emptied.
+func (c *Client) giveBack(rs []shardReply) []shardReply {
+	for i := range rs {
+		c.payloads.Release(rs[i].rec)
+		rs[i].rec = nil
 	}
-	r.loads = append(r.loads, loads...)
-	r.counts = append(r.counts, counts...)
+	return rs[:0]
 }
 
 // h2Scratch is what a site's decisions are worked out in, reused from
@@ -271,12 +271,12 @@ func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.Site
 	clear(sc.loads)
 	clear(sc.counts)
 	for i := range rs {
-		for _, l := range rs[i].loads {
+		for _, l := range rs[i].rec.Loads {
 			if _, have := sc.loads[l.Client]; !have {
 				sc.loads[l.Client] = l
 			}
 		}
-		for _, dc := range rs[i].counts {
+		for _, dc := range rs[i].rec.DataCounts {
 			sc.counts[dc.Site] += dc.Count
 		}
 	}
@@ -288,12 +288,12 @@ func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.Site
 // concatenation in shard order, in the client's scratch.
 func (c *Client) locations(rs []shardReply) []proto.ObjConflict {
 	if len(rs) == 1 {
-		return rs[0].objs
+		return rs[0].rec.Conflicts
 	}
 	sc := c.scratch()
 	sc.objs = sc.objs[:0]
 	for i := range rs {
-		sc.objs = append(sc.objs, rs[i].objs...)
+		sc.objs = append(sc.objs, rs[i].rec.Conflicts...)
 	}
 	return sc.objs
 }

@@ -102,8 +102,14 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 		defer r.env.Close()
 		m = probeRound(r)
 		for _, k := range order {
-			cp := *replies[k]
-			r.injectFrom(k, netsim.KindLockReply, &cp)
+			// A record of its own, as the server sends: the client's
+			// dispatcher hands it to the pool, arrays and all.
+			cp := &proto.ConflictReply{Txn: replies[k].Txn,
+				Loads: slices.Clone(replies[k].Loads), DataCounts: slices.Clone(replies[k].DataCounts)}
+			for _, c := range replies[k].Conflicts {
+				cp.AddConflict(c.Obj, c.Holders)
+			}
+			r.injectFrom(k, netsim.KindLockReply, cp)
 			r.env.RunAll()
 		}
 		if !m.pt.gotConflict {
@@ -126,7 +132,7 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 	if !reflect.DeepEqual(inOrder, want) {
 		t.Fatalf("merged view = %+v\nwant %+v", inOrder, want)
 	}
-	if lone := read(1); &lone.conflicts[0] != &m.pt.confFrom[0].objs[0] {
-		t.Fatal("a lone reply's conflicts were copied again, want the pending record's vector")
+	if lone := read(1); &lone.conflicts[0] != &m.pt.confFrom[0].rec.Conflicts[0] {
+		t.Fatal("a lone reply's conflicts were copied again, want the kept copy's vector")
 	}
 }

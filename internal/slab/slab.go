@@ -22,8 +22,15 @@ const (
 	// records, not for a population's.
 	firstChunk = 4
 	// chunkBytes bounds a chunk: chunks double from firstChunk records
-	// to the most that fit in this many bytes.
-	chunkBytes = 16 << 10
+	// to the most that fit in this many bytes — a size class of the
+	// allocator's, less the header it puts before an array that holds
+	// pointers (a chunk of 16 KB exactly is charged 18).
+	chunkBytes = 16<<10 - 16
+	// blockBytes bounds the blocks a slab carves and keeps. A longer one
+	// is an array of its own, the collector's again once outgrown: kept,
+	// the blocks a thousand-lock holder list grew through would outweigh
+	// the list.
+	blockBytes = 1 << 10
 )
 
 // Slab is a stock of T records.
@@ -62,9 +69,14 @@ func (s *Slab[T]) Idle() int { return len(s.free) }
 
 // Block returns n contiguous zeroed records as a slice of that length
 // and capacity: a block of that capacity handed back earlier, the next
-// n of the newest chunk, or — when n is more than a chunk holds — an
-// array of its own.
+// n of the newest chunk, or — when they come to more than blockBytes —
+// an array of its own.
 func (s *Slab[T]) Block(n int) []T {
+	var zero T
+	size := max(1, int(unsafe.Sizeof(zero)))
+	if n > 1 && n*size > blockBytes {
+		return make([]T, n)
+	}
 	if c := class(n); c < len(s.blocks) && n == 1<<c {
 		if k := len(s.blocks[c]); k > 0 {
 			b := s.blocks[c][k-1]
@@ -74,15 +86,14 @@ func (s *Slab[T]) Block(n int) []T {
 		}
 	}
 	if n > len(s.tail) {
-		var zero T
-		size := max(s.chunk, firstChunk)
-		s.chunk = min(2*size, max(firstChunk, chunkBytes/max(1, int(unsafe.Sizeof(zero)))))
-		if n >= size {
+		length := max(s.chunk, firstChunk)
+		s.chunk = min(2*length, max(firstChunk, chunkBytes/size))
+		if n >= length {
 			return make([]T, n) // the newest chunk keeps its tail
 		}
 		// What is left of the old chunk is given up: fewer than n
 		// records of a chunk many times that long.
-		s.tail = make([]T, size)
+		s.tail = make([]T, length)
 	}
 	b := s.tail[:n:n]
 	s.tail = s.tail[n:]
@@ -91,12 +102,13 @@ func (s *Slab[T]) Block(n int) []T {
 
 // PutBlock zeroes b, a block whose capacity is a power of two, and keeps
 // it for the next Block of that length. A block of any other capacity is
-// only zeroed: its records stay carved for the life of the slab.
+// only zeroed — its records stay carved for the life of the slab — and
+// one of more than blockBytes is left to the collector.
 func (s *Slab[T]) PutBlock(b []T) {
 	b = b[:cap(b)]
 	clear(b)
 	c := class(len(b))
-	if len(b) == 0 || len(b) != 1<<c {
+	if len(b) == 0 || len(b) != 1<<c || len(b) > 1 && len(b)*int(unsafe.Sizeof(b[0])) > blockBytes {
 		return
 	}
 	for len(s.blocks) <= c {

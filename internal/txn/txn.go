@@ -83,13 +83,14 @@ type Transaction struct {
 	// Decomposable marks transactions whose object requests can be
 	// disassembled and materialized independently (Section 3.2).
 	Decomposable bool
+	// Shipped marks transactions moved by the load-sharing algorithm.
+	// (Beside Decomposable: the two flags share a word.)
+	Shipped bool
 
 	Status Status
 	// ExecSite is where the transaction ran (its origin unless
 	// shipped).
 	ExecSite netsim.SiteID
-	// Shipped marks transactions moved by the load-sharing algorithm.
-	Shipped bool
 	// Finished is when the transaction reached a terminal state.
 	Finished time.Duration
 }
