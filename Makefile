@@ -41,13 +41,17 @@ study-lint:
 # state-lint keeps per-key state in one record per key: the server
 # reaches everything it knows about an object through Server.objs (no
 # object-keyed map beside it), and the lock table everything it knows
-# about an owner through Table.owners (no second owner-keyed map).
+# about an owner through Table.owners (no second owner-keyed map). It
+# keeps spent records in the system's slabs, too: a cache or a lock table
+# holds a pointer to one and no free list of its own.
 state-lint:
 	@if grep -nE '^\s+\w+\s+map\[lockmgr\.ObjectID\]' internal/server/*.go | grep -v '_test\.go:'; then \
 		echo 'state-lint: per-object server state belongs in objState (Server.objs)' >&2; exit 1; fi
 	@if [ "$$(grep -hE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | wc -l)" -gt 1 ]; then \
 		grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go; \
 		echo 'state-lint: per-owner lock state belongs in ownerRec (Table.owners)' >&2; exit 1; fi
+	@if grep -nE '^\s+\w*[fF]ree\w*\s+\[\]\*' internal/cache/*.go internal/lockmgr/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: spent records go back to the system slab (cache.Slab, lockmgr.Slab), not a per-site free list' >&2; exit 1; fi
 
 # bench-check compiles and tests the benchmark module (its own go.mod,
 # so `go test ./...` at the root never sees it) and smoke-runs all four
@@ -99,19 +103,28 @@ bench-mem:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure3$$|BenchmarkScaleSmoke$$' -benchtime 1x -benchmem . | \
 		$(GO) run ./cmd/benchjson -into BENCH_kernel.json -label $(LABEL)
 
-# alloc-census counts every heap object one scenario's run makes and
-# says where (EXPERIMENTS.md, "Hunting allocations"): the run goes under
-# GODEBUG=memprofilerate=1, so the profile is exact and its total divides
-# into objects per submitted transaction — the benchmark's
-# allocs_per_txn, by call site. Tens of times slower than a plain run;
-# the binary, the profile and the scenario report stay in CENSUS_OUT.
+# alloc-census counts every heap object a run makes and says where
+# (EXPERIMENTS.md, "Hunting allocations") — one scenario's, or every
+# cell's of an rtbench experiment (the paper's sweeps are built in Go,
+# not .rts; EXP=fig3 is the benchmark's fig3 workload but for the cells'
+# derived seeds): the run goes under GODEBUG=memprofilerate=1, so the
+# profile is exact and its total divides into objects per submitted
+# transaction — the benchmark's allocs_per_txn, by call site. Several
+# times slower than a plain run, tens of times where the allocator is
+# most of it; the binary, the profile and the report stay in CENSUS_OUT.
 #	make alloc-census SCENARIO=bench/workloads/scale_100k.rts
+#	make alloc-census EXP=fig3
 CENSUS_OUT ?= /tmp/alloc-census
 alloc-census:
-	@test -n "$(SCENARIO)" || { echo 'usage: make alloc-census SCENARIO=path.rts' >&2; exit 2; }
+	@test -n "$(SCENARIO)$(EXP)" || { echo 'usage: make alloc-census SCENARIO=path.rts | EXP=id' >&2; exit 2; }
 	@mkdir -p $(CENSUS_OUT)
 	$(GO) build -o $(CENSUS_OUT)/rtbench ./cmd/rtbench
+ifdef EXP
+	GODEBUG=memprofilerate=1 $(CENSUS_OUT)/rtbench -exp $(EXP) -parallel 1 -progress -memprofile $(CENSUS_OUT)/heap.pprof 2>&1 >/dev/null | \
+		sed -n 's/.* \([0-9]*\) transactions submitted$$/submitted \1/p' > $(CENSUS_OUT)/report.txt
+else
 	GODEBUG=memprofilerate=1 $(CENSUS_OUT)/rtbench -scenario $(SCENARIO) -memprofile $(CENSUS_OUT)/heap.pprof > $(CENSUS_OUT)/report.txt
+endif
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 $(CENSUS_OUT)/rtbench $(CENSUS_OUT)/heap.pprof | tee $(CENSUS_OUT)/top.txt
 	@objects=$$(sed -n 's/.* of \([0-9]*\) total.*/\1/p' $(CENSUS_OUT)/top.txt | head -1); \
 	txns=$$(awk '$$1 == "submitted" { print $$2 }' $(CENSUS_OUT)/report.txt); \

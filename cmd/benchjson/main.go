@@ -9,9 +9,11 @@
 //
 // Records are keyed by (label, benchmark name): re-running with the same
 // label replaces that label's records in place, so the file accumulates
-// one snapshot per label (e.g. "pre-pr", "post-pr"). Non-benchmark lines
-// are ignored; the parsed input is echoed to stdout so the tool can sit
-// in a pipe without hiding results.
+// one snapshot per label (e.g. "pre-pr", "post-pr"), and with it the
+// host the label was measured on: the goos / goarch / cpu header lines
+// `go test -bench` prints, the Go release and the CPU count. Other
+// lines are ignored; the parsed input is echoed to stdout so the tool
+// can sit in a pipe without hiding results.
 //
 // Diff mode compares two labels already in the file instead of reading
 // stdin:
@@ -31,8 +33,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,9 +50,20 @@ type Record struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
+// Host says where a label's numbers were taken: a trajectory across
+// labels means something only between numbers from one kind of machine.
+type Host struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPU    string `json:"cpu"`
+	Go     string `json:"go"`
+	NProc  int    `json:"nproc"`
+}
+
 // File is the on-disk JSON shape.
 type File struct {
-	Records []Record `json:"records"`
+	Hosts   map[string]Host `json:"hosts,omitempty"`
+	Records []Record        `json:"records"`
 }
 
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
@@ -79,21 +94,29 @@ func main() {
 		}
 		return
 	}
-	if err := run(*into, *label); err != nil {
+	if err := run(os.Stdin, *into, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(into, label string) error {
+func run(in io.Reader, into, label string) error {
 	var recs []Record
-	sc := bufio.NewScanner(os.Stdin)
+	// benchjson sits at the end of the pipe the benchmarks run in: its
+	// own Go release and CPU count are theirs.
+	host := Host{Go: runtime.Version(), NProc: runtime.NumCPU()}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
 		if r, ok := parseLine(line, label); ok {
 			recs = append(recs, r)
+		}
+		for prefix, field := range map[string]*string{"goos: ": &host.GOOS, "goarch: ": &host.GOARCH, "cpu: ": &host.CPU} {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				*field = v
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -125,6 +148,10 @@ func run(into, label string) error {
 		kept = append(kept, r)
 	}
 	f.Records = append(kept, recs...)
+	if f.Hosts == nil {
+		f.Hosts = make(map[string]Host)
+	}
+	f.Hosts[label] = host
 	sort.SliceStable(f.Records, func(i, j int) bool {
 		if f.Records[i].Label != f.Records[j].Label {
 			return f.Records[i].Label < f.Records[j].Label

@@ -135,10 +135,12 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	var timing *metrics.WallClock
+	var submitted int64
 	if *progress {
 		timing = &metrics.WallClock{}
 		opts.Timing = timing
 		opts.Progress = func(c metrics.CellDone) {
+			submitted += c.Submitted
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n", c.Done, c.Total, c.Label, c.Elapsed.Round(time.Millisecond))
 		}
 	}
@@ -149,9 +151,9 @@ func run(args []string, out io.Writer) error {
 	}, opts, out)
 	if timing != nil {
 		s := timing.Stats()
-		fmt.Fprintf(os.Stderr, "cells: %d, wall clock mean %v, max %v, total %v\n",
+		fmt.Fprintf(os.Stderr, "cells: %d, wall clock mean %v, max %v, total %v, %d transactions submitted\n",
 			s.Count, s.Mean().Round(time.Millisecond), s.Max.Round(time.Millisecond),
-			s.Total.Round(time.Millisecond))
+			s.Total.Round(time.Millisecond), submitted)
 	}
 	return err
 }

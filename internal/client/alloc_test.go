@@ -18,25 +18,28 @@ import (
 // it owns: at a million clients every word here is 8 MB. A Client is the
 // whole parked site — its cache, executor slots, local lock table and
 // dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of what those parts were pinned at or read when each was an object
-// of its own: 512 for the rest of the Client (what keeps a by-value
-// config.Config, 424 B, from coming back), 120 the cache, 80 the
-// resource, 192 the lock table, 176 the dispatcher. It reads 1 032. The
+// sum of its parts' ceilings: 512 for the rest of the Client (what keeps
+// a by-value config.Config, 424 B, from coming back), 104 the cache, 80
+// the resource, 152 the lock table, 176 the dispatcher. It reads 968
+// (1 032 when the cache and the table each kept free lists of their own
+// and the client two scratch maps, where each now holds one pointer: to
+// the system's slab, to decision scratch made by the first H2 round). The
 // dispatcher's ceiling is what keeps a held netsim.Message out of a
-// machine every client owns; the lock table's (it reads 184; 296 B with
-// its four per-owner maps, three free lists and the wrapper that woke its
-// waiters) keeps a second container per owner out of the table every
-// client holds; the generator machine is the one part still allocated
+// machine every client owns; the cache's and the lock table's (they read
+// 104 and 144; the table 296 B with its four per-owner maps, three free
+// lists and the wrapper that woke its waiters) keep a free list or a
+// second container per owner out of what every client holds; the
+// generator machine is the one part still allocated
 // per site (Client.Start says why).
 func TestPerSiteStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 512 + 120 + 80 + 192 + 176},
-		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 120},
+		{"Client", unsafe.Sizeof(Client{}), 512 + 104 + 80 + 152 + 176},
+		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 104},
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 80},
-		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 192},
+		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
 		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
 		{"genMachine", unsafe.Sizeof(genMachine{}), 176},
 	} {

@@ -88,12 +88,11 @@ func runCells[T any](o Options, labels []string, run func(int) (T, error)) ([]T,
 		if o.Progress != nil {
 			mu.Lock()
 			done++
-			o.Progress(metrics.CellDone{
-				Label:   labels[i],
-				Elapsed: elapsed,
-				Done:    done,
-				Total:   len(labels),
-			})
+			cell := metrics.CellDone{Label: labels[i], Elapsed: elapsed, Done: done, Total: len(labels)}
+			if res, ok := any(v).(*rtdbs.Result); ok && res != nil {
+				cell.Submitted = res.M.Submitted
+			}
+			o.Progress(cell)
 			mu.Unlock()
 		}
 		return nil

@@ -36,17 +36,11 @@ type Cluster struct {
 	// payloads is this cluster's stock of message payload records,
 	// shared by its servers and clients and by no other cluster.
 	payloads proto.Pool
-	// entries and locks are the slabs every site's cache and every lock
-	// table — the shards' and the clients' local ones — carve their
-	// records from and hand them back to. They live as long as the
-	// cluster; the sites keep no free lists of their own.
-	entries cache.Slab
-	locks   lockmgr.Slab
-	m       *metrics.Collector
-	topo    *shardmap.Map
-	servers []*server.Server
-	clients []client.Client
-	tr      *trace.Tracer
+	m        *metrics.Collector
+	topo     *shardmap.Map
+	servers  []*server.Server
+	clients  []client.Client
+	tr       *trace.Tracer
 }
 
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
@@ -56,17 +50,23 @@ func NewClientServer(cfg config.Config) (*Cluster, error) {
 	cfg.UseH2 = false
 	cfg.UseDecomposition = false
 	cfg.UseForwardLists = false
-	return newCluster(cfg, false)
+	return newCluster(cfg, false, new(cache.Slab), new(lockmgr.Slab))
 }
 
 // NewLoadSharing builds the LS-CS-RTDBS with the configured feature
 // toggles (all on for the paper's system; ablations switch them off
 // selectively).
 func NewLoadSharing(cfg config.Config) (*Cluster, error) {
-	return newCluster(cfg, true)
+	return newCluster(cfg, true, new(cache.Slab), new(lockmgr.Slab))
 }
 
-func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
+// newCluster builds the cluster on the two slabs every site's cache and
+// every lock table — the shards' and the clients' local ones — carve
+// their records from and hand them back to: the cluster's own, made by
+// its constructor and alive as long as its sites, which keep no free
+// lists of their own. (With nil each site makes a private slab; a test
+// holds the two to the same Result.)
+func newCluster(cfg config.Config, loadShare bool, entries *cache.Slab, locks *lockmgr.Slab) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
-		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, &c.locks, k, topo))
+		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, locks, k, topo))
 	}
 	if topo.Multi() {
 		// Shard-to-shard mailboxes: every shard gets one peer inbox and
@@ -127,7 +127,7 @@ func newCluster(cfg config.Config, loadShare bool) (*Cluster, error) {
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
 		inboxes[id] = &mine[0]
-		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, &c.entries, &c.locks, c.m, mine, topo, &gens[i-1], loadShare)
+		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, entries, locks, c.m, mine, topo, &gens[i-1], loadShare)
 	}
 	for i := range c.clients {
 		c.clients[i].SetPeers(&inboxes)

@@ -1,6 +1,7 @@
 package rtdbs
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -682,5 +683,44 @@ func TestOutageMessagesDrainAfterRestart(t *testing.T) {
 	}
 	if got := res.M.Committed + res.M.Missed + res.M.Aborted; got != res.M.Submitted {
 		t.Fatalf("outcomes %d != submitted %d", got, res.M.Submitted)
+	}
+}
+
+// TestSharedSlabsMatchPrivateOnes: where a record comes from is not
+// behaviour. A cluster whose sites draw cache entries and lock-table
+// records from the system's two slabs — a record one site hands back is
+// the next any site takes — and one whose every cache and table made a
+// slab of its own return the same Result, field for field, on the
+// write-heavy sharded path and on the load-sharing one (forward lists,
+// decomposition, local lock tables under four executors).
+func TestSharedSlabsMatchPrivateOnes(t *testing.T) {
+	sharded := shardedConfig(12, 3, 0.20)
+	sharded.BatchWindow = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		cfg       config.Config
+		loadShare bool
+	}{
+		{"cs-sharded", sharded, false},
+		{"ls", smallConfig(10, 0.10), true},
+	} {
+		run := func(entries *cache.Slab, locks *lockmgr.Slab) *Result {
+			c, err := newCluster(tc.cfg, tc.loadShare, entries, locks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		shared, private := run(new(cache.Slab), new(lockmgr.Slab)), run(nil, nil)
+		if shared.M.Committed == 0 || shared.RecallsSent == 0 {
+			t.Fatalf("%s: cell too quiet to compare: %d committed, %d recalls", tc.name, shared.M.Committed, shared.RecallsSent)
+		}
+		if !reflect.DeepEqual(shared, private) {
+			t.Errorf("%s: Result differs between shared and private slabs:\n shared  %+v\n private %+v", tc.name, shared, private)
+		}
 	}
 }
