@@ -9,11 +9,10 @@
 //
 // Records are keyed by (label, benchmark name): re-running with the same
 // label replaces that label's records in place, so the file accumulates
-// one snapshot per label (e.g. "pre-pr", "post-pr"), and with it the
-// host the label was measured on: the goos / goarch / cpu header lines
-// `go test -bench` prints, the Go release and the CPU count. Other
-// lines are ignored; the parsed input is echoed to stdout so the tool
-// can sit in a pipe without hiding results.
+// one snapshot per label (e.g. "pre-pr", "post-pr") and the host it was
+// measured on: the goos / goarch / cpu lines `go test -bench` prints, the
+// Go release and the CPU count. Other lines are ignored; the input is
+// echoed to stdout so the tool can sit in a pipe without hiding results.
 //
 // Diff mode compares two labels already in the file instead of reading
 // stdin:
@@ -50,20 +49,11 @@ type Record struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Host says where a label's numbers were taken: a trajectory across
-// labels means something only between numbers from one kind of machine.
-type Host struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPU    string `json:"cpu"`
-	Go     string `json:"go"`
-	NProc  int    `json:"nproc"`
-}
-
-// File is the on-disk JSON shape.
+// File is the on-disk JSON shape. Hosts says, per label, where its
+// numbers were taken (goos, goarch, cpu, go, nproc).
 type File struct {
-	Hosts   map[string]Host `json:"hosts,omitempty"`
-	Records []Record        `json:"records"`
+	Hosts   map[string]map[string]string `json:"hosts,omitempty"`
+	Records []Record                     `json:"records"`
 }
 
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
@@ -102,9 +92,7 @@ func main() {
 
 func run(in io.Reader, into, label string) error {
 	var recs []Record
-	// benchjson sits at the end of the pipe the benchmarks run in: its
-	// own Go release and CPU count are theirs.
-	host := Host{Go: runtime.Version(), NProc: runtime.NumCPU()}
+	host := map[string]string{"go": runtime.Version(), "nproc": strconv.Itoa(runtime.NumCPU())}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -113,9 +101,9 @@ func run(in io.Reader, into, label string) error {
 		if r, ok := parseLine(line, label); ok {
 			recs = append(recs, r)
 		}
-		for prefix, field := range map[string]*string{"goos: ": &host.GOOS, "goarch: ": &host.GOARCH, "cpu: ": &host.CPU} {
-			if v, ok := strings.CutPrefix(line, prefix); ok {
-				*field = v
+		for _, key := range []string{"goos", "goarch", "cpu"} {
+			if v, ok := strings.CutPrefix(line, key+": "); ok {
+				host[key] = v
 			}
 		}
 	}
@@ -126,7 +114,7 @@ func run(in io.Reader, into, label string) error {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 
-	var f File
+	f := File{Hosts: make(map[string]map[string]string)}
 	if data, err := os.ReadFile(into); err == nil {
 		if err := json.Unmarshal(data, &f); err != nil {
 			return fmt.Errorf("parsing %s: %w", into, err)
@@ -148,9 +136,6 @@ func run(in io.Reader, into, label string) error {
 		kept = append(kept, r)
 	}
 	f.Records = append(kept, recs...)
-	if f.Hosts == nil {
-		f.Hosts = make(map[string]Host)
-	}
 	f.Hosts[label] = host
 	sort.SliceStable(f.Records, func(i, j int) bool {
 		if f.Records[i].Label != f.Records[j].Label {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,8 +33,9 @@ func TestRunRecordsHostPerLabel(t *testing.T) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
-	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "newer box", Go: runtime.Version(), NProc: runtime.NumCPU()}
-	if len(f.Hosts) != 2 || f.Hosts["pr21"] != want || f.Hosts["pr20"].CPU != "old box" || len(f.Records) != 2 {
+	want := map[string]string{"goos": "linux", "goarch": "amd64", "cpu": "newer box",
+		"go": runtime.Version(), "nproc": strconv.Itoa(runtime.NumCPU())}
+	if len(f.Hosts) != 2 || !reflect.DeepEqual(f.Hosts["pr21"], want) || f.Hosts["pr20"]["cpu"] != "old box" || len(f.Records) != 2 {
 		t.Fatalf("hosts %+v over %d records, want pr20 and pr21 (%+v) over 2", f.Hosts, len(f.Records), want)
 	}
 }

@@ -29,9 +29,8 @@ type Entry struct {
 	// and touch cycles allocate nothing.
 	prev, next *Entry
 	inLRU      bool
-	// Dirty marks locally updated objects not yet returned to the
-	// server. (Beside inLRU: the two flags share the entry's eighth
-	// word, and a slab carves entries at exactly their size.)
+	// Dirty marks locally updated objects not yet returned to the server
+	// (beside inLRU: the flags share the entry's eighth word).
 	Dirty bool
 }
 
@@ -112,20 +111,17 @@ type Cache struct {
 	DiskHits   int64
 	Misses     int64
 
-	// slab is where entries come from and go back to: the system's,
-	// shared by its sites, or a private one made by the first Insert.
-	// Eviction and removal results are handed to the caller first (locks
-	// must be returned to the server), so entries go back only via an
-	// explicit Recycle call.
+	// slab is where entries come from — the system's, shared by its
+	// sites, or a private one made by the first Insert — and go back to,
+	// via Recycle only: eviction and removal results are handed to the
+	// caller first (locks must be returned to the server).
 	slab *Slab
 }
 
-// Slab is a stock of entries: a system owns one and hands it to the
-// cache of every site.
+// Slab is a system's stock of entries, handed to every site's cache.
 type Slab = slab.Slab[Entry]
 
-// New returns a cache with the given per-tier capacities (in objects)
-// and entries of its own.
+// New returns a cache with the given per-tier capacities (in objects).
 func New(memCap, diskCap int) *Cache {
 	c := new(Cache)
 	c.Init(memCap, diskCap, nil)

@@ -189,7 +189,7 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		m.sendKind = skProbe
 		cr := c.payloads.ConflictReply.Get()
 		cr.Txn, cr.Loads, cr.DataCounts = tx.ID, append(cr.Loads, loads...), append(cr.DataCounts, counts...)
-		cr.AddConflict(where[0].Obj, where[0].Holders)
+		cr.Conflicts, cr.Flat = proto.AppendLocation(cr.Conflicts, cr.Flat, where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.ProbeRequest); return ok && len(q.Objs) == 2 },
 			netsim.KindLockReply, cr)
 		conflicts, loadAt, countAt := c.h2Inputs(pt.confFrom)
@@ -218,7 +218,7 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		m.sendKind = skLoad
 		lr := c.payloads.LoadReply.Get()
 		lr.Txn, lr.Loads = tx.ID, append(lr.Loads, loads...)
-		lr.AddLocation(where[0].Obj, where[0].Holders)
+		lr.Locations, lr.Flat = proto.AppendLocation(lr.Locations, lr.Flat, where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.LoadQuery); return ok && len(q.Objs) == 2 },
 			netsim.KindLoadReply, lr)
 		locs, loadAt, _ := c.h2Inputs(pt.loadFrom)
@@ -230,7 +230,7 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		}
 		sc := c.scratch()
 		sc.groups.ByLocation(c.id, tx.Ops, locs)
-		if subs := tx.Decompose(sc.groups.Of, 4, &sc.parts); len(subs) != 2 || sc.groups.Site[subs[1].Key] != 2 {
+		if subs := tx.Decompose(sc.groups.Of, 4, &sc.parts); len(subs) != 2 || sc.groups.Site[subs[1].Index] != 2 {
 			panic("transaction not split between the origin and the holder")
 		}
 		pt.wantLoad = false

@@ -170,7 +170,8 @@ type pendingTxn struct {
 	// Reply assembly. An exchange is one message per shard and each
 	// shard answers for its slice; the answers are copied into pooled
 	// records, per sender and in shard order (keepReply), and read when
-	// the waiting step consumes them (h2Inputs). A conflict reply wakes the waiter as it arrives:
+	// the waiting step consumes them (h2Inputs). A conflict reply wakes
+	// the waiter as it arrives:
 	// H2 then decides on the conflicts seen so far, a deliberate
 	// heuristic — waiting for every shard would trade deadline slack for
 	// information the decision may not need. A load query completes once
@@ -200,10 +201,10 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 // Init makes c a client site, in place: a cluster's clients are the
 // elements of one array, and a Client holds a machine, a resource and
 // (once started) wait-queue links, so it is initialised where it lives
-// and not copied afterwards. cfg, pool, topo and the two slabs — which
-// the cache and the local lock table draw their records from, nil for a
-// client on its own — are the cluster's, shared by every site; boxes are
-// this client's initialised mailboxes —
+// and not copied afterwards. cfg, pool, topo and the slabs of the cache
+// and the local lock table (nil for a client on its own) are the
+// cluster's, shared by every site; boxes are this client's initialised
+// mailboxes —
 // boxes[0] its message queue, boxes[1+k] its connection queue at server
 // shard k (two boxes at a single server).
 // Peers must be set via SetPeers before Start when forward lists or

@@ -69,7 +69,7 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		MeanSlack:        cfg.MeanSlack,
 		MeanObjects:      cfg.MeanObjects,
 		Access:           access,
-	}, nil)
+	}, new(txn.Maker))
 
 	cl := New(env, &cfg, 1, net, &proto.Pool{}, nil, nil, &metrics.Collector{}, boxes,
 		shardmap.New(cfg.Sharding), gen, true)
@@ -711,7 +711,7 @@ func TestClientDecomposition(t *testing.T) {
 		t.Fatalf("peer message = %+v", m)
 	}
 	ship := m.Payload.(*proto.TxnShip)
-	if !ship.IsSub || len(ship.Sub.Ops) != 2 {
+	if ship.Sub == nil || len(ship.Sub.Ops) != 2 {
 		t.Fatalf("subtask = %+v", ship.Sub)
 	}
 	// Local subtask fetches its own objects.

@@ -37,13 +37,10 @@ type txnMachine struct {
 	task sim.Task
 	c    *Client
 	t    *txn.Transaction
-	// sub is the machine's own copy of the subtask it runs when it does
-	// not run the whole transaction (!owns), kept with its Ops array from
-	// one use of the machine to the next.
-	sub *txn.Subtask
+	sub  *txn.Subtask
 	// origin marks the transaction's originating site (the tentative
 	// and ship decisions only apply there); owns marks the context that
-	// owns the transaction's status and trace (no subtask).
+	// owns the transaction's status and trace (sub == nil).
 	origin bool
 	owns   bool
 	// reportTo collects a local decomposition subtask's result for the
@@ -143,8 +140,6 @@ const (
 
 // spawnTxn starts a transaction machine in the given entry mode,
 // reusing a machine from the client's free list when one is available.
-// sub, when the machine is to run a subtask, is copied: the caller's is
-// decision scratch or a payload record.
 func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, reportTo *shipWait) {
 	var m *txnMachine
 	if n := len(c.txnFree); n > 0 {
@@ -155,18 +150,10 @@ func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, rep
 		m = &txnMachine{}
 	}
 	*m = txnMachine{
-		c: c, t: t, sub: m.sub, reportTo: reportTo, owns: sub == nil,
+		c: c, t: t, sub: sub, reportTo: reportTo, owns: sub == nil,
 		results: m.results[:0],
 		lockOps: m.lockOps[:0], locks: m.locks,
 		entries: m.entries[:0], missing: m.missing[:0],
-	}
-	if sub != nil {
-		if m.sub == nil {
-			m.sub = new(txn.Subtask)
-		}
-		ops := append(m.sub.Ops[:0], sub.Ops...)
-		*m.sub = *sub
-		m.sub.Ops = ops
 	}
 	switch entry {
 	case enOrigin:
@@ -402,8 +389,6 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	if len(locations) == 0 {
 		return
 	}
-	// The grouping and the subtasks are worked out in the client's
-	// scratch; whoever runs a subtask copies it.
 	sc := c.scratch()
 	sc.groups.ByLocation(c.id, t.Ops, locations)
 	siteOf := sc.groups.Site
@@ -414,24 +399,22 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	// Only worth the fan-out risk (every subtask must meet the parent
 	// deadline) when each remote materialization covers enough data.
 	for _, sub := range subs {
-		if siteOf[sub.Key] != c.id && len(sub.Ops) < 2 {
+		if siteOf[sub.Index] != c.id && len(sub.Ops) < 2 {
 			return
 		}
 	}
 	c.m.DecomposedTxns++
 	c.tr.Point(t.ID, c.id, trace.EvDecomposed, 0, int64(len(subs)), 0, m.task.Now())
-	if cap(m.results) >= len(subs) {
-		m.results = m.results[:len(subs)]
-	} else {
-		m.results = make([]*shipWait, len(subs))
-	}
+	m.results = slices.Grow(m.results[:0], len(subs))[:len(subs)]
 	for i := range subs {
-		sub := &subs[i]
+		// What runs is a copy: the scratch is the next decision's, and of
+		// the many decomposable transactions few end up decomposed.
+		sub := &txn.Subtask{Index: i, Ops: slices.Clone(subs[i].Ops), Length: subs[i].Length}
 		c.m.SubtasksRun++
 		w := new(shipWait)
 		w.sig.Init(c.env)
 		m.results[i] = w
-		target := siteOf[sub.Key]
+		target := siteOf[sub.Index]
 		if target == c.id || c.peer(target) == nil {
 			// Local subtask (materialization at the origin).
 			c.spawnTxn(t, sub, enLocalSub, w)
@@ -482,7 +465,7 @@ func (m *txnMachine) stepFanout() bool {
 func (m *txnMachine) stepExecBegin() bool {
 	c, t := m.c, m.t
 	m.ops, m.length = t.Ops, t.Length
-	if !m.owns {
+	if m.sub != nil {
 		m.ops, m.length = m.sub.Ops, m.sub.Length
 	}
 	now := m.task.Now()
@@ -890,11 +873,7 @@ func (m *txnMachine) stepCommit() {
 // the unwind, exactly as the blocking coroutine's return value was
 // evaluated before its defers.
 func (m *txnMachine) execDone(committed bool) {
-	sub := m.sub
-	if m.owns {
-		sub = nil
-	}
-	m.c.finish(m.t, sub, committed)
+	m.finish(committed)
 	m.unwind()
 	m.reportResult(committed)
 	m.pc = tsDone
@@ -1060,16 +1039,10 @@ func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
 	c.sendTxnShip(target, t, nil)
 }
 
-// sendTxnShip ships t, or its subtask sub, to the client at to; the
-// subtask's accesses are copied into the record's own array.
+// sendTxnShip ships t, or its subtask sub, to the client at to.
 func (c *Client) sendTxnShip(to netsim.SiteID, t *txn.Transaction, sub *txn.Subtask) {
 	p := c.payloads.TxnShip.Get()
-	p.T, p.ReplyTo, p.Load = t, c.id, c.loadReport()
-	if sub != nil {
-		ops := append(p.Sub.Ops, sub.Ops...)
-		p.Sub, p.IsSub = *sub, true
-		p.Sub.Ops = ops
-	}
+	*p = proto.TxnShip{T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport()}
 	c.toPeer(to, netsim.KindTxnShip, netsim.TxnShipBytes, p)
 }
 
@@ -1214,9 +1187,10 @@ func (c *Client) releasePending(pt *pendingTxn) {
 
 // finish records a terminal state for work executed here. For subtasks
 // and shipped-in transactions it also reports the result to the origin.
-func (c *Client) finish(t *txn.Transaction, sub *txn.Subtask, committed bool) bool {
+func (m *txnMachine) finish(committed bool) {
+	c, t := m.c, m.t
 	now := c.env.Now()
-	if sub == nil {
+	if m.owns {
 		if committed {
 			t.Status = txn.StatusCommitted
 		} else if t.Status != txn.StatusAborted {
@@ -1232,8 +1206,7 @@ func (c *Client) finish(t *txn.Transaction, sub *txn.Subtask, committed bool) bo
 		}
 	} else if t.Origin != c.id {
 		c.sendTxnResult(t.Origin, proto.TxnResult{
-			Txn: t.ID, SubIndex: sub.Index, IsSub: true, Committed: committed, ExecSite: c.id,
+			Txn: t.ID, SubIndex: m.sub.Index, IsSub: true, Committed: committed, ExecSite: c.id,
 		})
 	}
-	return committed
 }

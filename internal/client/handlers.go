@@ -270,8 +270,8 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 // onTxnShip executes a transaction or subtask shipped to this site.
 func (c *Client) onTxnShip(s proto.TxnShip) {
 	c.ShippedIn++
-	if s.IsSub {
-		c.spawnTxn(s.T, &s.Sub, enShipSub, nil)
+	if s.Sub != nil {
+		c.spawnTxn(s.T, s.Sub, enShipSub, nil)
 		return
 	}
 	c.spawnTxn(s.T, nil, enShipWhole, nil)

@@ -192,12 +192,10 @@ func (m *txnMachine) resend(attempt int) {
 // where the objects are (the conflicting holders for a probe, every
 // holder for a location query), the known loads of those sites, and —
 // probes only — how much of the access set each of them caches. It is
-// the client's copy: the delivered record goes back to the pool when the
-// handler returns, and what it said is kept in a second pooled record —
-// a ConflictReply for either kind of answer, locations as its conflicts
-// — from the answer's arrival until the exchange's answers have been
-// read, a few events later. The cluster's pool thus holds as many reply
-// records as are on the wire or unread at once, whatever the population.
+// the client's copy, in a second pooled record (a ConflictReply for
+// either kind of answer, locations as its conflicts) held until the
+// answers have been read, a few events later: the delivered record goes
+// back to the pool with the handler's return.
 type shardReply struct {
 	from netsim.SiteID
 	rec  *proto.ConflictReply
@@ -205,8 +203,7 @@ type shardReply struct {
 
 // keepReply records a copy of from's answer among rs, in place of an
 // earlier one from the same shard (a retransmitted exchange is answered
-// twice) and in shard order, so what is read off the list does not
-// depend on the order the answers arrived in.
+// twice) and in shard order, whatever order the answers arrive in.
 func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
 	objs []proto.ObjConflict, loads []proto.LoadReport, counts []proto.SiteCount) []shardReply {
 	i := 0
@@ -220,28 +217,25 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
 	}
 	rec := c.payloads.ConflictReply.Get()
 	for _, o := range objs {
-		rec.AddConflict(o.Obj, o.Holders)
+		rec.Conflicts, rec.Flat = proto.AppendLocation(rec.Conflicts, rec.Flat, o.Obj, o.Holders)
 	}
 	rec.Loads, rec.DataCounts = append(rec.Loads, loads...), append(rec.DataCounts, counts...)
 	rs[i].rec = rec
 	return rs
 }
 
-// giveBack releases the copies in rs, read or superseded, and returns
-// rs emptied.
+// giveBack releases the copies in rs, read or superseded; it returns rs[:0].
 func (c *Client) giveBack(rs []shardReply) []shardReply {
 	for i := range rs {
 		c.payloads.Release(rs[i].rec)
-		rs[i].rec = nil
 	}
 	return rs[:0]
 }
 
-// h2Scratch is what a site's decisions are worked out in, reused from
-// one to the next: the load table and data counts loadshare.Params takes
-// as maps (clear keeps the buckets), the object locations of an answer
-// that came from several shards, and the scratch of ChooseSite, of the
-// decomposition grouping and of Decompose.
+// h2Scratch is what a site's decisions are worked out in, one to the
+// next: the load table and data counts loadshare.Params takes as maps,
+// the locations of an answer from several shards, and the scratch of
+// ChooseSite, grouping and Decompose.
 type h2Scratch struct {
 	loads  map[netsim.SiteID]proto.LoadReport
 	counts map[netsim.SiteID]int
@@ -254,18 +248,14 @@ type h2Scratch struct {
 // scratch returns the client's decision scratch, made on first use.
 func (c *Client) scratch() *h2Scratch {
 	if c.h2 == nil {
-		c.h2 = &h2Scratch{
-			loads:  make(map[netsim.SiteID]proto.LoadReport),
-			counts: make(map[netsim.SiteID]int),
-		}
+		c.h2 = &h2Scratch{loads: map[netsim.SiteID]proto.LoadReport{}, counts: map[netsim.SiteID]int{}}
 	}
 	return c.h2
 }
 
 // h2Inputs reads the answers of a split exchange into the inputs of
-// site selection: the object locations, the load table (a site's first
-// report wins) and the data counts (summed per site), all of them in the
-// client's scratch and good until the next call.
+// site selection — locations, load table (a site's first report wins),
+// data counts (summed per site) — good until the next call.
 func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.SiteID]proto.LoadReport, map[netsim.SiteID]int) {
 	sc := c.scratch()
 	clear(sc.loads)
@@ -283,9 +273,8 @@ func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.Site
 	return c.locations(rs), sc.loads, sc.counts
 }
 
-// locations returns the object locations the answers report: the one
-// answer's own vector when a single shard has answered, otherwise a
-// concatenation in shard order, in the client's scratch.
+// locations returns the object locations the answers report: a lone
+// answer's own vector, else a concatenation in shard order in scratch.
 func (c *Client) locations(rs []shardReply) []proto.ObjConflict {
 	if len(rs) == 1 {
 		return rs[0].rec.Conflicts

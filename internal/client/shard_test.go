@@ -107,7 +107,7 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 			cp := &proto.ConflictReply{Txn: replies[k].Txn,
 				Loads: slices.Clone(replies[k].Loads), DataCounts: slices.Clone(replies[k].DataCounts)}
 			for _, c := range replies[k].Conflicts {
-				cp.AddConflict(c.Obj, c.Holders)
+				cp.Conflicts, cp.Flat = proto.AppendLocation(cp.Conflicts, cp.Flat, c.Obj, c.Holders)
 			}
 			r.injectFrom(k, netsim.KindLockReply, cp)
 			r.env.RunAll()

@@ -98,14 +98,12 @@ type Params struct {
 	MinShipData int
 	// Trace, when set, observes the final decision (tracing).
 	Trace func(Decision)
-	// Scratch, when set, is the caller's reusable working memory: a site
-	// that decides often hands in the same one each time and the decision
-	// allocates nothing. Nil makes ChooseSite use one of its own.
+	// Scratch, when set, is the caller's reusable working memory: with the
+	// same one each time a decision allocates nothing. Nil: one is made.
 	Scratch *Scratch
 }
 
-// Scratch is ChooseSite's working memory, reusable from one decision to
-// the next.
+// Scratch is ChooseSite's working memory, reusable across decisions.
 type Scratch struct {
 	holders []netsim.SiteID
 }
@@ -142,16 +140,13 @@ func (c cand) better(best cand) bool {
 // feasibility are discarded (a site that cannot meet the deadline is
 // never "in a better position").
 func ChooseSite(p Params) Decision {
-	execs := p.Executors
-	if execs < 1 {
-		execs = 1
-	}
+	execs := max(p.Executors, 1)
 	sc := p.Scratch
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	// dataAt is how much of the access set site caches: the most of what
-	// the locations show and what the server counted.
+	// dataAt is how much of the access set site caches: the larger of
+	// what the locations show and what the server counted.
 	dataAt := func(site netsim.SiteID) int {
 		n := 0
 		for _, loc := range p.Locations {
@@ -222,11 +217,10 @@ func ChooseSite(p Params) Decision {
 	return d
 }
 
-// Grouping is the decomposition partition of Section 3.2 and the memory
-// it is worked out in, reusable from one transaction to the next. Of
-// maps an access (by its index among the ops) to its group key, usable
-// with txn.Transaction.Decompose; Site translates a group key back to
-// the site that should execute the group.
+// Grouping is the decomposition partition of Section 3.2, reusable from
+// one transaction to the next: Of maps an access (by its index among the
+// ops) to its group, as txn.Transaction.Decompose takes it; Site maps a
+// group to the site that should execute it.
 type Grouping struct {
 	Of   []int
 	Site []netsim.SiteID
@@ -237,7 +231,7 @@ type Grouping struct {
 // the origin. Server shards among the holders (site ids <= 0, from read
 // replicas) are not candidate executors and are ignored, so a
 // replicated object still groups at its sole client holder; an object
-// held by several clients falls back to the origin. Keys number the
+// held by several clients falls back to the origin. Groups number the
 // sites in the order the accesses first name them.
 func (g *Grouping) ByLocation(origin netsim.SiteID, ops []txn.Op, locations []proto.ObjConflict) {
 	g.Of, g.Site = g.Of[:0], g.Site[:0]

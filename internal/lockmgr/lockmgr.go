@@ -117,11 +117,10 @@ type Table struct {
 
 	// owners holds one record per owner that holds or waits for a lock.
 	// Owners are transient transaction ids at the centralized server and
-	// in every client's local table, so the records recycle through slab.
+	// in every client's local table; the records recycle through slab,
+	// the system's or a private one made on first use.
 	owners map[OwnerID]*ownerRec
-	// slab is the table's stock of records: the system's, shared by the
-	// tables of its sites, or a private one made on first use.
-	slab *Slab
+	slab   *Slab
 
 	// confBuf is the shared conflict-scan buffer: conflict queries
 	// return slices of it, valid only until the next table call.
@@ -165,11 +164,9 @@ type ownerRec struct {
 	first [4]ObjectID
 }
 
-// Slab is the stock of records the lock tables of one system draw on —
-// entries, owner records, and the power-of-two blocks that holder sets,
-// wait queues and an owner's lists move to when they outgrow their
-// record. The system owns it and hands it to every table (Table.Init);
-// a record one table retires is the next any of them takes.
+// Slab is the stock of records the lock tables of one system draw on
+// (Table.Init): entries, owner records, and the power-of-two blocks that
+// holder sets, wait queues and an owner's lists live in.
 type Slab struct {
 	entries slab.Slab[entry]
 	owners  slab.Slab[ownerRec]
@@ -179,17 +176,20 @@ type Slab struct {
 	edges   slab.Slab[OwnerID]
 }
 
-// push appends x to s, a list living in a block of sl or — at capacity
-// own — in its record's own array. A full list moves to a block of twice
-// the capacity and hands the outgrown block back.
-func push[T any](sl *slab.Slab[T], s []T, x T, own int) []T {
+// insert puts x at index i of s, a list living in a block of sl or — at
+// capacity own — in its record's own array. A full list moves to a block
+// of twice the capacity and hands the outgrown one back.
+func insert[T any](sl *slab.Slab[T], s []T, i int, x T, own int) []T {
 	if len(s) == cap(s) {
 		grown := sl.Block(max(2*cap(s), 2))[:len(s)]
 		copy(grown, s)
 		drop(sl, s, own)
 		s = grown
 	}
-	return append(s, x)
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = x
+	return s
 }
 
 // drop hands s's block back to sl, unless s lives in its record (own).
@@ -199,20 +199,12 @@ func drop[T any](sl *slab.Slab[T], s []T, own int) {
 	}
 }
 
-// stock returns the table's slab, making a private one on first use.
-func (t *Table) stock() *Slab {
-	if t.slab == nil {
-		t.slab = new(Slab)
-	}
-	return t.slab
-}
-
 // owner returns owner's record, taking one from the slab on first use.
 func (t *Table) owner(owner OwnerID) *ownerRec {
 	if r := t.owners[owner]; r != nil {
 		return r
 	}
-	r := t.stock().owners.New()
+	r := t.slab.owners.New() // entryFor came first: the slab is there
 	r.held = r.first[:0]
 	if t.owners == nil {
 		t.owners = make(map[OwnerID]*ownerRec)
@@ -268,8 +260,8 @@ type entry struct {
 // NewTable returns an empty lock table with records of its own.
 func NewTable() *Table { return &Table{} }
 
-// Init makes t an empty table, in place, drawing its records from the
-// system's slab — nil, as in the zero Table, for a table on its own.
+// Init makes t an empty table, in place, on the system's slab (nil, as
+// in the zero Table: a private one).
 func (t *Table) Init(records *Slab) { *t = Table{slab: records} }
 
 // Reserve switches the table to the dense entry index, pre-sized for
@@ -300,7 +292,10 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	if e := t.lookup(obj); e != nil {
 		return e
 	}
-	e := t.stock().entries.New()
+	if t.slab == nil {
+		t.slab = new(Slab) // a table on its own
+	}
+	e := t.slab.entries.New()
 	e.holders = e.first[:0]
 	if t.dense {
 		for int(obj) >= len(t.entries) {
@@ -316,8 +311,7 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	return e
 }
 
-// retire returns obj's spent entry — no holder, no waiter — and the
-// blocks its lists grew into to the slab.
+// retire returns obj's spent entry — no holder, no waiter — to the slab.
 func (t *Table) retire(obj ObjectID, e *entry) {
 	if t.dense {
 		t.entries[obj] = nil
@@ -359,11 +353,9 @@ func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
 		e.holders[i].mode = mode
 		return
 	}
-	e.holders = push(&t.slab.holders, e.holders, holderEntry{}, len(e.first))
-	copy(e.holders[i+1:], e.holders[i:])
-	e.holders[i] = holderEntry{owner: owner, mode: mode}
+	e.holders = insert(&t.slab.holders, e.holders, i, holderEntry{owner: owner, mode: mode}, len(e.first))
 	r := t.owner(owner)
-	r.held = push(&t.slab.objs, r.held, obj, len(r.first))
+	r.held = insert(&t.slab.objs, r.held, len(r.held), obj, len(r.first))
 }
 
 // delHolder removes owner's hold, reporting whether it was held.
@@ -481,11 +473,9 @@ func (t *Table) enqueue(e *entry, req *Request) {
 		}
 		return q.seq > req.seq
 	})
-	e.queue = push(&t.slab.queues, e.queue, nil, 0)
-	copy(e.queue[i+1:], e.queue[i:])
-	e.queue[i] = req
+	e.queue = insert(&t.slab.queues, e.queue, i, req, 0)
 	r := t.owner(req.Owner)
-	r.waiting = push(&t.slab.objs, r.waiting, req.Obj, 0)
+	r.waiting = insert(&t.slab.objs, r.waiting, len(r.waiting), req.Obj, 0)
 }
 
 // dequeued maintains owner's record when its queued request on obj
@@ -740,9 +730,7 @@ func (t *Table) ddReach(from, owner OwnerID) bool {
 // addEdge records that r's owner waits for to.
 func (t *Table) addEdge(r *ownerRec, to OwnerID) {
 	if i, found := slices.BinarySearch(r.edges, to); !found {
-		r.edges = push(&t.slab.edges, r.edges, to, 0)
-		copy(r.edges[i+1:], r.edges[i:])
-		r.edges[i] = to
+		r.edges = insert(&t.slab.edges, r.edges, i, to, 0)
 	}
 }
 

@@ -323,15 +323,15 @@ func TestQueueLenAndHolders(t *testing.T) {
 func TestEntryGarbageCollected(t *testing.T) {
 	tab := NewTable()
 	tab.Lock(req(1, 1, ModeShared, time.Second))
+	e, r := tab.lookup(1), tab.owners[1]
 	tab.Release(1, 1)
-	if tab.lookup(1) != nil {
-		t.Fatal("empty entry not retired")
+	if tab.lookup(1) != nil || len(tab.owners) != 0 {
+		t.Fatal("empty entry or idle owner record not retired")
 	}
-	if idle := tab.slab.entries.Idle(); idle != 1 {
-		t.Fatalf("%d entries back in the slab, want 1", idle)
-	}
-	if idle := tab.slab.owners.Idle(); len(tab.owners) != 0 || idle != 1 {
-		t.Fatalf("%d owner records live and %d back in the slab, want 0 and 1", len(tab.owners), idle)
+	// Both went back to the slab: the next object and owner take them.
+	tab.Lock(req(2, 7, ModeShared, time.Second))
+	if tab.lookup(2) != e || tab.owners[7] != r {
+		t.Fatal("retired entry and owner record not reused")
 	}
 }
 

@@ -24,10 +24,10 @@ var (
 // canceled, matching the policy that transactions past their deadline
 // are not served). Call Start once; done=true resolves the request
 // immediately (grant, deadlock refusal, or an already-expired deadline).
-// Otherwise the task parked on the request's waker — the op's own
-// signal, so an op in use must stay where it is — which the table
-// broadcasts whichever call admits the request: call Step from every
-// following Resume until done.
+// Otherwise the task parked on the request's waker (the op's own
+// signal: an op in use must not move), which the table broadcasts
+// whichever call admits the request: call Step from every following
+// Resume until done.
 type LockOp struct {
 	tb   *Table
 	req  *Request

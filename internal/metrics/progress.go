@@ -16,9 +16,7 @@ type CellDone struct {
 	// Done and Total are the grid's completion count after this cell
 	// and its overall size.
 	Done, Total int
-	// Submitted is how many transactions the cell's run counted (zero
-	// for a cell that is not one simulation run): what an allocation
-	// census of an experiment divides its objects by.
+	// Submitted counts the cell's transactions (zero unless it is one run).
 	Submitted int64
 }
 

@@ -11,8 +11,7 @@ type Frame struct {
 	// one is the version of the object it holds, so that is all a frame
 	// (and a disk page) carries.
 	Stamp uint64
-	// loaded wakes the getters of a page being read. By value: a frame
-	// lives in the pool's slab, and its signal with it.
+	// loaded wakes the getters of a page being read; it lives in the frame.
 	loaded sim.Signal
 	// Intrusive LRU links: the frame is its own list node, so pin/unpin
 	// cycles and evictions allocate nothing.

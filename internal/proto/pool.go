@@ -1,10 +1,6 @@
 package proto
 
-import (
-	"fmt"
-
-	"siteselect/internal/txn"
-)
+import "fmt"
 
 // FreeList recycles the records of one payload type.
 type FreeList[T any] struct {
@@ -74,8 +70,8 @@ type Pool struct {
 // call: the access vectors of ProbeRequest, CommitRequest and LoadQuery,
 // GrantMsg.Grants, RecallMsg.Recalls, ObjReturn.RetainedSL, and the
 // location, load and count vectors of ConflictReply and LoadReply with
-// the flat holder array behind them, TxnShip's subtask accesses — a
-// record that carried one element keeps its one-element array.
+// the flat holder array behind them — a record that carried one element
+// keeps its one-element array.
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
 	case *ProbeRequest:
@@ -89,7 +85,7 @@ func (p *Pool) Release(payload any) {
 		r.Grants = r.Grants[:0]
 		p.GrantMsg.put(r)
 	case *ConflictReply:
-		*r = ConflictReply{Conflicts: r.Conflicts[:0], Loads: r.Loads[:0], DataCounts: r.DataCounts[:0], holders: r.holders[:0]}
+		*r = ConflictReply{Conflicts: r.Conflicts[:0], Loads: r.Loads[:0], DataCounts: r.DataCounts[:0], Flat: r.Flat[:0]}
 		p.ConflictReply.put(r)
 	case *DenyReply:
 		p.DenyReply.putZeroed(r)
@@ -105,11 +101,10 @@ func (p *Pool) Release(payload any) {
 		*r = LoadQuery{Objs: r.Objs[:0], Modes: r.Modes[:0]}
 		p.LoadQuery.put(r)
 	case *LoadReply:
-		*r = LoadReply{Locations: r.Locations[:0], Loads: r.Loads[:0], holders: r.holders[:0]}
+		*r = LoadReply{Locations: r.Locations[:0], Loads: r.Loads[:0], Flat: r.Flat[:0]}
 		p.LoadReply.put(r)
 	case *TxnShip:
-		*r = TxnShip{Sub: txn.Subtask{Ops: r.Sub.Ops[:0]}}
-		p.TxnShip.put(r)
+		p.TxnShip.putZeroed(r)
 	case *TxnResult:
 		p.TxnResult.putZeroed(r)
 	case *TxnSubmit:

@@ -18,7 +18,7 @@ func filled(p *Pool) []any {
 	load := LoadReport{Client: 3, QueueLen: 2, ATL: time.Second, Valid: true}
 	objs := []lockmgr.ObjectID{4, 5, 6}
 	modes := []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeExclusive, lockmgr.ModeShared}
-	t := &txn.Transaction{ID: 9, Ops: []txn.Op{{Obj: 4}, {Obj: 5, Write: true}}}
+	t := &txn.Transaction{ID: 9}
 
 	pr := p.ProbeRequest.Get()
 	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
@@ -32,7 +32,7 @@ func filled(p *Pool) []any {
 		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
 	cf := p.ConflictReply.Get()
 	cf.Txn, cf.Loads, cf.DataCounts = 9, append(cf.Loads, load), append(cf.DataCounts, SiteCount{Site: 2, Count: 1})
-	cf.AddConflict(4, []netsim.SiteID{2, 3})
+	cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, 4, []netsim.SiteID{2, 3})
 	dr := p.DenyReply.Get()
 	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
 	rm := p.RecallMsg.Get()
@@ -48,10 +48,9 @@ func filled(p *Pool) []any {
 	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
 	lr := p.LoadReply.Get()
 	lr.Txn, lr.Loads = 9, append(lr.Loads, load)
-	lr.AddLocation(4, []netsim.SiteID{2, 3})
+	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2, 3})
 	ts := p.TxnShip.Get()
-	*ts = TxnShip{T: t, Sub: txn.Subtask{Index: 1, Key: 2, Ops: append(ts.Sub.Ops, t.Ops...), Length: time.Second},
-		IsSub: true, ReplyTo: 1, Load: load}
+	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}, ReplyTo: 1, Load: load}
 	tr := p.TxnResult.Get()
 	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true, ExecSite: 2}
 	su := p.TxnSubmit.Get()
@@ -63,16 +62,15 @@ func filled(p *Pool) []any {
 
 // keepsCapacity names the slice fields Release leaves their backing
 // array; every other field of every payload must come back zero.
-// TxnShip.Sub is checked apart: it is a struct whose Ops do.
 var keepsCapacity = map[string]bool{
 	"ProbeRequest.Objs": true, "ProbeRequest.Modes": true,
 	"CommitRequest.Objs": true, "CommitRequest.Modes": true,
 	"LoadQuery.Objs": true, "LoadQuery.Modes": true,
 	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
-	"ObjReturn.RetainedSL": true,
+	"ObjReturn.RetainedSL":    true,
 	"ConflictReply.Conflicts": true, "ConflictReply.Loads": true,
-	"ConflictReply.DataCounts": true, "ConflictReply.holders": true,
-	"LoadReply.Locations": true, "LoadReply.Loads": true, "LoadReply.holders": true,
+	"ConflictReply.DataCounts": true, "ConflictReply.Flat": true,
+	"LoadReply.Locations": true, "LoadReply.Loads": true, "LoadReply.Flat": true,
 }
 
 func TestFilledCoversEveryPoolList(t *testing.T) {
@@ -125,12 +123,6 @@ func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 				}
 				continue
 			}
-			if sub, ok := again.Elem().Interface().(TxnShip); ok && fname == "Sub" {
-				if want := (txn.Subtask{Ops: sub.Sub.Ops}); !reflect.DeepEqual(sub.Sub, want) || len(want.Ops) != 0 || cap(want.Ops) == 0 {
-					t.Errorf("TxnShip.Sub = %+v after reuse, want zero but for the Ops array", sub.Sub)
-				}
-				continue
-			}
 			if !f.IsZero() {
 				t.Errorf("%s.%s = %v after reuse, want zero", name, fname, f)
 			}
@@ -152,7 +144,7 @@ func TestReplyHolderListsAreWindows(t *testing.T) {
 	var p Pool
 	cf := p.ConflictReply.Get()
 	for obj := lockmgr.ObjectID(0); obj < 20; obj++ { // the flat array regrows on the way
-		cf.AddConflict(obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
+		cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
 	}
 	for i, c := range cf.Conflicts {
 		if want := []netsim.SiteID{netsim.SiteID(i), netsim.SiteID(i + 100)}; c.Obj != lockmgr.ObjectID(i) || !reflect.DeepEqual(c.Holders, want) {
@@ -161,14 +153,14 @@ func TestReplyHolderListsAreWindows(t *testing.T) {
 	}
 	p.Release(cf)
 	next := p.ConflictReply.Get()
-	next.AddConflict(7, []netsim.SiteID{3})
-	next.AddConflict(8, []netsim.SiteID{4, 5})
-	if next != cf || len(next.Conflicts) != 2 || &next.Conflicts[1].Holders[0] != &next.holders[1] || next.Conflicts[1].Holders[1] != 5 {
-		t.Fatalf("refilled reply = %+v over %v", next.Conflicts, next.holders)
+	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 7, []netsim.SiteID{3})
+	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 8, []netsim.SiteID{4, 5})
+	if next != cf || len(next.Conflicts) != 2 || &next.Conflicts[1].Holders[0] != &next.Flat[1] || next.Conflicts[1].Holders[1] != 5 {
+		t.Fatalf("refilled reply = %+v over %v", next.Conflicts, next.Flat)
 	}
 	lr := p.LoadReply.Get()
-	lr.AddLocation(4, []netsim.SiteID{2})
-	lr.AddLocation(5, nil)
+	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2})
+	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 5, nil)
 	if len(lr.Locations) != 2 || lr.Locations[0].Holders[0] != 2 || len(lr.Locations[1].Holders) != 0 {
 		t.Fatalf("load reply = %+v", lr.Locations)
 	}

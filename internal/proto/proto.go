@@ -100,9 +100,8 @@ type ObjConflict struct {
 }
 
 // AppendLocation appends obj with a copy of its holders to objs; the
-// copy lives in flat, the one array the holder lists of a reply (or of a
-// client's copy of one) are windows of. A window made before flat grew
-// keeps the array it was made in, whose contents are the same.
+// copy lives in flat — a reply's Flat, the one array its holder lists are
+// windows of (one made before flat grew keeps the old array, same contents).
 func AppendLocation(objs []ObjConflict, flat []netsim.SiteID, obj lockmgr.ObjectID, holders []netsim.SiteID) ([]ObjConflict, []netsim.SiteID) {
 	n := len(flat)
 	flat = append(flat, holders...)
@@ -126,13 +125,7 @@ type ConflictReply struct {
 	Conflicts  []ObjConflict
 	Loads      []LoadReport
 	DataCounts []SiteCount
-	holders    []netsim.SiteID // what AddConflict's holder lists are windows of
-}
-
-// AddConflict appends obj and its conflicting holders, copied into the
-// record's own array.
-func (r *ConflictReply) AddConflict(obj lockmgr.ObjectID, holders []netsim.SiteID) {
-	r.Conflicts, r.holders = AppendLocation(r.Conflicts, r.holders, obj, holders)
+	Flat       []netsim.SiteID // see AppendLocation
 }
 
 // DenyReason explains a refused request.
@@ -239,23 +232,15 @@ type LoadReply struct {
 	Txn       txn.ID
 	Locations []ObjConflict
 	Loads     []LoadReport
-	holders   []netsim.SiteID // what AddLocation's holder lists are windows of
-}
-
-// AddLocation appends obj and the sites that hold it, copied into the
-// record's own array.
-func (r *LoadReply) AddLocation(obj lockmgr.ObjectID, holders []netsim.SiteID) {
-	r.Locations, r.holders = AppendLocation(r.Locations, r.holders, obj, holders)
+	Flat      []netsim.SiteID // see AppendLocation
 }
 
 // TxnShip moves a transaction (or one subtask of a decomposed
 // transaction) to another client site for execution.
 type TxnShip struct {
 	T *txn.Transaction
-	// Sub is the subtask being shipped when IsSub is set; its Ops are
-	// the record's own array, filled with a copy.
-	Sub   txn.Subtask
-	IsSub bool
+	// Sub is non-nil when shipping a subtask.
+	Sub *txn.Subtask
 	// ReplyTo receives the TxnResult.
 	ReplyTo netsim.SiteID
 	Load    LoadReport

@@ -62,10 +62,8 @@ func NewLoadSharing(cfg config.Config) (*Cluster, error) {
 
 // newCluster builds the cluster on the two slabs every site's cache and
 // every lock table — the shards' and the clients' local ones — carve
-// their records from and hand them back to: the cluster's own, made by
-// its constructor and alive as long as its sites, which keep no free
-// lists of their own. (With nil each site makes a private slab; a test
-// holds the two to the same Result.)
+// their records from and hand them back to; the sites keep no free lists.
+// (With nil each makes a private slab; a test holds the two to one Result.)
 func newCluster(cfg config.Config, loadShare bool, entries *cache.Slab, locks *lockmgr.Slab) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -43,7 +43,8 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 		boxes[k].Init(env)
 	}
 	topo := shardmap.New(cfg.Sharding)
-	gen := txn.NewGenerator(rng.NewStream(4), 1, wc, nil)
+	maker := new(txn.Maker)
+	gen := txn.NewGenerator(rng.NewStream(4), 1, wc, maker)
 	var pool proto.Pool
 	var m metrics.Collector
 
@@ -120,11 +121,11 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			return g
 		}, func() any { return rng.NewSkewed(shared, skewCfg) }},
 		{"txn.Generator", func() any {
-			g := txn.NewGenerator(rng.NewStream(8), 2, txn.WorkloadConfig{MeanObjects: 1, Access: wc.Access}, nil)
+			g := txn.NewGenerator(rng.NewStream(8), 2, txn.WorkloadConfig{MeanObjects: 1, Access: wc.Access}, new(txn.Maker))
 			g.NextArrival()
-			g.Init(rng.NewStream(5), 1, wc, nil)
+			g.Init(rng.NewStream(5), 1, wc, maker)
 			return g
-		}, func() any { return txn.NewGenerator(rng.NewStream(5), 1, wc, nil) }},
+		}, func() any { return txn.NewGenerator(rng.NewStream(5), 1, wc, maker) }},
 		{"client.Client", func() any {
 			c := client.New(env, &cfg, 2, net, &pool, nil, nil, &m, boxes, topo, gen, false)
 			c.Cache().Insert(7, lockmgr.ModeExclusive, true, 3)

@@ -65,11 +65,11 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 			// copy it was upgrading, and the release then cascades).
 			s.DeniesExpired++
 			s.recall(g.Obj, netsim.SiteID(g.Owner), false, txn.ID(g.Tag))
-			s.freeReq(g)
+			s.reqs.Put(g)
 			continue
 		}
 		s.ship(g.Obj, netsim.SiteID(g.Owner), g.Mode, txn.ID(g.Tag), nil)
-		s.freeReq(g)
+		s.reqs.Put(g)
 	}
 }
 
@@ -471,14 +471,14 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		// grant. Either way every recipient becomes an ordinary
 		// registered holder immediately.
 		for _, e := range run {
-			lr := s.newReq()
+			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(e.Client)
 			lr.Mode, lr.Deadline, lr.Tag = e.Mode, e.Deadline, int64(e.Txn)
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: free object grant failed at dispatch")
 			}
-			s.freeReq(lr)
+			s.reqs.Put(lr)
 		}
 		if len(run) == 1 {
 			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, nil)
@@ -518,14 +518,14 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	// A shared copy cached by the first writer is superseded by the
 	// migration grant it is about to receive.
 	s.locks.Release(obj, lockmgr.OwnerID(first.Client))
-	lr := s.newReq()
+	lr := s.reqs.New()
 	lr.Obj, lr.Owner = obj, MigrationOwner
 	lr.Mode, lr.Deadline, lr.Tag = lockmgr.ModeExclusive, first.Deadline, int64(first.Txn)
 	outcome, _ := s.locks.Lock(lr)
 	if outcome != lockmgr.Granted {
 		panic("server: migration lock failed at dispatch")
 	}
-	s.freeReq(lr)
+	s.reqs.Put(lr)
 	s.MigrationsStarted++
 	s.ForwardEntriesSent += int64(chain.Len() + 1)
 	o.inflight = chain

@@ -163,13 +163,13 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	if len(s.locks.ConflictingHolders(obj, owner, lockmgr.ModeShared)) > 0 {
 		return
 	}
-	lr := s.newReq()
+	lr := s.reqs.New()
 	lr.Obj, lr.Owner = obj, owner
 	lr.Mode, lr.Deadline = lockmgr.ModeShared, s.env.Now()
 	if outcome, _ := s.locks.Lock(lr); outcome != lockmgr.Granted {
 		panic("server: replica registration failed on quiescent object")
 	}
-	s.freeReq(lr)
+	s.reqs.Put(lr)
 	o.heatStart, o.heatN = 0, 0
 	o.replicaOut = true
 	s.ReplicasInstalled++
@@ -232,12 +232,10 @@ func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
 }
 
 // heatBeat is the HeatWindow heartbeat of the replica a shard serves for
-// one object: one event hook per object, armed by every install and
-// again by every beat that finds the replica warm. Beats fire in the
-// order they were armed — one delay, one clock — so of those pending
-// only the last armed is current: one that fires while another is
-// pending was armed by an install that a shed and a later install have
-// superseded, and must find itself stale.
+// one object: one event hook, armed by every install and by every beat
+// that finds the replica warm. Beats fire in the order they were armed,
+// so only the last armed is current: one that fires with another pending
+// was armed by an install a later one superseded, and is stale.
 type heatBeat struct {
 	s       *Server
 	obj     lockmgr.ObjectID
@@ -249,8 +247,7 @@ func (h *heatBeat) arm() {
 	h.s.env.AtHook(h.s.env.Now()+h.s.cfg.Sharding.HeatWindow, h)
 }
 
-// RunEvent sheds a replica whose last window ran cold, or re-arms the
-// heartbeat.
+// RunEvent sheds a replica whose last window ran cold, or re-arms.
 func (h *heatBeat) RunEvent() {
 	s, o := h.s, h.s.rec(h.obj)
 	if h.pending--; h.pending > 0 || o.replica != repServing {

@@ -137,8 +137,8 @@ func TestReplicaLifecycle(t *testing.T) {
 		do         func(at time.Duration)
 		state      replicaState
 		gen        int64 // installs so far
-		out        bool // home shard: replica provisioned elsewhere
-		registered bool // topology: reads route to the replica
+		out        bool  // home shard: replica provisioned elsewhere
+		registered bool  // topology: reads route to the replica
 		shed       int64
 	}{
 		{name: "install", at: 0, do: func(time.Duration) { hot() },

@@ -29,29 +29,29 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 
 	bookkeeping := func() {
 		// Uncontended grant and release — the dominant hot path.
-		q := s.newReq()
+		q := s.reqs.New()
 		q.Obj, q.Owner, q.Mode = 41, 1, lockmgr.ModeExclusive
 		q.Deadline, q.Tag = time.Minute, 7
 		if out, _ := s.locks.Lock(q); out != lockmgr.Granted {
 			panic("free object not granted")
 		}
-		s.freeReq(q) // granted requests are never retained by the table
+		s.reqs.Put(q) // granted requests are never retained by the table
 
 		// Contended round: a waiter queues (wait-for edges, deadlock
 		// scan) and cancels before the holder releases.
-		h := s.newReq()
+		h := s.reqs.New()
 		h.Obj, h.Owner, h.Mode = 42, 1, lockmgr.ModeExclusive
 		h.Deadline, h.Tag = time.Minute, 8
 		s.locks.Lock(h)
-		s.freeReq(h)
-		w := s.newReq()
+		s.reqs.Put(h)
+		w := s.reqs.New()
 		w.Obj, w.Owner, w.Mode = 42, 2, lockmgr.ModeExclusive
 		w.Deadline, w.Tag = time.Minute, 9
 		if out, _ := s.locks.Lock(w); out != lockmgr.Queued {
 			panic("conflicting request not queued")
 		}
 		s.locks.Cancel(w)
-		s.freeReq(w)
+		s.reqs.Put(w)
 		s.locks.Release(42, 1)
 		s.locks.Release(41, 1)
 	}

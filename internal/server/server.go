@@ -7,6 +7,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"siteselect/internal/proto"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 	"siteselect/internal/trace"
 	"siteselect/internal/txn"
 )
@@ -107,26 +109,21 @@ type Server struct {
 
 	// batchShipFree recycles completed ship machines.
 	batchShipFree []*batchShipMachine
-	// putFree recycles the page-install ops of returns carrying data:
-	// a connection holds one only while its install is parked, so the
-	// pool grows to the installs in flight at once, not to the
-	// connection count.
-	putFree []*pagefile.PutOp
-
-	// reqFree recycles lock requests: a request resolved in place
-	// (granted or refused) returns to the pool immediately; a queued one
-	// is table-owned until it surfaces in an admit batch and is shipped.
-	reqFree []*lockmgr.Request
-	// siteScratch, holderScratch, countScratch, flushMark and flushGroup
-	// are reusable buffers for the per-message aggregations (loadsFor,
-	// one object's holders, dataCounts, eachGroup): what they gather is
-	// copied into the reply record's own arrays, so steady-state dispatch
-	// allocates nothing.
+	// puts holds the page-install ops of returns carrying data: a
+	// connection has one only while its install is parked, so the slab
+	// grows to the installs in flight, not to the connection count. reqs
+	// holds the lock requests: one resolved in place goes back at once, a
+	// queued one when it surfaces in an admit batch and is shipped.
+	puts slab.Slab[pagefile.PutOp]
+	reqs slab.Slab[lockmgr.Request]
+	// siteScratch, holderScratch, flushMark and flushGroup are reusable
+	// buffers for the per-message aggregations (loadsFor, one object's
+	// holders, eachGroup); what they gather is copied into the reply
+	// record's own arrays: dispatch allocates nothing.
 	siteScratch   []netsim.SiteID
 	holderScratch []netsim.SiteID
-	countScratch  []proto.SiteCount
-	flushMark    []bool
-	flushGroup   []int
+	flushMark     []bool
+	flushGroup    []int
 
 	// tr is the per-run transaction tracer (nil when tracing is off).
 	tr *trace.Tracer
@@ -263,9 +260,9 @@ func New(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.
 
 // NewShard returns server shard `shard` of a (possibly multi-server)
 // topology sharing the payload pool, the lock-record slab (nil: records
-// of the shard's own) and the runtime map topo. Call
-// Attach for every client — and, in multi-server topologies,
-// SetPeerInbox/AttachPeer for the shard-to-shard transport — then Start.
+// of the shard's own) and the runtime map topo. Call Attach for every
+// client — and, in multi-server topologies, SetPeerInbox/AttachPeer for
+// the shard-to-shard transport — then Start.
 func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool,
 	locks *lockmgr.Slab, shard int, topo *shardmap.Map) *Server {
 	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
@@ -489,11 +486,7 @@ func (m *connMachine) Resume() {
 				if s.returnNeedsWrite(*pl) {
 					// The page is stamped with the version so end-to-end
 					// consistency can be audited.
-					if n := len(s.putFree); n > 0 {
-						m.put, s.putFree = s.putFree[n-1], s.putFree[:n-1]
-					} else {
-						m.put = new(pagefile.PutOp)
-					}
+					m.put = s.puts.New()
 					m.put.Init(s.pool, pagefile.PageID(pl.Obj), uint64(s.versions[pl.Obj]))
 					m.pc = csPut
 					continue
@@ -525,7 +518,7 @@ func (m *connMachine) Resume() {
 			if err != nil {
 				panic(fmt.Sprintf("server: writing object %d: %v", ret.Obj, err))
 			}
-			s.putFree = append(s.putFree, m.put)
+			s.puts.Put(m.put)
 			m.put = nil
 			m.pc = csRecv
 			s.finishReturn(*ret)
@@ -541,24 +534,6 @@ func (m *connMachine) done() {
 		m.s.payloads.Release(m.payload)
 	}
 	m.payload = nil
-}
-
-// newReq returns a zeroed lock request from the pool. Requests resolved
-// in place (granted, refused, or panicking on a must-grant path) go
-// straight back via freeReq; queued requests stay table-owned and are
-// recycled by shipGrants once they surface as grants.
-func (s *Server) newReq() *lockmgr.Request {
-	if n := len(s.reqFree); n > 0 {
-		r := s.reqFree[n-1]
-		s.reqFree = s.reqFree[:n-1]
-		return r
-	}
-	return &lockmgr.Request{}
-}
-
-func (s *Server) freeReq(r *lockmgr.Request) {
-	*r = lockmgr.Request{}
-	s.reqFree = append(s.reqFree, r)
 }
 
 func (s *Server) noteLoad(l proto.LoadReport) {
@@ -608,8 +583,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		s.deny(req.Client, proto.DenyReply{Txn: req.Txn, Reason: proto.DenyExpired})
 		return
 	}
-	// The reply is built in a pooled record's own arrays; the client
-	// copies out what its site selection needs.
+	// Built in a pooled record's own arrays; the client copies it out.
 	reply := s.payloads.ConflictReply.Get()
 	for i, obj := range req.Objs {
 		if !s.servesObj(obj, req.Modes[i]) {
@@ -623,20 +597,20 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 			s.holderScratch = s.conflictHolders(s.holderScratch[:0], obj, req.Client, req.Modes[i])
 		}
 		if len(s.holderScratch) > 0 {
-			reply.AddConflict(obj, s.holderScratch)
+			reply.Conflicts, reply.Flat = proto.AppendLocation(reply.Conflicts, reply.Flat, obj, s.holderScratch)
 		}
 	}
 	if len(reply.Conflicts) == 0 {
 		s.payloads.Release(reply)
 		for i, obj := range req.Objs {
-			lr := s.newReq()
+			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(req.Client)
 			lr.Mode, lr.Deadline, lr.Tag = req.Modes[i], req.Deadline, int64(req.Txn)
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: conflict-free probe request not granted")
 			}
-			s.freeReq(lr)
+			s.reqs.Put(lr)
 			s.ship(obj, req.Client, req.Modes[i], req.Txn, nil)
 			s.noteServe(obj, req.Modes[i], req.Client)
 		}
@@ -648,59 +622,33 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, reply)
 }
 
-// dataCounts appends to out, for every candidate holder site, how many
-// of the probed objects it caches in any mode — the Section 3.1
-// "significant percentage of the required data" signal for transaction
-// shipping.
-func (s *Server) dataCounts(out []proto.SiteCount, objs []lockmgr.ObjectID, conflicts []proto.ObjConflict) []proto.SiteCount {
-	// Accumulate in the reusable scratch (candidate sets are tiny, so
-	// linear scans beat maps).
-	counts := s.countScratch[:0]
+// dataCounts appends to counts (empty), for every candidate holder site
+// in site order, how many of the probed objects it caches in any mode —
+// the Section 3.1 "significant percentage of the required data" signal
+// for transaction shipping. Candidate sets are tiny: linear scans beat
+// maps.
+func (s *Server) dataCounts(counts []proto.SiteCount, objs []lockmgr.ObjectID, conflicts []proto.ObjConflict) []proto.SiteCount {
+	at := func(site netsim.SiteID) int {
+		return slices.IndexFunc(counts, func(c proto.SiteCount) bool { return c.Site == site })
+	}
 	for _, c := range conflicts {
 		for _, h := range c.Holders {
-			seen := false
-			for i := range counts {
-				if counts[i].Site == h {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if at(h) < 0 {
 				counts = append(counts, proto.SiteCount{Site: h})
 			}
 		}
 	}
 	for _, obj := range objs {
 		for i, n := 0, s.locks.HolderCount(obj); i < n; i++ {
-			h, _ := s.locks.HolderAt(obj, i)
-			if h == MigrationOwner {
-				continue
-			}
-			site := siteFor(h)
-			for j := range counts {
-				if counts[j].Site == site {
+			if h, _ := s.locks.HolderAt(obj, i); h != MigrationOwner {
+				if j := at(siteFor(h)); j >= 0 {
 					counts[j].Count++
-					break
 				}
 			}
 		}
 	}
-	s.countScratch = counts
-	slices.SortFunc(counts, func(a, b proto.SiteCount) int {
-		switch {
-		case a.Site < b.Site:
-			return -1
-		case a.Site > b.Site:
-			return 1
-		}
-		return 0
-	})
-	for _, c := range counts {
-		if c.Count > 0 {
-			out = append(out, c)
-		}
-	}
-	return out
+	slices.SortFunc(counts, func(a, b proto.SiteCount) int { return cmp.Compare(a.Site, b.Site) })
+	return slices.DeleteFunc(counts, func(c proto.SiteCount) bool { return c.Count == 0 })
 }
 
 // handleCommitRequest serves a message of firm requests: the "process
@@ -756,13 +704,13 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		s.tryDispatch(r.Obj) // the object may already be free
 		return batch.OutListed
 	}
-	lr := s.newReq()
+	lr := s.reqs.New()
 	lr.Obj, lr.Owner = r.Obj, lockmgr.OwnerID(r.Client)
 	lr.Mode, lr.Deadline, lr.Tag = r.Mode, r.Deadline, int64(r.Txn)
 	outcome, _ := s.locks.Lock(lr)
 	switch outcome {
 	case lockmgr.Granted:
-		s.freeReq(lr)
+		s.reqs.Put(lr)
 		s.ship(r.Obj, r.Client, r.Mode, r.Txn, nil)
 		s.noteServe(r.Obj, r.Mode, r.Client)
 		return batch.OutGranted
@@ -770,7 +718,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		s.recallForQueueHead(r.Obj)
 		return batch.OutQueued
 	default: // lockmgr.Deadlock
-		s.freeReq(lr)
+		s.reqs.Put(lr)
 		s.DeniesDeadlock++
 		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyDeadlock})
 		return batch.OutDeniedDeadlock
@@ -855,13 +803,13 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 				s.recall(obj, site, false, 0)
 				continue
 			}
-			lr := s.newReq()
+			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, owner
 			lr.Mode, lr.Deadline = lockmgr.ModeShared, s.env.Now()
 			if outcome, _ := s.locks.Lock(lr); outcome != lockmgr.Granted {
 				panic("server: retained SL registration failed on free object")
 			}
-			s.freeReq(lr)
+			s.reqs.Put(lr)
 		}
 		s.shipGrants(grants)
 		s.tryDispatch(obj)
@@ -891,7 +839,7 @@ func (s *Server) handleLoadQuery(q proto.LoadQuery) {
 	reply.Txn = q.Txn
 	for _, obj := range q.Objs {
 		if s.holderScratch = s.holdersFor(s.holderScratch[:0], obj, q.Client); len(s.holderScratch) > 0 {
-			reply.AddLocation(obj, s.holderScratch)
+			reply.Locations, reply.Flat = proto.AppendLocation(reply.Locations, reply.Flat, obj, s.holderScratch)
 		}
 	}
 	reply.Loads = s.loadsFor(reply.Loads, reply.Locations)

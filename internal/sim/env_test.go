@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// Waiters returns the number of tasks waiting on s. It walks the queue:
+// a signal is three words in every record that holds one, and only these
+// checks ask.
+func (s *Signal) Waiters() int {
+	n := 0
+	for w := s.head; w != nil; w = w.next {
+		n++
+	}
+	return n
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	env := NewEnv()
 	var got []int

@@ -96,17 +96,6 @@ func (s *Signal) Broadcast() {
 	s.head, s.tail = nil, nil
 }
 
-// Waiters returns the number of processes currently waiting. It walks
-// the queue: a signal is three words in every record that holds one, and
-// only checks ask.
-func (s *Signal) Waiters() int {
-	n := 0
-	for w := s.head; w != nil; w = w.next {
-		n++
-	}
-	return n
-}
-
 func (s *Signal) wake(w *signalWait) {
 	if w.hasTimer {
 		w.timer.Cancel()

@@ -1,14 +1,9 @@
 // Package slab carves the records of one type from chunks, so that a
 // run's working set — cache entries, lock-table records, transactions —
-// costs the allocator one object per few hundred records instead of one
-// per record.
-//
-// A Slab belongs to the system it serves, as proto.Pool does: the system
-// constructor owns one per record type, hands it to every site, and it
-// dies with the system. Sites keep no free lists of their own — a record
-// one site hands back is the next any site takes — and a chunk is never
-// returned to the heap while its system lives. A slab is single-threaded,
-// like the cluster it belongs to; the zero Slab is ready to use.
+// costs the allocator one object per few hundred records, not one each.
+// A Slab belongs to the system it serves, as proto.Pool does, and is
+// shared by its sites, which keep no free lists of their own (DESIGN.md,
+// "Record ownership"). Single-threaded; the zero Slab is ready to use.
 package slab
 
 import (
@@ -17,40 +12,33 @@ import (
 )
 
 const (
-	// firstChunk is the number of records in a slab's first chunk: a
-	// lone table or cache that made a private slab pays for a few
-	// records, not for a population's.
+	// firstChunk is the length of a slab's first chunk: a lone table or
+	// cache with a private slab pays for a few records, not a population's.
 	firstChunk = 4
-	// chunkBytes bounds a chunk: chunks double from firstChunk records
-	// to the most that fit in this many bytes — a size class of the
-	// allocator's, less the header it puts before an array that holds
-	// pointers (a chunk of 16 KB exactly is charged 18).
+	// chunkBytes bounds a chunk: chunks double from firstChunk records to
+	// the most that fit in it — an allocator size class, less the header
+	// before an array that holds pointers (16 KB exactly is charged 18).
 	chunkBytes = 16<<10 - 16
 	// blockBytes bounds the blocks a slab carves and keeps. A longer one
-	// is an array of its own, the collector's again once outgrown: kept,
-	// the blocks a thousand-lock holder list grew through would outweigh
-	// the list.
+	// is an array of its own and the collector's once outgrown: kept, the
+	// blocks a thousand-lock list grew through outweigh the list.
 	blockBytes = 1 << 10
 )
 
 // Slab is a stock of T records.
 type Slab[T any] struct {
-	// tail is the uncarved rest of the newest chunk.
-	tail []T
-	// chunk is the length of the next chunk.
-	chunk int
-	// free holds the records handed back, zeroed; blocks the blocks
-	// handed back, zeroed, by the log2 of their capacity.
+	tail  []T // the uncarved rest of the newest chunk
+	chunk int // the length of the next one
+	// free holds the records handed back, blocks the blocks handed back
+	// by the log2 of their capacity; both zeroed.
 	free   []*T
 	blocks [][][]T
 }
 
-// New returns a zeroed record: the last one handed back, or the next of
-// the newest chunk.
+// New returns a zeroed record: the last one handed back, or a new one.
 func (s *Slab[T]) New() *T {
 	if n := len(s.free); n > 0 {
 		x := s.free[n-1]
-		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return x
 	}
@@ -59,41 +47,30 @@ func (s *Slab[T]) New() *T {
 
 // Put zeroes x, a record New returned, and keeps it for the next New.
 func (s *Slab[T]) Put(x *T) {
-	var zero T
-	*x = zero
+	*x = *new(T)
 	s.free = append(s.free, x)
 }
 
-// Idle returns how many records have been handed back and not retaken.
-func (s *Slab[T]) Idle() int { return len(s.free) }
-
-// Block returns n contiguous zeroed records as a slice of that length
-// and capacity: a block of that capacity handed back earlier, the next
-// n of the newest chunk, or — when they come to more than blockBytes —
-// an array of its own.
+// Block returns n contiguous zeroed records, a slice of that length and
+// capacity: a block of that capacity handed back earlier, the next n of
+// the newest chunk, or — past blockBytes — an array of its own.
 func (s *Slab[T]) Block(n int) []T {
-	var zero T
-	size := max(1, int(unsafe.Sizeof(zero)))
+	size := int(unsafe.Sizeof(*new(T)))
 	if n > 1 && n*size > blockBytes {
 		return make([]T, n)
 	}
 	if c := class(n); c < len(s.blocks) && n == 1<<c {
 		if k := len(s.blocks[c]); k > 0 {
 			b := s.blocks[c][k-1]
-			s.blocks[c][k-1] = nil
 			s.blocks[c] = s.blocks[c][:k-1]
 			return b
 		}
 	}
 	if n > len(s.tail) {
-		length := max(s.chunk, firstChunk)
-		s.chunk = min(2*length, max(firstChunk, chunkBytes/size))
-		if n >= length {
-			return make([]T, n) // the newest chunk keeps its tail
-		}
-		// What is left of the old chunk is given up: fewer than n
-		// records of a chunk many times that long.
+		// The old chunk's last records, fewer than n, are given up.
+		length := max(s.chunk, firstChunk, n)
 		s.tail = make([]T, length)
+		s.chunk = min(2*length, max(firstChunk, chunkBytes/size))
 	}
 	b := s.tail[:n:n]
 	s.tail = s.tail[n:]
@@ -101,9 +78,8 @@ func (s *Slab[T]) Block(n int) []T {
 }
 
 // PutBlock zeroes b, a block whose capacity is a power of two, and keeps
-// it for the next Block of that length. A block of any other capacity is
-// only zeroed — its records stay carved for the life of the slab — and
-// one of more than blockBytes is left to the collector.
+// it for the next Block of that length. Any other block is only zeroed;
+// one past blockBytes is left to the collector.
 func (s *Slab[T]) PutBlock(b []T) {
 	b = b[:cap(b)]
 	clear(b)

@@ -91,14 +91,17 @@ func TestRecordsComeBackZeroed(t *testing.T) {
 	*y = rec{id: 2}
 	s.Put(y)
 	s.Put(x)
-	if s.Idle() != 2 || *x != (rec{}) || *y != (rec{}) {
-		t.Fatalf("%d idle, records %+v %+v: want 2, zeroed", s.Idle(), *x, *y)
+	if *x != (rec{}) || *y != (rec{}) {
+		t.Fatalf("records handed back read %+v %+v, want zeroed", *x, *y)
 	}
 	if got := s.New(); got != x {
 		t.Error("New did not take the record handed back last")
 	}
-	if got := s.New(); got != y || s.Idle() != 0 {
+	if got := s.New(); got != y {
 		t.Error("New did not take the remaining idle record")
+	}
+	if got := s.New(); got == x || got == y {
+		t.Error("New took a record that is in use")
 	}
 }
 

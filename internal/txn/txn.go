@@ -104,15 +104,6 @@ func (t *Transaction) Objects() []lockmgr.ObjectID {
 	return out
 }
 
-// Modes returns the lock mode per op, aligned with Objects.
-func (t *Transaction) Modes() []lockmgr.Mode {
-	out := make([]lockmgr.Mode, len(t.Ops))
-	for i, op := range t.Ops {
-		out[i] = op.Mode()
-	}
-	return out
-}
-
 // IsUpdate reports whether any access writes.
 func (t *Transaction) IsUpdate() bool {
 	for _, op := range t.Ops {
@@ -137,13 +128,10 @@ func (t *Transaction) Terminal() bool {
 
 // Subtask is one independently executable piece of a decomposed
 // transaction (Section 3.2): a subset of the object requests plus a
-// proportional share of the processing. It is a value: whoever runs or
-// ships one copies it, Ops included, into memory of its own.
+// proportional share of the processing.
 type Subtask struct {
-	Index int
-	// Key is the group key this subtask was built from, so callers can
-	// map subtasks back to execution sites.
-	Key    int
+	// Index numbers the subtask, and is the group it was built from.
+	Index  int
 	Ops    []Op
 	Length time.Duration
 }
@@ -152,53 +140,45 @@ type Subtask struct {
 // subtasks from, reusable from one transaction to the next.
 type Decomposition struct {
 	subs []Subtask
-	ops  []Op  // every subtask's Ops is a window of it
-	keys []int // the group key of each subtask, in discovery order
+	ops  []Op // every subtask's Ops is a window of it
 }
 
 // Decompose splits the transaction into at most maxParts subtasks by
-// grouping ops according to groupOf, which gives each op's group key by
-// its index (in the system the key stands for the site where the object
-// is cached — "data fragmentation" style grouping). Processing time is
-// divided proportionally to group size. A transaction that is not
-// Decomposable, or whose ops all land in one group, yields nil. The
-// subtasks live in d, good until its next use.
+// grouping ops according to groupOf, which gives each op's group by its
+// index; groups are numbered from 0 in the order the ops first name them
+// (in the system a group stands for the site where the object is cached —
+// "data fragmentation" style grouping). Processing time is divided
+// proportionally to group size. A transaction that is not Decomposable,
+// or whose ops all land in one group, yields nil. The subtasks live in
+// d, good until its next use.
 func (t *Transaction) Decompose(groupOf []int, maxParts int, d *Decomposition) []Subtask {
-	if !t.Decomposable || len(t.Ops) < 2 || maxParts < 2 {
+	groups := 0
+	if len(groupOf) > 0 {
+		groups = 1 + slices.Max(groupOf)
+	}
+	if !t.Decomposable || groups < 2 || maxParts < 2 {
 		return nil
 	}
-	d.keys = d.keys[:0]
-	for _, k := range groupOf {
-		if !slices.Contains(d.keys, k) {
-			d.keys = append(d.keys, k)
-		}
-	}
-	if len(d.keys) < 2 {
-		return nil
-	}
-	// The groups past maxParts merge into the first one, after its own
-	// ops and last group first, preserving the discovery order for
-	// determinism.
 	d.subs, d.ops = d.subs[:0], slices.Grow(d.ops[:0], len(t.Ops)) // no window outlives a regrowth
-	for i, k := range d.keys[:min(len(d.keys), maxParts)] {
+	for g := 0; g < min(groups, maxParts); g++ {
 		from := len(d.ops)
-		d.ops = appendGroup(d.ops, t.Ops, groupOf, k)
-		if i == 0 {
-			for j := len(d.keys) - 1; j >= maxParts; j-- {
-				d.ops = appendGroup(d.ops, t.Ops, groupOf, d.keys[j])
-			}
+		d.ops = appendGroup(d.ops, t.Ops, groupOf, g)
+		// The groups past maxParts merge into the first one, after its
+		// own ops and last group first.
+		for merged := groups - 1; g == 0 && merged >= maxParts; merged-- {
+			d.ops = appendGroup(d.ops, t.Ops, groupOf, merged)
 		}
 		ops := d.ops[from:len(d.ops):len(d.ops)]
 		length := time.Duration(float64(t.Length) * float64(len(ops)) / float64(len(t.Ops)))
-		d.subs = append(d.subs, Subtask{Index: i, Key: k, Ops: ops, Length: length})
+		d.subs = append(d.subs, Subtask{Index: g, Ops: ops, Length: length})
 	}
 	return d.subs
 }
 
-// appendGroup appends the ops of group k, in access order.
-func appendGroup(out, ops []Op, groupOf []int, k int) []Op {
+// appendGroup appends the ops of group g, in access order.
+func appendGroup(out, ops []Op, groupOf []int, g int) []Op {
 	for i, op := range ops {
-		if groupOf[i] == k {
+		if groupOf[i] == g {
 			out = append(out, op)
 		}
 	}

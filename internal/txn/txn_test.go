@@ -49,10 +49,6 @@ func TestAccessors(t *testing.T) {
 	if len(objs) != 4 || objs[1] != 2 {
 		t.Fatalf("Objects = %v", objs)
 	}
-	modes := tx.Modes()
-	if modes[0] != lockmgr.ModeShared || modes[1] != lockmgr.ModeExclusive {
-		t.Fatalf("Modes = %v", modes)
-	}
 	if !tx.IsUpdate() {
 		t.Fatal("IsUpdate should be true")
 	}
@@ -85,7 +81,7 @@ func TestDeadlineHelpers(t *testing.T) {
 func TestDecomposeByGroup(t *testing.T) {
 	tx := sample()
 	// Ops 0,2 at site A (group 1); ops 1,3 at site B (group 2).
-	subs := tx.Decompose([]int{1, 2, 1, 2}, 4, new(Decomposition))
+	subs := tx.Decompose([]int{0, 1, 0, 1}, 4, new(Decomposition))
 	if len(subs) != 2 {
 		t.Fatalf("subtasks = %d, want 2", len(subs))
 	}
@@ -94,8 +90,8 @@ func TestDecomposeByGroup(t *testing.T) {
 	for _, s := range subs {
 		total += len(s.Ops)
 		length += s.Length
-		if want := []Op{tx.Ops[s.Key-1], tx.Ops[s.Key+1]}; !reflect.DeepEqual(s.Ops, want) {
-			t.Fatalf("group %d runs %v, want %v", s.Key, s.Ops, want)
+		if want := []Op{tx.Ops[s.Index], tx.Ops[s.Index+2]}; !reflect.DeepEqual(s.Ops, want) {
+			t.Fatalf("group %d runs %v, want %v", s.Index, s.Ops, want)
 		}
 	}
 	if total != 4 {
@@ -154,7 +150,7 @@ func newTestGen(update float64) *Generator {
 		UpdateFraction:       update,
 		DecomposableFraction: 0.1,
 		Access:               access,
-	}, nil)
+	}, new(Maker))
 }
 
 func TestGeneratorArrivalsIncrease(t *testing.T) {
@@ -247,7 +243,7 @@ func TestIndependentDeadlinePolicy(t *testing.T) {
 		MeanObjects:          5,
 		IndependentDeadlines: true,
 		Access:               access,
-	}, nil)
+	}, new(Maker))
 	// Under the independent policy some transactions must draw
 	// deadlines shorter than their own length (impossible under the
 	// default policy).

@@ -60,19 +60,17 @@ type Source interface {
 	Next() *Transaction
 }
 
-// Maker is the one source of a run's transactions: it numbers them —
-// ids are unique across the generators that share it — and carves the
-// records and their access vectors from two slabs. A system owns one,
-// shared by all its generators. Nothing is ever handed back to it: a
-// transaction is tracked to the end of the run, which reads its outcome.
+// Maker is the one source of a system's transactions, shared by its
+// generators: it numbers them and carves the records and their access
+// vectors from two slabs. Nothing is handed back: a transaction is
+// tracked to the end of the run, which reads its outcome.
 type Maker struct {
 	lastID ID
 	txns   slab.Slab[Transaction]
 	ops    slab.Slab[Op]
 }
 
-// New returns a zeroed transaction with the next id and room for n
-// accesses.
+// New returns a transaction with the next id and room for n accesses.
 func (m *Maker) New(n int) *Transaction {
 	t := m.txns.New()
 	m.lastID++
@@ -91,8 +89,7 @@ type Generator struct {
 	advance func(time.Duration)
 }
 
-// NewGenerator returns a generator for origin drawing on maker, the
-// system's (nil: one of its own, made by the first Next).
+// NewGenerator returns a generator for origin on the system's maker.
 func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, maker *Maker) *Generator {
 	g := new(Generator)
 	g.Init(stream, origin, cfg, maker)
@@ -143,9 +140,6 @@ func (g *Generator) Next() *Transaction {
 		n = 1
 	}
 	ids := g.cfg.Access.NextSet(n)
-	if g.maker == nil {
-		g.maker = new(Maker)
-	}
 	t := g.maker.New(len(ids))
 	for i, id := range ids {
 		t.Ops[i] = Op{
