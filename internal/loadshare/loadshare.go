@@ -150,10 +150,8 @@ func ChooseSite(p Params) Decision {
 	dataAt := func(site netsim.SiteID) int {
 		n := 0
 		for _, loc := range p.Locations {
-			for _, h := range loc.Holders {
-				if h == site {
-					n++
-				}
+			if slices.Contains(loc.Holders, site) { // an object's holders are distinct
+				n++
 			}
 		}
 		return max(n, p.DataCounts[site])
@@ -165,11 +163,10 @@ func ChooseSite(p Params) Decision {
 		wait:      time.Duration(p.OriginQueueLen) * p.OriginATL / time.Duration(execs),
 	}
 	holders := sc.holders[:0]
-	for _, c := range p.Conflicts {
-		holders = append(holders, c.Holders...)
-	}
-	for _, c := range p.Locations {
-		holders = append(holders, c.Holders...)
+	for _, list := range [2][]proto.ObjConflict{p.Conflicts, p.Locations} {
+		for _, c := range list {
+			holders = append(holders, c.Holders...)
+		}
 	}
 	slices.Sort(holders)
 	sc.holders = holders

@@ -33,8 +33,7 @@ type signalWait struct {
 // NewSignal returns a signal bound to env.
 func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
-// Init makes s a signal bound to env, in place: a record that lives in
-// an array or a slab, or is recycled, holds its signal by value.
+// Init makes s a signal bound to env, in place (in the record it wakes).
 func (s *Signal) Init(env *Env) { *s = Signal{env: env} }
 
 // Wait blocks the process until the signal is fired or broadcast.
