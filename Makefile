@@ -109,9 +109,10 @@ bench-mem:
 # not .rts; EXP=fig3 is the benchmark's fig3 workload but for the cells'
 # derived seeds): the run goes under GODEBUG=memprofilerate=1, so the
 # profile is exact and its total divides into objects per submitted
-# transaction — the benchmark's allocs_per_txn, by call site. Several
-# times slower than a plain run, tens of times where the allocator is
-# most of it; the binary, the profile and the report stay in CENSUS_OUT.
+# transaction — the benchmark's allocs_per_txn, by call site. The cost
+# is per object recorded: a few times a plain run's time where a
+# transaction allocates tens of objects, hardly more where it allocates
+# two. The binary, the profile and the report stay in CENSUS_OUT.
 #	make alloc-census SCENARIO=bench/workloads/scale_100k.rts
 #	make alloc-census EXP=fig3
 CENSUS_OUT ?= /tmp/alloc-census
