@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint study-lint state-lint bench-check fuzz-smoke bench-kernel bench-mem alloc-census figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint study-lint state-lint bench-check fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -39,16 +39,21 @@ study-lint:
 		echo 'study-lint: declare a Study; engine.go is the only renderer' >&2; exit 1; fi
 
 # state-lint keeps per-key state in one record per key: the server
-# reaches everything it knows about an object through Server.objs (no
-# object-keyed map beside it), and the lock table everything it knows
-# about an owner through Table.owners (no second owner-keyed map). It
-# keeps spent records in the system's slabs, too: a cache or a lock table
-# holds a pointer to one and no free list of its own.
+# reaches everything it knows about an object through Server.objs and
+# about a client through Server.sites, so no struct in internal/server
+# has a map field at all (a rule that names the key type misses a map
+# keyed by a struct of two ids); the lock table reaches everything it
+# knows about an owner through Table.owners (no second owner-keyed map);
+# and the once-per-system indexes keyed by a dense id — the buffer pool's
+# by page, the shard map's by object — are slices. It keeps spent records in the system's slabs, too: a cache or a
+# lock table holds a pointer to one and no free list of its own.
 state-lint:
-	@if grep -nE '^\s+\w+\s+map\[lockmgr\.ObjectID\]' internal/server/*.go | grep -v '_test\.go:'; then \
-		echo 'state-lint: per-object server state belongs in objState (Server.objs)' >&2; exit 1; fi
-	@if [ "$$(grep -hE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | wc -l)" -gt 1 ]; then \
-		grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go; \
+	@if grep -nE '^\s+\w+(, \w+)*\s+\*?map\[' internal/server/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: no map fields in internal/server: per-object state belongs in objState (Server.objs), per-client state in site (Server.sites)' >&2; exit 1; fi
+	@if grep -nE '^\s+\w+\s+map\[(lockmgr\.ObjectID|PageID)\]' internal/pagefile/*.go internal/shardmap/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: page and object ids are dense: index a slice (BufferPool.frames, Map.replicas)' >&2; exit 1; fi
+	@if [ "$$(grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | grep -vc '_test\.go:')" -gt 1 ]; then \
+		grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | grep -v '_test\.go:'; \
 		echo 'state-lint: per-owner lock state belongs in ownerRec (Table.owners)' >&2; exit 1; fi
 	@if grep -nE '^\s+\w*[fF]ree\w*\s+\[\]\*' internal/cache/*.go internal/lockmgr/*.go | grep -v '_test\.go:'; then \
 		echo 'state-lint: spent records go back to the system slab (cache.Slab, lockmgr.Slab), not a per-site free list' >&2; exit 1; fi
@@ -130,6 +135,20 @@ endif
 	@objects=$$(sed -n 's/.* of \([0-9]*\) total.*/\1/p' $(CENSUS_OUT)/top.txt | head -1); \
 	txns=$$(awk '$$1 == "submitted" { print $$2 }' $(CENSUS_OUT)/report.txt); \
 	awk -v o="$$objects" -v t="$$txns" 'BEGIN { printf "%d objects, %d transactions submitted: %.1f objects per transaction\n", o, t, o / t }'
+
+# cpu-census says where a run's cycles go (EXPERIMENTS.md, "Hunting
+# cycles"): one scenario, or every cell of an rtbench experiment, three
+# times under -cpuprofile, and the forty hottest functions of the three
+# profiles merged. It shares CENSUS_OUT with alloc-census.
+#	make cpu-census SCENARIO=bench/workloads/contended_cs.rts
+#	make cpu-census EXP=fig3
+cpu-census:
+	@test -n "$(SCENARIO)$(EXP)" || { echo 'usage: make cpu-census SCENARIO=path.rts | EXP=id' >&2; exit 2; }
+	@mkdir -p $(CENSUS_OUT)
+	$(GO) build -o $(CENSUS_OUT)/rtbench ./cmd/rtbench
+	@for i in 1 2 3; do \
+		$(CENSUS_OUT)/rtbench $(if $(EXP),-exp $(EXP) -parallel 1,-scenario $(SCENARIO)) -cpuprofile $(CENSUS_OUT)/cpu$$i.pprof > /dev/null || exit 1; done
+	$(GO) tool pprof -top -nodecount=40 $(CENSUS_OUT)/rtbench $(CENSUS_OUT)/cpu1.pprof $(CENSUS_OUT)/cpu2.pprof $(CENSUS_OUT)/cpu3.pprof | tee $(CENSUS_OUT)/cpu-top.txt
 
 figures:
 	$(GO) run ./cmd/rtbench -exp all

@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -173,3 +174,70 @@ func benchRound(b *testing.B, tb *Table) {
 func BenchmarkSparseRound(b *testing.B) { benchRound(b, NewTable()) }
 
 func BenchmarkDenseRound(b *testing.B) { benchRound(b, denseTable(64)) }
+
+// deepQueues returns a table where owner 1 holds objects 0–3 exclusively,
+// depth other owners each wait on all four, and so does owner 2, whose
+// requests are returned. They have the earliest deadline, as the request
+// of a transaction canceled for missing its deadline has: Cancel finds
+// each at the head of its queue, and what a round costs beyond the
+// dequeue is the gap closed and opened again in the queue's array.
+func deepQueues(depth int) (*Table, *[4]Request) {
+	tb := denseTable(4)
+	fill := make([]Request, 4*(depth+1))
+	lock := func(r *Request, obj ObjectID, owner OwnerID, want Outcome) {
+		*r = Request{Obj: obj, Owner: owner, Mode: ModeExclusive, Deadline: time.Duration(owner) * time.Second}
+		if out, _ := tb.Lock(r); out != want {
+			panic("unexpected lock outcome")
+		}
+	}
+	mine := new([4]Request)
+	for obj := ObjectID(0); obj < 4; obj++ {
+		lock(&fill[obj], obj, 1, Granted)
+		for k := 1; k <= depth; k++ {
+			lock(&fill[4*k+int(obj)], obj, OwnerID(2+k), Queued)
+		}
+		lock(&mine[obj], obj, 2, Queued)
+	}
+	return tb, mine
+}
+
+// dequeueRound cancels each of the owner's four queued requests and
+// queues it again: four dequeues, each rebuilding the owner's wait-for
+// edges from the three requests it still has queued.
+func dequeueRound(tb *Table, mine *[4]Request) {
+	for i := range mine {
+		r := &mine[i]
+		tb.Cancel(r)
+		if out, _ := tb.Lock(r); out != Queued {
+			panic("request behind a writer not queued")
+		}
+	}
+}
+
+// BenchmarkDequeueDeepQueue pins what a dequeue costs against the depth
+// of the queues its owner waits in: the edge rebuild visits the owner's
+// own requests and no queue.
+func BenchmarkDequeueDeepQueue(b *testing.B) {
+	for _, depth := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			tb, mine := deepQueues(depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dequeueRound(tb, mine)
+			}
+		})
+	}
+}
+
+// TestDequeueNoAllocs: the waiting index and the edge set are rebuilt in
+// the owner's own blocks.
+func TestDequeueNoAllocs(t *testing.T) {
+	tb, mine := deepQueues(64)
+	if n := testing.AllocsPerRun(200, func() { dequeueRound(tb, mine) }); n != 0 {
+		t.Errorf("a cancel and re-lock round allocates %v per run, want 0", n)
+	}
+	if err := tb.Audit(); err != nil {
+		t.Error(err)
+	}
+}

@@ -148,9 +148,9 @@ type ownerRec struct {
 	// held lists the objects the owner holds, so ReleaseAll is
 	// proportional to the owner's locks instead of the whole table.
 	held []ObjectID
-	// waiting lists the object of each request the owner has queued, so
-	// rebuilding its wait-for edges visits only those entries.
-	waiting []ObjectID
+	// waiting lists the requests the owner has queued, so rebuilding its
+	// wait-for edges visits those and never a queue.
+	waiting []*Request
 	// edges is the set of owners this one waits for, in ascending order
 	// (the order a deadlock search visits them in). An edge can outlive
 	// its target's record: the set is rebuilt only when one of the
@@ -176,29 +176,6 @@ type Slab struct {
 	edges   slab.Slab[OwnerID]
 }
 
-// insert puts x at index i of s, a list living in a block of sl or — at
-// capacity own — in its record's own array. A full list moves to a block
-// of twice the capacity and hands the outgrown one back.
-func insert[T any](sl *slab.Slab[T], s []T, i int, x T, own int) []T {
-	if len(s) == cap(s) {
-		grown := sl.Block(max(2*cap(s), 2))[:len(s)]
-		copy(grown, s)
-		drop(sl, s, own)
-		s = grown
-	}
-	s = s[:len(s)+1]
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-// drop hands s's block back to sl, unless s lives in its record (own).
-func drop[T any](sl *slab.Slab[T], s []T, own int) {
-	if cap(s) > own {
-		sl.PutBlock(s)
-	}
-}
-
 // owner returns owner's record, taking one from the slab on first use.
 func (t *Table) owner(owner OwnerID) *ownerRec {
 	if r := t.owners[owner]; r != nil {
@@ -219,9 +196,9 @@ func (t *Table) owner(owner OwnerID) *ownerRec {
 func (t *Table) settle(owner OwnerID, r *ownerRec) {
 	if len(r.held) == 0 && len(r.waiting) == 0 {
 		delete(t.owners, owner)
-		drop(&t.slab.objs, r.held, len(r.first))
-		drop(&t.slab.objs, r.waiting, 0)
-		drop(&t.slab.edges, r.edges, 0)
+		t.slab.objs.Drop(r.held, len(r.first))
+		t.slab.queues.Drop(r.waiting, 0)
+		t.slab.edges.Drop(r.edges, 0)
 		t.slab.owners.Put(r)
 	}
 }
@@ -318,8 +295,8 @@ func (t *Table) retire(obj ObjectID, e *entry) {
 	} else {
 		delete(t.sparse, obj)
 	}
-	drop(&t.slab.holders, e.holders, len(e.first))
-	drop(&t.slab.queues, e.queue, 0)
+	t.slab.holders.Drop(e.holders, len(e.first))
+	t.slab.queues.Drop(e.queue, 0)
 	t.slab.entries.Put(e)
 }
 
@@ -353,9 +330,9 @@ func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
 		e.holders[i].mode = mode
 		return
 	}
-	e.holders = insert(&t.slab.holders, e.holders, i, holderEntry{owner: owner, mode: mode}, len(e.first))
+	e.holders = t.slab.holders.Insert(e.holders, i, holderEntry{owner: owner, mode: mode}, len(e.first))
 	r := t.owner(owner)
-	r.held = insert(&t.slab.objs, r.held, len(r.held), obj, len(r.first))
+	r.held = t.slab.objs.Insert(r.held, len(r.held), obj, len(r.first))
 }
 
 // delHolder removes owner's hold, reporting whether it was held.
@@ -473,36 +450,29 @@ func (t *Table) enqueue(e *entry, req *Request) {
 		}
 		return q.seq > req.seq
 	})
-	e.queue = insert(&t.slab.queues, e.queue, i, req, 0)
+	e.queue = t.slab.queues.Insert(e.queue, i, req, 0)
 	r := t.owner(req.Owner)
-	r.waiting = insert(&t.slab.objs, r.waiting, len(r.waiting), req.Obj, 0)
+	r.waiting = t.slab.queues.Insert(r.waiting, len(r.waiting), req, 0)
 }
 
-// dequeued maintains owner's record when its queued request on obj
+// dequeued maintains the owner's record when its queued request req
 // leaves the queue (granted or canceled): the waiting index loses the
 // request, and the wait-for edges are rebuilt from the requests still
 // queued — holder sets shift while a request waits, so the edges it
-// added cannot be subtracted, only recomputed from the current conflicts
-// of the entries the waiting index names.
-func (t *Table) dequeued(owner OwnerID, obj ObjectID) {
-	r := t.owners[owner]
-	j := slices.Index(r.waiting, obj)
-	r.waiting = slices.Delete(r.waiting, j, j+1)
+// added cannot be subtracted, only recomputed from the current holders
+// of the entries those requests wait in.
+func (t *Table) dequeued(req *Request) {
+	r := t.owners[req.Owner]
+	r.waiting = unqueue(r.waiting, slices.Index(r.waiting, req))
 	r.edges = r.edges[:0]
-	for _, o := range r.waiting {
-		e := t.lookup(o)
-		for _, q := range e.queue {
-			if q.Owner != owner {
-				continue
-			}
-			for _, h := range e.holders {
-				if h.owner != owner && !Compatible(q.Mode, h.mode) {
-					t.addEdge(r, h.owner)
-				}
+	for _, q := range r.waiting {
+		for _, h := range t.lookup(q.Obj).holders {
+			if h.owner != q.Owner && !Compatible(q.Mode, h.mode) {
+				t.addEdge(r, h.owner)
 			}
 		}
 	}
-	t.settle(owner, r)
+	t.settle(req.Owner, r)
 }
 
 // resetGrants empties the shared grant list for the call that is about
@@ -575,23 +545,24 @@ func (t *Table) Cancel(req *Request) []*Request {
 	}
 	for i, q := range e.queue {
 		if q == req {
-			e.unqueue(i)
+			e.queue = unqueue(e.queue, i)
 			break
 		}
 	}
 	req.waiting = false
-	t.dequeued(req.Owner, req.Obj)
+	t.dequeued(req)
 	t.admit(req.Obj, e)
 	return t.grantBuf
 }
 
-// unqueue removes the i'th queued request by shifting the tail down, so
-// the queue's backing array — front included — stays with the entry.
-func (e *entry) unqueue(i int) {
-	last := len(e.queue) - 1
-	copy(e.queue[i:], e.queue[i+1:])
-	e.queue[last] = nil
-	e.queue = e.queue[:last]
+// unqueue removes the i'th request of a wait queue or a waiting index by
+// shifting the tail down, so the list's block — front included — stays
+// with its record.
+func unqueue(q []*Request, i int) []*Request {
+	last := len(q) - 1
+	copy(q[i:], q[i+1:])
+	q[last] = nil
+	return q[:last]
 }
 
 // admit grants queued requests in deadline order while they remain
@@ -604,11 +575,11 @@ func (t *Table) admit(obj ObjectID, e *entry) {
 		if e.conflictCount(req.Owner, req.Mode) > 0 {
 			break
 		}
-		e.unqueue(0)
+		e.queue = unqueue(e.queue, 0)
 		t.setHolder(obj, e, req.Owner, req.Mode)
 		req.waiting = false
 		req.granted = true
-		t.dequeued(req.Owner, obj)
+		t.dequeued(req)
 		if t.hook.Granted != nil {
 			t.hook.Granted(req)
 		}
@@ -656,7 +627,7 @@ func (t *Table) FirstForeignWaiter(obj ObjectID, owner OwnerID) *Request {
 // server's duplicate-request guard under fault injection.
 func (t *Table) HasWaiter(obj ObjectID, owner OwnerID) bool {
 	r := t.owners[owner]
-	return r != nil && slices.Contains(r.waiting, obj)
+	return r != nil && slices.ContainsFunc(r.waiting, func(q *Request) bool { return q.Obj == obj })
 }
 
 // QueueLen returns the number of requests waiting on obj.
@@ -730,7 +701,7 @@ func (t *Table) ddReach(from, owner OwnerID) bool {
 // addEdge records that r's owner waits for to.
 func (t *Table) addEdge(r *ownerRec, to OwnerID) {
 	if i, found := slices.BinarySearch(r.edges, to); !found {
-		r.edges = insert(&t.slab.edges, r.edges, i, to, 0)
+		r.edges = t.slab.edges.Insert(r.edges, i, to, 0)
 	}
 }
 

@@ -103,8 +103,8 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	// loading and its loaded signal has no waiters — the frame and its
 	// signal are safe to reuse. Marking it loading first makes other
 	// getters of id wait rather than double-read; the write-back and
-	// read that follow park, so the map must already reflect the claim.
-	delete(bp.frames, vid)
+	// read that follow park, so the index must already reflect the claim.
+	bp.frames[vid] = nil
 	wasDirty := vf.dirty
 	vf.id = id
 	vf.pins = 1
@@ -156,7 +156,7 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 			if err := bp.disk.check(g.id); err != nil {
 				return true, err
 			}
-			if f, ok := bp.frames[g.id]; ok {
+			if f := bp.frames[g.id]; f != nil {
 				if f.loading {
 					t.Wait(&f.loaded)
 					return false, nil // frame may be re-keyed; recheck
@@ -232,7 +232,7 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 			if err := bp.disk.check(o.id); err != nil {
 				return true, err
 			}
-			if f, ok := bp.frames[o.id]; ok {
+			if f := bp.frames[o.id]; f != nil {
 				if f.loading {
 					t.Wait(&f.loaded)
 					return false, nil

@@ -36,10 +36,12 @@ func (f *Frame) Pins() int { return int(f.pins) }
 // that can wait on the disk or on a free frame (GetOp, PutOp, MultiGetOp)
 // are resumable ops stepped by the calling sim.Machine.
 type BufferPool struct {
-	env    *sim.Env
-	disk   *Disk
-	cap    int
-	frames map[PageID]*Frame
+	env  *sim.Env
+	disk *Disk
+	cap  int
+	// frames indexes the resident (or loading) pages by page id, as the
+	// disk indexes its pages; nil where the page is not in the pool.
+	frames []*Frame
 	// slab backs the pool's frames: one contiguous allocation newFrame
 	// carves from, so the working set stays cache-adjacent and the GC
 	// sees one object. It holds min(cap, disk pages) frames — a pool
@@ -68,7 +70,7 @@ func NewBufferPool(env *sim.Env, disk *Disk, capacity int) *BufferPool {
 		env:    env,
 		disk:   disk,
 		cap:    capacity,
-		frames: make(map[PageID]*Frame, n),
+		frames: make([]*Frame, disk.NumPages()),
 		slab:   make([]Frame, n),
 		free:   sim.NewSignal(env),
 	}
@@ -103,10 +105,13 @@ func (bp *BufferPool) Pinned() int {
 }
 
 // Contains reports whether page id is resident (pinned or not), without
-// touching LRU state.
+// touching LRU state. No page beyond the disk's is.
 func (bp *BufferPool) Contains(id PageID) bool {
-	f, ok := bp.frames[id]
-	return ok && !f.loading
+	if uint(id) >= uint(len(bp.frames)) {
+		return false
+	}
+	f := bp.frames[id]
+	return f != nil && !f.loading
 }
 
 func (bp *BufferPool) lruPushFront(f *Frame) {

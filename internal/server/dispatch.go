@@ -45,7 +45,12 @@ func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode,
 
 // epochOf returns the release epoch last reported by client for obj.
 func (s *Server) epochOf(obj lockmgr.ObjectID, client netsim.SiteID) int64 {
-	return s.epochs[epochKey{obj: obj, client: client}]
+	if o := s.objs[obj]; o != nil {
+		if i, ok := findEpoch(o.epochs, client); ok {
+			return o.epochs[i].epoch
+		}
+	}
+	return 0
 }
 
 // shipGrants ships every newly granted queued request. Grants whose

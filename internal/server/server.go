@@ -85,10 +85,9 @@ type Server struct {
 	// the load it last reported (slot 0 is unused: site 0 is a shard).
 	sites []site
 
-	// epochs records, per (object, client), the release epoch last
-	// reported by that client; grants are stamped with it so releases
-	// crossing grants on the wire are detected (see proto.ObjGrant).
-	epochs map[epochKey]int64
+	// epochRecs holds the blocks every object's release-epoch list lives
+	// in (objState.epochs).
+	epochRecs slab.Slab[epochRec]
 
 	collector *forward.Collector
 
@@ -147,11 +146,6 @@ type Server struct {
 	RequestsForwarded  int64
 }
 
-type epochKey struct {
-	obj    lockmgr.ObjectID
-	client netsim.SiteID
-}
-
 // site is one attached client: its connection and its piggybacked load.
 type site struct {
 	inbox *sim.Mailbox[netsim.Message] // server-side, from this client
@@ -182,6 +176,25 @@ type objState struct {
 	// sealed is the forward list awaiting dispatch, inflight the one
 	// travelling client to client.
 	sealed, inflight *forward.List
+	// epochs records the release epoch each client last reported for the
+	// object, in ascending client order; grants are stamped with it so
+	// releases crossing grants on the wire are detected (see
+	// proto.ObjGrant). A client that never reported one has no element.
+	epochs []epochRec
+}
+
+// epochRec is one client's last reported release epoch of an object.
+type epochRec struct {
+	client netsim.SiteID
+	epoch  int64
+}
+
+// findEpoch returns the index of client in the sorted list, or the
+// insertion point when absent.
+func findEpoch(list []epochRec, client netsim.SiteID) (int, bool) {
+	return slices.BinarySearchFunc(list, client, func(e epochRec, c netsim.SiteID) int {
+		return cmp.Compare(e.client, c)
+	})
 }
 
 // recallNode is one outstanding callback of an object.
@@ -286,7 +299,6 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		objs:        make([]*objState, cfg.DBSize),
 		recallNodes: make([]recallNode, 1),
 		sites:       make([]site, cfg.NumClients+1),
-		epochs:      make(map[epochKey]int64),
 	}
 	s.locks.Init(locks)
 	s.locks.Reserve(cfg.DBSize)
@@ -757,8 +769,13 @@ func (s *Server) dupFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, 
 // whether the return carries data that must be written through the pool
 // before finishReturn runs.
 func (s *Server) returnNeedsWrite(ret proto.ObjReturn) bool {
-	if k := (epochKey{obj: ret.Obj, client: ret.Client}); ret.Epoch > s.epochs[k] {
-		s.epochs[k] = ret.Epoch
+	if ret.Epoch > 0 {
+		o := s.rec(ret.Obj)
+		if i, ok := findEpoch(o.epochs, ret.Client); !ok {
+			o.epochs = s.epochRecs.Insert(o.epochs, i, epochRec{client: ret.Client, epoch: ret.Epoch}, 0)
+		} else if ret.Epoch > o.epochs[i].epoch {
+			o.epochs[i].epoch = ret.Epoch
+		}
 	}
 	if !ret.HasData {
 		return false

@@ -379,3 +379,103 @@ func TestServerSingleWaiterNoMigration(t *testing.T) {
 		t.Fatalf("migrations = %d", r.srv.MigrationsStarted)
 	}
 }
+
+// grantTo runs the clock to until and returns the one grant client id
+// was shipped meanwhile.
+func (r *rig) grantTo(id int, until time.Duration) proto.ObjGrant {
+	r.t.Helper()
+	msgs := r.drain(id, until)
+	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
+		r.t.Fatalf("client %d messages = %+v, want one ship", id, msgs)
+	}
+	return msgs[0].Payload.(*proto.GrantMsg).Grants[0]
+}
+
+// TestServerGrantCrossingRelease: a grant is stamped with the release
+// epoch the server held when it registered the lock, so one that crosses
+// the client's next release on the wire echoes an epoch below the
+// client's own and is dropped there; only a grant decided after the
+// return was processed carries the new epoch, and the retransmitted copy
+// of an earlier return never lowers it.
+func TestServerGrantCrossingRelease(t *testing.T) {
+	r := newRig(t, 2, func(c *config.Config) { c.UseForwardLists = false })
+	defer r.env.Close()
+	r.request(1, 7, lockmgr.ModeShared, time.Minute)
+	if g := r.grantTo(1, time.Second); g.Epoch != 0 {
+		t.Fatalf("first grant carries epoch %d, want 0", g.Epoch)
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 1})
+	r.request(1, 7, lockmgr.ModeShared, time.Minute)
+	if g := r.grantTo(1, 2*time.Second); g.Epoch != 1 {
+		t.Fatalf("grant after the release carries epoch %d, want 1", g.Epoch)
+	}
+	// The upgrade request and the release of the shared copy cross: the
+	// server decides the grant first, at epoch 1, and the release — the
+	// client's epoch 2 — takes the registration away under it.
+	r.request(1, 7, lockmgr.ModeExclusive, time.Minute)
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 2})
+	if g := r.grantTo(1, 3*time.Second); g.Epoch != 1 {
+		t.Fatalf("crossing grant carries epoch %d, want the stale 1", g.Epoch)
+	}
+	if r.srv.Locks().HolderMode(7, 1) != 0 {
+		t.Fatal("the crossing release left the lock registered")
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 1})
+	r.request(1, 7, lockmgr.ModeShared, time.Minute)
+	if g := r.grantTo(1, 4*time.Second); g.Epoch != 2 {
+		t.Fatalf("grant after a duplicate of the first return carries epoch %d, want 2", g.Epoch)
+	}
+}
+
+// TestServerEpochsPerClient: the epochs two clients report for one object
+// are stamped into their own grants only, and no other object's.
+func TestServerEpochsPerClient(t *testing.T) {
+	r := newRig(t, 2, func(c *config.Config) { c.UseForwardLists = false })
+	defer r.env.Close()
+	r.send(2, netsim.KindObjectReturn, &proto.ObjReturn{Client: 2, Obj: 7, NotCached: true, Epoch: 1})
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, NotCached: true, Epoch: 3})
+	r.env.Run(time.Second)
+	for _, c := range []struct {
+		client int
+		obj    lockmgr.ObjectID
+		want   int64
+	}{{1, 7, 3}, {2, 7, 1}, {1, 8, 0}, {2, 8, 0}} {
+		r.request(c.client, c.obj, lockmgr.ModeShared, time.Minute)
+		if g := r.grantTo(c.client, r.env.Now()+time.Second); g.Epoch != c.want {
+			t.Errorf("client %d's grant of object %d carries epoch %d, want %d", c.client, c.obj, g.Epoch, c.want)
+		}
+	}
+}
+
+// TestServerEpochListSorted: an object returned by 150 clients and a
+// replica shard, in no order, keeps one element a site, ascending, and
+// every site's own epoch.
+func TestServerEpochListSorted(t *testing.T) {
+	r := newRig(t, 1, nil)
+	defer r.env.Close()
+	const obj, clients = 9, 150
+	for k := 0; k < clients+2; k++ {
+		site := netsim.SiteID((k*37)%(clients+2)) - 1 // every site of -1 (shard 1) … 150, 37 steps apart
+		if site == 0 {
+			continue // the shard the object is home at
+		}
+		for _, epoch := range []int64{1, int64(site) + 2, 2} {
+			r.srv.returnNeedsWrite(proto.ObjReturn{Client: site, Obj: obj, Epoch: epoch})
+		}
+	}
+	list := r.srv.objs[obj].epochs
+	if len(list) != clients+1 {
+		t.Fatalf("%d sites returned the object, the list holds %d", clients+1, len(list))
+	}
+	for i, e := range list {
+		if i > 0 && list[i-1].client >= e.client {
+			t.Fatalf("list out of order at %d: site %d before site %d", i, list[i-1].client, e.client)
+		}
+		if want := max(int64(e.client)+2, 2); e.epoch != want || r.srv.epochOf(obj, e.client) != want {
+			t.Fatalf("site %d's epoch reads %d, want %d", e.client, e.epoch, want)
+		}
+	}
+	if got := r.srv.epochOf(obj, 0); got != 0 {
+		t.Fatalf("a site that never returned reads epoch %d, want 0", got)
+	}
+}

@@ -30,9 +30,13 @@ func IsShardSite(s netsim.SiteID) bool { return s <= netsim.ServerSite }
 // Map resolves objects to shards. The replica registry mutates during
 // the run as shards gain and shed replicas.
 type Map struct {
-	topo     config.Topology
-	servers  int
-	replicas map[lockmgr.ObjectID]netsim.SiteID
+	topo    config.Topology
+	servers int
+	// replicas holds, by object id, one more than the index of the shard
+	// serving the object's read replica: zero — or no element, the slice
+	// reaches the highest id ever registered — where there is none.
+	replicas []int32
+	count    int
 }
 
 // New builds the runtime map for a topology.
@@ -61,7 +65,7 @@ func (m *Map) HomeSite(obj lockmgr.ObjectID) netsim.SiteID {
 // when one is registered, everything else goes to the home shard.
 func (m *Map) RouteSite(obj lockmgr.ObjectID, shared bool) netsim.SiteID {
 	if shared {
-		if s, ok := m.replicas[obj]; ok {
+		if s, ok := m.Replica(obj); ok {
 			return s
 		}
 	}
@@ -70,22 +74,32 @@ func (m *Map) RouteSite(obj lockmgr.ObjectID, shared bool) netsim.SiteID {
 
 // Replica returns the site of obj's active read replica, if registered.
 func (m *Map) Replica(obj lockmgr.ObjectID) (netsim.SiteID, bool) {
-	s, ok := m.replicas[obj]
-	return s, ok
+	if int(obj) >= len(m.replicas) || m.replicas[obj] == 0 {
+		return 0, false
+	}
+	return ShardSite(int(m.replicas[obj]) - 1), true
 }
 
 // SetReplica registers site as obj's read replica.
 func (m *Map) SetReplica(obj lockmgr.ObjectID, site netsim.SiteID) {
-	if m.replicas == nil {
-		m.replicas = make(map[lockmgr.ObjectID]netsim.SiteID)
+	if grow := int(obj) + 1 - len(m.replicas); grow > 0 {
+		m.replicas = append(m.replicas, make([]int32, grow)...)
 	}
-	m.replicas[obj] = site
+	if m.replicas[obj] == 0 {
+		m.count++
+	}
+	m.replicas[obj] = int32(ShardIndex(site)) + 1
 }
 
 // ClearReplica withdraws obj's replica registration; subsequent reads
 // route to the home shard again.
-func (m *Map) ClearReplica(obj lockmgr.ObjectID) { delete(m.replicas, obj) }
+func (m *Map) ClearReplica(obj lockmgr.ObjectID) {
+	if _, ok := m.Replica(obj); ok {
+		m.replicas[obj] = 0
+		m.count--
+	}
+}
 
 // ReplicaCount returns how many objects currently have a registered
 // replica.
-func (m *Map) ReplicaCount() int { return len(m.replicas) }
+func (m *Map) ReplicaCount() int { return m.count }

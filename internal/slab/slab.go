@@ -93,5 +93,28 @@ func (s *Slab[T]) PutBlock(b []T) {
 	s.blocks[c] = append(s.blocks[c], b)
 }
 
+// Insert puts x at index i of list, which lives in a block of s or — at
+// capacity own — in its record's own array. A full list moves to a block
+// of twice the capacity and hands the outgrown one back.
+func (s *Slab[T]) Insert(list []T, i int, x T, own int) []T {
+	if len(list) == cap(list) {
+		grown := s.Block(max(2*cap(list), 2))[:len(list)]
+		copy(grown, list)
+		s.Drop(list, own)
+		list = grown
+	}
+	list = list[:len(list)+1]
+	copy(list[i+1:], list[i:])
+	list[i] = x
+	return list
+}
+
+// Drop hands list's block back, unless list lives in its record (own).
+func (s *Slab[T]) Drop(list []T, own int) {
+	if cap(list) > own {
+		s.PutBlock(list)
+	}
+}
+
 // class returns the least c with n <= 1<<c.
 func class(n int) int { return bits.Len(uint(n - 1)) }

@@ -134,3 +134,39 @@ func TestAllocsAmortised(t *testing.T) {
 		t.Errorf("a warmed take-and-hand-back round allocates %v, want 0", n)
 	}
 }
+
+// TestInsertGrowsThroughBlocks: a list that starts in its record's own
+// array moves, when full, to a block of twice the capacity; the block it
+// outgrows goes back to the stock and is the next of its size taken, the
+// record's own array is never handed back, and the order is kept.
+func TestInsertGrowsThroughBlocks(t *testing.T) {
+	var s Slab[int]
+	var own [2]int
+	list := own[:0]
+	var outgrown []int // the four-element block, once the list has left it
+	for x := 9; x >= 0; x-- {
+		if cap(list) == 4 {
+			outgrown = list
+		}
+		list = s.Insert(list, 0, x, len(own)) // at the front: ascending in the end
+	}
+	if cap(list) != 16 {
+		t.Fatalf("ten elements live in a block of %d, want 16 (2 → 4 → 8 → 16)", cap(list))
+	}
+	for i, x := range list {
+		if x != i {
+			t.Fatalf("list = %v, want 0…9 in order", list)
+		}
+	}
+	if b := s.Block(4); &b[0] != &outgrown[:1][0] {
+		t.Error("the outgrown four-element block was not the next one of its size taken")
+	}
+	if b := s.Block(2); &b[0] == &own[0] {
+		t.Error("the record's own array was handed to the stock")
+	}
+	s.Drop(own[:0], len(own)) // a list still in its record: nothing to hand back
+	s.Drop(list, len(own))
+	if b := s.Block(16); &b[0] != &list[0] || b[3] != 0 {
+		t.Error("a dropped block was not the next one of its size taken, zeroed")
+	}
+}
