@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -18,12 +19,13 @@ import (
 // it owns: at a million clients every word here is 8 MB. A Client is the
 // whole parked site — its cache, executor slots, local lock table and
 // dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of its parts' ceilings: 512 for the rest of the Client (what keeps
+// sum of its parts' ceilings: 456 for the rest of the Client (what keeps
 // a by-value config.Config, 424 B, from coming back), 104 the cache, 80
-// the resource, 152 the lock table, 176 the dispatcher. It reads 968
-// (1 032 when the cache and the table each kept free lists of their own
-// and the client two scratch maps, where each now holds one pointer: to
-// the system's slab, to decision scratch made by the first H2 round). The
+// the resource, 152 the lock table, 176 the dispatcher. It reads 912
+// (968 when it kept free lists of transaction machines and of their
+// exchange records and a pointer to decision scratch of its own, where
+// the system's stock now holds all three; 1 032 when the cache and the
+// table each kept free lists too and the client two scratch maps). The
 // dispatcher's ceiling is what keeps a held netsim.Message out of a
 // machine every client owns; the cache's and the lock table's (they read
 // 104 and 144; the table 296 B with its four per-owner maps, three free
@@ -36,7 +38,7 @@ func TestPerSiteStructSizes(t *testing.T) {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 512 + 104 + 80 + 152 + 176},
+		{"Client", unsafe.Sizeof(Client{}), 456 + 104 + 80 + 152 + 176},
 		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 104},
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 80},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
@@ -91,12 +93,12 @@ func TestFreshMachineScratchSizedOnce(t *testing.T) {
 }
 
 // TestFirmRoundBookkeepingZeroAlloc pins a steady-state firm-request
-// round at zero allocations, messages included: pending-record checkout
-// from the pool, wait and waiter registration, the two firm requests
+// round at zero allocations, messages included: opening the machine's
+// exchange, wait and waiter registration, the two firm requests
 // sent as pooled records filled in place, the grants delivered through
 // the dispatcher — which looks the waits up, clears them, installs the
-// copies and hands each grant's record back — and the pending record's
-// release.
+// copies and hands each grant's record back — and the exchange's
+// close.
 func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
@@ -112,15 +114,15 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		op := m.missing[m.seqIdx]
 		obj, mode := op.Obj, op.Mode()
 		m.pt.addWait(obj, mode, 0)
-		c.addWaiter(obj, m.pt)
+		c.addWaiter(obj, &m.pt)
 		m.resend(0)
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
 		if q, isReq := msg.Payload.(*proto.CommitRequest); !ok || !isReq || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
 			panic("firm request not sent")
 		}
-		c.payloads.Release(msg.Payload)
-		g := c.payloads.GrantMsg.Get()
+		c.stock.Payloads.Release(msg.Payload)
+		g := c.stock.Payloads.GrantMsg.New()
 		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID})
 		r.inject(netsim.KindObjectShip, g)
 		r.env.RunAll()
@@ -129,14 +131,13 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		}
 	}
 	round := func() {
-		m.pt = c.ensurePending(tx)
-		if c.findPending(tx.ID) != m.pt {
+		if pt := m.openPending(); c.findPending(tx.ID) != pt {
 			panic("pending record lost")
 		}
 		for m.seqIdx = range m.missing {
 			fetch()
 		}
-		c.releasePending(m.pt)
+		m.closePending()
 	}
 	round() // warm the pools and cache the two copies
 	if n := testing.AllocsPerRun(500, round); n != 0 {
@@ -149,8 +150,8 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 // probe answered by a ConflictReply, H2 over it, the commit round and
 // its grants; then a location/load query, its LoadReply, H2 again and
 // the decomposition it feeds. Each reply is copied out of its payload
-// record — which goes back to the pool — into arrays the pending record
-// keeps, and every decision runs in the client's scratch.
+// record — which goes back to the pool — into arrays the machine's
+// exchange keeps, and every decision runs in the system's scratch.
 func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
@@ -175,19 +176,18 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		if !ok || !wanted(msg.Payload) {
 			panic("request not sent as expected")
 		}
-		c.payloads.Release(msg.Payload)
+		c.stock.Payloads.Release(msg.Payload)
 		r.inject(kind, reply)
 		r.env.RunAll()
 	}
 	round := func() {
-		pt := c.ensurePending(tx)
-		m.pt = pt
+		pt := m.openPending()
 		for _, op := range m.missing {
 			pt.addWait(op.Obj, op.Mode(), 0)
 			c.addWaiter(op.Obj, pt)
 		}
 		m.sendKind = skProbe
-		cr := c.payloads.ConflictReply.Get()
+		cr := c.stock.Payloads.ConflictReply.New()
 		cr.Txn, cr.Loads, cr.DataCounts = tx.ID, append(cr.Loads, loads...), append(cr.DataCounts, counts...)
 		cr.Conflicts, cr.Flat = proto.AppendLocation(cr.Conflicts, cr.Flat, where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.ProbeRequest); return ok && len(q.Objs) == 2 },
@@ -201,7 +201,7 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 			panic("H2 did not pick the conflicting holder")
 		}
 		m.sendKind = skCommit
-		g := c.payloads.GrantMsg.Get()
+		g := c.stock.Payloads.GrantMsg.New()
 		g.Grants = append(g.Grants,
 			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID},
 			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID})
@@ -210,13 +210,12 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		if len(pt.waits) != 0 {
 			panic("grants did not clear the waits")
 		}
-		c.releasePending(pt)
+		m.closePending()
 
-		pt = c.ensurePending(tx)
-		m.pt = pt
-		pt.wantLoad, pt.hasLoad = true, false
+		pt = m.openPending()
+		pt.wantLoad = true
 		m.sendKind = skLoad
-		lr := c.payloads.LoadReply.Get()
+		lr := c.stock.Payloads.LoadReply.New()
 		lr.Txn, lr.Loads = tx.ID, append(lr.Loads, loads...)
 		lr.Locations, lr.Flat = proto.AppendLocation(lr.Locations, lr.Flat, where[0].Obj, where[0].Holders)
 		exchange(func(p any) bool { q, ok := p.(*proto.LoadQuery); return ok && len(q.Objs) == 2 },
@@ -233,11 +232,87 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		if subs := tx.Decompose(sc.groups.Of, 4, &sc.parts); len(subs) != 2 || sc.groups.Site[subs[1].Index] != 2 {
 			panic("transaction not split between the origin and the holder")
 		}
-		pt.wantLoad = false
-		c.releasePending(pt)
+		m.closePending()
 	}
 	round() // warm the pools and cache the two copies
 	if n := testing.AllocsPerRun(500, round); n != 0 {
 		t.Errorf("a probe, commit and load-query round allocates %v per run, want 0", n)
+	}
+}
+
+// TestRecycledMachineCarriesNothingAcrossSites: a machine record that
+// site A hands back to the system's stock and site B takes comes to B
+// as a fresh one would, but for the arrays of its vectors: every slice
+// is empty, and every other field — walked by reflection, so one added
+// later is covered — holds what spawnTxn gives a zeroed record, nothing
+// of what A left in it. (The task is sim's: Detach leaves it spent and
+// Spawn arms it.)
+func TestRecycledMachineCarriesNothingAcrossSites(t *testing.T) {
+	stock := new(Stock)
+	a, b := newRigOn(t, nil, stock), newRigOn(t, nil, stock)
+	defer a.env.Close()
+	defer b.env.Close()
+
+	m := stock.machines.New()
+	var dirty func(v reflect.Value, top bool)
+	dirty = func(v reflect.Value, top bool) {
+		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // settable, exported or not
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if !top || v.Type().Field(i).Name != "task" {
+					dirty(v.Field(i), false)
+				}
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 4))
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64, reflect.Uint8:
+			v.Set(reflect.ValueOf(3).Convert(v.Type()))
+		case reflect.Float64:
+			v.SetFloat(3)
+		default:
+			t.Fatalf("txnMachine holds a %v: teach this test to dirty and compare it", v.Type())
+		}
+	}
+	dirty(reflect.ValueOf(m).Elem(), true)
+	a.cl.recycleTxn(m)
+
+	tx := b.newTxn([]txn.Op{{Obj: 1}}, time.Minute)
+	b.cl.spawnTxn(tx, nil, enOrigin, nil)
+	if m.c != b.cl {
+		t.Fatal("site B's transaction did not run in the record site A handed back")
+	}
+	want := txnMachine{c: b.cl, t: tx, origin: true, owns: true, pc: tsSubmit}
+	var same func(path string, got, want reflect.Value)
+	same = func(path string, got, want reflect.Value) {
+		switch got.Kind() {
+		case reflect.Struct:
+			for i := 0; i < got.NumField(); i++ {
+				if name := got.Type().Field(i).Name; path+name != "task" {
+					same(path+"."+name, got.Field(i), want.Field(i))
+				}
+			}
+		case reflect.Slice:
+			if got.Len() != 0 {
+				t.Errorf("txnMachine%s has %d elements after reuse, want none", path, got.Len())
+			}
+		case reflect.Pointer:
+			if got.Pointer() != want.Pointer() {
+				t.Errorf("txnMachine%s still points at what site A left", path)
+			}
+		default:
+			if !got.Equal(want) {
+				t.Errorf("txnMachine%s = %v after reuse, want %v", path, got, want)
+			}
+		}
+	}
+	same("", reflect.ValueOf(m).Elem(), reflect.ValueOf(&want).Elem())
+	if cap(m.missing) != 4 || cap(m.spec) != 4 || cap(m.pt.waits) != 4 {
+		t.Errorf("reuse dropped the vectors' arrays: cap(missing) %d, cap(spec) %d, cap(pt.waits) %d, want 4 each",
+			cap(m.missing), cap(m.spec), cap(m.pt.waits))
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"siteselect/internal/sched"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 	"siteselect/internal/trace"
 	"siteselect/internal/txn"
 	"siteselect/internal/wal"
@@ -37,10 +38,12 @@ type Client struct {
 	cfg *config.Config
 	id  netsim.SiteID
 	net *netsim.Network
-	// payloads is the cluster's stock of payload records: every send takes
-	// one, the dispatcher returns each delivered one after its handler.
-	payloads *proto.Pool
-	m        *metrics.Collector
+	// stock is the system's: every record this site recycles — a payload
+	// per send, handed back by the dispatcher that delivers it; cache
+	// entries, lock records, transaction machines — comes from it and
+	// goes back to it. The site keeps no free list.
+	stock *Stock
+	m     *metrics.Collector
 
 	// boxes is this client's window of the cluster's mailbox array:
 	// boxes[0] receives server and peer messages, boxes[1+k] is the
@@ -97,11 +100,10 @@ type Client struct {
 	// pending tracks transactions waiting for object replies (a handful
 	// at most — executor slots plus queries); waiters indexes their
 	// outstanding objects in registration order for grant routing. Both
-	// are dense scan-addressed slices, and ptFree recycles pendingTxn
-	// records (signal and slice capacities included) so a steady-state
-	// request round performs no map operations and no allocation.
+	// are dense scan-addressed slices of pointers into the waiting
+	// machines (txnMachine.pt), so a steady-state request round performs
+	// no map operations and no allocation.
 	pending []*pendingTxn
-	ptFree  []*pendingTxn
 	waiters []waiterEntry
 	// deferred holds recalls that arrived while the object was pinned,
 	// with the shard that issued each.
@@ -119,12 +121,6 @@ type Client struct {
 	migrations store[lockmgr.ObjectID, *forward.List]
 	// shipWaits collects results of shipped transactions and subtasks.
 	shipWaits store[shipKey, *shipWait]
-	// txnFree recycles finished transaction machines so steady-state
-	// submission allocates nothing but the transaction itself.
-	txnFree []*txnMachine
-	// h2 is the working memory of site selection and decomposition, made
-	// by the first decision: most sites of a population never take one.
-	h2 *h2Scratch
 
 	// outageEnd is set while the client is partitioned (fault
 	// injection): the dispatcher holds all message processing until it
@@ -158,6 +154,8 @@ type shipWait struct {
 	committed bool
 }
 
+// pendingTxn is one request/reply exchange of a transaction machine, a
+// field of it (txnMachine.pt).
 type pendingTxn struct {
 	t *txn.Transaction
 	// waits is the outstanding object-request set: object, requested
@@ -189,35 +187,52 @@ type pendingTxn struct {
 	netAccum time.Duration
 }
 
+// Stock is what a system's sites take their records from and hand them
+// back to, so that what is kept for reuse is bounded by what the system
+// has in flight at once, not by how many sites it has: the payload pool
+// and the slab of the lock tables (the server shards take these two as
+// well), the slabs of cache entries and of transaction machines, and
+// the working memory of a site-selection decision. The system
+// constructor makes one and hands it to every site; the zero Stock is
+// ready to use.
+type Stock struct {
+	Payloads proto.Pool
+	Locks    lockmgr.Slab
+
+	entries  cache.Slab
+	machines slab.Slab[txnMachine]
+	h2       h2Scratch
+}
+
 // New returns a client site; see Init.
-func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	pool *proto.Pool, entries *cache.Slab, locks *lockmgr.Slab, m *metrics.Collector,
-	boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
+func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network, stock *Stock,
+	m *metrics.Collector, boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
 	c := new(Client)
-	c.Init(env, cfg, id, net, pool, entries, locks, m, boxes, topo, gen, loadShare)
+	c.Init(env, cfg, id, net, stock, m, boxes, topo, gen, loadShare)
 	return c
 }
 
 // Init makes c a client site, in place: a cluster's clients are the
 // elements of one array, and a Client holds a machine, a resource and
 // (once started) wait-queue links, so it is initialised where it lives
-// and not copied afterwards. cfg, pool, topo and the slabs of the cache
-// and the local lock table (nil for a client on its own) are the
-// cluster's, shared by every site; boxes are this client's initialised
-// mailboxes —
-// boxes[0] its message queue, boxes[1+k] its connection queue at server
-// shard k (two boxes at a single server).
+// and not copied afterwards. cfg, topo and stock (nil for a client on
+// its own, which gets a private one) are the cluster's, shared by every
+// site; boxes are this client's initialised mailboxes — boxes[0] its
+// message queue, boxes[1+k] its connection queue at server shard k (two
+// boxes at a single server).
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
-func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network,
-	pool *proto.Pool, entries *cache.Slab, locks *lockmgr.Slab, m *metrics.Collector,
-	boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) {
+func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network, stock *Stock,
+	m *metrics.Collector, boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) {
+	if stock == nil {
+		stock = new(Stock)
+	}
 	*c = Client{
 		env:       env,
 		cfg:       cfg,
 		id:        id,
 		net:       net,
-		payloads:  pool,
+		stock:     stock,
 		m:         m,
 		boxes:     boxes,
 		topo:      topo,
@@ -225,8 +240,8 @@ func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *n
 		gen:       gen,
 		loadShare: loadShare,
 	}
-	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk, entries)
-	c.lockTable.Init(locks)
+	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk, &stock.entries)
+	c.lockTable.Init(&stock.Locks)
 	c.slots.Init(env, cfg.ClientExecutors)
 	c.disp.c = c
 	c.faulty = cfg.Faults.Enabled()
@@ -475,7 +490,7 @@ func (c *Client) dispatchMsg(msg netsim.Message) {
 		panic(fmt.Sprintf("client: unexpected payload %T", msg.Payload))
 	}
 	if !msg.Shared {
-		c.payloads.Release(msg.Payload)
+		c.stock.Payloads.Release(msg.Payload)
 	}
 }
 
@@ -506,7 +521,7 @@ func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload 
 // record's own RetainedSL array is filled with a copy, so the forward
 // list the slice came from is not aliased by a frame on the wire.
 func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
-	r := c.payloads.ObjReturn.Get()
+	r := c.stock.Payloads.ObjReturn.New()
 	retained := append(r.RetainedSL, ret.RetainedSL...)
 	*r = ret
 	r.RetainedSL = retained
@@ -515,7 +530,7 @@ func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
 
 // sendHop passes an object on to a peer along its forward list.
 func (c *Client) sendHop(to netsim.SiteID, g proto.ObjGrant) {
-	p := c.payloads.GrantMsg.Get()
+	p := c.stock.Payloads.GrantMsg.New()
 	p.Grants = append(p.Grants, g)
 	c.toPeer(to, netsim.KindClientForward, netsim.ObjectBytes, p)
 }

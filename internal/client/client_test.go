@@ -33,7 +33,11 @@ type rig struct {
 	nextID txn.ID
 }
 
-func newRig(t *testing.T, mod func(*config.Config)) *rig {
+func newRig(t *testing.T, mod func(*config.Config)) *rig { return newRigOn(t, mod, nil) }
+
+// newRigOn is newRig with the client on stock: two rigs on one stock are
+// two sites of one system.
+func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 	t.Helper()
 	env := sim.NewEnv()
 	cfg := config.Default(2, 0.05)
@@ -71,7 +75,7 @@ func newRig(t *testing.T, mod func(*config.Config)) *rig {
 		Access:           access,
 	}, new(txn.Maker))
 
-	cl := New(env, &cfg, 1, net, &proto.Pool{}, nil, nil, &metrics.Collector{}, boxes,
+	cl := New(env, &cfg, 1, net, stock, &metrics.Collector{}, boxes,
 		shardmap.New(cfg.Sharding), gen, true)
 	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.

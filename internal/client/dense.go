@@ -143,28 +143,6 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 	return nil
 }
 
-// removePending unregisters pt and recycles it: the reply copies go
-// back to the pool, the signal and slice capacities are kept for the
-// next transaction.
-func (c *Client) removePending(pt *pendingTxn) {
-	for i, p := range c.pending {
-		if p == pt {
-			last := len(c.pending) - 1
-			c.pending[i] = c.pending[last]
-			c.pending[last] = nil
-			c.pending = c.pending[:last]
-			break
-		}
-	}
-	*pt = pendingTxn{
-		sig:      pt.sig,
-		waits:    pt.waits[:0],
-		confFrom: c.giveBack(pt.confFrom),
-		loadFrom: c.giveBack(pt.loadFrom),
-	}
-	c.ptFree = append(c.ptFree, pt)
-}
-
 // store is the scan-addressed key→value store behind the client's
 // keyed lookups that hold a handful of entries at most — recalls
 // deferred against pinned objects, forward lists of migrating objects,

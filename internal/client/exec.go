@@ -48,8 +48,11 @@ type txnMachine struct {
 	reportTo *shipWait
 	pc       uint8
 
-	// request/reply exchange state (the blocking awaitReply).
-	pt        *pendingTxn
+	// request/reply exchange state (the blocking awaitReply). pt is the
+	// exchange itself — Client.pending and the waiter index point at it
+	// while it is open (openPending to closePending); a machine holds one
+	// exchange at a time, and a transaction has one machine at a site.
+	pt        pendingTxn
 	sendKind  uint8
 	awRTO     time.Duration
 	awAttempt int
@@ -138,22 +141,19 @@ const (
 	dcRelease
 )
 
-// spawnTxn starts a transaction machine in the given entry mode,
-// reusing a machine from the client's free list when one is available.
+// spawnTxn starts a transaction machine in the given entry mode, in a
+// record of the system's stock: new, or as the site that last ran one in
+// it — any site — handed it back. Everything but the vectors' arrays is
+// overwritten here, so nothing of that site comes along.
 func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, reportTo *shipWait) {
-	var m *txnMachine
-	if n := len(c.txnFree); n > 0 {
-		m = c.txnFree[n-1]
-		c.txnFree[n-1] = nil
-		c.txnFree = c.txnFree[:n-1]
-	} else {
-		m = &txnMachine{}
-	}
+	m := c.stock.machines.New()
+	m.locks.Init(nil, 0) // keeps its request array only
 	*m = txnMachine{
 		c: c, t: t, sub: sub, reportTo: reportTo, owns: sub == nil,
+		pt:      pendingTxn{waits: m.pt.waits[:0], confFrom: m.pt.confFrom[:0], loadFrom: m.pt.loadFrom[:0]},
 		results: m.results[:0],
 		lockOps: m.lockOps[:0], locks: m.locks,
-		entries: m.entries[:0], missing: m.missing[:0],
+		entries: m.entries[:0], spec: m.spec[:0], missing: m.missing[:0],
 	}
 	switch entry {
 	case enOrigin:
@@ -179,12 +179,12 @@ func (m *txnMachine) Resume() {
 
 // recycleTxn clears a finished machine's pointer-bearing slices — to
 // full capacity, since mid-run truncations leave stale pointers beyond
-// the length — and returns it to the free list. The remaining fields
-// are overwritten wholesale by the next spawnTxn.
+// the length — and hands it back to the system's stock with its arrays.
+// The remaining fields are overwritten wholesale by the next spawnTxn.
 func (c *Client) recycleTxn(m *txnMachine) {
 	clear(m.results[:cap(m.results)])
 	clear(m.entries[:cap(m.entries)])
-	c.txnFree = append(c.txnFree, m)
+	c.stock.machines.Keep(m)
 }
 
 // step advances the machine by one state; true means it parked.
@@ -290,11 +290,8 @@ func (m *txnMachine) step() bool {
 // beginLoadQuery starts a location/load query: register interest, send,
 // and arm the reply wait. next is the state that consumes the reply.
 func (m *txnMachine) beginLoadQuery(next uint8) {
-	pt := m.c.ensurePending(m.t)
-	m.pt = pt
+	pt := m.openPending()
 	pt.wantLoad = true
-	pt.hasLoad = false
-	pt.netAccum = 0
 	m.sendKind = skLoad
 	m.resend(0)
 	m.awaitArm()
@@ -324,16 +321,15 @@ func (m *txnMachine) stepH1() bool {
 
 // stepLoadReply consumes the answer to a location/load query —
 // decomposition (tsDecomposeQuery) or the H1-infeasible ship decision
-// (tsShipQuery) — and only then recycles the pending record the
-// answer's copy lives in. With no answer by the deadline the
-// transaction carries on as if the query had not been asked.
+// (tsShipQuery) — and only then closes the exchange the answer's copy
+// lives in. With no answer by the deadline the transaction carries on
+// as if the query had not been asked.
 func (m *txnMachine) stepLoadReply() bool {
 	done, ok := m.awaitStep()
 	if !done {
 		return true
 	}
-	c, pt := m.c, m.pt
-	pt.wantLoad = false
+	c, pt := m.c, &m.pt
 	if m.pc == tsDecomposeQuery {
 		m.pc = tsH1
 		if ok {
@@ -345,8 +341,7 @@ func (m *txnMachine) stepLoadReply() bool {
 			m.shipAfterQuery(pt.loadFrom)
 		}
 	}
-	c.releasePending(pt)
-	m.pt = nil
+	m.closePending()
 	return false
 }
 
@@ -651,21 +646,19 @@ func (m *txnMachine) nextAttempt() {
 // paper's sequential request/response loop — a client keeps at most one
 // firm request outstanding).
 func (m *txnMachine) beginFetch() {
-	c, t := m.c, m.t
-	m.pt = c.ensurePending(t)
+	c := m.c
+	pt := m.openPending()
 	if !(c.loadShare && c.cfg.UseH2 && m.origin && m.attempt == 0) {
 		m.seqIdx = 0
 		m.pc = tsSeqSend
 		return
 	}
 	// Tentative probe: one message covering every missing object.
-	pt := m.pt
 	now := m.task.Now()
 	for _, op := range m.missing {
 		pt.addWait(op.Obj, op.Mode(), now)
 		c.addWaiter(op.Obj, pt)
 	}
-	pt.netAccum = 0
 	m.sendKind = skProbe
 	// A retried probe is idempotent at the server: already-granted locks
 	// hit the lock table's re-entrant fast path and the objects ship
@@ -678,7 +671,7 @@ func (m *txnMachine) beginFetch() {
 // denied resolves a denial reply; it reports true when the fetch must
 // fail, recording an abort for deadlock refusals.
 func (m *txnMachine) denied() bool {
-	pt, t := m.pt, m.t
+	pt, t := &m.pt, m.t
 	if pt.denied == 0 {
 		return false
 	}
@@ -702,7 +695,7 @@ func (m *txnMachine) stepProbeWait() bool {
 		m.fetchFail()
 		return false
 	}
-	pt := m.pt
+	pt := &m.pt
 	if !pt.gotConflict {
 		m.fetchOK() // everything granted
 		return false
@@ -759,7 +752,7 @@ func (m *txnMachine) stepSeqSend() bool {
 		return false
 	}
 	op := m.missing[m.seqIdx]
-	pt := m.pt
+	pt := &m.pt
 	pt.addWait(op.Obj, op.Mode(), m.task.Now())
 	c.addWaiter(op.Obj, pt)
 	pt.netAccum = 0
@@ -773,8 +766,7 @@ func (m *txnMachine) stepSeqSend() bool {
 // fetchFail ends a fetch that cannot proceed here (deadline, denial):
 // unregister the outstanding waits and fail the execution.
 func (m *txnMachine) fetchFail() {
-	m.c.releasePending(m.pt)
-	m.pt = nil
+	m.closePending()
 	m.execDone(false)
 }
 
@@ -783,10 +775,8 @@ func (m *txnMachine) fetchFail() {
 // of the execution entirely, with the unwind but no local finish (the
 // target owns the status now).
 func (m *txnMachine) fetchOK() {
-	c, t := m.c, m.t
-	c.releasePending(m.pt)
-	m.pt = nil
-	if t.Shipped && m.origin {
+	m.closePending()
+	if m.t.Shipped && m.origin {
 		m.unwind()
 		m.reportResult(false)
 		m.pc = tsDone
@@ -968,7 +958,7 @@ func (m *txnMachine) awaitArm() {
 // attribution via pt.netAccum; each expired retransmission window
 // closes into the retry bucket.
 func (m *txnMachine) awaitStep() (done, ok bool) {
-	c, t, pt := m.c, m.t, m.pt
+	c, t, pt := m.c, m.t, &m.pt
 	for {
 		switch m.awPC {
 		case awIdle:
@@ -1013,7 +1003,7 @@ func (m *txnMachine) awaitStep() (done, ok bool) {
 
 // awaitCond evaluates the current exchange's completion predicate.
 func (m *txnMachine) awaitCond() bool {
-	pt := m.pt
+	pt := &m.pt
 	switch m.sendKind {
 	case skLoad:
 		return pt.hasLoad
@@ -1041,13 +1031,13 @@ func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
 
 // sendTxnShip ships t, or its subtask sub, to the client at to.
 func (c *Client) sendTxnShip(to netsim.SiteID, t *txn.Transaction, sub *txn.Subtask) {
-	p := c.payloads.TxnShip.Get()
+	p := c.stock.Payloads.TxnShip.New()
 	*p = proto.TxnShip{T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport()}
 	c.toPeer(to, netsim.KindTxnShip, netsim.TxnShipBytes, p)
 }
 
 func (c *Client) sendTxnResult(to netsim.SiteID, r proto.TxnResult) {
-	p := c.payloads.TxnResult.Get()
+	p := c.stock.Payloads.TxnResult.New()
 	*p = r
 	c.toPeer(to, netsim.KindTxnResult, netsim.ResultBytes, p)
 }
@@ -1153,36 +1143,30 @@ func modeSufficient(have, need lockmgr.Mode) bool {
 	return have == lockmgr.ModeExclusive || need == lockmgr.ModeShared && have == lockmgr.ModeShared
 }
 
-// ensurePending returns the transaction's pending record, reviving a
-// recycled one (signal and slice capacities intact) when none exists.
-func (c *Client) ensurePending(t *txn.Transaction) *pendingTxn {
-	if pt := c.findPending(t.ID); pt != nil {
-		return pt
-	}
-	var pt *pendingTxn
-	if n := len(c.ptFree); n > 0 {
-		pt = c.ptFree[n-1]
-		c.ptFree[n-1] = nil
-		c.ptFree = c.ptFree[:n-1]
-	} else {
-		pt = new(pendingTxn)
-		pt.sig.Init(c.env)
-	}
-	pt.t = t
+// openPending opens the machine's request/reply exchange: from here to
+// closePending the replies that name the transaction find it
+// (findPending), and grants find it through the waiter index.
+func (m *txnMachine) openPending() *pendingTxn {
+	c, pt := m.c, &m.pt
+	pt.t = m.t
+	pt.sig.Init(c.env)
 	c.pending = append(c.pending, pt)
 	return pt
 }
 
-// releasePending unregisters the transaction's outstanding waits and,
-// unless a load query is still in flight, recycles the record.
-func (c *Client) releasePending(pt *pendingTxn) {
+// closePending ends the exchange: the outstanding waits are
+// unregistered, the reply copies go back to the pool, and the record is
+// as spawnTxn left it — vectors empty, their arrays kept.
+func (m *txnMachine) closePending() {
+	c, pt := m.c, &m.pt
 	for i := range pt.waits {
 		c.dropWaiter(pt.waits[i].obj, pt)
 	}
-	pt.waits = pt.waits[:0]
-	if !pt.wantLoad {
-		c.removePending(pt)
-	}
+	last := len(c.pending) - 1
+	c.pending[slices.Index(c.pending, pt)] = c.pending[last]
+	c.pending[last] = nil
+	c.pending = c.pending[:last]
+	*pt = pendingTxn{waits: pt.waits[:0], confFrom: c.giveBack(pt.confFrom), loadFrom: c.giveBack(pt.loadFrom)}
 }
 
 // finish records a terminal state for work executed here. For subtasks

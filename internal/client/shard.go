@@ -127,7 +127,7 @@ func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
 // end; a sequential fetch is the commit round of the one access at its
 // cursor.
 func (m *txnMachine) resend(attempt int) {
-	c, t, pt := m.c, m.t, m.pt
+	c, t, pt := m.c, m.t, &m.pt
 	// The one rule that differs by topology. With several shards a probe
 	// or commit round leaves out the accesses already granted (pt.waits
 	// tracks them), so a shard that served its slice is not asked again.
@@ -151,7 +151,7 @@ func (m *txnMachine) resend(attempt int) {
 				continue
 			}
 			pt.loadWant++
-			q := c.payloads.LoadQuery.Get()
+			q := c.stock.Payloads.LoadQuery.New()
 			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, t.Ops, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindLoadQuery, netsim.ControlBytes, q)
@@ -165,7 +165,7 @@ func (m *txnMachine) resend(attempt int) {
 			if site == noSite {
 				continue
 			}
-			q := c.payloads.ProbeRequest.Get()
+			q := c.stock.Payloads.ProbeRequest.New()
 			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
@@ -180,7 +180,7 @@ func (m *txnMachine) resend(attempt int) {
 			if site == noSite {
 				continue
 			}
-			q := c.payloads.CommitRequest.Get()
+			q := c.stock.Payloads.CommitRequest.New()
 			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
@@ -211,11 +211,11 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
 		i++
 	}
 	if i < len(rs) && rs[i].from == from {
-		c.payloads.Release(rs[i].rec)
+		c.stock.Payloads.Release(rs[i].rec)
 	} else {
 		rs = slices.Insert(rs, i, shardReply{from: from})
 	}
-	rec := c.payloads.ConflictReply.Get()
+	rec := c.stock.Payloads.ConflictReply.New()
 	for _, o := range objs {
 		rec.Conflicts, rec.Flat = proto.AppendLocation(rec.Conflicts, rec.Flat, o.Obj, o.Holders)
 	}
@@ -227,15 +227,17 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
 // giveBack releases the copies in rs, read or superseded; it returns rs[:0].
 func (c *Client) giveBack(rs []shardReply) []shardReply {
 	for i := range rs {
-		c.payloads.Release(rs[i].rec)
+		c.stock.Payloads.Release(rs[i].rec)
 	}
 	return rs[:0]
 }
 
-// h2Scratch is what a site's decisions are worked out in, one to the
-// next: the load table and data counts loadshare.Params takes as maps,
-// the locations of an answer from several shards, and the scratch of
-// ChooseSite, grouping and Decompose.
+// h2Scratch is what a system's site-selection decisions are worked out
+// in, one to the next, whichever site takes them (Stock.h2): the load
+// table and data counts loadshare.Params takes as maps, the locations
+// of an answer from several shards, and the scratch of ChooseSite,
+// grouping and Decompose. It is working memory of one step — nothing
+// reads it once the step that filled it has returned.
 type h2Scratch struct {
 	loads  map[netsim.SiteID]proto.LoadReport
 	counts map[netsim.SiteID]int
@@ -245,12 +247,14 @@ type h2Scratch struct {
 	parts  txn.Decomposition
 }
 
-// scratch returns the client's decision scratch, made on first use.
+// scratch returns the system's decision scratch, its maps made by the
+// first decision.
 func (c *Client) scratch() *h2Scratch {
-	if c.h2 == nil {
-		c.h2 = &h2Scratch{loads: map[netsim.SiteID]proto.LoadReport{}, counts: map[netsim.SiteID]int{}}
+	sc := &c.stock.h2
+	if sc.loads == nil {
+		sc.loads, sc.counts = map[netsim.SiteID]proto.LoadReport{}, map[netsim.SiteID]int{}
 	}
-	return c.h2
+	return sc
 }
 
 // h2Inputs reads the answers of a split exchange into the inputs of

@@ -20,10 +20,10 @@ func probeRound(r *rig) *txnMachine {
 	c := r.cl
 	tx := &txn.Transaction{ID: 301, Deadline: time.Hour}
 	m := &txnMachine{c: c, t: tx, missing: []txn.Op{{Obj: 10}, {Obj: 11, Write: true}}, sendKind: skProbe}
-	m.pt = c.ensurePending(tx)
+	m.openPending()
 	for _, op := range m.missing {
 		m.pt.addWait(op.Obj, op.Mode(), 0)
-		c.addWaiter(op.Obj, m.pt)
+		c.addWaiter(op.Obj, &m.pt)
 	}
 	m.resend(0)
 	return m

@@ -19,7 +19,12 @@
 // system across update mixes.
 package occ
 
-import "siteselect/internal/lockmgr"
+import (
+	"slices"
+
+	"siteselect/internal/lockmgr"
+	"siteselect/internal/txn"
+)
 
 // Validator is the shared validation state: the committed version of
 // every object. Validation calls must be externally serialized (the
@@ -41,29 +46,31 @@ func NewValidator(dbSize int) *Validator {
 // Version returns the committed version of obj.
 func (v *Validator) Version(obj lockmgr.ObjectID) int64 { return v.versions[obj] }
 
-// ReadSet snapshots the versions of objs for a starting transaction.
-func (v *Validator) ReadSet(objs []lockmgr.ObjectID) []int64 {
-	out := make([]int64, len(objs))
-	for i, obj := range objs {
-		out[i] = v.versions[obj]
+// ReadSet snapshots the versions of the objects ops touch, in access
+// order, for a transaction starting its read phase; it appends them to
+// snap, the caller's to keep from one attempt to the next.
+func (v *Validator) ReadSet(ops []txn.Op, snap []int64) []int64 {
+	snap = slices.Grow(snap, len(ops))
+	for _, op := range ops {
+		snap = append(snap, v.versions[op.Obj])
 	}
-	return out
+	return snap
 }
 
 // Validate checks a transaction's read snapshot against the current
 // committed versions and, when valid, installs its writes (bumping their
 // versions). It reports whether the transaction committed.
-func (v *Validator) Validate(objs []lockmgr.ObjectID, snapshot []int64, writes []bool) bool {
+func (v *Validator) Validate(ops []txn.Op, snapshot []int64) bool {
 	v.Validations++
-	for i, obj := range objs {
-		if v.versions[obj] != snapshot[i] {
+	for i, op := range ops {
+		if v.versions[op.Obj] != snapshot[i] {
 			v.Conflicts++
 			return false
 		}
 	}
-	for i, obj := range objs {
-		if writes[i] {
-			v.versions[obj]++
+	for _, op := range ops {
+		if op.Write {
+			v.versions[op.Obj]++
 		}
 	}
 	return true

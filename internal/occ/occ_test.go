@@ -5,13 +5,32 @@ import (
 	"testing/quick"
 
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/txn"
 )
+
+// reads and writes build an access list over objs.
+func reads(objs ...lockmgr.ObjectID) []txn.Op {
+	ops := make([]txn.Op, len(objs))
+	for i, obj := range objs {
+		ops[i].Obj = obj
+	}
+	return ops
+}
+
+func writes(objs ...lockmgr.ObjectID) []txn.Op {
+	ops := reads(objs...)
+	for i := range ops {
+		ops[i].Write = true
+	}
+	return ops
+}
 
 func TestValidateCleanCommit(t *testing.T) {
 	v := NewValidator(10)
-	objs := []lockmgr.ObjectID{1, 2, 3}
-	snap := v.ReadSet(objs)
-	if !v.Validate(objs, snap, []bool{false, true, false}) {
+	ops := reads(1, 2, 3)
+	ops[1].Write = true
+	snap := v.ReadSet(ops, nil)
+	if !v.Validate(ops, snap) {
 		t.Fatal("unconflicted transaction failed validation")
 	}
 	if v.Version(2) != 1 || v.Version(1) != 0 {
@@ -24,21 +43,21 @@ func TestValidateCleanCommit(t *testing.T) {
 
 func TestValidateDetectsConflict(t *testing.T) {
 	v := NewValidator(10)
-	objs := []lockmgr.ObjectID{5}
-	snapA := v.ReadSet(objs)
-	snapB := v.ReadSet(objs)
-	if !v.Validate(objs, snapA, []bool{true}) {
+	ops := writes(5)
+	snapA := v.ReadSet(ops, nil)
+	snapB := v.ReadSet(ops, nil)
+	if !v.Validate(ops, snapA) {
 		t.Fatal("first writer should commit")
 	}
-	if v.Validate(objs, snapB, []bool{true}) {
+	if v.Validate(ops, snapB) {
 		t.Fatal("second writer read a stale version and must fail")
 	}
 	if v.Conflicts != 1 {
 		t.Fatalf("conflicts = %d", v.Conflicts)
 	}
 	// After re-reading, the restarted transaction commits.
-	snapB2 := v.ReadSet(objs)
-	if !v.Validate(objs, snapB2, []bool{true}) {
+	snapB2 := v.ReadSet(ops, snapB[:0]) // the restarted attempt refills its vector
+	if !v.Validate(ops, snapB2) {
 		t.Fatal("restarted transaction should commit")
 	}
 	if v.Version(5) != 2 {
@@ -48,11 +67,10 @@ func TestValidateDetectsConflict(t *testing.T) {
 
 func TestReadOnlyTransactionsNeverConflictWithEachOther(t *testing.T) {
 	v := NewValidator(4)
-	objs := []lockmgr.ObjectID{0, 1, 2, 3}
-	reads := []bool{false, false, false, false}
-	s1 := v.ReadSet(objs)
-	s2 := v.ReadSet(objs)
-	if !v.Validate(objs, s1, reads) || !v.Validate(objs, s2, reads) {
+	ops := reads(0, 1, 2, 3)
+	s1 := v.ReadSet(ops, nil)
+	s2 := v.ReadSet(ops, nil)
+	if !v.Validate(ops, s1) || !v.Validate(ops, s2) {
 		t.Fatal("read-only transactions conflicted")
 	}
 }
@@ -68,17 +86,17 @@ func TestSerialValidationProperty(t *testing.T) {
 	}
 	f := func(steps []step) bool {
 		v := NewValidator(8)
-		old := v.ReadSet([]lockmgr.ObjectID{0, 1, 2, 3, 4, 5, 6, 7})
+		old := v.ReadSet(reads(0, 1, 2, 3, 4, 5, 6, 7), nil)
 		for _, st := range steps {
 			obj := lockmgr.ObjectID(st.Obj % 8)
-			objs := []lockmgr.ObjectID{obj}
+			ops := []txn.Op{{Obj: obj, Write: st.Write}}
 			var snap []int64
 			if st.Stale {
 				snap = []int64{old[obj]}
 			} else {
-				snap = v.ReadSet(objs)
+				snap = v.ReadSet(ops, nil)
 			}
-			committed := v.Validate(objs, snap, []bool{st.Write})
+			committed := v.Validate(ops, snap)
 			current := v.Version(obj)
 			if committed && st.Write && current == snap[0] {
 				return false // write committed without bumping

@@ -20,42 +20,42 @@ func filled(p *Pool) []any {
 	modes := []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeExclusive, lockmgr.ModeShared}
 	t := &txn.Transaction{ID: 9}
 
-	pr := p.ProbeRequest.Get()
+	pr := p.ProbeRequest.New()
 	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
 	pr.Objs, pr.Modes = append(pr.Objs, objs...), append(pr.Modes, modes...)
-	cr := p.CommitRequest.Get()
+	cr := p.CommitRequest.New()
 	cr.Client, cr.Txn, cr.Deadline, cr.Attempt, cr.Load = 1, 9, time.Minute, 1, load
 	cr.Objs, cr.Modes = append(cr.Objs, objs...), append(cr.Modes, modes...)
-	gm := p.GrantMsg.Get()
+	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants,
 		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)},
 		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
-	cf := p.ConflictReply.Get()
+	cf := p.ConflictReply.New()
 	cf.Txn, cf.Loads, cf.DataCounts = 9, append(cf.Loads, load), append(cf.DataCounts, SiteCount{Site: 2, Count: 1})
 	cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, 4, []netsim.SiteID{2, 3})
-	dr := p.DenyReply.Get()
+	dr := p.DenyReply.New()
 	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
-	rm := p.RecallMsg.Get()
+	rm := p.RecallMsg.New()
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 4, DowngradeToShared: true, HolderMode: lockmgr.ModeExclusive}, Recall{Obj: 5})
-	ri := p.ReplicaInstall.Get()
+	ri := p.ReplicaInstall.New()
 	*ri = ReplicaInstall{Obj: 4, Version: 7}
-	rt := p.ObjReturn.Get()
+	rt := p.ObjReturn.New()
 	retained := append(rt.RetainedSL, 2, 3)
 	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true, NotCached: true,
 		UpdateOnly: true, Migration: true, RunComplete: true, RetainedSL: retained, Epoch: 2, Load: load}
-	lq := p.LoadQuery.Get()
+	lq := p.LoadQuery.New()
 	lq.Client, lq.Txn, lq.Deadline, lq.Attempt, lq.Load = 1, 9, time.Minute, 1, load
 	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
-	lr := p.LoadReply.Get()
+	lr := p.LoadReply.New()
 	lr.Txn, lr.Loads = 9, append(lr.Loads, load)
 	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2, 3})
-	ts := p.TxnShip.Get()
+	ts := p.TxnShip.New()
 	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}, ReplyTo: 1, Load: load}
-	tr := p.TxnResult.Get()
+	tr := p.TxnResult.New()
 	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true, ExecSite: 2}
-	su := p.TxnSubmit.Get()
+	su := p.TxnSubmit.New()
 	su.T = t
-	ur := p.UserResult.Get()
+	ur := p.UserResult.New()
 	*ur = UserResult{Txn: 9, Committed: true}
 	return []any{pr, cr, gm, cf, dr, rm, ri, rt, lq, lr, ts, tr, su, ur}
 }
@@ -76,7 +76,7 @@ var keepsCapacity = map[string]bool{
 func TestFilledCoversEveryPoolList(t *testing.T) {
 	var p Pool
 	if got, want := len(filled(&p)), reflect.TypeOf(p).NumField(); got != want {
-		t.Fatalf("filled makes %d payload types, Pool has %d free lists", got, want)
+		t.Fatalf("filled makes %d payload types, Pool has %d slabs", got, want)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 		p.Release(rec)
 		again := reflect.ValueOf(takeLike(&p, rec))
 		if again.Pointer() != reflect.ValueOf(rec).Pointer() {
-			t.Errorf("%s: Get after Release made a new record", name)
+			t.Errorf("%s: New after Release made a new record", name)
 		}
 		for i := 0; i < v.NumField(); i++ {
 			f, fname := again.Elem().Field(i), v.Type().Field(i).Name
@@ -133,7 +133,7 @@ func TestReleaseZeroesAndKeepsCapacity(t *testing.T) {
 // takeLike takes a record of rec's type from p.
 func takeLike(p *Pool, rec any) any {
 	list := reflect.ValueOf(p).Elem().FieldByName(reflect.TypeOf(rec).Elem().Name())
-	return list.Addr().MethodByName("Get").Call(nil)[0].Interface()
+	return list.Addr().MethodByName("New").Call(nil)[0].Interface()
 }
 
 // TestReplyHolderListsAreWindows: a reply's holder lists are windows of
@@ -142,7 +142,7 @@ func takeLike(p *Pool, rec any) any {
 // take the previous reply's place.
 func TestReplyHolderListsAreWindows(t *testing.T) {
 	var p Pool
-	cf := p.ConflictReply.Get()
+	cf := p.ConflictReply.New()
 	for obj := lockmgr.ObjectID(0); obj < 20; obj++ { // the flat array regrows on the way
 		cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
 	}
@@ -152,13 +152,13 @@ func TestReplyHolderListsAreWindows(t *testing.T) {
 		}
 	}
 	p.Release(cf)
-	next := p.ConflictReply.Get()
+	next := p.ConflictReply.New()
 	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 7, []netsim.SiteID{3})
 	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 8, []netsim.SiteID{4, 5})
 	if next != cf || len(next.Conflicts) != 2 || &next.Conflicts[1].Holders[0] != &next.Flat[1] || next.Conflicts[1].Holders[1] != 5 {
 		t.Fatalf("refilled reply = %+v over %v", next.Conflicts, next.Flat)
 	}
-	lr := p.LoadReply.Get()
+	lr := p.LoadReply.New()
 	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2})
 	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 5, nil)
 	if len(lr.Locations) != 2 || lr.Locations[0].Holders[0] != 2 || len(lr.Locations[1].Holders) != 0 {
@@ -172,11 +172,11 @@ func TestReplyHolderListsAreWindows(t *testing.T) {
 // them, and a larger batch may then grow it.
 func TestOneElementRecordsAreReused(t *testing.T) {
 	var p Pool
-	gm := p.GrantMsg.Get()
+	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants, ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Txn: 9, Fwd: forward.NewList(4)})
 	elem := &gm.Grants[0]
 	p.Release(gm)
-	if again := p.GrantMsg.Get(); again != gm || len(again.Grants) != 0 || cap(again.Grants) == 0 {
+	if again := p.GrantMsg.New(); again != gm || len(again.Grants) != 0 || cap(again.Grants) == 0 {
 		t.Fatalf("one-grant record not reused with its array: same %v, len %d cap %d", again == gm, len(again.Grants), cap(again.Grants))
 	}
 	if *elem != (ObjGrant{}) {
@@ -187,11 +187,11 @@ func TestOneElementRecordsAreReused(t *testing.T) {
 		t.Fatal("refilling a one-grant record moved its element array")
 	}
 
-	rm := p.RecallMsg.Get()
+	rm := p.RecallMsg.New()
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 4, DowngradeToShared: true})
 	first := &rm.Recalls[0]
 	p.Release(rm)
-	if again := p.RecallMsg.Get(); again != rm || len(again.Recalls) != 0 {
+	if again := p.RecallMsg.New(); again != rm || len(again.Recalls) != 0 {
 		t.Fatalf("one-recall record not reused: same %v, len %d", again == rm, len(again.Recalls))
 	}
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 6})
@@ -199,12 +199,12 @@ func TestOneElementRecordsAreReused(t *testing.T) {
 		t.Fatalf("refilled one-recall record: moved %v, element %+v", &rm.Recalls[0] != first, rm.Recalls[0])
 	}
 
-	cr := p.CommitRequest.Get()
+	cr := p.CommitRequest.New()
 	cr.Client, cr.Txn = 1, 9
 	cr.Objs, cr.Modes = append(cr.Objs, 4), append(cr.Modes, lockmgr.ModeShared)
 	obj := &cr.Objs[0]
 	p.Release(cr)
-	again := p.CommitRequest.Get()
+	again := p.CommitRequest.New()
 	if again != cr || again.Client != 0 || again.Txn != 0 || len(again.Objs) != 0 || len(again.Modes) != 0 {
 		t.Fatalf("one-access request after reuse: same %v, %+v", again == cr, *again)
 	}
@@ -223,12 +223,13 @@ func TestReleaseOfUnpooledPayloadPanics(t *testing.T) {
 	new(Pool).Release(Recall{Obj: 1})
 }
 
-// freeListPointers returns every pointer every free list of p holds.
+// freeListPointers returns every pointer the free list of every slab
+// of p holds.
 func freeListPointers(p *Pool) []uintptr {
 	var out []uintptr
 	v := reflect.ValueOf(p).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		free := v.Field(i).Field(0)
+		free := v.Field(i).FieldByName("free")
 		for j := 0; j < free.Len(); j++ {
 			out = append(out, free.Index(j).Pointer())
 		}
@@ -334,15 +335,15 @@ func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 var hotScratch [4]any
 
 func filledHot(p *Pool) []any {
-	q := p.CommitRequest.Get()
+	q := p.CommitRequest.New()
 	q.Client, q.Txn = 1, 9
 	q.Objs, q.Modes = append(q.Objs, 4), append(q.Modes, lockmgr.ModeShared)
 	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared, Txn: 9}
-	gm := p.GrantMsg.Get()
+	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants, g, g, g)
-	rm := p.RecallMsg.Get()
+	rm := p.RecallMsg.New()
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 4}, Recall{Obj: 5})
-	rt := p.ObjReturn.Get()
+	rt := p.ObjReturn.New()
 	rt.Client, rt.Obj, rt.RetainedSL = 1, 4, append(rt.RetainedSL, 2, 3)
 	hotScratch = [4]any{q, gm, rm, rt}
 	return hotScratch[:]

@@ -11,6 +11,7 @@ import (
 	"siteselect/internal/pagefile"
 	"siteselect/internal/proto"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 	"siteselect/internal/txn"
 	"siteselect/internal/wal"
 )
@@ -119,8 +120,9 @@ type Centralized struct {
 	locks    *lockmgr.Table
 	versions []int64
 	log      *wal.Log
-	// txnFree recycles finished transaction machines.
-	txnFree []*ceTxnMachine
+	// machines holds the transaction machines, one per transaction at the
+	// server; a finished one goes back with its frame and request arrays.
+	machines slab.Slab[ceTxnMachine]
 }
 
 // NewCentralized builds the CE-RTDBS.
@@ -157,7 +159,7 @@ func (m *ceTermMachine) Resume() {
 	if m.arrived {
 		t := term.gen.Next()
 		term.tracked = append(term.tracked, t)
-		sub := ce.payloads.TxnSubmit.Get()
+		sub := ce.payloads.TxnSubmit.New()
 		sub.T = t
 		ce.net.Send(netsim.Message{
 			Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
@@ -373,7 +375,7 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	}
 	t.Finished = ce.env.Now()
 	t.ExecSite = netsim.ServerSite
-	res := ce.payloads.UserResult.Get()
+	res := ce.payloads.UserResult.New()
 	res.Txn, res.Committed = t.ID, committed
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
@@ -381,21 +383,8 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	}, &ce.terminals[int(t.Origin)-1].inbox)
 }
 
-// popFree takes a finished transaction machine off free for reuse, or
-// makes a new one.
-func popFree[M any](free *[]*M) *M {
-	n := len(*free)
-	if n == 0 {
-		return new(M)
-	}
-	x := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return x
-}
-
 func (ce *Centralized) spawnTxn(t *txn.Transaction) {
-	x := popFree(&ce.txnFree)
+	x := ce.machines.New()
 	*x = ceTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}, locks: x.locks}
 	x.prio = t.Deadline.Seconds()
 	if ce.cfg.Scheduling == config.SchedFCFS {
@@ -440,7 +429,7 @@ func (m *ceTxnMachine) Resume() {
 		}
 	}
 	m.task.Detach()
-	m.ce.txnFree = append(m.ce.txnFree, m)
+	m.ce.machines.Keep(m)
 }
 
 // step runs one state; true means the machine parked.

@@ -2,9 +2,9 @@ package rtdbs
 
 import (
 	"siteselect/internal/config"
-	"siteselect/internal/lockmgr"
 	"siteselect/internal/occ"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 	"siteselect/internal/txn"
 )
 
@@ -18,8 +18,9 @@ type CentralizedOCC struct {
 	ceCore
 
 	valid *occ.Validator
-	// txnFree recycles finished transaction machines.
-	txnFree []*occTxnMachine
+	// machines holds the transaction machines; a finished one goes back
+	// with its frame and snapshot arrays.
+	machines slab.Slab[occTxnMachine]
 
 	// Restarts counts read-phase re-executions after failed validation.
 	Restarts int64
@@ -40,8 +41,8 @@ func NewCentralizedOCC(cfg config.Config) (*CentralizedOCC, error) {
 func (ce *CentralizedOCC) Validator() *occ.Validator { return ce.valid }
 
 func (ce *CentralizedOCC) spawnTxn(t *txn.Transaction) {
-	x := popFree(&ce.txnFree)
-	*x = occTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}}
+	x := ce.machines.New()
+	*x = occTxnMachine{ce: ce, t: t, snapshot: x.snapshot[:0], read: ceRead{frames: x.read.frames}}
 	ce.env.Spawn(&x.task, x)
 }
 
@@ -58,9 +59,7 @@ type occTxnMachine struct {
 	pc   uint8
 
 	slotHeld bool
-	objs     []lockmgr.ObjectID
-	writes   []bool
-	snapshot []int64
+	snapshot []int64 // the versions t.Ops read, in access order
 	read     ceRead
 }
 
@@ -80,7 +79,7 @@ func (m *occTxnMachine) Resume() {
 		}
 	}
 	m.task.Detach()
-	m.ce.txnFree = append(m.ce.txnFree, m)
+	m.ce.machines.Keep(m)
 }
 
 // step runs one state; true means the machine parked.
@@ -98,11 +97,6 @@ func (m *occTxnMachine) step() bool {
 		}
 		m.slotHeld = true
 		t.Status = txn.StatusRunning
-		m.objs = t.Objects()
-		m.writes = make([]bool, len(t.Ops))
-		for i, op := range t.Ops {
-			m.writes[i] = op.Write
-		}
 		m.pc = osAttempt
 	case osAttempt:
 		if m.task.Now() > t.Deadline {
@@ -110,7 +104,7 @@ func (m *occTxnMachine) step() bool {
 			return false
 		}
 		// Read phase: snapshot versions, fault pages in, no locks held.
-		m.snapshot = ce.valid.ReadSet(m.objs)
+		m.snapshot = ce.valid.ReadSet(t.Ops, m.snapshot[:0])
 		m.read.start(len(t.Ops))
 		m.pc = osRead
 	case osRead:
@@ -131,13 +125,12 @@ func (m *occTxnMachine) step() bool {
 			return false
 		}
 		// Validation + write phase (serialized, atomic in virtual time).
-		if ce.valid.Validate(m.objs, m.snapshot, m.writes) {
-			for i, obj := range m.objs {
-				dirty := m.writes[i]
-				if dirty {
-					m.read.frames[i].Stamp = uint64(ce.valid.Version(obj))
+		if ce.valid.Validate(t.Ops, m.snapshot) {
+			for i, op := range t.Ops {
+				if op.Write {
+					m.read.frames[i].Stamp = uint64(ce.valid.Version(op.Obj))
 				}
-				ce.pool.Unpin(m.read.frames[i], dirty)
+				ce.pool.Unpin(m.read.frames[i], op.Write)
 			}
 			clear(m.read.frames)
 			m.finish(true)

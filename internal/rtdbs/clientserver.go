@@ -11,7 +11,6 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
-	"siteselect/internal/proto"
 	"siteselect/internal/server"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
@@ -31,16 +30,13 @@ type Cluster struct {
 	cfg       config.Config
 	loadShare bool
 
-	env *sim.Env
-	net *netsim.Network
-	// payloads is this cluster's stock of message payload records,
-	// shared by its servers and clients and by no other cluster.
-	payloads proto.Pool
-	m        *metrics.Collector
-	topo     *shardmap.Map
-	servers  []*server.Server
-	clients  []client.Client
-	tr       *trace.Tracer
+	env     *sim.Env
+	net     *netsim.Network
+	m       *metrics.Collector
+	topo    *shardmap.Map
+	servers []*server.Server
+	clients []client.Client
+	tr      *trace.Tracer
 }
 
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
@@ -50,21 +46,23 @@ func NewClientServer(cfg config.Config) (*Cluster, error) {
 	cfg.UseH2 = false
 	cfg.UseDecomposition = false
 	cfg.UseForwardLists = false
-	return newCluster(cfg, false, new(cache.Slab), new(lockmgr.Slab))
+	return newCluster(cfg, false, new(client.Stock))
 }
 
 // NewLoadSharing builds the LS-CS-RTDBS with the configured feature
 // toggles (all on for the paper's system; ablations switch them off
 // selectively).
 func NewLoadSharing(cfg config.Config) (*Cluster, error) {
-	return newCluster(cfg, true, new(cache.Slab), new(lockmgr.Slab))
+	return newCluster(cfg, true, new(client.Stock))
 }
 
-// newCluster builds the cluster on the two slabs every site's cache and
-// every lock table — the shards' and the clients' local ones — carve
-// their records from and hand them back to; the sites keep no free lists.
-// (With nil each makes a private slab; a test holds the two to one Result.)
-func newCluster(cfg config.Config, loadShare bool, entries *cache.Slab, locks *lockmgr.Slab) (*Cluster, error) {
+// newCluster builds the cluster on the one stock every record its sites
+// recycle comes from and goes back to — message payloads, cache entries,
+// lock-table records (the shards' and the clients' local tables'),
+// transaction machines — and that no other cluster shares; the sites
+// keep no free lists. (With nil each site makes a private stock; a test
+// holds the two to one Result.)
+func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,7 +86,11 @@ func newCluster(cfg config.Config, loadShare bool, entries *cache.Slab, locks *l
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
-		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &c.payloads, locks, k, topo))
+		st := stock
+		if st == nil {
+			st = new(client.Stock)
+		}
+		c.servers = append(c.servers, server.NewShard(env, &c.cfg, net, &st.Payloads, &st.Locks, k, topo))
 	}
 	if topo.Multi() {
 		// Shard-to-shard mailboxes: every shard gets one peer inbox and
@@ -125,7 +127,7 @@ func newCluster(cfg config.Config, loadShare bool, entries *cache.Slab, locks *l
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
 		inboxes[id] = &mine[0]
-		c.clients[i-1].Init(env, &c.cfg, id, net, &c.payloads, entries, locks, c.m, mine, topo, &gens[i-1], loadShare)
+		c.clients[i-1].Init(env, &c.cfg, id, net, stock, c.m, mine, topo, &gens[i-1], loadShare)
 	}
 	for i := range c.clients {
 		c.clients[i].SetPeers(&inboxes)

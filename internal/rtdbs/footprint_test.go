@@ -58,12 +58,13 @@ clients swarm 10000 {
 // stay under a fixed number of heap bytes and allocations per client, on
 // the flat Table 1 path (config.Scale) and on the class path a scenario
 // compiles to, which is the one the benchmark's scale_100k builds. Both
-// readings repeat for a given Go release. go1.24: 2 455 B and 1.0
-// mallocs on the default path, 2 584 B and 1.0 on the class path — the
+// readings repeat for a given Go release. go1.24: 2 357 B and 1.0
+// mallocs on the default path, 2 486 B and 1.0 on the class path — the
 // one object a parked site still costs is its generator machine, which
-// dies before the site does (client.Start). With free lists of its own
-// in every cache and lock table, where a site now holds one pointer to
-// the system's slab, the same two read 2 519 and 2 648 B; before a
+// dies before the site does (client.Start). With free lists of machines
+// and exchange records in every client, where a site now holds one
+// pointer to the system's stock, the same two read 2 455 and 2 584 B;
+// with free lists in every cache and lock table too, 2 519 and 2 648; before a
 // population was carved from arrays, 2 692 B and 15.0 mallocs, 2 819 B
 // and 19.0; 2 831 and 16.0 before a lock table kept one record per owner
 // and a server one per attached site; the parent of the change that
@@ -94,8 +95,8 @@ func TestParkedClientFootprint(t *testing.T) {
 		cfg          config.Config
 		bytesCeiling float64
 	}{
-		{"default", config.Scale(clients), 2762},
-		{"class", compiled.Config, 2907},
+		{"default", config.Scale(clients), 2652},
+		{"class", compiled.Config, 2797},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.cfg.NumClients != clients {
@@ -136,15 +137,17 @@ func TestParkedClientFootprint(t *testing.T) {
 // and on the paper's own system, which nothing else pins: the ls-100
 // cell of Figure 3 at a short horizon, where every transaction that
 // meets a conflict takes an H2 decision and a tenth ask to be
-// decomposed. go1.24 reads 2.0 and 6.1 (16.3 and 32.2 before the run's
+// decomposed. go1.24 reads 1.4 and 4.0 (1.9 and 6.0 while every site
+// kept its own spent machines and exchange records, and payload records
+// were made one by one, where the system's stock now carves all three
+// from chunks and the sites share them; 16.3 and 32.2 before the run's
 // working set — cache entries, lock-table records and the arrays they
 // outgrow, the transactions themselves — was carved from slabs the
 // system owns, and the H2 round ran on pooled records and caller-owned
 // scratch; 69.3 on the first before payloads, batch windows and lock
-// queues were pooled). What is left is per site — maps, mailbox rings, a
-// machine and its vectors per executor slot, which a short run pays over
-// fewer transactions than the benchmark's half hour does — and forward
-// lists. The ceilings leave a third for what differs across the CI matrix (map
+// queues were pooled). What is left is per site — maps, mailbox rings,
+// the vectors a machine record has not grown yet when a site is the
+// first to run a transaction in it — and forward lists. The ceilings leave a third for what differs across the CI matrix (map
 // growth, mostly) and sit far below what one boxed payload per message
 // (+19 at the first cell's 19 messages a transaction), one object per
 // cached copy (+8) or one map per H2 decision costs.
@@ -162,10 +165,10 @@ func TestMallocsPerTransaction(t *testing.T) {
 		ceiling float64
 		busy    func(*rtdbs.Result) bool
 	}{
-		{"cs-sharded", sharded, rtdbs.NewClientServer, 2.7, func(r *rtdbs.Result) bool {
+		{"cs-sharded", sharded, rtdbs.NewClientServer, 1.9, func(r *rtdbs.Result) bool {
 			return r.BatchFlushes > 0 && r.RecallsSent > 0 && r.ReplicasInstalled > 0
 		}},
-		{"ls-100", ls100, rtdbs.NewLoadSharing, 8.1, func(r *rtdbs.Result) bool {
+		{"ls-100", ls100, rtdbs.NewLoadSharing, 5.4, func(r *rtdbs.Result) bool {
 			return r.M.ShippedTxns > 0 && r.M.DecomposedTxns > 0 && r.ForwardHops > 0
 		}},
 	} {

@@ -11,7 +11,6 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
-	"siteselect/internal/proto"
 	"siteselect/internal/rng"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
@@ -45,7 +44,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	topo := shardmap.New(cfg.Sharding)
 	maker := new(txn.Maker)
 	gen := txn.NewGenerator(rng.NewStream(4), 1, wc, maker)
-	var pool proto.Pool
+	var stock client.Stock
 	var m metrics.Collector
 
 	for _, tc := range []struct {
@@ -127,13 +126,13 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			return g
 		}, func() any { return txn.NewGenerator(rng.NewStream(5), 1, wc, maker) }},
 		{"client.Client", func() any {
-			c := client.New(env, &cfg, 2, net, &pool, nil, nil, &m, boxes, topo, gen, false)
+			c := client.New(env, &cfg, 2, net, &stock, &m, boxes, topo, gen, false)
 			c.Cache().Insert(7, lockmgr.ModeExclusive, true, 3)
 			c.Tracked = append(c.Tracked, &txn.Transaction{ID: 1})
 			c.Retries, c.ShippedIn = 4, 2
-			c.Init(env, &cfg, 1, net, &pool, nil, nil, &m, boxes, topo, gen, true)
+			c.Init(env, &cfg, 1, net, &stock, &m, boxes, topo, gen, true)
 			return c
-		}, func() any { return client.New(env, &cfg, 1, net, &pool, nil, nil, &m, boxes, topo, gen, true) }},
+		}, func() any { return client.New(env, &cfg, 1, net, &stock, &m, boxes, topo, gen, true) }},
 	} {
 		used, fresh := tc.used(), tc.fresh()
 		if !reflect.DeepEqual(used, fresh) {

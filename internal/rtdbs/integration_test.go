@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"siteselect/internal/cache"
+	"siteselect/internal/client"
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
@@ -687,10 +688,13 @@ func TestOutageMessagesDrainAfterRestart(t *testing.T) {
 }
 
 // TestSharedSlabsMatchPrivateOnes: where a record comes from is not
-// behaviour. A cluster whose sites draw cache entries and lock-table
-// records from the system's two slabs — a record one site hands back is
-// the next any site takes — and one whose every cache and table made a
-// slab of its own return the same Result, field for field, on the
+// behaviour. A cluster whose sites draw everything they recycle — cache
+// entries, lock-table records, transaction machines, message payloads,
+// the scratch of a site-selection decision — from the system's one
+// stock, where a record one site hands back is the next any site takes,
+// and one whose every site and shard made a stock of its own (a payload
+// then goes back to the receiver's pool, not the sender's) return the
+// same Result, field for field, on the
 // write-heavy sharded path and on the load-sharing one (forward lists,
 // decomposition, local lock tables under four executors).
 func TestSharedSlabsMatchPrivateOnes(t *testing.T) {
@@ -704,8 +708,8 @@ func TestSharedSlabsMatchPrivateOnes(t *testing.T) {
 		{"cs-sharded", sharded, false},
 		{"ls", smallConfig(10, 0.10), true},
 	} {
-		run := func(entries *cache.Slab, locks *lockmgr.Slab) *Result {
-			c, err := newCluster(tc.cfg, tc.loadShare, entries, locks)
+		run := func(stock *client.Stock) *Result {
+			c, err := newCluster(tc.cfg, tc.loadShare, stock)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -715,12 +719,12 @@ func TestSharedSlabsMatchPrivateOnes(t *testing.T) {
 			}
 			return res
 		}
-		shared, private := run(new(cache.Slab), new(lockmgr.Slab)), run(nil, nil)
+		shared, private := run(new(client.Stock)), run(nil)
 		if shared.M.Committed == 0 || shared.RecallsSent == 0 {
 			t.Fatalf("%s: cell too quiet to compare: %d committed, %d recalls", tc.name, shared.M.Committed, shared.RecallsSent)
 		}
 		if !reflect.DeepEqual(shared, private) {
-			t.Errorf("%s: Result differs between shared and private slabs:\n shared  %+v\n private %+v", tc.name, shared, private)
+			t.Errorf("%s: Result differs between a shared stock and private ones:\n shared  %+v\n private %+v", tc.name, shared, private)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
-	"siteselect/internal/proto"
 	"siteselect/internal/server"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
@@ -58,9 +57,9 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	cfg.UseH1, cfg.UseH2, cfg.UseDecomposition, cfg.UseForwardLists = false, false, false, false
 	cfg.Warmup, cfg.Duration = 0, 1000*time.Hour
 	net := netsim.New(env, netsim.Config{Latency: cfg.NetLatency, BandwidthBps: cfg.NetBandwidthBps})
-	var payloads proto.Pool
+	var stock client.Stock
 	var m metrics.Collector
-	srv := server.New(env, &cfg, net, &payloads)
+	srv := server.New(env, &cfg, net, &stock.Payloads)
 	topo := shardmap.New(cfg.Sharding)
 
 	var nextID txn.ID
@@ -77,7 +76,7 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 			next: time.Duration(i) * 10 * time.Second, period: 20 * time.Second, nextID: &nextID,
 		}
 		src.t.Origin = id
-		clients[i] = client.New(env, &cfg, id, net, &payloads, nil, nil, &m, boxes, topo, src, false)
+		clients[i] = client.New(env, &cfg, id, net, &stock, &m, boxes, topo, src, false)
 		// Room for every transaction the test generates: the generated
 		// transactions are the run's result, not message bookkeeping.
 		clients[i].Tracked = make([]*txn.Transaction, 0, 4096)

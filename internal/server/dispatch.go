@@ -360,14 +360,8 @@ func (s *Server) flushShips() {
 	intents := s.shipIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].to },
 		func(to netsim.SiteID, members []int) {
-			var m *batchShipMachine
-			if k := len(s.batchShipFree); k > 0 {
-				m = s.batchShipFree[k-1]
-				s.batchShipFree = s.batchShipFree[:k-1]
-			} else {
-				m = &batchShipMachine{s: s}
-			}
-			m.to, m.msg, m.pages = to, s.payloads.GrantMsg.Get(), m.pages[:0]
+			m := s.ships.New()
+			m.s, m.to, m.msg, m.pages = s, to, s.payloads.GrantMsg.New(), m.pages[:0]
 			for _, i := range members {
 				m.msg.Grants = append(m.msg.Grants, intents[i].grant)
 				m.pages = append(m.pages, pagefile.PageID(intents[i].grant.Obj))
@@ -384,7 +378,7 @@ func (s *Server) flushRecalls() {
 	intents := s.recallIntents
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].holder },
 		func(to netsim.SiteID, members []int) {
-			msg := s.payloads.RecallMsg.Get()
+			msg := s.payloads.RecallMsg.New()
 			for _, i := range members {
 				msg.Recalls = append(msg.Recalls, intents[i].recall)
 			}
@@ -395,8 +389,9 @@ func (s *Server) flushRecalls() {
 
 // batchShipMachine is the asynchronous half of a ship: read every page of
 // the grants bound for one destination through the pool in sequence,
-// send the message that carries them, then detach and return itself to
-// the server's free list so steady-state ships allocate nothing.
+// send the message that carries them, then detach and go back to the
+// shard's slab with its page buffer, so steady-state ships allocate
+// nothing.
 type batchShipMachine struct {
 	task sim.Task
 	s    *Server
@@ -419,7 +414,7 @@ func (m *batchShipMachine) Resume() {
 	s.send(m.to, netsim.KindObjectShip, len(m.msg.Grants)*netsim.ObjectBytes, m.msg)
 	m.task.Detach()
 	m.msg = nil
-	s.batchShipFree = append(s.batchShipFree, m)
+	s.ships.Keep(m)
 }
 
 // onSeal receives a sealed forward list from the collector: merge it

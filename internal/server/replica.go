@@ -104,7 +104,7 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 		return 0, false
 	}
 	s.RequestsForwarded++
-	q := s.payloads.CommitRequest.Get()
+	q := s.payloads.CommitRequest.New()
 	q.Client, q.Txn, q.Deadline = r.Client, r.Txn, r.Deadline
 	q.Objs, q.Modes = append(q.Objs, r.Obj), append(q.Modes, r.Mode)
 	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes, q)
@@ -173,7 +173,7 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	o.heatStart, o.heatN = 0, 0
 	o.replicaOut = true
 	s.ReplicasInstalled++
-	in := s.payloads.ReplicaInstall.Get()
+	in := s.payloads.ReplicaInstall.New()
 	*in = proto.ReplicaInstall{Obj: obj, Version: s.versions[obj]}
 	s.send(shardmap.ShardSite(target), netsim.KindObjectShip, netsim.ObjectBytes, in)
 }
@@ -315,7 +315,7 @@ func (s *Server) finishShedIfDrained(obj lockmgr.ObjectID) {
 	}
 	o := s.rec(obj)
 	o.replica, o.repHeat = repNone, 0
-	ret := s.payloads.ObjReturn.Get()
+	ret := s.payloads.ObjReturn.New()
 	ret.Client, ret.Obj = s.site, obj
 	s.send(shardmap.ShardSite(s.topo.HomeShard(obj)), netsim.KindObjectReturn, netsim.ControlBytes, ret)
 }

@@ -63,13 +63,13 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 	var version int64
 	request := func(from int) {
 		id++
-		q := s.payloads.CommitRequest.Get()
+		q := s.payloads.CommitRequest.New()
 		q.Client, q.Txn, q.Deadline = netsim.SiteID(from), id, r.env.Now()+time.Minute
 		q.Objs, q.Modes = append(q.Objs, 43), append(q.Modes, lockmgr.ModeExclusive)
 		r.send(from, netsim.KindObjectRequest, q)
 	}
 	giveBack := func(from int, hasData bool) {
-		ret := s.payloads.ObjReturn.Get()
+		ret := s.payloads.ObjReturn.New()
 		ret.Client, ret.Obj, ret.HasData, ret.Version = netsim.SiteID(from), 43, hasData, version
 		r.send(from, netsim.KindObjectReturn, ret)
 	}

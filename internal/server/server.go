@@ -106,15 +106,15 @@ type Server struct {
 	shipIntents   []shipIntent
 	recallIntents []recallIntent
 
-	// batchShipFree recycles completed ship machines.
-	batchShipFree []*batchShipMachine
+	// ships holds the ship machines, one while its page reads are parked.
 	// puts holds the page-install ops of returns carrying data: a
 	// connection has one only while its install is parked, so the slab
 	// grows to the installs in flight, not to the connection count. reqs
 	// holds the lock requests: one resolved in place goes back at once, a
 	// queued one when it surfaces in an admit batch and is shipped.
-	puts slab.Slab[pagefile.PutOp]
-	reqs slab.Slab[lockmgr.Request]
+	ships slab.Slab[batchShipMachine]
+	puts  slab.Slab[pagefile.PutOp]
+	reqs  slab.Slab[lockmgr.Request]
 	// siteScratch, holderScratch, flushMark and flushGroup are reusable
 	// buffers for the per-message aggregations (loadsFor, one object's
 	// holders, eachGroup); what they gather is copied into the reply
@@ -580,7 +580,7 @@ func (s *Server) send(to netsim.SiteID, kind netsim.Kind, size int, payload any)
 
 // deny refuses one request.
 func (s *Server) deny(to netsim.SiteID, d proto.DenyReply) {
-	p := s.payloads.DenyReply.Get()
+	p := s.payloads.DenyReply.New()
 	*p = d
 	s.send(to, netsim.KindLockReply, netsim.ControlBytes, p)
 }
@@ -596,7 +596,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		return
 	}
 	// Built in a pooled record's own arrays; the client copies it out.
-	reply := s.payloads.ConflictReply.Get()
+	reply := s.payloads.ConflictReply.New()
 	for i, obj := range req.Objs {
 		if !s.servesObj(obj, req.Modes[i]) {
 			// The object moved off this shard (its replica was recalled
@@ -852,7 +852,7 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 }
 
 func (s *Server) handleLoadQuery(q proto.LoadQuery) {
-	reply := s.payloads.LoadReply.Get()
+	reply := s.payloads.LoadReply.New()
 	reply.Txn = q.Txn
 	for _, obj := range q.Objs {
 		if s.holderScratch = s.holdersFor(s.holderScratch[:0], obj, q.Client); len(s.holderScratch) > 0 {

@@ -1,9 +1,11 @@
 // Package slab carves the records of one type from chunks, so that a
-// run's working set — cache entries, lock-table records, transactions —
-// costs the allocator one object per few hundred records, not one each.
-// A Slab belongs to the system it serves, as proto.Pool does, and is
-// shared by its sites, which keep no free lists of their own (DESIGN.md,
-// "Record ownership"). Single-threaded; the zero Slab is ready to use.
+// run's working set — cache entries, lock-table records, transactions,
+// machines, message payloads — costs the allocator one object per few
+// hundred records, not one each. A Slab belongs to the system it serves
+// and is shared by its sites: it is the one thing in the tree that pops
+// a spent record or makes a new one, and sites keep no free lists of
+// their own (DESIGN.md, "Record ownership"). Single-threaded; the zero
+// Slab is ready to use.
 package slab
 
 import (
@@ -29,13 +31,15 @@ const (
 type Slab[T any] struct {
 	tail  []T // the uncarved rest of the newest chunk
 	chunk int // the length of the next one
-	// free holds the records handed back, blocks the blocks handed back
-	// by the log2 of their capacity; both zeroed.
+	// free holds the records handed back — zeroed by Put, as their owner
+	// left them by Keep — blocks the zeroed blocks handed back, by the
+	// log2 of their capacity.
 	free   []*T
 	blocks [][][]T
 }
 
-// New returns a zeroed record: the last one handed back, or a new one.
+// New returns the record last handed back — zeroed if by Put, exactly as
+// its owner left it if by Keep — or, with none, a new zeroed one.
 func (s *Slab[T]) New() *T {
 	if n := len(s.free); n > 0 {
 		x := s.free[n-1]
@@ -50,6 +54,12 @@ func (s *Slab[T]) Put(x *T) {
 	*x = *new(T)
 	s.free = append(s.free, x)
 }
+
+// Keep keeps x, a record New returned, for the next New as it is: reset
+// by its owner, vectors emptied with their capacity, and pinning no
+// garbage — pointer fields and pointer-bearing vectors (to capacity)
+// are the owner's to clear first.
+func (s *Slab[T]) Keep(x *T) { s.free = append(s.free, x) }
 
 // Block returns n contiguous zeroed records, a slice of that length and
 // capacity: a block of that capacity handed back earlier, the next n of

@@ -170,3 +170,44 @@ func TestInsertGrowsThroughBlocks(t *testing.T) {
 		t.Error("a dropped block was not the next one of its size taken, zeroed")
 	}
 }
+
+// TestKeepHandsBackAsLeft: a record handed back with Keep is the next
+// one taken, exactly as its owner left it — the vector it emptied still
+// has its array — where Put hands back a zeroed one; the two interleave
+// on one free list, last in first out; and with the list empty the next
+// record is a fresh one, zero.
+func TestKeepHandsBackAsLeft(t *testing.T) {
+	type machine struct {
+		site *int
+		buf  []int
+	}
+	var s Slab[machine]
+	site := 7
+	a, b, c := s.New(), s.New(), s.New()
+	for _, m := range []*machine{a, b, c} {
+		m.site, m.buf = &site, append(m.buf, 1, 2, 3)
+	}
+	arrays := []*int{&a.buf[0], &b.buf[0], &c.buf[0]}
+
+	a.site, a.buf = nil, a.buf[:0] // the owner's reset
+	s.Keep(a)
+	s.Put(b)
+	c.buf = c.buf[:0] // Keep does not reset: what the owner leaves stays
+	s.Keep(c)
+
+	if x := s.New(); x != c || x.site != &site || len(x.buf) != 0 || &x.buf[:1][0] != arrays[2] {
+		t.Errorf("kept record came back as %+v, want the third as left (site kept, array kept)", *x)
+	}
+	if x := s.New(); x != b || x.site != nil || x.buf != nil {
+		t.Errorf("put record came back as %+v, want the second, zeroed", *x)
+	}
+	if x := s.New(); x != a || x.site != nil || len(x.buf) != 0 || cap(x.buf) < 3 || &x.buf[:1][0] != arrays[0] {
+		t.Errorf("kept record came back as %+v, want the first, reset with its array", *x)
+	}
+	if x := s.New(); x == a || x == b || x == c || x.site != nil || x.buf != nil {
+		t.Errorf("with nothing handed back New returned %+v, want a fresh zero record", *x)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Keep(s.New()) }); n != 0 {
+		t.Errorf("New and Keep of a warm slab allocate %v, want 0", n)
+	}
+}
