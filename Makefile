@@ -42,7 +42,9 @@ study-lint:
 # reaches everything it knows about an object through Server.objs and
 # about a client through Server.sites, so no struct in internal/server
 # has a map field at all (a rule that names the key type misses a map
-# keyed by a struct of two ids); the lock table reaches everything it
+# keyed by a struct of two ids), nor one in internal/forward (an
+# object's forward lists, the one still collecting included, are fields
+# of its record; the collection window is a clock); the lock table reaches everything it
 # knows about an owner through Table.owners (no second owner-keyed map);
 # and the once-per-system indexes keyed by a dense id — the buffer pool's
 # by page, the shard map's by object — are slices. It keeps spent
@@ -51,8 +53,8 @@ study-lint:
 # event pool and spare goroutines aside, which are not records — and the
 # two pop-or-make helpers slab.Slab replaced do not come back.
 state-lint:
-	@if grep -nE '^\s+\w+(, \w+)*\s+\*?map\[' internal/server/*.go | grep -v '_test\.go:'; then \
-		echo 'state-lint: no map fields in internal/server: per-object state belongs in objState (Server.objs), per-client state in site (Server.sites)' >&2; exit 1; fi
+	@if grep -nE '^\s+\w+(, \w+)*\s+\*?map\[' internal/server/*.go internal/forward/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: no map fields in internal/server or internal/forward: per-object state belongs in objState (Server.objs), forward lists too, per-client state in site (Server.sites)' >&2; exit 1; fi
 	@if grep -nE '^\s+\w+\s+map\[(lockmgr\.ObjectID|PageID)\]' internal/pagefile/*.go internal/shardmap/*.go | grep -v '_test\.go:'; then \
 		echo 'state-lint: page and object ids are dense: index a slice (BufferPool.frames, Map.replicas)' >&2; exit 1; fi
 	@if [ "$$(grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | grep -vc '_test\.go:')" -gt 1 ]; then \

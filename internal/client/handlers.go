@@ -18,12 +18,12 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 		// The grant was sent before the server processed one of our
 		// releases: the registration it delivers no longer exists and
 		// the copy must not be cached or served.
-		if g.Fwd != nil && g.Fwd.ReadRun {
-			c.hopReadRun(g) // keep the run moving for the others
-		} else if c.faulty && g.Fwd != nil {
-			// Dropping a migration hop here would strand every downstream
-			// entry of the chain: pass the object on without caching it.
-			c.hopStaleMigration(g)
+		// A read run keeps moving for the others. Dropping a migration
+		// hop here (possible only under fault injection) would strand
+		// every downstream entry of the chain: pass the object on without
+		// caching it.
+		if g.Fwd != nil && (g.Fwd.ReadRun || c.faulty) {
+			c.hopOn(g)
 		}
 		return
 	}
@@ -77,7 +77,7 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 		// Parallel read run: this site keeps its copy and the object
 		// hops onward immediately — downstream readers don't wait for
 		// our transaction.
-		c.hopReadRun(g)
+		c.hopOn(g)
 		return
 	}
 	// A migration hop is claimed by whatever local transaction it
@@ -98,66 +98,41 @@ func (c *Client) takeDeferredIfUnpinned(obj lockmgr.ObjectID) (deferredRecall, b
 	return deferredRecall{}, false
 }
 
-// hopStaleMigration keeps an exclusive migration chain alive when this
-// site must not accept the hop (its epoch shows the registration was
-// released while the hop was in flight — possible only under fault
-// injection, where extra latency can reorder a hop past a recall
-// answer). The object is passed to the next live entry without caching
-// it here, or returned to the server when the chain is spent.
-func (c *Client) hopStaleMigration(g proto.ObjGrant) {
+// hopOn passes on an object this site will not keep working on: to the
+// next live entry of its forward list that names another site (this
+// site's own entries were served by the arriving copy, or are as stale
+// as it), or, the list spent, home. A parallel-read run ends with its
+// acknowledgement — the +1 of the 2n+1 message count — which lets
+// writers at the object again. An exclusive chain comes here only when
+// this site must not accept the hop (its epoch shows the registration
+// was released while the hop was in flight, which fault injection's
+// extra latency makes possible) and ends with the object's data.
+func (c *Client) hopOn(g proto.ObjGrant) {
 	l := g.Fwd
 	now := c.env.Now()
 	for {
-		next, ok, _ := l.PopLive(now)
+		next, ok := l.PopLive(now)
 		if !ok {
+			size, ret := netsim.ControlBytes, proto.ObjReturn{RunComplete: true}
+			if !l.ReadRun {
+				size, ret = netsim.ObjectBytes, proto.ObjReturn{
+					HasData: true, Version: g.Version, Migration: true, RetainedSL: l.Retained,
+				}
+			}
 			home := c.homeSite(g.Obj)
-			c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
-				Client: c.id, Obj: g.Obj, HasData: true, Version: g.Version,
-				Migration: true, RetainedSL: l.Retained,
-				Epoch: c.epochOf(g.Obj, home), Load: c.loadReport(),
-			})
+			ret.Client, ret.Obj = c.id, g.Obj
+			ret.Epoch, ret.Load = c.epochOf(g.Obj, home), c.loadReport()
+			c.sendReturn(home, size, ret)
 			return
 		}
 		if next.Client == c.id {
-			continue // same stale registration; skip our own entries too
+			continue
 		}
 		c.ForwardHops++
 		c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, g.Obj, int64(next.Client), 0, now)
 		c.sendHop(next.Client, proto.ObjGrant{
 			Obj: g.Obj, Mode: next.Mode, Version: g.Version, Txn: next.Txn,
 			Epoch: next.Epoch, Fwd: l,
-		})
-		return
-	}
-}
-
-// hopReadRun forwards a parallel-read object to the next live entry of
-// its run; every run member already holds a registered SL and read-only
-// data stays current, so only the final acknowledgement travels back.
-func (c *Client) hopReadRun(g proto.ObjGrant) {
-	for {
-		next, ok, _ := g.Fwd.PopLive(c.env.Now())
-		if !ok {
-			// Last member: acknowledge the run so the server can let
-			// writers at the object again (the forward list's final
-			// return — the +1 of the 2n+1 message count).
-			home := c.homeSite(g.Obj)
-			c.sendReturn(home, netsim.ControlBytes, proto.ObjReturn{
-				Client: c.id, Obj: g.Obj, RunComplete: true,
-				Epoch: c.epochOf(g.Obj, home), Load: c.loadReport(),
-			})
-			return
-		}
-		if next.Client == c.id {
-			// Consecutive entries for this same site: its waiters were
-			// already satisfied by the arriving copy.
-			continue
-		}
-		c.ForwardHops++
-		c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, g.Obj, int64(next.Client), 0, c.env.Now())
-		c.sendHop(next.Client, proto.ObjGrant{
-			Obj: g.Obj, Mode: next.Mode, Version: g.Version, Txn: next.Txn,
-			Epoch: next.Epoch, Fwd: g.Fwd,
 		})
 		return
 	}
@@ -382,7 +357,7 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 	}
 	now := c.env.Now()
 	for {
-		next, ok, _ := l.PopLive(now)
+		next, ok := l.PopLive(now)
 		if ok && next.Client == c.id {
 			// Our own next turn: the migration holds the object
 			// exclusively at the global level, so the local mode can be

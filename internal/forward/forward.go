@@ -48,8 +48,6 @@ type List struct {
 	// exclusive entry remains downstream); the server registers these
 	// SLs when the object returns.
 	Retained []netsim.SiteID
-	seq      []int64
-	nextSeq  int64
 }
 
 // Contains reports whether an entry for (client, id) is on the list —
@@ -63,26 +61,13 @@ func (l *List) Contains(client netsim.SiteID, id txn.ID) bool {
 	return false
 }
 
-// Wellformed verifies the list's structural invariants — entries sorted
-// by (deadline, insertion order) with parallel seq bookkeeping — and
-// returns the first violation. The invariant monitor and the fuzz
-// targets run it after every mutation.
+// Wellformed verifies the list's structural invariant — entries in
+// nondecreasing deadline order — and returns the first violation. The
+// invariant monitor and the fuzz targets run it after every mutation.
 func (l *List) Wellformed() error {
-	if len(l.seq) != len(l.Entries) {
-		return fmt.Errorf("forward: list %d has %d entries but %d seqs", l.Obj, len(l.Entries), len(l.seq))
-	}
 	for i := 1; i < len(l.Entries); i++ {
-		prev, cur := l.Entries[i-1], l.Entries[i]
-		if prev.Deadline > cur.Deadline {
+		if prev, cur := l.Entries[i-1], l.Entries[i]; prev.Deadline > cur.Deadline {
 			return fmt.Errorf("forward: list %d out of deadline order at %d (%v > %v)", l.Obj, i, prev.Deadline, cur.Deadline)
-		}
-		if prev.Deadline == cur.Deadline && l.seq[i-1] > l.seq[i] {
-			return fmt.Errorf("forward: list %d breaks FIFO tie order at %d", l.Obj, i)
-		}
-	}
-	for i, s := range l.seq {
-		if s <= 0 || s > l.nextSeq {
-			return fmt.Errorf("forward: list %d has seq %d out of range at %d", l.Obj, s, i)
 		}
 	}
 	return nil
@@ -104,40 +89,28 @@ func NewList(obj lockmgr.ObjectID) *List { return &List{Obj: obj} }
 // Len returns the number of pending entries.
 func (l *List) Len() int { return len(l.Entries) }
 
-// Insert adds e keeping deadline order (ties FIFO).
+// Insert adds e keeping deadline order, ties in arrival order: e goes
+// before the first entry with a later deadline.
 func (l *List) Insert(e Entry) {
-	l.nextSeq++
-	seq := l.nextSeq
-	i := sort.Search(len(l.Entries), func(i int) bool {
-		if l.Entries[i].Deadline != e.Deadline {
-			return l.Entries[i].Deadline > e.Deadline
-		}
-		return l.seq[i] > seq
-	})
+	i := sort.Search(len(l.Entries), func(i int) bool { return l.Entries[i].Deadline > e.Deadline })
 	l.Entries = append(l.Entries, Entry{})
-	l.seq = append(l.seq, 0)
 	copy(l.Entries[i+1:], l.Entries[i:])
-	copy(l.seq[i+1:], l.seq[i:])
 	l.Entries[i] = e
-	l.seq[i] = seq
 }
 
 // PopLive removes and returns the first entry whose deadline has not
-// passed at now, together with the dead entries skipped over (the paper's
+// passed at now, dropping the dead entries before it (the paper's
 // "deadline information ... is used to ignore transactions that have
 // missed their deadlines"). ok is false when no live entry remains.
-func (l *List) PopLive(now time.Duration) (e Entry, ok bool, skipped []Entry) {
+func (l *List) PopLive(now time.Duration) (e Entry, ok bool) {
 	for len(l.Entries) > 0 {
 		head := l.Entries[0]
 		l.Entries = l.Entries[1:]
-		l.seq = l.seq[1:]
-		if head.Deadline < now {
-			skipped = append(skipped, head)
-			continue
+		if head.Deadline >= now {
+			return head, true
 		}
-		return head, true, skipped
 	}
-	return Entry{}, false, skipped
+	return Entry{}, false
 }
 
 // Last returns the final live entry — the client the server reports as
@@ -151,132 +124,75 @@ func (l *List) Last(now time.Duration) (Entry, bool) {
 	return Entry{}, false
 }
 
-// ParallelReadRun returns how many leading entries form a shared-mode
-// (read-only) run that may access the object in parallel.
-func (l *List) ParallelReadRun() int {
-	n := 0
-	for _, e := range l.Entries {
-		if e.Mode != lockmgr.ModeShared {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// PopRun removes and returns the leading run of live entries that share
-// the first live entry's mode, skipping dead entries anywhere in the
-// run. A shared run may be served in parallel (the paper's parallel
-// read-only annotation); an exclusive run forms a migration pipeline.
-func (l *List) PopRun(now time.Duration) (run []Entry, skipped []Entry) {
+// PopRun removes the leading run of live entries that share the first
+// live entry's mode, dropping dead entries anywhere in the run, and
+// appends it to run. A shared run may be served in parallel (the paper's
+// parallel read-only annotation); an exclusive run forms a migration
+// pipeline.
+func (l *List) PopRun(run []Entry, now time.Duration) []Entry {
 	var mode lockmgr.Mode
 	for len(l.Entries) > 0 {
 		head := l.Entries[0]
-		if head.Deadline < now {
-			skipped = append(skipped, head)
-			l.Entries = l.Entries[1:]
-			l.seq = l.seq[1:]
-			continue
+		if head.Deadline >= now {
+			if mode == 0 {
+				mode = head.Mode
+			}
+			if head.Mode != mode {
+				break
+			}
+			run = append(run, head)
 		}
-		if mode == 0 {
-			mode = head.Mode
-		}
-		if head.Mode != mode {
-			break
-		}
-		run = append(run, head)
 		l.Entries = l.Entries[1:]
-		l.seq = l.seq[1:]
 	}
-	return run, skipped
+	return run
 }
 
 // Clone returns a deep copy (the server ships a copy with the object).
 func (l *List) Clone() *List {
-	c := &List{Obj: l.Obj, ReadRun: l.ReadRun, nextSeq: l.nextSeq}
+	c := &List{Obj: l.Obj, ReadRun: l.ReadRun}
 	c.Entries = append([]Entry(nil), l.Entries...)
 	c.Retained = append([]netsim.SiteID(nil), l.Retained...)
-	c.seq = append([]int64(nil), l.seq...)
 	return c
 }
 
-// Collector batches requests per object over a collection window. The
-// first Add for an object opens its window; when the window elapses the
-// list is sealed and handed to onSeal. With a zero window the list seals
-// immediately (grouping effectively off).
+// Collector is the collection-window clock: Open starts an object's
+// window, and when the window elapses the owner's seal runs for the
+// object. The lists themselves are the owner's (the server keeps an
+// object's still-collecting list in its record). Every window is the
+// same length, so windows close in the order they opened: the collector
+// posts itself as one event per window and queues the objects, and each
+// firing seals the oldest. A window whose list was sealed early still
+// fires; seal then finds nothing, or the list a later request opened.
 type Collector struct {
 	env    *sim.Env
 	window time.Duration
-	onSeal func(*List)
-	open   map[lockmgr.ObjectID]*List
-
-	// Sealed counts lists handed to onSeal; Grouped counts entries that
-	// shared a list with at least one other entry.
-	Sealed  int64
-	Grouped int64
-
-	// TraceSeal, when set, observes every sealed list just before it is
-	// handed to onSeal (tracing).
-	TraceSeal func(*List)
+	seal   func(lockmgr.ObjectID)
+	// fifo[head:] are the objects whose windows are open, oldest first.
+	fifo []lockmgr.ObjectID
+	head int
 }
 
-// NewCollector returns a collector sealing lists with onSeal after
-// window.
-func NewCollector(env *sim.Env, window time.Duration, onSeal func(*List)) *Collector {
-	return &Collector{
-		env:    env,
-		window: window,
-		onSeal: onSeal,
-		open:   make(map[lockmgr.ObjectID]*List),
-	}
+// Init readies c to call seal(obj) window after each Open(obj); window
+// is not negative. A zero window closes at the instant it opens, after
+// every event already due then.
+func (c *Collector) Init(env *sim.Env, window time.Duration, seal func(lockmgr.ObjectID)) {
+	*c = Collector{env: env, window: window, seal: seal}
 }
 
-// Pending returns the open (not yet sealed) list for obj, or nil.
-func (c *Collector) Pending(obj lockmgr.ObjectID) *List { return c.open[obj] }
-
-// OpenLists returns the still-collecting lists in ascending object
-// order (for audits).
-func (c *Collector) OpenLists() []*List {
-	objs := make([]lockmgr.ObjectID, 0, len(c.open))
-	for obj := range c.open {
-		objs = append(objs, obj)
+// Open starts a collection window for obj.
+func (c *Collector) Open(obj lockmgr.ObjectID) {
+	if c.head > 0 && len(c.fifo) == cap(c.fifo) {
+		c.fifo, c.head = c.fifo[:copy(c.fifo, c.fifo[c.head:])], 0
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	out := make([]*List, len(objs))
-	for i, obj := range objs {
-		out[i] = c.open[obj]
-	}
-	return out
+	c.fifo = append(c.fifo, obj)
+	c.env.AtHook(c.env.Now()+c.window, c)
 }
 
-// SealNow closes obj's window early (the object became available before
-// the window elapsed; waiting longer would only add latency). The
-// original window timer becomes a no-op.
-func (c *Collector) SealNow(obj lockmgr.ObjectID) { c.seal(obj) }
-
-// Add queues e for obj, opening a collection window on first use.
-func (c *Collector) Add(obj lockmgr.ObjectID, e Entry) {
-	l, ok := c.open[obj]
-	if !ok {
-		l = NewList(obj)
-		c.open[obj] = l
-		c.env.Schedule(c.window, func() { c.seal(obj) })
+// RunEvent closes the oldest open window. It implements sim.EventHook.
+func (c *Collector) RunEvent() {
+	obj := c.fifo[c.head]
+	if c.head++; c.head == len(c.fifo) {
+		c.fifo, c.head = c.fifo[:0], 0
 	}
-	l.Insert(e)
-}
-
-func (c *Collector) seal(obj lockmgr.ObjectID) {
-	l, ok := c.open[obj]
-	if !ok {
-		return
-	}
-	delete(c.open, obj)
-	c.Sealed++
-	if l.Len() > 1 {
-		c.Grouped += int64(l.Len())
-	}
-	if c.TraceSeal != nil {
-		c.TraceSeal(l)
-	}
-	c.onSeal(l)
+	c.seal(obj)
 }

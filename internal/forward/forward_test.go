@@ -42,19 +42,16 @@ func TestPopLiveSkipsDead(t *testing.T) {
 	l.Insert(Entry{Client: 1, Deadline: 5 * time.Second})
 	l.Insert(Entry{Client: 2, Deadline: 15 * time.Second})
 	l.Insert(Entry{Client: 3, Deadline: 25 * time.Second})
-	e, ok, skipped := l.PopLive(10 * time.Second)
+	e, ok := l.PopLive(10 * time.Second)
 	if !ok || e.Client != 2 {
 		t.Fatalf("PopLive = %+v ok=%v", e, ok)
 	}
-	if len(skipped) != 1 || skipped[0].Client != 1 {
-		t.Fatalf("skipped = %v", skipped)
+	// Client 1's dead entry went with it; client 3's is left.
+	if l.Len() != 1 || l.Entries[0].Client != 3 {
+		t.Fatalf("left = %v", l.Entries)
 	}
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
-	}
-	_, ok, skipped = l.PopLive(100 * time.Second)
-	if ok || len(skipped) != 1 {
-		t.Fatalf("all-dead pop: ok=%v skipped=%v", ok, skipped)
+	if _, ok = l.PopLive(100 * time.Second); ok || l.Len() != 0 {
+		t.Fatalf("all-dead pop: ok=%v len=%d", ok, l.Len())
 	}
 }
 
@@ -83,8 +80,8 @@ func TestParallelReadRun(t *testing.T) {
 	l.Insert(Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: 2 * time.Second})
 	l.Insert(Entry{Client: 3, Mode: lockmgr.ModeExclusive, Deadline: 3 * time.Second})
 	l.Insert(Entry{Client: 4, Mode: lockmgr.ModeShared, Deadline: 4 * time.Second})
-	if run := l.ParallelReadRun(); run != 2 {
-		t.Fatalf("parallel run = %d, want 2", run)
+	if run := l.PopRun(nil, 0); len(run) != 2 || run[1].Client != 2 {
+		t.Fatalf("parallel run = %v, want clients 1 and 2", run)
 	}
 }
 
@@ -98,15 +95,43 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// windowRig is a collector's owner: it keeps each object's open list and
+// moves it to sealed when the collector says the window closed.
+type windowRig struct {
+	env    *sim.Env
+	c      Collector
+	open   [4]*List
+	sealed []*List
+}
+
+func newWindowRig(window time.Duration) *windowRig {
+	w := &windowRig{env: sim.NewEnv()}
+	w.c.Init(w.env, window, func(obj lockmgr.ObjectID) {
+		if l := w.open[obj]; l != nil {
+			w.open[obj] = nil
+			w.sealed = append(w.sealed, l)
+		}
+	})
+	return w
+}
+
+// add queues e for obj, opening a collection window on first use.
+func (w *windowRig) add(obj lockmgr.ObjectID, e Entry) {
+	if w.open[obj] == nil {
+		w.open[obj] = NewList(obj)
+		w.c.Open(obj)
+	}
+	w.open[obj].Insert(e)
+}
+
 func TestCollectorWindow(t *testing.T) {
-	env := sim.NewEnv()
-	var sealed []*List
-	c := NewCollector(env, time.Second, func(l *List) { sealed = append(sealed, l) })
-	env.Schedule(0, func() { c.Add(1, Entry{Client: 1, Deadline: 10 * time.Second}) })
-	env.Schedule(500*time.Millisecond, func() { c.Add(1, Entry{Client: 2, Deadline: 5 * time.Second}) })
+	w := newWindowRig(time.Second)
+	w.env.Schedule(0, func() { w.add(1, Entry{Client: 1, Deadline: 10 * time.Second}) })
+	w.env.Schedule(500*time.Millisecond, func() { w.add(1, Entry{Client: 2, Deadline: 5 * time.Second}) })
 	// After the window: arrives too late for the first list.
-	env.Schedule(1500*time.Millisecond, func() { c.Add(1, Entry{Client: 3, Deadline: 7 * time.Second}) })
-	env.Run(5 * time.Second)
+	w.env.Schedule(1500*time.Millisecond, func() { w.add(1, Entry{Client: 3, Deadline: 7 * time.Second}) })
+	w.env.Run(5 * time.Second)
+	sealed := w.sealed
 	if len(sealed) != 2 {
 		t.Fatalf("sealed lists = %d, want 2", len(sealed))
 	}
@@ -116,23 +141,18 @@ func TestCollectorWindow(t *testing.T) {
 	if sealed[1].Len() != 1 || sealed[1].Entries[0].Client != 3 {
 		t.Fatalf("second list = %+v", sealed[1].Entries)
 	}
-	if c.Sealed != 2 || c.Grouped != 2 {
-		t.Fatalf("Sealed=%d Grouped=%d", c.Sealed, c.Grouped)
-	}
 }
 
 func TestCollectorZeroWindowSealsImmediately(t *testing.T) {
-	env := sim.NewEnv()
-	var sealed []*List
-	c := NewCollector(env, 0, func(l *List) { sealed = append(sealed, l) })
-	env.Schedule(0, func() { c.Add(1, Entry{Client: 1, Deadline: time.Second}) })
-	env.Schedule(0, func() { c.Add(1, Entry{Client: 2, Deadline: time.Second}) })
-	env.Run(time.Second)
-	// Both Adds happen at t=0 before the seal event (scheduled after),
+	w := newWindowRig(0)
+	w.env.Schedule(0, func() { w.add(1, Entry{Client: 1, Deadline: time.Second}) })
+	w.env.Schedule(0, func() { w.add(1, Entry{Client: 2, Deadline: time.Second}) })
+	w.env.Run(time.Second)
+	// Both adds happen at t=0 before the seal event (scheduled after),
 	// so they still share one list; a zero window just means no extra
 	// waiting.
-	if len(sealed) != 1 || sealed[0].Len() != 2 {
-		t.Fatalf("sealed = %d lists", len(sealed))
+	if len(w.sealed) != 1 || w.sealed[0].Len() != 2 {
+		t.Fatalf("sealed = %d lists", len(w.sealed))
 	}
 }
 
@@ -173,8 +193,13 @@ func TestPopLiveOrderProperty(t *testing.T) {
 		now := time.Duration(nowMs) * time.Millisecond
 		last := time.Duration(-1)
 		for {
-			e, ok, skipped := l.PopLive(now)
-			for _, s := range skipped {
+			before := l.Entries // PopLive reslices; the entries stay put
+			e, ok := l.PopLive(now)
+			dropped := len(before) - l.Len()
+			if ok {
+				dropped--
+			}
+			for _, s := range before[:dropped] {
 				if s.Deadline >= now {
 					return false
 				}
@@ -232,15 +257,15 @@ func TestPopRunStopsAtModeBoundary(t *testing.T) {
 	l.Insert(Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: 2 * time.Second})
 	l.Insert(Entry{Client: 3, Mode: lockmgr.ModeExclusive, Deadline: 3 * time.Second})
 	l.Insert(Entry{Client: 4, Mode: lockmgr.ModeShared, Deadline: 4 * time.Second})
-	run, skipped := l.PopRun(0)
-	if len(run) != 2 || len(skipped) != 0 {
-		t.Fatalf("run=%d skipped=%d", len(run), len(skipped))
+	run := l.PopRun(nil, 0)
+	if len(run) != 2 || l.Len() != 2 {
+		t.Fatalf("run=%d left=%d", len(run), l.Len())
 	}
-	run, _ = l.PopRun(0)
+	run = l.PopRun(run[:0], 0)
 	if len(run) != 1 || run[0].Mode != lockmgr.ModeExclusive {
 		t.Fatalf("second run = %+v", run)
 	}
-	run, _ = l.PopRun(0)
+	run = l.PopRun(run[:0], 0)
 	if len(run) != 1 || run[0].Client != 4 {
 		t.Fatalf("third run = %+v", run)
 	}
@@ -251,11 +276,12 @@ func TestPopRunSkipsDeadInsideRun(t *testing.T) {
 	l.Insert(Entry{Client: 1, Mode: lockmgr.ModeShared, Deadline: 1 * time.Second})  // dead at now=5s
 	l.Insert(Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: 10 * time.Second}) // live
 	l.Insert(Entry{Client: 3, Mode: lockmgr.ModeShared, Deadline: 2 * time.Second})  // dead
-	run, skipped := l.PopRun(5 * time.Second)
+	run := l.PopRun(nil, 5*time.Second)
 	if len(run) != 1 || run[0].Client != 2 {
 		t.Fatalf("run = %+v", run)
 	}
-	if len(skipped) != 2 {
-		t.Fatalf("skipped = %+v", skipped)
+	// Both dead entries went with the run.
+	if l.Len() != 0 {
+		t.Fatalf("left = %+v", l.Entries)
 	}
 }

@@ -64,6 +64,24 @@ func TestSeedScan(t *testing.T) {
 	}
 }
 
+// TestKnownDispatchPanicSeeds pins defect (d) of ROADMAP item 1: the
+// paper's load-sharing system at 150 clients and 20 % updates panics at
+// dispatch on these four seeds (`make seed-scan`'s plain cell), because
+// tryDispatch serves a sealed run whose object the lock table will not
+// grant. It pins the defect so that a change to the dispatch code cannot
+// move it unnoticed; the fix (item 1(b)) flips this test into one that
+// each seed runs clean.
+func TestKnownDispatchPanicSeeds(t *testing.T) {
+	const want = "server: free object grant failed at dispatch"
+	for _, seed := range []int64{22, 83, 139, 145} {
+		cfg := config.Default(150, 0.20)
+		cfg.Seed = seed
+		if err := runRecovered(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("seed %d: got %v, want a panic %q", seed, err, want)
+		}
+	}
+}
+
 // runRecovered runs one load-sharing system to the end of its audit and
 // returns what it failed with, a panic included.
 func runRecovered(cfg config.Config) (err error) {

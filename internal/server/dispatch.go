@@ -82,7 +82,7 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 // object's forward list rather than the plain lock queue: the object is
 // conflicted now, mid-migration, or already has a list forming.
 func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) bool {
-	if o := s.at(obj); o.inflight != nil || o.sealed != nil || s.open(obj) != nil {
+	if o := s.at(obj); o.inflight != nil || o.sealed != nil || o.open != nil {
 		return true
 	}
 	if len(s.locks.ConflictingHolders(obj, lockmgr.OwnerID(client), mode)) > 0 {
@@ -135,27 +135,18 @@ func (s *Server) conflictHolders(out []netsim.SiteID, obj lockmgr.ObjectID, clie
 }
 
 // lists returns the object's future-ownership lists — the first n of
-// the array — in "latest owner last" order of authority: the open
-// collector window supersedes the sealed list, which supersedes the
-// in-flight list.
+// the array — in "latest owner last" order of authority: the list still
+// collecting supersedes the sealed list, which supersedes the in-flight
+// list.
 func (s *Server) lists(obj lockmgr.ObjectID) (ls [3]*forward.List, n int) {
 	o := s.at(obj)
-	for _, l := range [3]*forward.List{s.open(obj), o.sealed, o.inflight} {
+	for _, l := range [3]*forward.List{o.open, o.sealed, o.inflight} {
 		if l != nil {
 			ls[n] = l
 			n++
 		}
 	}
 	return ls, n
-}
-
-// open returns obj's forward list still collecting, nil when there is
-// none (always, without load sharing's collector).
-func (s *Server) open(obj lockmgr.ObjectID) *forward.List {
-	if s.collector == nil {
-		return nil
-	}
-	return s.collector.Pending(obj)
 }
 
 // holdersFor answers location queries: every site currently holding obj
@@ -227,7 +218,8 @@ func (s *Server) recallForQueueHead(obj lockmgr.ObjectID) {
 // list dispatches before the still-collecting one.
 func (s *Server) headEntry(obj lockmgr.ObjectID) (forward.Entry, bool) {
 	now := s.env.Now()
-	for _, l := range [2]*forward.List{s.at(obj).sealed, s.open(obj)} {
+	o := s.at(obj)
+	for _, l := range [2]*forward.List{o.sealed, o.open} {
 		if l == nil {
 			continue
 		}
@@ -417,17 +409,30 @@ func (m *batchShipMachine) Resume() {
 	s.ships.Keep(m)
 }
 
-// onSeal receives a sealed forward list from the collector: merge it
-// with any still-undelivered predecessor and try to dispatch.
-func (s *Server) onSeal(l *forward.List) {
-	if o := s.rec(l.Obj); o.sealed != nil {
+// seal closes obj's collection window, when the collector's clock says
+// so or early from tryDispatch: the open list is sealed — merged into
+// any still-undelivered predecessor — and dispatch is tried.
+func (s *Server) seal(obj lockmgr.ObjectID) {
+	o := s.rec(obj)
+	l := o.open
+	if l == nil {
+		return
+	}
+	o.open = nil
+	if s.tr != nil {
+		now := s.env.Now()
+		for _, e := range l.Entries {
+			s.tr.Point(e.Txn, s.site, trace.EvListSealed, obj, int64(l.Len()), 0, now)
+		}
+	}
+	if o.sealed != nil {
 		for _, e := range l.Entries {
 			o.sealed.Insert(e)
 		}
 	} else {
 		o.sealed = l
 	}
-	s.tryDispatch(l.Obj)
+	s.tryDispatch(obj)
 }
 
 // tryDispatch starts the sealed forward list's migration if the object
@@ -446,17 +451,19 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		return
 	}
 	if s.at(obj).sealed == nil {
-		if ok && s.open(obj) != nil {
+		if ok {
 			// The head entry can go: seal the window early (re-enters
-			// tryDispatch through onSeal with a sealed list).
-			s.collector.SealNow(obj)
+			// tryDispatch with a sealed list). Its clock still fires at
+			// the old time, and seals whatever list is open by then.
+			s.seal(obj)
 		}
 		return
 	}
 	o := s.rec(obj)
 	l := o.sealed
 	now := s.env.Now()
-	run, _ := l.PopRun(now)
+	run := l.PopRun(s.runScratch[:0], now)
+	s.runScratch = run
 	if len(run) == 0 {
 		o.sealed = nil
 		return
@@ -548,22 +555,15 @@ func (s *Server) Batcher() *batch.Scheduler { return s.batcher }
 // the server tracks — still collecting, sealed, and in flight. The
 // records are walked in the order they were carved, which a run repeats;
 // the monitor does so after every event, so a record without a list —
-// nearly all of them — costs two loads.
+// nearly all of them — costs three loads.
 func (s *Server) AuditForward() error {
-	if s.collector != nil {
-		for _, l := range s.collector.OpenLists() {
-			if err := l.Wellformed(); err != nil {
-				return err
-			}
-		}
-	}
 	for _, chunk := range s.objChunks {
 		for i := range chunk {
 			o := &chunk[i]
-			if o.sealed == nil && o.inflight == nil {
+			if o.open == nil && o.sealed == nil && o.inflight == nil {
 				continue
 			}
-			for _, l := range [2]*forward.List{o.sealed, o.inflight} {
+			for _, l := range [3]*forward.List{o.open, o.sealed, o.inflight} {
 				if l == nil {
 					continue
 				}

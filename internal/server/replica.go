@@ -152,7 +152,7 @@ func (s *Server) maybeReplicate(obj lockmgr.ObjectID) {
 	if _, ok := s.topo.Replica(obj); ok {
 		return
 	}
-	if o.inflight != nil || o.sealed != nil || s.open(obj) != nil {
+	if o.inflight != nil || o.sealed != nil || o.open != nil {
 		return
 	}
 	if s.locks.QueueLen(obj) > 0 {

@@ -118,6 +118,15 @@ func TestConnMachineSize(t *testing.T) {
 	}
 }
 
+// TestObjStateSize pins the per-object record at 80 B: the shard carves
+// records 64 to a chunk, and at 88 B a chunk moves from the 5 376 B to
+// the 6 144 B allocation size class.
+func TestObjStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(objState{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(objState) = %d B, ceiling 80 B", got)
+	}
+}
+
 // scratchBase returns the backing-array address of a scratch slice so
 // tests can assert that two flushes shared one buffer.
 func scratchBase[T any](s []T) *T {

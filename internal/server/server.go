@@ -89,7 +89,9 @@ type Server struct {
 	// in (objState.epochs).
 	epochRecs slab.Slab[epochRec]
 
-	collector *forward.Collector
+	// collector closes the collection windows of the objects' open
+	// forward lists (load sharing only).
+	collector forward.Collector
 
 	// batcher routes every firm request through the batch-window layer.
 	// With BatchWindow == 0 it degenerates to a synchronous inline call
@@ -118,11 +120,13 @@ type Server struct {
 	// siteScratch, holderScratch, flushMark and flushGroup are reusable
 	// buffers for the per-message aggregations (loadsFor, one object's
 	// holders, eachGroup); what they gather is copied into the reply
-	// record's own arrays: dispatch allocates nothing.
+	// record's own arrays: dispatch allocates nothing. runScratch holds
+	// the run tryDispatch pops off a sealed list.
 	siteScratch   []netsim.SiteID
 	holderScratch []netsim.SiteID
 	flushMark     []bool
 	flushGroup    []int
+	runScratch    []forward.Entry
 
 	// tr is the per-run transaction tracer (nil when tracing is off).
 	tr *trace.Tracer
@@ -159,23 +163,25 @@ type site struct {
 type objState struct {
 	// At the object's home shard: shared grants counted over the current
 	// HeatWindow (heatN == 0: no window open), and whether a read replica
-	// is provisioned on another shard.
+	// is provisioned on another shard (replicaOut). At any other shard:
+	// the lifecycle of the replica served here, its grants over the
+	// current window (cold shedding), and its heartbeat, made by the first
+	// adaptive install and kept over every shed since. The narrow fields
+	// sit together so that the record packs into 80 B.
 	heatStart  time.Duration
 	heatN      int32
+	repHeat    int32
 	replicaOut bool
-	// At any other shard: the lifecycle of the replica served here, its
-	// grants over the current window (cold shedding), and its heartbeat,
-	// made by the first adaptive install and kept over every shed since.
-	replica replicaState
-	repHeat int32
-	beat    *heatBeat
+	replica    replicaState
 	// recalls heads the chain of sites with a callback outstanding
 	// (Server.recallNodes), so that no holder is recalled twice for the
 	// same demand.
 	recalls int32
-	// sealed is the forward list awaiting dispatch, inflight the one
-	// travelling client to client.
-	sealed, inflight *forward.List
+	beat    *heatBeat
+	// The object's forward lists: open is still collecting requests
+	// (its window is on the server's collector), sealed awaits dispatch,
+	// inflight travels client to client.
+	open, sealed, inflight *forward.List
 	// epochs records the release epoch each client last reported for the
 	// object, in ascending client order; grants are stamped with it so
 	// releases crossing grants on the wire are detected (see
@@ -304,7 +310,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 	s.locks.Reserve(cfg.DBSize)
 	s.faulty = cfg.Faults.Enabled()
 	if cfg.UseForwardLists {
-		s.collector = forward.NewCollector(env, cfg.CollectionWindow, s.onSeal)
+		s.collector.Init(env, cfg.CollectionWindow, s.seal)
 	}
 	s.batcher = batch.NewScheduler(env, cfg.BatchWindow, s.serveFirm)
 	if cfg.BatchWindow > 0 {
@@ -315,7 +321,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 }
 
 // SetTracer installs the per-run transaction tracer and wires the lock
-// table and forward-list hooks that feed it. Call before Start.
+// table hook that feeds it. Call before Start.
 func (s *Server) SetTracer(tr *trace.Tracer) {
 	s.tr = tr
 	if tr == nil {
@@ -344,14 +350,6 @@ func (s *Server) SetTracer(tr *trace.Tracer) {
 			tr.Point(id, s.site, trace.EvLockGranted, req.Obj, 0, 0, s.env.Now())
 		},
 	})
-	if s.collector != nil {
-		s.collector.TraceSeal = func(l *forward.List) {
-			now := s.env.Now()
-			for _, e := range l.Entries {
-				tr.Point(e.Txn, s.site, trace.EvListSealed, l.Obj, int64(l.Len()), 0, now)
-			}
-		}
-	}
 }
 
 // Locks exposes the global lock table for audits.
@@ -709,9 +707,14 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	if s.faulty && s.dupFirm(r.Client, r.Txn, r.Obj, r.Mode) {
 		return batch.OutDupServed
 	}
-	if s.collector != nil && s.groupable(r.Obj, r.Client, r.Mode) {
+	if s.cfg.UseForwardLists && s.groupable(r.Obj, r.Client, r.Mode) {
 		s.tr.Point(r.Txn, s.site, trace.EvListJoined, r.Obj, 0, 0, now)
-		s.collector.Add(r.Obj, forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn})
+		o := s.rec(r.Obj)
+		if o.open == nil {
+			o.open = forward.NewList(r.Obj)
+			s.collector.Open(r.Obj)
+		}
+		o.open.Insert(forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn})
 		s.recallForMigration(r.Obj)
 		s.tryDispatch(r.Obj) // the object may already be free
 		return batch.OutListed
