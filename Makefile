@@ -51,7 +51,13 @@ study-lint:
 # records in the system's slabs, too (DESIGN.md, "Record ownership"): no
 # struct outside internal/slab has a free-list field — internal/sim's
 # event pool and spare goroutines aside, which are not records — and the
-# two pop-or-make helpers slab.Slab replaced do not come back.
+# two pop-or-make helpers slab.Slab replaced do not come back. A client
+# reaches what it has in flight for an object through its record
+# (Client.objs, objRec): no struct in internal/client has a generic
+# store or an object-keyed map, and the one Client fields keyed by object
+# are objs, the cache (objects) and the release epochs (epochs) — a
+# field is keyed by object when its type holds lockmgr.ObjectIDs, or
+# records of a package type with an ObjectID field.
 state-lint:
 	@if grep -nE '^\s+\w+(, \w+)*\s+\*?map\[' internal/server/*.go internal/forward/*.go | grep -v '_test\.go:'; then \
 		echo 'state-lint: no map fields in internal/server or internal/forward: per-object state belongs in objState (Server.objs), forward lists too, per-client state in site (Server.sites)' >&2; exit 1; fi
@@ -64,6 +70,13 @@ state-lint:
 		echo 'state-lint: spent records go back to a slab.Slab the system owns, not a free list of the site, shard or engine' >&2; exit 1; fi
 	@if grep -rnE 'FreeList|popFree' --include='*.go' . | grep -vE '^\./(bench|\.bench_build)/'; then \
 		echo 'state-lint: slab.Slab is the one type that pops a spent record or makes a new one (New, Put, Keep)' >&2; exit 1; fi
+	@if grep -nE '^\s+\w+(, \w+)*\s+[][*]*(store\[|map\[lockmgr\.ObjectID\])' internal/client/*.go | grep -v '_test\.go:'; then \
+		echo 'state-lint: no generic store or object-keyed map in internal/client: what a client has in flight for an object is a field of its objRec (Client.objs)' >&2; exit 1; fi
+	@src=$$(ls internal/client/*.go | grep -v '_test\.go$$'); \
+	keyed=$$(awk '/^type [[:alnum:]_]+ struct/ { t = $$2 } /^}/ { t = "" } t != "" && /^\t[[:alnum:]_]+ +lockmgr\.ObjectID/ { print t }' $$src | sort -u | paste -sd'|' -); \
+	if awk '/^type Client struct/ { inc = 1; next } inc && /^}/ { inc = 0 } inc && /^\t[[:alpha:]]/ { print FILENAME ":" FNR ":" $$0 }' $$src | \
+		grep -E "^[^:]+:[0-9]+:\s+\w+\s.*(\bcache\.Cache\b|\bstore\[|\[\]\*?lockmgr\.ObjectID\b|\b($$keyed)\b)" | grep -vE ':\s+(objs|objects|epochs)\s'; then \
+		echo 'state-lint: a client keys per-object state by object only in objs (its records), objects (the cache) and epochs: put it in objRec' >&2; exit 1; fi
 
 # bench-check compiles and tests the benchmark module (its own go.mod,
 # so `go test ./...` at the root never sees it) and smoke-runs all four

@@ -19,11 +19,14 @@ import (
 // it owns: at a million clients every word here is 8 MB. A Client is the
 // whole parked site — its cache, executor slots, local lock table and
 // dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of its parts' ceilings: 456 for the rest of the Client (what keeps
+// sum of its parts' ceilings: 352 for the rest of the Client (what keeps
 // a by-value config.Config, 424 B, from coming back), 104 the cache, 80
-// the resource, 152 the lock table, 176 the dispatcher. It reads 912
-// (968 when it kept free lists of transaction machines and of their
-// exchange records and a pointer to decision scratch of its own, where
+// the resource, 152 the lock table, 176 the dispatcher. It reads 864
+// (912 when it kept a client-wide waiter index and three stores keyed by
+// object or shipped subtask, where it now holds one list of object
+// records and one of fanouts; 968 when it kept free lists of
+// transaction machines and of their exchange records and a pointer to
+// decision scratch of its own, where
 // the system's stock now holds all three; 1 032 when the cache and the
 // table each kept free lists too and the client two scratch maps). The
 // dispatcher's ceiling is what keeps a held netsim.Message out of a
@@ -38,7 +41,7 @@ func TestPerSiteStructSizes(t *testing.T) {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 456 + 104 + 80 + 152 + 176},
+		{"Client", unsafe.Sizeof(Client{}), 352 + 104 + 80 + 152 + 176},
 		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 104},
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 80},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
@@ -113,8 +116,7 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	fetch := func() {
 		op := m.missing[m.seqIdx]
 		obj, mode := op.Obj, op.Mode()
-		m.pt.addWait(obj, mode, 0)
-		c.addWaiter(obj, &m.pt)
+		c.register(&m.pt, obj, mode, 0)
 		m.resend(0)
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
@@ -126,7 +128,7 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID})
 		r.inject(netsim.KindObjectShip, g)
 		r.env.RunAll()
-		if m.pt.findWait(obj) >= 0 || c.hasWaiter(obj) {
+		if m.pt.findWait(obj) >= 0 || c.phase(obj) != phIdle {
 			panic("grant did not clear the wait")
 		}
 	}
@@ -183,8 +185,7 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 	round := func() {
 		pt := m.openPending()
 		for _, op := range m.missing {
-			pt.addWait(op.Obj, op.Mode(), 0)
-			c.addWaiter(op.Obj, pt)
+			c.register(pt, op.Obj, op.Mode(), 0)
 		}
 		m.sendKind = skProbe
 		cr := c.stock.Payloads.ConflictReply.New()

@@ -98,16 +98,18 @@ type Client struct {
 	curTransit time.Duration
 
 	// pending tracks transactions waiting for object replies (a handful
-	// at most — executor slots plus queries); waiters indexes their
-	// outstanding objects in registration order for grant routing. Both
-	// are dense scan-addressed slices of pointers into the waiting
-	// machines (txnMachine.pt), so a steady-state request round performs
-	// no map operations and no allocation.
+	// at most — executor slots plus queries), a dense scan-addressed
+	// slice of pointers into the waiting machines (txnMachine.pt), so a
+	// steady-state request round performs no map operations and no
+	// allocation.
 	pending []*pendingTxn
-	waiters []waiterEntry
-	// deferred holds recalls that arrived while the object was pinned,
-	// with the shard that issued each.
-	deferred store[lockmgr.ObjectID, deferredRecall]
+	// objs holds a record for every object with protocol business here
+	// beyond its cached copy — waiters, a parked recall, a migration
+	// (objRec); a handful at most, found by scan.
+	objs []*objRec
+	// fanouts are the machines waiting for the subtasks of a decomposed
+	// transaction: a remote subtask's result finds its wait through them.
+	fanouts []*txnMachine
 	// epochs counts this client's releases per object and granting
 	// shard, sorted by (object, site). Every return carries the current
 	// epoch and every grant the shard sends echoes the epoch it last
@@ -115,12 +117,6 @@ type Client struct {
 	// wire and must be dropped. At a single server the site key is
 	// always netsim.ServerSite.
 	epochs []epochEntry
-	// migrations maps objects to their remaining forward lists; every
-	// migrating object is pinned until forwarded, and forwarded as soon
-	// as only the migration pin remains.
-	migrations store[lockmgr.ObjectID, *forward.List]
-	// shipWaits collects results of shipped transactions and subtasks.
-	shipWaits store[shipKey, *shipWait]
 
 	// outageEnd is set while the client is partitioned (fault
 	// injection): the dispatcher holds all message processing until it
@@ -143,15 +139,16 @@ type Client struct {
 	Retries int64
 }
 
-type shipKey struct {
-	id  txn.ID
-	sub int
-}
-
+// shipWait is where a subtask's result reaches its parent's fanout.
 type shipWait struct {
 	sig       sim.Signal
 	done      bool
 	committed bool
+}
+
+func (w *shipWait) report(committed bool) {
+	w.done, w.committed = true, committed
+	w.sig.Broadcast()
 }
 
 // pendingTxn is one request/reply exchange of a transaction machine, a
@@ -191,16 +188,17 @@ type pendingTxn struct {
 // back to, so that what is kept for reuse is bounded by what the system
 // has in flight at once, not by how many sites it has: the payload pool
 // and the slab of the lock tables (the server shards take these two as
-// well), the slabs of cache entries and of transaction machines, and
-// the working memory of a site-selection decision. The system
-// constructor makes one and hands it to every site; the zero Stock is
-// ready to use.
+// well), the slabs of cache entries, of transaction machines and of
+// object records, and the working memory of a site-selection decision.
+// The system constructor makes one and hands it to every site; the zero
+// Stock is ready to use.
 type Stock struct {
 	Payloads proto.Pool
 	Locks    lockmgr.Slab
 
 	entries  cache.Slab
 	machines slab.Slab[txnMachine]
+	objs     slab.Slab[objRec]
 	h2       h2Scratch
 }
 
@@ -274,16 +272,10 @@ func (c *Client) Cache() *cache.Cache { return &c.objects }
 
 // HasDeferredRecall reports whether a recall for obj is waiting for a
 // local transaction to finish (a transitional state audits must allow).
-func (c *Client) HasDeferredRecall(obj lockmgr.ObjectID) bool {
-	_, ok := c.deferred.find(obj)
-	return ok
-}
+func (c *Client) HasDeferredRecall(obj lockmgr.ObjectID) bool { return c.phase(obj)&phParked != 0 }
 
 // migrating reports whether obj is held here for a forward-list hop.
-func (c *Client) migrating(obj lockmgr.ObjectID) bool {
-	_, ok := c.migrations.find(obj)
-	return ok
-}
+func (c *Client) migrating(obj lockmgr.ObjectID) bool { return c.phase(obj)&phMigrating != 0 }
 
 // Log exposes the client's write-ahead log (nil unless UseLogging).
 func (c *Client) Log() *wal.Log { return c.log }
@@ -528,11 +520,16 @@ func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
 	c.toSite(to, netsim.KindObjectReturn, size, r)
 }
 
-// sendHop passes an object on to a peer along its forward list.
-func (c *Client) sendHop(to netsim.SiteID, g proto.ObjGrant) {
+// sendHop passes obj at version on to next, the live entry of its
+// forward list l that the hop serves.
+func (c *Client) sendHop(next forward.Entry, obj lockmgr.ObjectID, version int64, l *forward.List) {
+	c.ForwardHops++
+	c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, c.env.Now())
 	p := c.stock.Payloads.GrantMsg.New()
-	p.Grants = append(p.Grants, g)
-	c.toPeer(to, netsim.KindClientForward, netsim.ObjectBytes, p)
+	p.Grants = append(p.Grants, proto.ObjGrant{
+		Obj: obj, Mode: next.Mode, Version: version, Txn: next.Txn, Epoch: next.Epoch, Fwd: l,
+	})
+	c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, p)
 }
 
 func (c *Client) toPeer(to netsim.SiteID, kind netsim.Kind, size int, payload any) time.Duration {

@@ -508,8 +508,8 @@ func TestClientDeadlineTimeoutWhileFetching(t *testing.T) {
 	if len(r.cl.pending) != 0 {
 		t.Fatalf("pending leaked: %d", len(r.cl.pending))
 	}
-	if len(r.cl.waiters) != 0 {
-		t.Fatalf("waiters leaked: %d", len(r.cl.waiters))
+	if len(r.cl.objs) != 0 {
+		t.Fatalf("object records leaked: %d", len(r.cl.objs))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
-	"siteselect/internal/trace"
 	"siteselect/internal/txn"
 )
 
@@ -18,10 +17,9 @@ import (
 // or two cache lines, and free of per-transaction map garbage. All
 // stores are recycled: steady-state request rounds allocate nothing.
 //
-// Ordering discipline: the waiter index is insertion-ordered and
-// scanned front to back, so grant broadcast order is exactly the
-// registration order the map-based implementation produced; everything
-// else is keyed lookup only, where removal order is unobservable.
+// Ordering discipline: everything here is keyed lookup only, where
+// removal order is unobservable. (The one ordered list, an object's
+// waiters, lives in its record: object.go.)
 
 // objWait is one outstanding object request of a pending transaction:
 // the object, the requested mode, and when the (latest) firm request
@@ -50,88 +48,6 @@ func (pt *pendingTxn) removeWait(i int) {
 	pt.waits = pt.waits[:last]
 }
 
-// addWait registers an outstanding request for obj.
-func (pt *pendingTxn) addWait(obj lockmgr.ObjectID, mode lockmgr.Mode, sent time.Duration) {
-	pt.waits = append(pt.waits, objWait{obj: obj, mode: mode, sent: sent})
-}
-
-// waiterEntry is one (object, transaction) registration in the
-// client-wide waiter index.
-type waiterEntry struct {
-	obj lockmgr.ObjectID
-	pt  *pendingTxn
-}
-
-// addWaiter appends a registration; arrival grants for obj wake pts in
-// exactly this order.
-func (c *Client) addWaiter(obj lockmgr.ObjectID, pt *pendingTxn) {
-	c.waiters = append(c.waiters, waiterEntry{obj: obj, pt: pt})
-}
-
-// removeWaiterAt removes the registration at index i, preserving the
-// order of the rest (registration order is the broadcast order).
-func (c *Client) removeWaiterAt(i int) {
-	copy(c.waiters[i:], c.waiters[i+1:])
-	c.waiters[len(c.waiters)-1] = waiterEntry{}
-	c.waiters = c.waiters[:len(c.waiters)-1]
-}
-
-// dropWaiter removes pt's registration for obj, if present.
-func (c *Client) dropWaiter(obj lockmgr.ObjectID, pt *pendingTxn) {
-	for i := range c.waiters {
-		if c.waiters[i].obj == obj && c.waiters[i].pt == pt {
-			c.removeWaiterAt(i)
-			return
-		}
-	}
-}
-
-// hasWaiter reports whether any transaction is waiting for obj.
-func (c *Client) hasWaiter(obj lockmgr.ObjectID) bool {
-	for i := range c.waiters {
-		if c.waiters[i].obj == obj {
-			return true
-		}
-	}
-	return false
-}
-
-// wakeWaiters hands obj, now cached here in mode, to every waiting
-// transaction that mode satisfies, in registration order, and reports
-// how many there were; transit is the wire time of the message that
-// brought the object, added to each one's network attribution.
-// Broadcast only schedules the wakeups (sim.Signal defers them to the
-// event queue), so scanning the index in place with shift removal
-// visits exactly the registration order — no registration can appear or
-// vanish mid-scan.
-func (c *Client) wakeWaiters(obj lockmgr.ObjectID, mode lockmgr.Mode, transit time.Duration) int {
-	now := c.env.Now()
-	satisfied := 0
-	for i := 0; i < len(c.waiters); {
-		if c.waiters[i].obj != obj {
-			i++
-			continue
-		}
-		pt := c.waiters[i].pt
-		j := pt.findWait(obj)
-		if j < 0 || !modeSufficient(mode, pt.waits[j].mode) {
-			i++
-			continue
-		}
-		need, sent := pt.waits[j].mode, pt.waits[j].sent
-		pt.removeWait(j)
-		c.removeWaiterAt(i) // the next entry shifts into i
-		if c.measuring() {
-			c.m.RecordResponse(need, now-sent)
-		}
-		pt.netAccum += transit
-		c.tr.Point(pt.t.ID, c.id, trace.EvLockGranted, obj, 0, 0, now)
-		satisfied++
-		pt.sig.Broadcast()
-	}
-	return satisfied
-}
-
 // findPending returns the pending transaction with the given id, nil
 // if none.
 func (c *Client) findPending(id txn.ID) *pendingTxn {
@@ -141,56 +57,6 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 		}
 	}
 	return nil
-}
-
-// store is the scan-addressed key→value store behind the client's
-// keyed lookups that hold a handful of entries at most — recalls
-// deferred against pinned objects, forward lists of migrating objects,
-// waits for shipped work. They are only ever probed by key, so removal
-// swaps the last entry in: its order is unobservable.
-type store[K comparable, V any] []storeEntry[K, V]
-
-type storeEntry[K comparable, V any] struct {
-	key K
-	val V
-}
-
-// find returns the value stored under key.
-func (s store[K, V]) find(key K) (V, bool) {
-	for i := range s {
-		if s[i].key == key {
-			return s[i].val, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// put stores val under key, replacing what was there.
-func (s *store[K, V]) put(key K, val V) {
-	for i := range *s {
-		if (*s)[i].key == key {
-			(*s)[i].val = val
-			return
-		}
-	}
-	*s = append(*s, storeEntry[K, V]{key, val})
-}
-
-// take removes and returns the value stored under key.
-func (s *store[K, V]) take(key K) (V, bool) {
-	old := *s
-	for i := range old {
-		if old[i].key == key {
-			val, last := old[i].val, len(old)-1
-			old[i] = old[last]
-			old[last] = storeEntry[K, V]{}
-			*s = old[:last]
-			return val, true
-		}
-	}
-	var zero V
-	return zero, false
 }
 
 // epochEntry is one release-epoch counter, sorted by (obj, site).

@@ -49,7 +49,7 @@ type txnMachine struct {
 	pc       uint8
 
 	// request/reply exchange state (the blocking awaitReply). pt is the
-	// exchange itself — Client.pending and the waiter index point at it
+	// exchange itself — Client.pending and the objects' waiters point at it
 	// while it is open (openPending to closePending); a machine holds one
 	// exchange at a time, and a transaction has one machine at a site.
 	pt        pendingTxn
@@ -415,9 +415,9 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 			c.spawnTxn(t, sub, enLocalSub, w)
 			continue
 		}
-		c.shipWaits.put(shipKey{id: t.ID, sub: sub.Index}, w)
 		c.sendTxnShip(target, t, sub)
 	}
+	c.fanouts = append(c.fanouts, m)
 	// Answer synthesis: every subtask must finish in time for the
 	// parent to succeed (the Section 3.2 failure rule).
 	m.grace = t.Deadline + c.cfg.MeanSlack
@@ -442,9 +442,7 @@ func (m *txnMachine) stepFanout() bool {
 	}
 	now := m.task.Now()
 	c.tr.Mark(t.ID, c.id, trace.CompFanout, now)
-	for i := range m.results {
-		c.shipWaits.take(shipKey{id: t.ID, sub: i})
-	}
+	unlist(&c.fanouts, m)
 	committed := now <= t.Deadline
 	for _, w := range m.results {
 		if !w.done || !w.committed {
@@ -656,8 +654,7 @@ func (m *txnMachine) beginFetch() {
 	// Tentative probe: one message covering every missing object.
 	now := m.task.Now()
 	for _, op := range m.missing {
-		pt.addWait(op.Obj, op.Mode(), now)
-		c.addWaiter(op.Obj, pt)
+		c.register(pt, op.Obj, op.Mode(), now)
 	}
 	m.sendKind = skProbe
 	// A retried probe is idempotent at the server: already-granted locks
@@ -722,8 +719,8 @@ func (m *txnMachine) stepProbeWait() bool {
 		return false
 	}
 	// Stay local: one commit message asks for everything outstanding.
-	// The tentative round granted nothing, so pt.waits and the waiter
-	// index still hold every missing object — no re-registration. The
+	// The tentative round granted nothing, so pt.waits and the objects'
+	// waiters still hold every missing object — no re-registration. The
 	// response clock restarts here: the probe was site-selection
 	// control traffic, and this is the firm object request Table 3
 	// measures.
@@ -753,8 +750,7 @@ func (m *txnMachine) stepSeqSend() bool {
 	}
 	op := m.missing[m.seqIdx]
 	pt := &m.pt
-	pt.addWait(op.Obj, op.Mode(), m.task.Now())
-	c.addWaiter(op.Obj, pt)
+	c.register(pt, op.Obj, op.Mode(), m.task.Now())
 	pt.netAccum = 0
 	m.sendKind = skSeq
 	m.resend(0)
@@ -891,13 +887,9 @@ func (m *txnMachine) unwind() {
 // reportResult hands a local subtask's outcome to the parent's fanout
 // wait.
 func (m *txnMachine) reportResult(committed bool) {
-	if m.reportTo == nil {
-		return
+	if m.reportTo != nil {
+		m.reportTo.report(committed)
 	}
-	w := m.reportTo
-	w.done = true
-	w.committed = committed
-	w.sig.Broadcast()
 }
 
 // wftOp mirrors Proc.WaitForTimeout for machines: wait until a
@@ -1145,7 +1137,8 @@ func modeSufficient(have, need lockmgr.Mode) bool {
 
 // openPending opens the machine's request/reply exchange: from here to
 // closePending the replies that name the transaction find it
-// (findPending), and grants find it through the waiter index.
+// (findPending), and grants find it through the waiters of each object's
+// record.
 func (m *txnMachine) openPending() *pendingTxn {
 	c, pt := m.c, &m.pt
 	pt.t = m.t
@@ -1160,12 +1153,9 @@ func (m *txnMachine) openPending() *pendingTxn {
 func (m *txnMachine) closePending() {
 	c, pt := m.c, &m.pt
 	for i := range pt.waits {
-		c.dropWaiter(pt.waits[i].obj, pt)
+		c.unregister(pt.waits[i].obj, pt)
 	}
-	last := len(c.pending) - 1
-	c.pending[slices.Index(c.pending, pt)] = c.pending[last]
-	c.pending[last] = nil
-	c.pending = c.pending[:last]
+	unlist(&c.pending, pt)
 	*pt = pendingTxn{waits: pt.waits[:0], confFrom: c.giveBack(pt.confFrom), loadFrom: c.giveBack(pt.loadFrom)}
 }
 

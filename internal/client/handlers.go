@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"siteselect/internal/cache"
+	"siteselect/internal/forward"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
@@ -55,21 +56,18 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 	if g.Fwd != nil && !g.Fwd.ReadRun {
 		// Migration hop: hold the object pinned until this site's turn
 		// is over, then pass it on.
-		c.migrations.put(g.Obj, g.Fwd)
+		c.recFor(g.Obj).fwd = g.Fwd
 		c.objects.Pin(c.objects.Peek(g.Obj))
 	}
 
 	satisfied := c.wakeWaiters(g.Obj, g.Mode, c.curTransit)
 	if g.Fwd == nil {
-		// A recall deferred against this in-flight grant can be
-		// answered as soon as no local transaction is using the copy:
-		// immediately if the grant satisfied nobody (its transaction is
-		// dead), otherwise when that transaction's pins drop
-		// (afterRelease).
-		if satisfied == 0 {
-			if d, ok := c.takeDeferredIfUnpinned(g.Obj); ok {
-				c.answerRecall(c.objects.Peek(g.Obj), d.r, d.from)
-			}
+		// A recall parked against this in-flight grant can be answered
+		// as soon as no local transaction is using the copy: immediately
+		// if the grant satisfied nobody (its transaction is dead),
+		// otherwise when that transaction's pins drop (afterRelease).
+		if satisfied == 0 && c.phase(g.Obj)&phParkedFree != 0 {
+			c.answerParked(g.Obj)
 		}
 		return
 	}
@@ -89,15 +87,6 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 	}
 }
 
-// takeDeferredIfUnpinned removes and returns obj's deferred recall only
-// when a cached, unpinned copy exists to answer it with.
-func (c *Client) takeDeferredIfUnpinned(obj lockmgr.ObjectID) (deferredRecall, bool) {
-	if e := c.objects.Peek(obj); e != nil && !e.Pinned() {
-		return c.deferred.take(obj)
-	}
-	return deferredRecall{}, false
-}
-
 // hopOn passes on an object this site will not keep working on: to the
 // next live entry of its forward list that names another site (this
 // site's own entries were served by the arriving copy, or are as stale
@@ -108,34 +97,31 @@ func (c *Client) takeDeferredIfUnpinned(obj lockmgr.ObjectID) (deferredRecall, b
 // was released while the hop was in flight, which fault injection's
 // extra latency makes possible) and ends with the object's data.
 func (c *Client) hopOn(g proto.ObjGrant) {
-	l := g.Fwd
-	now := c.env.Now()
-	for {
-		next, ok := l.PopLive(now)
-		if !ok {
-			size, ret := netsim.ControlBytes, proto.ObjReturn{RunComplete: true}
-			if !l.ReadRun {
-				size, ret = netsim.ObjectBytes, proto.ObjReturn{
-					HasData: true, Version: g.Version, Migration: true, RetainedSL: l.Retained,
-				}
-			}
-			home := c.homeSite(g.Obj)
-			ret.Client, ret.Obj = c.id, g.Obj
-			ret.Epoch, ret.Load = c.epochOf(g.Obj, home), c.loadReport()
-			c.sendReturn(home, size, ret)
-			return
-		}
-		if next.Client == c.id {
-			continue
-		}
-		c.ForwardHops++
-		c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, g.Obj, int64(next.Client), 0, now)
-		c.sendHop(next.Client, proto.ObjGrant{
-			Obj: g.Obj, Mode: next.Mode, Version: g.Version, Txn: next.Txn,
-			Epoch: next.Epoch, Fwd: l,
-		})
-		return
+	l, now := g.Fwd, c.env.Now()
+	next, ok := l.PopLive(now)
+	for ok && next.Client == c.id {
+		next, ok = l.PopLive(now)
 	}
+	if ok {
+		c.sendHop(next, g.Obj, g.Version, l)
+	} else {
+		c.endRun(g.Obj, g.Version, l)
+	}
+}
+
+// endRun ends forward list l, spent, at obj's home shard: a parallel
+// read run with its acknowledgement, an exclusive chain with the
+// object's data at version and the sites that kept shared copies.
+func (c *Client) endRun(obj lockmgr.ObjectID, version int64, l *forward.List) {
+	home := c.homeSite(obj)
+	ret := proto.ObjReturn{
+		Client: c.id, Obj: obj, HasData: !l.ReadRun, RunComplete: l.ReadRun,
+		Epoch: c.epochOf(obj, home), Load: c.loadReport(),
+	}
+	if !l.ReadRun {
+		ret.Version, ret.Migration, ret.RetainedSL = version, true, l.Retained
+	}
+	c.sendReturn(home, dataBytes(ret.HasData), ret)
 }
 
 func (c *Client) onConflictReply(r proto.ConflictReply) {
@@ -174,72 +160,71 @@ func (c *Client) onLoadReply(r proto.LoadReply) {
 }
 
 // onRecall answers a server callback. Recalls for objects pinned by a
-// running transaction are deferred until it finishes (the paper's
+// running transaction are parked until it finishes (the paper's
 // clients finish local work before giving up a lock). A recall whose
 // HolderMode does not match the cached state refers to a grant still on
 // the wire — answering it now would renounce the lock that grant
-// carries, losing an update — so it is deferred until the transaction
-// waiting for that grant finishes. Everything else is answered
-// immediately.
+// carries, losing an update — so it is parked until the transaction
+// waiting for that grant finishes; with no copy at all, only if a
+// transaction waits for one. Everything else is answered immediately.
 func (c *Client) onRecall(r proto.Recall) {
 	from := c.curFrom
 	e := c.objects.Peek(r.Obj)
-	wanted := c.hasWaiter(r.Obj)
-	if e == nil {
-		if wanted && r.HolderMode != 0 {
-			// The server believes we hold a lock we have not seen yet:
-			// its grant is in flight. Defer until our transaction is
-			// done with it.
-			c.m.RecallsDeferred++
-			c.deferred.put(r.Obj, deferredRecall{r: r, from: from})
-			return
-		}
-		// Silently evicted earlier: release the lock. Bumping the epoch
-		// revokes any stray grant already on the wire.
-		epoch := c.bumpEpoch(r.Obj, from)
-		c.sendReturn(from, netsim.ControlBytes, proto.ObjReturn{
-			Client: c.id, Obj: r.Obj, NotCached: true, Epoch: epoch,
-			Load: c.loadReport(),
-		})
-		return
-	}
-	if e.Pinned() || (r.HolderMode != 0 && r.HolderMode != e.Mode) {
+	switch why := parkedOn(e, r); {
+	case why == phParkedClear:
+		c.answerRecall(e, r, from)
+	case why == phParkedNoCopy && (r.HolderMode == 0 || c.phase(r.Obj)&phRequested == 0):
+		// Silently evicted earlier: release the lock.
+		c.returnNotCached(r.Obj, from)
+	default:
 		c.m.RecallsDeferred++
-		c.deferred.put(r.Obj, deferredRecall{r: r, from: from})
-		return
+		c.parkRecall(r.Obj, r, from)
 	}
-	c.answerRecall(e, r, from)
 }
 
-// answerRecall answers a callback issued by the shard at from.
+// returnNotCached releases obj's registration at the shard at from
+// with no copy to return. Bumping the epoch revokes any stray grant
+// already on the wire.
+func (c *Client) returnNotCached(obj lockmgr.ObjectID, from netsim.SiteID) {
+	epoch := c.bumpEpoch(obj, from)
+	c.sendReturn(from, netsim.ControlBytes, proto.ObjReturn{
+		Client: c.id, Obj: obj, NotCached: true, Epoch: epoch,
+		Load: c.loadReport(),
+	})
+}
+
+// answerRecall answers a callback issued by the shard at from: with a
+// downgrade when it asks for one, else with the copy.
 func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID) {
 	if r.DowngradeToShared && e.Mode == lockmgr.ModeExclusive && c.cfg.UseDowngrade {
-		hadData := e.Dirty
-		e.Mode = lockmgr.ModeShared
-		e.Dirty = false
-		size := netsim.ControlBytes
-		if hadData {
-			size = netsim.ObjectBytes
-		}
-		c.sendReturn(from, size, proto.ObjReturn{
-			Client: c.id, Obj: e.Obj, HasData: hadData, Version: e.Version,
+		c.sendReturn(from, dataBytes(e.Dirty), proto.ObjReturn{
+			Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
 			Downgraded: true, Epoch: c.epochOf(e.Obj, from), Load: c.loadReport(),
 		})
+		e.Mode, e.Dirty = lockmgr.ModeShared, false
 		return
 	}
-	c.objects.Remove(e.Obj)
-	// Any grant already on the wire refers to the registration this
-	// answer renounces; the epoch bump revokes it.
-	epoch := c.bumpEpoch(e.Obj, from)
-	size := netsim.ControlBytes
-	if e.Dirty {
-		size = netsim.ObjectBytes
-	}
-	c.sendReturn(from, size, proto.ObjReturn{
+	c.giveUp(c.objects.Remove(e.Obj), from)
+}
+
+// giveUp returns e, a copy already out of the cache, to the shard at to
+// and recycles it. Any grant already on the wire refers to the
+// registration this return renounces; the epoch bump revokes it.
+func (c *Client) giveUp(e *cache.Entry, to netsim.SiteID) {
+	c.sendReturn(to, dataBytes(e.Dirty), proto.ObjReturn{
 		Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
-		Epoch: epoch, Load: c.loadReport(),
+		Epoch: c.bumpEpoch(e.Obj, to), Load: c.loadReport(),
 	})
 	c.objects.Recycle(e)
+}
+
+// dataBytes is the wire size of a return: the object's when it carries
+// data, a control message's when it does not.
+func dataBytes(hasData bool) int {
+	if hasData {
+		return netsim.ObjectBytes
+	}
+	return netsim.ControlBytes
 }
 
 // onTxnShip executes a transaction or subtask shipped to this site.
@@ -252,18 +237,19 @@ func (c *Client) onTxnShip(s proto.TxnShip) {
 	c.spawnTxn(s.T, nil, enShipWhole, nil)
 }
 
+// onTxnResult hands a remote subtask's result to the parent machine
+// waiting in fanout. A whole transaction's result is informational: the
+// origin shares the *txn.Transaction its target writes (shipTxn).
 func (c *Client) onTxnResult(r proto.TxnResult) {
-	key := shipKey{id: r.Txn, sub: -1}
-	if r.IsSub {
-		key.sub = r.SubIndex
-	}
-	w, ok := c.shipWaits.find(key)
-	if !ok {
+	if !r.IsSub {
 		return
 	}
-	w.done = true
-	w.committed = r.Committed
-	w.sig.Broadcast()
+	for _, m := range c.fanouts {
+		if m.t.ID == r.Txn {
+			m.results[r.SubIndex].report(r.Committed)
+			return
+		}
+	}
 }
 
 // returnEvicted handles cache fallout: dirty or exclusively locked
@@ -275,14 +261,10 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 		if c.migrating(e.Obj) {
 			panic(fmt.Sprintf("client %d: migrating object %d evicted", c.id, e.Obj))
 		}
-		d, hadRecall := c.deferred.take(e.Obj)
+		d, hadRecall := c.takeRecall(e.Obj)
 		if !hadRecall && !e.Dirty && e.Mode == lockmgr.ModeShared {
 			c.objects.Recycle(e)
 			continue // lazy release: a later recall gets NotCached
-		}
-		size := netsim.ControlBytes
-		if e.Dirty {
-			size = netsim.ObjectBytes
 		}
 		// A recall names the shard holding our registration; without one
 		// the copy is dirty or exclusive, which only the home shard
@@ -291,45 +273,30 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 		if hadRecall {
 			dest = d.from
 		}
-		epoch := c.bumpEpoch(e.Obj, dest) // this return releases the registration
-		c.sendReturn(dest, size, proto.ObjReturn{
-			Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
-			Epoch: epoch, Load: c.loadReport(),
-		})
-		c.objects.Recycle(e)
+		c.giveUp(e, dest)
 	}
 }
 
 // afterRelease runs when a transaction's pins drop: forward any
-// migrating objects whose turn is over, and answer recalls deferred
+// migrating objects whose turn is over, and answer recalls parked
 // while the objects were pinned.
 func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 	for _, op := range ops {
-		if c.migrating(op.Obj) {
-			e := c.objects.Peek(op.Obj)
-			if e != nil && e.Pins() == 1 {
+		p := c.phase(op.Obj)
+		switch {
+		case p&phMigrating != 0:
+			if e := c.objects.Peek(op.Obj); e != nil && e.Pins() == 1 {
 				// Only the migration pin remains: this site's turn is
 				// over, pass the object on.
 				c.forwardMigration(op.Obj)
 			}
-			continue
-		}
-		if d, ok := c.deferred.find(op.Obj); ok {
-			e := c.objects.Peek(op.Obj)
-			switch {
-			case e == nil:
-				// The grant the recall referred to never materialized
-				// (or the copy is gone): release the lock outright.
-				c.deferred.take(op.Obj)
-				epoch := c.bumpEpoch(op.Obj, d.from)
-				c.sendReturn(d.from, netsim.ControlBytes, proto.ObjReturn{
-					Client: c.id, Obj: op.Obj, NotCached: true, Epoch: epoch,
-					Load: c.loadReport(),
-				})
-			case !e.Pinned():
-				c.deferred.take(op.Obj)
-				c.answerRecall(e, d.r, d.from)
-			}
+		case p&phParkedNoCopy != 0:
+			// The grant the recall referred to never materialized (or
+			// the copy is gone): release the lock outright.
+			d, _ := c.takeRecall(op.Obj)
+			c.returnNotCached(op.Obj, d.from)
+		case p&phParkedFree != 0:
+			c.answerParked(op.Obj)
 		}
 	}
 }
@@ -339,10 +306,11 @@ func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
 // served in place (the object never leaves); otherwise the object hops
 // to the next client, or returns to the server after the last entry.
 func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
-	l, migrating := c.migrations.find(obj)
-	if !migrating {
+	r := c.rec(obj)
+	if r == nil || r.fwd == nil {
 		return
 	}
+	l := r.fwd
 	e := c.objects.Peek(obj)
 	if e == nil {
 		panic(fmt.Sprintf("client %d: migrating object %d not cached", c.id, obj))
@@ -356,62 +324,45 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 		return
 	}
 	now := c.env.Now()
-	for {
-		next, ok := l.PopLive(now)
-		if ok && next.Client == c.id {
-			// Our own next turn: the migration holds the object
-			// exclusively at the global level, so the local mode can be
-			// raised to whatever this entry needs.
-			if next.Mode == lockmgr.ModeExclusive {
-				e.Mode = lockmgr.ModeExclusive
-			}
-			if c.wakeWaiters(obj, e.Mode, 0) > 0 { // no message brought it: no transit
-				return // that transaction's afterRelease resumes the hop
-			}
-			continue // entry's transaction is gone; try the next one
+	next, ok := l.PopLive(now)
+	for ok && next.Client == c.id {
+		// Our own next turn: the migration holds the object exclusively
+		// at the global level, so the local mode can be raised to
+		// whatever this entry needs.
+		if next.Mode == lockmgr.ModeExclusive {
+			e.Mode = lockmgr.ModeExclusive
 		}
+		if c.wakeWaiters(obj, e.Mode, 0) > 0 { // no message brought it: no transit
+			return // that transaction's afterRelease resumes the hop
+		}
+		next, ok = l.PopLive(now) // the entry's transaction is gone; try the next one
+	}
 
-		c.migrations.take(obj)
-		d, hadRecall := c.deferred.take(obj)
-		c.objects.Unpin(e)
-		version := e.Version
+	d, hadRecall := c.takeRecall(obj)
+	r.fwd = nil
+	c.settle(r)
+	c.objects.Unpin(e)
+	version := e.Version
 
-		// Keep a clean shared copy when nothing downstream writes (the
-		// downgrade idea extended to migration chains); a pending recall
-		// or a downstream EL forbids retention.
-		retain := c.cfg.UseDowngrade && !hadRecall &&
-			(!ok || next.Mode == lockmgr.ModeShared && !l.HasExclusive())
-		if retain {
-			e.Mode = lockmgr.ModeShared
-			e.Dirty = false
-			l.Retained = append(l.Retained, c.id)
-		} else {
-			c.objects.Recycle(c.objects.Remove(obj))
-		}
-		if ok {
-			c.ForwardHops++
-			c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, now)
-			c.sendHop(next.Client, proto.ObjGrant{
-				Obj: obj, Mode: next.Mode, Version: version, Txn: next.Txn,
-				Epoch: next.Epoch, Fwd: l,
-			})
-		} else {
-			home := c.homeSite(obj)
-			c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
-				Client: c.id, Obj: obj, HasData: true, Version: version,
-				Migration: true, RetainedSL: l.Retained,
-				Epoch: c.epochOf(obj, home), Load: c.loadReport(),
-			})
-		}
-		if hadRecall {
-			// The recall that arrived mid-migration is answered with a
-			// release: the object has moved on.
-			epoch := c.bumpEpoch(obj, d.from)
-			c.sendReturn(d.from, netsim.ControlBytes, proto.ObjReturn{
-				Client: c.id, Obj: obj, NotCached: true, Epoch: epoch,
-				Load: c.loadReport(),
-			})
-		}
-		return
+	// Keep a clean shared copy when nothing downstream writes (the
+	// downgrade idea extended to migration chains); a pending recall or a
+	// downstream EL forbids retention.
+	retain := c.cfg.UseDowngrade && !hadRecall &&
+		(!ok || next.Mode == lockmgr.ModeShared && !l.HasExclusive())
+	if retain {
+		e.Mode, e.Dirty = lockmgr.ModeShared, false
+		l.Retained = append(l.Retained, c.id)
+	} else {
+		c.objects.Recycle(c.objects.Remove(obj))
+	}
+	if ok {
+		c.sendHop(next, obj, version, l)
+	} else {
+		c.endRun(obj, version, l)
+	}
+	if hadRecall {
+		// The recall that arrived mid-migration is answered with a
+		// release: the object has moved on.
+		c.returnNotCached(obj, d.from)
 	}
 }

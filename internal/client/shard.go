@@ -17,19 +17,12 @@ import (
 // Every piece of client state that is "at the server" has a site
 // coordinate: requests route to an object's home shard (or to a read
 // replica for shared-mode requests), release epochs count per (object,
-// granting shard), a deferred recall remembers which shard issued it so
+// granting shard), a parked recall remembers which shard issued it so
 // the eventual answer returns there, and a multi-object exchange is one
 // message per shard whose answers are assembled per sender. The paper's
 // single server is the one-shard map: every site below is
 // netsim.ServerSite, every exchange one message and every assembly one
 // reply.
-
-// deferredRecall is a parked recall plus the shard that issued it — the
-// site the eventual answer must be sent to.
-type deferredRecall struct {
-	r    proto.Recall
-	from netsim.SiteID
-}
 
 // homeSite returns the shard site authoritative for obj.
 func (c *Client) homeSite(obj lockmgr.ObjectID) netsim.SiteID {
@@ -72,9 +65,7 @@ func (c *Client) bumpEpoch(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
 		c.epochs[i].n++
 		return c.epochs[i].n
 	}
-	c.epochs = append(c.epochs, epochEntry{})
-	copy(c.epochs[i+1:], c.epochs[i:])
-	c.epochs[i] = epochEntry{obj: obj, site: site, n: 1}
+	c.epochs = slices.Insert(c.epochs, i, epochEntry{obj: obj, site: site, n: 1})
 	return 1
 }
 
@@ -133,7 +124,7 @@ func (m *txnMachine) resend(attempt int) {
 	// tracks them), so a shard that served its slice is not asked again.
 	// A single server is sent every missing access again: its idempotent
 	// re-ship of what it already granted is what the lossy goldens pin
-	// (ROADMAP item 1(d) lists this as a re-pin candidate).
+	// (ROADMAP item 1(e) lists this as a re-pin candidate).
 	served := pt
 	if c.topo.Servers() == 1 {
 		served = nil

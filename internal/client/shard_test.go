@@ -22,8 +22,7 @@ func probeRound(r *rig) *txnMachine {
 	m := &txnMachine{c: c, t: tx, missing: []txn.Op{{Obj: 10}, {Obj: 11, Write: true}}, sendKind: skProbe}
 	m.openPending()
 	for _, op := range m.missing {
-		m.pt.addWait(op.Obj, op.Mode(), 0)
-		c.addWaiter(op.Obj, &m.pt)
+		c.register(&m.pt, op.Obj, op.Mode(), 0)
 	}
 	m.resend(0)
 	return m

@@ -58,10 +58,13 @@ clients swarm 10000 {
 // stay under a fixed number of heap bytes and allocations per client, on
 // the flat Table 1 path (config.Scale) and on the class path a scenario
 // compiles to, which is the one the benchmark's scale_100k builds. Both
-// readings repeat for a given Go release. go1.24: 2 357 B and 1.0
-// mallocs on the default path, 2 486 B and 1.0 on the class path — the
+// readings repeat for a given Go release. go1.24: 2 308 B and 1.0
+// mallocs on the default path, 2 438 B and 1.0 on the class path — the
 // one object a parked site still costs is its generator machine, which
-// dies before the site does (client.Start). With free lists of machines
+// dies before the site does (client.Start). With a client-wide waiter
+// index and three keyed stores in every client, where a site now holds
+// one list of object records and one of fanouts, the same two read
+// 2 357 and 2 486 B; with free lists of machines
 // and exchange records in every client, where a site now holds one
 // pointer to the system's stock, the same two read 2 455 and 2 584 B;
 // with free lists in every cache and lock table too, 2 519 and 2 648; before a
@@ -95,8 +98,8 @@ func TestParkedClientFootprint(t *testing.T) {
 		cfg          config.Config
 		bytesCeiling float64
 	}{
-		{"default", config.Scale(clients), 2652},
-		{"class", compiled.Config, 2797},
+		{"default", config.Scale(clients), 2597},
+		{"class", compiled.Config, 2743},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.cfg.NumClients != clients {
