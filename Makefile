@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint study-lint state-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint study-lint state-lint dead-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -24,12 +24,20 @@ loc:
 			{ code++ } \
 			END { printf "%d lines, %d of them code\n", total, code }'
 
-# proc-lint keeps goroutine processes (sim.Proc, Env.Go) inside the
-# kernel package and the one benchmark driver that still measures them,
+# proc-lint keeps goroutine processes inside the kernel package and
+# bench/drivers.go, which still measures them. A Proc is a Machine whose
+# Resume is a goroutine handoff; its surface is Env.Go and Proc.Sleep,
 # so deleting internal/sim/proc.go stays a one-package change.
 proc-lint:
 	@if grep -rnE 'sim\.Proc|\.Go\("' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/'; then \
 		echo 'proc-lint: goroutine processes are kernel-internal; write a sim.Machine' >&2; exit 1; fi
+
+# dead-lint fails on an exported identifier of a package under internal/
+# that no non-test file of the module or of bench/ refers to (type-checks
+# both from source with go/types; TestNoDeadExports in deadlint_test.go,
+# which also runs in `go test ./...`, holds the exemptions and reasons).
+dead-lint:
+	$(GO) test -count=1 -run '^TestNoDeadExports$$' .
 
 # study-lint keeps internal/experiment to one renderer: every study is a
 # declaration run and rendered by engine.go, so a Render or CSV method in
@@ -49,8 +57,8 @@ study-lint:
 # and the once-per-system indexes keyed by a dense id — the buffer pool's
 # by page, the shard map's by object — are slices. It keeps spent
 # records in the system's slabs, too (DESIGN.md, "Record ownership"): no
-# struct outside internal/slab has a free-list field — internal/sim's
-# event pool and spare goroutines aside, which are not records — and the
+# struct outside internal/slab has a free list of pointers (internal/sim's
+# event pool recycles indices, not records) — and the
 # two pop-or-make helpers slab.Slab replaced do not come back. A client
 # reaches what it has in flight for an object through its record
 # (Client.objs, objRec): no struct in internal/client has a generic
@@ -66,7 +74,7 @@ state-lint:
 	@if [ "$$(grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | grep -vc '_test\.go:')" -gt 1 ]; then \
 		grep -nE '^\s+\w+\s+map\[OwnerID\]' internal/lockmgr/*.go | grep -v '_test\.go:'; \
 		echo 'state-lint: per-owner lock state belongs in ownerRec (Table.owners)' >&2; exit 1; fi
-	@if grep -rnE '^\s+\w*[fF]ree\w*\s+\[\]\*' --include='*.go' internal | grep -vE '^internal/(slab|sim)/|_test\.go:'; then \
+	@if grep -rnE '^\s+\w*[fF]ree\w*\s+\[\]\*' --include='*.go' internal | grep -vE '^internal/slab/|_test\.go:'; then \
 		echo 'state-lint: spent records go back to a slab.Slab the system owns, not a free list of the site, shard or engine' >&2; exit 1; fi
 	@if grep -rnE 'FreeList|popFree' --include='*.go' . | grep -vE '^\./(bench|\.bench_build)/'; then \
 		echo 'state-lint: slab.Slab is the one type that pops a spent record or makes a new one (New, Put, Keep)' >&2; exit 1; fi

@@ -41,7 +41,7 @@ func BenchmarkFigure3Batched(b *testing.B) {
 	opts := benchOpts
 	opts.BatchWindow = 250 * time.Millisecond
 	for i := 0; i < b.N; i++ {
-		f, err := experiment.RunFigure("Figure 3 (batched)", 0.01, opts)
+		f, err := experiment.Figure("Figure 3 (batched)", 0.01, opts).Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkFigure5(b *testing.B) {
 func benchFigure(b *testing.B, id string, update float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		f, err := experiment.RunFigure(id, update, benchOpts)
+		f, err := experiment.Figure(id, update, benchOpts).Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}

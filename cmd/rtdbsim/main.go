@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,46 +52,53 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "rtdbsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as the command line and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("rtdbsim", flag.ContinueOnError)
 	var (
-		system    = flag.String("system", "ls", "system to run: ce, ce-occ, cs or ls")
-		clients   = flag.Int("clients", 20, "number of client sites")
-		updates   = flag.Float64("updates", 0.05, "fraction of accesses that update")
-		duration  = flag.Duration("duration", 30*time.Minute, "virtual generation time")
-		warmup    = flag.Duration("warmup", 10*time.Minute, "virtual warmup excluded from statistics")
-		seed      = flag.Int64("seed", 1, "master random seed")
-		reps      = flag.Int("reps", 1, "replications over derived seeds, summarized as mean ± 95% CI")
-		parallel  = flag.Int("parallel", 0, "worker pool size for replications (0 = GOMAXPROCS)")
-		window    = flag.Duration("window", 500*time.Millisecond, "forward-list collection window (ls)")
-		executors = flag.Int("executors", 4, "concurrent executor slots per client")
-		noH1      = flag.Bool("no-h1", false, "disable heuristic H1")
-		noH2      = flag.Bool("no-h2", false, "disable heuristic H2 / shipping")
-		noDec     = flag.Bool("no-decomposition", false, "disable transaction decomposition")
-		noFwd     = flag.Bool("no-forward-lists", false, "disable forward lists")
-		noDown    = flag.Bool("no-downgrade", false, "disable EL->SL callback downgrades")
-		traceOut  = flag.String("trace", "", "trace every transaction; write Chrome trace-event JSON to this file and print the slack-attribution report (cs/ls)")
-		msgTraceN = flag.Int("msgtrace", 0, "print the last N LAN messages at the end of the run")
+		system    = fs.String("system", "ls", "system to run: ce, ce-occ, cs or ls")
+		clients   = fs.Int("clients", 20, "number of client sites")
+		updates   = fs.Float64("updates", 0.05, "fraction of accesses that update")
+		duration  = fs.Duration("duration", 30*time.Minute, "virtual generation time")
+		warmup    = fs.Duration("warmup", 10*time.Minute, "virtual warmup excluded from statistics")
+		seed      = fs.Int64("seed", 1, "master random seed")
+		reps      = fs.Int("reps", 1, "replications over derived seeds, summarized as mean ± 95% CI")
+		parallel  = fs.Int("parallel", 0, "worker pool size for replications (0 = GOMAXPROCS)")
+		window    = fs.Duration("window", 500*time.Millisecond, "forward-list collection window (ls)")
+		executors = fs.Int("executors", 4, "concurrent executor slots per client")
+		noH1      = fs.Bool("no-h1", false, "disable heuristic H1")
+		noH2      = fs.Bool("no-h2", false, "disable heuristic H2 / shipping")
+		noDec     = fs.Bool("no-decomposition", false, "disable transaction decomposition")
+		noFwd     = fs.Bool("no-forward-lists", false, "disable forward lists")
+		noDown    = fs.Bool("no-downgrade", false, "disable EL->SL callback downgrades")
+		traceOut  = fs.String("trace", "", "trace every transaction; write Chrome trace-event JSON to this file and print the slack-attribution report (cs/ls)")
+		msgTraceN = fs.Int("msgtrace", 0, "print the last N LAN messages at the end of the run")
 
-		dropRate  = flag.Float64("drop-rate", 0, "per-message drop probability [0,1]")
-		dupRate   = flag.Float64("dup-rate", 0, "per-message duplication probability [0,1]")
-		spikeRate = flag.Float64("spike-rate", 0, "per-message latency-spike probability [0,1]")
-		spikeLat  = flag.Duration("spike-latency", 5*time.Millisecond, "extra latency added by a spike")
-		partSite  = flag.Int("partition-site", -1, "site to cut off the LAN (0 = server, -1 = none)")
-		partAt    = flag.Duration("partition-at", 0, "virtual time the partition starts")
-		partDur   = flag.Duration("partition-duration", 0, "partition length (0 disables the partition)")
-		invar     = flag.Bool("invariants", false, "attach the continuous invariant monitor (slow)")
-		scenFile  = flag.String("scenario", "", "run one .rts scenario file (its own system, workload, and seed) and dump the result")
+		dropRate  = fs.Float64("drop-rate", 0, "per-message drop probability [0,1]")
+		dupRate   = fs.Float64("dup-rate", 0, "per-message duplication probability [0,1]")
+		spikeRate = fs.Float64("spike-rate", 0, "per-message latency-spike probability [0,1]")
+		spikeLat  = fs.Duration("spike-latency", 5*time.Millisecond, "extra latency added by a spike")
+		partSite  = fs.Int("partition-site", -1, "site to cut off the LAN (0 = server, -1 = none)")
+		partAt    = fs.Duration("partition-at", 0, "virtual time the partition starts")
+		partDur   = fs.Duration("partition-duration", 0, "partition length (0 disables the partition)")
+		invar     = fs.Bool("invariants", false, "attach the continuous invariant monitor (slow)")
+		scenFile  = fs.String("scenario", "", "run one .rts scenario file (its own system, workload, and seed) and dump the result")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *scenFile != "" {
-		return runScenario(*scenFile)
+		return runScenario(w, *scenFile)
 	}
 
 	kind, ok := rtdbs.ParseKind(*system)
@@ -123,26 +131,26 @@ func run() error {
 	cfg.CheckInvariants = *invar
 
 	if *traceOut != "" {
-		return runTxnTraced(kind, cfg, *traceOut)
+		return runTxnTraced(w, kind, cfg, *traceOut)
 	}
 	if *msgTraceN > 0 {
-		return runMsgTraced(kind, cfg, *msgTraceN)
+		return runMsgTraced(w, kind, cfg, *msgTraceN)
 	}
 	if *reps > 1 {
-		return runReplicated(kind, cfg, *reps, *parallel)
+		return runReplicated(w, kind, cfg, *reps, *parallel)
 	}
 	res, err := siteselect.Run(kind, cfg)
 	if err != nil {
 		return err
 	}
-	dump(os.Stdout, kind, res)
+	dump(w, kind, res)
 	return nil
 }
 
 // runReplicated runs the configuration reps times over seeds derived
 // from the master seed, in parallel, and prints an aggregate summary
 // (mean ± 95% CI) instead of the single-run dump.
-func runReplicated(kind siteselect.SystemKind, cfg siteselect.Config, reps, parallel int) error {
+func runReplicated(w io.Writer, kind siteselect.SystemKind, cfg siteselect.Config, reps, parallel int) error {
 	opts := experiment.Options{Seed: cfg.Seed, Reps: reps, Parallel: parallel}
 	results, err := experiment.RunReps(opts, cfg, func(c siteselect.Config) (*siteselect.Result, error) {
 		return siteselect.Run(kind, c)
@@ -160,16 +168,16 @@ func runReplicated(kind siteselect.SystemKind, cfg siteselect.Config, reps, para
 		}
 	}
 
-	fmt.Printf("%s — %d clients, %.0f%% updates, %d replications (master seed %d)\n\n",
+	fmt.Fprintf(w, "%s — %d clients, %.0f%% updates, %d replications (master seed %d)\n\n",
 		kind, cfg.NumClients, cfg.UpdateFraction*100, reps, cfg.Seed)
 	for i, r := range results {
-		fmt.Printf("  rep %-2d seed %-20d success %6.2f%%  committed %d/%d\n",
+		fmt.Fprintf(w, "  rep %-2d seed %-20d success %6.2f%%  committed %d/%d\n",
 			i, r.Config.Seed, r.SuccessRate(), r.M.Committed, r.M.Submitted)
 	}
-	fmt.Printf("\n  success rate       %6.2f ± %.2f %% (95%% CI)\n", success.Mean(), success.CI95())
-	fmt.Printf("  mean txn response  %6.1f ± %.1f ms\n", resp.Mean(), resp.CI95())
+	fmt.Fprintf(w, "\n  success rate       %6.2f ± %.2f %% (95%% CI)\n", success.Mean(), success.CI95())
+	fmt.Fprintf(w, "  mean txn response  %6.1f ± %.1f ms\n", resp.Mean(), resp.CI95())
 	if hit.N() > 0 {
-		fmt.Printf("  cache hit rate     %6.2f ± %.2f %%\n", hit.Mean(), hit.CI95())
+		fmt.Fprintf(w, "  cache hit rate     %6.2f ± %.2f %%\n", hit.Mean(), hit.CI95())
 	}
 	return nil
 }
@@ -178,7 +186,7 @@ func runReplicated(kind siteselect.SystemKind, cfg siteselect.Config, reps, para
 // tracer on: after the normal dump it prints the slack-attribution
 // report (per missed transaction and the aggregate miss-cause table)
 // and writes the event timeline as Chrome trace-event JSON.
-func runTxnTraced(kind siteselect.SystemKind, cfg siteselect.Config, path string) error {
+func runTxnTraced(w io.Writer, kind siteselect.SystemKind, cfg siteselect.Config, path string) error {
 	cfg.Trace = true
 	if kind.Centralized() {
 		return fmt.Errorf("-trace requires -system cs or ls (the centralized systems are untraced)")
@@ -192,10 +200,10 @@ func runTxnTraced(kind siteselect.SystemKind, cfg siteselect.Config, path string
 	if err != nil {
 		return err
 	}
-	dump(os.Stdout, kind, res)
+	dump(w, kind, res)
 	tr := c.Tracer()
-	fmt.Println()
-	if err := tr.WriteAttribution(os.Stdout, cfg.Warmup, 20); err != nil {
+	fmt.Fprintln(w)
+	if err := tr.WriteAttribution(w, cfg.Warmup, 20); err != nil {
 		return err
 	}
 	f, err := os.Create(path)
@@ -209,13 +217,13 @@ func runTxnTraced(kind siteselect.SystemKind, cfg siteselect.Config, path string
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("\nChrome trace written to %s (load in Perfetto or chrome://tracing)\n", path)
+	fmt.Fprintf(w, "\nChrome trace written to %s (load in Perfetto or chrome://tracing)\n", path)
 	return nil
 }
 
 // runMsgTraced builds the system directly so a message trace can be
 // installed before the run, then prints the tail of the trace ring.
-func runMsgTraced(kind siteselect.SystemKind, cfg siteselect.Config, n int) error {
+func runMsgTraced(w io.Writer, kind siteselect.SystemKind, cfg siteselect.Config, n int) error {
 	ring := make([]netsim.Message, 0, n)
 	trace := func(m netsim.Message) {
 		if len(ring) == n {
@@ -234,10 +242,10 @@ func runMsgTraced(kind siteselect.SystemKind, cfg siteselect.Config, n int) erro
 	if err != nil {
 		return err
 	}
-	dump(os.Stdout, kind, res)
-	fmt.Printf("\nLast %d LAN messages:\n", len(ring))
+	dump(w, kind, res)
+	fmt.Fprintf(w, "\nLast %d LAN messages:\n", len(ring))
 	for _, m := range ring {
-		fmt.Printf("  %-12v %-14v %3d -> %-3d %5dB\n",
+		fmt.Fprintf(w, "  %-12v %-14v %3d -> %-3d %5dB\n",
 			m.SentAt.Round(time.Millisecond), m.Kind, m.From, m.To, m.Size)
 	}
 	return nil

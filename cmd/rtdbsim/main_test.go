@@ -51,3 +51,68 @@ func TestGoldenDump(t *testing.T) {
 		}
 	}
 }
+
+// TestFlags drives run through each flag and asserts one line of its
+// report. Every flag case's line is absent from the report of the same
+// run without the flag, so it shows the flag reached the configuration;
+// -invariants instead must leave the run as it was.
+func TestFlags(t *testing.T) {
+	base := []string{"-clients", "30", "-updates", "0.1", "-duration", "3m", "-warmup", "0", "-seed", "3", "-executors", "2"}
+	report := func(args ...string) (string, error) {
+		var out strings.Builder
+		err := run(append(append([]string{}, base...), args...), &out)
+		return out.String(), err
+	}
+	// has reports whether out holds line, spacing aside.
+	has := func(out, line string) bool {
+		want := strings.Join(strings.Fields(line), " ")
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Join(strings.Fields(l), " ") == want {
+				return true
+			}
+		}
+		return false
+	}
+	plain, err := report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		line string
+		same bool // the line is in the plain report too
+	}{
+		{[]string{"-system", "ce"}, "CE-RTDBS — 30 clients, 10% updates, 5m0s virtual time (seed 3)", false},
+		{[]string{"-system", "ce-occ"}, "CE-RTDBS/OCC — 30 clients, 10% updates, 5m0s virtual time (seed 3)", false},
+		{[]string{"-system", "cs"}, "CS-RTDBS — 30 clients, 10% updates, 5m0s virtual time (seed 3)", false},
+		{[]string{"-system", "ls"}, "LS-CS-RTDBS — 30 clients, 10% updates, 5m0s virtual time (seed 3)", true},
+		{[]string{"-no-h1"}, "H1 rejections 0", false},
+		{[]string{"-no-h2"}, "transactions shipped 6 (5 committed)", false},
+		{[]string{"-no-decomposition"}, "LoadQuery 23", false},
+		{[]string{"-no-forward-lists"}, "forward hops (c2c) 0", false},
+		{[]string{"-no-downgrade"}, "Recall 286", false},
+		{[]string{"-drop-rate", "0.05"}, "dropped 363", false},
+		{[]string{"-dup-rate", "0.05"}, "duplicated 71", false},
+		{[]string{"-spike-rate", "0.1"}, "latency spikes 717", false},
+		{[]string{"-partition-site", "2", "-partition-at", "30s", "-partition-duration", "20s"}, "partition drops 36", false},
+		{[]string{"-reps", "2"}, "LS-CS-RTDBS — 30 clients, 10% updates, 2 replications (master seed 3)", false},
+		{[]string{"-msgtrace", "3"}, "Last 3 LAN messages:", false},
+		{[]string{"-invariants"}, "committed 400 (75.05%)", true},
+	} {
+		name := strings.Join(tc.args, " ")
+		out, err := report(tc.args...)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !has(out, tc.line) {
+			t.Errorf("%s: no line %q in\n%s", name, tc.line, out)
+		}
+		if has(plain, tc.line) != tc.same {
+			t.Errorf("%s: line %q in the plain report is %v, want %v", name, tc.line, !tc.same, tc.same)
+		}
+	}
+	if _, err := report("-system", "db2"); err == nil || !strings.Contains(err.Error(), `unknown -system "db2"`) {
+		t.Errorf("-system db2: err = %v, want an unknown-system error", err)
+	}
+}

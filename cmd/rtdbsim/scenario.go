@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"siteselect/internal/scenario"
 )
@@ -11,7 +11,7 @@ import (
 // same bytes rtbench pins in scenarios/golden) followed by the full
 // single-run metric dump. The scenario text fixes the system, workload,
 // and seed, so the other command-line flags do not apply.
-func runScenario(path string) error {
+func runScenario(w io.Writer, path string) error {
 	s, err := scenario.Load(path)
 	if err != nil {
 		return err
@@ -20,10 +20,8 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
-	os.Stdout.WriteString(rep.Format())
-	fmt.Println()
-
-	dump(os.Stdout, rep.Compiled.Kind, rep.Result)
+	fmt.Fprintln(w, rep.Format())
+	dump(w, rep.Compiled.Kind, rep.Result)
 	if !rep.Passed() {
 		return fmt.Errorf("scenario %s failed expectations", s.Name)
 	}

@@ -137,9 +137,6 @@ func NewScheduler(env *sim.Env, window time.Duration, sink func(Request) Outcome
 // Window returns the configured batch window.
 func (s *Scheduler) Window() time.Duration { return s.window }
 
-// PendingLen returns how many requests are parked in the open window.
-func (s *Scheduler) PendingLen() int { return len(s.pending) }
-
 // Add routes one firm request through the batching layer. With a zero
 // window the sink runs inline before Add returns; otherwise the request
 // parks until the window closes (the first request of an idle window

@@ -154,8 +154,8 @@ func FuzzBatchSchedule(f *testing.F) {
 		}
 		env.RunAll()
 
-		if sched.PendingLen() != 0 {
-			t.Fatalf("%d requests still pending after the event queue drained", sched.PendingLen())
+		if len(sched.pending) != 0 {
+			t.Fatalf("%d requests still pending after the event queue drained", len(sched.pending))
 		}
 		if sched.Entered != int64(nOps) {
 			t.Fatalf("scheduler entered %d requests, enqueued %d", sched.Entered, nOps)

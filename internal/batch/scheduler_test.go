@@ -43,9 +43,9 @@ func TestZeroWindowInline(t *testing.T) {
 	if env.Now() != 0 {
 		t.Fatalf("inline adds scheduled events: clock at %v", env.Now())
 	}
-	if s.Flushes != 0 || s.Batched != 0 || s.PendingLen() != 0 {
+	if s.Flushes != 0 || s.Batched != 0 || len(s.pending) != 0 {
 		t.Fatalf("inline path touched flush state: flushes=%d batched=%d pending=%d",
-			s.Flushes, s.Batched, s.PendingLen())
+			s.Flushes, s.Batched, len(s.pending))
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestPendingRetransmitWhileParked(t *testing.T) {
 	if len(served) != 2 || served[0] != 7 || served[1] != 7 {
 		t.Fatalf("served %v, want the original and the second-window copy only", served)
 	}
-	if s.PendingLen() != 0 || s.Pending(1, 7, 3) {
+	if len(s.pending) != 0 || s.Pending(1, 7, 3) {
 		t.Fatal("guard state left behind after the final flush")
 	}
 	if err := s.Audit(); err != nil {

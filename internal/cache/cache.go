@@ -40,9 +40,6 @@ func (e *Entry) Pinned() bool { return e.pins > 0 }
 // Pins returns the current pin count.
 func (e *Entry) Pins() int { return e.pins }
 
-// Tier returns which tier currently holds the entry.
-func (e *Entry) Tier() Tier { return e.tier }
-
 // Tier identifies a cache level.
 type Tier int
 
@@ -141,15 +138,6 @@ func (c *Cache) Init(memCap, diskCap int, entries *Slab) {
 		diskCap = 0
 	}
 	*c = Cache{memCap: memCap, diskCap: diskCap, slab: entries}
-}
-
-// Len returns the number of cached objects across tiers.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Contains reports whether obj is cached in any tier.
-func (c *Cache) Contains(obj lockmgr.ObjectID) bool {
-	_, ok := c.entries[obj]
-	return ok
 }
 
 // Peek returns the entry without touching LRU state or hit counters.

@@ -36,7 +36,7 @@ func TestEntryMapMadeByFirstInsert(t *testing.T) {
 		t.Fatal("a new cache already has an entry map")
 	}
 	reads := func() {
-		if c.Peek(1) != nil || c.Contains(1) || c.Len() != 0 || c.Remove(1) != nil {
+		if c.Peek(1) != nil || len(c.entries) != 0 || c.Remove(1) != nil {
 			panic("an empty cache holds object 1")
 		}
 		if e, tier, evicted := c.Lookup(1); e != nil || tier != TierNone || evicted != nil {
@@ -51,7 +51,7 @@ func TestEntryMapMadeByFirstInsert(t *testing.T) {
 		t.Fatal("a read made the entry map")
 	}
 	c.Insert(1, lockmgr.ModeShared, false, 1)
-	if !c.Contains(1) || c.Len() != 1 {
+	if c.Peek(1) == nil || len(c.entries) != 1 {
 		t.Fatal("first insert lost")
 	}
 }
@@ -62,10 +62,10 @@ func TestMemoryOverflowDemotesToDisk(t *testing.T) {
 	c.Insert(2, lockmgr.ModeShared, false, 0)
 	c.Insert(3, lockmgr.ModeShared, false, 0) // demotes 1
 	e := c.Peek(1)
-	if e == nil || e.Tier() != TierDisk {
+	if e == nil || e.tier != TierDisk {
 		t.Fatalf("entry 1 = %+v, want disk tier", e)
 	}
-	if c.Peek(3).Tier() != TierMemory {
+	if c.Peek(3).tier != TierMemory {
 		t.Fatal("entry 3 should be in memory")
 	}
 }
@@ -79,13 +79,13 @@ func TestDiskOverflowEvicts(t *testing.T) {
 	if len(ev) != 1 || ev[0].Obj != 1 {
 		t.Fatalf("evicted = %v", ev)
 	}
-	if c.Contains(1) || !c.Contains(2) || !c.Contains(3) {
+	if c.Peek(1) != nil || c.Peek(2) == nil || c.Peek(3) == nil {
 		t.Fatal("residency wrong after disk eviction")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("len = %d", len(c.entries))
 	}
-	if ev[0].Tier() != TierNone {
+	if ev[0].tier != TierNone {
 		t.Fatal("evicted entry should report TierNone")
 	}
 }
@@ -107,11 +107,11 @@ func TestDiskHitPromotes(t *testing.T) {
 	if tier != TierDisk {
 		t.Fatalf("tier = %v, want disk", tier)
 	}
-	if e.Tier() != TierMemory {
+	if e.tier != TierMemory {
 		t.Fatal("disk hit should promote to memory")
 	}
 	// 2 must now be on disk.
-	if c.Peek(2).Tier() != TierDisk {
+	if c.Peek(2).tier != TierDisk {
 		t.Fatal("promotion should demote the memory victim")
 	}
 	if c.DiskHits != 1 {
@@ -139,7 +139,7 @@ func TestPinnedEntriesSurviveEviction(t *testing.T) {
 	if len(ev) != 0 {
 		t.Fatalf("pinned-era eviction = %v", ev)
 	}
-	if !c.Contains(1) || !c.Contains(2) {
+	if c.Peek(1) == nil || c.Peek(2) == nil {
 		t.Fatal("transient overflow should keep both")
 	}
 	c.Unpin(e)
@@ -167,7 +167,7 @@ func TestRemove(t *testing.T) {
 	if e == nil || e.Obj != 1 || !e.Dirty {
 		t.Fatalf("removed = %+v", e)
 	}
-	if c.Contains(1) {
+	if c.Peek(1) != nil {
 		t.Fatal("entry still present after Remove")
 	}
 	if c.Remove(1) != nil {
@@ -198,8 +198,8 @@ func TestInsertExistingUpgradesInPlace(t *testing.T) {
 	if e.Mode != lockmgr.ModeExclusive || !e.Dirty || e.Version != 2 {
 		t.Fatalf("entry = %+v", e)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("len = %d", len(c.entries))
 	}
 }
 
@@ -228,7 +228,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			}
 			mem, disk, other := 0, 0, 0
 			c.Visit(func(e *Entry) {
-				switch e.Tier() {
+				switch e.tier {
 				case TierMemory:
 					mem++
 				case TierDisk:
@@ -240,7 +240,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			if other > 0 || mem > mc || disk > dc {
 				return false
 			}
-			if mem+disk != c.Len() {
+			if mem+disk != len(c.entries) {
 				return false
 			}
 		}

@@ -56,7 +56,7 @@ func TestTwoTierMatchesLRUOracle(t *testing.T) {
 			ref.touch(obj)
 			// Residency must agree exactly.
 			for id := lockmgr.ObjectID(0); id < 12; id++ {
-				if c.Contains(id) != ref.contains(id) {
+				if (c.Peek(id) != nil) != ref.contains(id) {
 					return false
 				}
 			}

@@ -147,6 +147,14 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	}
 }
 
+// parkForever parks its task on a signal nobody fires.
+type parkForever struct {
+	t *sim.Task
+	s *sim.Signal
+}
+
+func (p parkForever) Resume() { p.t.Wait(p.s) }
+
 // TestSelectionRoundBookkeepingZeroAlloc pins the load-sharing rounds at
 // one server at zero allocations, the decisions included: a tentative
 // probe answered by a ConflictReply, H2 over it, the commit round and
@@ -161,7 +169,10 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 	tx := &txn.Transaction{ID: 202, Deadline: time.Hour, Length: time.Second, Decomposable: true,
 		Ops: []txn.Op{{Obj: 7}, {Obj: 8, Write: true}}}
 	m := &txnMachine{c: c, t: tx, missing: tx.Ops}
-	r.env.Adopt(&m.task, m) // chooseSite reads the clock; the machine never runs
+	// chooseSite reads the clock through the task, so the task is
+	// spawned; the kernel resumes a stand-in that parks it for good, and
+	// the machine itself never runs.
+	r.env.Spawn(&m.task, parkForever{&m.task, sim.NewSignal(r.env)})
 
 	// The scripted server fills a pooled record from these every round,
 	// as the real one does from its lock table.

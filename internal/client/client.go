@@ -77,8 +77,6 @@ type Client struct {
 	atl sched.ATL
 	gen txn.Source
 
-	loadShare bool
-
 	// faulty and rto configure the retry machinery: both are zero-valued
 	// in fault-free runs, where every retry path collapses to the
 	// original single-send behavior. rto is the base retransmission
@@ -202,14 +200,6 @@ type Stock struct {
 	h2       h2Scratch
 }
 
-// New returns a client site; see Init.
-func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network, stock *Stock,
-	m *metrics.Collector, boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) *Client {
-	c := new(Client)
-	c.Init(env, cfg, id, net, stock, m, boxes, topo, gen, loadShare)
-	return c
-}
-
 // Init makes c a client site, in place: a cluster's clients are the
 // elements of one array, and a Client holds a machine, a resource and
 // (once started) wait-queue links, so it is initialised where it lives
@@ -221,22 +211,21 @@ func New(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
 func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network, stock *Stock,
-	m *metrics.Collector, boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source, loadShare bool) {
+	m *metrics.Collector, boxes []sim.Mailbox[netsim.Message], topo *shardmap.Map, gen txn.Source) {
 	if stock == nil {
 		stock = new(Stock)
 	}
 	*c = Client{
-		env:       env,
-		cfg:       cfg,
-		id:        id,
-		net:       net,
-		stock:     stock,
-		m:         m,
-		boxes:     boxes,
-		topo:      topo,
-		atl:       sched.ATL{Default: cfg.MeanLength},
-		gen:       gen,
-		loadShare: loadShare,
+		env:   env,
+		cfg:   cfg,
+		id:    id,
+		net:   net,
+		stock: stock,
+		m:     m,
+		boxes: boxes,
+		topo:  topo,
+		atl:   sched.ATL{Default: cfg.MeanLength},
+		gen:   gen,
 	}
 	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk, &stock.entries)
 	c.lockTable.Init(&stock.Locks)
@@ -305,9 +294,6 @@ func (c *Client) AuditPending(grace time.Duration) error {
 	}
 	return nil
 }
-
-// ATL exposes the observed average transaction length.
-func (c *Client) ATL() *sched.ATL { return &c.atl }
 
 // SetPeers installs the clients' inbox routing table, indexed by site
 // id. Every client points at the one table (it may include this

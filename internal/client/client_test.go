@@ -13,6 +13,7 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
 	"siteselect/internal/rng"
+	"siteselect/internal/sched"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
 	"siteselect/internal/txn"
@@ -61,13 +62,15 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 	}
 	peer := sim.NewMailbox[netsim.Message](env)
 
-	stream := rng.NewStream(1)
-	access := rng.NewLocalizedRW(stream.Derive(7), rng.LocalizedRWConfig{
+	stream, derived := rng.NewStream(1), new(rng.Stream)
+	stream.DeriveInto(derived, 7)
+	access := rng.NewLocalizedRW(derived, rng.LocalizedRWConfig{
 		DBSize: cfg.DBSize, ClientIndex: 0, NumClients: 2,
 		RegionSize: cfg.HotRegionSize, LocalFraction: cfg.LocalFraction,
 		ZipfTheta: cfg.ZipfTheta,
 	})
-	gen := txn.NewGenerator(stream, 1, txn.WorkloadConfig{
+	gen := new(txn.Generator)
+	gen.Init(stream, 1, txn.WorkloadConfig{
 		MeanInterArrival: cfg.MeanInterArrival,
 		MeanLength:       cfg.MeanLength,
 		MeanSlack:        cfg.MeanSlack,
@@ -75,8 +78,8 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 		Access:           access,
 	}, new(txn.Maker))
 
-	cl := New(env, &cfg, 1, net, stock, &metrics.Collector{}, boxes,
-		shardmap.New(cfg.Sharding), gen, true)
+	cl := new(Client)
+	cl.Init(env, &cfg, 1, net, stock, &metrics.Collector{}, boxes, shardmap.New(cfg.Sharding), gen)
 	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
 	// Only the dispatcher: tests submit transactions explicitly.
 	cl.startDispatcher()
@@ -143,7 +146,7 @@ func TestClientRecallOfIdleEntryAnswersImmediately(t *testing.T) {
 	if !ret.HasData || ret.Version != 3 || ret.Downgraded || ret.NotCached {
 		t.Fatalf("return = %+v", ret)
 	}
-	if r.cl.objects.Contains(5) {
+	if r.cl.objects.Peek(5) != nil {
 		t.Fatal("full recall should drop the entry")
 	}
 }
@@ -170,7 +173,7 @@ func TestClientDowngradeDisabledFallsBackToRelease(t *testing.T) {
 	r.seed(5, lockmgr.ModeExclusive, false, 1)
 	r.inject(netsim.KindRecall, proto.Recall{Obj: 5, DowngradeToShared: true})
 	r.sent(time.Second)
-	if r.cl.objects.Contains(5) {
+	if r.cl.objects.Peek(5) != nil {
 		t.Fatal("with downgrades disabled the entry must be dropped")
 	}
 }
@@ -198,19 +201,19 @@ func TestClientStaleEpochGrantIsDropped(t *testing.T) {
 	r.sent(time.Second)
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(2 * time.Second)
-	if r.cl.objects.Contains(8) {
+	if r.cl.objects.Peek(8) != nil {
 		t.Fatal("stale grant was cached")
 	}
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
 	r.sent(3 * time.Second)
-	if r.cl.objects.Contains(8) {
+	if r.cl.objects.Peek(8) != nil {
 		t.Fatal("second stale grant was cached")
 	}
 	// A grant stamped with the current epoch (the server has processed
 	// our release) is accepted.
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
 	r.sent(4 * time.Second)
-	if !r.cl.objects.Contains(8) {
+	if r.cl.objects.Peek(8) == nil {
 		t.Fatal("current-epoch grant was dropped")
 	}
 }
@@ -255,7 +258,7 @@ func TestClientExecutesFullyCachedTransaction(t *testing.T) {
 	if !e.Dirty || e.Version != 1 {
 		t.Fatalf("written entry = %+v", e)
 	}
-	if r.cl.atl.Count() != 1 {
+	if r.cl.atl == (sched.ATL{Default: r.cl.atl.Default}) {
 		t.Fatal("ATL not observed")
 	}
 }
@@ -364,7 +367,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	if g.Obj != 50 || g.Version != 5 { // committed write bumped it
 		t.Fatalf("forwarded grant = %+v", g)
 	}
-	if r.cl.objects.Contains(50) {
+	if r.cl.objects.Peek(50) != nil {
 		t.Fatal("exclusive migration must not leave a copy behind")
 	}
 	if r.cl.ForwardHops != 1 {
@@ -413,7 +416,7 @@ func TestClientReadRunHopForwardsImmediately(t *testing.T) {
 		Obj: 70, Mode: lockmgr.ModeShared, Version: 3, Fwd: fwd,
 	})
 	r.env.Run(time.Second)
-	if !r.cl.objects.Contains(70) {
+	if r.cl.objects.Peek(70) == nil {
 		t.Fatal("read-run copy not cached")
 	}
 	m, ok := r.peer.TryGet()
@@ -441,7 +444,7 @@ func TestClientReadRunLastMemberAcknowledges(t *testing.T) {
 	if !ret.RunComplete {
 		t.Fatalf("expected run-complete acknowledgement, got %+v", ret)
 	}
-	if !r.cl.objects.Contains(71) {
+	if r.cl.objects.Peek(71) == nil {
 		t.Fatal("last member should keep its copy")
 	}
 }
@@ -746,10 +749,10 @@ func TestClientOutageWipesCleanKeepsLoggedDirty(t *testing.T) {
 	r.seed(2, lockmgr.ModeExclusive, true, 3) // dirty + WAL: survives
 	r.env.At(r.cl.cfg.OutageAt, r.cl.beginOutage)
 	r.env.Run(2 * time.Minute)
-	if r.cl.objects.Contains(1) {
+	if r.cl.objects.Peek(1) != nil {
 		t.Fatal("clean copy survived the outage")
 	}
-	if !r.cl.objects.Contains(2) {
+	if r.cl.objects.Peek(2) == nil {
 		t.Fatal("logged dirty copy did not survive")
 	}
 	if r.cl.LostUpdates != 0 {

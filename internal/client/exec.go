@@ -194,7 +194,7 @@ func (m *txnMachine) step() bool {
 	case tsSubmit:
 		// Entry point of the load-sharing algorithm for a transaction
 		// initiated at this client (Section 4 pseudocode).
-		if c.loadShare && c.cfg.UseDecomposition && t.Decomposable {
+		if c.cfg.UseDecomposition && t.Decomposable {
 			m.beginLoadQuery(tsDecomposeQuery)
 			return false
 		}
@@ -304,7 +304,7 @@ func (m *txnMachine) beginLoadQuery(next uint8) {
 // objects live and how loaded the candidates are (tsShipQuery).
 func (m *txnMachine) stepH1() bool {
 	c, t := m.c, m.t
-	if c.loadShare && c.cfg.UseH1 {
+	if c.cfg.UseH1 {
 		n := c.slots.QueueLen()
 		atl := c.atl.Mean() / time.Duration(c.cfg.ClientExecutors)
 		feasible := loadshare.H1Feasible(m.task.Now(), n, atl, t.Deadline)
@@ -646,7 +646,7 @@ func (m *txnMachine) nextAttempt() {
 func (m *txnMachine) beginFetch() {
 	c := m.c
 	pt := m.openPending()
-	if !(c.loadShare && c.cfg.UseH2 && m.origin && m.attempt == 0) {
+	if !(c.cfg.UseH2 && m.origin && m.attempt == 0) {
 		m.seqIdx = 0
 		m.pc = tsSeqSend
 		return
@@ -848,7 +848,7 @@ func (m *txnMachine) stepCommit() {
 		}
 	}
 	if c.log != nil && m.lastLSN > 0 {
-		m.force.Init(c.log, int64(t.ID), m.lastLSN)
+		m.force.Init(c.log, m.lastLSN)
 		m.pc = tsForce
 		return
 	}
@@ -1061,7 +1061,7 @@ type specEntry struct {
 // when disabled, nothing is missing (no wait to overlap), or nothing is
 // present (no data to compute against).
 func (c *Client) speculationCandidates(ops []txn.Op, buf []specEntry) ([]specEntry, bool, float64) {
-	if !c.loadShare || !c.cfg.UseSpeculation {
+	if !c.cfg.UseSpeculation {
 		return buf, false, 0
 	}
 	present := buf

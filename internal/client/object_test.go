@@ -148,7 +148,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 			kind = netsim.KindClientForward
 		}
 		r.inject(kind, g)
-		r.until(func() bool { return c.objects.Contains(g.Obj) })
+		r.until(func() bool { return c.objects.Peek(g.Obj) != nil })
 	}
 	recall := func(rc proto.Recall) {
 		r.inject(netsim.KindRecall, rc)
@@ -208,8 +208,8 @@ func TestClientObjectLifecycle(t *testing.T) {
 	}
 	finish(tx)
 	at(20, phIdle, "release answers it")
-	if rets := r.returns(); len(rets) != 1 || rets[0].Obj != 20 || rets[0].Version != 2 || c.objects.Contains(20) {
-		t.Fatalf("answer = %+v, copy kept %v", rets, c.objects.Contains(20))
+	if rets := r.returns(); len(rets) != 1 || rets[0].Obj != 20 || rets[0].Version != 2 || c.objects.Peek(20) != nil {
+		t.Fatalf("answer = %+v, copy kept %v", rets, c.objects.Peek(20) != nil)
 	}
 
 	// A recall naming EL on an SL copy refers to an upgrade on the wire.
@@ -222,8 +222,8 @@ func TestClientObjectLifecycle(t *testing.T) {
 	grant(proto.ObjGrant{Obj: 32, Mode: lockmgr.ModeShared, Version: 1}) // evicts 30, the LRU copy
 	at(30, phRequested, "eviction answers the parked recall")
 	r.env.Run(r.env.Now() + time.Millisecond)
-	if rets := r.returns(); len(rets) != 1 || rets[0].Obj != 30 || rets[0].Epoch != 1 || c.objects.Contains(30) {
-		t.Fatalf("eviction's answer = %+v, copy kept %v", rets, c.objects.Contains(30))
+	if rets := r.returns(); len(rets) != 1 || rets[0].Obj != 30 || rets[0].Epoch != 1 || c.objects.Peek(30) != nil {
+		t.Fatalf("eviction's answer = %+v, copy kept %v", rets, c.objects.Peek(30) != nil)
 	}
 	r.env.Run(r.env.Now() + 2*time.Minute) // the upgrade never comes: the transaction gives up
 	at(30, phIdle, "the waiting transaction's deadline")
@@ -258,8 +258,8 @@ func TestClientObjectLifecycle(t *testing.T) {
 	at(50, phMigrating|phParkedPinned, "recall mid-migration")
 	finish(tx)
 	at(50, phIdle, "forwarded, recall released")
-	if rets := r.returns(); len(rets) != 1 || !rets[0].NotCached || c.objects.Contains(50) {
-		t.Fatalf("answer to the mid-migration recall = %+v, copy kept %v", rets, c.objects.Contains(50))
+	if rets := r.returns(); len(rets) != 1 || !rets[0].NotCached || c.objects.Peek(50) != nil {
+		t.Fatalf("answer to the mid-migration recall = %+v, copy kept %v", rets, c.objects.Peek(50) != nil)
 	}
 	r.peer.TryGet()
 
@@ -272,8 +272,8 @@ func TestClientObjectLifecycle(t *testing.T) {
 	r.inject(netsim.KindClientForward, proto.ObjGrant{Obj: 60, Mode: lockmgr.ModeShared, Version: 1, Fwd: run})
 	r.env.Run(r.env.Now() + time.Second)
 	at(60, phIdle, "stale-epoch hop")
-	if hop, ok := r.peer.TryGet(); !ok || c.objects.Contains(60) {
-		t.Fatalf("stale hop passed on: %v (%+v), cached %v", ok, hop, c.objects.Contains(60))
+	if hop, ok := r.peer.TryGet(); !ok || c.objects.Peek(60) != nil {
+		t.Fatalf("stale hop passed on: %v (%+v), cached %v", ok, hop, c.objects.Peek(60) != nil)
 	}
 
 	// A second recall parked on the same object replaces the first: one

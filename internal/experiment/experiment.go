@@ -187,12 +187,6 @@ func Figure(name string, update float64, o Options) *Study {
 	return s
 }
 
-// RunFigure runs Figure 3 (update=0.01), Figure 4 (0.05) or Figure 5
-// (0.20). Columns 0–2 are the CE, CS and LS success percentages.
-func RunFigure(name string, update float64, opts Options) (*Table, error) {
-	return Figure(name, update, opts).Run(opts)
-}
-
 // Table2Updates are the update mixes of Table 2's columns; Table2Clients
 // the client counts of Table 2's and Table 3's rows.
 var (

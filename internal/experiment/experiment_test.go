@@ -312,7 +312,8 @@ func TestProtocolCounts(t *testing.T) {
 }
 
 func TestReplicatedFigure(t *testing.T) {
-	rf, err := RunFigure("Figure R", 0.05, Options{Scale: 0.05, Seed: 1, Clients: []int{4}, Reps: 3})
+	o := Options{Scale: 0.05, Seed: 1, Clients: []int{4}, Reps: 3}
+	rf, err := Figure("Figure R", 0.05, o).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,9 +155,8 @@ func TestRunCellsError(t *testing.T) {
 // derived from the master seed and the cell coordinates alone.
 func TestFigureDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(parallel int) (string, string) {
-		f, err := RunFigure("Figure 3", 0.01, Options{
-			Scale: 0.05, Seed: 42, Clients: []int{4, 6}, Reps: 2, Parallel: parallel,
-		})
+		o := Options{Scale: 0.05, Seed: 42, Clients: []int{4, 6}, Reps: 2, Parallel: parallel}
+		f, err := Figure("Figure 3", 0.01, o).Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}

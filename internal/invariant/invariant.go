@@ -70,9 +70,6 @@ func (m *Monitor) onStep() {
 	}
 }
 
-// Err returns the first recorded violation, or nil.
-func (m *Monitor) Err() error { return m.failed }
-
 // Final evaluates every check once more (regardless of the sampling
 // interval) and returns the first violation, including any recorded
 // earlier during the run.

@@ -31,8 +31,8 @@ func TestMonitorSamplesEveryNthEvent(t *testing.T) {
 		if calls != tc.want {
 			t.Errorf("every %d over %d events: check ran %d times, want %d", tc.every, tc.events, calls, tc.want)
 		}
-		if m.Err() != nil {
-			t.Errorf("every %d: Err = %v on a clean run", tc.every, m.Err())
+		if m.failed != nil {
+			t.Errorf("every %d: Err = %v on a clean run", tc.every, m.failed)
 		}
 	}
 }
@@ -61,8 +61,8 @@ func TestMonitorKeepsFirstViolation(t *testing.T) {
 	tick(env, 5)
 	env.RunAll()
 	const want = `invariant "b" violated at step 1 (t=1ms): b fails always`
-	if m.Err() == nil || m.Err().Error() != want {
-		t.Fatalf("Err = %v, want %q", m.Err(), want)
+	if m.failed == nil || m.failed.Error() != want {
+		t.Fatalf("Err = %v, want %q", m.failed, want)
 	}
 	if aCalls != 1 || bCalls != 1 {
 		t.Fatalf("checks ran %d and %d times after the first violation, want once each", aCalls, bCalls)
@@ -85,10 +85,10 @@ func TestMonitorViolationStepAndTime(t *testing.T) {
 	tick(env, 5)
 	env.RunAll()
 	const want = `invariant "lock-table" violated at step 3 (t=3ms): object 5 held incompatibly`
-	if m.Err() == nil || m.Err().Error() != want {
-		t.Fatalf("Err = %v, want %q", m.Err(), want)
+	if m.failed == nil || m.failed.Error() != want {
+		t.Fatalf("Err = %v, want %q", m.failed, want)
 	}
-	if !errors.Is(m.Err(), broken) {
+	if !errors.Is(m.failed, broken) {
 		t.Fatal("the violation does not wrap the check's error")
 	}
 }
@@ -127,7 +127,7 @@ func TestFinalRunsEveryCheckOnce(t *testing.T) {
 	if err := m.Final(); err == nil || err.Error() != want {
 		t.Fatalf("Final = %v, want %q", err, want)
 	}
-	if m.Err() != nil {
+	if m.failed != nil {
 		t.Fatal("Final recorded its finding as a mid-run violation")
 	}
 }

@@ -112,9 +112,6 @@ func (n *Network) SetFaults(cfg FaultConfig) {
 	n.faults = &faultState{cfg: cfg, rng: rng.NewStream(cfg.Seed)}
 }
 
-// FaultsEnabled reports whether fault injection is installed.
-func (n *Network) FaultsEnabled() bool { return n.faults != nil }
-
 // Faults returns the accumulated fault counters.
 func (n *Network) Faults() FaultStats {
 	if n.faults == nil {

@@ -22,7 +22,7 @@ func TestFaultsZeroConfigIsNoop(t *testing.T) {
 	env := sim.NewEnv()
 	n := New(env, DefaultConfig())
 	n.SetFaults(FaultConfig{Seed: 1}) // all rates zero, no partitions
-	if n.FaultsEnabled() {
+	if n.faults != nil {
 		t.Fatal("zero-rate fault config should leave faults disabled")
 	}
 }

@@ -22,15 +22,6 @@ type Frame struct {
 	inLRU      bool
 }
 
-// ID returns the page held by the frame.
-func (f *Frame) ID() PageID { return f.id }
-
-// Dirty reports whether the frame has unwritten modifications.
-func (f *Frame) Dirty() bool { return f.dirty }
-
-// Pins returns the current pin count.
-func (f *Frame) Pins() int { return int(f.pins) }
-
 // BufferPool caches pages of a Disk in a fixed number of frames with LRU
 // replacement. Dirty pages are written back when evicted. The operations
 // that can wait on the disk or on a free frame (GetOp, PutOp, MultiGetOp)
@@ -38,7 +29,6 @@ func (f *Frame) Pins() int { return int(f.pins) }
 type BufferPool struct {
 	env  *sim.Env
 	disk *Disk
-	cap  int
 	// frames indexes the resident (or loading) pages by page id, as the
 	// disk indexes its pages; nil where the page is not in the pool.
 	frames []*Frame
@@ -69,15 +59,11 @@ func NewBufferPool(env *sim.Env, disk *Disk, capacity int) *BufferPool {
 	return &BufferPool{
 		env:    env,
 		disk:   disk,
-		cap:    capacity,
 		frames: make([]*Frame, disk.NumPages()),
 		slab:   make([]Frame, n),
 		free:   sim.NewSignal(env),
 	}
 }
-
-// Capacity returns the configured number of frames.
-func (bp *BufferPool) Capacity() int { return bp.cap }
 
 // newFrame carves the next frame slot out of the pool's slab, pinned
 // and loading. Callers must have checked bp.allocated < len(bp.slab).
@@ -102,16 +88,6 @@ func (bp *BufferPool) Pinned() int {
 		}
 	}
 	return n
-}
-
-// Contains reports whether page id is resident (pinned or not), without
-// touching LRU state. No page beyond the disk's is.
-func (bp *BufferPool) Contains(id PageID) bool {
-	if uint(id) >= uint(len(bp.frames)) {
-		return false
-	}
-	f := bp.frames[id]
-	return f != nil && !f.loading
 }
 
 func (bp *BufferPool) lruPushFront(f *Frame) {

@@ -28,12 +28,6 @@ type DiskConfig struct {
 	WriteTime time.Duration
 }
 
-// DefaultDiskConfig approximates a late-90s SCSI disk: ~12 ms per random
-// page access.
-func DefaultDiskConfig() DiskConfig {
-	return DiskConfig{ReadTime: 12 * time.Millisecond, WriteTime: 12 * time.Millisecond}
-}
-
 // Disk is a simulated block device holding numPages pages. Requests are
 // serialized (single actuator) in deadline-agnostic FIFO order.
 type Disk struct {
@@ -62,12 +56,6 @@ func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 
 // NumPages returns the capacity of the disk in pages.
 func (d *Disk) NumPages() int { return len(d.pages) }
-
-// Utilization returns the fraction of time the device has been busy.
-func (d *Disk) Utilization() float64 { return d.arm.Utilization() }
-
-// QueueLen returns the number of requests waiting for the device.
-func (d *Disk) QueueLen() int { return d.arm.QueueLen() }
 
 // Resource exposes the device arm so co-located work (e.g. a write-ahead
 // log sharing the spindle) contends with page I/O.

@@ -18,13 +18,6 @@ type Uniform struct {
 	scratch dedup
 }
 
-// NewUniform returns a uniform access generator.
-func NewUniform(stream *Stream, dbSize int) *Uniform {
-	g := new(Uniform)
-	g.Init(stream, dbSize)
-	return g
-}
-
 // Init makes g a uniform access generator, in place.
 func (g *Uniform) Init(stream *Stream, dbSize int) {
 	if dbSize <= 0 {
@@ -48,14 +41,6 @@ type HotCold struct {
 	hotFrac float64
 	stream  *Stream
 	scratch dedup
-}
-
-// NewHotCold returns a hot/cold generator: hotFrac of accesses hit the
-// first hotSize objects, the rest spread uniformly over the remainder.
-func NewHotCold(stream *Stream, dbSize, hotSize int, hotFrac float64) *HotCold {
-	g := new(HotCold)
-	g.Init(stream, dbSize, hotSize, hotFrac)
-	return g
 }
 
 // Init makes g a hot/cold generator, in place.
@@ -208,19 +193,6 @@ func (g *LocalizedRW) Init(stream *Stream, cfg LocalizedRWConfig) {
 	if remote := cfg.DBSize - size; remote > 0 {
 		g.zipf.Init(stream, cfg.ZipfTheta, remote)
 	}
-}
-
-// RegionBase returns the first object id of the hot region.
-func (g *LocalizedRW) RegionBase() int { return g.regionBase }
-
-// RegionSize returns the size of the hot region.
-func (g *LocalizedRW) RegionSize() int { return g.regionSize }
-
-// InRegion reports whether object id lies in this client's hot region
-// (accounting for wraparound).
-func (g *LocalizedRW) InRegion(id int) bool {
-	off := (id - g.regionBase + g.dbSize) % g.dbSize
-	return off < g.regionSize
 }
 
 // Next returns the next object id to access.

@@ -45,13 +45,6 @@ type SkewedConfig struct {
 	DriftStep  int
 }
 
-// NewSkewed returns a skewed access generator.
-func NewSkewed(stream *Stream, cfg SkewedConfig) *Skewed {
-	g := new(Skewed)
-	g.Init(stream, cfg)
-	return g
-}
-
 // Init makes g a skewed access generator, in place.
 func (g *Skewed) Init(stream *Stream, cfg SkewedConfig) {
 	if cfg.DBSize <= 0 {
@@ -84,9 +77,6 @@ func (g *Skewed) Advance(now time.Duration) {
 	periods := int64(now / g.every)
 	g.base = int((periods * int64(g.step)) % int64(g.dbSize))
 }
-
-// Base returns the current hot-window base (tests observe the drift).
-func (g *Skewed) Base() int { return g.base }
 
 // Next returns the next object id.
 func (g *Skewed) Next() int {

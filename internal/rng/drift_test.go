@@ -19,14 +19,14 @@ func TestSkewedDriftFollowsClock(t *testing.T) {
 	}
 	for now, want := range cases {
 		g.Advance(now)
-		if got := g.Base(); got != want {
+		if got := g.base; got != want {
 			t.Errorf("Advance(%v): base = %d, want %d", now, got, want)
 		}
 	}
 	// Advance is a pure function of now, not of call history.
 	g.Advance(time.Minute)
 	g.Advance(30 * time.Second)
-	if got := g.Base(); got != 100 {
+	if got := g.base; got != 100 {
 		t.Errorf("re-Advance(30s): base = %d, want 100", got)
 	}
 }

@@ -43,16 +43,10 @@ func (s *Stream) Init(seed int64) {
 	s.r = *rand.New(&s.src)
 }
 
-// Derive returns a new independent stream whose seed combines the parent
-// seed-derived state with tag. Use it to give each client or component its
-// own stream from one experiment seed.
-func (s *Stream) Derive(tag int64) *Stream {
-	d := new(Stream)
-	s.DeriveInto(d, tag)
-	return d
-}
-
-// DeriveInto is Derive into dst, where the derived stream will live.
+// DeriveInto makes dst, where the derived stream will live, a new
+// independent stream whose seed combines the parent seed-derived state
+// with tag. Use it to give each client or component its own stream from
+// one experiment seed.
 func (s *Stream) DeriveInto(dst *Stream, tag int64) {
 	// SplitMix64-style mixing of the parent's next value with the tag.
 	z := uint64(s.r.Int63()) ^ (uint64(tag) * 0x9e3779b97f4a7c15)
@@ -110,9 +104,6 @@ func (s *Stream) Poisson(mean float64) int {
 		k++
 	}
 }
-
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 
 // Zipf draws ranks in [0,n) with P(k) proportional to 1/(k+1)^theta.
 // Unlike math/rand's Zipf it supports the 0 < theta ≤ 1 exponents common

@@ -165,8 +165,8 @@ func TestLocalizedRWRegionPlacementWraps(t *testing.T) {
 		DBSize: 100, ClientIndex: 19, NumClients: 20,
 		RegionSize: 30, LocalFraction: 1.0, ZipfTheta: 0.9,
 	})
-	if g.RegionBase() != 95 {
-		t.Fatalf("region base = %d, want 95", g.RegionBase())
+	if g.regionBase != 95 {
+		t.Fatalf("region base = %d, want 95", g.regionBase)
 	}
 	for i := 0; i < 1000; i++ {
 		id := g.Next()

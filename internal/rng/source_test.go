@@ -102,7 +102,7 @@ func TestStreamMatchesMathRand(t *testing.T) {
 			if g, w := s.Poisson(100), int(math.Round(ref.NormFloat64()*10+100)); g != w {
 				t.Fatalf("seed %d round %d: Poisson = %v, want %v", seed, i, g, w)
 			}
-			g, w := s.Perm(5), ref.Perm(5)
+			g, w := s.r.Perm(5), ref.Perm(5)
 			for k := range w {
 				if g[k] != w[k] {
 					t.Fatalf("seed %d round %d: Perm = %v, want %v", seed, i, g, w)

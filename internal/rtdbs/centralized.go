@@ -93,9 +93,6 @@ func (ce *ceCore) Env() *sim.Env { return ce.env }
 // Net exposes the simulated LAN.
 func (ce *ceCore) Net() *netsim.Network { return ce.net }
 
-// Metrics exposes the live collector.
-func (ce *ceCore) Metrics() *metrics.Collector { return ce.m }
-
 // Start spawns the server dispatcher and the terminal machines.
 func (ce *ceCore) Start() {
 	s := &ceServeMachine{ce: ce}
@@ -498,7 +495,7 @@ func (m *ceTxnMachine) step() bool {
 		}
 		clear(m.read.frames)
 		if ce.log != nil && lastLSN > 0 {
-			m.force.Init(ce.log, int64(t.ID), lastLSN)
+			m.force.Init(ce.log, lastLSN)
 			m.pc = xsForce
 			return false
 		}

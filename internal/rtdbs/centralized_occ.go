@@ -37,9 +37,6 @@ func NewCentralizedOCC(cfg config.Config) (*CentralizedOCC, error) {
 	return ce, nil
 }
 
-// Validator exposes the validation counters.
-func (ce *CentralizedOCC) Validator() *occ.Validator { return ce.valid }
-
 func (ce *CentralizedOCC) spawnTxn(t *txn.Transaction) {
 	x := ce.machines.New()
 	*x = occTxnMachine{ce: ce, t: t, snapshot: x.snapshot[:0], read: ceRead{frames: x.read.frames}}

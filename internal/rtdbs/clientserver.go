@@ -19,16 +19,15 @@ import (
 )
 
 // Cluster is a client-server system: one or more server shards
-// (config.Topology), N client sites, a shared LAN. With loadShare false
-// it is the basic CS-RTDBS (object-shipping with callback locking);
-// with loadShare true it is the LS-CS-RTDBS running the Section 4
-// algorithm. servers[0] is shard 0 at netsim.ServerSite, the only one in
-// the paper's topology.
+// (config.Topology), N client sites, a shared LAN. It is the basic
+// CS-RTDBS (object-shipping with callback locking) when every
+// load-sharing flag of its config is off, and the LS-CS-RTDBS running
+// the Section 4 algorithm with the flags it has on. servers[0] is shard
+// 0 at netsim.ServerSite, the only one in the paper's topology.
 type Cluster struct {
 	// cfg is the one configuration every site points at; nothing
 	// writes it once newCluster has returned.
-	cfg       config.Config
-	loadShare bool
+	cfg config.Config
 
 	env     *sim.Env
 	net     *netsim.Network
@@ -42,10 +41,6 @@ type Cluster struct {
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
 // forced off regardless of the config flags.
 func NewClientServer(cfg config.Config) (*Cluster, error) {
-	cfg.UseH1 = false
-	cfg.UseH2 = false
-	cfg.UseDecomposition = false
-	cfg.UseForwardLists = false
 	return newCluster(cfg, false, new(client.Stock))
 }
 
@@ -61,8 +56,17 @@ func NewLoadSharing(cfg config.Config) (*Cluster, error) {
 // lock-table records (the shards' and the clients' local tables'),
 // transaction machines — and that no other cluster shares; the sites
 // keep no free lists. (With nil each site makes a private stock; a test
-// holds the two to one Result.)
+// holds the two to one Result.) Without loadShare it is the basic
+// CS-RTDBS: this is the one place the load-sharing flags are forced
+// off, whatever the config says, and no site asks again.
 func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluster, error) {
+	if !loadShare {
+		cfg.UseH1 = false
+		cfg.UseH2 = false
+		cfg.UseDecomposition = false
+		cfg.UseForwardLists = false
+		cfg.UseSpeculation = false
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,12 +81,11 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 	}
 	topo := shardmap.New(cfg.Sharding)
 	c := &Cluster{
-		cfg:       cfg,
-		loadShare: loadShare,
-		env:       env,
-		net:       net,
-		m:         &metrics.Collector{},
-		topo:      topo,
+		cfg:  cfg,
+		env:  env,
+		net:  net,
+		m:    &metrics.Collector{},
+		topo: topo,
 	}
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
@@ -127,7 +130,7 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
 		inboxes[id] = &mine[0]
-		c.clients[i-1].Init(env, &c.cfg, id, net, stock, c.m, mine, topo, &gens[i-1], loadShare)
+		c.clients[i-1].Init(env, &c.cfg, id, net, stock, c.m, mine, topo, &gens[i-1])
 	}
 	for i := range c.clients {
 		c.clients[i].SetPeers(&inboxes)
@@ -205,13 +208,6 @@ func faultConfig(cfg config.Config) netsim.FaultConfig {
 // Env exposes the simulation environment (tests drive it directly).
 func (c *Cluster) Env() *sim.Env { return c.env }
 
-// Server exposes the server actor for shard 0 (the only shard in
-// single-server topologies).
-func (c *Cluster) Server() *server.Server { return c.servers[0] }
-
-// Servers exposes every server shard.
-func (c *Cluster) Servers() []*server.Server { return c.servers }
-
 // home returns the server shard authoritative for obj.
 func (c *Cluster) home(obj lockmgr.ObjectID) *server.Server {
 	return c.servers[c.topo.HomeShard(obj)]
@@ -220,19 +216,6 @@ func (c *Cluster) home(obj lockmgr.ObjectID) *server.Server {
 // Net exposes the simulated LAN (e.g. to install a message trace before
 // Start).
 func (c *Cluster) Net() *netsim.Network { return c.net }
-
-// Clients exposes the client actors, as pointers into the cluster's
-// array (a Client is never copied).
-func (c *Cluster) Clients() []*client.Client {
-	out := make([]*client.Client, len(c.clients))
-	for i := range c.clients {
-		out[i] = &c.clients[i]
-	}
-	return out
-}
-
-// Metrics exposes the live metrics collector.
-func (c *Cluster) Metrics() *metrics.Collector { return c.m }
 
 // Tracer exposes the per-transaction tracer (nil unless cfg.Trace).
 func (c *Cluster) Tracer() *trace.Tracer { return c.tr }

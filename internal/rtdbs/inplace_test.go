@@ -18,9 +18,9 @@ import (
 )
 
 // TestInitOverUsedValueEqualsNew: every per-site type has one
-// initialisation body — New* is new + Init — and Init leaves nothing of
-// the value's past behind: over a used value it gives what New* gives
-// afresh, field for field. (A population's sites are initialised in the
+// initialisation body — New*, where there is one, is new + Init — and
+// Init leaves nothing of the value's past behind: over a used value it
+// gives what Init of a new value gives, field for field. (A population's sites are initialised in the
 // arrays they live in; the owner of an array may reuse it.)
 func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	env := sim.NewEnv()
@@ -33,7 +33,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	skewCfg := rng.SkewedConfig{DBSize: 1000, ZipfTheta: 0.8, HotSize: 20, HotFraction: 0.5, DriftEvery: time.Second, DriftStep: 7}
 	wc := txn.WorkloadConfig{
 		MeanInterArrival: time.Second, MeanLength: time.Second, MeanSlack: 10 * time.Second,
-		MeanObjects: 4, Access: rng.NewUniform(shared, 100),
+		MeanObjects: 4, Access: uniform(shared, 100),
 	}
 	cfg := config.Default(2, 0.05)
 	net := netsim.New(env, netsim.DefaultConfig())
@@ -43,7 +43,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	}
 	topo := shardmap.New(cfg.Sharding)
 	maker := new(txn.Maker)
-	gen := txn.NewGenerator(rng.NewStream(4), 1, wc, maker)
+	gen := generator(rng.NewStream(4), 1, wc, maker)
 	var stock client.Stock
 	var m metrics.Collector
 
@@ -95,17 +95,22 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			return z
 		}, func() any { return rng.NewZipf(shared, 0.9, 100) }},
 		{"rng.Uniform", func() any {
-			g := rng.NewUniform(shared, 50)
+			g := uniform(shared, 50)
 			g.NextSet(5)
 			g.Init(shared, 100)
 			return g
-		}, func() any { return rng.NewUniform(shared, 100) }},
+		}, func() any { return uniform(shared, 100) }},
 		{"rng.HotCold", func() any {
-			g := rng.NewHotCold(shared, 50, 5, 0.5)
+			g := new(rng.HotCold)
+			g.Init(shared, 50, 5, 0.5)
 			g.NextSet(5)
 			g.Init(shared, 100, 10, 0.8)
 			return g
-		}, func() any { return rng.NewHotCold(shared, 100, 10, 0.8) }},
+		}, func() any {
+			g := new(rng.HotCold)
+			g.Init(shared, 100, 10, 0.8)
+			return g
+		}},
 		{"rng.LocalizedRW", func() any {
 			g := rng.NewLocalizedRW(shared, rng.LocalizedRWConfig{DBSize: 10, NumClients: 1, RegionSize: 10})
 			g.NextSet(5)
@@ -113,30 +118,52 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			return g
 		}, func() any { return rng.NewLocalizedRW(shared, locCfg) }},
 		{"rng.Skewed", func() any {
-			g := rng.NewSkewed(shared, rng.SkewedConfig{DBSize: 10})
+			g := new(rng.Skewed)
+			g.Init(shared, rng.SkewedConfig{DBSize: 10})
 			g.Advance(time.Minute)
 			g.NextSet(5)
 			g.Init(shared, skewCfg)
 			return g
-		}, func() any { return rng.NewSkewed(shared, skewCfg) }},
+		}, func() any {
+			g := new(rng.Skewed)
+			g.Init(shared, skewCfg)
+			return g
+		}},
 		{"txn.Generator", func() any {
-			g := txn.NewGenerator(rng.NewStream(8), 2, txn.WorkloadConfig{MeanObjects: 1, Access: wc.Access}, new(txn.Maker))
+			g := generator(rng.NewStream(8), 2, txn.WorkloadConfig{MeanObjects: 1, Access: wc.Access}, new(txn.Maker))
 			g.NextArrival()
 			g.Init(rng.NewStream(5), 1, wc, maker)
 			return g
-		}, func() any { return txn.NewGenerator(rng.NewStream(5), 1, wc, maker) }},
+		}, func() any { return generator(rng.NewStream(5), 1, wc, maker) }},
 		{"client.Client", func() any {
-			c := client.New(env, &cfg, 2, net, &stock, &m, boxes, topo, gen, false)
+			c := new(client.Client)
+			c.Init(env, &cfg, 2, net, &stock, &m, boxes, topo, gen)
 			c.Cache().Insert(7, lockmgr.ModeExclusive, true, 3)
 			c.Tracked = append(c.Tracked, &txn.Transaction{ID: 1})
 			c.Retries, c.ShippedIn = 4, 2
-			c.Init(env, &cfg, 1, net, &stock, &m, boxes, topo, gen, true)
+			c.Init(env, &cfg, 1, net, &stock, &m, boxes, topo, gen)
 			return c
-		}, func() any { return client.New(env, &cfg, 1, net, &stock, &m, boxes, topo, gen, true) }},
+		}, func() any {
+			c := new(client.Client)
+			c.Init(env, &cfg, 1, net, &stock, &m, boxes, topo, gen)
+			return c
+		}},
 	} {
 		used, fresh := tc.used(), tc.fresh()
 		if !reflect.DeepEqual(used, fresh) {
 			t.Errorf("%s: Init over a used value differs from New:\n used  %+v\n fresh %+v", tc.name, used, fresh)
 		}
 	}
+}
+
+func uniform(s *rng.Stream, dbSize int) *rng.Uniform {
+	g := new(rng.Uniform)
+	g.Init(s, dbSize)
+	return g
+}
+
+func generator(s *rng.Stream, origin netsim.SiteID, cfg txn.WorkloadConfig, maker *txn.Maker) *txn.Generator {
+	g := new(txn.Generator)
+	g.Init(s, origin, cfg, maker)
+	return g
 }

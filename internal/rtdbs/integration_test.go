@@ -136,8 +136,9 @@ func TestLockTableCleanAfterDrain(t *testing.T) {
 	}
 	// Spot-check holder/cache agreement: for every object a client
 	// caches with EL, the server must record that client as EL holder.
-	srv := ls.Server()
-	for _, cl := range ls.Clients() {
+	srv := ls.servers[0]
+	for i := range ls.clients {
+		cl := &ls.clients[i]
 		cl.Cache().Visit(func(e *cache.Entry) {
 			if e.Dirty && srv.Locks().HolderMode(e.Obj, lockmgr.OwnerID(cl.ID())) == 0 {
 				t.Errorf("client %d caches dirty object %d without a server-side lock", cl.ID(), e.Obj)
@@ -159,7 +160,8 @@ func TestShippedTransactionsExecuteRemotely(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipped := 0
-	for _, cl := range ls.Clients() {
+	for i := range ls.clients {
+		cl := &ls.clients[i]
 		for _, tx := range cl.Tracked {
 			if !tx.Shipped || !tx.Terminal() {
 				continue
@@ -501,7 +503,8 @@ func TestWriteThrough(t *testing.T) {
 		t.Fatal("nothing committed")
 	}
 	dirty := 0
-	for _, cl := range ls.Clients() {
+	for i := range ls.clients {
+		cl := &ls.clients[i]
 		cl.Cache().Visit(func(e *cache.Entry) {
 			if e.Dirty && !cl.HasDeferredRecall(e.Obj) {
 				dirty++
@@ -559,7 +562,8 @@ func TestLoggingEndToEnd(t *testing.T) {
 		t.Fatal("nothing committed")
 	}
 	var appends, forces int64
-	for _, cl := range ls.Clients() {
+	for i := range ls.clients {
+		cl := &ls.clients[i]
 		if l := cl.Log(); l != nil {
 			appends += l.Appends
 			forces += l.Forces
@@ -647,7 +651,8 @@ func TestOutageWithoutLoggingLosesUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lost int64
-		for _, cl := range ls.Clients() {
+		for i := range ls.clients {
+			cl := &ls.clients[i]
 			lost += cl.LostUpdates
 		}
 		return res, lost

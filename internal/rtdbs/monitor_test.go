@@ -26,11 +26,11 @@ func TestMonitorNamesLowestPlantedViolation(t *testing.T) {
 		}
 		mon, _ := c.monitor()
 		mon.Attach()
-		victim := c.Clients()[2]
+		victim := &c.clients[2]
 		c.Env().At(time.Minute, func() {
 			// Objects of the far end of the database, which nobody caches.
 			for _, obj := range []lockmgr.ObjectID{9070, 9040, 9090} {
-				if victim.Cache().Contains(obj) {
+				if victim.Cache().Peek(obj) != nil {
 					t.Errorf("object %d already cached; pick another", obj)
 				}
 				victim.Cache().Insert(obj, lockmgr.ModeShared, true, 1)
@@ -38,9 +38,6 @@ func TestMonitorNamesLowestPlantedViolation(t *testing.T) {
 		})
 		c.Start()
 		c.Env().Run(2 * time.Minute)
-		if err := mon.Err(); err == nil || err.Error() != wantMonitor {
-			t.Fatalf("run %d: monitor recorded\n  %v\nwant\n  %s", run, err, wantMonitor)
-		}
 		if err := mon.Final(); err == nil || err.Error() != wantMonitor {
 			t.Fatalf("run %d: Final = %v, want the recorded violation", run, err)
 		}

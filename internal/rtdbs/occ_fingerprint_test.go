@@ -51,7 +51,7 @@ func TestCentralizedOCCFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := oc.Validator()
+		v := oc.valid
 		got := fmt.Sprintf("sub=%d com=%d miss=%d restarts=%d val=%d conf=%d dr=%d dw=%d hit=%.6f msgs=%d steps=%d",
 			res.M.Submitted, res.M.Committed, res.M.Missed, oc.Restarts,
 			v.Validations, v.Conflicts, res.ServerDiskReads, res.ServerDiskWrites,

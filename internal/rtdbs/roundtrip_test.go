@@ -59,8 +59,8 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 	net := netsim.New(env, netsim.Config{Latency: cfg.NetLatency, BandwidthBps: cfg.NetBandwidthBps})
 	var stock client.Stock
 	var m metrics.Collector
-	srv := server.New(env, &cfg, net, &stock.Payloads)
 	topo := shardmap.New(cfg.Sharding)
+	srv := server.NewShard(env, &cfg, net, &stock.Payloads, nil, 0, topo)
 
 	var nextID txn.ID
 	var clients [2]*client.Client
@@ -76,7 +76,8 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 			next: time.Duration(i) * 10 * time.Second, period: 20 * time.Second, nextID: &nextID,
 		}
 		src.t.Origin = id
-		clients[i] = client.New(env, &cfg, id, net, &stock, &m, boxes, topo, src, false)
+		clients[i] = new(client.Client)
+		clients[i].Init(env, &cfg, id, net, &stock, &m, boxes, topo, src)
 		// Room for every transaction the test generates: the generated
 		// transactions are the run's result, not message bookkeeping.
 		clients[i].Tracked = make([]*txn.Transaction, 0, 4096)

@@ -31,15 +31,6 @@ func (q *EDFQueue) Push(t *txn.Transaction) {
 	heap.Push(&q.items, &edfItem{t: t, seq: q.seq})
 }
 
-// Peek returns the earliest-deadline transaction without removing it, or
-// nil when empty.
-func (q *EDFQueue) Peek() *txn.Transaction {
-	if q.items.Len() == 0 {
-		return nil
-	}
-	return q.items[0].t
-}
-
 // Pop removes and returns the earliest-deadline transaction, or nil when
 // empty.
 func (q *EDFQueue) Pop() *txn.Transaction {
@@ -47,43 +38,6 @@ func (q *EDFQueue) Pop() *txn.Transaction {
 		return nil
 	}
 	return heap.Pop(&q.items).(*edfItem).t
-}
-
-// PopReady removes and returns the earliest-deadline transaction whose
-// deadline has not passed at now. Transactions found to have missed their
-// deadlines are removed and returned in missed (the ED policy's "tasks
-// that have missed their deadlines are not processed at all").
-func (q *EDFQueue) PopReady(now time.Duration) (ready *txn.Transaction, missed []*txn.Transaction) {
-	for q.items.Len() > 0 {
-		t := heap.Pop(&q.items).(*edfItem).t
-		if t.MissedAt(now) {
-			missed = append(missed, t)
-			continue
-		}
-		return t, missed
-	}
-	return nil, missed
-}
-
-// DropMissed removes every transaction whose deadline passed at now.
-func (q *EDFQueue) DropMissed(now time.Duration) []*txn.Transaction {
-	var missed []*txn.Transaction
-	kept := make([]*edfItem, 0, q.items.Len())
-	for _, it := range q.items {
-		if it.t.MissedAt(now) {
-			missed = append(missed, it.t)
-		} else {
-			// heap.Init below only touches the indexes of items it
-			// swaps; the compaction must reassign every survivor's.
-			it.index = len(kept)
-			kept = append(kept, it)
-		}
-	}
-	if len(missed) > 0 {
-		q.items = kept
-		heap.Init(&q.items)
-	}
-	return missed
 }
 
 type edfItem struct {
@@ -148,9 +102,6 @@ func (a *ATL) Mean() time.Duration {
 	}
 	return a.total / time.Duration(a.count)
 }
-
-// Count returns the number of observations.
-func (a *ATL) Count() int64 { return a.count }
 
 // FeasibleH1 evaluates heuristic H1: with n transactions ahead of T in
 // the priority queue and mean length atl, T has a reasonable chance of

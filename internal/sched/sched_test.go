@@ -97,8 +97,8 @@ func TestATL(t *testing.T) {
 	if a.Mean() != 6*time.Second {
 		t.Fatalf("mean = %v, want 6s", a.Mean())
 	}
-	if a.Count() != 2 {
-		t.Fatalf("count = %d", a.Count())
+	if a.count != 2 {
+		t.Fatalf("count = %d", a.count)
 	}
 }
 

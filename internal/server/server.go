@@ -271,12 +271,6 @@ func (s *Server) rec(obj lockmgr.ObjectID) *objState {
 	return s.objs[obj]
 }
 
-// New returns the single server of the paper's topology. Call Attach
-// for every client, then Start.
-func New(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *proto.Pool) *Server {
-	return NewShard(env, cfg, net, payloads, nil, 0, shardmap.New(cfg.Sharding))
-}
-
 // NewShard returns server shard `shard` of a (possibly multi-server)
 // topology sharing the payload pool, the lock-record slab (nil: records
 // of the shard's own) and the runtime map topo. Call Attach for every

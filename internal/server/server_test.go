@@ -9,6 +9,7 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
+	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
 	"siteselect/internal/txn"
 )
@@ -48,7 +49,7 @@ func newRigSites(t *testing.T, ids []int, mod func(*config.Config)) *rig {
 		mod(&cfg)
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
-	srv := New(env, &cfg, net, &proto.Pool{})
+	srv := NewShard(env, &cfg, net, &proto.Pool{}, nil, 0, shardmap.New(cfg.Sharding))
 	r := &rig{env: env, net: net, srv: srv, t: t}
 	r.to = make([]*sim.Mailbox[netsim.Message], n+1)
 	r.inbox = make([]*sim.Mailbox[netsim.Message], n+1)
@@ -102,7 +103,7 @@ func TestServerGrantsFreeObject(t *testing.T) {
 	if g.Obj != 42 || g.Mode != lockmgr.ModeExclusive {
 		t.Fatalf("grant = %+v", g)
 	}
-	if r.srv.Locks().HolderMode(42, 1) != lockmgr.ModeExclusive {
+	if r.srv.locks.HolderMode(42, 1) != lockmgr.ModeExclusive {
 		t.Fatal("lock not registered")
 	}
 }
@@ -115,7 +116,8 @@ func TestServerGrantsFreeObject(t *testing.T) {
 func TestStartServesEveryAttachedSite(t *testing.T) {
 	r := newRigSites(t, []int{7, 2}, nil)
 	defer r.env.Close()
-	if got := r.env.Machines(); got != 2 {
+	r.env.RunAll() // a handler's first resume is one event; it parks on its inbox
+	if got := r.env.Steps(); got != 2 {
 		t.Fatalf("%d handlers spawned for two attached sites", got)
 	}
 	for _, id := range []int{2, 7} {
@@ -171,10 +173,10 @@ func TestServerRecallsConflictingHolder(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("waiter messages = %+v", msgs)
 	}
-	if r.srv.Locks().HolderMode(7, 1) != lockmgr.ModeShared {
+	if r.srv.locks.HolderMode(7, 1) != lockmgr.ModeShared {
 		t.Fatal("holder not downgraded in table")
 	}
-	if r.srv.Locks().HolderMode(7, 2) != lockmgr.ModeShared {
+	if r.srv.locks.HolderMode(7, 2) != lockmgr.ModeShared {
 		t.Fatal("waiter not granted")
 	}
 	if r.srv.Version(7) != 1 {
@@ -210,7 +212,7 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 	if len(cr.DataCounts) != 1 || cr.DataCounts[0].Site != 1 || cr.DataCounts[0].Count != 1 {
 		t.Fatalf("data counts = %+v", cr.DataCounts)
 	}
-	if r.srv.Locks().HolderMode(6, 2) != 0 {
+	if r.srv.locks.HolderMode(6, 2) != 0 {
 		t.Fatal("probe must not grant the free object when any conflicts")
 	}
 }
@@ -267,7 +269,7 @@ func TestServerForwardListMigration(t *testing.T) {
 		t.Fatalf("migrations = %d", r.srv.MigrationsStarted)
 	}
 	// The object is now checked out to the migration pseudo-owner.
-	if r.srv.Locks().HolderMode(3, MigrationOwner) != lockmgr.ModeExclusive {
+	if r.srv.locks.HolderMode(3, MigrationOwner) != lockmgr.ModeExclusive {
 		t.Fatal("migration pseudo-owner not holding")
 	}
 	// Final return releases it.
@@ -275,7 +277,7 @@ func TestServerForwardListMigration(t *testing.T) {
 		Client: 2, Obj: 3, HasData: true, Version: 9, Migration: true,
 	})
 	r.env.Run(r.env.Now() + time.Second)
-	if r.srv.Locks().HolderMode(3, MigrationOwner) != 0 {
+	if r.srv.locks.HolderMode(3, MigrationOwner) != 0 {
 		t.Fatal("migration lock not released on final return")
 	}
 	if r.srv.Version(3) != 9 {
@@ -305,8 +307,8 @@ func TestServerParallelReadRun(t *testing.T) {
 	if g.Fwd == nil || !g.Fwd.ReadRun {
 		t.Fatalf("expected a read-run list, got %+v", g.Fwd)
 	}
-	if r.srv.Locks().HolderMode(4, 2) != lockmgr.ModeShared ||
-		r.srv.Locks().HolderMode(4, 3) != lockmgr.ModeShared {
+	if r.srv.locks.HolderMode(4, 2) != lockmgr.ModeShared ||
+		r.srv.locks.HolderMode(4, 3) != lockmgr.ModeShared {
 		t.Fatal("read-run members not registered as SL holders")
 	}
 	if r.srv.ReadRunsStarted != 1 {
@@ -328,7 +330,7 @@ func TestServerNotCachedReturnReleasesLock(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 		t.Fatalf("waiter messages = %+v", msgs)
 	}
-	if r.srv.Locks().HolderMode(8, 1) != 0 {
+	if r.srv.locks.HolderMode(8, 1) != 0 {
 		t.Fatal("NotCached return did not release the lock")
 	}
 }
@@ -417,7 +419,7 @@ func TestServerGrantCrossingRelease(t *testing.T) {
 	if g := r.grantTo(1, 3*time.Second); g.Epoch != 1 {
 		t.Fatalf("crossing grant carries epoch %d, want the stale 1", g.Epoch)
 	}
-	if r.srv.Locks().HolderMode(7, 1) != 0 {
+	if r.srv.locks.HolderMode(7, 1) != 0 {
 		t.Fatal("the crossing release left the lock registered")
 	}
 	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 1})

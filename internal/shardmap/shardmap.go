@@ -36,7 +36,6 @@ type Map struct {
 	// serving the object's read replica: zero — or no element, the slice
 	// reaches the highest id ever registered — where there is none.
 	replicas []int32
-	count    int
 }
 
 // New builds the runtime map for a topology.
@@ -85,21 +84,13 @@ func (m *Map) SetReplica(obj lockmgr.ObjectID, site netsim.SiteID) {
 	if grow := int(obj) + 1 - len(m.replicas); grow > 0 {
 		m.replicas = append(m.replicas, make([]int32, grow)...)
 	}
-	if m.replicas[obj] == 0 {
-		m.count++
-	}
 	m.replicas[obj] = int32(ShardIndex(site)) + 1
 }
 
 // ClearReplica withdraws obj's replica registration; subsequent reads
 // route to the home shard again.
 func (m *Map) ClearReplica(obj lockmgr.ObjectID) {
-	if _, ok := m.Replica(obj); ok {
+	if int(obj) < len(m.replicas) {
 		m.replicas[obj] = 0
-		m.count--
 	}
 }
-
-// ReplicaCount returns how many objects currently have a registered
-// replica.
-func (m *Map) ReplicaCount() int { return m.count }

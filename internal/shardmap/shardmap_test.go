@@ -67,9 +67,6 @@ func TestReplicaRouting(t *testing.T) {
 	if got := m.RouteSite(obj, false); got != home {
 		t.Fatalf("exclusive RouteSite must ignore the replica, got %d", got)
 	}
-	if n := m.ReplicaCount(); n != 1 {
-		t.Fatalf("ReplicaCount = %d, want 1", n)
-	}
 	m.ClearReplica(obj)
 	if got := m.RouteSite(obj, true); got != home {
 		t.Fatalf("RouteSite after ClearReplica = %d, want home %d", got, home)

@@ -126,35 +126,3 @@ func BenchmarkSleepPingPong(b *testing.B) {
 		env.Step()
 	}
 }
-
-// BenchmarkMailboxPutGet measures the non-blocking mailbox fast path.
-func BenchmarkMailboxPutGet(b *testing.B) {
-	env := NewEnv()
-	m := NewMailbox[int](env)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Put(i)
-		m.TryGet()
-	}
-}
-
-// BenchmarkSignalWaitFire measures a blocking receive: a process waits
-// on a signal, the driver fires it, the kernel dispatches the wakeup.
-func BenchmarkSignalWaitFire(b *testing.B) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	env.Go("waiter", func(p *Proc) {
-		for {
-			p.Wait(sig)
-		}
-	})
-	defer env.Close()
-	env.RunAll()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sig.Fire()
-		env.RunAll()
-	}
-}

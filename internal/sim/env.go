@@ -13,10 +13,10 @@
 // loop, with no goroutine or channel handoff. A typical model creates an
 // Env, starts machines with Spawn, and then calls Run.
 //
-// Proc, the goroutine-process form the kernel started with, is a legacy:
-// no model code uses it, and it stays only for a benchmark driver that
-// measures its handoff (see docs/KERNEL.md for the removal condition).
-// It shares the machines' wait queues and event ordering.
+// Proc, the goroutine-process form the kernel started with, is a
+// legacy: a Machine whose Resume hands the token to a goroutine. No
+// model code uses it; it stays only for bench/drivers.go, which
+// measures that handoff (see docs/KERNEL.md for the removal condition).
 //
 // The kernel is built for a steady state that allocates nothing: event
 // records are pooled and recycled through a free list, the queue is a
@@ -32,7 +32,7 @@ import (
 
 // Env is a simulation environment: a virtual clock and an event queue.
 // An Env is not safe for concurrent use; it is driven from a single
-// goroutine (the one calling Run/Step) and from the processes it resumes,
+// goroutine (the one calling Run/Step) and from the actors it resumes,
 // which by construction never run at the same time.
 type Env struct {
 	now    time.Duration
@@ -46,19 +46,12 @@ type Env struct {
 	// trimmed index so regrown records can never alias a stale handle.
 	genFloor uint32
 
-	// procs is the live-process registry in spawn order (nil holes mark
-	// exited processes); Close walks it in order so teardown
-	// diagnostics are reproducible. freeProcs parks goroutines of
-	// finished processes for reuse by the next Go.
-	procs     []*Proc
-	live      int
-	freeProcs []*Proc
-	closed    bool
-
-	// tasks is the live state-machine registry in spawn order (nil
-	// holes mark detached machines), the machine counterpart of procs.
+	// tasks is the live-actor registry in spawn order (nil holes mark
+	// detached tasks); Close walks it in order so teardown diagnostics
+	// are reproducible.
 	tasks     []*Task
 	liveTasks int
+	closed    bool
 
 	// stepCount counts executed events, for introspection and tests.
 	stepCount int64
@@ -81,14 +74,6 @@ func (e *Env) Now() time.Duration { return e.now }
 // Steps returns the number of events executed so far.
 func (e *Env) Steps() int64 { return e.stepCount }
 
-// Procs returns the number of live (spawned and not yet finished)
-// processes.
-func (e *Env) Procs() int { return e.live }
-
-// Machines returns the number of live (spawned or adopted and not yet
-// detached) state machines.
-func (e *Env) Machines() int { return e.liveTasks }
-
 // SetStepHook installs fn to run after every executed event, or removes
 // the hook when fn is nil. The invariant monitor uses it to re-check
 // model invariants continuously; the hook must not schedule events or
@@ -104,7 +89,7 @@ type EventHook interface {
 }
 
 // Timer is a handle to a scheduled event that can be canceled before it
-// fires. The zero Timer is valid and permanently Stopped.
+// fires. Canceling the zero Timer is a no-op.
 type Timer struct {
 	env *Env
 	idx int32
@@ -122,15 +107,6 @@ func (t Timer) Cancel() {
 	if rec.gen == t.gen {
 		rec.canceled = true
 	}
-}
-
-// Stopped reports whether the timer was canceled or has fired.
-func (t Timer) Stopped() bool {
-	if t.env == nil || int(t.idx) >= len(t.env.pool) {
-		return true
-	}
-	rec := &t.env.pool[t.idx]
-	return rec.gen != t.gen || rec.canceled
 }
 
 // post allocates a pooled event of the given kind at absolute time t
@@ -266,42 +242,21 @@ func (e *Env) RunAll() {
 	}
 }
 
-// Close terminates every live process and then every live state
-// machine, each in spawn order, so teardown diagnostics are
-// reproducible. Each blocked process is resumed with a stop notice,
-// unwinds via panic(errStopped) recovered by the kernel, and its
-// goroutine exits; parked (reusable) goroutines are reaped too. Parked
-// machines are unlinked from their wait queues, pending timeout timers
-// are canceled, and machines implementing MachineCloser get their
-// MachineClose hook. Close must be called from the driving goroutine
-// (never from inside a process or machine). Closing an already closed
-// environment is a no-op; after Close the environment must not be used
-// otherwise.
+// Close tears down every live actor in spawn order, whatever its kind,
+// so teardown diagnostics are reproducible. A parked actor is unlinked
+// from its wait queue, its pending timeout timer is canceled, and an
+// actor implementing MachineCloser gets its MachineClose hook (a
+// process unwinds through its deferred calls there and its goroutine
+// exits). Close must be called from the driving goroutine (never from
+// inside an actor). Closing an already closed environment is a no-op;
+// after Close the environment must not be used otherwise.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
-	e.closed = true
 	// closed=true disables registry compaction, so indices are stable
-	// while we walk, and new procs cannot appear (Go panics).
-	for i := 0; i < len(e.procs); i++ {
-		p := e.procs[i]
-		if p == nil {
-			continue
-		}
-		p.stopping = true
-		p.stop = true
-		p.h <- struct{}{}
-		<-p.h
-	}
-	e.procs = e.procs[:0]
-	e.live = 0
-	for _, p := range e.freeProcs {
-		p.stop = true
-		p.h <- struct{}{}
-		<-p.h
-	}
-	e.freeProcs = e.freeProcs[:0]
+	// while we walk, and new actors cannot appear (Spawn panics).
+	e.closed = true
 	for i := 0; i < len(e.tasks); i++ {
 		t := e.tasks[i]
 		if t == nil {
@@ -316,33 +271,4 @@ func (e *Env) Close() {
 	}
 	e.tasks = e.tasks[:0]
 	e.liveTasks = 0
-}
-
-// register adds p to the spawn-order registry.
-func (e *Env) register(p *Proc) {
-	p.slot = len(e.procs)
-	e.procs = append(e.procs, p)
-	e.live++
-}
-
-// unregister removes p, leaving a nil hole to preserve spawn order, and
-// compacts the registry when it is mostly holes. It runs on the
-// process's goroutine while the kernel is blocked in dispatch (or
-// Close), so access is race-free by construction.
-func (e *Env) unregister(p *Proc) {
-	e.procs[p.slot] = nil
-	p.slot = -1
-	e.live--
-	if !e.closed && len(e.procs) >= 64 && e.live*2 < len(e.procs) {
-		w := 0
-		for _, q := range e.procs {
-			if q != nil {
-				q.slot = w
-				e.procs[w] = q
-				w++
-			}
-		}
-		clear(e.procs[w:])
-		e.procs = e.procs[:w]
-	}
 }

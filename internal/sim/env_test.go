@@ -1,24 +1,122 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"siteselect/internal/sim"
+	"siteselect/internal/sim/simtest"
 )
 
-// Waiters returns the number of tasks waiting on s. It walks the queue:
-// a signal is three words in every record that holds one, and only these
-// checks ask.
-func (s *Signal) Waiters() int {
-	n := 0
-	for w := s.head; w != nil; w = w.next {
-		n++
+func do(fn func()) simtest.Step {
+	return func(*sim.Task) bool { fn(); return true }
+}
+
+func sleep(d time.Duration) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { t.Sleep(d); return true })
+}
+
+func sleepUntil(at time.Duration) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { t.SleepUntil(at); return true })
+}
+
+func wait(s *sim.Signal) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { t.Wait(s); return true })
+}
+
+func acquire(r *sim.Resource, priority float64) simtest.Step {
+	return simtest.Park(func(t *sim.Task) bool { return !t.Acquire(r, priority) })
+}
+
+// waitTimeout waits on s for at most d and reports through woken
+// whether the signal (not the timeout) ended the wait.
+func waitTimeout(s *sim.Signal, d time.Duration, woken *bool) simtest.Step {
+	armed := false
+	return func(t *sim.Task) bool {
+		if !armed {
+			armed = true
+			if t.WaitTimeout(s, d) {
+				return false
+			}
+			*woken = false
+			return true
+		}
+		*woken = !t.TimedOut()
+		return true
 	}
-	return n
+}
+
+// waitFor waits on s until cond holds or the clock reaches deadline,
+// re-checking cond on every wakeup, and reports which came first.
+func waitFor(s *sim.Signal, deadline time.Duration, cond func() bool, ok *bool) simtest.Step {
+	return func(t *sim.Task) bool {
+		if cond() {
+			*ok = true
+			return true
+		}
+		if t.Now() >= deadline || !t.WaitTimeout(s, deadline-t.Now()) {
+			*ok = false
+			return true
+		}
+		return false
+	}
+}
+
+// acquireTimeout acquires a unit of r within d and reports through got
+// whether it holds one.
+func acquireTimeout(r *sim.Resource, priority float64, d time.Duration, got *bool) simtest.Step {
+	armed := false
+	return func(t *sim.Task) bool {
+		if !armed {
+			armed = true
+			switch t.AcquireTimeout(r, priority, d) {
+			case sim.AcquireParked:
+				return false
+			case sim.AcquireGranted:
+				*got = true
+			default:
+				*got = false
+			}
+			return true
+		}
+		*got = !t.ResTimedOut()
+		return true
+	}
+}
+
+func recv[T any](mb *sim.Mailbox[T], got func(T)) simtest.Step {
+	return func(t *sim.Task) bool {
+		v, ok := mb.Recv(t)
+		if ok {
+			got(v)
+		}
+		return ok
+	}
+}
+
+// recvTimeout receives from mb, giving up d after the step first runs.
+func recvTimeout[T any](mb *sim.Mailbox[T], d time.Duration, got func(T, bool)) simtest.Step {
+	deadline := time.Duration(-1)
+	return func(t *sim.Task) bool {
+		if deadline < 0 {
+			deadline = t.Now() + d
+		}
+		if v, ok := mb.TryGet(); ok {
+			got(v, true)
+			return true
+		}
+		if t.Now() >= deadline || !t.WaitTimeout(sim.MailboxSignal(mb), deadline-t.Now()) {
+			var zero T
+			got(zero, false)
+			return true
+		}
+		return false
+	}
 }
 
 func TestScheduleOrdering(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	var got []int
 	env.Schedule(2*time.Second, func() { got = append(got, 2) })
 	env.Schedule(1*time.Second, func() { got = append(got, 1) })
@@ -36,7 +134,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestScheduleTieBreakFIFO(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -51,7 +149,7 @@ func TestScheduleTieBreakFIFO(t *testing.T) {
 }
 
 func TestRunStopsAtUntil(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	fired := 0
 	env.Schedule(1*time.Second, func() { fired++ })
 	env.Schedule(5*time.Second, func() { fired++ })
@@ -69,7 +167,7 @@ func TestRunStopsAtUntil(t *testing.T) {
 }
 
 func TestTimerCancel(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	fired := false
 	tm := env.Schedule(time.Second, func() { fired = true })
 	tm.Cancel()
@@ -77,13 +175,11 @@ func TestTimerCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled timer fired")
 	}
-	if !tm.Stopped() {
-		t.Fatal("canceled timer not Stopped")
-	}
+	tm.Cancel() // canceling a spent timer is a no-op
 }
 
 func TestNegativeDelayClampsToNow(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	env.Schedule(time.Second, func() {
 		env.Schedule(-time.Minute, func() {
 			if env.Now() != time.Second {
@@ -95,7 +191,7 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 }
 
 func TestAtInPastPanics(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	env.Schedule(time.Second, func() {})
 	env.RunAll()
 	defer func() {
@@ -107,34 +203,30 @@ func TestAtInPastPanics(t *testing.T) {
 }
 
 func TestProcSleep(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	var wake time.Duration
-	env.Go("sleeper", func(p *Proc) {
+	env.Go("sleeper", func(p *sim.Proc) {
 		p.Sleep(3 * time.Second)
-		wake = p.Now()
+		wake = env.Now()
 	})
 	env.RunAll()
 	if wake != 3*time.Second {
 		t.Fatalf("woke at %v, want 3s", wake)
 	}
-	if env.Procs() != 0 {
-		t.Fatalf("live procs = %d, want 0", env.Procs())
+	if env.Live() != 0 {
+		t.Fatalf("live actors = %d, want 0", env.Live())
 	}
 }
 
 func TestProcSleepUntil(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	var order []string
-	env.Go("a", func(p *Proc) {
-		p.SleepUntil(2 * time.Second)
-		order = append(order, "a")
-		p.SleepUntil(time.Second) // past: resumes immediately
-		order = append(order, "a2")
-	})
-	env.Go("b", func(p *Proc) {
-		p.Sleep(time.Second)
-		order = append(order, "b")
-	})
+	simtest.Spawn(env,
+		sleepUntil(2*time.Second),
+		do(func() { order = append(order, "a") }),
+		sleepUntil(time.Second), // past: resumes immediately
+		do(func() { order = append(order, "a2") }))
+	simtest.Spawn(env, sleep(time.Second), do(func() { order = append(order, "b") }))
 	env.RunAll()
 	want := []string{"b", "a", "a2"}
 	for i := range want {
@@ -145,10 +237,10 @@ func TestProcSleepUntil(t *testing.T) {
 }
 
 func TestProcSpawnsChild(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	var childRan bool
-	env.Go("parent", func(p *Proc) {
-		p.Go("child", func(c *Proc) {
+	env.Go("parent", func(p *sim.Proc) {
+		env.Go("child", func(c *sim.Proc) {
 			c.Sleep(time.Second)
 			childRan = true
 		})
@@ -161,21 +253,21 @@ func TestProcSpawnsChild(t *testing.T) {
 }
 
 func TestCloseUnblocksSleepers(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	cleanups := 0
 	for i := 0; i < 5; i++ {
-		env.Go("p", func(p *Proc) {
+		env.Go("p", func(p *sim.Proc) {
 			defer func() { cleanups++ }()
 			p.Sleep(time.Hour)
 		})
 	}
 	env.Run(time.Second)
-	if env.Procs() != 5 {
-		t.Fatalf("live procs = %d, want 5", env.Procs())
+	if env.Live() != 5 {
+		t.Fatalf("live procs = %d, want 5", env.Live())
 	}
 	env.Close()
-	if env.Procs() != 0 {
-		t.Fatalf("after Close live procs = %d, want 0", env.Procs())
+	if env.Live() != 0 {
+		t.Fatalf("after Close live procs = %d, want 0", env.Live())
 	}
 	if cleanups != 5 {
 		t.Fatalf("cleanups = %d, want 5", cleanups)
@@ -183,32 +275,26 @@ func TestCloseUnblocksSleepers(t *testing.T) {
 }
 
 func TestCloseWithBlockingDefer(t *testing.T) {
-	env := NewEnv()
-	env.Go("p", func(p *Proc) {
+	env := sim.NewEnv()
+	env.Go("p", func(p *sim.Proc) {
 		defer p.Sleep(time.Second) // blocking in defer during shutdown must not hang
 		p.Sleep(time.Hour)
 	})
 	env.Run(time.Millisecond)
 	env.Close()
-	if env.Procs() != 0 {
+	if env.Live() != 0 {
 		t.Fatal("proc leaked past Close")
 	}
 }
 
 func TestSignalBroadcastWakesAll(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
+	env := sim.NewEnv()
+	sig := sim.NewSignal(env)
 	woken := 0
 	for i := 0; i < 3; i++ {
-		env.Go("w", func(p *Proc) {
-			p.Wait(sig)
-			woken++
-		})
+		simtest.Spawn(env, wait(sig), do(func() { woken++ }))
 	}
-	env.Go("caster", func(p *Proc) {
-		p.Sleep(time.Second)
-		sig.Broadcast()
-	})
+	simtest.Spawn(env, sleep(time.Second), do(sig.Broadcast))
 	env.RunAll()
 	if woken != 3 {
 		t.Fatalf("woken = %d, want 3", woken)
@@ -216,25 +302,21 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 }
 
 func TestSignalFireWakesOneFIFO(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
+	env := sim.NewEnv()
+	sig := sim.NewSignal(env)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Go("w", func(p *Proc) {
-			p.Wait(sig)
-			order = append(order, i)
-		})
+		simtest.Spawn(env, wait(sig), do(func() { order = append(order, i) }))
 	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(time.Second)
-		sig.Fire()
-		p.Sleep(time.Second)
-		sig.Fire()
-		p.Sleep(time.Second)
-		sig.Fire()
-	})
+	simtest.Spawn(env,
+		sleep(time.Second), do(sig.Fire),
+		sleep(time.Second), do(sig.Fire),
+		sleep(time.Second), do(sig.Fire))
 	env.RunAll()
+	if len(order) != 3 {
+		t.Fatalf("woke %v, want three", order)
+	}
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("wake order = %v, want FIFO", order)
@@ -243,26 +325,25 @@ func TestSignalFireWakesOneFIFO(t *testing.T) {
 }
 
 func TestWaitTimeout(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	var gotSignal, gotTimeout bool
-	env.Go("timeouter", func(p *Proc) {
-		if p.WaitTimeout(sig, time.Second) {
+	env := sim.NewEnv()
+	sig := sim.NewSignal(env)
+	var woken1, woken2, gotSignal, gotTimeout bool
+	simtest.Spawn(env, waitTimeout(sig, time.Second, &woken1), do(func() {
+		if woken1 {
 			t.Error("expected timeout, got signal")
 		}
 		gotTimeout = true
-	})
-	env.Go("signaled", func(p *Proc) {
-		p.Sleep(2 * time.Second) // waits after the broadcast below is scheduled
-		if !p.WaitTimeout(sig, 10*time.Second) {
-			t.Error("expected signal, got timeout")
-		}
-		gotSignal = true
-	})
-	env.Go("caster", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		sig.Broadcast()
-	})
+	}))
+	simtest.Spawn(env,
+		sleep(2*time.Second), // waits after the broadcast below is scheduled
+		waitTimeout(sig, 10*time.Second, &woken2),
+		do(func() {
+			if !woken2 {
+				t.Error("expected signal, got timeout")
+			}
+			gotSignal = true
+		}))
+	simtest.Spawn(env, sleep(3*time.Second), do(sig.Broadcast))
 	env.RunAll()
 	if !gotTimeout || !gotSignal {
 		t.Fatalf("gotTimeout=%v gotSignal=%v", gotTimeout, gotSignal)
@@ -273,48 +354,39 @@ func TestWaitTimeout(t *testing.T) {
 }
 
 func TestWaitForTimeoutCondition(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
+	env := sim.NewEnv()
+	sig := sim.NewSignal(env)
 	ready := false
+	cond := func() bool { return ready }
 	var ok, ok2 bool
-	env.Go("w", func(p *Proc) {
-		ok = p.WaitForTimeout(sig, 5*time.Second, func() bool { return ready })
-	})
-	env.Go("w2", func(p *Proc) {
-		ok2 = p.WaitForTimeout(sig, time.Second, func() bool { return ready })
-	})
-	env.Go("setter", func(p *Proc) {
-		p.Sleep(2 * time.Second)
+	simtest.Spawn(env, waitFor(sig, 5*time.Second, cond, &ok))
+	simtest.Spawn(env, waitFor(sig, time.Second, cond, &ok2))
+	simtest.Spawn(env, sleep(2*time.Second), do(func() {
 		ready = true
 		sig.Broadcast()
-	})
+	}))
 	env.RunAll()
 	if !ok {
-		t.Fatal("WaitForTimeout should have seen the condition")
+		t.Fatal("a wait with time to spare should have seen the condition")
 	}
 	if ok2 {
-		t.Fatal("WaitForTimeout should have timed out before the condition")
+		t.Fatal("a short wait should have timed out before the condition")
 	}
 }
 
 func TestResourceFIFOWithinPriority(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
 	var order []int
-	env.Go("holder", func(p *Proc) {
-		p.Acquire(r, 0)
-		p.Sleep(time.Second)
-		r.Release()
-	})
+	simtest.Spawn(env, acquire(r, 0), sleep(time.Second), do(r.Release))
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Go("w", func(p *Proc) {
-			p.Sleep(time.Duration(i+1) * time.Millisecond)
-			p.Acquire(r, 5)
-			order = append(order, i)
-			p.Sleep(time.Second)
-			r.Release()
-		})
+		simtest.Spawn(env,
+			sleep(time.Duration(i+1)*time.Millisecond),
+			acquire(r, 5),
+			do(func() { order = append(order, i) }),
+			sleep(time.Second),
+			do(r.Release))
 	}
 	env.RunAll()
 	for i := range order {
@@ -325,23 +397,18 @@ func TestResourceFIFOWithinPriority(t *testing.T) {
 }
 
 func TestResourcePriorityOrder(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
 	var order []float64
-	env.Go("holder", func(p *Proc) {
-		p.Acquire(r, 0)
-		p.Sleep(time.Second)
-		r.Release()
-	})
+	simtest.Spawn(env, acquire(r, 0), sleep(time.Second), do(r.Release))
 	for _, pri := range []float64{3, 1, 2} {
 		pri := pri
-		env.Go("w", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			p.Acquire(r, pri)
-			order = append(order, pri)
-			p.Sleep(time.Second)
-			r.Release()
-		})
+		simtest.Spawn(env,
+			sleep(time.Millisecond),
+			acquire(r, pri),
+			do(func() { order = append(order, pri) }),
+			sleep(time.Second),
+			do(r.Release))
 	}
 	env.RunAll()
 	want := []float64{1, 2, 3}
@@ -353,18 +420,15 @@ func TestResourcePriorityOrder(t *testing.T) {
 }
 
 func TestResourceCapacity(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 2)
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 2)
 	maxInUse := 0
 	for i := 0; i < 6; i++ {
-		env.Go("w", func(p *Proc) {
-			p.Acquire(r, 0)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
-			}
-			p.Sleep(time.Second)
-			r.Release()
-		})
+		simtest.Spawn(env,
+			acquire(r, 0),
+			do(func() { maxInUse = max(maxInUse, r.InUse()) }),
+			sleep(time.Second),
+			do(r.Release))
 	}
 	env.RunAll()
 	if maxInUse != 2 {
@@ -376,27 +440,21 @@ func TestResourceCapacity(t *testing.T) {
 }
 
 func TestAcquireTimeout(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	var timedOut, acquired bool
-	env.Go("holder", func(p *Proc) {
-		p.Acquire(r, 0)
-		p.Sleep(5 * time.Second)
-		r.Release()
-	})
-	env.Go("short", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		timedOut = !p.AcquireTimeout(r, 0, time.Second)
-	})
-	env.Go("long", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		acquired = p.AcquireTimeout(r, 0, time.Minute)
-		if acquired {
-			r.Release()
-		}
-	})
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
+	var short, acquired bool
+	simtest.Spawn(env, acquire(r, 0), sleep(5*time.Second), do(r.Release))
+	simtest.Spawn(env, sleep(time.Millisecond), acquireTimeout(r, 0, time.Second, &short))
+	simtest.Spawn(env,
+		sleep(2*time.Millisecond),
+		acquireTimeout(r, 0, time.Minute, &acquired),
+		do(func() {
+			if acquired {
+				r.Release()
+			}
+		}))
 	env.RunAll()
-	if !timedOut {
+	if short {
 		t.Fatal("short waiter should have timed out")
 	}
 	if !acquired {
@@ -408,8 +466,8 @@ func TestAcquireTimeout(t *testing.T) {
 }
 
 func TestReleaseIdlePanics(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Release of idle resource did not panic")
@@ -418,36 +476,20 @@ func TestReleaseIdlePanics(t *testing.T) {
 	r.Release()
 }
 
-func TestResourceUtilization(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	env.Go("w", func(p *Proc) {
-		p.Acquire(r, 0)
-		p.Sleep(time.Second)
-		r.Release()
-	})
-	env.Run(2 * time.Second)
-	if u := r.Utilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
-	}
-}
-
 func TestMailboxFIFO(t *testing.T) {
-	env := NewEnv()
-	mb := NewMailbox[int](env)
+	env := sim.NewEnv()
+	mb := sim.NewMailbox[int](env)
 	var got []int
-	env.Go("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Get(p))
-		}
-	})
-	env.Go("send", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Second)
-			mb.Put(i)
-		}
-	})
+	keep := func(v int) { got = append(got, v) }
+	simtest.Spawn(env, recv(mb, keep), recv(mb, keep), recv(mb, keep))
+	simtest.Spawn(env,
+		sleep(time.Second), do(func() { mb.Put(0) }),
+		sleep(time.Second), do(func() { mb.Put(1) }),
+		sleep(time.Second), do(func() { mb.Put(2) }))
 	env.RunAll()
+	if len(got) != 3 {
+		t.Fatalf("received %v, want three", got)
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("recv order = %v", got)
@@ -456,19 +498,13 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxGetTimeout(t *testing.T) {
-	env := NewEnv()
-	mb := NewMailbox[string](env)
+	env := sim.NewEnv()
+	mb := sim.NewMailbox[string](env)
 	var missed, hit bool
-	env.Go("recv", func(p *Proc) {
-		_, ok := mb.GetTimeout(p, time.Second)
-		missed = !ok
-		v, ok := mb.GetTimeout(p, 10*time.Second)
-		hit = ok && v == "x"
-	})
-	env.Go("send", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		mb.Put("x")
-	})
+	simtest.Spawn(env,
+		recvTimeout(mb, time.Second, func(_ string, ok bool) { missed = !ok }),
+		recvTimeout(mb, 10*time.Second, func(v string, ok bool) { hit = ok && v == "x" }))
+	simtest.Spawn(env, sleep(3*time.Second), do(func() { mb.Put("x") }))
 	env.RunAll()
 	if !missed || !hit {
 		t.Fatalf("missed=%v hit=%v", missed, hit)
@@ -476,10 +512,10 @@ func TestMailboxGetTimeout(t *testing.T) {
 }
 
 func TestMailboxPutFromEventCallback(t *testing.T) {
-	env := NewEnv()
-	mb := NewMailbox[int](env)
+	env := sim.NewEnv()
+	mb := sim.NewMailbox[int](env)
 	var got int
-	env.Go("recv", func(p *Proc) { got = mb.Get(p) })
+	simtest.Spawn(env, recv(mb, func(v int) { got = v }))
 	env.Schedule(time.Second, func() { mb.Put(42) })
 	env.RunAll()
 	if got != 42 {
@@ -488,11 +524,11 @@ func TestMailboxPutFromEventCallback(t *testing.T) {
 }
 
 func TestMailboxTwoReceivers(t *testing.T) {
-	env := NewEnv()
-	mb := NewMailbox[int](env)
+	env := sim.NewEnv()
+	mb := sim.NewMailbox[int](env)
 	sum := 0
 	for i := 0; i < 2; i++ {
-		env.Go("recv", func(p *Proc) { sum += mb.Get(p) })
+		simtest.Spawn(env, recv(mb, func(v int) { sum += v }))
 	}
 	env.Schedule(time.Second, func() { mb.Put(1) })
 	env.Schedule(2*time.Second, func() { mb.Put(2) })
@@ -500,34 +536,35 @@ func TestMailboxTwoReceivers(t *testing.T) {
 	if sum != 3 {
 		t.Fatalf("sum = %d, want 3", sum)
 	}
-	if env.Procs() != 0 {
-		t.Fatalf("leaked receivers: %d", env.Procs())
+	if env.Live() != 0 {
+		t.Fatalf("leaked receivers: %d", env.Live())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
-		env := NewEnv()
+		env := sim.NewEnv()
 		var trace []string
-		r := NewResource(env, 2)
-		sig := NewSignal(env)
+		r := sim.NewResource(env, 2)
+		sig := sim.NewSignal(env)
 		for i := 0; i < 10; i++ {
 			i := i
-			env.Go("p", func(p *Proc) {
-				p.Sleep(time.Duration(i%3) * time.Second)
-				p.Acquire(r, float64(i%4))
-				trace = append(trace, p.Name()+string(rune('0'+i)))
-				p.Sleep(time.Second)
-				r.Release()
-				sig.Broadcast()
-			})
+			simtest.Spawn(env,
+				sleep(time.Duration(i%3)*time.Second),
+				acquire(r, float64(i%4)),
+				do(func() { trace = append(trace, "p"+string(rune('0'+i))) }),
+				sleep(time.Second),
+				do(func() {
+					r.Release()
+					sig.Broadcast()
+				}))
 		}
 		env.RunAll()
 		return trace
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	if len(a) != 10 || len(a) != len(b) {
+		t.Fatalf("trace lengths %d and %d, want 10", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -540,7 +577,7 @@ func TestDeterminism(t *testing.T) {
 // order and the clock never goes backwards.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(delaysMs []uint16) bool {
-		env := NewEnv()
+		env := sim.NewEnv()
 		var last time.Duration = -1
 		ok := true
 		for _, d := range delaysMs {
@@ -564,21 +601,24 @@ func TestEventOrderProperty(t *testing.T) {
 func TestResourceInvariantProperty(t *testing.T) {
 	f := func(prios []uint8, capacity uint8) bool {
 		c := int(capacity%4) + 1
-		env := NewEnv()
-		r := NewResource(env, c)
+		env := sim.NewEnv()
+		r := sim.NewResource(env, c)
 		served := 0
 		ok := true
 		for _, pr := range prios {
 			pr := pr
-			env.Go("w", func(p *Proc) {
-				p.Acquire(r, float64(pr))
-				if r.InUse() > c {
-					ok = false
-				}
-				p.Sleep(time.Duration(pr%5) * time.Millisecond)
-				r.Release()
-				served++
-			})
+			simtest.Spawn(env,
+				acquire(r, float64(pr)),
+				do(func() {
+					if r.InUse() > c {
+						ok = false
+					}
+				}),
+				sleep(time.Duration(pr%5)*time.Millisecond),
+				do(func() {
+					r.Release()
+					served++
+				}))
 		}
 		env.RunAll()
 		return ok && served == len(prios) && r.InUse() == 0
@@ -589,15 +629,14 @@ func TestResourceInvariantProperty(t *testing.T) {
 }
 
 func TestAcquireTimeoutImmediateGrant(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
 	ok := false
-	env.Go("t", func(p *Proc) {
-		ok = p.AcquireTimeout(r, 0, time.Second)
+	simtest.Spawn(env, acquireTimeout(r, 0, time.Second, &ok), do(func() {
 		if ok {
 			r.Release()
 		}
-	})
+	}))
 	env.RunAll()
 	if !ok {
 		t.Fatal("free resource should grant immediately")
@@ -608,18 +647,11 @@ func TestAcquireTimeoutImmediateGrant(t *testing.T) {
 }
 
 func TestAcquireTimeoutZeroBudgetFails(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	var got bool
-	env.Go("holder", func(p *Proc) {
-		p.Acquire(r, 0)
-		p.Sleep(time.Hour)
-		r.Release()
-	})
-	env.Go("t", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		got = p.AcquireTimeout(r, 0, 0)
-	})
+	env := sim.NewEnv()
+	r := sim.NewResource(env, 1)
+	got := true
+	simtest.Spawn(env, acquire(r, 0), sleep(time.Hour), do(r.Release))
+	simtest.Spawn(env, sleep(time.Millisecond), acquireTimeout(r, 0, 0, &got))
 	env.Run(time.Second)
 	if got {
 		t.Fatal("zero-budget acquire of a busy resource succeeded")
@@ -628,67 +660,67 @@ func TestAcquireTimeoutZeroBudgetFails(t *testing.T) {
 }
 
 func TestStepsCountAndProcs(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	env.Schedule(time.Second, func() {})
 	env.Schedule(2*time.Second, func() {})
 	env.RunAll()
 	if env.Steps() != 2 {
 		t.Fatalf("steps = %d", env.Steps())
 	}
-	if env.Procs() != 0 {
-		t.Fatalf("procs = %d", env.Procs())
+	if env.Live() != 0 {
+		t.Fatalf("live actors = %d", env.Live())
 	}
 }
 
 func TestGoAfterClosePanics(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	env.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Go on closed Env did not panic")
 		}
 	}()
-	env.Go("late", func(*Proc) {})
+	env.Go("late", func(*sim.Proc) {})
 }
 
 func TestWaitTimeoutZeroReturnsImmediately(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	var got bool
-	env.Go("t", func(p *Proc) {
-		got = p.WaitTimeout(sig, 0)
-	})
+	env := sim.NewEnv()
+	sig := sim.NewSignal(env)
+	woken := true
+	simtest.Spawn(env, waitTimeout(sig, 0, &woken))
 	env.RunAll()
-	if got {
+	if woken {
 		t.Fatal("zero timeout should report timeout")
+	}
+	if sig.Waiters() != 0 {
+		t.Fatal("zero timeout left a queued waiter")
 	}
 }
 
 func TestResourceCapacityPanics(t *testing.T) {
-	env := NewEnv()
+	env := sim.NewEnv()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero-capacity resource accepted")
 		}
 	}()
-	NewResource(env, 0)
+	sim.NewResource(env, 0)
 }
 
 func TestCloseTerminatesInSpawnOrder(t *testing.T) {
 	// Close must tear processes down in spawn order, not map order:
 	// teardown side effects (deferred cleanup, diagnostics) are part of
 	// the reproducible-run contract.
-	env := NewEnv()
-	sig := NewSignal(env)
+	env := sim.NewEnv()
 	var order []int
 	for i := 0; i < 8; i++ {
 		i := i
-		env.Go("waiter", func(p *Proc) {
+		env.Go("sleeper", func(p *sim.Proc) {
 			defer func() { order = append(order, i) }()
-			p.Wait(sig)
+			p.Sleep(time.Hour)
 		})
 	}
-	env.RunAll() // all procs start and block on the signal
+	env.Run(time.Minute) // all procs start and park
 	env.Close()
 	if len(order) != 8 {
 		t.Fatalf("Close tore down %d procs, want 8", len(order))

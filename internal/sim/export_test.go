@@ -1,0 +1,23 @@
+package sim
+
+// Waiters returns the number of tasks waiting on s. It walks the queue:
+// a signal is three words in every record that holds one, and only these
+// checks ask.
+func (s *Signal) Waiters() int {
+	n := 0
+	for w := s.head; w != nil; w = w.next {
+		n++
+	}
+	return n
+}
+
+// Live returns the number of registered (spawned and not yet detached)
+// actors.
+func (e *Env) Live() int { return e.liveTasks }
+
+// InUse returns the number of units of r currently held.
+func (r *Resource) InUse() int { return r.inUse }
+
+// MailboxSignal returns the signal m's receivers park on, for a test
+// that waits on it with a timeout.
+func MailboxSignal[T any](m *Mailbox[T]) *Signal { return &m.sig }

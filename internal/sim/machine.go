@@ -21,26 +21,24 @@ import (
 //   - A machine must never arm two waits from one Resume, and must not
 //     call Resume on itself.
 //
-// Machines share their wait queues, event kinds, and (at, seq) event
-// ordering with the legacy Proc form, which is how every model endpoint
-// was converted with its goldens byte-identical.
+// Proc, the legacy goroutine process, is itself a Machine whose Resume
+// is a channel handoff.
 type Machine interface {
 	Resume()
 }
 
 // MachineCloser is implemented by machines that need cleanup when the
-// environment is closed mid-run (the machine analogue of a process's
-// deferred teardown). Env.Close calls MachineClose on live machines in
-// spawn order, after unlinking the machine from any wait queue.
+// environment is closed mid-run. Env.Close calls MachineClose on live
+// machines in spawn order, after unlinking the machine from any wait
+// queue.
 type MachineCloser interface {
 	MachineClose()
 }
 
-// Task is the kernel-side identity of a resumable actor. Every Proc
-// embeds one, and every Machine implementation embeds one and passes
-// it to Env.Spawn or Env.Adopt. It carries the intrusive wait records
-// shared by the signal and resource queues, so parking is allocation
-// free for machines exactly as it is for processes.
+// Task is the kernel-side identity of a resumable actor. Every Machine
+// implementation embeds one and passes it to Env.Spawn. It carries the
+// intrusive wait records of the signal and resource queues, so parking
+// is allocation free.
 //
 // All Task methods must be called from inside the owning machine's
 // Resume (or, for the park-free accessors, from the model's
@@ -49,8 +47,8 @@ type Task struct {
 	env *Env
 	m   Machine
 
-	// slot is the task's index in the env's machine registry, or -1
-	// for process-owned tasks (processes register as procs instead).
+	// slot is the task's index in the env's registry, or -1 while
+	// detached.
 	slot int
 
 	// wait and rwait are the intrusive wait-queue nodes; a parked task
@@ -59,20 +57,12 @@ type Task struct {
 	rwait resWait
 }
 
-// Spawn registers m in the machine registry and schedules its first
-// Resume at the current virtual time, after events already queued for
-// this instant — the machine counterpart of Go.
+// Spawn registers m in the registry and schedules its first Resume at
+// the current virtual time, after events already queued for this
+// instant.
 func (e *Env) Spawn(t *Task, m Machine) {
 	e.adopt(t, m)
 	e.scheduleResume(e.now, t)
-}
-
-// Adopt registers m without scheduling a resume: the machine starts
-// parked and runs only when something wakes it (typically a Mailbox
-// Put after the machine was armed with Recv at attach time, or an
-// explicit Signal). Use Spawn when the machine has startup work.
-func (e *Env) Adopt(t *Task, m Machine) {
-	e.adopt(t, m)
 }
 
 // Grow reserves room for n more machines and one pending event apiece:
@@ -88,6 +78,8 @@ func (e *Env) Grow(n int) {
 	e.events = slices.Grow(e.events, n)
 }
 
+// adopt registers m without scheduling a resume: the machine starts
+// parked and runs only when something wakes it.
 func (e *Env) adopt(t *Task, m Machine) {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
@@ -106,7 +98,7 @@ func (e *Env) adopt(t *Task, m Machine) {
 
 // Detach removes the machine from the registry; call it when the
 // machine's work is done. The task must not be parked. A detached
-// Task may be reused by a later Spawn/Adopt.
+// Task may be reused by a later Spawn.
 func (t *Task) Detach() {
 	e := t.env
 	if t.slot < 0 || t.slot >= len(e.tasks) || e.tasks[t.slot] != t {
@@ -156,9 +148,9 @@ func (t *Task) Env() *Env { return t.env }
 // Now returns the current virtual time.
 func (t *Task) Now() time.Duration { return t.env.now }
 
-// Sleep parks the machine for d of virtual time, exactly like
-// Proc.Sleep: a non-positive d resumes at the current instant, after
-// events already scheduled for it. The caller must return from Resume.
+// Sleep parks the machine for d of virtual time: a non-positive d
+// resumes at the current instant, after events already scheduled for
+// it. The caller must return from Resume.
 func (t *Task) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -167,7 +159,7 @@ func (t *Task) Sleep(d time.Duration) {
 }
 
 // SleepUntil parks the machine until absolute virtual time at (or the
-// current instant if at is in the past), exactly like Proc.SleepUntil.
+// current instant if at is in the past).
 func (t *Task) SleepUntil(at time.Duration) {
 	if at < t.env.now {
 		at = t.env.now
@@ -175,9 +167,9 @@ func (t *Task) SleepUntil(at time.Duration) {
 	t.env.scheduleResume(at, t)
 }
 
-// Wait parks the machine on s until it is fired or broadcast, exactly
-// like Proc.Wait. The caller must return from Resume; as with
-// processes, a wakeup is a hint and the predicate must be re-checked.
+// Wait parks the machine on s until it is fired or broadcast. The
+// caller must return from Resume; a wakeup is a hint and the predicate
+// must be re-checked.
 func (t *Task) Wait(s *Signal) {
 	w := &t.wait
 	w.timedOut = false
@@ -185,10 +177,10 @@ func (t *Task) Wait(s *Signal) {
 	s.push(w)
 }
 
-// WaitTimeout parks the machine on s with a timeout, exactly like
-// Proc.WaitTimeout: it reports true when the machine parked (return
-// from Resume and check TimedOut on the next one) and false when
-// d <= 0, which is an immediate timeout with no park.
+// WaitTimeout parks the machine on s with a timeout: it reports true
+// when the machine parked (return from Resume and check TimedOut on the
+// next one) and false when d <= 0, which is an immediate timeout with
+// no park.
 func (t *Task) WaitTimeout(s *Signal, d time.Duration) bool {
 	if d <= 0 {
 		return false
@@ -207,9 +199,9 @@ func (t *Task) WaitTimeout(s *Signal, d time.Duration) bool {
 func (t *Task) TimedOut() bool { return t.wait.timedOut }
 
 // Acquire obtains a unit of r or parks the machine in its priority
-// queue, exactly like Proc.Acquire. It reports true when the unit was
-// granted synchronously; false means the machine parked and holds the
-// unit on the next Resume.
+// queue (lower priority values first, ties FIFO). It reports true when
+// the unit was granted synchronously; false means the machine parked
+// and holds the unit on the next Resume.
 func (t *Task) Acquire(r *Resource, priority float64) bool {
 	if r.inUse < r.cap && len(r.waiters) == 0 {
 		r.grant()
@@ -238,10 +230,9 @@ const (
 	AcquireTimedOut
 )
 
-// AcquireTimeout is Acquire with a timeout, exactly like
-// Proc.AcquireTimeout: a synchronous grant, an immediate timeout when
-// d <= 0, or a park whose outcome ResTimedOut reports on the next
-// Resume.
+// AcquireTimeout is Acquire with a timeout: a synchronous grant, an
+// immediate timeout when d <= 0, or a park whose outcome ResTimedOut
+// reports on the next Resume.
 func (t *Task) AcquireTimeout(r *Resource, priority float64, d time.Duration) AcquireStatus {
 	if r.inUse < r.cap && len(r.waiters) == 0 {
 		r.grant()

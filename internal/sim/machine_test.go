@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-// The Machine path must behave exactly like the Proc path at every
-// shared primitive: same wakeup order, same timeout semantics, same
-// teardown discipline. These tests pin the contract; the model-level
-// goldens pin the end-to-end equivalence.
+// These tests pin the machine contract at every primitive: wakeup
+// order, timeout semantics, teardown discipline. The model-level
+// goldens pin the end-to-end behaviour.
 
 type sleeperMachine struct {
 	task  Task
@@ -32,12 +31,12 @@ func TestMachineSleepRepeats(t *testing.T) {
 	if m.ticks != 11 {
 		t.Fatalf("machine resumed %d times, want 11", m.ticks)
 	}
-	if env.Machines() != 1 {
-		t.Fatalf("Machines() = %d, want 1", env.Machines())
+	if env.liveTasks != 1 {
+		t.Fatalf("%d machines live, want 1", env.liveTasks)
 	}
 	env.Close()
-	if env.Machines() != 0 {
-		t.Fatalf("Machines() after Close = %d, want 0", env.Machines())
+	if env.liveTasks != 0 {
+		t.Fatalf("%d machines live after Close, want 0", env.liveTasks)
 	}
 }
 
@@ -53,51 +52,6 @@ type logWaiter struct {
 func (m *logWaiter) Resume() {
 	*m.log = append(*m.log, m.name)
 	m.task.Wait(m.sig)
-}
-
-// TestMachineSignalFIFOWithProcs interleaves processes and machines in
-// one signal queue and checks that Fire serves them strictly in arming
-// order, regardless of kind.
-func TestMachineSignalFIFOWithProcs(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	sig := NewSignal(env)
-	var log []string
-	spawnProc := func(name string) {
-		env.Go(name, func(p *Proc) {
-			for {
-				p.Wait(sig)
-				log = append(log, name)
-			}
-		})
-	}
-	adoptMachine := func(name string) {
-		m := &logWaiter{sig: sig, log: &log, name: name}
-		env.Adopt(&m.task, m)
-		m.task.Wait(sig)
-	}
-	// Machines arm at adopt time; processes arm at their t=0 dispatch.
-	adoptMachine("m1")
-	spawnProc("p1")
-	adoptMachine("m2")
-	spawnProc("p2")
-	env.RunAll()
-	want := []string{"m1", "m2", "p1", "p2"}
-	for round := 0; round < 3; round++ {
-		log = log[:0]
-		for range want {
-			sig.Fire()
-		}
-		env.RunAll()
-		if len(log) != len(want) {
-			t.Fatalf("round %d: woke %v, want %v", round, log, want)
-		}
-		for i := range want {
-			if log[i] != want[i] {
-				t.Fatalf("round %d: woke %v, want %v", round, log, want)
-			}
-		}
-	}
 }
 
 // resLogger acquires a resource at adopt time and, once granted, logs
@@ -120,14 +74,14 @@ func TestMachineResourcePriority(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, 1)
 	holder := &resLogger{r: r}
-	env.Adopt(&holder.task, holder)
+	env.adopt(&holder.task, holder)
 	if !holder.task.Acquire(r, 0) {
 		t.Fatal("initial acquire should grant synchronously")
 	}
 	var log []int
 	add := func(id int, prio float64) *resLogger {
 		m := &resLogger{r: r, log: &log, id: id}
-		env.Adopt(&m.task, m)
+		env.adopt(&m.task, m)
 		if m.task.Acquire(r, prio) {
 			t.Fatalf("waiter %d acquired a held resource", id)
 		}
@@ -172,7 +126,7 @@ func TestMachineWaitTimeout(t *testing.T) {
 	var log []string
 
 	expire := &timeoutLogger{log: &log, name: "a"}
-	env.Adopt(&expire.task, expire)
+	env.adopt(&expire.task, expire)
 	if !expire.task.WaitTimeout(sig, 5*time.Millisecond) {
 		t.Fatal("positive timeout should park")
 	}
@@ -186,7 +140,7 @@ func TestMachineWaitTimeout(t *testing.T) {
 
 	log = log[:0]
 	woken := &timeoutLogger{log: &log, name: "b"}
-	env.Adopt(&woken.task, woken)
+	env.adopt(&woken.task, woken)
 	woken.task.WaitTimeout(sig, 5*time.Millisecond)
 	sig.Fire()
 	env.Run(20 * time.Millisecond)
@@ -223,19 +177,19 @@ func TestMachineAcquireTimeout(t *testing.T) {
 	r := NewResource(env, 1)
 	var log []string
 	holder := &resTimeoutLogger{log: &log, name: "holder"}
-	env.Adopt(&holder.task, holder)
+	env.adopt(&holder.task, holder)
 	if holder.task.AcquireTimeout(r, 0, time.Second) != AcquireGranted {
 		t.Fatal("free resource should grant synchronously")
 	}
 
 	late := &resTimeoutLogger{log: &log, name: "late"}
-	env.Adopt(&late.task, late)
+	env.adopt(&late.task, late)
 	if late.task.AcquireTimeout(r, 0, 0) != AcquireTimedOut {
 		t.Fatal("d<=0 on a held resource should time out immediately")
 	}
 
 	parked := &resTimeoutLogger{log: &log, name: "parked"}
-	env.Adopt(&parked.task, parked)
+	env.adopt(&parked.task, parked)
 	if parked.task.AcquireTimeout(r, 0, 5*time.Millisecond) != AcquireParked {
 		t.Fatal("held resource should park")
 	}
@@ -249,7 +203,7 @@ func TestMachineAcquireTimeout(t *testing.T) {
 
 	log = log[:0]
 	granted := &resTimeoutLogger{log: &log, name: "g"}
-	env.Adopt(&granted.task, granted)
+	env.adopt(&granted.task, granted)
 	granted.task.AcquireTimeout(r, 0, time.Hour)
 	r.Release() // holder's unit
 	env.RunAll()
@@ -282,7 +236,7 @@ func TestMachineMailboxDrain(t *testing.T) {
 	defer env.Close()
 	mb := NewMailbox[int](env)
 	m := &drainMachine{mb: mb}
-	env.Adopt(&m.task, m)
+	env.adopt(&m.task, m)
 	if _, ok := mb.Recv(&m.task); ok {
 		t.Fatal("Recv on empty mailbox should park")
 	}
@@ -316,12 +270,12 @@ func TestMachineDetachAndReuse(t *testing.T) {
 	m.task.cancelWaits()
 	// Simulate the machine finishing: detach, then reuse the task.
 	m.task.Detach()
-	if env.Machines() != 0 {
-		t.Fatalf("Machines() after Detach = %d, want 0", env.Machines())
+	if env.liveTasks != 0 {
+		t.Fatalf("%d machines live after Detach, want 0", env.liveTasks)
 	}
 	env.Spawn(&m.task, m)
-	if env.Machines() != 1 {
-		t.Fatalf("Machines() after re-Spawn = %d, want 1", env.Machines())
+	if env.liveTasks != 1 {
+		t.Fatalf("%d machines live after re-Spawn, want 1", env.liveTasks)
 	}
 }
 
@@ -363,7 +317,7 @@ func TestCloseDetachesMachinesInSpawnOrder(t *testing.T) {
 
 	adopt := func(name string) *closerMachine {
 		m := &closerMachine{name: name, log: &log}
-		env.Adopt(&m.task, m)
+		env.adopt(&m.task, m)
 		return m
 	}
 	timer := adopt("timer")
@@ -405,8 +359,8 @@ func TestCloseDetachesMachinesInSpawnOrder(t *testing.T) {
 	if res.QueueLen() != 0 {
 		t.Fatalf("resource still has %d waiters after Close", res.QueueLen())
 	}
-	if env.Machines() != 0 {
-		t.Fatalf("Machines() after Close = %d, want 0", env.Machines())
+	if env.liveTasks != 0 {
+		t.Fatalf("%d machines live after Close, want 0", env.liveTasks)
 	}
 	// Machines run on the driving goroutine: none may exist before or
 	// after teardown.
@@ -418,24 +372,41 @@ func TestCloseDetachesMachinesInSpawnOrder(t *testing.T) {
 	}
 }
 
-// TestCloseStopsProcsBeforeMachines pins the documented teardown order:
-// processes (spawn order) first, then machines (spawn order).
-func TestCloseStopsProcsBeforeMachines(t *testing.T) {
+// TestCloseTearsDownInSpawnOrderAcrossKinds pins the teardown order:
+// one registry holds machines and processes alike, so Close tears them
+// down in spawn order whatever the kind.
+func TestCloseTearsDownInSpawnOrderAcrossKinds(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
 	var log []string
-	m := &closerMachine{name: "machine", log: &log}
-	env.Adopt(&m.task, m)
-	m.task.Wait(sig)
+	first := &closerMachine{name: "machine1", log: &log}
+	env.adopt(&first.task, first)
+	first.task.Wait(sig)
 	env.Go("proc", func(p *Proc) {
 		defer func() { log = append(log, "proc") }()
-		p.Wait(sig)
+		p.Sleep(time.Hour)
 	})
-	env.RunAll()
+	second := &closerMachine{name: "machine2", log: &log}
+	env.adopt(&second.task, second)
+	second.task.Sleep(time.Hour)
+	env.Run(time.Minute)
 	env.Close()
-	if len(log) != 2 || log[0] != "proc" || log[1] != "machine" {
-		t.Fatalf("teardown order %v, want [proc machine]", log)
+	if len(log) != 3 || log[0] != "machine1" || log[1] != "proc" || log[2] != "machine2" {
+		t.Fatalf("teardown order %v, want [machine1 proc machine2]", log)
 	}
+	if env.liveTasks != 0 {
+		t.Fatalf("%d actors live after Close", env.liveTasks)
+	}
+}
+
+// stopped reports whether tm was canceled or has fired, or its record
+// was trimmed by the pool-shrink pass.
+func stopped(tm Timer) bool {
+	if tm.env == nil || int(tm.idx) >= len(tm.env.pool) {
+		return true
+	}
+	rec := &tm.env.pool[tm.idx]
+	return rec.gen != tm.gen || rec.canceled
 }
 
 // TestEventPoolShrinksAfterBurst pins the satellite fix: after a burst
@@ -462,7 +433,7 @@ func TestEventPoolShrinksAfterBurst(t *testing.T) {
 		t.Fatalf("free list holds %d entries after shrink, want <= %d", len(env.free), minEventPool)
 	}
 	// Handles into the trimmed region stay safe and read as stopped.
-	if !stale.Stopped() {
+	if !stopped(stale) {
 		t.Fatal("stale timer into trimmed pool should report Stopped")
 	}
 	stale.Cancel() // must not panic or cancel anything live
@@ -478,7 +449,7 @@ func TestEventPoolShrinksAfterBurst(t *testing.T) {
 	if fired != burst {
 		t.Fatalf("stale handle canceled a regrown event: fired %d, want %d", fired, burst)
 	}
-	if keep.Stopped() != true {
+	if !stopped(keep) {
 		t.Fatal("long-lived event should have fired by now")
 	}
 	env.Close()
@@ -548,7 +519,7 @@ func TestGrowThenSpawnNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("spawning and stepping %d machines after Grow allocates %.1f objects, want 0", n, allocs)
 	}
-	if got := env.Machines(); got != len(ms) {
+	if got := env.liveTasks; got != len(ms) {
 		t.Errorf("%d machines live, want %d", got, len(ms))
 	}
 }
@@ -633,15 +604,15 @@ func BenchmarkMachineSleep(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineSignalWaitFire is the machine counterpart of
-// BenchmarkSignalWaitFire: a parked machine, a fire, a direct resume.
+// BenchmarkMachineSignalWaitFire measures a blocking receive: a parked
+// machine, a fire, a direct resume.
 func BenchmarkMachineSignalWaitFire(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()
 	sig := NewSignal(env)
 	var log []string
 	m := &logWaiter{sig: sig, log: &log, name: "w"}
-	env.Adopt(&m.task, m)
+	env.adopt(&m.task, m)
 	m.task.Wait(sig)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -659,7 +630,7 @@ func BenchmarkMachineMailbox(b *testing.B) {
 	defer env.Close()
 	mb := NewMailbox[int](env)
 	m := &drainMachine{mb: mb}
-	env.Adopt(&m.task, m)
+	env.adopt(&m.task, m)
 	mb.Recv(&m.task)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,10 +1,8 @@
 package sim
 
-import "time"
-
-// Mailbox is an unbounded FIFO queue between processes. Put never blocks
-// (and may be called from event callbacks, not just processes); Get blocks
-// the calling process until an item is available.
+// Mailbox is an unbounded FIFO queue between actors. Put never blocks
+// (and may be called from event callbacks, not just machines); Recv
+// parks the calling machine until an item is available.
 //
 // Items live in a power-of-two ring buffer, so a steady-state
 // Put/TryGet cycle allocates nothing and the backing array never grows
@@ -58,9 +56,6 @@ func (m *Mailbox[T]) grow() {
 	m.head = 0
 }
 
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return m.n }
-
 // TryGet removes and returns the head item without blocking. The second
 // result is false when the mailbox is empty.
 func (m *Mailbox[T]) TryGet() (T, bool) {
@@ -80,8 +75,7 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 // mailbox is empty it parks the task on the mailbox's signal and
 // reports ok=false: the machine must return from Resume, and the next
 // Put resumes it. A resumed machine must call Recv again in a drain
-// loop — one wakeup can cover several buffered items, matching the
-// re-check loop inside the process-side Get.
+// loop — one wakeup can cover several buffered items.
 func (m *Mailbox[T]) Recv(t *Task) (T, bool) {
 	if v, ok := m.TryGet(); ok {
 		return v, true
@@ -89,37 +83,4 @@ func (m *Mailbox[T]) Recv(t *Task) (T, bool) {
 	t.Wait(&m.sig)
 	var zero T
 	return zero, false
-}
-
-// Get blocks until an item is available and returns it.
-func (m *Mailbox[T]) Get(p *Proc) T {
-	for {
-		if v, ok := m.TryGet(); ok {
-			return v
-		}
-		p.Wait(&m.sig)
-	}
-}
-
-// GetTimeout is Get with a timeout; ok is false when d elapsed with the
-// mailbox still empty.
-func (m *Mailbox[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
-	deadline := p.Now() + d
-	for {
-		if v, ok := m.TryGet(); ok {
-			return v, true
-		}
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			var zero T
-			return zero, false
-		}
-		if !p.WaitTimeout(&m.sig, remain) {
-			if v, ok := m.TryGet(); ok {
-				return v, true
-			}
-			var zero T
-			return zero, false
-		}
-	}
 }

@@ -8,19 +8,17 @@ import (
 // errStopped unwinds a process goroutine when the environment is closed.
 var errStopped = errors.New("sim: process stopped")
 
-// Proc is a simulation process: a goroutine scheduled cooperatively by the
-// kernel. At most one process runs at any instant; a process runs until it
-// blocks on a kernel primitive (Sleep, Wait, Acquire, mailbox Get) or
-// returns.
+// Proc is a simulation process: a Machine whose body runs on a
+// goroutine of its own. Resume hands the execution token to that
+// goroutine and waits for it to park again or finish, so at most one
+// actor runs at any instant. A process registers and is torn down like
+// any machine; its only parking primitive is Sleep.
 //
 // Legacy: model code uses Machine. Outside this package only the
 // benchmark driver for sim.proc_switch_ns still calls Go (CI's proc-lint
 // step enforces that); this file goes when that metric does.
-//
-// All Proc methods must be called from the process's own goroutine.
 type Proc struct {
-	env  *Env
-	name string
+	task Task
 	fn   func(p *Proc)
 
 	// h is the single handoff channel: the kernel and the process
@@ -29,148 +27,71 @@ type Proc struct {
 	// directions (resume and yield).
 	h chan struct{}
 
-	// slot is the process's index in the env's spawn-order registry,
-	// or -1 while parked for reuse.
-	slot int
-
-	// stopping is set by Close before the stop resume is delivered so
-	// that blocking calls made from deferred cleanup during unwinding
-	// fail fast instead of deadlocking the kernel. stop tells the
-	// goroutine to unwind (checked after every resume).
-	stopping bool
-	stop     bool
-
-	// task carries the process's intrusive wait records for Signal and
-	// Resource queues (a blocked process sits in at most one queue, so
-	// embedding them makes waiting allocation free) and makes the
-	// process a resumable kernel task like any state machine: wakeups
-	// land on the task and Resume performs the goroutine handoff.
-	task Task
+	// stop is set by Close: the goroutine unwinds on its next resume,
+	// and a Sleep from deferred cleanup during the unwind fails fast
+	// instead of deadlocking the kernel.
+	stop bool
 }
 
-// Resume implements Machine for processes: hand the execution token to
-// the process goroutine and wait for it to block again or exit.
+// Go spawns a process running fn on a goroutine of its own. The process
+// starts at the current virtual time, after events already queued for
+// this instant. The name labels the process for the reader only.
+func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{fn: fn, h: make(chan struct{})}
+	e.Spawn(&p.task, p)
+	go p.run()
+	return p
+}
+
+// Resume implements Machine: hand the execution token to the process
+// goroutine and wait for it to park again or exit.
 func (p *Proc) Resume() {
 	p.h <- struct{}{}
 	<-p.h
 }
 
-// Go spawns a new process running fn. The process starts at the current
-// virtual time, after events already queued for this instant. The name is
-// used in diagnostics only.
-//
-// Finished processes park their goroutine on the environment's free
-// list, so in steady state Go reuses a goroutine and allocates nothing.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	if e.closed {
-		panic("sim: Go on closed Env")
-	}
-	var p *Proc
-	if n := len(e.freeProcs); n > 0 {
-		p = e.freeProcs[n-1]
-		e.freeProcs[n-1] = nil
-		e.freeProcs = e.freeProcs[:n-1]
-	} else {
-		p = &Proc{env: e, h: make(chan struct{})}
-		p.task.env = e
-		p.task.m = p
-		p.task.slot = -1
-		p.task.wait.t = &p.task
-		p.task.rwait.t = &p.task
-		go p.loop()
-	}
-	p.name = name
-	p.fn = fn
-	p.stopping = false
-	p.stop = false
-	e.register(p)
-	e.scheduleResume(e.now, &p.task)
-	return p
+// MachineClose implements MachineCloser: the process unwinds through
+// its deferred calls and its goroutine exits.
+func (p *Proc) MachineClose() {
+	p.stop = true
+	p.Resume()
 }
 
-// loop is the body of a process goroutine. Each iteration waits for the
-// execution token, runs one spawned function, and then either parks the
-// goroutine for reuse or exits (on stop or model panic).
-func (p *Proc) loop() {
-	e := p.env
-	for {
-		<-p.h
-		if p.stop {
-			// Stopped before the first dispatch (still registered) or
-			// while parked on the free list (not registered).
-			if p.slot >= 0 {
-				e.unregister(p)
-			}
-			p.h <- struct{}{}
-			return
-		}
-		r := p.run()
-		// The kernel is blocked in dispatch (or Close) waiting for
-		// this yield, so mutating the registry here is race-free.
-		e.unregister(p)
-		if r != nil && r != errStopped { //nolint:errorlint // sentinel identity
-			p.h <- struct{}{}
-			panic(r)
-		}
-		if r == errStopped { //nolint:errorlint // sentinel identity
-			p.h <- struct{}{}
-			return
-		}
-		p.fn = nil
-		e.freeProcs = append(e.freeProcs, p)
-		p.h <- struct{}{}
+// run is the body of a process goroutine: it waits for the first
+// resume, runs fn (unless the environment closed first), detaches the
+// task and hands the token back for good. A model panic is re-raised
+// after the handback.
+func (p *Proc) run() {
+	<-p.h
+	r := p.call()
+	p.task.Detach()
+	p.h <- struct{}{}
+	if r != nil && r != errStopped { //nolint:errorlint // sentinel identity
+		panic(r)
 	}
 }
 
-// run executes the spawned function, converting a panic (including the
-// errStopped unwind) into a return value.
-func (p *Proc) run() (r any) {
+// call runs fn, converting a panic (including the errStopped unwind)
+// into a return value.
+func (p *Proc) call() (r any) {
 	defer func() { r = recover() }()
-	p.fn(p)
+	if !p.stop {
+		p.fn(p)
+	}
 	return nil
 }
-
-// block yields control to the kernel and waits to be resumed. It panics
-// with errStopped when the environment is shutting down.
-func (p *Proc) block() {
-	if p.stopping {
-		panic(errStopped)
-	}
-	p.h <- struct{}{}
-	<-p.h
-	if p.stop {
-		panic(errStopped)
-	}
-}
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Sleep suspends the process for d of virtual time. A non-positive d
 // yields the processor for the current instant (other events scheduled now
 // still run) and resumes immediately after.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
+	if p.stop {
+		panic(errStopped)
 	}
-	p.env.scheduleResume(p.env.now+d, &p.task)
-	p.block()
-}
-
-// SleepUntil suspends the process until absolute virtual time t. If t is
-// in the past it behaves like Sleep(0).
-func (p *Proc) SleepUntil(t time.Duration) {
-	if t < p.env.now {
-		t = p.env.now
+	p.task.Sleep(d)
+	p.h <- struct{}{}
+	<-p.h
+	if p.stop {
+		panic(errStopped)
 	}
-	p.env.scheduleResume(t, &p.task)
-	p.block()
-}
-
-// Go spawns a child process. It is shorthand for Env.Go.
-func (p *Proc) Go(name string, fn func(p *Proc)) *Proc {
-	return p.env.Go(name, fn)
 }

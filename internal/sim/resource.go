@@ -1,12 +1,11 @@
 package sim
 
-import "time"
-
 // Resource models a server with a fixed number of identical units
-// (capacity). Processes acquire a unit, hold it while they work, and
-// release it. Waiters are served in priority order (lower value first;
-// ties FIFO), which lets callers implement Earliest-Deadline-First service
-// by passing the deadline as the priority.
+// (capacity). Machines acquire a unit (Task.Acquire,
+// Task.AcquireTimeout), hold it while they work, and release it.
+// Waiters are served in priority order (lower value first; ties FIFO),
+// which lets callers implement Earliest-Deadline-First service by
+// passing the deadline as the priority.
 type Resource struct {
 	env     *Env
 	cap     int
@@ -16,10 +15,6 @@ type Resource struct {
 
 	// Grants counts successful acquisitions, for metrics and tests.
 	Grants int64
-	// BusyTime accumulates unit-seconds of utilization.
-	BusyTime time.Duration
-
-	lastChange time.Duration
 }
 
 // NewResource returns a resource with the given capacity. Capacity must be
@@ -40,75 +35,12 @@ func (r *Resource) Init(env *Env, capacity int) {
 	*r = Resource{env: env, cap: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.cap }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting for a unit.
+// QueueLen returns the number of machines waiting for a unit.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// Utilization returns the mean fraction of capacity in use since the start
-// of the simulation, sampled up to the current time.
-func (r *Resource) Utilization() float64 {
-	total := r.env.Now()
-	if total <= 0 {
-		return 0
-	}
-	busy := r.BusyTime + time.Duration(r.inUse)*(r.env.Now()-r.lastChange)
-	return float64(busy) / float64(total) / float64(r.cap)
-}
-
-func (r *Resource) account() {
-	now := r.env.Now()
-	r.BusyTime += time.Duration(r.inUse) * (now - r.lastChange)
-	r.lastChange = now
-}
-
 func (r *Resource) grant() {
-	r.account()
 	r.inUse++
 	r.Grants++
-}
-
-// Acquire blocks until a unit is available, queueing behind waiters with
-// lower priority values. Waiting is allocation free: the queue node is
-// the process's embedded wait record.
-func (p *Proc) Acquire(r *Resource, priority float64) {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.grant()
-		return
-	}
-	w := &p.task.rwait
-	w.priority = priority
-	w.timedOut = false
-	w.hasTimer = false
-	w.r = r
-	r.push(w)
-	p.block()
-}
-
-// AcquireTimeout is Acquire with a timeout; it reports true when the unit
-// was obtained, false when d elapsed first (in which case no unit is
-// held).
-func (p *Proc) AcquireTimeout(r *Resource, priority float64, d time.Duration) bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.grant()
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	w := &p.task.rwait
-	w.priority = priority
-	w.timedOut = false
-	w.timer = r.env.scheduleTimeout(r.env.now+d, evResTimeout, &p.task)
-	w.hasTimer = true
-	w.r = r
-	r.push(w)
-	p.block()
-	return !w.timedOut
 }
 
 // Release returns one unit and hands it to the best-priority waiter, if
@@ -117,7 +49,6 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource")
 	}
-	r.account()
 	r.inUse--
 	r.grantNext()
 }
@@ -142,8 +73,7 @@ func (r *Resource) push(w *resWait) {
 }
 
 // resWait is a task's intrusive resource-queue node. Every Task embeds
-// exactly one: a blocked task waits on at most one resource. Processes
-// and state machines share the queue through their tasks.
+// exactly one: a blocked task waits on at most one resource.
 type resWait struct {
 	t        *Task
 	r        *Resource // owning resource while queued, nil otherwise

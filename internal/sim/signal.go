@@ -1,19 +1,18 @@
 package sim
 
-import "time"
-
-// Signal is a condition-variable-like primitive. Processes wait on it;
-// Broadcast wakes every current waiter and Fire wakes the longest-waiting
-// one. Wakeups are scheduled at the current instant, so woken processes
-// run after the waking event completes, in wait order.
+// Signal is a condition-variable-like primitive. Machines wait on it
+// (Task.Wait, Task.WaitTimeout); Broadcast wakes every current waiter
+// and Fire wakes the longest-waiting one. Wakeups are scheduled at the
+// current instant, so woken machines run after the waking event
+// completes, in wait order.
 //
-// As with condition variables, a wakeup is a hint: callers should re-check
-// their predicate in a loop (or use WaitFor).
+// As with condition variables, a wakeup is a hint: callers should
+// re-check their predicate.
 //
 // The waiter queue is an intrusive doubly-linked list of per-task
 // wait records (Task.wait), so enqueueing is allocation free and
-// removal — on wake or timeout — is O(1). Processes and state machines
-// share the queue: a wakeup resumes either kind through its task.
+// removal — on wake or timeout — is O(1). A wakeup resumes the waiter
+// through its task.
 type Signal struct {
 	env        *Env
 	head, tail *signalWait
@@ -36,45 +35,7 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 // Init makes s a signal bound to env, in place (in the record it wakes).
 func (s *Signal) Init(env *Env) { *s = Signal{env: env} }
 
-// Wait blocks the process until the signal is fired or broadcast.
-func (p *Proc) Wait(s *Signal) {
-	w := &p.task.wait
-	w.timedOut = false
-	w.hasTimer = false
-	s.push(w)
-	p.block()
-}
-
-// WaitTimeout blocks until the signal wakes the process or d elapses. It
-// reports true when woken by the signal and false on timeout.
-func (p *Proc) WaitTimeout(s *Signal, d time.Duration) bool {
-	if d <= 0 {
-		return false
-	}
-	w := &p.task.wait
-	w.timedOut = false
-	w.timer = s.env.scheduleTimeout(s.env.now+d, evSignalTimeout, &p.task)
-	w.hasTimer = true
-	s.push(w)
-	p.block()
-	return !w.timedOut
-}
-
-// WaitForTimeout blocks until cond() is true or the deadline at absolute
-// virtual time t passes. It reports true when the condition held.
-func (p *Proc) WaitForTimeout(s *Signal, t time.Duration, cond func() bool) bool {
-	for !cond() {
-		if p.Now() >= t {
-			return false
-		}
-		if !p.WaitTimeout(s, t-p.Now()) && !cond() {
-			return false
-		}
-	}
-	return true
-}
-
-// Fire wakes the longest-waiting process, if any.
+// Fire wakes the longest-waiting machine, if any.
 func (s *Signal) Fire() {
 	w := s.head
 	if w == nil {
@@ -84,7 +45,7 @@ func (s *Signal) Fire() {
 	s.wake(w)
 }
 
-// Broadcast wakes every process currently waiting.
+// Broadcast wakes every machine currently waiting.
 func (s *Signal) Broadcast() {
 	for w := s.head; w != nil; {
 		next := w.next

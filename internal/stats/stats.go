@@ -11,18 +11,10 @@ type Sample struct {
 	n    int
 	sum  float64
 	sumq float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
 	s.sumq += v * v
@@ -38,12 +30,6 @@ func (s *Sample) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Min and Max return the observed extremes.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.max }
 
 // StdDev returns the sample standard deviation (n−1 denominator; zero
 // for fewer than two observations).

@@ -28,9 +28,6 @@ func TestKnownValues(t *testing.T) {
 	if sd := s.StdDev(); math.Abs(sd-2.13809) > 1e-4 {
 		t.Fatalf("stddev = %v", sd)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
 }
 
 // TestCI95HandComputed checks the 95% confidence half-width against
@@ -124,17 +121,19 @@ func TestTCriticalBoundary(t *testing.T) {
 func TestSampleBoundsProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Sample
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
 				continue
 			}
 			s.Add(v)
+			lo, hi = min(lo, v), max(hi, v)
 		}
 		if s.N() == 0 {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-6 && m <= s.Max()+1e-6 && s.CI95() >= 0
+		return m >= lo-1e-6 && m <= hi+1e-6 && s.CI95() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -18,17 +18,6 @@ type MissTable struct {
 	ByCause [NumComponents]int64
 }
 
-// Add merges o into m.
-func (m *MissTable) Add(o *MissTable) {
-	if o == nil {
-		return
-	}
-	m.Missed += o.Missed
-	for c := range o.ByCause {
-		m.ByCause[c] += o.ByCause[c]
-	}
-}
-
 // Share returns component c's fraction of the missed transactions (zero
 // on the nil table of an untraced run).
 func (m *MissTable) Share(c Component) float64 {

@@ -433,20 +433,3 @@ func (tr *Tracer) VerifyAll() error {
 	}
 	return nil
 }
-
-// Traces returns every trace in submission order (live; callers must
-// not mutate).
-func (tr *Tracer) Traces() []*TxnTrace {
-	if tr == nil {
-		return nil
-	}
-	return tr.order
-}
-
-// Trace returns one transaction's trace, or nil.
-func (tr *Tracer) Trace(id txn.ID) *TxnTrace {
-	if tr == nil {
-		return nil
-	}
-	return tr.txns[id]
-}

@@ -24,7 +24,7 @@ func TestAttributionSumsToElapsed(t *testing.T) {
 	tr.Mark(x.ID, 1, CompExec, 80*time.Millisecond)
 	x.Status = txn.StatusCommitted
 	tr.Finish(x, 1, 83*time.Millisecond) // 3ms residue joins exec
-	tt := tr.Trace(x.ID)
+	tt := tr.txns[x.ID]
 	if !tt.Done {
 		t.Fatal("trace not closed")
 	}
@@ -60,7 +60,7 @@ func TestMarkWaitClampAndRetry(t *testing.T) {
 	tr.MarkWait(x.ID, 1, 30*time.Millisecond, time.Hour) // transit >> interval
 	x.Status = txn.StatusMissed
 	tr.Finish(x, 1, 30*time.Millisecond)
-	tt := tr.Trace(x.ID)
+	tt := tr.txns[x.ID]
 	if tt.Buckets[CompRetry] != 20*time.Millisecond {
 		t.Fatalf("retry bucket = %v", tt.Buckets[CompRetry])
 	}
@@ -83,7 +83,7 @@ func TestNilAndClosedSafety(t *testing.T) {
 	tr.Submitted(x, 1, 0)
 	tr.Mark(x.ID, 1, CompExec, time.Millisecond)
 	tr.Finish(x, 1, time.Millisecond)
-	if tr.Enabled() || tr.Traces() != nil || tr.MissCauses(0) != nil {
+	if tr.Enabled() || tr.MissCauses(0) != nil {
 		t.Fatal("nil tracer should be inert")
 	}
 	if err := tr.VerifyAll(); err != nil {
@@ -96,7 +96,7 @@ func TestNilAndClosedSafety(t *testing.T) {
 	live.Finish(x, 1, 5*time.Millisecond)
 	live.Mark(x.ID, 1, CompExec, 9*time.Millisecond) // late mark: ignored
 	live.Finish(x, 1, 9*time.Millisecond)            // double finish: ignored
-	tt := live.Trace(x.ID)
+	tt := live.txns[x.ID]
 	if tt.Finished != 5*time.Millisecond {
 		t.Fatalf("finished moved to %v", tt.Finished)
 	}

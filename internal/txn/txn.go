@@ -95,32 +95,6 @@ type Transaction struct {
 	Finished time.Duration
 }
 
-// Objects returns the object ids accessed, in Ops order.
-func (t *Transaction) Objects() []lockmgr.ObjectID {
-	out := make([]lockmgr.ObjectID, len(t.Ops))
-	for i, op := range t.Ops {
-		out[i] = op.Obj
-	}
-	return out
-}
-
-// IsUpdate reports whether any access writes.
-func (t *Transaction) IsUpdate() bool {
-	for _, op := range t.Ops {
-		if op.Write {
-			return true
-		}
-	}
-	return false
-}
-
-// MissedAt reports whether the deadline has passed at now.
-func (t *Transaction) MissedAt(now time.Duration) bool { return now > t.Deadline }
-
-// Slack returns the remaining time until the deadline (negative when
-// missed).
-func (t *Transaction) Slack(now time.Duration) time.Duration { return t.Deadline - now }
-
 // Terminal reports whether the transaction reached a final state.
 func (t *Transaction) Terminal() bool {
 	return t.Status == StatusCommitted || t.Status == StatusMissed || t.Status == StatusAborted

@@ -137,8 +137,9 @@ func TestDecomposeMaxParts(t *testing.T) {
 }
 
 func newTestGen(update float64) *Generator {
-	stream := rng.NewStream(1)
-	access := rng.NewLocalizedRW(stream.Derive(9), rng.LocalizedRWConfig{
+	stream, derived := rng.NewStream(1), new(rng.Stream)
+	stream.DeriveInto(derived, 9)
+	access := rng.NewLocalizedRW(derived, rng.LocalizedRWConfig{
 		DBSize: 10000, ClientIndex: 0, NumClients: 10,
 		RegionSize: 1000, LocalFraction: 0.75, ZipfTheta: 0.9,
 	})
@@ -234,8 +235,10 @@ func TestGeneratorDistinctOps(t *testing.T) {
 }
 
 func TestIndependentDeadlinePolicy(t *testing.T) {
-	stream := rng.NewStream(2)
-	access := rng.NewUniform(stream.Derive(9), 1000)
+	stream, derived := rng.NewStream(2), new(rng.Stream)
+	stream.DeriveInto(derived, 9)
+	access := new(rng.Uniform)
+	access.Init(derived, 1000)
 	g := NewGenerator(stream, 1, WorkloadConfig{
 		MeanInterArrival:     10 * time.Second,
 		MeanLength:           10 * time.Second,

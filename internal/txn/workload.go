@@ -89,13 +89,6 @@ type Generator struct {
 	advance func(time.Duration)
 }
 
-// NewGenerator returns a generator for origin on the system's maker.
-func NewGenerator(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, maker *Maker) *Generator {
-	g := new(Generator)
-	g.Init(stream, origin, cfg, maker)
-	return g
-}
-
 // Init makes g a generator for origin, in place (a population's
 // generators are elements of one array). It draws the first arrival.
 func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadConfig, maker *Maker) {

@@ -41,24 +41,19 @@ type Log struct {
 	forceEnd *sim.Signal
 
 	// Forces counts physical device forces; Appends counts records.
-	// GroupCommits counts forces that made more than one transaction
-	// durable.
-	Forces       int64
-	Appends      int64
-	GroupCommits int64
-
-	pendingTxns map[int64]bool
+	// Group commit shows as fewer forces than committers.
+	Forces  int64
+	Appends int64
 }
 
 // New returns a log whose forces serialize on disk and take forceTime
 // each.
 func New(env *sim.Env, disk *sim.Resource, forceTime time.Duration) *Log {
 	return &Log{
-		env:         env,
-		disk:        disk,
-		force:       forceTime,
-		forceEnd:    sim.NewSignal(env),
-		pendingTxns: make(map[int64]bool),
+		env:      env,
+		disk:     disk,
+		force:    forceTime,
+		forceEnd: sim.NewSignal(env),
 	}
 }
 
@@ -79,12 +74,6 @@ func (l *Log) Append(txnID int64, obj lockmgr.ObjectID, version int64) int64 {
 	return lsn
 }
 
-// DurableLSN returns the highest LSN known to be on disk.
-func (l *Log) DurableLSN() int64 { return l.durable }
-
-// Len returns the number of appended records.
-func (l *Log) Len() int { return len(l.records) }
-
 // Records returns the appended records (live slice; callers must not
 // mutate).
 func (l *Log) Records() []Record { return l.records }
@@ -95,7 +84,6 @@ func (l *Log) Records() []Record { return l.records }
 // the next one (group commit).
 type ForceOp struct {
 	l      *Log
-	txnID  int64
 	lsn    int64
 	target int64
 	pc     uint8
@@ -109,8 +97,8 @@ const (
 )
 
 // Init arms the op to make every record up to lsn durable.
-func (o *ForceOp) Init(l *Log, txnID, lsn int64) {
-	o.l, o.txnID, o.lsn, o.pc = l, txnID, lsn, fcCheck
+func (o *ForceOp) Init(l *Log, lsn int64) {
+	o.l, o.lsn, o.pc = l, lsn, fcCheck
 }
 
 // Step advances the force; false means the task parked and Step must
@@ -126,7 +114,6 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 			if l.forcing {
 				// Someone is at the device; wait for that force to land
 				// and re-check (it may already cover us).
-				l.pendingTxns[o.txnID] = true
 				t.Wait(l.forceEnd)
 				return false
 			}
@@ -156,10 +143,6 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 			}
 			l.forcing = false
 			l.Forces++
-			if len(l.pendingTxns) > 0 {
-				l.GroupCommits++
-				clear(l.pendingTxns)
-			}
 			l.forceEnd.Broadcast()
 			o.pc = fcCheck
 		}

@@ -21,7 +21,7 @@ func commit(l *Log, txnID int64, lsn *int64) simtest.Step {
 		if !started {
 			started = true
 			*lsn = l.Append(txnID, 7, txnID)
-			op.Init(l, txnID, *lsn)
+			op.Init(l, *lsn)
 		}
 		return op.Step(t)
 	}
@@ -43,10 +43,10 @@ func TestAppendAssignsDenseLSNs(t *testing.T) {
 			t.Fatalf("lsn = %d, want %d", lsn, i)
 		}
 	}
-	if l.Len() != 5 || l.Appends != 5 {
-		t.Fatalf("len=%d appends=%d", l.Len(), l.Appends)
+	if len(l.records) != 5 || l.Appends != 5 {
+		t.Fatalf("len=%d appends=%d", len(l.records), l.Appends)
 	}
-	if l.DurableLSN() != 0 {
+	if l.durable != 0 {
 		t.Fatal("nothing should be durable before a force")
 	}
 }
@@ -58,8 +58,8 @@ func TestForceMakesDurableAndChargesDisk(t *testing.T) {
 	var lsn int64
 	simtest.Spawn(env, commit(l, 1, &lsn), do(func(*sim.Task) { done = true }))
 	env.RunAll()
-	if !done || l.DurableLSN() != 1 {
-		t.Fatalf("durable = %d", l.DurableLSN())
+	if !done || l.durable != 1 {
+		t.Fatalf("durable = %d", l.durable)
 	}
 	if env.Now() != 10*time.Millisecond {
 		t.Fatalf("force took %v, want 10ms", env.Now())
@@ -77,7 +77,7 @@ func TestForceAlreadyDurableIsFree(t *testing.T) {
 	checked := false
 	simtest.Spawn(env, commit(l, 1, &lsn), do(func(task *sim.Task) {
 		before := task.Now()
-		again.Init(l, 1, lsn)
+		again.Init(l, lsn)
 		if !again.Step(task) || task.Now() != before { // no-op: done without parking
 			t.Error("redundant force took time")
 		}
@@ -109,23 +109,21 @@ func TestGroupCommit(t *testing.T) {
 	l := newLog(env)
 	finished := runGroupCommit(env, l)
 	// Committer 0 forces alone (covering only itself at t=0); 1 and 2
-	// appended during that force and share the second one.
-	if l.Forces > 2 {
-		t.Fatalf("forces = %d, want group commit to batch (<=2)", l.Forces)
+	// appended during that force and share the second one: two forces
+	// for three committers.
+	if l.Forces != 2 {
+		t.Fatalf("forces = %d for 3 committers, want group commit to share one (2)", l.Forces)
 	}
-	if l.GroupCommits == 0 {
-		t.Fatal("no group commit recorded")
-	}
-	if l.DurableLSN() != 3 {
-		t.Fatalf("durable = %d", l.DurableLSN())
+	if l.durable != 3 {
+		t.Fatalf("durable = %d", l.durable)
 	}
 	if finished[1] != finished[2] {
 		t.Fatalf("grouped committers finished apart: %v vs %v", finished[1], finished[2])
 	}
 
-	// Steady state: the same three committers, round after round. A
-	// group commit empties the pending-transaction set in place, so a
-	// round allocates nothing (appends to the record slice amortize away).
+	// Steady state: the same three committers, round after round, two
+	// forces a round; a round allocates nothing (appends to the record
+	// slice amortize away).
 	const period = 100 * time.Millisecond
 	for i := 0; i < 3; i++ {
 		var op ForceOp
@@ -138,7 +136,7 @@ func TestGroupCommit(t *testing.T) {
 					task.SleepUntil((task.Now()/period+1)*period + time.Duration(id)*time.Millisecond)
 					return false
 				case 1:
-					op.Init(l, id, l.Append(id, 7, id))
+					op.Init(l, l.Append(id, 7, id))
 					pc = 2
 				default:
 					if !op.Step(task) {
@@ -150,10 +148,10 @@ func TestGroupCommit(t *testing.T) {
 		})
 	}
 	env.Run(env.Now() + 3*period)
-	before := l.GroupCommits
+	before := l.Forces
 	allocs := testing.AllocsPerRun(100, func() { env.Run(env.Now() + period) })
-	if got := l.GroupCommits - before; got < 100 {
-		t.Fatalf("group commits in 101 rounds = %d", got)
+	if got := l.Forces - before; got != 2*101 {
+		t.Fatalf("forces in 101 rounds of 3 committers = %d, want 202", got)
 	}
 	if allocs != 0 {
 		t.Fatalf("a group-commit round allocates %v, want 0", allocs)
@@ -195,8 +193,8 @@ func TestGroupWindowSharesOneForce(t *testing.T) {
 	l := newLog(env)
 	l.SetGroupWindow(5 * time.Millisecond)
 	finished := runGroupCommit(env, l)
-	if l.Forces != 1 || l.GroupCommits != 1 || l.DurableLSN() != 3 {
-		t.Fatalf("forces=%d group commits=%d durable=%d, want 1/1/3", l.Forces, l.GroupCommits, l.DurableLSN())
+	if l.Forces != 1 || l.durable != 3 {
+		t.Fatalf("forces=%d durable=%d, want 1/3", l.Forces, l.durable)
 	}
 	for i, at := range finished {
 		if at != 15*time.Millisecond {

@@ -108,13 +108,19 @@ type (
 
 // Figure3 reproduces Figure 3 (1% updates). Columns 0–2 are the CE, CS
 // and LS success percentages, one row per client count.
-func Figure3(opts Options) (*Table, error) { return experiment.RunFigure("Figure 3", 0.01, opts) }
+func Figure3(opts Options) (*Table, error) {
+	return experiment.Figure("Figure 3", 0.01, opts).Run(opts)
+}
 
 // Figure4 reproduces Figure 4 (5% updates).
-func Figure4(opts Options) (*Table, error) { return experiment.RunFigure("Figure 4", 0.05, opts) }
+func Figure4(opts Options) (*Table, error) {
+	return experiment.Figure("Figure 4", 0.05, opts).Run(opts)
+}
 
 // Figure5 reproduces Figure 5 (20% updates).
-func Figure5(opts Options) (*Table, error) { return experiment.RunFigure("Figure 5", 0.20, opts) }
+func Figure5(opts Options) (*Table, error) {
+	return experiment.Figure("Figure 5", 0.20, opts).Run(opts)
+}
 
 // RunTable2 reproduces Table 2 (cache hit rates).
 func RunTable2(opts Options) (*Table, error) { return experiment.Table2().Run(opts) }
