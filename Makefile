@@ -94,10 +94,12 @@ bench-check:
 	bash bench/run.sh -smoke
 
 # seed-scan runs seeds 1..SEEDS through the three load-sharing cells the
-# known defects live in (ROADMAP item 1(a); rtdbs.TestSeedScan, skipped
-# by a plain `go test`) and prints, per cell, the seeds that failed and
-# what with. Minutes at the default; a baseline, not a gate — it exits 0
-# whatever it finds. EXPERIMENTS.md, "Seed scan", holds the last table.
+# known defects live in, under the continuous invariant monitor (ROADMAP
+# item 1(a); rtdbs.TestSeedScan, skipped by a plain `go test`) and
+# prints, per cell, the seeds that failed and what with. Minutes at the
+# default; a baseline, not a gate — it exits 0 whatever it finds, and CI
+# runs it nightly (.github/workflows/nightly.yml). EXPERIMENTS.md, "Seed
+# scan", holds the last table.
 SEEDS ?= 150
 seed-scan:
 	$(GO) test ./internal/rtdbs -run 'TestSeedScan$$' -seeds $(SEEDS) -timeout 0 -v

@@ -31,8 +31,8 @@
 // (client-server systems only): per-message drop/duplicate/latency-spike
 // lotteries and a timed single-site partition, all derived from the
 // master seed so a faulty run is exactly reproducible. -invariants
-// attaches the continuous invariant monitor, which re-audits the model
-// after every simulation event (slow; meant for debugging).
+// attaches the continuous invariant monitor, which after every
+// simulation event checks what the event touched.
 package main
 
 import (

@@ -25,6 +25,8 @@ var deadExempt = map[string]string{
 	"siteselect/internal/config.Scale":               "population-tier fixture of two test packages: the root benchmarks and the rtdbs footprint pin",
 	"siteselect/internal/pagefile.BufferPool.Pinned": "rtdbs's unwind test reads it across the package boundary to catch a leaked pin",
 	"siteselect/internal/server.Server.Locks":        "rtdbs's drain test reads it across the package boundary to match client caches against the lock table",
+	"siteselect/internal/lockmgr.Table.PlantHolder":  "rtdbs's monitor tests plant incompatible holders in a running shard's table through it; an export_test.go is compiled into its own package's tests only",
+	"siteselect/internal/client.Client.PlantRecall":  "rtdbs's monitor tests take a parked recall away from a dirty shared copy through it; an export_test.go is compiled into its own package's tests only",
 }
 
 // TestNoDeadExports fails on every exported func, method, type, var or

@@ -14,11 +14,13 @@ import (
 	"siteselect/internal/slab"
 )
 
-// Entry is one cached object.
+// Entry is one cached object. Its lock mode and dirty flag are written
+// only through the cache (Insert, SetMode, SetDirty, Downgrade), which
+// reports each change to a watching monitor.
 type Entry struct {
 	Obj lockmgr.ObjectID
-	// Mode is the cached lock mode (SL or EL).
-	Mode lockmgr.Mode
+	// mode is the cached lock mode (SL or EL).
+	mode lockmgr.Mode
 	// Version is the logical version of the cached copy, used by the
 	// consistency audits.
 	Version int64
@@ -29,10 +31,17 @@ type Entry struct {
 	// and touch cycles allocate nothing.
 	prev, next *Entry
 	inLRU      bool
-	// Dirty marks locally updated objects not yet returned to the server
+	// dirty marks locally updated objects not yet returned to the server
 	// (beside inLRU: the flags share the entry's eighth word).
-	Dirty bool
+	dirty bool
 }
+
+// Mode returns the cached lock mode (SL or EL).
+func (e *Entry) Mode() lockmgr.Mode { return e.mode }
+
+// Dirty reports whether the copy was updated here and not yet returned
+// to the server.
+func (e *Entry) Dirty() bool { return e.dirty }
 
 // Pinned reports whether the entry is in use by a running transaction.
 func (e *Entry) Pinned() bool { return e.pins > 0 }
@@ -96,12 +105,15 @@ func (l *lruList) moveToFront(e *Entry) {
 
 // Cache is a two-tier LRU object cache.
 type Cache struct {
-	memCap, diskCap int
-	entries         map[lockmgr.ObjectID]*Entry
-	memLRU          lruList // front = most recent; unpinned only
-	diskLRU         lruList
-	memCount        int // includes pinned entries
-	diskCount       int
+	memCap, diskCap int32
+	// site is the owner's site id, which a watching monitor's reports
+	// name (Watch); the three share two words.
+	site      int32
+	entries   map[lockmgr.ObjectID]*Entry
+	memLRU    lruList // front = most recent; unpinned only
+	diskLRU   lruList
+	memCount  int // includes pinned entries
+	diskCount int
 
 	// MemoryHits, DiskHits and Misses count Lookup outcomes.
 	MemoryHits int64
@@ -116,7 +128,12 @@ type Cache struct {
 }
 
 // Slab is a system's stock of entries, handed to every site's cache.
-type Slab = slab.Slab[Entry]
+// While an invariant monitor watches the caches (Watch) it also holds
+// the monitor's list, so that no cache carries a pointer to it.
+type Slab struct {
+	entries slab.Slab[Entry]
+	touched *[]lockmgr.Touch
+}
 
 // New returns a cache with the given per-tier capacities (in objects).
 func New(memCap, diskCap int) *Cache {
@@ -137,7 +154,49 @@ func (c *Cache) Init(memCap, diskCap int, entries *Slab) {
 	if diskCap < 0 {
 		diskCap = 0
 	}
-	*c = Cache{memCap: memCap, diskCap: diskCap, slab: entries}
+	*c = Cache{memCap: int32(memCap), diskCap: int32(diskCap), slab: entries}
+}
+
+// Watch makes the cache report, as site, every object whose cached mode
+// or dirty flag changes — and every object its owner Reports — by
+// appending it to *touched, a list the monitor owns and empties after
+// every event. The list hangs off the cache's slab, so every cache of
+// the system reports to it.
+func (c *Cache) Watch(site int, touched *[]lockmgr.Touch) {
+	if c.slab == nil {
+		c.slab = new(Slab)
+	}
+	c.slab.touched = touched
+	c.site = int32(site)
+}
+
+// Report tells a watching monitor that its owner's checked state about
+// obj changed outside the entry: a recall that excuses a dirty copy held
+// without an exclusive lock was parked or dropped, or an exchange opened
+// for a transaction that accesses obj.
+func (c *Cache) Report(obj lockmgr.ObjectID) {
+	if c.slab != nil && c.slab.touched != nil {
+		*c.slab.touched = append(*c.slab.touched, lockmgr.Touch{Site: int(c.site), Obj: obj})
+	}
+}
+
+// SetMode changes the lock mode cached with e.
+func (c *Cache) SetMode(e *Entry, mode lockmgr.Mode) {
+	e.mode = mode
+	c.Report(e.Obj)
+}
+
+// SetDirty marks e updated here (true) or returned to the server.
+func (c *Cache) SetDirty(e *Entry, dirty bool) {
+	e.dirty = dirty
+	c.Report(e.Obj)
+}
+
+// Downgrade makes e a clean shared copy: its exclusive lock was given
+// up for a shared one, and any update went with it.
+func (c *Cache) Downgrade(e *Entry) {
+	e.mode, e.dirty = lockmgr.ModeShared, false
+	c.Report(e.Obj)
 }
 
 // Peek returns the entry without touching LRU state or hit counters.
@@ -172,9 +231,10 @@ func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
 // cache entirely (disk-tier evictions), whose locks the caller must
 // return to the server.
 func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, version int64) []*Entry {
+	c.Report(obj)
 	if e, ok := c.entries[obj]; ok {
-		e.Mode = mode
-		e.Dirty = e.Dirty || dirty
+		e.mode = mode
+		e.dirty = e.dirty || dirty
 		e.Version = version
 		if e.tier == TierDisk {
 			return c.promote(e)
@@ -185,8 +245,8 @@ func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, vers
 	if c.slab == nil {
 		c.slab = new(Slab)
 	}
-	e := c.slab.New()
-	*e = Entry{Obj: obj, Mode: mode, Dirty: dirty, Version: version, tier: TierMemory}
+	e := c.slab.entries.New()
+	*e = Entry{Obj: obj, mode: mode, dirty: dirty, Version: version, tier: TierMemory}
 	if c.entries == nil {
 		c.entries = make(map[lockmgr.ObjectID]*Entry)
 	}
@@ -240,7 +300,7 @@ func (c *Cache) Recycle(e *Entry) {
 	if e.tier != TierNone {
 		panic("cache: Recycle of live entry")
 	}
-	c.slab.Put(e)
+	c.slab.entries.Put(e)
 }
 
 // Visit calls fn for every cached entry, in place and in unspecified
@@ -285,7 +345,7 @@ func (c *Cache) promote(e *Entry) []*Entry {
 // Pinned entries are never moved. Returns fully evicted entries.
 func (c *Cache) shrink() []*Entry {
 	var evicted []*Entry
-	for c.memCount > c.memCap {
+	for c.memCount > int(c.memCap) {
 		v := c.memLRU.back
 		if v == nil || v == c.memLRU.front {
 			// Everything else is pinned: evicting the sole unpinned
@@ -305,7 +365,7 @@ func (c *Cache) shrink() []*Entry {
 		c.diskCount++
 		c.diskLRU.pushFront(v)
 	}
-	for c.diskCount > c.diskCap {
+	for c.diskCount > int(c.diskCap) {
 		v := c.diskLRU.back
 		if v == nil {
 			break

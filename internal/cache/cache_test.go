@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +18,7 @@ func TestInsertAndLookup(t *testing.T) {
 	if e == nil || tier != TierMemory {
 		t.Fatalf("lookup = %v tier %v", e, tier)
 	}
-	if e.Mode != lockmgr.ModeShared || e.Version != 7 {
+	if e.Mode() != lockmgr.ModeShared || e.Version != 7 {
 		t.Fatalf("entry = %+v", e)
 	}
 	if _, tier, _ := c.Lookup(9); tier != TierNone {
@@ -164,7 +166,7 @@ func TestRemove(t *testing.T) {
 	c := New(2, 2)
 	c.Insert(1, lockmgr.ModeExclusive, true, 3)
 	e := c.Remove(1)
-	if e == nil || e.Obj != 1 || !e.Dirty {
+	if e == nil || e.Obj != 1 || !e.Dirty() {
 		t.Fatalf("removed = %+v", e)
 	}
 	if c.Peek(1) != nil {
@@ -195,7 +197,7 @@ func TestInsertExistingUpgradesInPlace(t *testing.T) {
 		t.Fatalf("in-place update evicted: %v", ev)
 	}
 	e := c.Peek(1)
-	if e.Mode != lockmgr.ModeExclusive || !e.Dirty || e.Version != 2 {
+	if e.Mode() != lockmgr.ModeExclusive || !e.Dirty() || e.Version != 2 {
 		t.Fatalf("entry = %+v", e)
 	}
 	if len(c.entries) != 1 {
@@ -207,7 +209,7 @@ func TestDirtyStickyOnReinsert(t *testing.T) {
 	c := New(2, 2)
 	c.Insert(1, lockmgr.ModeExclusive, true, 1)
 	c.Insert(1, lockmgr.ModeShared, false, 1)
-	if !c.Peek(1).Dirty {
+	if !c.Peek(1).Dirty() {
 		t.Fatal("dirty flag lost on reinsert")
 	}
 }
@@ -247,6 +249,79 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchedCacheReportsEveryChange: every operation that leaves an
+// object cached with another mode or dirty flag than before — a new
+// copy included — reports it, under the cache's site, to the watching
+// monitor's list; an entry that only moves between tiers, or leaves, need
+// not be reported. The operations run over six objects in a cache of
+// two plus two, so promotions, demotions and evictions all happen.
+func TestWatchedCacheReportsEveryChange(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := New(2, 2)
+		var touched []lockmgr.Touch
+		c.Watch(7, &touched)
+		var pinned []*Entry
+		state := func(obj lockmgr.ObjectID) string {
+			if e := c.Peek(obj); e != nil {
+				return fmt.Sprint(e.Mode(), e.Dirty())
+			}
+			return "-"
+		}
+		for i, op := range ops {
+			obj := lockmgr.ObjectID(op % 6)
+			mode := lockmgr.Mode(op>>3&1) + lockmgr.ModeShared
+			dirty := op&0x10 != 0
+			var before [6]string
+			for o := range before {
+				before[o] = state(lockmgr.ObjectID(o))
+			}
+			touched = touched[:0]
+			e := c.Peek(obj)
+			switch op >> 5 & 7 {
+			case 0, 1:
+				c.Insert(obj, mode, dirty, int64(i))
+			case 2:
+				c.Lookup(obj)
+			case 3:
+				if e != nil {
+					c.SetMode(e, mode)
+				}
+			case 4:
+				if e != nil {
+					c.SetDirty(e, dirty)
+				}
+			case 5:
+				if e != nil {
+					c.Downgrade(e)
+				}
+			case 6:
+				if e != nil && !e.Pinned() {
+					c.Recycle(c.Remove(obj))
+				}
+			default:
+				if e != nil && len(pinned) < 2 {
+					c.Pin(e)
+					pinned = append(pinned, e)
+				} else if len(pinned) > 0 {
+					c.Unpin(pinned[0])
+					pinned = pinned[1:]
+				}
+			}
+			for o, was := range before {
+				now := state(lockmgr.ObjectID(o))
+				if now != was && now != "-" && !slices.Contains(touched, lockmgr.Touch{Site: 7, Obj: lockmgr.ObjectID(o)}) {
+					t.Logf("op %d (%#x): object %d went from %s to %s unreported (touched %v)", i, op, o, was, now, touched)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

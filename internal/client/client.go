@@ -280,20 +280,29 @@ func (c *Client) SetTracer(tr *trace.Tracer) { c.tr = tr }
 // AuditPending verifies request conservation: no transaction may still
 // be waiting on a request more than grace past its deadline — by then
 // the request must have been answered, retried to resolution, or
-// abandoned by the deadline timeout.
-func (c *Client) AuditPending(grace time.Duration) error {
+// abandoned by the deadline timeout. It also returns the earliest
+// deadline of the client's open exchanges, waiting or not (Never when it
+// has none): until grace past it, none of them can break the rule. An
+// exchange opening is reported to a watching monitor (openPending), so
+// the monitor need not ask again before then.
+func (c *Client) AuditPending(grace time.Duration) (time.Duration, error) {
 	now := c.env.Now()
+	earliest := Never
 	for _, pt := range c.pending {
+		earliest = min(earliest, pt.t.Deadline)
 		if len(pt.waits) == 0 && !pt.wantLoad {
 			continue
 		}
 		if now > pt.t.Deadline+grace {
-			return fmt.Errorf("client %d: txn %d still waiting %v past its deadline",
+			return earliest, fmt.Errorf("client %d: txn %d still waiting %v past its deadline",
 				c.id, pt.t.ID, now-pt.t.Deadline)
 		}
 	}
-	return nil
+	return earliest, nil
 }
+
+// Never is a time no run reaches, and grace added to it does not wrap.
+const Never = time.Duration(1 << 62)
 
 // SetPeers installs the clients' inbox routing table, indexed by site
 // id. Every client points at the one table (it may include this
@@ -348,10 +357,10 @@ func (c *Client) beginOutage() {
 		if e.Pinned() {
 			return // in a running transaction's memory image
 		}
-		if e.Dirty && c.log == nil {
+		if e.Dirty() && c.log == nil {
 			c.LostUpdates++
 		}
-		if e.Dirty && c.log != nil {
+		if e.Dirty() && c.log != nil {
 			return // recovered from the WAL on restart
 		}
 		// Dropping a copy without telling the server is the lazy-release

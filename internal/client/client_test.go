@@ -162,7 +162,7 @@ func TestClientDowngradeRecallKeepsSharedCopy(t *testing.T) {
 		t.Fatalf("return = %+v", ret)
 	}
 	e := r.cl.objects.Peek(5)
-	if e == nil || e.Mode != lockmgr.ModeShared || e.Dirty {
+	if e == nil || e.Mode() != lockmgr.ModeShared || e.Dirty() {
 		t.Fatalf("entry after downgrade = %+v", e)
 	}
 }
@@ -255,7 +255,7 @@ func TestClientExecutesFullyCachedTransaction(t *testing.T) {
 		t.Fatalf("status = %v", tx.Status)
 	}
 	e := r.cl.objects.Peek(2)
-	if !e.Dirty || e.Version != 1 {
+	if !e.Dirty() || e.Version != 1 {
 		t.Fatalf("written entry = %+v", e)
 	}
 	if r.cl.atl == (sched.ATL{Default: r.cl.atl.Default}) {
@@ -399,7 +399,7 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 		t.Fatalf("retained = %v", ret.RetainedSL)
 	}
 	e := r.cl.objects.Peek(60)
-	if e == nil || e.Mode != lockmgr.ModeShared || e.Dirty {
+	if e == nil || e.Mode() != lockmgr.ModeShared || e.Dirty() {
 		t.Fatalf("retained entry = %+v", e)
 	}
 }

@@ -550,7 +550,7 @@ func (m *txnMachine) stepScan() bool {
 	for m.scanIdx < len(m.ops) {
 		op := m.ops[m.scanIdx]
 		e := c.objects.Peek(op.Obj)
-		sufficient := e != nil && modeSufficient(e.Mode, op.Mode())
+		sufficient := e != nil && modeSufficient(e.Mode(), op.Mode())
 		if m.attempt == 0 && c.measuring() {
 			c.m.RecordCacheAccess(sufficient)
 		}
@@ -827,7 +827,7 @@ func (m *txnMachine) stepCommit() {
 		}
 		if op.Write {
 			e.Version++
-			e.Dirty = true
+			c.objects.SetDirty(e, true)
 			if c.onCommit != nil {
 				c.onCommit(op.Obj, e.Version)
 			}
@@ -838,7 +838,7 @@ func (m *txnMachine) stepCommit() {
 				// Write-through ablation: push the update to the server
 				// now (keeping the exclusive lock) instead of holding a
 				// dirty copy until a callback.
-				e.Dirty = false
+				c.objects.SetDirty(e, false)
 				home := c.homeSite(op.Obj)
 				c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
 					Client: c.id, Obj: op.Obj, HasData: true, Version: e.Version,
@@ -1071,7 +1071,7 @@ func (c *Client) speculationCandidates(ops []txn.Op, buf []specEntry) ([]specEnt
 		switch {
 		case e == nil:
 			missing++
-		case modeSufficient(e.Mode, op.Mode()):
+		case modeSufficient(e.Mode(), op.Mode()):
 			present = append(present, specEntry{obj: op.Obj, ver: e.Version})
 		default:
 			missing++ // upgrade in flight, but the data is at hand
@@ -1116,7 +1116,7 @@ func (c *Client) pinAll(ops []txn.Op, buf *[]*cache.Entry) bool {
 	}
 	for _, op := range ops {
 		e := c.objects.Peek(op.Obj)
-		if e == nil || !modeSufficient(e.Mode, op.Mode()) {
+		if e == nil || !modeSufficient(e.Mode(), op.Mode()) {
 			for _, pinned := range entries {
 				c.objects.Unpin(pinned)
 			}
@@ -1144,6 +1144,9 @@ func (m *txnMachine) openPending() *pendingTxn {
 	pt.t = m.t
 	pt.sig.Init(c.env)
 	c.pending = append(c.pending, pt)
+	if len(m.t.Ops) > 0 { // a monitor's request conservation rescans the site
+		c.objects.Report(m.t.Ops[0].Obj)
+	}
 	return pt
 }
 

@@ -38,14 +38,14 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 				// downgrade). Installing it would clobber the newer
 				// version; its mode is equally outdated.
 				install = false
-				g.Mode = e.Mode
-			} else if e.Version == g.Version && modeSufficient(e.Mode, g.Mode) {
+				g.Mode = e.Mode()
+			} else if e.Version == g.Version && modeSufficient(e.Mode(), g.Mode) {
 				// Duplicate grant from a retried request: the cached
 				// copy is already as fresh and as strong. Still run the
 				// waiter scan below — the retry that produced this
 				// duplicate may itself be the one waiting.
 				install = false
-				g.Mode = e.Mode
+				g.Mode = e.Mode()
 			}
 		}
 	}
@@ -196,12 +196,12 @@ func (c *Client) returnNotCached(obj lockmgr.ObjectID, from netsim.SiteID) {
 // answerRecall answers a callback issued by the shard at from: with a
 // downgrade when it asks for one, else with the copy.
 func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID) {
-	if r.DowngradeToShared && e.Mode == lockmgr.ModeExclusive && c.cfg.UseDowngrade {
-		c.sendReturn(from, dataBytes(e.Dirty), proto.ObjReturn{
-			Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
+	if r.DowngradeToShared && e.Mode() == lockmgr.ModeExclusive && c.cfg.UseDowngrade {
+		c.sendReturn(from, dataBytes(e.Dirty()), proto.ObjReturn{
+			Client: c.id, Obj: e.Obj, HasData: e.Dirty(), Version: e.Version,
 			Downgraded: true, Epoch: c.epochOf(e.Obj, from), Load: c.loadReport(),
 		})
-		e.Mode, e.Dirty = lockmgr.ModeShared, false
+		c.objects.Downgrade(e)
 		return
 	}
 	c.giveUp(c.objects.Remove(e.Obj), from)
@@ -211,8 +211,8 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 // and recycles it. Any grant already on the wire refers to the
 // registration this return renounces; the epoch bump revokes it.
 func (c *Client) giveUp(e *cache.Entry, to netsim.SiteID) {
-	c.sendReturn(to, dataBytes(e.Dirty), proto.ObjReturn{
-		Client: c.id, Obj: e.Obj, HasData: e.Dirty, Version: e.Version,
+	c.sendReturn(to, dataBytes(e.Dirty()), proto.ObjReturn{
+		Client: c.id, Obj: e.Obj, HasData: e.Dirty(), Version: e.Version,
 		Epoch: c.bumpEpoch(e.Obj, to), Load: c.loadReport(),
 	})
 	c.objects.Recycle(e)
@@ -262,7 +262,7 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 			panic(fmt.Sprintf("client %d: migrating object %d evicted", c.id, e.Obj))
 		}
 		d, hadRecall := c.takeRecall(e.Obj)
-		if !hadRecall && !e.Dirty && e.Mode == lockmgr.ModeShared {
+		if !hadRecall && !e.Dirty() && e.Mode() == lockmgr.ModeShared {
 			c.objects.Recycle(e)
 			continue // lazy release: a later recall gets NotCached
 		}
@@ -330,9 +330,9 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 		// at the global level, so the local mode can be raised to
 		// whatever this entry needs.
 		if next.Mode == lockmgr.ModeExclusive {
-			e.Mode = lockmgr.ModeExclusive
+			c.objects.SetMode(e, lockmgr.ModeExclusive)
 		}
-		if c.wakeWaiters(obj, e.Mode, 0) > 0 { // no message brought it: no transit
+		if c.wakeWaiters(obj, e.Mode(), 0) > 0 { // no message brought it: no transit
 			return // that transaction's afterRelease resumes the hop
 		}
 		next, ok = l.PopLive(now) // the entry's transaction is gone; try the next one
@@ -350,7 +350,7 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 	retain := c.cfg.UseDowngrade && !hadRecall &&
 		(!ok || next.Mode == lockmgr.ModeShared && !l.HasExclusive())
 	if retain {
-		e.Mode, e.Dirty = lockmgr.ModeShared, false
+		c.objects.Downgrade(e)
 		l.Retained = append(l.Retained, c.id)
 	} else {
 		c.objects.Recycle(c.objects.Remove(obj))

@@ -94,7 +94,7 @@ func parkedOn(e *cache.Entry, r proto.Recall) objPhase {
 		return phParkedNoCopy
 	case e.Pinned():
 		return phParkedPinned
-	case r.HolderMode != 0 && r.HolderMode != e.Mode:
+	case r.HolderMode != 0 && r.HolderMode != e.Mode():
 		return phParkedMode
 	}
 	return phParkedClear
@@ -225,10 +225,13 @@ func (c *Client) wakeWaiters(obj lockmgr.ObjectID, mode lockmgr.Mode, transit ti
 }
 
 // parkRecall parks recall r from the shard at from on obj, in place of
-// any recall parked there.
+// any recall parked there. A parked recall excuses a dirty copy held
+// without an exclusive lock, so parking one and taking it (takeRecall)
+// are reported to a watching monitor.
 func (c *Client) parkRecall(obj lockmgr.ObjectID, r proto.Recall, from netsim.SiteID) {
 	rec := c.recFor(obj)
 	rec.recall, rec.parked = deferredRecall{r: r, from: from}, true
+	c.objects.Report(obj)
 }
 
 // takeRecall removes and returns the recall parked on obj.
@@ -240,7 +243,21 @@ func (c *Client) takeRecall(obj lockmgr.ObjectID) (deferredRecall, bool) {
 	d := r.recall
 	r.recall, r.parked = deferredRecall{}, false
 	c.settle(r)
+	c.objects.Report(obj)
 	return d, true
+}
+
+// PlantRecall parks a blank recall from obj's home shard on obj, or
+// (parked false) drops the one parked there unanswered — which the
+// protocol never does. It is the seam through which the invariant
+// monitor's tests plant a dirty shared copy and then take away the
+// recall that excused it.
+func (c *Client) PlantRecall(obj lockmgr.ObjectID, parked bool) {
+	if parked {
+		c.parkRecall(obj, proto.Recall{Obj: obj}, c.homeSite(obj))
+	} else {
+		c.takeRecall(obj)
+	}
 }
 
 // answerParked answers the recall parked on obj, whose copy is in and

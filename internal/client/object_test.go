@@ -246,7 +246,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 		if !ok || hop.Payload.(*proto.GrantMsg).Grants[0].Version != 2 {
 			t.Fatalf("hop to the next entry = %+v", hop)
 		}
-		if e := c.objects.Peek(obj); (next == lockmgr.ModeShared) != (e != nil && e.Mode == lockmgr.ModeShared) {
+		if e := c.objects.Peek(obj); (next == lockmgr.ModeShared) != (e != nil && e.Mode() == lockmgr.ModeShared) {
 			t.Fatalf("next entry %v: copy left behind %+v", next, e)
 		}
 	}
@@ -290,7 +290,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 	}
 	finish(tx)
 	at(70, phIdle, "release answers the second recall")
-	if rets := r.returns(); len(rets) != 1 || !rets[0].Downgraded || c.objects.Peek(70).Mode != lockmgr.ModeShared {
+	if rets := r.returns(); len(rets) != 1 || !rets[0].Downgraded || c.objects.Peek(70).Mode() != lockmgr.ModeShared {
 		t.Fatalf("answers = %+v, want one downgrade", rets)
 	}
 	if len(c.objs) != 0 {

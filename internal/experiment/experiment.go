@@ -54,9 +54,9 @@ type Options struct {
 	// unaffected.
 	BatchWindow time.Duration
 	// CheckInvariants attaches the continuous invariant monitor to every
-	// client-server cell (it re-audits the model after each kernel
-	// event, so it is meant for the test tier, not full-scale runs). It
-	// never changes results, only fails runs that violate an invariant.
+	// client-server cell (after each kernel event it checks what the
+	// event touched). It never changes results, only fails runs that
+	// violate an invariant.
 	CheckInvariants bool
 	// Progress, when non-nil, is called (serialized) after each cell
 	// completes, with per-cell wall-clock timing.

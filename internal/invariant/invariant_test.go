@@ -17,26 +17,6 @@ func tick(env *sim.Env, n int) {
 	}
 }
 
-func TestMonitorSamplesEveryNthEvent(t *testing.T) {
-	for _, tc := range []struct{ every, events, want int }{
-		{1, 10, 10}, {3, 10, 3}, {10, 10, 1}, {11, 10, 0},
-		{0, 4, 4}, {-5, 4, 4}, // clamped to every event
-	} {
-		env := sim.NewEnv()
-		calls := 0
-		m := New(env, tc.every, Check{Name: "count", Fn: func() error { calls++; return nil }})
-		m.Attach()
-		tick(env, tc.events)
-		env.RunAll()
-		if calls != tc.want {
-			t.Errorf("every %d over %d events: check ran %d times, want %d", tc.every, tc.events, calls, tc.want)
-		}
-		if m.failed != nil {
-			t.Errorf("every %d: Err = %v on a clean run", tc.every, m.failed)
-		}
-	}
-}
-
 // TestMonitorKeepsFirstViolation: the violation recorded is the first
 // one, stamped with the step and virtual time of the event that
 // introduced it; later failures — of that check or of another — do not
@@ -45,7 +25,7 @@ func TestMonitorKeepsFirstViolation(t *testing.T) {
 	env := sim.NewEnv()
 	broken := errors.New("model broken")
 	var aCalls, bCalls int
-	m := New(env, 1,
+	m := New(env,
 		Check{Name: "a", Fn: func() error {
 			aCalls++
 			if env.Now() >= 3*time.Millisecond {
@@ -75,7 +55,7 @@ func TestMonitorKeepsFirstViolation(t *testing.T) {
 func TestMonitorViolationStepAndTime(t *testing.T) {
 	env := sim.NewEnv()
 	broken := errors.New("object 5 held incompatibly")
-	m := New(env, 1, Check{Name: "lock-table", Fn: func() error {
+	m := New(env, Check{Name: "lock-table", Fn: func() error {
 		if env.Now() >= 3*time.Millisecond {
 			return broken
 		}
@@ -93,42 +73,71 @@ func TestMonitorViolationStepAndTime(t *testing.T) {
 	}
 }
 
-// TestFinalRunsEveryCheckOnce: Final ignores the sampling interval, runs
-// the checks in order and reports the first failing one as an
-// end-of-run violation.
+// TestFinalRunsEveryCheckOnce: Final runs each check once, in order —
+// its Full sweep where it has one, Fn otherwise — and reports the first
+// failing one as an end-of-run violation, without recording it.
 func TestFinalRunsEveryCheckOnce(t *testing.T) {
 	env := sim.NewEnv()
 	var order []string
 	fail := false
-	check := func(name string) Check {
-		return Check{Name: name, Fn: func() error {
+	check := func(name string) func() error {
+		return func() error {
 			order = append(order, name)
 			if fail && name != "first" {
 				return fmt.Errorf("%s broke", name)
 			}
 			return nil
-		}}
+		}
 	}
-	m := New(env, 1000, check("first"), check("second"), check("third"))
-	m.Attach()
-	tick(env, 5)
-	env.RunAll()
-	if len(order) != 0 {
-		t.Fatalf("checks ran %v during a run shorter than the sampling interval", order)
-	}
+	m := New(env,
+		Check{Name: "first", Fn: check("first")},
+		Check{Name: "second", Fn: check("second step"), Full: check("second")},
+		Check{Name: "third", Fn: check("third")})
 	if err := m.Final(); err != nil {
 		t.Fatalf("Final on a clean model: %v", err)
 	}
 	if fmt.Sprint(order) != "[first second third]" {
-		t.Fatalf("Final ran %v, want every check once, in order", order)
+		t.Fatalf("Final ran %v, want every check once, in order, the second's full sweep", order)
 	}
 	fail = true
-	const want = `invariant "second" violated at end of run (t=5ms): second broke`
+	const want = `invariant "second" violated at end of run (t=0s): second broke`
 	if err := m.Final(); err == nil || err.Error() != want {
 		t.Fatalf("Final = %v, want %q", err, want)
 	}
 	if m.failed != nil {
 		t.Fatal("Final recorded its finding as a mid-run violation")
+	}
+}
+
+// TestMonitorEmptiesTouchedEveryStep: what one event touched is what
+// the checks see after it — the list starts empty at the next event,
+// and keeps being emptied once a violation has stopped the checks.
+func TestMonitorEmptiesTouchedEveryStep(t *testing.T) {
+	env := sim.NewEnv()
+	var seen []int
+	var touched *[]lockmgr.Touch
+	m := New(env, Check{Name: "touched", Fn: func() error {
+		seen = append(seen, len(*touched))
+		if env.Now() >= 3*time.Millisecond {
+			return errors.New("broke")
+		}
+		return nil
+	}})
+	touched = m.Touched()
+	m.Attach()
+	for i := 1; i <= 5; i++ {
+		env.Schedule(time.Duration(i)*time.Millisecond, func() {
+			for k := 0; k < i; k++ {
+				*touched = append(*touched, lockmgr.Touch{Site: 1, Obj: lockmgr.ObjectID(k)})
+			}
+		})
+	}
+	env.RunAll()
+	if fmt.Sprint(seen) != "[1 2 3]" {
+		t.Fatalf("the check saw %v touched objects at steps 1-3, want [1 2 3]", seen)
+	}
+	if len(*touched) != 0 {
+		t.Fatalf("%d touched objects left after the last step, want none", len(*touched))
 	}
 }
 

@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -14,7 +15,8 @@ import (
 // is the one the reference's queue scan finds, and the safety invariants:
 // no incompatible holders, no granted request left queued, a full drain
 // always succeeds, and a drained table keeps no entry and no owner
-// record.
+// record. The table is watched, and every object whose holders, queue or
+// grant flags an operation changed must be among those it reported.
 //
 // A byte is one operation on object b&3 by owner (b>>2)&7 + 1. With the
 // top bit clear it is a Lock, exclusive if 0x40 is set, with the step's
@@ -35,10 +37,17 @@ func FuzzLockTable(f *testing.F) {
 	f.Add([]byte{0x40, 0x41, 0x04, 0x05, 0xe5, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, ref := NewTable(), newRefTable()
+		var touched []Touch
+		tab.Watch(-1, &touched)
+		var before [4]string
 		var reqs []*Request // by id, as the reference's
 		var refs []*refReq
 		var last [4][9]int64 // the id of each (object, owner)'s last request
 		for i, b := range data {
+			for obj := range before {
+				before[obj] = entryPrint(tab, ObjectID(obj))
+			}
+			touched = touched[:0]
 			obj := ObjectID(b & 0x03)
 			owner := OwnerID((b>>2)&0x07) + 1
 			var grants []*Request
@@ -91,6 +100,12 @@ func FuzzLockTable(f *testing.F) {
 				t.Fatalf("step %d: %v", i, err)
 			}
 			agree(t, i, tab, ref)
+			for o, was := range before {
+				reported := slices.Contains(touched, Touch{Site: -1, Obj: ObjectID(o)})
+				if now := entryPrint(tab, ObjectID(o)); now != was && !reported {
+					t.Fatalf("step %d (%#02x): object %d went from %s to %s unreported (touched %v)", i, b, o, was, now, touched)
+				}
+			}
 		}
 		// Drain: repeated releases must eventually empty every queue.
 		for round := 0; round < len(data)+8; round++ {
@@ -118,6 +133,20 @@ func FuzzLockTable(f *testing.F) {
 		// Every owner has released and nobody waits: nothing is kept.
 		checkEmpty(t, tab)
 	})
+}
+
+// entryPrint renders what the audits check of obj's entry: its holders
+// and its queue, each request with its grant flag.
+func entryPrint(tab *Table, obj ObjectID) string {
+	e := tab.lookup(obj)
+	if e == nil {
+		return "-"
+	}
+	s := fmt.Sprint(e.holders, " |")
+	for _, q := range e.queue {
+		s += fmt.Sprintf(" %d:%v", q.Tag, q.granted)
+	}
+	return s
 }
 
 // tags returns the ids of the requests in a grant list.

@@ -110,7 +110,11 @@ func (r *Request) GrantedNow() bool { return r.granted }
 // lock anything. Reads of a nil map are reads of an empty one, so only
 // the writes check.
 type Table struct {
-	dense   bool
+	dense bool
+	// watched says the table reports every change to an entry to its
+	// slab's touched list, as site (Watch). Both fit beside dense.
+	watched bool
+	site    int32
 	entries []*entry            // dense: indexed by ObjectID; nil when no locks or waiters
 	sparse  map[ObjectID]*entry // sparse: present only while locked or waited on
 	seq     int64
@@ -174,6 +178,44 @@ type Slab struct {
 	queues  slab.Slab[*Request]
 	objs    slab.Slab[ObjectID]
 	edges   slab.Slab[OwnerID]
+
+	// touched is the list an invariant monitor owns while it watches the
+	// system's tables (Watch): one list for all of them, so no table
+	// carries a pointer to it.
+	touched *[]Touch
+}
+
+// Touch names an object whose checked state changed at a site — an
+// entry of a shard's lock table, a client's cached copy — for an
+// invariant monitor that, after each event, checks only what the event
+// touched. Site is a netsim site id: a shard's is zero or negative, a
+// client's positive.
+type Touch struct {
+	Site int
+	Obj  ObjectID
+}
+
+// Watch makes the table report, as site, every object whose holders,
+// wait queue or grant flags change, by appending it to *touched — a list
+// the monitor owns and empties after every event. The list hangs off the
+// table's slab, which every table of the system shares; a table that was
+// not watched (a client's local table) reports nothing.
+func (t *Table) Watch(site int, touched *[]Touch) {
+	if t.slab == nil {
+		t.slab = new(Slab) // a table on its own
+	}
+	t.slab.touched = touched
+	t.watched, t.site = touched != nil, int32(site)
+}
+
+// Report tells the monitor watching the table, if there is one, that
+// obj's checked state at the table's site changed: the table reports its
+// own entries' changes, and the site's owner what it keeps beside them
+// (a shard's forward lists).
+func (t *Table) Report(obj ObjectID) {
+	if t.watched {
+		*t.slab.touched = append(*t.slab.touched, Touch{Site: int(t.site), Obj: obj})
+	}
 }
 
 // owner returns owner's record, taking one from the slab on first use.
@@ -325,6 +367,7 @@ func (e *entry) holderMode(owner OwnerID) Mode {
 // setHolder grants or updates owner's mode, maintaining sort order and
 // the table's held-objects index.
 func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
+	t.Report(obj)
 	i, ok := e.find(owner)
 	if ok {
 		e.holders[i].mode = mode
@@ -341,6 +384,7 @@ func (t *Table) delHolder(obj ObjectID, e *entry, owner OwnerID) bool {
 	if !ok {
 		return false
 	}
+	t.Report(obj)
 	e.holders = append(e.holders[:i], e.holders[i+1:]...)
 	r := t.owners[owner]
 	j := slices.Index(r.held, obj)
@@ -390,6 +434,7 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 	e := t.entryFor(req.Obj)
 	if held := e.holderMode(req.Owner); held == req.Mode || held == ModeExclusive {
 		req.granted = true
+		t.Report(req.Obj)
 		return t.requested(req, Granted, nil)
 	}
 	conf := e.conflictsInto(req.Owner, req.Mode, t.confBuf[:0])
@@ -440,6 +485,7 @@ func (t *Table) mustQueueBehind(e *entry, req *Request) bool {
 }
 
 func (t *Table) enqueue(e *entry, req *Request) {
+	t.Report(req.Obj)
 	t.seq++
 	req.seq = t.seq
 	req.waiting = true
@@ -546,6 +592,7 @@ func (t *Table) Cancel(req *Request) []*Request {
 	for i, q := range e.queue {
 		if q == req {
 			e.queue = unqueue(e.queue, i)
+			t.Report(req.Obj)
 			break
 		}
 	}
@@ -576,7 +623,7 @@ func (t *Table) admit(obj ObjectID, e *entry) {
 			break
 		}
 		e.queue = unqueue(e.queue, 0)
-		t.setHolder(obj, e, req.Owner, req.Mode)
+		t.setHolder(obj, e, req.Owner, req.Mode) // reports obj
 		req.waiting = false
 		req.granted = true
 		t.dequeued(req)
@@ -706,11 +753,12 @@ func (t *Table) addEdge(r *ownerRec, to OwnerID) {
 }
 
 // Audit verifies internal invariants: no conflicting holders coexist and
-// no granted request is still queued. It walks the table in place —
-// the invariant monitor calls it after every kernel event — and returns
-// an error describing the violation on the lowest-numbered object, so
-// the report repeats from run to run whatever order the sparse map
-// iterates in.
+// no granted request is still queued. It walks the table in place and
+// returns an error describing the violation on the lowest-numbered
+// object, so the report repeats from run to run whatever order the
+// sparse map iterates in. The invariant monitor runs it at the end of a
+// run; after each event it audits only the objects the event touched
+// (AuditObject).
 func (t *Table) Audit() error {
 	if t.dense {
 		for obj, e := range t.entries {
@@ -734,6 +782,23 @@ func (t *Table) Audit() error {
 		}
 	}
 	return first
+}
+
+// PlantHolder records owner as holding obj in mode without asking the
+// other holders — the one way to break a table from outside, and the
+// seam through which the invariant monitor's tests plant the
+// incompatible holders the audits must catch. The model never calls it.
+func (t *Table) PlantHolder(obj ObjectID, owner OwnerID, mode Mode) {
+	t.setHolder(obj, t.entryFor(obj), owner, mode)
+}
+
+// AuditObject is Audit for one object: nil when obj has no entry, else
+// the violation Audit would report for it.
+func (t *Table) AuditObject(obj ObjectID) error {
+	if e := t.lookup(obj); e != nil {
+		return e.audit(obj)
+	}
+	return nil
 }
 
 // audit checks one object's entry.

@@ -480,3 +480,44 @@ func TestAuditReportsLowestObject(t *testing.T) {
 		}
 	}
 }
+
+// TestRelockedQueuedRequestReported: Lock marks a request granted when
+// its owner already holds the mode — even one still queued, which a
+// caller that re-issues a queued request after changing its mode makes
+// happen. That breaks the entry, so a watched table reports it, and
+// AuditObject names it as Audit does.
+func TestRelockedQueuedRequestReported(t *testing.T) {
+	tb := denseTable(8)
+	var touched []Touch
+	tb.Watch(-2, &touched)
+	tb.Lock(req(3, 1, ModeShared, 0))
+	tb.Lock(req(3, 2, ModeShared, 0))
+	up := req(3, 1, ModeExclusive, time.Second)
+	if out, _ := tb.Lock(up); out != Queued {
+		t.Fatalf("upgrade beside a second reader: %v, want Queued", out)
+	}
+	touched = touched[:0]
+	up.Mode = ModeShared
+	tb.Lock(up)
+	if fmt.Sprint(touched) != "[{-2 3}]" {
+		t.Fatalf("touched = %v, want object 3 at site -2", touched)
+	}
+	const want = "lockmgr: object 3 has granted request still queued"
+	if err := tb.AuditObject(3); err == nil || err.Error() != want {
+		t.Fatalf("AuditObject = %v, want %q", err, want)
+	}
+	if err := tb.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit = %v, want %q", err, want)
+	}
+	if err := tb.AuditObject(4); err != nil {
+		t.Fatalf("AuditObject on an object without an entry: %v", err)
+	}
+	// A table on the same slab that was not watched (a client's local
+	// table) reports nothing.
+	var local Table
+	local.Init(tb.slab)
+	local.Lock(req(5, 1, ModeExclusive, 0))
+	if len(touched) != 1 {
+		t.Fatalf("an unwatched table on the slab reported: %v", touched)
+	}
+}

@@ -3,6 +3,7 @@ package rtdbs
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"siteselect/internal/cache"
 	"siteselect/internal/client"
@@ -36,6 +37,18 @@ type Cluster struct {
 	servers []*server.Server
 	clients []client.Client
 	tr      *trace.Tracer
+
+	// touched is the invariant monitor's list of what the event being
+	// checked touched (watch; nil without a monitor). visits counts the
+	// lock entries and cached copies the per-event checks looked up, for
+	// the tests that pin what a step costs.
+	touched *[]lockmgr.Touch
+	visits  struct{ locks, caches int }
+	// pendingDue is the earliest deadline of any client's open exchange
+	// as request conservation last saw them: until grace past it no
+	// exchange open then can break the rule, and one opened since was
+	// reported.
+	pendingDue time.Duration
 }
 
 // NewClientServer builds the basic CS-RTDBS. Load-sharing features are
@@ -242,9 +255,9 @@ func (c *Cluster) Start() {
 // Run executes the full experiment: generate work for cfg.Duration, let
 // in-flight transactions drain, finalize outcomes, audit invariants, and
 // shut the simulation down. With cfg.CheckInvariants set, a continuous
-// invariant monitor re-checks the model after every executed event and
-// a commit tracker verifies at the end that no committed update was
-// lost.
+// invariant monitor checks after every executed event what the event
+// touched, and a commit tracker verifies at the end that no committed
+// update was lost.
 func (c *Cluster) Run() (*Result, error) {
 	var mon *invariant.Monitor
 	var committed *invariant.Committed
@@ -272,12 +285,11 @@ func (c *Cluster) Run() (*Result, error) {
 	return res, nil
 }
 
-// monitor assembles the continuous check suite: global lock-table
-// consistency, forward-list well-formedness, dirty-implies-exclusive on
-// every client cache, and request conservation (no transaction waits
-// past its deadline plus a small grace). It also installs the commit
-// tracker — except when the configured outage is allowed to lose
-// updates by design (no recovery log).
+// monitor builds the continuous monitor over checks and makes the model
+// report to it what each event touches (watch). It also installs the
+// commit tracker — except when the configured outage is allowed to lose
+// updates by design (no recovery log). Attach the monitor before the
+// model changes: it sees only what changed while it watched.
 func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 	var committed *invariant.Committed
 	if c.cfg.OutageClient == 0 || c.cfg.UseLogging {
@@ -287,6 +299,31 @@ func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 			cl.SetCommitHook(committed.Observe)
 		}
 	}
+	mon := invariant.New(c.env, c.checks()...)
+	c.watch(mon.Touched())
+	return mon, committed
+}
+
+// watch makes every shard's lock table and every client's cache report
+// to touched each object an event changes.
+func (c *Cluster) watch(touched *[]lockmgr.Touch) {
+	c.touched, c.pendingDue = touched, client.Never
+	for _, sv := range c.servers {
+		sv.Watch(touched)
+	}
+	for i := range c.clients {
+		cl := &c.clients[i]
+		cl.Cache().Watch(int(cl.ID()), touched)
+	}
+}
+
+// checks is the continuous suite: global lock-table consistency,
+// forward-list well-formedness, batch conservation,
+// dirty-implies-exclusive on every client cache, and request
+// conservation (no transaction waits past its deadline plus a small
+// grace). After each event the first four look only at the objects the
+// event touched (firstTouched); Final sweeps everything.
+func (c *Cluster) checks() []invariant.Check {
 	grace := c.cfg.MeanSlack + 2*c.cfg.EffectiveRetryTimeout()
 	eachServer := func(fn func(*server.Server) error) func() error {
 		return func() error {
@@ -298,48 +335,141 @@ func (c *Cluster) monitor() (*invariant.Monitor, *invariant.Committed) {
 			return nil
 		}
 	}
+	lockEntry := func(site int, obj lockmgr.ObjectID) error {
+		c.visits.locks++
+		return c.shard(site).AuditLock(obj)
+	}
+	forwardLists := func(site int, obj lockmgr.ObjectID) error {
+		return c.shard(site).AuditForwardOf(obj)
+	}
+	cachedCopy := func(site int, obj lockmgr.ObjectID) error {
+		c.visits.caches++
+		cl := &c.clients[site-1]
+		if e := cl.Cache().Peek(obj); e != nil {
+			return dirtyExclusive(cl, e)
+		}
+		return nil
+	}
 	checks := []invariant.Check{
-		{Name: "lock-table", Fn: eachServer((*server.Server).AuditLocks)},
-		{Name: "forward-lists", Fn: eachServer((*server.Server).AuditForward)},
+		{Name: "lock-table", Fn: func() error { return c.firstTouched(false, lockEntry) },
+			Full: eachServer((*server.Server).AuditLocks)},
+		{Name: "forward-lists", Fn: func() error { return c.firstTouched(false, forwardLists) },
+			Full: eachServer((*server.Server).AuditForward)},
 		{Name: "batch-conservation", Fn: eachServer((*server.Server).AuditBatch)},
-		{Name: "dirty-implies-exclusive", Fn: c.auditDirty},
-		{Name: "request-conservation", Fn: func() error {
-			for i := range c.clients {
-				cl := &c.clients[i]
-				if err := cl.AuditPending(grace); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+		{Name: "dirty-implies-exclusive", Fn: func() error { return c.firstTouched(true, cachedCopy) },
+			Full: c.auditDirty},
+		{Name: "request-conservation", Fn: func() error { return c.auditPending(grace) },
+			Full: func() error { _, err := c.pendingSweep(grace); return err }},
 	}
 	if c.tr != nil {
 		// Attribution identity: every trace closed since the last step
 		// must have buckets summing exactly to its elapsed time.
 		checks = append(checks, invariant.Check{Name: "slack-attribution", Fn: c.tr.VerifyNewlyClosed})
 	}
-	return invariant.New(c.env, 1, checks...), committed
+	return checks
 }
 
-// auditDirty is the per-step slice of the end-of-run cache audit: a
-// dirty cached object must be held exclusively. (The version
-// comparisons of Audit are end-of-run properties — mid-run the server's
-// copy legitimately lags committed writers.)
-func (c *Cluster) auditDirty() error {
-	return c.auditCaches(func(cl *client.Client, e *cache.Entry) error {
-		if e.Dirty && e.Mode != lockmgr.ModeExclusive && !cl.HasDeferredRecall(e.Obj) {
-			return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
-				cl.ID(), e.Obj, e.Mode)
+// auditPending is request conservation after one event. An exchange
+// breaks the rule only once the clock passes grace beyond its deadline,
+// and a client reports every exchange it opens: so the deadlines of the
+// clients that reported are folded into the earliest one seen
+// (pendingDue), and the clients are swept — which finds what the full
+// check finds, and the new earliest deadline — only once the clock has
+// passed grace beyond it.
+func (c *Cluster) auditPending(grace time.Duration) error {
+	for _, tc := range *c.touched {
+		if tc.Site > 0 {
+			earliest, _ := c.clients[tc.Site-1].AuditPending(grace)
+			c.pendingDue = min(c.pendingDue, earliest)
 		}
+	}
+	if c.env.Now() <= c.pendingDue+grace {
 		return nil
-	})
+	}
+	due, err := c.pendingSweep(grace)
+	c.pendingDue = due
+	return err
+}
+
+// pendingSweep is request conservation over every client; it returns the
+// earliest deadline of any open exchange beside the first violation.
+func (c *Cluster) pendingSweep(grace time.Duration) (time.Duration, error) {
+	due := client.Never
+	for i := range c.clients {
+		earliest, err := c.clients[i].AuditPending(grace)
+		if err != nil {
+			return due, err
+		}
+		due = min(due, earliest)
+	}
+	return due, nil
+}
+
+// firstTouched is a check after one event: it runs check on every object
+// the event touched at a client (clients) or at a shard (!clients), and
+// returns the violation the check's full sweep names — the lowest failing
+// object of the first failing site. What the event did not touch held
+// before it and holds still, so the two agree at every step.
+func (c *Cluster) firstTouched(clients bool, check func(site int, obj lockmgr.ObjectID) error) error {
+	var first error
+	var at lockmgr.Touch
+	for _, tc := range *c.touched {
+		if (tc.Site > 0) != clients || first != nil && !sweptBefore(tc, at) {
+			continue // the other kind of site, or beyond the violation in hand
+		}
+		if err := check(tc.Site, tc.Obj); err != nil {
+			first, at = err, tc
+		}
+	}
+	return first
+}
+
+// shard returns the server shard at site.
+func (c *Cluster) shard(site int) *server.Server {
+	return c.servers[shardmap.ShardIndex(netsim.SiteID(site))]
+}
+
+// sweptBefore reports whether a full sweep meets a before b, both of one
+// kind of site: shards by index (sites 0, -1, -2, …), clients by id
+// (1, 2, …) — either way by the site's magnitude — and objects in
+// ascending order within a site.
+func sweptBefore(a, b lockmgr.Touch) bool {
+	if a.Site != b.Site {
+		return abs(a.Site) < abs(b.Site)
+	}
+	return a.Obj < b.Obj
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// auditDirty is the per-step slice of the end-of-run cache audit over
+// every cached copy, the full sweep of dirty-implies-exclusive. The
+// version comparisons of Audit are end-of-run properties — mid-run the
+// server's copy legitimately lags committed writers.
+func (c *Cluster) auditDirty() error {
+	return c.auditCaches(dirtyExclusive)
+}
+
+// dirtyExclusive is dirty-implies-exclusive for one cached copy: a dirty
+// copy must be held exclusively, unless a parked recall makes its state
+// transitional.
+func dirtyExclusive(cl *client.Client, e *cache.Entry) error {
+	if e.Dirty() && e.Mode() != lockmgr.ModeExclusive && !cl.HasDeferredRecall(e.Obj) {
+		return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
+			cl.ID(), e.Obj, e.Mode())
+	}
+	return nil
 }
 
 // auditCaches applies check to every cached entry of every client, in
-// place — the monitor runs it after every kernel event — and returns
-// the violation of the first client that has one, on that client's
-// lowest-numbered failing object: a cache is walked in map order, and
-// the report must not depend on it.
+// place, and returns the violation of the first client that has one, on
+// that client's lowest-numbered failing object: a cache is walked in map
+// order, and the report must not depend on it.
 func (c *Cluster) auditCaches(check func(*client.Client, *cache.Entry) error) error {
 	for i := range c.clients {
 		cl := &c.clients[i]
@@ -468,10 +598,10 @@ func (c *Cluster) Audit() error {
 			return nil // a pending callback makes any state transitional
 		}
 		home := c.home(e.Obj)
-		if e.Dirty {
-			if e.Mode != lockmgr.ModeExclusive {
+		if e.Dirty() {
+			if e.Mode() != lockmgr.ModeExclusive {
 				return fmt.Errorf("rtdbs: client %d caches dirty object %d with %v",
-					cl.ID(), e.Obj, e.Mode)
+					cl.ID(), e.Obj, e.Mode())
 			}
 			if e.Version <= home.Version(e.Obj) {
 				return fmt.Errorf("rtdbs: client %d's dirty object %d at version %d not ahead of server's %d",

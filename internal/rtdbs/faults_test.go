@@ -10,8 +10,7 @@ import (
 )
 
 // faultyConfig is a small cluster with the invariant monitor on, used by
-// the fault-injection tests. The duration is kept short because the
-// monitor re-audits the model after every kernel event.
+// the fault-injection tests.
 func faultyConfig(n int, update float64) config.Config {
 	cfg := config.Default(n, update)
 	cfg.Duration = 3 * time.Minute

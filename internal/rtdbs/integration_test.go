@@ -140,7 +140,7 @@ func TestLockTableCleanAfterDrain(t *testing.T) {
 	for i := range ls.clients {
 		cl := &ls.clients[i]
 		cl.Cache().Visit(func(e *cache.Entry) {
-			if e.Dirty && srv.Locks().HolderMode(e.Obj, lockmgr.OwnerID(cl.ID())) == 0 {
+			if e.Dirty() && srv.Locks().HolderMode(e.Obj, lockmgr.OwnerID(cl.ID())) == 0 {
 				t.Errorf("client %d caches dirty object %d without a server-side lock", cl.ID(), e.Obj)
 			}
 		})
@@ -506,7 +506,7 @@ func TestWriteThrough(t *testing.T) {
 	for i := range ls.clients {
 		cl := &ls.clients[i]
 		cl.Cache().Visit(func(e *cache.Entry) {
-			if e.Dirty && !cl.HasDeferredRecall(e.Obj) {
+			if e.Dirty() && !cl.HasDeferredRecall(e.Obj) {
 				dirty++
 			}
 		})

@@ -20,10 +20,12 @@ var scanSeeds = flag.Int("seeds", 0, "TestSeedScan: run this many seeds through 
 // system at 150 clients and 20 % updates; the same on the benchmark's
 // write-path server (four shards, a 100 ms batch window, heat-driven
 // replication); the benchmark's `lossy` cell — each built by rtdbs.New
-// and run to the end of its audit, panics recovered. It reports, per
-// cell, the seeds that failed with the first line of what they failed
-// with; it fixes nothing and fails nothing, so it is a baseline to hold
-// a fix against, not a gate.
+// and run to the end of its audit under the continuous invariant
+// monitor, panics recovered. It reports, per cell, the seeds that failed
+// with the first line of what they failed with — for a violation the
+// monitor caught, the invariant and the step it broke at; it fixes
+// nothing and fails nothing, so it is a baseline to hold a fix against,
+// not a gate.
 func TestSeedScan(t *testing.T) {
 	if *scanSeeds <= 0 {
 		t.Skip("run with -seeds N (make seed-scan)")
@@ -53,6 +55,7 @@ func TestSeedScan(t *testing.T) {
 		{"lossy", lossy.Config},
 	} {
 		var failed []string
+		cell.cfg.CheckInvariants = true
 		for seed := 1; seed <= *scanSeeds; seed++ {
 			cell.cfg.Seed = int64(seed)
 			if err := runRecovered(cell.cfg); err != nil {

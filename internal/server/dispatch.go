@@ -432,6 +432,7 @@ func (s *Server) seal(obj lockmgr.ObjectID) {
 	} else {
 		o.sealed = l
 	}
+	s.locks.Report(obj)
 	s.tryDispatch(obj)
 }
 
@@ -504,6 +505,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 				hop.Insert(e)
 			}
 			o.inflight = hop.Clone()
+			s.locks.Report(obj)
 			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, hop)
 		}
 		if o.sealed != nil {
@@ -536,11 +538,20 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	s.MigrationsStarted++
 	s.ForwardEntriesSent += int64(chain.Len() + 1)
 	o.inflight = chain
+	s.locks.Report(obj)
 	s.ship(obj, first.Client, first.Mode, first.Txn, chain.Clone())
 }
 
 // AuditLocks verifies the global lock table invariants.
 func (s *Server) AuditLocks() error { return s.locks.Audit() }
+
+// AuditLock verifies them on obj's entry alone.
+func (s *Server) AuditLock(obj lockmgr.ObjectID) error { return s.locks.AuditObject(obj) }
+
+// Watch makes the shard report to touched, under its site, every object
+// whose lock-table entry changes (lockmgr.Table.Watch) or whose forward
+// lists it adds to or replaces.
+func (s *Server) Watch(touched *[]lockmgr.Touch) { s.locks.Watch(int(s.site), touched) }
 
 // AuditBatch verifies request conservation through the batching layer:
 // every firm request that entered a batch window is either still parked
@@ -552,26 +563,47 @@ func (s *Server) AuditBatch() error { return s.batcher.Audit() }
 func (s *Server) Batcher() *batch.Scheduler { return s.batcher }
 
 // AuditForward verifies the structural invariants of every forward list
-// the server tracks — still collecting, sealed, and in flight. The
-// records are walked in the order they were carved, which a run repeats;
-// the monitor does so after every event, so a record without a list —
-// nearly all of them — costs three loads.
+// the server tracks — still collecting, sealed, and in flight — and
+// returns the violation on the lowest-numbered object. The records are
+// walked in the order they were carved, in place: a record without a
+// list — nearly all of them — costs three loads.
 func (s *Server) AuditForward() error {
+	var first error
+	var firstObj lockmgr.ObjectID
 	for _, chunk := range s.objChunks {
 		for i := range chunk {
-			o := &chunk[i]
-			if o.open == nil && o.sealed == nil && o.inflight == nil {
-				continue
-			}
-			for _, l := range [3]*forward.List{o.open, o.sealed, o.inflight} {
-				if l == nil {
-					continue
-				}
-				if err := l.Wellformed(); err != nil {
-					return err
-				}
+			if obj, err := chunk[i].auditLists(); err != nil && (first == nil || obj < firstObj) {
+				first, firstObj = err, obj
 			}
 		}
 	}
+	return first
+}
+
+// AuditForwardOf verifies obj's forward lists alone. The shard reports
+// every object whose lists it adds to or replaces to a watching monitor
+// (Watch), which after each event audits only those.
+func (s *Server) AuditForwardOf(obj lockmgr.ObjectID) error {
+	if o := s.objs[obj]; o != nil {
+		_, err := o.auditLists()
+		return err
+	}
 	return nil
+}
+
+// auditLists checks the record's forward lists and returns the first
+// violation with the object it is about.
+func (o *objState) auditLists() (lockmgr.ObjectID, error) {
+	if o.open == nil && o.sealed == nil && o.inflight == nil {
+		return 0, nil
+	}
+	for _, l := range [3]*forward.List{o.open, o.sealed, o.inflight} {
+		if l == nil {
+			continue
+		}
+		if err := l.Wellformed(); err != nil {
+			return l.Obj, err
+		}
+	}
+	return 0, nil
 }

@@ -709,6 +709,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 			s.collector.Open(r.Obj)
 		}
 		o.open.Insert(forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn})
+		s.locks.Report(r.Obj)
 		s.recallForMigration(r.Obj)
 		s.tryDispatch(r.Obj) // the object may already be free
 		return batch.OutListed

@@ -128,8 +128,9 @@ func TestEarlySealReopenedWindow(t *testing.T) {
 }
 
 // TestAuditForwardNoAllocs: the invariant monitor audits the forward
-// lists after every event, so the audit must allocate nothing with a
-// list still collecting, one sealed and one in flight.
+// lists at the end of a run, and a touched object's lists after every
+// event, so neither audit may allocate with a list still collecting, one
+// sealed and one in flight.
 func TestAuditForwardNoAllocs(t *testing.T) {
 	r := newRig(t, 3, func(c *config.Config) { c.CollectionWindow = time.Second })
 	defer r.env.Close()
@@ -161,6 +162,11 @@ func TestAuditForwardNoAllocs(t *testing.T) {
 	audit := func() {
 		if err := s.AuditForward(); err != nil {
 			panic(err)
+		}
+		for obj := lockmgr.ObjectID(1); obj <= 3; obj++ {
+			if err := s.AuditForwardOf(obj); err != nil {
+				panic(err)
+			}
 		}
 	}
 	if n := testing.AllocsPerRun(100, audit); n != 0 {
