@@ -33,11 +33,13 @@ proc-lint:
 		echo 'proc-lint: goroutine processes are kernel-internal; write a sim.Machine' >&2; exit 1; fi
 
 # dead-lint fails on an exported identifier of a package under internal/
-# that no non-test file of the module or of bench/ refers to (type-checks
-# both from source with go/types; TestNoDeadExports in deadlint_test.go,
-# which also runs in `go test ./...`, holds the exemptions and reasons).
+# that no non-test file of the module or of bench/ refers to, and on a
+# struct field there that such code writes and never reads (type-checks
+# both from source with go/types; TestNoDeadExports and
+# TestNoWriteOnlyFields in deadlint_test.go, which also run in
+# `go test ./...`, share the exemptions and reasons).
 dead-lint:
-	$(GO) test -count=1 -run '^TestNoDeadExports$$' .
+	$(GO) test -count=1 -run '^TestNo(DeadExports|WriteOnlyFields)$$' .
 
 # study-lint keeps internal/experiment to one renderer: every study is a
 # declaration run and rendered by engine.go, so a Render or CSV method in

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,7 +22,6 @@ import (
 // key ending in "." covers a whole package.
 var deadExempt = map[string]string{
 	"siteselect/internal/sim/simtest.":               "test helpers: every caller is a _test.go file by design",
-	"siteselect/internal/wal.Log.Records":            "ROADMAP 8(a) decides whether the log is ever read back",
 	"siteselect/internal/config.Scale":               "population-tier fixture of two test packages: the root benchmarks and the rtdbs footprint pin",
 	"siteselect/internal/pagefile.BufferPool.Pinned": "rtdbs's unwind test reads it across the package boundary to catch a leaked pin",
 	"siteselect/internal/server.Server.Locks":        "rtdbs's drain test reads it across the package boundary to match client caches against the lock table",
@@ -39,20 +39,7 @@ func TestNoDeadExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module from source")
 	}
-	l := &deadLoader{
-		fset:    token.NewFileSet(),
-		files:   map[string][]*ast.File{},
-		checked: map[string]*types.Package{},
-		infos:   map[string]*types.Info{},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	l.parseModule(t, ".", "siteselect", "bench")
-	l.parseModule(t, "bench", "siteselect/bench", "")
-	for p := range l.files {
-		if _, err := l.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	l := loadModule(t)
 
 	used := map[string]bool{}
 	for _, info := range l.infos {
@@ -198,6 +185,200 @@ func deadKey(obj types.Object) string {
 	return k + obj.Name()
 }
 
+// TestNoWriteOnlyFields fails on every field of a struct type declared
+// at package scope in a package under internal/ that the model writes
+// and no non-test file of the module, or of bench/, reads: state without
+// a reader. Assigning to a field, incrementing it and naming it as a
+// key of a composite literal are writes; every other use is a read. The
+// fields of a struct type used as a map key are read by the key's ==,
+// and a tagged field is read by reflection. `make dead-lint` runs it
+// beside TestNoDeadExports, and deadExempt holds its exemptions too.
+func TestNoWriteOnlyFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module from source")
+	}
+	l := loadModule(t)
+	c := fieldCensus{}
+	for p, info := range l.infos {
+		c.scan(l.files[p], info)
+	}
+	var dead []string
+	for p, pkg := range l.checked {
+		if !strings.HasPrefix(p, "siteselect/internal/") || pkg.Name() == "main" {
+			continue
+		}
+		for _, k := range c.unread(pkg) {
+			if deadExempt[k] == "" && deadExempt[p+"."] == "" {
+				dead = append(dead, k)
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("written, never read: %s", d)
+	}
+	if len(dead) > 0 {
+		t.Logf("%d fields nothing reads: delete them, or exempt one in deadExempt with its reason", len(dead))
+	}
+}
+
+// fieldCensus holds the struct fields some code reads, by the field's
+// generic origin.
+type fieldCensus map[*types.Var]bool
+
+// scan records every field read in files, whose type information is
+// info (which needs Uses, Types and Selections).
+func (c fieldCensus) scan(files []*ast.File, info *types.Info) {
+	writes := map[*ast.Ident]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true // a struct literal's key; a map's is a value, not a field
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					c.readAll(info.Types[n.X].Type)
+				}
+			case *ast.CallExpr:
+				// A struct passed as an interface is read whole: by ==
+				// as a sync.Map key, or by reflection.
+				sig, ok := info.Types[n.Fun].Type.(*types.Signature)
+				if !ok {
+					break
+				}
+				params := sig.Params()
+				for i, arg := range n.Args {
+					if params.Len() == 0 {
+						break
+					}
+					pt := params.At(min(i, params.Len()-1)).Type()
+					if sig.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid() {
+						pt = pt.(*types.Slice).Elem()
+					}
+					if types.IsInterface(pt) {
+						c.readAll(info.Types[arg].Type)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			c[v.Origin()] = true
+		}
+	}
+	// A selection through an embedded field reads it, though the
+	// source never names it.
+	for _, sel := range info.Selections {
+		t := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			c[f.Origin()] = true
+			t = f.Type()
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			c.readAll(m.Key())
+		}
+	}
+}
+
+// readAll marks every field of a struct type, and of the structs it
+// holds, read, as == reads them.
+func (c fieldCensus) readAll(t types.Type) {
+	if t == nil {
+		return
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		c[f.Origin()] = true
+		c.readAll(f.Type())
+	}
+}
+
+// unread names, package path, type and field, each field of pkg's
+// package-scope struct types that nothing scanned reads; a tagged
+// field counts as read.
+func (c fieldCensus) unread(pkg *types.Package) []string {
+	var out []string
+	scope := pkg.Scope()
+	for _, n := range scope.Names() {
+		tn, ok := scope.Lookup(n).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); !c[f] && st.Tag(i) == "" {
+				out = append(out, pkg.Path()+"."+n+"."+f.Name())
+			}
+		}
+	}
+	return out
+}
+
+// deadModule is the module and bench/, parsed and type-checked once
+// for every lint test that reads them.
+var deadModule struct {
+	once sync.Once
+	l    *deadLoader
+	err  error
+}
+
+// loadModule returns the checked module, loading it on first use.
+func loadModule(t *testing.T) *deadLoader {
+	deadModule.once.Do(func() {
+		l := &deadLoader{
+			fset:      token.NewFileSet(),
+			files:     map[string][]*ast.File{},
+			checked:   map[string]*types.Package{},
+			infos:     map[string]*types.Info{},
+			recvIdent: map[*ast.Ident]bool{},
+		}
+		l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+		deadModule.err = l.parseModule(".", "siteselect", "bench")
+		if deadModule.err == nil {
+			deadModule.err = l.parseModule("bench", "siteselect/bench", "")
+		}
+		for p := range l.files {
+			if deadModule.err != nil {
+				break
+			}
+			_, deadModule.err = l.Import(p)
+		}
+		deadModule.l = l
+	})
+	if deadModule.err != nil {
+		t.Fatal(deadModule.err)
+	}
+	return deadModule.l
+}
+
 // deadLoader parses the non-test files of a module tree and
 // type-checks them package by package, importing the standard library
 // from source. Module packages are checked once and shared, so every
@@ -213,11 +394,8 @@ type deadLoader struct {
 
 // parseModule parses every buildable non-test file under root, whose
 // import path is modPath, skipping testdata and the skip directory.
-func (l *deadLoader) parseModule(t *testing.T, root, modPath, skip string) {
-	if l.recvIdent == nil {
-		l.recvIdent = map[*ast.Ident]bool{}
-	}
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+func (l *deadLoader) parseModule(root, modPath, skip string) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -254,9 +432,6 @@ func (l *deadLoader) parseModule(t *testing.T, root, modPath, skip string) {
 		l.files[ip] = append(l.files[ip], f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func (l *deadLoader) Import(p string) (*types.Package, error) {
@@ -273,7 +448,11 @@ func (l *deadLoader) ImportFrom(p, dir string, mode types.ImportMode) (*types.Pa
 	if !ok {
 		return l.std.ImportFrom(p, dir, mode)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(p, l.fset, files, info)
 	if err != nil {
@@ -282,4 +461,62 @@ func (l *deadLoader) ImportFrom(p, dir string, mode types.ImportMode) (*types.Pa
 	l.checked[p] = pkg
 	l.infos[p] = info
 	return pkg, nil
+}
+
+// TestWriteOnlyFieldRule runs the census over a package written to show
+// both halves of the rule.
+func TestWriteOnlyFieldRule(t *testing.T) {
+	const src = `package p
+
+type counters struct {
+	written int
+	bumped  int
+	keyed   int
+	read    int
+}
+
+type key struct{ a, b int }
+
+type tagged struct {
+	Name string ` + "`json:\"name\"`" + `
+}
+
+type box[T any] struct{ v T }
+
+var sink int
+
+func use(m map[key]bool) tagged {
+	c := counters{keyed: 1}
+	c.written = 2
+	c.bumped += 3
+	c.bumped++
+	sink = c.read
+	m[key{1, 2}] = true
+	b := box[int]{}
+	sink += b.v
+	return tagged{}
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fieldCensus{}
+	c.scan([]*ast.File{f}, info)
+	got := c.unread(pkg)
+	sort.Strings(got)
+	want := []string{"p.counters.bumped", "p.counters.keyed", "p.counters.written"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("write-only fields = %v, want %v", got, want)
+	}
 }

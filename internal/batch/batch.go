@@ -94,7 +94,7 @@ type Scheduler struct {
 	// BeginFlush/EndFlush, when non-nil, bracket every window close so
 	// the server can defer and coalesce the messages the sink produces.
 	// They are never called on the zero-window inline path.
-	BeginFlush func(n int)
+	BeginFlush func()
 	EndFlush   func()
 
 	// pending is the open window; spare is the other of the two buffers
@@ -202,7 +202,7 @@ func (s *Scheduler) flush() {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	if s.BeginFlush != nil {
-		s.BeginFlush(len(batch))
+		s.BeginFlush()
 	}
 	for i := range batch {
 		s.Resolved[s.sink(batch[i])]++

@@ -27,7 +27,7 @@ func newWindowRig() *windowRig {
 		}
 		return OutGranted
 	})
-	r.s.BeginFlush = func(int) {}
+	r.s.BeginFlush = func() {}
 	r.s.EndFlush = func() {}
 	return r
 }

@@ -114,7 +114,7 @@ func FuzzBatchSchedule(f *testing.F) {
 			}
 		}
 		sched = NewScheduler(env, window, sink)
-		sched.BeginFlush = func(int) {
+		sched.BeginFlush = func() {
 			inFlush = true
 			flushGrants = flushGrants[:0]
 		}

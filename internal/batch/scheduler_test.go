@@ -31,7 +31,7 @@ func TestZeroWindowInline(t *testing.T) {
 		served = append(served, r.Txn)
 		return OutGranted
 	})
-	s.BeginFlush = func(int) { t.Fatal("BeginFlush called on the inline path") }
+	s.BeginFlush = func() { t.Fatal("BeginFlush called on the inline path") }
 	s.EndFlush = func() { t.Fatal("EndFlush called on the inline path") }
 	for i := 1; i <= 3; i++ {
 		s.Add(req(1, i, i, time.Second))
@@ -63,7 +63,7 @@ func TestWindowedFlushOrder(t *testing.T) {
 		served = append(served, r.Txn)
 		return OutQueued
 	})
-	s.BeginFlush = func(n int) { brackets = append(brackets, "begin") }
+	s.BeginFlush = func() { brackets = append(brackets, "begin") }
 	s.EndFlush = func() { brackets = append(brackets, "end") }
 
 	env.Schedule(0, func() {

@@ -115,11 +115,6 @@ type Cache struct {
 	memCount  int // includes pinned entries
 	diskCount int
 
-	// MemoryHits, DiskHits and Misses count Lookup outcomes.
-	MemoryHits int64
-	DiskHits   int64
-	Misses     int64
-
 	// slab is where entries come from — the system's, shared by its
 	// sites, or a private one made by the first Insert — and go back to,
 	// via Recycle only: eviction and removal results are handed to the
@@ -199,28 +194,25 @@ func (c *Cache) Downgrade(e *Entry) {
 	c.Report(e.Obj)
 }
 
-// Peek returns the entry without touching LRU state or hit counters.
+// Peek returns the entry without touching LRU state.
 func (c *Cache) Peek(obj lockmgr.ObjectID) *Entry { return c.entries[obj] }
 
-// Lookup finds obj, promotes disk-tier hits to memory, updates recency
-// and hit counters, and returns the entry with the tier that served it
+// Lookup finds obj, promotes disk-tier hits to memory, updates recency,
+// and returns the entry with the tier that served it
 // (TierNone on miss). Promotion may demote the memory LRU victim to disk
 // and, transitively, evict the disk LRU victim; such fallout is returned
 // so the caller can notify the server.
 func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
 	e, ok := c.entries[obj]
 	if !ok {
-		c.Misses++
 		return nil, TierNone, nil
 	}
 	served := e.tier
 	var evicted []*Entry
 	switch e.tier {
 	case TierMemory:
-		c.MemoryHits++
 		c.touch(e)
 	case TierDisk:
-		c.DiskHits++
 		evicted = c.promote(e)
 	}
 	return e, served, evicted

@@ -24,9 +24,6 @@ func TestInsertAndLookup(t *testing.T) {
 	if _, tier, _ := c.Lookup(9); tier != TierNone {
 		t.Fatal("missing object should be TierNone")
 	}
-	if c.MemoryHits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", c.MemoryHits, c.Misses)
-	}
 }
 
 // A cache makes its entry map on the first Insert: at population scale
@@ -115,9 +112,6 @@ func TestDiskHitPromotes(t *testing.T) {
 	// 2 must now be on disk.
 	if c.Peek(2).tier != TierDisk {
 		t.Fatal("promotion should demote the memory victim")
-	}
-	if c.DiskHits != 1 {
-		t.Fatalf("disk hits = %d", c.DiskHits)
 	}
 }
 

@@ -19,10 +19,13 @@ import (
 // it owns: at a million clients every word here is 8 MB. A Client is the
 // whole parked site — its cache, executor slots, local lock table and
 // dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of its parts' ceilings: 352 for the rest of the Client (what keeps
-// a by-value config.Config, 424 B, from coming back), 104 the cache, 80
-// the resource, 152 the lock table, 176 the dispatcher. It reads 864
-// (912 when it kept a client-wide waiter index and three stores keyed by
+// sum of its parts' ceilings: 328 for the rest of the Client (what keeps
+// a by-value config.Config, 424 B, from coming back), 80 the cache, 56
+// the resource, 152 the lock table, 176 the dispatcher. It reads 792
+// (848 when the cache kept three hit counters, the resource a grant
+// counter and the client two ship counters, none of which anything read;
+// 864 when the resource also kept busy-time totals nobody asked for; 912
+// when it kept a client-wide waiter index and three stores keyed by
 // object or shipped subtask, where it now holds one list of object
 // records and one of fanouts; 968 when it kept free lists of
 // transaction machines and of their exchange records and a pointer to
@@ -31,7 +34,7 @@ import (
 // table each kept free lists too and the client two scratch maps). The
 // dispatcher's ceiling is what keeps a held netsim.Message out of a
 // machine every client owns; the cache's and the lock table's (they read
-// 104 and 144; the table 296 B with its four per-owner maps, three free
+// 80 and 144; the table 296 B with its four per-owner maps, three free
 // lists and the wrapper that woke its waiters) keep a free list or a
 // second container per owner out of what every client holds; the
 // generator machine is the one part still allocated
@@ -41,9 +44,9 @@ func TestPerSiteStructSizes(t *testing.T) {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 352 + 104 + 80 + 152 + 176},
-		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 104},
-		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 80},
+		{"Client", unsafe.Sizeof(Client{}), 328 + 80 + 56 + 152 + 176},
+		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 80},
+		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 56},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
 		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
 		{"genMachine", unsafe.Sizeof(genMachine{}), 176},
@@ -125,7 +128,7 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		}
 		c.stock.Payloads.Release(msg.Payload)
 		g := c.stock.Payloads.GrantMsg.New()
-		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Txn: tx.ID})
+		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1})
 		r.inject(netsim.KindObjectShip, g)
 		r.env.RunAll()
 		if m.pt.findWait(obj) >= 0 || c.phase(obj) != phIdle {
@@ -215,8 +218,8 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		m.sendKind = skCommit
 		g := c.stock.Payloads.GrantMsg.New()
 		g.Grants = append(g.Grants,
-			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID},
-			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID})
+			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1},
+			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1})
 		exchange(func(p any) bool { q, ok := p.(*proto.CommitRequest); return ok && len(q.Objs) == 2 },
 			netsim.KindObjectShip, g)
 		if len(pt.waits) != 0 {

@@ -125,10 +125,7 @@ type Client struct {
 	// for end-of-run finalization.
 	Tracked []*txn.Transaction
 
-	// ShippedOut and ShippedIn count whole transactions moved by load
-	// sharing; ForwardHops counts forward-list client-to-client sends.
-	ShippedOut  int64
-	ShippedIn   int64
+	// ForwardHops counts forward-list client-to-client sends.
 	ForwardHops int64
 	// LostUpdates counts committed-but-unreturned updates wiped by an
 	// outage with no recovery log configured.
@@ -349,8 +346,8 @@ func (c *Client) submitAsync(t *txn.Transaction) {
 // beginOutage partitions the client and wipes its volatile state: the
 // dispatcher stops draining messages until the outage ends, clean cache
 // copies are lost (their locks release lazily via NotCached answers),
-// and dirty copies survive only if the client-based recovery log holds
-// them.
+// and dirty copies survive only with logging on. Nothing replays the
+// log: the model keeps them, as a recovery would (package wal).
 func (c *Client) beginOutage() {
 	c.outageEnd = c.env.Now() + c.cfg.OutageDuration
 	c.objects.Visit(func(e *cache.Entry) {
@@ -361,7 +358,7 @@ func (c *Client) beginOutage() {
 			c.LostUpdates++
 		}
 		if e.Dirty() && c.log != nil {
-			return // recovered from the WAL on restart
+			return // kept: logging models their durability, nothing replays it
 		}
 		// Dropping a copy without telling the server is the lazy-release
 		// path the protocol already supports: a later recall gets a
@@ -522,7 +519,7 @@ func (c *Client) sendHop(next forward.Entry, obj lockmgr.ObjectID, version int64
 	c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, c.env.Now())
 	p := c.stock.Payloads.GrantMsg.New()
 	p.Grants = append(p.Grants, proto.ObjGrant{
-		Obj: obj, Mode: next.Mode, Version: version, Txn: next.Txn, Epoch: next.Epoch, Fwd: l,
+		Obj: obj, Mode: next.Mode, Version: version, Epoch: next.Epoch, Fwd: l,
 	})
 	c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, p)
 }

@@ -143,7 +143,7 @@ func TestClientRecallOfIdleEntryAnswersImmediately(t *testing.T) {
 		t.Fatalf("messages = %+v", msgs)
 	}
 	ret := msgs[0].Payload.(*proto.ObjReturn)
-	if !ret.HasData || ret.Version != 3 || ret.Downgraded || ret.NotCached {
+	if !ret.HasData || ret.Version != 3 || ret.Downgraded {
 		t.Fatalf("return = %+v", ret)
 	}
 	if r.cl.objects.Peek(5) != nil {
@@ -184,7 +184,7 @@ func TestClientRecallOfMissingEntryAnswersNotCached(t *testing.T) {
 	r.inject(netsim.KindRecall, proto.Recall{Obj: 77})
 	msgs := r.sent(time.Second)
 	ret := msgs[0].Payload.(*proto.ObjReturn)
-	if !ret.NotCached {
+	if ret.HasData || ret.Downgraded { // a lock-only release: no copy
 		t.Fatalf("return = %+v", ret)
 	}
 	if r.cl.epochOf(77, netsim.ServerSite) != 1 || ret.Epoch != 1 {
@@ -233,7 +233,7 @@ func TestClientRecallDeferredWhilePinned(t *testing.T) {
 	}
 	// Unpin and run afterRelease as commit would.
 	r.cl.objects.Unpin(e)
-	r.cl.afterRelease([]txn.Op{{Obj: 5, Write: true}}, 1)
+	r.cl.afterRelease([]txn.Op{{Obj: 5, Write: true}})
 	msgs = r.sent(2 * time.Second)
 	if len(msgs) != 1 || !msgs[0].Payload.(*proto.ObjReturn).HasData {
 		t.Fatalf("deferred recall answer = %+v", msgs)
@@ -277,8 +277,8 @@ func TestClientProbeThenGrantFlow(t *testing.T) {
 		t.Fatalf("probe = %+v", msgs[0].Payload)
 	}
 	// Server grants both.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 30, Mode: lockmgr.ModeShared, Version: 1})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 31, Mode: lockmgr.ModeShared, Version: 1})
 	r.sent(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -307,9 +307,6 @@ func TestClientConflictReplyShipsToDataRichTarget(t *testing.T) {
 	m, ok := r.peer.TryGet()
 	if !ok || m.Kind != netsim.KindTxnShip {
 		t.Fatalf("peer message = %+v", m)
-	}
-	if r.cl.ShippedOut != 1 {
-		t.Fatalf("ShippedOut = %d", r.cl.ShippedOut)
 	}
 }
 
@@ -353,7 +350,7 @@ func TestClientMigrationForwardOnCommit(t *testing.T) {
 	fwd := forward.NewList(50)
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeExclusive, Deadline: time.Hour, Txn: 99})
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{
-		Obj: 50, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID, Fwd: fwd,
+		Obj: 50, Mode: lockmgr.ModeExclusive, Version: 4, Fwd: fwd,
 	})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
@@ -383,7 +380,7 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 	r.sent(time.Second)
 	fwd := forward.NewList(60) // empty: we are the last hop
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{
-		Obj: 60, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID, Fwd: fwd,
+		Obj: 60, Mode: lockmgr.ModeExclusive, Version: 1, Fwd: fwd,
 	})
 	msgs := r.sent(30 * time.Second)
 	var ret *proto.ObjReturn
@@ -489,7 +486,7 @@ func TestClientDeniedTransactionAborts(t *testing.T) {
 	tx := r.newTxn([]txn.Op{{Obj: 80}}, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindLockReply, &proto.DenyReply{Txn: tx.ID, Obj: 80, Reason: proto.DenyDeadlock})
+	r.inject(netsim.KindLockReply, &proto.DenyReply{Txn: tx.ID, Reason: proto.DenyDeadlock})
 	r.env.Run(5 * time.Second)
 	if tx.Status != txn.StatusAborted {
 		t.Fatalf("status = %v", tx.Status)
@@ -543,7 +540,7 @@ func TestClientSpeculationOverlapsUpgrade(t *testing.T) {
 	r.sent(time.Second) // probe for the upgrade goes out
 	// Server takes 5 seconds to grant the EL upgrade.
 	r.env.Run(5 * time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -568,7 +565,7 @@ func TestClientSpeculationInvalidatedByNewVersion(t *testing.T) {
 	r.env.Run(5 * time.Second)
 	// The upgrade arrives with a NEWER version: the speculative work
 	// was based on stale data and must be discarded.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 9})
 	r.env.Run(40 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -589,7 +586,7 @@ func TestClientSpeculationDisabledByDefault(t *testing.T) {
 	tx := r.newTxn([]txn.Op{{Obj: 1, Write: true}}, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 1, Mode: lockmgr.ModeExclusive, Version: 4})
 	r.env.Run(30 * time.Second)
 	if r.cl.m.SpeculativeRuns != 0 {
 		t.Fatalf("speculation ran while disabled: %d", r.cl.m.SpeculativeRuns)
@@ -603,7 +600,7 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 	defer r.env.Close()
 	tx := r.newTxn([]txn.Op{{Obj: 100}, {Obj: 101}}, time.Minute)
 	tx.Origin = 2 // shipped in from peer 2
-	r.inject(netsim.KindTxnShip, &proto.TxnShip{T: tx, ReplyTo: 2})
+	r.inject(netsim.KindTxnShip, &proto.TxnShip{T: tx})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
 		t.Fatalf("want one sequential request first, got %+v", msgs)
@@ -613,12 +610,12 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 		t.Fatalf("first request = %+v", req)
 	}
 	// Grant the first; the second request follows.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1})
 	msgs = r.sent(2 * time.Second)
 	if len(msgs) != 1 || !slices.Equal(msgs[0].Payload.(*proto.CommitRequest).Objs, []lockmgr.ObjectID{101}) {
 		t.Fatalf("second round = %+v", msgs)
 	}
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1})
 	r.env.Run(30 * time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("status = %v", tx.Status)
@@ -636,9 +633,6 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no TxnResult sent to the origin")
-	}
-	if r.cl.ShippedIn != 1 {
-		t.Fatalf("ShippedIn = %d", r.cl.ShippedIn)
 	}
 }
 
@@ -727,8 +721,8 @@ func TestClientDecomposition(t *testing.T) {
 	}
 	// Answer the local subtask's needs and the remote result; the
 	// parent synthesizes.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0, Txn: tx.ID})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0})
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0})
 	r.env.Run(r.env.Now() + 10*time.Second)
 	r.inject(netsim.KindTxnResult, &proto.TxnResult{Txn: tx.ID, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
 	r.env.Run(r.env.Now() + 10*time.Second)

@@ -818,7 +818,7 @@ func (m *txnMachine) stepMaterialized() bool {
 // stepCommit applies updates to the cached copies, logging each write;
 // the log force (group commit) follows in tsForce.
 func (m *txnMachine) stepCommit() {
-	c, t := m.c, m.t
+	c := m.c
 	m.lastLSN = 0
 	for _, op := range m.ops {
 		e := c.objects.Peek(op.Obj)
@@ -832,7 +832,7 @@ func (m *txnMachine) stepCommit() {
 				c.onCommit(op.Obj, e.Version)
 			}
 			if c.log != nil {
-				m.lastLSN = c.log.Append(int64(t.ID), op.Obj, e.Version)
+				m.lastLSN = c.log.Append()
 			}
 			if c.cfg.WriteThrough && !c.migrating(op.Obj) {
 				// Write-through ablation: push the update to the server
@@ -878,7 +878,7 @@ func (m *txnMachine) unwind() {
 		// Whatever way this attempt ended, forward any migrations this
 		// transaction came to own and answer recalls deferred on its
 		// pins.
-		c.afterRelease(m.ops, t.ID)
+		c.afterRelease(m.ops)
 		c.slots.Release()
 		m.slotHeld = false
 	}
@@ -1014,7 +1014,6 @@ func (m *txnMachine) awaitCond() bool {
 // ("the results of executing the transaction are communicated to the
 // originating client").
 func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
-	c.ShippedOut++
 	c.m.ShippedTxns++
 	t.Shipped = true
 	c.tr.Point(t.ID, c.id, trace.EvShippedTxn, 0, int64(target), 0, c.env.Now())
@@ -1024,7 +1023,7 @@ func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
 // sendTxnShip ships t, or its subtask sub, to the client at to.
 func (c *Client) sendTxnShip(to netsim.SiteID, t *txn.Transaction, sub *txn.Subtask) {
 	p := c.stock.Payloads.TxnShip.New()
-	*p = proto.TxnShip{T: t, Sub: sub, ReplyTo: c.id, Load: c.loadReport()}
+	*p = proto.TxnShip{T: t, Sub: sub}
 	c.toPeer(to, netsim.KindTxnShip, netsim.TxnShipBytes, p)
 }
 
@@ -1178,12 +1177,12 @@ func (m *txnMachine) finish(committed bool) {
 		c.tr.Finish(t, c.id, now)
 		if t.Origin != c.id {
 			c.sendTxnResult(t.Origin, proto.TxnResult{
-				Txn: t.ID, SubIndex: -1, Committed: committed, ExecSite: c.id,
+				Txn: t.ID, SubIndex: -1, Committed: committed,
 			})
 		}
 	} else if t.Origin != c.id {
 		c.sendTxnResult(t.Origin, proto.TxnResult{
-			Txn: t.ID, SubIndex: m.sub.Index, IsSub: true, Committed: committed, ExecSite: c.id,
+			Txn: t.ID, SubIndex: m.sub.Index, IsSub: true, Committed: committed,
 		})
 	}
 }

@@ -188,7 +188,7 @@ func (c *Client) onRecall(r proto.Recall) {
 func (c *Client) returnNotCached(obj lockmgr.ObjectID, from netsim.SiteID) {
 	epoch := c.bumpEpoch(obj, from)
 	c.sendReturn(from, netsim.ControlBytes, proto.ObjReturn{
-		Client: c.id, Obj: obj, NotCached: true, Epoch: epoch,
+		Client: c.id, Obj: obj, Epoch: epoch,
 		Load: c.loadReport(),
 	})
 }
@@ -229,7 +229,6 @@ func dataBytes(hasData bool) int {
 
 // onTxnShip executes a transaction or subtask shipped to this site.
 func (c *Client) onTxnShip(s proto.TxnShip) {
-	c.ShippedIn++
 	if s.Sub != nil {
 		c.spawnTxn(s.T, s.Sub, enShipSub, nil)
 		return
@@ -280,7 +279,7 @@ func (c *Client) returnEvicted(evicted []*cache.Entry) {
 // afterRelease runs when a transaction's pins drop: forward any
 // migrating objects whose turn is over, and answer recalls parked
 // while the objects were pinned.
-func (c *Client) afterRelease(ops []txn.Op, id txn.ID) {
+func (c *Client) afterRelease(ops []txn.Op) {
 	for _, op := range ops {
 		p := c.phase(op.Obj)
 		switch {

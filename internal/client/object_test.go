@@ -175,7 +175,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 	// idle → requested → (grant) idle.
 	tx := write(10)
 	at(10, phRequested, "request")
-	grant(proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID})
+	grant(proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeExclusive, Version: 1})
 	at(10, phIdle, "grant")
 	finish(tx)
 
@@ -199,7 +199,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 	tx = write(20)
 	recall(proto.Recall{Obj: 20, HolderMode: lockmgr.ModeExclusive})
 	at(20, phRequested|phParkedNoCopy, "recall ahead of its grant")
-	grant(proto.ObjGrant{Obj: 20, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID})
+	grant(proto.ObjGrant{Obj: 20, Mode: lockmgr.ModeExclusive, Version: 1})
 	at(20, phParkedClear, "the grant it refers to")
 	r.until(pinned(20))
 	at(20, phParkedPinned, "the woken transaction pins the copy")
@@ -238,7 +238,7 @@ func TestClientObjectLifecycle(t *testing.T) {
 		tx = write(obj)
 		fwd := forward.NewList(obj)
 		fwd.Insert(forward.Entry{Client: 2, Mode: next, Deadline: time.Hour, Txn: 99})
-		grant(proto.ObjGrant{Obj: obj, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID, Fwd: fwd})
+		grant(proto.ObjGrant{Obj: obj, Mode: lockmgr.ModeExclusive, Version: 1, Fwd: fwd})
 		at(obj, phMigrating, "migration hop")
 		finish(tx)
 		at(obj, phIdle, "forwarded")
@@ -253,12 +253,12 @@ func TestClientObjectLifecycle(t *testing.T) {
 	tx = write(50)
 	fwd := forward.NewList(50)
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: time.Hour, Txn: 99})
-	grant(proto.ObjGrant{Obj: 50, Mode: lockmgr.ModeExclusive, Version: 1, Txn: tx.ID, Fwd: fwd})
+	grant(proto.ObjGrant{Obj: 50, Mode: lockmgr.ModeExclusive, Version: 1, Fwd: fwd})
 	recall(proto.Recall{Obj: 50})
 	at(50, phMigrating|phParkedPinned, "recall mid-migration")
 	finish(tx)
 	at(50, phIdle, "forwarded, recall released")
-	if rets := r.returns(); len(rets) != 1 || !rets[0].NotCached || c.objects.Peek(50) != nil {
+	if rets := r.returns(); len(rets) != 1 || rets[0].HasData || c.objects.Peek(50) != nil {
 		t.Fatalf("answer to the mid-migration recall = %+v, copy kept %v", rets, c.objects.Peek(50) != nil)
 	}
 	r.peer.TryGet()

@@ -143,7 +143,7 @@ func (m *txnMachine) resend(attempt int) {
 			}
 			pt.loadWant++
 			q := c.stock.Payloads.LoadQuery.New()
-			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Client, q.Txn, q.Load = c.id, t.ID, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, t.Ops, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindLoadQuery, netsim.ControlBytes, q)
 		}
@@ -157,7 +157,7 @@ func (m *txnMachine) resend(attempt int) {
 				continue
 			}
 			q := c.stock.Payloads.ProbeRequest.New()
-			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Client, q.Txn, q.Deadline, q.Load = c.id, t.ID, t.Deadline, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}
@@ -172,7 +172,7 @@ func (m *txnMachine) resend(attempt int) {
 				continue
 			}
 			q := c.stock.Payloads.CommitRequest.New()
-			q.Client, q.Txn, q.Deadline, q.Attempt, q.Load = c.id, t.ID, t.Deadline, attempt, c.loadReport()
+			q.Client, q.Txn, q.Deadline, q.Load = c.id, t.ID, t.Deadline, c.loadReport()
 			q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
 			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
 		}

@@ -439,8 +439,10 @@ func (c Config) Validate() error {
 		return errors.New("config: RetryTimeout must be non-negative")
 	case c.Faults.PartitionShard < 0 || c.Faults.PartitionShard >= c.Sharding.NumServers():
 		return fmt.Errorf("config: Faults.PartitionShard %d out of [0,%d)", c.Faults.PartitionShard, c.Sharding.NumServers())
-	case c.ZipfTheta < 0:
-		return fmt.Errorf("config: ZipfTheta %v must be non-negative", c.ZipfTheta)
+	case c.ZipfTheta <= 0:
+		return fmt.Errorf("config: ZipfTheta %v must be positive", c.ZipfTheta)
+	case c.OutageAt < 0:
+		return fmt.Errorf("config: OutageAt %v must be non-negative", c.OutageAt)
 	}
 	if err := c.Sharding.validate(c.DBSize); err != nil {
 		return err

@@ -87,6 +87,8 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.Drain = -time.Second },
 		func(c *Config) { c.Warmup = c.Duration },
+		func(c *Config) { c.ZipfTheta = 0 },
+		func(c *Config) { c.OutageClient, c.OutageDuration, c.OutageAt = 1, time.Minute, -time.Second },
 	}
 	for i, corrupt := range cases {
 		c := Default(10, 0.05)

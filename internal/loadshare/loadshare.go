@@ -54,8 +54,6 @@ type Decision struct {
 	Target netsim.SiteID
 	// Ship is true when Target differs from the origin.
 	Ship bool
-	// Conflicts is the H2 conflict count at Target.
-	Conflicts int
 }
 
 // Params carries the inputs to site selection.
@@ -207,7 +205,7 @@ func ChooseSite(p Params) Decision {
 			best = origin
 		}
 	}
-	d := Decision{Target: best.site, Ship: best.site != p.Origin, Conflicts: best.conflicts}
+	d := Decision{Target: best.site, Ship: best.site != p.Origin}
 	if p.Trace != nil {
 		p.Trace(d)
 	}

@@ -137,9 +137,6 @@ type Table struct {
 	// records it visits instead of collecting them in a per-call set.
 	ddGen int64
 
-	// DeadlocksRefused counts requests refused by cycle detection.
-	DeadlocksRefused int64
-
 	// hook observes lock-table transitions (tracing); zero-valued when
 	// tracing is off, costing one nil check per transition.
 	hook Hook
@@ -449,7 +446,6 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 		return t.requested(req, Granted, nil)
 	}
 	if len(conf) > 0 && t.wouldDeadlock(req.Owner, conf) {
-		t.DeadlocksRefused++
 		return t.requested(req, Deadlock, conf)
 	}
 	t.enqueue(e, req)

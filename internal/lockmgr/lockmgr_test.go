@@ -197,9 +197,6 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 	if out != Deadlock {
 		t.Fatalf("second upgrade should deadlock, got %v", out)
 	}
-	if tab.DeadlocksRefused != 1 {
-		t.Fatalf("DeadlocksRefused = %d", tab.DeadlocksRefused)
-	}
 }
 
 func TestCrossObjectDeadlockDetected(t *testing.T) {
@@ -367,9 +364,6 @@ func TestOwnerStateRetired(t *testing.T) {
 		round()
 		if n := testing.AllocsPerRun(10_000, round); n != 0 {
 			t.Errorf("%s: a round of fresh owners allocates %v, want 0", name, n)
-		}
-		if tb.DeadlocksRefused < 10_000 {
-			t.Errorf("%s: %d deadlocks refused, want one a round", name, tb.DeadlocksRefused)
 		}
 		checkEmpty(t, tb)
 	}

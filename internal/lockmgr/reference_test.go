@@ -17,7 +17,6 @@ type refTable struct {
 	queues  map[ObjectID][]*refReq
 	edges   map[OwnerID]map[OwnerID]bool
 	seq     int
-	refused int64
 }
 
 // refReq is a request as the reference sees it; id pairs it with the real
@@ -75,7 +74,6 @@ func (t *refTable) lock(r *refReq) (Outcome, []OwnerID) {
 			return Granted, nil
 		}
 	} else if t.reaches(conf, r.owner, map[OwnerID]bool{}) {
-		t.refused++
 		return Deadlock, conf
 	}
 	t.seq++

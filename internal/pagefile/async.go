@@ -97,7 +97,6 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	}
 	vid := vf.id
 	bp.lruRemove(vf)
-	bp.Evictions++
 
 	// Re-key the victim frame in place: it is unpinned, so it is not
 	// loading and its loaded signal has no waiters — the frame and its
@@ -112,7 +111,6 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	vf.loading = true
 	bp.frames[id] = vf
 	if wasDirty {
-		bp.DirtyWrites++
 		io.start(bp.disk, true, vid, vf.Stamp)
 		return vf, allocWriteback
 	}

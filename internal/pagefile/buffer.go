@@ -45,9 +45,6 @@ type BufferPool struct {
 	// Hits and Misses count GetOp outcomes.
 	Hits   int64
 	Misses int64
-	// Evictions counts frames replaced; DirtyWrites counts write-backs.
-	Evictions   int64
-	DirtyWrites int64
 }
 
 // NewBufferPool returns a pool of capacity frames over disk.

@@ -31,7 +31,6 @@ type DiskConfig struct {
 // Disk is a simulated block device holding numPages pages. Requests are
 // serialized (single actuator) in deadline-agnostic FIFO order.
 type Disk struct {
-	env   *sim.Env
 	cfg   DiskConfig
 	arm   *sim.Resource
 	pages []uint64 // one stamp a page; see Frame.Stamp
@@ -47,7 +46,6 @@ func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 		panic("pagefile: disk needs at least one page")
 	}
 	return &Disk{
-		env:   env,
 		cfg:   cfg,
 		arm:   sim.NewResource(env, 1),
 		pages: make([]uint64, numPages),

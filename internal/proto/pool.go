@@ -35,7 +35,6 @@ type Pool struct {
 	TxnShip        slab.Slab[TxnShip]
 	TxnResult      slab.Slab[TxnResult]
 	TxnSubmit      slab.Slab[TxnSubmit]
-	UserResult     slab.Slab[UserResult]
 }
 
 // Release resets a delivered payload record and hands it back to its
@@ -87,8 +86,6 @@ func (p *Pool) Release(payload any) {
 		p.TxnResult.Put(r)
 	case *TxnSubmit:
 		p.TxnSubmit.Put(r)
-	case *UserResult:
-		p.UserResult.Put(r)
 	default:
 		panic(fmt.Sprintf("proto: Release of unpooled payload %T", payload))
 	}

@@ -21,43 +21,41 @@ func filled(p *Pool) []any {
 	t := &txn.Transaction{ID: 9}
 
 	pr := p.ProbeRequest.New()
-	pr.Client, pr.Txn, pr.Deadline, pr.Attempt, pr.Load = 1, 9, time.Minute, 1, load
+	pr.Client, pr.Txn, pr.Deadline, pr.Load = 1, 9, time.Minute, load
 	pr.Objs, pr.Modes = append(pr.Objs, objs...), append(pr.Modes, modes...)
 	cr := p.CommitRequest.New()
-	cr.Client, cr.Txn, cr.Deadline, cr.Attempt, cr.Load = 1, 9, time.Minute, 1, load
+	cr.Client, cr.Txn, cr.Deadline, cr.Load = 1, 9, time.Minute, load
 	cr.Objs, cr.Modes = append(cr.Objs, objs...), append(cr.Modes, modes...)
 	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants,
-		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Txn: 9, Epoch: 2, Fwd: forward.NewList(4)},
-		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1, Txn: 9})
+		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Epoch: 2, Fwd: forward.NewList(4)},
+		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1})
 	cf := p.ConflictReply.New()
 	cf.Txn, cf.Loads, cf.DataCounts = 9, append(cf.Loads, load), append(cf.DataCounts, SiteCount{Site: 2, Count: 1})
 	cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, 4, []netsim.SiteID{2, 3})
 	dr := p.DenyReply.New()
-	*dr = DenyReply{Txn: 9, Obj: 4, Reason: DenyExpired}
+	*dr = DenyReply{Txn: 9, Reason: DenyExpired}
 	rm := p.RecallMsg.New()
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 4, DowngradeToShared: true, HolderMode: lockmgr.ModeExclusive}, Recall{Obj: 5})
 	ri := p.ReplicaInstall.New()
 	*ri = ReplicaInstall{Obj: 4, Version: 7}
 	rt := p.ObjReturn.New()
 	retained := append(rt.RetainedSL, 2, 3)
-	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true, NotCached: true,
+	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true,
 		UpdateOnly: true, Migration: true, RunComplete: true, RetainedSL: retained, Epoch: 2, Load: load}
 	lq := p.LoadQuery.New()
-	lq.Client, lq.Txn, lq.Deadline, lq.Attempt, lq.Load = 1, 9, time.Minute, 1, load
+	lq.Client, lq.Txn, lq.Load = 1, 9, load
 	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
 	lr := p.LoadReply.New()
 	lr.Txn, lr.Loads = 9, append(lr.Loads, load)
 	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2, 3})
 	ts := p.TxnShip.New()
-	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}, ReplyTo: 1, Load: load}
+	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}}
 	tr := p.TxnResult.New()
-	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true, ExecSite: 2}
+	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true}
 	su := p.TxnSubmit.New()
 	su.T = t
-	ur := p.UserResult.New()
-	*ur = UserResult{Txn: 9, Committed: true}
-	return []any{pr, cr, gm, cf, dr, rm, ri, rt, lq, lr, ts, tr, su, ur}
+	return []any{pr, cr, gm, cf, dr, rm, ri, rt, lq, lr, ts, tr, su}
 }
 
 // keepsCapacity names the slice fields Release leaves their backing
@@ -173,7 +171,7 @@ func TestReplyHolderListsAreWindows(t *testing.T) {
 func TestOneElementRecordsAreReused(t *testing.T) {
 	var p Pool
 	gm := p.GrantMsg.New()
-	gm.Grants = append(gm.Grants, ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Txn: 9, Fwd: forward.NewList(4)})
+	gm.Grants = append(gm.Grants, ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Fwd: forward.NewList(4)})
 	elem := &gm.Grants[0]
 	p.Release(gm)
 	if again := p.GrantMsg.New(); again != gm || len(again.Grants) != 0 || cap(again.Grants) == 0 {
@@ -338,7 +336,7 @@ func filledHot(p *Pool) []any {
 	q := p.CommitRequest.New()
 	q.Client, q.Txn = 1, 9
 	q.Objs, q.Modes = append(q.Objs, 4), append(q.Modes, lockmgr.ModeShared)
-	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared, Txn: 9}
+	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared}
 	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants, g, g, g)
 	rm := p.RecallMsg.New()

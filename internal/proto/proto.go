@@ -36,12 +36,7 @@ type ProbeRequest struct {
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
 	Deadline time.Duration
-	// Attempt sequence-numbers retransmissions of this request (0 = the
-	// first send). The server serves duplicates idempotently from its
-	// lock-table state; the attempt number distinguishes retries in
-	// traces.
-	Attempt int
-	Load    LoadReport
+	Load     LoadReport
 }
 
 // CommitRequest asks the server for the listed objects and locks in
@@ -59,9 +54,7 @@ type CommitRequest struct {
 	Deadline time.Duration
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
-	// Attempt sequence-numbers retransmissions (see ProbeRequest.Attempt).
-	Attempt int
-	Load    LoadReport
+	Load     LoadReport
 }
 
 // ObjGrant delivers an object and its lock to a client; it travels as
@@ -70,7 +63,6 @@ type ObjGrant struct {
 	Obj     lockmgr.ObjectID
 	Mode    lockmgr.Mode
 	Version int64
-	Txn     txn.ID
 	// Epoch is the target's release epoch as last seen by the server.
 	// The client drops any grant whose epoch does not match its own —
 	// such a grant was sent before the server processed a release and
@@ -143,7 +135,6 @@ const (
 // DenyReply refuses one request.
 type DenyReply struct {
 	Txn    txn.ID
-	Obj    lockmgr.ObjectID
 	Reason DenyReason
 }
 
@@ -189,9 +180,6 @@ type ObjReturn struct {
 	Version int64
 	// Downgraded means the client kept an SL copy.
 	Downgraded bool
-	// NotCached means the client had silently dropped the clean object
-	// and only releases the lock.
-	NotCached bool
 	// UpdateOnly pushes committed data to the server without touching
 	// the lock (the write-through ablation); the client keeps its EL.
 	UpdateOnly bool
@@ -217,14 +205,11 @@ type ObjReturn struct {
 // loads of candidate sites (the H1-failed path of the load-sharing
 // algorithm).
 type LoadQuery struct {
-	Client   netsim.SiteID
-	Txn      txn.ID
-	Objs     []lockmgr.ObjectID
-	Modes    []lockmgr.Mode
-	Deadline time.Duration
-	// Attempt sequence-numbers retransmissions (see ProbeRequest.Attempt).
-	Attempt int
-	Load    LoadReport
+	Client netsim.SiteID
+	Txn    txn.ID
+	Objs   []lockmgr.ObjectID
+	Modes  []lockmgr.Mode
+	Load   LoadReport
 }
 
 // LoadReply answers a LoadQuery.
@@ -241,9 +226,6 @@ type TxnShip struct {
 	T *txn.Transaction
 	// Sub is non-nil when shipping a subtask.
 	Sub *txn.Subtask
-	// ReplyTo receives the TxnResult.
-	ReplyTo netsim.SiteID
-	Load    LoadReport
 }
 
 // TxnResult reports a shipped transaction's (or subtask's) outcome to
@@ -253,18 +235,10 @@ type TxnResult struct {
 	SubIndex  int
 	IsSub     bool
 	Committed bool
-	ExecSite  netsim.SiteID
 }
 
 // TxnSubmit carries a whole transaction from a terminal to the
 // centralized server.
 type TxnSubmit struct {
 	T *txn.Transaction
-}
-
-// UserResult returns a centralized transaction's outcome to its
-// terminal.
-type UserResult struct {
-	Txn       txn.ID
-	Committed bool
 }

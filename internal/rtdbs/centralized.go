@@ -28,7 +28,8 @@ type ceCore struct {
 	net *netsim.Network
 	// payloads is this system's stock of message payload records: a
 	// terminal fills a TxnSubmit and the server's dispatcher releases it,
-	// the server fills a UserResult and the terminal's drain releases it.
+	// a result travels to the terminal with no payload: it reports nothing
+	// the terminal reads.
 	payloads proto.Pool
 	m        *metrics.Collector
 	disk     *pagefile.Disk
@@ -101,7 +102,7 @@ func (ce *ceCore) Start() {
 		term := &ce.terminals[k]
 		tm := &ceTermMachine{ce: ce, term: term}
 		ce.env.Spawn(&tm.task, tm)
-		dm := &ceDrainMachine{ce: ce, term: term}
+		dm := &ceDrainMachine{term: term}
 		ce.env.Spawn(&dm.task, dm)
 	}
 }
@@ -175,17 +176,14 @@ func (m *ceTermMachine) Resume() {
 // ceDrainMachine consumes result messages (displayed to the user).
 type ceDrainMachine struct {
 	task sim.Task
-	ce   *ceCore
 	term *terminal
 }
 
 func (m *ceDrainMachine) Resume() {
 	for {
-		msg, ok := m.term.inbox.Recv(&m.task)
-		if !ok {
+		if _, ok := m.term.inbox.Recv(&m.task); !ok {
 			return
 		}
-		m.ce.release(msg)
 	}
 }
 
@@ -372,11 +370,9 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	}
 	t.Finished = ce.env.Now()
 	t.ExecSite = netsim.ServerSite
-	res := ce.payloads.UserResult.New()
-	res.Txn, res.Committed = t.ID, committed
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
-		Size: netsim.ResultBytes, Payload: res,
+		Size: netsim.ResultBytes,
 	}, &ce.terminals[int(t.Origin)-1].inbox)
 }
 
@@ -488,7 +484,7 @@ func (m *ceTxnMachine) step() bool {
 				ce.versions[op.Obj]++
 				m.read.frames[i].Stamp = uint64(ce.versions[op.Obj])
 				if ce.log != nil {
-					lastLSN = ce.log.Append(int64(t.ID), op.Obj, ce.versions[op.Obj])
+					lastLSN = ce.log.Append()
 				}
 			}
 			ce.pool.Unpin(m.read.frames[i], dirty)

@@ -8,6 +8,7 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/sim"
 	"siteselect/internal/sim/simtest"
+	"siteselect/internal/txn"
 )
 
 // unwindCases are small overloaded operating points, each built to push
@@ -123,6 +124,34 @@ func held(env *sim.Env, r *sim.Resource, capacity int) (n int) {
 	return n
 }
 
+// watchAdmissions counts, from core's next step on, the transactions
+// admitted to a thread slot: an admitted transaction is Running at the
+// end of a step, since every path after admission parks before it
+// finishes, unless a deadlock refusal aborts it at once.
+func watchAdmissions(core *ceCore) *int64 {
+	admitted := new(int64)
+	var open []*txn.Transaction
+	seen := make([]int, len(core.terminals))
+	core.env.SetStepHook(func() {
+		for k := range core.terminals {
+			tracked := core.terminals[k].tracked
+			open = append(open, tracked[seen[k]:]...)
+			seen[k] = len(tracked)
+		}
+		kept := open[:0]
+		for _, x := range open {
+			switch {
+			case x.Status == txn.StatusRunning || x.Status == txn.StatusAborted:
+				*admitted++
+			case !x.Terminal():
+				kept = append(kept, x)
+			}
+		}
+		open = kept
+	})
+	return admitted
+}
+
 // submitted counts every transaction the terminals sent.
 func submitted(core *ceCore) (n int64) {
 	for k := range core.terminals {
@@ -139,6 +168,7 @@ func TestCentralizedUnwind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			admitted := watchAdmissions(&ce.ceCore)
 			checkUnwound(t, &ce.ceCore)
 			if err := ce.locks.Audit(); err != nil {
 				t.Error(err)
@@ -149,7 +179,7 @@ func TestCentralizedUnwind(t *testing.T) {
 				}
 			}
 			if tc.name == "slot-timeout" {
-				timedOut = submitted(&ce.ceCore) - ce.slots.Grants
+				timedOut = submitted(&ce.ceCore) - *admitted
 			}
 			deadlocked += ce.m.Aborted
 		})
@@ -169,8 +199,9 @@ func TestCentralizedOCCUnwind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			admitted := watchAdmissions(&ce.ceCore)
 			checkUnwound(t, &ce.ceCore)
-			noSlot := submitted(&ce.ceCore) - ce.slots.Grants
+			noSlot := submitted(&ce.ceCore) - *admitted
 			refused := ce.valid.Conflicts - ce.Restarts
 			bailed := ce.m.Missed - noSlot - refused
 			t.Logf("no-slot=%d bailed=%d conflicts=%d restarts=%d refused=%d",

@@ -25,7 +25,6 @@ func clearLines(s *Scenario) {
 	clearBlock(s.Replication)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
-		cl.Line = 0
 		for i := range cl.Settings {
 			cl.Settings[i].Line = 0
 		}

@@ -214,7 +214,7 @@ func (p *parser) clients(s *Scenario, ln line) error {
 	if err != nil || count <= 0 {
 		return p.errf(ln.num, "clients", "count %q must be a positive integer", ln.toks[2])
 	}
-	cl := ClientsStanza{Line: ln.num, Name: ln.toks[1], Count: count, Settings: []Setting{}}
+	cl := ClientsStanza{Name: ln.toks[1], Count: count, Settings: []Setting{}}
 	for {
 		body, ok := p.next()
 		if !ok {

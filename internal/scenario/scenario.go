@@ -98,7 +98,6 @@ type Block struct {
 
 // ClientsStanza declares one client class: "clients NAME COUNT { ... }".
 type ClientsStanza struct {
-	Line  int
 	Name  string
 	Count int64
 	// Settings holds the class workload parameters in file order.

@@ -40,9 +40,6 @@ func (q *EDFQueue) DropMissed(now time.Duration) []*txn.Transaction {
 		if now > it.t.Deadline {
 			missed = append(missed, it.t)
 		} else {
-			// heap.Init below only touches the indexes of items it
-			// swaps; the compaction must reassign every survivor's.
-			it.index = len(kept)
 			kept = append(kept, it)
 		}
 	}

@@ -41,9 +41,8 @@ func (q *EDFQueue) Pop() *txn.Transaction {
 }
 
 type edfItem struct {
-	t     *txn.Transaction
-	seq   int64
-	index int
+	t   *txn.Transaction
+	seq int64
 }
 
 type edfHeap []*edfItem
@@ -59,14 +58,10 @@ func (h edfHeap) Less(i, j int) bool {
 
 func (h edfHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
 }
 
 func (h *edfHeap) Push(x any) {
-	it := x.(*edfItem)
-	it.index = len(*h)
-	*h = append(*h, it)
+	*h = append(*h, x.(*edfItem))
 }
 
 func (h *edfHeap) Pop() any {

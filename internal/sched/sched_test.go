@@ -210,26 +210,3 @@ func TestEDFHeapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// DropMissed compacts the backing slice and re-heapifies; every
-// surviving item's cached heap index must equal its slice position
-// afterwards. heap.Init only repairs the indexes of items it happens to
-// swap, so the compaction itself must reassign them — this drops from
-// the middle of the heap slice and checks all survivors.
-func TestDropMissedReassignsIndexes(t *testing.T) {
-	q := NewEDFQueue()
-	// Push order chosen so the missed deadlines (10,20,30s) occupy a
-	// prefix whose removal leaves a slice heap.Init barely reshuffles.
-	for _, d := range []time.Duration{50, 10, 60, 20, 70, 30, 40} {
-		q.Push(tx(int64(d/time.Second), d*time.Second))
-	}
-	missed := q.DropMissed(35 * time.Second)
-	if len(missed) != 3 {
-		t.Fatalf("missed = %d, want 3", len(missed))
-	}
-	for i, it := range q.items {
-		if it.index != i {
-			t.Errorf("item %d (deadline %v): cached index %d, want %d", i, it.t.Deadline, it.index, i)
-		}
-	}
-}

@@ -36,7 +36,7 @@ func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode,
 	s.GrantsShipped++
 	s.tr.Point(id, s.site, trace.EvObjectShipped, obj, int64(to), 0, s.env.Now())
 	s.shipIntents = append(s.shipIntents, shipIntent{to: to, grant: proto.ObjGrant{
-		Obj: obj, Mode: mode, Version: s.versions[obj], Txn: id, Epoch: s.epochOf(obj, to), Fwd: fwd,
+		Obj: obj, Mode: mode, Version: s.versions[obj], Epoch: s.epochOf(obj, to), Fwd: fwd,
 	}})
 	if !s.batching {
 		s.flushShips()
@@ -304,7 +304,7 @@ type recallIntent struct {
 // beginFlush enters deferral mode for the duration of a batch-window
 // flush: ship and recall leave their intents pending instead of
 // flushing them at once.
-func (s *Server) beginFlush(int) { s.batching = true }
+func (s *Server) beginFlush() { s.batching = true }
 
 // endFlush leaves deferral mode and sends the flush's coalesced ships
 // and recalls, grouped per destination in first-decision order.
@@ -496,8 +496,6 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 			// is marked in flight until the last member acknowledges
 			// (the list's final return), so no recall can cross a hop
 			// still on the wire.
-			s.ReadRunsStarted++
-			s.ForwardEntriesSent += int64(len(run))
 			hop := forward.NewList(obj)
 			hop.ReadRun = true
 			for _, e := range run[1:] {
@@ -536,7 +534,6 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	}
 	s.reqs.Put(lr)
 	s.MigrationsStarted++
-	s.ForwardEntriesSent += int64(chain.Len() + 1)
 	o.inflight = chain
 	s.locks.Report(obj)
 	s.ship(obj, first.Client, first.Mode, first.Txn, chain.Clone())

@@ -138,16 +138,14 @@ type Server struct {
 	faulty bool
 
 	// Counters surfaced in experiment reports.
-	RecallsSent        int64
-	GrantsShipped      int64
-	MigrationsStarted  int64
-	ReadRunsStarted    int64
-	ForwardEntriesSent int64
-	DeniesExpired      int64
-	DeniesDeadlock     int64
-	ReplicasInstalled  int64
-	ReplicasShed       int64
-	RequestsForwarded  int64
+	RecallsSent       int64
+	GrantsShipped     int64
+	MigrationsStarted int64
+	DeniesExpired     int64
+	DeniesDeadlock    int64
+	ReplicasInstalled int64
+	ReplicasShed      int64
+	RequestsForwarded int64
 }
 
 // site is one attached client: its connection and its piggybacked load.
@@ -307,10 +305,8 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		s.collector.Init(env, cfg.CollectionWindow, s.seal)
 	}
 	s.batcher = batch.NewScheduler(env, cfg.BatchWindow, s.serveFirm)
-	if cfg.BatchWindow > 0 {
-		s.batcher.BeginFlush = s.beginFlush
-		s.batcher.EndFlush = s.endFlush
-	}
+	s.batcher.BeginFlush = s.beginFlush
+	s.batcher.EndFlush = s.endFlush
 	return s
 }
 
@@ -692,7 +688,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		// The paper's object request scheduling: the server unilaterally
 		// refuses to ship to transactions that already missed.
 		s.DeniesExpired++
-		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyExpired})
+		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Reason: proto.DenyExpired})
 		return batch.OutDeniedExpired
 	}
 	if out, rerouted := s.routeFirm(r); rerouted {
@@ -730,7 +726,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	default: // lockmgr.Deadlock
 		s.reqs.Put(lr)
 		s.DeniesDeadlock++
-		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Obj: r.Obj, Reason: proto.DenyDeadlock})
+		s.deny(r.Client, proto.DenyReply{Txn: r.Txn, Reason: proto.DenyDeadlock})
 		return batch.OutDeniedDeadlock
 	}
 }

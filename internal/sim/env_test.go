@@ -422,11 +422,11 @@ func TestResourcePriorityOrder(t *testing.T) {
 func TestResourceCapacity(t *testing.T) {
 	env := sim.NewEnv()
 	r := sim.NewResource(env, 2)
-	maxInUse := 0
+	maxInUse, granted := 0, 0
 	for i := 0; i < 6; i++ {
 		simtest.Spawn(env,
 			acquire(r, 0),
-			do(func() { maxInUse = max(maxInUse, r.InUse()) }),
+			do(func() { maxInUse, granted = max(maxInUse, r.InUse()), granted+1 }),
 			sleep(time.Second),
 			do(r.Release))
 	}
@@ -434,8 +434,8 @@ func TestResourceCapacity(t *testing.T) {
 	if maxInUse != 2 {
 		t.Fatalf("max in use = %d, want 2", maxInUse)
 	}
-	if r.Grants != 6 {
-		t.Fatalf("grants = %d, want 6", r.Grants)
+	if granted != 6 {
+		t.Fatalf("grants = %d, want 6", granted)
 	}
 }
 

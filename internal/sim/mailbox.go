@@ -12,7 +12,6 @@ package sim
 // population scale most mailboxes never queue more than one message,
 // and the ring is what a parked site's mailbox weighs.
 type Mailbox[T any] struct {
-	env  *Env
 	buf  []T // len(buf) is zero or a power of two
 	head int
 	n    int
@@ -30,7 +29,7 @@ func NewMailbox[T any](env *Env) *Mailbox[T] {
 // mailboxes are elements of one array. A mailbox holds a Signal, so it
 // is initialised where it lives and not copied afterwards.
 func (m *Mailbox[T]) Init(env *Env) {
-	*m = Mailbox[T]{env: env, sig: Signal{env: env}}
+	*m = Mailbox[T]{sig: Signal{env: env}}
 }
 
 // Put appends v and wakes one waiting receiver, if any.

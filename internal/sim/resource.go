@@ -12,9 +12,6 @@ type Resource struct {
 	inUse   int
 	waiters resWaitQueue
 	seq     int64
-
-	// Grants counts successful acquisitions, for metrics and tests.
-	Grants int64
 }
 
 // NewResource returns a resource with the given capacity. Capacity must be
@@ -40,7 +37,6 @@ func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 func (r *Resource) grant() {
 	r.inUse++
-	r.Grants++
 }
 
 // Release returns one unit and hands it to the best-priority waiter, if

@@ -1,56 +1,46 @@
-// Package wal models client-based write-ahead logging, the recovery
-// scheme of the client-server framework the paper builds on (Panagos et
-// al., "Client-Based Logging for High Performance Distributed
+// Package wal models the cost of client-based write-ahead logging, the
+// recovery scheme of the client-server framework the paper builds on
+// (Panagos et al., "Client-Based Logging for High Performance Distributed
 // Architectures", reference [16]): each client appends update records to
 // its own local log and forces the tail to its disk at commit, so a
 // committed transaction's effects survive a crash without a synchronous
 // round trip to the server.
 //
-// The model charges real device time for log forces through the owning
-// site's disk resource and implements group commit: forces requested
-// while another force is in progress share the next one.
+// The log is a force-latency model with group commit, and nothing more.
+// It charges real device time for log forces through the owning site's
+// disk resource, and forces requested while another force is in progress
+// share the next one. It keeps no records: an append is the next log
+// sequence number, and nothing reads the log back or replays it. So
+// durability across an injected client outage is modelled, not
+// recovered: with logging on, a client's dirty copies simply survive the
+// outage (client.beginOutage).
 package wal
 
 import (
 	"time"
 
-	"siteselect/internal/lockmgr"
 	"siteselect/internal/sim"
 )
 
-// Record is one logged update.
-type Record struct {
-	// LSN is the record's log sequence number (1-based, dense).
-	LSN int64
-	// Txn tags the writing transaction (opaque to the log).
-	Txn int64
-	// Obj and Version identify the update.
-	Obj     lockmgr.ObjectID
-	Version int64
-}
-
 // Log is a single site's append-only log.
 type Log struct {
-	env      *sim.Env
 	disk     *sim.Resource
 	force    time.Duration
 	window   time.Duration
-	records  []Record
+	appended int64 // highest LSN handed out
 	durable  int64 // highest LSN on disk
 	forcing  bool
 	forceEnd *sim.Signal
 
-	// Forces counts physical device forces; Appends counts records.
-	// Group commit shows as fewer forces than committers.
-	Forces  int64
-	Appends int64
+	// Forces counts physical device forces. Group commit shows as fewer
+	// forces than committers.
+	Forces int64
 }
 
 // New returns a log whose forces serialize on disk and take forceTime
 // each.
 func New(env *sim.Env, disk *sim.Resource, forceTime time.Duration) *Log {
 	return &Log{
-		env:      env,
 		disk:     disk,
 		force:    forceTime,
 		forceEnd: sim.NewSignal(env),
@@ -66,17 +56,12 @@ func New(env *sim.Env, disk *sim.Resource, forceTime time.Duration) *Log {
 // event is scheduled. Wired from Config.BatchWindow.
 func (l *Log) SetGroupWindow(window time.Duration) { l.window = window }
 
-// Append adds a record to the in-memory log tail and returns its LSN.
-func (l *Log) Append(txnID int64, obj lockmgr.ObjectID, version int64) int64 {
-	l.Appends++
-	lsn := int64(len(l.records)) + 1
-	l.records = append(l.records, Record{LSN: lsn, Txn: txnID, Obj: obj, Version: version})
-	return lsn
+// Append logs one update at the tail and returns its LSN (1-based,
+// dense).
+func (l *Log) Append() int64 {
+	l.appended++
+	return l.appended
 }
-
-// Records returns the appended records (live slice; callers must not
-// mutate).
-func (l *Log) Records() []Record { return l.records }
 
 // ForceOp makes every record up to an LSN durable: a resumable op
 // embedded in the committing sim.Machine. Concurrent committers
@@ -127,7 +112,7 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 				return false
 			}
 		case fcTarget:
-			o.target = int64(len(l.records)) // everything appended so far
+			o.target = l.appended // everything appended so far
 			o.pc = fcAcquired
 			if !t.Acquire(l.disk, 0) {
 				return false

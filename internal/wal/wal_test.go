@@ -12,15 +12,15 @@ func newLog(env *sim.Env) *Log {
 	return New(env, sim.NewResource(env, 1), 10*time.Millisecond)
 }
 
-// commit is a step that appends one record for txnID and forces it
-// through a ForceOp, storing the record's LSN in *lsn.
-func commit(l *Log, txnID int64, lsn *int64) simtest.Step {
+// commit is a step that appends one record and forces it through a
+// ForceOp, storing the record's LSN in *lsn.
+func commit(l *Log, lsn *int64) simtest.Step {
 	var op ForceOp
 	started := false
 	return func(t *sim.Task) bool {
 		if !started {
 			started = true
-			*lsn = l.Append(txnID, 7, txnID)
+			*lsn = l.Append()
 			op.Init(l, *lsn)
 		}
 		return op.Step(t)
@@ -39,12 +39,9 @@ func TestAppendAssignsDenseLSNs(t *testing.T) {
 	env := sim.NewEnv()
 	l := newLog(env)
 	for i := int64(1); i <= 5; i++ {
-		if lsn := l.Append(i, 1, i); lsn != i {
+		if lsn := l.Append(); lsn != i {
 			t.Fatalf("lsn = %d, want %d", lsn, i)
 		}
-	}
-	if len(l.records) != 5 || l.Appends != 5 {
-		t.Fatalf("len=%d appends=%d", len(l.records), l.Appends)
 	}
 	if l.durable != 0 {
 		t.Fatal("nothing should be durable before a force")
@@ -56,7 +53,7 @@ func TestForceMakesDurableAndChargesDisk(t *testing.T) {
 	l := newLog(env)
 	done := false
 	var lsn int64
-	simtest.Spawn(env, commit(l, 1, &lsn), do(func(*sim.Task) { done = true }))
+	simtest.Spawn(env, commit(l, &lsn), do(func(*sim.Task) { done = true }))
 	env.RunAll()
 	if !done || l.durable != 1 {
 		t.Fatalf("durable = %d", l.durable)
@@ -75,7 +72,7 @@ func TestForceAlreadyDurableIsFree(t *testing.T) {
 	var lsn int64
 	var again ForceOp
 	checked := false
-	simtest.Spawn(env, commit(l, 1, &lsn), do(func(task *sim.Task) {
+	simtest.Spawn(env, commit(l, &lsn), do(func(task *sim.Task) {
 		before := task.Now()
 		again.Init(l, lsn)
 		if !again.Step(task) || task.Now() != before { // no-op: done without parking
@@ -97,7 +94,7 @@ func runGroupCommit(env *sim.Env, l *Log) []time.Duration {
 	for i := 0; i < 3; i++ {
 		simtest.Spawn(env,
 			sleep(time.Duration(i)*time.Millisecond), // stagger within one force
-			commit(l, int64(i+1), &lsns[i]),
+			commit(l, &lsns[i]),
 			do(func(task *sim.Task) { finished[i] = task.Now() }))
 	}
 	env.RunAll()
@@ -122,8 +119,7 @@ func TestGroupCommit(t *testing.T) {
 	}
 
 	// Steady state: the same three committers, round after round, two
-	// forces a round; a round allocates nothing (appends to the record
-	// slice amortize away).
+	// forces a round; a round allocates nothing.
 	const period = 100 * time.Millisecond
 	for i := 0; i < 3; i++ {
 		var op ForceOp
@@ -136,7 +132,7 @@ func TestGroupCommit(t *testing.T) {
 					task.SleepUntil((task.Now()/period+1)*period + time.Duration(id)*time.Millisecond)
 					return false
 				case 1:
-					op.Init(l, l.Append(id, 7, id))
+					op.Init(l, l.Append())
 					pc = 2
 				default:
 					if !op.Step(task) {
@@ -175,7 +171,7 @@ func TestForcesSerializeOnDisk(t *testing.T) {
 	var lsn int64
 	simtest.Spawn(env,
 		sleep(time.Millisecond),
-		commit(l, 1, &lsn),
+		commit(l, &lsn),
 		do(func(task *sim.Task) { commitAt = task.Now() }))
 	env.RunAll()
 	if !other {
