@@ -107,7 +107,7 @@ seed-scan:
 	$(GO) test ./internal/rtdbs -run 'TestSeedScan$$' -seeds $(SEEDS) -timeout 0 -v
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
-# its committed corpus (CI runs the same six).
+# its committed corpus (CI runs the same seven).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLockTable -fuzztime $(FUZZTIME) ./internal/lockmgr/
@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzBatchSchedule -fuzztime $(FUZZTIME) ./internal/batch/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/rng/
+	$(GO) test -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/sim/
 
 # scenarios runs the committed .rts corpus and fails on any expect
 # violation; update-scenarios reruns it and rewrites the goldens. Both

@@ -20,9 +20,11 @@
 //
 // The kernel is built for a steady state that allocates nothing: event
 // records are pooled and recycled through a free list, the queue is a
-// monomorphic 4-ary heap (see heap.go), and the dominant event shapes
-// (task resume, hook delivery, wait timeouts) avoid closures entirely.
-// See DESIGN.md "Kernel internals and performance".
+// FIFO of events due at the current instant beside a monomorphic 4-ary
+// heap of later ones, from which canceled timers are compacted out (see
+// heap.go), and the dominant event shapes (task resume, hook delivery,
+// wait timeouts) avoid closures entirely. See DESIGN.md "Kernel
+// internals and performance".
 package sim
 
 import (
@@ -40,6 +42,13 @@ type Env struct {
 	pool   []eventRec // event payloads, addressed by heapEnt.idx
 	free   []int32    // recycled pool indices
 	seq    int64
+
+	// ready is the FIFO of pool indices posted for the current instant,
+	// consumed from readyHead; front says how it interleaves with the
+	// heap. dead counts the canceled entries still in the heap.
+	ready     []int32
+	readyHead int
+	dead      int
 
 	// genFloor is the starting generation for records appended after a
 	// pool trim; it stays ahead of every Timer handle issued for a
@@ -99,27 +108,48 @@ type Timer struct {
 // Cancel prevents the timer's event from firing. Canceling an already
 // fired or already canceled timer is a no-op. (The index bound check
 // covers handles whose record was trimmed by the pool-shrink pass.)
+// The entry stays queued and is skipped when it comes up, unless it is
+// in a heap of at least minEventPool entries whose canceled entries now
+// outnumber its live ones: then they are all compacted out.
 func (t Timer) Cancel() {
-	if t.env == nil || int(t.idx) >= len(t.env.pool) {
+	e := t.env
+	if e == nil || int(t.idx) >= len(e.pool) {
 		return
 	}
-	rec := &t.env.pool[t.idx]
-	if rec.gen == t.gen {
-		rec.canceled = true
+	rec := &e.pool[t.idx]
+	if rec.gen != t.gen || rec.canceled {
+		return
+	}
+	rec.canceled = true
+	if !rec.ready {
+		e.dead++
+		if e.halfDead() {
+			e.compact()
+		}
 	}
 }
 
 // post allocates a pooled event of the given kind at absolute time t
-// and pushes it on the queue. The caller fills in the payload via the
-// returned index. Scheduling in the past is a model error and panics.
+// and queues it: on the ready FIFO when t is the current instant, on
+// the heap otherwise. The caller fills in the payload via the returned
+// index. Scheduling in the past is a model error and panics.
 func (e *Env) post(t time.Duration, kind eventKind) int32 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	idx := e.allocEvent()
-	e.pool[idx].kind = kind
-	e.heapPush(heapEnt{at: t, seq: e.seq, idx: idx})
+	rec := &e.pool[idx]
+	rec.kind = kind
+	rec.ready = t == e.now
+	if rec.ready {
+		e.pushReady(idx)
+	} else {
+		e.heapPush(heapEnt{at: t, seq: e.seq, idx: idx})
+		if e.halfDead() {
+			e.compact()
+		}
+	}
 	return idx
 }
 
@@ -165,70 +195,105 @@ func (e *Env) scheduleTimeout(t time.Duration, kind eventKind, tk *Task) Timer {
 	return Timer{env: e, idx: idx, gen: e.pool[idx].gen}
 }
 
+// front discards canceled entries at the head of the queue and reports
+// the next live event: its time, and whether it is the heap top (else
+// the head of ready). ok is false when no live event remains.
+//
+// The order is (at, seq) throughout. A heap entry due now was posted
+// before the clock reached now, so it precedes everything in ready,
+// which was posted at now; ready is FIFO, which is seq order; and every
+// other heap entry is due later than all of ready.
+func (e *Env) front() (at time.Duration, inHeap, ok bool) {
+	for {
+		if len(e.events) > 0 && (e.events[0].at == e.now || e.readyHead == len(e.ready)) {
+			top := e.events[0]
+			if !e.pool[top.idx].canceled {
+				return top.at, true, true
+			}
+			e.heapPop()
+			e.dead--
+			e.recycle(top.idx)
+		} else if e.readyHead < len(e.ready) {
+			idx := e.ready[e.readyHead]
+			if !e.pool[idx].canceled {
+				return e.now, false, true
+			}
+			e.popReady()
+			e.recycle(idx)
+		} else {
+			return 0, false, false
+		}
+	}
+}
+
 // Step executes the single next event, advancing the clock to its time.
 // It reports false when no events remain.
 func (e *Env) Step() bool {
-	for len(e.events) > 0 {
-		ent := e.heapPop()
-		rec := &e.pool[ent.idx]
-		if rec.canceled {
-			e.recycle(ent.idx)
-			continue
-		}
-		e.now = ent.at
-		e.stepCount++
-		// Copy the payload out and recycle before running it: the
-		// handler may schedule new events into the reused slot.
-		kind := rec.kind
-		fn, tk, hook := rec.fn, rec.task, rec.hook
-		e.recycle(ent.idx)
-		switch kind {
-		case evResume:
-			tk.m.Resume()
-		case evFunc:
-			fn()
-		case evHook:
-			hook.RunEvent()
-		case evSignalTimeout:
-			w := &tk.wait
-			w.timedOut = true
-			if w.s != nil {
-				w.s.unlink(w)
-			}
-			tk.m.Resume()
-		case evResTimeout:
-			w := &tk.rwait
-			w.timedOut = true
-			if w.r != nil {
-				w.r.waiters.remove(w)
-				w.r = nil
-			}
-			tk.m.Resume()
-		}
-		if e.stepHook != nil {
-			e.stepHook()
-		}
-		return true
+	at, inHeap, ok := e.front()
+	if ok {
+		e.execute(at, inHeap)
 	}
-	return false
+	return ok
+}
+
+// execute dequeues and runs the live event front reported.
+func (e *Env) execute(at time.Duration, inHeap bool) {
+	var idx int32
+	if inHeap {
+		idx = e.heapPop().idx
+		e.now = at
+		if e.halfDead() {
+			e.compact()
+		}
+	} else {
+		idx = e.popReady()
+	}
+	rec := &e.pool[idx]
+	e.stepCount++
+	// Copy the payload out and recycle before running it: the handler
+	// may schedule new events into the reused slot.
+	kind := rec.kind
+	fn, tk, hook := rec.fn, rec.task, rec.hook
+	e.recycle(idx)
+	switch kind {
+	case evResume:
+		tk.m.Resume()
+	case evFunc:
+		fn()
+	case evHook:
+		hook.RunEvent()
+	case evSignalTimeout:
+		w := &tk.wait
+		w.timedOut = true
+		if w.s != nil {
+			w.s.unlink(w)
+		}
+		tk.m.Resume()
+	case evResTimeout:
+		w := &tk.rwait
+		w.timedOut = true
+		if w.r != nil {
+			w.r.waiters.remove(w)
+			w.r = nil
+		}
+		tk.m.Resume()
+	}
+	if e.stepHook != nil {
+		e.stepHook()
+	}
 }
 
 // Run executes events in order until the event queue is exhausted or the
-// next event lies beyond until. The clock is left at until (or at the last
-// executed event if the queue drained earlier than until and no later
-// events exist).
+// next event lies beyond until, then advances the clock to until if it
+// is behind it, whether or not events remain. An until behind the clock
+// executes nothing and leaves the clock where it is.
 func (e *Env) Run(until time.Duration) {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if e.pool[next.idx].canceled {
-			e.heapPop()
-			e.recycle(next.idx)
-			continue
-		}
-		if next.at > until {
+	for {
+		at, inHeap, ok := e.front()
+		if !ok || at > until {
 			break
 		}
-		e.Step()
+		e.execute(at, inHeap)
 	}
 	if e.now < until {
 		e.now = until

@@ -166,6 +166,33 @@ func TestRunStopsAtUntil(t *testing.T) {
 	}
 }
 
+// Run leaves the clock at until both when the queue drains before it and
+// when the next event lies beyond it; an until behind the clock executes
+// nothing and leaves the clock alone.
+func TestRunLeavesClockAtUntil(t *testing.T) {
+	env := sim.NewEnv()
+	env.Schedule(time.Second, func() {})
+	env.Run(5 * time.Second)
+	if env.Now() != 5*time.Second {
+		t.Fatalf("queue drained at 1s: Now = %v, want 5s", env.Now())
+	}
+	fired := false
+	env.Schedule(10*time.Second, func() { fired = true })
+	env.Run(8 * time.Second)
+	if fired || env.Now() != 8*time.Second {
+		t.Fatalf("next event at 15s: fired = %v, Now = %v, want false, 8s", fired, env.Now())
+	}
+	env.Schedule(0, func() { fired = true })
+	env.Run(3 * time.Second)
+	if fired || env.Now() != 8*time.Second {
+		t.Fatalf("until behind the clock: fired = %v, Now = %v, want false, 8s", fired, env.Now())
+	}
+	env.Run(20 * time.Second)
+	if !fired || env.Now() != 20*time.Second {
+		t.Fatalf("fired = %v, Now = %v, want true, 20s", fired, env.Now())
+	}
+}
+
 func TestTimerCancel(t *testing.T) {
 	env := sim.NewEnv()
 	fired := false

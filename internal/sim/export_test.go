@@ -1,5 +1,7 @@
 package sim
 
+import "time"
+
 // Waiters returns the number of tasks waiting on s. It walks the queue:
 // a signal is three words in every record that holds one, and only these
 // checks ask.
@@ -21,3 +23,19 @@ func (r *Resource) InUse() int { return r.inUse }
 // MailboxSignal returns the signal m's receivers park on, for a test
 // that waits on it with a timeout.
 func MailboxSignal[T any](m *Mailbox[T]) *Signal { return &m.sig }
+
+// peek reports the next live event Step would execute, looking at the
+// heap and the ready FIFO both: its time and pool index. It discards
+// canceled entries ahead of it, as Step would. ok is false when no live
+// event remains.
+func (e *Env) peek() (at time.Duration, idx int32, ok bool) {
+	at, inHeap, ok := e.front()
+	switch {
+	case !ok:
+		return 0, 0, false
+	case inHeap:
+		return at, e.events[0].idx, true
+	default:
+		return at, e.ready[e.readyHead], true
+	}
+}

@@ -2,18 +2,27 @@ package sim
 
 import "time"
 
-// The event queue is a concrete (monomorphic) 4-ary min-heap over small
-// value entries, paired with a pool of event payload records addressed
-// by index. Splitting the two keeps the parts the heap moves and
-// compares — (time, sequence, index) — in 24 contiguous bytes, so sift
-// operations never chase pointers, and lets fired or canceled events be
-// recycled through a free list instead of becoming garbage. A 4-ary
-// layout halves the tree depth of a binary heap, which matters because
-// the simulation's queue is popped once per event executed.
+// The event queue is two queues over one pool of event payload records
+// addressed by index: a FIFO of the events posted for the current
+// instant (ready), and a concrete (monomorphic) 4-ary min-heap of small
+// value entries for everything due later. Close to half of all events
+// are zero-delay resumes, signal wakes and grants; they never touch the
+// heap. Splitting entries from payloads keeps the parts the heap moves
+// and compares — (time, sequence, index) — in 24 contiguous bytes, so
+// sift operations never chase pointers, and lets fired or canceled
+// events be recycled through a free list instead of becoming garbage.
+// A 4-ary layout halves the tree depth of a binary heap.
 //
-// Determinism: ordering is exactly (at, seq), identical to the previous
-// container/heap implementation, so event execution order — and
-// therefore every golden file — is unchanged.
+// Canceling marks a record dead and leaves its entry queued, to be
+// skipped when it comes up. Almost every deadline timeout is canceled
+// long before its deadline, so the heap counts its dead entries, and
+// once they outnumber the live ones (in a heap of at least minEventPool
+// entries) it drops them all and re-heapifies in place: the heap never
+// holds more than twice its live entries, at O(1) amortized per cancel.
+//
+// Determinism: ordering is exactly (at, seq) — see Env.front for why
+// the FIFO preserves it — so event execution order, and therefore every
+// golden file, is independent of where an entry waits.
 
 // eventKind discriminates the payload of a pooled event record. The
 // non-func kinds are closure-free fast paths for the dominant event
@@ -37,12 +46,15 @@ const (
 
 // eventRec is a pooled event payload. Records live in Env.pool and are
 // addressed by heap-entry index; gen increments on every recycle so
-// stale Timer handles can detect that their event is gone. freed marks
-// records currently on the free list, which lets the pool-shrink pass
-// trim trailing idle records after a burst drains.
+// stale Timer handles can detect that their event is gone. ready marks
+// a record queued on the ready FIFO rather than the heap, so a cancel
+// counts only heap entries toward compaction. freed marks records
+// currently on the free list, which lets the pool-shrink pass trim
+// trailing idle records after a burst drains.
 type eventRec struct {
 	kind     eventKind
 	canceled bool
+	ready    bool
 	freed    bool
 	gen      uint32
 	fn       func()
@@ -88,6 +100,12 @@ func (e *Env) allocEvent() int32 {
 // recycled record leaves the pool with an idle tail, the pool is
 // trimmed so a drained burst does not hold its peak footprint forever.
 func (e *Env) recycle(idx int32) {
+	e.release(idx)
+	e.trimIdleTail()
+}
+
+// release is recycle without the trim check.
+func (e *Env) release(idx int32) {
 	rec := &e.pool[idx]
 	rec.gen++
 	rec.fn = nil
@@ -96,6 +114,9 @@ func (e *Env) recycle(idx int32) {
 	rec.canceled = false
 	rec.freed = true
 	e.free = append(e.free, idx)
+}
+
+func (e *Env) trimIdleTail() {
 	if len(e.pool) > minEventPool && e.pool[len(e.pool)-1].freed {
 		e.shrinkPool()
 	}
@@ -145,6 +166,65 @@ func (e *Env) shrinkPool() {
 	if cap(e.events) >= 4*minEventPool && 4*len(e.events) < cap(e.events) {
 		e.events = append(make([]heapEnt, 0, 2*len(e.events)+minEventPool), e.events...)
 	}
+	if n := len(e.ready) - e.readyHead; cap(e.ready) >= 4*minEventPool && 4*n < cap(e.ready) {
+		e.ready = append(make([]int32, 0, 2*n+minEventPool), e.ready[e.readyHead:]...)
+		e.readyHead = 0
+	}
+}
+
+// pushReady appends idx to the ready FIFO. When the FIFO is full and at
+// least half of it is consumed, the unconsumed part moves to the front
+// first, so a long chain of same-instant events runs in bounded space.
+func (e *Env) pushReady(idx int32) {
+	if len(e.ready) == cap(e.ready) && e.readyHead > 0 && 2*e.readyHead >= len(e.ready) {
+		n := copy(e.ready, e.ready[e.readyHead:])
+		e.ready = e.ready[:n]
+		e.readyHead = 0
+	}
+	e.ready = append(e.ready, idx)
+}
+
+// popReady removes and returns the head of the ready FIFO; a drained
+// FIFO rewinds to the start of its array.
+func (e *Env) popReady() int32 {
+	idx := e.ready[e.readyHead]
+	e.readyHead++
+	if e.readyHead == len(e.ready) {
+		e.ready = e.ready[:0]
+		e.readyHead = 0
+	}
+	return idx
+}
+
+// halfDead reports whether the heap's canceled entries are more than
+// half of a heap of at least minEventPool entries. Every heap push, live
+// pop and cancel checks it, so the heap never holds more than
+// max(minEventPool, 2 × live) entries.
+func (e *Env) halfDead() bool {
+	return 2*e.dead > len(e.events) && len(e.events) >= minEventPool
+}
+
+// compact drops the heap's canceled entries, recycling their records,
+// and rebuilds the heap in place bottom-up (Floyd's construction,
+// O(n)). It runs when halfDead, so the rebuild is paid for by the more
+// than n/2 cancels since the last one.
+func (e *Env) compact() {
+	h := e.events
+	w := 0
+	for _, ent := range h {
+		if e.pool[ent.idx].canceled {
+			e.release(ent.idx)
+		} else {
+			h[w] = ent
+			w++
+		}
+	}
+	e.events = h[:w]
+	e.dead = 0
+	for i := (w - 2) >> 2; i >= 0; i-- {
+		e.siftDown(i, h[i])
+	}
+	e.trimIdleTail()
 }
 
 func (e *Env) heapPush(ent heapEnt) {
@@ -170,16 +250,16 @@ func (e *Env) heapPop() heapEnt {
 	last := h[n]
 	e.events = h[:n]
 	if n > 0 {
-		e.siftDown(last)
+		e.siftDown(0, last)
 	}
 	return top
 }
 
-// siftDown places ent, notionally at the root, into its final position.
-func (e *Env) siftDown(ent heapEnt) {
+// siftDown places ent, notionally at index i, into its final position
+// in the subtree rooted there.
+func (e *Env) siftDown(i int, ent heapEnt) {
 	h := e.events
 	n := len(h)
-	i := 0
 	for {
 		first := i<<2 + 1
 		if first >= n {

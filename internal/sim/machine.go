@@ -67,8 +67,9 @@ func (e *Env) Spawn(t *Task, m Machine) {
 
 // Grow reserves room for n more machines and one pending event apiece:
 // an owner about to spawn a population whose size it knows says so
-// once, and the registry, the event pool, its free list and the heap are
-// sized once instead of by repeated append growth. It reserves capacity
+// once, and the registry, the event pool, its free list, the heap and
+// the ready FIFO (where the spawns' first resumes wait) are sized once
+// instead of by repeated append growth. It reserves capacity
 // only — no event is queued and no sequence number taken — so a run
 // executes the same (at, seq) sequence with or without the call.
 func (e *Env) Grow(n int) {
@@ -76,6 +77,7 @@ func (e *Env) Grow(n int) {
 	e.pool = slices.Grow(e.pool, n)
 	e.free = slices.Grow(e.free, n)
 	e.events = slices.Grow(e.events, n)
+	e.ready = slices.Grow(e.ready, n)
 }
 
 // adopt registers m without scheduling a resume: the machine starts

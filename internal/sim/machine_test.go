@@ -504,7 +504,11 @@ func TestGrowThenSpawnNoAllocs(t *testing.T) {
 	defer env.Close()
 	ms := make([]sleeperMachine, (runs+1)*n) // AllocsPerRun warms up with one extra call
 	env.Grow(len(ms))
-	next := 0
+	caps := func() [5]int {
+		return [5]int{cap(env.tasks), cap(env.pool), cap(env.free), cap(env.events), cap(env.ready)}
+	}
+	grown := caps()
+	next, queued := 0, n
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < n; i++ {
 			m := &ms[next]
@@ -512,12 +516,19 @@ func TestGrowThenSpawnNoAllocs(t *testing.T) {
 			m.d = time.Hour
 			env.Spawn(&m.task, m)
 		}
+		queued = min(queued, len(env.ready)-env.readyHead)
 		for i := 0; i < n; i++ {
 			env.Step()
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("spawning and stepping %d machines after Grow allocates %.1f objects, want 0", n, allocs)
+	}
+	if queued != n {
+		t.Errorf("%d of %d first resumes queued on the ready FIFO, want all", queued, n)
+	}
+	if got := caps(); got != grown {
+		t.Errorf("capacities of registry, pool, free list, heap, ready FIFO went from %v after Grow to %v", grown, got)
 	}
 	if got := env.liveTasks; got != len(ms) {
 		t.Errorf("%d machines live, want %d", got, len(ms))
@@ -535,13 +546,16 @@ func (m *rearmingWaiter) Resume() { m.task.WaitTimeout(m.s, m.d) }
 
 // Grow reserves capacity and nothing else: a model of sleepers, a
 // mailbox fed by timers and a waiter whose timeouts are canceled
-// executes the same (at, seq) sequence with the call and without it.
+// executes the same events in the same order, taking the same sequence
+// numbers, with the call and without it. The spawns' first resumes wait
+// in the ready FIFO, so the order is read through peek, which sees both
+// queues.
 func TestGrowLeavesEventOrderAlone(t *testing.T) {
 	type key struct {
 		at  time.Duration
-		seq int64
+		idx int32
 	}
-	run := func(grow bool) (order []key, drained []int) {
+	run := func(grow bool) (order []key, drained []int, seq int64) {
 		env := NewEnv()
 		defer env.Close()
 		const n = 40
@@ -567,22 +581,125 @@ func TestGrowLeavesEventOrderAlone(t *testing.T) {
 				}
 			})
 		}
-		for len(env.events) > 0 && env.events[0].at <= 60*time.Millisecond {
-			order = append(order, key{env.events[0].at, env.events[0].seq})
+		for {
+			at, idx, ok := env.peek()
+			if !ok || at > 60*time.Millisecond {
+				break
+			}
+			order = append(order, key{at, idx})
 			env.Step()
 		}
-		return order, d.got
+		return order, d.got, env.seq
 	}
-	plain, plainGot := run(false)
-	grown, grownGot := run(true)
+	plain, plainGot, plainSeq := run(false)
+	grown, grownGot, grownSeq := run(true)
 	if len(plain) < 400 {
 		t.Fatalf("only %d events: the model is too small to say anything", len(plain))
 	}
 	if !slices.Equal(plain, grown) {
 		t.Errorf("event order differs with Grow: %d events without, %d with", len(plain), len(grown))
 	}
+	if plainSeq != grownSeq {
+		t.Errorf("%d sequence numbers taken without Grow, %d with", plainSeq, grownSeq)
+	}
 	if !slices.Equal(plainGot, grownGot) {
 		t.Errorf("mailbox drained %v without Grow, %v with", plainGot, grownGot)
+	}
+}
+
+// firingTicker fires one of its signals, round robin, every millisecond.
+type firingTicker struct {
+	task Task
+	sigs []*Signal
+	n    int
+}
+
+func (m *firingTicker) Resume() {
+	m.sigs[m.n%len(m.sigs)].Fire()
+	m.n++
+	m.task.Sleep(time.Millisecond)
+}
+
+// A deadline-style timeout is armed for every wait and canceled when the
+// wait ends well before it: waiters re-arm an hour-long timeout on every
+// wake, and a ticker wakes one of them each millisecond, canceling its
+// timeout. The canceled entries are compacted out, so the heap never
+// holds more than max(minEventPool, 2 × live) entries where it would
+// otherwise gather one per wake for the hour; and the arm, cancel and
+// step cycle allocates nothing, compactions included.
+func TestCanceledTimersCompacted(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	const waiters, steps = 4, 20000
+	ws := make([]rearmingWaiter, waiters)
+	tick := &firingTicker{}
+	for i := range ws {
+		ws[i] = rearmingWaiter{s: NewSignal(env), d: time.Hour}
+		tick.sigs = append(tick.sigs, ws[i].s)
+		env.Spawn(&ws[i].task, &ws[i])
+	}
+	env.Spawn(&tick.task, tick)
+	bound := func() {
+		t.Helper()
+		live := 0
+		for _, ent := range env.events {
+			if !env.pool[ent.idx].canceled {
+				live++
+			}
+		}
+		if len(env.events) > max(minEventPool, 2*live) {
+			t.Fatalf("at %v the heap holds %d entries for %d live ones", env.now, len(env.events), live)
+		}
+	}
+	for i := 0; i < steps; i++ {
+		env.Step()
+		bound()
+	}
+	allocs := testing.AllocsPerRun(steps, func() { env.Step() })
+	bound()
+	if allocs != 0 {
+		t.Errorf("arming, canceling and stepping allocates %.2f objects a step, want 0", allocs)
+	}
+	if env.now < 10*time.Second {
+		t.Fatalf("only reached %v: the ticker did not run", env.now)
+	}
+
+	// A timer canceled on the ready FIFO is skipped where it stands and
+	// never counts toward a heap compaction.
+	dead := env.dead
+	ran := false
+	env.Schedule(0, func() { ran = true }).Cancel()
+	if env.dead != dead {
+		t.Errorf("canceling a ready entry moved the heap's dead count from %d to %d", dead, env.dead)
+	}
+	env.Step()
+	if ran {
+		t.Error("a canceled ready entry ran")
+	}
+}
+
+// Two chains of zero-delay events that run interleaved within one
+// instant keep the ready FIFO never empty; it still runs in the space
+// of the events in flight, not of every event the instant executes.
+func TestReadyFIFOBoundedWithinAnInstant(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	const n = 10000
+	runs := 0
+	var chain func()
+	chain = func() {
+		if runs++; runs < n {
+			env.Schedule(0, chain)
+		}
+	}
+	env.Schedule(0, chain)
+	env.Schedule(0, chain)
+	env.RunAll()
+	if runs != n+1 || env.now != 0 {
+		t.Fatalf("ran %d events ending at %v, want %d at 0", runs, env.now, n+1)
+	}
+	if cap(env.ready) > minEventPool {
+		t.Errorf("ready FIFO grew to capacity %d for two events in flight", cap(env.ready))
 	}
 }
 
