@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint study-lint state-lint dead-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint park-lint study-lint state-lint dead-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,16 @@ loc:
 proc-lint:
 	@if grep -rnE 'sim\.Proc|\.Go\("' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/'; then \
 		echo 'proc-lint: goroutine processes are kernel-internal; write a sim.Machine' >&2; exit 1; fi
+
+# park-lint keeps device service and bounded waits in the kernel: a
+# machine uses a device (take a unit, hold it for the service time, give
+# it back) through sim.HoldOp and waits for a condition until a deadline
+# through sim.WaitOp, so Task.Acquire, Task.WaitTimeout and Task.TimedOut
+# have no caller outside internal/sim and bench/. AcquireTimeout stays
+# open: admission keeps its unit after the wait, which is not a hold.
+park-lint:
+	@if grep -rnE '\.(Acquire|WaitTimeout)\(|\.TimedOut\(\)' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/|_test\.go:'; then \
+		echo 'park-lint: use a device through sim.HoldOp, wait with a deadline through sim.WaitOp' >&2; exit 1; fi
 
 # dead-lint fails on an exported identifier of a package under internal/
 # that no non-test file of the module or of bench/ refers to, and on a

@@ -55,10 +55,10 @@ type txnMachine struct {
 	pt        pendingTxn
 	sendKind  uint8
 	awRTO     time.Duration
+	awUntil   time.Duration
 	awAttempt int
-	awFinal   bool
 	awPC      uint8
-	wft       wftOp
+	wait      sim.WaitOp
 
 	// sequential-fetch cursor into missing.
 	seqIdx int
@@ -88,7 +88,7 @@ type txnMachine struct {
 	attempt int
 	missing []txn.Op
 	scanIdx int
-	diskPC  uint8
+	disk    sim.HoldOp
 }
 
 // Transaction machine states.
@@ -105,6 +105,7 @@ const (
 	tsLock
 	tsMatBegin
 	tsScan
+	tsDiskRead
 	tsScanDone
 	tsProbeWait
 	tsCommitWait
@@ -131,14 +132,6 @@ const (
 	skProbe
 	skCommit
 	skSeq
-)
-
-// Local-disk charge sub-states.
-const (
-	dcIdle uint8 = iota
-	dcAcquire
-	dcSleep
-	dcRelease
 )
 
 // spawnTxn starts a transaction machine in the given entry mode, in a
@@ -235,6 +228,16 @@ func (m *txnMachine) step() bool {
 		m.pc = tsScan
 	case tsScan:
 		return m.stepScan()
+	case tsDiskRead:
+		// An access found in the disk tier reads it from the local disk.
+		if done, _ := m.disk.Step(&m.task, c.localDisk, 0, c.cfg.DiskRead, 0); !done {
+			return true
+		}
+		if m.owns {
+			c.tr.Mark(t.ID, c.id, trace.CompExec, m.task.Now())
+		}
+		m.scanIdx++
+		m.pc = tsScan
 	case tsScanDone:
 		return m.stepScanDone()
 	case tsProbeWait:
@@ -431,10 +434,7 @@ func (m *txnMachine) stepFanout() bool {
 	c, t := m.c, m.t
 	for m.waitIdx < len(m.results) {
 		w := m.results[m.waitIdx]
-		if !m.wft.armed {
-			m.wft.arm(&w.sig, m.grace)
-		}
-		done, _ := m.wft.step(&m.task, w.done)
+		done, _ := m.wait.Step(&m.task, &w.sig, m.grace, w.done)
 		if !done {
 			return true
 		}
@@ -533,20 +533,10 @@ func (m *txnMachine) stepLock() bool {
 }
 
 // stepScan is the materialization presence scan: ensure every access is
-// cached with a sufficient lock, charging local-disk time for copies
-// that aged to the disk tier, and collect the misses.
+// cached with a sufficient lock, charging local-disk time (tsDiskRead)
+// for copies that aged to the disk tier, and collect the misses.
 func (m *txnMachine) stepScan() bool {
-	c, t := m.c, m.t
-	if m.diskPC != dcIdle {
-		// Resuming mid-charge for ops[scanIdx].
-		if !m.stepDiskCharge() {
-			return true
-		}
-		if m.owns {
-			c.tr.Mark(t.ID, c.id, trace.CompExec, m.task.Now())
-		}
-		m.scanIdx++
-	}
+	c := m.c
 	for m.scanIdx < len(m.ops) {
 		op := m.ops[m.scanIdx]
 		e := c.objects.Peek(op.Obj)
@@ -567,41 +557,13 @@ func (m *txnMachine) stepScan() bool {
 		_, tier, evicted := c.objects.Lookup(op.Obj)
 		c.returnEvicted(evicted)
 		if tier == cache.TierDisk {
-			m.diskPC = dcAcquire
-			if !m.stepDiskCharge() {
-				return true
-			}
-			if m.owns {
-				c.tr.Mark(t.ID, c.id, trace.CompExec, m.task.Now())
-			}
+			m.pc = tsDiskRead
+			return false
 		}
 		m.scanIdx++
 	}
 	m.pc = tsScanDone
 	return false
-}
-
-// stepDiskCharge serializes on the local disk arm for one read; true
-// means the charge completed.
-func (m *txnMachine) stepDiskCharge() bool {
-	c := m.c
-	for {
-		switch m.diskPC {
-		case dcAcquire:
-			m.diskPC = dcSleep
-			if !m.task.Acquire(c.localDisk, 0) {
-				return false
-			}
-		case dcSleep:
-			m.diskPC = dcRelease
-			m.task.Sleep(c.cfg.DiskRead)
-			return false
-		default: // dcRelease
-			c.localDisk.Release()
-			m.diskPC = dcIdle
-			return true
-		}
-	}
 }
 
 // stepScanDone decides the materialization round's outcome: pin the
@@ -892,40 +854,6 @@ func (m *txnMachine) reportResult(committed bool) {
 	}
 }
 
-// wftOp mirrors Proc.WaitForTimeout for machines: wait until a
-// caller-evaluated condition holds or an absolute deadline passes. The
-// caller re-evaluates the condition at every resume and passes it in.
-type wftOp struct {
-	sig      *sim.Signal
-	deadline time.Duration
-	armed    bool
-	waited   bool
-}
-
-func (w *wftOp) arm(sig *sim.Signal, deadline time.Duration) {
-	w.sig, w.deadline, w.armed, w.waited = sig, deadline, true, false
-}
-
-// step advances the wait; done=false means the task parked. ok reports
-// whether the condition held.
-func (w *wftOp) step(t *sim.Task, cond bool) (done, ok bool) {
-	if cond {
-		w.armed = false
-		return true, true
-	}
-	if w.waited && t.TimedOut() {
-		w.armed = false
-		return true, false
-	}
-	if t.Now() >= w.deadline {
-		w.armed = false
-		return true, false
-	}
-	w.waited = true
-	t.WaitTimeout(w.sig, w.deadline-t.Now())
-	return false, false
-}
-
 // Await sub-states.
 const (
 	awIdle uint8 = iota
@@ -954,23 +882,19 @@ func (m *txnMachine) awaitStep() (done, ok bool) {
 	for {
 		switch m.awPC {
 		case awIdle:
-			if c.rto <= 0 {
-				m.awFinal = true
-				m.wft.arm(&pt.sig, t.Deadline)
-			} else if next := m.task.Now() + m.awRTO; next >= t.Deadline {
-				m.awFinal = true
-				m.wft.arm(&pt.sig, t.Deadline)
-			} else {
-				m.awFinal = false
-				m.wft.arm(&pt.sig, next)
+			// The last window ends at the deadline; an earlier one at the
+			// retransmission timer.
+			m.awUntil = t.Deadline
+			if next := m.task.Now() + m.awRTO; c.rto > 0 && next < t.Deadline {
+				m.awUntil = next
 			}
 			m.awPC = awWait
 		default: // awWait
-			d, ok := m.wft.step(&m.task, m.awaitCond())
+			d, ok := m.wait.Step(&m.task, &pt.sig, m.awUntil, m.awaitCond())
 			if !d {
 				return false, false
 			}
-			if ok || m.awFinal {
+			if ok || m.awUntil == t.Deadline {
 				if m.owns {
 					c.tr.MarkWait(t.ID, c.id, m.task.Now(), pt.netAccum)
 				}

@@ -397,6 +397,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: unknown scheduling policy %d", int(c.Scheduling))
 	case c.Topology < 0 || c.Topology > TopologySwitched:
 		return fmt.Errorf("config: unknown topology %d", int(c.Topology))
+	case c.NetLatency < 0:
+		return errors.New("config: NetLatency must be non-negative")
+	case !(c.NetBandwidthBps > 0):
+		return fmt.Errorf("config: NetBandwidthBps %v must be positive", c.NetBandwidthBps)
+	case c.DiskRead < 0 || c.DiskWrite < 0:
+		return errors.New("config: DiskRead and DiskWrite must be non-negative")
+	case c.ServerOpCPU < 0:
+		return errors.New("config: ServerOpCPU must be non-negative")
 	case c.HotRegionSize <= 0 || c.HotRegionSize > c.DBSize:
 		return fmt.Errorf("config: HotRegionSize %d out of (0,%d]", c.HotRegionSize, c.DBSize)
 	case c.LocalFraction < 0 || c.LocalFraction > 1:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -88,6 +89,12 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		func(c *Config) { c.Drain = -time.Second },
 		func(c *Config) { c.Warmup = c.Duration },
 		func(c *Config) { c.ZipfTheta = 0 },
+		func(c *Config) { c.NetLatency = -time.Second }, // would deliver before the send
+		func(c *Config) { c.NetBandwidthBps = 0 },       // netsim would run it at 10 Mbps
+		func(c *Config) { c.NetBandwidthBps = math.NaN() },
+		func(c *Config) { c.DiskRead = -time.Millisecond }, // a negative device time is not a free device
+		func(c *Config) { c.DiskWrite = -time.Millisecond },
+		func(c *Config) { c.ServerOpCPU = -time.Millisecond },
 		func(c *Config) { c.OutageClient, c.OutageDuration, c.OutageAt = 1, time.Minute, -time.Second },
 	}
 	for i, corrupt := range cases {
@@ -96,6 +103,16 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: corrupted config passed validation", i)
 		}
+	}
+}
+
+// A zero device time is legal: the device is free and nothing queues
+// for it (sim.HoldOp's zero-time rule).
+func TestValidateZeroDeviceTimes(t *testing.T) {
+	c := Default(10, 0.05)
+	c.NetLatency, c.DiskRead, c.DiskWrite, c.ServerOpCPU = 0, 0, 0, 0
+	if err := c.Validate(); err != nil {
+		t.Errorf("zero device times rejected: %v", err)
 	}
 }
 

@@ -27,11 +27,13 @@ var (
 // Otherwise the task parked on the request's waker (the op's own
 // signal: an op in use must not move), which the table broadcasts
 // whichever call admits the request: call Step from every following
-// Resume until done.
+// Resume until done. The wait is a sim.WaitOp for the grant, so a
+// request granted in the same instant as its timeout is granted.
 type LockOp struct {
 	tb   *Table
 	req  *Request
 	wake sim.Signal
+	wait sim.WaitOp
 }
 
 // Start issues the request and runs up to the first park.
@@ -46,34 +48,20 @@ func (o *LockOp) Start(tb *Table, t *sim.Task, req *Request) (bool, error) {
 	}
 	o.wake.Init(t.Env())
 	req.wake = &o.wake
-	return o.wait(t)
+	return o.Step(t)
 }
 
-// Step continues after a park. A request granted in the same instant as
-// its timeout is granted.
+// Step continues after a park.
 func (o *LockOp) Step(t *sim.Task) (bool, error) {
-	if t.TimedOut() && !o.req.GrantedNow() {
-		return o.expire()
+	done, granted := o.wait.Step(t, &o.wake, o.req.Deadline, o.req.GrantedNow())
+	if !done {
+		return false, nil
 	}
-	return o.wait(t)
-}
-
-// wait is the grant-recheck loop: resolve if granted, expire if the
-// deadline passed, otherwise park until woken.
-func (o *LockOp) wait(t *sim.Task) (bool, error) {
-	if o.req.GrantedNow() {
-		return true, nil
+	if !granted {
+		o.tb.Cancel(o.req)
+		return true, ErrDeadline
 	}
-	remain := o.req.Deadline - t.Now()
-	if remain <= 0 || !t.WaitTimeout(o.req.wake, remain) {
-		return o.expire()
-	}
-	return false, nil
-}
-
-func (o *LockOp) expire() (bool, error) {
-	o.tb.Cancel(o.req)
-	return true, ErrDeadline
+	return true, nil
 }
 
 // SeqLockOp acquires a list of locks one after another, in the order

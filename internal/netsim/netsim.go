@@ -137,7 +137,8 @@ type Config struct {
 	// Latency is the fixed per-message cost (propagation plus protocol
 	// stack).
 	Latency time.Duration
-	// BandwidthBps is the shared-medium capacity in bits per second.
+	// BandwidthBps is the shared-medium capacity in bits per second;
+	// it must be positive (config.Validate rejects any other).
 	BandwidthBps float64
 	// Switched delivers every message at full bandwidth (a non-blocking
 	// switch) instead of serializing transmissions on one bus. Message
@@ -185,9 +186,6 @@ func (n *Network) SetTrace(fn func(Message)) { n.trace = fn }
 
 // New returns a network on env.
 func New(env *sim.Env, cfg Config) *Network {
-	if cfg.BandwidthBps <= 0 {
-		cfg.BandwidthBps = 10e6
-	}
 	return &Network{env: env, cfg: cfg}
 }
 

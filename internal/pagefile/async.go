@@ -5,63 +5,45 @@ import "siteselect/internal/sim"
 // The pool and disk operations that take virtual time. Each is a
 // resumable op embedded in the calling sim.Machine: Init (or start) arms
 // it, and Step is called from every Resume until it reports done; a
-// false return means the task parked on exactly one primitive (the disk
-// arm, the access timer, a loading frame's signal, or the pool's free
-// signal).
+// false return means the task parked on exactly one primitive: a
+// loading frame's signal, the pool's free signal, or the disk arm and
+// its access timer, which a disk access uses through the kernel's
+// sim.HoldOp.
 
-// ioOp is one disk access: acquire the arm, hold it for the access
-// time, release, count, move the stamp. stamp is what a write stores
-// and, once step reports done, what a read found; pages never written
-// read as zero.
+// ioOp is one disk access: hold the arm for the access time, then count
+// and move the stamp. stamp is what a write stores and, once step
+// reports done, what a read found; pages never written read as zero.
 type ioOp struct {
 	d     *Disk
 	id    PageID
 	stamp uint64
 	write bool
-	pc    uint8
+	arm   sim.HoldOp
 }
 
-const (
-	ioAcquire uint8 = iota
-	ioSleep
-	ioFinish
-)
-
 func (o *ioOp) start(d *Disk, write bool, id PageID, stamp uint64) {
-	o.d, o.id, o.stamp, o.write, o.pc = d, id, stamp, write, ioAcquire
+	o.d, o.id, o.stamp, o.write = d, id, stamp, write
 }
 
 // step advances the access; false means the task parked and step must
 // run again on the next resume.
 func (o *ioOp) step(t *sim.Task) bool {
-	for {
-		switch o.pc {
-		case ioAcquire:
-			o.pc = ioSleep
-			if !t.Acquire(o.d.arm, 0) {
-				return false
-			}
-		case ioSleep:
-			o.pc = ioFinish
-			if o.write {
-				t.Sleep(o.d.cfg.WriteTime)
-			} else {
-				t.Sleep(o.d.cfg.ReadTime)
-			}
-			return false
-		default: // ioFinish
-			d := o.d
-			d.arm.Release()
-			if o.write {
-				d.Writes++
-				d.pages[o.id] = o.stamp
-			} else {
-				d.Reads++
-				o.stamp = d.pages[o.id]
-			}
-			return true
-		}
+	d := o.d
+	access := d.cfg.ReadTime
+	if o.write {
+		access = d.cfg.WriteTime
 	}
+	if done, _ := o.arm.Step(t, d.arm, 0, access, 0); !done {
+		return false
+	}
+	if o.write {
+		d.Writes++
+		d.pages[o.id] = o.stamp
+	} else {
+		d.Reads++
+		o.stamp = d.pages[o.id]
+	}
+	return true
 }
 
 // allocAction is what allocate decided.

@@ -200,45 +200,34 @@ type ceServeMachine struct {
 	task sim.Task
 	ce   *ceCore
 	pc   uint8
+	cpu  sim.HoldOp
 	t    *txn.Transaction
 }
 
 const (
-	csIdle uint8 = iota
-	csCPUSleep
-	csSpawn
+	csRecv uint8 = iota
+	csCharge
 )
 
 func (m *ceServeMachine) Resume() {
 	ce := m.ce
 	for {
 		switch m.pc {
-		case csIdle:
+		case csRecv:
 			msg, ok := ce.inbox.Recv(&m.task)
 			if !ok {
 				return
 			}
 			m.t = msg.Payload.(*proto.TxnSubmit).T
 			ce.release(msg)
-			if ce.cfg.ServerOpCPU <= 0 {
-				m.pc = csSpawn
-				continue
-			}
-			m.pc = csCPUSleep
-			if !m.task.Acquire(ce.cpu, 0) {
+			m.pc = csCharge
+		default: // csCharge
+			if done, _ := m.cpu.Step(&m.task, ce.cpu, 0, ce.cfg.ServerOpCPU, 0); !done {
 				return
-			}
-		case csCPUSleep:
-			m.pc = csSpawn
-			m.task.Sleep(ce.cfg.ServerOpCPU)
-			return
-		default: // csSpawn
-			if ce.cfg.ServerOpCPU > 0 {
-				ce.cpu.Release()
 			}
 			ce.spawn(m.t)
 			m.t = nil
-			m.pc = csIdle
+			m.pc = csRecv
 		}
 	}
 }
@@ -254,6 +243,7 @@ func (m *ceServeMachine) Resume() {
 // added (Figures 3–5).
 type ceRead struct {
 	pc     uint8
+	cpu    sim.HoldOp
 	idx    int
 	frames []*pagefile.Frame
 	get    pagefile.GetOp
@@ -261,9 +251,7 @@ type ceRead struct {
 
 const (
 	rdNext uint8 = iota
-	rdCPUWait
-	rdCPUBusy
-	rdCPUDone
+	rdCharge
 	rdPage
 )
 
@@ -293,31 +281,16 @@ func (r *ceRead) step(ce *ceCore, task *sim.Task, t *txn.Transaction, prio float
 			if r.idx >= len(t.Ops) {
 				return readDone
 			}
-			if ce.cfg.ServerOpCPU <= 0 {
-				r.pc = rdCPUDone
-				continue
-			}
-			switch task.AcquireTimeout(ce.cpu, prio, t.Deadline-task.Now()) {
-			case sim.AcquireGranted:
-				r.pc = rdCPUBusy
-			case sim.AcquireTimedOut:
-				return readLate
-			default:
-				r.pc = rdCPUWait
+			r.pc = rdCharge
+		case rdCharge:
+			// The CPU is served in EDF order, and a transaction whose
+			// deadline passes in the queue gives up its place.
+			done, ok := r.cpu.Step(task, ce.cpu, prio, ce.cfg.ServerOpCPU, t.Deadline)
+			if !done {
 				return readParked
 			}
-		case rdCPUWait:
-			if task.ResTimedOut() {
+			if !ok {
 				return readLate
-			}
-			r.pc = rdCPUBusy
-		case rdCPUBusy:
-			r.pc = rdCPUDone
-			task.Sleep(ce.cfg.ServerOpCPU)
-			return readParked
-		case rdCPUDone:
-			if ce.cfg.ServerOpCPU > 0 {
-				ce.cpu.Release()
 			}
 			r.get.Init(ce.pool, pagefile.PageID(t.Ops[r.idx].Obj))
 			r.pc = rdPage

@@ -111,10 +111,12 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 
 // TestConnMachineSize pins the per-connection handler: the server keeps
 // one per attached client, so it holds a message's payload and a
-// borrowed install op, never a 2 KB page buffer or an op by value.
+// borrowed install op, never a 2 KB page buffer or an op by value. The
+// CPU charge is a one-byte sim.HoldOp beside the other small fields; an
+// op that stored its arguments would cost 40 B per client per shard.
 func TestConnMachineSize(t *testing.T) {
-	if got := unsafe.Sizeof(connMachine{}); got > 256 {
-		t.Errorf("unsafe.Sizeof(connMachine) = %d B, ceiling 256 B", got)
+	if got := unsafe.Sizeof(connMachine{}); got > 200 {
+		t.Errorf("unsafe.Sizeof(connMachine) = %d B, ceiling 200 B", got)
 	}
 }
 

@@ -436,14 +436,14 @@ type connMachine struct {
 	inbox   *sim.Mailbox[netsim.Message]
 	pc      uint8
 	shared  bool
+	cpu     sim.HoldOp
 	payload any
 	put     *pagefile.PutOp
 }
 
 const (
 	csRecv uint8 = iota
-	csCPUSleep
-	csHandle
+	csCharge
 	csPut
 )
 
@@ -457,21 +457,10 @@ func (m *connMachine) Resume() {
 				return
 			}
 			m.payload, m.shared = msg.Payload, msg.Shared
-			if s.cfg.ServerOpCPU <= 0 {
-				m.pc = csHandle
-				continue
-			}
-			m.pc = csCPUSleep
-			if !m.task.Acquire(s.cpu, 0) {
+			m.pc = csCharge
+		case csCharge:
+			if done, _ := m.cpu.Step(&m.task, s.cpu, 0, s.cfg.ServerOpCPU, 0); !done {
 				return
-			}
-		case csCPUSleep:
-			m.pc = csHandle
-			m.task.Sleep(s.cfg.ServerOpCPU)
-			return
-		case csHandle:
-			if s.cfg.ServerOpCPU > 0 {
-				s.cpu.Release()
 			}
 			m.pc = csRecv
 			switch pl := m.payload.(type) {

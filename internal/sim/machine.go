@@ -21,6 +21,11 @@ import (
 //   - A machine must never arm two waits from one Resume, and must not
 //     call Resume on itself.
 //
+// A machine that uses a device (take a unit, hold it for a service time,
+// give it back) does so through an embedded HoldOp, and one that waits
+// for a condition until a deadline through a WaitOp: those two are the
+// only users of Acquire, WaitTimeout and TimedOut outside this package.
+//
 // Proc, the legacy goroutine process, is itself a Machine whose Resume
 // is a channel handoff.
 type Machine interface {

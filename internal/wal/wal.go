@@ -66,19 +66,20 @@ func (l *Log) Append() int64 {
 // ForceOp makes every record up to an LSN durable: a resumable op
 // embedded in the committing sim.Machine. Concurrent committers
 // piggyback on the in-progress force when it will cover them, or join
-// the next one (group commit).
+// the next one (group commit). The leader's force is a sim.HoldOp on the
+// log disk.
 type ForceOp struct {
 	l      *Log
 	lsn    int64
 	target int64
 	pc     uint8
+	disk   sim.HoldOp
 }
 
 const (
 	fcCheck uint8 = iota
 	fcTarget
-	fcAcquired
-	fcLanded
+	fcForce
 )
 
 // Init arms the op to make every record up to lsn durable.
@@ -113,16 +114,11 @@ func (o *ForceOp) Step(t *sim.Task) bool {
 			}
 		case fcTarget:
 			o.target = l.appended // everything appended so far
-			o.pc = fcAcquired
-			if !t.Acquire(l.disk, 0) {
+			o.pc = fcForce
+		default: // fcForce
+			if done, _ := o.disk.Step(t, l.disk, 0, l.force, 0); !done {
 				return false
 			}
-		case fcAcquired:
-			o.pc = fcLanded
-			t.Sleep(l.force)
-			return false
-		default: // fcLanded
-			l.disk.Release()
 			if o.target > l.durable {
 				l.durable = o.target
 			}
