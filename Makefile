@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race loc proc-lint park-lint study-lint state-lint dead-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
+.PHONY: build test race loc proc-lint park-lint map-lint study-lint state-lint dead-lint bench-check seed-scan fuzz-smoke bench-kernel bench-mem alloc-census cpu-census figures scenarios update-scenarios update-scenarios-scale
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,16 @@ proc-lint:
 park-lint:
 	@if grep -rnE '\.(Acquire|WaitTimeout)\(|\.TimedOut\(\)' --include='*.go' . | grep -vE '^\./(internal/sim|bench|\.bench_build)/|_test\.go:'; then \
 		echo 'park-lint: use a device through sim.HoldOp, wait with a deadline through sim.WaitOp' >&2; exit 1; fi
+
+# map-lint keeps Go maps off the per-site paths: a client's cache and
+# local lock table, its mailboxes and the slabs they draw on find records
+# through slab.Index, whose storage comes from the system's slabs and goes
+# back to them, where a map is an object of its own per site, made on
+# first use and kept for the run. No non-test file under internal/cache,
+# internal/lockmgr, internal/sim or internal/slab names a map type.
+map-lint:
+	@if grep -rnE 'map\[' --include='*.go' internal/cache internal/lockmgr internal/sim internal/slab | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'; then \
+		echo 'map-lint: no Go maps in internal/{cache,lockmgr,sim,slab}: find a site'"'"'s records through a slab.Index' >&2; exit 1; fi
 
 # dead-lint fails on an exported identifier of a package under internal/
 # that no non-test file of the module or of bench/ refers to, and on a
@@ -117,7 +127,7 @@ seed-scan:
 	$(GO) test ./internal/rtdbs -run 'TestSeedScan$$' -seeds $(SEEDS) -timeout 0 -v
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
-# its committed corpus (CI runs the same seven).
+# its committed corpus (CI runs the same eight).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLockTable -fuzztime $(FUZZTIME) ./internal/lockmgr/
@@ -127,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzBatchSchedule -fuzztime $(FUZZTIME) ./internal/batch/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/rng/
 	$(GO) test -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -fuzz FuzzIndex -fuzztime $(FUZZTIME) ./internal/slab/
 
 # scenarios runs the committed .rts corpus and fails on any expect
 # violation; update-scenarios reruns it and rewrites the goldens. Both

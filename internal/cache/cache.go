@@ -7,6 +7,10 @@
 // local-disk latency for disk-tier hits, and reports demotions and
 // evictions so the client can return dirty objects (and release cached
 // locks) to the server.
+//
+// A cache allocates nothing of its own: its entries, and the index that
+// finds them by object, take their storage from the system's Slab, and
+// a cache that empties hands its index's storage back.
 package cache
 
 import (
@@ -25,16 +29,20 @@ type Entry struct {
 	// consistency audits.
 	Version int64
 
-	pins int
-	tier Tier
 	// Intrusive LRU links: each entry is its own list node, so pin/unpin
 	// and touch cycles allocate nothing.
 	prev, next *Entry
-	inLRU      bool
-	// dirty marks locally updated objects not yet returned to the server
-	// (beside inLRU: the flags share the entry's eighth word).
+	// The pin count, the tier and the two flags share the entry's sixth
+	// word. dirty marks locally updated objects not yet returned to the
+	// server.
+	pins  int32
+	tier  Tier
+	inLRU bool
 	dirty bool
 }
+
+// Key returns the entry's object id, its key in the cache's index.
+func (e *Entry) Key() uint64 { return uint64(e.Obj) }
 
 // Mode returns the cached lock mode (SL or EL).
 func (e *Entry) Mode() lockmgr.Mode { return e.mode }
@@ -47,10 +55,10 @@ func (e *Entry) Dirty() bool { return e.dirty }
 func (e *Entry) Pinned() bool { return e.pins > 0 }
 
 // Pins returns the current pin count.
-func (e *Entry) Pins() int { return e.pins }
+func (e *Entry) Pins() int { return int(e.pins) }
 
 // Tier identifies a cache level.
-type Tier int
+type Tier uint8
 
 // Cache tiers.
 const (
@@ -109,16 +117,17 @@ type Cache struct {
 	// site is the owner's site id, which a watching monitor's reports
 	// name (Watch); the three share two words.
 	site      int32
-	entries   map[lockmgr.ObjectID]*Entry
+	entries   slab.Index[*Entry]
 	memLRU    lruList // front = most recent; unpinned only
 	diskLRU   lruList
 	memCount  int // includes pinned entries
 	diskCount int
 
-	// slab is where entries come from — the system's, shared by its
-	// sites, or a private one made by the first Insert — and go back to,
-	// via Recycle only: eviction and removal results are handed to the
-	// caller first (locks must be returned to the server).
+	// slab is where entries and the index's storage come from — the
+	// system's, shared by its sites, or a private one made by the first
+	// Insert — and go back to. Entries go back via Recycle only: eviction
+	// and removal results are handed to the caller first (locks must be
+	// returned to the server).
 	slab *Slab
 }
 
@@ -127,6 +136,7 @@ type Cache struct {
 // the monitor's list, so that no cache carries a pointer to it.
 type Slab struct {
 	entries slab.Slab[Entry]
+	index   slab.IndexSlab[*Entry]
 	touched *[]lockmgr.Touch
 }
 
@@ -139,9 +149,9 @@ func New(memCap, diskCap int) *Cache {
 
 // Init makes c an empty cache with the given per-tier capacities, in
 // place (a field of its owner), drawing its entries from the system's
-// slab — nil for a cache on its own. The entry map is made by the first
-// Insert: at population scale many sites never cache anything, and
-// reads of a nil map are reads of an empty one.
+// slab — nil for a cache on its own. The entry index takes its storage
+// from the slab at the first Insert: at population scale many sites never
+// cache anything, and reads of an empty index touch no storage.
 func (c *Cache) Init(memCap, diskCap int, entries *Slab) {
 	if memCap <= 0 {
 		panic("cache: memory capacity must be positive")
@@ -195,18 +205,14 @@ func (c *Cache) Downgrade(e *Entry) {
 }
 
 // Peek returns the entry without touching LRU state.
-func (c *Cache) Peek(obj lockmgr.ObjectID) *Entry { return c.entries[obj] }
+func (c *Cache) Peek(obj lockmgr.ObjectID) *Entry { return c.entries.Get(uint64(obj)) }
 
-// Lookup finds obj, promotes disk-tier hits to memory, updates recency,
-// and returns the entry with the tier that served it
-// (TierNone on miss). Promotion may demote the memory LRU victim to disk
-// and, transitively, evict the disk LRU victim; such fallout is returned
-// so the caller can notify the server.
-func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return nil, TierNone, nil
-	}
+// Touch records an access to e, an entry of the cache: it updates
+// recency, promotes a disk-tier entry to memory, and returns the tier
+// that served the access. Promotion may demote the memory LRU victim to
+// disk and, transitively, evict the disk LRU victim; such fallout is
+// returned so the caller can notify the server.
+func (c *Cache) Touch(e *Entry) (Tier, []*Entry) {
 	served := e.tier
 	var evicted []*Entry
 	switch e.tier {
@@ -215,6 +221,17 @@ func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
 	case TierDisk:
 		evicted = c.promote(e)
 	}
+	return served, evicted
+}
+
+// Lookup is Peek then Touch: it returns obj's entry with the tier that
+// served it and the fallout, or TierNone on a miss.
+func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
+	e := c.Peek(obj)
+	if e == nil {
+		return nil, TierNone, nil
+	}
+	served, evicted := c.Touch(e)
 	return e, served, evicted
 }
 
@@ -224,7 +241,7 @@ func (c *Cache) Lookup(obj lockmgr.ObjectID) (*Entry, Tier, []*Entry) {
 // return to the server.
 func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, version int64) []*Entry {
 	c.Report(obj)
-	if e, ok := c.entries[obj]; ok {
+	if e := c.Peek(obj); e != nil {
 		e.mode = mode
 		e.dirty = e.dirty || dirty
 		e.Version = version
@@ -239,10 +256,7 @@ func (c *Cache) Insert(obj lockmgr.ObjectID, mode lockmgr.Mode, dirty bool, vers
 	}
 	e := c.slab.entries.New()
 	*e = Entry{Obj: obj, mode: mode, dirty: dirty, Version: version, tier: TierMemory}
-	if c.entries == nil {
-		c.entries = make(map[lockmgr.ObjectID]*Entry)
-	}
-	c.entries[obj] = e
+	c.entries.Put(&c.slab.index, e)
 	c.memCount++
 	c.memLRU.pushFront(e)
 	return c.shrink()
@@ -271,8 +285,8 @@ func (c *Cache) Unpin(e *Entry) {
 // release). Removing a pinned entry panics: callbacks must wait for
 // local transactions to finish first.
 func (c *Cache) Remove(obj lockmgr.ObjectID) *Entry {
-	e, ok := c.entries[obj]
-	if !ok {
+	e := c.Peek(obj)
+	if e == nil {
 		return nil
 	}
 	if e.pins > 0 {
@@ -299,11 +313,7 @@ func (c *Cache) Recycle(e *Entry) {
 // order: a caller whose result depends on which entry it saw first must
 // reduce over all of them (audits report the lowest-numbered failing
 // object). fn may Remove the entry it was handed and no other.
-func (c *Cache) Visit(fn func(*Entry)) {
-	for _, e := range c.entries {
-		fn(e)
-	}
-}
+func (c *Cache) Visit(fn func(*Entry)) { c.entries.Each(fn) }
 
 func (c *Cache) lruOf(t Tier) *lruList {
 	if t == TierDisk {
@@ -348,7 +358,7 @@ func (c *Cache) shrink() []*Entry {
 		c.memLRU.remove(v)
 		c.memCount--
 		if c.diskCap == 0 {
-			delete(c.entries, v.Obj)
+			c.entries.Delete(&c.slab.index, v.Key())
 			v.tier = TierNone
 			evicted = append(evicted, v)
 			continue
@@ -378,6 +388,6 @@ func (c *Cache) drop(e *Entry) {
 	case TierDisk:
 		c.diskCount--
 	}
-	delete(c.entries, e.Obj)
+	c.entries.Delete(&c.slab.index, e.Key())
 	e.tier = TierNone
 }

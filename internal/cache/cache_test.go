@@ -7,7 +7,15 @@ import (
 	"testing/quick"
 
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/slab"
 )
+
+// size counts c's entries.
+func size(c *Cache) int {
+	n := 0
+	c.Visit(func(*Entry) { n++ })
+	return n
+}
 
 func TestInsertAndLookup(t *testing.T) {
 	c := New(2, 2)
@@ -26,16 +34,18 @@ func TestInsertAndLookup(t *testing.T) {
 	}
 }
 
-// A cache makes its entry map on the first Insert: at population scale
-// half the sites never cache anything, and every read of a cache that
-// never did answers "empty" from the nil map.
-func TestEntryMapMadeByFirstInsert(t *testing.T) {
+// A cache takes storage for its entry index from the slab at the first
+// Insert, not before: at population scale half the sites never cache
+// anything, and every read of a cache that never did answers "empty"
+// from the zero index. The last entry to leave hands the storage back.
+func TestNoIndexStorageBeforeFirstInsert(t *testing.T) {
 	c := New(4, 2)
-	if c.entries != nil {
-		t.Fatal("a new cache already has an entry map")
+	var none slab.Index[*Entry]
+	if c.entries != none {
+		t.Fatal("a new cache already has index storage")
 	}
 	reads := func() {
-		if c.Peek(1) != nil || len(c.entries) != 0 || c.Remove(1) != nil {
+		if c.Peek(1) != nil || c.Remove(1) != nil {
 			panic("an empty cache holds object 1")
 		}
 		if e, tier, evicted := c.Lookup(1); e != nil || tier != TierNone || evicted != nil {
@@ -46,12 +56,16 @@ func TestEntryMapMadeByFirstInsert(t *testing.T) {
 	if n := testing.AllocsPerRun(100, reads); n != 0 {
 		t.Errorf("reads of an empty cache allocate %v per run, want 0", n)
 	}
-	if c.entries != nil {
-		t.Fatal("a read made the entry map")
+	if c.entries != none {
+		t.Fatal("a read took index storage")
 	}
 	c.Insert(1, lockmgr.ModeShared, false, 1)
-	if c.Peek(1) == nil || len(c.entries) != 1 {
+	if c.Peek(1) == nil || size(c) != 1 {
 		t.Fatal("first insert lost")
+	}
+	c.Recycle(c.Remove(1))
+	if c.entries != none {
+		t.Error("an emptied cache kept its index storage")
 	}
 }
 
@@ -81,8 +95,8 @@ func TestDiskOverflowEvicts(t *testing.T) {
 	if c.Peek(1) != nil || c.Peek(2) == nil || c.Peek(3) == nil {
 		t.Fatal("residency wrong after disk eviction")
 	}
-	if len(c.entries) != 2 {
-		t.Fatalf("len = %d", len(c.entries))
+	if size(c) != 2 {
+		t.Fatalf("len = %d", size(c))
 	}
 	if ev[0].tier != TierNone {
 		t.Fatal("evicted entry should report TierNone")
@@ -194,8 +208,8 @@ func TestInsertExistingUpgradesInPlace(t *testing.T) {
 	if e.Mode() != lockmgr.ModeExclusive || !e.Dirty() || e.Version != 2 {
 		t.Fatalf("entry = %+v", e)
 	}
-	if len(c.entries) != 1 {
-		t.Fatalf("len = %d", len(c.entries))
+	if size(c) != 1 {
+		t.Fatalf("len = %d", size(c))
 	}
 }
 
@@ -236,7 +250,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			if other > 0 || mem > mc || disk > dc {
 				return false
 			}
-			if mem+disk != len(c.entries) {
+			if mem+disk != size(c) {
 				return false
 			}
 		}

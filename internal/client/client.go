@@ -184,9 +184,9 @@ type pendingTxn struct {
 // has in flight at once, not by how many sites it has: the payload pool
 // and the slab of the lock tables (the server shards take these two as
 // well), the slabs of cache entries, of transaction machines and of
-// object records, and the working memory of a site-selection decision.
-// The system constructor makes one and hands it to every site; the zero
-// Stock is ready to use.
+// object records, the blocks a site's lists of those grow in, and the
+// working memory of a site-selection decision. The system constructor
+// makes one and hands it to every site; the zero Stock is ready to use.
 type Stock struct {
 	Payloads proto.Pool
 	Locks    lockmgr.Slab
@@ -195,6 +195,12 @@ type Stock struct {
 	machines slab.Slab[txnMachine]
 	objs     slab.Slab[objRec]
 	h2       h2Scratch
+
+	// The blocks of Client.objs, pending, fanouts and Tracked (enlist).
+	objLists  slab.Slab[*objRec]
+	pendLists slab.Slab[*pendingTxn]
+	fanLists  slab.Slab[*txnMachine]
+	txnLists  slab.Slab[*txn.Transaction]
 }
 
 // Init makes c a client site, in place: a cluster's clients are the
@@ -401,7 +407,7 @@ func (g *genMachine) Resume() {
 				return
 			}
 			t := c.gen.Next()
-			c.Tracked = append(c.Tracked, t)
+			enlist(&c.Tracked, t, &c.stock.txnLists)
 			c.tr.Submitted(t, c.id, g.task.Now())
 			c.spawnTxn(t, nil, enOrigin, nil)
 			g.pc = gsNext

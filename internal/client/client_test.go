@@ -53,7 +53,7 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 	// its connection queue at each shard.
 	boxes := make([]sim.Mailbox[netsim.Message], 1+cfg.Sharding.NumServers())
 	for k := range boxes {
-		boxes[k].Init(env)
+		boxes[k].Init(env, net.Rings())
 	}
 	inbox := &boxes[0]
 	shards := make([]*sim.Mailbox[netsim.Message], len(boxes)-1)

@@ -420,7 +420,7 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 		}
 		c.sendTxnShip(target, t, sub)
 	}
-	c.fanouts = append(c.fanouts, m)
+	enlist(&c.fanouts, m, &c.stock.fanLists)
 	// Answer synthesis: every subtask must finish in time for the
 	// parent to succeed (the Section 3.2 failure rule).
 	m.grace = t.Deadline + c.cfg.MeanSlack
@@ -442,7 +442,7 @@ func (m *txnMachine) stepFanout() bool {
 	}
 	now := m.task.Now()
 	c.tr.Mark(t.ID, c.id, trace.CompFanout, now)
-	unlist(&c.fanouts, m)
+	unlist(&c.fanouts, m, &c.stock.fanLists)
 	committed := now <= t.Deadline
 	for _, w := range m.results {
 		if !w.done || !w.committed {
@@ -554,7 +554,7 @@ func (m *txnMachine) stepScan() bool {
 			m.scanIdx++
 			continue
 		}
-		_, tier, evicted := c.objects.Lookup(op.Obj)
+		tier, evicted := c.objects.Touch(e)
 		c.returnEvicted(evicted)
 		if tier == cache.TierDisk {
 			m.pc = tsDiskRead
@@ -777,15 +777,16 @@ func (m *txnMachine) stepMaterialized() bool {
 	return true
 }
 
-// stepCommit applies updates to the cached copies, logging each write;
-// the log force (group commit) follows in tsForce.
+// stepCommit applies updates to the cached copies — the entries pinAll
+// pinned, in access order — logging each write; the log force (group
+// commit) follows in tsForce.
 func (m *txnMachine) stepCommit() {
 	c := m.c
 	m.lastLSN = 0
-	for _, op := range m.ops {
-		e := c.objects.Peek(op.Obj)
-		if e == nil {
-			panic(fmt.Sprintf("client %d: committed object %d not cached", c.id, op.Obj))
+	for i, op := range m.ops {
+		e := m.entries[i]
+		if e.Obj != op.Obj {
+			panic(fmt.Sprintf("client %d: committed object %d not the pinned entry's %d", c.id, op.Obj, e.Obj))
 		}
 		if op.Write {
 			e.Version++
@@ -1066,7 +1067,7 @@ func (m *txnMachine) openPending() *pendingTxn {
 	c, pt := m.c, &m.pt
 	pt.t = m.t
 	pt.sig.Init(c.env)
-	c.pending = append(c.pending, pt)
+	enlist(&c.pending, pt, &c.stock.pendLists)
 	if len(m.t.Ops) > 0 { // a monitor's request conservation rescans the site
 		c.objects.Report(m.t.Ops[0].Obj)
 	}
@@ -1081,7 +1082,7 @@ func (m *txnMachine) closePending() {
 	for i := range pt.waits {
 		c.unregister(pt.waits[i].obj, pt)
 	}
-	unlist(&c.pending, pt)
+	unlist(&c.pending, pt, &c.stock.pendLists)
 	*pt = pendingTxn{waits: pt.waits[:0], confFrom: c.giveBack(pt.confFrom), loadFrom: c.giveBack(pt.loadFrom)}
 }
 

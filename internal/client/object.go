@@ -10,6 +10,7 @@ import (
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/proto"
+	"siteselect/internal/slab"
 	"siteselect/internal/trace"
 )
 
@@ -138,14 +139,14 @@ func (c *Client) recFor(obj lockmgr.ObjectID) *objRec {
 	}
 	r := c.stock.objs.New()
 	r.obj = obj
-	c.objs = append(c.objs, r)
+	enlist(&c.objs, r, &c.stock.objLists)
 	return r
 }
 
 // settle hands r back once it holds nothing.
 func (c *Client) settle(r *objRec) {
 	if len(r.waiters) == 0 && !r.parked && r.fwd == nil {
-		unlist(&c.objs, r)
+		unlist(&c.objs, r, &c.stock.objLists)
 		c.recycleObj(r)
 	}
 }
@@ -159,14 +160,25 @@ func (c *Client) recycleObj(r *objRec) {
 	c.stock.objs.Keep(r)
 }
 
-// unlist removes x from *list, moving the last element into its place:
-// the lists it serves are only ever searched.
-func unlist[T any](list *[]*T, x *T) {
-	s := *list
-	last := len(s) - 1
-	s[slices.Index(s, x)] = s[last]
-	s[last] = nil
-	*list = s[:last]
+// enlist appends x to *list, a vector grown in blocks of s, the
+// system's: a site's lists take no array of their own.
+func enlist[T any](list *[]*T, x *T, s *slab.Slab[*T]) {
+	*list = s.Insert(*list, len(*list), x, 0)
+}
+
+// unlist removes x from *list, a vector enlist grew, moving the last
+// element into its place: the lists it serves are only ever searched.
+// The list that empties hands its block back to s.
+func unlist[T any](list *[]*T, x *T, s *slab.Slab[*T]) {
+	l := *list
+	last := len(l) - 1
+	l[slices.Index(l, x)] = l[last]
+	l[last] = nil
+	if last == 0 {
+		s.Drop(l, 0)
+		l = nil
+	}
+	*list = l[:last]
 }
 
 // register records pt's request for obj in mode, sent at sent: a wait

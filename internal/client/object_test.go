@@ -81,7 +81,7 @@ func TestStore(t *testing.T) {
 		for _, w := range m.results {
 			w.sig.Init(r.env)
 		}
-		c.fanouts = append(c.fanouts, m)
+		enlist(&c.fanouts, m, &c.stock.fanLists)
 		c.onTxnResult(proto.TxnResult{Txn: 5, SubIndex: 1, IsSub: true, Committed: true})
 		c.onTxnResult(proto.TxnResult{Txn: 5, SubIndex: 1, IsSub: true}) // replaces
 		if w := m.results[1]; !w.done || w.committed || m.results[0].done {
@@ -92,7 +92,7 @@ func TestStore(t *testing.T) {
 		if m.results[0].done {
 			t.Fatal("a result for another transaction, or for a whole one, reached subtask 0")
 		}
-		unlist(&c.fanouts, m)
+		unlist(&c.fanouts, m, &c.stock.fanLists)
 		if len(c.fanouts) != 0 {
 			t.Fatalf("%d fanouts left", len(c.fanouts))
 		}

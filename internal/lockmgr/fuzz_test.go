@@ -189,7 +189,7 @@ func agree(t *testing.T, step int, tab *Table, ref *refTable) {
 	for w := OwnerID(1); w <= 8; w++ {
 		var waiting []*Request
 		var edges []OwnerID
-		if r := tab.owners[w]; r != nil {
+		if r := tab.owners.Get(uint64(w)); r != nil {
 			waiting, edges = slices.Clone(r.waiting), r.edges
 		}
 		slices.SortFunc(waiting, byTag)

@@ -99,31 +99,32 @@ func (r *Request) GrantedNow() bool { return r.granted }
 // refusal. Object ids are page numbers — dense and non-negative — so
 // entries live in a dense slice indexed by object when the caller
 // Reserved the id space (the server's table, which locks the whole
-// database), or a sparse map otherwise (per-client tables, which only
+// database), or a sparse index otherwise (per-client tables, which only
 // ever lock the few objects the client caches — a dense index sized by
 // the database would dwarf the client itself at large populations).
 // Entries, owner records and the arrays that outgrow them come from a
 // Slab and go back to it when spent, either way.
 //
-// The two maps (sparse, owners) are made by the first write to each:
-// every client site owns a table, and at population scale most never
-// lock anything. Reads of a nil map are reads of an empty one, so only
-// the writes check.
+// The two sparse indexes (sparse, owners) are slab.Indexes: every client
+// site owns a table, and at population scale most lock only for the one
+// transaction they run, so an index takes its storage from the Slab with
+// its first record and hands it back with its last. A sparse table that
+// holds no lock holds no storage, and reads of it touch none.
 type Table struct {
 	dense bool
 	// watched says the table reports every change to an entry to its
 	// slab's touched list, as site (Watch). Both fit beside dense.
 	watched bool
 	site    int32
-	entries []*entry            // dense: indexed by ObjectID; nil when no locks or waiters
-	sparse  map[ObjectID]*entry // sparse: present only while locked or waited on
+	entries []*entry           // dense: indexed by ObjectID; nil when no locks or waiters
+	sparse  slab.Index[*entry] // sparse: present only while locked or waited on
 	seq     int64
 
 	// owners holds one record per owner that holds or waits for a lock.
 	// Owners are transient transaction ids at the centralized server and
 	// in every client's local table; the records recycle through slab,
 	// the system's or a private one made on first use.
-	owners map[OwnerID]*ownerRec
+	owners slab.Index[*ownerRec]
 	slab   *Slab
 
 	// confBuf is the shared conflict-scan buffer: conflict queries
@@ -159,22 +160,30 @@ type ownerRec struct {
 	edges []OwnerID
 	// ddGen is the last deadlock search that visited the owner.
 	ddGen int64
+	// owner is the record's key in Table.owners.
+	owner OwnerID
 	// first is where a new record's held list starts, as an entry's
 	// holders start in the entry: a transaction's few locks cost one
 	// object, not a record and three regrowths of its list.
 	first [4]ObjectID
 }
 
+// Key returns the record's owner, its key in Table.owners.
+func (r *ownerRec) Key() uint64 { return uint64(r.owner) }
+
 // Slab is the stock of records the lock tables of one system draw on
-// (Table.Init): entries, owner records, and the power-of-two blocks that
-// holder sets, wait queues and an owner's lists live in.
+// (Table.Init): entries, owner records, the power-of-two blocks that
+// holder sets, wait queues and an owner's lists live in, and the
+// storage of the tables' sparse indexes.
 type Slab struct {
-	entries slab.Slab[entry]
-	owners  slab.Slab[ownerRec]
-	holders slab.Slab[holderEntry]
-	queues  slab.Slab[*Request]
-	objs    slab.Slab[ObjectID]
-	edges   slab.Slab[OwnerID]
+	entries    slab.Slab[entry]
+	owners     slab.Slab[ownerRec]
+	entryIndex slab.IndexSlab[*entry]
+	ownerIndex slab.IndexSlab[*ownerRec]
+	holders    slab.Slab[holderEntry]
+	queues     slab.Slab[*Request]
+	objs       slab.Slab[ObjectID]
+	edges      slab.Slab[OwnerID]
 
 	// touched is the list an invariant monitor owns while it watches the
 	// system's tables (Watch): one list for all of them, so no table
@@ -217,15 +226,12 @@ func (t *Table) Report(obj ObjectID) {
 
 // owner returns owner's record, taking one from the slab on first use.
 func (t *Table) owner(owner OwnerID) *ownerRec {
-	if r := t.owners[owner]; r != nil {
+	if r := t.owners.Get(uint64(owner)); r != nil {
 		return r
 	}
 	r := t.slab.owners.New() // entryFor came first: the slab is there
-	r.held = r.first[:0]
-	if t.owners == nil {
-		t.owners = make(map[OwnerID]*ownerRec)
-	}
-	t.owners[owner] = r
+	r.held, r.owner = r.first[:0], owner
+	t.owners.Put(&t.slab.ownerIndex, r)
 	return r
 }
 
@@ -234,7 +240,7 @@ func (t *Table) owner(owner OwnerID) *ownerRec {
 // and their blocks go back to the slab with it.
 func (t *Table) settle(owner OwnerID, r *ownerRec) {
 	if len(r.held) == 0 && len(r.waiting) == 0 {
-		delete(t.owners, owner)
+		t.owners.Delete(&t.slab.ownerIndex, uint64(owner))
 		t.slab.objs.Drop(r.held, len(r.first))
 		t.slab.queues.Drop(r.waiting, 0)
 		t.slab.edges.Drop(r.edges, 0)
@@ -271,7 +277,12 @@ type entry struct {
 	holders []holderEntry
 	queue   []*Request
 	first   [1]holderEntry
+	// obj is the entry's key in Table.sparse.
+	obj ObjectID
 }
+
+// Key returns the entry's object, its key in Table.sparse.
+func (e *entry) Key() uint64 { return uint64(e.obj) }
 
 // NewTable returns an empty lock table with records of its own.
 func NewTable() *Table { return &Table{} }
@@ -283,7 +294,7 @@ func (t *Table) Init(records *Slab) { *t = Table{slab: records} }
 // Reserve switches the table to the dense entry index, pre-sized for
 // object ids in [0, n). Call it before first use when the table will
 // lock a dense id space (the server's whole-database table); leave
-// unreserved tables on the sparse map.
+// unreserved tables on the sparse index.
 func (t *Table) Reserve(n int) {
 	t.dense = true
 	if n > cap(t.entries) {
@@ -301,7 +312,7 @@ func (t *Table) lookup(obj ObjectID) *entry {
 		}
 		return nil
 	}
-	return t.sparse[obj]
+	return t.sparse.Get(uint64(obj))
 }
 
 func (t *Table) entryFor(obj ObjectID) *entry {
@@ -312,17 +323,14 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 		t.slab = new(Slab) // a table on its own
 	}
 	e := t.slab.entries.New()
-	e.holders = e.first[:0]
+	e.holders, e.obj = e.first[:0], obj
 	if t.dense {
 		for int(obj) >= len(t.entries) {
 			t.entries = append(t.entries, nil)
 		}
 		t.entries[obj] = e
 	} else {
-		if t.sparse == nil {
-			t.sparse = make(map[ObjectID]*entry)
-		}
-		t.sparse[obj] = e
+		t.sparse.Put(&t.slab.entryIndex, e)
 	}
 	return e
 }
@@ -332,7 +340,7 @@ func (t *Table) retire(obj ObjectID, e *entry) {
 	if t.dense {
 		t.entries[obj] = nil
 	} else {
-		delete(t.sparse, obj)
+		t.sparse.Delete(&t.slab.entryIndex, uint64(obj))
 	}
 	t.slab.holders.Drop(e.holders, len(e.first))
 	t.slab.queues.Drop(e.queue, 0)
@@ -383,7 +391,7 @@ func (t *Table) delHolder(obj ObjectID, e *entry, owner OwnerID) bool {
 	}
 	t.Report(obj)
 	e.holders = append(e.holders[:i], e.holders[i+1:]...)
-	r := t.owners[owner]
+	r := t.owners.Get(uint64(owner))
 	j := slices.Index(r.held, obj)
 	r.held = slices.Delete(r.held, j, j+1)
 	t.settle(owner, r)
@@ -449,7 +457,7 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 		return t.requested(req, Deadlock, conf)
 	}
 	t.enqueue(e, req)
-	r := t.owners[req.Owner]
+	r := t.owners.Get(uint64(req.Owner))
 	for _, h := range conf {
 		t.addEdge(r, h)
 	}
@@ -504,7 +512,7 @@ func (t *Table) enqueue(e *entry, req *Request) {
 // added cannot be subtracted, only recomputed from the current holders
 // of the entries those requests wait in.
 func (t *Table) dequeued(req *Request) {
-	r := t.owners[req.Owner]
+	r := t.owners.Get(uint64(req.Owner))
 	r.waiting = unqueue(r.waiting, slices.Index(r.waiting, req))
 	r.edges = r.edges[:0]
 	for _, q := range r.waiting {
@@ -562,7 +570,7 @@ func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 	// snapshot and order the set first.
 	var stack [16]ObjectID
 	var objs []ObjectID
-	if r := t.owners[owner]; r != nil {
+	if r := t.owners.Get(uint64(owner)); r != nil {
 		objs = append(stack[:0], r.held...)
 	}
 	slices.Sort(objs)
@@ -669,7 +677,7 @@ func (t *Table) FirstForeignWaiter(obj ObjectID, owner OwnerID) *Request {
 // HasWaiter reports whether owner has a request queued on obj — the
 // server's duplicate-request guard under fault injection.
 func (t *Table) HasWaiter(obj ObjectID, owner OwnerID) bool {
-	r := t.owners[owner]
+	r := t.owners.Get(uint64(owner))
 	return r != nil && slices.ContainsFunc(r.waiting, func(q *Request) bool { return q.Obj == obj })
 }
 
@@ -728,7 +736,7 @@ func (t *Table) ddReach(from, owner OwnerID) bool {
 	if from == owner {
 		return true
 	}
-	r := t.owners[from]
+	r := t.owners.Get(uint64(from))
 	if r == nil || r.ddGen == t.ddGen {
 		return false
 	}
@@ -751,8 +759,8 @@ func (t *Table) addEdge(r *ownerRec, to OwnerID) {
 // Audit verifies internal invariants: no conflicting holders coexist and
 // no granted request is still queued. It walks the table in place and
 // returns an error describing the violation on the lowest-numbered
-// object, so the report repeats from run to run whatever order the
-// sparse map iterates in. The invariant monitor runs it at the end of a
+// object, so the report does not depend on the order the sparse index
+// keeps its entries in. The invariant monitor runs it at the end of a
 // run; after each event it audits only the objects the event touched
 // (AuditObject).
 func (t *Table) Audit() error {
@@ -769,14 +777,14 @@ func (t *Table) Audit() error {
 	}
 	var first error
 	var firstObj ObjectID
-	for obj, e := range t.sparse {
-		if first != nil && obj > firstObj {
-			continue
+	t.sparse.Each(func(e *entry) {
+		if first != nil && e.obj > firstObj {
+			return
 		}
-		if err := e.audit(obj); err != nil {
-			first, firstObj = err, obj
+		if err := e.audit(e.obj); err != nil {
+			first, firstObj = err, e.obj
 		}
-	}
+	})
 	return first
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"siteselect/internal/slab"
 )
 
 func req(obj ObjectID, owner OwnerID, mode Mode, dl time.Duration) *Request {
@@ -22,18 +24,29 @@ func holders(t *Table, obj ObjectID) []OwnerID {
 	return out
 }
 
+// records counts the records of an index.
+func records[P slab.Record](x *slab.Index[P]) int {
+	n := 0
+	x.Each(func(P) { n++ })
+	return n
+}
+
 // checkEmpty fails unless tb holds no entry and no owner record (the
-// slab zeroes the ones it was handed back).
+// slab zeroes the ones it was handed back), and its sparse indexes have
+// handed their storage back.
 func checkEmpty(t *testing.T, tb *Table) {
 	t.Helper()
-	live := len(tb.sparse)
+	live := records(&tb.sparse)
 	for _, e := range tb.entries {
 		if e != nil {
 			live++
 		}
 	}
-	if live != 0 || len(tb.owners) != 0 {
-		t.Fatalf("idle table keeps %d entries and %d owner records, want none", live, len(tb.owners))
+	if owners := records(&tb.owners); live != 0 || owners != 0 {
+		t.Fatalf("idle table keeps %d entries and %d owner records, want none", live, owners)
+	}
+	if tb.sparse != (slab.Index[*entry]{}) || tb.owners != (slab.Index[*ownerRec]{}) {
+		t.Fatal("idle table keeps index storage")
 	}
 }
 
@@ -320,14 +333,14 @@ func TestQueueLenAndHolders(t *testing.T) {
 func TestEntryGarbageCollected(t *testing.T) {
 	tab := NewTable()
 	tab.Lock(req(1, 1, ModeShared, time.Second))
-	e, r := tab.lookup(1), tab.owners[1]
+	e, r := tab.lookup(1), tab.owners.Get(1)
 	tab.Release(1, 1)
-	if tab.lookup(1) != nil || len(tab.owners) != 0 {
+	if tab.lookup(1) != nil || records(&tab.owners) != 0 {
 		t.Fatal("empty entry or idle owner record not retired")
 	}
 	// Both went back to the slab: the next object and owner take them.
 	tab.Lock(req(2, 7, ModeShared, time.Second))
-	if tab.lookup(2) != e || tab.owners[7] != r {
+	if tab.lookup(2) != e || tab.owners.Get(7) != r {
 		t.Fatal("retired entry and owner record not reused")
 	}
 }

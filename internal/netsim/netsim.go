@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 )
 
 // SiteID identifies a site. The server is conventionally site 0 and
@@ -176,7 +177,16 @@ type Network struct {
 	pend     []pending
 	pendHead int
 	pendN    int
+
+	// rings is the slab the sites' mailboxes take their rings from
+	// (Rings).
+	rings slab.Slab[Message]
 }
+
+// Rings returns the slab the mailboxes of the network's sites take their
+// rings from and give them back to when drained (sim.Mailbox.Init): the
+// network owns the message type, so the system's rings of it are its.
+func (n *Network) Rings() *slab.Slab[Message] { return &n.rings }
 
 // SetTrace installs a callback invoked for every message as it is sent
 // (with SentAt/DeliveredAt already stamped). The network is the single

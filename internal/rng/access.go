@@ -6,7 +6,12 @@ package rng
 type AccessGen interface {
 	// Next returns the next object id.
 	Next() int
-	// NextSet returns n distinct object ids.
+	// FillSet returns n distinct object ids (fewer when the database
+	// has fewer objects) in buf's array, made anew when its capacity is
+	// short: the caller owns the buffer.
+	FillSet(buf []int, n int) []int
+	// NextSet is FillSet into a buffer the generator keeps, valid until
+	// its next NextSet call.
 	NextSet(n int) []int
 }
 
@@ -29,8 +34,11 @@ func (g *Uniform) Init(stream *Stream, dbSize int) {
 // Next returns a uniform object id.
 func (g *Uniform) Next() int { return g.stream.Intn(g.dbSize) }
 
+// FillSet returns n distinct uniform ids in buf's array.
+func (g *Uniform) FillSet(buf []int, n int) []int { return g.scratch.distinct(g, g.dbSize, n, buf) }
+
 // NextSet returns n distinct uniform ids.
-func (g *Uniform) NextSet(n int) []int { return g.scratch.distinct(g, g.dbSize, n) }
+func (g *Uniform) NextSet(n int) []int { return g.scratch.next(g, g.dbSize, n) }
 
 // HotCold sends a fixed fraction of accesses to a globally shared hot
 // set at the front of the object space (the classic "hot spot" model —
@@ -59,16 +67,19 @@ func (g *HotCold) Next() int {
 	return g.hotSize + g.stream.Intn(g.dbSize-g.hotSize)
 }
 
-// NextSet returns n distinct ids.
-func (g *HotCold) NextSet(n int) []int { return g.scratch.distinct(g, g.dbSize, n) }
+// FillSet returns n distinct ids in buf's array.
+func (g *HotCold) FillSet(buf []int, n int) []int { return g.scratch.distinct(g, g.dbSize, n, buf) }
 
-// dedup is the reusable scratch behind NextSet: a result buffer plus,
-// for large draws only, an epoch-stamped membership array. Access sets
-// are small (Poisson around the configured mean), so membership is a
-// linear scan over the accumulated ids up to smallDedup and the stamp
-// array never materializes on the hot path — NextSet allocates nothing
-// in steady state. The returned slice is owned by the generator and
-// valid until its next NextSet call.
+// NextSet returns n distinct ids.
+func (g *HotCold) NextSet(n int) []int { return g.scratch.next(g, g.dbSize, n) }
+
+// dedup is the reusable scratch behind FillSet: for large draws only, an
+// epoch-stamped membership array. Access sets are small (Poisson around
+// the configured mean), so membership is a linear scan over the
+// accumulated ids up to smallDedup and the stamp array never
+// materializes on the hot path — FillSet into a buffer long enough
+// allocates nothing. out is NextSet's buffer, made by its first call:
+// a system's generators fill the buffer of its txn.Maker instead.
 type dedup struct {
 	out   []int
 	stamp []uint32
@@ -79,17 +90,24 @@ type dedup struct {
 // the output instead of touching the stamp array.
 const smallDedup = 64
 
+// next is NextSet: distinct into the generator's own buffer.
+func (d *dedup) next(gen interface{ Next() int }, dbSize, n int) []int {
+	d.out = d.distinct(gen, dbSize, n, d.out)
+	return d.out
+}
+
 // distinct draws from gen until n distinct ids accumulate (clamped to
-// the object space). The accept/reject decisions match the original
-// map-based implementation exactly, so draw sequences are unchanged.
-func (d *dedup) distinct(gen interface{ Next() int }, dbSize, n int) []int {
+// the object space) in out's array, or a new one when it is too short.
+// The accept/reject decisions match the original map-based
+// implementation exactly, so draw sequences are unchanged.
+func (d *dedup) distinct(gen interface{ Next() int }, dbSize, n int, out []int) []int {
 	if n > dbSize {
 		n = dbSize
 	}
-	if cap(d.out) < n {
-		d.out = make([]int, 0, n)
+	if cap(out) < n {
+		out = make([]int, 0, n)
 	}
-	out := d.out[:0]
+	out = out[:0]
 	if n <= smallDedup {
 	small:
 		for len(out) < n {
@@ -101,7 +119,6 @@ func (d *dedup) distinct(gen interface{ Next() int }, dbSize, n int) []int {
 			}
 			out = append(out, id)
 		}
-		d.out = out
 		return out
 	}
 	if len(d.stamp) < dbSize {
@@ -121,7 +138,6 @@ func (d *dedup) distinct(gen interface{ Next() int }, dbSize, n int) []int {
 		d.stamp[id] = d.epoch
 		out = append(out, id)
 	}
-	d.out = out
 	return out
 }
 
@@ -218,9 +234,13 @@ func (g *LocalizedRW) Next() int {
 	return rank + g.regionSize
 }
 
+// FillSet returns n distinct object ids in buf's array. When n exceeds
+// the database size it is clamped.
+func (g *LocalizedRW) FillSet(buf []int, n int) []int { return g.scratch.distinct(g, g.dbSize, n, buf) }
+
 // NextSet returns n distinct object ids. When n exceeds the database size
 // it is clamped.
-func (g *LocalizedRW) NextSet(n int) []int { return g.scratch.distinct(g, g.dbSize, n) }
+func (g *LocalizedRW) NextSet(n int) []int { return g.scratch.next(g, g.dbSize, n) }
 
 var (
 	_ AccessGen = (*LocalizedRW)(nil)

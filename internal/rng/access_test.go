@@ -25,6 +25,16 @@ func TestNextSetZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { g.NextSet(8) }); n != 0 {
 			t.Errorf("%s: NextSet allocates %v per run, want 0", name, n)
 		}
+		// A caller's buffer long enough is filled in place: the one a
+		// system's transaction maker hands every generator.
+		buf := make([]int, 0, 8)
+		if n := testing.AllocsPerRun(200, func() {
+			if got := g.FillSet(buf, 8); len(got) != 8 || &got[0] != &buf[:1][0] {
+				panic("FillSet left the caller's buffer")
+			}
+		}); n != 0 {
+			t.Errorf("%s: FillSet allocates %v per run, want 0", name, n)
+		}
 	}
 }
 

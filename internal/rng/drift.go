@@ -89,7 +89,10 @@ func (g *Skewed) Next() int {
 	return g.stream.Intn(g.dbSize)
 }
 
+// FillSet returns n distinct object ids in buf's array.
+func (g *Skewed) FillSet(buf []int, n int) []int { return g.scratch.distinct(g, g.dbSize, n, buf) }
+
 // NextSet returns n distinct object ids.
-func (g *Skewed) NextSet(n int) []int { return g.scratch.distinct(g, g.dbSize, n) }
+func (g *Skewed) NextSet(n int) []int { return g.scratch.next(g, g.dbSize, n) }
 
 var _ AccessGen = (*Skewed)(nil)

@@ -83,7 +83,7 @@ func newCECore(cfg config.Config) (ceCore, error) {
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
 		term.id, term.gen = netsim.SiteID(k+1), &gens[k]
-		term.inbox.Init(env)
+		term.inbox.Init(env, net.Rings())
 	}
 	return ce, nil
 }

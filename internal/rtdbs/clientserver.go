@@ -137,7 +137,7 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 		id := netsim.SiteID(i)
 		mine := boxes[(i-1)*stride : i*stride : i*stride]
 		for k := range mine {
-			mine[k].Init(env)
+			mine[k].Init(env, net.Rings())
 		}
 		for k, sv := range c.servers {
 			sv.Attach(id, &mine[1+k], &mine[0])

@@ -76,10 +76,11 @@ clients swarm 10000 {
 // size classes and the growth of the few population-sized arrays — and
 // stays below what one regression costs: a by-value config.Config in
 // each client is +424 B, and any object made per site is a malloc, which
-// the ceiling of 2 has no room for. (What a site allocates only once
-// traffic reaches it — the mailbox ring, page frames, the cache's map —
-// is pinned where it lives, in internal/sim, internal/pagefile and
-// internal/cache.)
+// the ceiling of 2 has no room for. (What a site takes only once
+// traffic reaches it — a mailbox ring, the storage of its cache's and
+// lock table's indexes — comes from the system's slabs and is pinned
+// where it lives, in internal/sim, internal/cache and internal/lockmgr;
+// page frames in internal/pagefile.)
 func TestParkedClientFootprint(t *testing.T) {
 	const (
 		clients        = 10_000
@@ -140,7 +141,10 @@ func TestParkedClientFootprint(t *testing.T) {
 // and on the paper's own system, which nothing else pins: the ls-100
 // cell of Figure 3 at a short horizon, where every transaction that
 // meets a conflict takes an H2 decision and a tenth ask to be
-// decomposed. go1.24 reads 1.4 and 4.0 (1.9 and 6.0 while every site
+// decomposed. go1.24 reads 1.0 and 2.3 (1.4 and 3.4 while every site
+// made Go maps for its cache and lock table, and took a mailbox ring and
+// its lists' arrays of its own on first use, where the system's slabs
+// now hold all of them; 1.9 and 6.0 while every site
 // kept its own spent machines and exchange records, and payload records
 // were made one by one, where the system's stock now carves all three
 // from chunks and the sites share them; 16.3 and 32.2 before the run's
@@ -148,9 +152,11 @@ func TestParkedClientFootprint(t *testing.T) {
 // outgrow, the transactions themselves — was carved from slabs the
 // system owns, and the H2 round ran on pooled records and caller-owned
 // scratch; 69.3 on the first before payloads, batch windows and lock
-// queues were pooled). What is left is per site — maps, mailbox rings,
+// queues were pooled). What is left is the generator machine of every
+// site that submits (client.Start says why it is an object of its own),
 // the vectors a machine record has not grown yet when a site is the
-// first to run a transaction in it — and forward lists. The ceilings leave a third for what differs across the CI matrix (map
+// first to run a transaction in it, and forward lists. The ceilings
+// leave a third for what differs across the CI matrix (slab and array
 // growth, mostly) and sit far below what one boxed payload per message
 // (+19 at the first cell's 19 messages a transaction), one object per
 // cached copy (+8) or one map per H2 decision costs.
@@ -168,10 +174,10 @@ func TestMallocsPerTransaction(t *testing.T) {
 		ceiling float64
 		busy    func(*rtdbs.Result) bool
 	}{
-		{"cs-sharded", sharded, rtdbs.NewClientServer, 1.9, func(r *rtdbs.Result) bool {
+		{"cs-sharded", sharded, rtdbs.NewClientServer, 1.4, func(r *rtdbs.Result) bool {
 			return r.BatchFlushes > 0 && r.RecallsSent > 0 && r.ReplicasInstalled > 0
 		}},
-		{"ls-100", ls100, rtdbs.NewLoadSharing, 5.4, func(r *rtdbs.Result) bool {
+		{"ls-100", ls100, rtdbs.NewLoadSharing, 3.1, func(r *rtdbs.Result) bool {
 			return r.M.ShippedTxns > 0 && r.M.DecomposedTxns > 0 && r.ForwardHops > 0
 		}},
 	} {

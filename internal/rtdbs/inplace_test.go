@@ -39,7 +39,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	net := netsim.New(env, netsim.DefaultConfig())
 	boxes := make([]sim.Mailbox[netsim.Message], 2)
 	for k := range boxes {
-		boxes[k].Init(env)
+		boxes[k].Init(env, net.Rings())
 	}
 	topo := shardmap.New(cfg.Sharding)
 	maker := new(txn.Maker)
@@ -59,7 +59,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 				mb.Put(i)
 			}
 			mb.TryGet()
-			mb.Init(env)
+			mb.Init(env, nil)
 			return mb
 		}, func() any { return sim.NewMailbox[int](env) }},
 		{"sim.Resource", func() any {

@@ -68,8 +68,8 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 		id := netsim.SiteID(i + 1)
 		// The client's inbox, then its connection queue at the server.
 		boxes := make([]sim.Mailbox[netsim.Message], 2)
-		boxes[0].Init(env)
-		boxes[1].Init(env)
+		boxes[0].Init(env, net.Rings())
+		boxes[1].Init(env, net.Rings())
 		srv.Attach(id, &boxes[1], &boxes[0])
 		src := &pingPong{
 			ops:  [1]txn.Op{{Obj: contested, Write: true}},

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"siteselect/internal/slab"
 )
 
 // The kernel promises an allocation-free steady state on its hot paths.
@@ -90,6 +92,47 @@ func TestParkedFootprint(t *testing.T) {
 		if v, ok := m.TryGet(); !ok || v != i {
 			t.Fatalf("item %d = %d, %v after growth", i, v, ok)
 		}
+	}
+}
+
+// TestMailboxRingFromSlab: a mailbox on a slab of rings takes its ring
+// from the slab with the first Put and gives it back when drained, so a
+// drained mailbox — a parked site's — holds no ring, and a warmed cycle
+// of Puts and TryGets, through a burst that doubles the ring twice,
+// allocates nothing. A ring longer than the slab keeps blocks of stays
+// with its mailbox: given back, it would be dropped and regrown.
+func TestMailboxRingFromSlab(t *testing.T) {
+	env := NewEnv()
+	var rings slab.Slab[int]
+	var m Mailbox[int]
+	m.Init(env, &rings)
+	cycle := func() {
+		for i := 0; i < 5; i++ {
+			m.Put(i)
+		}
+		for i := 0; i < 5; i++ {
+			if v, ok := m.TryGet(); !ok || v != i {
+				panic("FIFO order lost across the ring's growth")
+			}
+		}
+		if m.buf != nil {
+			panic("a drained mailbox holds its ring")
+		}
+		m.Put(9)
+		m.TryGet()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a warmed Put/TryGet cycle on a slab allocates %v per run, want 0", n)
+	}
+	for i := 0; i < 200; i++ {
+		m.Put(i)
+	}
+	for i := 0; i < 200; i++ {
+		m.TryGet()
+	}
+	if cap(m.buf) != 256 {
+		t.Errorf("a drained mailbox holds a ring of %d after a burst of 200, want the 256 it grew", cap(m.buf))
 	}
 }
 

@@ -1,5 +1,7 @@
 package sim
 
+import "siteselect/internal/slab"
+
 // Mailbox is an unbounded FIFO queue between actors. Put never blocks
 // (and may be called from event callbacks, not just machines); Recv
 // parks the calling machine until an item is available.
@@ -8,48 +10,62 @@ package sim
 // Put/TryGet cycle allocates nothing and the backing array never grows
 // past the high-water mark of queued items (the earlier slice-based
 // implementation leaked backing-array growth on every Put/Get pair).
-// The first Put allocates a ring of two and a full ring doubles: at
-// population scale most mailboxes never queue more than one message,
-// and the ring is what a parked site's mailbox weighs.
+// The first Put takes a ring of two and a full ring doubles. A mailbox
+// on a slab of rings (Init) takes them from it and gives its ring back
+// when drained, so a parked site's mailbox holds no ring: at population
+// scale most mailboxes never queue more than one message at once, and
+// the system keeps about as many rings as it has messages queued. A ring
+// longer than the slab keeps blocks of stays with its mailbox, as every
+// ring of a mailbox without a slab does.
 type Mailbox[T any] struct {
-	buf  []T // len(buf) is zero or a power of two
-	head int
-	n    int
-	sig  Signal
+	buf   []T // len(buf) is zero or a power of two
+	head  int32
+	n     int32
+	rings *slab.Slab[T]
+	sig   Signal
 }
 
-// NewMailbox returns an empty mailbox bound to env.
+// NewMailbox returns an empty mailbox bound to env, with rings of its
+// own.
 func NewMailbox[T any](env *Env) *Mailbox[T] {
 	m := new(Mailbox[T])
-	m.Init(env)
+	m.Init(env, nil)
 	return m
 }
 
 // Init makes m an empty mailbox bound to env, in place: a population's
 // mailboxes are elements of one array. A mailbox holds a Signal, so it
-// is initialised where it lives and not copied afterwards.
-func (m *Mailbox[T]) Init(env *Env) {
-	*m = Mailbox[T]{sig: Signal{env: env}}
+// is initialised where it lives and not copied afterwards. rings is the
+// slab its rings come from and go back to — the one owner of the item
+// type's, shared by every mailbox of the system — or nil for rings of its
+// own.
+func (m *Mailbox[T]) Init(env *Env, rings *slab.Slab[T]) {
+	*m = Mailbox[T]{rings: rings, sig: Signal{env: env}}
 }
 
 // Put appends v and wakes one waiting receiver, if any.
 func (m *Mailbox[T]) Put(v T) {
-	if m.n == len(m.buf) {
+	if int(m.n) == len(m.buf) {
 		m.grow()
 	}
-	m.buf[(m.head+m.n)&(len(m.buf)-1)] = v
+	m.buf[int(m.head+m.n)&(len(m.buf)-1)] = v
 	m.n++
 	m.sig.Fire()
 }
 
 func (m *Mailbox[T]) grow() {
-	newCap := len(m.buf) * 2
-	if newCap == 0 {
-		newCap = 2
+	newCap := max(2*len(m.buf), 2)
+	var buf []T
+	if m.rings != nil {
+		buf = m.rings.Block(newCap)
+	} else {
+		buf = make([]T, newCap)
 	}
-	buf := make([]T, newCap)
-	for i := 0; i < m.n; i++ {
-		buf[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
+	for i := 0; i < int(m.n); i++ {
+		buf[i] = m.buf[(int(m.head)+i)&(len(m.buf)-1)]
+	}
+	if m.rings != nil && len(m.buf) > 0 {
+		m.rings.PutBlock(m.buf)
 	}
 	m.buf = buf
 	m.head = 0
@@ -62,11 +78,13 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 	if m.n == 0 {
 		return zero, false
 	}
-	i := m.head
+	i := int(m.head)
 	v := m.buf[i]
 	m.buf[i] = zero
-	m.head = (i + 1) & (len(m.buf) - 1)
-	m.n--
+	m.head = int32((i + 1) & (len(m.buf) - 1))
+	if m.n--; m.n == 0 && m.rings != nil && m.rings.PutBlock(m.buf) {
+		m.buf, m.head = nil, 0
+	}
 	return v, true
 }
 

@@ -6,6 +6,12 @@
 // a spent record or makes a new one, and sites keep no free lists of
 // their own (DESIGN.md, "Record ownership"). Single-threaded; the zero
 // Slab is ready to use.
+//
+// An Index finds records by integer key — a site's cached copies by
+// object, its lock records by object and by owner — in a table whose
+// storage its owner's IndexSlab carves and takes back the same way, so a
+// site's indexes, like its records, cost the allocator nothing of their
+// own.
 package slab
 
 import (
@@ -87,20 +93,22 @@ func (s *Slab[T]) Block(n int) []T {
 	return b
 }
 
-// PutBlock zeroes b, a block whose capacity is a power of two, and keeps
-// it for the next Block of that length. Any other block is only zeroed;
-// one past blockBytes is left to the collector.
-func (s *Slab[T]) PutBlock(b []T) {
+// PutBlock zeroes b, a block whose capacity is a power of two, keeps it
+// for the next Block of that length and reports true. Any other block is
+// only zeroed, and PutBlock reports false: one past blockBytes is left to
+// the collector, or to an owner that keeps it (a mailbox's ring).
+func (s *Slab[T]) PutBlock(b []T) bool {
 	b = b[:cap(b)]
 	clear(b)
 	c := class(len(b))
 	if len(b) == 0 || len(b) != 1<<c || len(b) > 1 && len(b)*int(unsafe.Sizeof(b[0])) > blockBytes {
-		return
+		return false
 	}
 	for len(s.blocks) <= c {
 		s.blocks = append(s.blocks, nil)
 	}
 	s.blocks[c] = append(s.blocks[c], b)
+	return true
 }
 
 // Insert puts x at index i of list, which lives in a block of s or — at

@@ -68,6 +68,10 @@ type Maker struct {
 	lastID ID
 	txns   slab.Slab[Transaction]
 	ops    slab.Slab[Op]
+	// ids is the buffer every generator draws an access set into
+	// (rng.AccessGen.FillSet): Next copies it into the transaction at
+	// once, so one buffer serves the system.
+	ids []int
 }
 
 // New returns a transaction with the next id and room for n accesses.
@@ -132,7 +136,8 @@ func (g *Generator) Next() *Transaction {
 	if n < 1 {
 		n = 1
 	}
-	ids := g.cfg.Access.NextSet(n)
+	ids := g.cfg.Access.FillSet(g.maker.ids, n)
+	g.maker.ids = ids
 	t := g.maker.New(len(ids))
 	for i, id := range ids {
 		t.Ops[i] = Op{
