@@ -4,6 +4,10 @@
 //
 //	rtbench -exp <id> [-scale 0.25] [-seed 1] [-clients 20,40,60,80,100]
 //	        [-csv] [-reps N] [-parallel N] [-progress] [-svg dir]
+//	        [-ablate-clients 60] [-ablate-updates 0.20] [-trace-summary]
+//	        [-cpuprofile file] [-memprofile file]
+//	rtbench -scenario file.rts | -scenario-dir dir [-scale-scenarios]
+//	        [-scenario-out dir] [-parallel N]
 //
 // Experiment ids, in the order -exp all runs them (the registry is
 // experiment.Studies; TestDocsListEveryStudy holds this list to it):
@@ -14,6 +18,8 @@
 //
 // -scale shrinks the virtual run length (1 = the full 30-minute runs);
 // the shapes survive scaling but small counters get noisier.
+// -ablate-clients and -ablate-updates set the one cell the ablate-*
+// experiments run (default 60 clients at 20 % updates).
 //
 // -trace-summary re-runs a figure's CS/LS cells with per-transaction
 // tracing enabled and reports the aggregate miss-cause table (missed
@@ -21,6 +27,15 @@
 // attribution) instead of the success-rate figure. Only the figures
 // have one: with another single id it is an error, and -exp all runs
 // the other experiments as usual.
+//
+// -scenario runs one .rts scenario file and -scenario-dir every one in
+// a directory, in place of an experiment: each prints its report and
+// fails the command when an expect assertion fails. A scenario fixes its
+// own system, workload and seed, so -seed, -scale and -reps do not apply.
+// -scenario-dir skips the scale-tier scenarios (100k clients and up;
+// minutes and tens of GB) unless -scale-scenarios is given, and
+// -scenario-out also writes each report to a directory as <name>.golden,
+// the bytes scenarios/golden pins.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // experiment or scenario run, for hunting simulator hot spots (see

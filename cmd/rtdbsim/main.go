@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rtdbsim -system ce|cs|ls [-clients 20] [-updates 0.05]
+//	rtdbsim -system ce|ce-occ|cs|ls [-clients 20] [-updates 0.05]
 //	        [-duration 30m] [-warmup 10m] [-seed 1]
 //	        [-reps 1] [-parallel 0]
 //	        [-window 500ms] [-executors 4] [-no-h1] [-no-h2]
@@ -12,6 +12,11 @@
 //	        [-drop-rate 0] [-dup-rate 0] [-spike-rate 0] [-spike-latency 5ms]
 //	        [-partition-site -1] [-partition-at 0] [-partition-duration 0]
 //	        [-invariants] [-trace out.json] [-msgtrace 0]
+//	rtdbsim -scenario file.rts
+//
+// -scenario runs one .rts scenario file instead — its own system,
+// workload and seed, so the other flags do not apply — and prints the
+// scenario report followed by the full dump.
 //
 // With -reps N > 1 the configuration is replicated N times over seeds
 // derived from the master -seed, fanned across a -parallel worker pool

@@ -115,15 +115,15 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 	// fetch sends the firm request for the access at the cursor and plays
 	// the server: receive the request, release its record, ship the
 	// grant in another.
-	m.sendKind = skSeq
 	fetch := func() {
 		op := m.missing[m.seqIdx]
 		obj, mode := op.Obj, op.Mode()
 		c.register(&m.pt, obj, mode, 0)
-		m.resend(0)
+		m.pt.kind = skSeq
+		m.resend()
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
-		if q, isReq := msg.Payload.(*proto.CommitRequest); !ok || !isReq || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
+		if q, isReq := msg.Payload.(*proto.ObjRequest); !ok || !isReq || q.Op != proto.OpCommit || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
 			panic("firm request not sent")
 		}
 		c.stock.Payloads.Release(msg.Payload)
@@ -160,9 +160,9 @@ func (p parkForever) Resume() { p.t.Wait(p.s) }
 
 // TestSelectionRoundBookkeepingZeroAlloc pins the load-sharing rounds at
 // one server at zero allocations, the decisions included: a tentative
-// probe answered by a ConflictReply, H2 over it, the commit round and
-// its grants; then a location/load query, its LoadReply, H2 again and
-// the decomposition it feeds. Each reply is copied out of its payload
+// probe answered by a Locations reply, H2 over it, the commit round and
+// its grants; then a location/load query, its Locations reply, H2 again
+// and the decomposition it feeds. Each reply is copied out of its payload
 // record — which goes back to the pool — into arrays the machine's
 // exchange keeps, and every decision runs in the system's scratch.
 func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
@@ -185,11 +185,11 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 
 	// exchange sends the current request, has the scripted server check
 	// what it received, and delivers reply.
-	exchange := func(wanted func(any) bool, kind netsim.Kind, reply any) {
-		m.resend(0)
+	exchange := func(op proto.Op, kind netsim.Kind, reply any) {
+		m.resend()
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
-		if !ok || !wanted(msg.Payload) {
+		if q, isReq := msg.Payload.(*proto.ObjRequest); !ok || !isReq || q.Op != op || len(q.Objs) != 2 {
 			panic("request not sent as expected")
 		}
 		c.stock.Payloads.Release(msg.Payload)
@@ -201,42 +201,38 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		for _, op := range m.missing {
 			c.register(pt, op.Obj, op.Mode(), 0)
 		}
-		m.sendKind = skProbe
-		cr := c.stock.Payloads.ConflictReply.New()
+		pt.kind = skProbe
+		cr := c.stock.Payloads.Locations.New()
 		cr.Txn, cr.Loads, cr.DataCounts = tx.ID, append(cr.Loads, loads...), append(cr.DataCounts, counts...)
-		cr.Conflicts, cr.Flat = proto.AppendLocation(cr.Conflicts, cr.Flat, where[0].Obj, where[0].Holders)
-		exchange(func(p any) bool { q, ok := p.(*proto.ProbeRequest); return ok && len(q.Objs) == 2 },
-			netsim.KindLockReply, cr)
-		conflicts, loadAt, countAt := c.h2Inputs(pt.confFrom)
-		if !pt.gotConflict || conflicts[0].Obj != 8 || conflicts[0].Holders[0] != 2 || !loadAt[2].Valid || countAt[2] != 1 {
+		cr.Objs, cr.Flat = proto.AppendLocation(cr.Objs, cr.Flat, where[0].Obj, where[0].Holders)
+		exchange(proto.OpProbe, netsim.KindLockReply, cr)
+		conflicts, loadAt, countAt := c.h2Inputs(pt.replies)
+		if !pt.answered || conflicts[0].Obj != 8 || conflicts[0].Holders[0] != 2 || !loadAt[2].Valid || countAt[2] != 1 {
 			panic("conflict reply not copied out")
 		}
 		if d := m.chooseSite(loadshare.Params{Conflicts: conflicts, Loads: loadAt, DataCounts: countAt,
 			RequireImprovement: true, MinShipData: 1}); !d.Ship || d.Target != 2 {
 			panic("H2 did not pick the conflicting holder")
 		}
-		m.sendKind = skCommit
+		pt.kind = skCommit
 		g := c.stock.Payloads.GrantMsg.New()
 		g.Grants = append(g.Grants,
 			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1},
 			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1})
-		exchange(func(p any) bool { q, ok := p.(*proto.CommitRequest); return ok && len(q.Objs) == 2 },
-			netsim.KindObjectShip, g)
+		exchange(proto.OpCommit, netsim.KindObjectShip, g)
 		if len(pt.waits) != 0 {
 			panic("grants did not clear the waits")
 		}
 		m.closePending()
 
 		pt = m.openPending()
-		pt.wantLoad = true
-		m.sendKind = skLoad
-		lr := c.stock.Payloads.LoadReply.New()
+		pt.kind = skLocate
+		lr := c.stock.Payloads.Locations.New()
 		lr.Txn, lr.Loads = tx.ID, append(lr.Loads, loads...)
-		lr.Locations, lr.Flat = proto.AppendLocation(lr.Locations, lr.Flat, where[0].Obj, where[0].Holders)
-		exchange(func(p any) bool { q, ok := p.(*proto.LoadQuery); return ok && len(q.Objs) == 2 },
-			netsim.KindLoadReply, lr)
-		locs, loadAt, _ := c.h2Inputs(pt.loadFrom)
-		if !pt.hasLoad || locs[0].Obj != 8 || locs[0].Holders[0] != 2 || !loadAt[2].Valid {
+		lr.Objs, lr.Flat = proto.AppendLocation(lr.Objs, lr.Flat, where[0].Obj, where[0].Holders)
+		exchange(proto.OpLocate, netsim.KindLoadReply, lr)
+		locs, loadAt, _ := c.h2Inputs(pt.replies)
+		if !pt.answered || locs[0].Obj != 8 || locs[0].Holders[0] != 2 || !loadAt[2].Valid {
 			panic("load reply not copied out")
 		}
 		if d := m.chooseSite(loadshare.Params{Locations: locs, Loads: loadAt}); !d.Ship || d.Target != 2 {

@@ -157,21 +157,22 @@ type pendingTxn struct {
 
 	sig    sim.Signal
 	denied proto.DenyReason
+	// kind is what the exchange asks for (skLocate … skSeq, set before
+	// each send): it picks resend's op, wire kind, accesses and routing,
+	// and the condition that completes the wait (awaitCond).
+	kind uint8
 	// Reply assembly. An exchange is one message per shard and each
-	// shard answers for its slice; the answers are copied into pooled
-	// records, per sender and in shard order (keepReply), and read when
-	// the waiting step consumes them (h2Inputs). A conflict reply wakes
-	// the waiter as it arrives:
-	// H2 then decides on the conflicts seen so far, a deliberate
-	// heuristic — waiting for every shard would trade deadline slack for
-	// information the decision may not need. A load query completes once
-	// loadWant shards have answered.
-	gotConflict bool
-	confFrom    []shardReply
-	wantLoad    bool
-	hasLoad     bool
-	loadFrom    []shardReply
-	loadWant    int
+	// shard answers for its slice; the Locations answers are copied into
+	// pooled records, per sender and in shard order (keepReply), and read
+	// when the waiting step consumes them (h2Inputs). A probe's answer
+	// marks the exchange answered as it arrives: H2 then decides on the
+	// conflicts seen so far, a deliberate heuristic — waiting for every
+	// shard would trade deadline slack for information the decision may
+	// not need. A location query is answered once want shards have
+	// answered.
+	answered bool
+	replies  []shardReply
+	want     int
 	// netAccum accumulates the measured wire transit of the current
 	// request/reply exchange (uplink sends plus satisfying replies);
 	// awaitReply splits each wait interval into network and lock-wait
@@ -293,7 +294,7 @@ func (c *Client) AuditPending(grace time.Duration) (time.Duration, error) {
 	earliest := Never
 	for _, pt := range c.pending {
 		earliest = min(earliest, pt.t.Deadline)
-		if len(pt.waits) == 0 && !pt.wantLoad {
+		if len(pt.waits) == 0 && pt.kind != skLocate {
 			continue
 		}
 		if now > pt.t.Deadline+grace {
@@ -462,16 +463,14 @@ func (c *Client) dispatchMsg(msg netsim.Message) {
 		for _, g := range pl.Grants {
 			c.onGrant(g)
 		}
-	case *proto.ConflictReply:
-		c.onConflictReply(*pl)
+	case *proto.Locations:
+		c.onLocations(*pl, msg.Kind == netsim.KindLoadReply)
 	case *proto.DenyReply:
 		c.onDeny(*pl)
 	case *proto.RecallMsg:
 		for _, r := range pl.Recalls {
 			c.onRecall(r)
 		}
-	case *proto.LoadReply:
-		c.onLoadReply(*pl)
 	case *proto.TxnShip:
 		c.onTxnShip(*pl)
 	case *proto.TxnResult:

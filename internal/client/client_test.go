@@ -104,6 +104,15 @@ func (r *rig) injectFrom(k int, kind netsim.Kind, payload any) {
 	}, r.inbox)
 }
 
+// request returns payload as an object request with the given op, nil
+// when it is anything else.
+func request(payload any, op proto.Op) *proto.ObjRequest {
+	if q, ok := payload.(*proto.ObjRequest); ok && q.Op == op {
+		return q
+	}
+	return nil
+}
+
 // sent drains and returns the client's outbound server messages.
 func (r *rig) sent(until time.Duration) []netsim.Message {
 	r.env.Run(until)
@@ -272,8 +281,8 @@ func TestClientProbeThenGrantFlow(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("expected one probe, got %+v", msgs)
 	}
-	probe, ok := msgs[0].Payload.(*proto.ProbeRequest)
-	if !ok || len(probe.Objs) != 2 {
+	probe := request(msgs[0].Payload, proto.OpProbe)
+	if probe == nil || len(probe.Objs) != 2 {
 		t.Fatalf("probe = %+v", msgs[0].Payload)
 	}
 	// Server grants both.
@@ -293,9 +302,9 @@ func TestClientConflictReplyShipsToDataRichTarget(t *testing.T) {
 	r.cl.submitAsync(tx)
 	r.sent(time.Second) // probe out
 	// Peer 2 holds everything: strictly better on conflicts and data.
-	r.inject(netsim.KindLockReply, &proto.ConflictReply{
+	r.inject(netsim.KindLockReply, &proto.Locations{
 		Txn: tx.ID,
-		Conflicts: []proto.ObjConflict{
+		Objs: []proto.ObjConflict{
 			{Obj: 40, Holders: []netsim.SiteID{2}},
 		},
 		DataCounts: []proto.SiteCount{{Site: 2, Count: 3}},
@@ -323,9 +332,9 @@ func TestClientConflictReplyStaysWhenTargetDataPoor(t *testing.T) {
 	tx := r.newTxn(ops, time.Minute)
 	r.cl.submitAsync(tx)
 	r.sent(time.Second)
-	r.inject(netsim.KindLockReply, &proto.ConflictReply{
+	r.inject(netsim.KindLockReply, &proto.Locations{
 		Txn:        tx.ID,
-		Conflicts:  []proto.ObjConflict{{Obj: 40, Holders: []netsim.SiteID{2}}},
+		Objs:       []proto.ObjConflict{{Obj: 40, Holders: []netsim.SiteID{2}}},
 		DataCounts: []proto.SiteCount{{Site: 2, Count: 1}},
 	})
 	msgs := r.sent(2 * time.Second)
@@ -335,8 +344,8 @@ func TestClientConflictReplyStaysWhenTargetDataPoor(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	if _, ok := msgs[0].Payload.(*proto.CommitRequest); !ok {
-		t.Fatalf("expected CommitRequest, got %T", msgs[0].Payload)
+	if request(msgs[0].Payload, proto.OpCommit) == nil {
+		t.Fatalf("expected a commit request, got %+v", msgs[0].Payload)
 	}
 }
 
@@ -605,14 +614,15 @@ func TestClientSequentialFetchFlow(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("want one sequential request first, got %+v", msgs)
 	}
-	req := msgs[0].Payload.(*proto.CommitRequest)
-	if len(req.Objs) != 1 || req.Objs[0] != 100 {
+	req := request(msgs[0].Payload, proto.OpCommit)
+	if req == nil || len(req.Objs) != 1 || req.Objs[0] != 100 {
 		t.Fatalf("first request = %+v", req)
 	}
 	// Grant the first; the second request follows.
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 100, Mode: lockmgr.ModeShared, Version: 1})
 	msgs = r.sent(2 * time.Second)
-	if len(msgs) != 1 || !slices.Equal(msgs[0].Payload.(*proto.CommitRequest).Objs, []lockmgr.ObjectID{101}) {
+	if len(msgs) != 1 || request(msgs[0].Payload, proto.OpCommit) == nil ||
+		!slices.Equal(msgs[0].Payload.(*proto.ObjRequest).Objs, []lockmgr.ObjectID{101}) {
 		t.Fatalf("second round = %+v", msgs)
 	}
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 101, Mode: lockmgr.ModeShared, Version: 1})
@@ -658,20 +668,20 @@ func TestClientH1RejectionShipsViaLoadQuery(t *testing.T) {
 	tight := r.newTxn([]txn.Op{{Obj: 2}}, 25*time.Second)
 	r.cl.submitAsync(tight)
 	msgs := r.sent(3 * time.Second)
-	var q *proto.LoadQuery
+	var q *proto.ObjRequest
 	for _, m := range msgs {
-		if lq, ok := m.Payload.(*proto.LoadQuery); ok {
+		if lq := request(m.Payload, proto.OpLocate); lq != nil {
 			q = lq
 		}
 	}
 	if q == nil {
-		t.Fatalf("no LoadQuery sent; messages = %+v", msgs)
+		t.Fatalf("no location query sent; messages = %+v", msgs)
 	}
 	// Peer 2 holds the data and is idle: the reply ships the txn there.
-	r.inject(netsim.KindLoadReply, &proto.LoadReply{
-		Txn:       tight.ID,
-		Locations: []proto.ObjConflict{{Obj: 2, Holders: []netsim.SiteID{2}}},
-		Loads:     []proto.LoadReport{{Client: 2, QueueLen: 0, ATL: time.Second, Valid: true}},
+	r.inject(netsim.KindLoadReply, &proto.Locations{
+		Txn:   tight.ID,
+		Objs:  []proto.ObjConflict{{Obj: 2, Holders: []netsim.SiteID{2}}},
+		Loads: []proto.LoadReport{{Client: 2, QueueLen: 0, ATL: time.Second, Valid: true}},
 	})
 	r.env.Run(r.env.Now() + 2*time.Second)
 	if !tight.Shipped {
@@ -694,14 +704,14 @@ func TestClientDecomposition(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	if _, ok := msgs[0].Payload.(*proto.LoadQuery); !ok {
+	if request(msgs[0].Payload, proto.OpLocate) == nil {
 		t.Fatalf("decomposable txn should query locations, got %T", msgs[0].Payload)
 	}
 	// Peer 2 solely holds objects 20 and 21: two groups form, the
 	// remote one ships as a subtask.
-	r.inject(netsim.KindLoadReply, &proto.LoadReply{
+	r.inject(netsim.KindLoadReply, &proto.Locations{
 		Txn: tx.ID,
-		Locations: []proto.ObjConflict{
+		Objs: []proto.ObjConflict{
 			{Obj: 20, Holders: []netsim.SiteID{2}},
 			{Obj: 21, Holders: []netsim.SiteID{2}},
 		},

@@ -53,7 +53,6 @@ type txnMachine struct {
 	// while it is open (openPending to closePending); a machine holds one
 	// exchange at a time, and a transaction has one machine at a site.
 	pt        pendingTxn
-	sendKind  uint8
 	awRTO     time.Duration
 	awUntil   time.Duration
 	awAttempt int
@@ -126,12 +125,12 @@ const (
 	enLocalSub               // decomposition subtask run at the origin
 )
 
-// Request kinds for resend.
+// Exchange kinds (pendingTxn.kind).
 const (
-	skLoad uint8 = iota
-	skProbe
-	skCommit
-	skSeq
+	skLocate uint8 = iota + 1 // where the transaction's objects are, and the candidates' loads
+	skProbe                   // tentative all-or-nothing round for the missing objects
+	skCommit                  // firm requests for the missing objects
+	skSeq                     // firm request for the missing access at seqIdx
 )
 
 // spawnTxn starts a transaction machine in the given entry mode, in a
@@ -143,7 +142,7 @@ func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, rep
 	m.locks.Init(nil, 0) // keeps its request array only
 	*m = txnMachine{
 		c: c, t: t, sub: sub, reportTo: reportTo, owns: sub == nil,
-		pt:      pendingTxn{waits: m.pt.waits[:0], confFrom: m.pt.confFrom[:0], loadFrom: m.pt.loadFrom[:0]},
+		pt:      pendingTxn{waits: m.pt.waits[:0], replies: m.pt.replies[:0]},
 		results: m.results[:0],
 		lockOps: m.lockOps[:0], locks: m.locks,
 		entries: m.entries[:0], spec: m.spec[:0], missing: m.missing[:0],
@@ -188,7 +187,7 @@ func (m *txnMachine) step() bool {
 		// Entry point of the load-sharing algorithm for a transaction
 		// initiated at this client (Section 4 pseudocode).
 		if c.cfg.UseDecomposition && t.Decomposable {
-			m.beginLoadQuery(tsDecomposeQuery)
+			m.beginLocate(tsDecomposeQuery)
 			return false
 		}
 		m.pc = tsH1
@@ -201,7 +200,7 @@ func (m *txnMachine) step() bool {
 		c.tr.MarkShipArrived(t.ID, c.id, m.task.Now())
 		m.pc = tsExecBegin
 	case tsDecomposeQuery, tsShipQuery:
-		return m.stepLoadReply()
+		return m.stepLocate()
 	case tsFanoutWait:
 		return m.stepFanout()
 	case tsExecBegin:
@@ -290,15 +289,11 @@ func (m *txnMachine) step() bool {
 	return false
 }
 
-// beginLoadQuery starts a location/load query: register interest, send,
+// beginLocate starts a location/load query: register interest, send,
 // and arm the reply wait. next is the state that consumes the reply.
-func (m *txnMachine) beginLoadQuery(next uint8) {
-	pt := m.openPending()
-	pt.wantLoad = true
-	m.sendKind = skLoad
-	m.resend(0)
-	m.awaitArm()
-	m.pc = next
+func (m *txnMachine) beginLocate(next uint8) {
+	m.openPending()
+	m.send(skLocate, next)
 }
 
 // stepH1 applies the H1 admission heuristic with a concurrent executor
@@ -314,7 +309,7 @@ func (m *txnMachine) stepH1() bool {
 		c.tr.Point(t.ID, c.id, trace.EvH1, 0, int64(n), boolArg(feasible), m.task.Now())
 		if !feasible {
 			c.m.H1Rejections++
-			m.beginLoadQuery(tsShipQuery)
+			m.beginLocate(tsShipQuery)
 			return false
 		}
 	}
@@ -322,12 +317,12 @@ func (m *txnMachine) stepH1() bool {
 	return false
 }
 
-// stepLoadReply consumes the answer to a location/load query —
+// stepLocate consumes the answer to a location/load query —
 // decomposition (tsDecomposeQuery) or the H1-infeasible ship decision
 // (tsShipQuery) — and only then closes the exchange the answer's copy
 // lives in. With no answer by the deadline the transaction carries on
 // as if the query had not been asked.
-func (m *txnMachine) stepLoadReply() bool {
+func (m *txnMachine) stepLocate() bool {
 	done, ok := m.awaitStep()
 	if !done {
 		return true
@@ -336,12 +331,12 @@ func (m *txnMachine) stepLoadReply() bool {
 	if m.pc == tsDecomposeQuery {
 		m.pc = tsH1
 		if ok {
-			m.tryDecompose(c.locations(pt.loadFrom))
+			m.tryDecompose(c.locations(pt.replies))
 		}
 	} else {
 		m.pc = tsExecBegin
 		if ok {
-			m.shipAfterQuery(pt.loadFrom)
+			m.shipAfterQuery(pt.replies)
 		}
 	}
 	m.closePending()
@@ -618,13 +613,10 @@ func (m *txnMachine) beginFetch() {
 	for _, op := range m.missing {
 		c.register(pt, op.Obj, op.Mode(), now)
 	}
-	m.sendKind = skProbe
 	// A retried probe is idempotent at the server: already-granted locks
 	// hit the lock table's re-entrant fast path and the objects ship
 	// again over the reliable channel.
-	m.resend(0)
-	m.awaitArm()
-	m.pc = tsProbeWait
+	m.send(skProbe, tsProbeWait)
 }
 
 // denied resolves a denial reply; it reports true when the fetch must
@@ -655,15 +647,15 @@ func (m *txnMachine) stepProbeWait() bool {
 		return false
 	}
 	pt := &m.pt
-	if !pt.gotConflict {
+	if !pt.answered {
 		m.fetchOK() // everything granted
 		return false
 	}
 	// Tentative round hit conflicts: decide where this transaction
 	// should run (H2), then either ship it or commit to local
 	// processing.
-	pt.gotConflict = false
-	conflicts, loads, dataCounts := c.h2Inputs(pt.confFrom)
+	pt.answered = false
+	conflicts, loads, dataCounts := c.h2Inputs(pt.replies)
 	d := m.chooseSite(loadshare.Params{
 		Conflicts:          conflicts,
 		Loads:              loads,
@@ -674,7 +666,7 @@ func (m *txnMachine) stepProbeWait() bool {
 		// one blocked object for several lost cache hits.
 		MinShipData: len(t.Ops) - len(m.missing) + 1,
 	})
-	pt.confFrom = c.giveBack(pt.confFrom) // read; the next answer starts afresh
+	pt.replies = c.giveBack(pt.replies) // read; the next answer starts afresh
 	if d.Ship {
 		c.shipTxn(t, d.Target)
 		m.fetchOK() // t.Shipped signals the outcome
@@ -691,10 +683,7 @@ func (m *txnMachine) stepProbeWait() bool {
 		pt.waits[i].sent = now
 	}
 	pt.netAccum = 0
-	m.sendKind = skCommit
-	m.resend(0)
-	m.awaitArm()
-	m.pc = tsCommitWait
+	m.send(skCommit, tsCommitWait)
 	return false
 }
 
@@ -714,10 +703,7 @@ func (m *txnMachine) stepSeqSend() bool {
 	pt := &m.pt
 	c.register(pt, op.Obj, op.Mode(), m.task.Now())
 	pt.netAccum = 0
-	m.sendKind = skSeq
-	m.resend(0)
-	m.awaitArm()
-	m.pc = tsSeqWait
+	m.send(skSeq, tsSeqWait)
 	return false
 }
 
@@ -861,12 +847,13 @@ const (
 	awWait
 )
 
-// awaitArm begins a reply wait (the blocking awaitReply), after the
-// initial send.
-func (m *txnMachine) awaitArm() {
-	m.awRTO = m.c.rto
-	m.awAttempt = 1
-	m.awPC = awIdle
+// send sends the open exchange's request as kind (resend) and begins
+// its reply wait (the blocking awaitReply) in state next.
+func (m *txnMachine) send(kind, next uint8) {
+	m.pt.kind = kind
+	m.resend()
+	m.awRTO, m.awAttempt, m.awPC = m.c.rto, 1, awIdle
+	m.pc = next
 }
 
 // awaitStep waits for the current exchange's condition until the
@@ -908,7 +895,7 @@ func (m *txnMachine) awaitStep() (done, ok bool) {
 				c.tr.MarkRetry(t.ID, c.id, m.task.Now(), m.awAttempt)
 			}
 			pt.netAccum = 0
-			m.resend(m.awAttempt)
+			m.resend()
 			m.awAttempt++
 			if m.awRTO < 8*c.rto {
 				m.awRTO *= 2
@@ -921,11 +908,11 @@ func (m *txnMachine) awaitStep() (done, ok bool) {
 // awaitCond evaluates the current exchange's completion predicate.
 func (m *txnMachine) awaitCond() bool {
 	pt := &m.pt
-	switch m.sendKind {
-	case skLoad:
-		return pt.hasLoad
+	switch pt.kind {
+	case skLocate:
+		return pt.answered
 	case skProbe:
-		return len(pt.waits) == 0 || pt.denied != 0 || pt.gotConflict
+		return len(pt.waits) == 0 || pt.denied != 0 || pt.answered
 	case skCommit:
 		return len(pt.waits) == 0 || pt.denied != 0
 	default: // skSeq
@@ -1083,7 +1070,7 @@ func (m *txnMachine) closePending() {
 		c.unregister(pt.waits[i].obj, pt)
 	}
 	unlist(&c.pending, pt, &c.stock.pendLists)
-	*pt = pendingTxn{waits: pt.waits[:0], confFrom: c.giveBack(pt.confFrom), loadFrom: c.giveBack(pt.loadFrom)}
+	*pt = pendingTxn{waits: pt.waits[:0], replies: c.giveBack(pt.replies)}
 }
 
 // finish records a terminal state for work executed here. For subtasks

@@ -124,15 +124,26 @@ func (c *Client) endRun(obj lockmgr.ObjectID, version int64, l *forward.List) {
 	c.sendReturn(home, dataBytes(ret.HasData), ret)
 }
 
-func (c *Client) onConflictReply(r proto.ConflictReply) {
+// onLocations takes a shard's answer naming where objects are: to a
+// probe, or — located, a load reply — to a location query. A location
+// answer that outlived its query is dropped; a probe's answer that
+// arrives during a location query wakes the waiter but is not kept,
+// since it is no location answer.
+func (c *Client) onLocations(r proto.Locations, located bool) {
 	pt := c.findPending(r.Txn)
-	if pt == nil {
+	if pt == nil || located && pt.kind != skLocate {
 		return
 	}
-	pt.confFrom = c.keepReply(pt.confFrom, c.curFrom, r.Conflicts, r.Loads, r.DataCounts)
-	pt.gotConflict = true
 	pt.netAccum += c.curTransit
-	pt.sig.Broadcast()
+	if !located && pt.kind == skLocate {
+		pt.sig.Broadcast()
+		return
+	}
+	pt.replies = c.keepReply(pt.replies, c.curFrom, &r)
+	if !located || len(pt.replies) >= pt.want {
+		pt.answered = true
+		pt.sig.Broadcast()
+	}
 }
 
 func (c *Client) onDeny(d proto.DenyReply) {
@@ -144,19 +155,6 @@ func (c *Client) onDeny(d proto.DenyReply) {
 	pt.netAccum += c.curTransit
 	c.tr.Point(d.Txn, c.id, trace.EvLockDenied, 0, int64(d.Reason), 0, c.env.Now())
 	pt.sig.Broadcast()
-}
-
-func (c *Client) onLoadReply(r proto.LoadReply) {
-	pt := c.findPending(r.Txn)
-	if pt == nil || !pt.wantLoad {
-		return
-	}
-	pt.loadFrom = c.keepReply(pt.loadFrom, c.curFrom, r.Locations, r.Loads, nil)
-	pt.netAccum += c.curTransit
-	if len(pt.loadFrom) >= pt.loadWant {
-		pt.hasLoad = true
-		pt.sig.Broadcast()
-	}
 }
 
 // onRecall answers a server callback. Recalls for objects pinned by a

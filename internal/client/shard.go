@@ -109,16 +109,19 @@ func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
 	return objs, modes
 }
 
-// resend (re)transmits the current exchange's request: one message per
-// shard the accesses route to, each a pooled record whose access
+// resend (re)transmits the current exchange's request: one ObjRequest
+// per shard the accesses route to, each a pooled record whose access
 // vectors are filled in place — written into the record's own arrays
 // (kept across reuse), never aliased to anything the machine rewrites
-// while the frame may still be on the wire. Probe and commit rounds
+// while the frame may still be on the wire. The exchange's kind picks
+// the op, the wire kind and the accesses: a location query covers the
+// whole transaction, routed to home shards; probe and commit rounds
 // cover m.missing, which stands still from beginFetch to the round's
 // end; a sequential fetch is the commit round of the one access at its
 // cursor.
-func (m *txnMachine) resend(attempt int) {
+func (m *txnMachine) resend() {
 	c, t, pt := m.c, m.t, &m.pt
+	op, kind, ops := proto.OpCommit, netsim.KindObjectRequest, m.missing
 	// The one rule that differs by topology. With several shards a probe
 	// or commit round leaves out the accesses already granted (pt.waits
 	// tracks them), so a shard that served its slice is not asked again.
@@ -129,53 +132,26 @@ func (m *txnMachine) resend(attempt int) {
 	if c.topo.Servers() == 1 {
 		served = nil
 	}
-	var stack [16]netsim.SiteID
-	switch m.sendKind {
-	case skLoad:
-		if attempt == 0 {
-			pt.loadFrom = c.giveBack(pt.loadFrom)
-		}
-		sites := c.routeAll(stack[:0], t.Ops, true, nil)
-		pt.loadWant = 0
-		for i, site := range sites {
-			if site == noSite {
-				continue
-			}
-			pt.loadWant++
-			q := c.stock.Payloads.LoadQuery.New()
-			q.Client, q.Txn, q.Load = c.id, t.ID, c.loadReport()
-			q.Objs, q.Modes = takeGroup(sites, i, t.Ops, q.Objs, q.Modes)
-			pt.netAccum += c.toSite(site, netsim.KindLoadQuery, netsim.ControlBytes, q)
-		}
+	switch pt.kind {
+	case skLocate:
+		op, kind, ops, served = proto.OpLocate, netsim.KindLoadQuery, t.Ops, nil
 	case skProbe:
-		if attempt == 0 {
-			pt.confFrom = c.giveBack(pt.confFrom)
+		op = proto.OpProbe
+	case skSeq:
+		ops = ops[m.seqIdx : m.seqIdx+1]
+	}
+	var stack [16]netsim.SiteID
+	sites := c.routeAll(stack[:0], ops, pt.kind == skLocate, served)
+	pt.want = 0
+	for i, site := range sites {
+		if site == noSite {
+			continue
 		}
-		sites := c.routeAll(stack[:0], m.missing, false, served)
-		for i, site := range sites {
-			if site == noSite {
-				continue
-			}
-			q := c.stock.Payloads.ProbeRequest.New()
-			q.Client, q.Txn, q.Deadline, q.Load = c.id, t.ID, t.Deadline, c.loadReport()
-			q.Objs, q.Modes = takeGroup(sites, i, m.missing, q.Objs, q.Modes)
-			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
-		}
-	default: // skCommit, skSeq
-		ops := m.missing
-		if m.sendKind == skSeq {
-			ops = ops[m.seqIdx : m.seqIdx+1]
-		}
-		sites := c.routeAll(stack[:0], ops, false, served)
-		for i, site := range sites {
-			if site == noSite {
-				continue
-			}
-			q := c.stock.Payloads.CommitRequest.New()
-			q.Client, q.Txn, q.Deadline, q.Load = c.id, t.ID, t.Deadline, c.loadReport()
-			q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
-			pt.netAccum += c.toSite(site, netsim.KindObjectRequest, netsim.ControlBytes, q)
-		}
+		pt.want++
+		q := c.stock.Payloads.ObjRequest.New()
+		q.Op, q.Client, q.Txn, q.Deadline, q.Load = op, c.id, t.ID, t.Deadline, c.loadReport()
+		q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
+		pt.netAccum += c.toSite(site, kind, netsim.ControlBytes, q)
 	}
 }
 
@@ -183,20 +159,18 @@ func (m *txnMachine) resend(attempt int) {
 // where the objects are (the conflicting holders for a probe, every
 // holder for a location query), the known loads of those sites, and —
 // probes only — how much of the access set each of them caches. It is
-// the client's copy, in a second pooled record (a ConflictReply for
-// either kind of answer, locations as its conflicts) held until the
-// answers have been read, a few events later: the delivered record goes
-// back to the pool with the handler's return.
+// the client's copy, in a second pooled record held until the answers
+// have been read, a few events later: the delivered record goes back to
+// the pool with the handler's return.
 type shardReply struct {
 	from netsim.SiteID
-	rec  *proto.ConflictReply
+	rec  *proto.Locations
 }
 
 // keepReply records a copy of from's answer among rs, in place of an
 // earlier one from the same shard (a retransmitted exchange is answered
 // twice) and in shard order, whatever order the answers arrive in.
-func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
-	objs []proto.ObjConflict, loads []proto.LoadReport, counts []proto.SiteCount) []shardReply {
+func (c *Client) keepReply(rs []shardReply, from netsim.SiteID, r *proto.Locations) []shardReply {
 	i := 0
 	for i < len(rs) && rs[i].from > from { // shard k answers from site -k
 		i++
@@ -206,11 +180,11 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID,
 	} else {
 		rs = slices.Insert(rs, i, shardReply{from: from})
 	}
-	rec := c.stock.Payloads.ConflictReply.New()
-	for _, o := range objs {
-		rec.Conflicts, rec.Flat = proto.AppendLocation(rec.Conflicts, rec.Flat, o.Obj, o.Holders)
+	rec := c.stock.Payloads.Locations.New()
+	for _, o := range r.Objs {
+		rec.Objs, rec.Flat = proto.AppendLocation(rec.Objs, rec.Flat, o.Obj, o.Holders)
 	}
-	rec.Loads, rec.DataCounts = append(rec.Loads, loads...), append(rec.DataCounts, counts...)
+	rec.Loads, rec.DataCounts = append(rec.Loads, r.Loads...), append(rec.DataCounts, r.DataCounts...)
 	rs[i].rec = rec
 	return rs
 }
@@ -272,12 +246,12 @@ func (c *Client) h2Inputs(rs []shardReply) ([]proto.ObjConflict, map[netsim.Site
 // answer's own vector, else a concatenation in shard order in scratch.
 func (c *Client) locations(rs []shardReply) []proto.ObjConflict {
 	if len(rs) == 1 {
-		return rs[0].rec.Conflicts
+		return rs[0].rec.Objs
 	}
 	sc := c.scratch()
 	sc.objs = sc.objs[:0]
 	for i := range rs {
-		sc.objs = append(sc.objs, rs[i].rec.Conflicts...)
+		sc.objs = append(sc.objs, rs[i].rec.Objs...)
 	}
 	return sc.objs
 }

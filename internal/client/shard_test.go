@@ -19,12 +19,12 @@ import (
 func probeRound(r *rig) *txnMachine {
 	c := r.cl
 	tx := &txn.Transaction{ID: 301, Deadline: time.Hour}
-	m := &txnMachine{c: c, t: tx, missing: []txn.Op{{Obj: 10}, {Obj: 11, Write: true}}, sendKind: skProbe}
-	m.openPending()
+	m := &txnMachine{c: c, t: tx, missing: []txn.Op{{Obj: 10}, {Obj: 11, Write: true}}}
+	m.openPending().kind = skProbe
 	for _, op := range m.missing {
 		c.register(&m.pt, op.Obj, op.Mode(), 0)
 	}
-	m.resend(0)
+	m.resend()
 	return m
 }
 
@@ -38,7 +38,11 @@ func (r *rig) probed(k int) [][]lockmgr.ObjectID {
 		if !ok {
 			return out
 		}
-		out = append(out, slices.Clone(msg.Payload.(*proto.ProbeRequest).Objs))
+		q := msg.Payload.(*proto.ObjRequest)
+		if q.Op != proto.OpProbe {
+			panic("probe round sent a request other than a probe")
+		}
+		out = append(out, slices.Clone(q.Objs))
 	}
 }
 
@@ -64,7 +68,7 @@ func TestRetransmittedProbeByTopology(t *testing.T) {
 			}
 		}
 		m.pt.removeWait(m.pt.findWait(10)) // shard 0 granted its slice
-		m.resend(1)
+		m.resend()
 		for k, want := range c.again {
 			if got := r.probed(k); !reflect.DeepEqual(got, want) {
 				t.Errorf("%d servers: retransmitted probe to shard %d lists %v, want %v", c.servers, k, got, want)
@@ -80,13 +84,13 @@ func TestRetransmittedProbeByTopology(t *testing.T) {
 // counts summed — and a lone answer is read where the pending record
 // keeps it, not copied a second time.
 func TestConflictRepliesMergeInShardOrder(t *testing.T) {
-	replies := []*proto.ConflictReply{
+	replies := []*proto.Locations{
 		{Txn: 301,
-			Conflicts:  []proto.ObjConflict{{Obj: 10, Holders: []netsim.SiteID{2}}},
+			Objs:       []proto.ObjConflict{{Obj: 10, Holders: []netsim.SiteID{2}}},
 			Loads:      []proto.LoadReport{{Client: 2, QueueLen: 1, Valid: true}},
 			DataCounts: []proto.SiteCount{{Site: 2, Count: 1}}},
 		{Txn: 301,
-			Conflicts:  []proto.ObjConflict{{Obj: 11, Holders: []netsim.SiteID{2, 3}}},
+			Objs:       []proto.ObjConflict{{Obj: 11, Holders: []netsim.SiteID{2, 3}}},
 			Loads:      []proto.LoadReport{{Client: 2, QueueLen: 9, Valid: true}, {Client: 3, Valid: true}},
 			DataCounts: []proto.SiteCount{{Site: 2, Count: 2}, {Site: 3, Count: 1}}},
 	}
@@ -103,18 +107,18 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 		for _, k := range order {
 			// A record of its own, as the server sends: the client's
 			// dispatcher hands it to the pool, arrays and all.
-			cp := &proto.ConflictReply{Txn: replies[k].Txn,
+			cp := &proto.Locations{Txn: replies[k].Txn,
 				Loads: slices.Clone(replies[k].Loads), DataCounts: slices.Clone(replies[k].DataCounts)}
-			for _, c := range replies[k].Conflicts {
-				cp.Conflicts, cp.Flat = proto.AppendLocation(cp.Conflicts, cp.Flat, c.Obj, c.Holders)
+			for _, c := range replies[k].Objs {
+				cp.Objs, cp.Flat = proto.AppendLocation(cp.Objs, cp.Flat, c.Obj, c.Holders)
 			}
 			r.injectFrom(k, netsim.KindLockReply, cp)
 			r.env.RunAll()
 		}
-		if !m.pt.gotConflict {
+		if !m.pt.answered {
 			t.Fatal("conflict reply not recorded")
 		}
-		conflicts, loads, counts := r.cl.h2Inputs(m.pt.confFrom)
+		conflicts, loads, counts := r.cl.h2Inputs(m.pt.replies)
 		return view{conflicts, maps.Clone(loads), maps.Clone(counts)}
 	}
 	inOrder := read(0, 1)
@@ -124,14 +128,14 @@ func TestConflictRepliesMergeInShardOrder(t *testing.T) {
 		}
 	}
 	want := view{
-		conflicts: append(slices.Clone(replies[0].Conflicts), replies[1].Conflicts...),
+		conflicts: append(slices.Clone(replies[0].Objs), replies[1].Objs...),
 		loads:     map[netsim.SiteID]proto.LoadReport{2: replies[0].Loads[0], 3: replies[1].Loads[1]},
 		counts:    map[netsim.SiteID]int{2: 3, 3: 1},
 	}
 	if !reflect.DeepEqual(inOrder, want) {
 		t.Fatalf("merged view = %+v\nwant %+v", inOrder, want)
 	}
-	if lone := read(1); &lone.conflicts[0] != &m.pt.confFrom[0].rec.Conflicts[0] {
+	if lone := read(1); &lone.conflicts[0] != &m.pt.replies[0].rec.Objs[0] {
 		t.Fatal("a lone reply's conflicts were copied again, want the kept copy's vector")
 	}
 }

@@ -82,7 +82,7 @@ type Params struct {
 	Executors      int
 	// DataCounts, when provided, overrides the location-derived data
 	// availability per site (e.g. the server's whole-access-set counts
-	// in a ConflictReply).
+	// in a probe's proto.Locations answer).
 	DataCounts map[netsim.SiteID]int
 	// RequireImprovement makes the origin win unless some site has
 	// strictly fewer conflicts (the H1-passed branch of the pseudocode:

@@ -22,19 +22,15 @@ import (
 // record for every frame the fault layer drops or delivers twice, which
 // is never handed back — and no further; the zero Pool is ready to use.
 type Pool struct {
-	ProbeRequest   slab.Slab[ProbeRequest]
-	CommitRequest  slab.Slab[CommitRequest]
+	ObjRequest     slab.Slab[ObjRequest]
 	GrantMsg       slab.Slab[GrantMsg]
-	ConflictReply  slab.Slab[ConflictReply]
+	Locations      slab.Slab[Locations]
 	DenyReply      slab.Slab[DenyReply]
 	RecallMsg      slab.Slab[RecallMsg]
 	ReplicaInstall slab.Slab[ReplicaInstall]
 	ObjReturn      slab.Slab[ObjReturn]
-	LoadQuery      slab.Slab[LoadQuery]
-	LoadReply      slab.Slab[LoadReply]
 	TxnShip        slab.Slab[TxnShip]
 	TxnResult      slab.Slab[TxnResult]
-	TxnSubmit      slab.Slab[TxnSubmit]
 }
 
 // Release resets a delivered payload record and hands it back to its
@@ -44,26 +40,22 @@ type Pool struct {
 //
 // Every slice keeps its backing array for the next sender to fill —
 // handlers only read them in place, and copy out what must outlive the
-// call: the access vectors of ProbeRequest, CommitRequest and LoadQuery,
-// GrantMsg.Grants, RecallMsg.Recalls, ObjReturn.RetainedSL, and the
-// location, load and count vectors of ConflictReply and LoadReply with
-// the flat holder array behind them — a record that carried one element
-// keeps its one-element array.
+// call: ObjRequest's access vectors, GrantMsg.Grants, RecallMsg.Recalls,
+// ObjReturn.RetainedSL, and the location, load and count vectors of
+// Locations with the flat holder array behind them — a record that
+// carried one element keeps its one-element array.
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
-	case *ProbeRequest:
-		*r = ProbeRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
-		p.ProbeRequest.Keep(r)
-	case *CommitRequest:
-		*r = CommitRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
-		p.CommitRequest.Keep(r)
+	case *ObjRequest:
+		*r = ObjRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
+		p.ObjRequest.Keep(r)
 	case *GrantMsg:
 		clear(r.Grants) // drop the forward-list pointers
 		r.Grants = r.Grants[:0]
 		p.GrantMsg.Keep(r)
-	case *ConflictReply:
-		*r = ConflictReply{Conflicts: r.Conflicts[:0], Loads: r.Loads[:0], DataCounts: r.DataCounts[:0], Flat: r.Flat[:0]}
-		p.ConflictReply.Keep(r)
+	case *Locations:
+		*r = Locations{Objs: r.Objs[:0], Loads: r.Loads[:0], DataCounts: r.DataCounts[:0], Flat: r.Flat[:0]}
+		p.Locations.Keep(r)
 	case *DenyReply:
 		p.DenyReply.Put(r)
 	case *RecallMsg:
@@ -74,18 +66,10 @@ func (p *Pool) Release(payload any) {
 	case *ObjReturn:
 		*r = ObjReturn{RetainedSL: r.RetainedSL[:0]}
 		p.ObjReturn.Keep(r)
-	case *LoadQuery:
-		*r = LoadQuery{Objs: r.Objs[:0], Modes: r.Modes[:0]}
-		p.LoadQuery.Keep(r)
-	case *LoadReply:
-		*r = LoadReply{Locations: r.Locations[:0], Loads: r.Loads[:0], Flat: r.Flat[:0]}
-		p.LoadReply.Keep(r)
 	case *TxnShip:
 		p.TxnShip.Put(r)
 	case *TxnResult:
 		p.TxnResult.Put(r)
-	case *TxnSubmit:
-		p.TxnSubmit.Put(r)
 	default:
 		panic(fmt.Sprintf("proto: Release of unpooled payload %T", payload))
 	}

@@ -20,19 +20,16 @@ func filled(p *Pool) []any {
 	modes := []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeExclusive, lockmgr.ModeShared}
 	t := &txn.Transaction{ID: 9}
 
-	pr := p.ProbeRequest.New()
-	pr.Client, pr.Txn, pr.Deadline, pr.Load = 1, 9, time.Minute, load
-	pr.Objs, pr.Modes = append(pr.Objs, objs...), append(pr.Modes, modes...)
-	cr := p.CommitRequest.New()
-	cr.Client, cr.Txn, cr.Deadline, cr.Load = 1, 9, time.Minute, load
-	cr.Objs, cr.Modes = append(cr.Objs, objs...), append(cr.Modes, modes...)
+	rq := p.ObjRequest.New()
+	rq.Op, rq.Client, rq.Txn, rq.Deadline, rq.Load = OpCommit, 1, 9, time.Minute, load
+	rq.Objs, rq.Modes = append(rq.Objs, objs...), append(rq.Modes, modes...)
 	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants,
 		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Epoch: 2, Fwd: forward.NewList(4)},
 		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1})
-	cf := p.ConflictReply.New()
-	cf.Txn, cf.Loads, cf.DataCounts = 9, append(cf.Loads, load), append(cf.DataCounts, SiteCount{Site: 2, Count: 1})
-	cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, 4, []netsim.SiteID{2, 3})
+	lc := p.Locations.New()
+	lc.Txn, lc.Loads, lc.DataCounts = 9, append(lc.Loads, load), append(lc.DataCounts, SiteCount{Site: 2, Count: 1})
+	lc.Objs, lc.Flat = AppendLocation(lc.Objs, lc.Flat, 4, []netsim.SiteID{2, 3})
 	dr := p.DenyReply.New()
 	*dr = DenyReply{Txn: 9, Reason: DenyExpired}
 	rm := p.RecallMsg.New()
@@ -43,32 +40,21 @@ func filled(p *Pool) []any {
 	retained := append(rt.RetainedSL, 2, 3)
 	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true,
 		UpdateOnly: true, Migration: true, RunComplete: true, RetainedSL: retained, Epoch: 2, Load: load}
-	lq := p.LoadQuery.New()
-	lq.Client, lq.Txn, lq.Load = 1, 9, load
-	lq.Objs, lq.Modes = append(lq.Objs, objs...), append(lq.Modes, modes...)
-	lr := p.LoadReply.New()
-	lr.Txn, lr.Loads = 9, append(lr.Loads, load)
-	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2, 3})
 	ts := p.TxnShip.New()
 	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}}
 	tr := p.TxnResult.New()
 	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true}
-	su := p.TxnSubmit.New()
-	su.T = t
-	return []any{pr, cr, gm, cf, dr, rm, ri, rt, lq, lr, ts, tr, su}
+	return []any{rq, gm, lc, dr, rm, ri, rt, ts, tr}
 }
 
 // keepsCapacity names the slice fields Release leaves their backing
 // array; every other field of every payload must come back zero.
 var keepsCapacity = map[string]bool{
-	"ProbeRequest.Objs": true, "ProbeRequest.Modes": true,
-	"CommitRequest.Objs": true, "CommitRequest.Modes": true,
-	"LoadQuery.Objs": true, "LoadQuery.Modes": true,
+	"ObjRequest.Objs": true, "ObjRequest.Modes": true,
 	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
-	"ObjReturn.RetainedSL":    true,
-	"ConflictReply.Conflicts": true, "ConflictReply.Loads": true,
-	"ConflictReply.DataCounts": true, "ConflictReply.Flat": true,
-	"LoadReply.Locations": true, "LoadReply.Loads": true, "LoadReply.Flat": true,
+	"ObjReturn.RetainedSL": true,
+	"Locations.Objs":       true, "Locations.Loads": true,
+	"Locations.DataCounts": true, "Locations.Flat": true,
 }
 
 func TestFilledCoversEveryPoolList(t *testing.T) {
@@ -140,27 +126,27 @@ func takeLike(p *Pool, rec any) any {
 // take the previous reply's place.
 func TestReplyHolderListsAreWindows(t *testing.T) {
 	var p Pool
-	cf := p.ConflictReply.New()
+	lc := p.Locations.New()
 	for obj := lockmgr.ObjectID(0); obj < 20; obj++ { // the flat array regrows on the way
-		cf.Conflicts, cf.Flat = AppendLocation(cf.Conflicts, cf.Flat, obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
+		lc.Objs, lc.Flat = AppendLocation(lc.Objs, lc.Flat, obj, []netsim.SiteID{netsim.SiteID(obj), netsim.SiteID(obj + 100)})
 	}
-	for i, c := range cf.Conflicts {
+	for i, c := range lc.Objs {
 		if want := []netsim.SiteID{netsim.SiteID(i), netsim.SiteID(i + 100)}; c.Obj != lockmgr.ObjectID(i) || !reflect.DeepEqual(c.Holders, want) {
 			t.Fatalf("conflict %d = %+v, want holders %v", i, c, want)
 		}
 	}
-	p.Release(cf)
-	next := p.ConflictReply.New()
-	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 7, []netsim.SiteID{3})
-	next.Conflicts, next.Flat = AppendLocation(next.Conflicts, next.Flat, 8, []netsim.SiteID{4, 5})
-	if next != cf || len(next.Conflicts) != 2 || &next.Conflicts[1].Holders[0] != &next.Flat[1] || next.Conflicts[1].Holders[1] != 5 {
-		t.Fatalf("refilled reply = %+v over %v", next.Conflicts, next.Flat)
+	p.Release(lc)
+	next := p.Locations.New()
+	next.Objs, next.Flat = AppendLocation(next.Objs, next.Flat, 7, []netsim.SiteID{3})
+	next.Objs, next.Flat = AppendLocation(next.Objs, next.Flat, 8, []netsim.SiteID{4, 5})
+	if next != lc || len(next.Objs) != 2 || &next.Objs[1].Holders[0] != &next.Flat[1] || next.Objs[1].Holders[1] != 5 {
+		t.Fatalf("refilled reply = %+v over %v", next.Objs, next.Flat)
 	}
-	lr := p.LoadReply.New()
-	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 4, []netsim.SiteID{2})
-	lr.Locations, lr.Flat = AppendLocation(lr.Locations, lr.Flat, 5, nil)
-	if len(lr.Locations) != 2 || lr.Locations[0].Holders[0] != 2 || len(lr.Locations[1].Holders) != 0 {
-		t.Fatalf("load reply = %+v", lr.Locations)
+	other := p.Locations.New()
+	other.Objs, other.Flat = AppendLocation(other.Objs, other.Flat, 4, []netsim.SiteID{2})
+	other.Objs, other.Flat = AppendLocation(other.Objs, other.Flat, 5, nil)
+	if len(other.Objs) != 2 || other.Objs[0].Holders[0] != 2 || len(other.Objs[1].Holders) != 0 {
+		t.Fatalf("location reply = %+v", other.Objs)
 	}
 }
 
@@ -197,13 +183,13 @@ func TestOneElementRecordsAreReused(t *testing.T) {
 		t.Fatalf("refilled one-recall record: moved %v, element %+v", &rm.Recalls[0] != first, rm.Recalls[0])
 	}
 
-	cr := p.CommitRequest.New()
-	cr.Client, cr.Txn = 1, 9
+	cr := p.ObjRequest.New()
+	cr.Op, cr.Client, cr.Txn = OpCommit, 1, 9
 	cr.Objs, cr.Modes = append(cr.Objs, 4), append(cr.Modes, lockmgr.ModeShared)
 	obj := &cr.Objs[0]
 	p.Release(cr)
-	again := p.CommitRequest.New()
-	if again != cr || again.Client != 0 || again.Txn != 0 || len(again.Objs) != 0 || len(again.Modes) != 0 {
+	again := p.ObjRequest.New()
+	if again != cr || again.Op != 0 || again.Client != 0 || again.Txn != 0 || len(again.Objs) != 0 || len(again.Modes) != 0 {
 		t.Fatalf("one-access request after reuse: same %v, %+v", again == cr, *again)
 	}
 	again.Objs = append(again.Objs, 7)
@@ -333,8 +319,8 @@ func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 var hotScratch [4]any
 
 func filledHot(p *Pool) []any {
-	q := p.CommitRequest.New()
-	q.Client, q.Txn = 1, 9
+	q := p.ObjRequest.New()
+	q.Op, q.Client, q.Txn = OpCommit, 1, 9
 	q.Objs, q.Modes = append(q.Objs, 4), append(q.Modes, lockmgr.ModeShared)
 	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared}
 	gm := p.GrantMsg.New()

@@ -1,7 +1,7 @@
 // Package proto defines the message payloads exchanged between the
 // database server and client sites in the client-server configurations:
-// object/lock requests and grants, recalls and returns, conflict-location
-// replies, load queries, and transaction shipping envelopes. Every
+// object requests (probe, commit, location query) and grants, recalls
+// and returns, location replies, and transaction shipping envelopes. Every
 // client-originated payload carries a piggybacked load report, which is
 // how the server maintains its load table without extra messages
 // (Section 4).
@@ -25,30 +25,38 @@ type LoadReport struct {
 	Valid    bool
 }
 
-// ProbeRequest is the load-sharing client's tentative all-or-nothing
-// round (Section 4): one message asking whether every listed object is
-// grantable right now. The server either grants and ships them all, or
-// ships nothing and answers with a ConflictReply naming the conflicting
-// objects' locations.
-type ProbeRequest struct {
-	Client   netsim.SiteID
-	Txn      txn.ID
-	Objs     []lockmgr.ObjectID
-	Modes    []lockmgr.Mode
-	Deadline time.Duration
-	Load     LoadReport
-}
+// Op is what an ObjRequest asks of a shard.
+type Op uint8
 
-// CommitRequest asks the server for the listed objects and locks in
-// earnest. It is the follow-up message of the load-sharing path ("the
-// transaction will be processed locally — ship the objects over as soon
-// as possible", converting an earlier tentative batch into firm
-// requests), and with one access it is the paper's sequential
-// request/response loop whose round trip Table 3 measures — a client
-// fetching that way has at most one firm request outstanding — and the
-// form in which a shard forwards a request it cannot serve to the
-// object's home shard.
-type CommitRequest struct {
+// Request ops.
+const (
+	// OpProbe is the load-sharing client's tentative all-or-nothing
+	// round (Section 4): is every listed object grantable right now? The
+	// shard either grants and ships them all, or ships nothing and
+	// answers with Locations naming the conflicting objects' holders.
+	OpProbe Op = iota + 1
+	// OpCommit asks for the listed objects and locks in earnest. It is
+	// the follow-up message of the load-sharing path ("the transaction
+	// will be processed locally — ship the objects over as soon as
+	// possible", converting an earlier tentative batch into firm
+	// requests), and with one access it is the paper's sequential
+	// request/response loop whose round trip Table 3 measures — a client
+	// fetching that way has at most one firm request outstanding — and
+	// the form in which a shard forwards a request it cannot serve to
+	// the object's home shard.
+	OpCommit
+	// OpLocate asks where the listed objects are and how loaded the
+	// candidate sites are (the H1-failed and decomposition paths of the
+	// load-sharing algorithm); the shard answers with Locations naming
+	// every holder.
+	OpLocate
+)
+
+// ObjRequest asks a shard for a transaction's objects, one access per
+// element of Objs and Modes: a client's request, or a commit request a
+// shard forwards to the objects' home shard.
+type ObjRequest struct {
+	Op       Op
 	Client   netsim.SiteID
 	Txn      txn.ID
 	Deadline time.Duration
@@ -83,9 +91,9 @@ type GrantMsg struct {
 	Grants []ObjGrant
 }
 
-// ObjConflict reports an object's conflicting holders (or, for an object
-// mid-migration, the last client on its forward list — the paper's
-// location-reporting rule).
+// ObjConflict names an object's holders in a Locations answer: the
+// conflicting ones or all of them (or, for an object mid-migration, the
+// last client on its forward list — the paper's location-reporting rule).
 type ObjConflict struct {
 	Obj     lockmgr.ObjectID
 	Holders []netsim.SiteID
@@ -106,15 +114,16 @@ type SiteCount struct {
 	Count int
 }
 
-// ConflictReply answers a tentative batch that could not be granted in
-// full: nothing was shipped; here is where the conflicting objects are.
-// DataCounts tells the client how much of the whole access set each
-// candidate holder caches — the "significant percentage of a
-// transaction's required data is already cached at another site"
-// condition of Section 3.1.
-type ConflictReply struct {
+// Locations is a shard's answer that names where objects are: to a
+// probe it could not grant in full, the conflicting holders (nothing was
+// shipped); to a location query, every holder. Loads are the known loads
+// of the named sites. DataCounts — probe answers only — tells the client
+// how much of the whole access set each candidate holder caches: the
+// "significant percentage of a transaction's required data is already
+// cached at another site" condition of Section 3.1.
+type Locations struct {
 	Txn        txn.ID
-	Conflicts  []ObjConflict
+	Objs       []ObjConflict
 	Loads      []LoadReport
 	DataCounts []SiteCount
 	Flat       []netsim.SiteID // see AppendLocation
@@ -201,27 +210,9 @@ type ObjReturn struct {
 	Load  LoadReport
 }
 
-// LoadQuery asks for the locations of a transaction's objects and the
-// loads of candidate sites (the H1-failed path of the load-sharing
-// algorithm).
-type LoadQuery struct {
-	Client netsim.SiteID
-	Txn    txn.ID
-	Objs   []lockmgr.ObjectID
-	Modes  []lockmgr.Mode
-	Load   LoadReport
-}
-
-// LoadReply answers a LoadQuery.
-type LoadReply struct {
-	Txn       txn.ID
-	Locations []ObjConflict
-	Loads     []LoadReport
-	Flat      []netsim.SiteID // see AppendLocation
-}
-
 // TxnShip moves a transaction (or one subtask of a decomposed
-// transaction) to another client site for execution.
+// transaction) to another client site for execution, or carries a
+// terminal's transaction to the centralized server.
 type TxnShip struct {
 	T *txn.Transaction
 	// Sub is non-nil when shipping a subtask.
@@ -235,10 +226,4 @@ type TxnResult struct {
 	SubIndex  int
 	IsSub     bool
 	Committed bool
-}
-
-// TxnSubmit carries a whole transaction from a terminal to the
-// centralized server.
-type TxnSubmit struct {
-	T *txn.Transaction
 }

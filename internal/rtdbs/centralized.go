@@ -27,7 +27,7 @@ type ceCore struct {
 	env *sim.Env
 	net *netsim.Network
 	// payloads is this system's stock of message payload records: a
-	// terminal fills a TxnSubmit and the server's dispatcher releases it,
+	// terminal fills a TxnShip and the server's dispatcher releases it,
 	// a result travels to the terminal with no payload: it reports nothing
 	// the terminal reads.
 	payloads proto.Pool
@@ -157,7 +157,7 @@ func (m *ceTermMachine) Resume() {
 	if m.arrived {
 		t := term.gen.Next()
 		term.tracked = append(term.tracked, t)
-		sub := ce.payloads.TxnSubmit.New()
+		sub := ce.payloads.TxnShip.New()
 		sub.T = t
 		ce.net.Send(netsim.Message{
 			Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
@@ -218,7 +218,7 @@ func (m *ceServeMachine) Resume() {
 			if !ok {
 				return
 			}
-			m.t = msg.Payload.(*proto.TxnSubmit).T
+			m.t = msg.Payload.(*proto.TxnShip).T
 			ce.release(msg)
 			m.pc = csCharge
 		default: // csCharge

@@ -30,10 +30,6 @@ func TestSeedScan(t *testing.T) {
 	if *scanSeeds <= 0 {
 		t.Skip("run with -seeds N (make seed-scan)")
 	}
-	sharded := config.Default(150, 0.20)
-	sharded.Duration, sharded.Warmup = 45*time.Minute, 5*time.Minute
-	sharded.BatchWindow = 100 * time.Millisecond
-	sharded.Sharding = config.Topology{Servers: 4, ReplicateHot: 3, HeatWindow: 5 * time.Minute, ShedBelow: 1}
 	src, err := os.ReadFile("../../bench/workloads/degraded_lossy.rts")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +47,7 @@ func TestSeedScan(t *testing.T) {
 		cfg  config.Config
 	}{
 		{"plain", config.Default(150, 0.20)},
-		{"sharded+batched", sharded},
+		{"sharded+batched", shardedCell()},
 		{"lossy", lossy.Config},
 	} {
 		var failed []string
@@ -67,20 +63,60 @@ func TestSeedScan(t *testing.T) {
 	}
 }
 
-// TestKnownDispatchPanicSeeds pins defect (d) of ROADMAP item 1: the
-// paper's load-sharing system at 150 clients and 20 % updates panics at
-// dispatch on these four seeds (`make seed-scan`'s plain cell), because
-// tryDispatch serves a sealed run whose object the lock table will not
-// grant. It pins the defect so that a change to the dispatch code cannot
-// move it unnoticed; the fix (item 1(b)) flips this test into one that
-// each seed runs clean.
+// TestKnownDispatchPanicSeeds holds the fix of defect (d) of ROADMAP
+// item 1: the paper's load-sharing system at 150 clients and 20 %
+// updates used to panic at dispatch on these four seeds (`make
+// seed-scan`'s plain cell), because tryDispatch served a shared run one
+// of whose members a holder at another site conflicted with. Each now
+// runs clean to the end of its audit under the invariant monitor.
 func TestKnownDispatchPanicSeeds(t *testing.T) {
-	const want = "server: free object grant failed at dispatch"
 	for _, seed := range []int64{22, 83, 139, 145} {
 		cfg := config.Default(150, 0.20)
-		cfg.Seed = seed
-		if err := runRecovered(cfg); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("seed %d: got %v, want a panic %q", seed, err, want)
+		cfg.Seed, cfg.CheckInvariants = seed, true
+		if err := runRecovered(cfg); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// shardedCell is the seed scan's second cell: the paper's load-sharing
+// system at 150 clients and 20 % updates on the benchmark's write-path
+// server — four shards, a 100 ms batch window, heat-driven replication.
+func shardedCell() config.Config {
+	cfg := config.Default(150, 0.20)
+	cfg.Duration, cfg.Warmup = 45*time.Minute, 5*time.Minute
+	cfg.BatchWindow = 100 * time.Millisecond
+	cfg.Sharding = config.Topology{Servers: 4, ReplicateHot: 3, HeatWindow: 5 * time.Minute, ShedBelow: 1}
+	return cfg
+}
+
+// TestKnownShardedFailureSeeds pins the known failures of the seed
+// scan's sharded+batched cell (ROADMAP item 1(b)): run monitored, each
+// seed fails with the first line given, so a change that moves one is
+// seen. A fix of the defect behind a seed flips its entry into a clean
+// run.
+func TestKnownShardedFailureSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four monitored 150-client runs of several seconds each")
+	}
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{29, "client 136's dirty object 9025 at version 7 not ahead of server's 7"},
+		{68, "client 72 caches stale clean object 4925 (version 1, server 3)"},
+		{91, "invariant: committed update lost on object 3908: committed version 4, best surviving copy 3"},
+		{125, "client 122 caches stale clean object 8539 (version 0, server 1)"},
+	} {
+		cfg := shardedCell()
+		cfg.Seed, cfg.CheckInvariants = c.seed, true
+		err := runRecovered(cfg)
+		if err == nil {
+			t.Errorf("seed %d ran clean, want it to fail with %q", c.seed, c.want)
+			continue
+		}
+		if line, _, _ := strings.Cut(err.Error(), "\n"); !strings.Contains(line, c.want) {
+			t.Errorf("seed %d failed with %q, want %q", c.seed, line, c.want)
 		}
 	}
 }

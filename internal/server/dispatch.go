@@ -477,7 +477,20 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		// A shared run is served in parallel (the forward list's
 		// parallel read-only annotation); a lone writer is a plain
 		// grant. Either way every recipient becomes an ordinary
-		// registered holder immediately.
+		// registered holder immediately. A member that a holder at
+		// another site conflicts with — the head's own EL, say, which
+		// does not block the head — cannot be granted yet: it goes back
+		// on the sealed list, and the recall below chases that holder.
+		kept := run[:0]
+		for _, e := range run {
+			if s.blockedForHead(obj, e) {
+				l.Insert(e)
+				o.sealed = l
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		run = kept
 		for _, e := range run {
 			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(e.Client)

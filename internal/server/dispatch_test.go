@@ -1,25 +1,24 @@
 package server
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"siteselect/internal/forward"
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/proto"
 )
 
-// TestSharedRunWithHeadHoldingEL pins defect (d) of ROADMAP item 1 in
-// the state every failing seed of rtdbs.TestKnownDispatchPanicSeeds
-// reaches: client 1 holds the object in EL, the sealed list is a shared
-// run [1 SL, 2 SL] with client 1 at its head, and no request is queued.
-// tryDispatch serves the run although the lock table cannot grant it:
+// TestSharedRunWithHeadHoldingEL is defect (d) of ROADMAP item 1 in the
+// state every seed of rtdbs.TestKnownDispatchPanicSeeds used to panic
+// in: client 1 holds the object in EL, the sealed list is a shared run
+// [1 SL, 2 SL] with client 1 at its head, and no request is queued.
 // blockedForHead skips the holders at the head's own site, so the
-// head's EL does not block its run; Lock re-enters client 1's SL (an EL
-// holder is granted any mode); and client 2's SL conflicts with that EL
-// and is Queued, which dispatch takes for impossible. The fix of item
-// 1(b) flips this test into one that dispatches cleanly, as it flips
-// TestKnownDispatchPanicSeeds.
+// head's EL does not block its run — but it does block client 2's
+// member, which Lock would queue. Dispatch puts that member back on the
+// sealed list before any Lock, serves client 1 alone (Lock re-enters its
+// SL: an EL holder is granted any mode), and recalls client 1's EL for
+// client 2. Nothing is queued in the lock table.
 func TestSharedRunWithHeadHoldingEL(t *testing.T) {
 	r := newRig(t, 2, nil)
 	defer r.env.Close()
@@ -36,14 +35,26 @@ func TestSharedRunWithHeadHoldingEL(t *testing.T) {
 		t.Fatal("a request is queued; the failing state has none")
 	}
 
-	const want = "server: free object grant failed at dispatch"
-	defer func() {
-		if got := fmt.Sprint(recover()); got != want {
-			t.Fatalf("tryDispatch recovered %q, want the panic %q", got, want)
-		}
-		if q := s.locks.NextWaiter(obj); q == nil || q.Owner != 2 || q.Mode != lockmgr.ModeShared {
-			t.Fatalf("queued after the panic: %+v, want client 2's SL", q)
-		}
-	}()
 	s.tryDispatch(obj)
+	if q := s.locks.NextWaiter(obj); q != nil {
+		t.Fatalf("queued after dispatch: %+v, want nothing", q)
+	}
+	if l := s.at(obj).sealed; l == nil || l.Len() != 1 || l.Entries[0].Client != 2 {
+		t.Fatalf("sealed after dispatch = %+v, want client 2's SL alone", l)
+	}
+	var shipped, recalled bool
+	for _, m := range r.drain(1, time.Second) {
+		switch pl := m.Payload.(type) {
+		case *proto.GrantMsg:
+			shipped = shipped || pl.Grants[0].Obj == obj
+		case *proto.RecallMsg:
+			recalled = recalled || pl.Recalls[0].Obj == obj
+		}
+	}
+	if !shipped || !recalled {
+		t.Fatalf("client 1 shipped %v, recalled %v; want both", shipped, recalled)
+	}
+	if msgs := r.drain(2, time.Second); len(msgs) != 0 {
+		t.Fatalf("client 2 received %+v before client 1's EL came back", msgs)
+	}
 }

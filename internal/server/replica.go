@@ -104,8 +104,8 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 		return 0, false
 	}
 	s.RequestsForwarded++
-	q := s.payloads.CommitRequest.New()
-	q.Client, q.Txn, q.Deadline = r.Client, r.Txn, r.Deadline
+	q := s.payloads.ObjRequest.New()
+	q.Op, q.Client, q.Txn, q.Deadline = proto.OpCommit, r.Client, r.Txn, r.Deadline
 	q.Objs, q.Modes = append(q.Objs, r.Obj), append(q.Modes, r.Mode)
 	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes, q)
 	return batch.OutForwarded, true

@@ -69,8 +69,8 @@ func (r *shardRig) send(from, shard int, kind netsim.Kind, payload any) {
 
 func (r *shardRig) request(from, shard int, obj lockmgr.ObjectID, mode lockmgr.Mode) {
 	r.nextTx++
-	r.send(from, shard, netsim.KindObjectRequest, &proto.CommitRequest{
-		Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Hour,
+	r.send(from, shard, netsim.KindObjectRequest, &proto.ObjRequest{
+		Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Hour,
 		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode},
 	})
 }

@@ -63,8 +63,8 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 	var version int64
 	request := func(from int) {
 		id++
-		q := s.payloads.CommitRequest.New()
-		q.Client, q.Txn, q.Deadline = netsim.SiteID(from), id, r.env.Now()+time.Minute
+		q := s.payloads.ObjRequest.New()
+		q.Op, q.Client, q.Txn, q.Deadline = proto.OpCommit, netsim.SiteID(from), id, r.env.Now()+time.Minute
 		q.Objs, q.Modes = append(q.Objs, 43), append(q.Modes, lockmgr.ModeExclusive)
 		r.send(from, netsim.KindObjectRequest, q)
 	}

@@ -464,12 +464,16 @@ func (m *connMachine) Resume() {
 			}
 			m.pc = csRecv
 			switch pl := m.payload.(type) {
-			case *proto.ProbeRequest:
+			case *proto.ObjRequest:
 				s.noteLoad(pl.Load)
-				s.handleProbe(*pl)
-			case *proto.CommitRequest:
-				s.noteLoad(pl.Load)
-				s.handleCommitRequest(*pl)
+				switch pl.Op {
+				case proto.OpProbe:
+					s.handleProbe(*pl)
+				case proto.OpCommit:
+					s.handleCommit(*pl)
+				default: // proto.OpLocate
+					s.handleLocate(*pl)
+				}
 			case *proto.ObjReturn:
 				s.noteLoad(pl.Load)
 				if s.returnNeedsWrite(*pl) {
@@ -481,9 +485,6 @@ func (m *connMachine) Resume() {
 					continue
 				}
 				s.finishReturn(*pl)
-			case *proto.LoadQuery:
-				s.noteLoad(pl.Load)
-				s.handleLoadQuery(*pl)
 			case *proto.ReplicaInstall:
 				// Shard-to-shard only: the home shard provisions a read
 				// replica here.
@@ -565,7 +566,7 @@ func (s *Server) deny(to netsim.SiteID, d proto.DenyReply) {
 // handleProbe implements the all-or-nothing tentative round of the
 // Section 4 pseudocode: grant and ship everything, or ship nothing and
 // report where the conflicting objects are.
-func (s *Server) handleProbe(req proto.ProbeRequest) {
+func (s *Server) handleProbe(req proto.ObjRequest) {
 	now := s.env.Now()
 	if req.Deadline < now {
 		s.DeniesExpired++
@@ -573,7 +574,7 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		return
 	}
 	// Built in a pooled record's own arrays; the client copies it out.
-	reply := s.payloads.ConflictReply.New()
+	reply := s.payloads.Locations.New()
 	for i, obj := range req.Objs {
 		if !s.servesObj(obj, req.Modes[i]) {
 			// The object moved off this shard (its replica was recalled
@@ -586,10 +587,10 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 			s.holderScratch = s.conflictHolders(s.holderScratch[:0], obj, req.Client, req.Modes[i])
 		}
 		if len(s.holderScratch) > 0 {
-			reply.Conflicts, reply.Flat = proto.AppendLocation(reply.Conflicts, reply.Flat, obj, s.holderScratch)
+			reply.Objs, reply.Flat = proto.AppendLocation(reply.Objs, reply.Flat, obj, s.holderScratch)
 		}
 	}
-	if len(reply.Conflicts) == 0 {
+	if len(reply.Objs) == 0 {
 		s.payloads.Release(reply)
 		for i, obj := range req.Objs {
 			lr := s.reqs.New()
@@ -606,8 +607,8 @@ func (s *Server) handleProbe(req proto.ProbeRequest) {
 		return
 	}
 	reply.Txn = req.Txn
-	reply.Loads = s.loadsFor(reply.Loads, reply.Conflicts)
-	reply.DataCounts = s.dataCounts(reply.DataCounts, req.Objs, reply.Conflicts)
+	reply.Loads = s.loadsFor(reply.Loads, reply.Objs)
+	reply.DataCounts = s.dataCounts(reply.DataCounts, req.Objs, reply.Objs)
 	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, reply)
 }
 
@@ -640,10 +641,10 @@ func (s *Server) dataCounts(counts []proto.SiteCount, objs []lockmgr.ObjectID, c
 	return slices.DeleteFunc(counts, func(c proto.SiteCount) bool { return c.Count == 0 })
 }
 
-// handleCommitRequest serves a message of firm requests: the "process
+// handleCommit serves a message of firm requests: the "process
 // locally, ship ASAP" follow-up for all of a transaction's outstanding
 // objects, one sequential fetch, or a request another shard forwarded.
-func (s *Server) handleCommitRequest(cr proto.CommitRequest) {
+func (s *Server) handleCommit(cr proto.ObjRequest) {
 	for i, obj := range cr.Objs {
 		s.handleFirm(cr.Client, cr.Txn, obj, cr.Modes[i], cr.Deadline)
 	}
@@ -834,14 +835,16 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	s.finishShedIfDrained(obj)
 }
 
-func (s *Server) handleLoadQuery(q proto.LoadQuery) {
-	reply := s.payloads.LoadReply.New()
+// handleLocate answers a location query: every holder of each listed
+// object, and the known loads of those sites.
+func (s *Server) handleLocate(q proto.ObjRequest) {
+	reply := s.payloads.Locations.New()
 	reply.Txn = q.Txn
 	for _, obj := range q.Objs {
 		if s.holderScratch = s.holdersFor(s.holderScratch[:0], obj, q.Client); len(s.holderScratch) > 0 {
-			reply.Locations, reply.Flat = proto.AppendLocation(reply.Locations, reply.Flat, obj, s.holderScratch)
+			reply.Objs, reply.Flat = proto.AppendLocation(reply.Objs, reply.Flat, obj, s.holderScratch)
 		}
 	}
-	reply.Loads = s.loadsFor(reply.Loads, reply.Locations)
+	reply.Loads = s.loadsFor(reply.Loads, reply.Objs)
 	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, reply)
 }

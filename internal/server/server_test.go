@@ -71,8 +71,8 @@ func (r *rig) send(from int, kind netsim.Kind, payload any) {
 
 func (r *rig) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
 	r.nextTx++
-	r.send(from, netsim.KindObjectRequest, &proto.CommitRequest{
-		Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: deadline,
+	r.send(from, netsim.KindObjectRequest, &proto.ObjRequest{
+		Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: deadline,
 		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode},
 	})
 }
@@ -192,8 +192,8 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 	r.drain(1, time.Second)
 	// Client 2 probes for objects 5 and 6: nothing may ship; the reply
 	// must name client 1 as the conflict holder and count its data.
-	r.send(2, netsim.KindObjectRequest, &proto.ProbeRequest{
-		Client: 2, Txn: 99,
+	r.send(2, netsim.KindObjectRequest, &proto.ObjRequest{
+		Op: proto.OpProbe, Client: 2, Txn: 99,
 		Objs:     []lockmgr.ObjectID{5, 6},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared},
 		Deadline: time.Minute,
@@ -202,12 +202,12 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindLockReply {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	cr := msgs[0].Payload.(*proto.ConflictReply)
-	if len(cr.Conflicts) != 1 || cr.Conflicts[0].Obj != 5 {
-		t.Fatalf("conflicts = %+v", cr.Conflicts)
+	cr := msgs[0].Payload.(*proto.Locations)
+	if len(cr.Objs) != 1 || cr.Objs[0].Obj != 5 {
+		t.Fatalf("conflicts = %+v", cr.Objs)
 	}
-	if cr.Conflicts[0].Holders[0] != 1 {
-		t.Fatalf("holders = %v", cr.Conflicts[0].Holders)
+	if cr.Objs[0].Holders[0] != 1 {
+		t.Fatalf("holders = %v", cr.Objs[0].Holders)
 	}
 	if len(cr.DataCounts) != 1 || cr.DataCounts[0].Site != 1 || cr.DataCounts[0].Count != 1 {
 		t.Fatalf("data counts = %+v", cr.DataCounts)
@@ -220,8 +220,8 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 func TestServerProbeGrantsWhenAllFree(t *testing.T) {
 	r := newRig(t, 1, nil)
 	defer r.env.Close()
-	r.send(1, netsim.KindObjectRequest, &proto.ProbeRequest{
-		Client: 1, Txn: 5,
+	r.send(1, netsim.KindObjectRequest, &proto.ObjRequest{
+		Op: proto.OpProbe, Client: 1, Txn: 5,
 		Objs:     []lockmgr.ObjectID{10, 11, 12},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared, lockmgr.ModeExclusive},
 		Deadline: time.Minute,
@@ -337,8 +337,8 @@ func TestServerLoadQueryReportsHoldersAndLoads(t *testing.T) {
 	defer r.env.Close()
 	r.request(1, 9, lockmgr.ModeShared, time.Minute)
 	r.drain(1, time.Second)
-	r.send(2, netsim.KindLoadQuery, &proto.LoadQuery{
-		Client: 2, Txn: 77,
+	r.send(2, netsim.KindLoadQuery, &proto.ObjRequest{
+		Op: proto.OpLocate, Client: 2, Txn: 77,
 		Objs:  []lockmgr.ObjectID{9, 10},
 		Modes: []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared},
 		Load:  proto.LoadReport{Client: 2, QueueLen: 3, ATL: time.Second, Valid: true},
@@ -347,9 +347,9 @@ func TestServerLoadQueryReportsHoldersAndLoads(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Kind != netsim.KindLoadReply {
 		t.Fatalf("messages = %+v", msgs)
 	}
-	lr := msgs[0].Payload.(*proto.LoadReply)
-	if len(lr.Locations) != 1 || lr.Locations[0].Obj != 9 || lr.Locations[0].Holders[0] != 1 {
-		t.Fatalf("locations = %+v", lr.Locations)
+	lr := msgs[0].Payload.(*proto.Locations)
+	if len(lr.Objs) != 1 || lr.Objs[0].Obj != 9 || lr.Objs[0].Holders[0] != 1 {
+		t.Fatalf("locations = %+v", lr.Objs)
 	}
 	// The query's piggybacked load must now be in the load table.
 	if got := r.srv.client(2).load; !got.Valid || got.QueueLen != 3 {

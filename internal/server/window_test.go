@@ -35,7 +35,7 @@ func (r *rig) watchWindows() *[]sealCall {
 // requestAll sends one firm request for every object, in order.
 func (r *rig) requestAll(from int, mode lockmgr.Mode, objs ...lockmgr.ObjectID) {
 	r.nextTx++
-	q := &proto.CommitRequest{Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Minute}
+	q := &proto.ObjRequest{Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Minute}
 	for _, obj := range objs {
 		q.Objs, q.Modes = append(q.Objs, obj), append(q.Modes, mode)
 	}
