@@ -104,15 +104,8 @@ type Scheduler struct {
 	// requests belong to the next window, not the batch being resolved.
 	pending []Request
 	spare   []Request
-	// parked indexes the open window's requests by identity so the
-	// retransmission guard (Pending) is O(1) instead of a scan of the
-	// window — under lossy runs with wide windows every retransmit
-	// probes here. Only a server that retransmissions can reach ever
-	// asks, so the index is built by the first Pending call and kept up
-	// from then on; a run that never asks never touches a map.
-	parked map[requestKey]int
-	open   bool
-	seq    uint64
+	open    bool
+	seq     uint64
 	// flushFn is s.flush bound once; taking the method value at every
 	// window open would allocate a closure each time.
 	flushFn func()
@@ -151,35 +144,25 @@ func (s *Scheduler) Add(r Request) {
 	r.seq = s.seq
 	s.seq++
 	s.pending = append(s.pending, r)
-	if s.parked != nil {
-		s.parked[requestKey{r.Client, r.Txn, r.Obj}]++
-	}
 	if !s.open {
 		s.open = true
 		s.env.Schedule(s.window, s.flushFn)
 	}
 }
 
-// requestKey is the identity the retransmission guard matches on.
-type requestKey struct {
-	client netsim.SiteID
-	txn    txn.ID
-	obj    lockmgr.ObjectID
-}
-
 // Pending reports whether an identical request (same client,
 // transaction, and object) is already parked in the open window — the
 // duplicate-request guard for retransmissions under fault injection:
 // the original will be answered when the window closes, so the
-// retransmit is dropped instead of entering the window twice.
+// retransmit is dropped instead of entering the window twice. Only a
+// server that retransmissions can reach asks, and it scans the window.
 func (s *Scheduler) Pending(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID) bool {
-	if s.parked == nil {
-		s.parked = make(map[requestKey]int)
-		for _, r := range s.pending {
-			s.parked[requestKey{r.Client, r.Txn, r.Obj}]++
+	for _, r := range s.pending {
+		if r.Client == client && r.Txn == id && r.Obj == obj {
+			return true
 		}
 	}
-	return s.parked[requestKey{client, id, obj}] > 0
+	return false
 }
 
 // flush closes the window: the batch is resolved through the sink in
@@ -190,7 +173,6 @@ func (s *Scheduler) flush() {
 	s.open = false
 	batch := s.pending
 	s.pending, s.spare = s.spare[:0], nil
-	clear(s.parked)
 	s.Flushes++
 	if len(batch) > 1 {
 		s.Batched += int64(len(batch))

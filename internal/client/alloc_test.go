@@ -36,9 +36,9 @@ import (
 // machine every client owns; the cache's and the lock table's (they read
 // 80 and 144; the table 296 B with its four per-owner maps, three free
 // lists and the wrapper that woke its waiters) keep a free list or a
-// second container per owner out of what every client holds; the
-// generator machine is the one part still allocated
-// per site (Client.Start says why).
+// second container per owner out of what every client holds. The
+// arrival stream is the Client itself, as a kernel event hook
+// (Client.RunEvent), so a parked site has no part allocated on its own.
 func TestPerSiteStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -49,7 +49,6 @@ func TestPerSiteStructSizes(t *testing.T) {
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 56},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
 		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
-		{"genMachine", unsafe.Sizeof(genMachine{}), 176},
 	} {
 		if c.got > c.ceil {
 			t.Errorf("unsafe.Sizeof(%s) = %d B, ceiling %d B", c.name, c.got, c.ceil)

@@ -324,14 +324,10 @@ func (c *Client) peer(id netsim.SiteID) *sim.Mailbox[netsim.Message] {
 	return (*c.peers)[id]
 }
 
-// Start spawns the client's generator and dispatcher machines, and
+// Start posts the client's first arrival, spawns its dispatcher, and
 // schedules the configured outage, if this client is its target.
 func (c *Client) Start() {
-	// The generator is the one per-site machine with an object of its
-	// own: it detaches at the horizon, long before its site is done, and
-	// as a field of the Client its bytes would stay for the run.
-	g := &genMachine{c: c}
-	c.env.Spawn(&g.task, g)
+	c.postArrival()
 	c.startDispatcher()
 	if netsim.SiteID(c.cfg.OutageClient) == c.id && c.cfg.OutageDuration > 0 {
 		c.env.At(c.cfg.OutageAt, c.beginOutage)
@@ -374,45 +370,28 @@ func (c *Client) beginOutage() {
 	})
 }
 
-// genMachine produces the transaction stream until the configured
-// horizon, as a state machine with the same park points as the earlier
-// generator process (one scheduler pass per arrival, even for
-// already-due arrivals).
-type genMachine struct {
-	task sim.Task
-	c    *Client
-	pc   uint8
+// RunEvent submits the arrival that is due: the client's transaction
+// stream is a chain of kernel events (sim.EventHook), one per arrival,
+// each posting the next. An arrival that falls in an outage is held
+// until the outage ends: no submissions while down.
+func (c *Client) RunEvent() {
+	if c.env.Now() < c.outageEnd {
+		c.env.AtHook(c.outageEnd, c)
+		return
+	}
+	t := c.gen.Next()
+	enlist(&c.Tracked, t, &c.stock.txnLists)
+	c.tr.Submitted(t, c.id, c.env.Now())
+	c.spawnTxn(t, nil, enOrigin, nil)
+	c.postArrival()
 }
 
-const (
-	gsNext uint8 = iota
-	gsArrived
-)
-
-func (g *genMachine) Resume() {
-	c := g.c
-	for {
-		switch g.pc {
-		case gsNext:
-			next := c.gen.NextArrival()
-			if next > c.cfg.Duration {
-				g.task.Detach()
-				return
-			}
-			g.pc = gsArrived
-			g.task.SleepUntil(next)
-			return
-		default: // gsArrived
-			if now := g.task.Now(); now < c.outageEnd {
-				g.task.SleepUntil(c.outageEnd) // no submissions while down
-				return
-			}
-			t := c.gen.Next()
-			enlist(&c.Tracked, t, &c.stock.txnLists)
-			c.tr.Submitted(t, c.id, g.task.Now())
-			c.spawnTxn(t, nil, enOrigin, nil)
-			g.pc = gsNext
-		}
+// postArrival posts the next arrival while it falls within the
+// configured horizon; one that an outage held past its time is posted
+// for now.
+func (c *Client) postArrival() {
+	if next := c.gen.NextArrival(); next <= c.cfg.Duration {
+		c.env.AtHook(max(next, c.env.Now()), c)
 	}
 }
 

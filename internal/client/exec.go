@@ -56,7 +56,6 @@ type txnMachine struct {
 	awRTO     time.Duration
 	awUntil   time.Duration
 	awAttempt int
-	awPC      uint8
 	wait      sim.WaitOp
 
 	// sequential-fetch cursor into missing.
@@ -841,19 +840,23 @@ func (m *txnMachine) reportResult(committed bool) {
 	}
 }
 
-// Await sub-states.
-const (
-	awIdle uint8 = iota
-	awWait
-)
-
 // send sends the open exchange's request as kind (resend) and begins
 // its reply wait (the blocking awaitReply) in state next.
 func (m *txnMachine) send(kind, next uint8) {
 	m.pt.kind = kind
 	m.resend()
-	m.awRTO, m.awAttempt, m.awPC = m.c.rto, 1, awIdle
+	m.awRTO, m.awAttempt = m.c.rto, 1
+	m.arm()
 	m.pc = next
+}
+
+// arm opens the reply wait's next window: the last one ends at the
+// deadline, an earlier one at the retransmission timer.
+func (m *txnMachine) arm() {
+	m.awUntil = m.t.Deadline
+	if next := m.task.Now() + m.awRTO; m.c.rto > 0 && next < m.t.Deadline {
+		m.awUntil = next
+	}
 }
 
 // awaitStep waits for the current exchange's condition until the
@@ -868,40 +871,29 @@ func (m *txnMachine) send(kind, next uint8) {
 func (m *txnMachine) awaitStep() (done, ok bool) {
 	c, t, pt := m.c, m.t, &m.pt
 	for {
-		switch m.awPC {
-		case awIdle:
-			// The last window ends at the deadline; an earlier one at the
-			// retransmission timer.
-			m.awUntil = t.Deadline
-			if next := m.task.Now() + m.awRTO; c.rto > 0 && next < t.Deadline {
-				m.awUntil = next
-			}
-			m.awPC = awWait
-		default: // awWait
-			d, ok := m.wait.Step(&m.task, &pt.sig, m.awUntil, m.awaitCond())
-			if !d {
-				return false, false
-			}
-			if ok || m.awUntil == t.Deadline {
-				if m.owns {
-					c.tr.MarkWait(t.ID, c.id, m.task.Now(), pt.netAccum)
-				}
-				pt.netAccum = 0
-				return true, ok
-			}
-			// Retransmission window expired.
-			c.Retries++
+		d, ok := m.wait.Step(&m.task, &pt.sig, m.awUntil, m.awaitCond())
+		if !d {
+			return false, false
+		}
+		if ok || m.awUntil == t.Deadline {
 			if m.owns {
-				c.tr.MarkRetry(t.ID, c.id, m.task.Now(), m.awAttempt)
+				c.tr.MarkWait(t.ID, c.id, m.task.Now(), pt.netAccum)
 			}
 			pt.netAccum = 0
-			m.resend()
-			m.awAttempt++
-			if m.awRTO < 8*c.rto {
-				m.awRTO *= 2
-			}
-			m.awPC = awIdle
+			return true, ok
 		}
+		// Retransmission window expired.
+		c.Retries++
+		if m.owns {
+			c.tr.MarkRetry(t.ID, c.id, m.task.Now(), m.awAttempt)
+		}
+		pt.netAccum = 0
+		m.resend()
+		m.awAttempt++
+		if m.awRTO < 8*c.rto {
+			m.awRTO *= 2
+		}
+		m.arm()
 	}
 }
 

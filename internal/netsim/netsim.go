@@ -212,6 +212,12 @@ func (n *Network) TransmitTime(size int) time.Duration {
 // (DeliveredAt − SentAt) so senders can attribute network time; under
 // fault injection the returned value is the nominal transit of the
 // original frame, whatever the fault layer then does with it.
+//
+// A nil dest sends to a site that reads nothing it is sent (the
+// centralized system's terminals): the message takes the bus and is
+// counted and traced, then goes nowhere, with no delivery event. It
+// skips the fault layer too, so a network with faults enabled must not
+// be sent one.
 func (n *Network) Send(msg Message, dest *sim.Mailbox[Message]) time.Duration {
 	if msg.Size <= 0 {
 		msg.Size = ControlBytes
@@ -253,6 +259,9 @@ func (n *Network) Send(msg Message, dest *sim.Mailbox[Message]) time.Duration {
 	}
 	if n.trace != nil {
 		n.trace(msg)
+	}
+	if dest == nil {
+		return deliver - now
 	}
 
 	if n.faults != nil && n.deliverFaulty(msg, dest, deliver) {

@@ -83,6 +83,27 @@ func TestStatsPerKind(t *testing.T) {
 	}
 }
 
+// TestSendWithNoInbox: a message sent to no inbox takes the bus and is
+// counted like any other, but posts no event and is delivered nowhere.
+func TestSendWithNoInbox(t *testing.T) {
+	env := sim.NewEnv()
+	n := New(env, Config{Latency: 0, BandwidthBps: 8e6}) // 1 byte = 1 µs
+	if transit := n.Send(Message{Kind: KindUserResult, Size: 1000}, nil); transit != time.Millisecond {
+		t.Fatalf("transit = %v, want 1ms", transit)
+	}
+	if s := n.Stats(KindUserResult); s.Count != 1 || s.Bytes != 1000 || n.TotalMessages() != 1 {
+		t.Fatalf("UserResult stats = %+v, total %d", s, n.TotalMessages())
+	}
+	if env.Step() {
+		t.Fatal("a send to no inbox posted an event")
+	}
+	mb := sim.NewMailbox[Message](env)
+	n.Send(Message{Kind: KindObjectShip, Size: 1000}, mb)
+	if got := drain(env, mb); len(got) != 1 || got[0].DeliveredAt != 2*time.Millisecond {
+		t.Fatalf("delivered %+v, want one frame at 2ms, behind the first on the bus", got)
+	}
+}
+
 func TestDefaultSizeApplied(t *testing.T) {
 	env := sim.NewEnv()
 	n := New(env, DefaultConfig())

@@ -18,18 +18,19 @@ import (
 
 // ceCore is what the two centralized engines share: the simulated LAN,
 // the server's disk, buffer pool, thread slots and single CPU, the
-// terminals, and the machines that feed transactions to the server
-// (ceTermMachine, ceDrainMachine, ceServeMachine). An engine embeds it
-// and supplies spawn, its per-transaction machine.
+// terminals, whose arrival streams are kernel events (terminal.RunEvent),
+// and the machine that feeds their transactions to the server
+// (ceServeMachine). An engine embeds it and supplies spawn, its
+// per-transaction machine.
 type ceCore struct {
 	cfg config.Config
 
 	env *sim.Env
 	net *netsim.Network
 	// payloads is this system's stock of message payload records: a
-	// terminal fills a TxnShip and the server's dispatcher releases it,
-	// a result travels to the terminal with no payload: it reports nothing
-	// the terminal reads.
+	// terminal fills a TxnShip and the server's dispatcher releases it.
+	// A result is sent with no payload and no inbox (netsim.Send with a
+	// nil dest): it takes the LAN and is counted, and nothing reads it.
 	payloads proto.Pool
 	m        *metrics.Collector
 	disk     *pagefile.Disk
@@ -38,17 +39,16 @@ type ceCore struct {
 	cpu      *sim.Resource
 
 	inbox *sim.Mailbox[netsim.Message]
-	// terminals is the population, by site id less one: each record
-	// holds its inbox, and its generator is an element of the workload
-	// arrays (newGenerators).
+	// terminals is the population, by site id less one: a terminal's
+	// generator is an element of the workload arrays (newGenerators).
 	terminals []terminal
 	// spawn starts the engine's machine for one arriving transaction.
 	spawn func(*txn.Transaction)
 }
 
 type terminal struct {
+	ce      *ceCore
 	id      netsim.SiteID
-	inbox   sim.Mailbox[netsim.Message]
 	gen     *txn.Generator
 	tracked []*txn.Transaction
 }
@@ -83,7 +83,6 @@ func newCECore(cfg config.Config) (ceCore, error) {
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
 		term.id, term.gen = netsim.SiteID(k+1), &gens[k]
-		term.inbox.Init(env, net.Rings())
 	}
 	return ce, nil
 }
@@ -94,16 +93,15 @@ func (ce *ceCore) Env() *sim.Env { return ce.env }
 // Net exposes the simulated LAN.
 func (ce *ceCore) Net() *netsim.Network { return ce.net }
 
-// Start spawns the server dispatcher and the terminal machines.
+// Start spawns the server dispatcher and posts every terminal's first
+// arrival.
 func (ce *ceCore) Start() {
 	s := &ceServeMachine{ce: ce}
 	ce.env.Spawn(&s.task, s)
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
-		tm := &ceTermMachine{ce: ce, term: term}
-		ce.env.Spawn(&tm.task, tm)
-		dm := &ceDrainMachine{term: term}
-		ce.env.Spawn(&dm.task, dm)
+		term.ce = ce
+		term.postArrival()
 	}
 }
 
@@ -142,48 +140,25 @@ func NewCentralized(cfg config.Config) (*Centralized, error) {
 	return ce, nil
 }
 
-// ceTermMachine submits a terminal's transaction stream to the server:
-// it sleeps until the next arrival, submits it, and repeats until the
-// arrivals run past the experiment's duration.
-type ceTermMachine struct {
-	task    sim.Task
-	ce      *ceCore
-	term    *terminal
-	arrived bool // woken at an arrival instant, not at spawn
+// RunEvent submits the terminal's arrival that is due to the server and
+// posts the next one (sim.EventHook), until the arrivals run past the
+// experiment's duration.
+func (term *terminal) RunEvent() {
+	ce := term.ce
+	t := term.gen.Next()
+	term.tracked = append(term.tracked, t)
+	sub := ce.payloads.TxnShip.New()
+	sub.T = t
+	ce.net.Send(netsim.Message{
+		Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
+		Size: netsim.TxnShipBytes, Payload: sub,
+	}, ce.inbox)
+	term.postArrival()
 }
 
-func (m *ceTermMachine) Resume() {
-	ce, term := m.ce, m.term
-	if m.arrived {
-		t := term.gen.Next()
-		term.tracked = append(term.tracked, t)
-		sub := ce.payloads.TxnShip.New()
-		sub.T = t
-		ce.net.Send(netsim.Message{
-			Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
-			Size: netsim.TxnShipBytes, Payload: sub,
-		}, ce.inbox)
-	}
-	next := term.gen.NextArrival()
-	if next > ce.cfg.Duration {
-		m.task.Detach()
-		return
-	}
-	m.arrived = true
-	m.task.SleepUntil(next)
-}
-
-// ceDrainMachine consumes result messages (displayed to the user).
-type ceDrainMachine struct {
-	task sim.Task
-	term *terminal
-}
-
-func (m *ceDrainMachine) Resume() {
-	for {
-		if _, ok := m.term.inbox.Recv(&m.task); !ok {
-			return
-		}
+func (term *terminal) postArrival() {
+	if next := term.gen.NextArrival(); next <= term.ce.cfg.Duration {
+		term.ce.env.AtHook(next, term)
 	}
 }
 
@@ -334,7 +309,8 @@ func (ce *ceCore) admit(task *sim.Task, t *txn.Transaction, prio float64, resume
 	return task.AcquireTimeout(ce.slots, prio, slack)
 }
 
-// reply records t's outcome and sends the result to its terminal.
+// reply records t's outcome and sends the result to its terminal, which
+// only displays it: the message takes the LAN and is delivered nowhere.
 func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	if committed {
 		t.Status = txn.StatusCommitted
@@ -346,16 +322,21 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
 		Size: netsim.ResultBytes,
-	}, &ce.terminals[int(t.Origin)-1].inbox)
+	}, nil)
+}
+
+// priority is t's rank for a thread slot and the CPU, lower first: its
+// deadline under EDF, its arrival under FCFS.
+func (ce *ceCore) priority(t *txn.Transaction) float64 {
+	if ce.cfg.Scheduling == config.SchedFCFS {
+		return t.Arrival.Seconds()
+	}
+	return t.Deadline.Seconds()
 }
 
 func (ce *Centralized) spawnTxn(t *txn.Transaction) {
 	x := ce.machines.New()
-	*x = ceTxnMachine{ce: ce, t: t, read: ceRead{frames: x.read.frames}, locks: x.locks}
-	x.prio = t.Deadline.Seconds()
-	if ce.cfg.Scheduling == config.SchedFCFS {
-		x.prio = t.Arrival.Seconds()
-	}
+	*x = ceTxnMachine{ce: ce, t: t, prio: ce.priority(t), read: ceRead{frames: x.read.frames}, locks: x.locks}
 	ce.env.Spawn(&x.task, x)
 }
 

@@ -84,7 +84,7 @@ func (m *occTxnMachine) step() bool {
 	ce, t := m.ce, m.t
 	switch m.pc {
 	case osAdmit, osAdmitWait:
-		switch ce.admit(&m.task, t, t.Deadline.Seconds(), m.pc == osAdmitWait) {
+		switch ce.admit(&m.task, t, ce.priority(t), m.pc == osAdmitWait) {
 		case sim.AcquireParked:
 			m.pc = osAdmitWait
 			return true
@@ -105,7 +105,7 @@ func (m *occTxnMachine) step() bool {
 		m.read.start(len(t.Ops))
 		m.pc = osRead
 	case osRead:
-		switch m.read.step(&ce.ceCore, &m.task, t, t.Deadline.Seconds()) {
+		switch m.read.step(&ce.ceCore, &m.task, t, ce.priority(t)) {
 		case readParked:
 			return true
 		case readLate:

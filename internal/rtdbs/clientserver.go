@@ -236,9 +236,9 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tr }
 // Start spawns all actors without running the clock (tests use this).
 func (c *Cluster) Start() {
 	// Every machine about to be spawned is known: a connection handler
-	// per client at each shard, a generator and a dispatcher per client,
-	// and a peer handler per shard when there are several.
-	n := len(c.clients) * (2 + len(c.servers))
+	// per client at each shard, a dispatcher per client, and a peer
+	// handler per shard when there are several.
+	n := len(c.clients) * (1 + len(c.servers))
 	if c.topo.Multi() {
 		n += len(c.servers)
 	}

@@ -18,7 +18,7 @@ import (
 // identical runs, and again from the end-of-run audit.
 func TestMonitorNamesLowestPlantedViolation(t *testing.T) {
 	const (
-		wantMonitor = `invariant "dirty-implies-exclusive" violated at step 2203 (t=1m0s): rtdbs: client 3 caches dirty object 9040 with SL`
+		wantMonitor = `invariant "dirty-implies-exclusive" violated at step 2197 (t=1m0s): rtdbs: client 3 caches dirty object 9040 with SL`
 		wantAudit   = `rtdbs: client 3 caches dirty object 9040 with SL`
 	)
 	for run := 0; run < 10; run++ {

@@ -9,23 +9,27 @@ import (
 	"siteselect/internal/slab"
 )
 
+// The floors of a transaction's length and slack draws.
+const (
+	minLength = 50 * time.Millisecond
+	minSlack  = time.Second
+)
+
 // WorkloadConfig shapes one client's transaction stream (Table 1).
 type WorkloadConfig struct {
 	// MeanInterArrival is the mean of the Poisson arrival process.
 	MeanInterArrival time.Duration
-	// MeanLength is the mean (exponential) prescribed execution time.
+	// MeanLength is the mean (exponential) prescribed execution time,
+	// floored at minLength.
 	MeanLength time.Duration
-	// MinLength floors the exponential draw.
-	MinLength time.Duration
 	// MeanSlack is the mean deadline offset beyond the arrival time
 	// (Table 1's "average transaction deadline"). Deadlines are set to
 	// arrival + length + slack where slack is exponential with mean
 	// MeanSlack − MeanLength, so an unobstructed transaction always
 	// makes its deadline and every miss is system-induced (queueing,
-	// blocking, or data-shipping delay).
+	// blocking, or data-shipping delay). The slack draw is floored at
+	// minSlack.
 	MeanSlack time.Duration
-	// MinSlack floors the slack draw.
-	MinSlack time.Duration
 	// IndependentDeadlines draws the deadline offset independently of
 	// the execution length (the literal reading of Table 1) instead of
 	// the default arrival + length + slack.
@@ -99,12 +103,6 @@ func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadC
 	if cfg.MeanObjects <= 0 {
 		cfg.MeanObjects = 10
 	}
-	if cfg.MinLength <= 0 {
-		cfg.MinLength = 50 * time.Millisecond
-	}
-	if cfg.MinSlack <= 0 {
-		cfg.MinSlack = time.Second
-	}
 	*g = Generator{cfg: cfg, stream: stream, origin: origin, maker: maker}
 	if a, ok := cfg.Access.(interface{ Advance(time.Duration) }); ok {
 		g.advance = a.Advance
@@ -145,16 +143,16 @@ func (g *Generator) Next() *Transaction {
 			Write: g.stream.Float64() < g.cfg.UpdateFraction,
 		}
 	}
-	length := g.stream.ExpMin(g.cfg.MeanLength, g.cfg.MinLength)
+	length := g.stream.ExpMin(g.cfg.MeanLength, minLength)
 	var deadline time.Duration
 	if g.cfg.IndependentDeadlines {
-		deadline = arrival + g.stream.ExpMin(g.cfg.MeanSlack, g.cfg.MinSlack)
+		deadline = arrival + g.stream.ExpMin(g.cfg.MeanSlack, minSlack)
 	} else {
 		meanSlack := g.cfg.MeanSlack - g.cfg.MeanLength
 		if meanSlack <= 0 {
 			meanSlack = g.cfg.MeanSlack / 2
 		}
-		deadline = arrival + length + g.stream.ExpMin(meanSlack, g.cfg.MinSlack)
+		deadline = arrival + length + g.stream.ExpMin(meanSlack, minSlack)
 	}
 	t.Origin, t.ExecSite = g.origin, g.origin
 	t.Arrival, t.Deadline, t.Length = arrival, deadline, length
