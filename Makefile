@@ -47,11 +47,15 @@ park-lint:
 # through slab.Index, whose storage comes from the system's slabs and goes
 # back to them, where a map is an object of its own per site, made on
 # first use and kept for the run. A server's batch window is scanned, not
-# indexed. No non-test file under internal/batch, internal/cache,
-# internal/lockmgr, internal/sim or internal/slab names a map type.
+# indexed. The tracer's recording path finds a transaction's record by
+# ID in a slice and names event types from an array; only its Chrome
+# export (chrome.go) builds maps, once, at the end of a run. No non-test
+# file under internal/batch, internal/cache, internal/lockmgr,
+# internal/sim or internal/slab, nor internal/trace/trace.go or
+# misscause.go, names a map type.
 map-lint:
-	@if grep -rnE 'map\[' --include='*.go' internal/batch internal/cache internal/lockmgr internal/sim internal/slab | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'; then \
-		echo 'map-lint: no Go maps in internal/{batch,cache,lockmgr,sim,slab}: find a site'"'"'s records through a slab.Index' >&2; exit 1; fi
+	@if grep -rnE 'map\[' --include='*.go' internal/batch internal/cache internal/lockmgr internal/sim internal/slab internal/trace/trace.go internal/trace/misscause.go | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*//'; then \
+		echo 'map-lint: no Go maps in internal/{batch,cache,lockmgr,sim,slab} or on the tracer'"'"'s recording path: find a site'"'"'s records through a slab.Index, a trace by its ID' >&2; exit 1; fi
 
 # dead-lint fails on an exported identifier of a package under internal/
 # that no non-test file of the module or of bench/ refers to, and on a

@@ -142,7 +142,11 @@ func TestParkedClientFootprint(t *testing.T) {
 // and on the paper's own system, which nothing else pins: the ls-100
 // cell of Figure 3 at a short horizon, where every transaction that
 // meets a conflict takes an H2 decision and a tenth ask to be
-// decomposed. go1.24 reads 1.0 and 2.3 (1.4 and 3.4 while every site
+// decomposed; and on that cell traced, which must cost next to nothing
+// more. go1.24 reads 1.0, 2.2 and 2.2 (10.8 traced while every
+// transaction's trace was a heap record, a map entry and an event slice
+// grown by append, where the tracer now carves records from a slab and
+// chains events through one chunked log; 1.4 and 3.4 while every site
 // made Go maps for its cache and lock table, and took a mailbox ring and
 // its lists' arrays of its own on first use, where the system's slabs
 // now hold all of them; 1.9 and 6.0 while every site
@@ -167,6 +171,8 @@ func TestMallocsPerTransaction(t *testing.T) {
 	sharded.Duration, sharded.Warmup = 20*time.Minute, 2*time.Minute
 	ls100 := config.Default(100, 0.01)
 	ls100.Duration, ls100.Warmup = 7*time.Minute, time.Minute
+	ls100traced := ls100
+	ls100traced.Trace = true
 	for _, tc := range []struct {
 		name    string
 		cfg     config.Config
@@ -179,6 +185,9 @@ func TestMallocsPerTransaction(t *testing.T) {
 		}},
 		{"ls-100", ls100, rtdbs.NewLoadSharing, 3.1, func(r *rtdbs.Result) bool {
 			return r.M.ShippedTxns > 0 && r.M.DecomposedTxns > 0 && r.ForwardHops > 0
+		}},
+		{"ls-100-traced", ls100traced, rtdbs.NewLoadSharing, 2.9, func(r *rtdbs.Result) bool {
+			return r.M.ShippedTxns > 0 && r.MissCauses != nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

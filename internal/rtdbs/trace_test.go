@@ -1,6 +1,8 @@
 package rtdbs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -139,5 +141,29 @@ func TestTraceUntracedClusterInert(t *testing.T) {
 	}
 	if ls.Tracer().MissCauses(0) != nil || ls.Tracer().Enabled() {
 		t.Fatal("nil tracer not inert")
+	}
+}
+
+// TestTraceChromeDigest pins the Chrome export of a small fixed traced
+// load-sharing run byte for byte — 285 transactions, about 13 800
+// events interleaved across several of the tracer's log chunks: a change
+// to how the tracer stores its events must not change what it writes.
+func TestTraceChromeDigest(t *testing.T) {
+	cfg := smallConfig(20, 0.20)
+	cfg.Trace = true
+	ls, err := NewLoadSharing(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := ls.Tracer().WriteChrome(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "eb14aedbe08a31447203995ea56d76aa7a62d3502ff09c5f576acff3a4702c1e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Chrome export digest %s, want %s", got, want)
 	}
 }

@@ -39,7 +39,7 @@ func (tr *Tracer) WriteChrome(w io.Writer) error {
 	sites := map[netsim.SiteID]bool{}
 	var events []chromeEvent
 	for _, tt := range tr.order {
-		for _, ev := range tt.Events {
+		tr.EachEvent(tt, func(ev Event) {
 			sites[ev.Site] = true
 			ce := chromeEvent{
 				Name: ev.Type.String(),
@@ -84,7 +84,7 @@ func (tr *Tracer) WriteChrome(w io.Writer) error {
 				}
 			}
 			events = append(events, ce)
-		}
+		})
 	}
 	var meta []chromeEvent
 	ordered := make([]netsim.SiteID, 0, len(sites))

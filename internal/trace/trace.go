@@ -1,10 +1,15 @@
 // Package trace records deterministic per-transaction event traces for
-// the client-server systems: every transaction carries a timeline of
-// typed events (submission, H1/H2 decisions, lock traffic, object
-// shipping, migration hops, retries) and a slack attribution that
-// splits the interval from arrival to completion into disjoint
-// components — executor queueing, lock wait, network transit,
-// execution, retransmission windows, and decomposition fan-out.
+// the client-server systems: every transaction has a timeline of typed
+// events (submission, H1/H2 decisions, lock traffic, object shipping,
+// migration hops, retries) and a slack attribution that splits the
+// interval from arrival to completion into disjoint components —
+// executor queueing, lock wait, network transit, execution,
+// retransmission windows, and decomposition fan-out.
+//
+// A run's events live in one append-only log the Tracer owns, in fixed
+// chunks; a transaction's timeline is a chain through that log, and its
+// record, carved from a slab, holds no pointers. Recording an event
+// allocates nothing but a new chunk every 4 096 events.
 //
 // Attribution uses closing intervals: each transaction tracks the
 // timestamp of its last attributed mark, and every Mark closes the
@@ -22,10 +27,12 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
+	"siteselect/internal/slab"
 	"siteselect/internal/txn"
 )
 
@@ -131,7 +138,7 @@ const (
 	EvBatchWindow
 )
 
-var eventNames = map[EventType]string{
+var eventNames = [...]string{
 	EvSubmitted:     "submitted",
 	EvH1:            "h1-decision",
 	EvH2:            "h2-decision",
@@ -156,8 +163,8 @@ var eventNames = map[EventType]string{
 
 // String returns the event type's name.
 func (e EventType) String() string {
-	if s, ok := eventNames[e]; ok {
-		return s
+	if int(e) < len(eventNames) {
+		return eventNames[e]
 	}
 	return fmt.Sprintf("EventType(%d)", int(e))
 }
@@ -172,6 +179,10 @@ type Event struct {
 	Type EventType
 	// Comp is the attribution bucket of EvPhase spans.
 	Comp Component
+	// next is the log position of the transaction's following event,
+	// plus one; 0 ends the chain. It sits in the padding after Type and
+	// Comp, so it costs an Event no bytes.
+	next uint32
 	// Site is where the event happened (the client site, or
 	// netsim.ServerSite for server-side events).
 	Site netsim.SiteID
@@ -204,8 +215,9 @@ type TxnTrace struct {
 	// therefore excluded from the sum-to-elapsed identity, and is
 	// always zero when batching is off.
 	BatchWait time.Duration
-	// Events is the timeline in emission order.
-	Events []Event
+	// first and last are the log positions, plus one, of the ends of
+	// the transaction's chain of events (Tracer.EachEvent walks it).
+	first, last uint32
 
 	// lastMark chains the closing intervals; lastComp remembers the
 	// bucket the final residue joins.
@@ -244,34 +256,79 @@ func (tt *TxnTrace) verify() error {
 	return nil
 }
 
+// The event log is cut into chunks of chunkLen events; log position p
+// is log[p>>chunkShift][p&chunkMask].
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
 // Tracer accumulates per-transaction traces for one simulated run. It
 // is single-threaded, like the simulation that feeds it. A nil Tracer
 // is inert.
 type Tracer struct {
-	txns  map[txn.ID]*TxnTrace
-	order []*TxnTrace
-	// fresh holds traces finished since the last VerifyNewlyClosed
-	// drain (the invariant monitor's continuous attribution check).
-	fresh []*TxnTrace
+	// log holds every event of the run in emission order, n of them; a
+	// chunk is made only when the one before it is full.
+	log [][]Event
+	n   uint32
+	// traces carves the transaction records; byID finds them by
+	// transaction ID (txn.Maker numbers a system's transactions densely
+	// from 1), order keeps them in submission order.
+	traces slab.Slab[TxnTrace]
+	byID   []*TxnTrace
+	order  []*TxnTrace
+	// err is the first attribution error of a trace finished since the
+	// last VerifyNewlyClosed.
+	err error
 }
 
 // New returns an empty tracer.
-func New() *Tracer {
-	return &Tracer{txns: make(map[txn.ID]*TxnTrace)}
-}
+func New() *Tracer { return &Tracer{} }
 
 // Enabled reports whether tracing is on (the tracer is non-nil).
 func (tr *Tracer) Enabled() bool { return tr != nil }
 
 func (tr *Tracer) get(id txn.ID) *TxnTrace {
-	if tr == nil {
+	if tr == nil || id < 0 || id >= txn.ID(len(tr.byID)) {
 		return nil
 	}
-	tt := tr.txns[id]
+	tt := tr.byID[id]
 	if tt == nil || tt.Done {
 		return nil
 	}
 	return tt
+}
+
+// at returns the event at log position p.
+func (tr *Tracer) at(p uint32) *Event { return &tr.log[p>>chunkShift][p&chunkMask] }
+
+// add appends ev to the log and links it to the end of tt's chain.
+func (tr *Tracer) add(tt *TxnTrace, ev Event) {
+	p := tr.n
+	if int(p>>chunkShift) == len(tr.log) {
+		if uint64(len(tr.log)+1)<<chunkShift > math.MaxUint32 {
+			panic(fmt.Sprintf("trace: event log full at %d events", p))
+		}
+		tr.log = append(tr.log, make([]Event, chunkLen))
+	}
+	*tr.at(p) = ev
+	if tt.last == 0 {
+		tt.first = p + 1
+	} else {
+		tr.at(tt.last - 1).next = p + 1
+	}
+	tt.last = p + 1
+	tr.n++
+}
+
+// EachEvent calls fn with each event of tt's timeline in emission order.
+func (tr *Tracer) EachEvent(tt *TxnTrace, fn func(Event)) {
+	for p := tt.first; p != 0; {
+		ev := *tr.at(p - 1)
+		p, ev.next = ev.next, 0
+		fn(ev)
+	}
 }
 
 // Submitted opens a transaction's trace. The attribution chain starts
@@ -281,7 +338,8 @@ func (tr *Tracer) Submitted(t *txn.Transaction, site netsim.SiteID, now time.Dur
 	if tr == nil {
 		return
 	}
-	tt := &TxnTrace{
+	tt := tr.traces.New()
+	*tt = TxnTrace{
 		ID:       t.ID,
 		Origin:   t.Origin,
 		Arrival:  t.Arrival,
@@ -289,21 +347,24 @@ func (tr *Tracer) Submitted(t *txn.Transaction, site netsim.SiteID, now time.Dur
 		lastMark: t.Arrival,
 		lastComp: CompQueue,
 	}
-	tr.txns[t.ID] = tt
+	for int(t.ID) >= len(tr.byID) {
+		tr.byID = append(tr.byID, nil)
+	}
+	tr.byID[t.ID] = tt
 	tr.order = append(tr.order, tt)
-	tt.Events = append(tt.Events, Event{T: now, Type: EvSubmitted, Site: site})
+	tr.add(tt, Event{T: now, Type: EvSubmitted, Site: site})
 }
 
-// closeInterval attributes [lastMark, now] to comp and advances the
-// chain.
-func (tt *TxnTrace) closeInterval(site netsim.SiteID, comp Component, now time.Duration) {
+// closeInterval attributes tt's [lastMark, now] to comp and advances
+// lastMark to now.
+func (tr *Tracer) closeInterval(tt *TxnTrace, site netsim.SiteID, comp Component, now time.Duration) {
 	d := now - tt.lastMark
 	if d < 0 {
 		d = 0
 	}
 	tt.Buckets[comp] += d
 	if d > 0 {
-		tt.Events = append(tt.Events, Event{T: tt.lastMark, Dur: d, Type: EvPhase, Comp: comp, Site: site})
+		tr.add(tt, Event{T: tt.lastMark, Dur: d, Type: EvPhase, Comp: comp, Site: site})
 	}
 	tt.lastMark = now
 	tt.lastComp = comp
@@ -313,7 +374,7 @@ func (tt *TxnTrace) closeInterval(site netsim.SiteID, comp Component, now time.D
 // comp.
 func (tr *Tracer) Mark(id txn.ID, site netsim.SiteID, comp Component, now time.Duration) {
 	if tt := tr.get(id); tt != nil {
-		tt.closeInterval(site, comp, now)
+		tr.closeInterval(tt, site, comp, now)
 	}
 }
 
@@ -338,10 +399,10 @@ func (tr *Tracer) MarkWait(id txn.ID, site netsim.SiteID, now, net time.Duration
 		net = d
 	}
 	if net > 0 {
-		tt.closeInterval(site, CompNet, tt.lastMark+net)
+		tr.closeInterval(tt, site, CompNet, tt.lastMark+net)
 	}
 	if now > tt.lastMark {
-		tt.closeInterval(site, CompLockWait, now)
+		tr.closeInterval(tt, site, CompLockWait, now)
 	}
 }
 
@@ -352,8 +413,8 @@ func (tr *Tracer) MarkRetry(id txn.ID, site netsim.SiteID, now time.Duration, at
 	if tt == nil {
 		return
 	}
-	tt.closeInterval(site, CompRetry, now)
-	tt.Events = append(tt.Events, Event{T: now, Type: EvRetry, Site: site, A: int64(attempt)})
+	tr.closeInterval(tt, site, CompRetry, now)
+	tr.add(tt, Event{T: now, Type: EvRetry, Site: site, A: int64(attempt)})
 }
 
 // MarkShipArrived attributes the transit of a shipped transaction to
@@ -363,30 +424,34 @@ func (tr *Tracer) MarkShipArrived(id txn.ID, site netsim.SiteID, now time.Durati
 	if tt == nil {
 		return
 	}
-	tt.closeInterval(site, CompNet, now)
-	tt.Events = append(tt.Events, Event{T: now, Type: EvShipArrived, Site: site})
+	tr.closeInterval(tt, site, CompNet, now)
+	tr.add(tt, Event{T: now, Type: EvShipArrived, Site: site})
 }
 
 // Finish closes a transaction's trace: the residue since the last mark
 // joins the last-marked component (a continuation of whatever the
-// transaction was doing), and the trace becomes immutable.
+// transaction was doing), and the trace becomes immutable. Its
+// attribution identity is checked at once; the first failure waits for
+// VerifyNewlyClosed.
 func (tr *Tracer) Finish(t *txn.Transaction, site netsim.SiteID, now time.Duration) {
 	tt := tr.get(t.ID)
 	if tt == nil {
 		return
 	}
-	tt.closeInterval(site, tt.lastComp, now)
+	tr.closeInterval(tt, site, tt.lastComp, now)
 	tt.Status = t.Status
 	tt.Finished = now
 	tt.Done = true
-	tt.Events = append(tt.Events, Event{T: now, Type: EvFinished, Site: site, A: int64(t.Status)})
-	tr.fresh = append(tr.fresh, tt)
+	tr.add(tt, Event{T: now, Type: EvFinished, Site: site, A: int64(t.Status)})
+	if err := tt.verify(); err != nil && tr.err == nil {
+		tr.err = err
+	}
 }
 
 // Point appends a point event to the transaction's timeline.
 func (tr *Tracer) Point(id txn.ID, site netsim.SiteID, typ EventType, obj lockmgr.ObjectID, a, b int64, now time.Duration) {
 	if tt := tr.get(id); tt != nil {
-		tt.Events = append(tt.Events, Event{T: now, Type: typ, Site: site, Obj: obj, A: a, B: b})
+		tr.add(tt, Event{T: now, Type: typ, Site: site, Obj: obj, A: a, B: b})
 	}
 }
 
@@ -396,26 +461,21 @@ func (tr *Tracer) Point(id txn.ID, site netsim.SiteID, typ EventType, obj lockmg
 func (tr *Tracer) AddBatchWait(id txn.ID, obj lockmgr.ObjectID, d, now time.Duration) {
 	if tt := tr.get(id); tt != nil {
 		tt.BatchWait += d
-		tt.Events = append(tt.Events, Event{T: now, Type: EvBatchWindow, Site: netsim.ServerSite, Obj: obj, A: int64(d)})
+		tr.add(tt, Event{T: now, Type: EvBatchWindow, Site: netsim.ServerSite, Obj: obj, A: int64(d)})
 	}
 }
 
-// VerifyNewlyClosed checks the attribution identity of every trace
-// finished since the previous call. The cluster's invariant monitor
-// runs it continuously, so an attribution leak is caught at the step
-// that introduced it.
+// VerifyNewlyClosed returns the first attribution error of a trace
+// finished since the previous call, and forgets it. The cluster's
+// invariant monitor runs it continuously, so an attribution leak is
+// caught at the step that introduced it.
 func (tr *Tracer) VerifyNewlyClosed() error {
 	if tr == nil {
 		return nil
 	}
-	for _, tt := range tr.fresh {
-		if err := tt.verify(); err != nil {
-			tr.fresh = nil
-			return err
-		}
-	}
-	tr.fresh = tr.fresh[:0]
-	return nil
+	err := tr.err
+	tr.err = nil
+	return err
 }
 
 // VerifyAll checks the attribution identity of every finished trace.
