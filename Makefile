@@ -132,13 +132,14 @@ seed-scan:
 	$(GO) test ./internal/rtdbs -run 'TestSeedScan$$' -seeds $(SEEDS) -timeout 0 -v
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
-# its committed corpus (CI runs the same eight).
+# its committed corpus (CI runs the same nine).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzLockTable -fuzztime $(FUZZTIME) ./internal/lockmgr/
 	$(GO) test -fuzz FuzzForwardList -fuzztime $(FUZZTIME) ./internal/forward/
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -fuzz FuzzSet -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzBatchSchedule -fuzztime $(FUZZTIME) ./internal/batch/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/rng/
 	$(GO) test -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/sim/

@@ -39,7 +39,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure3 so benchjson -diff warns on either regressing.
 func BenchmarkFigure3Batched(b *testing.B) {
 	opts := benchOpts
-	opts.BatchWindow = 250 * time.Millisecond
+	opts.Mod = func(c *config.Config) { c.BatchWindow = 250 * time.Millisecond }
 	for i := 0; i < b.N; i++ {
 		f, err := experiment.Figure("Figure 3 (batched)", 0.01, opts).Run(opts)
 		if err != nil {

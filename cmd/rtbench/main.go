@@ -7,7 +7,7 @@
 //	        [-ablate-clients 60] [-ablate-updates 0.20] [-trace-summary]
 //	        [-cpuprofile file] [-memprofile file]
 //	rtbench -scenario file.rts | -scenario-dir dir [-scale-scenarios]
-//	        [-scenario-out dir] [-parallel N]
+//	        [-scenario-out dir] [-parallel N] [-cpuprofile file] [-memprofile file]
 //
 // Experiment ids, in the order -exp all runs them (the registry is
 // experiment.Studies; TestDocsListEveryStudy holds this list to it):
@@ -31,7 +31,10 @@
 // -scenario runs one .rts scenario file and -scenario-dir every one in
 // a directory, in place of an experiment: each prints its report and
 // fails the command when an expect assertion fails. A scenario fixes its
-// own system, workload and seed, so -seed, -scale and -reps do not apply.
+// own system, workload and seed, so beside -scenario or -scenario-dir
+// only -scenario-out, -scale-scenarios, -parallel, -cpuprofile and
+// -memprofile may be given: any experiment flag is an error, as are
+// -scenario-out and -scale-scenarios without a scenario run.
 // -scenario-dir skips the scale-tier scenarios (100k clients and up;
 // minutes and tens of GB) unless -scale-scenarios is given, and
 // -scenario-out also writes each report to a directory as <name>.golden,
@@ -56,6 +59,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -105,6 +109,9 @@ func run(args []string, out io.Writer) error {
 		scenBig  = fs.Bool("scale-scenarios", false, "include scale-tier scenarios (>= 100k clients) in -scenario-dir runs; these take minutes and tens of GB")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+	if err := checkFlags(fs); err != nil {
+		return err
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -133,9 +140,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *scenFile != "" || *scenDir != "" {
-		// Scenario runs carry their own seed (derived from the scenario
-		// name and the file's seed stanza), so -seed, -scale, and -reps
-		// do not apply here.
 		return runScenarios(*scenFile, *scenDir, *scenOut, *parallel, *scenBig, out)
 	}
 
@@ -171,6 +175,31 @@ func run(args []string, out io.Writer) error {
 			s.Total.Round(time.Millisecond), submitted)
 	}
 	return err
+}
+
+// scenarioFlags are the flags a -scenario or -scenario-dir run takes;
+// every other flag configures an experiment.
+var scenarioFlags = []string{"cpuprofile", "memprofile", "parallel", "scale-scenarios", "scenario", "scenario-dir", "scenario-out"}
+
+// checkFlags rejects a command line that gives a flag the chosen run
+// would ignore: an experiment flag beside a scenario run (a scenario
+// fixes its own system, workload and seed), and a scenario flag
+// without one.
+func checkFlags(fs *flag.FlagSet) error {
+	var given []string
+	fs.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	scen := slices.Contains(given, "scenario") || slices.Contains(given, "scenario-dir")
+	for _, name := range given {
+		switch {
+		case scen && !slices.Contains(scenarioFlags, name):
+			return fmt.Errorf("-%s does not apply to a -scenario or -scenario-dir run (a scenario fixes its own system, workload and seed)", name)
+		case name == "scale-scenarios" && !slices.Contains(given, "scenario-dir"):
+			return fmt.Errorf("-scale-scenarios applies only with -scenario-dir")
+		case name == "scenario-out" && !scen:
+			return fmt.Errorf("-scenario-out applies only with -scenario or -scenario-dir")
+		}
+	}
+	return nil
 }
 
 // studyIDs lists the registered experiment ids in `-exp all` order.

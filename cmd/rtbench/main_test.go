@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -187,5 +188,29 @@ func TestDocsListEveryStudy(t *testing.T) {
 	sort.Strings(sorted)
 	if got, want := strings.Join(indexed, " "), strings.Join(sorted, " "); got != want {
 		t.Errorf("EXPERIMENTS.md index lists\n  %s\nregistry has\n  %s", got, want)
+	}
+}
+
+// TestFlagErrors holds run to rejecting a flag the chosen run would
+// ignore, with an error that names the flag: every experiment flag
+// beside a scenario run, and the scenario-only flags without one.
+func TestFlagErrors(t *testing.T) {
+	cases := map[string]string{
+		"-scenario f.rts -exp fig3":            "-exp does not apply to a -scenario or -scenario-dir run",
+		"-scenario-out d -exp fig3":            "-scenario-out applies only with -scenario or -scenario-dir",
+		"-scale-scenarios":                     "-scale-scenarios applies only with -scenario-dir",
+		"-scenario f.rts -scale-scenarios":     "-scale-scenarios applies only with -scenario-dir",
+		"-scenario-dir d -csv -scenario-out o": "-csv does not apply",
+	}
+	for _, flag := range []string{"-seed 2", "-scale 0.5", "-reps 2", "-clients 4", "-csv", "-svg d", "-trace-summary", "-ablate-clients 4", "-ablate-updates 0.1", "-progress"} {
+		name := strings.Fields(flag)[0]
+		cases["-scenario f.rts "+flag] = name + " does not apply to a -scenario or -scenario-dir run"
+		cases["-scenario-dir d "+flag] = name + " does not apply to a -scenario or -scenario-dir run"
+	}
+	for args, want := range cases {
+		err := run(strings.Fields(args), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", args, err, want)
+		}
 	}
 }

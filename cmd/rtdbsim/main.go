@@ -4,19 +4,30 @@
 //
 // Usage:
 //
-//	rtdbsim -system ce|ce-occ|cs|ls [-clients 20] [-updates 0.05]
-//	        [-duration 30m] [-warmup 10m] [-seed 1]
-//	        [-reps 1] [-parallel 0]
-//	        [-window 500ms] [-executors 4] [-no-h1] [-no-h2]
-//	        [-no-decomposition] [-no-forward-lists] [-no-downgrade]
-//	        [-drop-rate 0] [-dup-rate 0] [-spike-rate 0] [-spike-latency 5ms]
-//	        [-partition-site -1] [-partition-at 0] [-partition-duration 0]
-//	        [-invariants] [-trace out.json] [-msgtrace 0]
+//	rtdbsim [-system ls] [-clients 20] [-seed 1]
+//	        [-set key=value[,key=value...]]...
+//	        [-reps N [-parallel 0] | -trace out.json | -msgtrace N]
 //	rtdbsim -scenario file.rts
 //
+// The run is the paper's Table 1 configuration of -system (ce, ce-occ,
+// cs or ls) with -clients sites at 5% updates, 30 virtual minutes after
+// a 10-minute warmup. -set overrides any Config key a scenario's config,
+// faults or replication block takes, by the same name and with values
+// read the same way (EXPERIMENTS.md, "Writing a scenario"); it repeats,
+// and later settings win. For example:
+//
+//	rtdbsim -system ls -clients 30 -set updates=0.1,duration=3m,warmup=0
+//	rtdbsim -set h1=off,forward-lists=off      # load-sharing ablations
+//	rtdbsim -set drop=0.05,invariants=on       # lossy LAN, monitored
+//	rtdbsim -set spike-rate=0.1,spike-latency=5ms
+//	rtdbsim -set partition-site=2,partition-at=30s,partition-duration=20s
+//
+// spike-rate needs spike-latency: the Table 1 configuration has none,
+// and a run with a spike rate but no spike latency is rejected.
+//
 // -scenario runs one .rts scenario file instead — its own system,
-// workload and seed, so the other flags do not apply — and prints the
-// scenario report followed by the full dump.
+// workload and seed — and prints the scenario report followed by the
+// full dump; every other flag is an error beside it.
 //
 // With -reps N > 1 the configuration is replicated N times over seeds
 // derived from the master -seed, fanned across a -parallel worker pool
@@ -30,14 +41,8 @@
 // transaction's lifetime — plus the aggregate miss-cause table, and
 // writes the full event timeline as Chrome trace-event JSON loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing, one track per site.
-// -msgtrace N instead prints the last N raw LAN messages.
-//
-// The fault flags drive the deterministic fault-injection layer
-// (client-server systems only): per-message drop/duplicate/latency-spike
-// lotteries and a timed single-site partition, all derived from the
-// master seed so a faulty run is exactly reproducible. -invariants
-// attaches the continuous invariant monitor, which after every
-// simulation event checks what the event touched.
+// -msgtrace N instead prints the last N raw LAN messages. -reps, -trace
+// and -msgtrace each pick a different run, so at most one may be given.
 package main
 
 import (
@@ -46,13 +51,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"siteselect"
 	"siteselect/internal/experiment"
 	"siteselect/internal/netsim"
 	"siteselect/internal/rtdbs"
+	"siteselect/internal/scenario"
 	"siteselect/internal/stats"
 )
 
@@ -72,33 +80,22 @@ func run(args []string, w io.Writer) error {
 	var (
 		system    = fs.String("system", "ls", "system to run: ce, ce-occ, cs or ls")
 		clients   = fs.Int("clients", 20, "number of client sites")
-		updates   = fs.Float64("updates", 0.05, "fraction of accesses that update")
-		duration  = fs.Duration("duration", 30*time.Minute, "virtual generation time")
-		warmup    = fs.Duration("warmup", 10*time.Minute, "virtual warmup excluded from statistics")
 		seed      = fs.Int64("seed", 1, "master random seed")
 		reps      = fs.Int("reps", 1, "replications over derived seeds, summarized as mean ± 95% CI")
-		parallel  = fs.Int("parallel", 0, "worker pool size for replications (0 = GOMAXPROCS)")
-		window    = fs.Duration("window", 500*time.Millisecond, "forward-list collection window (ls)")
-		executors = fs.Int("executors", 4, "concurrent executor slots per client")
-		noH1      = fs.Bool("no-h1", false, "disable heuristic H1")
-		noH2      = fs.Bool("no-h2", false, "disable heuristic H2 / shipping")
-		noDec     = fs.Bool("no-decomposition", false, "disable transaction decomposition")
-		noFwd     = fs.Bool("no-forward-lists", false, "disable forward lists")
-		noDown    = fs.Bool("no-downgrade", false, "disable EL->SL callback downgrades")
+		parallel  = fs.Int("parallel", 0, "worker pool size for -reps (0 = GOMAXPROCS)")
 		traceOut  = fs.String("trace", "", "trace every transaction; write Chrome trace-event JSON to this file and print the slack-attribution report (cs/ls)")
 		msgTraceN = fs.Int("msgtrace", 0, "print the last N LAN messages at the end of the run")
-
-		dropRate  = fs.Float64("drop-rate", 0, "per-message drop probability [0,1]")
-		dupRate   = fs.Float64("dup-rate", 0, "per-message duplication probability [0,1]")
-		spikeRate = fs.Float64("spike-rate", 0, "per-message latency-spike probability [0,1]")
-		spikeLat  = fs.Duration("spike-latency", 5*time.Millisecond, "extra latency added by a spike")
-		partSite  = fs.Int("partition-site", -1, "site to cut off the LAN (0 = server, -1 = none)")
-		partAt    = fs.Duration("partition-at", 0, "virtual time the partition starts")
-		partDur   = fs.Duration("partition-duration", 0, "partition length (0 disables the partition)")
-		invar     = fs.Bool("invariants", false, "attach the continuous invariant monitor (slow)")
 		scenFile  = fs.String("scenario", "", "run one .rts scenario file (its own system, workload, and seed) and dump the result")
+		sets      []string
 	)
+	fs.Func("set", "override Config keys, key=value[,key=value...] (repeatable; the keys of a scenario's config, faults and replication blocks)", func(v string) error {
+		sets = append(sets, strings.Split(v, ",")...)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkFlags(fs); err != nil {
 		return err
 	}
 
@@ -110,30 +107,16 @@ func run(args []string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown -system %q (want ce, ce-occ, cs or ls)", *system)
 	}
-	cfg := siteselect.DefaultConfig(*clients, *updates)
+	cfg := siteselect.DefaultConfig(*clients, baseUpdates)
 	if kind.Centralized() {
-		cfg = siteselect.DefaultCentralizedConfig(*clients, *updates)
+		cfg = siteselect.DefaultCentralizedConfig(*clients, baseUpdates)
 	}
-	cfg.Duration = *duration
-	cfg.Warmup = *warmup
 	cfg.Seed = *seed
-	cfg.CollectionWindow = *window
-	cfg.ClientExecutors = *executors
-	cfg.UseH1 = !*noH1
-	cfg.UseH2 = !*noH2
-	cfg.UseDecomposition = !*noDec
-	cfg.UseForwardLists = !*noFwd
-	cfg.UseDowngrade = !*noDown
-	cfg.Faults.DropRate = *dropRate
-	cfg.Faults.DupRate = *dupRate
-	cfg.Faults.SpikeRate = *spikeRate
-	cfg.Faults.SpikeLatency = *spikeLat
-	if *partSite >= 0 && *partDur > 0 {
-		cfg.Faults.PartitionSite = *partSite
-		cfg.Faults.PartitionAt = *partAt
-		cfg.Faults.PartitionDuration = *partDur
+	for _, kv := range sets {
+		if err := scenario.Set(&cfg, kv); err != nil {
+			return fmt.Errorf("-set: %w", err)
+		}
 	}
-	cfg.CheckInvariants = *invar
 
 	if *traceOut != "" {
 		return runTxnTraced(w, kind, cfg, *traceOut)
@@ -149,6 +132,35 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	dump(w, kind, res)
+	return nil
+}
+
+// baseUpdates is the update share of the base configuration (-set
+// updates=… changes it).
+const baseUpdates = 0.05
+
+// checkFlags rejects a command line that gives a flag the chosen run
+// would ignore: any flag beside -scenario, -parallel without -reps, and
+// more than one of -msgtrace, -reps and -trace.
+func checkFlags(fs *flag.FlagSet) error {
+	var given, modes []string
+	fs.Visit(func(f *flag.Flag) {
+		given = append(given, f.Name)
+		if f.Name == "msgtrace" || f.Name == "reps" || f.Name == "trace" {
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	for _, name := range given {
+		switch {
+		case slices.Contains(given, "scenario") && name != "scenario":
+			return fmt.Errorf("-%s does not apply to -scenario (a scenario fixes its own system, workload and seed)", name)
+		case name == "parallel" && !slices.Contains(given, "reps"):
+			return fmt.Errorf("-parallel applies only with -reps")
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s: give at most one (each picks a different run)", strings.Join(modes, " and "))
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,12 +53,12 @@ func TestGoldenDump(t *testing.T) {
 	}
 }
 
-// TestFlags drives run through each flag and asserts one line of its
-// report. Every flag case's line is absent from the report of the same
-// run without the flag, so it shows the flag reached the configuration;
-// -invariants instead must leave the run as it was.
+// TestFlags drives run through each flag and -set key and asserts one
+// line of its report. Every case's line is absent from the report of the
+// same run without it, so it shows the setting reached the
+// configuration; invariants=on instead must leave the run as it was.
 func TestFlags(t *testing.T) {
-	base := []string{"-clients", "30", "-updates", "0.1", "-duration", "3m", "-warmup", "0", "-seed", "3", "-executors", "2"}
+	base := []string{"-clients", "30", "-seed", "3", "-set", "updates=0.1,duration=3m,warmup=0", "-set", "executors=2"}
 	report := func(args ...string) (string, error) {
 		var out strings.Builder
 		err := run(append(append([]string{}, base...), args...), &out)
@@ -86,18 +87,18 @@ func TestFlags(t *testing.T) {
 		{[]string{"-system", "ce-occ"}, "CE-RTDBS/OCC — 30 clients, 10% updates, 5m0s virtual time (seed 3)", false},
 		{[]string{"-system", "cs"}, "CS-RTDBS — 30 clients, 10% updates, 5m0s virtual time (seed 3)", false},
 		{[]string{"-system", "ls"}, "LS-CS-RTDBS — 30 clients, 10% updates, 5m0s virtual time (seed 3)", true},
-		{[]string{"-no-h1"}, "H1 rejections 0", false},
-		{[]string{"-no-h2"}, "transactions shipped 6 (5 committed)", false},
-		{[]string{"-no-decomposition"}, "LoadQuery 23", false},
-		{[]string{"-no-forward-lists"}, "forward hops (c2c) 0", false},
-		{[]string{"-no-downgrade"}, "Recall 286", false},
-		{[]string{"-drop-rate", "0.05"}, "dropped 363", false},
-		{[]string{"-dup-rate", "0.05"}, "duplicated 71", false},
-		{[]string{"-spike-rate", "0.1"}, "latency spikes 717", false},
-		{[]string{"-partition-site", "2", "-partition-at", "30s", "-partition-duration", "20s"}, "partition drops 36", false},
+		{[]string{"-set", "h1=off"}, "H1 rejections 0", false},
+		{[]string{"-set", "h2=off"}, "transactions shipped 6 (5 committed)", false},
+		{[]string{"-set", "decomposition=off"}, "LoadQuery 23", false},
+		{[]string{"-set", "forward-lists=off"}, "forward hops (c2c) 0", false},
+		{[]string{"-set", "downgrade=off"}, "Recall 286", false},
+		{[]string{"-set", "drop=0.05"}, "dropped 363", false},
+		{[]string{"-set", "dup=0.05"}, "duplicated 71", false},
+		{[]string{"-set", "spike-rate=0.1,spike-latency=5ms"}, "latency spikes 717", false},
+		{[]string{"-set", "partition-site=2,partition-at=30s,partition-duration=20s"}, "partition drops 36", false},
 		{[]string{"-reps", "2"}, "LS-CS-RTDBS — 30 clients, 10% updates, 2 replications (master seed 3)", false},
 		{[]string{"-msgtrace", "3"}, "Last 3 LAN messages:", false},
-		{[]string{"-invariants"}, "committed 400 (75.05%)", true},
+		{[]string{"-set", "invariants=on"}, "committed 400 (75.05%)", true},
 	} {
 		name := strings.Join(tc.args, " ")
 		out, err := report(tc.args...)
@@ -114,5 +115,32 @@ func TestFlags(t *testing.T) {
 	}
 	if _, err := report("-system", "db2"); err == nil || !strings.Contains(err.Error(), `unknown -system "db2"`) {
 		t.Errorf("-system db2: err = %v, want an unknown-system error", err)
+	}
+}
+
+// TestFlagErrors holds run to rejecting a flag the chosen run would
+// ignore, and a -set the key table or the configuration refuses, each
+// with an error that names the flag.
+func TestFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "f.rts", "-clients", "40"}, "-clients does not apply to -scenario"},
+		{[]string{"-scenario", "f.rts", "-set", "h1=off"}, "-set does not apply to -scenario"},
+		{[]string{"-trace", "x.json", "-reps", "3"}, "-reps and -trace: give at most one"},
+		{[]string{"-trace", "x.json", "-msgtrace", "5"}, "-msgtrace and -trace: give at most one"},
+		{[]string{"-msgtrace", "5", "-reps", "2"}, "-msgtrace and -reps: give at most one"},
+		{[]string{"-parallel", "2"}, "-parallel applies only with -reps"},
+		{[]string{"-set", "bogus=1"}, `-set: unknown key "bogus"`},
+		{[]string{"-set", "h1"}, `-set: setting "h1": want key=value`},
+		{[]string{"-set", "updates=lots"}, `-set: updates wants a number, got "lots"`},
+		{[]string{"-set", "spike-rate=0.1"}, "SpikeLatency must be positive"},
+	} {
+		name := strings.Join(tc.args, " ")
+		err := run(tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -102,7 +103,18 @@ func (t Topology) validate(dbSize int) error {
 	case t.ShedBelow < 0:
 		return fmt.Errorf("config: Sharding.ShedBelow %d must be non-negative", t.ShedBelow)
 	}
-	for obj, shard := range t.Replicas {
+	if len(t.Replicas) > 0 && t.NumServers() == 1 {
+		return fmt.Errorf("config: Sharding.Replicas requires at least two servers")
+	}
+	// Walk the placements in object order, so the error names the
+	// lowest bad object whatever the map's iteration order.
+	objs := make([]int, 0, len(t.Replicas))
+	for obj := range t.Replicas {
+		objs = append(objs, obj)
+	}
+	sort.Ints(objs)
+	for _, obj := range objs {
+		shard := t.Replicas[obj]
 		switch {
 		case obj < 0 || obj >= dbSize:
 			return fmt.Errorf("config: Sharding.Replicas object %d out of [0,%d)", obj, dbSize)
@@ -110,8 +122,6 @@ func (t Topology) validate(dbSize int) error {
 			return fmt.Errorf("config: Sharding.Replicas[%d] shard %d out of [0,%d)", obj, shard, t.NumServers())
 		case shard == t.Shard(obj):
 			return fmt.Errorf("config: Sharding.Replicas[%d] places the replica on its home shard %d", obj, shard)
-		case t.NumServers() == 1:
-			return fmt.Errorf("config: Sharding.Replicas requires at least two servers")
 		}
 	}
 	return nil

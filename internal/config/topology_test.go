@@ -70,6 +70,8 @@ func TestTopologyValidate(t *testing.T) {
 		{"replica out of range", Topology{Servers: 2, Replicas: map[int]int{0: 2}}, "shard 2"},
 		{"replica on home", Topology{Servers: 2, Replicas: map[int]int{1: 1}}, "home shard"},
 		{"replica object bad", Topology{Servers: 2, Replicas: map[int]int{-1: 1}}, "object"},
+		{"replica on one server", Topology{Replicas: map[int]int{0: 1}}, "requires at least two servers"},
+		{"replica on servers 1", Topology{Servers: 1, Replicas: map[int]int{3: 0}}, "requires at least two servers"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -96,5 +98,19 @@ func TestPartitionShardValidate(t *testing.T) {
 	cfg.Sharding.Servers = 2
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("PartitionShard 1 with two servers: unexpected error %v", err)
+	}
+}
+
+// TestReplicaErrorDeterministic: with several bad placements the error
+// names the lowest object, on every call, whatever order the map
+// iterates in.
+func TestReplicaErrorDeterministic(t *testing.T) {
+	cfg := Default(10, 0.2)
+	cfg.Sharding = Topology{Servers: 2, Replicas: map[int]int{7: 5, 3: 1, 9: 9, 5: 4}}
+	want := "config: Sharding.Replicas[3] places the replica on its home shard 1"
+	for i := 0; i < 100; i++ {
+		if err := cfg.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: error = %v, want %q", i, err, want)
+		}
 	}
 }

@@ -47,17 +47,10 @@ type Options struct {
 	// Reps replicates every cell over derived per-replication seeds and
 	// aggregates the results as mean + 95% CI (0 or 1 = single run).
 	Reps int
-	// BatchWindow sets Config.BatchWindow on every client-server cell:
-	// the server collects firm requests for this long and resolves each
-	// batch in one pass (0 = unbatched, byte-identical behavior). The
-	// centralized system has no server request path, so its cells are
-	// unaffected.
-	BatchWindow time.Duration
-	// CheckInvariants attaches the continuous invariant monitor to every
-	// client-server cell (after each kernel event it checks what the
-	// event touched). It never changes results, only fails runs that
-	// violate an invariant.
-	CheckInvariants bool
+	// Mod, when set, adjusts every cell's config after defaults, scaling
+	// and seeding, before the row's and the run's Mods: a server batch
+	// window, say, or the invariant monitor, on a whole study.
+	Mod func(*config.Config)
 	// Progress, when non-nil, is called (serialized) after each cell
 	// completes, with per-cell wall-clock timing.
 	Progress metrics.ProgressFunc
@@ -82,27 +75,20 @@ func (o Options) normalize() Options {
 	return o
 }
 
-func (o Options) csConfig(n int, update float64, rep int) config.Config {
-	cfg := config.Default(n, update).Scale(o.Scale)
-	cfg.Seed = o.cellSeed(n, update, rep)
-	cfg.BatchWindow = o.BatchWindow
-	cfg.CheckInvariants = o.CheckInvariants
-	return cfg
-}
-
-func (o Options) ceConfig(n int, update float64, rep int) config.Config {
-	cfg := config.DefaultCentralized(n, update).Scale(o.Scale)
-	cfg.Seed = o.cellSeed(n, update, rep)
-	return cfg
-}
-
 // config builds one cell's config: the Table 1 defaults of the system's
-// family at the workload point, scaled, and seeded for the replication.
+// family at the workload point, scaled, seeded for the replication, and
+// adjusted by the Options' Mod.
 func (o Options) config(kind rtdbs.Kind, n int, update float64, rep int) config.Config {
+	cfg := config.Default(n, update)
 	if kind.Centralized() {
-		return o.ceConfig(n, update, rep)
+		cfg = config.DefaultCentralized(n, update)
 	}
-	return o.csConfig(n, update, rep)
+	cfg = cfg.Scale(o.Scale)
+	cfg.Seed = o.cellSeed(n, update, rep)
+	if o.Mod != nil {
+		o.Mod(&cfg)
+	}
+	return cfg
 }
 
 // systems is the run axis of Figures 3–5 and of every study that

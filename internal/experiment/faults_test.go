@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"siteselect/internal/config"
 )
 
 // TestFaultMatrixParallelDeterminism is the metamorphic determinism
@@ -14,8 +16,8 @@ import (
 func TestFaultMatrixParallelDeterminism(t *testing.T) {
 	render := func(parallel int) string {
 		opts := Options{
-			Scale: 0.05, Seed: 9, Reps: 2,
-			Parallel: parallel, CheckInvariants: true,
+			Scale: 0.05, Seed: 9, Reps: 2, Parallel: parallel,
+			Mod: func(c *config.Config) { c.CheckInvariants = true },
 		}
 		fm, err := FaultMatrix(opts, 5, 0.2).Run(opts)
 		if err != nil {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -50,7 +49,8 @@ type Compiled struct {
 // Compile lowers the parsed scenario onto a config.Config: base Table 1
 // defaults for the chosen system, run-level overrides from the config
 // block, one config.ClientClass per clients stanza, fault injection
-// from the faults block. The run seed is CellSeed(seed, hash(name)), so
+// from the faults block, replica placement from the replication block
+// (the three settings blocks through the key table, keys.go). The run seed is CellSeed(seed, hash(name)), so
 // renaming a scenario reseeds it and nothing else does. Every
 // diagnostic names the offending file:line and stanza.
 func Compile(s *Scenario) (*Compiled, error) {
@@ -77,12 +77,8 @@ func Compile(s *Scenario) (*Compiled, error) {
 	cfg.Duration = 0 // scenarios must set their horizon explicitly
 	cfg.Warmup = 0
 
-	if s.Config != nil {
-		for _, set := range s.Config.Settings {
-			if err := s.applyConfig(&cfg, set); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.apply(&cfg, "config", s.Config); err != nil {
+		return nil, err
 	}
 	if cfg.Duration <= 0 {
 		line := s.NameLine
@@ -102,20 +98,11 @@ func Compile(s *Scenario) (*Compiled, error) {
 	}
 	cfg.Workload = w
 
-	if s.Faults != nil {
-		for _, set := range s.Faults.Settings {
-			if err := s.applyFault(&cfg.Faults, set); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.apply(&cfg, "faults", s.Faults); err != nil {
+		return nil, err
 	}
-
-	if s.Replication != nil {
-		for _, set := range s.Replication.Settings {
-			if err := s.applyReplication(&cfg.Sharding, set); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.apply(&cfg, "replication", s.Replication); err != nil {
+		return nil, err
 	}
 
 	for _, ex := range s.Expects {
@@ -130,161 +117,6 @@ func Compile(s *Scenario) (*Compiled, error) {
 		return nil, s.errf(s.NameLine, "scenario", "invalid compiled config: %v", err)
 	}
 	return &Compiled{Scenario: s, System: system, Kind: kind, Config: cfg}, nil
-}
-
-// value coercion helpers; each names the stanza and key on mismatch.
-
-func (s *Scenario) wantDur(stanza string, set Setting) (time.Duration, error) {
-	d, ok := set.Val.AsDuration()
-	if !ok {
-		return 0, s.errf(set.Line, stanza, "%s wants a duration, got %q", set.Key, set.Val)
-	}
-	return d, nil
-}
-
-func (s *Scenario) wantFloat(stanza string, set Setting) (float64, error) {
-	f, ok := set.Val.AsFloat()
-	if !ok {
-		return 0, s.errf(set.Line, stanza, "%s wants a number, got %q", set.Key, set.Val)
-	}
-	return f, nil
-}
-
-func (s *Scenario) wantInt(stanza string, set Setting) (int, error) {
-	n, ok := set.Val.AsInt()
-	if !ok {
-		return 0, s.errf(set.Line, stanza, "%s wants an integer, got %q", set.Key, set.Val)
-	}
-	return int(n), nil
-}
-
-func (s *Scenario) wantBool(stanza string, set Setting) (bool, error) {
-	if set.Val.Kind == ValWord {
-		switch set.Val.Word {
-		case "true", "on":
-			return true, nil
-		case "false", "off":
-			return false, nil
-		}
-	}
-	return false, s.errf(set.Line, stanza, "%s wants true or false, got %q", set.Key, set.Val)
-}
-
-// applyConfig lowers one config-block setting onto the Config.
-func (s *Scenario) applyConfig(cfg *config.Config, set Setting) error {
-	const st = "config"
-	var err error
-	switch set.Key {
-	case "duration":
-		cfg.Duration, err = s.wantDur(st, set)
-	case "warmup":
-		cfg.Warmup, err = s.wantDur(st, set)
-	case "drain":
-		cfg.Drain, err = s.wantDur(st, set)
-	case "db":
-		cfg.DBSize, err = s.wantInt(st, set)
-	case "server-memory":
-		cfg.ServerMemory, err = s.wantInt(st, set)
-	case "client-memory":
-		cfg.ClientMemory, err = s.wantInt(st, set)
-	case "client-disk":
-		cfg.ClientDisk, err = s.wantInt(st, set)
-	case "interarrival":
-		cfg.MeanInterArrival, err = s.wantDur(st, set)
-	case "length":
-		cfg.MeanLength, err = s.wantDur(st, set)
-	case "slack":
-		cfg.MeanSlack, err = s.wantDur(st, set)
-	case "objects":
-		cfg.MeanObjects, err = s.wantInt(st, set)
-	case "updates":
-		cfg.UpdateFraction, err = s.wantFloat(st, set)
-	case "decomposable":
-		cfg.DecomposableFraction, err = s.wantFloat(st, set)
-	case "pattern":
-		switch set.Val.Word {
-		case "uniform":
-			cfg.Pattern = config.PatternUniform
-		case "localized-rw":
-			cfg.Pattern = config.PatternLocalizedRW
-		case "hot-cold":
-			cfg.Pattern = config.PatternHotCold
-		default:
-			err = s.errf(set.Line, st, "pattern wants uniform, localized-rw, or hot-cold, got %q", set.Val)
-		}
-	case "hot-size":
-		cfg.HotRegionSize, err = s.wantInt(st, set)
-	case "local-fraction":
-		cfg.LocalFraction, err = s.wantFloat(st, set)
-	case "zipf-theta":
-		cfg.ZipfTheta, err = s.wantFloat(st, set)
-	case "scheduling":
-		switch set.Val.Word {
-		case "edf":
-			cfg.Scheduling = config.SchedEDF
-		case "fcfs":
-			cfg.Scheduling = config.SchedFCFS
-		default:
-			err = s.errf(set.Line, st, "scheduling wants edf or fcfs, got %q", set.Val)
-		}
-	case "deadlines":
-		switch set.Val.Word {
-		case "slack":
-			cfg.Deadlines = config.DeadlineLengthPlusSlack
-		case "independent":
-			cfg.Deadlines = config.DeadlineIndependent
-		default:
-			err = s.errf(set.Line, st, "deadlines wants slack or independent, got %q", set.Val)
-		}
-	case "threads":
-		cfg.ServerThreads, err = s.wantInt(st, set)
-	case "executors":
-		cfg.ClientExecutors, err = s.wantInt(st, set)
-	case "net-latency":
-		cfg.NetLatency, err = s.wantDur(st, set)
-	case "net-bandwidth":
-		cfg.NetBandwidthBps, err = s.wantFloat(st, set)
-	case "topology":
-		switch set.Val.Word {
-		case "shared-bus":
-			cfg.Topology = config.TopologySharedBus
-		case "switched":
-			cfg.Topology = config.TopologySwitched
-		default:
-			err = s.errf(set.Line, st, "topology wants shared-bus or switched, got %q", set.Val)
-		}
-	case "disk-read":
-		cfg.DiskRead, err = s.wantDur(st, set)
-	case "disk-write":
-		cfg.DiskWrite, err = s.wantDur(st, set)
-	case "server-op-cpu":
-		cfg.ServerOpCPU, err = s.wantDur(st, set)
-	case "collection-window":
-		cfg.CollectionWindow, err = s.wantDur(st, set)
-	case "batch-window":
-		cfg.BatchWindow, err = s.wantDur(st, set)
-	case "max-subtasks":
-		cfg.MaxSubtasks, err = s.wantInt(st, set)
-	case "retry-timeout":
-		cfg.RetryTimeout, err = s.wantDur(st, set)
-	case "trace":
-		cfg.Trace, err = s.wantBool(st, set)
-	case "invariants":
-		cfg.CheckInvariants, err = s.wantBool(st, set)
-	case "logging":
-		cfg.UseLogging, err = s.wantBool(st, set)
-	case "write-through":
-		cfg.WriteThrough, err = s.wantBool(st, set)
-	case "speculation":
-		cfg.UseSpeculation, err = s.wantBool(st, set)
-	case "servers":
-		cfg.Sharding.Servers, err = s.wantInt(st, set)
-	case "shard-block":
-		cfg.Sharding.Block, err = s.wantInt(st, set)
-	default:
-		err = s.errf(set.Line, st, "unknown config key %q", set.Key)
-	}
-	return err
 }
 
 // compileClass lowers one clients stanza onto a config.ClientClass.
@@ -303,17 +135,17 @@ func (s *Scenario) compileClass(cfg config.Config, cl ClientsStanza) (config.Cli
 	for _, set := range cl.Settings {
 		switch set.Key {
 		case "length":
-			class.MeanLength, err = s.wantDur(st, set)
+			class.MeanLength, err = read(s, st, set, durVal)
 		case "slack":
-			class.MeanSlack, err = s.wantDur(st, set)
+			class.MeanSlack, err = read(s, st, set, durVal)
 		case "objects":
-			class.MeanObjects, err = s.wantInt(st, set)
+			class.MeanObjects, err = read(s, st, set, intVal)
 		case "updates":
-			class.UpdateFraction, err = s.wantFloat(st, set)
+			class.UpdateFraction, err = read(s, st, set, numVal)
 		case "decomposable":
-			class.DecomposableFraction, err = s.wantFloat(st, set)
+			class.DecomposableFraction, err = read(s, st, set, numVal)
 		case "interarrival":
-			interarrival, err = s.wantDur(st, set)
+			interarrival, err = read(s, st, set, durVal)
 		default:
 			err = s.errf(set.Line, st, "unknown clients key %q in class %s", set.Key, cl.Name)
 		}
@@ -369,23 +201,23 @@ func (s *Scenario) compilePhase(ph PhaseStanza, interarrival time.Duration) (con
 	for _, par := range ph.Params {
 		switch {
 		case par.Key == "duration":
-			out.Duration, err = s.wantDur(st, par)
+			out.Duration, err = read(s, st, par, durVal)
 		case par.Key == "interarrival" && ph.Kind == "closed":
-			out.MeanInterArrival, err = s.wantDur(st, par)
+			out.MeanInterArrival, err = read(s, st, par, durVal)
 		case par.Key == "rate" && (ph.Kind == "open" || ph.Kind == "diurnal" || ph.Kind == "flash"):
-			out.Rate, err = s.wantFloat(st, par)
+			out.Rate, err = read(s, st, par, numVal)
 		case par.Key == "peak" && (ph.Kind == "diurnal" || ph.Kind == "flash"):
-			out.Peak, err = s.wantFloat(st, par)
+			out.Peak, err = read(s, st, par, numVal)
 		case par.Key == "period" && ph.Kind == "diurnal":
-			out.Period, err = s.wantDur(st, par)
+			out.Period, err = read(s, st, par, durVal)
 		case par.Key == "ramp" && ph.Kind == "flash":
-			out.Ramp, err = s.wantDur(st, par)
+			out.Ramp, err = read(s, st, par, durVal)
 		case par.Key == "size" && ph.Kind == "burst":
-			out.BurstSize, err = s.wantInt(st, par)
+			out.BurstSize, err = read(s, st, par, intVal)
 		case par.Key == "every" && ph.Kind == "burst":
-			out.BurstEvery, err = s.wantDur(st, par)
+			out.BurstEvery, err = read(s, st, par, durVal)
 		case par.Key == "spread" && ph.Kind == "burst":
-			out.BurstSpread, err = s.wantDur(st, par)
+			out.BurstSpread, err = read(s, st, par, durVal)
 		default:
 			err = s.errf(par.Line, st, "phase %s does not take key %q", ph.Kind, par.Key)
 		}
@@ -396,6 +228,10 @@ func (s *Scenario) compilePhase(ph PhaseStanza, interarrival time.Duration) (con
 	return out, nil
 }
 
+// accessPatterns are the words of an access block's pattern key.
+var accessPatterns = oneOf("default, uniform, localized-rw, hot-cold, or skewed",
+	config.AccessDefault, config.AccessUniform, config.AccessLocalized, config.AccessHotCold, config.AccessSkewed)
+
 // compileAccess lowers one access block.
 func (s *Scenario) compileAccess(blk *Block) (*config.AccessSpec, error) {
 	const st = "access"
@@ -404,30 +240,17 @@ func (s *Scenario) compileAccess(blk *Block) (*config.AccessSpec, error) {
 	for _, set := range blk.Settings {
 		switch set.Key {
 		case "pattern":
-			switch set.Val.Word {
-			case "default":
-				spec.Kind = config.AccessDefault
-			case "uniform":
-				spec.Kind = config.AccessUniform
-			case "localized-rw":
-				spec.Kind = config.AccessLocalized
-			case "hot-cold":
-				spec.Kind = config.AccessHotCold
-			case "skewed":
-				spec.Kind = config.AccessSkewed
-			default:
-				err = s.errf(set.Line, st, "pattern wants default, uniform, localized-rw, hot-cold, or skewed, got %q", set.Val)
-			}
+			spec.Kind, err = read(s, st, set, accessPatterns)
 		case "zipf-theta":
-			spec.ZipfTheta, err = s.wantFloat(st, set)
+			spec.ZipfTheta, err = read(s, st, set, numVal)
 		case "hot-size":
-			spec.HotSize, err = s.wantInt(st, set)
+			spec.HotSize, err = read(s, st, set, intVal)
 		case "hot-fraction":
-			spec.HotFraction, err = s.wantFloat(st, set)
+			spec.HotFraction, err = read(s, st, set, numVal)
 		case "drift-every":
-			spec.DriftEvery, err = s.wantDur(st, set)
+			spec.DriftEvery, err = read(s, st, set, durVal)
 		case "drift-step":
-			spec.DriftStep, err = s.wantInt(st, set)
+			spec.DriftStep, err = read(s, st, set, intVal)
 		default:
 			err = s.errf(set.Line, st, "unknown access key %q", set.Key)
 		}
@@ -436,78 +259,6 @@ func (s *Scenario) compileAccess(blk *Block) (*config.AccessSpec, error) {
 		}
 	}
 	return spec, nil
-}
-
-// applyFault lowers one faults-block setting.
-func (s *Scenario) applyFault(f *config.FaultSpec, set Setting) error {
-	const st = "faults"
-	var err error
-	switch set.Key {
-	case "drop":
-		f.DropRate, err = s.wantFloat(st, set)
-	case "dup":
-		f.DupRate, err = s.wantFloat(st, set)
-	case "spike-rate":
-		f.SpikeRate, err = s.wantFloat(st, set)
-	case "spike-latency":
-		f.SpikeLatency, err = s.wantDur(st, set)
-	case "partition-site":
-		f.PartitionSite, err = s.wantInt(st, set)
-	case "partition-shard":
-		f.PartitionShard, err = s.wantInt(st, set)
-	case "partition-at":
-		f.PartitionAt, err = s.wantDur(st, set)
-	case "partition-duration":
-		f.PartitionDuration, err = s.wantDur(st, set)
-	default:
-		err = s.errf(set.Line, st, "unknown faults key %q", set.Key)
-	}
-	return err
-}
-
-// applyReplication lowers one replication-block setting onto the
-// sharding topology. The block tunes adaptive replication (hot, window,
-// shed-below) and pins static placements (replica OBJ:SHARD, repeatable).
-func (s *Scenario) applyReplication(t *config.Topology, set Setting) error {
-	const st = "replication"
-	var err error
-	switch set.Key {
-	case "hot":
-		t.ReplicateHot, err = s.wantInt(st, set)
-	case "window":
-		t.HeatWindow, err = s.wantDur(st, set)
-	case "shed-below":
-		t.ShedBelow, err = s.wantInt(st, set)
-	case "replica":
-		obj, shard, ok := splitReplica(set.Val)
-		if !ok {
-			return s.errf(set.Line, st, "replica wants OBJ:SHARD (two non-negative integers), got %q", set.Val)
-		}
-		if t.Replicas == nil {
-			t.Replicas = make(map[int]int)
-		}
-		t.Replicas[obj] = shard
-	default:
-		err = s.errf(set.Line, st, "unknown replication key %q", set.Key)
-	}
-	return err
-}
-
-// splitReplica parses a "OBJ:SHARD" placement value.
-func splitReplica(v Value) (obj, shard int, ok bool) {
-	if v.Kind != ValWord {
-		return 0, 0, false
-	}
-	a, b, found := strings.Cut(v.Word, ":")
-	if !found {
-		return 0, 0, false
-	}
-	o, err1 := strconv.Atoi(a)
-	sh, err2 := strconv.Atoi(b)
-	if err1 != nil || err2 != nil || o < 0 || sh < 0 {
-		return 0, 0, false
-	}
-	return o, sh, true
 }
 
 // metricGetter resolves an assertion's metric and argument to the

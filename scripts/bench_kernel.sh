@@ -30,7 +30,7 @@ fi
 	go test -run '^$' -bench . -benchtime 100000x -benchmem \
 		./internal/sim/... ./internal/netsim/... ./internal/rng/... \
 		./internal/pagefile/... ./internal/lockmgr/... \
-		./internal/batch/... ./internal/proto/... ./internal/trace/...
+		./internal/batch/... ./internal/proto/... ./internal/trace/... ./internal/scenario/...
 	go test -run '^$' -bench 'BenchmarkFigure3$|BenchmarkFigure3Batched$' -benchtime 1x -benchmem .
 	go test -run '^$' -bench "$scale" -benchtime 1x -benchmem -timeout 60m .
 } | go run ./cmd/benchjson -into BENCH_kernel.json -label "$label"
