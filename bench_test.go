@@ -39,7 +39,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure3 so benchjson -diff warns on either regressing.
 func BenchmarkFigure3Batched(b *testing.B) {
 	opts := benchOpts
-	opts.Mod = func(c *config.Config) { c.BatchWindow = 250 * time.Millisecond }
+	opts.Set = []string{"batch-window=250ms"}
 	for i := 0; i < b.N; i++ {
 		f, err := experiment.Figure("Figure 3 (batched)", 0.01, opts).Run(opts)
 		if err != nil {
@@ -148,7 +148,7 @@ func BenchmarkLockProtocolMessages(b *testing.B) {
 // called out in DESIGN.md (H1/H2/decomposition/forward lists).
 func BenchmarkAblationHeuristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiment.HeuristicAblation(benchOpts, 60, 0.20).Run(benchOpts)
+		a, err := experiment.HeuristicAblation(benchOpts).Run(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func BenchmarkLocalizedRW(b *testing.B) {
 func BenchmarkCCComparison(b *testing.B) {
 	opts := experiment.Options{Scale: 0.25, Seed: 1, Clients: []int{20, 60, 100}}
 	for i := 0; i < b.N; i++ {
-		cc, err := experiment.CCComparison(opts, 0, 0).Run(opts)
+		cc, err := experiment.CCComparison(opts).Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,8 +285,10 @@ func BenchmarkCCComparison(b *testing.B) {
 
 // BenchmarkPatternSweep regenerates the access-pattern robustness sweep.
 func BenchmarkPatternSweep(b *testing.B) {
+	opts := benchOpts
+	opts.Set = []string{"clients=40", "updates=0.05"}
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.PatternSweep(benchOpts, 40, 0.05).Run(benchOpts)
+		ps, err := experiment.PatternSweep(opts).Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

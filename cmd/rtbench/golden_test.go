@@ -19,6 +19,14 @@ var goldenOpts = experiment.Options{
 	Scale: 0.05, Seed: 7, Clients: []int{4, 6}, Reps: 3, Parallel: 4,
 }
 
+// at is goldenOpts with settings; the goldens reach their 4-, 6- and
+// 400-client points through clients= and updates=.
+func at(set ...string) experiment.Options {
+	o := goldenOpts
+	o.Set = set
+	return o
+}
+
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -46,13 +54,13 @@ func checkGolden(t *testing.T, name, got string) {
 // cell ordering, aggregation, or formatting shows up as a diff here.
 func TestGoldenReplicatedFigure(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "fig3", ablateN: 4, ablateU: 0.2}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "fig3"}, at("clients=4", "updates=0.2"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig3_replicated.golden", text.String())
 
 	var csv strings.Builder
-	if err := runExperiments(params{exp: "fig3", csv: true, ablateN: 4, ablateU: 0.2}, goldenOpts, &csv); err != nil {
+	if err := runExperiments(params{exp: "fig3", csv: true}, at("clients=4", "updates=0.2"), &csv); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig3_replicated_csv.golden", csv.String())
@@ -64,7 +72,7 @@ func TestGoldenReplicatedFigure(t *testing.T) {
 // byte-for-byte what the pre-fault-layer study produced.
 func TestGoldenOutageStudy(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "outage", ablateN: 4, ablateU: 0.2}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "outage"}, at("clients=4", "updates=0.2"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "outage_replicated.golden", text.String())
@@ -79,19 +87,19 @@ func TestGoldenOutageStudy(t *testing.T) {
 // classification shows up as a diff here.
 func TestGoldenTraceSummary(t *testing.T) {
 	var fig3 strings.Builder
-	if err := runExperiments(params{exp: "fig3", traceSummary: true, ablateN: 4, ablateU: 0.2}, goldenOpts, &fig3); err != nil {
+	if err := runExperiments(params{exp: "fig3", traceSummary: true}, at("clients=4", "updates=0.2"), &fig3); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig3_trace_summary.golden", fig3.String())
 
 	var fig5 strings.Builder
-	if err := runExperiments(params{exp: "fig5", traceSummary: true, ablateN: 4, ablateU: 0.2}, goldenOpts, &fig5); err != nil {
+	if err := runExperiments(params{exp: "fig5", traceSummary: true}, at("clients=4", "updates=0.2"), &fig5); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig5_trace_summary.golden", fig5.String())
 
 	var csv strings.Builder
-	if err := runExperiments(params{exp: "fig5", traceSummary: true, csv: true, ablateN: 4, ablateU: 0.2}, goldenOpts, &csv); err != nil {
+	if err := runExperiments(params{exp: "fig5", traceSummary: true, csv: true}, at("clients=4", "updates=0.2"), &csv); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig5_trace_summary_csv.golden", csv.String())
@@ -105,13 +113,13 @@ func TestGoldenTraceSummary(t *testing.T) {
 // here.
 func TestGoldenBatchSweep(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "batch-sweep", ablateN: 6, ablateU: 0.2}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "batch-sweep"}, at("clients=6", "updates=0.2"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "batch_sweep.golden", text.String())
 
 	var csv strings.Builder
-	if err := runExperiments(params{exp: "batch-sweep", csv: true, ablateN: 6, ablateU: 0.2}, goldenOpts, &csv); err != nil {
+	if err := runExperiments(params{exp: "batch-sweep", csv: true}, at("clients=6", "updates=0.2"), &csv); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "batch_sweep_csv.golden", csv.String())
@@ -126,13 +134,13 @@ func TestGoldenBatchSweep(t *testing.T) {
 // drifting hot spot at every multi-shard point.
 func TestGoldenShardSweep(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "shard-sweep", ablateN: 400, ablateU: 0}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "shard-sweep"}, at("clients=400", "updates=0"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "shard_sweep.golden", text.String())
 
 	var csv strings.Builder
-	if err := runExperiments(params{exp: "shard-sweep", csv: true, ablateN: 400, ablateU: 0}, goldenOpts, &csv); err != nil {
+	if err := runExperiments(params{exp: "shard-sweep", csv: true}, at("clients=400", "updates=0"), &csv); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "shard_sweep_csv.golden", csv.String())
@@ -142,7 +150,7 @@ func TestGoldenShardSweep(t *testing.T) {
 // and its determinism across the worker pool.
 func TestGoldenFaultMatrix(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "faults", ablateN: 4, ablateU: 0.2}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "faults"}, at("clients=4", "updates=0.2"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "faults_replicated.golden", text.String())
@@ -155,7 +163,7 @@ func TestGoldenFaultMatrix(t *testing.T) {
 // machine port changed nothing an experiment can observe.
 func TestGoldenCCComparison(t *testing.T) {
 	var text strings.Builder
-	if err := runExperiments(params{exp: "occ", ablateN: 4, ablateU: 0.2}, goldenOpts, &text); err != nil {
+	if err := runExperiments(params{exp: "occ"}, at("clients=4", "updates=0.2"), &text); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "occ.golden", text.String())
@@ -172,19 +180,19 @@ var csvIDs = []string{"fig3", "fig4", "fig5", "table2", "table3", "table4", "bat
 // them byte for byte.
 func TestGoldenAll(t *testing.T) {
 	for _, reps := range []int{3, 1} {
-		opts := goldenOpts
+		opts := at("clients=6", "updates=0.2")
 		opts.Reps = reps
 		suffix := map[int]string{3: "reps3", 1: "reps1"}[reps]
 
 		var text strings.Builder
-		if err := runExperiments(params{exp: "all", ablateN: 6, ablateU: 0.2}, opts, &text); err != nil {
+		if err := runExperiments(params{exp: "all"}, opts, &text); err != nil {
 			t.Fatal(err)
 		}
 		checkGolden(t, "all_"+suffix+".golden", text.String())
 
 		var csv strings.Builder
 		for _, id := range csvIDs {
-			if err := runExperiments(params{exp: id, csv: true, ablateN: 6, ablateU: 0.2}, opts, &csv); err != nil {
+			if err := runExperiments(params{exp: id, csv: true}, opts, &csv); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -193,7 +201,7 @@ func TestGoldenAll(t *testing.T) {
 		// Every id has a CSV since the study engine; these were added with
 		// that fix and pin the thirteen that had none before.
 		var allCSV strings.Builder
-		if err := runExperiments(params{exp: "all", csv: true, ablateN: 6, ablateU: 0.2}, opts, &allCSV); err != nil {
+		if err := runExperiments(params{exp: "all", csv: true}, opts, &allCSV); err != nil {
 			t.Fatal(err)
 		}
 		checkGolden(t, "all_csv_"+suffix+".golden", allCSV.String())

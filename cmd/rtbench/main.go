@@ -4,7 +4,7 @@
 //
 //	rtbench -exp <id> [-scale 0.25] [-seed 1] [-clients 20,40,60,80,100]
 //	        [-csv] [-reps N] [-parallel N] [-progress] [-svg dir]
-//	        [-ablate-clients 60] [-ablate-updates 0.20] [-trace-summary]
+//	        [-set key=value[,key=value...]]... [-trace-summary]
 //	        [-cpuprofile file] [-memprofile file]
 //	rtbench -scenario file.rts | -scenario-dir dir [-scale-scenarios]
 //	        [-scenario-out dir] [-parallel N] [-cpuprofile file] [-memprofile file]
@@ -18,8 +18,18 @@
 //
 // -scale shrinks the virtual run length (1 = the full 30-minute runs);
 // the shapes survive scaling but small counters get noisier.
-// -ablate-clients and -ablate-updates set the one cell the ablate-*
-// experiments run (default 60 clients at 20 % updates).
+//
+// -set overrides Config keys in every cell, with rtdbsim's keys and
+// syntax (EXPERIMENTS.md, "Writing a scenario"): it repeats, later
+// settings win, and every setting is checked before the first cell
+// runs. clients= and updates= move the one operating point of patterns,
+// outage, batch-sweep, shard-sweep, faults, policies and the ablate-*
+// experiments (default 60 clients at 20 % updates); every other
+// experiment keeps the client counts and update mixes it declares. For
+// example:
+//
+//	rtbench -exp ablate-heuristics -set clients=40,updates=0.05
+//	rtbench -exp fig3 -set batch-window=250ms
 //
 // -trace-summary re-runs a figure's CS/LS cells with per-transaction
 // tracing enabled and reports the aggregate miss-cause table (missed
@@ -81,8 +91,6 @@ type params struct {
 	exp          string
 	csv          bool
 	svgDir       string
-	ablateN      int
-	ablateU      float64
 	traceSummary bool
 }
 
@@ -98,8 +106,6 @@ func run(args []string, out io.Writer) error {
 		parallel = fs.Int("parallel", 0, "worker pool size for experiment cells (0 = GOMAXPROCS)")
 		progress = fs.Bool("progress", false, "log per-cell completions with wall-clock timing to stderr")
 		svgDir   = fs.String("svg", "", "directory to also write figures as SVG charts")
-		ablateN  = fs.Int("ablate-clients", 60, "client count for ablations")
-		ablateU  = fs.Float64("ablate-updates", 0.20, "update fraction for ablations")
 		traceSum = fs.Bool("trace-summary", false, "for figure experiments, re-run the CS/LS cells with tracing enabled and report the aggregate miss-cause table instead of the figure")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -107,7 +113,12 @@ func run(args []string, out io.Writer) error {
 		scenDir  = fs.String("scenario-dir", "", "run every .rts scenario in a directory instead of an experiment")
 		scenOut  = fs.String("scenario-out", "", "also write each scenario report to this directory as <name>.golden")
 		scenBig  = fs.Bool("scale-scenarios", false, "include scale-tier scenarios (>= 100k clients) in -scenario-dir runs; these take minutes and tens of GB")
+		sets     []string
 	)
+	fs.Func("set", "override Config keys in every cell, key=value[,key=value...] (repeatable; rtdbsim's keys; clients and updates move the one-point experiments)", func(v string) error {
+		sets = append(sets, strings.Split(v, ",")...)
+		return nil
+	})
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 	if err := checkFlags(fs); err != nil {
 		return err
@@ -143,7 +154,10 @@ func run(args []string, out io.Writer) error {
 		return runScenarios(*scenFile, *scenDir, *scenOut, *parallel, *scenBig, out)
 	}
 
-	opts := experiment.Options{Scale: *scale, Seed: *seed, Reps: *reps, Parallel: *parallel}
+	opts := experiment.Options{Scale: *scale, Seed: *seed, Reps: *reps, Parallel: *parallel, Set: sets}
+	if _, _, err := opts.Point(); err != nil {
+		return fmt.Errorf("-set: %w", err)
+	}
 	if *clients != "" {
 		for _, part := range strings.Split(*clients, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -163,11 +177,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n", c.Done, c.Total, c.Label, c.Elapsed.Round(time.Millisecond))
 		}
 	}
-	err := runExperiments(params{
-		exp: *exp, csv: *csv, svgDir: *svgDir,
-		ablateN: *ablateN, ablateU: *ablateU,
-		traceSummary: *traceSum,
-	}, opts, out)
+	err := runExperiments(params{exp: *exp, csv: *csv, svgDir: *svgDir, traceSummary: *traceSum}, opts, out)
 	if timing != nil {
 		s := timing.Stats()
 		fmt.Fprintf(os.Stderr, "cells: %d, wall clock mean %v, max %v, total %v, %d transactions submitted\n",
@@ -221,7 +231,7 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 			continue
 		}
 		ran = true
-		study := def.Declare(opts, p.ablateN, p.ablateU)
+		study := def.Declare(opts)
 		switch {
 		case p.traceSummary && def.Traced != nil:
 			study = def.Traced(opts)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,11 +11,11 @@ import (
 )
 
 // tiny keeps CLI tests fast.
-var tiny = experiment.Options{Scale: 0.05, Seed: 1, Clients: []int{4}}
+var tiny = experiment.Options{Scale: 0.05, Seed: 1, Clients: []int{4}, Set: []string{"clients=4"}}
 
 func TestRunExperimentsFigureText(t *testing.T) {
 	var sb strings.Builder
-	err := runExperiments(params{exp: "fig3", ablateN: 4, ablateU: 0.2}, tiny, &sb)
+	err := runExperiments(params{exp: "fig3"}, tiny, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func TestRunExperimentsFigureText(t *testing.T) {
 func TestRunExperimentsFigureCSVAndSVG(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
-	err := runExperiments(params{exp: "fig4", csv: true, svgDir: dir, ablateN: 4, ablateU: 0.2}, tiny, &sb)
+	err := runExperiments(params{exp: "fig4", csv: true, svgDir: dir}, tiny, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestRunExperimentsReplicated(t *testing.T) {
 	opts := tiny
 	opts.Reps = 2
 	var sb strings.Builder
-	err := runExperiments(params{exp: "fig5", ablateN: 4, ablateU: 0.2}, opts, &sb)
+	err := runExperiments(params{exp: "fig5"}, opts, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestRunExperimentsReplicated(t *testing.T) {
 
 func TestRunExperimentsProtocol(t *testing.T) {
 	var sb strings.Builder
-	if err := runExperiments(params{exp: "protocol", ablateN: 4, ablateU: 0.2}, tiny, &sb); err != nil {
+	if err := runExperiments(params{exp: "protocol"}, tiny, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "2n+1") {
@@ -73,7 +72,7 @@ func TestRunExperimentsAblations(t *testing.T) {
 		"ablate-writethrough", "ablate-logging", "outage", "policies",
 	} {
 		var sb strings.Builder
-		if err := runExperiments(params{exp: exp, ablateN: 4, ablateU: 0.2}, tiny, &sb); err != nil {
+		if err := runExperiments(params{exp: exp}, tiny, &sb); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if sb.Len() == 0 {
@@ -111,7 +110,7 @@ func TestTraceSummaryNeedsAFigure(t *testing.T) {
 func TestCSVHonouredByEveryID(t *testing.T) {
 	for _, id := range []string{"protocol", "outage", "ablate-logging", "occ"} {
 		var sb strings.Builder
-		if err := runExperiments(params{exp: id, csv: true, ablateN: 4, ablateU: 0.2}, tiny, &sb); err != nil {
+		if err := runExperiments(params{exp: id, csv: true}, tiny, &sb); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		header, _, _ := strings.Cut(sb.String(), "\n")
@@ -202,15 +201,24 @@ func TestFlagErrors(t *testing.T) {
 		"-scenario f.rts -scale-scenarios":     "-scale-scenarios applies only with -scenario-dir",
 		"-scenario-dir d -csv -scenario-out o": "-csv does not apply",
 	}
-	for _, flag := range []string{"-seed 2", "-scale 0.5", "-reps 2", "-clients 4", "-csv", "-svg d", "-trace-summary", "-ablate-clients 4", "-ablate-updates 0.1", "-progress"} {
+	for _, flag := range []string{"-seed 2", "-scale 0.5", "-reps 2", "-clients 4", "-csv", "-svg d", "-trace-summary", "-set clients=4", "-progress"} {
 		name := strings.Fields(flag)[0]
 		cases["-scenario f.rts "+flag] = name + " does not apply to a -scenario or -scenario-dir run"
 		cases["-scenario-dir d "+flag] = name + " does not apply to a -scenario or -scenario-dir run"
 	}
+	// A setting the key table or the configuration refuses fails before
+	// any cell runs: a cell's error would carry its label, not "-set:".
+	cases["-set nokey=1"] = `-set: unknown key "nokey"`
+	cases["-set clients=x"] = `-set: clients wants an integer, got "x"`
+	cases["-set clients=0"] = "-set: config: NumClients must be positive"
 	for args, want := range cases {
-		err := run(strings.Fields(args), io.Discard)
+		var out strings.Builder
+		err := run(strings.Fields(args), &out)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one containing %q", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote %q before failing", args, out.String())
 		}
 	}
 }

@@ -4,19 +4,20 @@
 //
 // Usage:
 //
-//	rtdbsim [-system ls] [-clients 20] [-seed 1]
+//	rtdbsim [-system ls] [-seed 1]
 //	        [-set key=value[,key=value...]]...
 //	        [-reps N [-parallel 0] | -trace out.json | -msgtrace N]
 //	rtdbsim -scenario file.rts
 //
 // The run is the paper's Table 1 configuration of -system (ce, ce-occ,
-// cs or ls) with -clients sites at 5% updates, 30 virtual minutes after
+// cs or ls) with 20 client sites at 5% updates, 30 virtual minutes after
 // a 10-minute warmup. -set overrides any Config key a scenario's config,
 // faults or replication block takes, by the same name and with values
-// read the same way (EXPERIMENTS.md, "Writing a scenario"); it repeats,
-// and later settings win. For example:
+// read the same way (EXPERIMENTS.md, "Writing a scenario"), and the
+// client count as clients; it repeats, and later settings win. For
+// example:
 //
-//	rtdbsim -system ls -clients 30 -set updates=0.1,duration=3m,warmup=0
+//	rtdbsim -system ls -set clients=30,updates=0.1,duration=3m,warmup=0
 //	rtdbsim -set h1=off,forward-lists=off      # load-sharing ablations
 //	rtdbsim -set drop=0.05,invariants=on       # lossy LAN, monitored
 //	rtdbsim -set spike-rate=0.1,spike-latency=5ms
@@ -79,7 +80,6 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("rtdbsim", flag.ContinueOnError)
 	var (
 		system    = fs.String("system", "ls", "system to run: ce, ce-occ, cs or ls")
-		clients   = fs.Int("clients", 20, "number of client sites")
 		seed      = fs.Int64("seed", 1, "master random seed")
 		reps      = fs.Int("reps", 1, "replications over derived seeds, summarized as mean ± 95% CI")
 		parallel  = fs.Int("parallel", 0, "worker pool size for -reps (0 = GOMAXPROCS)")
@@ -88,7 +88,7 @@ func run(args []string, w io.Writer) error {
 		scenFile  = fs.String("scenario", "", "run one .rts scenario file (its own system, workload, and seed) and dump the result")
 		sets      []string
 	)
-	fs.Func("set", "override Config keys, key=value[,key=value...] (repeatable; the keys of a scenario's config, faults and replication blocks)", func(v string) error {
+	fs.Func("set", "override Config keys, key=value[,key=value...] (repeatable; the keys of a scenario's config, faults and replication blocks, and clients)", func(v string) error {
 		sets = append(sets, strings.Split(v, ",")...)
 		return nil
 	})
@@ -107,15 +107,14 @@ func run(args []string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown -system %q (want ce, ce-occ, cs or ls)", *system)
 	}
-	cfg := siteselect.DefaultConfig(*clients, baseUpdates)
+	// The base configuration is Table 1 at 20 clients and 5% updates.
+	cfg := siteselect.DefaultConfig(20, 0.05)
 	if kind.Centralized() {
-		cfg = siteselect.DefaultCentralizedConfig(*clients, baseUpdates)
+		cfg = siteselect.DefaultCentralizedConfig(cfg.NumClients, cfg.UpdateFraction)
 	}
 	cfg.Seed = *seed
-	for _, kv := range sets {
-		if err := scenario.Set(&cfg, kv); err != nil {
-			return fmt.Errorf("-set: %w", err)
-		}
+	if err := scenario.Set(&cfg, sets...); err != nil {
+		return fmt.Errorf("-set: %w", err)
 	}
 
 	if *traceOut != "" {
@@ -134,10 +133,6 @@ func run(args []string, w io.Writer) error {
 	dump(w, kind, res)
 	return nil
 }
-
-// baseUpdates is the update share of the base configuration (-set
-// updates=… changes it).
-const baseUpdates = 0.05
 
 // checkFlags rejects a command line that gives a flag the chosen run
 // would ignore: any flag beside -scenario, -parallel without -reps, and

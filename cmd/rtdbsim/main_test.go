@@ -58,7 +58,7 @@ func TestGoldenDump(t *testing.T) {
 // same run without it, so it shows the setting reached the
 // configuration; invariants=on instead must leave the run as it was.
 func TestFlags(t *testing.T) {
-	base := []string{"-clients", "30", "-seed", "3", "-set", "updates=0.1,duration=3m,warmup=0", "-set", "executors=2"}
+	base := []string{"-set", "clients=30", "-seed", "3", "-set", "updates=0.1,duration=3m,warmup=0", "-set", "executors=2"}
 	report := func(args ...string) (string, error) {
 		var out strings.Builder
 		err := run(append(append([]string{}, base...), args...), &out)
@@ -126,7 +126,7 @@ func TestFlagErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-scenario", "f.rts", "-clients", "40"}, "-clients does not apply to -scenario"},
+		{[]string{"-scenario", "f.rts", "-seed", "40"}, "-seed does not apply to -scenario"},
 		{[]string{"-scenario", "f.rts", "-set", "h1=off"}, "-set does not apply to -scenario"},
 		{[]string{"-trace", "x.json", "-reps", "3"}, "-reps and -trace: give at most one"},
 		{[]string{"-trace", "x.json", "-msgtrace", "5"}, "-msgtrace and -trace: give at most one"},

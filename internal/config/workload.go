@@ -64,7 +64,8 @@ type ArrivalPhase struct {
 	Kind     ArrivalKind
 	Duration time.Duration
 
-	// MeanInterArrival parameterizes ArrivalClosed.
+	// MeanInterArrival parameterizes ArrivalClosed; zero inherits the
+	// Config field.
 	MeanInterArrival time.Duration
 	// Rate (arrivals/sec/client) parameterizes ArrivalOpen and is the
 	// trough (diurnal) or pre-flash base (flash) rate.
@@ -150,14 +151,14 @@ type ClientClass struct {
 
 	// MeanLength, MeanSlack and MeanObjects override the run-level
 	// workload parameters for this class; zero values inherit the
-	// Config field. UpdateFraction and DecomposableFraction are taken
-	// literally (zero means read-only / indivisible) — the scenario
-	// compiler fills them in explicitly.
+	// Config field. UpdateFraction and DecomposableFraction do too, but
+	// zero is a share (read-only / indivisible), so nil is what
+	// inherits.
 	MeanLength           time.Duration
 	MeanSlack            time.Duration
 	MeanObjects          int
-	UpdateFraction       float64
-	DecomposableFraction float64
+	UpdateFraction       *float64
+	DecomposableFraction *float64
 
 	// Phases is the class's arrival schedule (at least one phase).
 	Phases []ArrivalPhase
@@ -214,11 +215,11 @@ func (c Config) validateWorkload() error {
 		if cl.MeanObjects > c.DBSize {
 			return fmt.Errorf("config: class %s: MeanObjects %d exceeds DBSize %d", name, cl.MeanObjects, c.DBSize)
 		}
-		if cl.UpdateFraction < 0 || cl.UpdateFraction > 1 {
-			return fmt.Errorf("config: class %s: UpdateFraction %v out of [0,1]", name, cl.UpdateFraction)
+		if f := cl.UpdateFraction; f != nil && (*f < 0 || *f > 1) {
+			return fmt.Errorf("config: class %s: UpdateFraction %v out of [0,1]", name, *f)
 		}
-		if cl.DecomposableFraction < 0 || cl.DecomposableFraction > 1 {
-			return fmt.Errorf("config: class %s: DecomposableFraction %v out of [0,1]", name, cl.DecomposableFraction)
+		if f := cl.DecomposableFraction; f != nil && (*f < 0 || *f > 1) {
+			return fmt.Errorf("config: class %s: DecomposableFraction %v out of [0,1]", name, *f)
 		}
 		if len(cl.Phases) == 0 {
 			return fmt.Errorf("config: class %s: needs at least one arrival phase", name)
@@ -246,8 +247,8 @@ func validatePhase(ph ArrivalPhase, last bool) error {
 	}
 	switch ph.Kind {
 	case ArrivalClosed:
-		if ph.MeanInterArrival <= 0 {
-			return errors.New("closed-loop phase needs a positive interarrival")
+		if ph.MeanInterArrival < 0 {
+			return errors.New("closed-loop interarrival must be non-negative")
 		}
 	case ArrivalOpen:
 		if ph.Rate <= 0 {

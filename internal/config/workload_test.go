@@ -49,6 +49,7 @@ func TestValidateWorkloadAcceptsBase(t *testing.T) {
 // and access-skew parameters — and checks Validate rejects each with a
 // diagnostic naming the class at fault.
 func TestValidateWorkloadCatchesBadFields(t *testing.T) {
+	share := func(f float64) *float64 { return &f }
 	cases := []struct {
 		name    string
 		corrupt func(*Config)
@@ -64,13 +65,13 @@ func TestValidateWorkloadCatchesBadFields(t *testing.T) {
 		{"negative slack", func(c *Config) { c.Workload.Classes[0].MeanSlack = -time.Second }, "class web: MeanSlack"},
 		{"negative objects", func(c *Config) { c.Workload.Classes[0].MeanObjects = -1 }, "class web: MeanObjects"},
 		{"objects beyond db", func(c *Config) { c.Workload.Classes[1].MeanObjects = c.DBSize + 1 }, "class batch: MeanObjects"},
-		{"updates out of range", func(c *Config) { c.Workload.Classes[0].UpdateFraction = 1.5 }, "class web: UpdateFraction"},
-		{"decomposable out of range", func(c *Config) { c.Workload.Classes[0].DecomposableFraction = -0.1 }, "class web: DecomposableFraction"},
+		{"updates out of range", func(c *Config) { c.Workload.Classes[0].UpdateFraction = share(1.5) }, "class web: UpdateFraction"},
+		{"decomposable out of range", func(c *Config) { c.Workload.Classes[0].DecomposableFraction = share(-0.1) }, "class web: DecomposableFraction"},
 		{"no phases", func(c *Config) { c.Workload.Classes[0].Phases = nil }, "class web: needs at least one arrival phase"},
 		{"negative phase duration", func(c *Config) { c.Workload.Classes[0].Phases[0].Duration = -time.Second }, "duration must be non-negative"},
 		{"open-ended inner phase", func(c *Config) { c.Workload.Classes[0].Phases[0].Duration = 0 }, "only the last phase may leave duration unset"},
 		{"unknown arrival kind", func(c *Config) { c.Workload.Classes[0].Phases[0].Kind = ArrivalKind(99) }, "unknown arrival kind"},
-		{"closed without interarrival", func(c *Config) { c.Workload.Classes[0].Phases[0].MeanInterArrival = 0 }, "closed-loop phase needs a positive interarrival"},
+		{"closed negative interarrival", func(c *Config) { c.Workload.Classes[0].Phases[0].MeanInterArrival = -time.Second }, "closed-loop interarrival must be non-negative"},
 		{"open without rate", func(c *Config) { c.Workload.Classes[0].Phases[1].Rate = 0 }, "open-loop phase needs a positive rate"},
 		{"burst without size", func(c *Config) { c.Workload.Classes[1].Phases[0].BurstSize = 0 }, "burst phase needs a positive size"},
 		{"burst without every", func(c *Config) { c.Workload.Classes[1].Phases[0].BurstEvery = 0 }, "burst phase needs a positive every interval"},
@@ -106,6 +107,24 @@ func TestValidateWorkloadCatchesBadFields(t *testing.T) {
 				t.Errorf("Validate error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateWorkloadClosedPhaseInherits pins what an unset class
+// field means: a closed phase without an interarrival, and a class
+// without update or decomposable shares, are valid and take the
+// run-level values (internal/rtdbs carveCohort reads them), so a later
+// change to the run-level field reaches the class.
+func TestValidateWorkloadClosedPhaseInherits(t *testing.T) {
+	c := workloadBase()
+	c.Workload.Classes[0].Phases[0].MeanInterArrival = 0
+	c.Workload.Classes[0].UpdateFraction, c.Workload.Classes[0].DecomposableFraction = nil, nil
+	if err := c.Validate(); err != nil {
+		t.Fatalf("a class that inherits the run-level interarrival and shares should validate, got: %v", err)
+	}
+	c.MeanInterArrival = 0
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "MeanInterArrival must be positive") {
+		t.Fatalf("Validate = %v, want the run-level interarrival the phase inherits checked", err)
 	}
 }
 

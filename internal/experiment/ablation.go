@@ -14,16 +14,14 @@ import (
 // one row per variant, the load-sharing system as the only run. Columns
 // are success (0), cache hit rate (1), the shipped / decomposed /
 // migration counters (2–4) and the mean exclusive-lock response (5).
-func ablation(title string, n int, u float64, variants ...Setting) *Study {
-	return &Study{
-		Name:    title,
-		Title:   fmt.Sprintf("%s (%d clients, %g%% updates)", title, n, u*100),
-		Note:    "(success mean ± 95%% CI over %d replications)",
-		Key:     Column{Head: "Variant", CSV: "variant", W: 22},
-		Clients: n,
-		Update:  u,
-		Rows:    variants,
-		Runs:    systems[2:],
+func ablation(o Options, title string, variants ...Setting) *Study {
+	return o.atPoint(&Study{
+		Name:  title,
+		Title: title + " (%d clients, %g%% updates)",
+		Note:  "(success mean ± 95%% CI over %d replications)",
+		Key:   Column{Head: "Variant", CSV: "variant", W: 22},
+		Rows:  variants,
+		Runs:  systems[2:],
 		Cols: []Column{
 			rate("Success", "success", 9, 0, success).withCI(14, "%.1f ± %.1f%%"),
 			rate("CacheHit", "cache_hit", 9, 0, hitRate),
@@ -35,19 +33,19 @@ func ablation(title string, n int, u float64, variants ...Setting) *Study {
 				Get: func(r *rtdbs.Result) float64 { return float64(r.M.ExclusiveResponse.Mean()) },
 			},
 		},
-	}
+	})
 }
 
 // HeuristicAblation isolates the contribution of each load-sharing
 // technique: all off (equals basic CS), each alone, and all on.
-func HeuristicAblation(_ Options, n int, u float64) *Study {
+func HeuristicAblation(o Options) *Study {
 	only := func(name string, on func(*config.Config)) Setting {
 		return Setting{Name: name, Mod: func(c *config.Config) {
 			c.UseH1, c.UseH2, c.UseDecomposition, c.UseForwardLists = false, false, false, false
 			on(c)
 		}}
 	}
-	return ablation("Load-sharing technique ablation", n, u,
+	return ablation(o, "Load-sharing technique ablation",
 		only("all-off (=CS)", func(*config.Config) {}),
 		only("H1 only", func(c *config.Config) { c.UseH1 = true }),
 		only("H2 only", func(c *config.Config) { c.UseH2 = true }),
@@ -57,7 +55,7 @@ func HeuristicAblation(_ Options, n int, u float64) *Study {
 }
 
 // WindowAblation sweeps the forward-list collection window.
-func WindowAblation(_ Options, n int, u float64) *Study {
+func WindowAblation(o Options) *Study {
 	var variants []Setting
 	for _, w := range []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
 		variants = append(variants, Setting{
@@ -65,13 +63,13 @@ func WindowAblation(_ Options, n int, u float64) *Study {
 			Mod:  func(c *config.Config) { c.CollectionWindow = w },
 		})
 	}
-	return ablation("Collection window ablation", n, u, variants...)
+	return ablation(o, "Collection window ablation", variants...)
 }
 
 // DowngradeAblation compares the modified callback scheme (EL→SL
 // downgrade) against plain full-release callbacks.
-func DowngradeAblation(_ Options, n int, u float64) *Study {
-	return ablation("Callback downgrade ablation", n, u,
+func DowngradeAblation(o Options) *Study {
+	return ablation(o, "Callback downgrade ablation",
 		Setting{Name: "downgrade on", Mod: func(c *config.Config) { c.UseDowngrade = true }},
 		Setting{Name: "downgrade off", Mod: func(c *config.Config) { c.UseDowngrade = false }})
 }
@@ -79,8 +77,8 @@ func DowngradeAblation(_ Options, n int, u float64) *Study {
 // WriteThroughAblation quantifies the paper's implicit write-back
 // choice: clients retaining dirty copies until a callback versus pushing
 // every committed update to the server immediately.
-func WriteThroughAblation(_ Options, n int, u float64) *Study {
-	return ablation("Write-back vs write-through ablation", n, u,
+func WriteThroughAblation(o Options) *Study {
+	return ablation(o, "Write-back vs write-through ablation",
 		Setting{Name: "write-back (paper)", Mod: func(c *config.Config) { c.WriteThrough = false }},
 		Setting{Name: "write-through", Mod: func(c *config.Config) { c.WriteThrough = true }})
 }
@@ -88,24 +86,22 @@ func WriteThroughAblation(_ Options, n int, u float64) *Study {
 // LoggingAblation charges client-based write-ahead logging (the
 // recovery scheme of the framework the paper builds on) against the
 // cost-free baseline the paper evaluates.
-func LoggingAblation(_ Options, n int, u float64) *Study {
-	return ablation("Client-based logging ablation", n, u,
+func LoggingAblation(o Options) *Study {
+	return ablation(o, "Client-based logging ablation",
 		Setting{Name: "no logging (paper)", Mod: func(c *config.Config) { c.UseLogging = false }},
 		Setting{Name: "client WAL + group commit", Mod: func(c *config.Config) { c.UseLogging = true }})
 }
 
 // threeSystems declares a study that runs CE, CS and LS under each row
 // variant and reports their success rates in columns 0–2.
-func threeSystems(name, title, key string, keyW, n int, u float64, rows []Setting) *Study {
-	s := &Study{
-		Name:    name,
-		Title:   fmt.Sprintf("%s (%d clients, %g%% updates)", title, n, u*100),
-		Key:     Column{Head: key, CSV: strings.ToLower(key), W: keyW},
-		Clients: n,
-		Update:  u,
-		Rows:    rows,
-		Runs:    systems,
-	}
+func threeSystems(o Options, name, title, key string, keyW int, rows []Setting) *Study {
+	s := o.atPoint(&Study{
+		Name:  name,
+		Title: title + " (%d clients, %g%% updates)",
+		Key:   Column{Head: key, CSV: strings.ToLower(key), W: keyW},
+		Rows:  rows,
+		Runs:  systems,
+	})
 	for i, sys := range systems {
 		s.Cols = append(s.Cols, rate(sys.Name, strings.ToLower(sys.Name), 9, i, success))
 	}
@@ -117,12 +113,12 @@ func threeSystems(name, title, key string, keyW, n int, u float64, rows []Settin
 // ordering fares when locality is removed (Uniform) or concentrated on
 // a shared hot set (HotCold). Columns 3 and 4 are the CS and LS cache
 // hit rates.
-func PatternSweep(_ Options, n int, u float64) *Study {
+func PatternSweep(o Options) *Study {
 	var rows []Setting
 	for _, pat := range []config.AccessPattern{config.PatternLocalizedRW, config.PatternUniform, config.PatternHotCold} {
 		rows = append(rows, Setting{Name: pat.String(), Mod: func(c *config.Config) { c.Pattern = pat }})
 	}
-	s := threeSystems("patterns", "Access-pattern robustness", "Pattern", 14, n, u, rows)
+	s := threeSystems(o, "patterns", "Access-pattern robustness", "Pattern", 14, rows)
 	s.Cols = append(s.Cols, rate("CS hit", "cs_hit", 9, 1, hitRate), rate("LS hit", "ls_hit", 9, 2, hitRate))
 	return s
 }
@@ -130,8 +126,8 @@ func PatternSweep(_ Options, n int, u float64) *Study {
 // PolicyStudy exercises the design-space knobs the paper fixes: EDF vs
 // FCFS executor scheduling, length-dependent vs independent deadlines,
 // and shared-bus vs switched interconnect.
-func PolicyStudy(_ Options, n int, u float64) *Study {
-	return threeSystems("policies", "Policy study", "Variant", 24, n, u, []Setting{
+func PolicyStudy(o Options) *Study {
+	return threeSystems(o, "policies", "Policy study", "Variant", 24, []Setting{
 		{Name: "baseline (EDF, bus)"},
 		{Name: "FCFS scheduling", Mod: func(c *config.Config) { c.Scheduling = config.SchedFCFS }},
 		{Name: "independent deadlines", Mod: func(c *config.Config) { c.Deadlines = config.DeadlineIndependent }},
@@ -144,7 +140,7 @@ func PolicyStudy(_ Options, n int, u float64) *Study {
 // calibration choice (and deviation D1 in EXPERIMENTS.md) explicit.
 // Columns 0–2 are CE at 40, 60 and 80 clients, 3 is LS at 60, and 4
 // brackets the client count where CE first falls below LS.
-func Sensitivity(Options, int, float64) *Study {
+func Sensitivity(Options) *Study {
 	s := &Study{
 		Name:   "sensitivity",
 		Title:  "Calibration sensitivity: CE collapse position vs ServerOpCPU (1% updates)",

@@ -28,21 +28,19 @@ var DefaultBatchWindows = []time.Duration{0, 250 * time.Millisecond, time.Second
 // as a percentage for text (3) and a fraction for CSV (4); then per-run
 // means of total LAN messages (5), batch-window closes (6) and requests
 // that shared a window (7).
-func BatchSweep(_ Options, n int, u float64) *Study {
+func BatchSweep(o Options) *Study {
 	share := func(_ Setting, col func(int) float64) float64 {
 		if col(1) == 0 {
 			return 0
 		}
 		return col(2) / col(1)
 	}
-	s := &Study{
-		Name:    "batch-sweep",
-		Title:   fmt.Sprintf("Batch-window sweep — CS-RTDBS, %d clients, %g%% updates", n, u*100),
-		Note:    "(success/messages are means over %d replications; the miss census is summed)",
-		Key:     Column{Head: "Window", CSV: "window_ms", W: 10},
-		Clients: n,
-		Update:  u,
-		Runs:    systems[1:2],
+	s := o.atPoint(&Study{
+		Name:  "batch-sweep",
+		Title: "Batch-window sweep — CS-RTDBS, %d clients, %g%% updates",
+		Note:  "(success/messages are means over %d replications; the miss census is summed)",
+		Key:   Column{Head: "Window", CSV: "window_ms", W: 10},
+		Runs:  systems[1:2],
 		Cols: []Column{
 			rate("Success", "success", 12, 0, success).withCI(12, "%.1f ± %.1f"),
 			census("Missed", "missed", 8, missed),
@@ -54,7 +52,7 @@ func BatchSweep(_ Options, n int, u float64) *Study {
 			mean("Batched", "batched", 10, 0, "%.0f", func(r *rtdbs.Result) float64 { return float64(r.BatchedRequests) }),
 		},
 		CSVAlwaysCI: true,
-	}
+	})
 	for _, w := range DefaultBatchWindows {
 		s.Rows = append(s.Rows, Setting{
 			Name: w.String(),

@@ -25,8 +25,9 @@ type Setting struct {
 	CSV  string
 	Kind rtdbs.Kind
 	// Clients and Update are the workload point. The cell's seed derives
-	// from them and the replication alone — never from the system or the
-	// Mod — so every variant compared at one point replays one workload.
+	// from them and the replication alone — never from the system, the
+	// Mod or Options.Set — so every variant compared at one point replays
+	// one workload.
 	Clients int
 	Update  float64
 	// Mod adjusts the cell's config after defaults, scaling and seeding;
@@ -141,26 +142,17 @@ func (s *Study) Run(o Options) (*Table, error) {
 	if s.Once {
 		o.Reps = 1
 	}
-	// Cell i is (row, run, replication), row-major: the aggregation
-	// below indexes results the same way.
-	cell := func(i int) (row, run Setting, rep int) {
-		return s.Rows[i/o.Reps/len(s.Runs)], s.Runs[i/o.Reps%len(s.Runs)], i % o.Reps
-	}
 	labels := make([]string, len(s.Rows)*len(s.Runs)*o.Reps)
 	for i := range labels {
-		row, run, rep := cell(i)
+		row, run, rep := s.at(o, i)
 		labels[i] = fmt.Sprintf("%s %q %s rep=%d", s.Name, row.Name, run.Name, rep)
 	}
 	results, err := runCells(o, labels, func(i int) (*rtdbs.Result, error) {
-		row, run, rep := cell(i)
-		kind := first(run.Kind, row.Kind)
-		cfg := o.config(kind, first(run.Clients, row.Clients, s.Clients), first(run.Update, row.Update, s.Update), rep)
-		for _, mod := range []func(*config.Config){row.Mod, run.Mod} {
-			if mod != nil {
-				mod(&cfg)
-			}
+		kind, cfg, err := s.cell(o, i)
+		var res *rtdbs.Result
+		if err == nil {
+			res, err = rtdbs.Run(kind, cfg)
 		}
-		res, err := rtdbs.Run(kind, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", labels[i], err)
 		}
@@ -191,6 +183,26 @@ func (s *Study) Run(o Options) (*Table, error) {
 		t.mean, t.ci = append(t.mean, mean), append(t.ci, ci)
 	}
 	return t, nil
+}
+
+// at returns cell i's (row, run, replication): cells are row-major, and
+// Run's aggregation indexes results the same way.
+func (s *Study) at(o Options, i int) (row, run Setting, rep int) {
+	return s.Rows[i/o.Reps/len(s.Runs)], s.Runs[i/o.Reps%len(s.Runs)], i % o.Reps
+}
+
+// cell returns the system and the config cell i runs: the Options'
+// config at the cell's point, then the row's and the run's Mods.
+func (s *Study) cell(o Options, i int) (rtdbs.Kind, config.Config, error) {
+	row, run, rep := s.at(o, i)
+	kind := first(run.Kind, row.Kind)
+	cfg, err := o.config(kind, first(run.Clients, row.Clients, s.Clients), first(run.Update, row.Update, s.Update), rep)
+	for _, mod := range []func(*config.Config){row.Mod, run.Mod} {
+		if mod != nil {
+			mod(&cfg)
+		}
+	}
+	return kind, cfg, err
 }
 
 // aggregate reduces one column's per-replication values. Counters and

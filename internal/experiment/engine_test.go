@@ -51,7 +51,7 @@ func TestDerivedRatios(t *testing.T) {
 	cols := func(vals ...float64) func(int) float64 {
 		return func(i int) float64 { return vals[i] }
 	}
-	batch := BatchSweep(Options{}, 6, 0.2)
+	batch := BatchSweep(Options{})
 	for _, c := range []struct {
 		missed, lockWait float64
 		share            float64
@@ -68,14 +68,14 @@ func TestDerivedRatios(t *testing.T) {
 			t.Errorf("lock_wait_share(%v/%v) = %v, want %v", c.lockWait, c.missed, got, c.share)
 		}
 	}
-	spec := SpeculationStudy(Options{}, 0, 0)
+	spec := SpeculationStudy(Options{})
 	if got := spec.Cols[4].Derive(Setting{}, cols(0, 0, 0, 0)); got != 0 {
 		t.Errorf("hit ratio with no speculative runs = %v, want 0", got)
 	}
 	if got := spec.Cols[4].Derive(Setting{}, cols(0, 0, 20, 15)); got != 75 {
 		t.Errorf("hit ratio 15/20 = %v, want 75", got)
 	}
-	sens := Sensitivity(Options{}, 0, 0)
+	sens := Sensitivity(Options{})
 	cross := sens.Cols[4]
 	for want, v := range [][]float64{
 		{90, 99, 99, 95}, // CE already below LS at 40 clients

@@ -27,6 +27,7 @@ import (
 	"siteselect/internal/netsim"
 	"siteselect/internal/plot"
 	"siteselect/internal/rtdbs"
+	"siteselect/internal/scenario"
 )
 
 // DefaultClients is the client-count sweep of Figures 3–5.
@@ -47,10 +48,13 @@ type Options struct {
 	// Reps replicates every cell over derived per-replication seeds and
 	// aggregates the results as mean + 95% CI (0 or 1 = single run).
 	Reps int
-	// Mod, when set, adjusts every cell's config after defaults, scaling
-	// and seeding, before the row's and the run's Mods: a server batch
-	// window, say, or the invariant monitor, on a whole study.
-	Mod func(*config.Config)
+	// Set holds key=value settings over scenario.Set's key table
+	// ("batch-window=250ms", "invariants=on"), applied in order to every
+	// cell's config after defaults, scaling and seeding, before the
+	// row's and the run's Mods. A cell keeps the client count and update
+	// share it is seeded at; clients= and updates= move the point of the
+	// studies that run at one (Point).
+	Set []string
 	// Progress, when non-nil, is called (serialized) after each cell
 	// completes, with per-cell wall-clock timing.
 	Progress metrics.ProgressFunc
@@ -77,18 +81,40 @@ func (o Options) normalize() Options {
 
 // config builds one cell's config: the Table 1 defaults of the system's
 // family at the workload point, scaled, seeded for the replication, and
-// adjusted by the Options' Mod.
-func (o Options) config(kind rtdbs.Kind, n int, update float64, rep int) config.Config {
+// adjusted by the Options' settings, which leave the point alone.
+func (o Options) config(kind rtdbs.Kind, n int, update float64, rep int) (config.Config, error) {
 	cfg := config.Default(n, update)
 	if kind.Centralized() {
 		cfg = config.DefaultCentralized(n, update)
 	}
 	cfg = cfg.Scale(o.Scale)
 	cfg.Seed = o.cellSeed(n, update, rep)
-	if o.Mod != nil {
-		o.Mod(&cfg)
+	err := scenario.Set(&cfg, o.Set...)
+	cfg.NumClients, cfg.UpdateFraction = n, update
+	return cfg, err
+}
+
+// Point is the operating point of the studies that run at one (the
+// ablations, patterns, policies, outage, faults and the batch and shard
+// sweeps): 60 clients at 20 % updates, or where a clients= or updates=
+// in o.Set moves it. The error is the first setting the key table
+// refuses, or what config.Validate finds wrong with the settings on the
+// Table 1 configuration at the point.
+func (o Options) Point() (n int, update float64, err error) {
+	cfg := config.Default(60, 0.20)
+	if err = scenario.Set(&cfg, o.Set...); err == nil {
+		err = cfg.Validate()
 	}
-	return cfg
+	return cfg.NumClients, cfg.UpdateFraction, err
+}
+
+// atPoint puts a one-point study at Point, whose client count and
+// update percentage fill the two verbs of its title. Point's error is
+// left to the cells: every one fails on the setting, or on Validate.
+func (o Options) atPoint(s *Study) *Study {
+	s.Clients, s.Update, _ = o.Point()
+	s.Title = fmt.Sprintf(s.Title, s.Clients, s.Update*100)
+	return s
 }
 
 // systems is the run axis of Figures 3–5 and of every study that

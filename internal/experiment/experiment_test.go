@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/csv"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -170,7 +172,7 @@ func checkStudy(t *testing.T, id string) {
 	if def.Declare == nil {
 		t.Fatalf("study %q is not registered", id)
 	}
-	n, u, clients := 6, 0.20, []int{4, 8}
+	u, clients := 0.20, []int{4, 8}
 	if tc.u != 0 {
 		u = tc.u
 	}
@@ -178,8 +180,8 @@ func checkStudy(t *testing.T, id string) {
 		clients = tc.clients
 	}
 	render := func(parallel int) (*Table, string, string) {
-		opts := Options{Scale: 0.05, Seed: 1, Clients: clients, Parallel: parallel}
-		tb, err := def.Declare(opts, n, u).Run(opts)
+		opts := Options{Scale: 0.05, Seed: 1, Clients: clients, Parallel: parallel, Set: []string{"clients=6", fmt.Sprintf("updates=%g", u)}}
+		tb, err := def.Declare(opts).Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,6 +281,66 @@ func TestBatchSweepRuns(t *testing.T)        { checkStudy(t, "batch-sweep") }
 func TestOutageStudyRuns(t *testing.T)       { checkStudy(t, "outage") }
 func TestSensitivityRuns(t *testing.T)       { checkStudy(t, "sensitivity") }
 func TestPolicyStudyRuns(t *testing.T)       { checkStudy(t, "policies") }
+
+// onePoint lists the studies that run at one operating point, which
+// Options.Set moves.
+var onePoint = []string{
+	"patterns", "outage", "batch-sweep", "shard-sweep", "faults", "policies",
+	"ablate-heuristics", "ablate-window", "ablate-downgrade", "ablate-writethrough", "ablate-logging",
+}
+
+// TestSetMovesOnlyDeclaredPoints holds clients= and updates= settings to
+// the studies that run at one point: each runs every cell at the point
+// the settings name and says so in its title, and every other study's
+// cells keep the client count and update share its declaration gives
+// them.
+func TestSetMovesOnlyDeclaredPoints(t *testing.T) {
+	points := func(s *Study, o Options) (cells [][2]float64) {
+		o = o.normalize()
+		if s.Once {
+			o.Reps = 1
+		}
+		for i := range len(s.Rows) * len(s.Runs) * o.Reps {
+			_, cfg, err := s.cell(o, i)
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", s.Name, i, err)
+			}
+			cells = append(cells, [2]float64{float64(cfg.NumClients), cfg.UpdateFraction})
+		}
+		return cells
+	}
+	plain := Options{Scale: 0.05, Reps: 2}
+	moved := plain
+	moved.Set = []string{"clients=5", "updates=0.1"}
+	for _, def := range Studies {
+		declares := []func(Options) *Study{def.Declare}
+		if def.Traced != nil {
+			declares = append(declares, def.Traced)
+		}
+		for _, declare := range declares {
+			s := declare(moved)
+			got := points(s, moved)
+			if !slices.Contains(onePoint, def.ID) {
+				if want := points(declare(plain), plain); !slices.Equal(got, want) {
+					t.Errorf("%s: settings moved its cells to %v, want %v", s.Name, got, want)
+				}
+				continue
+			}
+			if !strings.Contains(s.Title, "5 clients, 10% updates") {
+				t.Errorf("%s: title %q does not name the moved point", def.ID, s.Title)
+			}
+			if len(got) == 0 {
+				t.Errorf("%s: no cells", def.ID)
+			}
+			for _, p := range got {
+				if p != [2]float64{5, 0.1} {
+					t.Errorf("%s: a cell runs at %v clients and updates, want 5 and 0.1", def.ID, p)
+					break
+				}
+			}
+		}
+	}
+}
 
 func TestOptionsNormalize(t *testing.T) {
 	o := Options{}.normalize()

@@ -34,7 +34,7 @@ func partition(site int, den, length time.Duration) func(*config.Config) {
 // The first three rows are the legacy outage table and keep their names
 // and order (regression goldens pin them). Columns are success (0),
 // lost updates (1) and client log forces (2).
-func OutageStudy(_ Options, n int, u float64) *Study {
+func OutageStudy(o Options) *Study {
 	outage := func(logging bool) func(*config.Config) {
 		return func(c *config.Config) {
 			c.UseLogging = logging
@@ -43,13 +43,11 @@ func OutageStudy(_ Options, n int, u float64) *Study {
 			c.OutageDuration = time.Minute
 		}
 	}
-	return &Study{
-		Name:    "outage",
-		Title:   fmt.Sprintf("Client outage fault injection (%d clients, %g%% updates, 1-minute outage)", n, u*100),
-		Note:    "(success mean ± 95%% CI over %d replications)",
-		Key:     Column{Head: "Variant", CSV: "variant", W: 22},
-		Clients: n,
-		Update:  u,
+	return o.atPoint(&Study{
+		Name:  "outage",
+		Title: "Client outage fault injection (%d clients, %g%% updates, 1-minute outage)",
+		Note:  "(success mean ± 95%% CI over %d replications)",
+		Key:   Column{Head: "Variant", CSV: "variant", W: 22},
 		Rows: []Setting{
 			{Name: "no fault"},
 			{Name: "outage, no log", Mod: outage(false)},
@@ -65,7 +63,7 @@ func OutageStudy(_ Options, n int, u float64) *Study {
 			count("Lost updates", "lost_updates", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.LostUpdates) }),
 			count("Log forces", "log_forces", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.LogForces) }),
 		},
-	}
+	})
 }
 
 // faultMatrixDropRates is the drop-rate axis (the first entry is the
@@ -85,16 +83,14 @@ var faultMatrixPartitions = []time.Duration{
 // deterministically from its cell seed, so the matrix is byte-identical
 // for any worker count. Columns are success (0) and the retry, drop,
 // partition-drop and retransmit counters (1–4).
-func FaultMatrix(o Options, n int, u float64) *Study {
+func FaultMatrix(o Options) *Study {
 	o = o.normalize()
-	s := &Study{
-		Name:    "faults",
-		Title:   fmt.Sprintf("Fault-injection matrix on LS (%d clients, %g%% updates)", n, u*100),
-		Note:    "(success mean ± 95%% CI over %d replications; counters are rounded means)",
-		Key:     Column{Head: "Scenario", CSV: "scenario", W: 18},
-		Clients: n,
-		Update:  u,
-		Runs:    systems[2:],
+	s := o.atPoint(&Study{
+		Name:  "faults",
+		Title: "Fault-injection matrix on LS (%d clients, %g%% updates)",
+		Note:  "(success mean ± 95%% CI over %d replications; counters are rounded means)",
+		Key:   Column{Head: "Scenario", CSV: "scenario", W: 18},
+		Runs:  systems[2:],
 		Cols: []Column{
 			rate("Success", "success", 14, 0, success).withCI(14, "%.1f ± %.1f%%"),
 			count("Retries", "retries", 9, 0, func(r *rtdbs.Result) float64 { return float64(r.Retries) }),
@@ -102,7 +98,7 @@ func FaultMatrix(o Options, n int, u float64) *Study {
 			count("Cut drops", "partition_drops", 10, 0, func(r *rtdbs.Result) float64 { return float64(r.Faults.PartitionDrops) }),
 			count("Retransmits", "retransmits", 12, 0, func(r *rtdbs.Result) float64 { return float64(r.Faults.Retransmits) }),
 		},
-	}
+	})
 	for _, dr := range faultMatrixDropRates {
 		s.Rows = append(s.Rows, Setting{
 			Name: fmt.Sprintf("drop %g%%", dr*100),

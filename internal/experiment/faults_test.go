@@ -3,8 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"siteselect/internal/config"
 )
 
 // TestFaultMatrixParallelDeterminism is the metamorphic determinism
@@ -17,9 +15,9 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 	render := func(parallel int) string {
 		opts := Options{
 			Scale: 0.05, Seed: 9, Reps: 2, Parallel: parallel,
-			Mod: func(c *config.Config) { c.CheckInvariants = true },
+			Set: []string{"clients=5", "invariants=on"},
 		}
-		fm, err := FaultMatrix(opts, 5, 0.2).Run(opts)
+		fm, err := FaultMatrix(opts).Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,8 +38,8 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 // legacy three rows keep their names and order (goldens depend on
 // them), followed by the two fault-layer partition variants.
 func TestOutageStudyFaultVariants(t *testing.T) {
-	opts := Options{Scale: 0.05, Seed: 1}
-	s, err := OutageStudy(opts, 4, 0.2).Run(opts)
+	opts := Options{Scale: 0.05, Seed: 1, Set: []string{"clients=4"}}
+	s, err := OutageStudy(opts).Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

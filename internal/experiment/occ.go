@@ -33,7 +33,7 @@ func pointStudy(name, title string, updates []float64, o Options) *Study {
 // centralized real-time database, over the client sweep at two update
 // mixes. Columns are 2PL success (0), OCC success (1), OCC restarts (2)
 // and the share of validations that found a conflict (3).
-func CCComparison(o Options, _ int, _ float64) *Study {
+func CCComparison(o Options) *Study {
 	s := pointStudy("occ", "Concurrency-control study (centralized system): strict 2PL vs backward-validation OCC",
 		[]float64{0.01, 0.20}, o)
 	s.Runs = []Setting{{Name: "2PL", Kind: rtdbs.CE}, {Name: "OCC", Kind: rtdbs.CEOCC}}
@@ -63,7 +63,7 @@ func CCComparison(o Options, _ int, _ float64) *Study {
 // speculation opportunities — exist). Columns are LS success without
 // (0) and with (1) speculation, speculative runs (2), those that
 // validated (3) and their ratio (4).
-func SpeculationStudy(o Options, _ int, _ float64) *Study {
+func SpeculationStudy(o Options) *Study {
 	s := pointStudy("speculation", "Speculative processing study (LS-CS-RTDBS, upgrades overlapped with computation)",
 		[]float64{0.05, 0.20}, o)
 	s.Runs = []Setting{

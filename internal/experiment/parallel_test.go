@@ -180,19 +180,19 @@ func TestFigureDeterministicAcrossWorkerCounts(t *testing.T) {
 // all see the same workload stream.
 func TestCellSeedSharedAcrossSystems(t *testing.T) {
 	o := Options{Seed: 9}.normalize()
-	cs := o.config(rtdbs.CS, 8, 0.05, 0)
-	ce := o.config(rtdbs.CE, 8, 0.05, 0)
+	cs, _ := o.config(rtdbs.CS, 8, 0.05, 0)
+	ce, _ := o.config(rtdbs.CE, 8, 0.05, 0)
 	if cs.Seed != ce.Seed {
 		t.Fatalf("CS seed %d != CE seed %d at the same cell", cs.Seed, ce.Seed)
 	}
-	if other := o.config(rtdbs.CS, 8, 0.05, 1); other.Seed == cs.Seed {
+	if other, _ := o.config(rtdbs.CS, 8, 0.05, 1); other.Seed == cs.Seed {
 		t.Fatal("distinct replications share a seed")
 	}
 }
 
 func TestRunReps(t *testing.T) {
 	o := Options{Seed: 3, Reps: 3, Parallel: 2}
-	cfg := Options{Scale: 0.05, Seed: 3}.normalize().config(rtdbs.CS, 4, 0.05, 0)
+	cfg, _ := Options{Scale: 0.05, Seed: 3}.normalize().config(rtdbs.CS, 4, 0.05, 0)
 	seen := make(map[int64]bool)
 	var mu sync.Mutex
 	results, err := RunReps(o, cfg, func(c config.Config) (*rtdbs.Result, error) {

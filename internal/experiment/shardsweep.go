@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -31,14 +30,9 @@ func driftingHotSpot(cfg *config.Config) {
 	// erase and the static partition cannot.
 	cfg.Sharding.Block = hot
 	cfg.Workload = &config.WorkloadSpec{Classes: []config.ClientClass{{
-		Name:                 "drift",
-		Count:                cfg.NumClients,
-		UpdateFraction:       cfg.UpdateFraction,
-		DecomposableFraction: cfg.DecomposableFraction,
-		Phases: []config.ArrivalPhase{{
-			Kind:             config.ArrivalClosed,
-			MeanInterArrival: cfg.MeanInterArrival,
-		}},
+		Name:   "drift",
+		Count:  cfg.NumClients,
+		Phases: []config.ArrivalPhase{{Kind: config.ArrivalClosed}},
 		Access: &config.AccessSpec{
 			Kind:        config.AccessSkewed,
 			ZipfTheta:   1.1,
@@ -72,14 +66,12 @@ func adaptiveReplication(cfg *config.Config) {
 // message counts (2, 3) — replica coherence traffic is the difference;
 // and per-run means of the adaptive variant's replicas installed (4),
 // replicas shed (5) and requests forwarded to the home shard (6).
-func ShardSweep(_ Options, n int, u float64) *Study {
-	s := &Study{
-		Name:    "shard-sweep",
-		Title:   fmt.Sprintf("Shard-count sweep — LS-CS-RTDBS, %d clients, %g%% updates, drifting-Zipf hot spot", n, u*100),
-		Note:    "(success/messages are means over %d replications)",
-		Key:     Column{Head: "Shards", CSV: "shards", W: 8},
-		Clients: n,
-		Update:  u,
+func ShardSweep(o Options) *Study {
+	s := o.atPoint(&Study{
+		Name:  "shard-sweep",
+		Title: "Shard-count sweep — LS-CS-RTDBS, %d clients, %g%% updates, drifting-Zipf hot spot",
+		Note:  "(success/messages are means over %d replications)",
+		Key:   Column{Head: "Shards", CSV: "shards", W: 8},
 		Runs: []Setting{
 			{Name: "static", Kind: rtdbs.LS},
 			{Name: "adaptive", Kind: rtdbs.LS, Mod: adaptiveReplication},
@@ -94,7 +86,7 @@ func ShardSweep(_ Options, n int, u float64) *Study {
 			mean("Forwarded", "forwarded", 10, 1, "%.1f", func(r *rtdbs.Result) float64 { return float64(r.RequestsForwarded) }),
 		},
 		CSVAlwaysCI: true,
-	}
+	})
 	for _, m := range DefaultShardCounts {
 		s.Rows = append(s.Rows, Setting{Name: strconv.Itoa(m), Mod: func(c *config.Config) {
 			driftingHotSpot(c)

@@ -3,9 +3,9 @@ package experiment
 // Def registers one study under its rtbench id.
 type Def struct {
 	ID string
-	// Declare builds the study; (n, u) is the operating point of those
-	// that run at one (rtbench -ablate-clients and -ablate-updates).
-	Declare func(o Options, n int, u float64) *Study
+	// Declare builds the study; one that runs at one operating point
+	// reads it from the Options (Options.Point).
+	Declare func(o Options) *Study
 	// Traced, set for the figures, builds the miss-cause census of the
 	// same workload (rtbench -trace-summary).
 	Traced func(o Options) *Study
@@ -15,14 +15,14 @@ type Def struct {
 func figureDef(id, name string, update float64) Def {
 	return Def{
 		ID:      id,
-		Declare: func(o Options, _ int, _ float64) *Study { return Figure(name, update, o) },
+		Declare: func(o Options) *Study { return Figure(name, update, o) },
 		Traced:  func(o Options) *Study { return TraceSummary(name, update, o) },
 	}
 }
 
 // fixed adapts a study that takes no parameters.
-func fixed(declare func() *Study) func(Options, int, float64) *Study {
-	return func(Options, int, float64) *Study { return declare() }
+func fixed(declare func() *Study) func(Options) *Study {
+	return func(Options) *Study { return declare() }
 }
 
 // Studies is every experiment rtbench can run, in `-exp all` order.

@@ -46,10 +46,11 @@ const phaseSeedTag int64 = 0x70686173 // "phas"
 // first+1, … in site order: each client's own random stream (derived
 // from root by site id), its access stream and access-pattern generator,
 // and the Table 1 timing parameters — or, for a declared class, the
-// class's parameters (run-level values fill zero fields), its access
-// spec, and a phased arrival schedule with one independent stream per
-// phase. What the cohort's clients share is worked out once; what each
-// owns is an element of an array made here.
+// class's parameters (run-level values fill unset fields, a closed
+// phase's interarrival among them), its access spec, and a phased
+// arrival schedule with one independent stream per phase. What the
+// cohort's clients share is worked out once; what each owns is an
+// element of an array made here.
 func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass, first int,
 	gens []txn.Generator, maker *txn.Maker) {
 	wc := txn.WorkloadConfig{
@@ -64,11 +65,11 @@ func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass
 	var spec *config.AccessSpec
 	var schedule []config.ArrivalPhase
 	if class != nil {
-		wc.MeanLength = orDur(class.MeanLength, cfg.MeanLength)
-		wc.MeanSlack = orDur(class.MeanSlack, cfg.MeanSlack)
-		wc.MeanObjects = orInt(class.MeanObjects, cfg.MeanObjects)
-		wc.UpdateFraction = class.UpdateFraction
-		wc.DecomposableFraction = class.DecomposableFraction
+		wc.MeanLength = or(class.MeanLength, cfg.MeanLength)
+		wc.MeanSlack = or(class.MeanSlack, cfg.MeanSlack)
+		wc.MeanObjects = or(class.MeanObjects, cfg.MeanObjects)
+		wc.UpdateFraction = orShare(class.UpdateFraction, cfg.UpdateFraction)
+		wc.DecomposableFraction = orShare(class.DecomposableFraction, cfg.DecomposableFraction)
 		spec, schedule = class.Access, class.Phases
 	}
 	n, np := len(gens), len(schedule)
@@ -94,6 +95,7 @@ func carveCohort(root *rng.Stream, cfg *config.Config, class *config.ClientClass
 			end = start + ph.Duration
 		}
 		windows[pi] = txn.Phase{Start: start, End: end}
+		ph.MeanInterArrival = or(ph.MeanInterArrival, cfg.MeanInterArrival)
 		procs[pi] = phaseMaker(ph, start, n)
 		start = end
 	}
@@ -239,17 +241,19 @@ func phaseMaker(ph config.ArrivalPhase, start time.Duration, n int) arrivalInit 
 	}
 }
 
-// orDur and orInt apply run-level defaults to unset class fields.
-func orDur(v, def time.Duration) time.Duration {
-	if v != 0 {
+// or and orShare apply run-level defaults to unset class fields: a zero
+// duration or count, a nil share.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v != zero {
 		return v
 	}
 	return def
 }
 
-func orInt(v, def int) int {
-	if v != 0 {
-		return v
+func orShare(v *float64, def float64) float64 {
+	if v != nil {
+		return *v
 	}
 	return def
 }

@@ -90,7 +90,7 @@ func Compile(s *Scenario) (*Compiled, error) {
 
 	w := &config.WorkloadSpec{}
 	for _, cl := range s.Classes {
-		class, err := s.compileClass(cfg, cl)
+		class, err := s.compileClass(cl)
 		if err != nil {
 			return nil, err
 		}
@@ -119,18 +119,14 @@ func Compile(s *Scenario) (*Compiled, error) {
 	return &Compiled{Scenario: s, System: system, Kind: kind, Config: cfg}, nil
 }
 
-// compileClass lowers one clients stanza onto a config.ClientClass.
-func (s *Scenario) compileClass(cfg config.Config, cl ClientsStanza) (config.ClientClass, error) {
+// compileClass lowers one clients stanza onto a config.ClientClass. A
+// key the stanza leaves out stays unset, and the class inherits the
+// run-level value when the system is built, so a later Set of that key
+// reaches the class too.
+func (s *Scenario) compileClass(cl ClientsStanza) (config.ClientClass, error) {
 	const st = "clients"
-	class := config.ClientClass{
-		Name:  cl.Name,
-		Count: int(cl.Count),
-		// Class fractions are literal in the workload layer; seed them
-		// with the run-level values so omitting the keys inherits.
-		UpdateFraction:       cfg.UpdateFraction,
-		DecomposableFraction: cfg.DecomposableFraction,
-	}
-	interarrival := cfg.MeanInterArrival
+	class := config.ClientClass{Name: cl.Name, Count: int(cl.Count)}
+	var interarrival time.Duration
 	var err error
 	for _, set := range cl.Settings {
 		switch set.Key {
@@ -141,9 +137,9 @@ func (s *Scenario) compileClass(cfg config.Config, cl ClientsStanza) (config.Cli
 		case "objects":
 			class.MeanObjects, err = read(s, st, set, intVal)
 		case "updates":
-			class.UpdateFraction, err = read(s, st, set, numVal)
+			class.UpdateFraction, err = ptr(read(s, st, set, numVal))
 		case "decomposable":
-			class.DecomposableFraction, err = read(s, st, set, numVal)
+			class.DecomposableFraction, err = ptr(read(s, st, set, numVal))
 		case "interarrival":
 			interarrival, err = read(s, st, set, durVal)
 		default:
@@ -177,6 +173,9 @@ func (s *Scenario) compileClass(cfg config.Config, cl ClientsStanza) (config.Cli
 	}
 	return class, nil
 }
+
+// ptr passes on a read value as the pointer an optional field holds.
+func ptr[T any](v T, err error) (*T, error) { return &v, err }
 
 // compilePhase lowers one phase line.
 func (s *Scenario) compilePhase(ph PhaseStanza, interarrival time.Duration) (config.ArrivalPhase, error) {

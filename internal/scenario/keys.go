@@ -24,6 +24,9 @@ type key struct {
 // Config through it alone. Names are unique across blocks
 // (TestKeyNamesUnique), so Set finds a key by name.
 var keys = []key{
+	// clients is Set's alone: its block is no stanza's, since a
+	// scenario's population is its clients stanzas.
+	field("", "clients", intVal, func(c *config.Config) *int { return &c.NumClients }),
 	field("config", "duration", durVal, func(c *config.Config) *time.Duration { return &c.Duration }),
 	field("config", "warmup", durVal, func(c *config.Config) *time.Duration { return &c.Warmup }),
 	field("config", "drain", durVal, func(c *config.Config) *time.Duration { return &c.Drain }),
@@ -181,21 +184,25 @@ func (s *Scenario) apply(cfg *config.Config, block string, b *Block) error {
 	return nil
 }
 
-// Set writes one "key=value" setting onto cfg, as the line "key value"
-// in that key's config, faults or replication block of a scenario
-// would: the value is classified as a scenario's is, and the key names
-// are the scenario's. Set does not validate the whole Config.
-func Set(cfg *config.Config, kv string) error {
-	name, val, ok := strings.Cut(kv, "=")
-	if !ok {
-		return fmt.Errorf("setting %q: want key=value", kv)
-	}
-	k, ok := keyNamed(name)
-	if !ok {
-		return fmt.Errorf("unknown key %q", name)
-	}
-	if v := parseValue(val); !k.set(cfg, v) {
-		return fmt.Errorf("%s wants %s, got %q", name, k.wants, v)
+// Set writes "key=value" settings onto cfg in order, each as the line
+// "key value" in that key's config, faults or replication block of a
+// scenario would: the value is classified as a scenario's is, and the
+// key names are the scenario's, plus clients (NumClients), which no
+// block takes. Set stops at the first setting it refuses, and does not
+// validate the whole Config.
+func Set(cfg *config.Config, settings ...string) error {
+	for _, kv := range settings {
+		name, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			return fmt.Errorf("setting %q: want key=value", kv)
+		}
+		k, ok := keyNamed(name)
+		if !ok {
+			return fmt.Errorf("unknown key %q", name)
+		}
+		if v := parseValue(val); !k.set(cfg, v) {
+			return fmt.Errorf("%s wants %s, got %q", name, k.wants, v)
+		}
 	}
 	return nil
 }

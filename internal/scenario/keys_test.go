@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -68,6 +69,54 @@ func TestSetCopiesReplicas(t *testing.T) {
 	}
 }
 
+// TestSetReachesClasses holds Set on a compiled scenario to what the
+// same settings compiled as config lines give: a clients stanza that
+// leaves the update share, the decomposable share or the interarrival
+// unset inherits the run-level value when the system is built, so a
+// later Set changes what its clients draw.
+func TestSetReachesClasses(t *testing.T) {
+	const classes = "clients plain 3 {\n}\nclients phased 2 {\n  length 8s\n  arrivals {\n    phase closed duration 1m\n    phase open rate 0.2\n  }\n}\n"
+	compile := func(config string) *Compiled {
+		t.Helper()
+		s, err := Parse("set.rts", "scenario set-reaches-classes\nsystem ls\nconfig {\n  duration 3m\n"+config+"}\n"+classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	summary := func(cfg config.Config) string {
+		t.Helper()
+		r, err := rtdbs.Run(rtdbs.LS, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("submitted %d committed %d messages %d exclusive %d",
+			r.M.Submitted, r.M.Committed, r.TotalMessages, r.M.ExclusiveResponse.Count)
+	}
+	base := compile("")
+	set := base.Config
+	for _, kv := range []string{"updates=0.9", "decomposable=0.5", "interarrival=3s"} {
+		if err := Set(&set, kv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := compile("  updates 0.9\n  decomposable 0.5\n  interarrival 3s\n").Config
+	if !reflect.DeepEqual(set, want) {
+		t.Fatalf("Set and Compile disagree\nSet:     %+v\nCompile: %+v", set, want)
+	}
+	got, plain := summary(set), summary(base.Config)
+	if w := summary(want); got != w {
+		t.Fatalf("Set run: %s\ncompiled run: %s", got, w)
+	}
+	if got == plain {
+		t.Fatalf("the settings changed nothing the run shows: %s", got)
+	}
+}
+
 // TestDocsNameEveryKey holds EXPERIMENTS.md "Writing a scenario" to the
 // key table and the metric list: the paragraph on each block's keys
 // names every key of that block, and the paragraph on expect lines
@@ -92,6 +141,9 @@ func TestDocsNameEveryKey(t *testing.T) {
 		return ""
 	}
 	for _, k := range keys {
+		if k.block == "" {
+			continue // Set-only: no scenario can write it
+		}
 		if p := paragraph("`" + k.block + "` keys"); !strings.Contains(p, "`"+k.name+"`") {
 			t.Errorf("the %s keys paragraph does not name `%s`", k.block, k.name)
 		}
@@ -135,10 +187,9 @@ func oneToken(s string) bool {
 // FuzzSet holds the two ways into the key table to one another. For any
 // key=value Set never panics, and Set on a compiled base Config agrees
 // with compiling the same setting as a line of its block: both give the
-// same Config, or both fail (Set's side failing Validate counts, since
-// Compile validates). The workload is left out of the comparison: the
-// clients stanzas copy run-level values when they compile, which a
-// later Set does not reach.
+// same whole Config, workload included, or both fail (Set's side
+// failing Validate counts, since Compile validates). A Set-only key has
+// no line to compare with.
 func FuzzSet(f *testing.F) {
 	for _, k := range keys {
 		f.Add(k.name, "1")
@@ -163,7 +214,7 @@ func FuzzSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, val string) {
 		cfg := base.Config
 		errSet := Set(&cfg, name+"="+val)
-		if !oneToken(name) || !oneToken(val) || strings.Contains(name, "=") {
+		if k, ok := keyNamed(name); ok && k.block == "" || !oneToken(name) || !oneToken(val) || strings.Contains(name, "=") {
 			return // not a setting a scenario line can spell
 		}
 		if errSet == nil {
@@ -180,7 +231,6 @@ func FuzzSet(f *testing.F) {
 		if (errSet == nil) != (errC == nil) {
 			t.Fatalf("%s=%s: Set gives %v, Compile gives %v", name, val, errSet, errC)
 		}
-		cfg.Workload, compiled.Workload = nil, nil
 		if errSet == nil && !reflect.DeepEqual(cfg, compiled) {
 			t.Fatalf("%s=%s: Set and Compile disagree\nSet:     %+v\nCompile: %+v", name, val, cfg, compiled)
 		}
