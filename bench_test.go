@@ -164,7 +164,7 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 // dominant cost of every experiment above).
 func BenchmarkSingleRunLS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := siteselect.DefaultConfig(20, 0.05).Scale(0.25)
+		cfg := siteselect.DefaultConfig(siteselect.LoadSharing, 20, 0.05).Scale(0.25)
 		res, err := siteselect.Run(siteselect.LoadSharing, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -21,12 +21,13 @@
 //
 // -set overrides Config keys in every cell, with rtdbsim's keys and
 // syntax (EXPERIMENTS.md, "Writing a scenario"): it repeats, later
-// settings win, and every setting is checked before the first cell
-// runs. clients= and updates= move the one operating point of patterns,
-// outage, batch-sweep, shard-sweep, faults, policies and the ablate-*
-// experiments (default 60 clients at 20 % updates); every other
-// experiment keeps the client counts and update mixes it declares. For
-// example:
+// settings win, and the configuration of every cell is built and
+// validated before the first cell runs, so a setting is judged at each
+// cell's own point. clients= and updates= move the one operating point
+// of patterns, outage, batch-sweep, shard-sweep, faults, policies and
+// the ablate-* experiments (default 60 clients at 20 % updates); every
+// other experiment keeps the client counts and update mixes it
+// declares. For example:
 //
 //	rtbench -exp ablate-heuristics -set clients=40,updates=0.05
 //	rtbench -exp fig3 -set batch-window=250ms
@@ -155,9 +156,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := experiment.Options{Scale: *scale, Seed: *seed, Reps: *reps, Parallel: *parallel, Set: sets}
-	if _, _, err := opts.Point(); err != nil {
-		return fmt.Errorf("-set: %w", err)
-	}
 	if *clients != "" {
 		for _, part := range strings.Split(*clients, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -223,14 +221,15 @@ func studyIDs() []string {
 
 // runExperiments runs the study registered under p.exp — or, for "all",
 // every registered study in order — and writes each table followed by a
-// blank line.
+// blank line. Every cell of every selected study is built and validated
+// before the first one runs, so a -set no cell can take fails without
+// output.
 func runExperiments(p params, opts experiment.Options, out io.Writer) error {
-	ran := false
+	var studies []*experiment.Study
 	for _, def := range experiment.Studies {
 		if p.exp != "all" && p.exp != def.ID {
 			continue
 		}
-		ran = true
 		study := def.Declare(opts)
 		switch {
 		case p.traceSummary && def.Traced != nil:
@@ -244,6 +243,15 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 			}
 			return fmt.Errorf("-trace-summary: experiment %q has no miss-cause census (%s do)", p.exp, strings.Join(traced, ", "))
 		}
+		if err := study.Check(opts); err != nil {
+			return fmt.Errorf("-set: %w", err)
+		}
+		studies = append(studies, study)
+	}
+	if len(studies) == 0 {
+		return fmt.Errorf("unknown experiment %q (want %s, or all)", p.exp, strings.Join(studyIDs(), ", "))
+	}
+	for _, study := range studies {
 		t, err := study.Run(opts)
 		if err != nil {
 			return err
@@ -269,9 +277,6 @@ func runExperiments(p params, opts experiment.Options, out io.Writer) error {
 			fmt.Fprintf(out, "wrote %s\n", path)
 		}
 		fmt.Fprintln(out)
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want %s, or all)", p.exp, strings.Join(studyIDs(), ", "))
 	}
 	return nil
 }

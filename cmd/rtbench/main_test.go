@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -211,6 +212,7 @@ func TestFlagErrors(t *testing.T) {
 	cases["-set nokey=1"] = `-set: unknown key "nokey"`
 	cases["-set clients=x"] = `-set: clients wants an integer, got "x"`
 	cases["-set clients=0"] = "-set: config: NumClients must be positive"
+	cases["-exp ablate-heuristics -set partition-site=70"] = "-set: config: Faults.PartitionSite 70 out of [0,60]"
 	for args, want := range cases {
 		var out strings.Builder
 		err := run(strings.Fields(args), &out)
@@ -220,5 +222,10 @@ func TestFlagErrors(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%s: wrote %q before failing", args, out.String())
 		}
+	}
+	// Every cell is checked as it runs, not at the one-point default: a
+	// partition of site 70 suits every cell of Figure 3 at 80 clients.
+	if err := run(strings.Fields("-exp fig3 -clients 80 -scale 0.02 -set partition-site=70"), io.Discard); err != nil {
+		t.Errorf("fig3 at 80 clients with site 70 partitioned: %v", err)
 	}
 }

@@ -69,7 +69,7 @@ func runScenarios(file, dir, outDir string, parallel int, includeScale bool, out
 		names := make([]string, 0, failed)
 		for _, r := range reports {
 			if !r.Passed() {
-				names = append(names, r.Compiled.Scenario.Name)
+				names = append(names, r.Scenario.Name)
 			}
 		}
 		return fmt.Errorf("%d scenario(s) failed expectations: %s", failed, strings.Join(names, ", "))

@@ -26,9 +26,10 @@
 // spike-rate needs spike-latency: the Table 1 configuration has none,
 // and a run with a spike rate but no spike latency is rejected.
 //
-// -scenario runs one .rts scenario file instead — its own system,
+// -scenario runs one .rts scenario file instead — its own systems,
 // workload and seed — and prints the scenario report followed by the
-// full dump; every other flag is an error beside it.
+// full dump of each system it lists; every other flag is an error
+// beside it.
 //
 // With -reps N > 1 the configuration is replicated N times over seeds
 // derived from the master -seed, fanned across a -parallel worker pool
@@ -108,10 +109,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown -system %q (want ce, ce-occ, cs or ls)", *system)
 	}
 	// The base configuration is Table 1 at 20 clients and 5% updates.
-	cfg := siteselect.DefaultConfig(20, 0.05)
-	if kind.Centralized() {
-		cfg = siteselect.DefaultCentralizedConfig(cfg.NumClients, cfg.UpdateFraction)
-	}
+	cfg := siteselect.DefaultConfig(kind, 20, 0.05)
 	cfg.Seed = *seed
 	if err := scenario.Set(&cfg, sets...); err != nil {
 		return fmt.Errorf("-set: %w", err)

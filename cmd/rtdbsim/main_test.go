@@ -24,7 +24,7 @@ func TestGoldenDump(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown system %q", system)
 		}
-		cfg := siteselect.DefaultConfig(4, 0.2).Scale(0.05)
+		cfg := siteselect.DefaultConfig(kind, 4, 0.2).Scale(0.05)
 		cfg.Seed = 7
 		res, err := siteselect.Run(kind, cfg)
 		if err != nil {
@@ -142,5 +142,33 @@ func TestFlagErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestScenarioDumpsEverySystem runs a scenario that compares three
+// systems: the output is its corpus report, then one dump per system
+// in list order.
+func TestScenarioDumpsEverySystem(t *testing.T) {
+	dir := filepath.Join("..", "..", "scenarios")
+	var out strings.Builder
+	if err := run([]string{"-scenario", filepath.Join(dir, "quickstart.rts")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join(dir, "golden", "quickstart.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumps, ok := strings.CutPrefix(out.String(), string(golden))
+	if !ok {
+		t.Fatalf("output does not start with quickstart.golden:\n%s", out.String())
+	}
+	var heads []string
+	for _, line := range strings.Split(dumps, "\n") {
+		if head, _, ok := strings.Cut(line, " — 12 clients"); ok {
+			heads = append(heads, head)
+		}
+	}
+	if want := []string{"CE-RTDBS", "CS-RTDBS", "LS-CS-RTDBS"}; strings.Join(heads, ",") != strings.Join(want, ",") {
+		t.Errorf("dumps of %v, want %v", heads, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // real-time metric. Runs are deterministic for a fixed seed, so the
 // output is stable.
 func ExampleRun() {
-	cfg := siteselect.DefaultConfig(4, 0.05)
+	cfg := siteselect.DefaultConfig(siteselect.LoadSharing, 4, 0.05)
 	cfg.Duration = 3 * time.Minute
 	cfg.Warmup = 30 * time.Second
 	cfg.Drain = 30 * time.Second

@@ -185,6 +185,25 @@ func (s *Study) Run(o Options) (*Table, error) {
 	return t, nil
 }
 
+// Check builds the config of every cell Run would run and validates it,
+// so a setting some cell cannot take fails before any cell runs.
+func (s *Study) Check(o Options) error {
+	o = o.normalize()
+	if s.Once {
+		o.Reps = 1
+	}
+	for i := range len(s.Rows) * len(s.Runs) * o.Reps {
+		_, cfg, err := s.cell(o, i)
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // at returns cell i's (row, run, replication): cells are row-major, and
 // Run's aggregation indexes results the same way.
 func (s *Study) at(o Options, i int) (row, run Setting, rep int) {

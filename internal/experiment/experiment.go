@@ -53,7 +53,7 @@ type Options struct {
 	// cell's config after defaults, scaling and seeding, before the
 	// row's and the run's Mods. A cell keeps the client count and update
 	// share it is seeded at; clients= and updates= move the point of the
-	// studies that run at one (Point).
+	// studies that run at one (atPoint).
 	Set []string
 	// Progress, when non-nil, is called (serialized) after each cell
 	// completes, with per-cell wall-clock timing.
@@ -83,36 +83,23 @@ func (o Options) normalize() Options {
 // family at the workload point, scaled, seeded for the replication, and
 // adjusted by the Options' settings, which leave the point alone.
 func (o Options) config(kind rtdbs.Kind, n int, update float64, rep int) (config.Config, error) {
-	cfg := config.Default(n, update)
-	if kind.Centralized() {
-		cfg = config.DefaultCentralized(n, update)
-	}
-	cfg = cfg.Scale(o.Scale)
+	cfg := kind.Default(n, update).Scale(o.Scale)
 	cfg.Seed = o.cellSeed(n, update, rep)
 	err := scenario.Set(&cfg, o.Set...)
 	cfg.NumClients, cfg.UpdateFraction = n, update
 	return cfg, err
 }
 
-// Point is the operating point of the studies that run at one (the
-// ablations, patterns, policies, outage, faults and the batch and shard
-// sweeps): 60 clients at 20 % updates, or where a clients= or updates=
-// in o.Set moves it. The error is the first setting the key table
-// refuses, or what config.Validate finds wrong with the settings on the
-// Table 1 configuration at the point.
-func (o Options) Point() (n int, update float64, err error) {
-	cfg := config.Default(60, 0.20)
-	if err = scenario.Set(&cfg, o.Set...); err == nil {
-		err = cfg.Validate()
-	}
-	return cfg.NumClients, cfg.UpdateFraction, err
-}
-
-// atPoint puts a one-point study at Point, whose client count and
-// update percentage fill the two verbs of its title. Point's error is
-// left to the cells: every one fails on the setting, or on Validate.
+// atPoint puts a one-point study (the ablations, patterns, policies,
+// outage, faults and the batch and shard sweeps) at its operating
+// point: 60 clients at 20 % updates, or where a clients= or updates= in
+// o.Set moves it. The client count and update percentage fill the two
+// verbs of its title. A setting the key table refuses is left to the
+// cells, which all fail on it.
 func (o Options) atPoint(s *Study) *Study {
-	s.Clients, s.Update, _ = o.Point()
+	cfg := config.Default(60, 0.20)
+	_ = scenario.Set(&cfg, o.Set...)
+	s.Clients, s.Update = cfg.NumClients, cfg.UpdateFraction
 	s.Title = fmt.Sprintf(s.Title, s.Clients, s.Update*100)
 	return s
 }

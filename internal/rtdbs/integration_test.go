@@ -383,7 +383,7 @@ func TestImpossibleDeadlines(t *testing.T) {
 // TestCentralizedOverload drives the centralized server far past its
 // CPU capacity: success collapses but accounting stays exact.
 func TestCentralizedOverload(t *testing.T) {
-	cfg := config.DefaultCentralized(60, 0.05)
+	cfg := CE.Default(60, 0.05)
 	cfg.Duration = 5 * time.Minute
 	cfg.Warmup = time.Minute
 	cfg.Drain = time.Minute
@@ -408,7 +408,7 @@ func TestCentralizedOverload(t *testing.T) {
 // checks outcome conservation plus that low contention favours OCC over
 // blocking 2PL.
 func TestCentralizedOCCSmoke(t *testing.T) {
-	cfg := config.DefaultCentralized(8, 0.20)
+	cfg := CE.Default(8, 0.20)
 	cfg.Duration = 8 * time.Minute
 	cfg.Warmup = time.Minute
 	cfg.Drain = time.Minute
@@ -596,7 +596,7 @@ func TestLoggingEndToEnd(t *testing.T) {
 // TestCentralizedLogging runs the CE engine with WAL on the shared data
 // spindle.
 func TestCentralizedLogging(t *testing.T) {
-	cfg := config.DefaultCentralized(8, 0.20)
+	cfg := CE.Default(8, 0.20)
 	cfg.Duration = 5 * time.Minute
 	cfg.Warmup = time.Minute
 	cfg.Drain = time.Minute

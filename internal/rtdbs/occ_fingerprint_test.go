@@ -14,7 +14,7 @@ import (
 // admission times out, and a server buffer smaller than the hot set so
 // reads evict and dirty pages write back.
 func occFingerprintConfig(update float64) config.Config {
-	cfg := config.DefaultCentralized(24, update)
+	cfg := CE.Default(24, update)
 	cfg.Pattern = config.PatternHotCold
 	cfg.ServerMemory = 48
 	cfg.HotRegionSize = 60

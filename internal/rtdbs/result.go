@@ -133,7 +133,8 @@ type Metric struct {
 	Get  func(*Result) float64
 	// Verb formats the value on the metric's own line of a scenario
 	// report (counts print as "%.0f"). Metrics without one have no line
-	// of their own (the sharding counters share a conditional line).
+	// of their own (the sharding counters share a conditional line;
+	// decomposed_txns is for assertions alone).
 	Verb string
 }
 
@@ -158,6 +159,7 @@ var Metrics = []Metric{
 	{"replicas_installed", func(r *Result) float64 { return float64(r.ReplicasInstalled) }, ""},
 	{"replicas_shed", func(r *Result) float64 { return float64(r.ReplicasShed) }, ""},
 	{"requests_forwarded", func(r *Result) float64 { return float64(r.RequestsForwarded) }, ""},
+	{"decomposed_txns", func(r *Result) float64 { return float64(r.M.DecomposedTxns) }, ""},
 }
 
 // MetricByName returns the scalar metric called name.

@@ -50,6 +50,16 @@ func ParseKind(name string) (Kind, bool) {
 // tracer.
 func (k Kind) Centralized() bool { return k == CE || k == CEOCC }
 
+// Default returns the paper's Table 1 configuration of the system's
+// family with n clients and the given update fraction: the centralized
+// systems get their larger server buffer.
+func (k Kind) Default(n int, updateFraction float64) config.Config {
+	if k.Centralized() {
+		return config.DefaultCentralized(n, updateFraction)
+	}
+	return config.Default(n, updateFraction)
+}
+
 // System is what every simulated system offers once built: run it to
 // completion, or reach its kernel and network first to instrument them.
 type System interface {

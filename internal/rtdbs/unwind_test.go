@@ -42,7 +42,7 @@ var unwindCases = []struct {
 }
 
 func unwindConfig(tune func(*config.Config)) config.Config {
-	cfg := config.DefaultCentralized(20, 0.5)
+	cfg := CE.Default(20, 0.5)
 	cfg.Pattern = config.PatternHotCold
 	cfg.HotRegionSize = 150
 	cfg.LocalFraction = 0.9

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -67,8 +68,9 @@ func TestCorpusBatchWindowZero(t *testing.T) {
 // continuous invariant monitor attached, which re-checks batch
 // request conservation, lock-table consistency, client request
 // conservation, and (when traced) the attribution identity at every
-// simulation step. Client-server scenarios also run traced so the
-// batch-wait sub-bucket feeds the attribution identity check. Any
+// simulation step. Scenarios that list cs or ls also run traced (a
+// centralized cell ignores the setting) so the batch-wait sub-bucket
+// feeds the attribution identity check. Any
 // lost, duplicated, or incompatibly granted request surfaces as a run
 // error here.
 func TestCorpusBatchWindowed(t *testing.T) {
@@ -81,7 +83,7 @@ func TestCorpusBatchWindowed(t *testing.T) {
 		}
 		setConfig(s, "batch-window", Value{Kind: ValDur, Dur: 50 * time.Millisecond})
 		setConfig(s, "invariants", Value{Kind: ValWord, Word: "true"})
-		if s.System == "cs" || s.System == "ls" {
+		if slices.ContainsFunc(s.Systems, func(sys string) bool { return sys == SystemCS || sys == SystemLS }) {
 			setConfig(s, "trace", Value{Kind: ValWord, Word: "true"})
 		}
 		scens = append(scens, s)
@@ -130,7 +132,7 @@ func TestCorpusBatchWindowedDeterminism(t *testing.T) {
 	for i, r := range base {
 		if got, want := other[i].Format(), r.Format(); got != want {
 			t.Errorf("%s: -parallel 8 windowed report differs from -parallel 1\n--- got ---\n%s--- want ---\n%s",
-				r.Compiled.Scenario.Name, got, want)
+				r.Scenario.Name, got, want)
 		}
 	}
 }

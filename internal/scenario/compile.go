@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,43 +38,66 @@ func nameCoord(name string) int64 {
 	return int64(h & (1<<63 - 1))
 }
 
-// Compiled is the runnable form of a scenario: the lowered Config plus
-// the resolved system, by name and by kind.
+// Compiled is the runnable form of one cell of a scenario: the lowered
+// Config plus the resolved system, by name and by kind.
 type Compiled struct {
-	Scenario *Scenario
-	System   string
-	Kind     rtdbs.Kind
-	Config   config.Config
+	System string
+	Kind   rtdbs.Kind
+	Config config.Config
 }
 
-// Compile lowers the parsed scenario onto a config.Config: base Table 1
-// defaults for the chosen system, run-level overrides from the config
-// block, one config.ClientClass per clients stanza, fault injection
-// from the faults block, replica placement from the replication block
-// (the three settings blocks through the key table, keys.go). The run seed is CellSeed(seed, hash(name)), so
-// renaming a scenario reseeds it and nothing else does. Every
-// diagnostic names the offending file:line and stanza.
-func Compile(s *Scenario) (*Compiled, error) {
-	system := s.System
-	if system == "" {
-		system = SystemCS
-	}
-	kind, ok := rtdbs.ParseKind(system)
-	if !ok {
-		return nil, s.errf(s.SystemLine, "system", "unknown system %q (want ce, ce-occ, cs, or ls)", system)
-	}
+// defaultSystems is the system list of a scenario without a system
+// line.
+var defaultSystems = []string{SystemCS}
 
+// Compile lowers a one-system scenario onto a config.Config: base
+// Table 1 defaults for the system's family, run-level overrides from
+// the config block, one config.ClientClass per clients stanza, fault
+// injection from the faults block, replica placement from the
+// replication block (the three settings blocks through the key table,
+// keys.go). The run seed is CellSeed(seed, hash(name)), so renaming a
+// scenario reseeds it and nothing else does. Every diagnostic names the
+// offending file:line and stanza. A scenario that lists several systems
+// is checked whole and then refused: Run runs it, one cell per system.
+func Compile(s *Scenario) (*Compiled, error) {
+	systems, traced, err := s.plan()
+	if err != nil {
+		return nil, err
+	}
+	if len(systems) > 1 {
+		return nil, s.errf(s.SystemLine, "system", "lists %d systems, and Compile lowers one: Run runs a cell for each", len(systems))
+	}
+	return s.compile(systems[0], traced)
+}
+
+// plan checks what the cells of a scenario share — its system list and
+// its assertions — and returns the systems it runs, in list order, and
+// those whose cell an assertion reads miss_share from, which trace.
+func (s *Scenario) plan() (systems, traced []string, err error) {
+	systems = s.Systems
+	if len(systems) == 0 {
+		systems = defaultSystems
+	}
+	for _, system := range systems {
+		if _, ok := rtdbs.ParseKind(system); !ok {
+			return nil, nil, s.errf(s.SystemLine, "system", "unknown system %q (want ce, ce-occ, cs, or ls)", system)
+		}
+	}
+	for i := range s.Expects {
+		if traced, err = s.checkExpect(systems, traced, &s.Expects[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return systems, traced, nil
+}
+
+// compile lowers the scenario's cell of one system, which plan checked.
+func (s *Scenario) compile(system string, traced []string) (*Compiled, error) {
+	kind, _ := rtdbs.ParseKind(system)
 	if len(s.Classes) == 0 {
 		return nil, s.errf(s.NameLine, "scenario", "needs at least one clients stanza")
 	}
-	total := s.Population()
-
-	var cfg config.Config
-	if kind.Centralized() {
-		cfg = config.DefaultCentralized(total, 0.20)
-	} else {
-		cfg = config.Default(total, 0.20)
-	}
+	cfg := kind.Default(s.Population(), 0.20)
 	cfg.Duration = 0 // scenarios must set their horizon explicitly
 	cfg.Warmup = 0
 
@@ -104,11 +128,8 @@ func Compile(s *Scenario) (*Compiled, error) {
 	if err := s.apply(&cfg, "replication", s.Replication); err != nil {
 		return nil, err
 	}
-
-	for _, ex := range s.Expects {
-		if err := s.checkExpect(system, &cfg, ex); err != nil {
-			return nil, err
-		}
+	if slices.Contains(traced, system) {
+		cfg.Trace = true
 	}
 
 	cfg.Seed = config.CellSeed(config.NormalizeSeed(s.Seed), nameCoord(s.Name))
@@ -116,7 +137,7 @@ func Compile(s *Scenario) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, s.errf(s.NameLine, "scenario", "invalid compiled config: %v", err)
 	}
-	return &Compiled{Scenario: s, System: system, Kind: kind, Config: cfg}, nil
+	return &Compiled{System: system, Kind: kind, Config: cfg}, nil
 }
 
 // compileClass lowers one clients stanza onto a config.ClientClass. A
@@ -301,27 +322,51 @@ func metricGetter(metric, arg string) (get func(*rtdbs.Result) float64, problem 
 	return m.Get, ""
 }
 
-// checkExpect validates one assertion at compile time, and switches on
-// whatever instrumentation it needs (miss_share forces tracing, which
-// only the client-server systems wire up).
-func (s *Scenario) checkExpect(system string, cfg *config.Config, ex ExpectStanza) error {
+// isMetric reports whether name is in the expect namespace.
+func isMetric(name string) bool {
+	_, ok := rtdbs.MetricByName(name)
+	return ok || name == "messages" || name == "miss_share" || name == "faults"
+}
+
+// checkExpect validates one assertion at compile time: each metric
+// reads one listed system's cell, named by its subscript (which a
+// one-system scenario may leave out), and miss_share reads a cell of
+// cs or ls, the systems that trace misses; it adds such a cell's system
+// to traced.
+func (s *Scenario) checkExpect(systems, traced []string, ex *ExpectStanza) ([]string, error) {
 	const st = "expect"
-	if _, problem := metricGetter(ex.Metric, ex.Arg); problem != "" {
-		return s.errf(ex.Line, st, "%s", problem)
-	}
-	if ex.Metric == "miss_share" {
-		if system != SystemCS && system != SystemLS {
-			return s.errf(ex.Line, st, "miss_share needs miss-cause tracing, which only systems cs and ls record (got %s)", system)
+	for _, o := range [...]*Operand{&ex.Operand, ex.Ref} {
+		if o == nil {
+			continue
 		}
-		cfg.Trace = true
+		if _, problem := metricGetter(o.Metric, o.Arg); problem != "" {
+			return nil, s.errf(ex.Line, st, "%s", problem)
+		}
+		system := o.Sys
+		switch {
+		case system == "" && len(systems) > 1:
+			return nil, s.errf(ex.Line, st, "%s needs a subscript naming one of the systems %s, as in %s[%s]",
+				o.Metric, strings.Join(systems, " "), o.Metric, systems[0])
+		case system == "":
+			system = systems[0]
+		case !slices.Contains(systems, system):
+			return nil, s.errf(ex.Line, st, "%s[%s] names a system the scenario does not list (%s)",
+				o.Metric, system, strings.Join(systems, " "))
+		}
+		if o.Metric == "miss_share" {
+			if system != SystemCS && system != SystemLS {
+				return nil, s.errf(ex.Line, st, "miss_share needs miss-cause tracing, which only systems cs and ls record (got %s)", system)
+			}
+			traced = append(traced, system)
+		}
 	}
-	if _, ok := ex.Value.AsFloat(); !ok {
-		return s.errf(ex.Line, st, "assertion value must be numeric, got %q", ex.Value)
+	if _, ok := ex.Value.AsFloat(); !ok && (ex.Ref == nil || ex.Sign != "") {
+		return nil, s.errf(ex.Line, st, "assertion value must be numeric, got %q", ex.Value)
 	}
 	if ex.Tol != nil {
 		if _, ok := ex.Tol.AsFloat(); !ok {
-			return s.errf(ex.Line, st, "tolerance must be numeric, got %q", ex.Tol)
+			return nil, s.errf(ex.Line, st, "tolerance must be numeric, got %q", ex.Tol)
 		}
 	}
-	return nil
+	return traced, nil
 }

@@ -40,7 +40,7 @@ func runCorpus(t *testing.T, parallel int) []*Report {
 // scenarios/golden/<name>.golden, rewriting it under -update.
 func checkGolden(t *testing.T, r *Report) {
 	t.Helper()
-	name := r.Compiled.Scenario.Name
+	name := r.Scenario.Name
 	got := r.Format()
 	path := filepath.Join(corpusDir, "golden", name+".golden")
 	if *update {
@@ -61,13 +61,22 @@ func checkGolden(t *testing.T, r *Report) {
 	}
 }
 
-// TestCorpusGoldens runs every committed everyday scenario and pins each
-// report byte for byte against scenarios/golden/<name>.golden; go test
-// ./internal/scenario -run TestCorpusGoldens -update rewrites them.
-// The reports embed the expect verdicts, so a golden match also means
-// every scenario's assertions held.
+// TestCorpusGoldens runs every committed everyday scenario under the
+// invariant monitor and pins each report byte for byte against
+// scenarios/golden/<name>.golden; go test ./internal/scenario -run
+// TestCorpusGoldens -update rewrites them. The monitor only watches, so
+// the reports are those of unmonitored runs, and they embed the expect
+// verdicts: a golden match also means every assertion held.
 func TestCorpusGoldens(t *testing.T) {
-	for _, r := range runCorpus(t, 8) {
+	scens := loadCorpus(t)
+	for _, s := range scens {
+		setConfig(s, "invariants", Value{Kind: ValWord, Word: "true"})
+	}
+	reports, err := RunAll(scens, 8)
+	if err != nil {
+		t.Fatalf("running corpus: %v", err)
+	}
+	for _, r := range reports {
 		checkGolden(t, r)
 	}
 }
@@ -113,7 +122,7 @@ func TestCorpusDeterminism(t *testing.T) {
 		for i, r := range base {
 			if got, want := other[i].Format(), r.Format(); got != want {
 				t.Errorf("%s: -parallel %d report differs from -parallel 1\n--- got ---\n%s--- want ---\n%s",
-					r.Compiled.Scenario.Name, parallel, got, want)
+					r.Scenario.Name, parallel, got, want)
 			}
 		}
 	}

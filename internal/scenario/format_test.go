@@ -13,7 +13,7 @@ func Format(s *Scenario) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %s\n", s.Name)
 	if s.SystemLine != 0 {
-		fmt.Fprintf(&b, "system %s\n", s.System)
+		fmt.Fprintf(&b, "system %s\n", strings.Join(s.Systems, " "))
 	}
 	if s.SeedLine != 0 {
 		fmt.Fprintf(&b, "seed %d\n", s.Seed)
@@ -51,15 +51,7 @@ func Format(s *Scenario) string {
 	if s.HasExpect {
 		b.WriteString("expect {\n")
 		for _, ex := range s.Expects {
-			fmt.Fprintf(&b, "  %s", ex.Metric)
-			if ex.Arg != "" {
-				fmt.Fprintf(&b, " %s", ex.Arg)
-			}
-			fmt.Fprintf(&b, " %s %s", ex.Op, ex.Value)
-			if ex.Tol != nil {
-				fmt.Fprintf(&b, " tol %s", ex.Tol)
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "  %s\n", ex)
 		}
 		b.WriteString("}\n")
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -134,10 +135,19 @@ func (p *parser) system(s *Scenario, ln line) error {
 	if s.SystemLine != 0 {
 		return p.errf(ln.num, "system", "duplicate system line (first on line %d)", s.SystemLine)
 	}
-	if len(ln.toks) != 2 || !validWord(ln.toks[1]) {
-		return p.errf(ln.num, "system", "want exactly one name: system ce|ce-occ|cs|ls")
+	names := ln.toks[1:]
+	if len(names) == 0 {
+		return p.errf(ln.num, "system", "want one or more names: system ce|ce-occ|cs|ls ...")
 	}
-	s.System, s.SystemLine = ln.toks[1], ln.num
+	for i, name := range names {
+		if !validWord(name) {
+			return p.errf(ln.num, "system", "a system name cannot be a brace")
+		}
+		if slices.Contains(names[:i], name) {
+			return p.errf(ln.num, "system", "system %s listed twice", name)
+		}
+	}
+	s.Systems, s.SystemLine = names, ln.num
 	return nil
 }
 
@@ -173,26 +183,12 @@ func (p *parser) block(ln line, stanza string, dst **Block) error {
 	if err := p.openBlock(ln, stanza); err != nil {
 		return err
 	}
-	b := &Block{Line: ln.num, Settings: []Setting{}}
-	for {
-		body, ok := p.next()
-		if !ok {
-			return p.errf(p.lastLine(), stanza, "missing closing brace for block opened on line %d", ln.num)
-		}
-		p.advance()
-		if body.toks[0] == "}" {
-			if len(body.toks) != 1 {
-				return p.errf(body.num, stanza, "closing brace must stand alone")
-			}
-			*dst = b
-			return nil
-		}
-		set, err := p.setting(body, stanza)
-		if err != nil {
-			return err
-		}
-		b.Settings = append(b.Settings, set)
+	b, err := p.innerBlock(ln.num, stanza)
+	if err != nil {
+		return err
 	}
+	*dst = b
+	return nil
 }
 
 // setting parses one "key value" line.
@@ -353,23 +349,21 @@ func (p *parser) expect(s *Scenario, ln line) error {
 	}
 }
 
-// expectLine parses "METRIC [ARG] OP VALUE [tol VALUE]".
+// expectLine parses "METRIC[SYS] [ARG] OP VALUE [tol VALUE]" and
+// "METRIC[SYS] [ARG] OP METRIC[SYS] [ARG] [+|- VALUE]". The right side
+// is a metric when it carries a subscript or names one.
 func (p *parser) expectLine(ln line) (ExpectStanza, error) {
 	fail := func(format string, args ...any) (ExpectStanza, error) {
 		return ExpectStanza{}, p.errf(ln.num, "expect", format, args...)
 	}
-	toks := ln.toks
-	if !validWord(toks[0]) {
-		return fail("metric name cannot be a brace")
+	if slices.ContainsFunc(ln.toks, func(tok string) bool { return !validWord(tok) }) {
+		return fail("an assertion cannot hold a brace")
 	}
-	ex := ExpectStanza{Line: ln.num, Metric: toks[0]}
-	rest := toks[1:]
+	ex := ExpectStanza{Line: ln.num}
+	ex.Metric, ex.Sys = subscript(ln.toks[0])
+	rest := ln.toks[1:]
 	if len(rest) > 0 && !expectOps[rest[0]] {
-		if !validWord(rest[0]) {
-			return fail("metric argument cannot be a brace")
-		}
-		ex.Arg = rest[0]
-		rest = rest[1:]
+		ex.Arg, rest = rest[0], rest[1:]
 	}
 	if len(rest) < 2 {
 		return fail("want METRIC [ARG] OP VALUE, with OP one of >= <= == ~")
@@ -378,21 +372,26 @@ func (p *parser) expectLine(ln line) (ExpectStanza, error) {
 		return fail("unknown operator %q (want >= <= == or ~)", rest[0])
 	}
 	ex.Op = rest[0]
-	if !validWord(rest[1]) {
-		return fail("assertion value cannot be a brace")
-	}
-	ex.Value = parseValue(rest[1])
-	rest = rest[2:]
-	switch {
-	case len(rest) == 0:
-	case len(rest) == 2 && rest[0] == "tol":
-		if !validWord(rest[1]) {
-			return fail("tolerance value cannot be a brace")
+	follows := []string{"tol"} // what may follow the right side
+	if metric, sys := subscript(rest[1]); sys != "" || isMetric(metric) {
+		ex.Ref, follows = &Operand{Metric: metric, Sys: sys}, []string{"+", "-"}
+		if len(rest) > 2 && !slices.Contains(follows, rest[2]) {
+			ex.Ref.Arg, rest = rest[2], rest[1:]
 		}
+	} else {
+		ex.Value = parseValue(rest[1])
+	}
+	switch rest = rest[2:]; {
+	case len(rest) == 0:
+	case len(rest) > 2 || !slices.Contains(follows, rest[0]):
+		return fail("trailing tokens after assertion (only %s VALUE may follow)", strings.Join(follows, " or "))
+	case len(rest) == 1:
+		return fail("%s needs a value after it", rest[0])
+	case rest[0] == "tol":
 		tol := parseValue(rest[1])
 		ex.Tol = &tol
 	default:
-		return fail("trailing tokens after assertion (only tol VALUE may follow)")
+		ex.Sign, ex.Value = rest[0], parseValue(rest[1])
 	}
 	if ex.Op == "~" && ex.Tol == nil {
 		return fail("operator ~ needs a tol VALUE")
@@ -401,4 +400,14 @@ func (p *parser) expectLine(ln line) (ExpectStanza, error) {
 		return fail("tol only applies to == and ~ assertions")
 	}
 	return ex, nil
+}
+
+// subscript splits "METRIC[SYS]" into the metric and the system it
+// names; a token without a subscript after a name is all metric.
+func subscript(tok string) (metric, sys string) {
+	i := strings.IndexByte(tok, '[')
+	if i <= 0 || !strings.HasSuffix(tok, "]") {
+		return tok, ""
+	}
+	return tok[:i], tok[i+1 : len(tok)-1]
 }

@@ -14,19 +14,27 @@ import (
 	"siteselect/internal/trace"
 )
 
-// Check is the outcome of one expect assertion.
+// Check is the outcome of one expect assertion: the left side's value
+// and the bound it was held to (the right side's metric plus the
+// offset, or the literal).
 type Check struct {
-	Stanza ExpectStanza
-	Got    float64
-	Pass   bool
+	Stanza    ExpectStanza
+	Got, Want float64
+	Pass      bool
 }
 
-// Report is the outcome of one scenario run: the compiled form, the raw
-// simulation result, and the evaluated assertions. Its Format output is
+// Cell is the run of one system of a scenario.
+type Cell struct {
+	*Compiled
+	Result *rtdbs.Result
+}
+
+// Report is the outcome of one scenario run: a cell per listed system,
+// in list order, and the evaluated assertions. Its Format output is
 // what the golden corpus pins down.
 type Report struct {
-	Compiled *Compiled
-	Result   *rtdbs.Result
+	Scenario *Scenario
+	Cells    []Cell
 	Checks   []Check
 }
 
@@ -40,28 +48,51 @@ func (r *Report) Passed() bool {
 	return true
 }
 
-// Run compiles and runs the scenario and evaluates its assertions.
+// Run compiles and runs a cell of the scenario for each system it
+// lists, all at the scenario's seed, and evaluates its assertions.
 func Run(s *Scenario) (*Report, error) {
-	c, err := Compile(s)
+	systems, traced, err := s.plan()
 	if err != nil {
 		return nil, err
 	}
-	res, err := rtdbs.Run(c.Kind, c.Config)
-	if err != nil {
-		return nil, s.errf(s.NameLine, "scenario", "run failed: %v", err)
+	rep := &Report{Scenario: s}
+	for _, system := range systems {
+		c, err := s.compile(system, traced)
+		if err != nil {
+			return nil, err
+		}
+		res, err := rtdbs.Run(c.Kind, c.Config)
+		if err != nil {
+			return nil, s.errf(s.NameLine, "scenario", "run of system %s failed: %v", system, err)
+		}
+		rep.Cells = append(rep.Cells, Cell{c, res})
 	}
-	rep := &Report{Compiled: c, Result: res}
 	for _, ex := range s.Expects {
-		get, _ := metricGetter(ex.Metric, ex.Arg) // Compile validated the names
-		got := get(res)
-		rep.Checks = append(rep.Checks, Check{Stanza: ex, Got: got, Pass: holds(ex, got)})
+		got := rep.read(ex.Operand)
+		want, _ := ex.Value.AsFloat()
+		if ex.Sign == "-" {
+			want = -want
+		}
+		if ex.Ref != nil {
+			want += rep.read(*ex.Ref)
+		}
+		rep.Checks = append(rep.Checks, Check{Stanza: ex, Got: got, Want: want, Pass: holds(ex, got, want)})
 	}
 	return rep, nil
 }
 
-// holds evaluates one assertion against its observed value.
-func holds(ex ExpectStanza, got float64) bool {
-	want, _ := ex.Value.AsFloat()
+// read returns the operand's value in the cell it reads.
+func (r *Report) read(o Operand) float64 {
+	get, _ := metricGetter(o.Metric, o.Arg) // plan validated names and subscripts
+	i := 0
+	for o.Sys != "" && r.Cells[i].System != o.Sys {
+		i++
+	}
+	return get(r.Cells[i].Result)
+}
+
+// holds evaluates one assertion against its observed value and bound.
+func holds(ex ExpectStanza, got, want float64) bool {
 	tol := 0.0
 	if ex.Tol != nil {
 		tol, _ = ex.Tol.AsFloat()
@@ -81,51 +112,15 @@ func holds(ex ExpectStanza, got float64) bool {
 }
 
 // Format renders the report deterministically — the scenario's golden
-// file. Every field is a pure function of the simulation result, so
-// two runs of the same scenario text are byte-identical.
+// file: the scenario's name, each cell's section in list order, then
+// the assertions and the verdict. Every field is a pure function of the
+// simulation results, so two runs of the same scenario text are
+// byte-identical.
 func (r *Report) Format() string {
-	s, c, res := r.Compiled.Scenario, r.Compiled, r.Result
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s\n", s.Name)
-	fmt.Fprintf(&b, "system %s\n", c.System)
-	fmt.Fprintf(&b, "seed %d\n", c.Config.Seed)
-	fmt.Fprintf(&b, "clients %d", c.Config.NumClients)
-	for i, cl := range c.Config.Workload.Classes {
-		sep := " ("
-		if i > 0 {
-			sep = ", "
-		}
-		fmt.Fprintf(&b, "%s%s x%d", sep, cl.Name, cl.Count)
-	}
-	b.WriteString(")\n")
-	fmt.Fprintf(&b, "elapsed %s\n", res.Elapsed)
-	for _, m := range rtdbs.Metrics {
-		if m.Verb != "" {
-			fmt.Fprintf(&b, "%s "+m.Verb+"\n", m.Name, m.Get(res))
-		}
-	}
-	if res.Config.Sharding.Enabled() {
-		fmt.Fprintf(&b, "sharding servers %d replicas-installed %d replicas-shed %d forwarded %d\n",
-			res.Config.Sharding.NumServers(), res.ReplicasInstalled,
-			res.ReplicasShed, res.RequestsForwarded)
-	}
-	if res.Faults != (netsim.FaultStats{}) {
-		b.WriteString("faults")
-		for _, fc := range netsim.FaultCounters {
-			fmt.Fprintf(&b, " %s %d", fc.Name, fc.Get(res.Faults))
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("messages:\n")
-	for k := netsim.KindObjectRequest; k < netsim.NumKinds; k++ {
-		st := res.Messages[k]
-		fmt.Fprintf(&b, "  %-13s %d msgs %d bytes\n", k, st.Count, st.Bytes)
-	}
-	if res.MissCauses != nil {
-		fmt.Fprintf(&b, "miss_causes %d:\n", res.MissCauses.Missed)
-		for cp := trace.Component(0); cp < trace.NumComponents; cp++ {
-			fmt.Fprintf(&b, "  %-9s %d\n", cp, res.MissCauses.ByCause[cp])
-		}
+	fmt.Fprintf(&b, "scenario %s\n", r.Scenario.Name)
+	for _, c := range r.Cells {
+		c.format(&b)
 	}
 	if len(r.Checks) > 0 {
 		b.WriteString("expect:\n")
@@ -134,16 +129,11 @@ func (r *Report) Format() string {
 			if !ch.Pass {
 				verdict = "FAIL"
 			}
-			ex := ch.Stanza
-			fmt.Fprintf(&b, "  %s %s", verdict, ex.Metric)
-			if ex.Arg != "" {
-				fmt.Fprintf(&b, " %s", ex.Arg)
+			fmt.Fprintf(&b, "  %s %s (got %s", verdict, ch.Stanza, formatGot(ch.Got))
+			if ch.Stanza.Ref != nil {
+				fmt.Fprintf(&b, " against %s", formatGot(ch.Want))
 			}
-			fmt.Fprintf(&b, " %s %s", ex.Op, ex.Value)
-			if ex.Tol != nil {
-				fmt.Fprintf(&b, " tol %s", ex.Tol)
-			}
-			fmt.Fprintf(&b, " (got %s)\n", formatGot(ch.Got))
+			b.WriteString(")\n")
 		}
 	}
 	verdict := "PASS"
@@ -152,6 +142,52 @@ func (r *Report) Format() string {
 	}
 	fmt.Fprintf(&b, "result %s\n", verdict)
 	return b.String()
+}
+
+// format writes the cell's section of a report: its system, seed and
+// population, then what its run measured.
+func (c Cell) format(b *strings.Builder) {
+	res := c.Result
+	fmt.Fprintf(b, "system %s\n", c.System)
+	fmt.Fprintf(b, "seed %d\n", c.Config.Seed)
+	fmt.Fprintf(b, "clients %d", c.Config.NumClients)
+	for i, cl := range c.Config.Workload.Classes {
+		sep := " ("
+		if i > 0 {
+			sep = ", "
+		}
+		fmt.Fprintf(b, "%s%s x%d", sep, cl.Name, cl.Count)
+	}
+	b.WriteString(")\n")
+	fmt.Fprintf(b, "elapsed %s\n", res.Elapsed)
+	for _, m := range rtdbs.Metrics {
+		if m.Verb != "" {
+			fmt.Fprintf(b, "%s "+m.Verb+"\n", m.Name, m.Get(res))
+		}
+	}
+	if res.Config.Sharding.Enabled() {
+		fmt.Fprintf(b, "sharding servers %d replicas-installed %d replicas-shed %d forwarded %d\n",
+			res.Config.Sharding.NumServers(), res.ReplicasInstalled,
+			res.ReplicasShed, res.RequestsForwarded)
+	}
+	if res.Faults != (netsim.FaultStats{}) {
+		b.WriteString("faults")
+		for _, fc := range netsim.FaultCounters {
+			fmt.Fprintf(b, " %s %d", fc.Name, fc.Get(res.Faults))
+		}
+		b.WriteString("\n")
+	}
+	b.WriteString("messages:\n")
+	for k := netsim.KindObjectRequest; k < netsim.NumKinds; k++ {
+		st := res.Messages[k]
+		fmt.Fprintf(b, "  %-13s %d msgs %d bytes\n", k, st.Count, st.Bytes)
+	}
+	if res.MissCauses != nil {
+		fmt.Fprintf(b, "miss_causes %d:\n", res.MissCauses.Missed)
+		for cp := trace.Component(0); cp < trace.NumComponents; cp++ {
+			fmt.Fprintf(b, "  %-9s %d\n", cp, res.MissCauses.ByCause[cp])
+		}
+	}
 }
 
 // formatGot renders an observed metric: integers exactly, fractions
@@ -247,7 +283,7 @@ func WriteReports(reports []*Report, dir string) error {
 		if r == nil {
 			continue
 		}
-		path := filepath.Join(dir, r.Compiled.Scenario.Name+".golden")
+		path := filepath.Join(dir, r.Scenario.Name+".golden")
 		if err := os.WriteFile(path, []byte(r.Format()), 0o644); err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@
 // The grammar (one construct per line, # comments, blocks braced):
 //
 //	scenario NAME
-//	system ce|ce-occ|cs|ls
+//	system SYS ...                (SYS one of ce, ce-occ, cs, ls)
 //	seed INT
 //	config { KEY VALUE ... }
 //	clients NAME COUNT {
@@ -23,7 +23,17 @@
 //	    access { KEY VALUE ... }
 //	}
 //	faults { KEY VALUE ... }
-//	expect { METRIC [ARG] OP VALUE [tol VALUE] ... }
+//	expect {
+//	    METRIC[SYS] [ARG] OP VALUE [tol VALUE]
+//	    METRIC[SYS] [ARG] OP METRIC[SYS] [ARG] [+|- VALUE]
+//	    ...
+//	}
+//
+// A scenario that lists several systems runs one cell per system, each
+// from its system's Table 1 base and all at the same seed, and every
+// metric of its assertions names the cell it reads with a subscript
+// (success_rate[ls] >= success_rate[cs] + 5). With one system the
+// subscript may be left out.
 //
 // See EXPERIMENTS.md "Writing a scenario" for the full stanza
 // reference and a worked example.
@@ -110,14 +120,53 @@ type ClientsStanza struct {
 	Access *Block
 }
 
-// ExpectStanza is one assertion line: "METRIC [ARG] OP VALUE [tol V]".
+// ExpectStanza is one assertion line: "METRIC[SYS] [ARG] OP VALUE
+// [tol V]", or, when Ref is set, "METRIC[SYS] [ARG] OP METRIC[SYS]
+// [ARG] [+|- VALUE]".
 type ExpectStanza struct {
-	Line   int
-	Metric string
-	Arg    string
-	Op     string
-	Value  Value
-	Tol    *Value
+	Line int
+	// Operand is the metric on the left.
+	Operand
+	Op string
+	// Ref is the metric on the right (nil for a literal bound). Value is
+	// then the offset added to it after Sign ("+" or "-"; "" for none,
+	// and Value zero), and the bound itself otherwise.
+	Ref   *Operand
+	Sign  string
+	Value Value
+	Tol   *Value
+}
+
+// Operand is one metric of an assertion: its name, the system whose
+// cell it reads (the subscript; "" when left out) and its argument.
+type Operand struct {
+	Metric, Sys, Arg string
+}
+
+// String renders the operand as it is written.
+func (o Operand) String() string {
+	s := o.Metric
+	if o.Sys != "" {
+		s += "[" + o.Sys + "]"
+	}
+	if o.Arg != "" {
+		s += " " + o.Arg
+	}
+	return s
+}
+
+// String renders the assertion in its canonical reparseable form.
+func (ex ExpectStanza) String() string {
+	s := ex.Operand.String() + " " + ex.Op + " "
+	switch {
+	case ex.Ref == nil && ex.Tol != nil:
+		return s + ex.Value.String() + " tol " + ex.Tol.String()
+	case ex.Ref == nil:
+		return s + ex.Value.String()
+	case ex.Sign != "":
+		return s + ex.Ref.String() + " " + ex.Sign + " " + ex.Value.String()
+	}
+	return s + ex.Ref.String()
 }
 
 // Scenario is the parsed form of one .rts file.
@@ -128,7 +177,9 @@ type Scenario struct {
 	Name     string
 	NameLine int
 
-	System     string
+	// Systems lists the systems the scenario runs, one cell each (nil
+	// when the system line is absent: cs alone).
+	Systems    []string
 	SystemLine int
 
 	Seed     int64

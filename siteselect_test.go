@@ -7,8 +7,8 @@ import (
 	"siteselect"
 )
 
-func quick(n int, upd float64) siteselect.Config {
-	cfg := siteselect.DefaultConfig(n, upd)
+func quick(kind siteselect.SystemKind, n int, upd float64) siteselect.Config {
+	cfg := siteselect.DefaultConfig(kind, n, upd)
 	cfg.Duration = 3 * time.Minute
 	cfg.Warmup = 30 * time.Second
 	cfg.Drain = 30 * time.Second
@@ -19,10 +19,7 @@ func TestRunAllKinds(t *testing.T) {
 	for _, kind := range []siteselect.SystemKind{
 		siteselect.Centralized, siteselect.ClientServer, siteselect.LoadSharing,
 	} {
-		cfg := quick(4, 0.05)
-		if kind == siteselect.Centralized {
-			cfg.ServerMemory = 5000
-		}
+		cfg := quick(kind, 4, 0.05)
 		res, err := siteselect.Run(kind, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -37,13 +34,13 @@ func TestRunAllKinds(t *testing.T) {
 }
 
 func TestRunRejectsUnknownKind(t *testing.T) {
-	if _, err := siteselect.Run(siteselect.SystemKind(42), quick(2, 0)); err == nil {
+	if _, err := siteselect.Run(siteselect.SystemKind(42), quick(siteselect.ClientServer, 2, 0)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	cfg := quick(4, 0.05)
+	cfg := quick(siteselect.ClientServer, 4, 0.05)
 	cfg.DBSize = -1
 	if _, err := siteselect.Run(siteselect.ClientServer, cfg); err == nil {
 		t.Fatal("invalid config accepted")
@@ -58,15 +55,5 @@ func TestSystemKindString(t *testing.T) {
 	}
 	if siteselect.SystemKind(9).String() == "" {
 		t.Fatal("unknown kind should still print")
-	}
-}
-
-func TestFigureEntryPoint(t *testing.T) {
-	f, err := siteselect.Figure3(siteselect.Options{Scale: 0.05, Clients: []int{4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 1 || f.Rows[0].Clients != 4 {
-		t.Fatalf("rows = %+v", f.Rows)
 	}
 }
