@@ -121,8 +121,10 @@ type Client struct {
 	// passes.
 	outageEnd time.Duration
 
-	// Tracked accumulates every transaction generated at this client,
-	// for end-of-run finalization.
+	// Tracked lists the transactions generated here that are not yet
+	// retired (retire): in flight, or shipped and finished at their
+	// target with the result still on its way back. The end of the run
+	// settles what is left.
 	Tracked []*txn.Transaction
 
 	// ForwardHops counts forward-list client-to-client sends.
@@ -343,6 +345,7 @@ func (c *Client) startDispatcher() {
 // submitAsync runs the full submit path for t, starting at the current
 // instant.
 func (c *Client) submitAsync(t *txn.Transaction) {
+	enlist(&c.Tracked, t, &c.stock.txnLists)
 	c.spawnTxn(t, nil, enOrigin, nil)
 }
 

@@ -168,11 +168,14 @@ func (m *txnMachine) Resume() {
 	m.c.recycleTxn(m)
 }
 
-// recycleTxn clears a finished machine's pointer-bearing slices — to
-// full capacity, since mid-run truncations leave stale pointers beyond
-// the length — and hands it back to the system's stock with its arrays.
-// The remaining fields are overwritten wholesale by the next spawnTxn.
+// recycleTxn clears a finished machine's pointers into its transaction
+// and its pointer-bearing slices — to full capacity, since mid-run
+// truncations leave stale pointers beyond the length — and hands it back
+// to the system's stock with its arrays: a kept machine must not pin a
+// retired transaction. The remaining fields are overwritten wholesale by
+// the next spawnTxn.
 func (c *Client) recycleTxn(m *txnMachine) {
+	m.t, m.sub, m.reportTo, m.ops = nil, nil, nil, nil
 	clear(m.results[:cap(m.results)])
 	clear(m.entries[:cap(m.entries)])
 	c.stock.machines.Keep(m)
@@ -914,7 +917,7 @@ func (m *txnMachine) awaitCond() bool {
 
 // shipTxn sends a whole transaction to target for execution. It does
 // not block: the target becomes the single writer of the transaction's
-// status, and the TxnResult message back to the origin is informational
+// status, and the TxnResult message back to the origin retires it there
 // ("the results of executing the transaction are communicated to the
 // originating client").
 func (c *Client) shipTxn(t *txn.Transaction, target netsim.SiteID) {
@@ -946,6 +949,16 @@ func (c *Client) finishParent(t *txn.Transaction, committed bool) {
 	t.Finished = c.env.Now()
 	t.ExecSite = c.id
 	c.tr.Finish(t, c.id, c.env.Now())
+	c.retire(t)
+}
+
+// retire counts t, a transaction generated here that has reached its
+// final state, in the system's collector and drops it from Tracked: the
+// site keeps no history. A machine still unwinding t may read it; no
+// site writes it again.
+func (c *Client) retire(t *txn.Transaction) {
+	unlist(&c.Tracked, t, &c.stock.txnLists)
+	c.m.Retire(t, c.cfg.Warmup)
 }
 
 // specEntry records one version a speculative computation is based on.
@@ -1065,8 +1078,9 @@ func (m *txnMachine) closePending() {
 	*pt = pendingTxn{waits: pt.waits[:0], replies: c.giveBack(pt.replies)}
 }
 
-// finish records a terminal state for work executed here. For subtasks
-// and shipped-in transactions it also reports the result to the origin.
+// finish records a terminal state for work executed here: the origin
+// retires its own transaction at once, and subtasks and shipped-in
+// transactions report the result to the origin.
 func (m *txnMachine) finish(committed bool) {
 	c, t := m.c, m.t
 	now := c.env.Now()
@@ -1079,7 +1093,9 @@ func (m *txnMachine) finish(committed bool) {
 		t.Finished = now
 		t.ExecSite = c.id
 		c.tr.Finish(t, c.id, now)
-		if t.Origin != c.id {
+		if t.Origin == c.id {
+			c.retire(t)
+		} else {
 			c.sendTxnResult(t.Origin, proto.TxnResult{
 				Txn: t.ID, SubIndex: -1, Committed: committed,
 			})

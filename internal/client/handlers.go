@@ -235,10 +235,17 @@ func (c *Client) onTxnShip(s proto.TxnShip) {
 }
 
 // onTxnResult hands a remote subtask's result to the parent machine
-// waiting in fanout. A whole transaction's result is informational: the
-// origin shares the *txn.Transaction its target writes (shipTxn).
+// waiting in fanout. A whole transaction's result retires it: the origin
+// shares the *txn.Transaction its target wrote the outcome into
+// (shipTxn).
 func (c *Client) onTxnResult(r proto.TxnResult) {
 	if !r.IsSub {
+		for _, t := range c.Tracked {
+			if t.ID == r.Txn {
+				c.retire(t)
+				return
+			}
+		}
 		return
 	}
 	for _, m := range c.fanouts {

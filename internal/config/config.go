@@ -6,6 +6,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -371,6 +372,9 @@ func (c Config) Validate() error {
 		return errors.New("config: NumClients must be positive")
 	case c.DBSize <= 0:
 		return errors.New("config: DBSize must be positive")
+	case c.DBSize > math.MaxInt32:
+		// A shard and a buffer pool index their objects with int32.
+		return fmt.Errorf("config: DBSize %d above %d", c.DBSize, math.MaxInt32)
 	case c.ServerMemory <= 0:
 		return errors.New("config: ServerMemory must be positive")
 	case c.ClientMemory <= 0:

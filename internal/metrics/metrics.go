@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"siteselect/internal/lockmgr"
+	"siteselect/internal/netsim"
 	"siteselect/internal/txn"
 )
 
@@ -39,11 +40,13 @@ func (d *DurStats) Mean() time.Duration {
 // Collector gathers a run's statistics. It is not safe for concurrent
 // use; the simulation is single-threaded by construction.
 type Collector struct {
-	// Transaction outcomes.
+	// Transaction outcomes. Cold counts the transactions retired
+	// uncounted, for arriving before the warm-up ended.
 	Submitted int64
 	Committed int64
 	Missed    int64
 	Aborted   int64
+	Cold      int64
 
 	// Load sharing activity.
 	ShippedTxns    int64
@@ -77,6 +80,9 @@ type Collector struct {
 	SpeculationHits int64
 
 	shipped classStats
+	// executed counts the committed transactions Retire tallied by the
+	// client site that executed them (nil until the first).
+	executed map[netsim.SiteID]int64
 }
 
 // Per-class outcome counts for shipped transactions, letting experiments
@@ -90,6 +96,32 @@ type classStats struct {
 func (c *Collector) ShippedOutcomes() (submitted, committed int64) {
 	return c.shipped.Submitted, c.shipped.Committed
 }
+
+// Retire tallies t, a transaction that has reached its final state and
+// that its system now forgets, unless it arrived before warmup ended:
+// cold-start transactions are excluded (Cold). A committed one that ran
+// at a client site also counts for that site (ExecutedPerSite). Every
+// sum is an integer, so the order in which a system retires its
+// transactions cannot change a result.
+func (c *Collector) Retire(t *txn.Transaction, warmup time.Duration) {
+	if t.Arrival < warmup {
+		c.Cold++
+		return
+	}
+	c.Submitted++
+	c.RecordOutcome(t)
+	if t.Status == txn.StatusCommitted && t.ExecSite != netsim.ServerSite {
+		if c.executed == nil {
+			c.executed = make(map[netsim.SiteID]int64)
+		}
+		c.executed[t.ExecSite]++
+	}
+}
+
+// ExecutedPerSite returns the committed transactions Retire counted, by
+// the client site that executed them; a site that executed none has no
+// entry.
+func (c *Collector) ExecutedPerSite() map[netsim.SiteID]int64 { return c.executed }
 
 // RecordOutcome tallies a terminal transaction.
 func (c *Collector) RecordOutcome(t *txn.Transaction) {

@@ -22,7 +22,6 @@ package occ
 import (
 	"slices"
 
-	"siteselect/internal/lockmgr"
 	"siteselect/internal/txn"
 )
 
@@ -42,9 +41,6 @@ type Validator struct {
 func NewValidator(dbSize int) *Validator {
 	return &Validator{versions: make([]int64, dbSize)}
 }
-
-// Version returns the committed version of obj.
-func (v *Validator) Version(obj lockmgr.ObjectID) int64 { return v.versions[obj] }
 
 // ReadSet snapshots the versions of the objects ops touch, in access
 // order, for a transaction starting its read phase; it appends them to

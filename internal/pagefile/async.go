@@ -11,18 +11,15 @@ import "siteselect/internal/sim"
 // sim.HoldOp.
 
 // ioOp is one disk access: hold the arm for the access time, then count
-// and move the stamp. stamp is what a write stores and, once step
-// reports done, what a read found; pages never written read as zero.
+// it.
 type ioOp struct {
 	d     *Disk
-	id    PageID
-	stamp uint64
 	write bool
 	arm   sim.HoldOp
 }
 
-func (o *ioOp) start(d *Disk, write bool, id PageID, stamp uint64) {
-	o.d, o.id, o.stamp, o.write = d, id, stamp, write
+func (o *ioOp) start(d *Disk, write bool) {
+	o.d, o.write = d, write
 }
 
 // step advances the access; false means the task parked and step must
@@ -38,10 +35,8 @@ func (o *ioOp) step(t *sim.Task) bool {
 	}
 	if o.write {
 		d.Writes++
-		d.pages[o.id] = o.stamp
 	} else {
 		d.Reads++
-		o.stamp = d.pages[o.id]
 	}
 	return true
 }
@@ -66,9 +61,7 @@ const (
 // completion before the frame is used.
 func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocAction) {
 	if bp.allocated < len(bp.slab) {
-		f := bp.newFrame(id)
-		bp.frames[id] = f
-		return f, allocReady
+		return bp.newFrame(id), allocReady
 	}
 	vf := bp.lruBack
 	if vf == nil {
@@ -85,15 +78,14 @@ func (bp *BufferPool) allocate(t *sim.Task, io *ioOp, id PageID) (*Frame, allocA
 	// signal are safe to reuse. Marking it loading first makes other
 	// getters of id wait rather than double-read; the write-back and
 	// read that follow park, so the index must already reflect the claim.
-	bp.frames[vid] = nil
+	bp.at[id], bp.at[vid] = bp.at[vid], 0
 	wasDirty := vf.dirty
 	vf.id = id
 	vf.pins = 1
 	vf.dirty = false
 	vf.loading = true
-	bp.frames[id] = vf
 	if wasDirty {
-		io.start(bp.disk, true, vid, vf.Stamp)
+		io.start(bp.disk, true)
 		return vf, allocWriteback
 	}
 	return vf, allocReady
@@ -136,7 +128,7 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 			if err := bp.disk.check(g.id); err != nil {
 				return true, err
 			}
-			if f := bp.frames[g.id]; f != nil {
+			if f := bp.frame(g.id); f != nil {
 				if f.loading {
 					t.Wait(&f.loaded)
 					return false, nil // frame may be re-keyed; recheck
@@ -163,13 +155,12 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 			g.pc = gpMiss
 		case gpMiss:
 			bp.Misses++
-			g.io.start(bp.disk, false, g.id, 0)
+			g.io.start(bp.disk, false)
 			g.pc = gpRead
 		default: // gpRead
 			if !g.io.step(t) {
 				return false, nil
 			}
-			g.f.Stamp = g.io.stamp
 			g.f.loading = false
 			g.f.loaded.Broadcast()
 			return true, nil
@@ -177,18 +168,17 @@ func (g *GetOp) Step(t *sim.Task) (bool, error) {
 	}
 }
 
-// PutOp installs stamp as the current contents of a page without
-// reading the old contents from disk (used when a client returns a
-// modified object: the server has the authoritative new copy in hand).
+// PutOp installs a new version of a page without reading the old one
+// from disk (used when a client returns a modified object: the server
+// has the authoritative new copy in hand).
 // The page becomes resident and dirty; eviction writes it back. A full
 // pool evicts (and possibly writes back) a victim first.
 type PutOp struct {
-	bp    *BufferPool
-	id    PageID
-	stamp uint64
-	f     *Frame
-	io    ioOp
-	pc    uint8
+	bp *BufferPool
+	id PageID
+	f  *Frame
+	io ioOp
+	pc uint8
 }
 
 const (
@@ -197,9 +187,9 @@ const (
 	ppInstall
 )
 
-// Init arms the op to install stamp as page id in bp.
-func (o *PutOp) Init(bp *BufferPool, id PageID, stamp uint64) {
-	o.bp, o.id, o.stamp, o.f, o.pc = bp, id, stamp, nil, ppLookup
+// Init arms the op to install page id in bp.
+func (o *PutOp) Init(bp *BufferPool, id PageID) {
+	o.bp, o.id, o.f, o.pc = bp, id, nil, ppLookup
 }
 
 // Step advances the install; false means the task parked and Step must
@@ -212,12 +202,11 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 			if err := bp.disk.check(o.id); err != nil {
 				return true, err
 			}
-			if f := bp.frames[o.id]; f != nil {
+			if f := bp.frame(o.id); f != nil {
 				if f.loading {
 					t.Wait(&f.loaded)
 					return false, nil
 				}
-				f.Stamp = o.stamp
 				f.dirty = true
 				bp.touch(f)
 				return true, nil
@@ -239,7 +228,6 @@ func (o *PutOp) Step(t *sim.Task) (bool, error) {
 			o.pc = ppInstall
 		default: // ppInstall
 			f := o.f
-			f.Stamp = o.stamp
 			f.dirty = true
 			f.loading = false
 			f.loaded.Broadcast()

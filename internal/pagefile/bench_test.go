@@ -16,8 +16,8 @@ import (
 // in place.
 
 func TestFrameSize(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got > 64 {
-		t.Errorf("unsafe.Sizeof(Frame) = %d B, ceiling 64 B (a page body is an 8-byte stamp, not a buffer)", got)
+	if got := unsafe.Sizeof(Frame{}); got > 56 {
+		t.Errorf("unsafe.Sizeof(Frame) = %d B, ceiling 56 B (a frame carries no page body)", got)
 	}
 }
 

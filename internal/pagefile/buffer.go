@@ -3,14 +3,10 @@ package pagefile
 import "siteselect/internal/sim"
 
 // Frame is a buffer-pool slot holding one page. Callers pin a frame with
-// a GetOp, read or modify Stamp, and release it with Unpin.
+// a GetOp and release it with Unpin, saying whether they modified the
+// page. A frame carries no page body (see the package comment).
 type Frame struct {
 	id PageID
-	// Stamp is the page's content. The model charges a page's 2 KB in
-	// transfer and disk time; the only content any site ever stores in
-	// one is the version of the object it holds, so that is all a frame
-	// (and a disk page) carries.
-	Stamp uint64
 	// loaded wakes the getters of a page being read; it lives in the frame.
 	loaded sim.Signal
 	// Intrusive LRU links: the frame is its own list node, so pin/unpin
@@ -29,9 +25,12 @@ type Frame struct {
 type BufferPool struct {
 	env  *sim.Env
 	disk *Disk
-	// frames indexes the resident (or loading) pages by page id, as the
-	// disk indexes its pages; nil where the page is not in the pool.
-	frames []*Frame
+	// at indexes the resident (or loading) pages by page id: one plus
+	// the index in slab of the frame holding the page, zero where the
+	// page is not in the pool. Four bytes a disk page (config.Validate
+	// keeps page ids within int32) and no pointers, so the collector
+	// never scans it.
+	at []int32
 	// slab backs the pool's frames: one contiguous allocation newFrame
 	// carves from, so the working set stays cache-adjacent and the GC
 	// sees one object. It holds min(cap, disk pages) frames — a pool
@@ -54,19 +53,30 @@ func NewBufferPool(env *sim.Env, disk *Disk, capacity int) *BufferPool {
 	}
 	n := min(capacity, disk.NumPages())
 	return &BufferPool{
-		env:    env,
-		disk:   disk,
-		frames: make([]*Frame, disk.NumPages()),
-		slab:   make([]Frame, n),
-		free:   sim.NewSignal(env),
+		env:  env,
+		disk: disk,
+		at:   make([]int32, disk.NumPages()),
+		slab: make([]Frame, n),
+		free: sim.NewSignal(env),
 	}
 }
 
-// newFrame carves the next frame slot out of the pool's slab, pinned
-// and loading. Callers must have checked bp.allocated < len(bp.slab).
+// frame returns the frame holding page id, nil when the page is not in
+// the pool. id must be a page of the disk.
+func (bp *BufferPool) frame(id PageID) *Frame {
+	if i := bp.at[id]; i != 0 {
+		return &bp.slab[i-1]
+	}
+	return nil
+}
+
+// newFrame carves the next frame slot out of the pool's slab for page
+// id, pinned and loading. Callers must have checked bp.allocated <
+// len(bp.slab).
 func (bp *BufferPool) newFrame(id PageID) *Frame {
 	f := &bp.slab[bp.allocated]
 	bp.allocated++
+	bp.at[id] = int32(bp.allocated)
 	f.id = id
 	f.pins = 1
 	f.loading = true

@@ -8,8 +8,9 @@
 //
 // A page is the paper's 2 KB in what it costs — the wire size of an
 // object transfer (netsim.ObjectBytes) and one disk access time — and
-// an 8-byte stamp in what it holds: the version of the object stored in
-// it, which is the only content any site ever wrote into a page body.
+// nothing in what it holds: no site ever reads a page body back (an
+// object's version lives with the site that owns it), so the model
+// keeps no contents, only which pages are resident, pinned and dirty.
 package pagefile
 
 import (
@@ -33,14 +34,14 @@ type DiskConfig struct {
 type Disk struct {
 	cfg   DiskConfig
 	arm   *sim.Resource
-	pages []uint64 // one stamp a page; see Frame.Stamp
+	pages int
 
 	// Reads and Writes count completed operations.
 	Reads  int64
 	Writes int64
 }
 
-// NewDisk returns a disk with numPages pages, all stamped zero.
+// NewDisk returns a disk with numPages pages.
 func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 	if numPages <= 0 {
 		panic("pagefile: disk needs at least one page")
@@ -48,20 +49,20 @@ func NewDisk(env *sim.Env, numPages int, cfg DiskConfig) *Disk {
 	return &Disk{
 		cfg:   cfg,
 		arm:   sim.NewResource(env, 1),
-		pages: make([]uint64, numPages),
+		pages: numPages,
 	}
 }
 
 // NumPages returns the capacity of the disk in pages.
-func (d *Disk) NumPages() int { return len(d.pages) }
+func (d *Disk) NumPages() int { return d.pages }
 
 // Resource exposes the device arm so co-located work (e.g. a write-ahead
 // log sharing the spindle) contends with page I/O.
 func (d *Disk) Resource() *sim.Resource { return d.arm }
 
 func (d *Disk) check(id PageID) error {
-	if int(id) < 0 || int(id) >= len(d.pages) {
-		return fmt.Errorf("pagefile: page %d out of range [0,%d)", id, len(d.pages))
+	if int(id) < 0 || int(id) >= d.pages {
+		return fmt.Errorf("pagefile: page %d out of range [0,%d)", id, d.pages)
 	}
 	return nil
 }

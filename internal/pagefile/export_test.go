@@ -11,9 +11,9 @@ func DefaultDiskConfig() DiskConfig {
 // Contains reports whether page id is resident (pinned or not), without
 // touching LRU state. No page beyond the disk's is.
 func (bp *BufferPool) Contains(id PageID) bool {
-	if uint(id) >= uint(len(bp.frames)) {
+	if uint(id) >= uint(len(bp.at)) {
 		return false
 	}
-	f := bp.frames[id]
+	f := bp.frame(id)
 	return f != nil && !f.loading
 }

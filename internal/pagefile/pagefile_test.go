@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,18 +10,11 @@ import (
 	"siteselect/internal/sim/simtest"
 )
 
-// diskIO is a step that performs one disk access through ioOp: a write
-// stores *stamp, a read leaves what it found there.
-func diskIO(d *Disk, write bool, id PageID, stamp *uint64) simtest.Step {
+// diskIO is a step that performs one disk access through ioOp.
+func diskIO(d *Disk, write bool) simtest.Step {
 	var op ioOp
-	op.start(d, write, id, *stamp)
-	return func(t *sim.Task) bool {
-		if !op.step(t) {
-			return false
-		}
-		*stamp = op.stamp
-		return true
-	}
+	op.start(d, write)
+	return op.step
 }
 
 // getErr is a step that pins page id through a GetOp, storing the frame
@@ -52,10 +46,10 @@ func get(t *testing.T, bp *BufferPool, id PageID, f **Frame) simtest.Step {
 	}
 }
 
-// put is a step that installs stamp as page id through a PutOp.
-func put(bp *BufferPool, id PageID, stamp uint64, err *error) simtest.Step {
+// put is a step that installs page id through a PutOp.
+func put(bp *BufferPool, id PageID, err *error) simtest.Step {
 	var op PutOp
-	op.Init(bp, id, stamp)
+	op.Init(bp, id)
 	return func(t *sim.Task) bool {
 		done, e := op.Step(t)
 		if done {
@@ -86,29 +80,16 @@ func run(t *testing.T, env *sim.Env, steps ...simtest.Step) {
 	}
 }
 
+// A write and a read each take one access time and count once.
 func TestDiskReadWriteRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
-	in, out := uint64(0x0123456789ABCDEF), uint64(0)
-	run(t, env, diskIO(d, true, 3, &in), diskIO(d, false, 3, &out))
-	if out != in {
-		t.Errorf("read back %#x, want %#x", out, in)
-	}
+	run(t, env, diskIO(d, true), diskIO(d, false))
 	if d.Reads != 1 || d.Writes != 1 {
 		t.Fatalf("reads=%d writes=%d", d.Reads, d.Writes)
 	}
 	if env.Now() != 24*time.Millisecond {
 		t.Fatalf("elapsed = %v, want 24ms", env.Now())
-	}
-}
-
-func TestDiskUnwrittenPageReadsZero(t *testing.T) {
-	env := sim.NewEnv()
-	d := NewDisk(env, 4, DefaultDiskConfig())
-	got := uint64(0xFF)
-	run(t, env, diskIO(d, false, 0, &got))
-	if got != 0 {
-		t.Errorf("unwritten page read %#x, want 0", got)
 	}
 }
 
@@ -120,7 +101,7 @@ func TestDiskOutOfRange(t *testing.T) {
 	var rerr, werr error
 	run(t, env,
 		getErr(bp, 4, &f, &rerr),
-		put(bp, -1, 1, &werr))
+		put(bp, -1, &werr))
 	if rerr == nil {
 		t.Error("read past end did not fail")
 	}
@@ -138,7 +119,7 @@ func TestDiskSerializesRequests(t *testing.T) {
 	finished := 0
 	for i := 0; i < 3; i++ {
 		simtest.Spawn(env,
-			diskIO(d, false, PageID(i), new(uint64)),
+			diskIO(d, false),
 			do(func(*sim.Task) { finished++ }))
 	}
 	env.RunAll()
@@ -201,31 +182,20 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 1)
 	var f *Frame
+	unpin := do(func(*sim.Task) { bp.Unpin(f, false) })
 	run(t, env,
 		get(t, bp, 5, &f),
-		do(func(*sim.Task) {
-			f.Stamp = 0xAB
-			bp.Unpin(f, true)
-		}),
-		// Evict page 5 by loading another page, never written: the
-		// re-keyed frame must not keep its victim's stamp.
-		get(t, bp, 6, &f),
-		do(func(*sim.Task) {
-			if f.Stamp != 0 {
-				t.Errorf("never-written page read %#x through a re-keyed frame, want 0", f.Stamp)
-			}
-			bp.Unpin(f, false)
-		}),
-		// Re-read 5 from disk: modification must have survived.
-		get(t, bp, 5, &f),
-		do(func(*sim.Task) {
-			if f.Stamp != 0xAB {
-				t.Error("dirty page lost on eviction")
-			}
-			bp.Unpin(f, false)
-		}))
-	if d.Writes != 1 {
-		t.Fatalf("disk writes = %d", d.Writes)
+		do(func(*sim.Task) { bp.Unpin(f, true) }),
+		// Evict page 5 by loading another page: the write-back comes
+		// first, and the re-keyed frame must not stay dirty.
+		get(t, bp, 6, &f), unpin,
+		// Evicting 6, clean, writes nothing; 5 is read back from disk.
+		get(t, bp, 5, &f), unpin)
+	if d.Writes != 1 || d.Reads != 3 {
+		t.Fatalf("disk writes = %d, reads = %d, want 1 and 3", d.Writes, d.Reads)
+	}
+	if env.Now() != 48*time.Millisecond {
+		t.Fatalf("elapsed = %v, want 48ms (three reads, one write-back)", env.Now())
 	}
 	if bp.Pinned() != 0 {
 		t.Fatalf("pinned = %d after every Unpin", bp.Pinned())
@@ -263,17 +233,16 @@ func TestConcurrentGetSingleRead(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 4)
-	d.pages[7] = 0xC0FFEE
 	done := 0
 	for i := 0; i < 5; i++ {
 		var f *Frame
 		simtest.Spawn(env,
 			get(t, bp, 7, &f),
-			do(func(*sim.Task) {
-				// The four that waited on the loading frame see what
-				// the one read brought in.
-				if f.Stamp != 0xC0FFEE {
-					t.Errorf("getter %d saw stamp %#x, want 0xC0FFEE", done, f.Stamp)
+			do(func(task *sim.Task) {
+				// The four that waited on the loading frame are let go
+				// when the one read lands, not after reads of their own.
+				if task.Now() != 12*time.Millisecond {
+					t.Errorf("getter %d pinned page 7 at %v, want 12ms", done, task.Now())
 				}
 				bp.Unpin(f, false)
 				done++
@@ -356,50 +325,57 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 	bp.Unpin(&Frame{}, false)
 }
 
-// Property: after any sequence of writes through a pool smaller than
-// the page set, every page reads back the last value written to it —
-// whether it is still resident or was written back on eviction and
-// re-read (write-back preserves data).
+// Property: after any sequence of pins through a pool smaller than the
+// page set, each modifying or not, the pool's hits, misses, reads and
+// write-backs are those of a reference LRU cache of the same size: a
+// page is read on a miss only, and written back exactly when a
+// modification of it since its last read is evicted.
 func TestWriteBackConsistencyProperty(t *testing.T) {
+	const frames = 3
 	f := func(ops []uint8) bool {
 		env := sim.NewEnv()
 		d := NewDisk(env, 8, DiskConfig{ReadTime: time.Millisecond, WriteTime: time.Millisecond})
-		bp := NewBufferPool(env, d, 3)
-		want := map[PageID]uint64{}
+		bp := NewBufferPool(env, d, frames)
+		var lru []PageID // the reference, most recent first
+		dirty := map[PageID]bool{}
+		var hits, misses, writes int64
 		pass := true
 		var fr *Frame
 		var err error
 		var steps []simtest.Step
-		for i, op := range ops {
-			id, v := PageID(op%8), uint64(i+1)
-			want[id] = v
+		for _, op := range ops {
+			id, modify := PageID(op%8), op&8 != 0
+			if i := slices.Index(lru, id); i >= 0 {
+				hits++
+				lru = slices.Delete(lru, i, i+1)
+			} else {
+				misses++
+				if len(lru) == frames {
+					victim := lru[frames-1]
+					lru = lru[:frames-1]
+					if dirty[victim] {
+						writes++
+						delete(dirty, victim)
+					}
+				}
+			}
+			lru = slices.Insert(lru, 0, id)
+			dirty[id] = dirty[id] || modify
 			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
 				if err != nil {
 					pass = false
 					return
 				}
-				fr.Stamp = v
-				bp.Unpin(fr, true)
-			}))
-		}
-		for id, v := range want {
-			steps = append(steps, getErr(bp, id, &fr, &err), do(func(*sim.Task) {
-				if err != nil || fr.Stamp != v {
-					pass = false
-					return
-				}
-				bp.Unpin(fr, false)
+				bp.Unpin(fr, modify)
 			}))
 		}
 		simtest.Spawn(env, steps...)
 		env.RunAll()
-		// Whatever eviction wrote back must match too.
-		for id, v := range want {
-			if !bp.Contains(id) && d.pages[id] != v {
-				pass = false
-			}
+		for _, id := range lru {
+			pass = pass && bp.Contains(id)
 		}
-		return pass && bp.Pinned() == 0
+		return pass && bp.Pinned() == 0 && bp.Hits == hits && bp.Misses == misses &&
+			d.Reads == misses && d.Writes == writes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -413,7 +389,7 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 	var f *Frame
 	var err error
 	run(t, env,
-		put(bp, 3, 0x42, &err),
+		put(bp, 3, &err),
 		do(func(*sim.Task) {
 			if err != nil {
 				t.Errorf("put: %v", err)
@@ -425,8 +401,8 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 		}),
 		get(t, bp, 3, &f),
 		do(func(*sim.Task) {
-			if f.Stamp != 0x42 {
-				t.Error("Put data lost")
+			if bp.Hits != 1 || bp.Misses != 0 {
+				t.Errorf("pin after Put: hits=%d misses=%d, want a hit", bp.Hits, bp.Misses)
 			}
 			if !f.dirty {
 				t.Error("Put page not dirty")
@@ -435,29 +411,39 @@ func TestPutInstallsWithoutRead(t *testing.T) {
 		}))
 }
 
+// A Put over a resident clean page costs no I/O and leaves the page
+// dirty and most recently used: the next eviction takes the other page,
+// and the one after writes the put page back.
 func TestPutOverwritesResidentPage(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 10, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
 	var f *Frame
 	var err error
+	unpin := do(func(*sim.Task) { bp.Unpin(f, false) })
 	run(t, env,
-		get(t, bp, 1, &f),
-		do(func(*sim.Task) {
-			f.Stamp = 1
-			bp.Unpin(f, true)
-		}),
-		put(bp, 1, 9, &err),
-		get(t, bp, 1, &f),
+		get(t, bp, 1, &f), unpin,
+		get(t, bp, 2, &f), unpin,
+		put(bp, 1, &err),
 		do(func(*sim.Task) {
 			if err != nil {
 				t.Errorf("put: %v", err)
 			}
-			if f.Stamp != 9 {
-				t.Errorf("resident overwrite lost: %d", f.Stamp)
+			if d.Reads != 2 || d.Writes != 0 {
+				t.Errorf("resident Put reached the disk: reads=%d writes=%d", d.Reads, d.Writes)
 			}
-			bp.Unpin(f, false)
-		}))
+		}),
+		get(t, bp, 3, &f), unpin)
+	if !bp.Contains(1) || bp.Contains(2) {
+		t.Fatalf("residency after eviction: 1=%v 2=%v, want the put page kept", bp.Contains(1), bp.Contains(2))
+	}
+	if d.Writes != 0 {
+		t.Fatalf("clean page 2 written back: %d writes", d.Writes)
+	}
+	run(t, env, get(t, bp, 4, &f), unpin)
+	if bp.Contains(1) || d.Writes != 1 {
+		t.Fatalf("evicting the put page: resident=%v writes=%d, want gone and written back", bp.Contains(1), d.Writes)
+	}
 }
 
 func TestPutRejectsBadPage(t *testing.T) {
@@ -465,7 +451,7 @@ func TestPutRejectsBadPage(t *testing.T) {
 	d := NewDisk(env, 4, DefaultDiskConfig())
 	bp := NewBufferPool(env, d, 2)
 	var err error
-	run(t, env, put(bp, 99, 1, &err))
+	run(t, env, put(bp, 99, &err))
 	if err == nil {
 		t.Error("out-of-range Put accepted")
 	}
@@ -475,7 +461,7 @@ func TestDiskResourceShared(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewDisk(env, 4, DiskConfig{ReadTime: 10 * time.Millisecond, WriteTime: 10 * time.Millisecond})
 	var t2 time.Duration
-	simtest.Spawn(env, diskIO(d, false, 0, new(uint64)))
+	simtest.Spawn(env, diskIO(d, false))
 	simtest.Spawn(env,
 		// Co-located work on the same spindle waits behind the read.
 		simtest.Park(func(task *sim.Task) bool { return !task.Acquire(d.Resource(), 0) }),

@@ -3,6 +3,7 @@ package rtdbs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
@@ -42,14 +43,19 @@ type ceCore struct {
 	// terminals is the population, by site id less one: a terminal's
 	// generator is an element of the workload arrays (newGenerators).
 	terminals []terminal
+	// ledger is what the end-of-run walk found for the conservation
+	// check.
+	ledger ledger
 	// spawn starts the engine's machine for one arriving transaction.
 	spawn func(*txn.Transaction)
 }
 
 type terminal struct {
-	ce      *ceCore
-	id      netsim.SiteID
-	gen     *txn.Generator
+	ce  *ceCore
+	id  netsim.SiteID
+	gen *txn.Generator
+	// tracked lists the terminal's transactions not yet retired: those
+	// in flight (ceCore.retire).
 	tracked []*txn.Transaction
 }
 
@@ -78,7 +84,8 @@ func newCECore(cfg config.Config) (ceCore, error) {
 		cpu:   sim.NewResource(env, 1),
 		inbox: sim.NewMailbox[netsim.Message](env),
 	}
-	gens := newGenerators(&cfg)
+	gens, maker := newGenerators(&cfg)
+	ce.ledger.maker = maker
 	ce.terminals = make([]terminal, cfg.NumClients)
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
@@ -113,9 +120,8 @@ func (ce *ceCore) Start() {
 type Centralized struct {
 	ceCore
 
-	locks    *lockmgr.Table
-	versions []int64
-	log      *wal.Log
+	locks *lockmgr.Table
+	log   *wal.Log
 	// machines holds the transaction machines, one per transaction at the
 	// server; a finished one goes back with its frame and request arrays.
 	machines slab.Slab[ceTxnMachine]
@@ -128,9 +134,8 @@ func NewCentralized(cfg config.Config) (*Centralized, error) {
 		return nil, err
 	}
 	ce := &Centralized{
-		ceCore:   core,
-		locks:    lockmgr.NewTable(),
-		versions: make([]int64, cfg.DBSize),
+		ceCore: core,
+		locks:  lockmgr.NewTable(),
 	}
 	ce.spawn = ce.spawnTxn
 	ce.locks.Reserve(cfg.DBSize)
@@ -323,6 +328,21 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 		Kind: netsim.KindUserResult, From: netsim.ServerSite, To: t.Origin,
 		Size: netsim.ResultBytes,
 	}, nil)
+	ce.retire(t)
+}
+
+// retire counts t, which has reached its final state, in the collector
+// and drops it from its terminal's list: the system keeps no history.
+// The machine that finished t may still read it; nothing writes it
+// again.
+func (ce *ceCore) retire(t *txn.Transaction) {
+	term := &ce.terminals[t.Origin-1]
+	l := term.tracked
+	last := len(l) - 1
+	l[slices.Index(l, t)] = l[last]
+	l[last] = nil
+	term.tracked = l[:last]
+	ce.m.Retire(t, ce.cfg.Warmup)
 }
 
 // priority is t's rank for a thread slot and the CPU, lower first: its
@@ -376,6 +396,7 @@ func (m *ceTxnMachine) Resume() {
 		}
 	}
 	m.task.Detach()
+	m.t = nil // a kept machine must not pin a retired transaction
 	m.ce.machines.Keep(m)
 }
 
@@ -433,15 +454,10 @@ func (m *ceTxnMachine) step() bool {
 	case xsRan:
 		var lastLSN int64
 		for i, op := range t.Ops {
-			dirty := op.Write
-			if dirty {
-				ce.versions[op.Obj]++
-				m.read.frames[i].Stamp = uint64(ce.versions[op.Obj])
-				if ce.log != nil {
-					lastLSN = ce.log.Append()
-				}
+			if op.Write && ce.log != nil {
+				lastLSN = ce.log.Append()
 			}
-			ce.pool.Unpin(m.read.frames[i], dirty)
+			ce.pool.Unpin(m.read.frames[i], op.Write)
 		}
 		clear(m.read.frames)
 		if ce.log != nil && lastLSN > 0 {
@@ -481,26 +497,31 @@ func (ce *Centralized) Run() (*Result, error) {
 	ce.env.Run(ce.cfg.Duration + ce.cfg.Drain)
 	res := ce.collect()
 	err := ce.locks.Audit()
+	if err == nil && ce.cfg.CheckInvariants {
+		err = ce.ledger.verify(ce.m)
+	}
 	ce.env.Close()
 	return res, err
 }
 
+// collect settles the transactions left unretired and reads the run's
+// statistics: one whose deadline has not passed is in flight and
+// excluded, one past it died waiting and is retired as missed.
 func (ce *ceCore) collect() *Result {
 	now := ce.env.Now()
 	for k := range ce.terminals {
 		for _, t := range ce.terminals[k].tracked {
 			if !t.Terminal() {
 				if t.Deadline >= now {
+					ce.ledger.inFlight++
 					continue
 				}
 				t.Status = txn.StatusMissed
 				t.Finished = now
+			} else {
+				ce.ledger.unretired(t)
 			}
-			if t.Arrival < ce.cfg.Warmup {
-				continue
-			}
-			ce.m.Submitted++
-			ce.m.RecordOutcome(t)
+			ce.m.Retire(t, ce.cfg.Warmup)
 		}
 	}
 	return &Result{

@@ -76,6 +76,7 @@ func (m *occTxnMachine) Resume() {
 		}
 	}
 	m.task.Detach()
+	m.t = nil // a kept machine must not pin a retired transaction
 	m.ce.machines.Keep(m)
 }
 
@@ -124,9 +125,6 @@ func (m *occTxnMachine) step() bool {
 		// Validation + write phase (serialized, atomic in virtual time).
 		if ce.valid.Validate(t.Ops, m.snapshot) {
 			for i, op := range t.Ops {
-				if op.Write {
-					m.read.frames[i].Stamp = uint64(ce.valid.Version(op.Obj))
-				}
 				ce.pool.Unpin(m.read.frames[i], op.Write)
 			}
 			clear(m.read.frames)
@@ -171,6 +169,10 @@ func (ce *CentralizedOCC) Run() (*Result, error) {
 	res.Restarts = ce.Restarts
 	res.Validations = ce.valid.Validations
 	res.Conflicts = ce.valid.Conflicts
+	var err error
+	if ce.cfg.CheckInvariants {
+		err = ce.ledger.verify(ce.m)
+	}
 	ce.env.Close()
-	return res, nil
+	return res, err
 }

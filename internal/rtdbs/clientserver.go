@@ -44,6 +44,9 @@ type Cluster struct {
 	// the tests that pin what a step costs.
 	touched *[]lockmgr.Touch
 	visits  struct{ locks, caches int }
+	// ledger is what the end-of-run walk found for the conservation
+	// check.
+	ledger ledger
 	// pendingDue is the earliest deadline of any client's open exchange
 	// as request conservation last saw them: until grace past it no
 	// exchange open then can break the rule, and one opened since was
@@ -128,7 +131,8 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 	// workload arrays of newGenerators — and each site is initialised in
 	// place: the loop below makes no object. The arrays live as long as
 	// the cluster; nothing is returned to them.
-	gens := newGenerators(&c.cfg)
+	gens, maker := newGenerators(&c.cfg)
+	c.ledger.maker = maker
 	stride := 1 + nShards
 	boxes := make([]sim.Mailbox[netsim.Message], cfg.NumClients*stride)
 	inboxes := make([]*sim.Mailbox[netsim.Message], cfg.NumClients+1) // by site id
@@ -269,6 +273,9 @@ func (c *Cluster) Run() (*Result, error) {
 	c.env.Run(c.cfg.Duration + c.cfg.Drain)
 	res := c.collect()
 	err := c.Audit()
+	if err == nil && c.cfg.CheckInvariants {
+		err = c.ledger.verify(c.m)
+	}
 	if err == nil && mon != nil {
 		err = mon.Final()
 	}
@@ -508,6 +515,12 @@ func (c *Cluster) bestVersion(obj lockmgr.ObjectID) int64 {
 	return best
 }
 
+// collect settles what the run left unretired and reads the run's
+// statistics. A transaction still on its origin's list at the end is in
+// flight, and excluded, while its deadline has not passed; one past its
+// deadline died waiting and is missed; one shipped and finished at its
+// target, with the result still on the wire, is as it ended. The last
+// two are retired here.
 func (c *Cluster) collect() *Result {
 	now := c.env.Now()
 	for i := range c.clients {
@@ -515,6 +528,7 @@ func (c *Cluster) collect() *Result {
 		for _, t := range cl.Tracked {
 			if !t.Terminal() {
 				if t.Deadline >= now {
+					c.ledger.inFlight++
 					continue // still legitimately in flight; exclude
 				}
 				t.Status = txn.StatusMissed
@@ -526,12 +540,10 @@ func (c *Cluster) collect() *Result {
 					site = t.Origin
 				}
 				c.tr.Finish(t, site, now)
+			} else if !t.Shipped {
+				c.ledger.unretired(t)
 			}
-			if t.Arrival < c.cfg.Warmup {
-				continue // cold-start transactions are excluded
-			}
-			c.m.Submitted++
-			c.m.RecordOutcome(t)
+			c.m.Retire(t, c.cfg.Warmup)
 		}
 	}
 	res := &Result{
@@ -564,7 +576,7 @@ func (c *Cluster) collect() *Result {
 	if c.tr != nil {
 		res.MissCauses = c.tr.MissCauses(c.cfg.Warmup)
 	}
-	res.ExecutedPerSite = make(map[netsim.SiteID]int64, len(c.clients))
+	res.ExecutedPerSite = c.m.ExecutedPerSite()
 	for i := range c.clients {
 		cl := &c.clients[i]
 		res.ForwardHops += cl.ForwardHops
@@ -572,11 +584,6 @@ func (c *Cluster) collect() *Result {
 		res.LostUpdates += cl.LostUpdates
 		if l := cl.Log(); l != nil {
 			res.LogForces += l.Forces
-		}
-		for _, t := range cl.Tracked {
-			if t.Status == txn.StatusCommitted && t.Arrival >= c.cfg.Warmup {
-				res.ExecutedPerSite[t.ExecSite]++
-			}
 		}
 	}
 	return res

@@ -11,13 +11,17 @@ import (
 
 // checkedConfig is the benchmark's checked cell: the configuration of
 // bench/workloads/degraded_checked.rts, monitor on.
-func checkedConfig(t testing.TB) config.Config {
+func checkedConfig(t testing.TB) config.Config { return benchCell(t, "degraded_checked.rts") }
+
+// benchCell is the configuration of the benchmark's one-cell scenario
+// bench/workloads/<file>.
+func benchCell(t testing.TB, file string) config.Config {
 	t.Helper()
-	src, err := os.ReadFile("../../bench/workloads/degraded_checked.rts")
+	src, err := os.ReadFile("../../bench/workloads/" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := scenario.Parse("degraded_checked.rts", string(src))
+	parsed, err := scenario.Parse(file, string(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,19 +107,14 @@ func TestParkedClientFootprint(t *testing.T) {
 			if tc.cfg.NumClients != clients {
 				t.Fatalf("%d clients configured, want %d", tc.cfg.NumClients, clients)
 			}
-			settled := func(ms *runtime.MemStats) {
-				runtime.GC()
-				runtime.GC()
-				runtime.ReadMemStats(ms)
-			}
 			var before, after runtime.MemStats
-			settled(&before)
+			settledHeap(&before)
 			c, err := rtdbs.NewClientServer(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c.Start()
-			settled(&after)
+			settledHeap(&after)
 			bytes := float64(after.HeapAlloc-before.HeapAlloc) / clients
 			mallocs := float64(after.Mallocs-before.Mallocs) / clients
 			t.Logf("%d clients built and started (%s path): %.0f B/client, %.1f mallocs/client", clients, tc.name, bytes, mallocs)
@@ -213,5 +208,76 @@ func TestMallocsPerTransaction(t *testing.T) {
 				t.Errorf("%.1f mallocs per submitted transaction, ceiling %.1f", perTxn, tc.ceiling)
 			}
 		})
+	}
+}
+
+// settledHeap collects twice and reads the memory statistics, as the
+// benchmark does before and after a cell.
+func settledHeap(ms *runtime.MemStats) {
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(ms)
+}
+
+// TestBuildBytes pins what building the benchmark's contended_sharded
+// cell (bench/workloads/contended_cs.rts: 150 clients, four shards over
+// 10 000 objects) allocates: the benchmark's setup_s times this
+// construction, most of it clearing memory. go1.24 reads 1.54 MB; 1.69
+// while every shard indexed its object records with pointers, 1.85 while
+// its buffer pool indexed its pages with pointers too, 2.19 while its
+// disk also kept an 8-byte stamp for each of its pages, which nothing
+// read.
+func TestBuildBytes(t *testing.T) {
+	const ceiling = 19 << 20 / 10 // 1.9 MB
+	cfg := benchCell(t, "contended_cs.rts")
+	var before, after runtime.MemStats
+	settledHeap(&before)
+	c, err := rtdbs.NewClientServer(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("contended_sharded built: %.2f MB", float64(bytes)/(1<<20))
+	if bytes > ceiling {
+		t.Errorf("building contended_sharded allocates %.2f MB, ceiling %.2f", float64(bytes)/(1<<20), float64(ceiling)/(1<<20))
+	}
+	c.Env().Close()
+}
+
+// TestRetainedHeapFlatInRunLength: what a run keeps grows with what it
+// has in flight, not with how long it ran. The benchmark's
+// contended_sharded cell is run for 30 and for 60 virtual minutes, and
+// the heap it retains at the end — the system kept alive, as the
+// benchmark's live_heap_mb reads it — may grow by at most 8 MB between
+// the two. go1.24 reads 18.1 and 23.5 MB (+5.4); 25.9 and 38.4 (+12.4)
+// while every system kept every transaction it generated to count it at
+// the end.
+func TestRetainedHeapFlatInRunLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two contended runs of 30 and 60 virtual minutes are not -short work")
+	}
+	const ceiling = 8 << 20
+	retained := func(d time.Duration) int64 {
+		cfg := benchCell(t, "contended_cs.rts")
+		cfg.Duration = d
+		var before, after runtime.MemStats
+		settledHeap(&before)
+		c, err := rtdbs.NewClientServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		settledHeap(&after)
+		runtime.KeepAlive(c)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	short, long := retained(30*time.Minute), retained(60*time.Minute)
+	mb := func(b int64) float64 { return float64(b) / (1 << 20) }
+	t.Logf("retained heap: %.1f MB after 30 virtual minutes, %.1f MB after 60", mb(short), mb(long))
+	if long-short > ceiling {
+		t.Errorf("retained heap grows %.1f MB from 30 to 60 virtual minutes, ceiling %.0f", mb(long-short), mb(ceiling))
 	}
 }

@@ -150,27 +150,29 @@ func TestLockTableCleanAfterDrain(t *testing.T) {
 
 // TestShippedTransactionsExecuteRemotely verifies the shipping path end
 // to end: shipped transactions record an ExecSite different from their
-// origin and still reach terminal states.
+// origin and still reach terminal states. The transactions are read as
+// their origins retire them, and from what the run left.
 func TestShippedTransactionsExecuteRemotely(t *testing.T) {
 	cfg := smallConfig(12, 0.20)
 	cfg.Duration = 8 * time.Minute
 	cfg.Warmup = time.Minute
 	ls, _ := NewLoadSharing(cfg)
+	var history []*txn.Transaction
+	record := func(tx *txn.Transaction) { history = append(history, tx) }
+	watchLists(ls.env, ls.eachInFlight, nil, record)
 	res, err := ls.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ls.eachInFlight(record) // what the run left: in flight, or settled at the end
 	shipped := 0
-	for i := range ls.clients {
-		cl := &ls.clients[i]
-		for _, tx := range cl.Tracked {
-			if !tx.Shipped || !tx.Terminal() {
-				continue
-			}
-			shipped++
-			if tx.Status == txn.StatusCommitted && tx.ExecSite == tx.Origin {
-				t.Errorf("txn %d marked shipped but committed at its origin", tx.ID)
-			}
+	for _, tx := range history {
+		if !tx.Shipped || !tx.Terminal() {
+			continue
+		}
+		shipped++
+		if tx.Status == txn.StatusCommitted && tx.ExecSite == tx.Origin {
+			t.Errorf("txn %d marked shipped but committed at its origin", tx.ID)
 		}
 	}
 	if res.M.ShippedTxns > 0 && shipped == 0 {
@@ -555,6 +557,13 @@ func TestLoggingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var writers, forces int64
+	wrote := func(tx *txn.Transaction) {
+		if slices.ContainsFunc(tx.Ops, func(op txn.Op) bool { return op.Write }) {
+			writers++
+		}
+	}
+	watchLists(ls.env, ls.eachInFlight, nil, wrote)
 	res, err := ls.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -562,17 +571,12 @@ func TestLoggingEndToEnd(t *testing.T) {
 	if res.M.Committed == 0 {
 		t.Fatal("nothing committed")
 	}
-	// A transaction forces the log at most once, and only if it wrote.
-	var writers, forces int64
+	// A transaction forces the log at most once, and only if it wrote:
+	// every transaction, whether retired or left in flight, is counted.
+	ls.eachInFlight(wrote)
 	for i := range ls.clients {
-		cl := &ls.clients[i]
-		if l := cl.Log(); l != nil {
+		if l := ls.clients[i].Log(); l != nil {
 			forces += l.Forces
-		}
-		for _, tx := range cl.Tracked {
-			if slices.ContainsFunc(tx.Ops, func(op txn.Op) bool { return op.Write }) {
-				writers++
-			}
 		}
 	}
 	if forces == 0 {

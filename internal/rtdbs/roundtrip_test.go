@@ -78,9 +78,6 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 		src.t.Origin = id
 		clients[i] = new(client.Client)
 		clients[i].Init(env, &cfg, id, net, &stock, &m, boxes, topo, src)
-		// Room for every transaction the test generates: the generated
-		// transactions are the run's result, not message bookkeeping.
-		clients[i].Tracked = make([]*txn.Transaction, 0, 4096)
 	}
 	srv.Start()
 	for _, cl := range clients {

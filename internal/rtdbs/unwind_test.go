@@ -75,13 +75,11 @@ func checkUnwound(t *testing.T, core *ceCore) {
 	env := core.env
 	env.Run(core.cfg.Duration + core.cfg.Drain)
 	pending := func() (n int) {
-		for k := range core.terminals {
-			for _, x := range core.terminals[k].tracked {
-				if !x.Terminal() {
-					n++
-				}
+		core.eachInFlight(func(x *txn.Transaction) {
+			if !x.Terminal() {
+				n++
 			}
-		}
+		})
 		return n
 	}
 	for i := 0; pending() > 0; i++ {
@@ -125,39 +123,27 @@ func held(env *sim.Env, r *sim.Resource, capacity int) (n int) {
 }
 
 // watchAdmissions counts, from core's next step on, the transactions
-// admitted to a thread slot: an admitted transaction is Running at the
-// end of a step, since every path after admission parks before it
-// finishes, unless a deadlock refusal aborts it at once.
-func watchAdmissions(core *ceCore) *int64 {
-	admitted := new(int64)
-	var open []*txn.Transaction
-	seen := make([]int, len(core.terminals))
-	core.env.SetStepHook(func() {
-		for k := range core.terminals {
-			tracked := core.terminals[k].tracked
-			open = append(open, tracked[seen[k]:]...)
-			seen[k] = len(tracked)
+// admitted to a thread slot and, as they are retired, those the
+// terminals sent: an admitted transaction is Running at the end of a
+// step, since every path after admission parks before it finishes,
+// unless a deadlock refusal aborts it at once — and then it is retired
+// aborted.
+func watchAdmissions(core *ceCore) (admitted, submitted *int64) {
+	admitted, submitted = new(int64), new(int64)
+	running := map[*txn.Transaction]bool{}
+	watchLists(core.env, core.eachInFlight, func(x *txn.Transaction) {
+		if x.Status == txn.StatusRunning && !running[x] {
+			running[x] = true
+			*admitted++
 		}
-		kept := open[:0]
-		for _, x := range open {
-			switch {
-			case x.Status == txn.StatusRunning || x.Status == txn.StatusAborted:
-				*admitted++
-			case !x.Terminal():
-				kept = append(kept, x)
-			}
+	}, func(x *txn.Transaction) {
+		*submitted++
+		if x.Status == txn.StatusAborted && !running[x] {
+			*admitted++
 		}
-		open = kept
+		delete(running, x)
 	})
-	return admitted
-}
-
-// submitted counts every transaction the terminals sent.
-func submitted(core *ceCore) (n int64) {
-	for k := range core.terminals {
-		n += int64(len(core.terminals[k].tracked))
-	}
-	return n
+	return admitted, submitted
 }
 
 func TestCentralizedUnwind(t *testing.T) {
@@ -168,7 +154,7 @@ func TestCentralizedUnwind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			admitted := watchAdmissions(&ce.ceCore)
+			admitted, submitted := watchAdmissions(&ce.ceCore)
 			checkUnwound(t, &ce.ceCore)
 			if err := ce.locks.Audit(); err != nil {
 				t.Error(err)
@@ -179,7 +165,7 @@ func TestCentralizedUnwind(t *testing.T) {
 				}
 			}
 			if tc.name == "slot-timeout" {
-				timedOut = submitted(&ce.ceCore) - *admitted
+				timedOut = *submitted - *admitted
 			}
 			deadlocked += ce.m.Aborted
 		})
@@ -199,9 +185,9 @@ func TestCentralizedOCCUnwind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			admitted := watchAdmissions(&ce.ceCore)
+			admitted, submitted := watchAdmissions(&ce.ceCore)
 			checkUnwound(t, &ce.ceCore)
-			noSlot := submitted(&ce.ceCore) - *admitted
+			noSlot := *submitted - *admitted
 			refused := ce.valid.Conflicts - ce.Restarts
 			bailed := ce.m.Missed - noSlot - refused
 			t.Logf("no-slot=%d bailed=%d conflicts=%d restarts=%d refused=%d",

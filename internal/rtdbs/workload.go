@@ -19,14 +19,15 @@ import (
 // (carveCohort), so a client carries the fields of its own access
 // pattern and arrival processes and of no other. The arrays live as
 // long as the system, as does the maker the generators carve their
-// transactions from; nothing is returned to either.
-func newGenerators(cfg *config.Config) []txn.Generator {
+// transactions from, which is returned beside them; nothing is returned
+// to either.
+func newGenerators(cfg *config.Config) ([]txn.Generator, *txn.Maker) {
 	gens := make([]txn.Generator, cfg.NumClients)
 	root := rng.NewStream(cfg.Seed)
 	maker := new(txn.Maker) // the system's: every generator draws on it
 	if cfg.Workload == nil {
 		carveCohort(root, cfg, nil, 1, gens, maker)
-		return gens
+		return gens, maker
 	}
 	first := 1
 	for ci := range cfg.Workload.Classes {
@@ -34,7 +35,7 @@ func newGenerators(cfg *config.Config) []txn.Generator {
 		carveCohort(root, cfg, class, first, gens[first-1:first-1+class.Count], maker)
 		first += class.Count
 	}
-	return gens
+	return gens, maker
 }
 
 // phaseSeedTag offsets the per-phase arrival stream tags well away from

@@ -42,7 +42,7 @@ func checkGolden(t *testing.T, r *Report) {
 	t.Helper()
 	name := r.Scenario.Name
 	got := r.Format()
-	path := filepath.Join(corpusDir, "golden", name+".golden")
+	path := goldenPath(name)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatalf("updating %s: %v", path, err)
@@ -60,6 +60,8 @@ func checkGolden(t *testing.T, r *Report) {
 		t.Errorf("%s: scenario failed its expectations", name)
 	}
 }
+
+func goldenPath(name string) string { return filepath.Join(corpusDir, "golden", name+".golden") }
 
 // TestCorpusGoldens runs every committed everyday scenario under the
 // invariant monitor and pins each report byte for byte against
@@ -108,20 +110,24 @@ func TestCorpusScale(t *testing.T) {
 	}
 }
 
-// TestCorpusDeterminism reruns the corpus at different worker counts
-// and again at the same count: every report must be byte-identical.
-// Scenario seeds are derived from scenario names alone, so neither
-// batch order nor scheduling may leak into results.
+// TestCorpusDeterminism reruns the corpus at one worker and at eight:
+// every report must be byte-identical to its golden file, which
+// TestCorpusGoldens pins from a third run (eight workers, under the
+// monitor), so the three runs agree pairwise. Scenario seeds are derived
+// from scenario names alone, so neither batch order nor scheduling may
+// leak into results.
 func TestCorpusDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("rerunning the corpus three times is not -short work")
+		t.Skip("rerunning the corpus twice is not -short work")
 	}
-	base := runCorpus(t, 1)
-	for _, parallel := range []int{8, 8} {
-		other := runCorpus(t, parallel)
-		for i, r := range base {
-			if got, want := other[i].Format(), r.Format(); got != want {
-				t.Errorf("%s: -parallel %d report differs from -parallel 1\n--- got ---\n%s--- want ---\n%s",
+	for _, parallel := range []int{1, 8} {
+		for _, r := range runCorpus(t, parallel) {
+			want, err := os.ReadFile(goldenPath(r.Scenario.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Format(); got != string(want) {
+				t.Errorf("%s: -parallel %d report differs from its golden\n--- got ---\n%s--- want ---\n%s",
 					r.Scenario.Name, parallel, got, want)
 			}
 		}

@@ -45,7 +45,7 @@ func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode,
 
 // epochOf returns the release epoch last reported by client for obj.
 func (s *Server) epochOf(obj lockmgr.ObjectID, client netsim.SiteID) int64 {
-	if o := s.objs[obj]; o != nil {
+	if o := s.find(obj); o != nil {
 		if i, ok := findEpoch(o.epochs, client); ok {
 			return o.epochs[i].epoch
 		}
@@ -594,7 +594,7 @@ func (s *Server) AuditForward() error {
 // every object whose lists it adds to or replaces to a watching monitor
 // (Watch), which after each event audits only those.
 func (s *Server) AuditForwardOf(obj lockmgr.ObjectID) error {
-	if o := s.objs[obj]; o != nil {
+	if o := s.find(obj); o != nil {
 		_, err := o.auditLists()
 		return err
 	}

@@ -69,10 +69,12 @@ type Server struct {
 
 	// objs indexes, by object id like versions and the lock table, the
 	// one record of everything else the shard keeps about an object
-	// (objState); nil until something is recorded about it. Most objects
-	// never conflict, run hot or replicate, so records are carved on
-	// first write (rec) from objChunks, and stay for the run.
-	objs      []*objState
+	// (objState): one plus the record's place in objChunks, zero until
+	// something is recorded about it (find). Most objects never
+	// conflict, run hot or replicate, so records are carved on first
+	// write (rec) from objChunks, and stay for the run. The index holds
+	// no pointers, so the collector never scans it.
+	objs      []int32
 	objChunks [][]objState
 	// recallNodes holds every object's outstanding callbacks, chained
 	// from its record, and the spare nodes, chained from recallFree: the
@@ -247,15 +249,23 @@ const objChunkLen = 64
 // recorded. Reads go through at; a write through the copy is lost, so
 // every write goes through rec.
 func (s *Server) at(obj lockmgr.ObjectID) objState {
-	if o := s.objs[obj]; o != nil {
+	if o := s.find(obj); o != nil {
 		return *o
 	}
 	return objState{}
 }
 
+// find returns obj's record, nil until something is recorded about it.
+func (s *Server) find(obj lockmgr.ObjectID) *objState {
+	if h := s.objs[obj]; h != 0 {
+		return &s.objChunks[(h-1)/objChunkLen][(h-1)%objChunkLen]
+	}
+	return nil
+}
+
 // rec returns obj's record for writing, carving it on first use.
 func (s *Server) rec(obj lockmgr.ObjectID) *objState {
-	if o := s.objs[obj]; o != nil {
+	if o := s.find(obj); o != nil {
 		return o
 	}
 	n := len(s.objChunks)
@@ -265,8 +275,8 @@ func (s *Server) rec(obj lockmgr.ObjectID) *objState {
 	}
 	chunk := append(s.objChunks[n-1], objState{})
 	s.objChunks[n-1] = chunk
-	s.objs[obj] = &chunk[len(chunk)-1]
-	return s.objs[obj]
+	s.objs[obj] = int32((n-1)*objChunkLen + len(chunk))
+	return &chunk[len(chunk)-1]
 }
 
 // NewShard returns server shard `shard` of a (possibly multi-server)
@@ -294,7 +304,7 @@ func NewShard(env *sim.Env, cfg *config.Config, net *netsim.Network, payloads *p
 		pool:        pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
 		versions:    make([]int64, cfg.DBSize),
 		cpu:         sim.NewResource(env, 1),
-		objs:        make([]*objState, cfg.DBSize),
+		objs:        make([]int32, cfg.DBSize),
 		recallNodes: make([]recallNode, 1),
 		sites:       make([]site, cfg.NumClients+1),
 	}
@@ -477,10 +487,8 @@ func (m *connMachine) Resume() {
 			case *proto.ObjReturn:
 				s.noteLoad(pl.Load)
 				if s.returnNeedsWrite(*pl) {
-					// The page is stamped with the version so end-to-end
-					// consistency can be audited.
 					m.put = s.puts.New()
-					m.put.Init(s.pool, pagefile.PageID(pl.Obj), uint64(s.versions[pl.Obj]))
+					m.put.Init(s.pool, pagefile.PageID(pl.Obj))
 					m.pc = csPut
 					continue
 				}
@@ -786,7 +794,7 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 		s.tryDispatch(obj)
 		return
 	}
-	if o := s.objs[obj]; o != nil {
+	if o := s.find(obj); o != nil {
 		s.dropRecall(o, ret.Client)
 	}
 	if ret.Migration {

@@ -461,7 +461,7 @@ func TestServerEpochListSorted(t *testing.T) {
 			r.srv.returnNeedsWrite(proto.ObjReturn{Client: site, Obj: obj, Epoch: epoch})
 		}
 	}
-	list := r.srv.objs[obj].epochs
+	list := r.srv.find(obj).epochs
 	if len(list) != clients+1 {
 		t.Fatalf("%d sites returned the object, the list holds %d", clients+1, len(list))
 	}

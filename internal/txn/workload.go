@@ -66,8 +66,13 @@ type Source interface {
 
 // Maker is the one source of a system's transactions, shared by its
 // generators: it numbers them and carves the records and their access
-// vectors from two slabs. Nothing is handed back: a transaction is
-// tracked to the end of the run, which reads its outcome.
+// vectors from two slabs. Nothing is handed back. A transaction is
+// retired where it reaches its final state — counted in the system's
+// collector and dropped from its origin's list — and is then forgotten:
+// nothing refers to it any more, so once every record of a chunk is
+// retired the collector takes the chunk. Records are not reused, so a
+// reader still holding a retired one reads its final state and cannot
+// corrupt a newer transaction.
 type Maker struct {
 	lastID ID
 	txns   slab.Slab[Transaction]
@@ -77,6 +82,10 @@ type Maker struct {
 	// once, so one buffer serves the system.
 	ids []int
 }
+
+// Issued returns how many transactions m has made: their IDs are 1 to
+// Issued.
+func (m *Maker) Issued() ID { return m.lastID }
 
 // New returns a transaction with the next id and room for n accesses.
 func (m *Maker) New(n int) *Transaction {
