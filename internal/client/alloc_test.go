@@ -58,10 +58,13 @@ func TestPerSiteStructSizes(t *testing.T) {
 
 // TestFreshMachineScratchSizedOnce: the two vectors a transaction
 // machine fills on its first materialization — the missing accesses of
-// the presence scan, the pinned entries of the commit — are made once,
+// the presence scan, the pinned entries of the commit — are sized once,
 // for every access, not doubled up from nil (1 → 2 → 4 for the four
-// objects of a population-tier transaction). Where every transaction
-// runs on a fresh machine that is per transaction, not warm-up.
+// objects of a population-tier transaction), in a block of the stock's:
+// one another machine handed back, or carved from a chunk, so a hundred
+// fresh machines cost a chunk or two, not an array each. Where every
+// transaction runs on a fresh machine that is per transaction, not
+// warm-up.
 func TestFreshMachineScratchSizedOnce(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
@@ -76,8 +79,8 @@ func TestFreshMachineScratchSizedOnce(t *testing.T) {
 			panic("presence scan did not report every access missing")
 		}
 	}
-	if n := testing.AllocsPerRun(100, scan); n != 1 {
-		t.Errorf("a fresh machine's presence scan allocates %v, want 1", n)
+	if n := testing.AllocsPerRun(100, scan); n != 0 {
+		t.Errorf("a fresh machine's presence scan allocates %v, want 0", n)
 	}
 
 	for _, op := range tx.Ops {
@@ -92,8 +95,8 @@ func TestFreshMachineScratchSizedOnce(t *testing.T) {
 			c.objects.Unpin(e)
 		}
 	}
-	if n := testing.AllocsPerRun(100, pin); n != 1 {
-		t.Errorf("pinning into fresh scratch allocates %v, want 1", n)
+	if n := testing.AllocsPerRun(100, pin); n != 0 {
+		t.Errorf("pinning into fresh scratch allocates %v, want 0", n)
 	}
 }
 
@@ -252,11 +255,11 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 
 // TestRecycledMachineCarriesNothingAcrossSites: a machine record that
 // site A hands back to the system's stock and site B takes comes to B
-// as a fresh one would, but for the arrays of its vectors: every slice
-// is empty, and every other field — walked by reflection, so one added
-// later is covered — holds what spawnTxn gives a zeroed record, nothing
-// of what A left in it. (The task is sim's: Detach leaves it spent and
-// Spawn arms it.)
+// as a fresh one would, but for the arrays of its exchange's vectors:
+// every slice is empty, and every other field — walked by reflection,
+// so one added later is covered — holds what spawnTxn gives a zeroed
+// record, nothing of what A left in it. (The task is sim's: Detach
+// leaves it spent and Spawn arms it.)
 func TestRecycledMachineCarriesNothingAcrossSites(t *testing.T) {
 	stock := new(Stock)
 	a, b := newRigOn(t, nil, stock), newRigOn(t, nil, stock)
@@ -321,8 +324,14 @@ func TestRecycledMachineCarriesNothingAcrossSites(t *testing.T) {
 		}
 	}
 	same("", reflect.ValueOf(m).Elem(), reflect.ValueOf(&want).Elem())
-	if cap(m.missing) != 4 || cap(m.spec) != 4 || cap(m.pt.waits) != 4 {
-		t.Errorf("reuse dropped the vectors' arrays: cap(missing) %d, cap(spec) %d, cap(pt.waits) %d, want 4 each",
-			cap(m.missing), cap(m.spec), cap(m.pt.waits))
+	if cap(m.spec) != 4 || cap(m.pt.waits) != 4 {
+		t.Errorf("reuse dropped the exchange's arrays: cap(spec) %d, cap(pt.waits) %d, want 4 each",
+			cap(m.spec), cap(m.pt.waits))
+	}
+	// The access-sized vectors went back to the stock as blocks, for the
+	// next machine to take at the length it needs.
+	if cap(m.missing)+cap(m.lockOps)+cap(m.entries)+cap(m.results) != 0 || !reflect.ValueOf(m.locks).IsZero() {
+		t.Errorf("reuse kept an access-sized block: cap(missing) %d, cap(lockOps) %d, cap(entries) %d, cap(results) %d",
+			cap(m.missing), cap(m.lockOps), cap(m.entries), cap(m.results))
 	}
 }

@@ -199,11 +199,36 @@ type Stock struct {
 	objs     slab.Slab[objRec]
 	h2       h2Scratch
 
-	// The blocks of Client.objs, pending, fanouts and Tracked (enlist).
+	// The blocks of Client.objs, pending, fanouts and Tracked (enlist);
+	// pendLists also holds an object record's waiters.
 	objLists  slab.Slab[*objRec]
 	pendLists slab.Slab[*pendingTxn]
 	fanLists  slab.Slab[*txnMachine]
 	txnLists  slab.Slab[*txn.Transaction]
+
+	// The blocks a machine's vectors live in: its pinned entries, its
+	// access lists (local lock order, misses) and a fan-out's results,
+	// taken at the length a transaction needs and handed back when it
+	// ends (slab.Fit, Return), and an exchange's waits, grown by Insert
+	// and kept with the machine.
+	pins    slab.Slab[*cache.Entry]
+	ops     slab.Slab[txn.Op]
+	waits   slab.Slab[objWait]
+	results slab.Slab[*shipWait]
+	// epochs holds the blocks of the clients' release-epoch lists.
+	epochs slab.Slab[epochEntry]
+	// parts holds the subtasks a decomposition runs, each with its
+	// result. They are carved and never handed back: a peer may still run
+	// a subtask after its parent gave up waiting, so no site knows when
+	// one is spent, and a chunk goes to the collector with its last part.
+	parts slab.Slab[fanPart]
+}
+
+// fanPart is one subtask of a decomposed transaction and the wait its
+// result is reported to.
+type fanPart struct {
+	sub  txn.Subtask
+	wait shipWait
 }
 
 // Init makes c a client site, in place: a cluster's clients are the
@@ -488,14 +513,10 @@ func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload 
 	}, &c.boxes[1+shardmap.ShardIndex(site)])
 }
 
-// sendReturn sends ret to the shard at to in a pooled record. The
-// record's own RetainedSL array is filled with a copy, so the forward
-// list the slice came from is not aliased by a frame on the wire.
+// sendReturn sends ret to the shard at to in a pooled record.
 func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
 	r := c.stock.Payloads.ObjReturn.New()
-	retained := append(r.RetainedSL, ret.RetainedSL...)
 	*r = ret
-	r.RetainedSL = retained
 	c.toSite(to, netsim.KindObjectReturn, size, r)
 }
 

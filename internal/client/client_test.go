@@ -401,8 +401,8 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 	if ret == nil || !ret.Migration || !ret.HasData || ret.Version != 2 {
 		t.Fatalf("final return = %+v", ret)
 	}
-	if len(ret.RetainedSL) != 1 || ret.RetainedSL[0] != 1 {
-		t.Fatalf("retained = %v", ret.RetainedSL)
+	if ret.Fwd != fwd || len(fwd.Retained) != 1 || fwd.Retained[0] != 1 {
+		t.Fatalf("retained = %v on %p, want the list shipped with the grant", fwd.Retained, ret.Fwd)
 	}
 	e := r.cl.objects.Peek(60)
 	if e == nil || e.Mode() != lockmgr.ModeShared || e.Dirty() {

@@ -63,18 +63,21 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 // Epoch state is the one per-client store that grows with the set of
 // objects ever returned rather than with in-flight work, so it gets a
 // binary-searchable sorted slice instead of a scan: lookups (every
-// grant) are O(log n) over 16-byte-aligned entries, inserts (first
-// release of an object — rare) shift the tail.
+// grant) are O(log n) over 16-byte entries, inserts (first release of
+// an object — rare) shift the tail. The object and the site fit 32 bits
+// (config.Validate caps DBSize at 2^31-1; a site is a client id or a
+// shard's).
 type epochEntry struct {
-	obj  lockmgr.ObjectID
-	site netsim.SiteID
+	obj  int32
+	site int32
 	n    int64
 }
 
 // epochIdx locates the counter for (obj, site): its index and whether
 // it exists; absent counters read as zero and insert at the returned
 // index.
-func (c *Client) epochIdx(obj lockmgr.ObjectID, site netsim.SiteID) (int, bool) {
+func (c *Client) epochIdx(object lockmgr.ObjectID, at netsim.SiteID) (int, bool) {
+	obj, site := int32(object), int32(at)
 	i := sort.Search(len(c.epochs), func(i int) bool {
 		e := &c.epochs[i]
 		if e.obj != obj {

@@ -138,13 +138,10 @@ const (
 // overwritten here, so nothing of that site comes along.
 func (c *Client) spawnTxn(t *txn.Transaction, sub *txn.Subtask, entry uint8, reportTo *shipWait) {
 	m := c.stock.machines.New()
-	m.locks.Init(nil, 0) // keeps its request array only
 	*m = txnMachine{
 		c: c, t: t, sub: sub, reportTo: reportTo, owns: sub == nil,
-		pt:      pendingTxn{waits: m.pt.waits[:0], replies: m.pt.replies[:0]},
-		results: m.results[:0],
-		lockOps: m.lockOps[:0], locks: m.locks,
-		entries: m.entries[:0], spec: m.spec[:0], missing: m.missing[:0],
+		pt:   pendingTxn{waits: m.pt.waits[:0], replies: m.pt.replies[:0]},
+		spec: m.spec[:0],
 	}
 	switch entry {
 	case enOrigin:
@@ -168,16 +165,21 @@ func (m *txnMachine) Resume() {
 	m.c.recycleTxn(m)
 }
 
-// recycleTxn clears a finished machine's pointers into its transaction
-// and its pointer-bearing slices — to full capacity, since mid-run
-// truncations leave stale pointers beyond the length — and hands it back
-// to the system's stock with its arrays: a kept machine must not pin a
-// retired transaction. The remaining fields are overwritten wholesale by
-// the next spawnTxn.
+// recycleTxn clears a finished machine's pointers into its transaction,
+// hands the blocks its access-sized vectors took back to the system's
+// stock (zeroed, so none pins a retired transaction's entries), and
+// hands the machine back with its exchange's arrays. A machine that ran
+// a long transaction does not keep a long block through the short ones
+// that follow: the next takes blocks of the lengths it needs. The
+// remaining fields are overwritten wholesale by the next spawnTxn.
 func (c *Client) recycleTxn(m *txnMachine) {
 	m.t, m.sub, m.reportTo, m.ops = nil, nil, nil, nil
-	clear(m.results[:cap(m.results)])
-	clear(m.entries[:cap(m.entries)])
+	m.locks.Drop()
+	c.stock.results.Return(m.results)
+	c.stock.pins.Return(m.entries)
+	c.stock.ops.Return(m.lockOps)
+	c.stock.ops.Return(m.missing)
+	m.results, m.entries, m.lockOps, m.missing = nil, nil, nil, nil
 	c.stock.machines.Keep(m)
 }
 
@@ -400,13 +402,16 @@ func (m *txnMachine) tryDecompose(locations []proto.ObjConflict) {
 	}
 	c.m.DecomposedTxns++
 	c.tr.Point(t.ID, c.id, trace.EvDecomposed, 0, int64(len(subs)), 0, m.task.Now())
-	m.results = slices.Grow(m.results[:0], len(subs))[:len(subs)]
+	m.results = c.stock.results.Fit(m.results, len(subs))[:len(subs)]
 	for i := range subs {
 		// What runs is a copy: the scratch is the next decision's, and of
 		// the many decomposable transactions few end up decomposed.
-		sub := &txn.Subtask{Index: i, Ops: slices.Clone(subs[i].Ops), Length: subs[i].Length}
+		part := c.stock.parts.New()
+		ops := c.stock.ops.Block(len(subs[i].Ops))
+		copy(ops, subs[i].Ops)
+		part.sub = txn.Subtask{Index: i, Ops: ops, Length: subs[i].Length}
+		sub, w := &part.sub, &part.wait
 		c.m.SubtasksRun++
-		w := new(shipWait)
 		w.sig.Init(c.env)
 		m.results[i] = w
 		target := siteOf[sub.Index]
@@ -496,7 +501,7 @@ func (m *txnMachine) stepSlotHeld() bool {
 	if c.localLocks != nil {
 		// Serialize concurrent local transactions over the same objects
 		// (only active when ClientExecutors > 1), in object order.
-		m.lockOps = append(m.lockOps[:0], m.ops...)
+		m.lockOps = append(c.stock.ops.Fit(m.lockOps, len(m.ops)), m.ops...)
 		slices.SortFunc(m.lockOps, func(a, b txn.Op) int { return int(a.Obj) - int(b.Obj) })
 		m.locks.Init(c.localLocks, len(m.lockOps))
 		for _, op := range m.lockOps {
@@ -542,10 +547,9 @@ func (m *txnMachine) stepScan() bool {
 			c.m.RecordCacheAccess(sufficient)
 		}
 		if !sufficient {
-			if cap(m.missing) == 0 {
-				// A fresh machine's first miss: room for every access at
-				// once, not a vector doubled from nil.
-				m.missing = make([]txn.Op, 0, len(m.ops))
+			if len(m.missing) == 0 {
+				// The scan's first miss: room for every access at once.
+				m.missing = c.stock.ops.Fit(m.missing, len(m.ops))
 			}
 			m.missing = append(m.missing, op)
 			m.scanIdx++
@@ -1026,10 +1030,7 @@ func (c *Client) priorityOf(t *txn.Transaction) float64 {
 // checks) into *buf, machine-owned scratch. It fails — leaving *buf
 // empty and scrubbed — if any object lost presence or mode.
 func (c *Client) pinAll(ops []txn.Op, buf *[]*cache.Entry) bool {
-	entries := (*buf)[:0]
-	if cap(entries) < len(ops) {
-		entries = make([]*cache.Entry, 0, len(ops))
-	}
+	entries := c.stock.pins.Fit(*buf, len(ops))
 	for _, op := range ops {
 		e := c.objects.Peek(op.Obj)
 		if e == nil || !modeSufficient(e.Mode(), op.Mode()) {

@@ -116,10 +116,10 @@ func (c *Client) endRun(obj lockmgr.ObjectID, version int64, l *forward.List) {
 	home := c.homeSite(obj)
 	ret := proto.ObjReturn{
 		Client: c.id, Obj: obj, HasData: !l.ReadRun, RunComplete: l.ReadRun,
-		Epoch: c.epochOf(obj, home), Load: c.loadReport(),
+		Epoch: c.epochOf(obj, home), Load: c.loadReport(), Fwd: l,
 	}
 	if !l.ReadRun {
-		ret.Version, ret.Migration, ret.RetainedSL = version, true, l.Retained
+		ret.Version, ret.Migration = version, true
 	}
 	c.sendReturn(home, dataBytes(ret.HasData), ret)
 }
@@ -355,7 +355,7 @@ func (c *Client) forwardMigration(obj lockmgr.ObjectID) {
 		(!ok || next.Mode == lockmgr.ModeShared && !l.HasExclusive())
 	if retain {
 		c.objects.Downgrade(e)
-		l.Retained = append(l.Retained, c.id)
+		l.Retain(c.id)
 	} else {
 		c.objects.Recycle(c.objects.Remove(obj))
 	}

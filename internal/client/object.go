@@ -184,9 +184,9 @@ func unlist[T any](list *[]*T, x *T, s *slab.Slab[*T]) {
 // register records pt's request for obj in mode, sent at sent: a wait
 // of the exchange and a waiter on obj's record.
 func (c *Client) register(pt *pendingTxn, obj lockmgr.ObjectID, mode lockmgr.Mode, sent time.Duration) {
-	pt.waits = append(pt.waits, objWait{obj: obj, mode: mode, sent: sent})
+	pt.waits = c.stock.waits.Insert(pt.waits, len(pt.waits), objWait{obj: obj, mode: mode, sent: sent}, 0)
 	r := c.recFor(obj)
-	r.waiters = append(r.waiters, pt)
+	r.waiters = c.stock.pendLists.Insert(r.waiters, len(r.waiters), pt, 0)
 }
 
 // unregister drops pt's registration on obj, if it has one.

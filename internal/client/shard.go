@@ -65,7 +65,7 @@ func (c *Client) bumpEpoch(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
 		c.epochs[i].n++
 		return c.epochs[i].n
 	}
-	c.epochs = slices.Insert(c.epochs, i, epochEntry{obj: obj, site: site, n: 1})
+	c.epochs = c.stock.epochs.Insert(c.epochs, i, epochEntry{obj: int32(obj), site: int32(site), n: 1}, 0)
 	return 1
 }
 

@@ -13,12 +13,14 @@ package forward
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 	"siteselect/internal/txn"
 )
 
@@ -48,6 +50,48 @@ type List struct {
 	// exclusive entry remains downstream); the server registers these
 	// SLs when the object returns.
 	Retained []netsim.SiteID
+
+	// stock is the Stock the list came from and grows in, nil for a list
+	// of its own (NewList). block is the array Entries lives in, which
+	// PopLive and PopRun leave behind from the front; free marks a list
+	// handed back.
+	stock *Stock
+	block []Entry
+	free  bool
+}
+
+// Stock is a cluster's stock of forward lists: the lists, and the
+// power-of-two blocks their entries and retained sites live in. A list
+// crosses sites inside messages, so no site owns it; the stock does —
+// the shard carves one at a window's first request or a dispatch, and
+// it is handed back where its life ends: an open list merged into the
+// sealed one, a sealed list dispatched to its last entry, the shard's
+// in-flight copy and the travelling copy at the final return (DESIGN.md,
+// "Record ownership"). A list goes back with its arrays, so a steady
+// round of lists allocates nothing. Single-threaded; the zero Stock is
+// ready to use.
+type Stock struct {
+	lists   slab.Slab[List]
+	entries slab.Slab[Entry]
+	sites   slab.Slab[netsim.SiteID]
+}
+
+// New returns an empty list for obj: one handed back earlier, with the
+// arrays it grew, or a new one.
+func (s *Stock) New(obj lockmgr.ObjectID) *List {
+	l := s.lists.New()
+	l.Obj, l.stock, l.free = obj, s, false
+	return l
+}
+
+// Put hands l, a list New returned, back to the stock. Nothing may read
+// or write it afterwards: handing one back twice panics.
+func (s *Stock) Put(l *List) {
+	if l.stock != s || l.free {
+		panic(fmt.Sprintf("forward: list for %d handed back twice or to a stock it is not from", l.Obj))
+	}
+	*l = List{Entries: l.block[:0], Retained: l.Retained[:0], stock: s, block: l.block, free: true}
+	s.lists.Keep(l)
 }
 
 // Contains reports whether an entry for (client, id) is on the list —
@@ -93,9 +137,36 @@ func (l *List) Len() int { return len(l.Entries) }
 // before the first entry with a later deadline.
 func (l *List) Insert(e Entry) {
 	i := sort.Search(len(l.Entries), func(i int) bool { return l.Entries[i].Deadline > e.Deadline })
+	if l.stock != nil && len(l.Entries) == cap(l.Entries) {
+		l.room(len(l.Entries) + 1)
+	}
 	l.Entries = append(l.Entries, Entry{})
 	copy(l.Entries[i+1:], l.Entries[i:])
 	l.Entries[i] = e
+}
+
+// room makes room for n entries in a stock list: the entries the front
+// pops left behind slide back to the start of the block, or move to a
+// block of the stock's, the least power of two that holds n, and the
+// outgrown block goes back.
+func (l *List) room(n int) {
+	if n <= cap(l.block) {
+		l.Entries = l.block[:copy(l.block, l.Entries)]
+		return
+	}
+	grown := l.stock.entries.Block(max(1<<bits.Len(uint(n-1)), 2))
+	l.Entries = grown[:copy(grown, l.Entries)]
+	l.stock.entries.PutBlock(l.block)
+	l.block = grown
+}
+
+// Retain adds site to the clients that kept a shared copy.
+func (l *List) Retain(site netsim.SiteID) {
+	if l.stock == nil {
+		l.Retained = append(l.Retained, site)
+		return
+	}
+	l.Retained = l.stock.sites.Insert(l.Retained, len(l.Retained), site, 0)
 }
 
 // PopLive removes and returns the first entry whose deadline has not
@@ -147,11 +218,22 @@ func (l *List) PopRun(run []Entry, now time.Duration) []Entry {
 	return run
 }
 
-// Clone returns a deep copy (the server ships a copy with the object).
+// Clone returns a deep copy (the server ships a copy with the object),
+// from l's stock when it has one.
 func (l *List) Clone() *List {
-	c := &List{Obj: l.Obj, ReadRun: l.ReadRun}
-	c.Entries = append([]Entry(nil), l.Entries...)
-	c.Retained = append([]netsim.SiteID(nil), l.Retained...)
+	if l.stock == nil {
+		c := &List{Obj: l.Obj, ReadRun: l.ReadRun}
+		c.Entries = append([]Entry(nil), l.Entries...)
+		c.Retained = append([]netsim.SiteID(nil), l.Retained...)
+		return c
+	}
+	c := l.stock.New(l.Obj)
+	c.ReadRun = l.ReadRun
+	c.room(len(l.Entries))
+	c.Entries = append(c.Entries, l.Entries...)
+	for _, site := range l.Retained {
+		c.Retain(site)
+	}
 	return c
 }
 

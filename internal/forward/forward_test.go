@@ -285,3 +285,70 @@ func TestPopRunSkipsDeadInsideRun(t *testing.T) {
 		t.Fatalf("left = %+v", l.Entries)
 	}
 }
+
+// TestStockListSlidesAndGrows: a stock list keeps deadline order across
+// front pops and growth — the entries PopLive left slide back to the
+// block's start before it grows — and comes back from Put empty, with
+// its block, for the next New.
+func TestStockListSlidesAndGrows(t *testing.T) {
+	var s Stock
+	l := s.New(3)
+	for i := range 4 {
+		l.Insert(Entry{Client: netsimSiteID(i), Deadline: time.Duration(10+i) * time.Second})
+	}
+	for range 3 {
+		l.PopLive(0)
+	}
+	for i := range 6 {
+		l.Insert(Entry{Client: netsimSiteID(10 + i), Deadline: time.Duration(20-i) * time.Second})
+	}
+	if err := l.Wellformed(); err != nil || l.Len() != 7 || l.Entries[0].Client != 3 {
+		t.Fatalf("after pops and growth: %v, %v", err, l.Entries)
+	}
+	block := cap(l.block)
+	s.Put(l)
+	if again := s.New(4); again != l || again.Obj != 4 || again.Len() != 0 || cap(again.Entries) != block || again.ReadRun {
+		t.Fatalf("New after Put = %p %+v, want %p empty with its %d-entry block", again, again, l, block)
+	}
+}
+
+// TestStockPutTwicePanics: a list handed back twice would be handed out
+// twice; the stock refuses the second Put, and one it never made.
+func TestStockPutTwicePanics(t *testing.T) {
+	var s Stock
+	l := s.New(1)
+	s.Put(l)
+	for name, put := range map[string]func(){
+		"twice":   func() { s.Put(l) },
+		"foreign": func() { s.Put(NewList(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put %s did not panic", name)
+				}
+			}()
+			put()
+		}()
+	}
+}
+
+// TestStockCloneIsDeep: a stock list's clone is the stock's, with its
+// own entries and retained sites.
+func TestStockCloneIsDeep(t *testing.T) {
+	var s Stock
+	l := s.New(1)
+	l.ReadRun = true
+	l.Retain(3)
+	for i := range 5 {
+		l.Insert(Entry{Client: netsimSiteID(i), Deadline: time.Second})
+	}
+	c := l.Clone()
+	c.Entries[0].Client = 99
+	c.Retain(9)
+	if !c.ReadRun || c.Len() != 5 || l.Entries[0].Client != 0 || len(l.Retained) != 1 || len(c.Retained) != 2 {
+		t.Fatalf("clone %+v shares state with %+v", c, l)
+	}
+	s.Put(c)
+	s.Put(l)
+}

@@ -184,6 +184,8 @@ type Slab struct {
 	queues     slab.Slab[*Request]
 	objs       slab.Slab[ObjectID]
 	edges      slab.Slab[OwnerID]
+	// requests holds the blocks a SeqLockOp's requests live in.
+	requests slab.Slab[Request]
 
 	// touched is the list an invariant monitor owns while it watches the
 	// system's tables (Watch): one list for all of them, so no table
@@ -207,10 +209,7 @@ type Touch struct {
 // table's slab, which every table of the system shares; a table that was
 // not watched (a client's local table) reports nothing.
 func (t *Table) Watch(site int, touched *[]Touch) {
-	if t.slab == nil {
-		t.slab = new(Slab) // a table on its own
-	}
-	t.slab.touched = touched
+	t.records().touched = touched
 	t.watched, t.site = touched != nil, int32(site)
 }
 
@@ -291,6 +290,15 @@ func NewTable() *Table { return &Table{} }
 // in the zero Table: a private one).
 func (t *Table) Init(records *Slab) { *t = Table{slab: records} }
 
+// records returns the table's slab, making a private one for a table on
+// its own.
+func (t *Table) records() *Slab {
+	if t.slab == nil {
+		t.slab = new(Slab)
+	}
+	return t.slab
+}
+
 // Reserve switches the table to the dense entry index, pre-sized for
 // object ids in [0, n). Call it before first use when the table will
 // lock a dense id space (the server's whole-database table); leave
@@ -319,10 +327,7 @@ func (t *Table) entryFor(obj ObjectID) *entry {
 	if e := t.lookup(obj); e != nil {
 		return e
 	}
-	if t.slab == nil {
-		t.slab = new(Slab) // a table on its own
-	}
-	e := t.slab.entries.New()
+	e := t.records().entries.New()
 	e.holders, e.obj = e.first[:0], obj
 	if t.dense {
 		for int(obj) >= len(t.entries) {
@@ -567,17 +572,28 @@ func (t *Table) Downgrade(obj ObjectID, owner OwnerID) []*Request {
 func (t *Table) ReleaseAll(owner OwnerID) []*Request {
 	t.resetGrants()
 	// release edits the owner's record, and the last one retires it;
-	// snapshot and order the set first.
-	var stack [16]ObjectID
-	var objs []ObjectID
-	if r := t.owners.Get(uint64(owner)); r != nil {
-		objs = append(stack[:0], r.held...)
+	// snapshot and order the set first: on the stack, or in a block of
+	// the slab when the set is longer.
+	r := t.owners.Get(uint64(owner))
+	switch {
+	case r == nil:
+	case len(r.held) <= 16:
+		var stack [16]ObjectID
+		t.releaseEach(append(stack[:0], r.held...), owner)
+	default:
+		objs := append(t.slab.objs.Fit(nil, len(r.held)), r.held...)
+		t.releaseEach(objs, owner)
+		t.slab.objs.Return(objs)
 	}
+	return t.grantBuf
+}
+
+// releaseEach releases owner's locks on objs, in object order.
+func (t *Table) releaseEach(objs []ObjectID, owner OwnerID) {
 	slices.Sort(objs)
 	for _, obj := range objs {
 		t.release(obj, owner)
 	}
-	return t.grantBuf
 }
 
 // Cancel removes a queued request (typically because its transaction

@@ -73,20 +73,27 @@ func (o *LockOp) Step(t *sim.Task) (bool, error) {
 type SeqLockOp struct {
 	tb *Table
 	// reqs is referenced by the table while the locks are queued or
-	// held; its array is kept across uses of the op.
+	// held.
 	reqs    []Request
 	idx     int
 	started bool
 	op      LockOp
 }
 
-// Init arms the op to acquire n locks from tb.
+// Init arms the op to acquire n locks from tb. The requests live in a
+// power-of-two block of tb's slab, until Drop.
 func (o *SeqLockOp) Init(tb *Table, n int) {
-	reqs := o.reqs[:0]
-	if cap(reqs) < n {
-		reqs = make([]Request, 0, n)
+	*o = SeqLockOp{tb: tb, reqs: tb.records().requests.Fit(o.reqs, n)}
+}
+
+// Drop hands the op's request block back to its table's slab
+// (slab.Return) and zeroes the op. Call it once none of the requests is
+// queued or held — when the machine the op serves is done.
+func (o *SeqLockOp) Drop() {
+	if o.tb != nil {
+		o.tb.records().requests.Return(o.reqs)
 	}
-	*o = SeqLockOp{tb: tb, reqs: reqs}
+	*o = SeqLockOp{}
 }
 
 // Add appends one request to the sequence. All of them must be added

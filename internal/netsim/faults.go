@@ -20,6 +20,7 @@ import (
 
 	"siteselect/internal/rng"
 	"siteselect/internal/sim"
+	"siteselect/internal/slab"
 )
 
 // Partition isolates one site from the LAN during [Start, End): every
@@ -96,6 +97,40 @@ type faultState struct {
 	cfg   FaultConfig
 	rng   *rng.Stream
 	stats FaultStats
+	// frames holds the frames the fault layer has taken over, one while
+	// its event is pending.
+	frames slab.Slab[faultFrame]
+}
+
+// faultFrame is a frame the fault layer delivers off the ring — late or
+// twice — or sends again after a loss: one pooled event hook, handed back
+// when it fires, where a closure per frame would be an object each.
+type faultFrame struct {
+	n    *Network
+	msg  Message
+	dest *sim.Mailbox[Message]
+	// resend marks a retransmission: the frame goes through Send again
+	// rather than into dest.
+	resend bool
+}
+
+// at schedules msg's delivery into dest, or with resend its
+// retransmission, at t.
+func (n *Network) at(t time.Duration, msg Message, dest *sim.Mailbox[Message], resend bool) {
+	f := n.faults.frames.New()
+	*f = faultFrame{n: n, msg: msg, dest: dest, resend: resend}
+	n.env.AtHook(t, f)
+}
+
+// RunEvent delivers or resends the frame. It implements sim.EventHook.
+func (f *faultFrame) RunEvent() {
+	n, msg, dest, resend := f.n, f.msg, f.dest, f.resend
+	n.faults.frames.Put(f) // first: the Send below may take it again
+	if resend {
+		n.Send(msg, dest)
+	} else {
+		dest.Put(msg)
+	}
 }
 
 // SetFaults installs fault injection on the network. Call before the
@@ -177,9 +212,8 @@ func (n *Network) deliverFaulty(msg Message, dest *sim.Mailbox[Message], deliver
 		msg.Shared = true
 		dup := msg
 		dup.DeliveredAt = deliver + n.cfg.Latency + time.Nanosecond
-		n.env.At(dup.DeliveredAt, func() { dest.Put(dup) })
-		orig := msg
-		n.env.At(deliver, func() { dest.Put(orig) })
+		n.at(dup.DeliveredAt, dup, dest, false)
+		n.at(deliver, msg, dest, false)
 		if f.cfg.SpikeRate > 0 {
 			f.rng.Float64() // keep the per-message draw count stable
 		}
@@ -187,9 +221,8 @@ func (n *Network) deliverFaulty(msg Message, dest *sim.Mailbox[Message], deliver
 	}
 	if f.cfg.SpikeRate > 0 && f.rng.Float64() < f.cfg.SpikeRate {
 		f.stats.Spiked++
-		late := msg
-		late.DeliveredAt = deliver + f.cfg.SpikeLatency
-		n.env.At(late.DeliveredAt, func() { dest.Put(late) })
+		msg.DeliveredAt = deliver + f.cfg.SpikeLatency
+		n.at(msg.DeliveredAt, msg, dest, false)
 		return true
 	}
 	return false
@@ -210,6 +243,5 @@ func (n *Network) scheduleRetransmit(msg Message, dest *sim.Mailbox[Message]) {
 		msg.rexmit++
 	}
 	f.stats.Retransmits++
-	again := msg
-	n.env.At(n.env.Now()+f.cfg.RetransmitTimeout<<shift, func() { n.Send(again, dest) })
+	n.at(n.env.Now()+f.cfg.RetransmitTimeout<<shift, msg, dest, true)
 }

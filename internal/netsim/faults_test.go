@@ -224,3 +224,32 @@ func TestFaultsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultDeliveryNoAllocs: the frames the fault layer takes over —
+// duplicated, delayed, retransmitted after a loss — are delivered by
+// pooled event hooks, so once the pool holds as many as are pending at
+// once a faulty exchange allocates nothing, as a clean one does.
+func TestFaultDeliveryNoAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	n := New(env, DefaultConfig())
+	n.SetFaults(FaultConfig{Seed: 7, DropRate: 0.3, DupRate: 0.3, SpikeRate: 0.3, SpikeLatency: 5 * time.Millisecond})
+	mb := sim.NewMailbox[Message](env)
+	round := func() {
+		for range 4 {
+			n.Send(Message{Kind: KindObjectRequest, From: 1, To: 0}, mb) // unreliable: dropped, duplicated or late
+			n.Send(Message{Kind: KindObjectShip, From: 0, To: 1}, mb)    // reliable: retransmitted until through
+		}
+		env.RunAll()
+		for _, ok := mb.TryGet(); ok; _, ok = mb.TryGet() {
+		}
+	}
+	for range 50 {
+		round() // warm the frame pool, the event pool and the ring
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("a faulty exchange allocates %.1f objects/op, want 0", allocs)
+	}
+	if s := n.Faults(); s.Duplicated == 0 || s.Spiked == 0 || s.Retransmits == 0 {
+		t.Fatalf("faults did not all fire: %+v", s)
+	}
+}

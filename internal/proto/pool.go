@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 
+	"siteselect/internal/forward"
 	"siteselect/internal/slab"
 )
 
@@ -31,6 +32,10 @@ type Pool struct {
 	ObjReturn      slab.Slab[ObjReturn]
 	TxnShip        slab.Slab[TxnShip]
 	TxnResult      slab.Slab[TxnResult]
+
+	// Lists is the stock of the forward lists the cluster's grants and
+	// returns carry.
+	Lists forward.Stock
 }
 
 // Release resets a delivered payload record and hands it back to its
@@ -41,9 +46,10 @@ type Pool struct {
 // Every slice keeps its backing array for the next sender to fill —
 // handlers only read them in place, and copy out what must outlive the
 // call: ObjRequest's access vectors, GrantMsg.Grants, RecallMsg.Recalls,
-// ObjReturn.RetainedSL, and the location, load and count vectors of
-// Locations with the flat holder array behind them — a record that
-// carried one element keeps its one-element array.
+// and the location, load and count vectors of Locations with the flat
+// holder array behind them — a record that carried one element keeps its
+// one-element array. A final return's spent forward list goes back to
+// Lists.
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
 	case *ObjRequest:
@@ -64,8 +70,10 @@ func (p *Pool) Release(payload any) {
 	case *ReplicaInstall:
 		p.ReplicaInstall.Put(r)
 	case *ObjReturn:
-		*r = ObjReturn{RetainedSL: r.RetainedSL[:0]}
-		p.ObjReturn.Keep(r)
+		if r.Fwd != nil {
+			p.Lists.Put(r.Fwd)
+		}
+		p.ObjReturn.Put(r)
 	case *TxnShip:
 		p.TxnShip.Put(r)
 	case *TxnResult:

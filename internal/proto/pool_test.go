@@ -37,9 +37,8 @@ func filled(p *Pool) []any {
 	ri := p.ReplicaInstall.New()
 	*ri = ReplicaInstall{Obj: 4, Version: 7}
 	rt := p.ObjReturn.New()
-	retained := append(rt.RetainedSL, 2, 3)
 	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true,
-		UpdateOnly: true, Migration: true, RunComplete: true, RetainedSL: retained, Epoch: 2, Load: load}
+		UpdateOnly: true, Migration: true, RunComplete: true, Fwd: p.Lists.New(4), Epoch: 2, Load: load}
 	ts := p.TxnShip.New()
 	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}}
 	tr := p.TxnResult.New()
@@ -52,14 +51,14 @@ func filled(p *Pool) []any {
 var keepsCapacity = map[string]bool{
 	"ObjRequest.Objs": true, "ObjRequest.Modes": true,
 	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
-	"ObjReturn.RetainedSL": true,
-	"Locations.Objs":       true, "Locations.Loads": true,
+	"Locations.Objs": true, "Locations.Loads": true,
 	"Locations.DataCounts": true, "Locations.Flat": true,
 }
 
 func TestFilledCoversEveryPoolList(t *testing.T) {
 	var p Pool
-	if got, want := len(filled(&p)), reflect.TypeOf(p).NumField(); got != want {
+	// Every field but Lists, the stock of the lists payloads carry.
+	if got, want := len(filled(&p)), reflect.TypeOf(p).NumField()-1; got != want {
 		t.Fatalf("filled makes %d payload types, Pool has %d slabs", got, want)
 	}
 }
@@ -208,12 +207,16 @@ func TestReleaseOfUnpooledPayloadPanics(t *testing.T) {
 }
 
 // freeListPointers returns every pointer the free list of every slab
-// of p holds.
+// of p holds, the list stock's included.
 func freeListPointers(p *Pool) []uintptr {
 	var out []uintptr
 	v := reflect.ValueOf(p).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		free := v.Field(i).FieldByName("free")
+		s := v.Field(i)
+		if v.Type().Field(i).Name == "Lists" {
+			s = s.FieldByName("lists")
+		}
+		free := s.FieldByName("free")
 		for j := 0; j < free.Len(); j++ {
 			out = append(out, free.Index(j).Pointer())
 		}
@@ -288,9 +291,10 @@ func TestDuplicatedFramesAreNeverRecycled(t *testing.T) {
 		}
 		p.Release(msg.Payload)
 	}
+	// One more: the forward list the return carried home.
 	ptrs := freeListPointers(&p)
-	if len(ptrs) != len(recs) {
-		t.Fatalf("free lists hold %d records, want %d", len(ptrs), len(recs))
+	if len(ptrs) != len(recs)+1 {
+		t.Fatalf("free lists hold %d records, want %d", len(ptrs), len(recs)+1)
 	}
 	held := map[uintptr]bool{}
 	for _, ptr := range ptrs {
@@ -328,7 +332,9 @@ func filledHot(p *Pool) []any {
 	rm := p.RecallMsg.New()
 	rm.Recalls = append(rm.Recalls, Recall{Obj: 4}, Recall{Obj: 5})
 	rt := p.ObjReturn.New()
-	rt.Client, rt.Obj, rt.RetainedSL = 1, 4, append(rt.RetainedSL, 2, 3)
+	rt.Client, rt.Obj, rt.Fwd = 1, 4, p.Lists.New(4)
+	rt.Fwd.Retain(2)
+	rt.Fwd.Retain(3)
 	hotScratch = [4]any{q, gm, rm, rt}
 	return hotScratch[:]
 }

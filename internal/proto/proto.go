@@ -199,10 +199,13 @@ type ObjReturn struct {
 	// (the paper's "the object is returned to the server" — for a
 	// read-only run only the acknowledgement needs to travel).
 	RunComplete bool
-	// RetainedSL lists the chain clients that kept clean shared copies
-	// (legal because no exclusive entry followed them); the server
-	// registers these SLs so its lock table matches the caches.
-	RetainedSL []netsim.SiteID
+	// Fwd is the spent forward list a final return (Migration or
+	// RunComplete) carries home. Its Retained names the chain clients
+	// that kept clean shared copies (legal because no exclusive entry
+	// followed them); the server registers these SLs so its lock table
+	// matches the caches, and the list goes back to the pool's stock with
+	// the return's record.
+	Fwd *forward.List
 	// Epoch is the sender's release epoch for Obj after this return
 	// takes effect; the server stamps it into future grants so stale
 	// in-flight grants can be recognized.

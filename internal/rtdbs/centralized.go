@@ -33,11 +33,14 @@ type ceCore struct {
 	// A result is sent with no payload and no inbox (netsim.Send with a
 	// nil dest): it takes the LAN and is counted, and nothing reads it.
 	payloads proto.Pool
-	m        *metrics.Collector
-	disk     *pagefile.Disk
-	pool     *pagefile.BufferPool
-	slots    *sim.Resource
-	cpu      *sim.Resource
+	// frames holds the blocks the machines' page vectors live in
+	// (ceRead).
+	frames slab.Slab[*pagefile.Frame]
+	m      *metrics.Collector
+	disk   *pagefile.Disk
+	pool   *pagefile.BufferPool
+	slots  *sim.Resource
+	cpu    *sim.Resource
 
 	inbox *sim.Mailbox[netsim.Message]
 	// terminals is the population, by site id less one: a terminal's
@@ -243,12 +246,17 @@ const (
 	readLate              // deadline passed; the caller unpins and fails
 )
 
-// start arms the loop for a transaction of n accesses.
-func (r *ceRead) start(n int) {
-	if cap(r.frames) < n {
-		r.frames = make([]*pagefile.Frame, 0, n)
-	}
-	r.pc, r.idx, r.frames = rdNext, 0, r.frames[:0]
+// start arms the loop for a transaction of n accesses, its frame
+// vector in a block of frames, until drop.
+func (r *ceRead) start(frames *slab.Slab[*pagefile.Frame], n int) {
+	r.pc, r.idx, r.frames = rdNext, 0, frames.Fit(r.frames, n)
+}
+
+// drop hands the frame vector's block back to frames when the machine is
+// done (slab.Return).
+func (r *ceRead) drop(frames *slab.Slab[*pagefile.Frame]) {
+	frames.Return(r.frames)
+	r.frames = nil
 }
 
 func (r *ceRead) step(ce *ceCore, task *sim.Task, t *txn.Transaction, prio float64) readStatus {
@@ -356,7 +364,7 @@ func (ce *ceCore) priority(t *txn.Transaction) float64 {
 
 func (ce *Centralized) spawnTxn(t *txn.Transaction) {
 	x := ce.machines.New()
-	*x = ceTxnMachine{ce: ce, t: t, prio: ce.priority(t), read: ceRead{frames: x.read.frames}, locks: x.locks}
+	*x = ceTxnMachine{ce: ce, t: t, prio: ce.priority(t)}
 	ce.env.Spawn(&x.task, x)
 }
 
@@ -397,6 +405,8 @@ func (m *ceTxnMachine) Resume() {
 	}
 	m.task.Detach()
 	m.t = nil // a kept machine must not pin a retired transaction
+	m.locks.Drop()
+	m.read.drop(&m.ce.frames)
 	m.ce.machines.Keep(m)
 }
 
@@ -437,7 +447,7 @@ func (m *ceTxnMachine) step() bool {
 			m.finish(false)
 			return false
 		}
-		m.read.start(len(t.Ops))
+		m.read.start(&ce.frames, len(t.Ops))
 		m.pc = xsRead
 	case xsRead:
 		switch m.read.step(&ce.ceCore, &m.task, t, m.prio) {

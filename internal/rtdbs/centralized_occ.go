@@ -39,7 +39,7 @@ func NewCentralizedOCC(cfg config.Config) (*CentralizedOCC, error) {
 
 func (ce *CentralizedOCC) spawnTxn(t *txn.Transaction) {
 	x := ce.machines.New()
-	*x = occTxnMachine{ce: ce, t: t, snapshot: x.snapshot[:0], read: ceRead{frames: x.read.frames}}
+	*x = occTxnMachine{ce: ce, t: t, snapshot: x.snapshot[:0]}
 	ce.env.Spawn(&x.task, x)
 }
 
@@ -77,6 +77,7 @@ func (m *occTxnMachine) Resume() {
 	}
 	m.task.Detach()
 	m.t = nil // a kept machine must not pin a retired transaction
+	m.read.drop(&m.ce.frames)
 	m.ce.machines.Keep(m)
 }
 
@@ -103,7 +104,7 @@ func (m *occTxnMachine) step() bool {
 		}
 		// Read phase: snapshot versions, fault pages in, no locks held.
 		m.snapshot = ce.valid.ReadSet(t.Ops, m.snapshot[:0])
-		m.read.start(len(t.Ops))
+		m.read.start(&ce.frames, len(t.Ops))
 		m.pc = osRead
 	case osRead:
 		switch m.read.step(&ce.ceCore, &m.task, t, ce.priority(t)) {

@@ -429,6 +429,7 @@ func (s *Server) seal(obj lockmgr.ObjectID) {
 		for _, e := range l.Entries {
 			o.sealed.Insert(e)
 		}
+		s.payloads.Lists.Put(l)
 	} else {
 		o.sealed = l
 	}
@@ -465,12 +466,14 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	now := s.env.Now()
 	run := l.PopRun(s.runScratch[:0], now)
 	s.runScratch = run
-	if len(run) == 0 {
-		o.sealed = nil
-		return
-	}
 	if l.Len() == 0 {
+		// Spent: it goes back below, unless a blocked member of a
+		// shared run is put back on it.
 		o.sealed = nil
+	}
+	if len(run) == 0 {
+		s.payloads.Lists.Put(l)
+		return
 	}
 
 	if run[0].Mode == lockmgr.ModeShared || len(run) == 1 {
@@ -491,6 +494,9 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 			}
 		}
 		run = kept
+		if o.sealed == nil {
+			s.payloads.Lists.Put(l)
+		}
 		for _, e := range run {
 			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(e.Client)
@@ -509,7 +515,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 			// is marked in flight until the last member acknowledges
 			// (the list's final return), so no recall can cross a hop
 			// still on the wire.
-			hop := forward.NewList(obj)
+			hop := s.payloads.Lists.New(obj)
 			hop.ReadRun = true
 			for _, e := range run[1:] {
 				e.Epoch = s.epochOf(obj, e.Client)
@@ -529,8 +535,11 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 
 	// An exclusive pipeline: the object hops writer to writer and
 	// returns to the server after the last one.
+	if o.sealed == nil {
+		s.payloads.Lists.Put(l)
+	}
 	first := run[0]
-	chain := forward.NewList(obj)
+	chain := s.payloads.Lists.New(obj)
 	for _, e := range run[1:] {
 		e.Epoch = s.epochOf(obj, e.Client)
 		chain.Insert(e)

@@ -197,7 +197,8 @@ func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
 	s.versions[obj] = version
 	s.topo.SetReplica(obj, s.site)
 	if o.beat == nil {
-		o.beat = &heatBeat{s: s, obj: obj}
+		o.beat = s.beats.New()
+		o.beat.s, o.beat.obj = s, obj
 	}
 	o.beat.arm()
 }

@@ -119,6 +119,9 @@ type Server struct {
 	ships slab.Slab[batchShipMachine]
 	puts  slab.Slab[pagefile.PutOp]
 	reqs  slab.Slab[lockmgr.Request]
+	// beats holds the replica heartbeats: carved by an object's first
+	// adaptive install here and kept by its record for the run.
+	beats slab.Slab[heatBeat]
 	// siteScratch, holderScratch, flushMark and flushGroup are reusable
 	// buffers for the per-message aggregations (loadsFor, one object's
 	// holders, eachGroup); what they gather is copied into the reply
@@ -165,9 +168,10 @@ type objState struct {
 	// HeatWindow (heatN == 0: no window open), and whether a read replica
 	// is provisioned on another shard (replicaOut). At any other shard:
 	// the lifecycle of the replica served here, its grants over the
-	// current window (cold shedding), and its heartbeat, made by the first
-	// adaptive install and kept over every shed since. The narrow fields
-	// sit together so that the record packs into 80 B.
+	// current window (cold shedding), and its heartbeat, carved from the
+	// shard's beats by the first adaptive install and kept over every
+	// shed since. The narrow fields sit together so that the record packs
+	// into 80 B.
 	heatStart  time.Duration
 	heatN      int32
 	repHeat    int32
@@ -526,7 +530,8 @@ func (m *connMachine) Resume() {
 }
 
 // done ends the handling of the current message: its payload record
-// returns to the pool for the next sender.
+// returns to the pool for the next sender, and a final return's forward
+// list to the pool's stock with it.
 func (m *connMachine) done() {
 	if !m.shared {
 		m.s.payloads.Release(m.payload)
@@ -699,7 +704,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 		s.tr.Point(r.Txn, s.site, trace.EvListJoined, r.Obj, 0, 0, now)
 		o := s.rec(r.Obj)
 		if o.open == nil {
-			o.open = forward.NewList(r.Obj)
+			o.open = s.payloads.Lists.New(r.Obj)
 			s.collector.Open(r.Obj)
 		}
 		o.open.Insert(forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn})
@@ -790,7 +795,7 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	if ret.RunComplete {
 		// A parallel read run finished delivering; the object is no
 		// longer in flight and waiting writers may now proceed.
-		s.rec(obj).inflight = nil
+		s.land(obj)
 		s.tryDispatch(obj)
 		return
 	}
@@ -798,11 +803,11 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 		s.dropRecall(o, ret.Client)
 	}
 	if ret.Migration {
-		s.rec(obj).inflight = nil
+		s.land(obj)
 		grants := s.locks.Release(obj, MigrationOwner)
 		// Register the shared copies retained along the chain so the
 		// lock table matches the client caches.
-		for _, site := range ret.RetainedSL {
+		for _, site := range ret.Fwd.Retained {
 			owner := lockmgr.OwnerID(site)
 			free := len(s.locks.ConflictingHolders(obj, owner, lockmgr.ModeShared)) == 0 &&
 				s.locks.QueueLen(obj) == 0
@@ -841,6 +846,17 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 	s.tryDispatch(obj)
 	// A client release at a replica shard may complete a drain.
 	s.finishShedIfDrained(obj)
+}
+
+// land ends obj's run at its final return: the shard's in-flight copy
+// of the list goes back to the stock. The travelling copy goes back with
+// the return's record (proto.Pool.Release).
+func (s *Server) land(obj lockmgr.ObjectID) {
+	o := s.rec(obj)
+	if o.inflight != nil {
+		s.payloads.Lists.Put(o.inflight)
+		o.inflight = nil
+	}
 }
 
 // handleLocate answers a location query: every holder of each listed

@@ -272,9 +272,9 @@ func TestServerForwardListMigration(t *testing.T) {
 	if r.srv.locks.HolderMode(3, MigrationOwner) != lockmgr.ModeExclusive {
 		t.Fatal("migration pseudo-owner not holding")
 	}
-	// Final return releases it.
+	// Final return releases it, and carries the spent list home.
 	r.send(2, netsim.KindObjectReturn, &proto.ObjReturn{
-		Client: 2, Obj: 3, HasData: true, Version: 9, Migration: true,
+		Client: 2, Obj: 3, HasData: true, Version: 9, Migration: true, Fwd: g.Fwd,
 	})
 	r.env.Run(r.env.Now() + time.Second)
 	if r.srv.locks.HolderMode(3, MigrationOwner) != 0 {

@@ -71,16 +71,16 @@ func (s *Slab[T]) Keep(x *T) { s.free = append(s.free, x) }
 // capacity: a block of that capacity handed back earlier, the next n of
 // the newest chunk, or — past blockBytes — an array of its own.
 func (s *Slab[T]) Block(n int) []T {
-	size := int(unsafe.Sizeof(*new(T)))
-	if n > 1 && n*size > blockBytes {
-		return make([]T, n)
-	}
 	if c := class(n); c < len(s.blocks) && n == 1<<c {
 		if k := len(s.blocks[c]); k > 0 {
 			b := s.blocks[c][k-1]
 			s.blocks[c] = s.blocks[c][:k-1]
 			return b
 		}
+	}
+	size := int(unsafe.Sizeof(*new(T)))
+	if n > 1 && n*size > blockBytes {
+		return make([]T, n)
 	}
 	if n > len(s.tail) {
 		// The old chunk's last records, fewer than n, are given up.
@@ -98,10 +98,25 @@ func (s *Slab[T]) Block(n int) []T {
 // only zeroed, and PutBlock reports false: one past blockBytes is left to
 // the collector, or to an owner that keeps it (a mailbox's ring).
 func (s *Slab[T]) PutBlock(b []T) bool {
+	return s.keep(b, true)
+}
+
+// Return zeroes the block of v, a vector a record took with Fit for one
+// use and hands back when the use ends, and keeps it for the next Block
+// of its length — past blockBytes too, unlike PutBlock: such vectors
+// circulate, so what s keeps of them is bounded by the uses at once, not
+// by the lengths a list once grew through.
+func (s *Slab[T]) Return(v []T) {
+	s.keep(v, false)
+}
+
+// keep zeroes b and keeps it if its capacity is a power of two and,
+// when bounded, its bytes at most blockBytes, reporting whether it did.
+func (s *Slab[T]) keep(b []T, bounded bool) bool {
 	b = b[:cap(b)]
 	clear(b)
 	c := class(len(b))
-	if len(b) == 0 || len(b) != 1<<c || len(b) > 1 && len(b)*int(unsafe.Sizeof(b[0])) > blockBytes {
+	if len(b) == 0 || len(b) != 1<<c || bounded && len(b) > 1 && len(b)*int(unsafe.Sizeof(b[0])) > blockBytes {
 		return false
 	}
 	for len(s.blocks) <= c {
@@ -125,6 +140,19 @@ func (s *Slab[T]) Insert(list []T, i int, x T, own int) []T {
 	copy(list[i+1:], list[i:])
 	list[i] = x
 	return list
+}
+
+// Fit returns v emptied with room for n: v itself when its array holds
+// n, or else a block of s of the next power of two at least n, and v's
+// block goes back to s. A vector sized by each use — a machine's
+// per-access vectors — takes a block that another use handed back
+// (Return), not an array of its own at every new length.
+func (s *Slab[T]) Fit(v []T, n int) []T {
+	if n <= cap(v) {
+		return v[:0]
+	}
+	s.Return(v)
+	return s.Block(1 << class(n))[:0]
 }
 
 // Drop hands list's block back, unless list lives in its record (own).

@@ -211,3 +211,37 @@ func TestKeepHandsBackAsLeft(t *testing.T) {
 		t.Errorf("New and Keep of a warm slab allocate %v, want 0", n)
 	}
 }
+
+// TestFitReturnCirculate: a vector sized by one use takes a power-of-two
+// block with Fit and hands it back zeroed with Return, and the next use
+// of that length takes the same block — past blockBytes too, where
+// PutBlock leaves a block to the collector.
+func TestFitReturnCirculate(t *testing.T) {
+	var s Slab[int64]
+	v := s.Fit(nil, 5)
+	if len(v) != 0 || cap(v) != 8 {
+		t.Fatalf("Fit(nil, 5): len %d cap %d, want 0 and 8", len(v), cap(v))
+	}
+	v = append(v, 1, 2, 3)
+	if w := s.Fit(v, 8); &w[:1][0] != &v[0] || len(w) != 0 {
+		t.Fatal("Fit within capacity did not empty the vector in place")
+	}
+	s.Return(v)
+	w := s.Fit(nil, 7)
+	if &w[:1][0] != &v[0] || w[:3][0] != 0 {
+		t.Fatalf("Fit after Return: %v, want the returned block, zeroed", w[:3])
+	}
+	grown := s.Fit(w, 9) // w's block goes back as the vector grows
+	if cap(grown) != 16 || &s.Fit(nil, 8)[:1][0] != &v[0] {
+		t.Fatal("Fit past capacity did not hand the outgrown block back")
+	}
+
+	big := s.Fit(nil, 200) // 256 × 8 B: an array of its own
+	s.Return(big)
+	if again := s.Fit(nil, 256); &again[:1][0] != &big[:1][0] {
+		t.Fatal("Return did not keep a block past blockBytes")
+	}
+	if s.PutBlock(big) {
+		t.Fatal("PutBlock kept a block past blockBytes")
+	}
+}

@@ -31,7 +31,7 @@ fi
 		./internal/sim/... ./internal/netsim/... ./internal/rng/... \
 		./internal/pagefile/... ./internal/lockmgr/... \
 		./internal/batch/... ./internal/proto/... ./internal/trace/... ./internal/scenario/... \
-		./internal/txn/...
+		./internal/txn/... ./internal/forward/...
 	go test -run '^$' -bench 'BenchmarkFigure3$|BenchmarkFigure3Batched$' -benchtime 1x -benchmem .
 	go test -run '^$' -bench "$scale" -benchtime 1x -benchmem -timeout 60m .
 } | go run ./cmd/benchjson -into BENCH_kernel.json -label "$label"
