@@ -75,6 +75,8 @@ type Client struct {
 	log        *wal.Log
 
 	atl sched.ATL
+	// gen is this site's transaction stream; its maker lists what the
+	// site generated until the site retires it (retire).
 	gen txn.Source
 
 	// faulty and rto configure the retry machinery: both are zero-valued
@@ -120,12 +122,6 @@ type Client struct {
 	// injection): the dispatcher holds all message processing until it
 	// passes.
 	outageEnd time.Duration
-
-	// Tracked lists the transactions generated here that are not yet
-	// retired (retire): in flight, or shipped and finished at their
-	// target with the result still on its way back. The end of the run
-	// settles what is left.
-	Tracked []*txn.Transaction
 
 	// ForwardHops counts forward-list client-to-client sends.
 	ForwardHops int64
@@ -199,12 +195,11 @@ type Stock struct {
 	objs     slab.Slab[objRec]
 	h2       h2Scratch
 
-	// The blocks of Client.objs, pending, fanouts and Tracked (enlist);
-	// pendLists also holds an object record's waiters.
+	// The blocks of Client.objs, pending and fanouts (enlist); pendLists
+	// also holds an object record's waiters.
 	objLists  slab.Slab[*objRec]
 	pendLists slab.Slab[*pendingTxn]
 	fanLists  slab.Slab[*txnMachine]
-	txnLists  slab.Slab[*txn.Transaction]
 
 	// The blocks a machine's vectors live in: its pinned entries, its
 	// access lists (local lock order, misses) and a fan-out's results,
@@ -370,7 +365,6 @@ func (c *Client) startDispatcher() {
 // submitAsync runs the full submit path for t, starting at the current
 // instant.
 func (c *Client) submitAsync(t *txn.Transaction) {
-	enlist(&c.Tracked, t, &c.stock.txnLists)
 	c.spawnTxn(t, nil, enOrigin, nil)
 }
 
@@ -408,7 +402,6 @@ func (c *Client) RunEvent() {
 		return
 	}
 	t := c.gen.Next()
-	enlist(&c.Tracked, t, &c.stock.txnLists)
 	c.tr.Submitted(t, c.id, c.env.Now())
 	c.spawnTxn(t, nil, enOrigin, nil)
 	c.postArrival()

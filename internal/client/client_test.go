@@ -31,7 +31,6 @@ type rig struct {
 	toSrv  *sim.Mailbox[netsim.Message]   // what the client sent to the server (shard 0)
 	shards []*sim.Mailbox[netsim.Message] // what it sent to each shard; shards[0] is toSrv
 	peer   *sim.Mailbox[netsim.Message]   // inbox of peer site 2
-	nextID txn.ID
 }
 
 func newRig(t *testing.T, mod func(*config.Config)) *rig { return newRigOn(t, mod, nil) }
@@ -126,14 +125,16 @@ func (r *rig) sent(until time.Duration) []netsim.Message {
 	}
 }
 
+// newTxn issues a transaction from the client's maker, as its generator
+// would: the client retires it where it finishes.
 func (r *rig) newTxn(ops []txn.Op, slack time.Duration) *txn.Transaction {
-	r.nextID++
 	now := r.env.Now()
-	return &txn.Transaction{
-		ID: r.nextID, Origin: 1, Arrival: now,
-		Deadline: now + slack, Length: 100 * time.Millisecond,
-		Ops: ops, Status: txn.StatusPending, ExecSite: 1,
-	}
+	t := r.cl.gen.Maker().New(len(ops))
+	copy(t.Ops, ops)
+	t.Origin, t.ExecSite, t.Arrival = 1, 1, now
+	t.Deadline, t.Length = now+slack, 100*time.Millisecond
+	t.Status = txn.StatusPending
+	return t
 }
 
 // seed puts an object straight into the client cache.
@@ -734,7 +735,7 @@ func TestClientDecomposition(t *testing.T) {
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0})
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0})
 	r.env.Run(r.env.Now() + 10*time.Second)
-	r.inject(netsim.KindTxnResult, &proto.TxnResult{Txn: tx.ID, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
+	r.inject(netsim.KindTxnResult, &proto.TxnResult{T: tx, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
 	r.env.Run(r.env.Now() + 10*time.Second)
 	if tx.Status != txn.StatusCommitted {
 		t.Fatalf("parent status = %v", tx.Status)

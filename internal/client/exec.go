@@ -957,11 +957,11 @@ func (c *Client) finishParent(t *txn.Transaction, committed bool) {
 }
 
 // retire counts t, a transaction generated here that has reached its
-// final state, in the system's collector and drops it from Tracked: the
-// site keeps no history. A machine still unwinding t may read it; no
-// site writes it again.
+// final state, in the system's collector and has the system's maker
+// forget it: the site keeps no history. A machine still unwinding t may
+// read it; no site writes it again.
 func (c *Client) retire(t *txn.Transaction) {
-	unlist(&c.Tracked, t, &c.stock.txnLists)
+	c.gen.Maker().Forget(t)
 	c.m.Retire(t, c.cfg.Warmup)
 }
 
@@ -1098,12 +1098,12 @@ func (m *txnMachine) finish(committed bool) {
 			c.retire(t)
 		} else {
 			c.sendTxnResult(t.Origin, proto.TxnResult{
-				Txn: t.ID, SubIndex: -1, Committed: committed,
+				T: t, SubIndex: -1, Committed: committed,
 			})
 		}
 	} else if t.Origin != c.id {
 		c.sendTxnResult(t.Origin, proto.TxnResult{
-			Txn: t.ID, SubIndex: m.sub.Index, IsSub: true, Committed: committed,
+			T: t, SubIndex: m.sub.Index, IsSub: true, Committed: committed,
 		})
 	}
 }

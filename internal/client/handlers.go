@@ -237,19 +237,14 @@ func (c *Client) onTxnShip(s proto.TxnShip) {
 // onTxnResult hands a remote subtask's result to the parent machine
 // waiting in fanout. A whole transaction's result retires it: the origin
 // shares the *txn.Transaction its target wrote the outcome into
-// (shipTxn).
+// (shipTxn), and the reliable channel delivers the result once.
 func (c *Client) onTxnResult(r proto.TxnResult) {
 	if !r.IsSub {
-		for _, t := range c.Tracked {
-			if t.ID == r.Txn {
-				c.retire(t)
-				return
-			}
-		}
+		c.retire(r.T)
 		return
 	}
 	for _, m := range c.fanouts {
-		if m.t.ID == r.Txn {
+		if m.t == r.T {
 			m.results[r.SubIndex].report(r.Committed)
 			return
 		}

@@ -2,6 +2,7 @@ package client
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -77,20 +78,25 @@ func TestStore(t *testing.T) {
 		r := newRig(t, nil)
 		defer r.env.Close()
 		c := r.cl
-		m := &txnMachine{c: c, t: &txn.Transaction{ID: 5}, results: []*shipWait{{}, {}}}
+		parent, other, shipped := r.newTxn(nil, time.Minute), r.newTxn(nil, time.Minute), r.newTxn(nil, time.Minute)
+		m := &txnMachine{c: c, t: parent, results: []*shipWait{{}, {}}}
 		for _, w := range m.results {
 			w.sig.Init(r.env)
 		}
 		enlist(&c.fanouts, m, &c.stock.fanLists)
-		c.onTxnResult(proto.TxnResult{Txn: 5, SubIndex: 1, IsSub: true, Committed: true})
-		c.onTxnResult(proto.TxnResult{Txn: 5, SubIndex: 1, IsSub: true}) // replaces
+		c.onTxnResult(proto.TxnResult{T: parent, SubIndex: 1, IsSub: true, Committed: true})
+		c.onTxnResult(proto.TxnResult{T: parent, SubIndex: 1, IsSub: true}) // replaces
 		if w := m.results[1]; !w.done || w.committed || m.results[0].done {
 			t.Fatalf("after put-replace: subtask results %+v, %+v; want the second done, uncommitted", *m.results[0], *w)
 		}
-		c.onTxnResult(proto.TxnResult{Txn: 6, SubIndex: 0, IsSub: true, Committed: true}) // no such fanout
-		c.onTxnResult(proto.TxnResult{Txn: 5, SubIndex: -1, Committed: true})             // a whole transaction's
+		shipped.Status = txn.StatusCommitted
+		c.onTxnResult(proto.TxnResult{T: other, SubIndex: 0, IsSub: true, Committed: true}) // no such fanout
+		c.onTxnResult(proto.TxnResult{T: shipped, SubIndex: -1, Committed: true})           // a whole transaction's
 		if m.results[0].done {
 			t.Fatal("a result for another transaction, or for a whole one, reached subtask 0")
+		}
+		if live := c.gen.Maker().Listed(); len(live) != 2 || slices.Contains(live, shipped) {
+			t.Fatalf("a whole transaction's result left %d listed, the shipped one among them: %v", len(live), slices.Contains(live, shipped))
 		}
 		unlist(&c.fanouts, m, &c.stock.fanLists)
 		if len(c.fanouts) != 0 {

@@ -10,35 +10,6 @@ import (
 	"time"
 )
 
-// AccessPattern selects the workload's object access generator.
-type AccessPattern int
-
-// Access patterns.
-const (
-	// PatternLocalizedRW is the paper's pattern: 75% of a client's
-	// accesses in its own region, the rest Zipf over the remainder.
-	PatternLocalizedRW AccessPattern = iota + 1
-	// PatternUniform spreads accesses uniformly (no locality).
-	PatternUniform
-	// PatternHotCold sends LocalFraction of accesses to a globally
-	// shared hot set of HotRegionSize objects.
-	PatternHotCold
-)
-
-// String names the pattern.
-func (p AccessPattern) String() string {
-	switch p {
-	case PatternLocalizedRW:
-		return "localized-rw"
-	case PatternUniform:
-		return "uniform"
-	case PatternHotCold:
-		return "hot-cold"
-	default:
-		return fmt.Sprintf("AccessPattern(%d)", int(p))
-	}
-}
-
 // NetTopology selects the interconnect model.
 type NetTopology int
 
@@ -124,15 +95,18 @@ type Config struct {
 	// (Section 5.1: 10%).
 	DecomposableFraction float64
 
-	// Pattern selects the access generator (Localized-RW by default).
-	Pattern AccessPattern
+	// Pattern selects the access generator every client class without
+	// an access spec of its own draws from: AccessUniform,
+	// AccessLocalized (the paper's Localized-RW; also what AccessDefault
+	// means here) or AccessHotCold. AccessSkewed is a class's alone.
+	Pattern AccessKind
 	// Deadlines selects the deadline-generation policy.
 	Deadlines DeadlinePolicy
 	// Scheduling selects the executor-queue discipline.
 	Scheduling SchedPolicy
 	// HotRegionSize and LocalFraction shape Localized-RW (Section 5.1:
-	// 75% of accesses to a region, rest Zipf) and the hot set of
-	// PatternHotCold.
+	// 75% of accesses to a region, rest Zipf) and the hot set of a
+	// run-level AccessHotCold.
 	HotRegionSize int
 	LocalFraction float64
 	ZipfTheta     float64
@@ -287,7 +261,7 @@ func Default(n int, updateFraction float64) Config {
 		MeanObjects:          10,
 		UpdateFraction:       updateFraction,
 		DecomposableFraction: 0.10,
-		Pattern:              PatternLocalizedRW,
+		Pattern:              AccessLocalized,
 		Deadlines:            DeadlineLengthPlusSlack,
 		Scheduling:           SchedEDF,
 		HotRegionSize:        500,
@@ -344,7 +318,7 @@ func Scale(clients int) Config {
 		MeanSlack:        1000 * time.Second,
 		MeanObjects:      4,
 		UpdateFraction:   0.01,
-		Pattern:          PatternLocalizedRW,
+		Pattern:          AccessLocalized,
 		Deadlines:        DeadlineLengthPlusSlack,
 		Scheduling:       SchedEDF,
 		HotRegionSize:    200,
@@ -393,8 +367,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: UpdateFraction %v out of [0,1]", c.UpdateFraction)
 	case c.DecomposableFraction < 0 || c.DecomposableFraction > 1:
 		return fmt.Errorf("config: DecomposableFraction %v out of [0,1]", c.DecomposableFraction)
-	case c.Pattern < 0 || c.Pattern > PatternHotCold:
-		return fmt.Errorf("config: unknown access pattern %d", int(c.Pattern))
+	case c.Pattern < AccessDefault || c.Pattern > AccessHotCold:
+		return fmt.Errorf("config: access pattern %v is not a run-level one", c.Pattern)
 	case c.Deadlines < 0 || c.Deadlines > DeadlineIndependent:
 		return fmt.Errorf("config: unknown deadline policy %d", int(c.Deadlines))
 	case c.Scheduling < 0 || c.Scheduling > SchedFCFS:

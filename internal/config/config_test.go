@@ -160,12 +160,12 @@ func TestScale(t *testing.T) {
 }
 
 func TestEnumStrings(t *testing.T) {
-	if PatternLocalizedRW.String() != "localized-rw" ||
-		PatternUniform.String() != "uniform" ||
-		PatternHotCold.String() != "hot-cold" {
+	if AccessLocalized.String() != "localized-rw" ||
+		AccessUniform.String() != "uniform" ||
+		AccessHotCold.String() != "hot-cold" {
 		t.Fatal("pattern names wrong")
 	}
-	if AccessPattern(9).String() == "" {
+	if AccessKind(9).String() == "" {
 		t.Fatal("unknown pattern should still print")
 	}
 	if TopologySharedBus.String() != "shared-bus" || TopologySwitched.String() != "switched" {

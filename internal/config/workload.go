@@ -84,19 +84,22 @@ type ArrivalPhase struct {
 	BurstSpread time.Duration
 }
 
-// AccessKind selects a client class's object access generator.
+// AccessKind selects an object access generator: the run's
+// (Config.Pattern) or a client class's (AccessSpec.Kind).
 type AccessKind int
 
 // Access kinds.
 const (
-	// AccessDefault inherits the run-level Config.Pattern generator.
+	// AccessDefault is a class's inheritance of the run-level
+	// Config.Pattern, and at the run level the paper's Localized-RW.
 	AccessDefault AccessKind = iota
 	// AccessUniform draws objects uniformly over the database.
 	AccessUniform
 	// AccessLocalized is the paper's Localized-RW pattern.
 	AccessLocalized
 	// AccessHotCold sends HotFraction of accesses to a shared hot set
-	// of HotSize objects.
+	// of HotSize objects (at the run level, LocalFraction of them to
+	// HotRegionSize objects).
 	AccessHotCold
 	// AccessSkewed draws objects Zipf-skewed over the whole database
 	// (ZipfTheta), with an optional drifting hot spot: HotFraction of

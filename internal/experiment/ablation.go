@@ -115,7 +115,7 @@ func threeSystems(o Options, name, title, key string, keyW int, rows []Setting) 
 // hit rates.
 func PatternSweep(o Options) *Study {
 	var rows []Setting
-	for _, pat := range []config.AccessPattern{config.PatternLocalizedRW, config.PatternUniform, config.PatternHotCold} {
+	for _, pat := range []config.AccessKind{config.AccessLocalized, config.AccessUniform, config.AccessHotCold} {
 		rows = append(rows, Setting{Name: pat.String(), Mod: func(c *config.Config) { c.Pattern = pat }})
 	}
 	s := threeSystems(o, "patterns", "Access-pattern robustness", "Pattern", 14, rows)

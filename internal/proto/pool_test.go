@@ -42,7 +42,7 @@ func filled(p *Pool) []any {
 	ts := p.TxnShip.New()
 	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}}
 	tr := p.TxnResult.New()
-	*tr = TxnResult{Txn: 9, SubIndex: 1, IsSub: true, Committed: true}
+	*tr = TxnResult{T: t, SubIndex: 1, IsSub: true, Committed: true}
 	return []any{rq, gm, lc, dr, rm, ri, rt, ts, tr}
 }
 

@@ -223,9 +223,9 @@ type TxnShip struct {
 }
 
 // TxnResult reports a shipped transaction's (or subtask's) outcome to
-// its origin.
+// its origin, naming the transaction as the TxnShip that carried it did.
 type TxnResult struct {
-	Txn       txn.ID
+	T         *txn.Transaction
 	SubIndex  int
 	IsSub     bool
 	Committed bool

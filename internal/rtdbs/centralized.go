@@ -3,11 +3,9 @@ package rtdbs
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"siteselect/internal/config"
 	"siteselect/internal/lockmgr"
-	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
 	"siteselect/internal/pagefile"
 	"siteselect/internal/proto"
@@ -17,17 +15,15 @@ import (
 	"siteselect/internal/wal"
 )
 
-// ceCore is what the two centralized engines share: the simulated LAN,
-// the server's disk, buffer pool, thread slots and single CPU, the
+// ceCore is what the two centralized engines share beside the run
+// core: the server's disk, buffer pool, thread slots and single CPU, the
 // terminals, whose arrival streams are kernel events (terminal.RunEvent),
 // and the machine that feeds their transactions to the server
 // (ceServeMachine). An engine embeds it and supplies spawn, its
 // per-transaction machine.
 type ceCore struct {
-	cfg config.Config
+	core
 
-	env *sim.Env
-	net *netsim.Network
 	// payloads is this system's stock of message payload records: a
 	// terminal fills a TxnShip and the server's dispatcher releases it.
 	// A result is sent with no payload and no inbox (netsim.Send with a
@@ -36,7 +32,6 @@ type ceCore struct {
 	// frames holds the blocks the machines' page vectors live in
 	// (ceRead).
 	frames slab.Slab[*pagefile.Frame]
-	m      *metrics.Collector
 	disk   *pagefile.Disk
 	pool   *pagefile.BufferPool
 	slots  *sim.Resource
@@ -46,9 +41,6 @@ type ceCore struct {
 	// terminals is the population, by site id less one: a terminal's
 	// generator is an element of the workload arrays (newGenerators).
 	terminals []terminal
-	// ledger is what the end-of-run walk found for the conservation
-	// check.
-	ledger ledger
 	// spawn starts the engine's machine for one arriving transaction.
 	spawn func(*txn.Transaction)
 }
@@ -57,51 +49,29 @@ type terminal struct {
 	ce  *ceCore
 	id  netsim.SiteID
 	gen *txn.Generator
-	// tracked lists the terminal's transactions not yet retired: those
-	// in flight (ceCore.retire).
-	tracked []*txn.Transaction
 }
 
 func newCECore(cfg config.Config) (ceCore, error) {
-	if err := cfg.Validate(); err != nil {
+	var ce ceCore
+	if err := ce.init(cfg); err != nil {
 		return ceCore{}, err
 	}
-	env := sim.NewEnv()
-	net := netsim.New(env, netsim.Config{
-		Latency:      cfg.NetLatency,
-		BandwidthBps: cfg.NetBandwidthBps,
-		Switched:     cfg.Topology == config.TopologySwitched,
-	})
-	disk := pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
+	env := ce.env
+	ce.disk = pagefile.NewDisk(env, cfg.DBSize, pagefile.DiskConfig{
 		ReadTime:  cfg.DiskRead,
 		WriteTime: cfg.DiskWrite,
 	})
-	ce := ceCore{
-		cfg:   cfg,
-		env:   env,
-		net:   net,
-		m:     &metrics.Collector{},
-		disk:  disk,
-		pool:  pagefile.NewBufferPool(env, disk, cfg.ServerMemory),
-		slots: sim.NewResource(env, cfg.ServerThreads),
-		cpu:   sim.NewResource(env, 1),
-		inbox: sim.NewMailbox[netsim.Message](env),
-	}
-	gens, maker := newGenerators(&cfg)
-	ce.ledger.maker = maker
+	ce.pool = pagefile.NewBufferPool(env, ce.disk, cfg.ServerMemory)
+	ce.slots = sim.NewResource(env, cfg.ServerThreads)
+	ce.cpu = sim.NewResource(env, 1)
+	ce.inbox = sim.NewMailbox[netsim.Message](env)
 	ce.terminals = make([]terminal, cfg.NumClients)
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
-		term.id, term.gen = netsim.SiteID(k+1), &gens[k]
+		term.id, term.gen = netsim.SiteID(k+1), &ce.gens[k]
 	}
 	return ce, nil
 }
-
-// Env exposes the simulation environment.
-func (ce *ceCore) Env() *sim.Env { return ce.env }
-
-// Net exposes the simulated LAN.
-func (ce *ceCore) Net() *netsim.Network { return ce.net }
 
 // Start spawns the server dispatcher and posts every terminal's first
 // arrival.
@@ -154,7 +124,6 @@ func NewCentralized(cfg config.Config) (*Centralized, error) {
 func (term *terminal) RunEvent() {
 	ce := term.ce
 	t := term.gen.Next()
-	term.tracked = append(term.tracked, t)
 	sub := ce.payloads.TxnShip.New()
 	sub.T = t
 	ce.net.Send(netsim.Message{
@@ -340,16 +309,10 @@ func (ce *ceCore) reply(t *txn.Transaction, committed bool) {
 }
 
 // retire counts t, which has reached its final state, in the collector
-// and drops it from its terminal's list: the system keeps no history.
-// The machine that finished t may still read it; nothing writes it
-// again.
+// and has the maker forget it: the system keeps no history. The machine
+// that finished t may still read it; nothing writes it again.
 func (ce *ceCore) retire(t *txn.Transaction) {
-	term := &ce.terminals[t.Origin-1]
-	l := term.tracked
-	last := len(l) - 1
-	l[slices.Index(l, t)] = l[last]
-	l[last] = nil
-	term.tracked = l[:last]
+	ce.txns.Forget(t)
 	ce.m.Retire(t, ce.cfg.Warmup)
 }
 
@@ -507,43 +470,19 @@ func (ce *Centralized) Run() (*Result, error) {
 	ce.env.Run(ce.cfg.Duration + ce.cfg.Drain)
 	res := ce.collect()
 	err := ce.locks.Audit()
-	if err == nil && ce.cfg.CheckInvariants {
-		err = ce.ledger.verify(ce.m)
+	if err == nil {
+		err = ce.conserved()
 	}
 	ce.env.Close()
 	return res, err
 }
 
-// collect settles the transactions left unretired and reads the run's
-// statistics: one whose deadline has not passed is in flight and
-// excluded, one past it died waiting and is retired as missed.
+// collect settles the run (core.settle) and reads the server's
+// statistics.
 func (ce *ceCore) collect() *Result {
-	now := ce.env.Now()
-	for k := range ce.terminals {
-		for _, t := range ce.terminals[k].tracked {
-			if !t.Terminal() {
-				if t.Deadline >= now {
-					ce.ledger.inFlight++
-					continue
-				}
-				t.Status = txn.StatusMissed
-				t.Finished = now
-			} else {
-				ce.ledger.unretired(t)
-			}
-			ce.m.Retire(t, ce.cfg.Warmup)
-		}
-	}
-	return &Result{
-		Config:              ce.cfg,
-		M:                   ce.m,
-		Messages:            messageSnapshot(ce.net),
-		TotalMessages:       ce.net.TotalMessages(),
-		TotalBytes:          ce.net.TotalBytes(),
-		NetUtilization:      ce.net.Utilization(),
-		ServerBufferHitRate: ce.pool.HitRate(),
-		ServerDiskReads:     ce.disk.Reads,
-		ServerDiskWrites:    ce.disk.Writes,
-		Elapsed:             now,
-	}
+	res := ce.settle()
+	res.ServerBufferHitRate = ce.pool.HitRate()
+	res.ServerDiskReads = ce.disk.Reads
+	res.ServerDiskWrites = ce.disk.Writes
+	return res
 }

@@ -170,10 +170,7 @@ func (ce *CentralizedOCC) Run() (*Result, error) {
 	res.Restarts = ce.Restarts
 	res.Validations = ce.valid.Validations
 	res.Conflicts = ce.valid.Conflicts
-	var err error
-	if ce.cfg.CheckInvariants {
-		err = ce.ledger.verify(ce.m)
-	}
+	err := ce.conserved()
 	ce.env.Close()
 	return res, err
 }

@@ -10,13 +10,11 @@ import (
 	"siteselect/internal/config"
 	"siteselect/internal/invariant"
 	"siteselect/internal/lockmgr"
-	"siteselect/internal/metrics"
 	"siteselect/internal/netsim"
 	"siteselect/internal/server"
 	"siteselect/internal/shardmap"
 	"siteselect/internal/sim"
 	"siteselect/internal/trace"
-	"siteselect/internal/txn"
 )
 
 // Cluster is a client-server system: one or more server shards
@@ -26,17 +24,11 @@ import (
 // the Section 4 algorithm with the flags it has on. servers[0] is shard
 // 0 at netsim.ServerSite, the only one in the paper's topology.
 type Cluster struct {
-	// cfg is the one configuration every site points at; nothing
-	// writes it once newCluster has returned.
-	cfg config.Config
+	core
 
-	env     *sim.Env
-	net     *netsim.Network
-	m       *metrics.Collector
 	topo    *shardmap.Map
 	servers []*server.Server
 	clients []client.Client
-	tr      *trace.Tracer
 
 	// touched is the invariant monitor's list of what the event being
 	// checked touched (watch; nil without a monitor). visits counts the
@@ -44,9 +36,6 @@ type Cluster struct {
 	// the tests that pin what a step costs.
 	touched *[]lockmgr.Touch
 	visits  struct{ locks, caches int }
-	// ledger is what the end-of-run walk found for the conservation
-	// check.
-	ledger ledger
 	// pendingDue is the earliest deadline of any client's open exchange
 	// as request conservation last saw them: until grace past it no
 	// exchange open then can break the rule, and one opened since was
@@ -83,26 +72,16 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 		cfg.UseForwardLists = false
 		cfg.UseSpeculation = false
 	}
-	if err := cfg.Validate(); err != nil {
+	c := new(Cluster)
+	if err := c.init(cfg); err != nil {
 		return nil, err
 	}
-	env := sim.NewEnv()
-	net := netsim.New(env, netsim.Config{
-		Latency:      cfg.NetLatency,
-		BandwidthBps: cfg.NetBandwidthBps,
-		Switched:     cfg.Topology == config.TopologySwitched,
-	})
+	env, net := c.env, c.net
 	if cfg.Faults.Enabled() {
 		net.SetFaults(faultConfig(cfg))
 	}
 	topo := shardmap.New(cfg.Sharding)
-	c := &Cluster{
-		cfg:  cfg,
-		env:  env,
-		net:  net,
-		m:    &metrics.Collector{},
-		topo: topo,
-	}
+	c.topo = topo
 	nShards := topo.Servers()
 	for k := 0; k < nShards; k++ {
 		st := stock
@@ -131,8 +110,6 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 	// workload arrays of newGenerators — and each site is initialised in
 	// place: the loop below makes no object. The arrays live as long as
 	// the cluster; nothing is returned to them.
-	gens, maker := newGenerators(&c.cfg)
-	c.ledger.maker = maker
 	stride := 1 + nShards
 	boxes := make([]sim.Mailbox[netsim.Message], cfg.NumClients*stride)
 	inboxes := make([]*sim.Mailbox[netsim.Message], cfg.NumClients+1) // by site id
@@ -147,7 +124,7 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
 		inboxes[id] = &mine[0]
-		c.clients[i-1].Init(env, &c.cfg, id, net, stock, c.m, mine, topo, &gens[i-1])
+		c.clients[i-1].Init(env, &c.cfg, id, net, stock, c.m, mine, topo, &c.gens[i-1])
 	}
 	for i := range c.clients {
 		c.clients[i].SetPeers(&inboxes)
@@ -222,17 +199,10 @@ func faultConfig(cfg config.Config) netsim.FaultConfig {
 	return fc
 }
 
-// Env exposes the simulation environment (tests drive it directly).
-func (c *Cluster) Env() *sim.Env { return c.env }
-
 // home returns the server shard authoritative for obj.
 func (c *Cluster) home(obj lockmgr.ObjectID) *server.Server {
 	return c.servers[c.topo.HomeShard(obj)]
 }
-
-// Net exposes the simulated LAN (e.g. to install a message trace before
-// Start).
-func (c *Cluster) Net() *netsim.Network { return c.net }
 
 // Tracer exposes the per-transaction tracer (nil unless cfg.Trace).
 func (c *Cluster) Tracer() *trace.Tracer { return c.tr }
@@ -273,8 +243,8 @@ func (c *Cluster) Run() (*Result, error) {
 	c.env.Run(c.cfg.Duration + c.cfg.Drain)
 	res := c.collect()
 	err := c.Audit()
-	if err == nil && c.cfg.CheckInvariants {
-		err = c.ledger.verify(c.m)
+	if err == nil {
+		err = c.conserved()
 	}
 	if err == nil && mon != nil {
 		err = mon.Final()
@@ -286,10 +256,7 @@ func (c *Cluster) Run() (*Result, error) {
 		err = c.tr.VerifyAll()
 	}
 	c.env.Close()
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 // monitor builds the continuous monitor over checks and makes the model
@@ -515,46 +482,10 @@ func (c *Cluster) bestVersion(obj lockmgr.ObjectID) int64 {
 	return best
 }
 
-// collect settles what the run left unretired and reads the run's
-// statistics. A transaction still on its origin's list at the end is in
-// flight, and excluded, while its deadline has not passed; one past its
-// deadline died waiting and is missed; one shipped and finished at its
-// target, with the result still on the wire, is as it ended. The last
-// two are retired here.
+// collect settles the run (core.settle) and reads the cluster's own
+// statistics.
 func (c *Cluster) collect() *Result {
-	now := c.env.Now()
-	for i := range c.clients {
-		cl := &c.clients[i]
-		for _, t := range cl.Tracked {
-			if !t.Terminal() {
-				if t.Deadline >= now {
-					c.ledger.inFlight++
-					continue // still legitimately in flight; exclude
-				}
-				t.Status = txn.StatusMissed
-				t.Finished = now
-				// Close the stranded transaction's trace so its wait since
-				// the last mark is attributed (it died waiting).
-				site := t.ExecSite
-				if site == netsim.ServerSite {
-					site = t.Origin
-				}
-				c.tr.Finish(t, site, now)
-			} else if !t.Shipped {
-				c.ledger.unretired(t)
-			}
-			c.m.Retire(t, c.cfg.Warmup)
-		}
-	}
-	res := &Result{
-		Config:         c.cfg,
-		M:              c.m,
-		Messages:       messageSnapshot(c.net),
-		TotalMessages:  c.net.TotalMessages(),
-		TotalBytes:     c.net.TotalBytes(),
-		NetUtilization: c.net.Utilization(),
-		Elapsed:        now,
-	}
+	res := c.settle()
 	// Hit rates average across shards; everything else sums.
 	for _, sv := range c.servers {
 		res.ServerBufferHitRate += sv.Pool().HitRate()
@@ -573,9 +504,6 @@ func (c *Cluster) collect() *Result {
 	}
 	res.ServerBufferHitRate /= float64(len(c.servers))
 	res.Faults = c.net.Faults()
-	if c.tr != nil {
-		res.MissCauses = c.tr.MissCauses(c.cfg.Warmup)
-	}
 	res.ExecutedPerSite = c.m.ExecutedPerSite()
 	for i := range c.clients {
 		cl := &c.clients[i]

@@ -139,7 +139,6 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 			c := new(client.Client)
 			c.Init(env, &cfg, 2, net, &stock, &m, boxes, topo, gen)
 			c.Cache().Insert(7, lockmgr.ModeExclusive, true, 3)
-			c.Tracked = append(c.Tracked, &txn.Transaction{ID: 1})
 			c.Retries, c.ForwardHops = 4, 2
 			c.Init(env, &cfg, 1, net, &stock, &m, boxes, topo, gen)
 			return c

@@ -471,7 +471,7 @@ func TestSpeculationEndToEnd(t *testing.T) {
 // TestPatternsRunCleanly exercises the alternative access generators
 // through a whole system run.
 func TestPatternsRunCleanly(t *testing.T) {
-	for _, pat := range []config.AccessPattern{config.PatternUniform, config.PatternHotCold} {
+	for _, pat := range []config.AccessKind{config.AccessUniform, config.AccessHotCold} {
 		cfg := smallConfig(6, 0.20)
 		cfg.Pattern = pat
 		ls, err := NewLoadSharing(cfg)

@@ -10,10 +10,12 @@ import (
 // TestConservationCatchesMiscountedRetirement runs a client-server cell
 // three ways and checks transaction conservation at the end of each: as
 // built, where it holds; with the first transaction retired after the
-// warm-up retired a second time, and with its retirement skipped — left
-// uncounted on its origin's list — where it must fail. (The mutations
-// act from the step hook, so the cell runs without the monitor that
-// Run would attach.)
+// warm-up counted a second time, and with a transaction that finished
+// as it did but whose retirement was skipped — left uncounted on the
+// maker's list — where it must fail. (A second retirement by a site's
+// own retire point fails at once: the maker's Forget panics. The
+// mutations act from the step hook, so the cell runs without the
+// monitor that Run would attach.)
 func TestConservationCatchesMiscountedRetirement(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -25,9 +27,8 @@ func TestConservationCatchesMiscountedRetirement(t *testing.T) {
 			c.m.Retire(tx, c.cfg.Warmup)
 		}, "accounted for"},
 		{"retirement-skipped", func(c *Cluster, tx *txn.Transaction) {
-			c.m.Submitted--
-			cl := &c.clients[tx.Origin-1]
-			cl.Tracked = append(cl.Tracked, tx)
+			x := c.txns.New(len(tx.Ops))
+			x.Origin, x.Arrival, x.Status, x.Finished = tx.Origin, tx.Arrival, tx.Status, tx.Finished
 		}, "never retired"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +50,7 @@ func TestConservationCatchesMiscountedRetirement(t *testing.T) {
 			if res.M.Submitted == 0 || tc.mutate != nil && !mutated {
 				t.Fatalf("nothing to check: %d submitted, mutated %v", res.M.Submitted, mutated)
 			}
-			err = c.ledger.verify(c.m)
+			err = c.ledger.verify(c.m, c.txns)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("conservation fails as built: %v", err)

@@ -15,7 +15,7 @@ import (
 // reads evict and dirty pages write back.
 func occFingerprintConfig(update float64) config.Config {
 	cfg := CE.Default(24, update)
-	cfg.Pattern = config.PatternHotCold
+	cfg.Pattern = config.AccessHotCold
 	cfg.ServerMemory = 48
 	cfg.HotRegionSize = 60
 	cfg.LocalFraction = 0.9

@@ -43,7 +43,7 @@ var unwindCases = []struct {
 
 func unwindConfig(tune func(*config.Config)) config.Config {
 	cfg := CE.Default(20, 0.5)
-	cfg.Pattern = config.PatternHotCold
+	cfg.Pattern = config.AccessHotCold
 	cfg.HotRegionSize = 150
 	cfg.LocalFraction = 0.9
 	// The pool must cover ServerThreads transactions each pinning its

@@ -136,21 +136,37 @@ type (
 // defers to it — and returns the function that initialises the k'th for
 // client i on its stream.
 func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) accessInit {
-	uniform := func() accessInit {
+	kind, hotSize, hotFrac := cfg.Pattern, cfg.HotRegionSize, cfg.LocalFraction
+	if spec != nil && spec.Kind != config.AccessDefault {
+		kind, hotSize, hotFrac = spec.Kind, spec.HotSize, spec.HotFraction
+	}
+	switch kind {
+	case config.AccessUniform:
 		gs := make([]rng.Uniform, n)
 		return func(k, _ int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, cfg.DBSize)
 			return &gs[k]
 		}
-	}
-	hotCold := func(hotSize int, hotFrac float64) accessInit {
+	case config.AccessHotCold:
 		gs := make([]rng.HotCold, n)
 		return func(k, _ int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, cfg.DBSize, hotSize, hotFrac)
 			return &gs[k]
 		}
-	}
-	localized := func() accessInit {
+	case config.AccessSkewed:
+		gs := make([]rng.Skewed, n)
+		return func(k, _ int, s *rng.Stream) rng.AccessGen {
+			gs[k].Init(s, rng.SkewedConfig{
+				DBSize:      cfg.DBSize,
+				ZipfTheta:   spec.ZipfTheta,
+				HotSize:     spec.HotSize,
+				HotFraction: spec.HotFraction,
+				DriftEvery:  spec.DriftEvery,
+				DriftStep:   spec.DriftStep,
+			})
+			return &gs[k]
+		}
+	default: // config.AccessLocalized, or AccessDefault at the run level
 		gs := make([]rng.LocalizedRW, n)
 		return func(k, i int, s *rng.Stream) rng.AccessGen {
 			gs[k].Init(s, rng.LocalizedRWConfig{
@@ -163,38 +179,6 @@ func accessMaker(cfg *config.Config, spec *config.AccessSpec, n int) accessInit 
 			})
 			return &gs[k]
 		}
-	}
-	if spec != nil {
-		switch spec.Kind {
-		case config.AccessUniform:
-			return uniform()
-		case config.AccessHotCold:
-			return hotCold(spec.HotSize, spec.HotFraction)
-		case config.AccessLocalized:
-			return localized()
-		case config.AccessSkewed:
-			gs := make([]rng.Skewed, n)
-			return func(k, _ int, s *rng.Stream) rng.AccessGen {
-				gs[k].Init(s, rng.SkewedConfig{
-					DBSize:      cfg.DBSize,
-					ZipfTheta:   spec.ZipfTheta,
-					HotSize:     spec.HotSize,
-					HotFraction: spec.HotFraction,
-					DriftEvery:  spec.DriftEvery,
-					DriftStep:   spec.DriftStep,
-				})
-				return &gs[k]
-			}
-		}
-	}
-	// config.AccessDefault, or no spec: the run-level access pattern.
-	switch cfg.Pattern {
-	case config.PatternUniform:
-		return uniform()
-	case config.PatternHotCold:
-		return hotCold(cfg.HotRegionSize, cfg.LocalFraction)
-	default:
-		return localized()
 	}
 }
 

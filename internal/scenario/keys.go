@@ -40,8 +40,8 @@ var keys = []key{
 	field("config", "objects", intVal, func(c *config.Config) *int { return &c.MeanObjects }),
 	field("config", "updates", numVal, func(c *config.Config) *float64 { return &c.UpdateFraction }),
 	field("config", "decomposable", numVal, func(c *config.Config) *float64 { return &c.DecomposableFraction }),
-	field("config", "pattern", oneOf("uniform, localized-rw, or hot-cold", config.PatternUniform, config.PatternLocalizedRW, config.PatternHotCold),
-		func(c *config.Config) *config.AccessPattern { return &c.Pattern }),
+	field("config", "pattern", oneOf("uniform, localized-rw, or hot-cold", config.AccessUniform, config.AccessLocalized, config.AccessHotCold),
+		func(c *config.Config) *config.AccessKind { return &c.Pattern }),
 	field("config", "hot-size", intVal, func(c *config.Config) *int { return &c.HotRegionSize }),
 	field("config", "local-fraction", numVal, func(c *config.Config) *float64 { return &c.LocalFraction }),
 	field("config", "zipf-theta", numVal, func(c *config.Config) *float64 { return &c.ZipfTheta }),

@@ -33,7 +33,7 @@ func TestSet(t *testing.T) {
 		}
 	}
 	if cfg.UseH1 || cfg.UpdateFraction != 0.2 || cfg.Duration.Minutes() != 3 || cfg.Warmup != 0 ||
-		cfg.Pattern != config.PatternHotCold || cfg.Faults.SpikeLatency.Milliseconds() != 5 || cfg.Sharding.Replicas[3] != 1 {
+		cfg.Pattern != config.AccessHotCold || cfg.Faults.SpikeLatency.Milliseconds() != 5 || cfg.Sharding.Replicas[3] != 1 {
 		t.Fatalf("settings did not land: %+v", cfg)
 	}
 	for kv, want := range map[string]string{

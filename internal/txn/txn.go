@@ -84,8 +84,11 @@ type Transaction struct {
 	// disassembled and materialized independently (Section 3.2).
 	Decomposable bool
 	// Shipped marks transactions moved by the load-sharing algorithm.
-	// (Beside Decomposable: the two flags share a word.)
+	// (Beside Decomposable: the two flags and listed share a word.)
 	Shipped bool
+	// listed is the transaction's place on its maker's list, plus one;
+	// zero once it is forgotten, or if no maker issued it (Maker.Forget).
+	listed uint32
 
 	Status Status
 	// ExecSite is where the transaction ran (its origin unless

@@ -2,8 +2,10 @@ package txn
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/rng"
@@ -259,5 +261,75 @@ func TestIndependentDeadlinePolicy(t *testing.T) {
 	}
 	if impossible == 0 {
 		t.Fatal("independent deadlines never fell below the length")
+	}
+}
+
+// TestMakerListsUntilForgotten: a maker lists exactly the transactions it
+// issued and has not forgotten. Forget is a swap — the last listed
+// transaction takes the forgotten one's place and nothing else moves —
+// so issuing and forgetting cost the same at any list length, and
+// neither allocates once the list has room; forgetting a transaction
+// twice, or one the maker never issued, panics. The record stays 96 B:
+// the list position sits in the padding after the flags.
+func TestMakerListsUntilForgotten(t *testing.T) {
+	if got := unsafe.Sizeof(Transaction{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Transaction) = %d B, want 96", got)
+	}
+	m := new(Maker)
+	want := map[*Transaction]bool{}
+	s := rng.NewStream(3)
+	for round := 0; round < 2000; round++ {
+		if live := m.Listed(); len(live) > 0 && s.Float64() < 0.45 {
+			i := s.Intn(len(live))
+			x, last := live[i], live[len(live)-1]
+			before := slices.Clone(live)
+			m.Forget(x)
+			delete(want, x)
+			after := m.Listed()
+			if len(after) != len(before)-1 {
+				t.Fatalf("round %d: list %d long after forgetting one of %d", round, len(after), len(before))
+			}
+			for j := range after {
+				w := before[j]
+				if j == i {
+					w = last
+				}
+				if after[j] != w {
+					t.Fatalf("round %d: forgetting place %d of %d left %d at place %d, want %d",
+						round, i, len(before), after[j].ID, j, w.ID)
+				}
+			}
+			continue
+		}
+		want[m.New(1+s.Intn(4))] = true
+	}
+	live := m.Listed()
+	if len(live) != len(want) {
+		t.Fatalf("%d listed, %d issued and not forgotten", len(live), len(want))
+	}
+	for _, x := range live {
+		if !want[x] {
+			t.Fatalf("transaction %d listed after it was forgotten", x.ID)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Forget(m.New(1)) }); n != 0 {
+		t.Errorf("issue and forget on a list with room: %v allocations, want 0", n)
+	}
+
+	gone := live[0]
+	m.Forget(gone)
+	for name, x := range map[string]*Transaction{
+		"twice":        gone,
+		"never issued": {ID: 7},
+		"other maker":  new(Maker).New(1),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("forgetting a transaction %s did not panic", name)
+				}
+			}()
+			m.Forget(x)
+		}()
 	}
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"time"
 
 	"siteselect/internal/lockmgr"
@@ -53,8 +54,8 @@ type WorkloadConfig struct {
 }
 
 // Source produces a client's transaction stream; *Generator is the only
-// implementation, but the interface keeps the client decoupled from how
-// the stream is parameterized.
+// implementation outside tests, but the interface keeps the client
+// decoupled from how the stream is parameterized.
 type Source interface {
 	// NextArrival returns the absolute virtual time of the next
 	// transaction.
@@ -62,21 +63,27 @@ type Source interface {
 	// Next produces the transaction arriving at NextArrival and
 	// advances the arrival process.
 	Next() *Transaction
+	// Maker returns the maker the stream's transactions come from, which
+	// lists them until the client retires them.
+	Maker() *Maker
 }
 
 // Maker is the one source of a system's transactions, shared by its
-// generators: it numbers them and carves the records and their access
-// vectors from two slabs. Nothing is handed back. A transaction is
+// generators: it numbers them, carves the records and their access
+// vectors from two slabs, and lists every transaction it issues until a
+// retire point forgets it. Nothing is handed back. A transaction is
 // retired where it reaches its final state — counted in the system's
-// collector and dropped from its origin's list — and is then forgotten:
-// nothing refers to it any more, so once every record of a chunk is
-// retired the collector takes the chunk. Records are not reused, so a
-// reader still holding a retired one reads its final state and cannot
-// corrupt a newer transaction.
+// collector and forgotten here — and then nothing refers to it any more,
+// so once every record of a chunk is retired the collector takes the
+// chunk. Records are not reused, so a reader still holding a retired one
+// reads its final state and cannot corrupt a newer transaction.
 type Maker struct {
 	lastID ID
 	txns   slab.Slab[Transaction]
 	ops    slab.Slab[Op]
+	// live lists the transactions issued and not yet forgotten, in no
+	// order: t is live[t.listed-1].
+	live []*Transaction
 	// ids is the buffer every generator draws an access set into
 	// (rng.AccessGen.FillSet): Next copies it into the transaction at
 	// once, so one buffer serves the system.
@@ -87,13 +94,36 @@ type Maker struct {
 // Issued.
 func (m *Maker) Issued() ID { return m.lastID }
 
-// New returns a transaction with the next id and room for n accesses.
+// New returns a transaction with the next id and room for n accesses,
+// and lists it.
 func (m *Maker) New(n int) *Transaction {
 	t := m.txns.New()
 	m.lastID++
 	t.ID, t.Ops = m.lastID, m.ops.Block(n)
+	m.live = append(m.live, t)
+	t.listed = uint32(len(m.live))
 	return t
 }
+
+// Forget takes t off the list, moving the last listed transaction into
+// its place. It panics if t is not listed: forgotten already, or never
+// issued by m.
+func (m *Maker) Forget(t *Transaction) {
+	i := int(t.listed) - 1
+	if i < 0 || i >= len(m.live) || m.live[i] != t {
+		panic(fmt.Sprintf("txn: transaction %d forgotten but not listed", t.ID))
+	}
+	last := len(m.live) - 1
+	m.live[i] = m.live[last]
+	m.live[i].listed = uint32(i + 1)
+	m.live[last] = nil
+	m.live = m.live[:last]
+	t.listed = 0
+}
+
+// Listed returns the transactions m issued and has not forgotten, in no
+// order, until the next New or Forget.
+func (m *Maker) Listed() []*Transaction { return m.live }
 
 // Generator produces one client's transaction stream deterministically
 // from its stream.
@@ -122,6 +152,9 @@ func (g *Generator) Init(stream *rng.Stream, origin netsim.SiteID, cfg WorkloadC
 		g.nextAt = stream.Exp(cfg.MeanInterArrival)
 	}
 }
+
+// Maker returns the maker g carves its transactions from: its system's.
+func (g *Generator) Maker() *Maker { return g.maker }
 
 // NextArrival returns the absolute virtual time of the next transaction.
 func (g *Generator) NextArrival() time.Duration { return g.nextAt }
