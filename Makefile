@@ -90,9 +90,9 @@ study-lint:
 # reaches what it has in flight for an object through its record
 # (Client.objs, objRec): no struct in internal/client has a generic
 # store or an object-keyed map, and the one Client fields keyed by object
-# are objs, the cache (objects) and the release epochs (epochs) — a
-# field is keyed by object when its type holds lockmgr.ObjectIDs, or
-# records of a package type with an ObjectID field.
+# are objs and the cache (objects) — a field is keyed by object when its
+# type holds lockmgr.ObjectIDs, or records of a package type with an
+# ObjectID field.
 state-lint:
 	@if grep -nE '^\s+\w+(, \w+)*\s+\*?map\[' internal/server/*.go internal/forward/*.go | grep -v '_test\.go:'; then \
 		echo 'state-lint: no map fields in internal/server or internal/forward: per-object state belongs in objState (Server.objs), forward lists too, per-client state in site (Server.sites)' >&2; exit 1; fi
@@ -110,8 +110,8 @@ state-lint:
 	@src=$$(ls internal/client/*.go | grep -v '_test\.go$$'); \
 	keyed=$$(awk '/^type [[:alnum:]_]+ struct/ { t = $$2 } /^}/ { t = "" } t != "" && /^\t[[:alnum:]_]+ +lockmgr\.ObjectID/ { print t }' $$src | sort -u | paste -sd'|' -); \
 	if awk '/^type Client struct/ { inc = 1; next } inc && /^}/ { inc = 0 } inc && /^\t[[:alpha:]]/ { print FILENAME ":" FNR ":" $$0 }' $$src | \
-		grep -E "^[^:]+:[0-9]+:\s+\w+\s.*(\bcache\.Cache\b|\bstore\[|\[\]\*?lockmgr\.ObjectID\b|\b($$keyed)\b)" | grep -vE ':\s+(objs|objects|epochs)\s'; then \
-		echo 'state-lint: a client keys per-object state by object only in objs (its records), objects (the cache) and epochs: put it in objRec' >&2; exit 1; fi
+		grep -E "^[^:]+:[0-9]+:\s+\w+\s.*(\bcache\.Cache\b|\bstore\[|\[\]\*?lockmgr\.ObjectID\b|\b($$keyed)\b)" | grep -vE ':\s+(objs|objects)\s'; then \
+		echo 'state-lint: a client keys per-object state by object only in objs (its records) and objects (the cache): put it in objRec' >&2; exit 1; fi
 
 # bench-check compiles and tests the benchmark module (its own go.mod,
 # so `go test ./...` at the root never sees it) and smoke-runs all four

@@ -38,6 +38,11 @@ type Request struct {
 	Obj      lockmgr.ObjectID
 	Mode     lockmgr.Mode
 	Deadline time.Duration
+	// Num is the request's number (proto.ObjRequest.Nums), which the
+	// sink passes on to the grant; a release of Obj the client sends
+	// while the request is parked renumbers it. Sent is the number it
+	// arrived with, which a forward to another shard carries.
+	Num, Sent int64
 	// Enqueued is when the request entered the window (stamped by Add);
 	// the sink charges now-Enqueued to the transaction's batch-wait
 	// trace sub-bucket.
@@ -164,6 +169,11 @@ func (s *Scheduler) Pending(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectI
 	}
 	return false
 }
+
+// Parked returns the requests parked in the open window, in arrival
+// order. The slice is the scheduler's: it is good until the next Add or
+// flush, and a caller may write the requests' Num, nothing else.
+func (s *Scheduler) Parked() []Request { return s.pending }
 
 // flush closes the window: the batch is resolved through the sink in
 // (deadline, arrival) order — the same earliest-deadline-first ordering

@@ -19,10 +19,13 @@ import (
 // it owns: at a million clients every word here is 8 MB. A Client is the
 // whole parked site — its cache, executor slots, local lock table and
 // dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of its parts' ceilings: 304 for the rest of the Client (what keeps
+// sum of its parts' ceilings: 280 for the rest of the Client (what keeps
 // a by-value config.Config, 424 B, from coming back), 80 the cache, 56
-// the resource, 152 the lock table, 176 the dispatcher. It reads 768
-// (792 when it listed its own transactions in flight, which the
+// the resource, 152 the lock table, 176 the dispatcher. It reads 744
+// (768 when it kept the slice of its release-epoch counters, where the
+// request numbers of what it has in flight now live in its exchanges
+// and object records; 792 when it listed its own transactions in
+// flight, which the
 // system's txn.Maker lists now; 848 when the cache kept three hit
 // counters, the resource a grant counter and the client two ship
 // counters, none of which anything read;
@@ -46,7 +49,7 @@ func TestPerSiteStructSizes(t *testing.T) {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 304 + 80 + 56 + 152 + 176},
+		{"Client", unsafe.Sizeof(Client{}), 280 + 80 + 56 + 152 + 176},
 		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 80},
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 56},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
@@ -127,12 +130,14 @@ func TestFirmRoundBookkeepingZeroAlloc(t *testing.T) {
 		m.resend()
 		r.env.RunAll()
 		msg, ok := r.toSrv.TryGet()
-		if q, isReq := msg.Payload.(*proto.ObjRequest); !ok || !isReq || q.Op != proto.OpCommit || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
+		q, isReq := msg.Payload.(*proto.ObjRequest)
+		if !ok || !isReq || q.Op != proto.OpCommit || len(q.Objs) != 1 || q.Objs[0] != obj || q.Txn != tx.ID {
 			panic("firm request not sent")
 		}
+		num := q.Nums[0]
 		c.stock.Payloads.Release(msg.Payload)
 		g := c.stock.Payloads.GrantMsg.New()
-		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1})
+		g.Grants = append(g.Grants, proto.ObjGrant{Obj: obj, Mode: mode, Version: 1, Num: num})
 		r.inject(netsim.KindObjectShip, g)
 		r.env.RunAll()
 		if m.pt.findWait(obj) >= 0 || c.phase(obj) != phIdle {
@@ -221,8 +226,8 @@ func TestSelectionRoundBookkeepingZeroAlloc(t *testing.T) {
 		pt.kind = skCommit
 		g := c.stock.Payloads.GrantMsg.New()
 		g.Grants = append(g.Grants,
-			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1},
-			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1})
+			proto.ObjGrant{Obj: 7, Mode: lockmgr.ModeShared, Version: 1, Num: pt.waits[pt.findWait(7)].num},
+			proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeExclusive, Version: 1, Num: pt.waits[pt.findWait(8)].num})
 		exchange(proto.OpCommit, netsim.KindObjectShip, g)
 		if len(pt.waits) != 0 {
 			panic("grants did not clear the waits")

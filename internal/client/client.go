@@ -55,7 +55,7 @@ type Client struct {
 
 	// topo is the cluster-shared routing map. curFrom is the sender of
 	// the message the dispatcher is currently handling — the shard a
-	// grant's epoch belongs to and a recall is answered at.
+	// grant's number belongs to and a recall is answered at.
 	topo    *shardmap.Map
 	curFrom netsim.SiteID
 
@@ -110,13 +110,6 @@ type Client struct {
 	// fanouts are the machines waiting for the subtasks of a decomposed
 	// transaction: a remote subtask's result finds its wait through them.
 	fanouts []*txnMachine
-	// epochs counts this client's releases per object and granting
-	// shard, sorted by (object, site). Every return carries the current
-	// epoch and every grant the shard sends echoes the epoch it last
-	// saw; a mismatch identifies a grant that crossed a release on the
-	// wire and must be dropped. At a single server the site key is
-	// always netsim.ServerSite.
-	epochs []epochEntry
 
 	// outageEnd is set while the client is partitioned (fault
 	// injection): the dispatcher holds all message processing until it
@@ -210,8 +203,16 @@ type Stock struct {
 	ops     slab.Slab[txn.Op]
 	waits   slab.Slab[objWait]
 	results slab.Slab[*shipWait]
-	// epochs holds the blocks of the clients' release-epoch lists.
-	epochs slab.Slab[epochEntry]
+	// reqs and rels hold the blocks of the object records' open requests
+	// and release marks.
+	reqs slab.Slab[openReq]
+	rels slab.Slab[relMark]
+	// lastNum is the last request number any of the system's sites
+	// opened: numbers are unique in the system and grow with time.
+	lastNum int64
+	// returned counts the returns each client sent to each shard, under
+	// fault injection only (Client.returnedTo).
+	returned []int32
 	// parts holds the subtasks a decomposition runs, each with its
 	// result. They are carved and never handed back: a peer may still run
 	// a subtask after its parent gave up waiting, so no site knows when
@@ -510,7 +511,20 @@ func (c *Client) toSite(site netsim.SiteID, kind netsim.Kind, size int, payload 
 func (c *Client) sendReturn(to netsim.SiteID, size int, ret proto.ObjReturn) {
 	r := c.stock.Payloads.ObjReturn.New()
 	*r = ret
+	if c.faulty {
+		*c.returnedTo(to)++
+	}
 	c.toSite(to, netsim.KindObjectReturn, size, r)
+}
+
+// returnedTo is the count of the returns this client sent to the shard at
+// site, which its requests there carry (proto.ObjRequest.Returned).
+func (c *Client) returnedTo(site netsim.SiteID) *int32 {
+	i := (int(c.id)-1)*c.topo.Servers() + shardmap.ShardIndex(site)
+	if n := i + 1 - len(c.stock.returned); n > 0 {
+		c.stock.returned = append(c.stock.returned, make([]int32, n)...)
+	}
+	return &c.stock.returned[i]
 }
 
 // sendHop passes obj at version on to next, the live entry of its
@@ -520,7 +534,7 @@ func (c *Client) sendHop(next forward.Entry, obj lockmgr.ObjectID, version int64
 	c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, c.env.Now())
 	p := c.stock.Payloads.GrantMsg.New()
 	p.Grants = append(p.Grants, proto.ObjGrant{
-		Obj: obj, Mode: next.Mode, Version: version, Epoch: next.Epoch, Fwd: l,
+		Obj: obj, Mode: next.Mode, Version: version, Num: next.Num, Fwd: l,
 	})
 	c.toPeer(next.Client, netsim.KindClientForward, netsim.ObjectBytes, p)
 }

@@ -89,10 +89,15 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 // grant or recall travels as the message of one.
 func (r *rig) inject(kind netsim.Kind, payload any) { r.injectFrom(0, kind, payload) }
 
-// injectFrom is inject from server shard k.
+// injectFrom is inject from server shard k. A grant without a request
+// number carries the one the shard would echo for the client's open
+// request of its object (expected).
 func (r *rig) injectFrom(k int, kind netsim.Kind, payload any) {
 	switch el := payload.(type) {
 	case proto.ObjGrant:
+		if el.Num == 0 {
+			el.Num = r.expected(el.Obj, shardmap.ShardSite(k))
+		}
 		payload = &proto.GrantMsg{Grants: []proto.ObjGrant{el}}
 	case proto.Recall:
 		payload = &proto.RecallMsg{Recalls: []proto.Recall{el}}
@@ -101,6 +106,25 @@ func (r *rig) injectFrom(k int, kind netsim.Kind, payload any) {
 		Kind: kind, From: shardmap.ShardSite(k), To: 1,
 		Size: netsim.ControlBytes, Payload: payload,
 	}, r.inbox)
+}
+
+// asked leaves a request for obj open at the client, sent once, as one a
+// transaction made and gave up waiting for, and returns its number.
+func (r *rig) asked(obj lockmgr.ObjectID) int64 {
+	num, rec := r.cl.newNum(), r.cl.recFor(obj)
+	rec.reqs = append(rec.reqs, openReq{num: num, until: r.cl.lateUntil(time.Hour)})
+	rec.sent(num)
+	return num
+}
+
+// expected is the number a grant of obj from site carries for the
+// client's oldest open request of it, zero (a grant for no request) when
+// it has none.
+func (r *rig) expected(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
+	if rec := r.cl.rec(obj); rec != nil && len(rec.reqs) > 0 {
+		return rec.expect(rec.reqs[0].num, site)
+	}
+	return 0
 }
 
 // request returns payload as an object request with the given op, nil
@@ -197,34 +221,8 @@ func TestClientRecallOfMissingEntryAnswersNotCached(t *testing.T) {
 	if ret.HasData || ret.Downgraded { // a lock-only release: no copy
 		t.Fatalf("return = %+v", ret)
 	}
-	if r.cl.epochOf(77, netsim.ServerSite) != 1 || ret.Epoch != 1 {
-		t.Fatalf("release epoch not bumped: local=%d sent=%d", r.cl.epochOf(77, netsim.ServerSite), ret.Epoch)
-	}
-}
-
-func TestClientStaleEpochGrantIsDropped(t *testing.T) {
-	r := newRig(t, nil)
-	defer r.env.Close()
-	// A recall beat two in-flight grants to the wire: our NotCached
-	// answer bumps the epoch, so both epoch-0 grants must be dropped.
-	r.inject(netsim.KindRecall, proto.Recall{Obj: 8})
-	r.sent(time.Second)
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
-	r.sent(2 * time.Second)
-	if r.cl.objects.Peek(8) != nil {
-		t.Fatal("stale grant was cached")
-	}
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Epoch: 0})
-	r.sent(3 * time.Second)
-	if r.cl.objects.Peek(8) != nil {
-		t.Fatal("second stale grant was cached")
-	}
-	// A grant stamped with the current epoch (the server has processed
-	// our release) is accepted.
-	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Epoch: 1})
-	r.sent(4 * time.Second)
-	if r.cl.objects.Peek(8) == nil {
-		t.Fatal("current-epoch grant was dropped")
+	if ret.Num == 0 {
+		t.Fatalf("release carries no request number: %+v", ret)
 	}
 }
 
@@ -414,8 +412,9 @@ func TestClientMigrationFinalReturnRetainsSharedCopy(t *testing.T) {
 func TestClientReadRunHopForwardsImmediately(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
-	// No local waiter at all: a read-run hop should still cache the
+	// No local waiter any more: a read-run hop should still cache the
 	// copy (we are a registered SL holder) and forward at once.
+	r.asked(70)
 	fwd := forward.NewList(70)
 	fwd.ReadRun = true
 	fwd.Insert(forward.Entry{Client: 2, Mode: lockmgr.ModeShared, Deadline: time.Hour, Txn: 7})
@@ -438,6 +437,7 @@ func TestClientReadRunHopForwardsImmediately(t *testing.T) {
 func TestClientReadRunLastMemberAcknowledges(t *testing.T) {
 	r := newRig(t, nil)
 	defer r.env.Close()
+	r.asked(71)
 	fwd := forward.NewList(71)
 	fwd.ReadRun = true // empty: we are the last member
 	r.inject(netsim.KindClientForward, proto.ObjGrant{
@@ -456,6 +456,35 @@ func TestClientReadRunLastMemberAcknowledges(t *testing.T) {
 	}
 }
 
+// TestClientStaleNumberGrantIsDropped: a recall beat the grants of an
+// open request to the wire. The NotCached answer gives the request a
+// fresh number at the shard, so both grants under the old one are
+// dropped, and one the shard decided after processing the answer —
+// under its number — is accepted.
+func TestClientStaleNumberGrantIsDropped(t *testing.T) {
+	r := newRig(t, nil)
+	defer r.env.Close()
+	old := r.asked(8)
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 8})
+	msgs := r.sent(time.Second)
+	if len(msgs) != 1 {
+		t.Fatalf("recall answered with %+v", msgs)
+	}
+	rel := msgs[0].Payload.(*proto.ObjReturn).Num
+	for i := range 2 {
+		r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 1, Num: old})
+		r.sent(time.Duration(2+i) * time.Second)
+		if r.cl.objects.Peek(8) != nil {
+			t.Fatalf("stale grant %d was cached", i+1)
+		}
+	}
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 8, Mode: lockmgr.ModeShared, Version: 2, Num: rel})
+	r.sent(4 * time.Second)
+	if r.cl.objects.Peek(8) == nil {
+		t.Fatal("the grant under the release's number was dropped")
+	}
+}
+
 func TestClientEvictionReturnsDirtyObjects(t *testing.T) {
 	r := newRig(t, func(c *config.Config) {
 		c.ClientMemory = 1
@@ -465,6 +494,7 @@ func TestClientEvictionReturnsDirtyObjects(t *testing.T) {
 	r.seed(1, lockmgr.ModeExclusive, true, 5)
 	// Inserting a second object evicts the first; the dirty EL copy
 	// must be returned to the server.
+	r.asked(2)
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 1 {
@@ -483,6 +513,7 @@ func TestClientEvictionDropsCleanSharedSilently(t *testing.T) {
 	})
 	defer r.env.Close()
 	r.seed(1, lockmgr.ModeShared, false, 0)
+	r.asked(2)
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 2, Mode: lockmgr.ModeShared, Version: 1})
 	msgs := r.sent(time.Second)
 	if len(msgs) != 0 {
@@ -518,8 +549,24 @@ func TestClientDeadlineTimeoutWhileFetching(t *testing.T) {
 	if len(r.cl.pending) != 0 {
 		t.Fatalf("pending leaked: %d", len(r.cl.pending))
 	}
-	if len(r.cl.objs) != 0 {
-		t.Fatalf("object records leaked: %d", len(r.cl.objs))
+	// The request stays open, late, for a grant still on the wire — and
+	// only until no grant can be.
+	if len(r.cl.objs) != 1 || len(r.cl.objs[0].waiters) != 0 || len(r.cl.objs[0].reqs) != 1 {
+		t.Fatalf("object records after the deadline: %d", len(r.cl.objs))
+	}
+	num := r.cl.objs[0].reqs[0].num
+	r.env.Run(r.cl.lateUntil(tx.Deadline) + time.Second)
+	// The next record taken hands back the one that held only the
+	// expired request.
+	next := r.cl.recFor(91)
+	if len(r.cl.objs) != 1 || r.cl.objs[0] != next {
+		t.Fatalf("object records after the horizon: %d, want only the new one", len(r.cl.objs))
+	}
+	r.cl.settle(next)
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 90, Mode: lockmgr.ModeShared, Num: num})
+	r.env.Run(r.env.Now() + time.Second)
+	if r.cl.objects.Peek(90) != nil {
+		t.Fatal("a grant past the late horizon was cached")
 	}
 }
 
@@ -733,6 +780,7 @@ func TestClientDecomposition(t *testing.T) {
 	// Answer the local subtask's needs and the remote result; the
 	// parent synthesizes.
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 10, Mode: lockmgr.ModeShared, Version: 0})
+	r.env.Run(r.env.Now() + time.Second) // the sequential fetch asks for 11 next
 	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 11, Mode: lockmgr.ModeShared, Version: 0})
 	r.env.Run(r.env.Now() + 10*time.Second)
 	r.inject(netsim.KindTxnResult, &proto.TxnResult{T: tx, SubIndex: ship.Sub.Index, IsSub: true, Committed: true})
@@ -763,4 +811,66 @@ func TestClientOutageWipesCleanKeepsLoggedDirty(t *testing.T) {
 	if r.cl.LostUpdates != 0 {
 		t.Fatalf("lost updates = %d with WAL on", r.cl.LostUpdates)
 	}
+}
+
+// TestClientGrantCrossingDowngradeIsDropped: a downgrade gives the
+// exclusive registration up as a release does, so it revokes a grant the
+// shard sent before it processed the downgrade. A writer of object 9
+// gives up waiting; a second writer's request follows; the first
+// request's grant arrives late and satisfies the second, so the grant of
+// the second request — decided at the shard before the downgrade — is
+// still on the wire when a recall asks the copy down to SL. Cached, it
+// would raise the shared copy back to EL behind the shard's back.
+func TestClientGrantCrossingDowngradeIsDropped(t *testing.T) {
+	e := grantCrossing(t, true)
+	if e == nil || e.Mode() != lockmgr.ModeShared {
+		t.Fatalf("copy after the crossing grant = %+v, want the downgrade's SL", e)
+	}
+}
+
+// TestClientGrantCrossingGiveUpIsDropped: the same grant crossing a
+// recall answered with the copy is dropped: nothing is cached.
+func TestClientGrantCrossingGiveUpIsDropped(t *testing.T) {
+	if e := grantCrossing(t, false); e != nil {
+		t.Fatalf("the crossing grant was cached: %+v", e)
+	}
+}
+
+// grantCrossing leaves two requests of object 9 open, the first late, the
+// second a waiting writer's; the first one's grant satisfies the writer.
+// It then answers a recall of the copy — a downgrade or a give-up — and
+// delivers the grant of the second request, which the shard sent before
+// it processed the answer. It returns the cached copy afterwards.
+func grantCrossing(t *testing.T, downgrade bool) *cache.Entry {
+	r := newRig(t, func(c *config.Config) { c.UseH2 = false })
+	t.Cleanup(r.env.Close)
+	var nums []int64
+	ask := func(slack time.Duration, until time.Duration) *txn.Transaction {
+		tx := r.newTxn([]txn.Op{{Obj: 9, Write: true}}, slack)
+		r.cl.submitAsync(tx)
+		for _, m := range r.sent(until) {
+			if q := request(m.Payload, proto.OpCommit); q != nil {
+				nums = append(nums, q.Nums...)
+			}
+		}
+		return tx
+	}
+	gaveUp := ask(2*time.Second, 3*time.Second)
+	writer := ask(time.Minute, 4*time.Second)
+	if len(nums) != 2 || nums[0] == nums[1] || gaveUp.Status != txn.StatusMissed {
+		t.Fatalf("request numbers = %v with the first writer %v, want two and a miss", nums, gaveUp.Status)
+	}
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 9, Mode: lockmgr.ModeExclusive, Version: 1, Num: nums[0]})
+	r.env.Run(10 * time.Second)
+	if writer.Status != txn.StatusCommitted {
+		t.Fatalf("writer ended %v, want committed off the late grant", writer.Status)
+	}
+	r.inject(netsim.KindRecall, proto.Recall{Obj: 9, DowngradeToShared: downgrade, HolderMode: lockmgr.ModeExclusive})
+	msgs := r.sent(11 * time.Second)
+	if len(msgs) != 1 || msgs[0].Payload.(*proto.ObjReturn).Downgraded != downgrade {
+		t.Fatalf("recall answered with %+v", msgs)
+	}
+	r.inject(netsim.KindObjectShip, proto.ObjGrant{Obj: 9, Mode: lockmgr.ModeExclusive, Version: 1, Num: nums[1]})
+	r.env.Run(12 * time.Second)
+	return r.cl.objects.Peek(9)
 }

@@ -1,11 +1,9 @@
 package client
 
 import (
-	"sort"
 	"time"
 
 	"siteselect/internal/lockmgr"
-	"siteselect/internal/netsim"
 	"siteselect/internal/txn"
 )
 
@@ -22,12 +20,14 @@ import (
 // waiters, lives in its record: object.go.)
 
 // objWait is one outstanding object request of a pending transaction:
-// the object, the requested mode, and when the (latest) firm request
-// for it was sent — the response-time clock.
+// the object, the requested mode, when the (latest) firm request for it
+// was sent — the response-time clock — and its request number
+// (docs/PROTOCOL.md §4).
 type objWait struct {
 	obj  lockmgr.ObjectID
 	mode lockmgr.Mode
 	sent time.Duration
+	num  int64
 }
 
 // findWait returns the index of obj in the outstanding set, or -1.
@@ -57,36 +57,4 @@ func (c *Client) findPending(id txn.ID) *pendingTxn {
 		}
 	}
 	return nil
-}
-
-// epochEntry is one release-epoch counter, sorted by (obj, site).
-// Epoch state is the one per-client store that grows with the set of
-// objects ever returned rather than with in-flight work, so it gets a
-// binary-searchable sorted slice instead of a scan: lookups (every
-// grant) are O(log n) over 16-byte entries, inserts (first release of
-// an object — rare) shift the tail. The object and the site fit 32 bits
-// (config.Validate caps DBSize at 2^31-1; a site is a client id or a
-// shard's).
-type epochEntry struct {
-	obj  int32
-	site int32
-	n    int64
-}
-
-// epochIdx locates the counter for (obj, site): its index and whether
-// it exists; absent counters read as zero and insert at the returned
-// index.
-func (c *Client) epochIdx(object lockmgr.ObjectID, at netsim.SiteID) (int, bool) {
-	obj, site := int32(object), int32(at)
-	i := sort.Search(len(c.epochs), func(i int) bool {
-		e := &c.epochs[i]
-		if e.obj != obj {
-			return e.obj > obj
-		}
-		return e.site >= site
-	})
-	if i < len(c.epochs) && c.epochs[i].obj == obj && c.epochs[i].site == site {
-		return i, true
-	}
-	return i, false
 }

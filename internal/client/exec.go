@@ -797,7 +797,7 @@ func (m *txnMachine) stepCommit() {
 				home := c.homeSite(op.Obj)
 				c.sendReturn(home, netsim.ObjectBytes, proto.ObjReturn{
 					Client: c.id, Obj: op.Obj, HasData: true, Version: e.Version,
-					UpdateOnly: true, Epoch: c.epochOf(op.Obj, home), Load: c.loadReport(),
+					UpdateOnly: true, Load: c.loadReport(),
 				})
 			}
 		}
@@ -1068,8 +1068,9 @@ func (m *txnMachine) openPending() *pendingTxn {
 }
 
 // closePending ends the exchange: the outstanding waits are
-// unregistered, the reply copies go back to the pool, and the record is
-// as spawnTxn left it — vectors empty, their arrays kept.
+// unregistered (their requests stay open), the reply copies go back to
+// the pool, and the record is as spawnTxn left it — vectors empty, their
+// arrays kept.
 func (m *txnMachine) closePending() {
 	c, pt := m.c, &m.pt
 	for i := range pt.waits {

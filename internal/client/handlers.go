@@ -15,10 +15,12 @@ import (
 // onGrant handles an arriving object, whether shipped by the server or
 // forwarded by a peer along a forward list.
 func (c *Client) onGrant(g proto.ObjGrant) {
-	if g.Epoch != c.epochOf(g.Obj, c.grantSource(g.Obj)) {
-		// The grant was sent before the server processed one of our
-		// releases: the registration it delivers no longer exists and
-		// the copy must not be cached or served.
+	src := c.grantSource(g.Obj)
+	if !c.open(g.Obj, src, g.Num) {
+		// The grant answers no open request: it was sent before the
+		// server processed a release or downgrade of ours, so the
+		// registration it delivers no longer exists and the copy must
+		// not be cached or served.
 		// A read run keeps moving for the others. Dropping a migration
 		// hop here (possible only under fault injection) would strand
 		// every downstream entry of the chain: pass the object on without
@@ -93,8 +95,8 @@ func (c *Client) onGrant(g proto.ObjGrant) {
 // as it), or, the list spent, home. A parallel-read run ends with its
 // acknowledgement — the +1 of the 2n+1 message count — which lets
 // writers at the object again. An exclusive chain comes here only when
-// this site must not accept the hop (its epoch shows the registration
-// was released while the hop was in flight, which fault injection's
+// this site must not accept the hop (its number shows the registration
+// was given up while the hop was in flight, which fault injection's
 // extra latency makes possible) and ends with the object's data.
 func (c *Client) hopOn(g proto.ObjGrant) {
 	l, now := g.Fwd, c.env.Now()
@@ -116,7 +118,7 @@ func (c *Client) endRun(obj lockmgr.ObjectID, version int64, l *forward.List) {
 	home := c.homeSite(obj)
 	ret := proto.ObjReturn{
 		Client: c.id, Obj: obj, HasData: !l.ReadRun, RunComplete: l.ReadRun,
-		Epoch: c.epochOf(obj, home), Load: c.loadReport(), Fwd: l,
+		Load: c.loadReport(), Fwd: l,
 	}
 	if !l.ReadRun {
 		ret.Version, ret.Migration = version, true
@@ -181,23 +183,24 @@ func (c *Client) onRecall(r proto.Recall) {
 }
 
 // returnNotCached releases obj's registration at the shard at from
-// with no copy to return. Bumping the epoch revokes any stray grant
+// with no copy to return. The release's number revokes any stray grant
 // already on the wire.
 func (c *Client) returnNotCached(obj lockmgr.ObjectID, from netsim.SiteID) {
-	epoch := c.bumpEpoch(obj, from)
 	c.sendReturn(from, netsim.ControlBytes, proto.ObjReturn{
-		Client: c.id, Obj: obj, Epoch: epoch,
+		Client: c.id, Obj: obj, Num: c.release(obj, from),
 		Load: c.loadReport(),
 	})
 }
 
 // answerRecall answers a callback issued by the shard at from: with a
-// downgrade when it asks for one, else with the copy.
+// downgrade when it asks for one, else with the copy. A downgrade gives
+// the exclusive registration up as a release does, so it revokes the
+// grants already on the wire the same way.
 func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID) {
 	if r.DowngradeToShared && e.Mode() == lockmgr.ModeExclusive && c.cfg.UseDowngrade {
 		c.sendReturn(from, dataBytes(e.Dirty()), proto.ObjReturn{
 			Client: c.id, Obj: e.Obj, HasData: e.Dirty(), Version: e.Version,
-			Downgraded: true, Epoch: c.epochOf(e.Obj, from), Load: c.loadReport(),
+			Downgraded: true, Num: c.release(e.Obj, from), Load: c.loadReport(),
 		})
 		c.objects.Downgrade(e)
 		return
@@ -207,11 +210,11 @@ func (c *Client) answerRecall(e *cache.Entry, r proto.Recall, from netsim.SiteID
 
 // giveUp returns e, a copy already out of the cache, to the shard at to
 // and recycles it. Any grant already on the wire refers to the
-// registration this return renounces; the epoch bump revokes it.
+// registration this return renounces; the return's number revokes it.
 func (c *Client) giveUp(e *cache.Entry, to netsim.SiteID) {
 	c.sendReturn(to, dataBytes(e.Dirty()), proto.ObjReturn{
 		Client: c.id, Obj: e.Obj, HasData: e.Dirty(), Version: e.Version,
-		Epoch: c.bumpEpoch(e.Obj, to), Load: c.loadReport(),
+		Num: c.release(e.Obj, to), Load: c.loadReport(),
 	})
 	c.objects.Recycle(e)
 }

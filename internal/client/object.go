@@ -15,19 +15,23 @@ import (
 )
 
 // objRec is what this client has in flight for one object beyond its
-// cached copy: the exchanges waiting for a grant of it, the recall
-// parked on it, the forward list it migrates under. A record lives only
-// while it holds one of the three (settle), so a client keeps a handful,
-// found by a scan of Client.objs. Two things about an object stay
-// outside it: the cache entry (mode, version, dirty, pins; the LRU
-// node), and the release-epoch counters of Client.epochs, which must
-// live as long as the shard's counters they mirror — for the rest of
-// the run (DESIGN.md, "One record per object").
+// cached copy: the exchanges waiting for a grant of it, the requests
+// whose answers may still arrive, the recall parked on it, the forward
+// list it migrates under. A record lives only while it holds one of the
+// four (settle), so a client keeps a handful, found by a scan of
+// Client.objs. The cache entry (mode, version, dirty, pins; the LRU
+// node) stays outside it (DESIGN.md, "One record per object").
 type objRec struct {
 	obj lockmgr.ObjectID
 	// waiters are the open exchanges waiting for obj, in registration
 	// order: a grant wakes them in it.
 	waiters []*pendingTxn
+	// reqs are obj's open requests.
+	reqs []openReq
+	// rels are the numbers of the releases of obj this client sent while
+	// the record lived, the last one per shard: a shard renumbers its
+	// waiting requests to them.
+	rels []relMark
 	// recall is the callback parked on obj, with the shard to answer;
 	// parked says there is one. A second recall replaces the first.
 	recall deferredRecall
@@ -35,6 +39,24 @@ type objRec struct {
 	// fwd is the forward list obj migrates under, nil when it does not;
 	// a migrating object stays pinned until it is passed on.
 	fwd *forward.List
+}
+
+// openReq is a request whose answers may still arrive, whether or not an
+// exchange still waits for it: its transaction may have given up, or a
+// grant for another request satisfied it. Its number stays open until
+// the shard has answered each of its sends (left are unanswered) or the
+// request is too old for an answer (until).
+type openReq struct {
+	num   int64
+	until time.Duration
+	left  uint8
+}
+
+// relMark is the number of the last release of an object sent to one
+// shard.
+type relMark struct {
+	site netsim.SiteID
+	num  int64
 }
 
 // deferredRecall is a parked recall plus the shard that issued it — the
@@ -132,10 +154,18 @@ func (c *Client) rec(obj lockmgr.ObjectID) *objRec {
 }
 
 // recFor returns obj's record, taking one from the system's stock when
-// it has none.
+// it has none — and then first forgets, at every record, the open
+// requests too old for an answer, handing back the records that held
+// nothing else.
 func (c *Client) recFor(obj lockmgr.ObjectID) *objRec {
 	if r := c.rec(obj); r != nil {
 		return r
+	}
+	now := c.env.Now()
+	for i := len(c.objs) - 1; i >= 0; i-- {
+		o := c.objs[i]
+		o.reqs = slices.DeleteFunc(o.reqs, func(q openReq) bool { return q.until < now })
+		c.settle(o)
 	}
 	r := c.stock.objs.New()
 	r.obj = obj
@@ -145,7 +175,7 @@ func (c *Client) recFor(obj lockmgr.ObjectID) *objRec {
 
 // settle hands r back once it holds nothing.
 func (c *Client) settle(r *objRec) {
-	if len(r.waiters) == 0 && !r.parked && r.fwd == nil {
+	if len(r.waiters) == 0 && len(r.reqs) == 0 && !r.parked && r.fwd == nil {
 		unlist(&c.objs, r, &c.stock.objLists)
 		c.recycleObj(r)
 	}
@@ -156,7 +186,7 @@ func (c *Client) settle(r *objRec) {
 // takes it next finds nothing of this one.
 func (c *Client) recycleObj(r *objRec) {
 	clear(r.waiters[:cap(r.waiters)])
-	*r = objRec{waiters: r.waiters[:0]}
+	*r = objRec{waiters: r.waiters[:0], reqs: r.reqs[:0], rels: r.rels[:0]}
 	c.stock.objs.Keep(r)
 }
 
@@ -181,15 +211,19 @@ func unlist[T any](list *[]*T, x *T, s *slab.Slab[*T]) {
 	*list = l[:last]
 }
 
-// register records pt's request for obj in mode, sent at sent: a wait
-// of the exchange and a waiter on obj's record.
+// register records pt's request for obj in mode, sent at sent, under a
+// new request number: a wait of the exchange, a waiter on obj's record
+// and an open request.
 func (c *Client) register(pt *pendingTxn, obj lockmgr.ObjectID, mode lockmgr.Mode, sent time.Duration) {
-	pt.waits = c.stock.waits.Insert(pt.waits, len(pt.waits), objWait{obj: obj, mode: mode, sent: sent}, 0)
+	num := c.newNum()
+	pt.waits = c.stock.waits.Insert(pt.waits, len(pt.waits), objWait{obj: obj, mode: mode, sent: sent, num: num}, 0)
 	r := c.recFor(obj)
 	r.waiters = c.stock.pendLists.Insert(r.waiters, len(r.waiters), pt, 0)
+	r.reqs = c.stock.reqs.Insert(r.reqs, len(r.reqs), openReq{num: num, until: c.lateUntil(pt.t.Deadline)}, 0)
 }
 
-// unregister drops pt's registration on obj, if it has one.
+// unregister drops pt's registration on obj, if it has one; the request
+// stays open.
 func (c *Client) unregister(obj lockmgr.ObjectID, pt *pendingTxn) {
 	r := c.rec(obj)
 	if r == nil {
@@ -277,4 +311,102 @@ func (c *Client) PlantRecall(obj lockmgr.ObjectID, parked bool) {
 func (c *Client) answerParked(obj lockmgr.ObjectID) {
 	d, _ := c.takeRecall(obj)
 	c.answerRecall(c.objects.Peek(obj), d.r, d.from)
+}
+
+// Request numbers (docs/PROTOCOL.md §4). Every object request carries a
+// number the system has not used before; the shard keeps it with the
+// registration the request makes and every grant of that registration
+// echoes it. A number is open while its request is (objRec.reqs): a
+// grant whose number is not open is dropped. Giving a registration up —
+// a release, a return with the copy, a downgrade — opens a fresh number
+// that the return carries: the shard renumbers the client's requests for
+// the object still waiting there to it, and the client expects it, not
+// the old number, for those requests from that shard (expect). So a
+// grant sent before the shard processed the return carries a number the
+// client closed, and one sent after carries one it holds open. Nothing
+// is kept once nothing is in flight: a request made after a release has
+// a number above it.
+
+// newNum opens a request number: the system's next.
+func (c *Client) newNum() int64 {
+	c.stock.lastNum++
+	return c.stock.lastNum
+}
+
+// release opens the number a return of obj to site carries, one that
+// gives a registration up, and returns it: obj's open requests expect it
+// from site from now on.
+func (c *Client) release(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
+	num := c.newNum()
+	if r := c.rec(obj); r != nil {
+		i := slices.IndexFunc(r.rels, func(m relMark) bool { return m.site == site })
+		if i < 0 {
+			i = len(r.rels)
+			r.rels = c.stock.rels.Insert(r.rels, i, relMark{site: site}, 0)
+		}
+		r.rels[i].num = num
+	}
+	return num
+}
+
+// expect is the number a grant from site carries for the request
+// numbered num of r's object: the number of the last release of the
+// object sent to site after the request — the shard renumbered the
+// request to it — or num itself.
+func (r *objRec) expect(num int64, site netsim.SiteID) int64 {
+	for _, m := range r.rels {
+		if m.site == site && m.num > num {
+			return m.num
+		}
+	}
+	return num
+}
+
+// sent counts a send of the request numbered num of r's object.
+func (r *objRec) sent(num int64) {
+	for i := range r.reqs {
+		if q := &r.reqs[i]; q.num == num {
+			q.left = min(q.left+1, 255)
+		}
+	}
+}
+
+// open reports whether a grant of obj from site numbered num answers a
+// request open here, and counts the answer against it. Under fault
+// injection a request answered in full stays open for one more answer
+// for a retransmission timeout: the network may have delivered one of
+// its sends twice, and the duplicate's answer trails the first by about
+// a latency.
+func (c *Client) open(obj lockmgr.ObjectID, site netsim.SiteID, num int64) bool {
+	r := c.rec(obj)
+	if r == nil {
+		return false
+	}
+	now := c.env.Now()
+	for i := range r.reqs {
+		q := &r.reqs[i]
+		if q.left == 0 || q.until < now || r.expect(q.num, site) != num {
+			continue
+		}
+		switch q.left--; {
+		case q.left > 0:
+		case c.faulty:
+			q.left, q.until = 1, now+c.rto
+		default:
+			r.reqs = slices.Delete(r.reqs, i, i+1)
+		}
+		return true
+	}
+	return false
+}
+
+// lateUntil is how long a request of a transaction with the given
+// deadline stays open for a late grant. A shard decides a grant by the
+// request's deadline, and the grant arrives after its page read and its
+// time on the wire, which a client outage or a partition prolongs by at
+// most their length; a minute covers the rest. A grant later than that
+// is dropped, and the shard's registration is released lazily, as after
+// any drop.
+func (c *Client) lateUntil(deadline time.Duration) time.Duration {
+	return deadline + time.Minute + c.cfg.OutageDuration + c.cfg.Faults.PartitionDuration
 }

@@ -16,13 +16,13 @@ import (
 //
 // Every piece of client state that is "at the server" has a site
 // coordinate: requests route to an object's home shard (or to a read
-// replica for shared-mode requests), release epochs count per (object,
-// granting shard), a parked recall remembers which shard issued it so
-// the eventual answer returns there, and a multi-object exchange is one
-// message per shard whose answers are assembled per sender. The paper's
-// single server is the one-shard map: every site below is
-// netsim.ServerSite, every exchange one message and every assembly one
-// reply.
+// replica for shared-mode requests), a release renumbers the requests
+// waiting at the shard it is sent to (objRec.expect), a parked recall
+// remembers which shard issued it so the eventual answer returns there,
+// and a multi-object exchange is one message per shard whose answers are
+// assembled per sender. The paper's single server is the one-shard map:
+// every site below is netsim.ServerSite, every exchange one message and
+// every assembly one reply.
 
 // homeSite returns the shard site authoritative for obj.
 func (c *Client) homeSite(obj lockmgr.ObjectID) netsim.SiteID {
@@ -39,34 +39,12 @@ func (c *Client) routeSite(obj lockmgr.ObjectID, mode lockmgr.Mode) netsim.SiteI
 // grantSource returns the shard whose registration the
 // currently-dispatched message belongs to: the sending shard when one
 // sent it directly, else the object's home shard (peer-forwarded
-// migration hops and read runs are always issued by the home shard).
+// migration hops and read runs are issued by the home shard).
 func (c *Client) grantSource(obj lockmgr.ObjectID) netsim.SiteID {
 	if shardmap.IsShardSite(c.curFrom) {
 		return c.curFrom
 	}
 	return c.homeSite(obj)
-}
-
-// epochOf and bumpEpoch access the release-epoch counter shared with
-// one shard for one object. The epoch protocol runs independently per
-// (object, granting shard): each shard keeps its own registration for
-// this client, so a release sent to one shard must not revoke grants in
-// flight from another.
-func (c *Client) epochOf(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
-	if i, ok := c.epochIdx(obj, site); ok {
-		return c.epochs[i].n
-	}
-	return 0
-}
-
-func (c *Client) bumpEpoch(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
-	i, ok := c.epochIdx(obj, site)
-	if ok {
-		c.epochs[i].n++
-		return c.epochs[i].n
-	}
-	c.epochs = c.stock.epochs.Insert(c.epochs, i, epochEntry{obj: int32(obj), site: int32(site), n: 1}, 0)
-	return 1
 }
 
 // noSite marks an access already sent, or filtered out, in a routing
@@ -91,22 +69,47 @@ func (c *Client) routeAll(sites []netsim.SiteID, ops []txn.Op, byHome bool, serv
 	return sites
 }
 
-// takeGroup appends to a payload's access vectors every access routed
-// to the same shard as access i, and marks them taken. Walking the
-// routing vector and taking the group of each access still marked
-// splits a request per shard in first-appearance order, so the split is
-// deterministic.
-func takeGroup(sites []netsim.SiteID, i int, ops []txn.Op,
-	objs []lockmgr.ObjectID, modes []lockmgr.Mode) ([]lockmgr.ObjectID, []lockmgr.Mode) {
-	site := sites[i]
+// takeGroup fills q's access vectors, sized once to the group, with
+// every access routed to the same shard as access i, and marks them
+// taken. Walking the routing vector and taking the group of each access
+// still marked splits a request per shard in first-appearance order, so
+// the split is deterministic. Every access of a probe or a commit
+// request carries its request number (numFor); a location query's
+// accesses carry none.
+func (m *txnMachine) takeGroup(sites []netsim.SiteID, i int, ops []txn.Op, q *proto.ObjRequest) {
+	site, n := sites[i], 0
 	for j := i; j < len(sites); j++ {
 		if sites[j] == site {
-			objs = append(objs, ops[j].Obj)
-			modes = append(modes, ops[j].Mode())
+			n++
+		}
+	}
+	m.c.stock.Payloads.FitAccesses(q, n)
+	for j := i; j < len(sites); j++ {
+		if sites[j] == site {
+			q.Objs = append(q.Objs, ops[j].Obj)
+			q.Modes = append(q.Modes, ops[j].Mode())
+			if q.Op != proto.OpLocate {
+				q.Nums = append(q.Nums, m.numFor(ops[j].Obj, site))
+			}
 			sites[j] = noSite
 		}
 	}
-	return objs, modes
+}
+
+// numFor counts a send of the request for obj and returns the number it
+// carries to site: its wait's number as site expects it, or — a granted
+// access a single server is asked for again — a new open one.
+func (m *txnMachine) numFor(obj lockmgr.ObjectID, site netsim.SiteID) int64 {
+	c, r := m.c, m.c.recFor(obj)
+	var num int64
+	if j := m.pt.findWait(obj); j >= 0 {
+		num = m.pt.waits[j].num
+	} else {
+		num = c.newNum()
+		r.reqs = c.stock.reqs.Insert(r.reqs, len(r.reqs), openReq{num: num, until: c.lateUntil(m.t.Deadline)}, 0)
+	}
+	r.sent(num)
+	return r.expect(num, site)
 }
 
 // resend (re)transmits the current exchange's request: one ObjRequest
@@ -150,7 +153,10 @@ func (m *txnMachine) resend() {
 		pt.want++
 		q := c.stock.Payloads.ObjRequest.New()
 		q.Op, q.Client, q.Txn, q.Deadline, q.Load = op, c.id, t.ID, t.Deadline, c.loadReport()
-		q.Objs, q.Modes = takeGroup(sites, i, ops, q.Objs, q.Modes)
+		if c.faulty {
+			q.Returned = *c.returnedTo(site)
+		}
+		m.takeGroup(sites, i, ops, q)
 		pt.netAccum += c.toSite(site, kind, netsim.ControlBytes, q)
 	}
 }
@@ -181,6 +187,7 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID, r *proto.Locatio
 		rs = slices.Insert(rs, i, shardReply{from: from})
 	}
 	rec := c.stock.Payloads.Locations.New()
+	c.stock.Payloads.FitLocations(rec, r)
 	for _, o := range r.Objs {
 		rec.Objs, rec.Flat = proto.AppendLocation(rec.Objs, rec.Flat, o.Obj, o.Holders)
 	}

@@ -30,10 +30,12 @@ type Entry struct {
 	Mode     lockmgr.Mode
 	Deadline time.Duration
 	Txn      txn.ID
-	// Epoch is stamped by the server at dispatch: the client's release
-	// epoch its registration was made under. The hop delivering this
-	// entry carries it so the recipient can detect staleness.
-	Epoch int64
+	// Num is the request number of the entry (proto.ObjRequest.Nums),
+	// renumbered while the list waits at the shard by each release of the
+	// object the client sends (proto.ObjReturn.Num). The grant or hop
+	// delivering the entry carries it so the recipient can detect
+	// staleness.
+	Num int64
 }
 
 // List is a deadline-ordered forward list for one object.

@@ -222,7 +222,7 @@ func TestCloneCopiesReadRunAndRetained(t *testing.T) {
 	l := NewList(1)
 	l.ReadRun = true
 	l.Retained = []netsim.SiteID{3, 4}
-	l.Insert(Entry{Client: 1, Deadline: time.Second, Epoch: 7})
+	l.Insert(Entry{Client: 1, Deadline: time.Second, Num: 7})
 	c := l.Clone()
 	if !c.ReadRun {
 		t.Fatal("ReadRun not cloned")
@@ -230,8 +230,8 @@ func TestCloneCopiesReadRunAndRetained(t *testing.T) {
 	if len(c.Retained) != 2 || c.Retained[0] != 3 {
 		t.Fatalf("Retained = %v", c.Retained)
 	}
-	if c.Entries[0].Epoch != 7 {
-		t.Fatalf("entry epoch = %d", c.Entries[0].Epoch)
+	if c.Entries[0].Num != 7 {
+		t.Fatalf("entry number = %d", c.Entries[0].Num)
 	}
 	c.Retained = append(c.Retained, 9)
 	if len(l.Retained) != 2 {

@@ -82,6 +82,10 @@ type Request struct {
 	// id of the waiting transaction, zero when there is none. An integer,
 	// not an interface, so that tagging a request boxes nothing.
 	Tag int64
+	// Num is the requester's number for the request (the client-server
+	// shard's: proto.ObjRequest.Nums), carried to the grant that admits
+	// it and recorded with the hold it makes (HolderNum).
+	Num int64
 
 	// wake, set by a LockOp that parked on the request, is broadcast when
 	// the table admits it from the queue.
@@ -259,11 +263,19 @@ type Hook struct {
 // SetHook installs h.
 func (t *Table) SetHook(h Hook) { t.hook = h }
 
-// holderEntry is one (owner, mode) holder of an object.
+// holderEntry is one holder of an object: the owner, and in held its
+// mode (the low two bits) and the highest Request.Num of the requests the
+// hold answers (the rest), packed so that an entry stays two words.
 type holderEntry struct {
 	owner OwnerID
-	mode  Mode
+	held  int64
 }
+
+// holding packs a holder's mode and request number.
+func holding(mode Mode, num int64) int64 { return num<<2 | int64(mode) }
+
+func (h *holderEntry) mode() Mode { return Mode(h.held & 3) }
+func (h *holderEntry) num() int64 { return h.held >> 2 }
 
 // entry keeps holders as a small slice sorted by owner: holder sets are
 // tiny (readers of one object), so sorted insertion beats a map and
@@ -369,21 +381,22 @@ func (e *entry) find(owner OwnerID) (int, bool) {
 // holderMode returns owner's held mode (0 when not holding).
 func (e *entry) holderMode(owner OwnerID) Mode {
 	if i, ok := e.find(owner); ok {
-		return e.holders[i].mode
+		return e.holders[i].mode()
 	}
 	return 0
 }
 
-// setHolder grants or updates owner's mode, maintaining sort order and
-// the table's held-objects index.
-func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode) {
+// setHolder grants or updates owner's mode, answering a request
+// numbered num, maintaining sort order and the table's held-objects
+// index.
+func (t *Table) setHolder(obj ObjectID, e *entry, owner OwnerID, mode Mode, num int64) {
 	t.Report(obj)
 	i, ok := e.find(owner)
 	if ok {
-		e.holders[i].mode = mode
+		e.holders[i].held = holding(mode, max(e.holders[i].num(), num))
 		return
 	}
-	e.holders = t.slab.holders.Insert(e.holders, i, holderEntry{owner: owner, mode: mode}, len(e.first))
+	e.holders = t.slab.holders.Insert(e.holders, i, holderEntry{owner: owner, held: holding(mode, num)}, len(e.first))
 	r := t.owner(owner)
 	r.held = t.slab.objs.Insert(r.held, len(r.held), obj, len(r.first))
 }
@@ -412,7 +425,7 @@ func (e *entry) conflictsInto(owner OwnerID, mode Mode, buf []OwnerID) []OwnerID
 		if h.owner == owner {
 			continue
 		}
-		if !Compatible(mode, h.mode) {
+		if !Compatible(mode, h.mode()) {
 			buf = append(buf, h.owner)
 		}
 	}
@@ -424,7 +437,7 @@ func (e *entry) conflictsInto(owner OwnerID, mode Mode, buf []OwnerID) []OwnerID
 func (e *entry) conflictCount(owner OwnerID, mode Mode) int {
 	n := 0
 	for _, h := range e.holders {
-		if h.owner != owner && !Compatible(mode, h.mode) {
+		if h.owner != owner && !Compatible(mode, h.mode()) {
 			n++
 		}
 	}
@@ -443,8 +456,8 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 	}
 	e := t.entryFor(req.Obj)
 	if held := e.holderMode(req.Owner); held == req.Mode || held == ModeExclusive {
+		t.setHolder(req.Obj, e, req.Owner, held, req.Num) // reports obj
 		req.granted = true
-		t.Report(req.Obj)
 		return t.requested(req, Granted, nil)
 	}
 	conf := e.conflictsInto(req.Owner, req.Mode, t.confBuf[:0])
@@ -454,7 +467,7 @@ func (t *Table) Lock(req *Request) (Outcome, []OwnerID) {
 	// EL only needs the other holders gone, and making it queue behind
 	// an unrelated waiter would deadlock it against its own held lock.
 	if len(conf) == 0 && (isUpgrade || !t.mustQueueBehind(e, req)) {
-		t.setHolder(req.Obj, e, req.Owner, req.Mode)
+		t.setHolder(req.Obj, e, req.Owner, req.Mode, req.Num)
 		req.granted = true
 		return t.requested(req, Granted, nil)
 	}
@@ -522,7 +535,7 @@ func (t *Table) dequeued(req *Request) {
 	r.edges = r.edges[:0]
 	for _, q := range r.waiting {
 		for _, h := range t.lookup(q.Obj).holders {
-			if h.owner != q.Owner && !Compatible(q.Mode, h.mode) {
+			if h.owner != q.Owner && !Compatible(q.Mode, h.mode()) {
 				t.addEdge(r, h.owner)
 			}
 		}
@@ -560,7 +573,7 @@ func (t *Table) release(obj ObjectID, owner OwnerID) {
 func (t *Table) Downgrade(obj ObjectID, owner OwnerID) []*Request {
 	t.resetGrants()
 	if e := t.lookup(obj); e != nil && e.holderMode(owner) == ModeExclusive {
-		t.setHolder(obj, e, owner, ModeShared)
+		t.setHolder(obj, e, owner, ModeShared, 0)
 		t.admit(obj, e)
 	}
 	return t.grantBuf
@@ -643,7 +656,7 @@ func (t *Table) admit(obj ObjectID, e *entry) {
 			break
 		}
 		e.queue = unqueue(e.queue, 0)
-		t.setHolder(obj, e, req.Owner, req.Mode) // reports obj
+		t.setHolder(obj, e, req.Owner, req.Mode, req.Num) // reports obj
 		req.waiting = false
 		req.granted = true
 		t.dequeued(req)
@@ -660,12 +673,38 @@ func (t *Table) admit(obj ObjectID, e *entry) {
 	}
 }
 
+// HolderNum records that owner's hold on obj answers a request numbered
+// num too — a repeated request the caller answered from the hold it has
+// (0: none) — and returns the highest Request.Num of the requests the
+// hold answers, 0 when owner holds nothing.
+func (t *Table) HolderNum(obj ObjectID, owner OwnerID, num int64) int64 {
+	if e := t.lookup(obj); e != nil {
+		if i, ok := e.find(owner); ok {
+			h := &e.holders[i]
+			h.held = holding(h.mode(), max(h.num(), num))
+			return h.num()
+		}
+	}
+	return 0
+}
+
 // HolderMode returns the mode owner holds on obj (0 when not held).
 func (t *Table) HolderMode(obj ObjectID, owner OwnerID) Mode {
 	if e := t.lookup(obj); e != nil {
 		return e.holderMode(owner)
 	}
 	return 0
+}
+
+// Queue returns obj's wait queue in service order, nil when nothing
+// waits. The slice is the table's: it is good until the next call that
+// queues or admits, and a caller may write the requests' Num, nothing
+// else.
+func (t *Table) Queue(obj ObjectID) []*Request {
+	if e := t.lookup(obj); e != nil {
+		return e.queue
+	}
+	return nil
 }
 
 // NextWaiter returns the head of obj's wait queue (the earliest-deadline
@@ -730,7 +769,7 @@ func (t *Table) HolderCount(obj ObjectID) int {
 // owner order.
 func (t *Table) HolderAt(obj ObjectID, i int) (OwnerID, Mode) {
 	e := t.lookup(obj)
-	return e.holders[i].owner, e.holders[i].mode
+	return e.holders[i].owner, e.holders[i].mode()
 }
 
 // wouldDeadlock reports whether adding edges owner→each holder closes a
@@ -809,7 +848,7 @@ func (t *Table) Audit() error {
 // seam through which the invariant monitor's tests plant the
 // incompatible holders the audits must catch. The model never calls it.
 func (t *Table) PlantHolder(obj ObjectID, owner OwnerID, mode Mode) {
-	t.setHolder(obj, t.entryFor(obj), owner, mode)
+	t.setHolder(obj, t.entryFor(obj), owner, mode, 0)
 }
 
 // AuditObject is Audit for one object: nil when obj has no entry, else
@@ -828,7 +867,7 @@ func (e *entry) audit(obj ObjectID) error {
 	}
 	var sharers, exclusives int
 	for _, h := range e.holders {
-		switch h.mode {
+		switch h.mode() {
 		case ModeShared:
 			sharers++
 		case ModeExclusive:

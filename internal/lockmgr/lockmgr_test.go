@@ -478,7 +478,7 @@ func TestAuditReportsLowestObject(t *testing.T) {
 		}
 		for _, obj := range []ObjectID{41, 7, 23, 58} {
 			e := tb.lookup(obj)
-			e.holders = append(e.holders, holderEntry{owner: 2, mode: ModeExclusive})
+			e.holders = append(e.holders, holderEntry{owner: 2, held: holding(ModeExclusive, 0)})
 		}
 		for i := 0; i < 50; i++ {
 			if err := tb.Audit(); err == nil || err.Error() != want {

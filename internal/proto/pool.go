@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"siteselect/internal/forward"
+	"siteselect/internal/lockmgr"
+	"siteselect/internal/netsim"
 	"siteselect/internal/slab"
 )
 
@@ -36,6 +38,37 @@ type Pool struct {
 	// Lists is the stock of the forward lists the cluster's grants and
 	// returns carry.
 	Lists forward.Stock
+
+	// The blocks the vectors of a request or a location reply are sized
+	// from (FitAccesses, FitLocations).
+	objs      slab.Slab[lockmgr.ObjectID]
+	modes     slab.Slab[lockmgr.Mode]
+	nums      slab.Slab[int64]
+	conflicts slab.Slab[ObjConflict]
+	sites     slab.Slab[netsim.SiteID]
+	loads     slab.Slab[LoadReport]
+	counts    slab.Slab[SiteCount]
+}
+
+// FitAccesses empties q's access vectors with room for n accesses: its
+// own arrays when they hold n, else blocks of the pool's, taken once at
+// that length. A record the fault layer dropped is never handed back, so
+// the one made in its place starts with no arrays; filling it by append
+// would grow each vector through every length below n.
+func (p *Pool) FitAccesses(q *ObjRequest, n int) {
+	q.Objs, q.Modes, q.Nums = p.objs.Fit(q.Objs, n), p.modes.Fit(q.Modes, n), p.nums.Fit(q.Nums, n)
+}
+
+// FitLocations empties r's vectors with room for a copy of from — its
+// objects, their holders, its loads and counts — as FitAccesses does a
+// request's.
+func (p *Pool) FitLocations(r, from *Locations) {
+	holders := 0
+	for _, o := range from.Objs {
+		holders += len(o.Holders)
+	}
+	r.Objs, r.Flat = p.conflicts.Fit(r.Objs, len(from.Objs)), p.sites.Fit(r.Flat, holders)
+	r.Loads, r.DataCounts = p.loads.Fit(r.Loads, len(from.Loads)), p.counts.Fit(r.DataCounts, len(from.DataCounts))
 }
 
 // Release resets a delivered payload record and hands it back to its
@@ -53,7 +86,7 @@ type Pool struct {
 func (p *Pool) Release(payload any) {
 	switch r := payload.(type) {
 	case *ObjRequest:
-		*r = ObjRequest{Objs: r.Objs[:0], Modes: r.Modes[:0]}
+		*r = ObjRequest{Objs: r.Objs[:0], Modes: r.Modes[:0], Nums: r.Nums[:0]}
 		p.ObjRequest.Keep(r)
 	case *GrantMsg:
 		clear(r.Grants) // drop the forward-list pointers

@@ -21,11 +21,11 @@ func filled(p *Pool) []any {
 	t := &txn.Transaction{ID: 9}
 
 	rq := p.ObjRequest.New()
-	rq.Op, rq.Client, rq.Txn, rq.Deadline, rq.Load = OpCommit, 1, 9, time.Minute, load
-	rq.Objs, rq.Modes = append(rq.Objs, objs...), append(rq.Modes, modes...)
+	rq.Op, rq.Client, rq.Txn, rq.Deadline, rq.Returned, rq.Load = OpCommit, 1, 9, time.Minute, 4, load
+	rq.Objs, rq.Modes, rq.Nums = append(rq.Objs, objs...), append(rq.Modes, modes...), append(rq.Nums, 1, 2, 3)
 	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants,
-		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Epoch: 2, Fwd: forward.NewList(4)},
+		ObjGrant{Obj: 4, Mode: lockmgr.ModeExclusive, Version: 7, Num: 2, Fwd: forward.NewList(4)},
 		ObjGrant{Obj: 5, Mode: lockmgr.ModeShared, Version: 1})
 	lc := p.Locations.New()
 	lc.Txn, lc.Loads, lc.DataCounts = 9, append(lc.Loads, load), append(lc.DataCounts, SiteCount{Site: 2, Count: 1})
@@ -38,7 +38,7 @@ func filled(p *Pool) []any {
 	*ri = ReplicaInstall{Obj: 4, Version: 7}
 	rt := p.ObjReturn.New()
 	*rt = ObjReturn{Client: 1, Obj: 4, HasData: true, Version: 7, Downgraded: true,
-		UpdateOnly: true, Migration: true, RunComplete: true, Fwd: p.Lists.New(4), Epoch: 2, Load: load}
+		UpdateOnly: true, Migration: true, RunComplete: true, Fwd: p.Lists.New(4), Num: 2, Load: load}
 	ts := p.TxnShip.New()
 	*ts = TxnShip{T: t, Sub: &txn.Subtask{Index: 1}}
 	tr := p.TxnResult.New()
@@ -49,7 +49,7 @@ func filled(p *Pool) []any {
 // keepsCapacity names the slice fields Release leaves their backing
 // array; every other field of every payload must come back zero.
 var keepsCapacity = map[string]bool{
-	"ObjRequest.Objs": true, "ObjRequest.Modes": true,
+	"ObjRequest.Objs": true, "ObjRequest.Modes": true, "ObjRequest.Nums": true,
 	"GrantMsg.Grants": true, "RecallMsg.Recalls": true,
 	"Locations.Objs": true, "Locations.Loads": true,
 	"Locations.DataCounts": true, "Locations.Flat": true,
@@ -57,8 +57,15 @@ var keepsCapacity = map[string]bool{
 
 func TestFilledCoversEveryPoolList(t *testing.T) {
 	var p Pool
-	// Every field but Lists, the stock of the lists payloads carry.
-	if got, want := len(filled(&p)), reflect.TypeOf(p).NumField()-1; got != want {
+	// Every exported field but Lists, the stock of the lists payloads
+	// carry (the unexported ones hold the blocks of their vectors).
+	want := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(p)) {
+		if f.IsExported() && f.Name != "Lists" {
+			want++
+		}
+	}
+	if got := len(filled(&p)); got != want {
 		t.Fatalf("filled makes %d payload types, Pool has %d slabs", got, want)
 	}
 }
@@ -185,6 +192,7 @@ func TestOneElementRecordsAreReused(t *testing.T) {
 	cr := p.ObjRequest.New()
 	cr.Op, cr.Client, cr.Txn = OpCommit, 1, 9
 	cr.Objs, cr.Modes = append(cr.Objs, 4), append(cr.Modes, lockmgr.ModeShared)
+	cr.Nums = append(cr.Nums, 1)
 	obj := &cr.Objs[0]
 	p.Release(cr)
 	again := p.ObjRequest.New()
@@ -326,6 +334,7 @@ func filledHot(p *Pool) []any {
 	q := p.ObjRequest.New()
 	q.Op, q.Client, q.Txn = OpCommit, 1, 9
 	q.Objs, q.Modes = append(q.Objs, 4), append(q.Modes, lockmgr.ModeShared)
+	q.Nums = append(q.Nums, 1)
 	g := ObjGrant{Obj: 4, Mode: lockmgr.ModeShared}
 	gm := p.GrantMsg.New()
 	gm.Grants = append(gm.Grants, g, g, g)
@@ -348,5 +357,36 @@ func BenchmarkPoolRound(b *testing.B) {
 		for _, rec := range filledHot(&p) {
 			p.Release(rec)
 		}
+	}
+}
+
+// TestFreshRecordsSizeVectorsOnce: a record the fault layer dropped is
+// never handed back, so the one made in its place starts with no arrays.
+// FitAccesses and FitLocations carve its vectors from the pool's blocks
+// at the length they are filled to, so a stream of fresh records costs
+// the allocator a chunk now and then — not an array per vector and
+// length, eight for a five-access request grown by append.
+func TestFreshRecordsSizeVectorsOnce(t *testing.T) {
+	var p Pool
+	from := &Locations{
+		Objs:       []ObjConflict{{Obj: 1, Holders: []netsim.SiteID{2, 3}}, {Obj: 4, Holders: []netsim.SiteID{5}}},
+		Loads:      make([]LoadReport, 2),
+		DataCounts: make([]SiteCount, 2),
+	}
+	fresh := func() {
+		q := p.ObjRequest.New() // never handed back: its frame was dropped
+		p.FitAccesses(q, 5)
+		for i := range 5 {
+			q.Objs, q.Modes, q.Nums = append(q.Objs, lockmgr.ObjectID(i)), append(q.Modes, lockmgr.ModeShared), append(q.Nums, int64(i))
+		}
+		r := p.Locations.New()
+		p.FitLocations(r, from)
+		for _, o := range from.Objs {
+			r.Objs, r.Flat = AppendLocation(r.Objs, r.Flat, o.Obj, o.Holders)
+		}
+		r.Loads, r.DataCounts = append(r.Loads, from.Loads...), append(r.DataCounts, from.DataCounts...)
+	}
+	if n := testing.AllocsPerRun(1000, fresh); n > 0.1 {
+		t.Errorf("a fresh request and reply allocate %v per pair, want at most 0.1 (chunks only)", n)
 	}
 }

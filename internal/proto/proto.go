@@ -54,7 +54,14 @@ const (
 
 // ObjRequest asks a shard for a transaction's objects, one access per
 // element of Objs and Modes: a client's request, or a commit request a
-// shard forwards to the objects' home shard.
+// shard forwards to the objects' home shard. Nums holds each access's
+// request number (probe and commit only): the shard keeps it with the
+// registration the access makes and every grant of that registration
+// echoes it, so the client can tell a grant it still waits for from one
+// that crossed a release (docs/PROTOCOL.md §4). Returned, under fault
+// injection, counts the returns the client had sent to the shard when it
+// sent the request: a shard that has received fewer knows the request
+// overtook one.
 type ObjRequest struct {
 	Op       Op
 	Client   netsim.SiteID
@@ -62,6 +69,8 @@ type ObjRequest struct {
 	Deadline time.Duration
 	Objs     []lockmgr.ObjectID
 	Modes    []lockmgr.Mode
+	Nums     []int64
+	Returned int32
 	Load     LoadReport
 }
 
@@ -71,11 +80,13 @@ type ObjGrant struct {
 	Obj     lockmgr.ObjectID
 	Mode    lockmgr.Mode
 	Version int64
-	// Epoch is the target's release epoch as last seen by the server.
-	// The client drops any grant whose epoch does not match its own —
-	// such a grant was sent before the server processed a release and
-	// refers to a registration that no longer exists.
-	Epoch int64
+	// Num is the request number of the registration the grant delivers:
+	// the number the request carried, or the number of a release of Obj
+	// the client sent while the request waited at the shard. The client
+	// drops a grant whose number it has closed — such a grant was sent
+	// before the shard processed a release or downgrade and delivers a
+	// registration that no longer exists.
+	Num int64
 	// Fwd is the remaining forward list the recipient must honour at
 	// commit (nil outside migrations).
 	Fwd *forward.List
@@ -206,11 +217,14 @@ type ObjReturn struct {
 	// matches the caches, and the list goes back to the pool's stock with
 	// the return's record.
 	Fwd *forward.List
-	// Epoch is the sender's release epoch for Obj after this return
-	// takes effect; the server stamps it into future grants so stale
-	// in-flight grants can be recognized.
-	Epoch int64
-	Load  LoadReport
+	// Num, nonzero on a return that gives a registration up (a release,
+	// a give-up, a downgrade), is the fresh request number the client
+	// opened with it. The shard renumbers the client's requests for Obj
+	// still waiting there to it, so that their grants carry a number the
+	// client holds open, while every grant sent before this return
+	// carries one it has closed.
+	Num  int64
+	Load LoadReport
 }
 
 // TxnShip moves a transaction (or one subtask of a decomposed

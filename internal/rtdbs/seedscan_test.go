@@ -94,7 +94,9 @@ func shardedCell() config.Config {
 // scan's sharded+batched cell (ROADMAP item 1(b)): run monitored, each
 // seed fails with the first line given, so a change that moves one is
 // seen. A fix of the defect behind a seed flips its entry into a clean
-// run.
+// run (want ""): seeds 68 and 125 cached a grant that had crossed a
+// downgrade on the wire, until a downgrade revoked such grants as a
+// release does (docs/PROTOCOL.md §4).
 func TestKnownShardedFailureSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four monitored 150-client runs of several seconds each")
@@ -104,19 +106,23 @@ func TestKnownShardedFailureSeeds(t *testing.T) {
 		want string
 	}{
 		{29, "client 136's dirty object 9025 at version 7 not ahead of server's 7"},
-		{68, "client 72 caches stale clean object 4925 (version 1, server 3)"},
+		{68, ""},
 		{91, "invariant: committed update lost on object 3908: committed version 4, best surviving copy 3"},
-		{125, "client 122 caches stale clean object 8539 (version 0, server 1)"},
+		{125, ""},
 	} {
 		cfg := shardedCell()
 		cfg.Seed, cfg.CheckInvariants = c.seed, true
 		err := runRecovered(cfg)
-		if err == nil {
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("seed %d failed with %v, want a clean run", c.seed, err)
+		case c.want == "":
+		case err == nil:
 			t.Errorf("seed %d ran clean, want it to fail with %q", c.seed, c.want)
-			continue
-		}
-		if line, _, _ := strings.Cut(err.Error(), "\n"); !strings.Contains(line, c.want) {
-			t.Errorf("seed %d failed with %q, want %q", c.seed, line, c.want)
+		default:
+			if line, _, _ := strings.Cut(err.Error(), "\n"); !strings.Contains(line, c.want) {
+				t.Errorf("seed %d failed with %q, want %q", c.seed, line, c.want)
+			}
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // shipIntent is one decided grant awaiting its ship: the destination
-// and the grant as it will travel. The version and epoch are captured
-// synchronously with the lock registration the ship delivers — a
-// release processed while the page is being read makes the grant
+// and the grant as it will travel. The version and request number are
+// captured synchronously with the lock registration the ship delivers —
+// a release processed while the page is being read makes the grant
 // provably stale at the client.
 type shipIntent struct {
 	to    netsim.SiteID
@@ -31,26 +31,16 @@ type shipIntent struct {
 // connection handler do not stall that handler. During a batch-window
 // flush the intent waits for endFlush, which coalesces every grant bound
 // for the same destination into one ship; outside one it is the flush
-// of one intent.
-func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode, id txn.ID, fwd *forward.List) {
+// of one intent. num is the number of the request the grant answers.
+func (s *Server) ship(obj lockmgr.ObjectID, to netsim.SiteID, mode lockmgr.Mode, id txn.ID, num int64, fwd *forward.List) {
 	s.GrantsShipped++
 	s.tr.Point(id, s.site, trace.EvObjectShipped, obj, int64(to), 0, s.env.Now())
 	s.shipIntents = append(s.shipIntents, shipIntent{to: to, grant: proto.ObjGrant{
-		Obj: obj, Mode: mode, Version: s.versions[obj], Epoch: s.epochOf(obj, to), Fwd: fwd,
+		Obj: obj, Mode: mode, Version: s.versions[obj], Num: num, Fwd: fwd,
 	}})
 	if !s.batching {
 		s.flushShips()
 	}
-}
-
-// epochOf returns the release epoch last reported by client for obj.
-func (s *Server) epochOf(obj lockmgr.ObjectID, client netsim.SiteID) int64 {
-	if o := s.find(obj); o != nil {
-		if i, ok := findEpoch(o.epochs, client); ok {
-			return o.epochs[i].epoch
-		}
-	}
-	return 0
 }
 
 // shipGrants ships every newly granted queued request. Grants whose
@@ -73,7 +63,7 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 			s.reqs.Put(g)
 			continue
 		}
-		s.ship(g.Obj, netsim.SiteID(g.Owner), g.Mode, txn.ID(g.Tag), nil)
+		s.ship(g.Obj, netsim.SiteID(g.Owner), g.Mode, txn.ID(g.Tag), g.Num, nil)
 		s.reqs.Put(g)
 	}
 }
@@ -82,7 +72,7 @@ func (s *Server) shipGrants(grants []*lockmgr.Request) {
 // object's forward list rather than the plain lock queue: the object is
 // conflicted now, mid-migration, or already has a list forming.
 func (s *Server) groupable(obj lockmgr.ObjectID, client netsim.SiteID, mode lockmgr.Mode) bool {
-	if o := s.at(obj); o.inflight != nil || o.sealed != nil || o.open != nil {
+	if o := s.find(obj); o != nil && (o.inflight != nil || o.sealed != nil || o.open != nil) {
 		return true
 	}
 	if len(s.locks.ConflictingHolders(obj, lockmgr.OwnerID(client), mode)) > 0 {
@@ -103,7 +93,7 @@ func (s *Server) conflictHolders(out []netsim.SiteID, obj lockmgr.ObjectID, clie
 			return append(out, e.Client)
 		}
 	}
-	if s.at(obj).inflight != nil {
+	if s.inflight(obj) != nil {
 		// List fully dead but object still out; it belongs to nobody the
 		// client could use — report no usable location, but it is still
 		// a conflict.
@@ -139,7 +129,10 @@ func (s *Server) conflictHolders(out []netsim.SiteID, obj lockmgr.ObjectID, clie
 // collecting supersedes the sealed list, which supersedes the in-flight
 // list.
 func (s *Server) lists(obj lockmgr.ObjectID) (ls [3]*forward.List, n int) {
-	o := s.at(obj)
+	o := s.find(obj)
+	if o == nil {
+		return ls, 0
+	}
 	for _, l := range [3]*forward.List{o.open, o.sealed, o.inflight} {
 		if l != nil {
 			ls[n] = l
@@ -217,8 +210,11 @@ func (s *Server) recallForQueueHead(obj lockmgr.ObjectID) {
 // headEntry returns the next forward-list entry due for obj: the sealed
 // list dispatches before the still-collecting one.
 func (s *Server) headEntry(obj lockmgr.ObjectID) (forward.Entry, bool) {
+	o := s.find(obj)
+	if o == nil {
+		return forward.Entry{}, false
+	}
 	now := s.env.Now()
-	o := s.at(obj)
 	for _, l := range [2]*forward.List{o.sealed, o.open} {
 		if l == nil {
 			continue
@@ -444,7 +440,7 @@ func (s *Server) seal(obj lockmgr.ObjectID) {
 // collection window is still open, the window is sealed early — batching
 // only pays while the object is out.
 func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
-	if s.at(obj).inflight != nil {
+	if s.inflight(obj) != nil {
 		return
 	}
 	head, ok := s.headEntry(obj)
@@ -452,7 +448,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		s.recallForMigration(obj)
 		return
 	}
-	if s.at(obj).sealed == nil {
+	if o := s.find(obj); o == nil || o.sealed == nil {
 		if ok {
 			// The head entry can go: seal the window early (re-enters
 			// tryDispatch with a sealed list). Its clock still fires at
@@ -500,7 +496,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 		for _, e := range run {
 			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(e.Client)
-			lr.Mode, lr.Deadline, lr.Tag = e.Mode, e.Deadline, int64(e.Txn)
+			lr.Mode, lr.Deadline, lr.Tag, lr.Num = e.Mode, e.Deadline, int64(e.Txn), e.Num
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: free object grant failed at dispatch")
@@ -508,7 +504,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 			s.reqs.Put(lr)
 		}
 		if len(run) == 1 {
-			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, nil)
+			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, run[0].Num, nil)
 		} else {
 			// One copy leaves the server and hops down the run
 			// client-to-client; each reader keeps its copy. The object
@@ -518,12 +514,11 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 			hop := s.payloads.Lists.New(obj)
 			hop.ReadRun = true
 			for _, e := range run[1:] {
-				e.Epoch = s.epochOf(obj, e.Client)
 				hop.Insert(e)
 			}
 			o.inflight = hop.Clone()
 			s.locks.Report(obj)
-			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, hop)
+			s.ship(obj, run[0].Client, run[0].Mode, run[0].Txn, run[0].Num, hop)
 		}
 		if o.sealed != nil {
 			// More entries (a writer behind the readers): recall the
@@ -541,7 +536,6 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	first := run[0]
 	chain := s.payloads.Lists.New(obj)
 	for _, e := range run[1:] {
-		e.Epoch = s.epochOf(obj, e.Client)
 		chain.Insert(e)
 	}
 	// A shared copy cached by the first writer is superseded by the
@@ -558,7 +552,7 @@ func (s *Server) tryDispatch(obj lockmgr.ObjectID) {
 	s.MigrationsStarted++
 	o.inflight = chain
 	s.locks.Report(obj)
-	s.ship(obj, first.Client, first.Mode, first.Txn, chain.Clone())
+	s.ship(obj, first.Client, first.Mode, first.Txn, first.Num, chain.Clone())
 }
 
 // AuditLocks verifies the global lock table invariants.

@@ -39,7 +39,7 @@ func TestSharedRunWithHeadHoldingEL(t *testing.T) {
 	if q := s.locks.NextWaiter(obj); q != nil {
 		t.Fatalf("queued after dispatch: %+v, want nothing", q)
 	}
-	if l := s.at(obj).sealed; l == nil || l.Len() != 1 || l.Entries[0].Client != 2 {
+	if l := s.find(obj).sealed; l == nil || l.Len() != 1 || l.Entries[0].Client != 2 {
 		t.Fatalf("sealed after dispatch = %+v, want client 2's SL alone", l)
 	}
 	var shipped, recalled bool

@@ -27,6 +27,7 @@ func (p *listScript) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode) 
 	q := s.payloads.ObjRequest.New()
 	q.Op, q.Client, q.Txn, q.Deadline = proto.OpCommit, netsim.SiteID(from), p.id, p.r.env.Now()+time.Minute
 	q.Objs, q.Modes = append(q.Objs, obj), append(q.Modes, mode)
+	q.Nums = append(q.Nums, 1)
 	p.r.send(from, netsim.KindObjectRequest, q)
 }
 
@@ -106,7 +107,7 @@ func TestForwardListRoundZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("a forward-list round with its messages allocates %v per run, want 0", n)
 	}
-	if s := r.srv; s.MigrationsStarted < 100 || s.Migrating(obj) || s.at(obj).open != nil || s.at(obj).sealed != nil {
+	if s := r.srv; s.MigrationsStarted < 100 || s.Migrating(obj) || s.find(obj).open != nil || s.find(obj).sealed != nil {
 		t.Fatalf("rounds did not run or left a list: %d migrations, in flight %v", s.MigrationsStarted, s.Migrating(obj))
 	}
 	if err := r.srv.AuditLocks(); err != nil {

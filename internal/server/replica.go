@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math"
+
 	"siteselect/internal/batch"
 	"siteselect/internal/lockmgr"
 	"siteselect/internal/netsim"
@@ -93,7 +95,8 @@ func (s *Server) servesObj(obj lockmgr.ObjectID, mode lockmgr.Mode) bool {
 	if s.topo.HomeShard(obj) == s.shard {
 		return true
 	}
-	return mode == lockmgr.ModeShared && s.at(obj).replica != repNone
+	o := s.find(obj)
+	return mode == lockmgr.ModeShared && o != nil && o.replica != repNone
 }
 
 // routeFirm re-routes a firm request that reached a shard which cannot
@@ -106,7 +109,11 @@ func (s *Server) routeFirm(r batch.Request) (batch.Outcome, bool) {
 	s.RequestsForwarded++
 	q := s.payloads.ObjRequest.New()
 	q.Op, q.Client, q.Txn, q.Deadline = proto.OpCommit, r.Client, r.Txn, r.Deadline
-	q.Objs, q.Modes = append(q.Objs, r.Obj), append(q.Modes, r.Mode)
+	// This shard does not know how many returns the client sent home: the
+	// home shard takes the request as one that overtook a return.
+	q.Returned = math.MaxInt32
+	s.payloads.FitAccesses(q, 1)
+	q.Objs, q.Modes, q.Nums = append(q.Objs, r.Obj), append(q.Modes, r.Mode), append(q.Nums, r.Sent)
 	s.send(shardmap.ShardSite(s.topo.HomeShard(r.Obj)), netsim.KindObjectRequest, netsim.ControlBytes, q)
 	return batch.OutForwarded, true
 }
@@ -209,7 +216,7 @@ func (s *Server) installReplica(obj lockmgr.ObjectID, version int64) {
 // not free for a shared registration). Static replicas get no cold
 // heartbeat — only a writer's recall removes them.
 func (s *Server) SeedReplica(obj lockmgr.ObjectID, r *Server) bool {
-	if s.topo.HomeShard(obj) != s.shard || r.shard == s.shard || s.at(obj).replicaOut {
+	if o := s.find(obj); s.topo.HomeShard(obj) != s.shard || r.shard == s.shard || o != nil && o.replicaOut {
 		return false
 	}
 	if _, ok := s.topo.Replica(obj); ok {
@@ -306,7 +313,7 @@ func (s *Server) recallReplicaHolders(obj lockmgr.ObjectID) {
 // returned to its home shard, whose release of the pseudo-owner
 // unblocks any waiting writer.
 func (s *Server) finishShedIfDrained(obj lockmgr.ObjectID) {
-	if r := s.at(obj).replica; r != repDraining && r != repForced {
+	if o := s.find(obj); o == nil || o.replica != repDraining && o.replica != repForced {
 		return
 	}
 	for i, n := 0, s.locks.HolderCount(obj); i < n; i++ {

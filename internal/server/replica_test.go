@@ -71,7 +71,7 @@ func (r *shardRig) request(from, shard int, obj lockmgr.ObjectID, mode lockmgr.M
 	r.nextTx++
 	r.send(from, shard, netsim.KindObjectRequest, &proto.ObjRequest{
 		Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Hour,
-		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode},
+		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode}, Nums: []int64{r.nextTx},
 	})
 }
 
@@ -185,11 +185,11 @@ func TestReplicaLifecycle(t *testing.T) {
 		r.env.Run(at)
 		step.do(at)
 		r.env.Run(at + sec(0.5))
-		o := r.srv[rep].at(obj)
+		o := r.srv[rep].rec(obj)
 		if installs := r.srv[home].ReplicasInstalled; o.replica != step.state || installs != step.gen {
 			t.Fatalf("%s: replica state %d after %d installs, want %d after %d", step.name, o.replica, installs, step.state, step.gen)
 		}
-		if out := r.srv[home].at(obj).replicaOut; out != step.out {
+		if out := r.srv[home].rec(obj).replicaOut; out != step.out {
 			t.Fatalf("%s: home shard replicaOut = %v, want %v", step.name, out, step.out)
 		}
 		if _, registered := r.topo.Replica(obj); registered != step.registered {

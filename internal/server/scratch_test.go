@@ -66,6 +66,7 @@ func TestGrantDispatchBookkeepingZeroAlloc(t *testing.T) {
 		q := s.payloads.ObjRequest.New()
 		q.Op, q.Client, q.Txn, q.Deadline = proto.OpCommit, netsim.SiteID(from), id, r.env.Now()+time.Minute
 		q.Objs, q.Modes = append(q.Objs, 43), append(q.Modes, lockmgr.ModeExclusive)
+		q.Nums = append(q.Nums, 1)
 		r.send(from, netsim.KindObjectRequest, q)
 	}
 	giveBack := func(from int, hasData bool) {
@@ -120,12 +121,13 @@ func TestConnMachineSize(t *testing.T) {
 	}
 }
 
-// TestObjStateSize pins the per-object record at 80 B: the shard carves
-// records 64 to a chunk, and at 88 B a chunk moves from the 5 376 B to
-// the 6 144 B allocation size class.
+// TestObjStateSize pins the per-object record at 56 B (80 B until the
+// release-epoch list went: the request numbers live in the shard's
+// waiting requests instead). The shard carves records 64 to a chunk, a
+// 3 584 B allocation.
 func TestObjStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(objState{}); got > 80 {
-		t.Errorf("unsafe.Sizeof(objState) = %d B, ceiling 80 B", got)
+	if got := unsafe.Sizeof(objState{}); got > 56 {
+		t.Errorf("unsafe.Sizeof(objState) = %d B, ceiling 56 B", got)
 	}
 }
 

@@ -86,10 +86,9 @@ type Server struct {
 	// sites holds, by client id, each attached client's connection and
 	// the load it last reported (slot 0 is unused: site 0 is a shard).
 	sites []site
-
-	// epochRecs holds the blocks every object's release-epoch list lives
-	// in (objState.epochs).
-	epochRecs slab.Slab[epochRec]
+	// returned counts, by client id, the returns that reached this shard
+	// under fault injection (overtaken).
+	returned []int32
 
 	// collector closes the collection windows of the objects' open
 	// forward lists (load sharing only).
@@ -186,25 +185,6 @@ type objState struct {
 	// (its window is on the server's collector), sealed awaits dispatch,
 	// inflight travels client to client.
 	open, sealed, inflight *forward.List
-	// epochs records the release epoch each client last reported for the
-	// object, in ascending client order; grants are stamped with it so
-	// releases crossing grants on the wire are detected (see
-	// proto.ObjGrant). A client that never reported one has no element.
-	epochs []epochRec
-}
-
-// epochRec is one client's last reported release epoch of an object.
-type epochRec struct {
-	client netsim.SiteID
-	epoch  int64
-}
-
-// findEpoch returns the index of client in the sorted list, or the
-// insertion point when absent.
-func findEpoch(list []epochRec, client netsim.SiteID) (int, bool) {
-	return slices.BinarySearchFunc(list, client, func(e epochRec, c netsim.SiteID) int {
-		return cmp.Compare(e.client, c)
-	})
 }
 
 // recallNode is one outstanding callback of an object.
@@ -249,17 +229,8 @@ func (s *Server) dropRecall(o *objState, site netsim.SiteID) {
 // objChunkLen is the number of records carved from one allocation.
 const objChunkLen = 64
 
-// at returns a copy of obj's record, all zero when nothing was ever
-// recorded. Reads go through at; a write through the copy is lost, so
-// every write goes through rec.
-func (s *Server) at(obj lockmgr.ObjectID) objState {
-	if o := s.find(obj); o != nil {
-		return *o
-	}
-	return objState{}
-}
-
 // find returns obj's record, nil until something is recorded about it.
+// Reads go through find, every write through rec.
 func (s *Server) find(obj lockmgr.ObjectID) *objState {
 	if h := s.objs[obj]; h != 0 {
 		return &s.objChunks[(h-1)/objChunkLen][(h-1)%objChunkLen]
@@ -370,7 +341,16 @@ func (s *Server) Version(obj lockmgr.ObjectID) int64 { return s.versions[obj] }
 
 // Migrating reports whether obj is currently checked out to a forward
 // list (its authoritative version is travelling client-to-client).
-func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.at(obj).inflight != nil }
+func (s *Server) Migrating(obj lockmgr.ObjectID) bool { return s.inflight(obj) != nil }
+
+// inflight returns the forward list obj travels under, nil when it is
+// not checked out.
+func (s *Server) inflight(obj lockmgr.ObjectID) *forward.List {
+	if o := s.find(obj); o != nil {
+		return o.inflight
+	}
+	return nil
+}
 
 // Attach registers a client connection: inbox receives the client's
 // messages at the server; out is the client's own inbox.
@@ -594,7 +574,10 @@ func (s *Server) handleProbe(req proto.ObjRequest) {
 			// or shed after the client routed here). A probe is
 			// all-or-nothing and cannot span shards, so report a
 			// degenerate "busy" conflict; the client's stay-local
-			// fallback re-routes the firm requests freshly.
+			// fallback re-routes the firm requests freshly. So does a
+			// request the hold here must not answer (overtaken).
+			s.holderScratch = append(s.holderScratch[:0], req.Client)
+		} else if _, ok := s.overtaken(req.Client, obj, req.Nums[i], req.Returned); ok {
 			s.holderScratch = append(s.holderScratch[:0], req.Client)
 		} else {
 			s.holderScratch = s.conflictHolders(s.holderScratch[:0], obj, req.Client, req.Modes[i])
@@ -608,13 +591,13 @@ func (s *Server) handleProbe(req proto.ObjRequest) {
 		for i, obj := range req.Objs {
 			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(req.Client)
-			lr.Mode, lr.Deadline, lr.Tag = req.Modes[i], req.Deadline, int64(req.Txn)
+			lr.Mode, lr.Deadline, lr.Tag, lr.Num = req.Modes[i], req.Deadline, int64(req.Txn), req.Nums[i]
 			outcome, _ := s.locks.Lock(lr)
 			if outcome != lockmgr.Granted {
 				panic("server: conflict-free probe request not granted")
 			}
 			s.reqs.Put(lr)
-			s.ship(obj, req.Client, req.Modes[i], req.Txn, nil)
+			s.ship(obj, req.Client, req.Modes[i], req.Txn, req.Nums[i], nil)
 			s.noteServe(obj, req.Modes[i], req.Client)
 		}
 		return
@@ -659,7 +642,8 @@ func (s *Server) dataCounts(counts []proto.SiteCount, objs []lockmgr.ObjectID, c
 // objects, one sequential fetch, or a request another shard forwarded.
 func (s *Server) handleCommit(cr proto.ObjRequest) {
 	for i, obj := range cr.Objs {
-		s.handleFirm(cr.Client, cr.Txn, obj, cr.Modes[i], cr.Deadline)
+		s.handleFirm(batch.Request{Client: cr.Client, Txn: cr.Txn, Obj: obj, Mode: cr.Modes[i],
+			Deadline: cr.Deadline, Num: cr.Nums[i], Sent: cr.Nums[i]}, cr.Returned)
 	}
 }
 
@@ -667,14 +651,51 @@ func (s *Server) handleCommit(cr proto.ObjRequest) {
 // with BatchWindow == 0 the request is served inline before handleFirm
 // returns (exactly the unbatched server); with a positive window it
 // parks until the window closes and serveFirm runs on the whole batch.
-func (s *Server) handleFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
-	if s.faulty && s.batcher.Window() > 0 && s.batcher.Pending(client, id, obj) {
+func (s *Server) handleFirm(r batch.Request, returned int32) {
+	if s.faulty && s.batcher.Window() > 0 && s.batcher.Pending(r.Client, r.Txn, r.Obj) {
 		// A retransmit of a request already parked in the open window:
 		// the original will be answered when the window closes, so the
 		// copy must not enter the window a second time.
 		return
 	}
-	s.batcher.Add(batch.Request{Client: client, Txn: id, Obj: obj, Mode: mode, Deadline: deadline})
+	if h, ok := s.overtaken(r.Client, r.Obj, r.Num, returned); ok {
+		// Answered from the hold under the hold's number, as every grant
+		// this shard decided before the return: the client closed that
+		// number with the return and drops the grant, and asks again.
+		s.ship(r.Obj, r.Client, lockmgr.ModeExclusive, r.Txn, h, nil)
+		return
+	}
+	s.batcher.Add(r)
+}
+
+// returnsFrom counts the returns of client's that reached this shard
+// (fault injection only).
+func (s *Server) returnsFrom(client netsim.SiteID) int32 {
+	if int(client) < len(s.returned) {
+		return s.returned[client]
+	}
+	return 0
+}
+
+// overtaken reports whether a request of client's for obj numbered num,
+// sent after returned returns to this shard, must not be answered from
+// the hold the client has here, and that hold's number. It must not when
+// the request overtook one of those returns (fault injection reorders
+// frames; a forwarded request counts as overtaking) and the hold is
+// exclusive and numbered below the request: the client sent the return
+// after the request the hold answers, so the return gives the hold up or
+// downgrades it — perhaps with data newer than the page here, which a
+// grant from the hold would hand back stale.
+func (s *Server) overtaken(client netsim.SiteID, obj lockmgr.ObjectID, num int64, returned int32) (int64, bool) {
+	if !s.faulty || returned <= s.returnsFrom(client) {
+		return 0, false
+	}
+	owner := lockmgr.OwnerID(client)
+	if s.locks.HolderMode(obj, owner) != lockmgr.ModeExclusive {
+		return 0, false
+	}
+	h := s.locks.HolderNum(obj, owner, 0)
+	return h, num > h
 }
 
 // serveFirm serves one firm object request: grant and ship, queue with
@@ -697,7 +718,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	if out, rerouted := s.routeFirm(r); rerouted {
 		return out
 	}
-	if s.faulty && s.dupFirm(r.Client, r.Txn, r.Obj, r.Mode) {
+	if s.faulty && s.dupFirm(r) {
 		return batch.OutDupServed
 	}
 	if s.cfg.UseForwardLists && s.groupable(r.Obj, r.Client, r.Mode) {
@@ -707,7 +728,7 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 			o.open = s.payloads.Lists.New(r.Obj)
 			s.collector.Open(r.Obj)
 		}
-		o.open.Insert(forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn})
+		o.open.Insert(forward.Entry{Client: r.Client, Mode: r.Mode, Deadline: r.Deadline, Txn: r.Txn, Num: r.Num})
 		s.locks.Report(r.Obj)
 		s.recallForMigration(r.Obj)
 		s.tryDispatch(r.Obj) // the object may already be free
@@ -715,12 +736,12 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 	}
 	lr := s.reqs.New()
 	lr.Obj, lr.Owner = r.Obj, lockmgr.OwnerID(r.Client)
-	lr.Mode, lr.Deadline, lr.Tag = r.Mode, r.Deadline, int64(r.Txn)
+	lr.Mode, lr.Deadline, lr.Tag, lr.Num = r.Mode, r.Deadline, int64(r.Txn), r.Num
 	outcome, _ := s.locks.Lock(lr)
 	switch outcome {
 	case lockmgr.Granted:
 		s.reqs.Put(lr)
-		s.ship(r.Obj, r.Client, r.Mode, r.Txn, nil)
+		s.ship(r.Obj, r.Client, r.Mode, r.Txn, r.Num, nil)
 		s.noteServe(r.Obj, r.Mode, r.Client)
 		return batch.OutGranted
 	case lockmgr.Queued:
@@ -740,10 +761,11 @@ func (s *Server) serveFirm(r batch.Request) batch.Outcome {
 // been lost); one already queued or on a forward list just nudges the
 // recall machinery. Only a request with no trace in the server's state
 // proceeds to normal registration.
-func (s *Server) dupFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, mode lockmgr.Mode) bool {
-	owner := lockmgr.OwnerID(client)
-	if held := s.locks.HolderMode(obj, owner); held == mode || held == lockmgr.ModeExclusive {
-		s.ship(obj, client, held, id, nil)
+func (s *Server) dupFirm(r batch.Request) bool {
+	obj, owner := r.Obj, lockmgr.OwnerID(r.Client)
+	if held := s.locks.HolderMode(obj, owner); held == r.Mode || held == lockmgr.ModeExclusive {
+		s.locks.HolderNum(obj, owner, r.Num)
+		s.ship(obj, r.Client, held, r.Txn, r.Num, nil)
 		return true
 	}
 	if s.locks.HasWaiter(obj, owner) {
@@ -752,7 +774,7 @@ func (s *Server) dupFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, 
 	}
 	ls, n := s.lists(obj)
 	for _, l := range ls[:n] {
-		if l.Contains(client, id) {
+		if l.Contains(r.Client, r.Txn) {
 			s.recallForMigration(obj)
 			s.tryDispatch(obj)
 			return true
@@ -762,17 +784,18 @@ func (s *Server) dupFirm(client netsim.SiteID, id txn.ID, obj lockmgr.ObjectID, 
 }
 
 // returnNeedsWrite applies the bookkeeping that precedes a return's page
-// install — the release-epoch and version high-water marks — and reports
-// whether the return carries data that must be written through the pool
-// before finishReturn runs.
+// install — the renumbering of the client's waiting requests and the
+// version high-water mark — and reports whether the return carries data
+// that must be written through the pool before finishReturn runs.
 func (s *Server) returnNeedsWrite(ret proto.ObjReturn) bool {
-	if ret.Epoch > 0 {
-		o := s.rec(ret.Obj)
-		if i, ok := findEpoch(o.epochs, ret.Client); !ok {
-			o.epochs = s.epochRecs.Insert(o.epochs, i, epochRec{client: ret.Client, epoch: ret.Epoch}, 0)
-		} else if ret.Epoch > o.epochs[i].epoch {
-			o.epochs[i].epoch = ret.Epoch
+	if s.faulty && !shardmap.IsShardSite(ret.Client) {
+		if n := int(ret.Client) + 1 - len(s.returned); n > 0 {
+			s.returned = append(s.returned, make([]int32, n)...)
 		}
+		s.returned[ret.Client]++
+	}
+	if ret.Num > 0 {
+		s.renumber(ret.Client, ret.Obj, ret.Num)
 	}
 	if !ret.HasData {
 		return false
@@ -781,6 +804,43 @@ func (s *Server) returnNeedsWrite(ret proto.ObjReturn) bool {
 		s.versions[ret.Obj] = ret.Version
 	}
 	return true
+}
+
+// renumber gives every request of client for obj still waiting here —
+// queued in the lock table, parked in the batch window, on a forward list
+// not yet dispatched — the number num, which the client opened with a
+// return that gives a registration of obj up here. Their grants, decided
+// after that return, carry a number the client holds open, while a
+// grant decided before it carries one the client closed with it. Only
+// requests sent before the return — numbered below it — are renumbered:
+// one the fault layer let overtake the return keeps its own. A parked
+// request this shard ends up not serving goes on to the home shard with
+// the number the client sent (routeFirm): the return does not touch the
+// home shard's registrations.
+func (s *Server) renumber(client netsim.SiteID, obj lockmgr.ObjectID, num int64) {
+	for _, q := range s.locks.Queue(obj) {
+		if q.Owner == lockmgr.OwnerID(client) && q.Num < num {
+			q.Num = num
+		}
+	}
+	parked := s.batcher.Parked()
+	for i := range parked {
+		if r := &parked[i]; r.Client == client && r.Obj == obj && r.Num < num {
+			r.Num = num
+		}
+	}
+	if o := s.find(obj); o != nil {
+		for _, l := range [2]*forward.List{o.open, o.sealed} {
+			if l == nil {
+				continue
+			}
+			for i := range l.Entries {
+				if e := &l.Entries[i]; e.Client == client && e.Num < num {
+					e.Num = num
+				}
+			}
+		}
+	}
 }
 
 // finishReturn processes a recall answer, a voluntary dirty eviction, or
@@ -830,10 +890,18 @@ func (s *Server) finishReturn(ret proto.ObjReturn) {
 		return
 	}
 	var grants []*lockmgr.Request
-	if ret.Downgraded {
-		grants = s.locks.Downgrade(obj, ownerFor(ret.Client))
-	} else {
-		grants = s.locks.Release(obj, ownerFor(ret.Client))
+	switch owner := ownerFor(ret.Client); {
+	case ret.Num > 0 && ret.Num <= s.locks.HolderNum(obj, owner, 0):
+		// A request sent after the return overtook it (fault injection)
+		// and was answered from a shared hold or registered the client
+		// anew, and the client accepts that grant: the return gives up
+		// nothing that still stands. (A request carries the return's own
+		// number when it was sent before the return and retransmitted
+		// after it.)
+	case ret.Downgraded:
+		grants = s.locks.Downgrade(obj, owner)
+	default:
+		grants = s.locks.Release(obj, owner)
 	}
 	if shardmap.IsShardSite(ret.Client) {
 		// A replica shard finished draining: the object may be

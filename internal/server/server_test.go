@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -70,10 +71,15 @@ func (r *rig) send(from int, kind netsim.Kind, payload any) {
 }
 
 func (r *rig) request(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration) {
+	r.requestNum(from, obj, mode, deadline, r.nextTx+1)
+}
+
+// requestNum sends a one-access commit request under request number num.
+func (r *rig) requestNum(from int, obj lockmgr.ObjectID, mode lockmgr.Mode, deadline time.Duration, num int64) {
 	r.nextTx++
 	r.send(from, netsim.KindObjectRequest, &proto.ObjRequest{
 		Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: deadline,
-		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode},
+		Objs: []lockmgr.ObjectID{obj}, Modes: []lockmgr.Mode{mode}, Nums: []int64{num},
 	})
 }
 
@@ -196,6 +202,7 @@ func TestServerProbeAllOrNothing(t *testing.T) {
 		Op: proto.OpProbe, Client: 2, Txn: 99,
 		Objs:     []lockmgr.ObjectID{5, 6},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared},
+		Nums:     []int64{1, 2},
 		Deadline: time.Minute,
 	})
 	msgs := r.drain(2, 2*time.Second)
@@ -224,6 +231,7 @@ func TestServerProbeGrantsWhenAllFree(t *testing.T) {
 		Op: proto.OpProbe, Client: 1, Txn: 5,
 		Objs:     []lockmgr.ObjectID{10, 11, 12},
 		Modes:    []lockmgr.Mode{lockmgr.ModeShared, lockmgr.ModeShared, lockmgr.ModeExclusive},
+		Nums:     []int64{1, 2, 3},
 		Deadline: time.Minute,
 	})
 	msgs := r.drain(1, 2*time.Second)
@@ -389,91 +397,167 @@ func (r *rig) grantTo(id int, until time.Duration) proto.ObjGrant {
 	return msgs[0].Payload.(*proto.GrantMsg).Grants[0]
 }
 
-// TestServerGrantCrossingRelease: a grant is stamped with the release
-// epoch the server held when it registered the lock, so one that crosses
-// the client's next release on the wire echoes an epoch below the
-// client's own and is dropped there; only a grant decided after the
-// return was processed carries the new epoch, and the retransmitted copy
-// of an earlier return never lowers it.
+// TestServerGrantCrossingRelease: a grant echoes the number of the
+// request it answers, decided with the registration, so one that
+// crosses the client's next release on the wire carries a number the
+// client closed with that release; a request still queued when a
+// release arrives takes the release's number, and so does its grant.
 func TestServerGrantCrossingRelease(t *testing.T) {
-	r := newRig(t, 2, func(c *config.Config) { c.UseForwardLists = false })
+	r := newRig(t, 3, func(c *config.Config) { c.UseForwardLists = false })
 	defer r.env.Close()
-	r.request(1, 7, lockmgr.ModeShared, time.Minute)
-	if g := r.grantTo(1, time.Second); g.Epoch != 0 {
-		t.Fatalf("first grant carries epoch %d, want 0", g.Epoch)
-	}
-	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 1})
-	r.request(1, 7, lockmgr.ModeShared, time.Minute)
-	if g := r.grantTo(1, 2*time.Second); g.Epoch != 1 {
-		t.Fatalf("grant after the release carries epoch %d, want 1", g.Epoch)
+	r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 5)
+	if g := r.grantTo(1, time.Second); g.Num != 5 {
+		t.Fatalf("grant carries number %d, want the request's 5", g.Num)
 	}
 	// The upgrade request and the release of the shared copy cross: the
-	// server decides the grant first, at epoch 1, and the release — the
-	// client's epoch 2 — takes the registration away under it.
-	r.request(1, 7, lockmgr.ModeExclusive, time.Minute)
-	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 2})
-	if g := r.grantTo(1, 3*time.Second); g.Epoch != 1 {
-		t.Fatalf("crossing grant carries epoch %d, want the stale 1", g.Epoch)
+	// server decides the grant first, under the request's number, and the
+	// release takes the registration away under it.
+	r.requestNum(1, 7, lockmgr.ModeExclusive, time.Minute, 6)
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 7})
+	if g := r.grantTo(1, 2*time.Second); g.Num != 6 {
+		t.Fatalf("crossing grant carries number %d, want the closed 6", g.Num)
 	}
 	if r.srv.locks.HolderMode(7, 1) != 0 {
 		t.Fatal("the crossing release left the lock registered")
 	}
-	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 1})
-	r.request(1, 7, lockmgr.ModeShared, time.Minute)
-	if g := r.grantTo(1, 4*time.Second); g.Epoch != 2 {
-		t.Fatalf("grant after a duplicate of the first return carries epoch %d, want 2", g.Epoch)
+	// Client 2 holds the object; client 1's request queues behind it,
+	// and client 1's release of the object (its earlier registration)
+	// renumbers the queued request.
+	r.requestNum(2, 7, lockmgr.ModeExclusive, time.Minute, 20)
+	r.grantTo(2, 3*time.Second)
+	r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 8)
+	r.env.Run(4 * time.Second)
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 9})
+	r.send(2, netsim.KindObjectReturn, &proto.ObjReturn{Client: 2, Obj: 7, HasData: true, Version: 1, Num: 21})
+	if g := r.grantTo(1, 5*time.Second); g.Num != 9 {
+		t.Fatalf("grant of a request renumbered by a release carries %d, want 9", g.Num)
 	}
 }
 
-// TestServerEpochsPerClient: the epochs two clients report for one object
-// are stamped into their own grants only, and no other object's.
-func TestServerEpochsPerClient(t *testing.T) {
-	r := newRig(t, 2, func(c *config.Config) { c.UseForwardLists = false })
+// TestServerSkipsReturnOlderThanRegistration: a release the client sent
+// before a request of the same object, but which reaches the shard after
+// it (the fault layer reorders frames), gives up nothing the request's
+// grant registered: the client accepts that grant, so the lock stays.
+func TestServerSkipsReturnOlderThanRegistration(t *testing.T) {
+	r := newRig(t, 1, func(c *config.Config) { c.UseForwardLists = false })
 	defer r.env.Close()
-	r.send(2, netsim.KindObjectReturn, &proto.ObjReturn{Client: 2, Obj: 7, Epoch: 1})
-	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Epoch: 3})
-	r.env.Run(time.Second)
+	r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 5)
+	r.grantTo(1, time.Second)
+	r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 8) // sent after the return below
+	if g := r.grantTo(1, 2*time.Second); g.Num != 8 {
+		t.Fatalf("re-ship carries %d, want the request's 8", g.Num)
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 6})
+	r.env.Run(3 * time.Second)
+	if r.srv.locks.HolderMode(7, 1) != lockmgr.ModeShared {
+		t.Fatal("a return older than the registration released it")
+	}
+	// A request sent before return 10 and retransmitted after it carries
+	// 10, the number the client expects its answer under; it overtakes
+	// the return and is answered from the hold.
+	r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 10)
+	if g := r.grantTo(1, 4*time.Second); g.Num != 10 {
+		t.Fatalf("re-ship carries %d, want the request's 10", g.Num)
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 10})
+	r.env.Run(5 * time.Second)
+	if r.srv.locks.HolderMode(7, 1) != lockmgr.ModeShared {
+		t.Fatal("a return numbered as the registration released it")
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 11})
+	r.env.Run(6 * time.Second)
+	if r.srv.locks.HolderMode(7, 1) != 0 {
+		t.Fatal("a return newer than the registration left it")
+	}
+}
+
+// TestServerOvertakenExclusiveHold: under fault injection a request that
+// overtook a return of its client's — it left the client after more
+// returns than reached the shard — is not answered from the client's
+// exclusive hold numbered below it: the return gave that hold up, with
+// data newer than the shard's page. The grant carries the hold's number
+// and the shard's version, and the client drops it; the return then
+// installs its data and releases the hold, and the next request is
+// registered anew at the new version.
+func TestServerOvertakenExclusiveHold(t *testing.T) {
+	r := newRig(t, 1, func(c *config.Config) { c.UseForwardLists, c.Faults.DupRate = false, 0.01 })
+	defer r.env.Close()
+	r.requestNum(1, 7, lockmgr.ModeExclusive, time.Minute, 5)
+	if g := r.grantTo(1, time.Second); g.Num != 5 || g.Version != 0 {
+		t.Fatalf("grant = %+v, want number 5 at version 0", g)
+	}
+	overtaking := func(num int64, returned int32) {
+		r.nextTx++
+		r.send(1, netsim.KindObjectRequest, &proto.ObjRequest{
+			Op: proto.OpCommit, Client: 1, Txn: txn.ID(r.nextTx), Deadline: time.Minute, Returned: returned,
+			Objs: []lockmgr.ObjectID{7}, Modes: []lockmgr.Mode{lockmgr.ModeExclusive}, Nums: []int64{num},
+		})
+	}
+	// The client wrote version 1 and gave its copy up with return 6; a
+	// request it sent next, numbered 8, arrives first.
+	overtaking(8, 1)
+	if g := r.grantTo(1, 2*time.Second); g.Num != 5 || r.srv.locks.HolderNum(7, 1, 0) != 5 {
+		t.Fatalf("overtaking request answered under %d, hold numbered %d; want both 5", g.Num, r.srv.locks.HolderNum(7, 1, 0))
+	}
+	r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 6, HasData: true, Version: 1})
+	r.env.Run(3 * time.Second)
+	if r.srv.locks.HolderMode(7, 1) != 0 || r.srv.Version(7) != 1 {
+		t.Fatalf("after the return: hold %d, version %d; want none, 1", r.srv.locks.HolderMode(7, 1), r.srv.Version(7))
+	}
+	overtaking(8, 1) // the retransmission, now behind the return
+	if g := r.grantTo(1, 4*time.Second); g.Num != 8 || g.Version != 1 {
+		t.Fatalf("grant = %+v, want number 8 at version 1", g)
+	}
+}
+
+// TestServerRenumbersPerClient: a release renumbers the releasing
+// client's waiting requests for the released object — queued in the lock
+// table, parked in the batch window, or on a forward list — and no other
+// client's, and no other object's.
+func TestServerRenumbersPerClient(t *testing.T) {
 	for _, c := range []struct {
-		client int
-		obj    lockmgr.ObjectID
-		want   int64
-	}{{1, 7, 3}, {2, 7, 1}, {1, 8, 0}, {2, 8, 0}} {
-		r.request(c.client, c.obj, lockmgr.ModeShared, time.Minute)
-		if g := r.grantTo(c.client, r.env.Now()+time.Second); g.Epoch != c.want {
-			t.Errorf("client %d's grant of object %d carries epoch %d, want %d", c.client, c.obj, g.Epoch, c.want)
-		}
-	}
-}
-
-// TestServerEpochListSorted: an object returned by 150 clients and a
-// replica shard, in no order, keeps one element a site, ascending, and
-// every site's own epoch.
-func TestServerEpochListSorted(t *testing.T) {
-	r := newRig(t, 1, nil)
-	defer r.env.Close()
-	const obj, clients = 9, 150
-	for k := 0; k < clients+2; k++ {
-		site := netsim.SiteID((k*37)%(clients+2)) - 1 // every site of -1 (shard 1) … 150, 37 steps apart
-		if site == 0 {
-			continue // the shard the object is home at
-		}
-		for _, epoch := range []int64{1, int64(site) + 2, 2} {
-			r.srv.returnNeedsWrite(proto.ObjReturn{Client: site, Obj: obj, Epoch: epoch})
-		}
-	}
-	list := r.srv.find(obj).epochs
-	if len(list) != clients+1 {
-		t.Fatalf("%d sites returned the object, the list holds %d", clients+1, len(list))
-	}
-	for i, e := range list {
-		if i > 0 && list[i-1].client >= e.client {
-			t.Fatalf("list out of order at %d: site %d before site %d", i, list[i-1].client, e.client)
-		}
-		if want := max(int64(e.client)+2, 2); e.epoch != want || r.srv.epochOf(obj, e.client) != want {
-			t.Fatalf("site %d's epoch reads %d, want %d", e.client, e.epoch, want)
-		}
-	}
-	if got := r.srv.epochOf(obj, 0); got != 0 {
-		t.Fatalf("a site that never returned reads epoch %d, want 0", got)
+		name string
+		mod  func(*config.Config)
+	}{
+		{"queued", func(c *config.Config) { c.UseForwardLists = false }},
+		{"batched", func(c *config.Config) { c.UseForwardLists, c.BatchWindow = false, time.Second }},
+		{"listed", func(c *config.Config) { c.UseForwardLists, c.CollectionWindow = true, time.Second }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 3, c.mod)
+			defer r.env.Close()
+			r.requestNum(3, 7, lockmgr.ModeExclusive, time.Minute, 1)
+			r.requestNum(3, 8, lockmgr.ModeExclusive, time.Minute, 2)
+			r.env.Run(2 * time.Second)
+			r.requestNum(1, 7, lockmgr.ModeShared, time.Minute, 10)
+			r.requestNum(1, 8, lockmgr.ModeShared, time.Minute, 11)
+			r.requestNum(2, 7, lockmgr.ModeShared, time.Minute, 12)
+			r.send(1, netsim.KindObjectReturn, &proto.ObjReturn{Client: 1, Obj: 7, Num: 13})
+			r.env.Run(2*time.Second + 50*time.Millisecond)
+			r.send(3, netsim.KindObjectReturn, &proto.ObjReturn{Client: 3, Obj: 7, Num: 3})
+			r.send(3, netsim.KindObjectReturn, &proto.ObjReturn{Client: 3, Obj: 8, Num: 4})
+			want := map[int]map[lockmgr.ObjectID]int64{1: {7: 13, 8: 11}, 2: {7: 12}}
+			got := map[int]map[lockmgr.ObjectID]int64{1: {}, 2: {}}
+			for id := range got {
+				for _, m := range r.drain(id, 10*time.Second) {
+					gm, ok := m.Payload.(*proto.GrantMsg)
+					if !ok {
+						continue
+					}
+					for _, g := range gm.Grants {
+						got[id][g.Obj] = g.Num
+						if g.Fwd == nil {
+							continue
+						}
+						for _, e := range g.Fwd.Entries { // a shared run's later members
+							got[int(e.Client)][g.Obj] = e.Num
+						}
+					}
+				}
+			}
+			if !maps.Equal(got[1], want[1]) || !maps.Equal(got[2], want[2]) {
+				t.Fatalf("grant numbers = %v, want %v", got, want)
+			}
+		})
 	}
 }

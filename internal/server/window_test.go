@@ -26,7 +26,7 @@ func (r *rig) watchWindows() *[]sealCall {
 	var calls []sealCall
 	s := r.srv
 	s.collector.Init(r.env, s.cfg.CollectionWindow, func(obj lockmgr.ObjectID) {
-		calls = append(calls, sealCall{obj: obj, at: r.env.Now(), open: s.at(obj).open})
+		calls = append(calls, sealCall{obj: obj, at: r.env.Now(), open: s.find(obj).open})
 		s.seal(obj)
 	})
 	return &calls
@@ -38,6 +38,7 @@ func (r *rig) requestAll(from int, mode lockmgr.Mode, objs ...lockmgr.ObjectID) 
 	q := &proto.ObjRequest{Op: proto.OpCommit, Client: netsim.SiteID(from), Txn: txn.ID(r.nextTx), Deadline: time.Minute}
 	for _, obj := range objs {
 		q.Objs, q.Modes = append(q.Objs, obj), append(q.Modes, mode)
+		q.Nums = append(q.Nums, 1)
 	}
 	r.send(from, netsim.KindObjectRequest, q)
 }
@@ -67,7 +68,7 @@ func TestCollectionWindowsCloseInOpeningOrder(t *testing.T) {
 		if c.obj != obj || c.open == nil || c.open.Len() != 1 || c.open.Entries[0].Client != 2 {
 			t.Fatalf("window %d sealed object %d (list %+v), want object %d's list of client 2", i, c.obj, c.open, obj)
 		}
-		if o := r.srv.at(obj); o.open != nil || o.sealed != c.open {
+		if o := r.srv.find(obj); o.open != nil || o.sealed != c.open {
 			t.Fatalf("object %d: open %v, sealed %v after its window closed", obj, o.open, o.sealed)
 		}
 	}
@@ -106,7 +107,7 @@ func TestEarlySealReopenedWindow(t *testing.T) {
 	}
 	r.request(3, obj, lockmgr.ModeExclusive, time.Minute) // reopens, client 2 holding
 	r.env.Run(900 * time.Millisecond)
-	reopened := r.srv.at(obj).open
+	reopened := r.srv.find(obj).open
 	if reopened == nil || reopened.Entries[0].Client != 3 {
 		t.Fatalf("open list = %+v, want client 3's", reopened)
 	}
@@ -122,7 +123,7 @@ func TestEarlySealReopenedWindow(t *testing.T) {
 	if got[1].open != nil || got[1].at-got[0].at < 400*time.Millisecond {
 		t.Fatalf("second firing at %v found %+v open, want nothing, at the second window's close", got[1].at, got[1].open)
 	}
-	if o := r.srv.at(obj); o.sealed != reopened {
+	if o := r.srv.find(obj); o.sealed != reopened {
 		t.Fatalf("sealed = %+v, want client 3's list (blocked by client 2)", o.sealed)
 	}
 }
@@ -150,13 +151,13 @@ func TestAuditForwardNoAllocs(t *testing.T) {
 	r.env.Run(2500 * time.Millisecond)
 
 	s := r.srv
-	if o := s.at(3); o.inflight == nil {
+	if o := s.find(3); o.inflight == nil {
 		t.Fatal("object 3 is not in flight")
 	}
-	if o := s.at(2); o.sealed == nil {
+	if o := s.find(2); o.sealed == nil {
 		t.Fatal("object 2 has no sealed list")
 	}
-	if _, n := s.lists(1); n != 1 || s.at(1).sealed != nil {
+	if _, n := s.lists(1); n != 1 || s.find(1).sealed != nil {
 		t.Fatal("object 1 has no list collecting")
 	}
 	audit := func() {
