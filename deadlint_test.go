@@ -28,6 +28,8 @@ var deadExempt = map[string]string{
 	"siteselect/internal/lockmgr.Table.PlantHolder":  "rtdbs's monitor tests plant incompatible holders in a running shard's table through it; an export_test.go is compiled into its own package's tests only",
 	"siteselect/internal/client.Client.PlantRecall":  "rtdbs's monitor tests take a parked recall away from a dirty shared copy through it; an export_test.go is compiled into its own package's tests only",
 	"siteselect/internal/experiment.Table.Value":     "the root benchmarks read table cells through it into BENCH_kernel.json's custom metrics (LS-CS-gap-pp, CS-at-max-clients-%)",
+	"siteselect/internal/sim.Env.Live":               "the server and rtdbs population tests read it across the package boundary: an idle site runs no machine",
+	"siteselect/internal/sim.Env.Pending":            "the rtdbs population test reads it across the package boundary: a started population has its arrivals queued and nothing else",
 }
 
 // TestNoDeadExports fails on every exported func, method, type, var or

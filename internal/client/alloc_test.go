@@ -17,12 +17,14 @@ import (
 
 // TestPerSiteStructSizes pins what one parked client weighs in structs
 // it owns: at a million clients every word here is 8 MB. A Client is the
-// whole parked site — its cache, executor slots, local lock table and
-// dispatcher are fields, not objects it points at — so its ceiling is the
-// sum of its parts' ceilings: 280 for the rest of the Client (what keeps
-// a by-value config.Config, 424 B, from coming back), 80 the cache, 56
-// the resource, 152 the lock table, 176 the dispatcher. It reads 744
-// (768 when it kept the slice of its release-epoch counters, where the
+// whole parked site — its cache, executor slots and local lock table are
+// fields, not objects it points at — so its ceiling is the sum of its
+// parts' ceilings: 288 for the rest of the Client (what keeps a
+// by-value config.Config, 424 B, from coming back), 80 the cache, 56
+// the resource, 152 the lock table. It reads 576 (744 when every client
+// kept a dispatcher machine, 168 B, parked on its inbox for the whole
+// run, where the Client is now its inbox's reader hook; 768 when it
+// kept the slice of its release-epoch counters, where the
 // request numbers of what it has in flight now live in its exchanges
 // and object records; 792 when it listed its own transactions in
 // flight, which the
@@ -37,23 +39,22 @@ import (
 // decision scratch of its own, where
 // the system's stock now holds all three; 1 032 when the cache and the
 // table each kept free lists too and the client two scratch maps). The
-// dispatcher's ceiling is what keeps a held netsim.Message out of a
-// machine every client owns; the cache's and the lock table's (they read
+// cache's and the lock table's ceilings (they read
 // 80 and 144; the table 296 B with its four per-owner maps, three free
 // lists and the wrapper that woke its waiters) keep a free list or a
 // second container per owner out of what every client holds. The
-// arrival stream is the Client itself, as a kernel event hook
-// (Client.RunEvent), so a parked site has no part allocated on its own.
+// arrival stream and the inbox's reader are the Client itself, as two
+// kernel event hooks (Client.RunEvent, inboxReader), so a parked site
+// has no part allocated on its own and no machine.
 func TestPerSiteStructSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, ceil uintptr
 	}{
-		{"Client", unsafe.Sizeof(Client{}), 280 + 80 + 56 + 152 + 176},
+		{"Client", unsafe.Sizeof(Client{}), 288 + 80 + 56 + 152},
 		{"cache.Cache", unsafe.Sizeof(cache.Cache{}), 80},
 		{"sim.Resource", unsafe.Sizeof(sim.Resource{}), 56},
 		{"lockmgr.Table", unsafe.Sizeof(lockmgr.Table{}), 152},
-		{"dispMachine", unsafe.Sizeof(dispMachine{}), 176},
 	} {
 		if c.got > c.ceil {
 			t.Errorf("unsafe.Sizeof(%s) = %d B, ceiling %d B", c.name, c.got, c.ceil)

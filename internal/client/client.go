@@ -39,28 +39,29 @@ type Client struct {
 	id  netsim.SiteID
 	net *netsim.Network
 	// stock is the system's: every record this site recycles — a payload
-	// per send, handed back by the dispatcher that delivers it; cache
+	// per send, handed back once the message is dispatched; cache
 	// entries, lock records, transaction machines — comes from it and
 	// goes back to it. The site keeps no free list.
 	stock *Stock
 	m     *metrics.Collector
 
 	// boxes is this client's window of the cluster's mailbox array:
-	// boxes[0] receives server and peer messages, boxes[1+k] is the
-	// client's connection queue at shard k. peers (installed by SetPeers)
+	// boxes[0] receives server and peer messages, and the client is its
+	// reader (inboxReader); boxes[1+k] is the client's connection queue
+	// at shard k, read by the shard. peers (installed by SetPeers)
 	// points at the cluster's table of client inboxes by site id, for
 	// forward-list hops and transaction shipping.
 	boxes []sim.Mailbox[netsim.Message]
 	peers *[]*sim.Mailbox[netsim.Message]
 
 	// topo is the cluster-shared routing map. curFrom is the sender of
-	// the message the dispatcher is currently handling — the shard a
+	// the message the inbox's reader is currently handling — the shard a
 	// grant's number belongs to and a recall is answered at.
 	topo    *shardmap.Map
 	curFrom netsim.SiteID
 
 	// What every site has lives in the Client by value — the cache, the
-	// executor slots, the dispatcher — so a built, armed and parked site
+	// executor slots, the lock table — so a built, armed and parked site
 	// is one element of the cluster's client array, not six objects.
 	// What only some configurations have stays a pointer that is nil
 	// without it: localLocks (more than one executor) points at
@@ -68,7 +69,6 @@ type Client struct {
 	// their own.
 	objects    cache.Cache
 	slots      sim.Resource
-	disp       dispMachine
 	lockTable  lockmgr.Table
 	localLocks *lockmgr.Table
 	localDisk  *sim.Resource
@@ -92,7 +92,7 @@ type Client struct {
 
 	// tr is the per-run transaction tracer (nil when tracing is off; a
 	// nil tracer's methods are no-ops). curTransit is the wire transit
-	// of the message the dispatcher is currently handling, accumulated
+	// of the message the inbox's reader is currently handling, accumulated
 	// into waiting transactions' network attribution.
 	tr         *trace.Tracer
 	curTransit time.Duration
@@ -112,8 +112,8 @@ type Client struct {
 	fanouts []*txnMachine
 
 	// outageEnd is set while the client is partitioned (fault
-	// injection): the dispatcher holds all message processing until it
-	// passes.
+	// injection): the inbox's reader holds all message processing until
+	// it passes.
 	outageEnd time.Duration
 
 	// ForwardHops counts forward-list client-to-client sends.
@@ -228,13 +228,14 @@ type fanPart struct {
 }
 
 // Init makes c a client site, in place: a cluster's clients are the
-// elements of one array, and a Client holds a machine, a resource and
-// (once started) wait-queue links, so it is initialised where it lives
-// and not copied afterwards. cfg, topo and stock (nil for a client on
-// its own, which gets a private one) are the cluster's, shared by every
-// site; boxes are this client's initialised mailboxes — boxes[0] its
-// message queue, boxes[1+k] its connection queue at server shard k (two
-// boxes at a single server).
+// elements of one array, and a Client holds a resource, (once started)
+// wait-queue links and the reader its inbox posts, so it is initialised
+// where it lives and not copied afterwards. cfg, topo and stock (nil for
+// a client on its own, which gets a private one) are the cluster's,
+// shared by every site; boxes are this client's mailboxes — boxes[0] its
+// message queue, which Init initialises with the client as its reader,
+// boxes[1+k] its connection queue at server shard k (two boxes at a
+// single server), initialised by whoever reads them.
 // Peers must be set via SetPeers before Start when forward lists or
 // shipping are enabled.
 func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *netsim.Network, stock *Stock,
@@ -254,10 +255,10 @@ func (c *Client) Init(env *sim.Env, cfg *config.Config, id netsim.SiteID, net *n
 		atl:   sched.ATL{Default: cfg.MeanLength},
 		gen:   gen,
 	}
+	c.boxes[0].Init(env, net.Rings(), (*inboxReader)(c))
 	c.objects.Init(cfg.ClientMemory, cfg.ClientDisk, &stock.entries)
 	c.lockTable.Init(&stock.Locks)
 	c.slots.Init(env, cfg.ClientExecutors)
-	c.disp.c = c
 	c.faulty = cfg.Faults.Enabled()
 	c.rto = cfg.EffectiveRetryTimeout()
 	if cfg.ClientExecutors > 1 {
@@ -347,20 +348,14 @@ func (c *Client) peer(id netsim.SiteID) *sim.Mailbox[netsim.Message] {
 	return (*c.peers)[id]
 }
 
-// Start posts the client's first arrival, spawns its dispatcher, and
-// schedules the configured outage, if this client is its target.
+// Start posts the client's first arrival and schedules the configured
+// outage, if this client is its target. Its inbox needs no start: a
+// message posts the inbox's reader (inboxReader).
 func (c *Client) Start() {
 	c.postArrival()
-	c.startDispatcher()
 	if netsim.SiteID(c.cfg.OutageClient) == c.id && c.cfg.OutageDuration > 0 {
 		c.env.At(c.cfg.OutageAt, c.beginOutage)
 	}
-}
-
-// startDispatcher runs only the message dispatcher (tests submit
-// transactions explicitly).
-func (c *Client) startDispatcher() {
-	c.env.Spawn(&c.disp.task, &c.disp)
 }
 
 // submitAsync runs the full submit path for t, starting at the current
@@ -370,7 +365,7 @@ func (c *Client) submitAsync(t *txn.Transaction) {
 }
 
 // beginOutage partitions the client and wipes its volatile state: the
-// dispatcher stops draining messages until the outage ends, clean cache
+// inbox's reader stops draining messages until the outage ends, clean cache
 // copies are lost (their locks release lazily via NotCached answers),
 // and dirty copies survive only with logging on. Nothing replays the
 // log: the model keeps them, as a recovery would (package wal).
@@ -417,33 +412,25 @@ func (c *Client) postArrival() {
 	}
 }
 
-// dispMachine routes incoming messages. During an injected outage the
-// messages queue in the inbox (plus at most one held in-hand) and drain
-// only after the client restarts. The held message is boxed when an
-// outage catches one: every client has a dispatcher, almost none ever
-// sees an outage.
-type dispMachine struct {
-	task sim.Task
-	c    *Client
-	held *netsim.Message
-}
+// inboxReader is the Client as its inbox's reader (sim.Mailbox): a
+// message that finds the inbox idle posts it, and its event dispatches
+// every message queued, in arrival order, until the inbox is dry. It is
+// the Client under a second method set — RunEvent is taken by the
+// arrival chain — so a site runs no machine and holds no record to wait
+// for its messages. During an injected outage the messages stay queued
+// and the reader posts itself for the outage's end: no message is
+// handled while the client is down.
+type inboxReader Client
 
-func (d *dispMachine) Resume() {
-	c := d.c
-	if d.held != nil {
-		msg := *d.held
-		d.held = nil
-		c.dispatchMsg(msg)
+func (r *inboxReader) RunEvent() {
+	c := (*Client)(r)
+	if c.env.Now() < c.outageEnd {
+		c.env.AtHook(c.outageEnd, r)
+		return
 	}
 	for {
-		msg, ok := c.boxes[0].Recv(&d.task)
+		msg, ok := c.boxes[0].TryGet()
 		if !ok {
-			return
-		}
-		if d.task.Now() < c.outageEnd {
-			held := msg // a copy, so msg itself stays off the heap
-			d.held = &held
-			d.task.SleepUntil(c.outageEnd)
 			return
 		}
 		c.dispatchMsg(msg)
@@ -533,6 +520,7 @@ func (c *Client) sendHop(next forward.Entry, obj lockmgr.ObjectID, version int64
 	c.ForwardHops++
 	c.tr.Point(next.Txn, c.id, trace.EvMigrationHop, obj, int64(next.Client), 0, c.env.Now())
 	p := c.stock.Payloads.GrantMsg.New()
+	c.stock.Payloads.FitGrants(p, 1)
 	p.Grants = append(p.Grants, proto.ObjGrant{
 		Obj: obj, Mode: next.Mode, Version: version, Num: next.Num, Fwd: l,
 	})

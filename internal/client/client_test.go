@@ -48,11 +48,12 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 		mod(&cfg)
 	}
 	net := netsim.New(env, netsim.Config{Latency: 100 * time.Microsecond, BandwidthBps: 10e6})
-	// The client's mailboxes as a cluster lays them out: its inbox, then
-	// its connection queue at each shard.
+	// The client's mailboxes as a cluster lays them out: its inbox (Init
+	// makes the client its reader), then its connection queue at each
+	// shard, read by the test.
 	boxes := make([]sim.Mailbox[netsim.Message], 1+cfg.Sharding.NumServers())
-	for k := range boxes {
-		boxes[k].Init(env, net.Rings())
+	for k := range boxes[1:] {
+		boxes[1+k].Init(env, net.Rings(), nil)
 	}
 	inbox := &boxes[0]
 	shards := make([]*sim.Mailbox[netsim.Message], len(boxes)-1)
@@ -79,9 +80,9 @@ func newRigOn(t *testing.T, mod func(*config.Config), stock *Stock) *rig {
 
 	cl := new(Client)
 	cl.Init(env, &cfg, 1, net, stock, &metrics.Collector{}, boxes, shardmap.New(cfg.Sharding), gen)
+	// Not started: tests submit transactions explicitly, and the inbox's
+	// reader needs no start.
 	cl.SetPeers(&[]*sim.Mailbox[netsim.Message]{2: peer})
-	// Only the dispatcher: tests submit transactions explicitly.
-	cl.startDispatcher()
 	return &rig{t: t, env: env, net: net, cl: cl, inbox: inbox, toSrv: shards[0], shards: shards, peer: peer}
 }
 
@@ -810,6 +811,50 @@ func TestClientOutageWipesCleanKeepsLoggedDirty(t *testing.T) {
 	}
 	if r.cl.LostUpdates != 0 {
 		t.Fatalf("lost updates = %d with WAL on", r.cl.LostUpdates)
+	}
+}
+
+// TestClientOutageHoldsInboxUntilRestart: messages delivered while the
+// client is partitioned stay queued in its inbox — none is handled
+// during the outage — and are handled at the outage's end, in the order
+// they arrived, all in one event: the inbox's reader posts itself for
+// the end when the first arrives, and the later ones post nothing.
+func TestClientOutageHoldsInboxUntilRestart(t *testing.T) {
+	r := newRig(t, func(c *config.Config) {
+		c.UseLogging = true // the dirty copies survive the outage
+		c.OutageClient = 1
+		c.OutageAt = time.Minute
+		c.OutageDuration = 30 * time.Second
+	})
+	defer r.env.Close()
+	end := r.cl.cfg.OutageAt + r.cl.cfg.OutageDuration
+	order := []lockmgr.ObjectID{7, 5, 6}
+	for _, obj := range order {
+		r.seed(obj, lockmgr.ModeExclusive, true, int64(obj))
+	}
+	r.env.At(r.cl.cfg.OutageAt, r.cl.beginOutage)
+	for i, obj := range order {
+		r.env.At(r.cl.cfg.OutageAt+time.Duration(i+1)*5*time.Second, func() {
+			r.inject(netsim.KindRecall, proto.Recall{Obj: obj})
+		})
+	}
+	if msgs := r.sent(end - time.Millisecond); len(msgs) != 0 {
+		t.Fatalf("%d messages sent during the outage, want none: %+v", len(msgs), msgs)
+	}
+	steps := r.env.Steps()
+	r.env.Run(end)
+	if n := r.env.Steps() - steps; n != 1 {
+		t.Errorf("the held messages took %d events at the outage's end, want 1", n)
+	}
+	msgs := r.sent(end + time.Second)
+	if len(msgs) != len(order) {
+		t.Fatalf("%d messages after the outage, want a return per recall: %+v", len(msgs), msgs)
+	}
+	for i, m := range msgs {
+		ret, ok := m.Payload.(*proto.ObjReturn)
+		if !ok || ret.Obj != order[i] || m.SentAt != end {
+			t.Errorf("message %d: %+v sent at %v, want the return of %d at %v", i, m.Payload, m.SentAt, order[i], end)
+		}
 	}
 }
 

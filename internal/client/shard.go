@@ -186,13 +186,7 @@ func (c *Client) keepReply(rs []shardReply, from netsim.SiteID, r *proto.Locatio
 	} else {
 		rs = slices.Insert(rs, i, shardReply{from: from})
 	}
-	rec := c.stock.Payloads.Locations.New()
-	c.stock.Payloads.FitLocations(rec, r)
-	for _, o := range r.Objs {
-		rec.Objs, rec.Flat = proto.AppendLocation(rec.Objs, rec.Flat, o.Obj, o.Holders)
-	}
-	rec.Loads, rec.DataCounts = append(rec.Loads, r.Loads...), append(rec.DataCounts, r.DataCounts...)
-	rs[i].rec = rec
+	rs[i].rec = c.stock.Payloads.CopyLocations(r)
 	return rs
 }
 

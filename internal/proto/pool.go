@@ -39,8 +39,9 @@ type Pool struct {
 	// returns carry.
 	Lists forward.Stock
 
-	// The blocks the vectors of a request or a location reply are sized
-	// from (FitAccesses, FitLocations).
+	// The blocks the vectors of a request, a location reply, a grant or a
+	// recall message are sized from (FitAccesses, CopyLocations,
+	// FitGrants, FitRecalls).
 	objs      slab.Slab[lockmgr.ObjectID]
 	modes     slab.Slab[lockmgr.Mode]
 	nums      slab.Slab[int64]
@@ -48,6 +49,8 @@ type Pool struct {
 	sites     slab.Slab[netsim.SiteID]
 	loads     slab.Slab[LoadReport]
 	counts    slab.Slab[SiteCount]
+	grants    slab.Slab[ObjGrant]
+	recalls   slab.Slab[Recall]
 }
 
 // FitAccesses empties q's access vectors with room for n accesses: its
@@ -59,16 +62,33 @@ func (p *Pool) FitAccesses(q *ObjRequest, n int) {
 	q.Objs, q.Modes, q.Nums = p.objs.Fit(q.Objs, n), p.modes.Fit(q.Modes, n), p.nums.Fit(q.Nums, n)
 }
 
-// FitLocations empties r's vectors with room for a copy of from — its
-// objects, their holders, its loads and counts — as FitAccesses does a
-// request's.
-func (p *Pool) FitLocations(r, from *Locations) {
+// FitGrants empties m's grants with room for n, as FitAccesses does a
+// request's vectors.
+func (p *Pool) FitGrants(m *GrantMsg, n int) { m.Grants = p.grants.Fit(m.Grants, n) }
+
+// FitRecalls empties m's recalls with room for n, as FitAccesses does a
+// request's vectors.
+func (p *Pool) FitRecalls(m *RecallMsg, n int) { m.Recalls = p.recalls.Fit(m.Recalls, n) }
+
+// CopyLocations returns a record of the pool's holding a copy of from.
+// Its vectors — the objects, their holders, the loads and the counts —
+// are sized once, as FitAccesses sizes a request's, before they are
+// filled: an answer is assembled in its builder's scratch and sent, or
+// kept, as such a copy.
+func (p *Pool) CopyLocations(from *Locations) *Locations {
 	holders := 0
 	for _, o := range from.Objs {
 		holders += len(o.Holders)
 	}
+	r := p.Locations.New()
+	r.Txn = from.Txn
 	r.Objs, r.Flat = p.conflicts.Fit(r.Objs, len(from.Objs)), p.sites.Fit(r.Flat, holders)
-	r.Loads, r.DataCounts = p.loads.Fit(r.Loads, len(from.Loads)), p.counts.Fit(r.DataCounts, len(from.DataCounts))
+	for _, o := range from.Objs {
+		r.Objs, r.Flat = AppendLocation(r.Objs, r.Flat, o.Obj, o.Holders)
+	}
+	r.Loads = append(p.loads.Fit(r.Loads, len(from.Loads)), from.Loads...)
+	r.DataCounts = append(p.counts.Fit(r.DataCounts, len(from.DataCounts)), from.DataCounts...)
+	return r
 }
 
 // Release resets a delivered payload record and hands it back to its

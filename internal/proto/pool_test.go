@@ -361,11 +361,13 @@ func BenchmarkPoolRound(b *testing.B) {
 }
 
 // TestFreshRecordsSizeVectorsOnce: a record the fault layer dropped is
-// never handed back, so the one made in its place starts with no arrays.
-// FitAccesses and FitLocations carve its vectors from the pool's blocks
-// at the length they are filled to, so a stream of fresh records costs
-// the allocator a chunk now and then — not an array per vector and
-// length, eight for a five-access request grown by append.
+// never handed back, so the one made in its place starts with no arrays
+// — and so does every record the pool has not yet had back, up to the
+// peak in flight. FitAccesses, CopyLocations, FitGrants and FitRecalls
+// carve its vectors from the pool's blocks at the length they are
+// filled to, so a stream of fresh records costs the allocator a chunk
+// now and then — not an array per vector and length, eight for a
+// five-access request grown by append.
 func TestFreshRecordsSizeVectorsOnce(t *testing.T) {
 	var p Pool
 	from := &Locations{
@@ -379,14 +381,21 @@ func TestFreshRecordsSizeVectorsOnce(t *testing.T) {
 		for i := range 5 {
 			q.Objs, q.Modes, q.Nums = append(q.Objs, lockmgr.ObjectID(i)), append(q.Modes, lockmgr.ModeShared), append(q.Nums, int64(i))
 		}
-		r := p.Locations.New()
-		p.FitLocations(r, from)
-		for _, o := range from.Objs {
-			r.Objs, r.Flat = AppendLocation(r.Objs, r.Flat, o.Obj, o.Holders)
+		if r := p.CopyLocations(from); len(r.Objs) != 2 || len(r.Flat) != 3 || r.Objs[1].Holders[0] != 5 {
+			panic("CopyLocations lost the answer")
 		}
-		r.Loads, r.DataCounts = append(r.Loads, from.Loads...), append(r.DataCounts, from.DataCounts...)
+		g := p.GrantMsg.New()
+		p.FitGrants(g, 3)
+		for i := range 3 {
+			g.Grants = append(g.Grants, ObjGrant{Obj: lockmgr.ObjectID(i)})
+		}
+		m := p.RecallMsg.New()
+		p.FitRecalls(m, 3)
+		for i := range 3 {
+			m.Recalls = append(m.Recalls, Recall{Obj: lockmgr.ObjectID(i)})
+		}
 	}
 	if n := testing.AllocsPerRun(1000, fresh); n > 0.1 {
-		t.Errorf("a fresh request and reply allocate %v per pair, want at most 0.1 (chunks only)", n)
+		t.Errorf("a fresh request, reply, grant and recall allocate %v per set, want at most 0.1 (chunks only)", n)
 	}
 }

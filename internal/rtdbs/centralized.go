@@ -18,9 +18,9 @@ import (
 // ceCore is what the two centralized engines share beside the run
 // core: the server's disk, buffer pool, thread slots and single CPU, the
 // terminals, whose arrival streams are kernel events (terminal.RunEvent),
-// and the machine that feeds their transactions to the server
-// (ceServeMachine). An engine embeds it and supplies spawn, its
-// per-transaction machine.
+// and the server's inbox, whose reader is the machine that feeds their
+// transactions to the server (ceServeMachine). An engine embeds it and
+// supplies spawn, its per-transaction machine.
 type ceCore struct {
 	core
 
@@ -37,7 +37,7 @@ type ceCore struct {
 	slots  *sim.Resource
 	cpu    *sim.Resource
 
-	inbox *sim.Mailbox[netsim.Message]
+	inbox sim.Mailbox[netsim.Message]
 	// terminals is the population, by site id less one: a terminal's
 	// generator is an element of the workload arrays (newGenerators).
 	terminals []terminal
@@ -64,7 +64,6 @@ func newCECore(cfg config.Config) (ceCore, error) {
 	ce.pool = pagefile.NewBufferPool(env, ce.disk, cfg.ServerMemory)
 	ce.slots = sim.NewResource(env, cfg.ServerThreads)
 	ce.cpu = sim.NewResource(env, 1)
-	ce.inbox = sim.NewMailbox[netsim.Message](env)
 	ce.terminals = make([]terminal, cfg.NumClients)
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
@@ -73,11 +72,13 @@ func newCECore(cfg config.Config) (ceCore, error) {
 	return ce, nil
 }
 
-// Start spawns the server dispatcher and posts every terminal's first
-// arrival.
+// Start adopts the server dispatcher as its inbox's reader, with no
+// first resume — the first submission posts it — and posts every
+// terminal's first arrival.
 func (ce *ceCore) Start() {
 	s := &ceServeMachine{ce: ce}
-	ce.env.Spawn(&s.task, s)
+	ce.inbox.Init(ce.env, nil, s)
+	ce.env.Adopt(&s.task, s)
 	for k := range ce.terminals {
 		term := &ce.terminals[k]
 		term.ce = ce
@@ -129,7 +130,7 @@ func (term *terminal) RunEvent() {
 	ce.net.Send(netsim.Message{
 		Kind: netsim.KindTxnSubmit, From: term.id, To: netsim.ServerSite,
 		Size: netsim.TxnShipBytes, Payload: sub,
-	}, ce.inbox)
+	}, &ce.inbox)
 	term.postArrival()
 }
 
@@ -147,7 +148,9 @@ func (ce *ceCore) release(msg netsim.Message) {
 }
 
 // ceServeMachine dispatches arriving transactions, each executing as
-// its own machine (the paper's thread-per-transaction server).
+// its own machine (the paper's thread-per-transaction server). It is its
+// inbox's reader (sim.Mailbox): a submission that finds the inbox idle
+// posts it, and it serves the inbox until it finds it dry.
 type ceServeMachine struct {
 	task sim.Task
 	ce   *ceCore
@@ -161,12 +164,14 @@ const (
 	csCharge
 )
 
+func (m *ceServeMachine) RunEvent() { m.Resume() }
+
 func (m *ceServeMachine) Resume() {
 	ce := m.ce
 	for {
 		switch m.pc {
 		case csRecv:
-			msg, ok := ce.inbox.Recv(&m.task)
+			msg, ok := ce.inbox.TryGet()
 			if !ok {
 				return
 			}

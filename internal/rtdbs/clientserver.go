@@ -95,7 +95,7 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 		// every other shard a route to it (replica installs, drains, and
 		// forwarded firm requests). This is wiring only, and the one place
 		// that asks how many shards there are: a lone shard has nobody to
-		// hear from, and an inbox would give it one more machine to run.
+		// hear from, and needs no inbox.
 		for k, sv := range c.servers {
 			in := sim.NewMailbox[netsim.Message](env)
 			sv.SetPeerInbox(in)
@@ -108,8 +108,10 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 	// its size — the clients, their mailboxes (a client's inbox, then its
 	// connection queue at each shard), the inbox routing table, and the
 	// workload arrays of newGenerators — and each site is initialised in
-	// place: the loop below makes no object. The arrays live as long as
-	// the cluster; nothing is returned to them.
+	// place: the loop below makes no object. A mailbox is initialised by
+	// its reader: a connection queue by its shard (Attach), an inbox by
+	// its client (Init). The arrays live as long as the cluster; nothing
+	// is returned to them.
 	stride := 1 + nShards
 	boxes := make([]sim.Mailbox[netsim.Message], cfg.NumClients*stride)
 	inboxes := make([]*sim.Mailbox[netsim.Message], cfg.NumClients+1) // by site id
@@ -117,9 +119,6 @@ func newCluster(cfg config.Config, loadShare bool, stock *client.Stock) (*Cluste
 	for i := 1; i <= cfg.NumClients; i++ {
 		id := netsim.SiteID(i)
 		mine := boxes[(i-1)*stride : i*stride : i*stride]
-		for k := range mine {
-			mine[k].Init(env, net.Rings())
-		}
 		for k, sv := range c.servers {
 			sv.Attach(id, &mine[1+k], &mine[0])
 		}
@@ -207,19 +206,12 @@ func (c *Cluster) home(obj lockmgr.ObjectID) *server.Server {
 // Tracer exposes the per-transaction tracer (nil unless cfg.Trace).
 func (c *Cluster) Tracer() *trace.Tracer { return c.tr }
 
-// Start spawns all actors without running the clock (tests use this).
+// Start posts the clients' first arrivals without running the clock
+// (tests use this), sizing the event queue once for one a client. It
+// spawns nothing: a site waits for its messages as its mailboxes'
+// reader hook.
 func (c *Cluster) Start() {
-	// Every machine about to be spawned is known: a connection handler
-	// per client at each shard, a dispatcher per client, and a peer
-	// handler per shard when there are several.
-	n := len(c.clients) * (1 + len(c.servers))
-	if c.topo.Multi() {
-		n += len(c.servers)
-	}
-	c.env.Grow(n)
-	for _, sv := range c.servers {
-		sv.Start()
-	}
+	c.env.Grow(len(c.clients))
 	for i := range c.clients {
 		cl := &c.clients[i]
 		cl.Start()

@@ -38,9 +38,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 	cfg := config.Default(2, 0.05)
 	net := netsim.New(env, netsim.DefaultConfig())
 	boxes := make([]sim.Mailbox[netsim.Message], 2)
-	for k := range boxes {
-		boxes[k].Init(env, net.Rings())
-	}
+	boxes[1].Init(env, net.Rings(), nil)
 	topo := shardmap.New(cfg.Sharding)
 	maker := new(txn.Maker)
 	gen := generator(rng.NewStream(4), 1, wc, maker)
@@ -59,7 +57,7 @@ func TestInitOverUsedValueEqualsNew(t *testing.T) {
 				mb.Put(i)
 			}
 			mb.TryGet()
-			mb.Init(env, nil)
+			mb.Init(env, nil, nil)
 			return mb
 		}, func() any { return sim.NewMailbox[int](env) }},
 		{"sim.Resource", func() any {

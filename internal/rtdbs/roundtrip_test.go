@@ -72,8 +72,6 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 		id := netsim.SiteID(i + 1)
 		// The client's inbox, then its connection queue at the server.
 		boxes := make([]sim.Mailbox[netsim.Message], 2)
-		boxes[0].Init(env, net.Rings())
-		boxes[1].Init(env, net.Rings())
 		srv.Attach(id, &boxes[1], &boxes[0])
 		src := &pingPong{
 			maker: maker, origin: id, obj: contested,
@@ -82,7 +80,6 @@ func TestMessageRoundTripZeroAlloc(t *testing.T) {
 		clients[i] = new(client.Client)
 		clients[i].Init(env, &cfg, id, net, &stock, &m, boxes, topo, src)
 	}
-	srv.Start()
 	for _, cl := range clients {
 		cl.Start()
 	}

@@ -350,6 +350,7 @@ func (s *Server) flushShips() {
 		func(to netsim.SiteID, members []int) {
 			m := s.ships.New()
 			m.s, m.to, m.msg, m.pages = s, to, s.payloads.GrantMsg.New(), m.pages[:0]
+			s.payloads.FitGrants(m.msg, len(members))
 			for _, i := range members {
 				m.msg.Grants = append(m.msg.Grants, intents[i].grant)
 				m.pages = append(m.pages, pagefile.PageID(intents[i].grant.Obj))
@@ -367,6 +368,7 @@ func (s *Server) flushRecalls() {
 	s.eachGroup(len(intents), func(i int) netsim.SiteID { return intents[i].holder },
 		func(to netsim.SiteID, members []int) {
 			msg := s.payloads.RecallMsg.New()
+			s.payloads.FitRecalls(msg, len(members))
 			for _, i := range members {
 				msg.Recalls = append(msg.Recalls, intents[i].recall)
 			}

@@ -54,9 +54,6 @@ func newShardRig(t *testing.T) *shardRig {
 			sv.Attach(netsim.SiteID(id), r.to[k][id], r.inbox[id])
 		}
 	}
-	for _, sv := range r.srv {
-		sv.Start()
-	}
 	return r
 }
 

@@ -55,10 +55,10 @@ type Server struct {
 	topo     *shardmap.Map
 	adaptive bool
 
-	// Shard-to-shard transport: peerIn is this shard's inbox for
+	// Shard-to-shard transport: peer reads this shard's inbox for
 	// messages from other shards, peerOut addresses each shard's inbox.
 	// A lone shard is wired with neither.
-	peerIn  *sim.Mailbox[netsim.Message]
+	peer    conn
 	peerOut []*sim.Mailbox[netsim.Message]
 
 	locks    *lockmgr.Table
@@ -85,7 +85,13 @@ type Server struct {
 
 	// sites holds, by client id, each attached client's connection and
 	// the load it last reported (slot 0 is unused: site 0 is a shard).
+	// Its records are the connections' mailbox readers, so it is sized
+	// once, for the configured population, and never moves. conns holds
+	// the connection machines: a connection borrows one while it has a
+	// message in hand, so the slab grows to the messages in service at
+	// once, not to the connection count.
 	sites []site
+	conns slab.Slab[connMachine]
 	// returned counts, by client id, the returns that reached this shard
 	// under fault injection (overtaken).
 	returned []int32
@@ -123,13 +129,15 @@ type Server struct {
 	beats slab.Slab[heatBeat]
 	// siteScratch, holderScratch, flushMark and flushGroup are reusable
 	// buffers for the per-message aggregations (loadsFor, one object's
-	// holders, eachGroup); what they gather is copied into the reply
-	// record's own arrays: dispatch allocates nothing. runScratch holds
-	// the run tryDispatch pops off a sealed list.
+	// holders, eachGroup), and answer is where a Locations answer is
+	// assembled; what they gather is copied into a reply record sized for
+	// it (proto.Pool.CopyLocations): dispatch allocates nothing.
+	// runScratch holds the run tryDispatch pops off a sealed list.
 	siteScratch   []netsim.SiteID
 	holderScratch []netsim.SiteID
 	flushMark     []bool
 	flushGroup    []int
+	answer        proto.Locations
 	runScratch    []forward.Entry
 
 	// tr is the per-run transaction tracer (nil when tracing is off).
@@ -154,9 +162,26 @@ type Server struct {
 
 // site is one attached client: its connection and its piggybacked load.
 type site struct {
-	inbox *sim.Mailbox[netsim.Message] // server-side, from this client
-	out   *sim.Mailbox[netsim.Message] // the client's inbox
-	load  proto.LoadReport             // Valid once the client reported one
+	conn                              // the server side, from this client
+	out  *sim.Mailbox[netsim.Message] // the client's inbox
+	load proto.LoadReport             // Valid once the client reported one
+}
+
+// conn is a mailbox the shard reads — a client's connection queue or
+// the shard-to-shard inbox — as its reader hook (sim.Mailbox): a message
+// that finds it idle posts it, and its event lends the connection a
+// machine from the shard's stock, which serves the queue until it is
+// dry and then goes back. An idle connection runs no machine.
+type conn struct {
+	s     *Server
+	inbox *sim.Mailbox[netsim.Message]
+}
+
+func (c *conn) RunEvent() {
+	m := c.s.conns.New()
+	m.c = c
+	c.s.env.Adopt(&m.task, m)
+	m.Resume()
 }
 
 // objState is everything a shard keeps about one object beyond its
@@ -353,14 +378,16 @@ func (s *Server) inflight(obj lockmgr.ObjectID) *forward.List {
 }
 
 // Attach registers a client connection: inbox receives the client's
-// messages at the server; out is the client's own inbox.
+// messages at the server, and Attach initialises it in place with the
+// connection as its reader; out is the client's own inbox. id must be
+// within the configured population.
 func (s *Server) Attach(id netsim.SiteID, inbox, out *sim.Mailbox[netsim.Message]) {
-	if grow := int(id) + 1 - len(s.sites); grow > 0 {
-		// An id beyond the configured population (NewShard sized the table
-		// for that).
-		s.sites = append(s.sites, make([]site, grow)...)
+	if id <= 0 || int(id) >= len(s.sites) {
+		panic(fmt.Sprintf("server: attach of site %d outside the configured %d clients", id, len(s.sites)-1))
 	}
-	s.sites[id] = site{inbox: inbox, out: out}
+	st := &s.sites[id]
+	*st = site{conn: conn{s: s, inbox: inbox}, out: out}
+	inbox.Init(s.env, s.net.Rings(), &st.conn)
 }
 
 // client returns the record of attached client id, nil for any other
@@ -373,9 +400,12 @@ func (s *Server) client(id netsim.SiteID) *site {
 }
 
 // SetPeerInbox installs this shard's inbox for shard-to-shard messages
-// (a lone shard has no peers and needs none); Start spawns a handler
-// for it.
-func (s *Server) SetPeerInbox(in *sim.Mailbox[netsim.Message]) { s.peerIn = in }
+// (a lone shard has no peers and needs none), initialising it in place
+// with the shard as its reader.
+func (s *Server) SetPeerInbox(in *sim.Mailbox[netsim.Message]) {
+	s.peer = conn{s: s, inbox: in}
+	in.Init(s.env, nil, &s.peer)
+}
 
 // AttachPeer wires the outbound route to shard k's peer inbox.
 func (s *Server) AttachPeer(k int, in *sim.Mailbox[netsim.Message]) {
@@ -385,49 +415,19 @@ func (s *Server) AttachPeer(k int, in *sim.Mailbox[netsim.Message]) {
 	s.peerOut[k] = in
 }
 
-// Start spawns one event-driven handler per attached connection, in
-// ascending client id, plus one for the shard-to-shard inbox when
-// peered. The handlers are the elements of one array, which lives as
-// long as the shard: a handler is never returned to it.
-func (s *Server) Start() {
-	n := 0
-	for id := range s.sites {
-		if s.sites[id].inbox != nil {
-			n++
-		}
-	}
-	if s.peerIn != nil {
-		n++
-	}
-	handlers := make([]connMachine, 0, n)
-	spawn := func(in *sim.Mailbox[netsim.Message]) {
-		handlers = append(handlers, connMachine{s: s, inbox: in})
-		m := &handlers[len(handlers)-1]
-		s.env.Spawn(&m.task, m)
-	}
-	for id := range s.sites {
-		if in := s.sites[id].inbox; in != nil {
-			spawn(in)
-		}
-	}
-	if s.peerIn != nil {
-		spawn(s.peerIn)
-	}
-}
-
-// connMachine is a connection handler as a state machine: one per
-// attached client, looping receive → CPU charge → dispatch. The only
-// payload that parks mid-handle is an ObjReturn carrying data (the page
-// install goes through the pool); the machine keeps the message's
-// payload across resumes and borrows the install op from the server's
-// pool for as long as the install is parked. Handlers take the payload
-// by value; once the last of them has returned, the record goes back to
-// the cluster's payload pool (done), unless the fault layer delivered
-// the frame twice (shared).
+// connMachine is a connection handler as a state machine, lent to a
+// connection (conn) while it has messages: it loops receive → CPU
+// charge → dispatch until the queue is dry, then detaches and goes back
+// to the shard's stock. The only payload that parks mid-handle is an
+// ObjReturn carrying data (the page install goes through the pool); the
+// machine keeps the message's payload across resumes and borrows the
+// install op from the server's pool for as long as the install is
+// parked. Handlers take the payload by value; once the last of them has
+// returned, the record goes back to the cluster's payload pool (done),
+// unless the fault layer delivered the frame twice (shared).
 type connMachine struct {
 	task    sim.Task
-	s       *Server
-	inbox   *sim.Mailbox[netsim.Message]
+	c       *conn
 	pc      uint8
 	shared  bool
 	cpu     sim.HoldOp
@@ -442,12 +442,14 @@ const (
 )
 
 func (m *connMachine) Resume() {
-	s := m.s
+	s := m.c.s
 	for {
 		switch m.pc {
 		case csRecv:
-			msg, ok := m.inbox.Recv(&m.task)
+			msg, ok := m.c.inbox.TryGet()
 			if !ok {
+				m.task.Detach()
+				s.conns.Put(m)
 				return
 			}
 			m.payload, m.shared = msg.Payload, msg.Shared
@@ -514,7 +516,7 @@ func (m *connMachine) Resume() {
 // list to the pool's stock with it.
 func (m *connMachine) done() {
 	if !m.shared {
-		m.s.payloads.Release(m.payload)
+		m.c.s.payloads.Release(m.payload)
 	}
 	m.payload = nil
 }
@@ -566,8 +568,9 @@ func (s *Server) handleProbe(req proto.ObjRequest) {
 		s.deny(req.Client, proto.DenyReply{Txn: req.Txn, Reason: proto.DenyExpired})
 		return
 	}
-	// Built in a pooled record's own arrays; the client copies it out.
-	reply := s.payloads.Locations.New()
+	// Assembled in scratch, sent in a pooled record sized for it; the
+	// client copies it out.
+	reply := s.startAnswer(req.Txn)
 	for i, obj := range req.Objs {
 		if !s.servesObj(obj, req.Modes[i]) {
 			// The object moved off this shard (its replica was recalled
@@ -587,7 +590,6 @@ func (s *Server) handleProbe(req proto.ObjRequest) {
 		}
 	}
 	if len(reply.Objs) == 0 {
-		s.payloads.Release(reply)
 		for i, obj := range req.Objs {
 			lr := s.reqs.New()
 			lr.Obj, lr.Owner = obj, lockmgr.OwnerID(req.Client)
@@ -602,10 +604,17 @@ func (s *Server) handleProbe(req proto.ObjRequest) {
 		}
 		return
 	}
-	reply.Txn = req.Txn
 	reply.Loads = s.loadsFor(reply.Loads, reply.Objs)
 	reply.DataCounts = s.dataCounts(reply.DataCounts, req.Objs, reply.Objs)
-	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, reply)
+	s.send(req.Client, netsim.KindLockReply, netsim.ControlBytes, s.payloads.CopyLocations(reply))
+}
+
+// startAnswer empties the scratch a Locations answer to id is
+// assembled in and returns it.
+func (s *Server) startAnswer(id txn.ID) *proto.Locations {
+	a := &s.answer
+	*a = proto.Locations{Txn: id, Objs: a.Objs[:0], Loads: a.Loads[:0], DataCounts: a.DataCounts[:0], Flat: a.Flat[:0]}
+	return a
 }
 
 // dataCounts appends to counts (empty), for every candidate holder site
@@ -930,13 +939,12 @@ func (s *Server) land(obj lockmgr.ObjectID) {
 // handleLocate answers a location query: every holder of each listed
 // object, and the known loads of those sites.
 func (s *Server) handleLocate(q proto.ObjRequest) {
-	reply := s.payloads.Locations.New()
-	reply.Txn = q.Txn
+	reply := s.startAnswer(q.Txn)
 	for _, obj := range q.Objs {
 		if s.holderScratch = s.holdersFor(s.holderScratch[:0], obj, q.Client); len(s.holderScratch) > 0 {
 			reply.Objs, reply.Flat = proto.AppendLocation(reply.Objs, reply.Flat, obj, s.holderScratch)
 		}
 	}
 	reply.Loads = s.loadsFor(reply.Loads, reply.Objs)
-	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, reply)
+	s.send(q.Client, netsim.KindLoadReply, netsim.ControlBytes, s.payloads.CopyLocations(reply))
 }

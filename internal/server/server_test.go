@@ -59,7 +59,6 @@ func newRigSites(t *testing.T, ids []int, mod func(*config.Config)) *rig {
 		r.inbox[id] = sim.NewMailbox[netsim.Message](env)
 		srv.Attach(netsim.SiteID(id), r.to[id], r.inbox[id])
 	}
-	srv.Start()
 	return r
 }
 
@@ -114,17 +113,19 @@ func TestServerGrantsFreeObject(t *testing.T) {
 	}
 }
 
-// TestStartServesEveryAttachedSite: a handler runs for every attached
-// connection, whatever the ids — sites 2 and 7 alone are both answered
-// (counting the connections and walking ids 1..count gave site 7 none),
-// each by its own element of the array Start carves: two handlers, not
-// one per slot of the site table.
-func TestStartServesEveryAttachedSite(t *testing.T) {
+// TestAttachServesEveryAttachedSite: every attached connection is
+// served, whatever the ids — sites 2 and 7 alone are both answered
+// (counting the connections and walking ids 1..count gave site 7 none) —
+// and none runs anything until a message comes: attaching posts no
+// event and adopts no machine, and a connection's machine, lent while it
+// has a message in hand, is back in the shard's stock once the queue is
+// dry.
+func TestAttachServesEveryAttachedSite(t *testing.T) {
 	r := newRigSites(t, []int{7, 2}, nil)
 	defer r.env.Close()
-	r.env.RunAll() // a handler's first resume is one event; it parks on its inbox
-	if got := r.env.Steps(); got != 2 {
-		t.Fatalf("%d handlers spawned for two attached sites", got)
+	r.env.RunAll()
+	if got := r.env.Steps(); got != 0 {
+		t.Fatalf("%d events ran with no message sent, want none", got)
 	}
 	for _, id := range []int{2, 7} {
 		r.request(id, lockmgr.ObjectID(40+id), lockmgr.ModeExclusive, time.Minute)
@@ -134,6 +135,9 @@ func TestStartServesEveryAttachedSite(t *testing.T) {
 		if len(msgs) != 1 || msgs[0].Kind != netsim.KindObjectShip {
 			t.Errorf("site %d received %+v, want its object shipped", id, msgs)
 		}
+	}
+	if n := r.env.Live(); n != 0 {
+		t.Errorf("%d machines live with every queue dry, want 0", n)
 	}
 }
 

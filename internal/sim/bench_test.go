@@ -105,7 +105,7 @@ func TestMailboxRingFromSlab(t *testing.T) {
 	env := NewEnv()
 	var rings slab.Slab[int]
 	var m Mailbox[int]
-	m.Init(env, &rings)
+	m.Init(env, &rings, nil)
 	cycle := func() {
 		for i := 0; i < 5; i++ {
 			m.Put(i)

@@ -8,10 +8,13 @@
 // order fully reproducible.
 //
 // Actors are state machines: a Machine parks on a kernel primitive
-// (timer, Signal, Resource, Mailbox) through its embedded Task, returns
-// from Resume, and is resumed by a direct method call from the event
-// loop, with no goroutine or channel handoff. A typical model creates an
-// Env, starts machines with Spawn, and then calls Run.
+// (timer, Signal, Resource) through its embedded Task, returns from
+// Resume, and is resumed by a direct method call from the event loop,
+// with no goroutine or channel handoff. An actor that waits only on the
+// clock or on a mailbox is not a machine but an EventHook: the clock
+// posts it (AtHook), and so does a Put into the mailbox it reads. A
+// typical model creates an Env, starts machines with Spawn, posts its
+// hooks, and then calls Run.
 //
 // Proc, the goroutine-process form the kernel started with, is a
 // legacy: a Machine whose Resume hands the token to a goroutine. No
@@ -82,6 +85,22 @@ func (e *Env) Now() time.Duration { return e.now }
 
 // Steps returns the number of events executed so far.
 func (e *Env) Steps() int64 { return e.stepCount }
+
+// Live returns the number of registered (spawned or adopted, and not yet
+// detached) actors.
+func (e *Env) Live() int { return e.liveTasks }
+
+// Pending returns the number of events queued and not canceled: those
+// due now in the ready FIFO and the later ones in the heap.
+func (e *Env) Pending() int {
+	n := len(e.events) - e.dead
+	for _, idx := range e.ready[e.readyHead:] {
+		if !e.pool[idx].canceled {
+			n++
+		}
+	}
+	return n
+}
 
 // SetStepHook installs fn to run after every executed event, or removes
 // the hook when fn is nil. The invariant monitor uses it to re-check

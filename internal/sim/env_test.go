@@ -17,8 +17,10 @@ func sleep(d time.Duration) simtest.Step {
 	return simtest.Park(func(t *sim.Task) bool { t.Sleep(d); return true })
 }
 
+// sleepUntil sleeps to the absolute time at, or not at all when at has
+// passed.
 func sleepUntil(at time.Duration) simtest.Step {
-	return simtest.Park(func(t *sim.Task) bool { t.SleepUntil(at); return true })
+	return simtest.Park(func(t *sim.Task) bool { t.Sleep(at - t.Now()); return true })
 }
 
 func wait(s *sim.Signal) simtest.Step {
@@ -85,28 +87,46 @@ func acquireTimeout(r *sim.Resource, priority float64, d time.Duration, got *boo
 	}
 }
 
-func recv[T any](mb *sim.Mailbox[T], got func(T)) simtest.Step {
+// box is a mailbox read by machines written as steps: its reader hook
+// wakes every machine waiting on sig, and each takes an item or, finding
+// none, waits again (recv). A mailbox has one reader and no machine
+// waits on it; this is that reader relaying to the steps below.
+type box[T any] struct {
+	mb  sim.Mailbox[T]
+	sig *sim.Signal
+}
+
+func newBox[T any](env *sim.Env) *box[T] {
+	b := &box[T]{sig: sim.NewSignal(env)}
+	b.mb.Init(env, nil, b)
+	return b
+}
+
+func (b *box[T]) RunEvent() { b.sig.Broadcast() }
+
+func recv[T any](b *box[T], got func(T)) simtest.Step {
 	return func(t *sim.Task) bool {
-		v, ok := mb.Recv(t)
-		if ok {
+		if v, ok := b.mb.TryGet(); ok {
 			got(v)
+			return true
 		}
-		return ok
+		t.Wait(b.sig)
+		return false
 	}
 }
 
-// recvTimeout receives from mb, giving up d after the step first runs.
-func recvTimeout[T any](mb *sim.Mailbox[T], d time.Duration, got func(T, bool)) simtest.Step {
+// recvTimeout receives from b, giving up d after the step first runs.
+func recvTimeout[T any](b *box[T], d time.Duration, got func(T, bool)) simtest.Step {
 	deadline := time.Duration(-1)
 	return func(t *sim.Task) bool {
 		if deadline < 0 {
 			deadline = t.Now() + d
 		}
-		if v, ok := mb.TryGet(); ok {
+		if v, ok := b.mb.TryGet(); ok {
 			got(v, true)
 			return true
 		}
-		if t.Now() >= deadline || !t.WaitTimeout(sim.MailboxSignal(mb), deadline-t.Now()) {
+		if t.Now() >= deadline || !t.WaitTimeout(b.sig, deadline-t.Now()) {
 			var zero T
 			got(zero, false)
 			return true
@@ -328,29 +348,6 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestSignalFireWakesOneFIFO(t *testing.T) {
-	env := sim.NewEnv()
-	sig := sim.NewSignal(env)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		simtest.Spawn(env, wait(sig), do(func() { order = append(order, i) }))
-	}
-	simtest.Spawn(env,
-		sleep(time.Second), do(sig.Fire),
-		sleep(time.Second), do(sig.Fire),
-		sleep(time.Second), do(sig.Fire))
-	env.RunAll()
-	if len(order) != 3 {
-		t.Fatalf("woke %v, want three", order)
-	}
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("wake order = %v, want FIFO", order)
-		}
-	}
-}
-
 func TestWaitTimeout(t *testing.T) {
 	env := sim.NewEnv()
 	sig := sim.NewSignal(env)
@@ -505,14 +502,14 @@ func TestReleaseIdlePanics(t *testing.T) {
 
 func TestMailboxFIFO(t *testing.T) {
 	env := sim.NewEnv()
-	mb := sim.NewMailbox[int](env)
+	b := newBox[int](env)
 	var got []int
 	keep := func(v int) { got = append(got, v) }
-	simtest.Spawn(env, recv(mb, keep), recv(mb, keep), recv(mb, keep))
+	simtest.Spawn(env, recv(b, keep), recv(b, keep), recv(b, keep))
 	simtest.Spawn(env,
-		sleep(time.Second), do(func() { mb.Put(0) }),
-		sleep(time.Second), do(func() { mb.Put(1) }),
-		sleep(time.Second), do(func() { mb.Put(2) }))
+		sleep(time.Second), do(func() { b.mb.Put(0) }),
+		sleep(time.Second), do(func() { b.mb.Put(1) }),
+		sleep(time.Second), do(func() { b.mb.Put(2) }))
 	env.RunAll()
 	if len(got) != 3 {
 		t.Fatalf("received %v, want three", got)
@@ -526,12 +523,12 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestMailboxGetTimeout(t *testing.T) {
 	env := sim.NewEnv()
-	mb := sim.NewMailbox[string](env)
+	b := newBox[string](env)
 	var missed, hit bool
 	simtest.Spawn(env,
-		recvTimeout(mb, time.Second, func(_ string, ok bool) { missed = !ok }),
-		recvTimeout(mb, 10*time.Second, func(v string, ok bool) { hit = ok && v == "x" }))
-	simtest.Spawn(env, sleep(3*time.Second), do(func() { mb.Put("x") }))
+		recvTimeout(b, time.Second, func(_ string, ok bool) { missed = !ok }),
+		recvTimeout(b, 10*time.Second, func(v string, ok bool) { hit = ok && v == "x" }))
+	simtest.Spawn(env, sleep(3*time.Second), do(func() { b.mb.Put("x") }))
 	env.RunAll()
 	if !missed || !hit {
 		t.Fatalf("missed=%v hit=%v", missed, hit)
@@ -540,10 +537,10 @@ func TestMailboxGetTimeout(t *testing.T) {
 
 func TestMailboxPutFromEventCallback(t *testing.T) {
 	env := sim.NewEnv()
-	mb := sim.NewMailbox[int](env)
+	b := newBox[int](env)
 	var got int
-	simtest.Spawn(env, recv(mb, func(v int) { got = v }))
-	env.Schedule(time.Second, func() { mb.Put(42) })
+	simtest.Spawn(env, recv(b, func(v int) { got = v }))
+	env.Schedule(time.Second, func() { b.mb.Put(42) })
 	env.RunAll()
 	if got != 42 {
 		t.Fatalf("got %d, want 42", got)
@@ -552,13 +549,13 @@ func TestMailboxPutFromEventCallback(t *testing.T) {
 
 func TestMailboxTwoReceivers(t *testing.T) {
 	env := sim.NewEnv()
-	mb := sim.NewMailbox[int](env)
+	b := newBox[int](env)
 	sum := 0
 	for i := 0; i < 2; i++ {
-		simtest.Spawn(env, recv(mb, func(v int) { sum += v }))
+		simtest.Spawn(env, recv(b, func(v int) { sum += v }))
 	}
-	env.Schedule(time.Second, func() { mb.Put(1) })
-	env.Schedule(2*time.Second, func() { mb.Put(2) })
+	env.Schedule(time.Second, func() { b.mb.Put(1) })
+	env.Schedule(2*time.Second, func() { b.mb.Put(2) })
 	env.RunAll()
 	if sum != 3 {
 		t.Fatalf("sum = %d, want 3", sum)

@@ -13,16 +13,8 @@ func (s *Signal) Waiters() int {
 	return n
 }
 
-// Live returns the number of registered (spawned and not yet detached)
-// actors.
-func (e *Env) Live() int { return e.liveTasks }
-
 // InUse returns the number of units of r currently held.
 func (r *Resource) InUse() int { return r.inUse }
-
-// MailboxSignal returns the signal m's receivers park on, for a test
-// that waits on it with a timeout.
-func MailboxSignal[T any](m *Mailbox[T]) *Signal { return &m.sig }
 
 // peek reports the next live event Step would execute, looking at the
 // heap and the ready FIFO both: its time and pool index. It discards

@@ -14,8 +14,9 @@ import (
 //
 //   - Resume runs model code until the machine either finishes
 //     (Detach) or parks on exactly one primitive: a timer
-//     (Task.Sleep/SleepUntil), a signal (Task.Wait/WaitTimeout,
-//     Mailbox.Recv), or a resource (Task.Acquire/AcquireTimeout).
+//     (Task.Sleep), a signal (Task.Wait/WaitTimeout), or a
+//     resource (Task.Acquire/AcquireTimeout). No machine parks on a
+//     mailbox: its reader is an EventHook (Mailbox).
 //   - After arming a park, Resume must return without touching model
 //     state; the kernel calls Resume again when the wait completes.
 //   - A machine must never arm two waits from one Resume, and must not
@@ -66,28 +67,29 @@ type Task struct {
 // the current virtual time, after events already queued for this
 // instant.
 func (e *Env) Spawn(t *Task, m Machine) {
-	e.adopt(t, m)
+	e.Adopt(t, m)
 	e.scheduleResume(e.now, t)
 }
 
-// Grow reserves room for n more machines and one pending event apiece:
-// an owner about to spawn a population whose size it knows says so
-// once, and the registry, the event pool, its free list, the heap and
-// the ready FIFO (where the spawns' first resumes wait) are sized once
-// instead of by repeated append growth. It reserves capacity
-// only — no event is queued and no sequence number taken — so a run
-// executes the same (at, seq) sequence with or without the call.
+// Grow reserves room for n more pending events: an owner about to post
+// a population's first events, whose count it knows, says so once, and
+// the event pool, its free list and the heap are sized once instead of
+// by repeated append growth. It reserves capacity only — no event is
+// queued and no sequence number taken — so a run executes the same
+// (at, seq) sequence with or without the call. The registry and the
+// ready FIFO are not grown: a population's sites are hooks and
+// mailboxes, not machines, and their first events lie ahead of now.
 func (e *Env) Grow(n int) {
-	e.tasks = slices.Grow(e.tasks, n)
 	e.pool = slices.Grow(e.pool, n)
 	e.free = slices.Grow(e.free, n)
 	e.events = slices.Grow(e.events, n)
-	e.ready = slices.Grow(e.ready, n)
 }
 
-// adopt registers m without scheduling a resume: the machine starts
-// parked and runs only when something wakes it.
-func (e *Env) adopt(t *Task, m Machine) {
+// Adopt registers m without scheduling a resume: the machine starts
+// parked and runs only when something wakes it, or its caller resumes
+// it from the event that adopts it — as a mailbox's reader hook does
+// with a machine it lends the mailbox's items to.
+func (e *Env) Adopt(t *Task, m Machine) {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
@@ -165,16 +167,7 @@ func (t *Task) Sleep(d time.Duration) {
 	t.env.scheduleResume(t.env.now+d, t)
 }
 
-// SleepUntil parks the machine until absolute virtual time at (or the
-// current instant if at is in the past).
-func (t *Task) SleepUntil(at time.Duration) {
-	if at < t.env.now {
-		at = t.env.now
-	}
-	t.env.scheduleResume(at, t)
-}
-
-// Wait parks the machine on s until it is fired or broadcast. The
+// Wait parks the machine on s until it is broadcast. The
 // caller must return from Resume; a wakeup is a hint and the predicate
 // must be re-checked.
 func (t *Task) Wait(s *Signal) {

@@ -74,14 +74,14 @@ func TestMachineResourcePriority(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, 1)
 	holder := &resLogger{r: r}
-	env.adopt(&holder.task, holder)
+	env.Adopt(&holder.task, holder)
 	if !holder.task.Acquire(r, 0) {
 		t.Fatal("initial acquire should grant synchronously")
 	}
 	var log []int
 	add := func(id int, prio float64) *resLogger {
 		m := &resLogger{r: r, log: &log, id: id}
-		env.adopt(&m.task, m)
+		env.Adopt(&m.task, m)
 		if m.task.Acquire(r, prio) {
 			t.Fatalf("waiter %d acquired a held resource", id)
 		}
@@ -126,7 +126,7 @@ func TestMachineWaitTimeout(t *testing.T) {
 	var log []string
 
 	expire := &timeoutLogger{log: &log, name: "a"}
-	env.adopt(&expire.task, expire)
+	env.Adopt(&expire.task, expire)
 	if !expire.task.WaitTimeout(sig, 5*time.Millisecond) {
 		t.Fatal("positive timeout should park")
 	}
@@ -140,9 +140,9 @@ func TestMachineWaitTimeout(t *testing.T) {
 
 	log = log[:0]
 	woken := &timeoutLogger{log: &log, name: "b"}
-	env.adopt(&woken.task, woken)
+	env.Adopt(&woken.task, woken)
 	woken.task.WaitTimeout(sig, 5*time.Millisecond)
-	sig.Fire()
+	sig.Broadcast()
 	env.Run(20 * time.Millisecond)
 	if len(log) != 1 || log[0] != "b:woken" {
 		t.Fatalf("log %v, want [b:woken]", log)
@@ -177,19 +177,19 @@ func TestMachineAcquireTimeout(t *testing.T) {
 	r := NewResource(env, 1)
 	var log []string
 	holder := &resTimeoutLogger{log: &log, name: "holder"}
-	env.adopt(&holder.task, holder)
+	env.Adopt(&holder.task, holder)
 	if holder.task.AcquireTimeout(r, 0, time.Second) != AcquireGranted {
 		t.Fatal("free resource should grant synchronously")
 	}
 
 	late := &resTimeoutLogger{log: &log, name: "late"}
-	env.adopt(&late.task, late)
+	env.Adopt(&late.task, late)
 	if late.task.AcquireTimeout(r, 0, 0) != AcquireTimedOut {
 		t.Fatal("d<=0 on a held resource should time out immediately")
 	}
 
 	parked := &resTimeoutLogger{log: &log, name: "parked"}
-	env.adopt(&parked.task, parked)
+	env.Adopt(&parked.task, parked)
 	if parked.task.AcquireTimeout(r, 0, 5*time.Millisecond) != AcquireParked {
 		t.Fatal("held resource should park")
 	}
@@ -203,7 +203,7 @@ func TestMachineAcquireTimeout(t *testing.T) {
 
 	log = log[:0]
 	granted := &resTimeoutLogger{log: &log, name: "g"}
-	env.adopt(&granted.task, granted)
+	env.Adopt(&granted.task, granted)
 	granted.task.AcquireTimeout(r, 0, time.Hour)
 	r.Release() // holder's unit
 	env.RunAll()
@@ -213,39 +213,41 @@ func TestMachineAcquireTimeout(t *testing.T) {
 	r.Release()
 }
 
-// drainMachine drains its mailbox completely on every wakeup, the
-// machine counterpart of a Get loop.
-type drainMachine struct {
-	task Task
-	mb   *Mailbox[int]
-	got  []int
+// drainReader drains its mailbox completely on every event: the
+// mailbox's reader hook.
+type drainReader struct {
+	mb  Mailbox[int]
+	got []int
 }
 
-func (m *drainMachine) Resume() {
+func newDrainReader(env *Env) *drainReader {
+	r := new(drainReader)
+	r.mb.Init(env, nil, r)
+	return r
+}
+
+func (r *drainReader) RunEvent() {
 	for {
-		v, ok := m.mb.Recv(&m.task)
+		v, ok := r.mb.TryGet()
 		if !ok {
 			return
 		}
-		m.got = append(m.got, v)
+		r.got = append(r.got, v)
 	}
 }
 
 func TestMachineMailboxDrain(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	m := &drainMachine{mb: mb}
-	env.adopt(&m.task, m)
-	if _, ok := mb.Recv(&m.task); ok {
-		t.Fatal("Recv on empty mailbox should park")
+	m := newDrainReader(env)
+	if _, ok := m.mb.TryGet(); ok {
+		t.Fatal("TryGet on an empty mailbox returned an item")
 	}
-	// Three puts while parked: the first wakes the machine, one resume
-	// event drains all three (Fire on a queue with one waiter wakes it
-	// once; later Puts find an empty queue).
-	mb.Put(1)
-	mb.Put(2)
-	mb.Put(3)
+	// Three puts while the reader is idle: the first posts it, one event
+	// drains all three (later Puts find it posted).
+	m.mb.Put(1)
+	m.mb.Put(2)
+	m.mb.Put(3)
 	steps := env.Steps()
 	env.RunAll()
 	if env.Steps()-steps != 1 {
@@ -254,10 +256,105 @@ func TestMachineMailboxDrain(t *testing.T) {
 	if len(m.got) != 3 || m.got[0] != 1 || m.got[1] != 2 || m.got[2] != 3 {
 		t.Fatalf("drained %v, want [1 2 3]", m.got)
 	}
-	mb.Put(4)
+	m.mb.Put(4)
 	env.RunAll()
 	if len(m.got) != 4 || m.got[3] != 4 {
 		t.Fatalf("drained %v, want trailing 4", m.got)
+	}
+}
+
+// stepReader is a reader that takes at most take items an event (all of
+// them when take < 0) and counts its events: with items left it is busy,
+// and only an event of its own brings it back.
+type stepReader struct {
+	mb   Mailbox[int]
+	take int
+	runs int
+	got  []int
+}
+
+func (r *stepReader) RunEvent() {
+	r.runs++
+	for i := 0; r.take < 0 || i < r.take; i++ {
+		v, ok := r.mb.TryGet()
+		if !ok {
+			return
+		}
+		r.got = append(r.got, v)
+	}
+}
+
+// TestMailboxReaderContract pins the one wake path of a mailbox: a Put
+// that finds the reader idle posts its hook once, at the current
+// instant; no Put posts while that event is pending or while the reader
+// is busy with items it has not taken; the reader takes items in FIFO
+// order; and a TryGet that finds the mailbox dry makes the reader idle
+// again, so the next Put posts it anew.
+func TestMailboxReaderContract(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	r := &stepReader{take: 1}
+	r.mb.Init(env, nil, r)
+	posted := func() int64 { return env.seq }
+	queued := func() int { return len(env.events) + len(env.ready) - env.readyHead }
+
+	if queued() != 0 {
+		t.Fatalf("Init queued %d events, want none: the reader starts idle", queued())
+	}
+	env.Schedule(time.Second, func() {
+		before := posted()
+		r.mb.Put(1) // idle → non-empty: the hook is posted, now
+		r.mb.Put(2) // posted: nothing more
+		if n := posted() - before; n != 1 {
+			t.Errorf("two Puts to an idle reader posted %d events, want 1", n)
+		}
+		if at, _, ok := env.peek(); !ok || at != time.Second {
+			t.Errorf("reader posted at %v (queued %v), want now (1s)", at, ok)
+		}
+	})
+	env.RunAll()
+	if r.runs != 1 || len(r.got) != 1 || r.got[0] != 1 {
+		t.Fatalf("after the first wake: %d runs, got %v; want 1 run, [1]", r.runs, r.got)
+	}
+
+	// Busy: an item is left and the reader has not found the mailbox dry.
+	before := posted()
+	r.mb.Put(3)
+	if posted() != before {
+		t.Error("a Put to a busy reader posted its hook")
+	}
+	env.RunAll()
+	if r.runs != 1 {
+		t.Fatalf("a busy reader ran %d times, want 1", r.runs)
+	}
+
+	// The reader's own later event drains the rest, in order, and
+	// finds the mailbox dry: idle again.
+	r.take = -1
+	env.AtHook(env.Now()+time.Second, r)
+	env.RunAll()
+	if r.runs != 2 || len(r.got) != 3 || r.got[1] != 2 || r.got[2] != 3 {
+		t.Fatalf("after the drain: %d runs, got %v; want 2 runs, [1 2 3]", r.runs, r.got)
+	}
+	if r.mb.n != idle {
+		t.Fatalf("a drained mailbox's count is %d, want idle", r.mb.n)
+	}
+	before = posted()
+	r.mb.Put(4)
+	if posted()-before != 1 {
+		t.Errorf("a Put after the drain posted %d events, want 1", posted()-before)
+	}
+	env.RunAll()
+	if r.runs != 3 || len(r.got) != 4 || r.got[3] != 4 {
+		t.Fatalf("after re-arming: %d runs, got %v; want 3 runs, [1 2 3 4]", r.runs, r.got)
+	}
+
+	// A mailbox without a reader posts nothing.
+	bare := NewMailbox[int](env)
+	before = posted()
+	bare.Put(5)
+	if posted() != before {
+		t.Error("a Put to a mailbox without a reader posted an event")
 	}
 }
 
@@ -293,7 +390,8 @@ func TestSpawnOnClosedEnvPanics(t *testing.T) {
 
 // closerMachine records its MachineClose call; each variant parks on a
 // different primitive so Close teardown covers timer, signal, mailbox,
-// and resource waits.
+// and resource waits (the mailbox's is its reader: adopted, and woken by
+// the mailbox's hook, not by a park).
 type closerMachine struct {
 	task Task
 	name string
@@ -301,6 +399,7 @@ type closerMachine struct {
 }
 
 func (m *closerMachine) Resume()       {}
+func (m *closerMachine) RunEvent()     { m.Resume() }
 func (m *closerMachine) MachineClose() { *m.log = append(*m.log, m.name) }
 
 // TestCloseDetachesMachinesInSpawnOrder is the machine mirror of
@@ -311,13 +410,13 @@ func TestCloseDetachesMachinesInSpawnOrder(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
 	sig := NewSignal(env)
-	mb := NewMailbox[int](env)
+	var mb Mailbox[int]
 	res := NewResource(env, 1)
 	var log []string
 
 	adopt := func(name string) *closerMachine {
 		m := &closerMachine{name: name, log: &log}
-		env.adopt(&m.task, m)
+		env.Adopt(&m.task, m)
 		return m
 	}
 	timer := adopt("timer")
@@ -325,8 +424,9 @@ func TestCloseDetachesMachinesInSpawnOrder(t *testing.T) {
 	signal := adopt("signal")
 	signal.task.Wait(sig)
 	mail := adopt("mailbox")
-	if _, ok := mb.Recv(&mail.task); ok {
-		t.Fatal("Recv on empty mailbox should park")
+	mb.Init(env, nil, mail)
+	if _, ok := mb.TryGet(); ok {
+		t.Fatal("TryGet on an empty mailbox returned an item")
 	}
 	holder := adopt("holder")
 	if !holder.task.Acquire(res, 0) {
@@ -380,14 +480,14 @@ func TestCloseTearsDownInSpawnOrderAcrossKinds(t *testing.T) {
 	sig := NewSignal(env)
 	var log []string
 	first := &closerMachine{name: "machine1", log: &log}
-	env.adopt(&first.task, first)
+	env.Adopt(&first.task, first)
 	first.task.Wait(sig)
 	env.Go("proc", func(p *Proc) {
 		defer func() { log = append(log, "proc") }()
 		p.Sleep(time.Hour)
 	})
 	second := &closerMachine{name: "machine2", log: &log}
-	env.adopt(&second.task, second)
+	env.Adopt(&second.task, second)
 	second.task.Sleep(time.Hour)
 	env.Run(time.Minute)
 	env.Close()
@@ -493,45 +593,47 @@ func TestMachineSleepNoAllocs(t *testing.T) {
 	}
 }
 
+// chainHook posts itself d after each of its events, as a site's
+// arrival chain does.
+type chainHook struct {
+	env *Env
+	d   time.Duration
+}
+
+func (h *chainHook) RunEvent() { h.env.AtHook(h.env.now+h.d, h) }
+
 // A population whose size is known is announced once: after Grow(n),
-// spawning n machines and stepping each to its first park grows neither
-// the registry, the event pool, its free list nor the heap. The machines
-// sleep on, as a site's generator does, so every recycled event record
-// is taken again at once.
-func TestGrowThenSpawnNoAllocs(t *testing.T) {
+// posting n first events ahead of now — a population's first arrivals —
+// and stepping each to post its next grows neither the event pool, its
+// free list nor the heap, and allocates nothing.
+func TestGrowThenPostNoAllocs(t *testing.T) {
 	const n, runs = 500, 4
 	env := NewEnv()
 	defer env.Close()
-	ms := make([]sleeperMachine, (runs+1)*n) // AllocsPerRun warms up with one extra call
-	env.Grow(len(ms))
-	caps := func() [5]int {
-		return [5]int{cap(env.tasks), cap(env.pool), cap(env.free), cap(env.events), cap(env.ready)}
-	}
+	hs := make([]chainHook, (runs+1)*n) // AllocsPerRun warms up with one extra call
+	env.Grow(len(hs))
+	caps := func() [3]int { return [3]int{cap(env.pool), cap(env.free), cap(env.events)} }
 	grown := caps()
-	next, queued := 0, n
+	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < n; i++ {
-			m := &ms[next]
+			h := &hs[next]
 			next++
-			m.d = time.Hour
-			env.Spawn(&m.task, m)
+			h.env, h.d = env, time.Hour
+			env.AtHook(env.now+time.Duration(i+1)*time.Microsecond, h)
 		}
-		queued = min(queued, len(env.ready)-env.readyHead)
 		for i := 0; i < n; i++ {
 			env.Step()
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("spawning and stepping %d machines after Grow allocates %.1f objects, want 0", n, allocs)
-	}
-	if queued != n {
-		t.Errorf("%d of %d first resumes queued on the ready FIFO, want all", queued, n)
+		t.Errorf("posting and stepping %d hooks after Grow allocates %.1f objects, want 0", n, allocs)
 	}
 	if got := caps(); got != grown {
-		t.Errorf("capacities of registry, pool, free list, heap, ready FIFO went from %v after Grow to %v", grown, got)
+		t.Errorf("capacities of pool, free list, heap went from %v after Grow to %v", grown, got)
 	}
-	if got := env.liveTasks; got != len(ms) {
-		t.Errorf("%d machines live, want %d", got, len(ms))
+	if got := len(env.events); got != len(hs) {
+		t.Errorf("%d events pending, want one per hook (%d)", got, len(hs))
 	}
 }
 
@@ -567,17 +669,15 @@ func TestGrowLeavesEventOrderAlone(t *testing.T) {
 			ms[i].d = time.Duration(i%7+1) * time.Millisecond
 			env.Spawn(&ms[i].task, &ms[i])
 		}
-		mb := NewMailbox[int](env)
-		d := &drainMachine{mb: mb}
-		env.Spawn(&d.task, d)
+		d := newDrainReader(env)
 		w := &rearmingWaiter{s: NewSignal(env), d: 3 * time.Millisecond}
 		env.Spawn(&w.task, w)
 		for i := 0; i < 30; i++ {
 			i := i
 			env.Schedule(time.Duration(i)*1500*time.Microsecond, func() {
-				mb.Put(i)
+				d.mb.Put(i)
 				if i%4 == 0 {
-					w.s.Fire() // cancels the waiter's pending timeout
+					w.s.Broadcast() // cancels the waiter's pending timeout
 				}
 			})
 		}
@@ -607,7 +707,8 @@ func TestGrowLeavesEventOrderAlone(t *testing.T) {
 	}
 }
 
-// firingTicker fires one of its signals, round robin, every millisecond.
+// firingTicker wakes the waiter of one of its signals, round robin,
+// every millisecond.
 type firingTicker struct {
 	task Task
 	sigs []*Signal
@@ -615,7 +716,7 @@ type firingTicker struct {
 }
 
 func (m *firingTicker) Resume() {
-	m.sigs[m.n%len(m.sigs)].Fire()
+	m.sigs[m.n%len(m.sigs)].Broadcast()
 	m.n++
 	m.task.Sleep(time.Millisecond)
 }
@@ -722,38 +823,35 @@ func BenchmarkMachineSleep(b *testing.B) {
 }
 
 // BenchmarkMachineSignalWaitFire measures a blocking receive: a parked
-// machine, a fire, a direct resume.
+// machine, a wake (a broadcast to its one waiter), a direct resume.
 func BenchmarkMachineSignalWaitFire(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()
 	sig := NewSignal(env)
 	var log []string
 	m := &logWaiter{sig: sig, log: &log, name: "w"}
-	env.adopt(&m.task, m)
+	env.Adopt(&m.task, m)
 	m.task.Wait(sig)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		log = log[:0]
-		sig.Fire()
+		sig.Broadcast()
 		env.RunAll()
 	}
 }
 
-// BenchmarkMachineMailbox measures a Put waking a parked machine that
-// drains it — the dominant cycle of every converted endpoint.
+// BenchmarkMachineMailbox measures a Put posting an idle reader that
+// drains it — the dominant cycle of every site.
 func BenchmarkMachineMailbox(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	m := &drainMachine{mb: mb}
-	env.adopt(&m.task, m)
-	mb.Recv(&m.task)
+	m := newDrainReader(env)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.got = m.got[:0]
-		mb.Put(i)
+		m.mb.Put(i)
 		env.RunAll()
 	}
 }

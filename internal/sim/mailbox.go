@@ -3,8 +3,21 @@ package sim
 import "siteselect/internal/slab"
 
 // Mailbox is an unbounded FIFO queue between actors. Put never blocks
-// (and may be called from event callbacks, not just machines); Recv
-// parks the calling machine until an item is available.
+// (and may be called from event callbacks, not just machines); TryGet
+// takes the head item, if any.
+//
+// A mailbox has one reader, an EventHook, and no machine waits on it: a
+// site that only waits for its messages runs nothing while it waits. A
+// Put that finds the reader idle posts the reader's hook at the current
+// instant — the one event, at the same sequence number, that woke a
+// machine parked on the mailbox when readers were machines — and Puts
+// after it post nothing until the reader goes idle again. The reader is
+// idle from Init, and goes idle again when a TryGet of its finds the
+// mailbox dry: a reader
+// drains in a loop until it does, or holds its items for a later event
+// of its own (a partitioned client) or while it is busy with one in hand
+// (a shard connection charging the CPU). A mailbox with no reader
+// (NewMailbox) wakes nobody: whatever reads it polls with TryGet.
 //
 // Items live in a power-of-two ring buffer, so a steady-state
 // Put/TryGet cycle allocates nothing and the backing array never grows
@@ -18,39 +31,50 @@ import "siteselect/internal/slab"
 // longer than the slab keeps blocks of stays with its mailbox, as every
 // ring of a mailbox without a slab does.
 type Mailbox[T any] struct {
-	buf   []T // len(buf) is zero or a power of two
-	head  int32
-	n     int32
-	rings *slab.Slab[T]
-	sig   Signal
+	buf  []T // len(buf) is zero or a power of two
+	head int32
+	// n is the number of queued items, or idle while the reader waits
+	// for the next Put (the mailbox is then empty).
+	n      int32
+	rings  *slab.Slab[T]
+	env    *Env
+	reader EventHook
 }
 
+// idle is Mailbox.n while the reader waits for a Put.
+const idle = -1
+
 // NewMailbox returns an empty mailbox bound to env, with rings of its
-// own.
+// own and no reader.
 func NewMailbox[T any](env *Env) *Mailbox[T] {
 	m := new(Mailbox[T])
-	m.Init(env, nil)
+	m.Init(env, nil, nil)
 	return m
 }
 
 // Init makes m an empty mailbox bound to env, in place: a population's
-// mailboxes are elements of one array. A mailbox holds a Signal, so it
-// is initialised where it lives and not copied afterwards. rings is the
-// slab its rings come from and go back to — the one owner of the item
-// type's, shared by every mailbox of the system — or nil for rings of its
-// own.
-func (m *Mailbox[T]) Init(env *Env, rings *slab.Slab[T]) {
-	*m = Mailbox[T]{rings: rings, sig: Signal{env: env}}
+// mailboxes are elements of one array. rings is the slab its rings come
+// from and go back to — the one owner of the item type's, shared by
+// every mailbox of the system — or nil for rings of its own. reader is
+// the hook the next Put posts, idle from now on; nil for none.
+func (m *Mailbox[T]) Init(env *Env, rings *slab.Slab[T], reader EventHook) {
+	*m = Mailbox[T]{rings: rings, env: env, reader: reader}
+	if reader != nil {
+		m.n = idle
+	}
 }
 
-// Put appends v and wakes one waiting receiver, if any.
+// Put appends v and, if the reader is idle, posts its hook.
 func (m *Mailbox[T]) Put(v T) {
+	if m.n == idle {
+		m.n = 0
+		m.env.AtHook(m.env.now, m.reader)
+	}
 	if int(m.n) == len(m.buf) {
 		m.grow()
 	}
 	m.buf[int(m.head+m.n)&(len(m.buf)-1)] = v
 	m.n++
-	m.sig.Fire()
 }
 
 func (m *Mailbox[T]) grow() {
@@ -72,10 +96,14 @@ func (m *Mailbox[T]) grow() {
 }
 
 // TryGet removes and returns the head item without blocking. The second
-// result is false when the mailbox is empty.
+// result is false when the mailbox is empty, and the reader is then
+// idle: the next Put posts its hook.
 func (m *Mailbox[T]) TryGet() (T, bool) {
 	var zero T
-	if m.n == 0 {
+	if m.n <= 0 {
+		if m.reader != nil {
+			m.n = idle
+		}
 		return zero, false
 	}
 	i := int(m.head)
@@ -86,18 +114,4 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 		m.buf, m.head = nil, 0
 	}
 	return v, true
-}
-
-// Recv removes and returns the head item for a state machine. When the
-// mailbox is empty it parks the task on the mailbox's signal and
-// reports ok=false: the machine must return from Resume, and the next
-// Put resumes it. A resumed machine must call Recv again in a drain
-// loop — one wakeup can cover several buffered items.
-func (m *Mailbox[T]) Recv(t *Task) (T, bool) {
-	if v, ok := m.TryGet(); ok {
-		return v, true
-	}
-	t.Wait(&m.sig)
-	var zero T
-	return zero, false
 }

@@ -1,10 +1,11 @@
 package sim
 
 // Signal is a condition-variable-like primitive. Machines wait on it
-// (Task.Wait, Task.WaitTimeout); Broadcast wakes every current waiter
-// and Fire wakes the longest-waiting one. Wakeups are scheduled at the
-// current instant, so woken machines run after the waking event
-// completes, in wait order.
+// (Task.Wait, Task.WaitTimeout); Broadcast wakes every current waiter.
+// Wakeups are scheduled at the current instant, so woken machines run
+// after the waking event completes, in wait order. (A queue that wakes
+// one reader per batch of items is a Mailbox, whose reader is an event
+// hook, not a waiter.)
 //
 // As with condition variables, a wakeup is a hint: callers should
 // re-check their predicate.
@@ -34,16 +35,6 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Init makes s a signal bound to env, in place (in the record it wakes).
 func (s *Signal) Init(env *Env) { *s = Signal{env: env} }
-
-// Fire wakes the longest-waiting machine, if any.
-func (s *Signal) Fire() {
-	w := s.head
-	if w == nil {
-		return
-	}
-	s.unlink(w)
-	s.wake(w)
-}
 
 // Broadcast wakes every machine currently waiting.
 func (s *Signal) Broadcast() {

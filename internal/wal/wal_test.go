@@ -129,7 +129,7 @@ func TestGroupCommit(t *testing.T) {
 				switch pc {
 				case 0:
 					pc = 1
-					task.SleepUntil((task.Now()/period+1)*period + time.Duration(id)*time.Millisecond)
+					task.Sleep((task.Now()/period+1)*period + time.Duration(id)*time.Millisecond - task.Now())
 					return false
 				case 1:
 					op.Init(l, l.Append())
